@@ -1,13 +1,24 @@
-"""Shared account-model arithmetic for the committee and rollup protocols.
+"""Account model shared by the committee sidechain and the optimistic rollup.
 
 States map party ids to balances and per-sender nonces, plus the set of L1
 deposit txids already minted and the current chain height.  Transactions are
 plain dicts; application is pure except for the deposit-depth lookup, which
 consults the ledger so mints can only reference sufficiently buried deposits.
+
+Both protocols also share everything around that arithmetic that does not
+depend on how an update is certified: the client plumbing (registration,
+request queueing, deposits, reads, open and settlement detection), the
+ideal bundle's submission, open, read and settlement checks, the
+environment-side request translation, and the simulator's open and
+settlement triggers.  Each protocol module keeps its update certification,
+its dispute timing and what its parties store.
 """
 
 from __future__ import annotations
 
+from .base import signed_tx
+from .core import CLIENT, OPEN, SETTLEMENT, UPDATE, SubroutineBundle
+from .runtime import ENV_ROLE, Machine
 from .trace import digest
 
 
@@ -79,3 +90,356 @@ def ripe_deposits(ledger, sid, state, confirm_depth):
             out.append({"op": "mint", "to": d["body"]["to"],
                         "amt": d["body"]["amt"], "ref": d["txid"]})
     return sorted(out, key=lambda t: t["ref"])
+
+
+def register_onchain(ctx):
+    """Submit the calling party's joining record (open-commit) for its chain."""
+    sid, me = ctx.me.sid, ctx.me.short()
+    ctx.ledger.submit(signed_tx(ctx.certs, "open-commit",
+                                {"chain": sid, "conflict": f"reg/{sid}/{me}"},
+                                me))
+
+
+# -- real client -----------------------------------------------------------
+
+
+class AccountClient(Machine):
+    """Client plumbing of the account-model protocols.
+
+    A subclass supplies its chain view: ``genesis()``, ``tip_state(ctx)``
+    for building transactions, ``read_view(ctx)`` for reads, and
+    ``_recheck(ctx)``, run on every round and block, which opens the client
+    (``_check_open``) and reports settlements (``_watch_settlements``).  A
+    settlement is a committed ledger record of kind ``settle_kind``; its
+    body fields named in ``settle_note_fields`` ride along on the note.
+    Constructor arguments after ``operators`` go to the next base class
+    (the rollup client's ``RollupParty``).
+    """
+
+    settle_kind = None
+    settle_note_fields = ()
+
+    def __init__(self, me, operators, *rest):
+        super().__init__(me, *rest)
+        self.operators = list(operators)
+        self.watching = False
+        self.opened = False
+        self.closed = False
+        self.pending = []         # env requests not yet sent as L2 txs
+        self.outstanding = None   # {"txid", "tx"} of the tx in flight
+        self.dep_counter = 0
+        self.settles_seen = set()
+        self.settled_state = None
+
+    def on_start(self, ctx):
+        register_onchain(ctx)
+
+    def on_message(self, ctx, env):
+        """Environment requests; other parties' messages are ignored."""
+        if env.src.role != ENV_ROLE:
+            return
+        p = env.payload
+        kind = p.get("kind")
+        if kind == "open":
+            self.watching = True
+            self._recheck(ctx)
+        elif kind == "pay":
+            self._queue_tx(ctx, {"op": "pay", "to": p["to"], "amt": p["amt"]})
+        elif kind == "deposit":
+            self._deposit(ctx, p["amt"])
+        elif kind == "settle":
+            self._queue_tx(ctx, {"op": "peg-out", "amt": p["amt"]})
+        elif kind == "read":
+            self._serve_read(ctx)
+
+    def on_round(self, ctx):
+        self._recheck(ctx)
+
+    def on_ledger_block(self, ctx, height):
+        self._recheck(ctx)
+
+    def _queue_tx(self, ctx, body):
+        if self.closed or not self.opened:
+            ctx.note("request-refused", why="phase", req=body["op"])
+            return
+        self.pending.append(body)
+        self._try_send(ctx)
+
+    def _try_send(self, ctx):
+        if self.outstanding is not None or not self.pending or self.closed:
+            return
+        body = self.pending.pop(0)
+        state = self.tip_state(ctx)
+        nonce = state["nonce"].get(self.me.pid, 0) + 1
+        tx = {**body, "from": self.me.pid, "nonce": nonce}
+        if apply_tx(state, tx, ctx.ledger, ctx.timing["confirm_depth"]) is None:
+            ctx.note("request-refused", why="invalid-transfer", req=body["op"])
+            self._try_send(ctx)
+            return
+        ctx.note("request-queued", req=tx["op"], nonce=nonce)
+        self.outstanding = {"txid": l2_txid(tx), "tx": tx}
+        self._sent(ctx, body)
+        for op in self.operators:
+            ctx.send_net(op, {"kind": "tx", "tx": tx})
+
+    def _sent(self, ctx, body):
+        """Bookkeeping for the transaction just put in flight."""
+
+    def _deposit(self, ctx, amt):
+        self.dep_counter += 1
+        sid, pid = self.me.sid, self.me.pid
+        ctx.ledger.submit(signed_tx(
+            ctx.certs, "deposit",
+            {"chain": sid, "to": pid, "amt": amt,
+             "conflict": f"dep/{sid}/{pid}/{self.dep_counter}"},
+            self.me.short()))
+        ctx.note("deposit-sent", amt=amt)
+
+    def _serve_read(self, ctx):
+        if not self.opened:
+            ctx.note("read-empty")
+            return
+        state, executed, pointer = self.read_view(ctx)
+        if self.closed and self.settled_state is not None:
+            executed.append({"kind": SETTLEMENT, "seq": None,
+                             "state": self.settled_state})
+        ctx.output({"kind": "read-result", "state": state,
+                    "executed": executed, "pointer": pointer})
+
+    def _check_open(self, ctx):
+        """Open once every operator's joining record has committed."""
+        if not self.watching or self.opened:
+            return
+        regs = ctx.ledger.find(
+            lambda t: t["kind"] == "open-commit"
+            and t["body"].get("chain") == self.me.sid)
+        if {o.short() for o in self.operators} <= {t["author"] for t in regs}:
+            self.opened = True
+            ctx.note("open-done", state=self.genesis())
+            ctx.output({"kind": "open-ok", "state": self.genesis()})
+            self._try_send(ctx)
+
+    def _watch_settlements(self, ctx):
+        """Report every committed settlement record of this chain once."""
+        records = ctx.ledger.find(
+            lambda t: t["kind"] == self.settle_kind
+            and t["body"].get("chain") == self.me.sid)
+        for t in records:
+            body = t["body"]
+            if body["l2txid"] in self.settles_seen:
+                continue
+            self.settles_seen.add(body["l2txid"])
+            self.closed = True
+            self.settled_state = body["state"]
+            ctx.note("settle-done", state=body["state"], l2txid=body["l2txid"],
+                     frm=body["to"], amt=body["amt"],
+                     **{k: body[k] for k in self.settle_note_fields})
+            ctx.output({"kind": "settle-ok", "success": True,
+                        "state": body["state"]})
+
+
+# -- ideal bundle ----------------------------------------------------------
+
+
+class AccountBundle(SubroutineBundle):
+    """Ideal checks shared by the account-model protocols.
+
+    An update is a dict with ``txs`` (a block or a batch) whose position
+    sits under ``seq_field``; its executed record keeps it under
+    ``update_key``.  A settlement needs the burn's committed ledger record
+    of kind ``settle_kind``.  Subclasses decide ``check_update``.
+    """
+
+    update_key = seq_field = settle_kind = None
+
+    def __init__(self, sid, clients, operators, initial):
+        self.sid = sid
+        self.clients = list(clients)
+        self.operators = list(operators)  # shorts
+        self.initial = dict(initial)
+
+    def _pending_spend(self, ist, pid):
+        return sum(r["body"].get("amt", 0) for r in ist.queue
+                   if r["by"] == pid and (r["kind"], r["body"].get("op"))
+                   in ((UPDATE, "pay"), (SETTLEMENT, "peg-out")))
+
+    def submit(self, ist, req, env):
+        kind, body, by = req["kind"], req["body"], req["by"]
+        if ist.phase() == "settled":
+            return False, "settled"
+        if kind == OPEN:
+            if ist.phase() != "init":
+                return False, "phase"
+            if body.get("state") != genesis_state(self.initial):
+                return False, "bad-state"
+            return True, None
+        if ist.phase() != "open":
+            return False, "phase"
+        op = body.get("op")
+        if kind == UPDATE and op == "pay":
+            if body.get("to") not in self.clients or body.get("amt", 0) <= 0:
+                return False, "malformed"
+            free = ist.latest()["bal"].get(by, 0) - self._pending_spend(ist, by)
+            if body["amt"] > free:
+                return False, "insufficient"
+            return True, None
+        if kind == UPDATE and op == "peg-in":
+            if body.get("amt", 0) <= 0:
+                return False, "malformed"
+            return True, None
+        if kind == SETTLEMENT and op == "peg-out":
+            if body.get("amt", 0) <= 0:
+                return False, "malformed"
+            free = ist.latest()["bal"].get(by, 0) - self._pending_spend(ist, by)
+            if body["amt"] > free:
+                return False, "insufficient"
+            return True, None
+        return False, "unknown-kind"
+
+    def check_open(self, ist, body, attachment, env):
+        if body.get("state") != genesis_state(self.initial):
+            return False, "bad-state"
+        honest = env.honest(ist, CLIENT)
+        queued = {r["by"] for r in ist.queue if r["kind"] == OPEN}
+        if not set(honest) <= queued:
+            return False, "missing-open-requests"
+        regs = env.ledger.find(
+            lambda t: t["kind"] == "open-commit" and t["body"].get("chain") == self.sid)
+        if not set(self.operators) <= {t["author"] for t in regs}:
+            return False, "registration-missing"
+        return True, None
+
+    def state_from_update(self, ist, update, attachment, env):
+        return apply_txs(ist.latest(), update["txs"], env.ledger,
+                         env.timing["confirm_depth"], update[self.seq_field])
+
+    def executed_by_update(self, ist, update, attachment, env):
+        post = self.state_from_update(ist, update, attachment, env)
+        rids = []
+        for tx in update["txs"]:
+            for r in ist.queue:
+                if r["rid"] in rids or r["kind"] != UPDATE:
+                    continue
+                body = r["body"]
+                pays = (tx.get("op") == "pay" and body.get("op") == "pay"
+                        and r["by"] == tx.get("from")
+                        and body.get("to") == tx.get("to"))
+                mints = (tx.get("op") == "mint" and body.get("op") == "peg-in"
+                         and r["by"] == tx.get("to"))
+                if (pays or mints) and body.get("amt") == tx.get("amt"):
+                    rids.append(r["rid"])
+                    break
+        return [{"kind": UPDATE, "seq": update[self.seq_field], "state": post,
+                 "txs": update["txs"], self.update_key: update,
+                 "evidence": attachment, "rids": rids, "round": env.round}]
+
+    def read(self, ist, pid, env):
+        if not ist.states:
+            return None
+        top = len(ist.states) - 1
+        delay = env.hint("read-delay", pid=pid)
+        idx = top if delay is None else max(0, min(top, delay))
+        idx = max(idx, ist.read_ptr.get(pid, 0))
+        state = ist.states[idx]
+        executed = []
+        for e in ist.executed:
+            if e["kind"] == OPEN:
+                executed.append({"kind": OPEN, "seq": 0, "state": e["state"]})
+            elif e["kind"] == UPDATE and e["seq"] <= state["height"]:
+                executed.append({"kind": UPDATE, "seq": e["seq"],
+                                 "state": e["state"], "txs": e["txs"]})
+        if ist.settled is not None:
+            executed.append({"kind": SETTLEMENT, "seq": None,
+                             "state": ist.settled["state"]})
+        if not self._reconstructs(ist, idx):
+            return None
+        return {"state": state, "executed": executed, "pointer": idx}
+
+    def _reconstructs(self, ist, idx):
+        want = ist.states[idx]
+        cur = ist.states[0]
+        for e in ist.executed:
+            if e["kind"] != UPDATE or e["seq"] > want["height"]:
+                continue
+            if e["seq"] != cur["height"] + 1:
+                return False
+            cur = e["state"]
+        return cur == want
+
+    def check_settlement(self, ist, body, attachment, env):
+        if body.get("op") != "peg-out":
+            return False, "malformed", None
+        asked = [r for r in ist.queue if r["kind"] == SETTLEMENT]
+        if not asked:
+            return False, "no-settle-request", None
+        burn = None
+        for e in ist.executed:
+            if e["kind"] != UPDATE:
+                continue
+            for tx in e["txs"]:
+                if (tx.get("op") == "peg-out" and tx.get("from") == body.get("from")
+                        and tx.get("amt") == body.get("amt")):
+                    burn = (e, tx)
+        if burn is None:
+            return False, "no-burn", None
+        entry, tx = burn
+        committed = env.ledger.find(
+            lambda t: t["kind"] == self.settle_kind
+            and t["body"].get("chain") == self.sid
+            and t["body"].get("l2txid") == l2_txid(tx))
+        if not committed:
+            return False, "not-committed", None
+        return True, None, entry["state"]
+
+
+# -- environment and simulator ---------------------------------------------
+
+
+class AccountTracker:
+    """Environment-side translation of client inputs into ideal requests."""
+
+    def __init__(self, scn):
+        self.scn = scn
+
+    def ideal_request(self, pid, entry):
+        kind = entry["kind"]
+        if kind == "open":
+            return {"kind": OPEN,
+                    "body": {"state": genesis_state(self.scn["initial"])}}
+        if kind == "pay":
+            return {"kind": UPDATE,
+                    "body": {"op": "pay", "to": entry["to"], "amt": entry["amt"]}}
+        if kind == "deposit":
+            return {"kind": UPDATE, "body": {"op": "peg-in", "amt": entry["amt"]}}
+        if kind == "settle":
+            return {"kind": SETTLEMENT,
+                    "body": {"op": "peg-out", "from": pid, "amt": entry["amt"]}}
+        return None
+
+
+class AccountHooks:
+    """Simulator triggers for the open and for each settlement.
+
+    Subclasses turn their own update notes into update triggers and fall
+    back on ``account_triggers`` for every other event.
+    """
+
+    def __init__(self, scn):
+        self.scn = scn
+        self.done = set()
+
+    def account_triggers(self, ev):
+        if ev.get("t") != "note":
+            return []
+        kind = ev.get("kind")
+        if kind == "open-done" and "open" not in self.done:
+            self.done.add("open")
+            return [{"kind": OPEN,
+                     "body": {"state": genesis_state(self.scn["initial"])}}]
+        if kind == "settle-done" and ("s", ev["l2txid"]) not in self.done:
+            self.done.add(("s", ev["l2txid"]))
+            return [{"kind": SETTLEMENT,
+                     "body": {"op": "peg-out", "from": ev["frm"],
+                              "amt": ev["amt"]},
+                     "attachment": None}]
+        return []

@@ -29,10 +29,13 @@ verdict.
 from __future__ import annotations
 
 from .runtime import Machine, EntityId
-from .base import make_tx, tx_signable, attach_periodic_clock
-from .core import SubroutineBundle, OPEN, UPDATE, SETTLEMENT, CLIENT
+from .base import signed_tx, attach_periodic_clock
+from .core import OPEN, UPDATE, SETTLEMENT, CLIENT
 from .trace import digest
-from .accounts import genesis_state, l2_txid, apply_tx, apply_txs, ripe_deposits
+from .accounts import (
+    AccountBundle, AccountClient, AccountHooks, AccountTracker, apply_tx,
+    apply_txs, genesis_state, l2_txid, register_onchain, ripe_deposits,
+)
 
 OPERATOR = "operator"
 VALIDATOR = "validator"
@@ -97,6 +100,22 @@ def chain_view(ledger, sid, initial, confirm_depth, round_no, t_period):
     return {"entries": entries, "final": final}
 
 
+def world_view(world, initial):
+    """The chain view at the world's current round."""
+    return chain_view(world.ledger, world.sid, initial,
+                      world.timing["confirm_depth"], world.round_no,
+                      world.timing["t_period"])
+
+
+def batch_tx(certs, view, sid, author, seq, txs, post):
+    """Signed publication of batch ``seq`` on top of ``view``."""
+    prev = (genesis_anchor(sid) if seq == 1
+            else batch_digest(view["entries"][-1]["batch"]))
+    batch = {"seq": seq, "prev": prev, "txs": txs, "post": post, "by": author}
+    return signed_tx(certs, "batch-publish", {"chain": sid, "batch": batch},
+                     author)
+
+
 def view_state(view, upto=None):
     """Authoritative state after the first `upto` accepted batches."""
     n = len(view["entries"]) if upto is None else upto
@@ -130,8 +149,7 @@ def install_ledger_checks(world, sid, initial, publishers):
         # final nothing can strike it any more.  The round comes from the
         # world that ticks the ledger, which may sit above the building one.
         w = ledger.world
-        view = chain_view(ledger, sid, initial, w.timing["confirm_depth"],
-                          w.round_no, w.timing["t_period"])
+        view = world_view(w, initial)
         entry = None
         for e in view["entries"]:
             if e["txid"] == tx["body"].get("target"):
@@ -147,9 +165,7 @@ def install_ledger_checks(world, sid, initial, publishers):
 
     def check_settle(tx, ledger):
         body = tx["body"]
-        w = ledger.world
-        view = chain_view(ledger, sid, initial, w.timing["confirm_depth"],
-                          w.round_no, w.timing["t_period"])
+        view = world_view(ledger.world, initial)
         entry = None
         for e in view["entries"][:view["final"]]:
             if e["txid"] == body.get("batch"):
@@ -182,18 +198,11 @@ class RollupParty(Machine):
         super().__init__(me)
         self.initial = dict(initial)
 
-    def register_onchain(self, ctx):
-        tx = make_tx("open-commit",
-                     {"chain": self.me.sid,
-                      "conflict": f"reg/{self.me.sid}/{self.me.short()}"},
-                     self.me.short())
-        tx["sigs"] = [ctx.certs.sign(self.me.short(), tx_signable(tx))]
-        ctx.ledger.submit(tx)
+    def on_start(self, ctx):
+        register_onchain(ctx)
 
     def view(self, ctx):
-        return chain_view(ctx.ledger, self.me.sid, self.initial,
-                          ctx.timing["confirm_depth"], ctx.world.round_no,
-                          ctx.timing["t_period"])
+        return world_view(ctx.world, self.initial)
 
     def optimistic_state(self, ctx, view=None):
         v = view or self.view(ctx)
@@ -205,9 +214,6 @@ class ArbitrumOperator(RollupParty):
     def __init__(self, me, initial):
         super().__init__(me, initial)
         self.mempool = {}
-
-    def on_start(self, ctx):
-        self.register_onchain(ctx)
 
     def on_message(self, ctx, env):
         p = env.payload
@@ -234,15 +240,8 @@ class ArbitrumOperator(RollupParty):
         if not txs:
             return
         seq = len(view["entries"]) + 1
-        prev = (genesis_anchor(self.me.sid) if seq == 1
-                else batch_digest(view["entries"][-1]["batch"]))
-        post = dict(probe, height=seq)
-        batch = {"seq": seq, "prev": prev, "txs": txs, "post": post,
-                 "by": self.me.short()}
-        ltx = make_tx("batch-publish", {"chain": self.me.sid, "batch": batch},
-                      self.me.short())
-        ltx["sigs"] = [ctx.certs.sign(self.me.short(), tx_signable(ltx))]
-        ctx.ledger.submit(ltx)
+        ctx.ledger.submit(batch_tx(ctx.certs, view, self.me.sid, self.me.short(),
+                                   seq, txs, dict(probe, height=seq)))
         ctx.note("batch-publish", seq=seq, ntx=len(txs))
 
     def on_ledger_block(self, ctx, height):
@@ -257,9 +256,6 @@ class ArbitrumValidator(RollupParty):
     def __init__(self, me, initial):
         super().__init__(me, initial)
         self.checked = set()
-
-    def on_start(self, ctx):
-        self.register_onchain(ctx)
 
     def on_message(self, ctx, env):
         if env.payload.get("kind") == "update-check":
@@ -282,90 +278,39 @@ class ArbitrumValidator(RollupParty):
                 continue            # orphaned or already struck down
             self.checked.add(tx["txid"])
             if entry["post"] is None or entry["post"] != entry["claimed"]:
-                proof = make_tx("fraud-proof",
-                                {"chain": self.me.sid, "target": tx["txid"],
-                                 "seq": entry["batch"]["seq"],
-                                 "conflict": f"fraud/{tx['txid']}/{self.me.short()}"},
-                                self.me.short())
-                proof["sigs"] = [ctx.certs.sign(self.me.short(),
-                                                tx_signable(proof))]
+                proof = signed_tx(
+                    ctx.certs, "fraud-proof",
+                    {"chain": self.me.sid, "target": tx["txid"],
+                     "seq": entry["batch"]["seq"],
+                     "conflict": f"fraud/{tx['txid']}/{self.me.short()}"},
+                    self.me.short())
                 res = ctx.ledger.submit(proof)
                 ctx.note("fraud-found", seq=entry["batch"]["seq"],
                          target=tx["txid"], accepted=res["accepted"])
 
 
-class ArbitrumClient(RollupParty):
+class ArbitrumClient(AccountClient, RollupParty):
+    settle_kind = "settle"
+
     def __init__(self, me, operators, initial, self_publish=True, patience=None):
-        super().__init__(me, initial)
-        self.operators = list(operators)
+        super().__init__(me, operators, initial)
         self.self_publish = self_publish
         self.patience = patience
-        self.watching = False
-        self.opened = False
-        self.closed = False
-        self.pending = []
-        self.outstanding = None    # {"txid","tx","since"}
         self.inflight = []         # sent but not yet final: {"txid","body"}
-        self.dep_counter = 0
         self.final_len = 0
-        self.settles_seen = set()
-        self.settled_state = None
         self.exit_submitted = False
 
-    def on_start(self, ctx):
-        self.register_onchain(ctx)
+    def genesis(self):
+        return genesis_state(self.initial)
 
-    def on_message(self, ctx, env):
-        kind = env.payload.get("kind")
-        p = env.payload
-        if env.src.role != "env":
-            return
-        if kind == "open":
-            self.watching = True
-            self._recheck(ctx)
-        elif kind == "pay":
-            self._queue_tx(ctx, {"op": "pay", "to": p["to"], "amt": p["amt"]})
-        elif kind == "deposit":
-            self._deposit(ctx, p["amt"])
-        elif kind == "settle":
-            self._queue_tx(ctx, {"op": "peg-out", "amt": p["amt"]})
-        elif kind == "read":
-            self._serve_read(ctx)
+    def tip_state(self, ctx):
+        return self.optimistic_state(ctx)
 
-    def _queue_tx(self, ctx, body):
-        if self.closed or not self.opened:
-            ctx.note("request-refused", why="phase", req=body["op"])
-            return
-        self.pending.append(body)
-        self._try_send(ctx)
-
-    def _try_send(self, ctx):
-        if self.outstanding is not None or not self.pending or self.closed:
-            return
-        body = self.pending.pop(0)
-        state = self.optimistic_state(ctx)
-        nonce = state["nonce"].get(self.me.pid, 0) + 1
-        tx = {**body, "from": self.me.pid, "nonce": nonce}
-        if apply_tx(state, tx, ctx.ledger, ctx.timing["confirm_depth"]) is None:
-            ctx.note("request-refused", why="invalid-transfer", req=body["op"])
-            self._try_send(ctx)
-            return
-        ctx.note("request-queued", req=tx["op"], nonce=nonce)
-        self.outstanding = {"txid": l2_txid(tx), "tx": tx,
-                            "since": ctx.world.round_no}
-        self.inflight.append({"txid": l2_txid(tx), "body": body})
-        for op in self.operators:
-            ctx.send_net(op, {"kind": "tx", "tx": tx})
-
-    def _deposit(self, ctx, amt):
-        self.dep_counter += 1
-        tx = make_tx("deposit",
-                     {"chain": self.me.sid, "to": self.me.pid, "amt": amt,
-                      "conflict": f"dep/{self.me.sid}/{self.me.pid}/{self.dep_counter}"},
-                     self.me.short())
-        tx["sigs"] = [ctx.certs.sign(self.me.short(), tx_signable(tx))]
-        ctx.ledger.submit(tx)
-        ctx.note("deposit-sent", amt=amt)
+    def _sent(self, ctx, body):
+        # "since" starts the self-publication patience; the inflight entry
+        # lets a struck batch re-queue the request
+        self.outstanding["since"] = ctx.world.round_no
+        self.inflight.append({"txid": self.outstanding["txid"], "body": body})
 
     def _included(self, view, txid):
         return any(l2_txid(t) == txid
@@ -404,56 +349,25 @@ class ArbitrumClient(RollupParty):
                 self._try_send(ctx)
         if not txs:
             return
-        prev = (genesis_anchor(self.me.sid) if seq == 1
-                else batch_digest(view["entries"][-1]["batch"]))
         post = apply_txs(state, txs, ctx.ledger, cd, seq)
-        batch = {"seq": seq, "prev": prev, "txs": txs, "post": post,
-                 "by": self.me.short()}
-        ltx = make_tx("batch-publish", {"chain": self.me.sid, "batch": batch},
-                      self.me.short())
-        ltx["sigs"] = [ctx.certs.sign(self.me.short(), tx_signable(ltx))]
-        ctx.ledger.submit(ltx)
+        ctx.ledger.submit(batch_tx(ctx.certs, view, self.me.sid, self.me.short(),
+                                   seq, txs, post))
         ctx.note("self-publish", seq=seq)
         if self.outstanding is not None:
             self.outstanding["since"] = now
 
-    def _serve_read(self, ctx):
-        if not self.opened:
-            ctx.note("read-empty")
-            return
+    def read_view(self, ctx):
         view = self.view(ctx)
-        final = view["entries"][:view["final"]]
         state = genesis_state(self.initial)
         executed = [{"kind": OPEN, "seq": 0, "state": state}]
-        for e in final:
+        for e in view["entries"][:view["final"]]:
             state = e["claimed"]
             executed.append({"kind": UPDATE, "seq": e["batch"]["seq"],
                              "state": state, "txs": e["batch"]["txs"]})
-        if self.closed and self.settled_state is not None:
-            executed.append({"kind": SETTLEMENT, "seq": None,
-                             "state": self.settled_state})
-        ctx.output({"kind": "read-result", "state": state,
-                    "executed": executed, "pointer": view["final"]})
-
-    def on_round(self, ctx):
-        self._recheck(ctx)
-
-    def on_ledger_block(self, ctx, height):
-        self._recheck(ctx)
+        return state, executed, view["final"]
 
     def _recheck(self, ctx):
-        if self.watching and not self.opened:
-            regs = ctx.ledger.find(
-                lambda t: t["kind"] == "open-commit"
-                and t["body"].get("chain") == self.me.sid
-                and t["author"].startswith(OPERATOR + ":"))
-            ops = {o.short() for o in self.operators}
-            if ops <= {t["author"] for t in regs}:
-                self.opened = True
-                ctx.note("open-done", state=genesis_state(self.initial))
-                ctx.output({"kind": "open-ok",
-                            "state": genesis_state(self.initial)})
-                self._try_send(ctx)
+        self._check_open(ctx)
         if not self.opened:
             return
         view = self.view(ctx)
@@ -499,111 +413,23 @@ class ArbitrumClient(RollupParty):
             for tx in e["batch"]["txs"]:
                 if tx.get("op") == "peg-out" and tx.get("from") == self.me.pid \
                         and not self.exit_submitted:
-                    post = e["claimed"]
-                    claim = make_tx(
-                        "settle",
+                    ctx.ledger.submit(signed_tx(
+                        ctx.certs, "settle",
                         {"chain": self.me.sid, "to": self.me.pid,
                          "amt": tx["amt"], "l2txid": l2_txid(tx),
-                         "batch": e["txid"], "state": post,
+                         "batch": e["txid"], "state": e["claimed"],
                          "conflict": f"exit/{self.me.sid}/{l2_txid(tx)}"},
-                        self.me.short())
-                    claim["sigs"] = [ctx.certs.sign(self.me.short(),
-                                                    tx_signable(claim))]
-                    ctx.ledger.submit(claim)
+                        self.me.short()))
                     self.exit_submitted = True
-        exits = ctx.ledger.find(
-            lambda t: t["kind"] == "settle" and t["body"].get("chain") == self.me.sid)
-        for t in exits:
-            txid = t["body"]["l2txid"]
-            if txid in self.settles_seen:
-                continue
-            self.settles_seen.add(txid)
-            self.closed = True
-            self.settled_state = t["body"]["state"]
-            ctx.note("settle-done", state=t["body"]["state"], l2txid=txid,
-                     frm=t["body"]["to"], amt=t["body"]["amt"])
-            ctx.output({"kind": "settle-ok", "success": True,
-                        "state": t["body"]["state"]})
+        self._watch_settlements(ctx)
 
 
 # -- ideal bundle ----------------------------------------------------------
 
 
-class ArbitrumBundle(SubroutineBundle):
+class ArbitrumBundle(AccountBundle):
     name = "arbitrum"
-
-    def __init__(self, sid, clients, operators, validators, initial):
-        self.sid = sid
-        self.clients = list(clients)
-        self.operators = list(operators)    # shorts
-        self.validators = list(validators)  # shorts
-        self.initial = dict(initial)
-
-    def _pending_spend(self, ist, pid):
-        out = 0
-        for r in ist.queue:
-            body = r["body"]
-            if r["by"] == pid and body.get("op") in ("pay", "peg-out"):
-                out += body.get("amt", 0)
-        return out
-
-    def submit(self, ist, req, env):
-        kind, body, by = req["kind"], req["body"], req["by"]
-        if ist.phase() == "settled":
-            return False, "settled"
-        if kind == OPEN:
-            if ist.phase() != "init":
-                return False, "phase"
-            if body.get("state") != genesis_state(self.initial):
-                return False, "bad-state"
-            return True, None
-        if ist.phase() != "open":
-            return False, "phase"
-        op = body.get("op")
-        if kind == UPDATE and op == "pay":
-            if body.get("to") not in self.clients or body.get("amt", 0) <= 0:
-                return False, "malformed"
-            free = ist.latest()["bal"].get(by, 0) - self._pending_spend(ist, by)
-            if body["amt"] > free:
-                return False, "insufficient"
-            return True, None
-        if kind == UPDATE and op == "peg-in":
-            if body.get("amt", 0) <= 0:
-                return False, "malformed"
-            return True, None
-        if kind == SETTLEMENT and op == "peg-out":
-            if body.get("amt", 0) <= 0:
-                return False, "malformed"
-            free = ist.latest()["bal"].get(by, 0) - self._pending_spend(ist, by)
-            if body["amt"] > free:
-                return False, "insufficient"
-            return True, None
-        return False, "unknown-kind"
-
-    def check_open(self, ist, body, attachment, env):
-        if body.get("state") != genesis_state(self.initial):
-            return False, "bad-state"
-        honest = env.honest(ist, CLIENT)
-        queued = {r["by"] for r in ist.queue if r["kind"] == OPEN}
-        if not set(honest) <= queued:
-            return False, "missing-open-requests"
-        regs = env.ledger.find(
-            lambda t: t["kind"] == "open-commit" and t["body"].get("chain") == self.sid)
-        if not set(self.operators) <= {t["author"] for t in regs}:
-            return False, "registration-missing"
-        return True, None
-
-    def apply_open(self, ist, body, attachment, env):
-        s0 = genesis_state(self.initial)
-        ist.states.append(s0)
-        ist.onchain = s0
-        ist.executed.append({"kind": OPEN, "state": s0, "seq": 0,
-                             "evidence": attachment, "round": env.round})
-
-    def _chain(self, env):
-        return chain_view(env.ledger, self.sid, self.initial,
-                          env.timing["confirm_depth"], env.round,
-                          env.timing["t_period"])
+    update_key, seq_field, settle_kind = "batch", "seq", "settle"
 
     def check_update(self, ist, batch, attachment, env):
         if not isinstance(batch, dict) or "txs" not in batch:
@@ -611,7 +437,7 @@ class ArbitrumBundle(SubroutineBundle):
         seq = batch.get("seq")
         if seq != ist.latest()["height"] + 1:
             return False, "stale"
-        view = self._chain(env)
+        view = world_view(env.world, self.initial)
         entry = None
         for e in view["entries"]:
             if e["batch"] == batch:
@@ -623,97 +449,6 @@ class ArbitrumBundle(SubroutineBundle):
             return False, "window-open"
         if entry["post"] is None or entry["post"] != entry["claimed"]:
             return False, "halt:unchallenged-fraud"
-        return True, None
-
-    def state_from_update(self, ist, batch, attachment, env):
-        return apply_txs(ist.latest(), batch["txs"], env.ledger,
-                         env.timing["confirm_depth"], batch["seq"])
-
-    def executed_by_update(self, ist, batch, attachment, env):
-        post = self.state_from_update(ist, batch, attachment, env)
-        rids = []
-        matched = set()
-        for tx in batch["txs"]:
-            for r in ist.queue:
-                if r["rid"] in matched or r["kind"] != UPDATE:
-                    continue
-                body = r["body"]
-                if (tx.get("op") == "pay" and body.get("op") == "pay"
-                        and r["by"] == tx.get("from") and body.get("to") == tx.get("to")
-                        and body.get("amt") == tx.get("amt")):
-                    matched.add(r["rid"])
-                    rids.append(r["rid"])
-                    break
-                if (tx.get("op") == "mint" and body.get("op") == "peg-in"
-                        and r["by"] == tx.get("to")
-                        and body.get("amt") == tx.get("amt")):
-                    matched.add(r["rid"])
-                    rids.append(r["rid"])
-                    break
-        return [{"kind": UPDATE, "seq": batch["seq"], "state": post,
-                 "txs": batch["txs"], "batch": batch, "evidence": attachment,
-                 "rids": rids, "round": env.round}]
-
-    def read(self, ist, pid, env):
-        if not ist.states:
-            return None
-        top = len(ist.states) - 1
-        delay = env.hint("read-delay", pid=pid)
-        idx = top if delay is None else max(0, min(top, delay))
-        idx = max(idx, ist.read_ptr.get(pid, 0))
-        state = ist.states[idx]
-        executed = []
-        for e in ist.executed:
-            if e["kind"] == OPEN:
-                executed.append({"kind": OPEN, "seq": 0, "state": e["state"]})
-            elif e["kind"] == UPDATE and e["seq"] <= state["height"]:
-                executed.append({"kind": UPDATE, "seq": e["seq"],
-                                 "state": e["state"], "txs": e["txs"]})
-        if ist.settled is not None:
-            executed.append({"kind": SETTLEMENT, "seq": None,
-                             "state": ist.settled["state"]})
-        if not self._reconstructs(ist, idx):
-            return None
-        return {"state": state, "executed": executed, "pointer": idx}
-
-    def _reconstructs(self, ist, idx):
-        want = ist.states[idx]
-        cur = ist.states[0]
-        for e in ist.executed:
-            if e["kind"] != UPDATE or e["seq"] > want["height"]:
-                continue
-            if e["seq"] != cur["height"] + 1:
-                return False
-            cur = e["state"]
-        return cur == want
-
-    def check_settlement(self, ist, body, attachment, env):
-        if body.get("op") != "peg-out":
-            return False, "malformed", None
-        asked = [r for r in ist.queue if r["kind"] == SETTLEMENT]
-        if not asked:
-            return False, "no-settle-request", None
-        burn = None
-        for e in ist.executed:
-            if e["kind"] != UPDATE:
-                continue
-            for tx in e["txs"]:
-                if (tx.get("op") == "peg-out" and tx.get("from") == body.get("from")
-                        and tx.get("amt") == body.get("amt")):
-                    burn = (e, tx)
-        if burn is None:
-            return False, "no-burn", None
-        entry, tx = burn
-        committed = env.ledger.find(
-            lambda t: t["kind"] == "settle" and t["body"].get("chain") == self.sid
-            and t["body"].get("l2txid") == l2_txid(tx))
-        if not committed:
-            return False, "not-committed", None
-        return True, None, entry["state"]
-
-    def upd_rnd(self, ist, env):
-        # progress is driven by L1 rounds; a censored queue must be able to
-        # reach its deadline, so rounds are never refused here
         return True, None
 
 
@@ -781,12 +516,7 @@ def build_real(world, scn):
 def make_bundle(world, scn):
     return ArbitrumBundle(world.sid, scn["clients"],
                           [f"{OPERATOR}:{o}" for o in scn["operators"]],
-                          [f"{VALIDATOR}:{v}" for v in scn["validators"]],
                           scn["initial"])
-
-
-def env_payload_real(entry):
-    return dict(entry)
 
 
 def party_roles(scn):
@@ -796,68 +526,22 @@ def party_roles(scn):
             (VALIDATOR, list(scn["validators"]), len(scn["validators"]) - 1)]
 
 
-class EnvTracker:
-    """Environment-side account arithmetic for valid submissions."""
-
-    def __init__(self, scn):
-        self.scn = scn
-        self.state = genesis_state(scn["initial"])
-
-    def ideal_request(self, pid, entry):
-        kind = entry["kind"]
-        if kind == "open":
-            return {"kind": OPEN,
-                    "body": {"state": genesis_state(self.scn["initial"])}}
-        if kind == "pay":
-            bal = self.state["bal"]
-            if bal.get(pid, 0) >= entry["amt"]:
-                bal[pid] -= entry["amt"]
-                bal[entry["to"]] = bal.get(entry["to"], 0) + entry["amt"]
-            return {"kind": UPDATE,
-                    "body": {"op": "pay", "to": entry["to"], "amt": entry["amt"]}}
-        if kind == "deposit":
-            self.state["bal"][pid] = self.state["bal"].get(pid, 0) + entry["amt"]
-            return {"kind": UPDATE, "body": {"op": "peg-in", "amt": entry["amt"]}}
-        if kind == "settle":
-            return {"kind": SETTLEMENT,
-                    "body": {"op": "peg-out", "from": pid, "amt": entry["amt"]}}
-        return None
+EnvTracker = AccountTracker
 
 
-class Hooks:
-    name = "arbitrum"
-
-    def __init__(self, scn):
-        self.scn = scn
-        self.done = set()
-
+class Hooks(AccountHooks):
     def triggers_for(self, inner, ev):
-        if ev.get("t") != "note":
+        if ev.get("t") != "note" or ev.get("kind") != "batch-final":
+            return self.account_triggers(ev)
+        key = ("b", ev["seq"])
+        if key in self.done:
             return []
-        kind = ev.get("kind")
-        out = []
-        if kind == "open-done" and "open" not in self.done:
-            self.done.add("open")
-            out.append({"kind": OPEN,
-                        "body": {"state": genesis_state(self.scn["initial"])}})
-        elif kind == "batch-final":
-            key = ("b", ev["seq"])
-            if key not in self.done:
-                self.done.add(key)
-                target = inner.ledger.find(lambda t: t["txid"] == ev["txid"])
-                if target:
-                    out.append({"kind": UPDATE,
-                                "state": target[0]["body"]["batch"],
-                                "attachment": {"l1": ev["txid"]}})
-        elif kind == "settle-done":
-            key = ("s", ev["l2txid"])
-            if key not in self.done:
-                self.done.add(key)
-                out.append({"kind": SETTLEMENT,
-                            "body": {"op": "peg-out", "from": ev["frm"],
-                                     "amt": ev["amt"]},
-                            "attachment": None})
-        return out
+        self.done.add(key)
+        target = inner.ledger.find(lambda t: t["txid"] == ev["txid"])
+        if not target:
+            return []
+        return [{"kind": UPDATE, "state": target[0]["body"]["batch"],
+                 "attachment": {"l1": ev["txid"]}}]
 
     def read_delay(self, inner, pid):
         return inner.machines[EntityId(pid, inner.sid, CLIENT)].final_len
@@ -870,23 +554,14 @@ def publish_wrong_batch(world, op_entity, skim=1):
     """Corrupt operator posts a batch whose claimed state inflates its own
     favorite balance; only an honest validator stands in the way."""
     scn_initial = world.machines[op_entity].initial
-    view = chain_view(world.ledger, world.sid, scn_initial,
-                      world.timing["confirm_depth"], world.round_no,
-                      world.timing["t_period"])
+    view = world_view(world, scn_initial)
     state = view_state(view) or genesis_state(scn_initial)
     seq = len(view["entries"]) + 1
-    prev = (genesis_anchor(world.sid) if seq == 1
-            else batch_digest(view["entries"][-1]["batch"]))
-    wrong = dict(state, height=seq)
-    bal = dict(wrong["bal"])
+    bal = dict(state["bal"])
     fav = sorted(bal)[0]
     bal[fav] = bal.get(fav, 0) + skim
-    wrong = dict(wrong, bal=bal)
-    batch = {"seq": seq, "prev": prev, "txs": [], "post": wrong,
-             "by": op_entity.short()}
-    ltx = make_tx("batch-publish", {"chain": world.sid, "batch": batch},
-                  op_entity.short())
-    ltx["sigs"] = [world.certs.sign(op_entity.short(), tx_signable(ltx))]
+    ltx = batch_tx(world.certs, view, world.sid, op_entity.short(), seq, [],
+                   dict(state, height=seq, bal=bal))
     world.ledger.submit(ltx)
     return ltx["txid"]
 
@@ -898,19 +573,15 @@ def menu(world, entity, knowledge):
             publish_wrong_batch(world, entity) and None)
     if entity.role == VALIDATOR:
         def false_accuse(args=None):
-            initial = world.machines[entity].initial
-            view = chain_view(world.ledger, world.sid, initial,
-                              world.timing["confirm_depth"], world.round_no,
-                              world.timing["t_period"])
+            view = world_view(world, world.machines[entity].initial)
             if not view["entries"]:
                 return None
             target = view["entries"][-1]["txid"]
-            proof = make_tx("fraud-proof",
-                            {"chain": world.sid, "target": target, "seq": 0,
-                             "conflict": f"fraud/{target}/{entity.short()}"},
-                            entity.short())
-            proof["sigs"] = [world.certs.sign(entity.short(), tx_signable(proof))]
-            world.ledger.submit(proof)
+            world.ledger.submit(signed_tx(
+                world.certs, "fraud-proof",
+                {"chain": world.sid, "target": target, "seq": 0,
+                 "conflict": f"fraud/{target}/{entity.short()}"},
+                entity.short()))
             return None
         actions["false-accuse"] = false_accuse
     if entity.role == CLIENT:

@@ -15,7 +15,7 @@ record.  There is no key material and nothing to forge.
 
 from __future__ import annotations
 
-from .trace import canon, digest
+from .trace import digest
 from .runtime import EntityId, SimError
 
 TX_KINDS = (
@@ -68,6 +68,13 @@ def make_tx(kind: str, body: dict, author: str, sigs=()) -> dict:
 
 def tx_signable(tx: dict):
     return [tx["kind"], tx["body"], tx["author"]]
+
+
+def signed_tx(certs: CertRegistry, kind: str, body: dict, author: str) -> dict:
+    """A ledger transaction authorized by its author's own signature."""
+    tx = make_tx(kind, body, author)
+    tx["sigs"] = [certs.sign(author, tx_signable(tx))]
+    return tx
 
 
 class Ledger:

@@ -22,7 +22,7 @@ embedded channel signatures.
 from __future__ import annotations
 
 from .runtime import Machine, EntityId
-from .base import make_tx, tx_signable
+from .base import signed_tx
 from .core import SubroutineBundle, OPEN, UPDATE, SETTLEMENT, CLIENT
 
 WARDEN = "warden"
@@ -220,12 +220,11 @@ class BrickClient(Machine):
             return
         self.open_acks[src.short()] = p["wsig"]
         if len(self.open_acks) >= 2 * self.f + 1 and not self.open_submitted:
-            tx = make_tx("open-commit",
-                         {"channel": self.me.sid, "state": self.s0,
-                          "conflict": f"open/{self.me.sid}/{self.me.short()}"},
-                         self.me.short())
-            tx["sigs"] = [ctx.certs.sign(self.me.short(), tx_signable(tx))]
-            ctx.ledger.submit(tx)
+            ctx.ledger.submit(signed_tx(
+                ctx.certs, "open-commit",
+                {"channel": self.me.sid, "state": self.s0,
+                 "conflict": f"open/{self.me.sid}/{self.me.short()}"},
+                self.me.short()))
             self.open_submitted = True
 
     def _on_pay(self, ctx, p):
@@ -293,13 +292,11 @@ class BrickClient(Machine):
     def _submit_close(self, ctx, state, seq, csigs, mode):
         if self.close_submitted:
             return
-        tx = make_tx("settle",
-                     {"channel": self.me.sid, "state": state, "seq": seq,
-                      "csigs": csigs, "mode": mode,
-                      "conflict": f"close/{self.me.sid}"},
-                     self.me.short())
-        tx["sigs"] = [ctx.certs.sign(self.me.short(), tx_signable(tx))]
-        ctx.ledger.submit(tx)
+        ctx.ledger.submit(signed_tx(
+            ctx.certs, "settle",
+            {"channel": self.me.sid, "state": state, "seq": seq,
+             "csigs": csigs, "mode": mode, "conflict": f"close/{self.me.sid}"},
+            self.me.short()))
         self.close_submitted = True
 
     # polling
@@ -385,12 +382,11 @@ class BrickWarden(Machine):
             wsig = ctx.certs.sign(self.me.short(), warden_msg(self.me.sid, self.s0, 0))
             for c in self._client_entities(ctx):
                 ctx.send_net(c, {"kind": "chan-open-ack", "state": self.s0, "wsig": wsig})
-            tx = make_tx("open-commit",
-                         {"channel": self.me.sid, "state": self.s0,
-                          "conflict": f"open/{self.me.sid}/{self.me.short()}"},
-                         self.me.short())
-            tx["sigs"] = [ctx.certs.sign(self.me.short(), tx_signable(tx))]
-            ctx.ledger.submit(tx)
+            ctx.ledger.submit(signed_tx(
+                ctx.certs, "open-commit",
+                {"channel": self.me.sid, "state": self.s0,
+                 "conflict": f"open/{self.me.sid}/{self.me.short()}"},
+                self.me.short()))
             ctx.note("warden-open")
 
     def _on_update(self, ctx, p):
@@ -416,13 +412,12 @@ class BrickWarden(Machine):
     def _publish(self, ctx):
         if self.published or self.stored is None:
             return
-        tx = make_tx("warden-publish",
-                     {"channel": self.me.sid, "state": self.stored["state"],
-                      "seq": self.stored["seq"], "csigs": self.stored["csigs"],
-                      "conflict": f"wpub/{self.me.sid}/{self.me.short()}"},
-                     self.me.short())
-        tx["sigs"] = [ctx.certs.sign(self.me.short(), tx_signable(tx))]
-        ctx.ledger.submit(tx)
+        ctx.ledger.submit(signed_tx(
+            ctx.certs, "warden-publish",
+            {"channel": self.me.sid, "state": self.stored["state"],
+             "seq": self.stored["seq"], "csigs": self.stored["csigs"],
+             "conflict": f"wpub/{self.me.sid}/{self.me.short()}"},
+            self.me.short()))
         self.published = True
         ctx.note("warden-publish", seq=self.stored["seq"])
 
@@ -675,10 +670,6 @@ def make_bundle(world, scn):
                        scn["f"], scn["collateral"])
 
 
-def env_payload_real(entry):
-    return dict(entry)
-
-
 def party_roles(scn):
     """(role, pids, corruption budget) rows for mirroring the cast."""
     return [(CLIENT, list(scn["clients"]), 1),
@@ -717,8 +708,6 @@ class EnvTracker:
 
 class Hooks:
     """Turns internal-simulation progress into interface triggers."""
-
-    name = "brick"
 
     def __init__(self, scn):
         self.scn = scn
@@ -791,9 +780,8 @@ def menu(world, entity, knowledge):
                     "csigs": m.stored["csigs"] if m.stored["seq"] == 0 else
                     [m.open_sigs[c] for c in m.clients],
                     "conflict": f"wpub/{sid}/{entity.short()}"}
-            tx = make_tx("warden-publish", body, entity.short())
-            tx["sigs"] = [world.certs.sign(entity.short(), tx_signable(tx))]
-            world.ledger.submit(tx)
+            world.ledger.submit(signed_tx(world.certs, "warden-publish", body,
+                                          entity.short()))
             return None
 
         def ack_garbage(args=None):

@@ -4,9 +4,10 @@ One InterfaceMachine instance implements the client role for every party in
 a session and holds the shared internal state: round counter, request queue,
 executed-request evidence, the state list, per-party read pointers, the
 on-chain anchor state, and the participant identities.  All protocol-specific
-judgement lives in a SubroutineBundle with seven entry points (submit, open,
-update, read, settlement, round advance, leak); the interface machine only
-sequences them, mutates state on True answers, and notifies parties.
+judgement lives in a SubroutineBundle with six entry points (submit, open,
+update, read, settlement, round advance); the interface machine only
+sequences them, mutates state on True answers, notifies the uncorrupted
+clients, and leaks its whole internal state when a client is corrupted.
 
 Requests arrive from the environment over IO; open/update/settlement
 triggers arrive over NET from the adversary side (in differential runs, from
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 
-from .runtime import Machine, EntityId, Ctx, env_entity
+from .runtime import Machine, EntityId, env_entity
 
 OPEN = "open"
 UPDATE = "update"
@@ -136,15 +137,6 @@ class SubroutineBundle:
     def upd_rnd(self, ist, env):
         return True, None
 
-    def leak(self, data):
-        return data
-
-    def open_notify(self, ist, body):
-        return list(ist.identities.get(CLIENT, ()))
-
-    def settle_notify(self, ist, body):
-        return list(ist.identities.get(CLIENT, ()))
-
 
 class InterfaceMachine(Machine):
     """Shared-state machine over all client entities of one session."""
@@ -166,7 +158,7 @@ class InterfaceMachine(Machine):
         return {"ist": asdict(self.ist)}
 
     def on_corrupt(self, entity):
-        return self._bundle.leak(asdict(self.ist))
+        return asdict(self.ist)
 
     def on_round(self, ctx):
         self.ist.round = ctx.round
@@ -247,7 +239,7 @@ class InterfaceMachine(Machine):
         self._bundle.apply_open(ist, body, attachment, env)
         ist.queue = [r for r in ist.queue if r["kind"] != OPEN]
         ctx.world.emit("exec", kind=OPEN, seq=0, state=ist.states[0])
-        for pid in self._bundle.open_notify(ist, body):
+        for pid in ist.identities.get(CLIENT, ()):
             if not env.is_corrupt_pid(CLIENT, pid):
                 ctx.world.queue_io(self._clients[pid], env_entity(self.me.sid),
                                    {"kind": "open-ok", "state": ist.states[0]})
@@ -295,7 +287,7 @@ class InterfaceMachine(Machine):
                              "type": body.get("type"), "round": env.round})
         ist.queue = [r for r in ist.queue if r["kind"] != SETTLEMENT]
         ctx.world.emit("exec", kind=SETTLEMENT, state=sstate, type=body.get("type"))
-        for pid in self._bundle.settle_notify(ist, body):
+        for pid in ist.identities.get(CLIENT, ()):
             if not env.is_corrupt_pid(CLIENT, pid):
                 ctx.world.queue_io(self._clients[pid], env_entity(self.me.sid),
                                    {"kind": "settle-ok", "success": True, "state": sstate})

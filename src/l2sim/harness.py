@@ -14,6 +14,28 @@ scenario files and replay bit-exactly.  Both run flavors expose the same
 driving surface (input / corrupt / menu_act / pump / advance), and
 ``run_differential`` executes one schedule against both and diffs the
 per-party output streams.
+
+A protocol is a module registered in ``PROTOCOLS``; the module itself is
+the contract, and it provides:
+
+- ``canonical_scenario(**kw)``: the default scenario dict;
+- ``liveness_params(scn)``: {request class: {"f", "t_l2", "t_l1"}};
+- ``party_roles(scn)``: (role, pids, corruption budget) rows of the cast;
+- ``build_real(world, scn)``: declares roles and registers the machines;
+- ``make_bundle(world, scn)``: the SubroutineBundle of the ideal run;
+- ``EnvTracker(scn).ideal_request(pid, entry)``: the interface request
+  an environment input becomes, or None;
+- ``Hooks(scn)`` with ``triggers_for(inner, ev)`` and
+  ``read_delay(inner, pid)``: the simulator's view of the inner run;
+- ``menu(world, entity, knowledge)``: {action name: callable} of moves in
+  a corrupted party's name.
+
+The benchmark under ``perfbench/`` resolves some of these by name: it
+calls ``canonical_scenario``, ``party_roles`` and ``liveness_params``, and
+its tracer wraps ``Hooks.triggers_for``, ``Hooks.read_delay`` and
+``EnvTracker.ideal_request`` (each must sit in the class's own
+``__dict__``) as well as ``liquid.cert_valid``, ``arbitrum.chain_view``
+and ``arbitrum.batch_digest``.
 """
 
 from __future__ import annotations
@@ -137,8 +159,7 @@ class Simulator:
 
     def feed_env(self, pid, entry, force=False):
         ent = self.inner.entity(CLIENT, pid)
-        self.inner.inject_input(ent, self.proto.env_payload_real(entry),
-                                force=force)
+        self.inner.inject_input(ent, dict(entry), force=force)
         self.sync()
 
     def corrupt(self, role, pid, force=False):
@@ -189,8 +210,7 @@ class RealRun:
         return self.world.trace
 
     def input(self, pid, entry):
-        self.world.inject_input(self.world.entity(CLIENT, pid),
-                                self.proto.env_payload_real(entry))
+        self.world.inject_input(self.world.entity(CLIENT, pid), dict(entry))
 
     def corrupt(self, role, pid, force=False):
         self.world.corrupt(self.world.entity(role, pid),
@@ -348,6 +368,9 @@ def lifecycle_schedule(name, scn, seed, pays=4, adversarial=False):
             steps.append({"op": "corrupt", "role": role, "pid": pid})
             corrupted.append((role, pid))
 
+    # a fixed table, not menu(): it would add the rollup client's
+    # spam-overdraft, shift the rng draws and so change every adversarial
+    # rollup schedule
     menu_names = {
         ("brick", "warden"): ["publish-stale", "ack-garbage"],
         ("brick", "client"): ["stale-settle"],

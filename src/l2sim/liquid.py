@@ -19,11 +19,14 @@ themselves, and serve reads from their local copy.
 
 from __future__ import annotations
 
-from .runtime import Machine, EntityId
-from .base import make_tx, tx_signable, attach_leader_clock
-from .core import SubroutineBundle, OPEN, UPDATE, SETTLEMENT, CLIENT
+from .runtime import ENV_ROLE, Machine, EntityId
+from .base import signed_tx, attach_leader_clock
+from .core import OPEN, UPDATE, SETTLEMENT, CLIENT
 from .trace import digest
-from .accounts import genesis_state, l2_txid, apply_tx, apply_txs, ripe_deposits
+from .accounts import (
+    AccountBundle, AccountClient, AccountHooks, AccountTracker, apply_tx,
+    apply_txs, genesis_state, l2_txid, register_onchain, ripe_deposits,
+)
 
 OPERATOR = "operator"
 
@@ -101,12 +104,7 @@ class LiquidOperator(Machine):
         self.pegout_done = set()
 
     def on_start(self, ctx):
-        tx = make_tx("open-commit",
-                     {"chain": self.me.sid,
-                      "conflict": f"reg/{self.me.sid}/{self.me.short()}"},
-                     self.me.short())
-        tx["sigs"] = [ctx.certs.sign(self.me.short(), tx_signable(tx))]
-        ctx.ledger.submit(tx)
+        register_onchain(ctx)
 
     # helpers
 
@@ -294,94 +292,36 @@ class LiquidOperator(Machine):
                 "height": h, "l2txid": txid, "state": self.states[h],
                 "opsigs": [{"by": o, "ref": r} for o, r in sorted(store.items())],
                 "conflict": f"pegout/{self.me.sid}/{txid}"}
-        ltx = make_tx("peg-out", body, self.me.short())
-        ltx["sigs"] = [ctx.certs.sign(self.me.short(), tx_signable(ltx))]
-        ctx.ledger.submit(ltx)
+        ctx.ledger.submit(signed_tx(ctx.certs, "peg-out", body, self.me.short()))
         self.pegout_done.add(txid)
 
 
-class LiquidClient(Machine):
+class LiquidClient(AccountClient):
+    settle_kind = "peg-out"
+    settle_note_fields = ("height",)
+
     def __init__(self, me, operators, f, quorum, initial):
-        super().__init__(me)
-        self.operators = list(operators)
+        super().__init__(me, operators)
         self.f = f
         self.quorum = quorum
         self.chain = [{"block": genesis_block(), "cert": None}]
         self.states = [genesis_state(initial)]
         self.buffer = {}
-        self.watching = False
-        self.opened = False
-        self.closed = False
-        self.pending = []         # env requests not yet sent as L2 txs
-        self.outstanding = None   # {"txid", "tx"}
-        self.dep_counter = 0
-        self.settles_seen = set()
-        self.settled_state = None
 
     def height(self):
         return self.chain[-1]["block"]["height"]
 
-    def on_start(self, ctx):
-        tx = make_tx("open-commit",
-                     {"chain": self.me.sid,
-                      "conflict": f"reg/{self.me.sid}/{self.me.short()}"},
-                     self.me.short())
-        tx["sigs"] = [ctx.certs.sign(self.me.short(), tx_signable(tx))]
-        ctx.ledger.submit(tx)
+    def genesis(self):
+        return self.states[0]
+
+    def tip_state(self, ctx):
+        return self.states[-1]
 
     def on_message(self, ctx, env):
-        kind = env.payload.get("kind")
-        p = env.payload
-        if env.src.role == "env":
-            self._from_env(ctx, kind, p)
-        elif kind == "block-push":
-            self._on_push(ctx, p["entry"])
-
-    def _from_env(self, ctx, kind, p):
-        if kind == "open":
-            self.watching = True
-            self._recheck(ctx)
-        elif kind == "pay":
-            self._queue_tx(ctx, {"op": "pay", "to": p["to"], "amt": p["amt"]})
-        elif kind == "deposit":
-            self._deposit(ctx, p["amt"])
-        elif kind == "settle":
-            self._queue_tx(ctx, {"op": "peg-out", "amt": p["amt"]})
-        elif kind == "read":
-            self._serve_read(ctx)
-
-    def _queue_tx(self, ctx, body):
-        if self.closed or not self.opened:
-            ctx.note("request-refused", why="phase", req=body["op"])
-            return
-        self.pending.append(body)
-        self._try_send(ctx)
-
-    def _try_send(self, ctx):
-        if self.outstanding is not None or not self.pending or self.closed:
-            return
-        body = self.pending.pop(0)
-        state = self.states[-1]
-        nonce = state["nonce"].get(self.me.pid, 0) + 1
-        tx = {**body, "from": self.me.pid, "nonce": nonce}
-        if apply_tx(state, tx, ctx.ledger, ctx.timing["confirm_depth"]) is None:
-            ctx.note("request-refused", why="invalid-transfer", req=body["op"])
-            self._try_send(ctx)
-            return
-        ctx.note("request-queued", req=tx["op"], nonce=nonce)
-        self.outstanding = {"txid": l2_txid(tx), "tx": tx}
-        for op in self.operators:
-            ctx.send_net(op, {"kind": "tx", "tx": tx})
-
-    def _deposit(self, ctx, amt):
-        self.dep_counter += 1
-        tx = make_tx("deposit",
-                     {"chain": self.me.sid, "to": self.me.pid, "amt": amt,
-                      "conflict": f"dep/{self.me.sid}/{self.me.pid}/{self.dep_counter}"},
-                     self.me.short())
-        tx["sigs"] = [ctx.certs.sign(self.me.short(), tx_signable(tx))]
-        ctx.ledger.submit(tx)
-        ctx.note("deposit-sent", amt=amt)
+        if env.src.role == ENV_ROLE:
+            super().on_message(ctx, env)
+        elif env.payload.get("kind") == "block-push":
+            self._on_push(ctx, env.payload["entry"])
 
     def _on_push(self, ctx, entry):
         block = entry["block"]
@@ -416,58 +356,16 @@ class LiquidClient(Machine):
                 self.outstanding = None
             self._try_send(ctx)
 
-    def executed_summary(self):
-        out = []
-        for i, entry in enumerate(self.chain):
-            if i == 0:
-                out.append({"kind": OPEN, "seq": 0, "state": self.states[0]})
-            else:
-                out.append({"kind": UPDATE, "seq": entry["block"]["height"],
-                            "state": self.states[i], "txs": entry["block"]["txs"]})
-        return out
-
-    def _serve_read(self, ctx):
-        if not self.opened:
-            ctx.note("read-empty")
-            return
-        executed = self.executed_summary()
-        if self.closed and self.settled_state is not None:
-            executed.append({"kind": SETTLEMENT, "seq": None,
-                             "state": self.settled_state})
-        ctx.output({"kind": "read-result", "state": self.states[-1],
-                    "executed": executed, "pointer": self.height()})
-
-    def on_round(self, ctx):
-        self._recheck(ctx)
-
-    def on_ledger_block(self, ctx, height):
-        self._recheck(ctx)
+    def read_view(self, ctx):
+        executed = [{"kind": OPEN, "seq": 0, "state": self.states[0]}]
+        for entry, state in zip(self.chain[1:], self.states[1:]):
+            executed.append({"kind": UPDATE, "seq": entry["block"]["height"],
+                             "state": state, "txs": entry["block"]["txs"]})
+        return self.states[-1], executed, self.height()
 
     def _recheck(self, ctx):
-        if self.watching and not self.opened:
-            regs = ctx.ledger.find(
-                lambda t: t["kind"] == "open-commit"
-                and t["body"].get("chain") == self.me.sid)
-            have = {t["author"] for t in regs}
-            if have >= {o.short() for o in self.operators}:
-                self.opened = True
-                ctx.note("open-done", state=self.states[0])
-                ctx.output({"kind": "open-ok", "state": self.states[0]})
-                self._try_send(ctx)
-        pegouts = ctx.ledger.find(
-            lambda t: t["kind"] == "peg-out" and t["body"].get("chain") == self.me.sid)
-        for t in pegouts:
-            txid = t["body"]["l2txid"]
-            if txid in self.settles_seen:
-                continue
-            self.settles_seen.add(txid)
-            self.closed = True
-            self.settled_state = t["body"]["state"]
-            ctx.note("settle-done", state=t["body"]["state"],
-                     l2txid=txid, frm=t["body"]["to"], amt=t["body"]["amt"],
-                     height=t["body"]["height"])
-            ctx.output({"kind": "settle-ok", "success": True,
-                        "state": t["body"]["state"]})
+        self._check_open(ctx)
+        self._watch_settlements(ctx)
 
 
 # -- ledger kind check -----------------------------------------------------
@@ -492,82 +390,17 @@ def install_ledger_checks(world, sid, operators, quorum):
 # -- ideal bundle ----------------------------------------------------------
 
 
-class LiquidBundle(SubroutineBundle):
+class LiquidBundle(AccountBundle):
     name = "liquid"
+    update_key, seq_field, settle_kind = "block", "height", "peg-out"
 
-    def __init__(self, sid, clients, operators, f, quorum, initial):
-        self.sid = sid
-        self.clients = list(clients)
-        self.operators = list(operators)  # shorts
-        self.f = f
+    def __init__(self, sid, clients, operators, quorum, initial):
+        super().__init__(sid, clients, operators, initial)
         self.quorum = quorum
-        self.initial = dict(initial)
-
-    def _pending_spend(self, ist, pid):
-        out = 0
-        for r in ist.queue:
-            if r["by"] != pid:
-                continue
-            body = r["body"]
-            if r["kind"] == UPDATE and body.get("op") == "pay":
-                out += body.get("amt", 0)
-            if r["kind"] == SETTLEMENT and body.get("op") == "peg-out":
-                out += body.get("amt", 0)
-        return out
-
-    def submit(self, ist, req, env):
-        kind, body, by = req["kind"], req["body"], req["by"]
-        if ist.phase() == "settled":
-            return False, "settled"
-        if kind == OPEN:
-            if ist.phase() != "init":
-                return False, "phase"
-            if body.get("state") != genesis_state(self.initial):
-                return False, "bad-state"
-            return True, None
-        if ist.phase() != "open":
-            return False, "phase"
-        op = body.get("op")
-        if kind == UPDATE and op == "pay":
-            if body.get("to") not in self.clients or body.get("amt", 0) <= 0:
-                return False, "malformed"
-            free = ist.latest()["bal"].get(by, 0) - self._pending_spend(ist, by)
-            if body["amt"] > free:
-                return False, "insufficient"
-            return True, None
-        if kind == UPDATE and op == "peg-in":
-            if body.get("amt", 0) <= 0:
-                return False, "malformed"
-            return True, None
-        if kind == SETTLEMENT and op == "peg-out":
-            if body.get("amt", 0) <= 0:
-                return False, "malformed"
-            free = ist.latest()["bal"].get(by, 0) - self._pending_spend(ist, by)
-            if body["amt"] > free:
-                return False, "insufficient"
-            return True, None
-        return False, "unknown-kind"
-
-    def check_open(self, ist, body, attachment, env):
-        if body.get("state") != genesis_state(self.initial):
-            return False, "bad-state"
-        honest = env.honest(ist, CLIENT)
-        queued = {r["by"] for r in ist.queue if r["kind"] == OPEN}
-        if not set(honest) <= queued:
-            return False, "missing-open-requests"
-        regs = env.ledger.find(
-            lambda t: t["kind"] == "open-commit" and t["body"].get("chain") == self.sid)
-        if not set(self.operators) <= {t["author"] for t in regs}:
-            return False, "registration-missing"
-        return True, None
 
     def apply_open(self, ist, body, attachment, env):
-        s0 = genesis_state(self.initial)
-        ist.states.append(s0)
-        ist.onchain = s0
-        ist.executed.append({"kind": OPEN, "state": s0, "seq": 0,
-                             "block": genesis_block(), "evidence": attachment,
-                             "round": env.round})
+        super().apply_open(ist, body, attachment, env)
+        ist.executed[-1]["block"] = genesis_block()
 
     def _last_block(self, ist):
         for e in reversed(ist.executed):
@@ -590,92 +423,6 @@ class LiquidBundle(SubroutineBundle):
                        env.timing["confirm_depth"]) is None:
             return False, "invalid-transition"
         return True, None
-
-    def state_from_update(self, ist, block, attachment, env):
-        return apply_block(ist.latest(), block, env.ledger,
-                           env.timing["confirm_depth"])
-
-    def executed_by_update(self, ist, block, attachment, env):
-        post = self.state_from_update(ist, block, attachment, env)
-        rids = []
-        matched = set()
-        for tx in block["txs"]:
-            for r in ist.queue:
-                if r["rid"] in matched or r["kind"] != UPDATE:
-                    continue
-                body = r["body"]
-                if (tx.get("op") == "pay" and body.get("op") == "pay"
-                        and r["by"] == tx.get("from") and body.get("to") == tx.get("to")
-                        and body.get("amt") == tx.get("amt")):
-                    matched.add(r["rid"])
-                    rids.append(r["rid"])
-                    break
-                if (tx.get("op") == "mint" and body.get("op") == "peg-in"
-                        and r["by"] == tx.get("to")
-                        and body.get("amt") == tx.get("amt")):
-                    matched.add(r["rid"])
-                    rids.append(r["rid"])
-                    break
-        return [{"kind": UPDATE, "seq": block["height"], "state": post,
-                 "txs": block["txs"], "block": block, "evidence": attachment,
-                 "rids": rids, "round": env.round}]
-
-    def read(self, ist, pid, env):
-        if not ist.states:
-            return None
-        top = len(ist.states) - 1
-        delay = env.hint("read-delay", pid=pid)
-        idx = top if delay is None else max(0, min(top, delay))
-        idx = max(idx, ist.read_ptr.get(pid, 0))
-        state = ist.states[idx]
-        executed = []
-        for e in ist.executed:
-            if e["kind"] == OPEN:
-                executed.append({"kind": OPEN, "seq": 0, "state": e["state"]})
-            elif e["kind"] == UPDATE and e["seq"] <= state["height"]:
-                executed.append({"kind": UPDATE, "seq": e["seq"],
-                                 "state": e["state"], "txs": e["txs"]})
-        if ist.settled is not None:
-            executed.append({"kind": SETTLEMENT, "seq": None,
-                             "state": ist.settled["state"]})
-        if not self._reconstructs(ist, idx):
-            return None
-        return {"state": state, "executed": executed, "pointer": idx}
-
-    def _reconstructs(self, ist, idx):
-        want = ist.states[idx]
-        cur = ist.states[0]
-        for e in ist.executed:
-            if e["kind"] != UPDATE or e["seq"] > want["height"]:
-                continue
-            if e["seq"] != cur["height"] + 1:
-                return False
-            cur = e["state"]
-        return cur == want
-
-    def check_settlement(self, ist, body, attachment, env):
-        if body.get("op") != "peg-out":
-            return False, "malformed", None
-        asked = [r for r in ist.queue if r["kind"] == SETTLEMENT]
-        if not asked:
-            return False, "no-settle-request", None
-        burn = None
-        for e in ist.executed:
-            if e["kind"] != UPDATE:
-                continue
-            for tx in e["txs"]:
-                if (tx.get("op") == "peg-out" and tx.get("from") == body.get("from")
-                        and tx.get("amt") == body.get("amt")):
-                    burn = (e, tx)
-        if burn is None:
-            return False, "no-burn", None
-        entry, tx = burn
-        committed = env.ledger.find(
-            lambda t: t["kind"] == "peg-out" and t["body"].get("chain") == self.sid
-            and t["body"].get("l2txid") == l2_txid(tx))
-        if not committed:
-            return False, "not-committed", None
-        return True, None, entry["state"]
 
     def upd_rnd(self, ist, env):
         if ist.phase() != "open":
@@ -750,11 +497,7 @@ def build_real(world, scn):
 def make_bundle(world, scn):
     return LiquidBundle(world.sid, scn["clients"],
                         [f"{OPERATOR}:{o}" for o in scn["operators"]],
-                        scn["f"], scn["quorum"], scn["initial"])
-
-
-def env_payload_real(entry):
-    return dict(entry)
+                        scn["quorum"], scn["initial"])
 
 
 def party_roles(scn):
@@ -763,67 +506,22 @@ def party_roles(scn):
             (OPERATOR, list(scn["operators"]), scn["f"])]
 
 
-class EnvTracker:
-    """Environment-side account arithmetic for valid submissions."""
-
-    def __init__(self, scn):
-        self.scn = scn
-        self.state = genesis_state(scn["initial"])
-
-    def ideal_request(self, pid, entry):
-        kind = entry["kind"]
-        if kind == "open":
-            return {"kind": OPEN, "body": {"state": genesis_state(self.scn["initial"])}}
-        if kind == "pay":
-            bal = self.state["bal"]
-            if bal.get(pid, 0) >= entry["amt"]:
-                bal[pid] -= entry["amt"]
-                bal[entry["to"]] = bal.get(entry["to"], 0) + entry["amt"]
-            return {"kind": UPDATE,
-                    "body": {"op": "pay", "to": entry["to"], "amt": entry["amt"]}}
-        if kind == "deposit":
-            self.state["bal"][pid] = self.state["bal"].get(pid, 0) + entry["amt"]
-            return {"kind": UPDATE, "body": {"op": "peg-in", "amt": entry["amt"]}}
-        if kind == "settle":
-            return {"kind": SETTLEMENT,
-                    "body": {"op": "peg-out", "from": pid, "amt": entry["amt"]}}
-        return None
+EnvTracker = AccountTracker
 
 
-class Hooks:
-    name = "liquid"
-
-    def __init__(self, scn):
-        self.scn = scn
-        self.done = set()
-
+class Hooks(AccountHooks):
     def triggers_for(self, inner, ev):
-        if ev.get("t") != "note":
+        if ev.get("t") != "note" or ev.get("kind") != "block-final":
+            return self.account_triggers(ev)
+        key = ("b", ev["height"])
+        if key in self.done:
             return []
-        kind = ev.get("kind")
-        out = []
-        if kind == "open-done" and "open" not in self.done:
-            self.done.add("open")
-            out.append({"kind": OPEN,
-                        "body": {"state": genesis_state(self.scn["initial"])}})
-        elif kind == "block-final":
-            key = ("b", ev["height"])
-            if key not in self.done:
-                self.done.add(key)
-                src = inner.machines[EntityId(ev["party"].split(":", 1)[1],
-                                              inner.sid, OPERATOR)]
-                entry = src.chain[ev["height"]]
-                out.append({"kind": UPDATE, "state": entry["block"],
-                            "attachment": entry["cert"]})
-        elif kind == "settle-done":
-            key = ("s", ev["l2txid"])
-            if key not in self.done:
-                self.done.add(key)
-                out.append({"kind": SETTLEMENT,
-                            "body": {"op": "peg-out", "from": ev["frm"],
-                                     "amt": ev["amt"]},
-                            "attachment": None})
-        return out
+        self.done.add(key)
+        src = inner.machines[EntityId(ev["party"].split(":", 1)[1],
+                                      inner.sid, OPERATOR)]
+        entry = src.chain[ev["height"]]
+        return [{"kind": UPDATE, "state": entry["block"],
+                 "attachment": entry["cert"]}]
 
     def read_delay(self, inner, pid):
         return inner.machines[EntityId(pid, inner.sid, CLIENT)].height()

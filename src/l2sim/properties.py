@@ -4,8 +4,7 @@ Every check consumes a finished run's trace (any object with an `.events`
 list) and returns a Verdict.  The checks work on both stackings: real runs
 are interpreted through client inputs, refusal/queue notes, and read
 outputs; interface runs through submit leaks, exec records, and the same
-outputs.  Nothing here mutates a world; the storage-ablation helpers that
-do need live machines take a run and work on clones.
+outputs.  Nothing here mutates a world.
 
 A Verdict's witness is a minimal list of events: feeding it back to the
 same check (wrapped in any `.events` holder) reproduces the failure.
@@ -16,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-from .accounts import apply_tx, genesis_state
+from .accounts import apply_tx
 from .brick import conserves
 from .core import CLIENT, OPEN, SETTLEMENT, UPDATE
 from .trace import canon
@@ -571,122 +570,3 @@ def _replay(executed, ledger) -> bool:
                 return False
         cur = state
     return True
-
-
-# -- storage ablation (live worlds) ----------------------------------------
-
-
-def reconstruct(name, world, scn, pid):
-    """Pure storage fold: rebuild the party's latest state or return None."""
-    if name == "brick":
-        return _recon_brick(world, pid)
-    if name == "liquid":
-        return _recon_liquid(world, scn, pid)
-    if name == "arbitrum":
-        return _recon_arbitrum(world, scn, pid)
-    raise ValueError(f"unknown protocol {name!r}")
-
-
-def _client_machine(world, pid):
-    for ent, m in world.machines.items():
-        if ent.role == CLIENT and ent.pid == pid:
-            return m
-    raise ValueError(f"no client machine {pid!r}")
-
-
-def _recon_brick(world, pid):
-    m = _client_machine(world, pid)
-    anchors = world.ledger.find(
-        lambda t: t["kind"] == "open-commit" and "state" in t["body"])
-    if not anchors:
-        return None
-    cur = anchors[0]["body"]["state"]
-    for e in sorted(m.chain, key=lambda e: e["seq"]):
-        if e["seq"] <= cur["seq"]:
-            continue
-        if e["seq"] != cur["seq"] + 1 or not conserves(cur, e["state"]):
-            return None
-        cur = e["state"]
-    if cur != m.latest()["state"]:
-        return None
-    return cur
-
-
-def _recon_liquid(world, scn, pid):
-    m = _client_machine(world, pid)
-    cur = genesis_state(scn["initial"])
-    cd = world.timing["confirm_depth"]
-    for entry in m.chain[1:]:
-        block = entry["block"]
-        if block["height"] != cur["height"] + 1:
-            return None
-        nxt = cur
-        for tx in block["txs"]:
-            nxt = apply_tx(nxt, tx, world.ledger, cd)
-            if nxt is None:
-                return None
-        cur = dict(nxt, height=block["height"])
-    if cur != m.states[-1]:
-        return None
-    return cur
-
-
-def _recon_arbitrum(world, scn, pid):
-    from .arbitrum import canonical_view
-    m = _client_machine(world, pid)
-    view = canonical_view(world.ledger, world.certs, m.me.sid,
-                          world.timing["confirm_depth"],
-                          world.round_no, world.timing["t_period"])
-    want = m.view_pointer if hasattr(m, "view_pointer") else None
-    entries = view["entries"][:view["final"]]
-    cur = genesis_state(scn["initial"])
-    for e in entries:
-        cur = e["claimed"]
-    if want is not None and len(entries) < want:
-        return None
-    return cur
-
-
-def ablation_targets(name, world, pid):
-    """Labels plus deleters for every stored update record, one at a time.
-
-    Each deleter mutates the world it is given (use a clone); channel and
-    sidechain records live in the client's local chain, rollup records in
-    the ledger's committed batch list.
-    """
-    out = []
-    if name in ("brick", "liquid"):
-        m = _client_machine(world, pid)
-        count = len(m.chain)
-
-        def deleter(idx):
-            def run(w):
-                _client_machine(w, pid).chain.pop(idx)
-            return run
-
-        for idx in range(1, count):
-            label = m.chain[idx].get("seq",
-                                     m.chain[idx].get("block", {}).get("height"))
-            out.append((f"l2-update-{label}", deleter(idx)))
-        return out
-    batches = [t for t in world.ledger.committed
-               if t["kind"] == "batch-publish"]
-
-    def l1_deleter(txid):
-        def run(w):
-            w.ledger.committed = [t for t in w.ledger.committed
-                                  if t["txid"] != txid]
-        return run
-
-    for t in batches:
-        out.append((f"l1-batch-{t['body']['batch']['seq']}",
-                    l1_deleter(t["txid"])))
-    return out
-
-
-# -- arithmetic sanity ------------------------------------------------------
-
-
-def floor_identity_check(lo: int, hi: int) -> bool:
-    """Halves of consecutive integers always rejoin one short of the whole."""
-    return all(x // 2 + (x - 1) // 2 == x - 1 for x in range(lo, hi + 1))

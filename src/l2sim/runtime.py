@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .trace import Trace, canon_loose
+from .trace import Trace, canon, canon_loose
 
 IO = "io"
 NET = "net"
@@ -109,12 +109,32 @@ class Machine:
         return self.state()
 
     def state(self) -> dict:
-        out = {}
-        for k, v in sorted(vars(self).items()):
-            if k.startswith("_") or k == "me":
-                continue
-            out[k] = v
-        return out
+        """Public attributes as a plain JSON snapshot (see ``plain``)."""
+        return {k: plain(v) for k, v in sorted(vars(self).items())
+                if not k.startswith("_") and k != "me"}
+
+
+def plain(obj):
+    """JSON form of machine state that does not depend on hash order.
+
+    Sets become lists sorted by their canonical text, entities become their
+    short names, and non-string dict keys become strings (tuples as their
+    canonical JSON), so a corruption leak serializes into the trace.
+    """
+    if isinstance(obj, EntityId):
+        return obj.short()
+    if isinstance(obj, dict):
+        return {k if isinstance(k, str) else _plain_key(k): plain(v)
+                for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted((plain(v) for v in obj), key=canon)
+    return obj
+
+
+def _plain_key(key) -> str:
+    return key.short() if isinstance(key, EntityId) else canon(plain(key))
 
 
 class Ctx:
@@ -205,7 +225,6 @@ class World:
         self.trace = trace if trace is not None else Trace()
         self.max_steps = max_steps
         self.halted = None
-        self.stalled = False
         self.round_gates = []    # callables() -> (ok, reason)
         self.round_hooks = []    # callables() run after a successful advance
         self.hints = None        # adversary oracle: fn(kind, **kw) -> value

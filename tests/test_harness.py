@@ -162,6 +162,21 @@ def test_unknown_schedule_op_rejected():
         apply_schedule(RealRun("brick", scn), [{"op": "warp"}])
 
 
+CONTRACT = ("canonical_scenario", "liveness_params", "build_real",
+            "make_bundle", "party_roles", "EnvTracker", "Hooks", "menu")
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_protocol_module_provides_the_contract(name):
+    proto = protocol(name)
+    missing = [attr for attr in CONTRACT if not hasattr(proto, attr)]
+    assert missing == []
+    # the benchmark's tracer wraps these on the class itself
+    assert "triggers_for" in vars(proto.Hooks)
+    assert "read_delay" in vars(proto.Hooks)
+    assert "ideal_request" in vars(proto.EnvTracker)
+
+
 def test_unknown_protocol_rejected():
     with pytest.raises(ValueError):
         protocol("lightning")

@@ -232,3 +232,16 @@ def test_clone_is_independent():
     twin.deliver_net(eid)
     assert w.machines[b].seen == []
     assert twin.fingerprint() != w.fingerprint()
+
+
+def test_corruption_leak_is_plain_json():
+    w, a, b = small_world()
+    m = w.machines[a]
+    m.voted = {(2, 1), (1, 3)}
+    m.store = {(1, 0, "d"): {b: 1}, 4: "x"}
+    w.corrupt(a)
+    leak = [ev for ev in w.trace.events if ev["t"] == "corrupt"][0]["leak"]
+    assert leak["peer"] == "warden:b"
+    assert leak["voted"] == [[1, 3], [2, 1]]
+    assert leak["store"] == {'[1,0,"d"]': {"warden:b": 1}, "4": "x"}
+    Trace.from_text(w.trace.to_text())
