@@ -41,10 +41,11 @@ def apply_tx(state, tx, ledger, confirm_depth):
         ref = tx.get("ref")
         if ref in minted:
             return None
-        dep = ledger.find(lambda t: t["txid"] == ref and t["kind"] == "deposit")
-        if not dep or ledger.depth(dep[0]) < confirm_depth:
+        dep = ledger.get(ref)
+        if dep is None or dep["kind"] != "deposit" \
+                or ledger.depth(dep) < confirm_depth:
             return None
-        body = dep[0]["body"]
+        body = dep["body"]
         if body.get("to") != tx.get("to") or body.get("amt") != tx.get("amt"):
             return None
         bal[tx["to"]] = bal.get(tx["to"], 0) + tx["amt"]

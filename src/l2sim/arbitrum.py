@@ -13,7 +13,11 @@ period exceeds the worst-case inclusion delay (t_period > liveness_bound).
 The canonical chain is a pure function of the ledger: walk committed
 batches in order, accept each whose sequence number and parent digest
 extend the chain and which no accepted proof struck down.  An invalidated
-batch orphans its descendants and the next publisher simply rebuilds.
+batch orphans its descendants and the next publisher simply rebuilds.  The
+walk is kept incrementally, once per ledger, and still equals a walk from
+genesis: a batch's re-executed post only goes from None (a mint whose
+deposit is not yet buried) to its one valid value, so only None posts are
+run again, and a proof that strikes an accepted batch re-walks from genesis.
 
 Clients can rescue a censored transaction by publishing it themselves as a
 one-transaction batch after a patience window; a scenario flag turns that
@@ -68,29 +72,22 @@ def chain_view(ledger, sid, initial, confirm_depth, round_no, t_period):
     batches in order and the first k of them are final at round_no.  The
     base layer never re-executes, so the fold treats each batch's claimed
     post-state as authoritative; "post" is the re-execution result kept
-    alongside for fraud detection (fraudulent iff post != claimed).
+    alongside for fraud detection (fraudulent iff post != claimed).  Each
+    entry also carries the batch's "digest" and the "ids" (l2 txids) of its
+    transactions.
+
+    The view is a pure function of the ledger, derived incrementally by one
+    ``ChainFold`` per (sid, confirm_depth, initial) kept on the ledger.  That
+    equals a fold from genesis: a post can only go from None to its one
+    valid value (deposits only gain depth), so only None posts are run
+    again, and a proof striking an accepted batch re-walks from genesis.
     """
-    published = ledger.find(
-        lambda t: t["kind"] == "batch-publish" and t["body"].get("chain") == sid)
-    proofs = ledger.find(
-        lambda t: t["kind"] == "fraud-proof" and t["body"].get("chain") == sid)
-    struck = {p["body"].get("target") for p in proofs}
-    entries = []
-    state = genesis_state(initial)
-    prev = genesis_anchor(sid)
-    for tx in published:
-        if tx["txid"] in struck:
-            continue
-        batch = tx["body"].get("batch") or {}
-        if batch.get("seq") != len(entries) + 1 or batch.get("prev") != prev:
-            continue
-        post = apply_txs(state, batch.get("txs", []), ledger, confirm_depth,
-                         batch["seq"])
-        entries.append({"batch": batch, "txid": tx["txid"],
-                        "commit_round": tx.get("commit_round", 0),
-                        "post": post, "claimed": batch["post"]})
-        state = batch["post"]
-        prev = batch_digest(batch)
+    key = (sid, confirm_depth, tuple(sorted(initial.items())))
+    fold = ledger.views.get(key)
+    if fold is None:
+        fold = ledger.views[key] = ChainFold(sid, genesis_state(initial),
+                                             confirm_depth)
+    entries = fold.catch_up(ledger)
     final = 0
     for e in entries:
         if round_no > e["commit_round"] + t_period:
@@ -98,6 +95,76 @@ def chain_view(ledger, sid, initial, confirm_depth, round_no, t_period):
         else:
             break
     return {"entries": entries, "final": final}
+
+
+class ChainFold:
+    """The accepted batches of one chain, folded from a ledger's commits.
+
+    Reads ``ledger.committed`` (append-only) from where the last call left
+    off; a call on an unchanged ledger (same commit count and height) does
+    no work.  Each call returns a new list, and an entry whose post ripens
+    is replaced rather than changed, so views handed out earlier stay as
+    they were.
+    """
+
+    def __init__(self, sid, genesis, confirm_depth):
+        self.sid = sid
+        self.genesis = genesis
+        self.confirm_depth = confirm_depth
+        self.mark = (0, None)      # (commits read, ledger height) last seen
+        self.published = []        # this chain's batch publications, in order
+        self.struck = set()        # targets of committed fraud proofs
+        self.entries = []
+
+    def catch_up(self, ledger):
+        mark = (len(ledger.committed), ledger.height)
+        if mark != self.mark:
+            new = ledger.committed[self.mark[0]:]
+            self.mark = mark
+            self._read(new, ledger)
+        return list(self.entries)
+
+    def _read(self, new, ledger):
+        batches, strikes = [], set()
+        for tx in new:
+            if tx["body"].get("chain") != self.sid:
+                continue
+            if tx["kind"] == "batch-publish":
+                batches.append(tx)
+            elif tx["kind"] == "fraud-proof":
+                strikes.add(tx["body"].get("target"))
+        self.published += batches
+        self.struck |= strikes
+        if any(e["txid"] in strikes for e in self.entries):
+            self.entries, batches = [], self.published
+        else:
+            # deposits may have been buried since: run unripe posts again
+            for i, e in enumerate(self.entries):
+                if e["post"] is None:
+                    self.entries[i] = dict(e, post=self._execute(i, e["batch"],
+                                                                 ledger))
+        for tx in batches:
+            self._extend(tx, ledger)
+
+    def _execute(self, i, batch, ledger):
+        state = self.entries[i - 1]["claimed"] if i else self.genesis
+        return apply_txs(state, batch.get("txs", []), ledger,
+                         self.confirm_depth, batch["seq"])
+
+    def _extend(self, tx, ledger):
+        if tx["txid"] in self.struck:
+            return
+        batch = tx["body"].get("batch") or {}
+        n = len(self.entries)
+        prev = self.entries[-1]["digest"] if n else genesis_anchor(self.sid)
+        if batch.get("seq") != n + 1 or batch.get("prev") != prev:
+            return
+        self.entries.append({
+            "batch": batch, "txid": tx["txid"],
+            "commit_round": tx.get("commit_round", 0),
+            "post": self._execute(n, batch, ledger), "claimed": batch["post"],
+            "digest": batch_digest(batch),
+            "ids": [l2_txid(t) for t in batch.get("txs", [])]})
 
 
 def world_view(world, initial):
@@ -109,8 +176,7 @@ def world_view(world, initial):
 
 def batch_tx(certs, view, sid, author, seq, txs, post):
     """Signed publication of batch ``seq`` on top of ``view``."""
-    prev = (genesis_anchor(sid) if seq == 1
-            else batch_digest(view["entries"][-1]["batch"]))
+    prev = genesis_anchor(sid) if seq == 1 else view["entries"][-1]["digest"]
     batch = {"seq": seq, "prev": prev, "txs": txs, "post": post, "by": author}
     return signed_tx(certs, "batch-publish", {"chain": sid, "batch": batch},
                      author)
@@ -175,8 +241,8 @@ def install_ledger_checks(world, sid, initial, publishers):
             return False, "batch-not-final"
         if body.get("state") != entry["claimed"]:
             return False, "state-mismatch"
-        for btx in entry["batch"]["txs"]:
-            if (l2_txid(btx) == body.get("l2txid")
+        for btx, l2id in zip(entry["batch"]["txs"], entry["ids"]):
+            if (l2id == body.get("l2txid")
                     and btx.get("op") == "peg-out"
                     and btx.get("from") == body.get("to")
                     and btx.get("amt") == body.get("amt")):
@@ -246,10 +312,9 @@ class ArbitrumOperator(RollupParty):
 
     def on_ledger_block(self, ctx, height):
         # drop mempool entries that landed in an accepted batch
-        view = self.view(ctx)
-        for e in view["entries"]:
-            for tx in e["batch"]["txs"]:
-                self.mempool.pop(l2_txid(tx), None)
+        for e in self.view(ctx)["entries"]:
+            for txid in e["ids"]:
+                self.mempool.pop(txid, None)
 
 
 class ArbitrumValidator(RollupParty):
@@ -265,28 +330,22 @@ class ArbitrumValidator(RollupParty):
         self._audit(ctx)
 
     def _audit(self, ctx):
-        published = ctx.ledger.find(
-            lambda t: t["kind"] == "batch-publish"
-            and t["body"].get("chain") == self.me.sid)
-        view = self.view(ctx)
-        accepted = {e["txid"]: e for e in view["entries"]}
-        for tx in published:
-            if tx["txid"] in self.checked:
+        # orphaned and struck batches are not entries, so never audited
+        for entry in self.view(ctx)["entries"]:
+            txid = entry["txid"]
+            if txid in self.checked:
                 continue
-            entry = accepted.get(tx["txid"])
-            if entry is None:
-                continue            # orphaned or already struck down
-            self.checked.add(tx["txid"])
+            self.checked.add(txid)
             if entry["post"] is None or entry["post"] != entry["claimed"]:
                 proof = signed_tx(
                     ctx.certs, "fraud-proof",
-                    {"chain": self.me.sid, "target": tx["txid"],
+                    {"chain": self.me.sid, "target": txid,
                      "seq": entry["batch"]["seq"],
-                     "conflict": f"fraud/{tx['txid']}/{self.me.short()}"},
+                     "conflict": f"fraud/{txid}/{self.me.short()}"},
                     self.me.short())
                 res = ctx.ledger.submit(proof)
                 ctx.note("fraud-found", seq=entry["batch"]["seq"],
-                         target=tx["txid"], accepted=res["accepted"])
+                         target=txid, accepted=res["accepted"])
 
 
 class ArbitrumClient(AccountClient, RollupParty):
@@ -313,8 +372,7 @@ class ArbitrumClient(AccountClient, RollupParty):
         self.inflight.append({"txid": self.outstanding["txid"], "body": body})
 
     def _included(self, view, txid):
-        return any(l2_txid(t) == txid
-                   for e in view["entries"] for t in e["batch"]["txs"])
+        return any(txid in e["ids"] for e in view["entries"])
 
     def _overdue_mints(self, ctx, view, wait):
         """Our own buried deposits that the operators have failed to mint."""
@@ -324,7 +382,7 @@ class ArbitrumClient(AccountClient, RollupParty):
         for m in ripe_deposits(ctx.ledger, self.me.sid, state, cd):
             if m["to"] != self.me.pid:
                 continue
-            dep = ctx.ledger.find(lambda t, r=m["ref"]: t["txid"] == r)[0]
+            dep = ctx.ledger.get(m["ref"])
             if ctx.world.round_no - (dep["commit_round"] + cd) >= wait:
                 out.append(m)
         return out
@@ -387,10 +445,8 @@ class ArbitrumClient(AccountClient, RollupParty):
     def _reclaim_orphans(self, ctx, view):
         # a struck batch takes its transactions off the chain; re-queue ours
         # (an identical resend is idempotent thanks to the nonce check)
-        final_ids = {l2_txid(t) for e in view["entries"][:view["final"]]
-                     for t in e["batch"]["txs"]}
-        accepted_ids = {l2_txid(t) for e in view["entries"]
-                        for t in e["batch"]["txs"]}
+        final_ids = {i for e in view["entries"][:view["final"]] for i in e["ids"]}
+        accepted_ids = {i for e in view["entries"] for i in e["ids"]}
         keep, requeue = [], []
         for item in self.inflight:
             if item["txid"] in final_ids:
@@ -537,10 +593,10 @@ class Hooks(AccountHooks):
         if key in self.done:
             return []
         self.done.add(key)
-        target = inner.ledger.find(lambda t: t["txid"] == ev["txid"])
-        if not target:
+        target = inner.ledger.get(ev["txid"])
+        if target is None:
             return []
-        return [{"kind": UPDATE, "state": target[0]["body"]["batch"],
+        return [{"kind": UPDATE, "state": target["body"]["batch"],
                  "attachment": {"l1": ev["txid"]}}]
 
     def read_delay(self, inner, pid):

@@ -82,11 +82,13 @@ class Ledger:
         self.timing = timing
         self.blocks: list[dict] = []          # {"height", "round", "txids"}
         self.committed: list[dict] = []       # tx + {"height"}
+        self.by_txid: dict[str, dict] = {}    # txid -> first committed entry
         self.pending: list[dict] = []         # tx + {"submit_round", "hold_until"}
         self.keys: dict[str, str] = {}        # conflict key -> txid
         self.frontier: dict[str, int] = {}
         self.kind_checks = {}                 # kind -> fn(tx, ledger) -> (ok, reason)
         self.world = None                     # bound owner, for events and hooks
+        self.views = {}                       # readers' folds over `committed`
 
     def bind(self, world):
         self.world = world
@@ -177,6 +179,7 @@ class Ledger:
             entry["commit_round"] = rnd
             entry["submit_round"] = tx["submit_round"]
             self.committed.append(entry)
+            self.by_txid.setdefault(tx["txid"], entry)
             key = tx["body"].get("conflict")
             if key is not None:
                 self.keys[key] = tx["txid"]
@@ -199,6 +202,11 @@ class Ledger:
 
     def find(self, pred) -> list[dict]:
         return [tx for tx in self.committed if pred(tx)]
+
+    def get(self, txid) -> dict | None:
+        """The first committed entry with this txid, or None."""
+        # txids are strings; a reference copied from untrusted input may not be
+        return self.by_txid.get(txid) if isinstance(txid, str) else None
 
     def fingerprint(self):
         return (len(self.committed), len(self.pending), self.height,

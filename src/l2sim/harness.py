@@ -35,7 +35,8 @@ calls ``canonical_scenario``, ``party_roles`` and ``liveness_params``, and
 its tracer wraps ``Hooks.triggers_for``, ``Hooks.read_delay`` and
 ``EnvTracker.ideal_request`` (each must sit in the class's own
 ``__dict__``) as well as ``liquid.cert_valid``, ``arbitrum.chain_view``
-and ``arbitrum.batch_digest``.
+and ``arbitrum.batch_digest``, which callers look up through the module
+global so that the wrapper sees every call.
 """
 
 from __future__ import annotations

@@ -161,10 +161,12 @@ class _TraceLedger:
     """Just enough ledger surface for replaying account evidence."""
 
     def __init__(self, commits):
-        self.commits = commits
+        self.by_txid = {}
+        for t in commits:
+            self.by_txid.setdefault(t["txid"], t)
 
-    def find(self, pred):
-        return [t for t in self.commits if pred(t)]
+    def get(self, txid):
+        return self.by_txid.get(txid) if isinstance(txid, str) else None
 
     def depth(self, tx):
         return 10 ** 9       # everything in the committed past is buried

@@ -133,6 +133,24 @@ def test_conflict_rejected_at_submit_after_commit():
     assert w.ledger.submit(t2)["reason"] == "conflict"
 
 
+def test_get_returns_committed_entries_only():
+    w, _, _ = ledger_world()
+    first = signed_tx(w, "settle", {"v": 1, "conflict": "k"}, "client:a")
+    loser = signed_tx(w, "settle", {"v": 2, "conflict": "k"}, "client:a")
+    assert w.ledger.submit(first)["accepted"]
+    assert w.ledger.submit(loser)["accepted"]
+    assert w.ledger.get(first["txid"]) is None            # pending
+    w.advance_round()
+    assert w.ledger.get(first["txid"]) is w.ledger.committed[0]
+    assert w.ledger.get(first["txid"])["height"] == 1
+    assert w.ledger.get(loser["txid"]) is None            # rejected at commit
+    late = signed_tx(w, "settle", {"v": 3, "conflict": "k"}, "client:a")
+    assert not w.ledger.submit(late)["accepted"]
+    assert w.ledger.get(late["txid"]) is None             # rejected at submit
+    assert w.ledger.get("no-such-txid") is None
+    assert w.ledger.get(["not", "a", "txid"]) is None
+
+
 def test_depth_counts_blocks_since_inclusion():
     w, _, _ = ledger_world()
     tx = signed_tx(w, "deposit", {"amt": 1}, "client:a")

@@ -1,0 +1,295 @@
+"""The incremental rollup chain view against a fold from genesis.
+
+``arbitrum.chain_view`` keeps its fold on the ledger and reads only new
+commits.  ``reference_chain_view`` below is the plain fold it replaced,
+walking every committed batch again on every call; the tests require the
+two to agree on every call of whole schedules, pin the call-time depth
+semantics of a mint in a batch, and check that a cloned world carries its
+own copy of the fold.
+"""
+
+import copy
+
+import pytest
+
+from l2sim import arbitrum
+from l2sim.accounts import apply_txs, genesis_state, l2_txid
+from l2sim.base import CertRegistry, Ledger, signed_tx
+from l2sim.core import CLIENT
+from l2sim.harness import (
+    IdealRun, RealRun, apply_schedule, lifecycle_schedule, protocol,
+    scripted_schedules,
+)
+from l2sim.runtime import World
+
+
+def reference_chain_view(ledger, sid, initial, confirm_depth, round_no,
+                         t_period):
+    """Walk all committed batches from genesis, skipping struck ones."""
+    published = ledger.find(
+        lambda t: t["kind"] == "batch-publish" and t["body"].get("chain") == sid)
+    proofs = ledger.find(
+        lambda t: t["kind"] == "fraud-proof" and t["body"].get("chain") == sid)
+    struck = {p["body"].get("target") for p in proofs}
+    entries = []
+    state = genesis_state(initial)
+    prev = arbitrum.genesis_anchor(sid)
+    for tx in published:
+        if tx["txid"] in struck:
+            continue
+        batch = tx["body"].get("batch") or {}
+        if batch.get("seq") != len(entries) + 1 or batch.get("prev") != prev:
+            continue
+        post = apply_txs(state, batch.get("txs", []), ledger, confirm_depth,
+                         batch["seq"])
+        digest = arbitrum.batch_digest(batch)
+        entries.append({"batch": batch, "txid": tx["txid"],
+                        "commit_round": tx.get("commit_round", 0),
+                        "post": post, "claimed": batch["post"],
+                        "digest": digest,
+                        "ids": [l2_txid(t) for t in batch.get("txs", [])]})
+        state = batch["post"]
+        prev = digest
+    final = 0
+    for e in entries:
+        if round_no > e["commit_round"] + t_period:
+            final += 1
+        else:
+            break
+    return {"entries": entries, "final": final}
+
+
+class Audit:
+    """Spies on the fold while a schedule runs.
+
+    Every ``chain_view`` call, including those made inside a ledger tick,
+    is compared with the reference.  It also counts re-walks (a fold
+    extending with a committed batch it had already extended with),
+    accepted batches that later drop out without being struck (orphaned
+    descendants), rejected fraud proofs and self-published batches.
+    """
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.rewalks = 0
+        self.ever_accepted = {}       # id(ledger) -> txids ever accepted
+        self.orphaned = set()
+        self.extended = set()         # (id(fold), id(committed tx))
+        view, extend = arbitrum.chain_view, arbitrum.ChainFold._extend
+
+        def checked(ledger, sid, initial, confirm_depth, round_no, t_period):
+            got = view(ledger, sid, initial, confirm_depth, round_no, t_period)
+            want = reference_chain_view(ledger, sid, initial, confirm_depth,
+                                        round_no, t_period)
+            assert got == want
+            self.calls += 1
+            now = {e["txid"] for e in got["entries"]}
+            seen = self.ever_accepted.setdefault(id(ledger), set())
+            struck = {t["body"].get("target") for t in ledger.find(
+                lambda t: t["kind"] == "fraud-proof")}
+            self.orphaned |= seen - now - struck
+            seen |= now
+            return got
+
+        def counted(fold, tx, ledger):
+            key = (id(fold), id(tx))
+            if key in self.extended:
+                self.rewalks += 1
+            self.extended.add(key)
+            return extend(fold, tx, ledger)
+
+        monkeypatch.setattr(arbitrum, "chain_view", checked)
+        monkeypatch.setattr(arbitrum.ChainFold, "_extend", counted)
+
+    def run(self, scn, schedule):
+        """Both flavours, step by step, comparing views after every step."""
+        out = {}
+        for flavor in (RealRun, IdealRun):
+            run = flavor("arbitrum", scn)
+            worlds = ([run.world] if flavor is RealRun
+                      else [run.sim.inner, run.outer])
+            for step in schedule:
+                apply_schedule(run, [step])
+                for w in worlds:
+                    arbitrum.world_view(w, scn["initial"])
+            out[run.flavor] = run.trace
+        return out
+
+
+def _kinds(trace, t, kind):
+    return [e for e in trace.events if e.get("t") == t and e.get("kind") == kind]
+
+
+SCN = protocol("arbitrum").canonical_scenario()
+
+
+@pytest.mark.parametrize("label", sorted(scripted_schedules("arbitrum", SCN)))
+def test_incremental_view_matches_reference_on_scripted(monkeypatch, label):
+    audit = Audit(monkeypatch)
+    sched = scripted_schedules("arbitrum", SCN)[label]
+    traces = audit.run(SCN, sched)
+    assert audit.calls >= 3 * len(sched)     # one world real, two ideal
+    if label == "fraud-struck":
+        assert audit.rewalks >= 1
+    if label == "false-accuse-noise":
+        rejected = [e for e in _kinds(traces["real"], "ledger-submit",
+                                      "fraud-proof") if not e["accepted"]]
+        assert rejected
+
+
+# two validators let the adversary corrupt one and falsely accuse; seeds
+# 4, 5 and 12 strike batches that already had descendants
+LIFECYCLES = [(1, 1), (1, 7), (2, 4), (2, 5), (2, 12)]
+
+
+def test_incremental_view_matches_reference_on_adversarial_lifecycles(
+        monkeypatch):
+    audit = Audit(monkeypatch)
+    rejected = self_published = 0
+    for n_vals, seed in LIFECYCLES:
+        scn = protocol("arbitrum").canonical_scenario(n_vals=n_vals)
+        sched = lifecycle_schedule("arbitrum", scn, seed, pays=12,
+                                   adversarial=True)
+        real = audit.run(scn, sched)["real"]
+        rejected += sum(1 for e in _kinds(real, "ledger-submit", "fraud-proof")
+                        if not e["accepted"])
+        self_published += len(_kinds(real, "note", "self-publish"))
+    assert audit.rewalks >= 1
+    assert audit.orphaned
+    assert rejected >= 1
+    assert self_published >= 1
+
+
+# -- a mint whose deposit is not yet buried ----------------------------------
+
+RIPEN_TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 3,
+                "t_period": 6, "sync": False}
+INITIAL = {"c1": 10, "c2": 10}
+
+
+def _bare_rollup():
+    w = World("roll", dict(RIPEN_TIMING))
+    w.certs = CertRegistry()
+    w.ledger = Ledger(w.timing)
+    w.ledger.bind(w)
+    arbitrum.install_ledger_checks(w, w.sid, INITIAL, {"operator:p1"})
+    w.advance_round()
+    return w
+
+
+def _view(w):
+    return arbitrum.chain_view(w.ledger, w.sid, INITIAL,
+                               RIPEN_TIMING["confirm_depth"], w.round_no,
+                               RIPEN_TIMING["t_period"])
+
+
+def _mint_batch(w):
+    """A deposit and a batch minting it, committed in the same block."""
+    dep = signed_tx(w.certs, "deposit",
+                    {"chain": w.sid, "to": "c1", "amt": 5, "conflict": "dep/1"},
+                    "client:c1")
+    assert w.ledger.submit(dep)["accepted"]
+    claimed = dict(genesis_state(INITIAL), bal={"c1": 15, "c2": 10},
+                   minted=[dep["txid"]], height=1)
+    pub = arbitrum.batch_tx(
+        w.certs, _view(w), w.sid, "operator:p1", 1,
+        [{"op": "mint", "to": "c1", "amt": 5, "ref": dep["txid"]}], claimed)
+    assert w.ledger.submit(pub)["accepted"]
+    w.advance_round()                        # round 2: both commit
+    return pub, claimed
+
+
+def _proof(w, target, conflict):
+    return signed_tx(w.certs, "fraud-proof",
+                     {"chain": w.sid, "target": target, "seq": 1,
+                      "conflict": conflict}, "validator:v1")
+
+
+def test_late_ripening_mint_is_judged_at_call_time():
+    # the re-execution reads the deposit's depth when the view is taken, not
+    # at the batch's inclusion height; these rounds are those of the fold
+    # from genesis, so caching the view kept the semantics
+    w = _bare_rollup()
+    pub, claimed = _mint_batch(w)
+    proof = _proof(w, pub["txid"], "fraud/probe")
+    first = _view(w)
+    held = copy.deepcopy(first)
+    seen = []
+    for _ in range(9):
+        e = _view(w)["entries"][0]
+        assert e["claimed"] == claimed
+        seen.append((w.round_no, e["post"] == claimed if e["post"] else None,
+                     w.ledger.validate(proof)))
+        w.advance_round()
+    assert seen == [
+        (2, None, (True, None)),
+        (3, None, (True, None)),
+        (4, True, (False, "batch-correct")),
+        (5, True, (False, "batch-correct")),
+        (6, True, (False, "batch-correct")),
+        (7, True, (False, "batch-correct")),
+        (8, True, (False, "batch-correct")),
+        (9, True, (False, "window-closed")),
+        (10, True, (False, "window-closed")),
+    ]
+    assert first == held          # a view handed out earlier never changes
+
+
+def test_proof_against_unripe_mint_strikes_in_the_ripening_block():
+    # submitted while the post is None, the proof is validated again inside
+    # the tick of round 4, before that block counts toward the deposit's
+    # depth, so it still commits and strikes the batch
+    w = _bare_rollup()
+    pub, _ = _mint_batch(w)
+    w.advance_round()                        # round 3: depth 2 of 3
+    assert w.ledger.submit(_proof(w, pub["txid"], "fraud/late"))["accepted"]
+    w.advance_round()                        # round 4
+    assert w.ledger.find(lambda t: t["kind"] == "fraud-proof")
+    assert _view(w)["entries"] == []
+    assert _view(w) == reference_chain_view(
+        w.ledger, w.sid, INITIAL, RIPEN_TIMING["confirm_depth"], w.round_no,
+        RIPEN_TIMING["t_period"])
+
+
+# -- clones carry their own fold ----------------------------------------------
+
+
+def _client(world, pid):
+    return world.entity(CLIENT, pid)
+
+
+def _cycle(world, k=1):
+    for _ in range(k):
+        while world.pending_net():
+            world.deliver_net(min(e.eid for e in world.pending_net()))
+        world.advance_round()
+
+
+def _pay_and_wait(world, amt):
+    world.inject_input(_client(world, "c1"),
+                       {"kind": "pay", "to": "c2", "amt": amt})
+    _cycle(world, 6)
+
+
+def test_clone_keeps_an_independent_chain_view():
+    run = RealRun("arbitrum", SCN)
+    world = run.world
+    for pid in SCN["clients"]:
+        world.inject_input(_client(world, pid), {"kind": "open"})
+    _cycle(world, 2)
+    _pay_and_wait(world, 1)                  # mid-lifecycle: one batch in
+    before = arbitrum.world_view(world, SCN["initial"])
+    assert before["entries"]
+    digest = world.trace.digest()
+
+    twin = world.clone()
+    _pay_and_wait(twin, 2)
+    grown = arbitrum.world_view(twin, SCN["initial"])
+    assert len(grown["entries"]) > len(before["entries"])
+    assert twin.ledger.views is not world.ledger.views
+
+    assert arbitrum.world_view(world, SCN["initial"]) == before
+    assert world.trace.digest() == digest
+
+    _pay_and_wait(world, 2)
+    assert arbitrum.world_view(world, SCN["initial"]) == grown

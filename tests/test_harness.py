@@ -5,6 +5,8 @@ same per-party output stream in both stackings; the remaining tests pin
 the harness mechanics that make that comparison meaningful.
 """
 
+import types
+
 import pytest
 
 from l2sim import harness
@@ -175,6 +177,29 @@ def test_protocol_module_provides_the_contract(name):
     assert "triggers_for" in vars(proto.Hooks)
     assert "read_delay" in vars(proto.Hooks)
     assert "ideal_request" in vars(proto.EnvTracker)
+
+
+def test_benchmark_spans_stay_module_functions(monkeypatch):
+    # the benchmark's tracer wraps these by name on their module, so they
+    # must stay plain module functions that callers look up at call time
+    from l2sim import arbitrum, liquid
+    for mod, name in ((arbitrum, "chain_view"), (arbitrum, "batch_digest"),
+                      (liquid, "cert_valid")):
+        fn = vars(mod)[name]
+        assert isinstance(fn, types.FunctionType)
+        assert fn.__module__ == mod.__name__ and fn.__name__ == name
+    calls = {"chain_view": 0, "batch_digest": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(arbitrum, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(arbitrum, name, counted)
+    world, scn = harness.make_real("arbitrum")
+    arbitrum.world_view(world, scn["initial"])
+    assert calls["chain_view"] == 1
+    sched = scripted_schedules("arbitrum", scn)["single-pay"]
+    apply_schedule(RealRun("arbitrum", scn), sched)
+    assert calls["chain_view"] > 1 and calls["batch_digest"] >= 1
 
 
 def test_unknown_protocol_rejected():
