@@ -12,6 +12,7 @@ same check (wrapped in any `.events` holder) reproduces the failure.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -127,14 +128,30 @@ def read_views(trace, honest_only=True) -> list[ReadView]:
     return views
 
 
-def evidence_key(entry):
-    return (entry.get("kind"), entry.get("seq"), canon(entry.get("state")))
+def evidence_keys(views) -> dict:
+    """id(view) -> the (kind, seq, canonical state) key of each entry.
+
+    ``canon`` runs once per distinct state object: read results share
+    their state objects, and the trace keeps them alive while the keys
+    are in use, so an object's id names one canonical text.
+    """
+    texts = {}
+    keys = {}
+    for v in views:
+        row = []
+        for e in v.executed:
+            state = e.get("state")
+            text = texts.get(id(state))
+            if text is None:
+                text = texts[id(state)] = canon(state)
+            row.append((e.get("kind"), e.get("seq"), text))
+        keys[id(v)] = row
+    return keys
 
 
 def is_prefix(shorter, longer) -> bool:
-    keys_a = [evidence_key(e) for e in shorter]
-    keys_b = [evidence_key(e) for e in longer]
-    return keys_b[:len(keys_a)] == keys_a
+    """Whether key list ``shorter`` (see evidence_keys) starts ``longer``."""
+    return longer[:len(shorter)] == shorter
 
 
 def committed_txs(trace) -> list[dict]:
@@ -170,15 +187,6 @@ class _TraceLedger:
 
     def depth(self, tx):
         return 10 ** 9       # everything in the committed past is buried
-
-
-def outputs_to(trace, pid, kind) -> list[dict]:
-    out = []
-    for ev in trace.events:
-        if ev.get("t") == "output" and _pid(ev.get("party", "")) == pid \
-                and ev.get("payload", {}).get("kind") == kind:
-            out.append(ev)
-    return out
 
 
 # -- request extraction -----------------------------------------------------
@@ -319,7 +327,16 @@ def _within(f, counts):
 
 
 def check_safety(trace, f) -> Verdict:
-    """Per-party view monotonicity plus pairwise view comparability."""
+    """Per-party view monotonicity plus pairwise view comparability.
+
+    Self-consistency compares each party's consecutive views.  Once it
+    holds, each party's views form a chain, so the views are pairwise
+    comparable exactly when every view is a prefix of a longest one L: a
+    view that is not cannot be L's party's (that chain would make it a
+    prefix), so it and L are an incomparable pair of distinct parties.
+    Only then does the ordered pair scan run, to return the same first
+    pair as a full scan.  Evidence keys are built once per view.
+    """
     name = "safety"
     counts = corruption_counts(trace)
     if not _within(f, counts):
@@ -327,28 +344,32 @@ def check_safety(trace, f) -> Verdict:
                        params={"f": f, "corrupted": counts,
                                "reason": "corruptions-exceed-f"})
     views = read_views(trace)
+    keys = evidence_keys(views)
     by_party = {}
     for v in views:
         by_party.setdefault(v.party, []).append(v)
     for party, vs in by_party.items():
         vs.sort(key=lambda v: (v.round, v.step))
         for a, b in zip(vs, vs[1:]):
-            if not is_prefix(a.executed, b.executed):
+            if not is_prefix(keys[id(a)], keys[id(b)]):
                 return Verdict(name, False,
                                witness=[_view_event(a), _view_event(b)],
                                params={"clause": "self-consistency",
                                        "party": party, "f": f})
-    flat = sorted(views, key=lambda v: (v.round, v.step))
-    for i, a in enumerate(flat):
-        for b in flat[i + 1:]:
-            if a.party == b.party:
-                continue
-            if not (is_prefix(a.executed, b.executed)
-                    or is_prefix(b.executed, a.executed)):
-                return Verdict(name, False,
-                               witness=[_view_event(a), _view_event(b)],
-                               params={"clause": "view-consistency",
-                                       "parties": [a.party, b.party], "f": f})
+    top = max(keys.values(), key=len, default=[])
+    if not all(is_prefix(k, top) for k in keys.values()):
+        flat = sorted(views, key=lambda v: (v.round, v.step))
+        for i, a in enumerate(flat):
+            for b in flat[i + 1:]:
+                if a.party == b.party:
+                    continue
+                ka, kb = keys[id(a)], keys[id(b)]
+                if not (is_prefix(ka, kb) or is_prefix(kb, ka)):
+                    return Verdict(name, False,
+                                   witness=[_view_event(a), _view_event(b)],
+                                   params={"clause": "view-consistency",
+                                           "parties": [a.party, b.party],
+                                           "f": f})
     return Verdict(name, True, params={"f": f, "views": len(views)},
                    vacuous=not views)
 
@@ -366,6 +387,12 @@ def check_liveness(trace, kind, params) -> Verdict:
     updates either an exec record clearing the request (interface runs) or
     evidence of the transfer inside some honest read view (real runs).
     Requests whose deadline lies past the recorded horizon are not judged.
+
+    The evidence is summarised in one pass (``_first_seen``): for each
+    key a request can wait on, the earliest round of a view or exec
+    record that shows it.  Whether a view shows a key depends on that
+    view alone, so "some view up to the deadline shows it" is exactly
+    "its earliest round is at or before the deadline".
     """
     name = f"liveness-{kind}"
     lp = LivenessParams.of(params)
@@ -377,8 +404,17 @@ def check_liveness(trace, kind, params) -> Verdict:
     horizon = last_round(trace)
     bound = lp.t_l2 + lp.t_l1
     views = read_views(trace)
-    execs = [ev for ev in trace.events if ev.get("t") == "exec"]
-    reqs = [r for r in requests(trace) if r["cls"] == kind]
+    # opens and settlements are served by confirmation outputs alone
+    seen = _first_seen(trace, views) if kind == UPDATE else {}
+    confirmed = _confirmations(trace)
+    every = requests(trace)
+    deposits = {}                      # pid -> sorted steps of its deposits
+    for q in every:
+        if q["entry"].get("kind") == "deposit":
+            deposits.setdefault(q["pid"], []).append(q["step"])
+    for steps in deposits.values():
+        steps.sort()
+    reqs = [r for r in every if r["cls"] == kind]
     judged = unresolved = 0
     seen_pay = 0
     marker = {"t": "horizon", "round": horizon}
@@ -394,7 +430,7 @@ def check_liveness(trace, kind, params) -> Verdict:
             unresolved += 1
             continue
         judged += 1
-        if not _served(r, deadline, trace, views, execs):
+        if not _served(r, deadline, seen, confirmed, deposits):
             witness = [r["event"]] + [_view_event(v) for v in views
                                       if v.round <= deadline] + [marker]
             return Verdict(name, False, witness=witness,
@@ -407,57 +443,76 @@ def check_liveness(trace, kind, params) -> Verdict:
                            "beyond_horizon": unresolved, "f": lp.f})
 
 
-def _served(r, deadline, trace, views, execs) -> bool:
+def _served(r, deadline, seen, confirmed, deposits) -> bool:
     pid, cls = r["pid"], r["cls"]
     if cls == OPEN:
-        return any(ev.get("round", 0) <= deadline
-                   for ev in outputs_to(trace, pid, "open-ok"))
+        return any(rnd <= deadline
+                   for rnd in confirmed.get((pid, "open-ok"), ()))
     if cls == SETTLEMENT:
-        return any(r["round"] <= ev.get("round", 0) <= deadline
-                   for ev in outputs_to(trace, pid, "settle-ok"))
+        return any(r["round"] <= rnd <= deadline
+                   for rnd in confirmed.get((pid, "settle-ok"), ()))
     if r["rid"] is not None:                       # interface run: exact rid
-        return any(ev.get("round", 0) <= deadline
-                   and r["rid"] in ev.get("rids", ())
-                   for ev in execs)
-    entry = r["entry"]
-    windowed = [v for v in views if v.round <= deadline]
-    if entry.get("kind") == "deposit":
-        want = sum(1 for q in _earlier_deposits(trace, r))
-        return any(_mint_count(v, pid) >= want for v in windowed)
-    queued = r.get("queued")
-    if queued is None:
+        key = ("rid", r["rid"])
+    elif r["entry"].get("kind") == "deposit":
+        # the deposits of pid up to this one, itself included, so k >= 1
+        key = ("mint", pid, bisect_right(deposits[pid], r["step"]))
+    elif r.get("queued") is None:
         return False                               # accepted but never sent
-    if "nonce" in queued:
-        return any(_has_tx(v, pid, queued["nonce"]) for v in windowed)
-    k = r.get("pay_index", 1)
-    return any(_update_count(v) >= k for v in windowed)
+    elif "nonce" in r["queued"]:
+        key = ("tx", pid, r["queued"]["nonce"])
+    else:
+        key = ("update", r.get("pay_index", 1))
+    return key in seen and seen[key] <= deadline
 
 
-def _earlier_deposits(trace, r):
-    return [q for q in requests(trace)
-            if q["pid"] == r["pid"] and q["entry"].get("kind") == "deposit"
-            and q["step"] <= r["step"]]
+def _first_seen(trace, views) -> dict:
+    """Earliest round at which each piece of update evidence shows.
+
+    Keys: ("update", k) when a view holds at least k update entries;
+    ("mint", pid, k) when a view holds at least k mints to pid;
+    ("tx", pid, nonce) when a view holds a transaction from pid with that
+    nonce; ("rid", rid) when an exec record clears rid.  Counts start at
+    1, as every request waits for at least one.
+    """
+    first = {}
+
+    def see(key, rnd):
+        if key not in first or rnd < first[key]:
+            first[key] = rnd
+
+    for v in views:
+        updates = 0
+        mints = {}
+        for e in v.executed:
+            if e.get("kind") == UPDATE:
+                updates += 1
+            for tx in e.get("txs", ()):
+                if tx.get("op") == "mint":
+                    mints[tx.get("to")] = mints.get(tx.get("to"), 0) + 1
+                see(("tx", tx.get("from"), tx.get("nonce")), v.round)
+        for k in range(1, updates + 1):
+            see(("update", k), v.round)
+        for to, n in mints.items():
+            for k in range(1, n + 1):
+                see(("mint", to, k), v.round)
+    for ev in trace.events:
+        if ev.get("t") == "exec":
+            for rid in ev.get("rids", ()):
+                see(("rid", rid), ev.get("round", 0))
+    return first
 
 
-def _mint_count(view, pid) -> int:
-    n = 0
-    for e in view.executed:
-        for tx in e.get("txs", ()):
-            if tx.get("op") == "mint" and tx.get("to") == pid:
-                n += 1
-    return n
-
-
-def _has_tx(view, pid, nonce) -> bool:
-    for e in view.executed:
-        for tx in e.get("txs", ()):
-            if tx.get("from") == pid and tx.get("nonce") == nonce:
-                return True
-    return False
-
-
-def _update_count(view) -> int:
-    return sum(1 for e in view.executed if e.get("kind") == UPDATE)
+def _confirmations(trace) -> dict:
+    """(pid, "open-ok" | "settle-ok") -> rounds of those outputs to pid."""
+    out = {}
+    for ev in trace.events:
+        if ev.get("t") != "output":
+            continue
+        kind = ev.get("payload", {}).get("kind")
+        if kind in ("open-ok", "settle-ok"):
+            out.setdefault((_pid(ev.get("party", "")), kind), []).append(
+                ev.get("round", 0))
+    return out
 
 
 def check_correct_settlement(trace) -> Verdict:
@@ -479,21 +534,22 @@ def check_correct_settlement(trace) -> Verdict:
     for r in requests(trace):
         if r["cls"] == SETTLEMENT and r["entry"].get("seq") is not None:
             explicit.add((r["pid"], r["entry"]["seq"]))
+    heights = [max((_state_height(e.get("state") or {}) for e in v.executed),
+                   default=None) for v in views]
+    closed = any(t.get("kind") in SETTLE_TX_KINDS for t in commits)
     for ev in settles:
         state = ev["payload"].get("state") or {}
         got = _state_height(state)
-        best = got
-        for v in views:
-            if v.round <= ev.get("round", 0):
-                for e in v.executed:
-                    best = max(best, _state_height(e.get("state") or {}))
+        rnd = ev.get("round", 0)
+        best = max([got] + [h for v, h in zip(views, heights)
+                            if h is not None and v.round <= rnd])
         pid = _pid(ev.get("party", ""))
         if got < best and (pid, got) not in explicit:
             witness = [ev] + [_view_event(v) for v in views
-                              if v.round <= ev.get("round", 0)]
+                              if v.round <= rnd]
             return Verdict(name, False, witness=witness,
                            params={"settled_at": got, "latest_known": best})
-        if not any(t.get("kind") in SETTLE_TX_KINDS for t in commits):
+        if not closed:
             return Verdict(name, False, witness=[ev],
                            params={"reason": "no-close-record-on-chain"})
     return Verdict(name, True, params={"settlements": len(settles)},

@@ -182,9 +182,15 @@ def test_protocol_module_provides_the_contract(name):
 def test_benchmark_spans_stay_module_functions(monkeypatch):
     # the benchmark's tracer wraps these by name on their module, so they
     # must stay plain module functions that callers look up at call time
-    from l2sim import arbitrum, liquid
-    for mod, name in ((arbitrum, "chain_view"), (arbitrum, "batch_digest"),
-                      (liquid, "cert_valid")):
+    from l2sim import arbitrum, liquid, properties
+    checks = [name for name in vars(properties) if name.startswith("check_")]
+    assert len(checks) == 4
+    spans = [(arbitrum, "chain_view"), (arbitrum, "batch_digest"),
+             (liquid, "cert_valid")]
+    spans += [(properties, name) for name in checks + [
+        "measure_data_availability", "is_prefix", "requests", "read_views",
+        "committed_txs"]]
+    for mod, name in spans:
         fn = vars(mod)[name]
         assert isinstance(fn, types.FunctionType)
         assert fn.__module__ == mod.__name__ and fn.__name__ == name
@@ -198,8 +204,19 @@ def test_benchmark_spans_stay_module_functions(monkeypatch):
     arbitrum.world_view(world, scn["initial"])
     assert calls["chain_view"] == 1
     sched = scripted_schedules("arbitrum", scn)["single-pay"]
-    apply_schedule(RealRun("arbitrum", scn), sched)
+    run = RealRun("arbitrum", scn)
+    apply_schedule(run, sched)
     assert calls["chain_view"] > 1 and calls["batch_digest"] >= 1
+    prefix_calls = []
+
+    def counted_prefix(*args, _fn=properties.is_prefix):
+        prefix_calls.append(args)
+        return _fn(*args)
+    monkeypatch.setattr(properties, "is_prefix", counted_prefix)
+    views = properties.read_views(run.trace)
+    f = {role: budget for role, _, budget in arbitrum.party_roles(scn)}
+    assert views and properties.check_safety(run.trace, f).passed
+    assert len(prefix_calls) >= len(views)
 
 
 def test_unknown_protocol_rejected():
