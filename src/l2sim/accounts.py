@@ -6,12 +6,13 @@ plain dicts; application is pure except for the deposit-depth lookup, which
 consults the ledger so mints can only reference sufficiently buried deposits.
 
 Both protocols also share everything around that arithmetic that does not
-depend on how an update is certified: the client plumbing (registration,
-request queueing, deposits, reads, open and settlement detection), the
-ideal bundle's submission, open, read and settlement checks, the
-environment-side request translation, and the simulator's open and
-settlement triggers.  Each protocol module keeps its update certification,
-its dispute timing and what its parties store.
+depend on how an update is certified: block packing, the client plumbing
+(registration, request queueing, deposits, reads, open and settlement
+detection), the ideal bundle's submission, open, read and settlement
+checks, the environment-side request translation, the simulator's open and
+settlement triggers, and a corrupted client's overdraft move.  Each
+protocol module keeps its update certification, its dispute timing and
+what its parties store.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .base import signed_tx
 from .core import CLIENT, OPEN, SETTLEMENT, UPDATE, SubroutineBundle
 from .runtime import ENV_ROLE, Machine
 from .trace import digest
+
+OPERATOR = "operator"
 
 
 def genesis_state(initial: dict) -> dict:
@@ -91,6 +94,36 @@ def ripe_deposits(ledger, sid, state, confirm_depth):
             out.append({"op": "mint", "to": d["body"]["to"],
                         "amt": d["body"]["amt"], "ref": d["txid"]})
     return sorted(out, key=lambda t: t["ref"])
+
+
+def pack_block(ledger, sid, state, mempool, confirm_depth):
+    """Transactions for the next block or batch on top of ``state``.
+
+    Ripe mints come first, then every mempool transaction (txid -> tx)
+    that still applies, in (nonce, txid) order.  Returns the transactions
+    and the state after them.
+    """
+    txs = ripe_deposits(ledger, sid, state, confirm_depth)
+    for tx in txs:
+        state = apply_tx(state, tx, ledger, confirm_depth)
+    for txid in sorted(mempool, key=lambda i: (mempool[i].get("nonce", 0), i)):
+        trial = apply_tx(state, mempool[txid], ledger, confirm_depth)
+        if trial is not None:
+            txs.append(mempool[txid])
+            state = trial
+    return txs, state
+
+
+def overdraft_tx(frm, to):
+    """A payment no balance covers, sent as adversary noise."""
+    return {"op": "pay", "from": frm, "to": to, "amt": 999, "nonce": 1}
+
+
+def spam_overdraft(world, entity):
+    """Menu move of a corrupted client: an overdraft to every operator."""
+    tx = overdraft_tx(entity.pid, "c1")
+    for op in world.roles.get(OPERATOR, []):
+        world.queue_net(entity, op, {"kind": "tx", "tx": tx})
 
 
 def register_onchain(ctx):
@@ -334,27 +367,18 @@ class AccountBundle(SubroutineBundle):
                  "txs": update["txs"], self.update_key: update,
                  "evidence": attachment, "rids": rids, "round": env.round}]
 
-    def read(self, ist, pid, env):
-        if not ist.states:
+    def read(self, ist, idx, env):
+        if not self._reconstructs(ist, idx):
             return None
-        top = len(ist.states) - 1
-        delay = env.hint("read-delay", pid=pid)
-        idx = top if delay is None else max(0, min(top, delay))
-        idx = max(idx, ist.read_ptr.get(pid, 0))
-        state = ist.states[idx]
+        height = ist.states[idx]["height"]
         executed = []
         for e in ist.executed:
             if e["kind"] == OPEN:
                 executed.append({"kind": OPEN, "seq": 0, "state": e["state"]})
-            elif e["kind"] == UPDATE and e["seq"] <= state["height"]:
+            elif e["kind"] == UPDATE and e["seq"] <= height:
                 executed.append({"kind": UPDATE, "seq": e["seq"],
                                  "state": e["state"], "txs": e["txs"]})
-        if ist.settled is not None:
-            executed.append({"kind": SETTLEMENT, "seq": None,
-                             "state": ist.settled["state"]})
-        if not self._reconstructs(ist, idx):
-            return None
-        return {"state": state, "executed": executed, "pointer": idx}
+        return executed
 
     def _reconstructs(self, ist, idx):
         want = ist.states[idx]

@@ -37,11 +37,11 @@ from .base import signed_tx, attach_periodic_clock
 from .core import OPEN, UPDATE, SETTLEMENT, CLIENT
 from .trace import digest
 from .accounts import (
-    AccountBundle, AccountClient, AccountHooks, AccountTracker, apply_tx,
-    apply_txs, genesis_state, l2_txid, register_onchain, ripe_deposits,
+    OPERATOR, AccountBundle, AccountClient, AccountHooks, AccountTracker,
+    apply_txs, genesis_state, l2_txid, pack_block, register_onchain,
+    ripe_deposits, spam_overdraft,
 )
 
-OPERATOR = "operator"
 VALIDATOR = "validator"
 
 
@@ -182,12 +182,9 @@ def batch_tx(certs, view, sid, author, seq, txs, post):
                      author)
 
 
-def view_state(view, upto=None):
-    """Authoritative state after the first `upto` accepted batches."""
-    n = len(view["entries"]) if upto is None else upto
-    if n == 0:
-        return None
-    return view["entries"][n - 1]["claimed"]
+def view_state(view):
+    """Authoritative state after every accepted batch, or None."""
+    return view["entries"][-1]["claimed"] if view["entries"] else None
 
 
 # -- ledger kind checks ----------------------------------------------------
@@ -290,24 +287,14 @@ class ArbitrumOperator(RollupParty):
 
     def _publish(self, ctx):
         view = self.view(ctx)
-        state = self.optimistic_state(ctx, view)
-        txs = ripe_deposits(ctx.ledger, self.me.sid, state,
-                            ctx.timing["confirm_depth"])
-        probe = state
-        for tx in txs:
-            probe = apply_tx(probe, tx, ctx.ledger, ctx.timing["confirm_depth"])
-        for txid in sorted(self.mempool,
-                           key=lambda i: (self.mempool[i].get("nonce", 0), i)):
-            tx = self.mempool[txid]
-            trial = apply_tx(probe, tx, ctx.ledger, ctx.timing["confirm_depth"])
-            if trial is not None:
-                txs.append(tx)
-                probe = trial
+        txs, post = pack_block(ctx.ledger, self.me.sid,
+                               self.optimistic_state(ctx, view), self.mempool,
+                               ctx.timing["confirm_depth"])
         if not txs:
             return
         seq = len(view["entries"]) + 1
         ctx.ledger.submit(batch_tx(ctx.certs, view, self.me.sid, self.me.short(),
-                                   seq, txs, dict(probe, height=seq)))
+                                   seq, txs, dict(post, height=seq)))
         ctx.note("batch-publish", seq=seq, ntx=len(txs))
 
     def on_ledger_block(self, ctx, height):
@@ -522,11 +509,6 @@ def canonical_scenario(n_ops=2, n_vals=1, balance=10, self_publish=True):
     }
 
 
-def op_budget(scn):
-    n = len(scn["operators"])
-    return n if scn.get("self_publish", True) else max(1, n - 1)
-
-
 def liveness_params(scn):
     n_ops = len(scn["operators"])
     n_vals = len(scn["validators"])
@@ -544,11 +526,8 @@ def liveness_params(scn):
 
 
 def build_real(world, scn):
-    world.declare_role(CLIENT, budget=1)
-    world.declare_role(OPERATOR, budget=op_budget(scn))
-    # safety rests on one honest watcher, so the budget stops short of the
-    # last validator; corrupting it is an explicit assumption break
-    world.declare_role(VALIDATOR, budget=len(scn["validators"]) - 1)
+    for role, _, budget in party_roles(scn):
+        world.declare_role(role, budget=budget)
     world.declare_role("clock")
     world.wire("clock", OPERATOR)
     world.wire("clock", VALIDATOR)
@@ -577,8 +556,12 @@ def make_bundle(world, scn):
 
 def party_roles(scn):
     """(role, pids, corruption budget) rows for mirroring the cast."""
+    n_ops = len(scn["operators"])
+    # safety rests on one honest watcher, so the budget stops short of the
+    # last validator; corrupting it is an explicit assumption break
     return [(CLIENT, list(scn["clients"]), 1),
-            (OPERATOR, list(scn["operators"]), op_budget(scn)),
+            (OPERATOR, list(scn["operators"]),
+             n_ops if scn.get("self_publish", True) else max(1, n_ops - 1)),
             (VALIDATOR, list(scn["validators"]), len(scn["validators"]) - 1)]
 
 
@@ -622,13 +605,13 @@ def publish_wrong_batch(world, op_entity, skim=1):
     return ltx["txid"]
 
 
-def menu(world, entity, knowledge):
+def menu(world, entity):
     actions = {}
     if entity.role == OPERATOR:
-        actions["publish-wrong"] = lambda args=None: (
+        actions["publish-wrong"] = lambda: (
             publish_wrong_batch(world, entity) and None)
     if entity.role == VALIDATOR:
-        def false_accuse(args=None):
+        def false_accuse():
             view = world_view(world, world.machines[entity].initial)
             if not view["entries"]:
                 return None
@@ -641,11 +624,5 @@ def menu(world, entity, knowledge):
             return None
         actions["false-accuse"] = false_accuse
     if entity.role == CLIENT:
-        def spam_overdraft(args=None):
-            tx = {"op": "pay", "from": entity.pid, "to": "c1", "amt": 999,
-                  "nonce": 1}
-            for op in world.roles.get(OPERATOR, []):
-                world.queue_net(entity, op, {"kind": "tx", "tx": tx})
-            return None
-        actions["spam-overdraft"] = spam_overdraft
+        actions["spam-overdraft"] = lambda: spam_overdraft(world, entity)
     return actions

@@ -134,8 +134,8 @@ class Ledger:
                 return False, reason
         return True, None
 
-    def submit(self, tx: dict, round_no=None) -> dict:
-        rnd = self.world.round_no if round_no is None and self.world else (round_no or 0)
+    def submit(self, tx: dict) -> dict:
+        rnd = self.world.round_no if self.world else 0
         ok, reason = self.validate(tx)
         if ok:
             entry = dict(tx)

@@ -553,25 +553,13 @@ class BrickBundle(SubroutineBundle):
         return [{"kind": UPDATE, "seq": new_state["seq"], "state": new_state,
                  "evidence": attachment, "rids": rids, "round": env.round}]
 
-    def read(self, ist, pid, env):
-        if not ist.states:
-            return None
-        top = len(ist.states) - 1
-        delay = env.hint("read-delay", pid=pid)
-        idx = top if delay is None else max(0, min(top, delay))
-        idx = max(idx, ist.read_ptr.get(pid, 0))
-        state = ist.states[idx]
-        executed = [
-            {"kind": e["kind"], "seq": e.get("seq"), "state": e["state"]}
-            for e in ist.executed
-            if e["kind"] in (OPEN, UPDATE) and e.get("seq", 0) <= state["seq"]
-        ]
-        if ist.settled is not None:
-            executed.append({"kind": SETTLEMENT, "seq": None,
-                             "state": ist.settled["state"]})
+    def read(self, ist, idx, env):
         if not self._reconstructs(ist, idx):
             return None
-        return {"state": state, "executed": executed, "pointer": idx}
+        seq = ist.states[idx]["seq"]
+        return [{"kind": e["kind"], "seq": e.get("seq"), "state": e["state"]}
+                for e in ist.executed
+                if e["kind"] in (OPEN, UPDATE) and e.get("seq", 0) <= seq]
 
     def _reconstructs(self, ist, idx) -> bool:
         # fold the off-chain evidence above the anchor; after settlement the
@@ -650,8 +638,8 @@ def liveness_params(scn):
 
 def build_real(world, scn):
     sid = world.sid
-    world.declare_role(CLIENT, budget=1)
-    world.declare_role(WARDEN, budget=scn["f"])
+    for role, _, budget in party_roles(scn):
+        world.declare_role(role, budget=budget)
     wardens = [world.entity(WARDEN, w) for w in scn["wardens"]]
     c1, c2 = scn["clients"]
     for me, peer in ((c1, c2), (c2, c1)):
@@ -763,17 +751,18 @@ class Hooks:
 # -- corrupted-party menu --------------------------------------------------
 
 
-def menu(world, entity, knowledge):
+def menu(world, entity):
     """Adversary moves available in the corrupted party's name.
 
-    Each action returns (real_sends_applied, ideal_submission_or_None); the
-    driver mirrors the submission into the ideal queue on differential runs.
+    Each action makes its real sends and returns an ideal submission or
+    None; the harness mirrors the submission into the ideal queue on
+    differential runs.
     """
     m = world.machines.get(entity)
     sid = world.sid
     actions = {}
     if entity.role == WARDEN:
-        def publish_stale(args=None):
+        def publish_stale():
             if m is None or m.stored is None:
                 return None
             body = {"channel": sid, "state": m.s0 or m.stored["state"], "seq": 0,
@@ -784,7 +773,7 @@ def menu(world, entity, knowledge):
                                           entity.short()))
             return None
 
-        def ack_garbage(args=None):
+        def ack_garbage():
             bogus = {"bal": {"c1": 1, "c2": 1}, "seq": 99}
             wsig = world.certs.sign(entity.short(), warden_msg(sid, bogus, 99))
             for ent in world.roles.get(CLIENT, []):
@@ -796,7 +785,7 @@ def menu(world, entity, knowledge):
         actions["publish-stale"] = publish_stale
         actions["ack-garbage"] = ack_garbage
     if entity.role == CLIENT:
-        def stale_settle(args=None):
+        def stale_settle():
             if m is None or not m.chain:
                 return None
             target = m.chain[0]

@@ -8,6 +8,10 @@ judgement lives in a SubroutineBundle with six entry points (submit, open,
 update, read, settlement, round advance); the interface machine only
 sequences them, mutates state on True answers, notifies the uncorrupted
 clients, and leaks its whole internal state when a client is corrupted.
+A read's position is the interface's own: it clamps the simulator's
+read-delay hint into [the party's pointer, the top state], asks the bundle
+only for the executed entries behind that state, and appends the settled
+entry.
 
 Requests arrive from the environment over IO; open/update/settlement
 triggers arrive over NET from the adversary side (in differential runs, from
@@ -128,7 +132,10 @@ class SubroutineBundle:
         """Evidence entries an accepted update contributes (queue rids optional)."""
         raise NotImplementedError
 
-    def read(self, ist, pid, env):
+    def read(self, ist, idx, env):
+        """Executed entries behind ``ist.states[idx]``, or None when they
+        do not reconstruct that state.  The interface machine picks idx and
+        appends the settled entry."""
         raise NotImplementedError
 
     def check_settlement(self, ist, body, attachment, env):
@@ -150,9 +157,6 @@ class InterfaceMachine(Machine):
 
     def entities(self):
         return [self.me] + list(self._clients.values())
-
-    def owns(self, entity):
-        return entity == self.me or entity in self._clients.values()
 
     def state(self):
         return {"ist": asdict(self.ist)}
@@ -213,18 +217,27 @@ class InterfaceMachine(Machine):
 
     def _read(self, ctx, pid):
         ist = self.ist
-        env = self._benv(ctx)
-        result = None if ist.halted else self._bundle.read(ist, pid, env)
+        executed = idx = None
+        if not ist.halted and ist.states:
+            env = self._benv(ctx)
+            top = len(ist.states) - 1
+            delay = env.hint("read-delay", pid=pid)
+            idx = max(ist.read_ptr.get(pid, 0),
+                      top if delay is None else min(top, delay))
+            executed = self._bundle.read(ist, idx, env)
         self._call(ctx, "read", {"by": pid},
-                   {"empty": result is None,
-                    "pointer": None if result is None else result.get("pointer")})
-        if result is None:
+                   {"empty": executed is None,
+                    "pointer": None if executed is None else idx})
+        if executed is None:
             ctx.world.emit("read-empty", party=f"{CLIENT}:{pid}")
             return
-        ptr = result.get("pointer", 0)
-        ist.read_ptr[pid] = max(ist.read_ptr.get(pid, 0), ptr)
+        if ist.settled is not None:
+            executed.append({"kind": SETTLEMENT, "seq": None,
+                             "state": ist.settled["state"]})
+        ist.read_ptr[pid] = idx
         ctx.world.queue_io(self._clients[pid], env_entity(self.me.sid),
-                           {"kind": "read-result", **result})
+                           {"kind": "read-result", "state": ist.states[idx],
+                            "executed": executed, "pointer": idx})
 
     def _open(self, ctx, body, attachment):
         ist = self.ist

@@ -27,16 +27,32 @@ the contract, and it provides:
   an environment input becomes, or None;
 - ``Hooks(scn)`` with ``triggers_for(inner, ev)`` and
   ``read_delay(inner, pid)``: the simulator's view of the inner run;
-- ``menu(world, entity, knowledge)``: {action name: callable} of moves in
-  a corrupted party's name.
+- ``menu(world, entity)``: {action name: callable} of moves in a corrupted
+  party's name.
 
-The benchmark under ``perfbench/`` resolves some of these by name: it
-calls ``canonical_scenario``, ``party_roles`` and ``liveness_params``, and
-its tracer wraps ``Hooks.triggers_for``, ``Hooks.read_delay`` and
-``EnvTracker.ideal_request`` (each must sit in the class's own
-``__dict__``) as well as ``liquid.cert_valid``, ``arbitrum.chain_view``
-and ``arbitrum.batch_digest``, which callers look up through the module
-global so that the wrapper sees every call.
+The benchmark under ``perfbench/`` resolves names by hand, so these keep
+their names and signatures:
+
+- here: ``protocol``, ``scripted_schedules``, ``lifecycle_schedule``,
+  ``run_differential``, ``output_projection`` and ``diff_outputs``; it
+  wraps ``make_real``, ``build_ideal``, ``Simulator.sync`` and
+  ``apply_schedule``;
+- per protocol: ``canonical_scenario``, ``party_roles`` and
+  ``liveness_params``; it wraps ``Hooks.triggers_for``, ``Hooks.read_delay``
+  and ``EnvTracker.ideal_request`` (each in the class's own ``__dict__``)
+  and the machine classes' ``on_message``/``on_round``/``on_ledger_block``;
+- it wraps ``liquid.cert_valid``, ``arbitrum.chain_view``,
+  ``arbitrum.batch_digest`` and public functions of ``accounts``, ``trace``
+  and ``properties``, which callers look up through the module global so
+  that the wrapper sees every call;
+- it wraps ``World`` delivery, rounds, ``corrupt``, ``emit`` and
+  ``queue_net`` in ``runtime``; ``Ledger.find``/``validate``/``submit``/
+  ``tick``/``read``, ``CertRegistry.sign``/``verify``/``verify_any`` and
+  ``make_tx`` in ``base``; ``InterfaceMachine.on_message`` and every
+  bundle entry point in ``core``.
+
+Its ``find(ledger, pred)`` shim fixes the signature of ``Ledger.find``, so
+a (kind, chain) ledger index has to wait for a change to the benchmark.
 """
 
 from __future__ import annotations
@@ -46,6 +62,7 @@ import random
 from . import arbitrum, brick, liquid
 from .base import CertRegistry, Ledger
 from .core import CLIENT, INTERFACE_ROLE, InterfaceMachine, attach_round_gate
+from .properties import entry_keys
 from .runtime import EntityId, Machine, World
 from .trace import canon
 
@@ -70,11 +87,11 @@ def desk_timing(overrides=None):
     return t
 
 
-def make_real(name, scn=None, timing=None, max_steps=10000, sid=None):
+def make_real(name, scn=None, timing=None):
     """Stand-alone real world: ledger, certificates, protocol machines."""
     proto = protocol(name)
     scn = scn or proto.canonical_scenario()
-    world = World(sid or name, desk_timing(timing), max_steps=max_steps)
+    world = World(name, desk_timing(timing))
     world.certs = CertRegistry()
     world.ledger = Ledger(world.timing)
     world.ledger.bind(world)
@@ -89,11 +106,11 @@ class DummyParty(Machine):
         pass
 
 
-def build_ideal(name, scn=None, timing=None, max_steps=10000, sid=None):
+def build_ideal(name, scn=None, timing=None):
     """Outer interface world plus the simulator running the inner twin."""
     proto = protocol(name)
     scn = scn or proto.canonical_scenario()
-    outer = World(sid or name, desk_timing(timing), max_steps=max_steps)
+    outer = World(name, desk_timing(timing))
     outer.certs = CertRegistry()
     outer.ledger = Ledger(outer.timing)
     outer.ledger.bind(outer)
@@ -136,8 +153,7 @@ class Simulator:
         pid, role = SIM_ENTITY
         self.adv = EntityId(pid, outer.sid, role)
         self.inner = World(outer.sid, dict(outer.timing), ledger=outer.ledger,
-                           certs=outer.certs, max_steps=outer.max_steps,
-                           ticks_ledger=False)
+                           certs=outer.certs, ticks_ledger=False)
         proto.build_real(self.inner, scn)
         self.cursor = 0
         outer.hints = self._answer
@@ -202,9 +218,9 @@ class RealRun:
 
     flavor = "real"
 
-    def __init__(self, name, scn=None, timing=None, max_steps=10000):
+    def __init__(self, name, scn=None, timing=None):
         self.proto = protocol(name)
-        self.world, self.scn = make_real(name, scn, timing, max_steps)
+        self.world, self.scn = make_real(name, scn, timing)
 
     @property
     def trace(self):
@@ -219,8 +235,7 @@ class RealRun:
 
     def menu_act(self, role, pid, action):
         ent = self.world.entity(role, pid)
-        acts = self.proto.menu(self.world, ent, self.world.shells.get(ent, []))
-        fn = acts.get(action)
+        fn = self.proto.menu(self.world, ent).get(action)
         if fn is not None:
             fn()
 
@@ -239,10 +254,9 @@ class IdealRun:
 
     flavor = "ideal"
 
-    def __init__(self, name, scn=None, timing=None, max_steps=10000):
+    def __init__(self, name, scn=None, timing=None):
         self.proto = protocol(name)
-        self.outer, self.sim, self.scn = build_ideal(name, scn, timing,
-                                                     max_steps)
+        self.outer, self.sim, self.scn = build_ideal(name, scn, timing)
         self.tracker = self.proto.EnvTracker(self.scn)
 
     @property
@@ -273,9 +287,7 @@ class IdealRun:
 
     def menu_act(self, role, pid, action):
         ent = self.sim.inner.entity(role, pid)
-        acts = self.proto.menu(self.sim.inner, ent,
-                               self.sim.inner.shells.get(ent, []))
-        fn = acts.get(action)
+        fn = self.proto.menu(self.sim.inner, ent).get(action)
         if fn is None:
             return
         mirrored = fn()
@@ -539,6 +551,7 @@ def scripted_schedules(name, scn):
 def output_projection(trace):
     """Per-party ordered view of what the environment saw."""
     per = {}
+    texts = {}              # canonical state texts, shared by every read
     for ev in trace.events:
         if ev.get("t") != "output":
             continue
@@ -547,9 +560,7 @@ def output_projection(trace):
         if kind == "read-result":
             item = {"kind": kind, "state": p.get("state"),
                     "pointer": p.get("pointer"),
-                    "executed": [[e.get("kind"), e.get("seq"),
-                                  canon(e.get("state"))]
-                                 for e in p.get("executed", ())]}
+                    "executed": entry_keys(p.get("executed", ()), texts)}
         elif kind == "open-ok":
             item = {"kind": kind, "state": p.get("state")}
         elif kind == "settle-ok":
@@ -579,11 +590,10 @@ def diff_outputs(real_trace, ideal_trace):
     return out
 
 
-def run_differential(name, scn=None, schedule=(), timing=None,
-                     max_steps=10000):
+def run_differential(name, scn=None, schedule=(), timing=None):
     """Drive one schedule through both flavors and diff the outputs."""
-    real = RealRun(name, scn, timing, max_steps)
-    ideal = IdealRun(name, scn, timing, max_steps)
+    real = RealRun(name, scn, timing)
+    ideal = IdealRun(name, scn, timing)
     apply_schedule(real, schedule)
     apply_schedule(ideal, schedule)
     return real, ideal, diff_outputs(real.trace, ideal.trace)

@@ -6,7 +6,7 @@ a block carrying both quorum certificates is appended and pushed to clients.
 Honest operators vote at most once per (height, round) slot and lock on the
 first digest they see a precommit quorum for, so with the default quorum of
 2f+1 two conflicting blocks can never both gather certificates.  The quorum
-is a constructor argument precisely so that the bounded search can probe
+is a scenario parameter; ``tests/test_liquid.py`` sets quorum=2 to show
 what happens below the intersection threshold.
 
 Value enters by peg-in (an L1 deposit that leaders mint once it is buried
@@ -24,11 +24,10 @@ from .base import signed_tx, attach_leader_clock
 from .core import OPEN, UPDATE, SETTLEMENT, CLIENT
 from .trace import digest
 from .accounts import (
-    AccountBundle, AccountClient, AccountHooks, AccountTracker, apply_tx,
-    apply_txs, genesis_state, l2_txid, register_onchain, ripe_deposits,
+    OPERATOR, AccountBundle, AccountClient, AccountHooks, AccountTracker,
+    apply_txs, genesis_state, l2_txid, overdraft_tx, pack_block,
+    register_onchain, ripe_deposits, spam_overdraft,
 )
-
-OPERATOR = "operator"
 
 
 # round allowances before a queued request counts as overdue; update work
@@ -121,10 +120,6 @@ class LiquidOperator(Machine):
             else:
                 ctx.send_net(op, payload)
 
-    def _ripe_mints(self, ctx, state):
-        return ripe_deposits(ctx.ledger, self.me.sid, state,
-                             ctx.timing["confirm_depth"])
-
     # dispatch
 
     def on_message(self, ctx, env):
@@ -156,18 +151,8 @@ class LiquidOperator(Machine):
         if lock is not None:
             block = dict(lock["block"], round=rnd, proposer=self.me.short())
         else:
-            state = self.states[-1]
-            txs = self._ripe_mints(ctx, state)
-            probe = dict(state)
-            for tx in txs:
-                probe = apply_tx(probe, tx, ctx.ledger, ctx.timing["confirm_depth"])
-            for txid in sorted(self.mempool,
-                               key=lambda i: (self.mempool[i].get("nonce", 0), i)):
-                tx = self.mempool[txid]
-                trial = apply_tx(probe, tx, ctx.ledger, ctx.timing["confirm_depth"])
-                if trial is not None:
-                    txs.append(tx)
-                    probe = trial
+            txs, _ = pack_block(ctx.ledger, self.me.sid, self.states[-1],
+                                self.mempool, ctx.timing["confirm_depth"])
             if not txs:
                 return
             block = {"height": h, "prev": digest(self.tip()), "txs": txs,
@@ -441,13 +426,9 @@ class LiquidBundle(AccountBundle):
         return True, None
 
     def _ripe_deposit(self, ist, req, env):
-        cd = env.timing["confirm_depth"]
-        deps = env.ledger.find(
-            lambda t: t["kind"] == "deposit" and t["body"].get("chain") == self.sid
-            and t["body"].get("to") == req["by"]
-            and t["body"].get("amt") == req["body"].get("amt")
-            and t["txid"] not in ist.latest()["minted"])
-        return any(env.ledger.depth(d) >= cd for d in deps)
+        return any(m["to"] == req["by"] and m["amt"] == req["body"].get("amt")
+                   for m in ripe_deposits(env.ledger, self.sid, ist.latest(),
+                                          env.timing["confirm_depth"]))
 
 
 # -- protocol descriptor ---------------------------------------------------
@@ -478,8 +459,8 @@ def liveness_params(scn):
 
 
 def build_real(world, scn):
-    world.declare_role(CLIENT, budget=1)
-    world.declare_role(OPERATOR, budget=scn["f"])
+    for role, _, budget in party_roles(scn):
+        world.declare_role(role, budget=budget)
     world.declare_role("clock")
     world.wire("clock", OPERATOR)
     ops = [world.entity(OPERATOR, o) for o in scn["operators"]]
@@ -530,7 +511,7 @@ class Hooks(AccountHooks):
 # -- adversary helpers -----------------------------------------------------
 
 
-def forge_block(world, proposer_short, height, prev, txs, rnd):
+def forge_block(proposer_short, height, prev, txs, rnd):
     return {"height": height, "prev": prev, "txs": txs, "round": rnd,
             "proposer": proposer_short}
 
@@ -558,8 +539,8 @@ def equivocate(world, op_entity, targets_a, targets_b, txs_a, rnd):
     some_op = world.machines[targets_a[0]] if targets_a else None
     tip = some_op.tip() if some_op else genesis_block()
     h, prev = tip["height"] + 1, digest(tip)
-    block_a = forge_block(world, op_entity.short(), h, prev, txs_a, rnd)
-    block_b = forge_block(world, op_entity.short(), h, prev, [], rnd)
+    block_a = forge_block(op_entity.short(), h, prev, txs_a, rnd)
+    block_b = forge_block(op_entity.short(), h, prev, [], rnd)
     for block, targets in ((block_a, targets_a), (block_b, targets_b)):
         sigs = sign_branch(world, op_entity, block)
         for t in targets:
@@ -569,13 +550,13 @@ def equivocate(world, op_entity, targets_a, targets_b, txs_a, rnd):
     return block_a, block_b
 
 
-def menu(world, entity, knowledge):
+def menu(world, entity):
     """Benign-noise adversary moves for random suites: none of these can
     break the default-quorum guarantees, they only exercise rejection paths."""
     m = world.machines.get(entity)
     actions = {}
     if entity.role == OPERATOR:
-        def stale_push(args=None):
+        def stale_push():
             if m is None or len(m.chain) < 2:
                 return None
             push = {"kind": "block-push", "entry": m.chain[1]}
@@ -583,13 +564,11 @@ def menu(world, entity, knowledge):
                 world.queue_net(entity, c, push)
             return None
 
-        def garbage_propose(args=None):
+        def garbage_propose():
             if m is None:
                 return None
-            bogus = forge_block(world, entity.short(), m.tip()["height"] + 1,
-                                digest(m.tip()),
-                                [{"op": "pay", "from": "c1", "to": "c2",
-                                  "amt": 999, "nonce": 1}],
+            bogus = forge_block(entity.short(), m.tip()["height"] + 1,
+                                digest(m.tip()), [overdraft_tx("c1", "c2")],
                                 world.round_no)
             for op in world.roles.get(OPERATOR, []):
                 if op != entity:
@@ -599,11 +578,5 @@ def menu(world, entity, knowledge):
         actions["stale-push"] = stale_push
         actions["garbage-propose"] = garbage_propose
     if entity.role == CLIENT:
-        def spam_overdraft(args=None):
-            tx = {"op": "pay", "from": entity.pid, "to": "c1", "amt": 999,
-                  "nonce": 1}
-            for op in world.roles.get(OPERATOR, []):
-                world.queue_net(entity, op, {"kind": "tx", "tx": tx})
-            return None
-        actions["spam-overdraft"] = spam_overdraft
+        actions["spam-overdraft"] = lambda: spam_overdraft(world, entity)
     return actions

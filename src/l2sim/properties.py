@@ -112,8 +112,9 @@ def last_round(trace) -> int:
     return max(rounds) if rounds else 0
 
 
-def read_views(trace, honest_only=True) -> list[ReadView]:
-    bad = set(corrupted_parties(trace)) if honest_only else set()
+def read_views(trace) -> list[ReadView]:
+    """Read results output to parties that were never corrupted."""
+    bad = set(corrupted_parties(trace))
     views = []
     for ev in trace.events:
         if ev.get("t") != "output":
@@ -128,25 +129,28 @@ def read_views(trace, honest_only=True) -> list[ReadView]:
     return views
 
 
-def evidence_keys(views) -> dict:
-    """id(view) -> the (kind, seq, canonical state) key of each entry.
+def entry_keys(executed, texts) -> list:
+    """The [kind, seq, canonical state] key of each executed entry.
 
-    ``canon`` runs once per distinct state object: read results share
-    their state objects, and the trace keeps them alive while the keys
-    are in use, so an object's id names one canonical text.
+    ``texts`` maps id(state) to the state's canonical text, so ``canon``
+    runs once per distinct state object across every call sharing it.
+    Read results share their state objects, and the trace keeps them alive
+    while the keys are in use, so an object's id names one canonical text.
     """
+    row = []
+    for e in executed:
+        state = e.get("state")
+        text = texts.get(id(state))
+        if text is None:
+            text = texts[id(state)] = canon(state)
+        row.append([e.get("kind"), e.get("seq"), text])
+    return row
+
+
+def evidence_keys(views) -> dict:
+    """id(view) -> the entry_keys of the view's executed entries."""
     texts = {}
-    keys = {}
-    for v in views:
-        row = []
-        for e in v.executed:
-            state = e.get("state")
-            text = texts.get(id(state))
-            if text is None:
-                text = texts[id(state)] = canon(state)
-            row.append((e.get("kind"), e.get("seq"), text))
-        keys[id(v)] = row
-    return keys
+    return {id(v): entry_keys(v.executed, texts) for v in views}
 
 
 def is_prefix(shorter, longer) -> bool:

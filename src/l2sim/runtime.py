@@ -99,9 +99,6 @@ class Machine:
     def on_ledger_block(self, ctx, height: int):
         """Called after every ledger block (stands in for ledger polling)."""
 
-    def owns(self, entity: EntityId) -> bool:
-        return entity == self.me
-
     def entities(self):
         return [self.me]
 
@@ -160,12 +157,6 @@ class Ctx:
     def timing(self):
         return self.world.timing
 
-    def is_corrupt(self, entity: EntityId) -> bool:
-        return self.world.is_corrupt(entity)
-
-    def send_io(self, dst: EntityId, payload: dict):
-        self.world.queue_io(self.me, dst, payload)
-
     def send_net(self, dst: EntityId, payload: dict):
         self.world.queue_net(self.me, dst, payload)
 
@@ -179,8 +170,8 @@ class Ctx:
 class CorruptionSet:
     """Monotone per-role-budgeted record of corrupted entities."""
 
-    def __init__(self, budgets: dict[str, int]):
-        self.budgets = dict(budgets)
+    def __init__(self):
+        self.budgets: dict[str, int] = {}
         self.members: list[EntityId] = []
 
     def count(self, role: str) -> int:
@@ -204,7 +195,6 @@ class CorruptionSet:
 
 class World:
     def __init__(self, sid: str, timing: dict, *, ledger=None, certs=None,
-                 budgets=None, max_steps=10000, trace: Trace | None = None,
                  ticks_ledger=True):
         self.sid = sid
         self.timing = dict(timing)
@@ -218,12 +208,12 @@ class World:
         self.eid_counter = 0
         self.step_no = 0
         self.round_no = 0
-        self.corruption = CorruptionSet(budgets or {})
+        self.corruption = CorruptionSet()
         self.shells: dict[EntityId, list] = {}       # corrupted entity -> knowledge log
         self.ledger = ledger
         self.certs = certs
-        self.trace = trace if trace is not None else Trace()
-        self.max_steps = max_steps
+        self.trace = Trace()
+        self.max_steps = 10000
         self.halted = None
         self.round_gates = []    # callables() -> (ok, reason)
         self.round_hooks = []    # callables() run after a successful advance

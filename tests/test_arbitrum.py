@@ -294,7 +294,7 @@ def test_false_accusation_is_rejected():
     cycle(world, 5)
     v1 = world.entity(arbitrum.VALIDATOR, "v1")
     world.corrupt(v1, allow_over_budget=True)
-    acts = arbitrum.menu(world, v1, world.shells.get(v1, []))
+    acts = arbitrum.menu(world, v1)
     acts["false-accuse"]()
     rejected = [e for e in world.trace.events
                 if e.get("t") == "ledger-submit" and e.get("kind") == "fraud-proof"]
@@ -428,7 +428,7 @@ def test_bundle_halts_on_unchallenged_fraud():
     assert not ok and why == "halt:unchallenged-fraud"
 
 
-def test_bundle_read_delay_and_gap():
+def test_bundle_read_entries_behind_index_and_gap():
     world, scn = make_world()
     bundle, ist, env = bundle_pair(world, scn)
     seed_open(bundle, ist, env, scn)
@@ -437,15 +437,10 @@ def test_bundle_read_delay_and_gap():
     ist.states += [s1, s2]
     ist.executed.append({"kind": UPDATE, "seq": 1, "state": s1, "txs": []})
     ist.executed.append({"kind": UPDATE, "seq": 2, "state": s2, "txs": []})
-    world.hints = lambda kind, **kw: 1 if kind == "read-delay" else None
-    r = bundle.read(ist, "c1", env)
-    assert r["pointer"] == 1 and r["state"] == s1
-    assert [e.get("seq") for e in r["executed"]] == [0, 1]
-    ist.read_ptr["c1"] = 2
-    r = bundle.read(ist, "c1", env)
-    assert r["pointer"] == 2                    # the pointer never moves back
+    assert [e.get("seq") for e in bundle.read(ist, 1, env)] == [0, 1]
+    assert [e.get("seq") for e in bundle.read(ist, 2, env)] == [0, 1, 2]
     ist.executed = [e for e in ist.executed if e.get("seq") != 1]
-    assert bundle.read(ist, "c1", env) is None  # reconstruction gap
+    assert bundle.read(ist, 2, env) is None     # reconstruction gap
 
 
 def test_bundle_check_settlement_arms():

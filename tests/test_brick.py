@@ -207,7 +207,7 @@ def test_unilateral_stale_publication_loses():
     pay(world, "c1", "c2", 3)
     w1 = world.entity(brick.WARDEN, "w1")
     world.corrupt(w1)
-    brick.menu(world, w1, world.shells[w1])["publish-stale"]()
+    brick.menu(world, w1)["publish-stale"]()
     world.inject_input(world.entity(CLIENT, "c2"),
                        {"kind": "settle", "type": "unilateral"})
     rounds(world, 3)
@@ -356,24 +356,6 @@ def test_bundle_update_check_wants_client_agreement():
     assert (ok, why) == (True, None)
 
 
-def test_bundle_read_serves_delayed_then_clamps():
-    world, scn, bundle, ist, env = ideal_fixture()
-    s0 = seed_open(bundle, ist, scn, env)
-    s1 = {"bal": {"c1": 7, "c2": 13}, "seq": 1}
-    ist.states.append(s1)
-    ist.executed.append({"kind": UPDATE, "seq": 1, "state": s1, "evidence": None})
-    world.hints = lambda kind, **kw: 0
-    r = bundle.read(ist, "c1", env)
-    assert r["state"] == s0 and r["pointer"] == 0
-    world.hints = None
-    r = bundle.read(ist, "c1", env)
-    assert r["state"] == s1 and r["pointer"] == 1
-    ist.read_ptr["c1"] = 1
-    world.hints = lambda kind, **kw: 0
-    r = bundle.read(ist, "c1", env)
-    assert r["state"] == s1
-
-
 def test_bundle_read_fails_on_missing_record():
     world, scn, bundle, ist, env = ideal_fixture()
     seed_open(bundle, ist, scn, env)
@@ -381,7 +363,8 @@ def test_bundle_read_fails_on_missing_record():
     s2 = {"bal": {"c1": 5, "c2": 15}, "seq": 2}
     ist.states.extend([s1, s2])
     ist.executed.append({"kind": UPDATE, "seq": 2, "state": s2, "evidence": None})
-    assert bundle.read(ist, "c1", env) is None
+    assert bundle.read(ist, 2, env) is None
+    assert [e["seq"] for e in bundle.read(ist, 0, env)] == [0]
 
 
 def test_bundle_unilateral_needs_quorum_and_latest():

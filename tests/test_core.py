@@ -58,14 +58,13 @@ class CounterBundle(SubroutineBundle):
         return [{"kind": UPDATE, "seq": new_state["seq"], "state": new_state,
                  "evidence": attachment, "rids": rids, "round": env.round}]
 
-    def read(self, ist, pid, env):
-        if not ist.states:
+    def read(self, ist, idx, env):
+        entries = [{"kind": e["kind"], "seq": e["seq"], "state": e["state"]}
+                   for e in ist.executed
+                   if e["kind"] in (OPEN, UPDATE) and e["seq"] <= idx]
+        if [e["state"] for e in entries] != ist.states[:idx + 1]:
             return None
-        top = len(ist.states) - 1
-        delay = env.hint("read-delay", pid=pid)
-        idx = top if delay is None else max(0, min(top, delay))
-        idx = max(idx, ist.read_ptr.get(pid, 0))
-        return {"state": ist.states[idx], "pointer": idx}
+        return entries
 
     def check_settlement(self, ist, body, attachment, env):
         if not any(r["kind"] == SETTLEMENT for r in ist.queue):
@@ -222,6 +221,65 @@ def test_read_empty_then_latest_then_pointer_monotone():
     reads = [o for o in outputs(world) if o["payload"]["kind"] == "read-result"]
     assert reads[-1]["party"] == "client:b"
     assert reads[-1]["payload"]["state"] == s(0)
+
+
+def read_with_delay(world, client, delay):
+    """The client's read under a read-delay hint: its payload, or None."""
+    world.hints = lambda kind, **kw: delay if kind == "read-delay" else None
+    before = len(world.trace.events)
+    world.inject_input(client, {"kind": "read"})
+    for ev in world.trace.events[before:]:
+        if ev["t"] == "output":
+            return ev["payload"]
+        if ev["t"] == "read-empty":
+            return None
+    raise AssertionError("the read left no result")
+
+
+def test_read_clamps_delay_hint_between_pointer_and_top():
+    world, machine, bundle, (a, b), trigger = build()
+    opened(trigger, world, a)
+    for n in (1, 2, 3):
+        trigger({"kind": UPDATE, "state": s(n)})
+    got = read_with_delay(world, a, 1)
+    assert (got["pointer"], got["state"]) == (1, s(1))
+    assert [e["seq"] for e in got["executed"]] == [0, 1]
+    got = read_with_delay(world, a, 0)          # below the pointer: raised
+    assert (got["pointer"], got["state"]) == (1, s(1))
+    got = read_with_delay(world, a, 99)         # above the top: lowered
+    assert (got["pointer"], got["state"]) == (3, s(3))
+    assert [e["seq"] for e in got["executed"]] == [0, 1, 2, 3]
+    got = read_with_delay(world, a, 2)          # the pointer never moves back
+    assert got["pointer"] == 3 and machine.ist.read_ptr["a"] == 3
+    got = read_with_delay(world, b, -5)
+    assert (got["pointer"], got["state"]) == (0, s(0))
+    assert machine.ist.read_ptr == {"a": 3, "b": 0}
+    # an index whose entries do not reconstruct its state reads empty
+    machine.ist.executed = [e for e in machine.ist.executed if e["seq"] != 2]
+    assert read_with_delay(world, b, 3) is None
+    assert read_with_delay(world, b, 1)["pointer"] == 1
+    assert machine.ist.read_ptr == {"a": 3, "b": 1}
+    replies = [e["result"] for e in events(world, "sub-reply")
+               if e["sub"] == "read"]
+    assert [r["pointer"] for r in replies] == [1, 1, 3, 3, 0, None, 1]
+    assert [r["empty"] for r in replies].count(True) == 1
+
+
+def test_read_appends_the_settled_entry():
+    world, machine, bundle, (a, b), trigger = build()
+    opened(trigger, world, a)
+    trigger({"kind": UPDATE, "state": s(1)})
+    submit(world, b, {"kind": SETTLEMENT, "body": {"type": "final"}})
+    trigger({"kind": SETTLEMENT, "body": {"type": "final"}})
+    records = len(machine.ist.executed)
+    got = read_with_delay(world, a, 0)
+    assert got["pointer"] == 0
+    assert got["executed"] == [
+        {"kind": OPEN, "seq": 0, "state": s(0)},
+        {"kind": SETTLEMENT, "seq": None, "state": s(1)}]
+    got = read_with_delay(world, a, None)
+    assert [e["kind"] for e in got["executed"]] == [OPEN, UPDATE, SETTLEMENT]
+    assert len(machine.ist.executed) == records     # reads record nothing
 
 
 def test_corrupted_client_gets_no_notification():

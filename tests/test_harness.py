@@ -10,6 +10,7 @@ import types
 import pytest
 
 from l2sim import harness
+from l2sim.trace import canon
 from l2sim.harness import (
     GARBAGE_TRIGGERS,
     IdealRun,
@@ -68,6 +69,59 @@ def test_seeded_lifecycle_outputs_match(name, seed, adversarial):
     sched = lifecycle_schedule(name, scn, seed, adversarial=adversarial)
     real, ideal, diffs = run_differential(name, scn, sched)
     assert diffs == []
+
+
+def reference_projection(trace):
+    """output_projection as it was before it shared the evidence keys of
+    ``properties``: one ``canon`` per executed entry of every read."""
+    per = {}
+    for ev in trace.events:
+        if ev.get("t") != "output":
+            continue
+        p = ev["payload"]
+        kind = p.get("kind")
+        if kind == "read-result":
+            item = {"kind": kind, "state": p.get("state"),
+                    "pointer": p.get("pointer"),
+                    "executed": [[e.get("kind"), e.get("seq"),
+                                  canon(e.get("state"))]
+                                 for e in p.get("executed", ())]}
+        elif kind == "open-ok":
+            item = {"kind": kind, "state": p.get("state")}
+        elif kind == "settle-ok":
+            item = {"kind": kind, "success": p.get("success", True),
+                    "state": p.get("state")}
+        else:
+            item = {"kind": kind, "raw": canon(p)}
+        per.setdefault(ev["party"], []).append(item)
+    return per
+
+
+# the golden lifecycles of tests/test_golden.py
+GOLDEN_LIFECYCLES = [(name, seed, adversarial) for name in PROTOCOLS
+                     for seed in (1, 2, 3) for adversarial in (False, True)]
+
+
+@pytest.mark.parametrize("name, label", corpus())
+def test_projection_matches_reference_on_scripted(name, label):
+    scn = protocol(name).canonical_scenario()
+    real, ideal, _ = run_differential(name, scn,
+                                      scripted_schedules(name, scn)[label])
+    for run in (real, ideal):
+        assert output_projection(run.trace) == reference_projection(run.trace)
+
+
+@pytest.mark.parametrize("name, seed, adversarial", GOLDEN_LIFECYCLES)
+def test_projection_matches_reference_on_lifecycles(name, seed, adversarial):
+    scn = protocol(name).canonical_scenario()
+    sched = lifecycle_schedule(name, scn, seed, pays=10,
+                               adversarial=adversarial)
+    real, ideal, _ = run_differential(name, scn, sched)
+    for run in (real, ideal):
+        got = output_projection(run.trace)
+        assert got == reference_projection(run.trace)
+        assert any(o["kind"] == "read-result" and len(o["executed"]) > 2
+                   for outs in got.values() for o in outs)
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)

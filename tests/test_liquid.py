@@ -161,7 +161,7 @@ def test_garbage_proposal_is_ignored():
     open_chain(world)
     bad = world.entity(liquid.OPERATOR, "op1")
     world.corrupt(bad)
-    liquid.menu(world, bad, world.shells[bad])["garbage-propose"]()
+    liquid.menu(world, bad)["garbage-propose"]()
     cycle(world)
     assert all(operator(world, o).tip()["height"] == 0
                for o in scn["operators"][1:])
@@ -287,13 +287,35 @@ def test_bundle_round_gate_waits_for_ripe_work():
     assert (ok, why) == (False, "pending-l2-work")
 
 
+def deposit_on_l1(world, depth):
+    """A deposit of 5 to c1, committed and ``depth`` blocks deep."""
+    world.inject_input(world.entity(CLIENT, "c1"), {"kind": "deposit", "amt": 5})
+    cycle(world, depth)
+    (dep,) = world.ledger.find(lambda t: t["kind"] == "deposit")
+    assert world.ledger.depth(dep) == depth
+
+
+def overdue_peg_in(world, ist, amt=5):
+    ist.queue.append({"kind": UPDATE, "body": {"op": "peg-in", "amt": amt},
+                      "by": "c1", "rid": ist.new_rid(), "round": 0})
+    world.round_no = liquid.UPDATE_ALLOWANCE
+
+
 def test_bundle_round_gate_ignores_unripe_deposit():
     world, scn, bundle, ist, env = ideal_fixture()
-    ist.queue.append({"kind": UPDATE, "body": {"op": "peg-in", "amt": 5},
-                      "by": "c1", "rid": ist.new_rid(), "round": 0})
-    world.round_no = 5
+    deposit_on_l1(world, TIMING["confirm_depth"] - 1)
+    overdue_peg_in(world, ist)
     ok, _ = bundle.upd_rnd(ist, env)
     assert ok                          # no ripe deposit on L1 backing it
+
+
+def test_bundle_round_gate_waits_for_ripe_deposit():
+    world, scn, bundle, ist, env = ideal_fixture()
+    deposit_on_l1(world, TIMING["confirm_depth"])
+    overdue_peg_in(world, ist, amt=4)
+    assert bundle.upd_rnd(ist, env) == (True, None)    # amount differs
+    overdue_peg_in(world, ist)
+    assert bundle.upd_rnd(ist, env) == (False, "pending-l2-work")
 
 
 def test_bundle_read_reconstruction_gap():
@@ -303,4 +325,4 @@ def test_bundle_read_reconstruction_gap():
     ist.states.extend([s1, s2])
     ist.executed.append({"kind": UPDATE, "seq": 2, "state": s2, "txs": [],
                          "block": None, "evidence": None})
-    assert bundle.read(ist, "c1", env) is None
+    assert bundle.read(ist, 2, env) is None
