@@ -18,7 +18,8 @@ what its parties store.
 from __future__ import annotations
 
 from .base import signed_tx
-from .core import CLIENT, OPEN, SETTLEMENT, UPDATE, SubroutineBundle
+from .core import (CLIENT, OPEN, SETTLEMENT, UPDATE, SubroutineBundle,
+                   read_result)
 from .runtime import ENV_ROLE, Machine
 from .trace import digest
 
@@ -233,12 +234,7 @@ class AccountClient(Machine):
         if not self.opened:
             ctx.note("read-empty")
             return
-        state, executed, pointer = self.read_view(ctx)
-        if self.closed and self.settled_state is not None:
-            executed.append({"kind": SETTLEMENT, "seq": None,
-                             "state": self.settled_state})
-        ctx.output({"kind": "read-result", "state": state,
-                    "executed": executed, "pointer": pointer})
+        ctx.output(read_result(*self.read_view(ctx), self.settled_state))
 
     def _check_open(self, ctx):
         """Open once every operator's joining record has committed."""

@@ -509,12 +509,16 @@ def canonical_scenario(n_ops=2, n_vals=1, balance=10, self_publish=True):
     }
 
 
-def liveness_params(scn):
+def operator_tolerance(scn):
+    """Corrupt operators liveness tolerates: all of them with the
+    self-publication escape hatch, else all but one."""
     n_ops = len(scn["operators"])
+    return n_ops if scn.get("self_publish", True) else n_ops - 1
+
+
+def liveness_params(scn):
     n_vals = len(scn["validators"])
-    # with the self-publication escape hatch even all operators failing
-    # cannot censor; without it one honest operator is required
-    op_f = n_ops if scn.get("self_publish", True) else n_ops - 1
+    op_f = operator_tolerance(scn)
     return {
         OPEN: {"f": {CLIENT: 1, OPERATOR: 0, VALIDATOR: n_vals}, "t_l2": 8,
                "t_l1": 6},
@@ -556,12 +560,11 @@ def make_bundle(world, scn):
 
 def party_roles(scn):
     """(role, pids, corruption budget) rows for mirroring the cast."""
-    n_ops = len(scn["operators"])
     # safety rests on one honest watcher, so the budget stops short of the
-    # last validator; corrupting it is an explicit assumption break
+    # last validator, and operators get the liveness tolerance; corrupting
+    # one more is an explicit assumption break
     return [(CLIENT, list(scn["clients"]), 1),
-            (OPERATOR, list(scn["operators"]),
-             n_ops if scn.get("self_publish", True) else max(1, n_ops - 1)),
+            (OPERATOR, list(scn["operators"]), operator_tolerance(scn)),
             (VALIDATOR, list(scn["validators"]), len(scn["validators"]) - 1)]
 
 

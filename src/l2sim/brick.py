@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from .runtime import Machine, EntityId
 from .base import signed_tx
-from .core import SubroutineBundle, OPEN, UPDATE, SETTLEMENT, CLIENT
+from .core import (SubroutineBundle, OPEN, UPDATE, SETTLEMENT, CLIENT,
+                   read_result, settled_entry)
 
 WARDEN = "warden"
 
@@ -97,13 +98,6 @@ class BrickClient(Machine):
 
     def latest(self):
         return self.chain[-1] if self.chain else None
-
-    def executed_summary(self):
-        out = [{"kind": e["kind"], "seq": e["seq"], "state": e["state"]}
-               for e in self.chain]
-        if self.settled_entry is not None:
-            out.append(self.settled_entry)
-        return out
 
     def participants(self):
         return [f"{CLIENT}:{self.me.pid}", f"{CLIENT}:{self.peer}"] + \
@@ -190,10 +184,11 @@ class BrickClient(Machine):
         if not self.chain:
             ctx.note("read-empty")
             return
-        latest = self.latest()
-        ctx.output({"kind": "read-result", "state": latest["state"],
-                    "executed": self.executed_summary(),
-                    "pointer": len(self.chain) - 1})
+        executed = [{"kind": e["kind"], "seq": e["seq"], "state": e["state"]}
+                    for e in self.chain]
+        settled = self.settled_entry and self.settled_entry["state"]
+        ctx.output(read_result(self.latest()["state"], executed,
+                               len(self.chain) - 1, settled))
 
     # protocol messages
 
@@ -336,8 +331,7 @@ class BrickClient(Machine):
                 body = closes[0]["body"]
                 self.phase = "closed"
                 stype = body.get("mode", "collab")
-                self.settled_entry = {"kind": SETTLEMENT, "seq": None,
-                                      "state": body["state"]}
+                self.settled_entry = settled_entry(body["state"])
                 ctx.note("settle-done", state=body["state"], seq=body["seq"], type=stype)
                 ctx.output({"kind": "settle-ok", "success": True, "state": body["state"]})
 

@@ -9,9 +9,12 @@ update, read, settlement, round advance); the interface machine only
 sequences them, mutates state on True answers, notifies the uncorrupted
 clients, and leaks its whole internal state when a client is corrupted.
 A read's position is the interface's own: it clamps the simulator's
-read-delay hint into [the party's pointer, the top state], asks the bundle
-only for the executed entries behind that state, and appends the settled
-entry.
+read-delay hint into [the party's pointer, the top state] and asks the
+bundle only for the executed entries behind that state.
+
+``read_result`` builds every read-result payload (this machine's, the real
+clients' and the property witnesses'); a settled state ends its executed
+entries as the entry ``settled_entry`` builds.
 
 Requests arrive from the environment over IO; open/update/settlement
 triggers arrive over NET from the adversary side (in differential runs, from
@@ -35,6 +38,19 @@ INTERFACE_ROLE = "funct"
 CLIENT = "client"
 
 HALT_PREFIX = "halt:"
+
+
+def settled_entry(state) -> dict:
+    """The executed entry that records a settled state."""
+    return {"kind": SETTLEMENT, "seq": None, "state": state}
+
+
+def read_result(state, executed, pointer, settled) -> dict:
+    """A read-result payload; ``settled`` is the settled state or None."""
+    if settled is not None:
+        executed = executed + [settled_entry(settled)]
+    return {"kind": "read-result", "state": state, "executed": executed,
+            "pointer": pointer}
 
 
 @dataclass
@@ -135,7 +151,7 @@ class SubroutineBundle:
     def read(self, ist, idx, env):
         """Executed entries behind ``ist.states[idx]``, or None when they
         do not reconstruct that state.  The interface machine picks idx and
-        appends the settled entry."""
+        adds the settled entry through ``read_result``."""
         raise NotImplementedError
 
     def check_settlement(self, ist, body, attachment, env):
@@ -231,13 +247,10 @@ class InterfaceMachine(Machine):
         if executed is None:
             ctx.world.emit("read-empty", party=f"{CLIENT}:{pid}")
             return
-        if ist.settled is not None:
-            executed.append({"kind": SETTLEMENT, "seq": None,
-                             "state": ist.settled["state"]})
+        settled = None if ist.settled is None else ist.settled["state"]
         ist.read_ptr[pid] = idx
         ctx.world.queue_io(self._clients[pid], env_entity(self.me.sid),
-                           {"kind": "read-result", "state": ist.states[idx],
-                            "executed": executed, "pointer": idx})
+                           read_result(ist.states[idx], executed, idx, settled))
 
     def _open(self, ctx, body, attachment):
         ist = self.ist

@@ -13,7 +13,10 @@ Schedules are plain data (lists of step dicts), so they serialize into
 scenario files and replay bit-exactly.  Both run flavors expose the same
 driving surface (input / corrupt / menu_act / pump / advance), and
 ``run_differential`` executes one schedule against both and diffs the
-per-party output streams.
+per-party output streams.  Both flavors build read results with
+``core.read_result``.  A run's trace is only ever appended to: the
+property checks share one ``properties.summarize`` summary per trace
+object and event count, so an event must never be edited in place.
 
 A protocol is a module registered in ``PROTOCOLS``; the module itself is
 the contract, and it provides:

@@ -6,6 +6,12 @@ are interpreted through client inputs, refusal/queue notes, and read
 outputs; interface runs through submit leaks, exec records, and the same
 outputs.  Nothing here mutates a world.
 
+No check scans the events itself: each reads the trace's TraceSummary,
+which ``summarize`` derives once (corruptions, horizon, honest read views,
+requests, committed transactions, confirmations, exec rids, open inputs).
+Traces are append-only, so the most recent summary is reused while the
+same trace object has the same number of events; the checks only read it.
+
 A Verdict's witness is a minimal list of events: feeding it back to the
 same check (wrapped in any `.events` holder) reproduces the failure.
 """
@@ -13,12 +19,13 @@ same check (wrapped in any `.events` holder) reproduces the failure.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from .accounts import apply_tx
 from .brick import conserves
-from .core import CLIENT, OPEN, SETTLEMENT, UPDATE
+from .core import CLIENT, OPEN, SETTLEMENT, UPDATE, read_result
 from .trace import canon
 
 SETTLE_TX_KINDS = ("settle", "peg-out")
@@ -33,20 +40,6 @@ class ReadView:
     pointer: int | None
     state: dict | None
     executed: list
-
-
-@dataclass
-class LivenessParams:
-    f: dict
-    t_l2: int
-    t_l1: int
-
-    @classmethod
-    def of(cls, params):
-        if isinstance(params, cls):
-            return params
-        return cls(f=dict(params.get("f", {})),
-                   t_l2=params["t_l2"], t_l1=params["t_l1"])
 
 
 @dataclass
@@ -100,16 +93,8 @@ def corrupted_parties(trace) -> dict:
 
 
 def corruption_counts(trace) -> dict:
-    out = {}
-    for party in corrupted_parties(trace):
-        role = str(party).split(":", 1)[0]
-        out[role] = out.get(role, 0) + 1
-    return out
-
-
-def last_round(trace) -> int:
-    rounds = [ev.get("round", 0) for ev in trace.events]
-    return max(rounds) if rounds else 0
+    """role -> number of its parties ever corrupted."""
+    return dict(summarize(trace).counts)
 
 
 def read_views(trace) -> list[ReadView]:
@@ -166,25 +151,17 @@ def committed_txs(trace) -> list[dict]:
             bodies[ev["txid"]] = {"txid": ev["txid"], "kind": ev.get("kind"),
                                   "author": ev.get("author"),
                                   "body": ev.get("body", {})}
-    out = []
-    for ev in trace.events:
-        if ev.get("t") != "ledger-commit":
-            continue
-        for txid in ev.get("txids", ()):
-            tx = bodies.get(txid)
-            if tx is not None:
-                out.append(dict(tx, height=ev.get("height"),
-                                round=ev.get("round")))
-    return out
+    return [dict(bodies[txid], height=ev.get("height"), round=ev.get("round"))
+            for ev in trace.events if ev.get("t") == "ledger-commit"
+            for txid in ev.get("txids", ()) if txid in bodies]
 
 
 class _TraceLedger:
     """Just enough ledger surface for replaying account evidence."""
 
     def __init__(self, commits):
-        self.by_txid = {}
-        for t in commits:
-            self.by_txid.setdefault(t["txid"], t)
+        # the first commit of a txid wins, as in Ledger.get
+        self.by_txid = {t["txid"]: t for t in reversed(commits)}
 
     def get(self, txid):
         return self.by_txid.get(txid) if isinstance(txid, str) else None
@@ -261,6 +238,69 @@ def requests(trace) -> list[dict]:
     return reqs
 
 
+# -- the trace summary ------------------------------------------------------
+
+
+@dataclass
+class TraceSummary:
+    """What the checks read of one trace; only ``summarize`` builds it."""
+    corrupted: dict      # party -> round of corruption
+    counts: dict         # role -> corrupted parties of that role
+    horizon: int         # the last round on record
+    views: list          # read_views
+    requests: list       # requests
+    commits: list        # committed_txs
+    confirmed: dict      # (pid, "open-ok" | "settle-ok") -> output rounds
+    exec_rids: list      # (rid, round) of each exec record clearing rid
+    open_inputs: list    # honest open-request input events
+    open_oks: list       # honest open-ok output events
+    settle_oks: list     # honest settle-ok output events
+
+
+_last = None             # (trace, event count, its TraceSummary)
+
+
+def summarize(trace) -> TraceSummary:
+    """The facts of ``trace`` that the checks read, derived once.
+
+    The summary calls corrupted_parties, read_views, requests and
+    committed_txs once each and gathers the rest in one more pass.  It is
+    kept for the most recent trace: a trace only ever grows, so the same
+    object with the same event count has the same summary.
+    """
+    global _last
+    if _last is not None and _last[0] is trace \
+            and _last[1] == len(trace.events):
+        return _last[2]
+    bad = corrupted_parties(trace)
+    counts = dict(Counter(str(party).split(":", 1)[0] for party in bad))
+    horizon, confirmed, exec_rids = 0, {}, []
+    open_inputs, open_oks, settle_oks = [], [], []
+    for ev in trace.events:
+        t, rnd = ev.get("t"), ev.get("round", 0)
+        horizon = max(horizon, rnd)
+        honest = ev.get("party") not in bad
+        p = ev.get("payload", {})
+        if t == "output" and p.get("kind") in ("open-ok", "settle-ok"):
+            confirmed.setdefault((_pid(ev.get("party", "")), p["kind"]),
+                                 []).append(rnd)
+            if honest:
+                (open_oks if p["kind"] == "open-ok" else settle_oks).append(ev)
+        elif t == "input" and honest and (
+                p.get("kind") == "open" or (p.get("kind") == "submit" and
+                                            p.get("req", {}).get("kind") == OPEN)):
+            open_inputs.append(ev)
+        elif t == "exec":
+            exec_rids += [(rid, rnd) for rid in ev.get("rids", ())]
+    s = TraceSummary(corrupted=bad, counts=counts, horizon=horizon,
+                     views=read_views(trace), requests=requests(trace),
+                     commits=committed_txs(trace), confirmed=confirmed,
+                     exec_rids=exec_rids, open_inputs=open_inputs,
+                     open_oks=open_oks, settle_oks=settle_oks)
+    _last = (trace, len(trace.events), s)
+    return s
+
+
 # -- Definition checks ------------------------------------------------------
 
 
@@ -272,44 +312,26 @@ def check_correct_initialization(trace) -> Verdict:
     in it (registration-style bootstraps never put balances on chain).
     """
     name = "correct-initialization"
-    bad = set(corrupted_parties(trace))
-    commits = committed_txs(trace)
-    open_inputs = []
-    for ev in trace.events:
-        if ev.get("t") != "input" or ev.get("party") in bad:
-            continue
-        p = ev.get("payload", {})
-        if p.get("kind") == "open" or (p.get("kind") == "submit"
-                                       and p.get("req", {}).get("kind") == OPEN):
-            open_inputs.append(ev)
+    s = summarize(trace)
+    joined = {_pid(t.get("author", "")) for t in s.commits
+              if t.get("kind") == "open-commit"}
 
     def anchored(s_int):
-        for tx in commits:
-            if _embeds(tx.get("body"), s_int):
-                return True
         accounts = set((s_int or {}).get("bal", ()))
-        if not accounts:
-            return False
-        joined = {_pid(t.get("author", "")) for t in commits
-                  if t.get("kind") == "open-commit"}
-        return accounts <= joined
+        return any(_embeds(tx.get("body"), s_int) for tx in s.commits) \
+            or bool(accounts) and accounts <= joined
 
-    for ev in trace.events:
-        if ev.get("t") != "output" or ev.get("party") in bad:
-            continue
-        p = ev.get("payload", {})
-        if p.get("kind") != "open-ok":
-            continue
-        prior = [i for i in open_inputs if i.get("step", 0) <= ev.get("step", 0)]
-        if not prior:
+    for ev in s.open_oks:
+        if not any(i.get("step", 0) <= ev.get("step", 0)
+                   for i in s.open_inputs):
             return Verdict(name, False, witness=[ev],
                            params={"reason": "no-honest-open-request"})
-        if not anchored(p.get("state")):
+        if not anchored(ev["payload"].get("state")):
             return Verdict(name, False, witness=[ev],
                            params={"reason": "initial-state-not-on-chain"})
-    n = sum(1 for ev in trace.events
-            if ev.get("t") == "output"
-            and ev.get("payload", {}).get("kind") == "open-ok")
+    # every party's confirmations count, corrupted ones too
+    n = sum(len(rounds) for (_, kind), rounds in s.confirmed.items()
+            if kind == "open-ok")
     return Verdict(name, True, params={"open_outputs": n}, vacuous=n == 0)
 
 
@@ -342,12 +364,12 @@ def check_safety(trace, f) -> Verdict:
     pair as a full scan.  Evidence keys are built once per view.
     """
     name = "safety"
-    counts = corruption_counts(trace)
-    if not _within(f, counts):
+    s = summarize(trace)
+    if not _within(f, s.counts):
         return Verdict(name, True, vacuous=True,
-                       params={"f": f, "corrupted": counts,
+                       params={"f": f, "corrupted": dict(s.counts),
                                "reason": "corruptions-exceed-f"})
-    views = read_views(trace)
+    views = s.views
     keys = evidence_keys(views)
     by_party = {}
     for v in views:
@@ -380,8 +402,7 @@ def check_safety(trace, f) -> Verdict:
 
 def _view_event(v: ReadView):
     return {"t": "output", "party": v.party, "round": v.round, "step": v.step,
-            "payload": {"kind": "read-result", "state": v.state,
-                        "pointer": v.pointer, "executed": v.executed}}
+            "payload": read_result(v.state, v.executed, v.pointer, None)}
 
 
 def check_liveness(trace, kind, params) -> Verdict:
@@ -399,55 +420,49 @@ def check_liveness(trace, kind, params) -> Verdict:
     "its earliest round is at or before the deadline".
     """
     name = f"liveness-{kind}"
-    lp = LivenessParams.of(params)
-    counts = corruption_counts(trace)
-    if not _within(lp.f, counts):
+    f, t_l2, t_l1 = params.get("f", {}), params["t_l2"], params["t_l1"]
+    s = summarize(trace)
+    if not _within(f, s.counts):
         return Verdict(name, True, vacuous=True,
-                       params={"kind": kind, "f": lp.f, "corrupted": counts,
+                       params={"kind": kind, "f": f,
+                               "corrupted": dict(s.counts),
                                "reason": "corruptions-exceed-f"})
-    horizon = last_round(trace)
-    bound = lp.t_l2 + lp.t_l1
-    views = read_views(trace)
     # opens and settlements are served by confirmation outputs alone
-    seen = _first_seen(trace, views) if kind == UPDATE else {}
-    confirmed = _confirmations(trace)
-    every = requests(trace)
+    seen = _first_seen(s) if kind == UPDATE else {}
     deposits = {}                      # pid -> sorted steps of its deposits
-    for q in every:
+    for q in s.requests:
         if q["entry"].get("kind") == "deposit":
             deposits.setdefault(q["pid"], []).append(q["step"])
     for steps in deposits.values():
         steps.sort()
-    reqs = [r for r in every if r["cls"] == kind]
     judged = unresolved = 0
-    seen_pay = 0
-    marker = {"t": "horizon", "round": horizon}
-    for r in reqs:
-        if r["refused"]:
+    pays = 0                           # real-run pays so far, this one included
+    marker = {"t": "horizon", "round": s.horizon}
+    for r in s.requests:
+        if r["cls"] != kind or r["refused"]:
             continue
         if r["cls"] == UPDATE and r["entry"].get("kind") == "pay" \
                 and r["rid"] is None:
-            seen_pay += 1
-            r["pay_index"] = seen_pay
-        deadline = r["round"] + bound
-        if deadline > horizon:
+            pays += 1
+        deadline = r["round"] + t_l2 + t_l1
+        if deadline > s.horizon:
             unresolved += 1
             continue
         judged += 1
-        if not _served(r, deadline, seen, confirmed, deposits):
-            witness = [r["event"]] + [_view_event(v) for v in views
+        if not _served(r, deadline, seen, s.confirmed, deposits, pays):
+            witness = [r["event"]] + [_view_event(v) for v in s.views
                                       if v.round <= deadline] + [marker]
             return Verdict(name, False, witness=witness,
                            params={"kind": kind, "pid": r["pid"],
                                    "submit_round": r["round"],
                                    "deadline": deadline,
-                                   "t_l2": lp.t_l2, "t_l1": lp.t_l1})
+                                   "t_l2": t_l2, "t_l1": t_l1})
     return Verdict(name, True, vacuous=judged == 0,
                    params={"kind": kind, "judged": judged,
-                           "beyond_horizon": unresolved, "f": lp.f})
+                           "beyond_horizon": unresolved, "f": f})
 
 
-def _served(r, deadline, seen, confirmed, deposits) -> bool:
+def _served(r, deadline, seen, confirmed, deposits, pays) -> bool:
     pid, cls = r["pid"], r["cls"]
     if cls == OPEN:
         return any(rnd <= deadline
@@ -465,11 +480,11 @@ def _served(r, deadline, seen, confirmed, deposits) -> bool:
     elif "nonce" in r["queued"]:
         key = ("tx", pid, r["queued"]["nonce"])
     else:
-        key = ("update", r.get("pay_index", 1))
+        key = ("update", pays)
     return key in seen and seen[key] <= deadline
 
 
-def _first_seen(trace, views) -> dict:
+def _first_seen(s: TraceSummary) -> dict:
     """Earliest round at which each piece of update evidence shows.
 
     Keys: ("update", k) when a view holds at least k update entries;
@@ -484,7 +499,7 @@ def _first_seen(trace, views) -> dict:
         if key not in first or rnd < first[key]:
             first[key] = rnd
 
-    for v in views:
+    for v in s.views:
         updates = 0
         mints = {}
         for e in v.executed:
@@ -499,24 +514,9 @@ def _first_seen(trace, views) -> dict:
         for to, n in mints.items():
             for k in range(1, n + 1):
                 see(("mint", to, k), v.round)
-    for ev in trace.events:
-        if ev.get("t") == "exec":
-            for rid in ev.get("rids", ()):
-                see(("rid", rid), ev.get("round", 0))
+    for rid, rnd in s.exec_rids:
+        see(("rid", rid), rnd)
     return first
-
-
-def _confirmations(trace) -> dict:
-    """(pid, "open-ok" | "settle-ok") -> rounds of those outputs to pid."""
-    out = {}
-    for ev in trace.events:
-        if ev.get("t") != "output":
-            continue
-        kind = ev.get("payload", {}).get("kind")
-        if kind in ("open-ok", "settle-ok"):
-            out.setdefault((_pid(ev.get("party", "")), kind), []).append(
-                ev.get("round", 0))
-    return out
 
 
 def check_correct_settlement(trace) -> Verdict:
@@ -528,36 +528,31 @@ def check_correct_settlement(trace) -> Verdict:
     committed on the chain.
     """
     name = "correct-settlement"
-    bad = set(corrupted_parties(trace))
-    views = read_views(trace)
-    commits = committed_txs(trace)
-    settles = [ev for ev in trace.events
-               if ev.get("t") == "output" and ev.get("party") not in bad
-               and ev.get("payload", {}).get("kind") == "settle-ok"]
+    s = summarize(trace)
     explicit = set()
-    for r in requests(trace):
+    for r in s.requests:
         if r["cls"] == SETTLEMENT and r["entry"].get("seq") is not None:
             explicit.add((r["pid"], r["entry"]["seq"]))
     heights = [max((_state_height(e.get("state") or {}) for e in v.executed),
-                   default=None) for v in views]
-    closed = any(t.get("kind") in SETTLE_TX_KINDS for t in commits)
-    for ev in settles:
+                   default=None) for v in s.views]
+    closed = any(t.get("kind") in SETTLE_TX_KINDS for t in s.commits)
+    for ev in s.settle_oks:
         state = ev["payload"].get("state") or {}
         got = _state_height(state)
         rnd = ev.get("round", 0)
-        best = max([got] + [h for v, h in zip(views, heights)
+        best = max([got] + [h for v, h in zip(s.views, heights)
                             if h is not None and v.round <= rnd])
         pid = _pid(ev.get("party", ""))
         if got < best and (pid, got) not in explicit:
-            witness = [ev] + [_view_event(v) for v in views
+            witness = [ev] + [_view_event(v) for v in s.views
                               if v.round <= rnd]
             return Verdict(name, False, witness=witness,
                            params={"settled_at": got, "latest_known": best})
         if not closed:
             return Verdict(name, False, witness=[ev],
                            params={"reason": "no-close-record-on-chain"})
-    return Verdict(name, True, params={"settlements": len(settles)},
-                   vacuous=not settles)
+    return Verdict(name, True, params={"settlements": len(s.settle_oks)},
+                   vacuous=not s.settle_oks)
 
 
 def _state_height(state) -> int:
@@ -578,28 +573,23 @@ def measure_data_availability(trace) -> DAReport:
     replay bit re-derives every folded state with the shared transition
     function.
     """
-    views = read_views(trace)
-    commits = committed_txs(trace)
-    ledger = _TraceLedger(commits)
-    batches_onchain = any(t.get("kind") == "batch-publish" for t in commits)
-    g_l1 = len([t for t in commits
+    s = summarize(trace)
+    ledger = _TraceLedger(s.commits)
+    batches_onchain = any(t.get("kind") == "batch-publish" for t in s.commits)
+    g_l1 = len([t for t in s.commits
                 if t.get("kind") in ("open-commit", "deposit", "batch-publish")
                 + SETTLE_TX_KINDS])
     latest = {}
-    for v in views:
+    for v in s.views:
         cur = latest.get(v.pid)
         if cur is None or (v.round, v.step) >= (cur.round, cur.step):
             latest[v.pid] = v
-    per_party = {}
-    ok = bool(latest)
-    for pid, v in latest.items():
-        updates = [e for e in v.executed if e.get("kind") == UPDATE]
-        g_l2 = 1 if batches_onchain else len(updates)
-        per_party[pid] = g_l2
-        ok = ok and _replay(v.executed, ledger)
-    g_l2 = min(per_party.values()) if per_party else 0
-    if batches_onchain:
-        g_l2 = max(per_party.values()) if per_party else 1
+    per_party = {pid: 1 if batches_onchain else
+                 sum(1 for e in v.executed if e.get("kind") == UPDATE)
+                 for pid, v in latest.items()}
+    ok = bool(latest) and all(_replay(v.executed, ledger)
+                              for v in latest.values())
+    g_l2 = 1 if batches_onchain else min(per_party.values(), default=0)
     return DAReport(g_l2=g_l2, g_l1=g_l1, reconstruction_ok=ok,
                     detail={"per_party_l2": per_party,
                             "onchain_records": g_l1,

@@ -472,3 +472,16 @@ def test_bundle_round_gate_never_refuses():
     ist.queue.append({"kind": UPDATE, "body": {"op": "pay", "to": "c2", "amt": 1},
                       "by": "c1", "rid": 3, "round": 0})
     assert bundle.upd_rnd(ist, env) == (True, None)
+
+
+@pytest.mark.parametrize("n_ops", [1, 2, 3])
+@pytest.mark.parametrize("self_publish", [True, False])
+def test_operator_budget_is_the_liveness_tolerance(n_ops, self_publish):
+    # the adversary may corrupt exactly as many operators as liveness
+    # tolerates: one operator without self-publication gets budget 0
+    scn = arbitrum.canonical_scenario(n_ops=n_ops, self_publish=self_publish)
+    budget = {role: b for role, _, b in arbitrum.party_roles(scn)}["operator"]
+    params = arbitrum.liveness_params(scn)
+    assert budget == params[UPDATE]["f"]["operator"]
+    assert budget == params[SETTLEMENT]["f"]["operator"]
+    assert budget == (n_ops if self_publish else n_ops - 1)
