@@ -8,18 +8,17 @@ consults the ledger so mints can only reference sufficiently buried deposits.
 Both protocols also share everything around that arithmetic that does not
 depend on how an update is certified: block packing, the client plumbing
 (registration, request queueing, deposits, reads, open and settlement
-detection), the ideal bundle's submission, open, read and settlement
-checks, the environment-side request translation, the simulator's open and
-settlement triggers, and a corrupted client's overdraft move.  Each
-protocol module keeps its update certification, its dispute timing and
-what its parties store.
+detection), the ideal bundle's entry points, the environment-side request
+translation, the simulator's open and settlement triggers, and a corrupted
+client's overdraft move.  Each protocol module keeps its update
+certification, its dispute timing and what its parties store.
 """
 
 from __future__ import annotations
 
 from .base import signed_tx
 from .core import (CLIENT, OPEN, SETTLEMENT, UPDATE, SubroutineBundle,
-                   read_result)
+                   open_record, read_result)
 from .runtime import ENV_ROLE, Machine
 from .trace import digest
 
@@ -276,8 +275,11 @@ class AccountBundle(SubroutineBundle):
 
     An update is a dict with ``txs`` (a block or a batch) whose position
     sits under ``seq_field``; its executed record keeps it under
-    ``update_key``.  A settlement needs the burn's committed ledger record
-    of kind ``settle_kind``.  Subclasses decide ``check_update``.
+    ``update_key``.  Subclasses define ``_certify(ist, update, attachment,
+    env)``, None or the reason the protocol refuses the update; it runs
+    after the shape and position checks and before the one computation of
+    the post-state.  A settlement needs the burn's committed ledger record
+    of kind ``settle_kind``.
     """
 
     update_key = seq_field = settle_kind = None
@@ -326,25 +328,32 @@ class AccountBundle(SubroutineBundle):
             return True, None
         return False, "unknown-kind"
 
-    def check_open(self, ist, body, attachment, env):
+    def open(self, ist, body, attachment, env):
         if body.get("state") != genesis_state(self.initial):
-            return False, "bad-state"
+            return False, "bad-state", None
         honest = env.honest(ist, CLIENT)
         queued = {r["by"] for r in ist.queue if r["kind"] == OPEN}
         if not set(honest) <= queued:
-            return False, "missing-open-requests"
+            return False, "missing-open-requests", None
         regs = env.ledger.find(
             lambda t: t["kind"] == "open-commit" and t["body"].get("chain") == self.sid)
         if not set(self.operators) <= {t["author"] for t in regs}:
-            return False, "registration-missing"
-        return True, None
+            return False, "registration-missing", None
+        return True, None, open_record(body["state"], attachment, env)
 
-    def state_from_update(self, ist, update, attachment, env):
-        return apply_txs(ist.latest(), update["txs"], env.ledger,
-                         env.timing["confirm_depth"], update[self.seq_field])
-
-    def executed_by_update(self, ist, update, attachment, env):
-        post = self.state_from_update(ist, update, attachment, env)
+    def update(self, ist, update, attachment, env):
+        if "txs" not in update:
+            return False, "malformed", None
+        seq = update.get(self.seq_field)
+        if seq != ist.latest()["height"] + 1:
+            return False, "stale", None
+        reason = self._certify(ist, update, attachment, env)
+        if reason is not None:
+            return False, reason, None
+        post = apply_txs(ist.latest(), update["txs"], env.ledger,
+                         env.timing["confirm_depth"], seq)
+        if post is None:
+            return False, "invalid-transition", None
         rids = []
         for tx in update["txs"]:
             for r in ist.queue:
@@ -359,24 +368,12 @@ class AccountBundle(SubroutineBundle):
                 if (pays or mints) and body.get("amt") == tx.get("amt"):
                     rids.append(r["rid"])
                     break
-        return [{"kind": UPDATE, "seq": update[self.seq_field], "state": post,
-                 "txs": update["txs"], self.update_key: update,
-                 "evidence": attachment, "rids": rids, "round": env.round}]
+        return True, None, {
+            "kind": UPDATE, "seq": seq, "state": post, "txs": update["txs"],
+            self.update_key: update, "evidence": attachment, "rids": rids,
+            "round": env.round}
 
     def read(self, ist, idx, env):
-        if not self._reconstructs(ist, idx):
-            return None
-        height = ist.states[idx]["height"]
-        executed = []
-        for e in ist.executed:
-            if e["kind"] == OPEN:
-                executed.append({"kind": OPEN, "seq": 0, "state": e["state"]})
-            elif e["kind"] == UPDATE and e["seq"] <= height:
-                executed.append({"kind": UPDATE, "seq": e["seq"],
-                                 "state": e["state"], "txs": e["txs"]})
-        return executed
-
-    def _reconstructs(self, ist, idx):
         want = ist.states[idx]
         cur = ist.states[0]
         for e in ist.executed:
@@ -387,7 +384,7 @@ class AccountBundle(SubroutineBundle):
             cur = e["state"]
         return cur == want
 
-    def check_settlement(self, ist, body, attachment, env):
+    def settlement(self, ist, body, attachment, env):
         if body.get("op") != "peg-out":
             return False, "malformed", None
         asked = [r for r in ist.queue if r["kind"] == SETTLEMENT]

@@ -474,12 +474,7 @@ class ArbitrumBundle(AccountBundle):
     name = "arbitrum"
     update_key, seq_field, settle_kind = "batch", "seq", "settle"
 
-    def check_update(self, ist, batch, attachment, env):
-        if not isinstance(batch, dict) or "txs" not in batch:
-            return False, "malformed"
-        seq = batch.get("seq")
-        if seq != ist.latest()["height"] + 1:
-            return False, "stale"
+    def _certify(self, ist, batch, attachment, env):
         view = world_view(env.world, self.initial)
         entry = None
         for e in view["entries"]:
@@ -487,12 +482,12 @@ class ArbitrumBundle(AccountBundle):
                 entry = e
                 break
         if entry is None:
-            return False, "not-on-ledger"
+            return "not-on-ledger"
         if env.round <= entry["commit_round"] + env.timing["t_period"]:
-            return False, "window-open"
+            return "window-open"
         if entry["post"] is None or entry["post"] != entry["claimed"]:
-            return False, "halt:unchallenged-fraud"
-        return True, None
+            return "halt:unchallenged-fraud"
+        return None
 
 
 # -- protocol descriptor ---------------------------------------------------
@@ -549,7 +544,6 @@ def build_real(world, scn):
     for v in vals:
         world.register(ArbitrumValidator(v, scn["initial"]))
     attach_periodic_clock(world, world.timing["t_period"], ops, vals)
-    world.timing["sync"] = False
 
 
 def make_bundle(world, scn):

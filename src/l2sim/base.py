@@ -9,8 +9,8 @@ block height and round count stay in lockstep and confirmation depth is
 height_now - height(tx) + 1.
 
 Signatures are idealized: sign() records (signer, digest) under a fresh
-handle, verify() succeeds only for refs whose handle replays that exact
-record.  There is no key material and nothing to forge.
+handle (an int), verify() succeeds only for refs whose handle replays that
+exact record.  There is no key material and nothing to forge.
 """
 
 from __future__ import annotations
@@ -37,18 +37,18 @@ class CertRegistry:
         return {"sig": handle, "by": signer, "over": dig}
 
     def verify(self, ref, msg, signer: str) -> bool:
-        if not isinstance(ref, dict) or "sig" not in ref:
+        if not isinstance(ref, dict) or not isinstance(ref.get("sig"), int):
             return False
-        rec = self.by_handle.get(ref.get("sig"))
+        rec = self.by_handle.get(ref["sig"])
         if rec is None:
             return False
         return rec == (signer, digest(msg)) and ref.get("by") == signer
 
     def verify_any(self, ref, msg) -> str | None:
         """Returns the signer if the ref is a valid signature over msg."""
-        if not isinstance(ref, dict) or "sig" not in ref:
+        if not isinstance(ref, dict) or not isinstance(ref.get("sig"), int):
             return None
-        rec = self.by_handle.get(ref.get("sig"))
+        rec = self.by_handle.get(ref["sig"])
         if rec is None:
             return None
         signer, dig = rec
@@ -245,10 +245,3 @@ def attach_periodic_clock(world, t_period: int, operators, validators):
             world.queue_io(clock, v, {"kind": "update-check", "round": world.round_no})
 
     world.round_hooks.append(hook)
-
-
-def com_send(ctx, dst, payload):
-    """Synchronous-channel send; refuses to run in an asynchronous scenario."""
-    if not ctx.timing.get("sync", False):
-        raise SimError("synchronous channel used in an asynchronous scenario")
-    ctx.send_net(dst, payload)

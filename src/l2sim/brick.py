@@ -24,7 +24,7 @@ from __future__ import annotations
 from .runtime import Machine, EntityId
 from .base import signed_tx
 from .core import (SubroutineBundle, OPEN, UPDATE, SETTLEMENT, CLIENT,
-                   read_result, settled_entry)
+                   open_record, read_entries, read_result, settled_entry)
 
 WARDEN = "warden"
 
@@ -40,6 +40,19 @@ def transfer(state: dict, payer: str, payee: str, amt: int) -> dict | None:
     bal[payer] -= amt
     bal[payee] += amt
     return {"bal": bal, "seq": state["seq"] + 1}
+
+
+def channel_state(s) -> bool:
+    """Shape check for a state from outside, so the arithmetic stays total."""
+    return (isinstance(s, dict) and isinstance(s.get("seq"), int)
+            and isinstance(s.get("bal"), dict)
+            and all(isinstance(v, int) for v in s["bal"].values()))
+
+
+def attached(attachment, key) -> list:
+    """The list an attachment carries under ``key``; empty if it is not one."""
+    value = (attachment or {}).get(key)
+    return value if isinstance(value, list) else []
 
 
 def conserves(prev: dict, new: dict) -> bool:
@@ -184,10 +197,8 @@ class BrickClient(Machine):
         if not self.chain:
             ctx.note("read-empty")
             return
-        executed = [{"kind": e["kind"], "seq": e["seq"], "state": e["state"]}
-                    for e in self.chain]
         settled = self.settled_entry and self.settled_entry["state"]
-        ctx.output(read_result(self.latest()["state"], executed,
+        ctx.output(read_result(self.latest()["state"], read_entries(self.chain),
                                len(self.chain) - 1, settled))
 
     # protocol messages
@@ -466,16 +477,11 @@ class BrickBundle(SubroutineBundle):
         self.f = f
         self.collateral = dict(collateral)
 
-    def _has_settle(self, ist, pid):
-        queued = any(r["kind"] == SETTLEMENT and r["by"] == pid for r in ist.queue)
-        done = any(e["kind"] == SETTLEMENT for e in ist.executed)
-        return queued or done
-
     def submit(self, ist, req, env):
         kind, body, by = req["kind"], req["body"], req["by"]
         if ist.phase() == "settled":
             return False, "settled"
-        if self._has_settle(ist, by):
+        if any(r["kind"] == SETTLEMENT and r["by"] == by for r in ist.queue):
             return False, "settle-pending"
         if kind == OPEN:
             if ist.phase() != "init":
@@ -500,62 +506,52 @@ class BrickBundle(SubroutineBundle):
             return True, None
         return False, "unknown-kind"
 
-    def check_open(self, ist, body, attachment, env):
-        s0 = initial_state(self.collateral)
-        if body.get("state") != s0:
-            return False, "bad-state"
+    def open(self, ist, body, attachment, env):
+        if body.get("state") != initial_state(self.collateral):
+            return False, "bad-state", None
         honest = env.honest(ist, CLIENT)
         queued = {r["by"] for r in ist.queue if r["kind"] == OPEN}
         if not set(honest) <= queued:
-            return False, "missing-open-requests"
-        wardens = self._warden_entries(attachment)
-        if len(wardens) < 2 * self.f + 1:
-            return False, "thin-warden-multiset"
+            return False, "missing-open-requests", None
+        if len(self._warden_entries(attachment)) < 2 * self.f + 1:
+            return False, "thin-warden-multiset", None
         opens = env.ledger.find(
             lambda t: t["kind"] == "open-commit" and t["body"].get("channel") == self.sid)
         authors = {t["author"] for t in opens}
         participants = {f"{CLIENT}:{c}" for c in self.clients} | set(self.wardens)
         if not participants <= authors:
-            return False, "collateral-missing"
-        return True, None
+            return False, "collateral-missing", None
+        return True, None, open_record(body["state"], attachment, env)
 
     def _warden_entries(self, attachment):
-        entries = (attachment or {}).get("wardens", [])
-        return {e.get("by") for e in entries if e.get("by") in self.wardens}
+        return {e.get("by") for e in attached(attachment, "wardens")
+                if isinstance(e, dict) and e.get("by") in self.wardens}
 
-    def check_update(self, ist, new_state, attachment, env):
-        if not isinstance(new_state, dict):
-            return False, "malformed"
-        seq = new_state.get("seq")
-        if seq is None or seq <= ist.latest()["seq"]:
-            return False, "stale"
+    def _agreed(self, attachment, msg, env):
+        """Both clients signed ``msg`` in the attachment's client refs."""
+        signers = {env.certs.verify_any(ref, msg)
+                   for ref in attached(attachment, "clients")}
+        return signers == {f"{CLIENT}:{c}" for c in self.clients}
+
+    def update(self, ist, new_state, attachment, env):
+        if not channel_state(new_state):
+            return False, "malformed", None
+        seq = new_state["seq"]
+        if seq <= ist.latest()["seq"]:
+            return False, "stale", None
         if not conserves(ist.latest(), new_state):
-            return False, "not-conserving"
-        att = attachment or {}
-        csigs = att.get("clients", [])
-        msg = state_msg(self.sid, new_state, seq)
-        signers = {env.certs.verify_any(ref, msg) for ref in csigs}
-        if signers != {f"{CLIENT}:{c}" for c in self.clients}:
-            return False, "missing-agreement"
-        if len(self._warden_entries(att)) < 2 * self.f + 1:
-            return False, "thin-warden-multiset"
-        return True, None
-
-    def executed_by_update(self, ist, new_state, attachment, env):
+            return False, "not-conserving", None
+        if not self._agreed(attachment, state_msg(self.sid, new_state, seq), env):
+            return False, "missing-agreement", None
+        if len(self._warden_entries(attachment)) < 2 * self.f + 1:
+            return False, "thin-warden-multiset", None
         rids = [r["rid"] for r in ist.queue
                 if r["kind"] == UPDATE and r["body"].get("state") == new_state]
-        return [{"kind": UPDATE, "seq": new_state["seq"], "state": new_state,
-                 "evidence": attachment, "rids": rids, "round": env.round}]
+        return True, None, {"kind": UPDATE, "seq": seq, "state": new_state,
+                            "evidence": attachment, "rids": rids,
+                            "round": env.round}
 
     def read(self, ist, idx, env):
-        if not self._reconstructs(ist, idx):
-            return None
-        seq = ist.states[idx]["seq"]
-        return [{"kind": e["kind"], "seq": e.get("seq"), "state": e["state"]}
-                for e in ist.executed
-                if e["kind"] in (OPEN, UPDATE) and e.get("seq", 0) <= seq]
-
-    def _reconstructs(self, ist, idx) -> bool:
         # fold the off-chain evidence above the anchor; after settlement the
         # anchor may already sit at (or past) the wanted sequence number
         want = ist.states[idx]
@@ -572,7 +568,7 @@ class BrickBundle(SubroutineBundle):
             cur = e["state"]
         return cur == want
 
-    def check_settlement(self, ist, body, attachment, env):
+    def settlement(self, ist, body, attachment, env):
         stype = body.get("type")
         if stype == "collab":
             want_state, want_seq = body.get("state"), body.get("seq")
@@ -580,10 +576,8 @@ class BrickBundle(SubroutineBundle):
                      and r["body"].get("type") == "collab"]
             if not asked:
                 return False, "no-settle-request", None
-            csigs = (attachment or {}).get("clients", [])
-            msg = close_msg(self.sid, want_state, want_seq)
-            signers = {env.certs.verify_any(ref, msg) for ref in csigs}
-            if signers != {f"{CLIENT}:{c}" for c in self.clients}:
+            if not self._agreed(attachment,
+                                close_msg(self.sid, want_state, want_seq), env):
                 return False, "missing-agreement", None
             closes = env.ledger.find(
                 lambda t: t["kind"] == "settle" and t["body"].get("channel") == self.sid
@@ -643,7 +637,6 @@ def build_real(world, scn):
     for w in wardens:
         world.register(BrickWarden(w, shorts, scn["f"]))
     install_ledger_checks(world, sid, scn["clients"], scn["f"])
-    world.timing["sync"] = False
 
 
 def make_bundle(world, scn):

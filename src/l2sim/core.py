@@ -5,12 +5,13 @@ a session and holds the shared internal state: round counter, request queue,
 executed-request evidence, the state list, per-party read pointers, the
 on-chain anchor state, and the participant identities.  All protocol-specific
 judgement lives in a SubroutineBundle with six entry points (submit, open,
-update, read, settlement, round advance); the interface machine only
-sequences them, mutates state on True answers, notifies the uncorrupted
+update, read, settlement, round advance) that answer and never write that
+state.  The interface machine is its only writer: it sequences the entry
+points, records what accepted answers return, notifies the uncorrupted
 clients, and leaks its whole internal state when a client is corrupted.
 A read's position is the interface's own: it clamps the simulator's
-read-delay hint into [the party's pointer, the top state] and asks the
-bundle only for the executed entries behind that state.
+read-delay hint into [the party's pointer, the top state] and serves the
+records behind that state if the bundle says they reconstruct it.
 
 ``read_result`` builds every read-result payload (this machine's, the real
 clients' and the property witnesses'); a settled state ends its executed
@@ -18,10 +19,10 @@ entries as the entry ``settled_entry`` builds.
 
 Requests arrive from the environment over IO; open/update/settlement
 triggers arrive over NET from the adversary side (in differential runs, from
-the simulator program).  Every subroutine consultation is recorded as a
-sub-call/sub-reply event pair, and every accepted update leaves an "exec"
-event carrying the evidence summary, which is what the trace predicates key
-on.
+the simulator program), and one whose payload is not a dict is ignored.
+Every subroutine consultation is recorded as a sub-call/sub-reply event
+pair, and every accepted update leaves an "exec" event carrying the
+evidence summary, which is what the trace predicates key on.
 """
 
 from __future__ import annotations
@@ -51,6 +52,23 @@ def read_result(state, executed, pointer, settled) -> dict:
         executed = executed + [settled_entry(settled)]
     return {"kind": "read-result", "state": state, "executed": executed,
             "pointer": pointer}
+
+
+def open_record(state, attachment, env) -> dict:
+    """The executed record of an accepted open of ``state``."""
+    return {"kind": OPEN, "state": state, "seq": 0, "evidence": attachment,
+            "round": env.round}
+
+
+def read_entries(records) -> list:
+    """Open and update records as a read serves them."""
+    out = []
+    for r in records:
+        entry = {"kind": r["kind"], "seq": r["seq"], "state": r["state"]}
+        if "txs" in r:
+            entry["txs"] = r["txs"]
+        out.append(entry)
+    return out
 
 
 @dataclass
@@ -119,46 +137,58 @@ class BundleEnv:
 
 
 class SubroutineBundle:
-    """Protocol-specific checks.  Subclasses override everything meaningful."""
+    """The protocol-specific entry points the interface machine consults.
+
+    Each takes the internal state ``ist`` and a ``BundleEnv`` and only
+    answers; the interface machine records what an accepted answer returns.
+
+    - ``submit(ist, req, env)`` -> (ok, reason): may ``req`` join the queue;
+    - ``open(ist, body, attachment, env)`` -> (ok, reason, record): the
+      executed record of the open, its "state" the initial state
+      (``open_record`` builds the common one);
+    - ``update(ist, state, attachment, env)`` -> (ok, reason, record): the
+      executed record of the update, carrying the post-state under "state"
+      and the queue rids it executes under "rids"; a reason starting with
+      ``HALT_PREFIX`` halts the session;
+    - ``read(ist, idx, env)`` -> bool: whether the executed records
+      reconstruct ``ist.states[idx]``;
+    - ``settlement(ist, body, attachment, env)`` -> (ok, reason, state):
+      the settled state;
+    - ``upd_rnd(ist, env)`` -> (ok, reason): may the round advance.
+
+    The interface checks the phase and the trigger's shape first: ``body``
+    and an update's ``state`` are dicts, ``attachment`` a dict or None.
+    """
 
     name = "?"
 
     def submit(self, ist, req, env):
         raise NotImplementedError
 
-    def check_open(self, ist, body, attachment, env):
+    def open(self, ist, body, attachment, env):
         raise NotImplementedError
 
-    def apply_open(self, ist, body, attachment, env):
-        """Default: initial state from the open body, open evidence recorded."""
-        s0 = body["state"]
-        ist.states.append(s0)
-        ist.onchain = s0
-        ist.executed.append({"kind": OPEN, "state": s0, "seq": 0,
-                             "evidence": attachment, "round": env.round})
-
-    def check_update(self, ist, new_state, attachment, env):
-        raise NotImplementedError
-
-    def state_from_update(self, ist, new_state, attachment, env):
-        """What actually lands in the state list (e.g. a block's post-state)."""
-        return new_state
-
-    def executed_by_update(self, ist, new_state, attachment, env):
-        """Evidence entries an accepted update contributes (queue rids optional)."""
+    def update(self, ist, new_state, attachment, env):
         raise NotImplementedError
 
     def read(self, ist, idx, env):
-        """Executed entries behind ``ist.states[idx]``, or None when they
-        do not reconstruct that state.  The interface machine picks idx and
-        adds the settled entry through ``read_result``."""
         raise NotImplementedError
 
-    def check_settlement(self, ist, body, attachment, env):
+    def settlement(self, ist, body, attachment, env):
         raise NotImplementedError
 
     def upd_rnd(self, ist, env):
         return True, None
+
+
+def _refused(ist, phase, body, attachment):
+    """The interface's own refusal of a trigger, answered as a bundle
+    would, or None to ask the bundle."""
+    if ist.phase() != phase:
+        return False, "phase", None
+    if not isinstance(body, dict) or not isinstance(attachment, (dict, type(None))):
+        return False, "malformed", None
+    return None
 
 
 class InterfaceMachine(Machine):
@@ -186,28 +216,27 @@ class InterfaceMachine(Machine):
     # -- dispatch ----------------------------------------------------------
 
     def on_message(self, ctx, env):
-        kind = env.payload.get("kind")
+        p = env.payload
+        if not isinstance(p, dict):
+            return
+        kind = p.get("kind")
         if env.dst in self._clients.values():
             if kind == "submit":
-                self._submit(ctx, env.dst.pid, env.payload["req"])
+                self._submit(ctx, env.dst.pid, p["req"])
             elif kind == "read":
                 self._read(ctx, env.dst.pid)
             return
         # triggers on the functionality entity, from the adversary side
         if kind == OPEN:
-            self._open(ctx, env.payload.get("body", {}), env.payload.get("attachment"))
+            self._open(ctx, p.get("body", {}), p.get("attachment"))
         elif kind == UPDATE:
-            self._update(ctx, env.payload.get("state"), env.payload.get("attachment"))
+            self._update(ctx, p.get("state"), p.get("attachment"))
         elif kind == SETTLEMENT:
-            self._settle(ctx, env.payload.get("body", {}), env.payload.get("attachment"))
+            self._settle(ctx, p.get("body", {}), p.get("attachment"))
 
     def _call(self, ctx, name, args, result):
         ctx.world.emit("sub-call", bundle=self._bundle.name, sub=name, args=args)
         ctx.world.emit("sub-reply", bundle=self._bundle.name, sub=name, result=result)
-        return result
-
-    def _benv(self, ctx):
-        return BundleEnv(ctx.world)
 
     # -- handlers ----------------------------------------------------------
 
@@ -218,7 +247,7 @@ class InterfaceMachine(Machine):
         if ist.halted:
             ok, reason = False, "halted"
         else:
-            ok, reason = self._bundle.submit(ist, request, self._benv(ctx))
+            ok, reason = self._bundle.submit(ist, request, BundleEnv(ctx.world))
         self._call(ctx, "submit", {"by": pid, "kind": request["kind"]},
                    {"ok": ok, "reason": reason})
         if ok:
@@ -233,20 +262,22 @@ class InterfaceMachine(Machine):
 
     def _read(self, ctx, pid):
         ist = self.ist
-        executed = idx = None
+        idx = None
         if not ist.halted and ist.states:
-            env = self._benv(ctx)
+            env = BundleEnv(ctx.world)
             top = len(ist.states) - 1
             delay = env.hint("read-delay", pid=pid)
             idx = max(ist.read_ptr.get(pid, 0),
                       top if delay is None else min(top, delay))
-            executed = self._bundle.read(ist, idx, env)
-        self._call(ctx, "read", {"by": pid},
-                   {"empty": executed is None,
-                    "pointer": None if executed is None else idx})
-        if executed is None:
+            if not self._bundle.read(ist, idx, env):
+                idx = None
+        self._call(ctx, "read", {"by": pid}, {"empty": idx is None, "pointer": idx})
+        if idx is None:
             ctx.world.emit("read-empty", party=f"{CLIENT}:{pid}")
             return
+        # one open or update record per state, so these are the records
+        # behind states[idx]; the settlement record, if any, comes after
+        executed = read_entries(ist.executed[:idx + 1])
         settled = None if ist.settled is None else ist.settled["state"]
         ist.read_ptr[pid] = idx
         ctx.world.queue_io(self._clients[pid], env_entity(self.me.sid),
@@ -254,15 +285,15 @@ class InterfaceMachine(Machine):
 
     def _open(self, ctx, body, attachment):
         ist = self.ist
-        env = self._benv(ctx)
-        if ist.phase() != "init":
-            ok, reason = False, "phase"
-        else:
-            ok, reason = self._bundle.check_open(ist, body, attachment, env)
+        env = BundleEnv(ctx.world)
+        ok, reason, record = (_refused(ist, "init", body, attachment)
+                              or self._bundle.open(ist, body, attachment, env))
         self._call(ctx, "open", {}, {"ok": ok, "reason": reason})
         if not ok:
             return
-        self._bundle.apply_open(ist, body, attachment, env)
+        ist.states.append(record["state"])
+        ist.onchain = record["state"]
+        ist.executed.append(record)
         ist.queue = [r for r in ist.queue if r["kind"] != OPEN]
         ctx.world.emit("exec", kind=OPEN, seq=0, state=ist.states[0])
         for pid in ist.identities.get(CLIENT, ()):
@@ -272,11 +303,9 @@ class InterfaceMachine(Machine):
 
     def _update(self, ctx, new_state, attachment):
         ist = self.ist
-        env = self._benv(ctx)
-        if ist.phase() != "open":
-            ok, reason = False, "phase"
-        else:
-            ok, reason = self._bundle.check_update(ist, new_state, attachment, env)
+        ok, reason, record = (
+            _refused(ist, "open", new_state, attachment)
+            or self._bundle.update(ist, new_state, attachment, BundleEnv(ctx.world)))
         self._call(ctx, "update", {"state": new_state}, {"ok": ok, "reason": reason})
         if reason and str(reason).startswith(HALT_PREFIX):
             ist.halted = str(reason)[len(HALT_PREFIX):]
@@ -285,34 +314,30 @@ class InterfaceMachine(Machine):
             return
         if not ok:
             return
-        entries = self._bundle.executed_by_update(ist, new_state, attachment, env)
-        ist.states.append(self._bundle.state_from_update(ist, new_state, attachment, env))
-        done_rids = set()
-        for entry in entries:
-            done_rids.update(entry.get("rids", ()))
-            ist.executed.append(entry)
-            ctx.world.emit("exec", kind=UPDATE, seq=entry.get("seq"),
-                           state=entry.get("state"), rids=sorted(entry.get("rids", ())))
-        if done_rids:
-            ist.queue = [r for r in ist.queue if r.get("rid") not in done_rids]
+        ist.states.append(record["state"])
+        ist.executed.append(record)
+        ctx.world.emit("exec", kind=UPDATE, seq=record["seq"],
+                       state=record["state"], rids=sorted(record["rids"]))
+        if record["rids"]:
+            done = set(record["rids"])
+            ist.queue = [r for r in ist.queue if r.get("rid") not in done]
 
     def _settle(self, ctx, body, attachment):
         ist = self.ist
-        env = self._benv(ctx)
-        if ist.phase() != "open":
-            ok, reason, sstate = False, "phase", None
-        else:
-            ok, reason, sstate = self._bundle.check_settlement(ist, body, attachment, env)
-        self._call(ctx, "settlement", {"type": body.get("type")},
-                   {"ok": ok, "reason": reason})
+        env = BundleEnv(ctx.world)
+        stype = body.get("type") if isinstance(body, dict) else None
+        ok, reason, sstate = (
+            _refused(ist, "open", body, attachment)
+            or self._bundle.settlement(ist, body, attachment, env))
+        self._call(ctx, "settlement", {"type": stype}, {"ok": ok, "reason": reason})
         if not ok:
             return
-        ist.settled = {"state": sstate, "type": body.get("type")}
+        ist.settled = {"state": sstate, "type": stype}
         ist.onchain = sstate
         ist.executed.append({"kind": SETTLEMENT, "state": sstate,
-                             "type": body.get("type"), "round": env.round})
+                             "type": stype, "round": env.round})
         ist.queue = [r for r in ist.queue if r["kind"] != SETTLEMENT]
-        ctx.world.emit("exec", kind=SETTLEMENT, state=sstate, type=body.get("type"))
+        ctx.world.emit("exec", kind=SETTLEMENT, state=sstate, type=stype)
         for pid in ist.identities.get(CLIENT, ()):
             if not env.is_corrupt_pid(CLIENT, pid):
                 ctx.world.queue_io(self._clients[pid], env_entity(self.me.sid),

@@ -64,6 +64,7 @@ def apply_block(state, block, ledger, confirm_depth):
 
 
 def cert_valid(certs, sid, block, cert, quorum, operators):
+    """Both quorum certificates of ``block``: lists of {"by", "ref"}."""
     if not isinstance(cert, dict):
         return False
     bdig = digest(block)
@@ -71,8 +72,12 @@ def cert_valid(certs, sid, block, cert, quorum, operators):
     ok_sets = []
     for phase, msg in (("pre", pre_msg(sid, h, rnd, bdig)),
                        ("fin", fin_msg(sid, h, rnd, bdig))):
+        entries = cert.get(phase, [])
+        if not isinstance(entries, list) \
+                or not all(isinstance(e, dict) for e in entries):
+            return False
         good = set()
-        for entry in cert.get(phase, []):
+        for entry in entries:
             by = entry.get("by")
             if by in operators and certs.verify(entry.get("ref"), msg, by):
                 good.add(by)
@@ -383,31 +388,19 @@ class LiquidBundle(AccountBundle):
         super().__init__(sid, clients, operators, initial)
         self.quorum = quorum
 
-    def apply_open(self, ist, body, attachment, env):
-        super().apply_open(ist, body, attachment, env)
-        ist.executed[-1]["block"] = genesis_block()
+    def open(self, ist, body, attachment, env):
+        ok, reason, record = super().open(ist, body, attachment, env)
+        return ok, reason, record and dict(record, block=genesis_block())
 
-    def _last_block(self, ist):
-        for e in reversed(ist.executed):
-            if e["kind"] in (OPEN, UPDATE) and e.get("block") is not None:
-                return e["block"]
-        return None
-
-    def check_update(self, ist, block, attachment, env):
-        if not isinstance(block, dict) or "txs" not in block:
-            return False, "malformed"
-        if block.get("height") != ist.latest()["height"] + 1:
-            return False, "stale"
-        prev = self._last_block(ist)
-        if prev is not None and block.get("prev") != digest(prev):
-            return False, "wrong-parent"
+    def _certify(self, ist, block, attachment, env):
+        # while open, the last record is the open or an update, and both
+        # carry their block
+        if block.get("prev") != digest(ist.executed[-1]["block"]):
+            return "wrong-parent"
         if not cert_valid(env.certs, self.sid, block, attachment,
                           self.quorum, self.operators):
-            return False, "thin-certificate"
-        if apply_block(ist.latest(), block, env.ledger,
-                       env.timing["confirm_depth"]) is None:
-            return False, "invalid-transition"
-        return True, None
+            return "thin-certificate"
+        return None
 
     def upd_rnd(self, ist, env):
         if ist.phase() != "open":
@@ -472,7 +465,6 @@ def build_real(world, scn):
                                       scn["initial"]))
     install_ledger_checks(world, world.sid, [o.short() for o in ops], scn["quorum"])
     attach_leader_clock(world, ops)
-    world.timing["sync"] = True
 
 
 def make_bundle(world, scn):

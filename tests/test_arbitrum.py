@@ -8,8 +8,7 @@ from l2sim.core import OPEN, UPDATE, SETTLEMENT, CLIENT, InternalState, BundleEn
 from l2sim import arbitrum
 from l2sim.accounts import genesis_state, l2_txid
 
-TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4,
-          "sync": False}
+TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
 
 def make_world(scn=None, **kw):
@@ -373,7 +372,7 @@ def test_bundle_check_open_progression():
     world, scn = make_world()
     bundle, ist, env = bundle_pair(world, scn)
     body = {"state": genesis_state(scn["initial"])}
-    ok, why = bundle.check_open(ist, body, None, env)
+    ok, why, _ = bundle.open(ist, body, None, env)
     assert not ok and why == "missing-open-requests"
     for c in scn["clients"]:
         ist.queue.append({"kind": OPEN, "body": body, "by": c, "rid": len(ist.queue)})
@@ -383,11 +382,14 @@ def test_bundle_check_open_progression():
     fresh.ledger = Ledger(TIMING)
     fresh.ledger.bind(fresh)
     arbitrum.build_real(fresh, scn)
-    ok, why = bundle.check_open(ist, body, None, BundleEnv(fresh))
+    ok, why, _ = bundle.open(ist, body, None, BundleEnv(fresh))
     assert not ok and why == "registration-missing"
     world.advance_round()
-    ok, why = bundle.check_open(ist, body, None, env)
+    ok, why, record = bundle.open(ist, body, None, env)
     assert ok, why
+    assert record == {"kind": OPEN, "state": body["state"], "seq": 0,
+                      "evidence": None, "round": world.round_no}
+    assert ist.states == [] and ist.executed == []     # the bundle only answers
 
 
 def test_bundle_check_update_arms():
@@ -399,17 +401,22 @@ def test_bundle_check_update_arms():
     bundle, ist, env = bundle_pair(world, scn)
     seed_open(bundle, ist, env, scn)
     batch = view_of(world, scn)["entries"][0]["batch"]
-    assert bundle.check_update(ist, "junk", None, env) == (False, "malformed")
-    assert bundle.check_update(ist, dict(batch, seq=5), None, env) == \
-        (False, "stale")
+    assert bundle.update(ist, {"seq": 1}, None, env) == \
+        (False, "malformed", None)
+    assert bundle.update(ist, dict(batch, seq=5), None, env) == \
+        (False, "stale", None)
     ghost = dict(batch, txs=[])
-    assert bundle.check_update(ist, ghost, None, env) == (False, "not-on-ledger")
-    assert bundle.check_update(ist, batch, None, env) == (False, "window-open")
+    assert bundle.update(ist, ghost, None, env) == \
+        (False, "not-on-ledger", None)
+    assert bundle.update(ist, batch, None, env) == (False, "window-open", None)
     cycle(world, 5)
-    ok, why = bundle.check_update(ist, batch, None, env)
+    ok, why, record = bundle.update(ist, batch, None, env)
     assert ok, why
-    post = bundle.state_from_update(ist, batch, None, env)
+    post = record["state"]
     assert post["bal"] == {"c1": 7, "c2": 13} and post["height"] == 1
+    assert (record["seq"], record["batch"], record["txs"]) == \
+        (1, batch, batch["txs"])
+    assert len(ist.states) == 1 and len(ist.executed) == 1
 
 
 def test_bundle_halts_on_unchallenged_fraud():
@@ -424,7 +431,7 @@ def test_bundle_halts_on_unchallenged_fraud():
     assert v["final"] == 1
     bundle, ist, env = bundle_pair(world, scn)
     seed_open(bundle, ist, env, scn)
-    ok, why = bundle.check_update(ist, v["entries"][0]["batch"], None, env)
+    ok, why, _ = bundle.update(ist, v["entries"][0]["batch"], None, env)
     assert not ok and why == "halt:unchallenged-fraud"
 
 
@@ -437,10 +444,10 @@ def test_bundle_read_entries_behind_index_and_gap():
     ist.states += [s1, s2]
     ist.executed.append({"kind": UPDATE, "seq": 1, "state": s1, "txs": []})
     ist.executed.append({"kind": UPDATE, "seq": 2, "state": s2, "txs": []})
-    assert [e.get("seq") for e in bundle.read(ist, 1, env)] == [0, 1]
-    assert [e.get("seq") for e in bundle.read(ist, 2, env)] == [0, 1, 2]
+    assert bundle.read(ist, 1, env) is True
+    assert bundle.read(ist, 2, env) is True
     ist.executed = [e for e in ist.executed if e.get("seq") != 1]
-    assert bundle.read(ist, 2, env) is None     # reconstruction gap
+    assert bundle.read(ist, 2, env) is False    # reconstruction gap
 
 
 def test_bundle_check_settlement_arms():
@@ -452,15 +459,15 @@ def test_bundle_check_settlement_arms():
     bundle, ist, env = bundle_pair(world, scn)
     seed_open(bundle, ist, env, scn)
     body = {"op": "peg-out", "from": "c1", "amt": 4}
-    ok, why, _ = bundle.check_settlement(ist, body, None, env)
+    ok, why, _ = bundle.settlement(ist, body, None, env)
     assert not ok and why == "no-settle-request"
     ist.queue.append({"kind": SETTLEMENT, "body": body, "by": "c1", "rid": 9})
-    ok, why, _ = bundle.check_settlement(ist, body, None, env)
+    ok, why, _ = bundle.settlement(ist, body, None, env)
     assert not ok and why == "no-burn"
     entry = view_of(world, scn)["entries"][0]
     ist.executed.append({"kind": UPDATE, "seq": 1, "state": entry["post"],
                          "txs": entry["batch"]["txs"]})
-    ok, why, sstate = bundle.check_settlement(ist, body, None, env)
+    ok, why, sstate = bundle.settlement(ist, body, None, env)
     assert ok, why
     assert sstate["bal"]["c1"] == 6
 

@@ -4,11 +4,11 @@ import pytest
 
 from l2sim.base import (
     CertRegistry, Ledger, make_tx, tx_signable,
-    attach_leader_clock, attach_periodic_clock, com_send,
+    attach_leader_clock, attach_periodic_clock,
 )
-from l2sim.runtime import World, Machine, SimError, Ctx
+from l2sim.runtime import World, Machine, SimError
 
-TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4, "sync": True}
+TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
 
 class Sink(Machine):
@@ -57,6 +57,14 @@ def test_cert_sign_verify_and_forgery():
     forged = {"sig": 999, "by": "client:a", "over": ref["over"]}
     assert not certs.verify(forged, {"m": 1}, "client:a")
     assert not certs.verify({"nonsense": True}, {"m": 1}, "client:a")
+
+
+@pytest.mark.parametrize("handle", [[1], {"h": 1}, "1", None, 1.5])
+def test_a_non_int_handle_is_invalid(handle):
+    certs = CertRegistry()
+    ref = dict(certs.sign("client:a", {"m": 1}), sig=handle)
+    assert certs.verify(ref, {"m": 1}, "client:a") is False
+    assert certs.verify_any(ref, {"m": 1}) is None
 
 
 def test_every_true_verify_has_a_prior_sign_record():
@@ -210,12 +218,3 @@ def test_periodic_clock_fires_every_t_period():
               if e["t"] == "deliver" and e["payload"].get("kind") == "update-check"]
     assert len(checks) == 2
 
-
-def test_com_send_requires_sync_scenario():
-    w, ops, _ = ledger_world(n_ops=2)
-    ctx = Ctx(w, ops[0])
-    com_send(ctx, ops[1], {"kind": "hello"})
-    assert len(w.pending_net()) == 1
-    w.timing["sync"] = False
-    with pytest.raises(SimError):
-        com_send(ctx, ops[1], {"kind": "hello"})

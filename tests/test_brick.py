@@ -4,11 +4,11 @@ import pytest
 
 from l2sim.runtime import World, EntityId
 from l2sim.base import CertRegistry, Ledger, make_tx, tx_signable
-from l2sim.core import OPEN, UPDATE, SETTLEMENT, CLIENT, InternalState, BundleEnv
+from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, InternalState,
+                        BundleEnv, open_record)
 from l2sim import brick
 
-TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4,
-          "sync": False}
+TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
 
 def make_world(scn=None):
@@ -274,7 +274,10 @@ def seed_open(bundle, ist, scn, env):
         assert ok
         ist.queue.append({"kind": OPEN, "body": {"state": s0}, "by": c,
                           "rid": ist.new_rid()})
-    bundle.apply_open(ist, {"state": s0}, {"wardens": []}, env)
+    # what the interface records for an accepted open
+    ist.states.append(s0)
+    ist.onchain = s0
+    ist.executed.append(open_record(s0, {"wardens": []}, env))
     ist.queue = [r for r in ist.queue if r["kind"] != OPEN]
     return s0
 
@@ -316,14 +319,14 @@ def test_bundle_open_check_demands_everything():
     world, scn, bundle, ist, env = ideal_fixture()
     s0 = brick.initial_state(scn["collateral"])
     wardens = [{"by": f"warden:w{i+1}"} for i in range(3)]
-    ok, why = bundle.check_open(ist, {"state": s0}, {"wardens": wardens}, env)
+    ok, why, _ = bundle.open(ist, {"state": s0}, {"wardens": wardens}, env)
     assert (ok, why) == (False, "missing-open-requests")
     for c in scn["clients"]:
         ist.queue.append({"kind": OPEN, "body": {"state": s0}, "by": c,
                           "rid": ist.new_rid()})
-    ok, why = bundle.check_open(ist, {"state": s0}, {"wardens": wardens[:2]}, env)
+    ok, why, _ = bundle.open(ist, {"state": s0}, {"wardens": wardens[:2]}, env)
     assert (ok, why) == (False, "thin-warden-multiset")
-    ok, why = bundle.check_open(ist, {"state": s0}, {"wardens": wardens}, env)
+    ok, why, _ = bundle.open(ist, {"state": s0}, {"wardens": wardens}, env)
     assert (ok, why) == (False, "collateral-missing")
     for short in (["client:c1", "client:c2"] +
                   [f"warden:w{i+1}" for i in range(4)]):
@@ -333,8 +336,10 @@ def test_bundle_open_check_demands_everything():
         tx["sigs"] = [world.certs.sign(short, tx_signable(tx))]
         world.ledger.submit(tx)
     world.advance_round()
-    ok, why = bundle.check_open(ist, {"state": s0}, {"wardens": wardens}, env)
+    ok, why, record = bundle.open(ist, {"state": s0}, {"wardens": wardens}, env)
     assert (ok, why) == (True, None)
+    assert record == open_record(s0, {"wardens": wardens}, env)
+    assert ist.states == [] and ist.executed == []     # the bundle only answers
 
 
 def test_bundle_update_check_wants_client_agreement():
@@ -345,15 +350,18 @@ def test_bundle_update_check_wants_client_agreement():
     c1 = world.certs.sign("client:c1", msg)
     c2 = world.certs.sign("client:c2", msg)
     wardens = [{"by": f"warden:w{i+1}"} for i in range(3)]
-    ok, why = bundle.check_update(ist, new, {"clients": [c1, c1],
-                                             "wardens": wardens}, env)
+    ok, why, _ = bundle.update(ist, new, {"clients": [c1, c1],
+                                          "wardens": wardens}, env)
     assert (ok, why) == (False, "missing-agreement")
-    ok, why = bundle.check_update(ist, new, {"clients": [c1, c2],
-                                             "wardens": wardens[:2]}, env)
+    ok, why, _ = bundle.update(ist, new, {"clients": [c1, c2],
+                                          "wardens": wardens[:2]}, env)
     assert (ok, why) == (False, "thin-warden-multiset")
-    ok, why = bundle.check_update(ist, new, {"clients": [c1, c2],
-                                             "wardens": wardens}, env)
+    att = {"clients": [c1, c2], "wardens": wardens}
+    ok, why, record = bundle.update(ist, new, att, env)
     assert (ok, why) == (True, None)
+    assert record == {"kind": UPDATE, "seq": 1, "state": new, "evidence": att,
+                      "rids": [], "round": world.round_no}
+    assert ist.states == [ist.onchain]
 
 
 def test_bundle_read_fails_on_missing_record():
@@ -363,8 +371,8 @@ def test_bundle_read_fails_on_missing_record():
     s2 = {"bal": {"c1": 5, "c2": 15}, "seq": 2}
     ist.states.extend([s1, s2])
     ist.executed.append({"kind": UPDATE, "seq": 2, "state": s2, "evidence": None})
-    assert bundle.read(ist, 2, env) is None
-    assert [e["seq"] for e in bundle.read(ist, 0, env)] == [0]
+    assert bundle.read(ist, 2, env) is False
+    assert bundle.read(ist, 0, env) is True
 
 
 def test_bundle_unilateral_needs_quorum_and_latest():
@@ -377,7 +385,7 @@ def test_bundle_unilateral_needs_quorum_and_latest():
     csigs = [world.certs.sign("client:c1", msg1),
              world.certs.sign("client:c2", msg1)]
     body = {"type": "unilateral"}
-    ok, why, _ = bundle.check_settlement(ist, body, None, env)
+    ok, why, _ = bundle.settlement(ist, body, None, env)
     assert (ok, why) == (False, "thin-publication")
 
     def publish(short, state, seq, sigs):
@@ -394,10 +402,10 @@ def test_bundle_unilateral_needs_quorum_and_latest():
     publish("warden:w2", s0, 0, open_sigs)
     publish("warden:w3", s0, 0, open_sigs)
     world.advance_round()
-    ok, why, _ = bundle.check_settlement(ist, body, None, env)
+    ok, why, _ = bundle.settlement(ist, body, None, env)
     assert (ok, why) == (False, "not-latest")
     publish("warden:w4", s1, 1, csigs)
     world.advance_round()
-    ok, why, got = bundle.check_settlement(ist, body, None, env)
+    ok, why, got = bundle.settlement(ist, body, None, env)
     assert (ok, why) == (True, None)
     assert got == s1

@@ -163,7 +163,7 @@ def test_incremental_view_matches_reference_on_adversarial_lifecycles(
 # -- a mint whose deposit is not yet buried ----------------------------------
 
 RIPEN_TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 3,
-                "t_period": 6, "sync": False}
+                "t_period": 6}
 INITIAL = {"c1": 10, "c2": 10}
 
 

@@ -10,13 +10,12 @@ import pytest
 
 from l2sim.runtime import World, EntityId
 from l2sim.core import (
-    InterfaceMachine, SubroutineBundle, BundleEnv, attach_round_gate,
+    InterfaceMachine, SubroutineBundle, attach_round_gate, open_record,
     OPEN, UPDATE, SETTLEMENT, INTERFACE_ROLE, CLIENT,
 )
 from l2sim.base import Ledger
 
-TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4,
-          "sync": True}
+TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
 
 def s(n):
@@ -40,33 +39,26 @@ class CounterBundle(SubroutineBundle):
             return True, None
         return False, "unknown-kind"
 
-    def check_open(self, ist, body, attachment, env):
+    def open(self, ist, body, attachment, env):
         if body.get("state") != s(0):
-            return False, "bad-genesis"
-        return True, None
+            return False, "bad-genesis", None
+        return True, None, open_record(body["state"], attachment, env)
 
-    def check_update(self, ist, new_state, attachment, env):
+    def update(self, ist, new_state, attachment, env):
         if new_state.get("poison"):
-            return False, "halt:poisoned"
+            return False, "halt:poisoned", None
         if new_state != s(ist.latest()["n"] + 1):
-            return False, "not-successor"
-        return True, None
-
-    def executed_by_update(self, ist, new_state, attachment, env):
+            return False, "not-successor", None
         rids = [r["rid"] for r in ist.queue if r["kind"] == UPDATE
                 and r["body"].get("n") == new_state["n"]]
-        return [{"kind": UPDATE, "seq": new_state["seq"], "state": new_state,
-                 "evidence": attachment, "rids": rids, "round": env.round}]
+        return True, None, {"kind": UPDATE, "seq": new_state["seq"],
+                            "state": new_state, "evidence": attachment,
+                            "rids": rids, "round": env.round}
 
     def read(self, ist, idx, env):
-        entries = [{"kind": e["kind"], "seq": e["seq"], "state": e["state"]}
-                   for e in ist.executed
-                   if e["kind"] in (OPEN, UPDATE) and e["seq"] <= idx]
-        if [e["state"] for e in entries] != ist.states[:idx + 1]:
-            return None
-        return entries
+        return [e["state"] for e in ist.executed[:idx + 1]] == ist.states[:idx + 1]
 
-    def check_settlement(self, ist, body, attachment, env):
+    def settlement(self, ist, body, attachment, env):
         if not any(r["kind"] == SETTLEMENT for r in ist.queue):
             return False, "no-request", None
         return True, None, ist.latest()

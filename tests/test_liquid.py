@@ -4,12 +4,12 @@ import pytest
 
 from l2sim.runtime import World, EntityId
 from l2sim.base import CertRegistry, Ledger
-from l2sim.core import OPEN, UPDATE, SETTLEMENT, CLIENT, InternalState, BundleEnv
+from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, InternalState,
+                        BundleEnv, open_record)
 from l2sim import liquid
 from l2sim.trace import digest
 
-TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4,
-          "sync": True}
+TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
 
 def make_world(scn=None, **kw):
@@ -231,9 +231,16 @@ def ideal_fixture(**kw):
     ist = InternalState(identities={CLIENT: list(scn["clients"]),
                                     liquid.OPERATOR: list(scn["operators"])})
     env = BundleEnv(world)
-    s0 = liquid.genesis_state(scn["initial"])
-    bundle.apply_open(ist, {"state": s0}, None, env)
+    seed_open(ist, liquid.genesis_state(scn["initial"]), env)
     return world, scn, bundle, ist, env
+
+
+def seed_open(ist, s0, env):
+    """What the interface records for an accepted liquid open."""
+    ist.states.append(s0)
+    ist.onchain = s0
+    ist.executed.append(dict(open_record(s0, None, env),
+                             block=liquid.genesis_block()))
 
 
 def test_bundle_submit_balance_gating():
@@ -261,19 +268,19 @@ def test_bundle_update_checks_cert_and_transition():
     ist = InternalState(identities={CLIENT: list(scn["clients"]),
                                     liquid.OPERATOR: list(scn["operators"])})
     env = BundleEnv(world)
-    bundle.apply_open(ist, {"state": liquid.genesis_state(scn["initial"])},
-                      None, env)
-    ok, why = bundle.check_update(ist, entry["block"], entry["cert"], env)
+    seed_open(ist, liquid.genesis_state(scn["initial"]), env)
+    ok, why, record = bundle.update(ist, entry["block"], entry["cert"], env)
     assert (ok, why) == (True, None)
+    assert record["state"]["bal"] == {"c1": 7, "c2": 13}
+    assert (record["seq"], record["block"]) == (1, entry["block"])
     thin = {"round": entry["cert"]["round"],
             "pre": entry["cert"]["pre"][:1], "fin": entry["cert"]["fin"][:1]}
-    ok, why = bundle.check_update(ist, entry["block"], thin, env)
+    ok, why, _ = bundle.update(ist, entry["block"], thin, env)
     assert (ok, why) == (False, "thin-certificate")
     wrong = dict(entry["block"], txs=entry["block"]["txs"] * 2)
-    ok, why = bundle.check_update(ist, wrong, entry["cert"], env)
+    ok, why, _ = bundle.update(ist, wrong, entry["cert"], env)
     assert why in ("thin-certificate", "invalid-transition")
-    post = bundle.state_from_update(ist, entry["block"], entry["cert"], env)
-    assert post["bal"] == {"c1": 7, "c2": 13}
+    assert len(ist.states) == len(ist.executed) == 1   # the bundle only answers
 
 
 def test_bundle_round_gate_waits_for_ripe_work():
@@ -325,4 +332,4 @@ def test_bundle_read_reconstruction_gap():
     ist.states.extend([s1, s2])
     ist.executed.append({"kind": UPDATE, "seq": 2, "state": s2, "txs": [],
                          "block": None, "evidence": None})
-    assert bundle.read(ist, 2, env) is None
+    assert bundle.read(ist, 2, env) is False
