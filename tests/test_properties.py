@@ -6,6 +6,8 @@ and adversarial), a sha256 over every check's record and witness.  It was
 recorded once, before the checks were reworked to build evidence keys
 once per view and to judge liveness from per-view summaries, and is not
 regenerated: a change that moves a verdict or a witness has to say why.
+The output tables pin, for the same traces, each reader's rebuilt whole
+views and every check's record.
 
 ``reference_check_safety`` keeps the all-pairs safety check that the
 one-pass ``check_safety`` replaced; the two are compared on hand-built
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l2sim import harness, properties
-from l2sim.core import CLIENT, OPEN, SETTLEMENT, UPDATE
+from l2sim.core import CLIENT, OPEN, SETTLEMENT, UPDATE, settled_entry
 from l2sim.properties import (
     Verdict,
     as_trace,
@@ -53,6 +55,38 @@ def verdict_digest(checks):
 
 def witness_digest(v):
     return hashlib.sha256(canon(v.witness).encode()).hexdigest()
+
+
+def sha(obj):
+    return hashlib.sha256(canon(obj).encode()).hexdigest()
+
+
+def full_view_projection(trace):
+    """``harness.output_projection`` with every read-result's executed
+    entries rebuilt into its reader's whole view, the settled entry last.
+
+    A read keeps the first ``base`` entries (0 when absent) of its reader's
+    previous read and appends its own; a ``settled`` state ends the view.
+    The rebuild follows the payload format alone, independently of
+    ``properties.read_views``.
+    """
+    per = harness.output_projection(trace)
+    texts, prev, seen = {}, {}, {}
+    for ev in trace.events:
+        if ev.get("t") != "output":
+            continue
+        party, p = ev["party"], ev["payload"]
+        i = seen[party] = seen.get(party, -1) + 1
+        if p.get("kind") != "read-result":
+            continue
+        entries = prev.get(party, [])[:p.get("base", 0)] + list(p["executed"])
+        prev[party] = entries
+        if p.get("settled") is not None:
+            entries = entries + [settled_entry(p["settled"])]
+        per[party][i] = {"kind": "read-result", "state": p.get("state"),
+                         "pointer": p.get("pointer"),
+                         "executed": properties.entry_keys(entries, texts)}
+    return per
 
 
 # (protocol, schedule label) -> (real, ideal) verdict digests
@@ -265,24 +299,384 @@ LIFECYCLE = {
 }
 
 
-def verdict_digests(name, scn, schedule):
+# The output tables pin, per schedule, the real run's then the ideal run's
+# sha256 of ``full_view_projection`` and of every check's ``to_record()``.
+# They were recorded once, while every read-result still carried its
+# reader's whole view, and are not regenerated: the payload format may
+# change, the views a reader was shown and the verdicts may not.
+
+# (protocol, schedule label) -> (real projection, real records,
+#                                ideal projection, ideal records)
+SCRIPTED_OUTPUTS = {
+    ("brick", "corrupt-warden-noise"): (
+        "62288d3b3813c0059ad6f22eb8cb071d315e9e9f3a17c9bf6f7baa97ac9e96a8",
+        "d33ad4602ee574e49e3dd598e98ded611e359ff8d385fead9916b7503cabd5c9",
+        "62288d3b3813c0059ad6f22eb8cb071d315e9e9f3a17c9bf6f7baa97ac9e96a8",
+        "d33ad4602ee574e49e3dd598e98ded611e359ff8d385fead9916b7503cabd5c9"),
+    ("brick", "garbage-triggers"): (
+        "e5639cb5a49da70c2e6bddbca7f1b7be4e9dcb7a2639d88d30b654a222775251",
+        "f9965d86ea3faf3675568108e6a24c87f69c3caf95c24a3d19738e6e245e1980",
+        "e5639cb5a49da70c2e6bddbca7f1b7be4e9dcb7a2639d88d30b654a222775251",
+        "f9965d86ea3faf3675568108e6a24c87f69c3caf95c24a3d19738e6e245e1980"),
+    ("brick", "no-pump-delta-flush"): (
+        "62288d3b3813c0059ad6f22eb8cb071d315e9e9f3a17c9bf6f7baa97ac9e96a8",
+        "f9965d86ea3faf3675568108e6a24c87f69c3caf95c24a3d19738e6e245e1980",
+        "62288d3b3813c0059ad6f22eb8cb071d315e9e9f3a17c9bf6f7baa97ac9e96a8",
+        "f9965d86ea3faf3675568108e6a24c87f69c3caf95c24a3d19738e6e245e1980"),
+    ("brick", "open-only"): (
+        "c0ec9870f0c6eaff2ae6dfb06cde5930c06dbac8db5bf57355bde4486778c1a9",
+        "9f8f7ee9048b3b5346cd5aecc56bb0dad7d41268fdebcb96df369e4aee1cb068",
+        "c0ec9870f0c6eaff2ae6dfb06cde5930c06dbac8db5bf57355bde4486778c1a9",
+        "9f8f7ee9048b3b5346cd5aecc56bb0dad7d41268fdebcb96df369e4aee1cb068"),
+    ("brick", "overdraft-refused"): (
+        "dde3c068a2f3b90d564b5dbad55942f84e661ba2bd1977696a57113c98431424",
+        "d66fb6b8212e34ecf96bafe71687ef319eef408cd8314effca6abb0e6f6ea57f",
+        "dde3c068a2f3b90d564b5dbad55942f84e661ba2bd1977696a57113c98431424",
+        "21471ee93d713af577119b9c1143d55719fd70624a2938cf8e9d327625e01560"),
+    ("brick", "pay-both-directions"): (
+        "62288d3b3813c0059ad6f22eb8cb071d315e9e9f3a17c9bf6f7baa97ac9e96a8",
+        "24e2da80f90284c14eae89c179d69a1dad471bac67c345f7dc47cd8b222e44b4",
+        "62288d3b3813c0059ad6f22eb8cb071d315e9e9f3a17c9bf6f7baa97ac9e96a8",
+        "24e2da80f90284c14eae89c179d69a1dad471bac67c345f7dc47cd8b222e44b4"),
+    ("brick", "pay-pipeline"): (
+        "a32df542ce777d9e19752aed2dabb02fcb8121cf55a728df151db71a7571f8aa",
+        "1bcaaa6a56f87b02a469ab8d179b5ddf6849a2104c1170ddf8565558f4e94a93",
+        "a32df542ce777d9e19752aed2dabb02fcb8121cf55a728df151db71a7571f8aa",
+        "1bcaaa6a56f87b02a469ab8d179b5ddf6849a2104c1170ddf8565558f4e94a93"),
+    ("brick", "pay-race-same-step"): (
+        "52f2dc2bc064d2bfda6d61d3f0bbcec49b0a1a11a4011d79ba6ba4caac4d2a89",
+        "24e2da80f90284c14eae89c179d69a1dad471bac67c345f7dc47cd8b222e44b4",
+        "52f2dc2bc064d2bfda6d61d3f0bbcec49b0a1a11a4011d79ba6ba4caac4d2a89",
+        "24e2da80f90284c14eae89c179d69a1dad471bac67c345f7dc47cd8b222e44b4"),
+    ("brick", "read-heavy"): (
+        "5f93aa5d48e3ad389f8d6db84183b93b241bfd6354cec27a0c1d6949b774c929",
+        "b49094959b6ec2b7a596655a64e9f02d2371c74cb366ec3dfb8e52ca18078369",
+        "5f93aa5d48e3ad389f8d6db84183b93b241bfd6354cec27a0c1d6949b774c929",
+        "b49094959b6ec2b7a596655a64e9f02d2371c74cb366ec3dfb8e52ca18078369"),
+    ("brick", "settle-after-traffic"): (
+        "1c140a7c721a2cb2fd097bf140511aebeef267a578ad72c2bbfc51a74caa4bef",
+        "80b5fd8cdc20d91df02e45711105c85515cca3dbfcd3440b96d53c5f0f09b585",
+        "1c140a7c721a2cb2fd097bf140511aebeef267a578ad72c2bbfc51a74caa4bef",
+        "80b5fd8cdc20d91df02e45711105c85515cca3dbfcd3440b96d53c5f0f09b585"),
+    ("brick", "settle-fresh"): (
+        "6ad09fa396a4aecfb55b9f4b0011c10c8568a278781379dbad9ca8260aa3829a",
+        "9fd90d575c48f102f4c9f294d6881fe406fce4980bd6f1e64aa64b20b4917b8a",
+        "6ad09fa396a4aecfb55b9f4b0011c10c8568a278781379dbad9ca8260aa3829a",
+        "9fd90d575c48f102f4c9f294d6881fe406fce4980bd6f1e64aa64b20b4917b8a"),
+    ("brick", "shuffled-delivery"): (
+        "b20f4a54458d921a7039d14d825b0f4a3d24ca9250e6ac88f71697e2a7c42786",
+        "8c282541adb05fd165c908e30329db0f55d2ce3db68c1a1e4f13dd458cb812bf",
+        "b20f4a54458d921a7039d14d825b0f4a3d24ca9250e6ac88f71697e2a7c42786",
+        "8c282541adb05fd165c908e30329db0f55d2ce3db68c1a1e4f13dd458cb812bf"),
+    ("brick", "single-pay"): (
+        "01f9caed3f74f48d739296b62391d3f67383c78f0517805afc43db31ab0af139",
+        "f9965d86ea3faf3675568108e6a24c87f69c3caf95c24a3d19738e6e245e1980",
+        "01f9caed3f74f48d739296b62391d3f67383c78f0517805afc43db31ab0af139",
+        "f9965d86ea3faf3675568108e6a24c87f69c3caf95c24a3d19738e6e245e1980"),
+    ("brick", "stale-settle-attempt"): (
+        "591de4be64745237f2453f517ab900097ff9756340fbc4f9b6105f45443b6341",
+        "7a03418d5af3f7e50a00217e66bc396a2b0d9edba1aa94b7a149b6027b2be74a",
+        "591de4be64745237f2453f517ab900097ff9756340fbc4f9b6105f45443b6341",
+        "7a03418d5af3f7e50a00217e66bc396a2b0d9edba1aa94b7a149b6027b2be74a"),
+    ("brick", "unilateral-exit"): (
+        "b0fc79bc64b27f8acdd3b01bb61c94740e02e755ec520047888dfae3d8c9296b",
+        "27225c854e1d9f82286e90dc82d31720895a3b6e4a27804a6248272c36e14f98",
+        "b0fc79bc64b27f8acdd3b01bb61c94740e02e755ec520047888dfae3d8c9296b",
+        "27225c854e1d9f82286e90dc82d31720895a3b6e4a27804a6248272c36e14f98"),
+    ("liquid", "client-spam"): (
+        "c0196f7e846fbcd1bf091de4fce00d11508d657b0f5dbd69b6ff750c030bf04b",
+        "219f76e63781d6c9ed87d51947857f74285d6cb38abe9f71eafc11663c189faf",
+        "c0196f7e846fbcd1bf091de4fce00d11508d657b0f5dbd69b6ff750c030bf04b",
+        "219f76e63781d6c9ed87d51947857f74285d6cb38abe9f71eafc11663c189faf"),
+    ("liquid", "corrupt-operator-rotation"): (
+        "19baa58fdead7b8b620cd52484a93e288830f2d66b87899d39fcac49f8e2752f",
+        "d1cbc030faaebe661a0726396fb41f005c5d5a6ee13282abd643e6d95c57c98a",
+        "19baa58fdead7b8b620cd52484a93e288830f2d66b87899d39fcac49f8e2752f",
+        "d1cbc030faaebe661a0726396fb41f005c5d5a6ee13282abd643e6d95c57c98a"),
+    ("liquid", "deposit-mint"): (
+        "1c1bb4811171b4e275a3a7323c4a78f9979fae49a5af74bdace0a7a6a0e8ae14",
+        "985fb39d7b4a3940e3367e159d3be914364ca5624ef43dfb01074393d0e79fc2",
+        "1c1bb4811171b4e275a3a7323c4a78f9979fae49a5af74bdace0a7a6a0e8ae14",
+        "985fb39d7b4a3940e3367e159d3be914364ca5624ef43dfb01074393d0e79fc2"),
+    ("liquid", "deposit-then-withdraw"): (
+        "9c28505ea7b4347b3c8576cfa85540641fe127d913c2e11930f437409284e3f3",
+        "b132d0d868b8f5c617a54a587b6b8bb2e2d928fc67ef9e35be58c34a2906fc5b",
+        "9c28505ea7b4347b3c8576cfa85540641fe127d913c2e11930f437409284e3f3",
+        "d31584483bcd76c50c3e2e7cb0c51b3bd27d00c2cdc3611b4fdf7d339e2a44bc"),
+    ("liquid", "garbage-triggers"): (
+        "e4ff78dc9b0f9d673d297ae691123d8ee7935a87dda6c8aa72aa027cb57edbc0",
+        "7edc7453a51a6ef9c248f422eab498b4073fa8dda777f194b33b52e00644db47",
+        "e4ff78dc9b0f9d673d297ae691123d8ee7935a87dda6c8aa72aa027cb57edbc0",
+        "7edc7453a51a6ef9c248f422eab498b4073fa8dda777f194b33b52e00644db47"),
+    ("liquid", "no-pump-delta-flush"): (
+        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "7edc7453a51a6ef9c248f422eab498b4073fa8dda777f194b33b52e00644db47",
+        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "7edc7453a51a6ef9c248f422eab498b4073fa8dda777f194b33b52e00644db47"),
+    ("liquid", "open-only"): (
+        "7529b5e98345390a2475dfa1a4582e62447ab304164c872c8c19f84491884dc6",
+        "466e629b5a2f6ba90d0e8881ffd1ce83c12eabeddef8b5564e3b89911342845a",
+        "7529b5e98345390a2475dfa1a4582e62447ab304164c872c8c19f84491884dc6",
+        "466e629b5a2f6ba90d0e8881ffd1ce83c12eabeddef8b5564e3b89911342845a"),
+    ("liquid", "operator-menu-noise"): (
+        "e4ff78dc9b0f9d673d297ae691123d8ee7935a87dda6c8aa72aa027cb57edbc0",
+        "c584a58bc928a40e4bc9cb81abd3fa585eb014940180deb0a33887d162d52da8",
+        "e4ff78dc9b0f9d673d297ae691123d8ee7935a87dda6c8aa72aa027cb57edbc0",
+        "c584a58bc928a40e4bc9cb81abd3fa585eb014940180deb0a33887d162d52da8"),
+    ("liquid", "overdraft-refused"): (
+        "a725a7af25c0ed701bc19929ad5d87ad339d1e83f126a044f7601b7e001e5e5d",
+        "8e6e6c757edb617218a70c0b9091797bd8570bf84264a2d807b14fb62e15db10",
+        "a725a7af25c0ed701bc19929ad5d87ad339d1e83f126a044f7601b7e001e5e5d",
+        "8e6e6c757edb617218a70c0b9091797bd8570bf84264a2d807b14fb62e15db10"),
+    ("liquid", "pay-both-directions"): (
+        "a5893581355d0ed9857dc42c42b5e93e73d99e3cedfe8eafd97962b07de3f262",
+        "6e83916676f529b5017a37f67de09143eddb263acb9cb6b2832c87150fd42b02",
+        "a5893581355d0ed9857dc42c42b5e93e73d99e3cedfe8eafd97962b07de3f262",
+        "6e83916676f529b5017a37f67de09143eddb263acb9cb6b2832c87150fd42b02"),
+    ("liquid", "pay-pipeline"): (
+        "515716176efacbd2bfb9c6424c6e6192f53eea70c541a14e5ab0f8aa79cdeb0a",
+        "eeab67732c7b9fd89c4e54a3b621ee1c88c8dd934af1b309a41c941241943644",
+        "515716176efacbd2bfb9c6424c6e6192f53eea70c541a14e5ab0f8aa79cdeb0a",
+        "eeab67732c7b9fd89c4e54a3b621ee1c88c8dd934af1b309a41c941241943644"),
+    ("liquid", "pay-race-same-step"): (
+        "a12cd587be020f5e3045e828ae37d6c1413f77710082e80886c9a66f5930b7e0",
+        "6e83916676f529b5017a37f67de09143eddb263acb9cb6b2832c87150fd42b02",
+        "a12cd587be020f5e3045e828ae37d6c1413f77710082e80886c9a66f5930b7e0",
+        "6e83916676f529b5017a37f67de09143eddb263acb9cb6b2832c87150fd42b02"),
+    ("liquid", "read-heavy"): (
+        "4baf17f6f52082714a0615e77db01fdeb89b095a839ffdbe4c45be285947b647",
+        "12e58fa85347f876683f007204d229dff02e91c1911d9e63f4d230bf4f25b8b2",
+        "4baf17f6f52082714a0615e77db01fdeb89b095a839ffdbe4c45be285947b647",
+        "12e58fa85347f876683f007204d229dff02e91c1911d9e63f4d230bf4f25b8b2"),
+    ("liquid", "settle-after-traffic"): (
+        "fe43d2d602f0885e16acef0d351e268b6980af677680e607df28525e3d0f9511",
+        "3958728229378bd8b6c9051ae7be9940671b44429323621a925f994154f09f50",
+        "fe43d2d602f0885e16acef0d351e268b6980af677680e607df28525e3d0f9511",
+        "3958728229378bd8b6c9051ae7be9940671b44429323621a925f994154f09f50"),
+    ("liquid", "settle-fresh"): (
+        "f688e5b3eacfa1800b736adff427a1b64ea607eb5f2b85759a81014568ce5faa",
+        "a70f6a7c445c517bd24044c4cbb3193ef9d75d242d7577a02a89b350d62d88f5",
+        "f688e5b3eacfa1800b736adff427a1b64ea607eb5f2b85759a81014568ce5faa",
+        "a70f6a7c445c517bd24044c4cbb3193ef9d75d242d7577a02a89b350d62d88f5"),
+    ("liquid", "shuffled-delivery"): (
+        "d9e71baf87a988a2de99a7bd743c51145a9aacbd38435b7ac8e9ef878254eba3",
+        "2ec7cb5d9aa0e94f49e5d772f0c1df806619df201a21a695fa84bad922ce1325",
+        "d9e71baf87a988a2de99a7bd743c51145a9aacbd38435b7ac8e9ef878254eba3",
+        "2ec7cb5d9aa0e94f49e5d772f0c1df806619df201a21a695fa84bad922ce1325"),
+    ("liquid", "single-pay"): (
+        "413d69d99bee1f752c564b2577567b9e95b28c6ffcbcf37e8d26a0d57120830b",
+        "7edc7453a51a6ef9c248f422eab498b4073fa8dda777f194b33b52e00644db47",
+        "413d69d99bee1f752c564b2577567b9e95b28c6ffcbcf37e8d26a0d57120830b",
+        "7edc7453a51a6ef9c248f422eab498b4073fa8dda777f194b33b52e00644db47"),
+    ("arbitrum", "deposit-mint"): (
+        "caf61d79c57411e95f632a7771a76e4e4be8d9d2088a7f6df33fc9294948e8cb",
+        "44b94c4b02f0f3295aaa59b2dccad65380e831fd8e1ed98f7897bc485b72a531",
+        "caf61d79c57411e95f632a7771a76e4e4be8d9d2088a7f6df33fc9294948e8cb",
+        "44b94c4b02f0f3295aaa59b2dccad65380e831fd8e1ed98f7897bc485b72a531"),
+    ("arbitrum", "false-accuse-noise"): (
+        "f48e1209733a2deaa7db7d36990cfcbe66e6f4981f5361abbe91c505b4678e47",
+        "5afb80bbe00d3fdecf9fd258d747408b278583eca83ab0b5d32a419ef2d0c26f",
+        "f48e1209733a2deaa7db7d36990cfcbe66e6f4981f5361abbe91c505b4678e47",
+        "5afb80bbe00d3fdecf9fd258d747408b278583eca83ab0b5d32a419ef2d0c26f"),
+    ("arbitrum", "fraud-struck"): (
+        "f1eaee70ad96621ee12f61af535fdee32c06e3ed28782fd3134f51ed203db795",
+        "d0efecf4268e3a6efd95ec0811512050eb12b3a520e21f7f2dea9a334810af95",
+        "f1eaee70ad96621ee12f61af535fdee32c06e3ed28782fd3134f51ed203db795",
+        "d0efecf4268e3a6efd95ec0811512050eb12b3a520e21f7f2dea9a334810af95"),
+    ("arbitrum", "garbage-triggers"): (
+        "f1eaee70ad96621ee12f61af535fdee32c06e3ed28782fd3134f51ed203db795",
+        "20fa1d25eea4ac0573ced5bce8ba2d01613787583a1b2fe19d14380283b3d338",
+        "f1eaee70ad96621ee12f61af535fdee32c06e3ed28782fd3134f51ed203db795",
+        "20fa1d25eea4ac0573ced5bce8ba2d01613787583a1b2fe19d14380283b3d338"),
+    ("arbitrum", "no-pump-delta-flush"): (
+        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "aac83ebee2ab2d903e09e7d0cde14fbc950d462490a432be7ef2b688459ba6dc",
+        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "aac83ebee2ab2d903e09e7d0cde14fbc950d462490a432be7ef2b688459ba6dc"),
+    ("arbitrum", "open-only"): (
+        "7529b5e98345390a2475dfa1a4582e62447ab304164c872c8c19f84491884dc6",
+        "f31f658eec0a708cd5660b18e90323bc43c842157f1115cd38964209e27b7fa2",
+        "7529b5e98345390a2475dfa1a4582e62447ab304164c872c8c19f84491884dc6",
+        "f31f658eec0a708cd5660b18e90323bc43c842157f1115cd38964209e27b7fa2"),
+    ("arbitrum", "overdraft-refused"): (
+        "a725a7af25c0ed701bc19929ad5d87ad339d1e83f126a044f7601b7e001e5e5d",
+        "bb5dbc63b52071e32a154aa0f2a8b0a8363df3e25de9ba3e47713eb0ce94561f",
+        "a725a7af25c0ed701bc19929ad5d87ad339d1e83f126a044f7601b7e001e5e5d",
+        "bb5dbc63b52071e32a154aa0f2a8b0a8363df3e25de9ba3e47713eb0ce94561f"),
+    ("arbitrum", "pay-both-directions"): (
+        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "e18ba83834c629da476b662fb466cf924aa72879e8b1c751e5e6714f8f721208",
+        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "e18ba83834c629da476b662fb466cf924aa72879e8b1c751e5e6714f8f721208"),
+    ("arbitrum", "pay-pipeline"): (
+        "284bab56f8f672b673d347218640ce37014cde9718f42cc9ffca0b9480dd8d96",
+        "023eef5fd27324f40c805f3fdf2ab1481e921fc19b418ce6db2a03dfdc19f4cc",
+        "284bab56f8f672b673d347218640ce37014cde9718f42cc9ffca0b9480dd8d96",
+        "023eef5fd27324f40c805f3fdf2ab1481e921fc19b418ce6db2a03dfdc19f4cc"),
+    ("arbitrum", "pay-race-same-step"): (
+        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "e18ba83834c629da476b662fb466cf924aa72879e8b1c751e5e6714f8f721208",
+        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "e18ba83834c629da476b662fb466cf924aa72879e8b1c751e5e6714f8f721208"),
+    ("arbitrum", "read-heavy"): (
+        "4baf17f6f52082714a0615e77db01fdeb89b095a839ffdbe4c45be285947b647",
+        "370e8382bbfbf0034843ecf13984c7e1d703a83bf3297d8ee5bc76068bb51467",
+        "4baf17f6f52082714a0615e77db01fdeb89b095a839ffdbe4c45be285947b647",
+        "370e8382bbfbf0034843ecf13984c7e1d703a83bf3297d8ee5bc76068bb51467"),
+    ("arbitrum", "self-publish-rescue"): (
+        "413d69d99bee1f752c564b2577567b9e95b28c6ffcbcf37e8d26a0d57120830b",
+        "aa48fee498cce156d1c4ed2eaffef06d7d53f3af81cfd0a9f789b3623c539ae9",
+        "413d69d99bee1f752c564b2577567b9e95b28c6ffcbcf37e8d26a0d57120830b",
+        "aa48fee498cce156d1c4ed2eaffef06d7d53f3af81cfd0a9f789b3623c539ae9"),
+    ("arbitrum", "settle-after-traffic"): (
+        "fe43d2d602f0885e16acef0d351e268b6980af677680e607df28525e3d0f9511",
+        "8f2cda728bb632ae20ecf72258db33b093eca68bcf952616f5f4e4ae153f5e84",
+        "fe43d2d602f0885e16acef0d351e268b6980af677680e607df28525e3d0f9511",
+        "8f2cda728bb632ae20ecf72258db33b093eca68bcf952616f5f4e4ae153f5e84"),
+    ("arbitrum", "settle-fresh"): (
+        "f688e5b3eacfa1800b736adff427a1b64ea607eb5f2b85759a81014568ce5faa",
+        "4dcea45779d11892e46886aa4fb965c304dc8f8f033b29b1319e15d14292a684",
+        "f688e5b3eacfa1800b736adff427a1b64ea607eb5f2b85759a81014568ce5faa",
+        "4dcea45779d11892e46886aa4fb965c304dc8f8f033b29b1319e15d14292a684"),
+    ("arbitrum", "shuffled-delivery"): (
+        "d9e71baf87a988a2de99a7bd743c51145a9aacbd38435b7ac8e9ef878254eba3",
+        "f716145e084e0d9fdce535f1b2fc6e66aaf16b82fcc1f64650acf826e6fd626e",
+        "d9e71baf87a988a2de99a7bd743c51145a9aacbd38435b7ac8e9ef878254eba3",
+        "f716145e084e0d9fdce535f1b2fc6e66aaf16b82fcc1f64650acf826e6fd626e"),
+    ("arbitrum", "single-pay"): (
+        "413d69d99bee1f752c564b2577567b9e95b28c6ffcbcf37e8d26a0d57120830b",
+        "9df6df6a8238c365c38d568193e1a4749227d5a2baf69f4cea5a38fde771cd5e",
+        "413d69d99bee1f752c564b2577567b9e95b28c6ffcbcf37e8d26a0d57120830b",
+        "9df6df6a8238c365c38d568193e1a4749227d5a2baf69f4cea5a38fde771cd5e"),
+    ("arbitrum", "withdraw-exit"): (
+        "c102202735656fb08051016a353f0e460d72e8ddb48a0fd0f7494717222935ba",
+        "8f2cda728bb632ae20ecf72258db33b093eca68bcf952616f5f4e4ae153f5e84",
+        "c102202735656fb08051016a353f0e460d72e8ddb48a0fd0f7494717222935ba",
+        "8f2cda728bb632ae20ecf72258db33b093eca68bcf952616f5f4e4ae153f5e84"),
+}
+
+# (protocol, seed, adversarial) -> the same four digests
+LIFECYCLE_OUTPUTS = {
+    ("brick", 1, False): (
+        "9b49fa3eaf6643069a3a7d37f253730fc8a03272abb7da998566422bc087367d",
+        "340e9f76c9bb90d8c887840716037c6a0748abb709044917ed68e3e04bcfa849",
+        "9b49fa3eaf6643069a3a7d37f253730fc8a03272abb7da998566422bc087367d",
+        "340e9f76c9bb90d8c887840716037c6a0748abb709044917ed68e3e04bcfa849"),
+    ("brick", 1, True): (
+        "9db72dfdab370590dfc778aa8ea18196bb5ddd2ee60b7391aad0431a1607763b",
+        "5545f4e50dfebb80b1698be781316268e43005563f498cd83ed30aba97d35546",
+        "9db72dfdab370590dfc778aa8ea18196bb5ddd2ee60b7391aad0431a1607763b",
+        "5545f4e50dfebb80b1698be781316268e43005563f498cd83ed30aba97d35546"),
+    ("brick", 2, False): (
+        "97b641c21b61414016ffd657502710fb5d7fe3528cd3abda2ff61a053ac3e7e6",
+        "340e9f76c9bb90d8c887840716037c6a0748abb709044917ed68e3e04bcfa849",
+        "97b641c21b61414016ffd657502710fb5d7fe3528cd3abda2ff61a053ac3e7e6",
+        "340e9f76c9bb90d8c887840716037c6a0748abb709044917ed68e3e04bcfa849"),
+    ("brick", 2, True): (
+        "f9c0d54453fbfa0942dc62387b16c8ebde283fc9e312aeb9f5b698c8e7c9967b",
+        "5545f4e50dfebb80b1698be781316268e43005563f498cd83ed30aba97d35546",
+        "f9c0d54453fbfa0942dc62387b16c8ebde283fc9e312aeb9f5b698c8e7c9967b",
+        "5545f4e50dfebb80b1698be781316268e43005563f498cd83ed30aba97d35546"),
+    ("brick", 3, False): (
+        "f52b3f9f71cda5c5448a454d9ad94ba2b8990b2155f11befd142d4efc1ab1bd1",
+        "340e9f76c9bb90d8c887840716037c6a0748abb709044917ed68e3e04bcfa849",
+        "f52b3f9f71cda5c5448a454d9ad94ba2b8990b2155f11befd142d4efc1ab1bd1",
+        "340e9f76c9bb90d8c887840716037c6a0748abb709044917ed68e3e04bcfa849"),
+    ("brick", 3, True): (
+        "c752f48bfd1b95ed21843f0559f83f82000a20af4878fbf0c5d078ca283d6719",
+        "340e9f76c9bb90d8c887840716037c6a0748abb709044917ed68e3e04bcfa849",
+        "c752f48bfd1b95ed21843f0559f83f82000a20af4878fbf0c5d078ca283d6719",
+        "340e9f76c9bb90d8c887840716037c6a0748abb709044917ed68e3e04bcfa849"),
+    ("liquid", 1, False): (
+        "1a4ede4a14c31622652cb9a4c7f02e024c29ea93249adbc8f71e150c6b857513",
+        "a5f40cdbceab6f7a2d024e2964b67841c4461b39ba79600082fe9f7be4b2ca48",
+        "1a4ede4a14c31622652cb9a4c7f02e024c29ea93249adbc8f71e150c6b857513",
+        "a5f40cdbceab6f7a2d024e2964b67841c4461b39ba79600082fe9f7be4b2ca48"),
+    ("liquid", 1, True): (
+        "d9b96ee3ede9a12824bc72ab588e2d1fbd819160cdd6b09527aaff71c244607b",
+        "e951b8bcc884c6a026d91f45291d2ac2debf9a6a65f4dffba5bbb739f4368de1",
+        "d9b96ee3ede9a12824bc72ab588e2d1fbd819160cdd6b09527aaff71c244607b",
+        "e951b8bcc884c6a026d91f45291d2ac2debf9a6a65f4dffba5bbb739f4368de1"),
+    ("liquid", 2, False): (
+        "321b55933814ec82f44ff9272ea4b0e0c8326878afd20222fb6997d2274ae7a8",
+        "3c6a0d29777a58202ece24f0b8e495eb8f8fb55d564e694556841b1b24d816c2",
+        "321b55933814ec82f44ff9272ea4b0e0c8326878afd20222fb6997d2274ae7a8",
+        "3c6a0d29777a58202ece24f0b8e495eb8f8fb55d564e694556841b1b24d816c2"),
+    ("liquid", 2, True): (
+        "cb43653d183d0df09b6a72f88ed37af40f2e4ab1ce245f2e44efbbd881728f61",
+        "e951b8bcc884c6a026d91f45291d2ac2debf9a6a65f4dffba5bbb739f4368de1",
+        "cb43653d183d0df09b6a72f88ed37af40f2e4ab1ce245f2e44efbbd881728f61",
+        "e951b8bcc884c6a026d91f45291d2ac2debf9a6a65f4dffba5bbb739f4368de1"),
+    ("liquid", 3, False): (
+        "1e4fe4c13d34d76ab8eb5480949ad0e42b059c5ffbf5e60991c91c7782b507dc",
+        "55c8246de151d3d73c8c025c9ea3663571439c12397e0c2e5a4e595a757034b8",
+        "1e4fe4c13d34d76ab8eb5480949ad0e42b059c5ffbf5e60991c91c7782b507dc",
+        "55c8246de151d3d73c8c025c9ea3663571439c12397e0c2e5a4e595a757034b8"),
+    ("liquid", 3, True): (
+        "030471836c9ac689e47b8a2286dcc273a84dd8696563be2bade6f75970b26b1b",
+        "3c6a0d29777a58202ece24f0b8e495eb8f8fb55d564e694556841b1b24d816c2",
+        "030471836c9ac689e47b8a2286dcc273a84dd8696563be2bade6f75970b26b1b",
+        "3c6a0d29777a58202ece24f0b8e495eb8f8fb55d564e694556841b1b24d816c2"),
+    ("arbitrum", 1, False): (
+        "53352821342994eb83d76c862a4a38c1e6989c656399baa86d058dbbc16be93c",
+        "1e1fd9b96739c601f14ad6a4f5d13c1f08c22951ce11e57d69e2d3244928922f",
+        "53352821342994eb83d76c862a4a38c1e6989c656399baa86d058dbbc16be93c",
+        "1e1fd9b96739c601f14ad6a4f5d13c1f08c22951ce11e57d69e2d3244928922f"),
+    ("arbitrum", 1, True): (
+        "58bec5ffb3a7a63c4f1de42fecfc049821b94c66005d701adf0f6488d8743d8b",
+        "3d125417dac58861d8a803ac705458628519743cb7046fdeb309c1e488508cf5",
+        "58bec5ffb3a7a63c4f1de42fecfc049821b94c66005d701adf0f6488d8743d8b",
+        "3d125417dac58861d8a803ac705458628519743cb7046fdeb309c1e488508cf5"),
+    ("arbitrum", 2, False): (
+        "c66fe24ad277393dfb2c586861fe7bdcb931a0cafccd6feb57001fff13730405",
+        "3c851140fdc01050042c666aa8a9d393ec14c9d1e82d50c6c56f151f02505830",
+        "c66fe24ad277393dfb2c586861fe7bdcb931a0cafccd6feb57001fff13730405",
+        "3c851140fdc01050042c666aa8a9d393ec14c9d1e82d50c6c56f151f02505830"),
+    ("arbitrum", 2, True): (
+        "eb7e08d5178355da1585594c9f9b3e3263c9918755895b4acb0bc50340af6189",
+        "11e509e1009d15748a5d69b7a30a1cf69994be81d7b98775b167c74ccf3100c1",
+        "eb7e08d5178355da1585594c9f9b3e3263c9918755895b4acb0bc50340af6189",
+        "11e509e1009d15748a5d69b7a30a1cf69994be81d7b98775b167c74ccf3100c1"),
+    ("arbitrum", 3, False): (
+        "91f47f62f1f32ea14b5e1a0c131f683617df376d790a706f606eab557d73a168",
+        "0cb67b6872c75ba5e1e28a5f0474d4fcac5c0fb0f37333ff34f964d4115d119c",
+        "91f47f62f1f32ea14b5e1a0c131f683617df376d790a706f606eab557d73a168",
+        "0cb67b6872c75ba5e1e28a5f0474d4fcac5c0fb0f37333ff34f964d4115d119c"),
+    ("arbitrum", 3, True): (
+        "ec7ab31f30cb171a1f7a207c3f67bf6cf277cf42e2830cb68617d75e72fae08d",
+        "ff67957301340b204a61549c459f412e579cd92397c82471c541e991dc3378f7",
+        "ec7ab31f30cb171a1f7a207c3f67bf6cf277cf42e2830cb68617d75e72fae08d",
+        "ff67957301340b204a61549c459f412e579cd92397c82471c541e991dc3378f7"),
+}
+
+
+def table_digests(name, scn, schedule):
+    """((real, ideal) verdict digests, the four output digests)."""
     real, ideal, _ = harness.run_differential(name, scn, schedule)
-    return (verdict_digest(all_checks(name, scn, real.trace)),
-            verdict_digest(all_checks(name, scn, ideal.trace)))
+    verdicts, outputs = (), ()
+    for run in (real, ideal):
+        checks = all_checks(name, scn, run.trace)
+        verdicts += (verdict_digest(checks),)
+        outputs += (sha(full_view_projection(run.trace)),
+                    sha([v.to_record() for v in checks]))
+    return verdicts, outputs
 
 
 def test_verdict_table_covers_every_scripted_schedule():
     labels = {(name, label) for name, proto in harness.PROTOCOLS.items()
               for label in harness.scripted_schedules(
                   name, proto.canonical_scenario())}
-    assert labels == set(SCRIPTED)
+    assert labels == set(SCRIPTED) == set(SCRIPTED_OUTPUTS)
+    assert set(LIFECYCLE) == set(LIFECYCLE_OUTPUTS)
 
 
 @pytest.mark.parametrize("name, label", list(SCRIPTED))
 def test_scripted_verdicts(name, label):
     scn = harness.protocol(name).canonical_scenario()
     schedule = harness.scripted_schedules(name, scn)[label]
-    assert verdict_digests(name, scn, schedule) == SCRIPTED[name, label]
+    verdicts, outputs = table_digests(name, scn, schedule)
+    assert outputs == SCRIPTED_OUTPUTS[name, label]
+    assert verdicts == SCRIPTED[name, label]
 
 
 @pytest.mark.parametrize("name, seed, adversarial", list(LIFECYCLE))
@@ -290,8 +684,9 @@ def test_lifecycle_verdicts(name, seed, adversarial):
     scn = harness.protocol(name).canonical_scenario()
     schedule = harness.lifecycle_schedule(name, scn, seed, pays=10,
                                           adversarial=adversarial)
-    assert verdict_digests(name, scn, schedule) == \
-        LIFECYCLE[name, seed, adversarial]
+    verdicts, outputs = table_digests(name, scn, schedule)
+    assert outputs == LIFECYCLE_OUTPUTS[name, seed, adversarial]
+    assert verdicts == LIFECYCLE[name, seed, adversarial]
 
 
 # -- the all-pairs safety check, kept as the reference -----------------------
