@@ -66,7 +66,7 @@ from . import arbitrum, brick, liquid
 from .base import CertRegistry, Ledger
 from .core import CLIENT, INTERFACE_ROLE, InterfaceMachine, attach_round_gate
 from .properties import entry_keys
-from .runtime import EntityId, Machine, World
+from .runtime import EntityId, Machine, ScheduleError, World
 from .trace import canon
 
 PROTOCOLS = {"brick": brick, "liquid": liquid, "arbitrum": arbitrum}
@@ -322,7 +322,33 @@ class IdealRun:
 # -- schedules -------------------------------------------------------------
 
 
+_PAY = {"to": str, "amt": int}
+_ACCOUNT_ENTRIES = {"pay": _PAY, "deposit": {"amt": int},
+                    "settle": {"amt": int}}
+# the fields each kind of environment entry must carry, with their types,
+# per protocol; brick closes the whole channel, so its settle names no
+# amount.  A kind not listed here is one no client acts on.
+ENTRY_FIELDS = {brick: {"pay": _PAY}, liquid: _ACCOUNT_ENTRIES,
+                arbitrum: _ACCOUNT_ENTRIES}
+
+
+def _check_entry(proto, entry):
+    """Raise ScheduleError unless ``entry`` is a well-formed environment
+    entry for protocol module ``proto``."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("kind"), str):
+        raise ScheduleError(f"malformed environment entry {entry!r}")
+    for name, typ in ENTRY_FIELDS[proto].get(entry["kind"], {}).items():
+        value = entry.get(name)
+        if not isinstance(value, typ) or isinstance(value, bool):
+            raise ScheduleError(f"{entry['kind']} entry needs {typ.__name__} "
+                                f"{name!r}, got {value!r}")
+
+
 def apply_schedule(run, schedule):
+    """Run ``schedule`` step by step; every input entry is checked first."""
+    for step in schedule:
+        if step.get("op") == "input":
+            _check_entry(run.proto, step.get("entry"))
     for step in schedule:
         op = step["op"]
         if op == "input":

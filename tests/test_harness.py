@@ -10,6 +10,7 @@ import types
 import pytest
 
 from l2sim import harness
+from l2sim.runtime import ScheduleError
 from l2sim.trace import canon
 from l2sim.harness import (
     GARBAGE_TRIGGERS,
@@ -216,6 +217,39 @@ def test_unknown_schedule_op_rejected():
     scn = protocol("brick").canonical_scenario()
     with pytest.raises(ValueError):
         apply_schedule(RealRun("brick", scn), [{"op": "warp"}])
+
+
+# entry -> protocols it is malformed for; each crashed a client or the
+# ideal request translation before apply_schedule checked entries
+MALFORMED_ENTRIES = [
+    ({"kind": "pay"}, PROTOCOLS),
+    ({"kind": "pay", "to": "c2"}, PROTOCOLS),
+    ({"kind": "pay", "to": "c2", "amt": "1"}, PROTOCOLS),
+    ({"kind": "pay", "to": "c2", "amt": True}, PROTOCOLS),
+    ({"kind": "deposit"}, ["arbitrum", "liquid"]),
+    ({"kind": "deposit", "amt": 2.0}, ["arbitrum", "liquid"]),
+    ({"kind": "settle"}, ["arbitrum", "liquid"]),
+    ({"kind": "settle", "amt": None}, ["arbitrum", "liquid"]),
+    ({}, PROTOCOLS),
+    ("pay", PROTOCOLS),
+]
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+@pytest.mark.parametrize("entry, bad", MALFORMED_ENTRIES,
+                         ids=[canon(e) for e, _ in MALFORMED_ENTRIES])
+def test_malformed_entries_raise_schedule_error(name, entry, bad):
+    scn = protocol(name).canonical_scenario()
+    base = scripted_schedules(name, scn)["open-only"]
+    sched = base + [{"op": "input", "pid": "c1", "entry": entry}] + base
+    if name not in bad:
+        assert run_differential(name, scn, sched)[2] == []   # a no-op
+        return
+    for run in (RealRun(name, scn), IdealRun(name, scn)):
+        before = len(run.trace.events)
+        with pytest.raises(ScheduleError):
+            apply_schedule(run, sched)
+        assert len(run.trace.events) == before     # checked before step one
 
 
 CONTRACT = ("canonical_scenario", "liveness_params", "build_real",
