@@ -422,12 +422,12 @@ class ArbitrumClient(AccountClient, RollupParty):
             self._try_send(ctx)
         if self.self_publish:
             self._maybe_self_publish(ctx, view)
-        if view["final"] > self.final_len:
-            for e in view["entries"][self.final_len:view["final"]]:
-                ctx.note("batch-final", seq=e["batch"]["seq"], txid=e["txid"],
-                         commit_round=e["commit_round"])
-            self.final_len = view["final"]
-        self._watch_exits(ctx, view)
+        newly_final = view["entries"][self.final_len:view["final"]]
+        for e in newly_final:
+            ctx.note("batch-final", seq=e["batch"]["seq"], txid=e["txid"],
+                     commit_round=e["commit_round"])
+        self.final_len = max(self.final_len, view["final"])
+        self._watch_exits(ctx, newly_final)
 
     def _reclaim_orphans(self, ctx, view):
         # a struck batch takes its transactions off the chain; re-queue ours
@@ -449,10 +449,10 @@ class ArbitrumClient(AccountClient, RollupParty):
             self.pending = requeue + self.pending
             self._try_send(ctx)
 
-    def _watch_exits(self, ctx, view):
-        # a finalized burn of ours gets claimed on L1; any client observing a
-        # committed claim reports the settlement
-        for e in view["entries"][:view["final"]]:
+    def _watch_exits(self, ctx, newly_final):
+        # a burn of ours gets claimed on L1 when its batch turns final; any
+        # client observing a committed claim reports the settlement
+        for e in newly_final:
             for tx in e["batch"]["txs"]:
                 if tx.get("op") == "peg-out" and tx.get("from") == self.me.pid \
                         and not self.exit_submitted:
