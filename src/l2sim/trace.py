@@ -14,14 +14,20 @@ import hashlib
 import json
 
 
+# built once: json.dumps builds an encoder on every call that passes options
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_ENCODE_LOOSE = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                 default=repr).encode
+
+
 def canon(obj) -> str:
     """Canonical JSON text: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODE(obj)
 
 
 def canon_loose(obj) -> str:
     """Canonical text that tolerates non-JSON leaves (used for fingerprints)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=repr)
+    return _ENCODE_LOOSE(obj)
 
 
 def digest(obj) -> str:
