@@ -141,7 +141,9 @@ class AccountClient(Machine):
     """Client plumbing of the account-model protocols.
 
     A subclass supplies its chain view: ``genesis()``, ``tip_state(ctx)``
-    for building transactions, ``read_view(ctx)`` for reads, and
+    for building transactions, ``read_view(ctx, start)`` for reads (the
+    tip state, the executed entries from index ``start`` on, and the
+    pointer), and
     ``_recheck(ctx)``, run on every round and block, which opens the client
     (``_check_open``) and reports settlements (``_watch_settlements``).  A
     settlement is a committed ledger record of kind ``settle_kind``; its
@@ -164,6 +166,7 @@ class AccountClient(Machine):
         self.dep_counter = 0
         self.settles_seen = set()
         self.settled_state = None
+        self._served = 0          # executed entries the reads have shown
 
     def on_start(self, ctx):
         register_onchain(ctx)
@@ -233,7 +236,11 @@ class AccountClient(Machine):
         if not self.opened:
             ctx.note("read-empty")
             return
-        ctx.output(read_result(*self.read_view(ctx), self.settled_state))
+        base = self._served
+        state, executed, pointer = self.read_view(ctx, base)
+        self._served += len(executed)
+        ctx.output(read_result(state, base, executed, pointer,
+                               self.settled_state))
 
     def _check_open(self, ctx):
         """Open once every operator's joining record has committed."""

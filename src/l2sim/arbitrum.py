@@ -401,15 +401,16 @@ class ArbitrumClient(AccountClient, RollupParty):
         if self.outstanding is not None:
             self.outstanding["since"] = now
 
-    def read_view(self, ctx):
+    def read_view(self, ctx, start):
         view = self.view(ctx)
-        state = genesis_state(self.initial)
-        executed = [{"kind": OPEN, "seq": 0, "state": state}]
-        for e in view["entries"][:view["final"]]:
-            state = e["claimed"]
+        final = view["entries"][:view["final"]]
+        genesis = genesis_state(self.initial)
+        executed = [{"kind": OPEN, "seq": 0, "state": genesis}][start:]
+        # executed entry i > 0 is final batch i - 1
+        for e in final[max(start, 1) - 1:]:
             executed.append({"kind": UPDATE, "seq": e["batch"]["seq"],
-                             "state": state, "txs": e["batch"]["txs"]})
-        return state, executed, view["final"]
+                             "state": e["claimed"], "txs": e["batch"]["txs"]})
+        return final[-1]["claimed"] if final else genesis, executed, view["final"]
 
     def _recheck(self, ctx):
         self._check_open(ctx)

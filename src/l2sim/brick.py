@@ -103,6 +103,7 @@ class BrickClient(Machine):
         self.uni_pending = False
         self.close_submitted = False
         self.settled_entry = None
+        self._served = 0         # chain entries the reads have shown
 
     # helpers
 
@@ -198,7 +199,9 @@ class BrickClient(Machine):
             ctx.note("read-empty")
             return
         settled = self.settled_entry and self.settled_entry["state"]
-        ctx.output(read_result(self.latest()["state"], read_entries(self.chain),
+        base, self._served = self._served, len(self.chain)
+        ctx.output(read_result(self.latest()["state"], base,
+                               read_entries(self.chain[base:]),
                                len(self.chain) - 1, settled))
 
     # protocol messages

@@ -14,8 +14,15 @@ read-delay hint into [the party's pointer, the top state] and serves the
 records behind that state if the bundle says they reconstruct it.
 
 ``read_result`` builds every read-result payload (this machine's, the real
-clients' and the property witnesses'); a settled state ends its executed
-entries as the entry ``settled_entry`` builds.
+clients' and the property witnesses').  A read carries only what its
+reader has not seen: ``base`` is the length of the longest common prefix
+of the reader's previous view and this one (0 on the party's first read),
+``executed`` the entries after it, and ``settled`` the settled state or
+None.  The reader's whole view is the first ``base`` entries of its
+previous view, then ``executed``, then the entry ``settled_entry`` builds
+when ``settled`` is set.  Every history a reader is shown only grows, so
+``base`` is the length of its previous read's entries; a witness read
+carries its whole view from ``base`` 0.
 
 Requests arrive from the environment over IO; open/update/settlement
 triggers arrive over NET from the adversary side (in differential runs, from
@@ -46,12 +53,12 @@ def settled_entry(state) -> dict:
     return {"kind": SETTLEMENT, "seq": None, "state": state}
 
 
-def read_result(state, executed, pointer, settled) -> dict:
-    """A read-result payload; ``settled`` is the settled state or None."""
-    if settled is not None:
-        executed = executed + [settled_entry(settled)]
-    return {"kind": "read-result", "state": state, "executed": executed,
-            "pointer": pointer}
+def read_result(state, base, executed, pointer, settled) -> dict:
+    """A read-result payload: ``executed`` follows the first ``base``
+    entries of the reader's previous view; ``settled`` is the settled state
+    or None."""
+    return {"kind": "read-result", "state": state, "base": base,
+            "executed": executed, "pointer": pointer, "settled": settled}
 
 
 def open_record(state, attachment, env) -> dict:
@@ -276,12 +283,15 @@ class InterfaceMachine(Machine):
             ctx.world.emit("read-empty", party=f"{CLIENT}:{pid}")
             return
         # one open or update record per state, so these are the records
-        # behind states[idx]; the settlement record, if any, comes after
-        executed = read_entries(ist.executed[:idx + 1])
+        # behind states[idx]; the settlement record, if any, comes after.
+        # The party was last shown the records up to its pointer.
+        base = ist.read_ptr[pid] + 1 if pid in ist.read_ptr else 0
+        executed = read_entries(ist.executed[base:idx + 1])
         settled = None if ist.settled is None else ist.settled["state"]
         ist.read_ptr[pid] = idx
         ctx.world.queue_io(self._clients[pid], env_entity(self.me.sid),
-                           read_result(ist.states[idx], executed, idx, settled))
+                           read_result(ist.states[idx], base, executed, idx,
+                                       settled))
 
     def _open(self, ctx, body, attachment):
         ist = self.ist

@@ -578,7 +578,13 @@ def scripted_schedules(name, scn):
 
 
 def output_projection(trace):
-    """Per-party ordered view of what the environment saw."""
+    """Per-party ordered view of what the environment saw.
+
+    A read projects its ``base``, its ``settled`` state and the keys of its
+    delta entries.  ``base`` is the longest common prefix of the reader's
+    previous view and this one, a function of the views alone, so two
+    projections are equal exactly when the whole-view sequences are.
+    """
     per = {}
     texts = {}              # canonical state texts, shared by every read
     for ev in trace.events:
@@ -588,7 +594,8 @@ def output_projection(trace):
         kind = p.get("kind")
         if kind == "read-result":
             item = {"kind": kind, "state": p.get("state"),
-                    "pointer": p.get("pointer"),
+                    "pointer": p.get("pointer"), "base": p.get("base", 0),
+                    "settled": p.get("settled"),
                     "executed": entry_keys(p.get("executed", ()), texts)}
         elif kind == "open-ok":
             item = {"kind": kind, "state": p.get("state")}

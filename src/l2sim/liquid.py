@@ -346,11 +346,12 @@ class LiquidClient(AccountClient):
                 self.outstanding = None
             self._try_send(ctx)
 
-    def read_view(self, ctx):
-        executed = [{"kind": OPEN, "seq": 0, "state": self.states[0]}]
-        for entry, state in zip(self.chain[1:], self.states[1:]):
-            executed.append({"kind": UPDATE, "seq": entry["block"]["height"],
-                             "state": state, "txs": entry["block"]["txs"]})
+    def read_view(self, ctx, start):
+        executed = [{"kind": OPEN, "seq": 0, "state": self.states[0]}][start:]
+        for h in range(max(start, 1), len(self.chain)):
+            block = self.chain[h]["block"]
+            executed.append({"kind": UPDATE, "seq": block["height"],
+                             "state": self.states[h], "txs": block["txs"]})
         return self.states[-1], executed, self.height()
 
     def _recheck(self, ctx):

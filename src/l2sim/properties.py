@@ -6,6 +6,13 @@ are interpreted through client inputs, refusal/queue notes, and read
 outputs; interface runs through submit leaks, exec records, and the same
 outputs.  Nothing here mutates a world.
 
+A read-result carries only its delta (see ``core.read_result``): the
+first ``base`` entries of its reader's previous view, then ``executed``,
+then the entry of the ``settled`` state when set.  ``read_views`` rebuilds
+each honest reader's whole views in trace order, so every check judges
+whole views; a witness read carries its whole view from ``base`` 0, so a
+witness stands on its own.
+
 No check scans the events itself: each reads the trace's TraceSummary,
 which ``summarize`` derives once (corruptions, horizon, honest read views,
 requests, committed transactions, confirmations, exec rids, open inputs).
@@ -25,8 +32,8 @@ from types import SimpleNamespace
 
 from .accounts import apply_tx
 from .brick import conserves
-from .core import CLIENT, OPEN, SETTLEMENT, UPDATE, read_result
-from .trace import canon
+from .core import CLIENT, OPEN, SETTLEMENT, UPDATE, read_result, settled_entry
+from .trace import IntegrityError, canon
 
 SETTLE_TX_KINDS = ("settle", "peg-out")
 
@@ -98,19 +105,28 @@ def corruption_counts(trace) -> dict:
 
 
 def read_views(trace) -> list[ReadView]:
-    """Read results output to parties that were never corrupted."""
+    """Read results output to parties that were never corrupted, each
+    rebuilt into its reader's whole view."""
     bad = set(corrupted_parties(trace))
     views = []
+    shown = {}           # party -> entries of its previous read
     for ev in trace.events:
         if ev.get("t") != "output":
             continue
         p = ev.get("payload", {})
         if p.get("kind") != "read-result" or ev.get("party") in bad:
             continue
+        prev, base = shown.get(ev["party"], []), p.get("base", 0)
+        if not 0 <= base <= len(prev):
+            raise IntegrityError(f"read at step {ev.get('step')} extends "
+                                 f"{base} of {len(prev)} entries seen")
+        entries = shown[ev["party"]] = prev[:base] + list(p.get("executed", ()))
+        if p.get("settled") is not None:
+            entries = entries + [settled_entry(p["settled"])]
         views.append(ReadView(party=ev["party"], pid=_pid(ev["party"]),
                               round=ev.get("round", 0), step=ev.get("step", 0),
                               pointer=p.get("pointer"), state=p.get("state"),
-                              executed=list(p.get("executed", ()))))
+                              executed=entries))
     return views
 
 
@@ -401,8 +417,9 @@ def check_safety(trace, f) -> Verdict:
 
 
 def _view_event(v: ReadView):
+    """A read event carrying the whole view ``v``, settled entry included."""
     return {"t": "output", "party": v.party, "round": v.round, "step": v.step,
-            "payload": read_result(v.state, v.executed, v.pointer, None)}
+            "payload": read_result(v.state, 0, v.executed, v.pointer, None)}
 
 
 def check_liveness(trace, kind, params) -> Verdict:

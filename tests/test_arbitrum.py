@@ -6,6 +6,7 @@ from l2sim.runtime import World, EntityId
 from l2sim.base import CertRegistry, Ledger, make_tx, tx_signable
 from l2sim.core import OPEN, UPDATE, SETTLEMENT, CLIENT, InternalState, BundleEnv
 from l2sim import arbitrum
+from l2sim.properties import read_views
 from l2sim.accounts import genesis_state, l2_txid
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
@@ -153,7 +154,8 @@ def test_withdraw_settles_on_l1():
         m = client(world, pid)
         assert m.closed and m.settled_state["bal"]["c1"] == 6
     r = reads(world, "c2")
-    assert r["executed"][-1]["kind"] == SETTLEMENT
+    assert r["settled"] == m.settled_state
+    assert read_views(world.trace)[-1].executed[-1]["kind"] == SETTLEMENT
 
 
 # -- adversarial flows -----------------------------------------------------

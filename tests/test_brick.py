@@ -7,6 +7,7 @@ from l2sim.base import CertRegistry, Ledger, make_tx, tx_signable
 from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, InternalState,
                         BundleEnv, open_record)
 from l2sim import brick
+from l2sim.properties import read_views
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
@@ -252,7 +253,10 @@ def test_read_includes_settlement_record():
     rounds(world, 2)
     world.inject_input(world.entity(CLIENT, "c1"), {"kind": "read"})
     r = outputs(world, "read-result")[-1]["payload"]
-    assert [e["kind"] for e in r["executed"]] == [OPEN, UPDATE, SETTLEMENT]
+    assert [e["kind"] for e in r["executed"]] == [OPEN, UPDATE]
+    assert r["settled"] == r["state"]
+    view = read_views(world.trace)[-1]
+    assert [e["kind"] for e in view.executed] == [OPEN, UPDATE, SETTLEMENT]
 
 
 # -- ideal bundle gating ---------------------------------------------------

@@ -1,7 +1,8 @@
 """Property checks across the two runs, on hand-built traces, and on files.
 
 Verdict parity: for every scripted schedule each check's ``passed`` is the
-same on the real and the ideal trace.  Initialization and data
+same on the real and the ideal trace, and every failing verdict's witness
+fails again with the same parameters on its own.  Initialization and data
 availability get hand-built and tampered traces, with every record pinned
 and every failing witness re-checked on its own.  A trace written with
 ``Trace.dump`` and read back with ``Trace.load`` gets the same digest and
@@ -65,6 +66,18 @@ def parity_cases():
 def test_real_and_ideal_verdicts_agree(name, label, check):
     real, ideal = scripted_verdicts(name, label)
     assert real[check].passed == ideal[check].passed
+
+
+@pytest.mark.parametrize("name, label", [
+    (name, label) for name, proto in harness.PROTOCOLS.items()
+    for label in harness.scripted_schedules(name, proto.canonical_scenario())])
+def test_failing_witnesses_replay_on_scripted(name, label):
+    scn = harness.protocol(name).canonical_scenario()
+    for verdicts in scripted_verdicts(name, label):
+        for v in verdicts.values():
+            if not v.passed:
+                again = checks(name, scn, as_trace(v.witness))[v.name]
+                assert not again.passed and again.params == v.params
 
 
 # -- correct initialization on hand-built traces -----------------------------

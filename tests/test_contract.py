@@ -1,9 +1,10 @@
 """The subroutine contract: bundles answer, the interface machine writes.
 
 Three things pin it on whole runs.  Each accepted account-model update
-computes its post-state once.  The entries the interface serves on a read
-equal what the bundles' own read bodies served before the interface built
-them; those bodies are kept here as the reference.  And a raw trigger of
+computes its post-state once.  The whole views the interface serves on
+reads, rebuilt from their deltas, equal what the bundles' own read bodies
+served before the interface built them; those bodies are kept here as the
+reference.  And a raw trigger of
 any shape is refused (or, if its payload is not a dict, ignored), never
 raised, without an output the real run lacks.
 """
@@ -11,7 +12,7 @@ raised, without an output the real run lacks.
 import pytest
 
 from l2sim import accounts, arbitrum, brick, liquid
-from l2sim.core import OPEN, SETTLEMENT, UPDATE, InterfaceMachine
+from l2sim.core import OPEN, UPDATE, InterfaceMachine
 from l2sim.harness import (
     PROTOCOLS, IdealRun, apply_schedule, lifecycle_schedule, protocol,
     run_differential, scripted_schedules,
@@ -112,7 +113,8 @@ REFERENCE_READ = {"brick": reference_brick_read,
 
 
 def reads_against_reference(name, scn, schedule):
-    """(served, expected) entry lists of every non-empty ideal read."""
+    """(served, expected) entry lists of every non-empty ideal read; a
+    served list is the reader's whole view, rebuilt from the deltas."""
     run = IdealRun(name, scn)
     machine = interface(run)
     ist, serve = machine.ist, machine._read
@@ -136,13 +138,13 @@ def reads_against_reference(name, scn, schedule):
 
     machine._read = read
     apply_schedule(run, schedule)
-    served = []
+    served, shown = [], {}
     for ev in run.trace.events:
         if ev["t"] == "output" and ev["payload"]["kind"] == "read-result":
-            executed = ev["payload"]["executed"]
-            if executed and executed[-1]["kind"] == SETTLEMENT:
-                executed = executed[:-1]
-            served.append(executed)
+            p = ev["payload"]
+            prev = shown.get(ev["party"], [])
+            served.append(prev[:p["base"]] + p["executed"])
+            shown[ev["party"]] = served[-1]
     return served, expected
 
 

@@ -8,10 +8,11 @@ any real protocol machinery.
 
 import pytest
 
+from l2sim import properties
 from l2sim.runtime import World, EntityId
 from l2sim.core import (
     InterfaceMachine, SubroutineBundle, attach_round_gate, open_record,
-    OPEN, UPDATE, SETTLEMENT, INTERFACE_ROLE, CLIENT,
+    settled_entry, OPEN, UPDATE, SETTLEMENT, INTERFACE_ROLE, CLIENT,
 )
 from l2sim.base import Ledger
 
@@ -235,12 +236,13 @@ def test_read_clamps_delay_hint_between_pointer_and_top():
         trigger({"kind": UPDATE, "state": s(n)})
     got = read_with_delay(world, a, 1)
     assert (got["pointer"], got["state"]) == (1, s(1))
-    assert [e["seq"] for e in got["executed"]] == [0, 1]
+    assert (got["base"], [e["seq"] for e in got["executed"]]) == (0, [0, 1])
     got = read_with_delay(world, a, 0)          # below the pointer: raised
     assert (got["pointer"], got["state"]) == (1, s(1))
+    assert (got["base"], got["executed"]) == (2, [])
     got = read_with_delay(world, a, 99)         # above the top: lowered
     assert (got["pointer"], got["state"]) == (3, s(3))
-    assert [e["seq"] for e in got["executed"]] == [0, 1, 2, 3]
+    assert (got["base"], [e["seq"] for e in got["executed"]]) == (2, [2, 3])
     got = read_with_delay(world, a, 2)          # the pointer never moves back
     assert got["pointer"] == 3 and machine.ist.read_ptr["a"] == 3
     got = read_with_delay(world, b, -5)
@@ -265,13 +267,15 @@ def test_read_appends_the_settled_entry():
     trigger({"kind": SETTLEMENT, "body": {"type": "final"}})
     records = len(machine.ist.executed)
     got = read_with_delay(world, a, 0)
-    assert got["pointer"] == 0
-    assert got["executed"] == [
-        {"kind": OPEN, "seq": 0, "state": s(0)},
-        {"kind": SETTLEMENT, "seq": None, "state": s(1)}]
+    assert (got["pointer"], got["base"], got["settled"]) == (0, 0, s(1))
+    assert got["executed"] == [{"kind": OPEN, "seq": 0, "state": s(0)}]
     got = read_with_delay(world, a, None)
-    assert [e["kind"] for e in got["executed"]] == [OPEN, UPDATE, SETTLEMENT]
+    assert (got["base"], got["settled"]) == (1, s(1))
+    assert [e["kind"] for e in got["executed"]] == [UPDATE]
     assert len(machine.ist.executed) == records     # reads record nothing
+    whole = properties.read_views(world.trace)[-1].executed
+    assert whole[-1] == settled_entry(s(1))
+    assert [e["kind"] for e in whole] == [OPEN, UPDATE, SETTLEMENT]
 
 
 def test_corrupted_client_gets_no_notification():

@@ -3,10 +3,14 @@
 The table pins ``Trace.digest()`` of the real and the ideal run of every
 scripted schedule, and of seeded lifecycle schedules (seeds 1-3, ten
 payments, honest and adversarial) for each protocol, together with a
-digest of each lifecycle schedule itself.  It was recorded once, after
+digest of each lifecycle schedule itself.  It was recorded after
 corruption leaks became plain JSON and before the account-model code of
-the sidechain and the rollup was merged, and is not regenerated: a change
-that moves a digest changes a trace and has to say why.
+the sidechain and the rollup was merged.  The run digests were recorded
+again, with the schedule digests unchanged, when read results began to
+carry only the entries their reader had not seen (``base``, ``settled``);
+the whole views and verdicts of those runs are pinned across that change
+in ``tests/test_properties.py``.  A change that moves a digest changes a
+trace and has to say why.
 """
 
 import pytest
@@ -17,228 +21,228 @@ from l2sim.trace import digest
 # (protocol, schedule label) -> (real digest, ideal digest)
 SCRIPTED = {
     ("brick", "corrupt-warden-noise"): (
-        "2b8ab3a4b5808fee83dff5a88784c401544c30884638000760b528b5c0742ed9",
-        "6f31b5ecc0a25e3fe249060db8e3d33e6fa095328f4dc5207cabdb6e5e460995"),
+        "4e49769d5906de8dcf4f405cfb5aa91863b74b1a8f8f02fbafc726960b488269",
+        "45930d0a2ce9f9ee16e03f0fdc5b54b5dfc8fca45759503a148830c114df834a"),
     ("brick", "garbage-triggers"): (
-        "5468f6c964fbc2bde68666ed6b8734dad36df93398b4b85341a90d050c0d02e9",
-        "22812e79afc853d4236a8c607dfe9e3d8271cdc00a3e6e72e9a942c7b672c1e9"),
+        "90e874ab34b10f51b71a78b981f5b028ced2b056a2bb750f8fc5f865904613be",
+        "823324a1bd8a90c604aacba687374528e37396300e3e870e25c41b594562b0b1"),
     ("brick", "no-pump-delta-flush"): (
-        "ac11214706b653fca74c211efa9a97826410c2ffe6c89523285c1982a7f55c30",
-        "b3a7d33f06dc9b16940255927802453e9cd61bfcdeba7a0231ac95d8855f5b64"),
+        "08a8b68a6201b812fb8bbd3057bb1607374a0f263623a90ff12ae422deda2cde",
+        "26cee8c4f76e9ebe152ba794fda1d1838c1bad314e2a036040dca3e9897a9b51"),
     ("brick", "open-only"): (
-        "0c5e52fa739cfbe557f431e7b99d11cc5ffe5174b3050a9f49ace386f52d9918",
-        "bcf1eaeb5ff0e6dd969e7706b5d0ca42749c28071c774dd6876a7b9232af0314"),
+        "84593724d6894499aeb0ade26798619beec247b13edf7bd7e8f3da645de0efab",
+        "01ee956e154e1520a7011c1016da10dd8b5ec844230d3958f8c3fb4c04a9b086"),
     ("brick", "overdraft-refused"): (
-        "40b3309b039bf464a33bab18e0fdebad186da0413696041cd808a21764f8adc2",
-        "a4946954c32070a514666f617e912f28cecab911eb14234b6d044973e84d880b"),
+        "52953ea6128ca1edd07c5993c8d7bf33f48826806eb9147d7f92e52ceffc9f5d",
+        "b3e13aa2f65f720d9746a9995ccfa5eaddb955b61766f266e0e5e9c7466f7771"),
     ("brick", "pay-both-directions"): (
-        "cba21d0f8063055304b32f6fc51838cb15adeaa7ecb1c0e55315523a215fb6d1",
-        "cc2b5bc843fcc2674dbf2d068c722e3b1bf145d8ffa9a1052c87f75a5dca2049"),
+        "411fa2d9839f89189400dcf26994a9eeb2ad21ced7f748cb29f9ea1756f1492f",
+        "ba1c601593022a8b2dd0801054a822294073072701910eeef58fa424293f0595"),
     ("brick", "pay-pipeline"): (
-        "043ea7625d726cdae30af6a03f5e5c132a6ecdc4df4330c7c7507b2cd49f1490",
-        "58e80558c0eb86f9c747c5318520a693aaf0abdbc95e922fe55e1b18cd0710f9"),
+        "a098519262a1f8e568a8483b529db4b1857d97d9c459adf4d5ee96a5a811d769",
+        "f500c59c98db593b505d61e061a9f539718fc04a6d1b16de86d661184b79d5ae"),
     ("brick", "pay-race-same-step"): (
-        "440031ca4d0a6894e813e75f9389dbe87e9193a61de9bb988c439b576fcebe72",
-        "3513619812dd746a456b54fa9014103bcf4c8d0d1926560d092f8a595c737079"),
+        "25110f7137e3c5cedb65985d5c9ab110d7988519b8ae807bbda107d8ed6151be",
+        "538260a5141c41f057fc6dc9daad92a4154d8951be5e645228b9b6fb65687ae8"),
     ("brick", "read-heavy"): (
-        "20eac1be1b45935f1e885bd29b6950feeb026e33306a8f60229ea58078722c42",
-        "f5ba28a2961772aef5ca2ad57c3a4115f1a6d09354ec3815247208c056bb0d94"),
+        "e89abef4ebbf3d8aa5419a6369dd090de92d01d3ead0707f944c7760ba474a43",
+        "74eb348ae5052d31aa3873f559d4e66a9fe872000cc875d008745490c972d724"),
     ("brick", "settle-after-traffic"): (
-        "959d72b3f7bc30df651ae66611b9e7ad331ff86de552782a7572a94c138acef9",
-        "f84e69bf15cab84994c0a0adafb3f6c924e86e57d505a4daffd583821da6d2d2"),
+        "662e14fea4bef2fef394a8b4c2875a74eea14c8f875bd683639e94d94dfdbe24",
+        "b7a901e5506d7822ac2fbb5c85892c137834cb95f0e0c2cf405e376fd520a520"),
     ("brick", "settle-fresh"): (
-        "0e08a54412c60dfd6bbcb161181293b2defb74b5e9b8a570488eeebc047b6cd5",
-        "afd03a1b5422d83e9ef8cb735274ca224a50de17ee218c8a53a6cf0d0715d9d9"),
+        "0de469e5147b3a049e29250862a4aff3de8879c3482b5406d7e9b5a44d27d5db",
+        "040115fc2711ed39dde47317b4f92770ba6ee695a77f319e684b3f51316f83f1"),
     ("brick", "shuffled-delivery"): (
-        "8ea7c91ab80fbc2ccb7e0f7ade2a0a73ad02b43d4c2608950cd997cb67bf9254",
-        "516672017d86c9757b8915b02bf145f3407dcb922b8c431980694d289ca2fa1b"),
+        "1c58eabef822bb99ba9475e477afba4adfe582dd90476d75c0d9a7b3cfd0f61e",
+        "8391ab34326466305d475cb71754fc3c116a0fb9ee374601c7a8c7b5c5ea731a"),
     ("brick", "single-pay"): (
-        "ce5695cf4478a7782070b94a75959df65ea0e5e8c109bc44edb92152ce79ee85",
-        "383eb8b2d3ada99e72bd8456e8de27194813f0e23cdcf409bb81588f949bc595"),
+        "88a31171ed66ee5e5f9888d559651fe48e50d5bea6b22e61b5febf5d8c330849",
+        "c1dd5c664efe8722037adc0ff9369df396bb4b8c0684ca58d748242dc486e4e9"),
     ("brick", "stale-settle-attempt"): (
-        "59d88879a8dcb5ae18a31d33ae078b3a6e4ea66d339d3e34b43170c068b71483",
-        "82cbd2e6b4575757538d75e9679b6eebf3d847b9d1296d57d535adcfd7597984"),
+        "32449a3bdc3cf8ce930a5599dc4dc4c7c201f9d3e5b4f6bb62a370c6dd4a8c51",
+        "59eba4142cb72d0ec54244c9b785aae6faf0f010a0581b9a2cfe03312a703bf6"),
     ("brick", "unilateral-exit"): (
-        "ad398bc05e103fc9bc22d0f3415af2b5a0d3a5bc62e75c16434cb8e20ca271d9",
-        "a3b2b9b2e1bebc63550de3f4f7ae7b02866efe4b0510a476f9f96d32a60b1630"),
+        "fce8eb1e77a8f6addde5f8cfed5599f917bc36d9d509ae8c0f7bf28d8c515460",
+        "aacf1f63c85c5741622a63f98ceddf1820c61c33cbb835c63a6408c25bef4a4c"),
     ("liquid", "client-spam"): (
-        "e260cd4e20b9bdfb016be6e76d17fd1d70d9fcfd63314cbbab18538f5391c693",
-        "d2658828a00d160d00610299bc76d189677a85dbe9325bb220f68f7436c7d40d"),
+        "6c5d2b7e8840598cadc5c67477191168fa621c067fa08ff45e7c808ba93dac0d",
+        "3a6620f95ea1bdc271a0709f011e886fff9b006e9fab04674b52d0f0d246bd5d"),
     ("liquid", "corrupt-operator-rotation"): (
-        "a4d5ae1789889333f5612d72b4847b05ab04e2e2feafa3a1f28d830c18690aba",
-        "95a627f4bf4919731c195d9e8f3589aa7c72e24a5c2850c05ced7485f15c0f03"),
+        "c88bb5a70198d75bd9dad3a695f289f201ab528e55e36ca1e62503043376a1d2",
+        "7bd9ff782ed14371d6ba67403a592271394dfa75a2c13a30b47a8798d5c86d22"),
     ("liquid", "deposit-mint"): (
-        "bc101531fbec71f0a9afae35fa8061e91d13a8feea31dbe8a96362b779859f65",
-        "8a43c193bf1be49a70c05a9b92b23cc0925b3e62743872e1c19bc569d001163a"),
+        "dbed2cd36625262b36872853d7acfd15d2cd37dda5cc4d94cf6919707b21bbde",
+        "20ec9a639a8a1f007d1ec81f08fa1a500e850320f3d5c812b18f6ceee170197a"),
     ("liquid", "deposit-then-withdraw"): (
-        "5e46c13a63a897c504da99dc9efb78861c04cb91f9d1f450766bcd9a792f36c6",
-        "82b60183c6a84011bbb1fe6e388998c23fc6ecdd0cba1a470a216ae34c85ff9e"),
+        "1445e3a834442578448d4293424dee7a4f38b0b84aabacbca277193f239f08ee",
+        "504d67ac0713db3eca1df9458da0368a204cef020035fecc5faaa08b0e65f6f7"),
     ("liquid", "garbage-triggers"): (
-        "d87fb9b479ed4e8253e0e017a6eca72f34447469f0a8f6f3d509d14fd3f88841",
-        "a393a46040d40434aef6e12fa1a23b4cffd37af1ae927c9cb9b1bbb6e202752d"),
+        "b34e25c81f45e5be56d413db511372a52ce4312093f936f358f6daac8624859d",
+        "102e842ea6fc28bb8623a30e3a576bc9999bac5fb06f491940317cc04647891c"),
     ("liquid", "no-pump-delta-flush"): (
-        "7785536404d6c859937bd5f9f972a101990e67846b27182820b73fb119873700",
-        "7f81b37a1c0f3f84d86e553cb643e311c630cd31539798cdeef44e3ef9cf8451"),
+        "7492c41d54968d0b70354d9ca6fb6035658cb498d01dcb34dea989e1129ef6f0",
+        "19dbf68836c3f5df6c635d78c24402e574135fe76ed9c0c11a07266f2dbc31bf"),
     ("liquid", "open-only"): (
-        "0b45ea8a689c029f18b7fa68b2fa258180eb5fe2b91046dc31bb7120ab4593e4",
-        "bfc1df66350d6488d75f29ae0aed51bdf23606fd73c602b076e135383b100f69"),
+        "ae77f18c2610edd0232eb147af59c9a48f913df9ad3a0c09566f3747ed44eb12",
+        "132436fb1841884792ca911a5459ad91807e23e4cb07ba3c149e16be3a18c17d"),
     ("liquid", "operator-menu-noise"): (
-        "49a02d2fd70d4d3135d5a7ef0984f9d02e023ad15dd44762e266fa8bd18e3b28",
-        "df33c2e0f31b3b220f76a2df32c21c2f745644421c232012cadc6024fd6c9c52"),
+        "cb6f1b3d36900a95d027e5f7d6a162883ad7b9542b908629ebfc84b91253178f",
+        "004b5d8e1dcafd1685d26c8282742081057100ef16eacdb5762b156e228c090d"),
     ("liquid", "overdraft-refused"): (
-        "3e8dfc07d28454e7428b9654a3a1a1539569527d3d42851b19cfdfc2a04874e1",
-        "5968e7e7b642833c0900530eb7d5ec723f6d7a29068acef0475bb4b871019239"),
+        "033e164667d94bda3ae76f65ee9ffe289e7f982f71b2def85421c8e61bfd2f7f",
+        "836141cf8545ceafc896c6d0d03f6974ae730e842bcfef973e785d770890f7f0"),
     ("liquid", "pay-both-directions"): (
-        "c7dfb23deaaaed730996c9fb6289405b41a1087fa231c9d2d00b7fae7149938f",
-        "b938523e270a7f6c8111583b5e6b2d3e8a60a1cda82a54f9f97f94e6b2f67b43"),
+        "08e3290b481ea4936e1e6158aa2ab288c7d99f2e4856dc8d4c539e1931182a17",
+        "c258da10d4fefd779bba7fcc3871ae805fe7d00c694408555c9b64a371e46f61"),
     ("liquid", "pay-pipeline"): (
-        "b199b036fcc0213d20e180ca2799bc66bf9c447b358e360211b6fd7144fb3dac",
-        "bbb451329e5fb8b086945ed3e8cea594c97668ac91f7b43010a50868ec36a819"),
+        "ad6655995280fc8345e7af8ad4b77a51f38889033266d99a8bebc9bc8d651a97",
+        "bb292e892ddf13ab4c5ac8a18956c5a87eb979009ab3788892920775978f8c74"),
     ("liquid", "pay-race-same-step"): (
-        "1406fb3bcf93b2690e682518d8ab8f8c89ab77c38a73a897cc97ead2e884c13d",
-        "63e84514dda6e49cff3dd790ecf5abc3c24ddea232a6bfbbb4457f36fccbb88b"),
+        "a6608e64374b51f29e6d9512870ab2890887a6632aeea0b4c43a6cb3df3337aa",
+        "3aac8c5dd48b496f58014cadecdefae1c8afddd8feffe57e6b69d29d3481b046"),
     ("liquid", "read-heavy"): (
-        "5abbf236036cd58f194fee9f0fec5bdc471448ae74bbf491fb6198fdac20bb3b",
-        "f65f791cd2ef1e7352cd851c5178150081f500f44bc739455ed010a95c7057e6"),
+        "a437263577c6cfc16f5f770c4eefcef5be527652414a3e567baecc920cdee6f3",
+        "9e0ec7133f5d81c74ec53e862ffe7cd99dbe03bf6f1a5e87fbb9540e9255768a"),
     ("liquid", "settle-after-traffic"): (
-        "4778be2b64052e7dbf82f6c51addd7b4db09311b01b06595b493a7c9906aa788",
-        "42c746f5699d288953380a85837b70882c271252b3449639f5f511c1e22b29f1"),
+        "3740a47fc1bb57077fb8bf8eec2cf51f0621050d130cea32581792e3d1b772c5",
+        "f250317d1659b5fcae87f042bca76696c323d60c58f9b7e6dd15740051773a6e"),
     ("liquid", "settle-fresh"): (
-        "8845a8d282acc80dc572c9a01a6b8a90ceee8f1be87e59628859d096c6212ce3",
-        "6e7d39838d7d414f4d183d1787e0143c8871111b464860e413dc90dbe8ebcc92"),
+        "0f9aab4462d3b1123aa56515c59b0b72f52bc6d0f8ee44f8321851a073472437",
+        "18554a7fdd46593a859348193570122dbcdbe3ded74bda64bd3acad7ce385c29"),
     ("liquid", "shuffled-delivery"): (
-        "2edcee9004c2189eecc4a61e4a6e45ca7917aeaef533f99f3ad50633c0bd5a47",
-        "45c07c337219e32e22826ec98dc6422837fd3a79504122bca65bcaaff33658f1"),
+        "e820375735ab5e1ce6872bb520071ef0aab0f26d7cbf849620e0d29937f96edf",
+        "a431e92ae7d84b360df89163d3136943435f125f755a200a7d4487f8ea449ee8"),
     ("liquid", "single-pay"): (
-        "2cf672b0f32dfa3455dff637357efb3d43cefb8026727714da8c70aad84f63dc",
-        "60d25094a228c4d323a85c085484fd64eaad422fe8e72d1770bae62727d3b0d8"),
+        "38e797bbcf11d52c6a10a3d2343633044ce5b0b6a87aeb6684636cb0b7326b2e",
+        "743fbb12a4d84ff800a725527efb3246004f977643e350f420746fd3d9da1222"),
     ("arbitrum", "deposit-mint"): (
-        "500cbbe638fba3155c2c0078805030d9375bc4ba72bdf0142ce5c88517d7c15f",
-        "10f5367b8938b9edb0ca5664b6f04860be22f01e1a34711a21e41e6600faa18c"),
+        "bfeec4b029380c321265ce17734933ddc4b901549a0e2c0debd2f86961511cb0",
+        "1b55fd419918f4c0b128a901f9fa7b95117d6a1d234e4bd46d794084e021c584"),
     ("arbitrum", "false-accuse-noise"): (
-        "dbd75c3f6578aead7009678a5adc8979b209ca20152650dadf092387c7357bde",
-        "346d1ab81e7bf9012f13c8731b3467f3d5d4949c9ad0ca034550f8d8bcf7a6df"),
+        "dbf353261dfc7b396ed7694a97e70c04e355b0899142bab7f166865002df2e95",
+        "9ff782ec7180a1b8bcda2cbb8ab50e125b160f6b1e3bcdb41948a10fe7918d1e"),
     ("arbitrum", "fraud-struck"): (
-        "ebfebc94897f582d70abd446e0967198f535688fb4157d63b0203914fc646af8",
-        "0109b494911b691424833caeb9ee1416d9b4ea040a8fd6192f9aa3afa553dda4"),
+        "2c538a0b3a17d9c9b82e26a131f740485a7c8f5f6340a6bf92331936d76c8931",
+        "d628879dad195527eafca2bce325c556f6e473cf9d522a794f8ac2dc89954d94"),
     ("arbitrum", "garbage-triggers"): (
-        "29f64c0081abb101b8d92849deff18c2e8c4276bdeb910f8d8a6ee0b58e0ba6c",
-        "c419285ca53bd97c02de388b8cb8b8e95f9876988760bfd305f365f335920b64"),
+        "b962a5d1c3e87380382d2592773f7c166c19dfd008d02d1d46ca047964eb1fa7",
+        "486de29dac6d8e9f2091ab3ee7215603ec6bf7b8b04a7f34f59bbabb5087b0eb"),
     ("arbitrum", "no-pump-delta-flush"): (
-        "50e1a4588907c3da18624cf09e241e23ac08c088a3e74269cae532721b4ab7f8",
-        "3e60c4ee0fa6d1eac94b602df5caa2fd3f9deb0322949204cfbd9a9639f0330a"),
+        "450396ee648e68ac19624248a0b0042ba1c791db180c9de8d81acbc4d719cfae",
+        "b54490253a18c7c8a7cbf53f46023ad8cb61ac3057b8752afeb37e130e350485"),
     ("arbitrum", "open-only"): (
-        "08442bfaafb304a4b5bab2f7382a10d415719f2310edb5f740875b497d0e0098",
-        "8c6cecae46fdcd31519ede402afb76eb2befa902a4fb979a8b2f891464e2834f"),
+        "d5ac4922d04258ee4a52ae70623b53794214ccff8a05af8618c44fc856ac3634",
+        "a629ada8e1aa174b0a245a34929e27c262b51b536ba51379ecb4fdf5c66606bb"),
     ("arbitrum", "overdraft-refused"): (
-        "79ac59a6edea13c65337ecd15ba5167cbfca4b6ad47af4f257f72b27656598bb",
-        "601110f0713cc6995c021bb4f0a333343641c85f2ed5574cd05166cfa8b9f9f9"),
+        "59a70c8103e02bb30ead6424c2b804aee379822bc23782fa830b585d8fff8ffb",
+        "d8e7d7e300f1890c95d510aa4c530a3e8d6fe9966c6c1ec72acef4799dc35605"),
     ("arbitrum", "pay-both-directions"): (
-        "8ecfab085bb090b2dacbd6eac68e073730bf6ffb84a0d562ba39defaf15e63da",
-        "b0a3479227cadd3de578952488f53119e78dc740fa7c28af0d81ca4d389166d0"),
+        "8ac84d8537d5739bee36ccd1d7b1c072828ee3f1efd492cd9df4cb5a660c4eae",
+        "aed9b01622e59d3b4aef0135d83fc16bd9a67bfe2ca7403ab665a0c89cd25582"),
     ("arbitrum", "pay-pipeline"): (
-        "341355ce93068d8e7070c84bcae911dc348b51a5bc962806b7ad1172d38e0225",
-        "2179713aac3dcf5a2b49eddddb25129683c288bfdbca567cb9bd65e7d93236cf"),
+        "65981294754c9cbb513109f365909ec606178edab70220bf6e19d9352dd4ca25",
+        "2d3f52e5f101fd3e481aabf9d8dcfe35384f05abfec0b60573516901a58a1240"),
     ("arbitrum", "pay-race-same-step"): (
-        "22f841b7a5b440d2148ae4162840a52e737a3684e35a3c625b6d3e09ae558f52",
-        "65a1dcca593c444c032248562375337d999953af2a3c12b521de366bcc05daa7"),
+        "6730f05f3435717af99cb0b55e1c647ea627ba86d376d3566a9accf23549c42d",
+        "cdc78b7ecdb1cadafa5215f6e4d9fdb593a8dc5281b0670217aeb79c3c412c07"),
     ("arbitrum", "read-heavy"): (
-        "addba43c8e40573913d6263a9a3d3fb5cea6d5c9229d2e4259ef58161c8597ba",
-        "01b569902dd331f408e665d199c359d45ee4f39c4dd199b7237fcd566cee51d1"),
+        "22a3a5247256a738e3a4ec3d5d98e0314e94fc0dfd229fb82847744a3c9f8b4a",
+        "24dd1843b4277e6d25331de23894b22e12387d2d795c1c5e680caa10631848ee"),
     ("arbitrum", "self-publish-rescue"): (
-        "0a790e8ef5decdd54a1843f9029d013bfac9454d6f26a242d298ca4d9409a6ad",
-        "4c1821f401d6a95a8dabff351ea15ebc19f57cf54d3302ee7b841fe236ef105b"),
+        "f9ae0aa76501469852a7ad9d35eb3d153cb223e52521ad1b7c1b815ddbaeab14",
+        "948122230fa3e31529664c0cb2c7d49c795013244e9c11ccb88b42a07c6ef873"),
     ("arbitrum", "settle-after-traffic"): (
-        "1358ff2e2ef4bda4931d8b3d964e7d28fb62c0bb669dfccbfd8f55e154c5e0ac",
-        "4bb9b4016ace5936f412b57cf8ab1c2255d3fa4a9d2ec022e2ddf452c5d213d5"),
+        "222e0703b8b983ced5a51c008bd2deaa000c2b408e594c7bb395c45b1bc83c71",
+        "f0bd87cf19850e878352e1cb1c42881868ba553c28ee13bdf14d73dc695f4dcf"),
     ("arbitrum", "settle-fresh"): (
-        "e0339a2f844eb0d42b02d86f224616450a658089f6aa8a579fcfd60055dac630",
-        "805a45edc2109cecbced63913c93d8686f4158ec763e90e2f285298881d8d0df"),
+        "aeca34ed423c1a6242ceb99aa577d403bc8fc0432d694d1fa7eee4272959400c",
+        "1af54451a31c4da4099549d36a73de6c266eaa246a4f94957539517d99770d9c"),
     ("arbitrum", "shuffled-delivery"): (
-        "3971031efa4c23c98b48e592f1692047b14d963597ecbcee5da797dd692aea0f",
-        "89b5ade436c60f76305b15395bbe84142feb6077b23066e38243fd702f6726cd"),
+        "6721e402bb9d5bae17d81d8242798689c10d72285a9e51a7b7e50220383a20d0",
+        "b816b87394ed3f58c076fe3bda1762e5c166c5dc4fea4db5f4162f1d8a6d6f19"),
     ("arbitrum", "single-pay"): (
-        "e649588c957a13676c653896ba061112593323cb9bcac97b410b749786669ba2",
-        "1912be3336b5e99985c27780031da8ef0f2d0a0525b2b0fc6419a144e4a65006"),
+        "a1534090259a90b3c124878fbdb0a29256e30a9b9e477cfda1792557aa398984",
+        "3559283ba5c14d0289d3f8bc65d5db99451f0be1e25b55d6422f8b08574be6e5"),
     ("arbitrum", "withdraw-exit"): (
-        "1134d66e005919b91e66f63049f8663ff5b7467955645e9ab6b2a43981f9fe41",
-        "4e676f8021f8d22c10a1cd9fb4ccded04d1bb02ac1d247641364bfe08889bdbd"),
+        "e71cfe479be47e77c6cc61380fc7c700c4911f4779b9337fe783be61f3eb62e4",
+        "dc035cde01ff453b4453627cbb855b13a6df6bb6fb934578cfb62cd3c81d3bdb"),
 }
 
 # (protocol, seed, adversarial) -> (schedule, real, ideal) digests
 LIFECYCLE = {
     ("brick", 1, False): (
         "7b491486d3a05d4d144d0fb9c415e7e76cb6ca60e444a0c89b7dacc67196fd03",
-        "b597e82ea9fb0e71dfc49860594227c26ec9c5613540ee99457609c32dc88914",
-        "fce4ca791cc4c7edd9144dc66eca7c6d67d6b9cf1df301ebbe956808c35acda9"),
+        "81f0c86215143048cc4d92cc3029bd6bbfe634868840909ee95a04dc017bdeb5",
+        "ac5f35cfdb7ad78c4a20da34562c36dda03dac793f2bba3fe3e11a026f05ef8e"),
     ("brick", 1, True): (
         "45005cce99fedb08c7f1c60d89fb66c81fdaf5adcd15a5d5e4b7fc1d8dfd0e53",
-        "173cc5d4a4bc6a3f698d9fe1e184b2ad35f9f81fb546baddf11c1be592c6664a",
-        "c12672e0e33f4860cb589ad81e9eaec7fc748f13d3a2947497fae595a75a2700"),
+        "901043658ae78289d58f6441ae206496c470c4afebbe2023c88a1bb905af62c8",
+        "2b9ef0bf4a015647251ab2b943d51610db172c2ff73c8c938d76eb95803037aa"),
     ("brick", 2, False): (
         "f9ef6d47ab02a84ec92e8929c4d938b68e23d898cfdca734208fc959ff5a0c6b",
-        "fcaa52defe3c1e4f3f0cd350f19c7ce50f587b5eab35da199ac692aad0489b8b",
-        "47ce88ae169689d8cb413a3c23f21687ef59fde6f28077259dcea72dd20361c2"),
+        "a8a2a10f2f733d5604f028a268739a74fa326462a2735f1e58858f5dfa6ed7ee",
+        "2f591f68b75e884bd07042c32a46b25f5a01d592d153e75d262c0559ffae0c5f"),
     ("brick", 2, True): (
         "028a97ebfec91c21423f4bef0a23d18a8e938b0a0e08ca401e4fc0864d498adc",
-        "feb33e7e79e8aac8424606107304a8a6f5c5e4a7c23af08dbd375f0c8ebe91c2",
-        "d32e271b6014a580541ecade31c1d93318a87a5807ae4ec999e87d100d105112"),
+        "522141dd582fe0724612527bfc6159e486a0c1ca940f21cb40239273c248d8d4",
+        "a5e4b7354637525e6ccb5208c3043b59ca86828114a74e5ae05b23cb3e169d80"),
     ("brick", 3, False): (
         "6381cd749c6b93fe6d28095fb0a94784ed7ecad2bec85e465c2bbb756aa9efe2",
-        "4d1fb48f09e9ed8aa70aab30f508bf3d1e9520cef82ed0477f2aa531a9294fe1",
-        "d3fc2807277549395071ae12d49b837965efafe3fb1fc3dd3bc74d2ce6de7824"),
+        "7d98d69f277625ab45c71b46789ec5fae9883f0650ee75ff9db3fca6ac98c35b",
+        "23d6a77db26ab71d9d7cd731830cafd3eeebae3f1c9b3e39fd347e29b3f22aa5"),
     ("brick", 3, True): (
         "aa53cca3c169a82ec5b2a4d5bc150920c6651eee1d96a004e850d249e1fa648e",
-        "2c00a15a7bc02dbc92bbf6a9e7216bc4a75e83d6b3c679edd64424d4f7ac27f9",
-        "df7d3eca3fbbc0e94cd943e7d2af2e5b9b26c8db14e6988daf275781f0ef860f"),
+        "89e77a2240043fa0d2033dc629327e4e7b3f35c7b0249ab91f0c1164eec2347e",
+        "8b9ccfb8fbb6f5197df0c8e25c3d40d2333a85eee6e078d43f4a14e5544f87ec"),
     ("liquid", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
-        "5717af01a43d05d26e0e8c4b713bf9d091fb8bc22bb40682534f5068709e6268",
-        "e28449ed832df5ec9894b10e115872769f439b7318b9c3f0a93de6a4045bb93b"),
+        "785c161fefdc3b231b58a385d91e49bf65bfa0cf0a60e1c0023ba50153afa208",
+        "cd50a99e278a827fa04d584aac2bf1213f915fb36323bb2f1cbdce722c13b5c7"),
     ("liquid", 1, True): (
         "38871f87b4398e8c60f45665ae6581997da8b80a3457f0fafedd724f5ce11c35",
-        "1c70557f894aacae1b7eed8dc6eea2e85481ecf2f8814b3615ec22f89633b8c0",
-        "ce5c4306c41aba30671610fbc3d1fd71360e7199080db58602c46f66cf6deeb0"),
+        "e59c6769b9e5110f7f06ad5d8e813fa048bfb385a40e79bfbd30476cce521d5b",
+        "2433ee190797a5b0e610546f98f6dfef2331e844285120e8511941c275569a77"),
     ("liquid", 2, False): (
         "2105c5aeb6ee8aedf7aa9f14ecd63921c5d11f5d50a7367a0053e03a63c2ed9b",
-        "64f16937d33e5cf0d609b53700c769b25602f07ae8543fea3e718376f5ec67ad",
-        "6d8e4dd732cab018d234aac5bca1e2386192bea446269dcd1de14635b3c98500"),
+        "89f461e7a11d5a6dd52256ebd141d723ee5dd2e9ae31f98bf07753af6f85f56a",
+        "057ad75bf883bbba2cdde70a7e0e88b65e869a4d5365e2dc829a77ed0cff4f4e"),
     ("liquid", 2, True): (
         "ba57234f2d6d51af98f908cb3fd4eecaa7d77d24934cad954065f01807be5760",
-        "2d0ed8b72ccf746e4c4f954bb9272e6f4156e3b5b4adf7b85555fee6231fc13c",
-        "2751113539ad843ebd7078975f5d6476f63b5b05504ed136bce9b5940e5b1faf"),
+        "45a49b06597b94cb1c4cf414835b5cda1d90e8a208e2f212830aa0931627c678",
+        "046a7e9adb714e9ffa92c9496072eadc28f6ae9e81cf9401468cac0fed196c96"),
     ("liquid", 3, False): (
         "b2c8af5adbdfd31c5166d86924da9e3382226e6490394dacd22a4bc8187e9b28",
-        "cb9d8e4076215aa7195f26b428e27bd3315c6234d6dfc546e2b9faa8904509bd",
-        "ab6fd577664bc141d412ae309c0777e98cb55f2eab7f45b9f6237974698f9a5c"),
+        "a6aec24f775184ab35d9a5a270c998c8b72cf454a70f0e8d5717fa2b19fbca40",
+        "3e3375098c3b1945c607ac3259c60ed1dc349a93debaf2c734e9a73044dabc60"),
     ("liquid", 3, True): (
         "7fb13eb7060bebd9750a941899aaf1437f11ea1e96165c0db285bd945554cf32",
-        "29c52ada4e02efb609ed8ddf8079f7061b3efa9dc612a9e555dc67fdc54a1edd",
-        "72eef2f04c365a033086dd330b16c9230ec30e5011679240fa5c626f0f9438dd"),
+        "1947d5c7972b6b20cb799b50e7d2ff6780d6cab19df914adc7dd34621cb60664",
+        "50e68859b4259dc4d13bd6636ad10b6b9f12ae4c2614c02538d6cac2521bf536"),
     ("arbitrum", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
-        "c38908bde1ff2d2bc5371cf333b8ec04966d7bd0eba9bcdd7dfc79fc8833e4c0",
-        "fa55f1bc4ea3595e32326d83329fb06e4d3a1d1e6e8f7b01c6922834a2ee2b3e"),
+        "6bb3a44ae312681594745a074f2827dd1c786b5c882094c23ae7dd6fcbd906de",
+        "b57e984556ea00083dd1f9022e6482f2d82219d63e7df3de1b8eb803eba9250b"),
     ("arbitrum", 1, True): (
         "b2e16ca7cb0c27e9c67b5a44590bb0bf50942caa03182090b25c2199ae5b73ab",
-        "03cac20a32e73d8d779d368922e227fbf0d7ad47ca6d0996363f1913c4b01c5b",
-        "27508c9ab2979bfbc0989d1c8f87a69895e8f082dc8b769b478d9cda08272733"),
+        "e8ae9a695affd9d2af6b3d90e2cd4f639fe77f687c458db6737e34bfa59e6d72",
+        "85b830edddc4b717c519646b148af43de2bcc7e1ba4857ee705a9c5fd15afb4d"),
     ("arbitrum", 2, False): (
         "2105c5aeb6ee8aedf7aa9f14ecd63921c5d11f5d50a7367a0053e03a63c2ed9b",
-        "bad5aba5d17948d270a93286b0ccc79236da0f45708e60ffb196ff0c59bde9bd",
-        "42a70b7edd39020e4abe5ddcdffe5da0b0ba7f02f1b8530a24d7af488becc39c"),
+        "2aa17db8007f9e3cb96779ce10650ae88821564bcc00a2ec686877a59886a98e",
+        "2891eb0396a705e531faedc75aaaa7f879308bf9cf1ce190ce5aa9416c4446eb"),
     ("arbitrum", 2, True): (
         "1daed42271d646aeb89ce6bffdfaaf2207e95cee8e9f5f5b39150fc3641e95b2",
-        "7d987239d1e2d80f055445c83944d20af36ebfaf584cf1d1c600143f93f8aa39",
-        "24b99456544dd9e1bf83f333c88ce38803c0ae205e849381ed027388807e0c50"),
+        "5aecf820813c65b4db750ea61c9e7bc67dedef57d359f9de4509bcb49d1ba11c",
+        "bb872aedf83a5caaae720a31fbb692a3aa3dc70e080ea3e0c1689286319c89e4"),
     ("arbitrum", 3, False): (
         "b2c8af5adbdfd31c5166d86924da9e3382226e6490394dacd22a4bc8187e9b28",
-        "1fc8b2a3a0737357e34643e1cf4949b7c3b3a1f8a7889d4204d359bb62f22b67",
-        "88b997995904e22d68cbd3f8e5749b38a385bae227da07e2773014113da1193f"),
+        "67a5de18625b996705775707e4a765956ea07b86efefd581120cd8f4f7979e48",
+        "12085afcdc18b409f4a465bbc60b898ce0516c9f2ec1331126cedfdfb5afdd79"),
     ("arbitrum", 3, True): (
         "68c49da401716fdd713798a708e3b2a93072a08b048235f64ed39413b57e4a81",
-        "1227ce7852ff6abdd8456541d7bfa184d8d4761a0d87169690b32dd781f9bcb4",
-        "5ef66f308e44605767cdb4f626f3fdd635c789fd7b295da533f9664f87924471"),
+        "ed7b7896f04b5f7c38a139626946b9bc4cc605ea2cea2f171e73f152118e44f8",
+        "05ce08b7dc4aa46eaed0f04a880319aa8beb5464a7978f1c70eef794490a3403"),
 }
 
 

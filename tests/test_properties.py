@@ -1,13 +1,15 @@
 """Property checks: pinned verdicts, a reference safety check, failing traces.
 
-The verdict table pins, for the real and the ideal trace of every scripted
+The verdict tables pin the real and the ideal trace of every scripted
 schedule and of the golden lifecycles (seeds 1-3, ten payments, honest
-and adversarial), a sha256 over every check's record and witness.  It was
-recorded once, before the checks were reworked to build evidence keys
-once per view and to judge liveness from per-view summaries, and is not
-regenerated: a change that moves a verdict or a witness has to say why.
-The output tables pin, for the same traces, each reader's rebuilt whole
-views and every check's record.
+and adversarial) in two parts.  The output tables hold a sha256 of each
+reader's whole views and one of every check's record; they were recorded
+once, while each read still carried its reader's whole view, and are not
+regenerated.  The witness tables hold a sha256 of every check's witness;
+they were recorded before the checks were reworked to build evidence
+keys once per view, and again when reads began to carry only their delta
+(a witness read carries its whole view from ``base`` 0).  A change that
+moves a verdict or a witness has to say why.
 
 ``reference_check_safety`` keeps the all-pairs safety check that the
 one-pass ``check_safety`` replaced; the two are compared on hand-built
@@ -48,17 +50,17 @@ def all_checks(name, scn, trace):
     return out
 
 
-def verdict_digest(checks):
-    rows = [[v.to_record(), getattr(v, "witness", None)] for v in checks]
-    return hashlib.sha256(canon(rows).encode()).hexdigest()
+def sha(obj):
+    return hashlib.sha256(canon(obj).encode()).hexdigest()
+
+
+def witnesses_digest(checks):
+    """sha256 of every check's witness (None for the storage report)."""
+    return sha([getattr(v, "witness", None) for v in checks])
 
 
 def witness_digest(v):
-    return hashlib.sha256(canon(v.witness).encode()).hexdigest()
-
-
-def sha(obj):
-    return hashlib.sha256(canon(obj).encode()).hexdigest()
+    return sha(v.witness)
 
 
 def full_view_projection(trace):
@@ -89,213 +91,213 @@ def full_view_projection(trace):
     return per
 
 
-# (protocol, schedule label) -> (real, ideal) verdict digests
-SCRIPTED = {
+# (protocol, schedule label) -> (real, ideal) witness digests
+SCRIPTED_WITNESSES = {
     ("brick", "corrupt-warden-noise"): (
-        "23667ee4516f732d2cdcd557338c18c7361c8011d634a00a2de82dccb449a853",
-        "23667ee4516f732d2cdcd557338c18c7361c8011d634a00a2de82dccb449a853"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", "garbage-triggers"): (
-        "d97b3f4ab97059a68cf7023b0a4734b9b20122debd785fb24a2208e5f989c493",
-        "d97b3f4ab97059a68cf7023b0a4734b9b20122debd785fb24a2208e5f989c493"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", "no-pump-delta-flush"): (
-        "d97b3f4ab97059a68cf7023b0a4734b9b20122debd785fb24a2208e5f989c493",
-        "d97b3f4ab97059a68cf7023b0a4734b9b20122debd785fb24a2208e5f989c493"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", "open-only"): (
-        "6d1d675f9be7510fe935ddeba48d8db09f0b24b2b15b6b75a72f0a4e7bc44a9d",
-        "6d1d675f9be7510fe935ddeba48d8db09f0b24b2b15b6b75a72f0a4e7bc44a9d"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", "overdraft-refused"): (
-        "fa0878ab4e0ff65c65c0378368340f792bec9fab2edd4d4a8f8a69e03e76f5d2",
-        "850d84537ed9ec6882cb6eb06bd0e5d75690db8610d0a278d058bd15ab1b01a8"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", "pay-both-directions"): (
-        "8086d1b4a4ed0267eb57a21fa252d9509c4c385215b1265dc6fad4819d57ec34",
-        "8086d1b4a4ed0267eb57a21fa252d9509c4c385215b1265dc6fad4819d57ec34"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", "pay-pipeline"): (
-        "c59ca8abf9bed9d2c3047e4400653871755e7c09288caabefdf3906b38a56eb7",
-        "c59ca8abf9bed9d2c3047e4400653871755e7c09288caabefdf3906b38a56eb7"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", "pay-race-same-step"): (
-        "8086d1b4a4ed0267eb57a21fa252d9509c4c385215b1265dc6fad4819d57ec34",
-        "8086d1b4a4ed0267eb57a21fa252d9509c4c385215b1265dc6fad4819d57ec34"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", "read-heavy"): (
-        "f4e9e4094fdc383eaaa9848e94269d8b14f15703075e64920e70176cc05548fd",
-        "f4e9e4094fdc383eaaa9848e94269d8b14f15703075e64920e70176cc05548fd"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", "settle-after-traffic"): (
-        "139c884c177754b49629ff2a5c351b30af39acc6eab9ae36c195cae907ee90f3",
-        "139c884c177754b49629ff2a5c351b30af39acc6eab9ae36c195cae907ee90f3"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", "settle-fresh"): (
-        "922f9e89be486c1fd6b3a8d74a65c76d00739d3b51376db8272e68e1ab10bf93",
-        "922f9e89be486c1fd6b3a8d74a65c76d00739d3b51376db8272e68e1ab10bf93"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", "shuffled-delivery"): (
-        "a8270785e83c2e511cc963b8ea32e56e7962b56a867a98c631819929eea70d25",
-        "a8270785e83c2e511cc963b8ea32e56e7962b56a867a98c631819929eea70d25"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", "single-pay"): (
-        "d97b3f4ab97059a68cf7023b0a4734b9b20122debd785fb24a2208e5f989c493",
-        "d97b3f4ab97059a68cf7023b0a4734b9b20122debd785fb24a2208e5f989c493"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", "stale-settle-attempt"): (
-        "80528c79660b9f0f4ef91fa4ffa9f8e58e0a0f5ac23479a23af167279557e78b",
-        "80528c79660b9f0f4ef91fa4ffa9f8e58e0a0f5ac23479a23af167279557e78b"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", "unilateral-exit"): (
-        "2537c626c02bd2894e0b4425dcca0597bd4d6af55b8458d8995d75f64fdb82d4",
-        "2537c626c02bd2894e0b4425dcca0597bd4d6af55b8458d8995d75f64fdb82d4"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("liquid", "client-spam"): (
-        "a55f12f2df87d4fce4f282fbeca3f20fce67b9857c5e1a08053eacc73f7603d4",
-        "a55f12f2df87d4fce4f282fbeca3f20fce67b9857c5e1a08053eacc73f7603d4"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "corrupt-operator-rotation"): (
-        "6d3b01722fe32d0902483404dc6b446c0bf5c9aa5cca60c67395d15774c71616",
-        "6d3b01722fe32d0902483404dc6b446c0bf5c9aa5cca60c67395d15774c71616"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "deposit-mint"): (
-        "91db962dc4fe5f96697c4989be2f0c6f33728e5249fb0ca9551c04828d6b956b",
-        "91db962dc4fe5f96697c4989be2f0c6f33728e5249fb0ca9551c04828d6b956b"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "deposit-then-withdraw"): (
-        "be4221f00bdb3f548672e32de0c34df23688090f0110ba8e285aea5beb65bb0a",
-        "125254612f825ba5c4af7e9cdeb3ae12db405ab19c88d8b42450f98b66cfe326"),
+        "3925aa5318ac4bdb2b3671fa86873b34c34cf198f08799a5dff36134e0d0bbe5",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "garbage-triggers"): (
-        "3b42444c18b91e022f1516f31b9a71fa054a0d77ed2e8f1935da282822b2b669",
-        "3b42444c18b91e022f1516f31b9a71fa054a0d77ed2e8f1935da282822b2b669"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "no-pump-delta-flush"): (
-        "3b42444c18b91e022f1516f31b9a71fa054a0d77ed2e8f1935da282822b2b669",
-        "3b42444c18b91e022f1516f31b9a71fa054a0d77ed2e8f1935da282822b2b669"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "open-only"): (
-        "0a3f5f541249b4cc52aaf6b499c93c44ee4297d002c266bb504dca6202d52f7c",
-        "0a3f5f541249b4cc52aaf6b499c93c44ee4297d002c266bb504dca6202d52f7c"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "operator-menu-noise"): (
-        "2b87f4f3c3d5fbef15663cdeba32afe5019f485a9a5eee8393e0527b22a81ec3",
-        "2b87f4f3c3d5fbef15663cdeba32afe5019f485a9a5eee8393e0527b22a81ec3"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "overdraft-refused"): (
-        "df85a466b6a4c1b142df51599b9a68825a3482b257f781d47e572ef903ea10d2",
-        "df85a466b6a4c1b142df51599b9a68825a3482b257f781d47e572ef903ea10d2"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "pay-both-directions"): (
-        "80dfd00168e56762008e10b3bc900f0bd1b715fb58ed21c5985043bdb26d9047",
-        "80dfd00168e56762008e10b3bc900f0bd1b715fb58ed21c5985043bdb26d9047"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "pay-pipeline"): (
-        "e7d1e15916a0bca0d705f010c38ccea36c1c14a94c4ef66ae7ef0a504157a3b0",
-        "e7d1e15916a0bca0d705f010c38ccea36c1c14a94c4ef66ae7ef0a504157a3b0"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "pay-race-same-step"): (
-        "80dfd00168e56762008e10b3bc900f0bd1b715fb58ed21c5985043bdb26d9047",
-        "80dfd00168e56762008e10b3bc900f0bd1b715fb58ed21c5985043bdb26d9047"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "read-heavy"): (
-        "a3c887e904e709ebe66b78a92003e0cc421a72facffacd0c3e1359d0b874a763",
-        "a3c887e904e709ebe66b78a92003e0cc421a72facffacd0c3e1359d0b874a763"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "settle-after-traffic"): (
-        "f23d4d3c72a733fda434755c6fb5d11c8fc4833daf0438189506bd4683fefbeb",
-        "f23d4d3c72a733fda434755c6fb5d11c8fc4833daf0438189506bd4683fefbeb"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "settle-fresh"): (
-        "ec24b3ec88ebf56ffec4914f49faaf8e4883f962dca5bb7cc1a0855d8d0257f6",
-        "ec24b3ec88ebf56ffec4914f49faaf8e4883f962dca5bb7cc1a0855d8d0257f6"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "shuffled-delivery"): (
-        "c6726d6c9945590d4ac7e13cd129329cf90bd1f8744b58f13a57b4fae43b0362",
-        "c6726d6c9945590d4ac7e13cd129329cf90bd1f8744b58f13a57b4fae43b0362"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "single-pay"): (
-        "3b42444c18b91e022f1516f31b9a71fa054a0d77ed2e8f1935da282822b2b669",
-        "3b42444c18b91e022f1516f31b9a71fa054a0d77ed2e8f1935da282822b2b669"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "deposit-mint"): (
-        "adf63e7dd779244bc79c9dfa0319890354d19dbe05250ada9655a1afbf783495",
-        "adf63e7dd779244bc79c9dfa0319890354d19dbe05250ada9655a1afbf783495"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "false-accuse-noise"): (
-        "485e7e9b240300358748a7bb551570b7c4a613d88c1a8a113313e21775c1c443",
-        "485e7e9b240300358748a7bb551570b7c4a613d88c1a8a113313e21775c1c443"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "fraud-struck"): (
-        "4078de60fcdbc24e5ea800ec3aa2de75f15735ecc41e810d3a3d515cf75a2075",
-        "4078de60fcdbc24e5ea800ec3aa2de75f15735ecc41e810d3a3d515cf75a2075"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "garbage-triggers"): (
-        "f00d122894f687a1efdc04cf454c8b1636ddeb997f8de14416a181c5dafafe44",
-        "f00d122894f687a1efdc04cf454c8b1636ddeb997f8de14416a181c5dafafe44"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "no-pump-delta-flush"): (
-        "a54de996b55180557217fb509b55b591e14f5915cd622a3f30212cf79b07a671",
-        "a54de996b55180557217fb509b55b591e14f5915cd622a3f30212cf79b07a671"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "open-only"): (
-        "c7d599371176a08c7518a0d334f690c45a0f63305c2bcd4932431ba1b49fe330",
-        "c7d599371176a08c7518a0d334f690c45a0f63305c2bcd4932431ba1b49fe330"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "overdraft-refused"): (
-        "180996967576605e6120a01f0f4cec500e2c274a41df68d021ca0f3775ccb1ad",
-        "180996967576605e6120a01f0f4cec500e2c274a41df68d021ca0f3775ccb1ad"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "pay-both-directions"): (
-        "18a12a01db80c820a3e7b330c3fe27424677825e9c4d3cba48ed1cd924ab9ce5",
-        "18a12a01db80c820a3e7b330c3fe27424677825e9c4d3cba48ed1cd924ab9ce5"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "pay-pipeline"): (
-        "1ec51cf1188cb873f46162e0a449a7a36c1064c6f765d3dbf65e22d9cd6ceb66",
-        "1ec51cf1188cb873f46162e0a449a7a36c1064c6f765d3dbf65e22d9cd6ceb66"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "pay-race-same-step"): (
-        "18a12a01db80c820a3e7b330c3fe27424677825e9c4d3cba48ed1cd924ab9ce5",
-        "18a12a01db80c820a3e7b330c3fe27424677825e9c4d3cba48ed1cd924ab9ce5"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "read-heavy"): (
-        "af365b3bd73ae9888d2395cab5a340b0b0119be24a9b3dadc8a22d55bae3a882",
-        "af365b3bd73ae9888d2395cab5a340b0b0119be24a9b3dadc8a22d55bae3a882"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "self-publish-rescue"): (
-        "4f7239446b2cc1fa7bc360dd998e15762f34f8139b7050b24ad6ca50f4fcece4",
-        "4f7239446b2cc1fa7bc360dd998e15762f34f8139b7050b24ad6ca50f4fcece4"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "settle-after-traffic"): (
-        "cc68beb7485d671b204436f429d9231365cb994e5914265a4ff5a5e3ae5e6165",
-        "cc68beb7485d671b204436f429d9231365cb994e5914265a4ff5a5e3ae5e6165"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "settle-fresh"): (
-        "f4a5fb5050b5c6bdffc4c002f729124610ce4e5feb966b5aff64e36d9a92bd8e",
-        "f4a5fb5050b5c6bdffc4c002f729124610ce4e5feb966b5aff64e36d9a92bd8e"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "shuffled-delivery"): (
-        "ed5ae3dca4259af2f4cd0de93c6ce73d987a5b14377739e701eb161bfc8e5b6a",
-        "ed5ae3dca4259af2f4cd0de93c6ce73d987a5b14377739e701eb161bfc8e5b6a"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "single-pay"): (
-        "39bd7b8b6d2cbdb765b2b28f5f2d864c4cb8d138d749d8a68e384e90695f2ee7",
-        "39bd7b8b6d2cbdb765b2b28f5f2d864c4cb8d138d749d8a68e384e90695f2ee7"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", "withdraw-exit"): (
-        "cc68beb7485d671b204436f429d9231365cb994e5914265a4ff5a5e3ae5e6165",
-        "cc68beb7485d671b204436f429d9231365cb994e5914265a4ff5a5e3ae5e6165"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
 }
 
-# (protocol, seed, adversarial) -> (real, ideal) verdict digests
-LIFECYCLE = {
+# (protocol, seed, adversarial) -> (real, ideal) witness digests
+LIFECYCLE_WITNESSES = {
     ("brick", 1, False): (
-        "83c1276dd1734a05a0671a6eaddbcd8ee769d2689802f19cca8f148a7a48e388",
-        "83c1276dd1734a05a0671a6eaddbcd8ee769d2689802f19cca8f148a7a48e388"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", 1, True): (
-        "8282a3b40dee297ccfd23c6b87d4273902f93ca8799786c629ad1fa403ff4121",
-        "8282a3b40dee297ccfd23c6b87d4273902f93ca8799786c629ad1fa403ff4121"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", 2, False): (
-        "83c1276dd1734a05a0671a6eaddbcd8ee769d2689802f19cca8f148a7a48e388",
-        "83c1276dd1734a05a0671a6eaddbcd8ee769d2689802f19cca8f148a7a48e388"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", 2, True): (
-        "8282a3b40dee297ccfd23c6b87d4273902f93ca8799786c629ad1fa403ff4121",
-        "8282a3b40dee297ccfd23c6b87d4273902f93ca8799786c629ad1fa403ff4121"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", 3, False): (
-        "83c1276dd1734a05a0671a6eaddbcd8ee769d2689802f19cca8f148a7a48e388",
-        "83c1276dd1734a05a0671a6eaddbcd8ee769d2689802f19cca8f148a7a48e388"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("brick", 3, True): (
-        "83c1276dd1734a05a0671a6eaddbcd8ee769d2689802f19cca8f148a7a48e388",
-        "83c1276dd1734a05a0671a6eaddbcd8ee769d2689802f19cca8f148a7a48e388"),
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20",
+        "c1a4afcc141ecb56b318536bb72a35899f2518564e8011db71778e3b05fc7c20"),
     ("liquid", 1, False): (
-        "6d02b75238fc52a74de1d80b1f27bfbf79767a4d865ebb13f80c2c5fb55cc051",
-        "6d02b75238fc52a74de1d80b1f27bfbf79767a4d865ebb13f80c2c5fb55cc051"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", 1, True): (
-        "ba9afd03874c1c671a79dae418b30873094b214121bcb08d8cf2341e554ef158",
-        "ba9afd03874c1c671a79dae418b30873094b214121bcb08d8cf2341e554ef158"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", 2, False): (
-        "df3f49d4b6cfcfb8e7d8ab10d97467c90918da0af142e97661db3a51e49801de",
-        "df3f49d4b6cfcfb8e7d8ab10d97467c90918da0af142e97661db3a51e49801de"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", 2, True): (
-        "ba9afd03874c1c671a79dae418b30873094b214121bcb08d8cf2341e554ef158",
-        "ba9afd03874c1c671a79dae418b30873094b214121bcb08d8cf2341e554ef158"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", 3, False): (
-        "02a0799c767756bfd614e1aa672b46020df3cbfe67106d1e7d7aa25f34cb36ae",
-        "02a0799c767756bfd614e1aa672b46020df3cbfe67106d1e7d7aa25f34cb36ae"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", 3, True): (
-        "df3f49d4b6cfcfb8e7d8ab10d97467c90918da0af142e97661db3a51e49801de",
-        "df3f49d4b6cfcfb8e7d8ab10d97467c90918da0af142e97661db3a51e49801de"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", 1, False): (
-        "d75002d5971db25715262c0edea4d25e74e6c8ff7b3a6711a8bfaddb1c6a5200",
-        "d75002d5971db25715262c0edea4d25e74e6c8ff7b3a6711a8bfaddb1c6a5200"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", 1, True): (
-        "fa7d4b730a1ab2dc2122826987d05674c2e671a80c68f4f6299f636aee380113",
-        "fa7d4b730a1ab2dc2122826987d05674c2e671a80c68f4f6299f636aee380113"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", 2, False): (
-        "fda81020717a541063783a209950405e4cab2fc272c410435db7f4a955d25543",
-        "fda81020717a541063783a209950405e4cab2fc272c410435db7f4a955d25543"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", 2, True): (
-        "8643c0b6a258fe0fd66b545bfc7d4038574a6955424042234a7aebae1e7cb272",
-        "8643c0b6a258fe0fd66b545bfc7d4038574a6955424042234a7aebae1e7cb272"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", 3, False): (
-        "0fe7d23ba833a30073f69cd9f324c5b797d529452545b2f4628438a929cbeb1d",
-        "0fe7d23ba833a30073f69cd9f324c5b797d529452545b2f4628438a929cbeb1d"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("arbitrum", 3, True): (
-        "0faa109bcdacf2b64b41770d514dd5f08d4fea1370a265962c7bcab56139f78f",
-        "0faa109bcdacf2b64b41770d514dd5f08d4fea1370a265962c7bcab56139f78f"),
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
+        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
 }
 
 
@@ -651,42 +653,42 @@ LIFECYCLE_OUTPUTS = {
 
 
 def table_digests(name, scn, schedule):
-    """((real, ideal) verdict digests, the four output digests)."""
+    """((real, ideal) witness digests, the four output digests)."""
     real, ideal, _ = harness.run_differential(name, scn, schedule)
-    verdicts, outputs = (), ()
+    witnesses, outputs = (), ()
     for run in (real, ideal):
         checks = all_checks(name, scn, run.trace)
-        verdicts += (verdict_digest(checks),)
+        witnesses += (witnesses_digest(checks),)
         outputs += (sha(full_view_projection(run.trace)),
                     sha([v.to_record() for v in checks]))
-    return verdicts, outputs
+    return witnesses, outputs
 
 
 def test_verdict_table_covers_every_scripted_schedule():
     labels = {(name, label) for name, proto in harness.PROTOCOLS.items()
               for label in harness.scripted_schedules(
                   name, proto.canonical_scenario())}
-    assert labels == set(SCRIPTED) == set(SCRIPTED_OUTPUTS)
-    assert set(LIFECYCLE) == set(LIFECYCLE_OUTPUTS)
+    assert labels == set(SCRIPTED_WITNESSES) == set(SCRIPTED_OUTPUTS)
+    assert set(LIFECYCLE_WITNESSES) == set(LIFECYCLE_OUTPUTS)
 
 
-@pytest.mark.parametrize("name, label", list(SCRIPTED))
+@pytest.mark.parametrize("name, label", list(SCRIPTED_WITNESSES))
 def test_scripted_verdicts(name, label):
     scn = harness.protocol(name).canonical_scenario()
     schedule = harness.scripted_schedules(name, scn)[label]
-    verdicts, outputs = table_digests(name, scn, schedule)
+    witnesses, outputs = table_digests(name, scn, schedule)
     assert outputs == SCRIPTED_OUTPUTS[name, label]
-    assert verdicts == SCRIPTED[name, label]
+    assert witnesses == SCRIPTED_WITNESSES[name, label]
 
 
-@pytest.mark.parametrize("name, seed, adversarial", list(LIFECYCLE))
+@pytest.mark.parametrize("name, seed, adversarial", list(LIFECYCLE_WITNESSES))
 def test_lifecycle_verdicts(name, seed, adversarial):
     scn = harness.protocol(name).canonical_scenario()
     schedule = harness.lifecycle_schedule(name, scn, seed, pays=10,
                                           adversarial=adversarial)
-    verdicts, outputs = table_digests(name, scn, schedule)
+    witnesses, outputs = table_digests(name, scn, schedule)
     assert outputs == LIFECYCLE_OUTPUTS[name, seed, adversarial]
-    assert verdicts == LIFECYCLE[name, seed, adversarial]
+    assert witnesses == LIFECYCLE_WITNESSES[name, seed, adversarial]
 
 
 # -- the all-pairs safety check, kept as the reference -----------------------
@@ -1002,7 +1004,7 @@ LIVENESS_EXPECTED = {
                     "t_l2": 4,
                     "t_l1": 2},
          "witness_len": 3},
-        "c0ffd41464ee1632320d76349912cf7591a900e51f811895678b7e207fa8efb1"),
+        "fca613b222977c337a5dc727ec61c1bf9bf4b7f08331f6b2d4f2cc7a2edb0a8c"),
     "deposit-minted-at-deadline": (
         {"record": "verdict",
          "property": "liveness-update",
@@ -1026,7 +1028,7 @@ LIVENESS_EXPECTED = {
                     "t_l2": 4,
                     "t_l1": 2},
          "witness_len": 3},
-        "83f1263648a29bd8ce16fc003f9656d394989e9c560abf6ebced49cfbc3ce551"),
+        "8f6f5777febe75eb90fa0150f88fdf8cfca84b1c3a0f3bb3c7e36c2f009dc30e"),
     "queued-pay-nonce-missing": (
         {"record": "verdict",
          "property": "liveness-update",
@@ -1039,7 +1041,7 @@ LIVENESS_EXPECTED = {
                     "t_l2": 4,
                     "t_l1": 2},
          "witness_len": 3},
-        "592a3e5fccc81e428edfd5b1fd113a918d73ee94c1df9f73dd250fcef222371a"),
+        "1292d17d868628870571d13b339ef6e3f2134f329862c3577845b9d10d57cf68"),
     "queued-pay-nonce-seen": (
         {"record": "verdict",
          "property": "liveness-update",
@@ -1063,7 +1065,7 @@ LIVENESS_EXPECTED = {
                     "t_l2": 4,
                     "t_l1": 2},
          "witness_len": 3},
-        "ff8a0cdb81fb51391f2eed73cebd3a95630431e14250692020e0771b1e0708e0"),
+        "c76b95eb19a0ca61d796cbf86a9dcad5190b9177cf230bb2c013206c900c1cd6"),
     "pay-never-sent": (
         {"record": "verdict",
          "property": "liveness-update",
@@ -1076,7 +1078,7 @@ LIVENESS_EXPECTED = {
                     "t_l2": 4,
                     "t_l1": 2},
          "witness_len": 3},
-        "6215493c1d2cf77ab3811ba79808aed3d39845d2ece52dbbc12c87ef48ec94ad"),
+        "2b535a08b7a4c083fe678505d57435ae48a65f009d83068f31f3fb47b8000d21"),
     "open-without-open-ok": (
         {"record": "verdict",
          "property": "liveness-open",
@@ -1190,7 +1192,7 @@ SETTLEMENT_EXPECTED = {
          "vacuous": False,
          "params": {"settled_at": 1, "latest_known": 2},
          "witness_len": 2},
-        "25f5a6c36330bb895851c9e08b26c4c8101e23e3fe21fe61c9f4aa1b71a7234a"),
+        "efc4d88c2dd8d4af616c4f6cd7d726d4f052fe5a47b9a39c66b61ba69e7bbcff"),
     "stale-but-explicit-anchor": (
         {"record": "verdict",
          "property": "correct-settlement",
