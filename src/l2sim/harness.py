@@ -10,11 +10,19 @@ keeps envelope numbering, block timing, and therefore client-visible
 outputs identical between the two runs.
 
 Schedules are plain data (lists of step dicts), so they serialize into
-scenario files and replay bit-exactly.  Both run flavors expose the same
-driving surface (input / corrupt / menu_act / pump / advance), and
+scenario files and replay bit-exactly; ``apply_schedule`` checks every
+environment entry against ``ENTRY_FIELDS`` before the first step and
+raises ScheduleError for a malformed one.  Both run flavors expose the
+same driving surface (input / corrupt / menu_act / pump / advance), and
 ``run_differential`` executes one schedule against both and diffs the
 per-party output streams.  Both flavors build read results with
-``core.read_result``.  A run's trace is only ever appended to: the
+``core.read_result``: a read carries ``base``, the length of the longest
+common prefix of its reader's previous view and this one, the executed
+entries after that prefix, and ``settled``, the settled state or None.
+``output_projection`` keeps ``base``, ``settled`` and the keys of those
+entries; the prefix rule fixes ``base`` from the views alone, so the
+outputs of two runs are equal exactly when their readers' whole views
+are.  A run's trace is only ever appended to: the
 property checks share one ``properties.summarize`` summary per trace
 object and event count, so an event must never be edited in place.
 
@@ -578,13 +586,8 @@ def scripted_schedules(name, scn):
 
 
 def output_projection(trace):
-    """Per-party ordered view of what the environment saw.
-
-    A read projects its ``base``, its ``settled`` state and the keys of its
-    delta entries.  ``base`` is the longest common prefix of the reader's
-    previous view and this one, a function of the views alone, so two
-    projections are equal exactly when the whole-view sequences are.
-    """
+    """Per-party ordered view of what the environment saw; a read keeps
+    its ``base``, its ``settled`` state and the keys of its entries."""
     per = {}
     texts = {}              # canonical state texts, shared by every read
     for ev in trace.events:

@@ -221,8 +221,8 @@ def test_unknown_schedule_op_rejected():
         apply_schedule(RealRun("brick", scn), [{"op": "warp"}])
 
 
-# entry -> protocols it is malformed for; each crashed a client or the
-# ideal request translation before apply_schedule checked entries
+# (entry, protocols it is malformed for); most of them crashed a client
+# or the ideal request translation before apply_schedule checked entries
 MALFORMED_ENTRIES = [
     ({"kind": "pay"}, PROTOCOLS),
     ({"kind": "pay", "to": "c2"}, PROTOCOLS),
