@@ -14,9 +14,10 @@ moves a verdict or a witness has to say why.
 ``reference_check_safety`` keeps the all-pairs safety check that the
 one-pass ``check_safety`` replaced; the two are compared on hand-built
 failing traces and on random view sets.  The hand-built liveness and
-settlement traces pin the verdicts the checks gave before that rework,
-and every failing witness must fail again when checked on its own (one
-liveness witness that does not is marked as a known defect).
+settlement traces pin the verdicts the checks gave before that rework
+(their witness digests recorded again with delta reads), and every
+failing witness must fail again when checked on its own (one liveness
+witness that does not is marked as a known defect).
 """
 
 import hashlib
