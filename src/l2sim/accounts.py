@@ -84,11 +84,10 @@ def apply_txs(state, txs, ledger, confirm_depth, height):
 
 def ripe_deposits(ledger, sid, state, confirm_depth):
     """Mint transactions for every buried, not-yet-minted bridge deposit."""
-    deps = ledger.find(
-        lambda t: t["kind"] == "deposit" and t["body"].get("chain") == sid)
+    minted = set(state["minted"])
     out = []
-    for d in deps:
-        if d["txid"] in state["minted"]:
+    for d in ledger.records("deposit"):
+        if d["body"].get("chain") != sid or d["txid"] in minted:
             continue
         if ledger.depth(d) >= confirm_depth:
             out.append({"op": "mint", "to": d["body"]["to"],
@@ -145,7 +144,8 @@ class AccountClient(Machine):
     tip state, the executed entries from index ``start`` on, and the
     pointer), and
     ``_recheck(ctx)``, run on every round and block, which opens the client
-    (``_check_open``) and reports settlements (``_watch_settlements``).  A
+    (``_check_open``) and reports settlements (``_watch_settlements``); both
+    read one kind of the ledger's records (``Ledger.records``).  A
     settlement is a committed ledger record of kind ``settle_kind``; its
     body fields named in ``settle_note_fields`` ride along on the note.
     Constructor arguments after ``operators`` go to the next base class
@@ -246,10 +246,9 @@ class AccountClient(Machine):
         """Open once every operator's joining record has committed."""
         if not self.watching or self.opened:
             return
-        regs = ctx.ledger.find(
-            lambda t: t["kind"] == "open-commit"
-            and t["body"].get("chain") == self.me.sid)
-        if {o.short() for o in self.operators} <= {t["author"] for t in regs}:
+        authors = {t["author"] for t in ctx.ledger.records("open-commit")
+                   if t["body"].get("chain") == self.me.sid}
+        if {o.short() for o in self.operators} <= authors:
             self.opened = True
             ctx.note("open-done", state=self.genesis())
             ctx.output({"kind": "open-ok", "state": self.genesis()})
@@ -257,12 +256,10 @@ class AccountClient(Machine):
 
     def _watch_settlements(self, ctx):
         """Report every committed settlement record of this chain once."""
-        records = ctx.ledger.find(
-            lambda t: t["kind"] == self.settle_kind
-            and t["body"].get("chain") == self.me.sid)
-        for t in records:
+        for t in ctx.ledger.records(self.settle_kind):
             body = t["body"]
-            if body["l2txid"] in self.settles_seen:
+            if body.get("chain") != self.me.sid \
+                    or body["l2txid"] in self.settles_seen:
                 continue
             self.settles_seen.add(body["l2txid"])
             self.closed = True

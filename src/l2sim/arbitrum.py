@@ -32,6 +32,8 @@ verdict.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .runtime import Machine, EntityId
 from .base import signed_tx, attach_periodic_clock
 from .core import OPEN, UPDATE, SETTLEMENT, CLIENT
@@ -77,24 +79,30 @@ def chain_view(ledger, sid, initial, confirm_depth, round_no, t_period):
     transactions.
 
     The view is a pure function of the ledger, derived incrementally by one
-    ``ChainFold`` per (sid, confirm_depth, initial) kept on the ledger.  That
-    equals a fold from genesis: a post can only go from None to its one
-    valid value (deposits only gain depth), so only None posts are run
-    again, and a proof striking an accepted batch re-walks from genesis.
+    ``ChainFold`` per (sid, confirm_depth, initial) kept on the ledger (see
+    ``chain_fold``).  That equals a fold from genesis: a post can only go
+    from None to its one valid value (deposits only gain depth), so only
+    None posts are run again, and a proof striking an accepted batch
+    re-walks from genesis.  Entries follow ledger commit order, so their
+    "commit_round" never decreases and the final prefix, the entries whose
+    window has closed (round_no > commit_round + t_period), is found by
+    bisection.
     """
+    entries = list(chain_fold(ledger, sid, initial, confirm_depth).entries)
+    final = bisect_left(entries, round_no - t_period,
+                        key=lambda e: e["commit_round"])
+    return {"entries": entries, "final": final}
+
+
+def chain_fold(ledger, sid, initial, confirm_depth):
+    """The ledger's ``ChainFold`` for this chain, caught up with it."""
     key = (sid, confirm_depth, tuple(sorted(initial.items())))
     fold = ledger.views.get(key)
     if fold is None:
         fold = ledger.views[key] = ChainFold(sid, genesis_state(initial),
                                              confirm_depth)
-    entries = fold.catch_up(ledger)
-    final = 0
-    for e in entries:
-        if round_no > e["commit_round"] + t_period:
-            final += 1
-        else:
-            break
-    return {"entries": entries, "final": final}
+    fold.catch_up(ledger)
+    return fold
 
 
 class ChainFold:
@@ -102,9 +110,16 @@ class ChainFold:
 
     Reads ``ledger.committed`` (append-only) from where the last call left
     off; a call on an unchanged ledger (same commit count and height) does
-    no work.  Each call returns a new list, and an entry whose post ripens
-    is replaced rather than changed, so views handed out earlier stay as
-    they were.
+    no work.  ``chain_view`` hands out copies of ``entries``, and an entry
+    whose post ripens is replaced rather than changed, so views handed out
+    earlier stay as they were.
+
+    ``positions`` maps each l2 txid to the index of the first entry whose
+    "ids" hold it.  Extending the chain adds to the map; a re-walk starts a
+    fresh one, so a map taken together with a view
+    (``RollupParty.positions``) stays exact for that view: a txid is in the
+    view's entries iff its position is below ``len(entries)``, and in its
+    final prefix iff below ``final``.
     """
 
     def __init__(self, sid, genesis, confirm_depth):
@@ -115,6 +130,7 @@ class ChainFold:
         self.published = []        # this chain's batch publications, in order
         self.struck = set()        # targets of committed fraud proofs
         self.entries = []
+        self.positions = {}        # l2 txid -> index of first entry with it
 
     def catch_up(self, ledger):
         mark = (len(ledger.committed), ledger.height)
@@ -122,7 +138,6 @@ class ChainFold:
             new = ledger.committed[self.mark[0]:]
             self.mark = mark
             self._read(new, ledger)
-        return list(self.entries)
 
     def _read(self, new, ledger):
         batches, strikes = [], set()
@@ -136,7 +151,8 @@ class ChainFold:
         self.published += batches
         self.struck |= strikes
         if any(e["txid"] in strikes for e in self.entries):
-            self.entries, batches = [], self.published
+            self.entries, self.positions = [], {}
+            batches = self.published
         else:
             # deposits may have been buried since: run unripe posts again
             for i, e in enumerate(self.entries):
@@ -159,12 +175,14 @@ class ChainFold:
         prev = self.entries[-1]["digest"] if n else genesis_anchor(self.sid)
         if batch.get("seq") != n + 1 or batch.get("prev") != prev:
             return
+        ids = [l2_txid(t) for t in batch.get("txs", [])]
+        for i in ids:
+            self.positions.setdefault(i, n)
         self.entries.append({
             "batch": batch, "txid": tx["txid"],
             "commit_round": tx.get("commit_round", 0),
             "post": self._execute(n, batch, ledger), "claimed": batch["post"],
-            "digest": batch_digest(batch),
-            "ids": [l2_txid(t) for t in batch.get("txs", [])]})
+            "digest": batch_digest(batch), "ids": ids})
 
 
 def world_view(world, initial):
@@ -267,6 +285,13 @@ class RollupParty(Machine):
     def view(self, ctx):
         return world_view(ctx.world, self.initial)
 
+    def positions(self, ctx):
+        """The fold's l2 txid positions (see ``ChainFold``); exact for the
+        view that ``view(ctx)`` returns in the same step."""
+        w = ctx.world
+        return chain_fold(w.ledger, w.sid, self.initial,
+                          w.timing["confirm_depth"]).positions
+
     def optimistic_state(self, ctx, view=None):
         v = view or self.view(ctx)
         s = view_state(v)
@@ -299,9 +324,9 @@ class ArbitrumOperator(RollupParty):
 
     def on_ledger_block(self, ctx, height):
         # drop mempool entries that landed in an accepted batch
-        for e in self.view(ctx)["entries"]:
-            for txid in e["ids"]:
-                self.mempool.pop(txid, None)
+        positions = self.positions(ctx)
+        for txid in [t for t in self.mempool if t in positions]:
+            del self.mempool[txid]
 
 
 class ArbitrumValidator(RollupParty):
@@ -358,8 +383,8 @@ class ArbitrumClient(AccountClient, RollupParty):
         self.outstanding["since"] = ctx.world.round_no
         self.inflight.append({"txid": self.outstanding["txid"], "body": body})
 
-    def _included(self, view, txid):
-        return any(txid in e["ids"] for e in view["entries"])
+    def _included(self, view, positions, txid):
+        return positions.get(txid, len(view["entries"])) < len(view["entries"])
 
     def _overdue_mints(self, ctx, view, wait):
         """Our own buried deposits that the operators have failed to mint."""
@@ -416,9 +441,10 @@ class ArbitrumClient(AccountClient, RollupParty):
         self._check_open(ctx)
         if not self.opened:
             return
-        view = self.view(ctx)
-        self._reclaim_orphans(ctx, view)
-        if self.outstanding is not None and self._included(view, self.outstanding["txid"]):
+        view, positions = self.view(ctx), self.positions(ctx)
+        self._reclaim_orphans(ctx, view, positions)
+        if self.outstanding is not None \
+                and self._included(view, positions, self.outstanding["txid"]):
             self.outstanding = None
             self._try_send(ctx)
         if self.self_publish:
@@ -430,25 +456,33 @@ class ArbitrumClient(AccountClient, RollupParty):
         self.final_len = max(self.final_len, view["final"])
         self._watch_exits(ctx, newly_final)
 
-    def _reclaim_orphans(self, ctx, view):
+    def _reclaim_orphans(self, ctx, view, positions):
         # a struck batch takes its transactions off the chain; re-queue ours
         # (an identical resend is idempotent thanks to the nonce check)
-        final_ids = {i for e in view["entries"][:view["final"]] for i in e["ids"]}
-        accepted_ids = {i for e in view["entries"] for i in e["ids"]}
-        keep, requeue = [], []
+        keep, orphans = self._sort_inflight(view, positions)
+        for item in orphans:
+            ctx.note("tx-reorged", txid=item["txid"])
+        self.inflight = keep
+        if orphans:
+            self.pending = [item["body"] for item in orphans] + self.pending
+            self._try_send(ctx)
+
+    def _sort_inflight(self, view, positions):
+        """Splits ``inflight`` into the items still to wait for (in an
+        accepted batch that is not final yet, or the outstanding one) and
+        the orphans; items in a final batch are done and dropped."""
+        n, final = len(view["entries"]), view["final"]
+        keep, orphans = [], []
         for item in self.inflight:
-            if item["txid"] in final_ids:
+            at = positions.get(item["txid"], n)
+            if at < final:
                 continue
-            if item["txid"] in accepted_ids or \
-                    (self.outstanding and item["txid"] == self.outstanding["txid"]):
+            if at < n or (self.outstanding
+                          and item["txid"] == self.outstanding["txid"]):
                 keep.append(item)
             else:
-                requeue.append(item["body"])
-                ctx.note("tx-reorged", txid=item["txid"])
-        self.inflight = keep
-        if requeue:
-            self.pending = requeue + self.pending
-            self._try_send(ctx)
+                orphans.append(item)
+        return keep, orphans
 
     def _watch_exits(self, ctx, newly_final):
         # a burn of ours gets claimed on L1 when its batch turns final; any

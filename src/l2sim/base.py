@@ -8,6 +8,14 @@ block unless the adversary holds them, and a hold can never stretch past
 block height and round count stay in lockstep and confirmation depth is
 height_now - height(tx) + 1.
 
+Committed entries are kept twice, in commit order: in ``committed`` and,
+split by transaction kind, in the kind index that ``records(kind)`` reads.
+``tick`` appends to both, so every party that polls the ledger on each round
+and block (openings, warden publications, deposits, settlements) reads one
+kind's records instead of scanning the whole history.  ``find(pred)`` scans
+``committed`` and stays the query for one-shot checks: the ideal bundles'
+``open`` and ``settlement`` and the brick simulator's settlement trigger.
+
 Signatures are idealized: sign() records (signer, digest) under a fresh
 handle (an int), verify() succeeds only for refs whose handle replays that
 exact record.  There is no key material and nothing to forge.
@@ -83,6 +91,7 @@ class Ledger:
         self.blocks: list[dict] = []          # {"height", "round", "txids"}
         self.committed: list[dict] = []       # tx + {"height"}
         self.by_txid: dict[str, dict] = {}    # txid -> first committed entry
+        self.by_kind: dict[str, list] = {k: [] for k in TX_KINDS}
         self.pending: list[dict] = []         # tx + {"submit_round", "hold_until"}
         self.keys: dict[str, str] = {}        # conflict key -> txid
         self.frontier: dict[str, int] = {}
@@ -179,6 +188,7 @@ class Ledger:
             entry["commit_round"] = rnd
             entry["submit_round"] = tx["submit_round"]
             self.committed.append(entry)
+            self.by_kind[entry["kind"]].append(entry)
             self.by_txid.setdefault(tx["txid"], entry)
             key = tx["body"].get("conflict")
             if key is not None:
@@ -200,7 +210,13 @@ class Ledger:
         txs = self.committed[:visible]
         return {"height": self.height, "txs": txs}
 
+    def records(self, kind: str) -> list[dict]:
+        """The committed entries of one kind, in commit order; the list
+        grows in place as blocks commit, so callers must not change it."""
+        return self.by_kind[kind]
+
     def find(self, pred) -> list[dict]:
+        """Every committed entry ``pred`` accepts: a scan of the history."""
         return [tx for tx in self.committed if pred(tx)]
 
     def get(self, txid) -> dict | None:

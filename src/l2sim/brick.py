@@ -318,10 +318,9 @@ class BrickClient(Machine):
 
     def _recheck(self, ctx):
         if self.phase == "opening" and self.open_submitted:
-            opens = ctx.ledger.find(
-                lambda t: t["kind"] == "open-commit"
-                and t["body"].get("channel") == self.me.sid)
-            if {t["author"] for t in opens} >= set(self.participants()):
+            authors = {t["author"] for t in ctx.ledger.records("open-commit")
+                       if t["body"].get("channel") == self.me.sid}
+            if authors >= set(self.participants()):
                 self.phase = "open"
                 self.chain.append({"kind": OPEN, "seq": 0, "state": self.s0,
                                    "csigs": [self.my_open_sig, self.peer_open_sig],
@@ -330,17 +329,15 @@ class BrickClient(Machine):
                 ctx.output({"kind": "open-ok", "state": self.s0})
                 self._try_propose(ctx)
         if self.uni_pending and not self.close_submitted:
-            pubs = ctx.ledger.find(
-                lambda t: t["kind"] == "warden-publish"
-                and t["body"].get("channel") == self.me.sid)
+            pubs = [t for t in ctx.ledger.records("warden-publish")
+                    if t["body"].get("channel") == self.me.sid]
             if len({t["author"] for t in pubs}) >= 2 * self.f + 1:
                 best = max(pubs, key=lambda t: t["body"]["seq"])
                 self._submit_close(ctx, best["body"]["state"], best["body"]["seq"],
                                    best["body"]["csigs"], "unilateral")
         if self.phase in ("opening", "open"):
-            closes = ctx.ledger.find(
-                lambda t: t["kind"] == "settle"
-                and t["body"].get("channel") == self.me.sid)
+            closes = [t for t in ctx.ledger.records("settle")
+                      if t["body"].get("channel") == self.me.sid]
             if closes:
                 body = closes[0]["body"]
                 self.phase = "closed"

@@ -63,7 +63,8 @@ their names and signatures:
   bundle entry point in ``core``.
 
 Its ``find(ledger, pred)`` shim fixes the signature of ``Ledger.find``, so
-a (kind, chain) ledger index has to wait for a change to the benchmark.
+the ledger's kind index has its own accessor, ``Ledger.records(kind)``, which
+the polling parties read and the benchmark does not wrap.
 """
 
 from __future__ import annotations

@@ -5,7 +5,10 @@ commits.  ``reference_chain_view`` below is the plain fold it replaced,
 walking every committed batch again on every call; the tests require the
 two to agree on every call of whole schedules, pin the call-time depth
 semantics of a mint in a batch, and check that a cloned world carries its
-own copy of the fold.
+own copy of the fold.  The rollup parties look l2 txids up in the fold's
+positions map instead of scanning the view's "ids"; every such answer is
+compared with the scan, and the ordering that lets ``chain_view`` bisect
+for the final prefix is checked on every view.
 """
 
 import copy
@@ -18,7 +21,7 @@ from l2sim.base import CertRegistry, Ledger, signed_tx
 from l2sim.core import CLIENT
 from l2sim.harness import (
     IdealRun, RealRun, apply_schedule, lifecycle_schedule, protocol,
-    scripted_schedules,
+    run_differential, scripted_schedules,
 )
 from l2sim.runtime import World
 
@@ -158,6 +161,158 @@ def test_incremental_view_matches_reference_on_adversarial_lifecycles(
     assert audit.orphaned
     assert rejected >= 1
     assert self_published >= 1
+
+
+# -- txid positions -----------------------------------------------------------
+
+
+def holds(entries, txid):
+    return any(txid in e["ids"] for e in entries)
+
+
+class PositionAudit:
+    """Spies on the rollup parties' txid lookups while schedules run.
+
+    Every ``_included`` answer, every split of a client's in-flight
+    transactions and every operator mempool drop is compared with a scan of
+    the view's "ids".  The (view, positions) pairs handed to a client are
+    kept, and ``recheck_kept`` asks ``_included`` about them again once the
+    runs are over, when the fold has grown and may have re-walked: a map
+    taken with a view must stay exact for that view.
+    """
+
+    def __init__(self, monkeypatch):
+        self.included = self.splits = self.drops = self.orphans = 0
+        self.kept = {}                # (id(positions), len, final) -> pair
+        self.txids = set()
+        client, operator = arbitrum.ArbitrumClient, arbitrum.ArbitrumOperator
+        included, split = client._included, client._sort_inflight
+        self.included_unchecked = included
+        on_block = operator.on_ledger_block
+
+        def checked_included(me, view, positions, txid):
+            got = included(me, view, positions, txid)
+            assert got == holds(view["entries"], txid)
+            self.included += 1
+            self._keep(me, view, positions, [txid])
+            return got
+
+        def checked_split(me, view, positions):
+            entries, final = view["entries"], view["final"]
+            out = me.outstanding and me.outstanding["txid"]
+            live = [i for i in me.inflight
+                    if not holds(entries[:final], i["txid"])]
+            want = ([i for i in live
+                     if holds(entries, i["txid"]) or i["txid"] == out],
+                    [i for i in live
+                     if not holds(entries, i["txid"]) and i["txid"] != out])
+            got = split(me, view, positions)
+            assert got == want
+            self.splits += 1
+            self.orphans += len(got[1])
+            self._keep(me, view, positions, [i["txid"] for i in me.inflight])
+            return got
+
+        def checked_block(me, ctx, height):
+            before = set(me.mempool)
+            view = arbitrum.world_view(ctx.world, me.initial)
+            on_block(me, ctx, height)
+            dropped = before - set(me.mempool)
+            assert dropped == {t for t in before
+                               if holds(view["entries"], t)}
+            self.drops += len(dropped)
+            self.txids |= before
+
+        monkeypatch.setattr(client, "_included", checked_included)
+        monkeypatch.setattr(client, "_sort_inflight", checked_split)
+        monkeypatch.setattr(operator, "on_ledger_block", checked_block)
+
+    def _keep(self, me, view, positions, txids):
+        self.txids.update(txids)
+        for e in view["entries"]:
+            self.txids.update(e["ids"])
+        key = (id(positions), len(view["entries"]), view["final"])
+        self.kept.setdefault(key, (me, view, positions))
+
+    def recheck_kept(self):
+        for me, view, positions in self.kept.values():
+            entries, final = view["entries"], view["final"]
+            for txid in self.txids:
+                assert self.included_unchecked(me, view, positions, txid) \
+                    == holds(entries, txid)
+                at = positions.get(txid, len(entries))
+                assert (at < final) == holds(entries[:final], txid)
+        return len(self.kept)
+
+
+def test_txid_positions_match_a_scan_on_scripted(monkeypatch):
+    audit = PositionAudit(monkeypatch)
+    for sched in scripted_schedules("arbitrum", SCN).values():
+        run_differential("arbitrum", SCN, sched)
+    assert audit.included and audit.splits and audit.drops
+    assert audit.recheck_kept() > 1
+
+
+def test_txid_positions_match_a_scan_on_adversarial_lifecycles(monkeypatch):
+    audit = PositionAudit(monkeypatch)
+    rewalked = Audit(monkeypatch)
+    for n_vals, seed in LIFECYCLES:
+        scn = protocol("arbitrum").canonical_scenario(n_vals=n_vals)
+        sched = lifecycle_schedule("arbitrum", scn, seed, pays=12,
+                                   adversarial=True)
+        run_differential("arbitrum", scn, sched)
+    assert rewalked.rewalks >= 1
+    assert audit.recheck_kept() > 1
+
+
+def test_an_orphaned_transaction_is_requeued(monkeypatch):
+    # a wrong batch commits, its fraud proof is held for the whole liveness
+    # bound, and meanwhile the honest operator builds on it a batch holding
+    # c1's payment; once the proof strikes, that batch is an orphan and the
+    # client sends the payment again
+    audit = PositionAudit(monkeypatch)
+    world = RealRun("arbitrum", SCN).world
+    for pid in SCN["clients"]:
+        world.inject_input(_client(world, pid), {"kind": "open"})
+    _cycle(world, 3)
+    p1 = world.entity("operator", "p1")
+    world.corrupt(p1)
+    arbitrum.publish_wrong_batch(world, p1)
+    world.inject_input(_client(world, "c1"),
+                       {"kind": "pay", "to": "c2", "amt": 1})
+    bound = world.timing["liveness_bound"]
+    for _ in range(10):
+        while world.pending_net():
+            world.deliver_net(min(e.eid for e in world.pending_net()))
+        for tx in world.ledger.pending:
+            if tx["kind"] == "fraud-proof":
+                world.ledger.hold(tx["txid"], tx["submit_round"] + bound)
+        world.advance_round()
+    assert _kinds(world.trace, "note", "tx-reorged")
+    assert audit.orphans >= 1
+    assert audit.recheck_kept() > 1
+
+
+def test_commit_round_never_decreases_along_a_view(monkeypatch):
+    seen = []
+    view = arbitrum.chain_view
+
+    def checked(*args):
+        got = view(*args)
+        rounds = [e["commit_round"] for e in got["entries"]]
+        assert rounds == sorted(rounds)
+        seen.append(len(rounds))
+        return got
+
+    monkeypatch.setattr(arbitrum, "chain_view", checked)
+    for sched in scripted_schedules("arbitrum", SCN).values():
+        run_differential("arbitrum", SCN, sched)
+    for n_vals, seed in LIFECYCLES:
+        scn = protocol("arbitrum").canonical_scenario(n_vals=n_vals)
+        for adversarial in (False, True):
+            run_differential("arbitrum", scn, lifecycle_schedule(
+                "arbitrum", scn, seed, pays=12, adversarial=adversarial))
+    assert max(seen) > 2
 
 
 # -- a mint whose deposit is not yet buried ----------------------------------

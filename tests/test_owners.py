@@ -4,7 +4,10 @@ An ``ast`` walk over the sources, like ``tests/test_imports.py``: in
 ``properties`` only the builders of the trace summary read a trace's
 ``.events``; under ``src/l2sim`` one function builds the settled entry
 ``{"kind": SETTLEMENT, "seq": None, "state": ...}`` of read results; and
-only ``core.InterfaceMachine`` writes the internal state ``ist`` directly.
+only ``core.InterfaceMachine`` writes the internal state ``ist`` directly;
+and no polling path (a machine's ``on_round``, ``on_ledger_block``,
+``_recheck*`` or ``_watch_*`` handler, or ``ripe_deposits``, nor anything
+they call) scans the ledger with ``Ledger.find``: they read the kind index.
 The bundle classes define no entry point beyond the six of
 ``SubroutineBundle``, so a leftover override of a retired one cannot sit
 there unused.
@@ -87,6 +90,55 @@ def writes_ist(node):
             and node.func.attr in MUTATORS and on_ist(node.func.value))
 
 
+POLLING = ("on_round", "on_ledger_block", "ripe_deposits")
+
+
+def is_polling(name):
+    return name in POLLING or name.startswith(("_recheck", "_watch_"))
+
+
+def calls_find(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "find")
+
+
+def callees(fn):
+    """Names ``fn`` calls as ``name(...)`` or ``self.name(...)``."""
+    out = set()
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name):
+            out.add(node.func.id)
+        elif isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id == "self":
+            out.add(node.func.attr)
+    return out
+
+
+def polling_finds(sources) -> set:
+    """Names of the functions that call ``.find`` and are reached from a
+    polling path.  Calls resolve by name across all ``sources``, so a name
+    shared by several functions reaches all of them."""
+    defs = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).append(node)
+    reached, todo = set(), [name for name in defs if is_polling(name)]
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        reached.add(name)
+        for fn in defs[name]:
+            todo.extend(callees(fn))
+    return {name for name in reached
+            if any(calls_find(node) for fn in defs[name]
+                   for node in ast.walk(fn))}
+
+
 def test_the_guards_see_what_they_look_for():
     source = ("def a(t):\n    return t.events\n"
               "def b(s):\n    return {'kind': SETTLEMENT, 'seq': None, "
@@ -104,6 +156,18 @@ def test_the_guards_see_what_they_look_for():
               "def r1(ist):\n    return [e['state'] for e in ist.executed]\n"
               "def r2(ist):\n    return ist.latest()['bal'].get('c1')\n")
     assert functions_where(writes, writes_ist) == {f"w{i}" for i in range(1, 7)}
+    machine = ("class M:\n"
+               "    def on_round(self, ctx):\n        self._check(ctx)\n"
+               "    def _check(self, ctx):\n"
+               "        return ctx.ledger.find(lambda t: True)\n"
+               "    def _recheck_x(self, ctx):\n"
+               "        return ctx.ledger.records('deposit')\n"
+               "    def open(self, env):\n"
+               "        return env.ledger.find(lambda t: True)\n")
+    helper = ("def _watch_y(ctx):\n    return scan(ctx.ledger)\n"
+              "def scan(ledger):\n    return ledger.find(lambda t: True)\n")
+    assert polling_finds([machine]) == {"_check"}
+    assert polling_finds([machine, helper]) == {"_check", "scan"}
 
 
 def test_only_the_summary_builders_read_events():
@@ -121,6 +185,11 @@ def test_only_the_interface_machine_writes_the_internal_state():
     writers = [(path.name, name) for path in sorted(SRC.glob("*.py"))
                for name in functions_where(path.read_text(), writes_ist)]
     assert writers == [("core.py", "InterfaceMachine")]
+
+
+def test_no_polling_path_scans_the_ledger():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert polling_finds(sources) == set()
 
 
 ENTRY_POINTS = {"submit", "open", "update", "read", "settlement", "upd_rnd"}
