@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .base import signed_tx
 from .core import (CLIENT, OPEN, SETTLEMENT, UPDATE, SubroutineBundle,
-                   open_record, read_result)
+                   honest, open_record, read_result)
 from .runtime import ENV_ROLE, Machine
 from .trace import digest
 
@@ -280,7 +280,7 @@ class AccountBundle(SubroutineBundle):
     An update is a dict with ``txs`` (a block or a batch) whose position
     sits under ``seq_field``; its executed record keeps it under
     ``update_key``.  Subclasses define ``_certify(ist, update, attachment,
-    env)``, None or the reason the protocol refuses the update; it runs
+    ctx)``, None or the reason the protocol refuses the update; it runs
     after the shape and position checks and before the one computation of
     the post-state.  A settlement needs the burn's committed ledger record
     of kind ``settle_kind``.
@@ -299,7 +299,7 @@ class AccountBundle(SubroutineBundle):
                    if r["by"] == pid and (r["kind"], r["body"].get("op"))
                    in ((UPDATE, "pay"), (SETTLEMENT, "peg-out")))
 
-    def submit(self, ist, req, env):
+    def submit(self, ist, req, ctx):
         kind, body, by = req["kind"], req["body"], req["by"]
         if ist.phase() == "settled":
             return False, "settled"
@@ -332,30 +332,29 @@ class AccountBundle(SubroutineBundle):
             return True, None
         return False, "unknown-kind"
 
-    def open(self, ist, body, attachment, env):
+    def open(self, ist, body, attachment, ctx):
         if body.get("state") != genesis_state(self.initial):
             return False, "bad-state", None
-        honest = env.honest(ist, CLIENT)
         queued = {r["by"] for r in ist.queue if r["kind"] == OPEN}
-        if not set(honest) <= queued:
+        if not set(honest(ctx, ist, CLIENT)) <= queued:
             return False, "missing-open-requests", None
-        regs = env.ledger.find(
+        regs = ctx.ledger.find(
             lambda t: t["kind"] == "open-commit" and t["body"].get("chain") == self.sid)
         if not set(self.operators) <= {t["author"] for t in regs}:
             return False, "registration-missing", None
-        return True, None, open_record(body["state"], attachment, env)
+        return True, None, open_record(body["state"], attachment, ctx)
 
-    def update(self, ist, update, attachment, env):
+    def update(self, ist, update, attachment, ctx):
         if "txs" not in update:
             return False, "malformed", None
         seq = update.get(self.seq_field)
         if seq != ist.latest()["height"] + 1:
             return False, "stale", None
-        reason = self._certify(ist, update, attachment, env)
+        reason = self._certify(ist, update, attachment, ctx)
         if reason is not None:
             return False, reason, None
-        post = apply_txs(ist.latest(), update["txs"], env.ledger,
-                         env.timing["confirm_depth"], seq)
+        post = apply_txs(ist.latest(), update["txs"], ctx.ledger,
+                         ctx.timing["confirm_depth"], seq)
         if post is None:
             return False, "invalid-transition", None
         rids = []
@@ -375,9 +374,9 @@ class AccountBundle(SubroutineBundle):
         return True, None, {
             "kind": UPDATE, "seq": seq, "state": post, "txs": update["txs"],
             self.update_key: update, "evidence": attachment, "rids": rids,
-            "round": env.round}
+            "round": ctx.round}
 
-    def read(self, ist, idx, env):
+    def read(self, ist, idx, ctx):
         want = ist.states[idx]
         cur = ist.states[0]
         for e in ist.executed:
@@ -388,7 +387,7 @@ class AccountBundle(SubroutineBundle):
             cur = e["state"]
         return cur == want
 
-    def settlement(self, ist, body, attachment, env):
+    def settlement(self, ist, body, attachment, ctx):
         if body.get("op") != "peg-out":
             return False, "malformed", None
         asked = [r for r in ist.queue if r["kind"] == SETTLEMENT]
@@ -405,7 +404,7 @@ class AccountBundle(SubroutineBundle):
         if burn is None:
             return False, "no-burn", None
         entry, tx = burn
-        committed = env.ledger.find(
+        committed = ctx.ledger.find(
             lambda t: t["kind"] == self.settle_kind
             and t["body"].get("chain") == self.sid
             and t["body"].get("l2txid") == l2_txid(tx))

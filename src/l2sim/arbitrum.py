@@ -20,8 +20,9 @@ deposit is not yet buried) to its one valid value, so only None posts are
 run again, and a proof that strikes an accepted batch re-walks from genesis.
 
 Clients can rescue a censored transaction by publishing it themselves as a
-one-transaction batch after a patience window; a scenario flag turns that
-escape hatch off so censorship experiments have something to find.
+one-transaction batch once it has waited ``t_period`` rounds (a buried
+deposit nobody minted waits as long); a scenario flag turns that escape
+hatch off so censorship experiments have something to find.
 
 The security assumptions are one honest operator (liveness, unless
 self-publication is on, in which case none) and one honest validator
@@ -363,10 +364,9 @@ class ArbitrumValidator(RollupParty):
 class ArbitrumClient(AccountClient, RollupParty):
     settle_kind = "settle"
 
-    def __init__(self, me, operators, initial, self_publish=True, patience=None):
+    def __init__(self, me, operators, initial, self_publish=True):
         super().__init__(me, operators, initial)
         self.self_publish = self_publish
-        self.patience = patience
         self.inflight = []         # sent but not yet final: {"txid","body"}
         self.final_len = 0
         self.exit_submitted = False
@@ -378,7 +378,7 @@ class ArbitrumClient(AccountClient, RollupParty):
         return self.optimistic_state(ctx)
 
     def _sent(self, ctx, body):
-        # "since" starts the self-publication patience; the inflight entry
+        # "since" starts the self-publication wait; the inflight entry
         # lets a struck batch re-queue the request
         self.outstanding["since"] = ctx.world.round_no
         self.inflight.append({"txid": self.outstanding["txid"], "body": body})
@@ -400,7 +400,7 @@ class ArbitrumClient(AccountClient, RollupParty):
         return out
 
     def _maybe_self_publish(self, ctx, view):
-        wait = self.patience or ctx.timing["t_period"]
+        wait = ctx.timing["t_period"]
         now = ctx.world.round_no
         cd = ctx.timing["confirm_depth"]
         state = self.optimistic_state(ctx, view)
@@ -509,8 +509,8 @@ class ArbitrumBundle(AccountBundle):
     name = "arbitrum"
     update_key, seq_field, settle_kind = "batch", "seq", "settle"
 
-    def _certify(self, ist, batch, attachment, env):
-        view = world_view(env.world, self.initial)
+    def _certify(self, ist, batch, attachment, ctx):
+        view = world_view(ctx.world, self.initial)
         entry = None
         for e in view["entries"]:
             if e["batch"] == batch:
@@ -518,7 +518,7 @@ class ArbitrumBundle(AccountBundle):
                 break
         if entry is None:
             return "not-on-ledger"
-        if env.round <= entry["commit_round"] + env.timing["t_period"]:
+        if ctx.round <= entry["commit_round"] + ctx.timing["t_period"]:
             return "window-open"
         if entry["post"] is None or entry["post"] != entry["claimed"]:
             return "halt:unchallenged-fraud"
@@ -572,8 +572,7 @@ def build_real(world, scn):
     install_ledger_checks(world, world.sid, scn["initial"], publishers)
     for c in clients:
         world.register(ArbitrumClient(c, ops, scn["initial"],
-                                      self_publish=scn.get("self_publish", True),
-                                      patience=scn.get("patience")))
+                                      self_publish=scn.get("self_publish", True)))
     for o in ops:
         world.register(ArbitrumOperator(o, scn["initial"]))
     for v in vals:
@@ -621,16 +620,16 @@ class Hooks(AccountHooks):
 # -- adversary helpers -----------------------------------------------------
 
 
-def publish_wrong_batch(world, op_entity, skim=1):
+def publish_wrong_batch(world, op_entity):
     """Corrupt operator posts a batch whose claimed state inflates its own
-    favorite balance; only an honest validator stands in the way."""
+    favorite balance by one; only an honest validator stands in the way."""
     scn_initial = world.machines[op_entity].initial
     view = world_view(world, scn_initial)
     state = view_state(view) or genesis_state(scn_initial)
     seq = len(view["entries"]) + 1
     bal = dict(state["bal"])
     fav = sorted(bal)[0]
-    bal[fav] = bal.get(fav, 0) + skim
+    bal[fav] = bal.get(fav, 0) + 1
     ltx = batch_tx(world.certs, view, world.sid, op_entity.short(), seq, [],
                    dict(state, height=seq, bal=bal))
     world.ledger.submit(ltx)

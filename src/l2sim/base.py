@@ -34,29 +34,29 @@ TX_KINDS = (
 
 class CertRegistry:
     def __init__(self):
-        self.log: list[tuple[str, str]] = []
-        self.by_handle: dict[int, tuple[str, str]] = {}
+        self.log: list[tuple[str, str]] = []    # handle h is log[h - 1]
 
     def sign(self, signer: str, msg) -> dict:
         dig = digest(msg)
-        handle = len(self.log) + 1
         self.log.append((signer, dig))
-        self.by_handle[handle] = (signer, dig)
-        return {"sig": handle, "by": signer, "over": dig}
+        return {"sig": len(self.log), "by": signer, "over": dig}
+
+    def _record(self, ref):
+        """The (signer, digest) record behind ``ref``, or None."""
+        if not isinstance(ref, dict) or not isinstance(ref.get("sig"), int):
+            return None
+        handle = ref["sig"]
+        return self.log[handle - 1] if 1 <= handle <= len(self.log) else None
 
     def verify(self, ref, msg, signer: str) -> bool:
-        if not isinstance(ref, dict) or not isinstance(ref.get("sig"), int):
-            return False
-        rec = self.by_handle.get(ref["sig"])
+        rec = self._record(ref)
         if rec is None:
             return False
         return rec == (signer, digest(msg)) and ref.get("by") == signer
 
     def verify_any(self, ref, msg) -> str | None:
         """Returns the signer if the ref is a valid signature over msg."""
-        if not isinstance(ref, dict) or not isinstance(ref.get("sig"), int):
-            return None
-        rec = self.by_handle.get(ref["sig"])
+        rec = self._record(ref)
         if rec is None:
             return None
         signer, dig = rec
@@ -64,12 +64,9 @@ class CertRegistry:
             return signer
         return None
 
-    def fingerprint(self):
-        return len(self.log)
 
-
-def make_tx(kind: str, body: dict, author: str, sigs=()) -> dict:
-    tx = {"kind": kind, "body": body, "author": author, "sigs": list(sigs)}
+def make_tx(kind: str, body: dict, author: str) -> dict:
+    tx = {"kind": kind, "body": body, "author": author, "sigs": []}
     tx["txid"] = digest([kind, body, author])
     return tx
 
@@ -157,6 +154,8 @@ class Ledger:
         return {"accepted": ok, "reason": reason, "txid": tx.get("txid")}
 
     def hold(self, txid: str, until_round: int):
+        """Adversary hold, capped at ``liveness_bound`` rounds; kept for the
+        planned adversary search (ROADMAP.md)."""
         for tx in self.pending:
             if tx["txid"] == txid:
                 cap = tx["submit_round"] + self.timing["liveness_bound"]
@@ -168,10 +167,9 @@ class Ledger:
 
     # -- block production ---------------------------------------------------
 
-    def tick(self, world=None):
-        """Mint the block for the current round; called once per round advance."""
-        w = world or self.world
-        rnd = w.round_no if w else 0
+    def tick(self, world):
+        """Mint the block for the round; ``world`` calls it once per advance."""
+        rnd = world.round_no
         due, rest = [], []
         for tx in self.pending:
             force = rnd - tx["submit_round"] >= self.timing["liveness_bound"]
@@ -197,13 +195,13 @@ class Ledger:
         self.pending = rest
         self.blocks.append({"height": height, "round": rnd, "txids": included})
         self._emit("ledger-commit", height=height, txids=included)
-        if w is not None:
-            w.ledger_block_hooks(height)
+        world.ledger_block_hooks(height)
 
     # -- reads --------------------------------------------------------------
 
     def read(self, party: str, lag: int = 0) -> dict:
-        """Committed prefix visible to `party`; the frontier never moves back."""
+        """Committed prefix visible to `party`; the frontier never moves back.
+        Only the benchmark's tracer names it (it wraps it), so it stays."""
         visible = max(0, len(self.committed) - max(0, lag))
         visible = max(visible, self.frontier.get(party, 0))
         self.frontier[party] = visible
@@ -216,7 +214,8 @@ class Ledger:
         return self.by_kind[kind]
 
     def find(self, pred) -> list[dict]:
-        """Every committed entry ``pred`` accepts: a scan of the history."""
+        """Every committed entry ``pred`` accepts: a scan of the history.  The
+        benchmark's tracer wraps it with a ``find(ledger, pred)`` shim."""
         return [tx for tx in self.committed if pred(tx)]
 
     def get(self, txid) -> dict | None:
@@ -236,13 +235,13 @@ def clock_entity(sid: str) -> EntityId:
     return EntityId("tick", sid, "clock")
 
 
-def attach_leader_clock(world, operators: list[EntityId], payload_kind="update-leader"):
+def attach_leader_clock(world, operators: list[EntityId]):
     """Every round advance nudges the round-robin leader (sidechain style)."""
     clock = clock_entity(world.sid)
 
     def hook():
         leader = operators[world.round_no % len(operators)]
-        world.queue_io(clock, leader, {"kind": payload_kind, "round": world.round_no})
+        world.queue_io(clock, leader, {"kind": "update-leader", "round": world.round_no})
 
     world.round_hooks.append(hook)
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 from .runtime import Machine, EntityId
 from .base import signed_tx
 from .core import (SubroutineBundle, OPEN, UPDATE, SETTLEMENT, CLIENT,
-                   open_record, read_entries, read_result, settled_entry)
+                   honest, open_record, read_entries, read_result,
+                   settled_entry)
 
 WARDEN = "warden"
 
@@ -477,7 +478,7 @@ class BrickBundle(SubroutineBundle):
         self.f = f
         self.collateral = dict(collateral)
 
-    def submit(self, ist, req, env):
+    def submit(self, ist, req, ctx):
         kind, body, by = req["kind"], req["body"], req["by"]
         if ist.phase() == "settled":
             return False, "settled"
@@ -506,34 +507,33 @@ class BrickBundle(SubroutineBundle):
             return True, None
         return False, "unknown-kind"
 
-    def open(self, ist, body, attachment, env):
+    def open(self, ist, body, attachment, ctx):
         if body.get("state") != initial_state(self.collateral):
             return False, "bad-state", None
-        honest = env.honest(ist, CLIENT)
         queued = {r["by"] for r in ist.queue if r["kind"] == OPEN}
-        if not set(honest) <= queued:
+        if not set(honest(ctx, ist, CLIENT)) <= queued:
             return False, "missing-open-requests", None
         if len(self._warden_entries(attachment)) < 2 * self.f + 1:
             return False, "thin-warden-multiset", None
-        opens = env.ledger.find(
+        opens = ctx.ledger.find(
             lambda t: t["kind"] == "open-commit" and t["body"].get("channel") == self.sid)
         authors = {t["author"] for t in opens}
         participants = {f"{CLIENT}:{c}" for c in self.clients} | set(self.wardens)
         if not participants <= authors:
             return False, "collateral-missing", None
-        return True, None, open_record(body["state"], attachment, env)
+        return True, None, open_record(body["state"], attachment, ctx)
 
     def _warden_entries(self, attachment):
         return {e.get("by") for e in attached(attachment, "wardens")
                 if isinstance(e, dict) and e.get("by") in self.wardens}
 
-    def _agreed(self, attachment, msg, env):
+    def _agreed(self, attachment, msg, ctx):
         """Both clients signed ``msg`` in the attachment's client refs."""
-        signers = {env.certs.verify_any(ref, msg)
+        signers = {ctx.certs.verify_any(ref, msg)
                    for ref in attached(attachment, "clients")}
         return signers == {f"{CLIENT}:{c}" for c in self.clients}
 
-    def update(self, ist, new_state, attachment, env):
+    def update(self, ist, new_state, attachment, ctx):
         if not channel_state(new_state):
             return False, "malformed", None
         seq = new_state["seq"]
@@ -541,7 +541,7 @@ class BrickBundle(SubroutineBundle):
             return False, "stale", None
         if not conserves(ist.latest(), new_state):
             return False, "not-conserving", None
-        if not self._agreed(attachment, state_msg(self.sid, new_state, seq), env):
+        if not self._agreed(attachment, state_msg(self.sid, new_state, seq), ctx):
             return False, "missing-agreement", None
         if len(self._warden_entries(attachment)) < 2 * self.f + 1:
             return False, "thin-warden-multiset", None
@@ -549,9 +549,9 @@ class BrickBundle(SubroutineBundle):
                 if r["kind"] == UPDATE and r["body"].get("state") == new_state]
         return True, None, {"kind": UPDATE, "seq": seq, "state": new_state,
                             "evidence": attachment, "rids": rids,
-                            "round": env.round}
+                            "round": ctx.round}
 
-    def read(self, ist, idx, env):
+    def read(self, ist, idx, ctx):
         # fold the off-chain evidence above the anchor; after settlement the
         # anchor may already sit at (or past) the wanted sequence number
         want = ist.states[idx]
@@ -568,7 +568,7 @@ class BrickBundle(SubroutineBundle):
             cur = e["state"]
         return cur == want
 
-    def settlement(self, ist, body, attachment, env):
+    def settlement(self, ist, body, attachment, ctx):
         stype = body.get("type")
         if stype == "collab":
             want_state, want_seq = body.get("state"), body.get("seq")
@@ -577,16 +577,16 @@ class BrickBundle(SubroutineBundle):
             if not asked:
                 return False, "no-settle-request", None
             if not self._agreed(attachment,
-                                close_msg(self.sid, want_state, want_seq), env):
+                                close_msg(self.sid, want_state, want_seq), ctx):
                 return False, "missing-agreement", None
-            closes = env.ledger.find(
+            closes = ctx.ledger.find(
                 lambda t: t["kind"] == "settle" and t["body"].get("channel") == self.sid
                 and t["body"].get("state") == want_state)
             if not closes:
                 return False, "not-committed", None
             return True, None, want_state
         if stype == "unilateral":
-            pubs = env.ledger.find(
+            pubs = ctx.ledger.find(
                 lambda t: t["kind"] == "warden-publish"
                 and t["body"].get("channel") == self.sid)
             if len({t["author"] for t in pubs}) < 2 * self.f + 1:

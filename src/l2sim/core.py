@@ -6,9 +6,11 @@ executed-request evidence, the state list, per-party read pointers, the
 on-chain anchor state, and the participant identities.  All protocol-specific
 judgement lives in a SubroutineBundle with six entry points (submit, open,
 update, read, settlement, round advance) that answer and never write that
-state.  The interface machine is its only writer: it sequences the entry
-points, records what accepted answers return, notifies the uncorrupted
-clients, and leaks its whole internal state when a client is corrupted.
+state.  Each entry point gets the ``Ctx`` the interface machine holds for
+the activation and only reads it.  The interface machine is the state's
+only writer: it sequences the entry points, records what accepted answers
+return, notifies the uncorrupted clients (``honest``), and leaks its whole
+internal state when a client is corrupted.
 A read's position is the interface's own: it clamps the simulator's
 read-delay hint into [the party's pointer, the top state] and serves the
 records behind that state if the bundle says they reconstruct it.
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 
-from .runtime import Machine, EntityId, env_entity
+from .runtime import Ctx, Machine, EntityId, env_entity
 
 OPEN = "open"
 UPDATE = "update"
@@ -61,10 +63,10 @@ def read_result(state, base, executed, pointer, settled) -> dict:
             "executed": executed, "pointer": pointer, "settled": settled}
 
 
-def open_record(state, attachment, env) -> dict:
+def open_record(state, attachment, ctx) -> dict:
     """The executed record of an accepted open of ``state``."""
     return {"kind": OPEN, "state": state, "seq": 0, "evidence": attachment,
-            "round": env.round}
+            "round": ctx.round}
 
 
 def read_entries(records) -> list:
@@ -107,61 +109,35 @@ class InternalState:
         return self.rid_counter
 
 
-class BundleEnv:
-    """Read-only facilities a subroutine may consult."""
-
-    def __init__(self, world):
-        self.world = world
-
-    @property
-    def ledger(self):
-        return self.world.ledger
-
-    @property
-    def certs(self):
-        return self.world.certs
-
-    @property
-    def timing(self):
-        return self.world.timing
-
-    @property
-    def round(self):
-        return self.world.round_no
-
-    def corrupted(self) -> set[str]:
-        return {e.short() for e in self.world.corruption.members}
-
-    def is_corrupt_pid(self, role: str, pid: str) -> bool:
-        return f"{role}:{pid}" in self.corrupted()
-
-    def honest(self, ist: InternalState, role: str) -> list[str]:
-        return [p for p in ist.identities.get(role, ())
-                if not self.is_corrupt_pid(role, p)]
-
-    def hint(self, kind, **kw):
-        return self.world.hint(kind, **kw)
+def honest(ctx, ist: InternalState, role: str) -> list[str]:
+    """The pids of ``role`` in the session that are not corrupted."""
+    corrupted = ctx.world.corruption
+    return [p for p in ist.identities.get(role, ())
+            if ctx.world.entity(role, p) not in corrupted]
 
 
 class SubroutineBundle:
     """The protocol-specific entry points the interface machine consults.
 
-    Each takes the internal state ``ist`` and a ``BundleEnv`` and only
-    answers; the interface machine records what an accepted answer returns.
+    Each takes the internal state ``ist`` and the interface's own ``Ctx``
+    and only answers: it reads the ledger, the certificates, the timing
+    and the round through ``ctx``, and sends, outputs and writes nothing
+    (``tests/test_owners.py`` holds the bundles to that).  The interface
+    machine records what an accepted answer returns.
 
-    - ``submit(ist, req, env)`` -> (ok, reason): may ``req`` join the queue;
-    - ``open(ist, body, attachment, env)`` -> (ok, reason, record): the
+    - ``submit(ist, req, ctx)`` -> (ok, reason): may ``req`` join the queue;
+    - ``open(ist, body, attachment, ctx)`` -> (ok, reason, record): the
       executed record of the open, its "state" the initial state
       (``open_record`` builds the common one);
-    - ``update(ist, state, attachment, env)`` -> (ok, reason, record): the
+    - ``update(ist, state, attachment, ctx)`` -> (ok, reason, record): the
       executed record of the update, carrying the post-state under "state"
       and the queue rids it executes under "rids"; a reason starting with
       ``HALT_PREFIX`` halts the session;
-    - ``read(ist, idx, env)`` -> bool: whether the executed records
+    - ``read(ist, idx, ctx)`` -> bool: whether the executed records
       reconstruct ``ist.states[idx]``;
-    - ``settlement(ist, body, attachment, env)`` -> (ok, reason, state):
+    - ``settlement(ist, body, attachment, ctx)`` -> (ok, reason, state):
       the settled state;
-    - ``upd_rnd(ist, env)`` -> (ok, reason): may the round advance.
+    - ``upd_rnd(ist, ctx)`` -> (ok, reason): may the round advance.
 
     The interface checks the phase and the trigger's shape first: ``body``
     and an update's ``state`` are dicts, ``attachment`` a dict or None.
@@ -169,22 +145,22 @@ class SubroutineBundle:
 
     name = "?"
 
-    def submit(self, ist, req, env):
+    def submit(self, ist, req, ctx):
         raise NotImplementedError
 
-    def open(self, ist, body, attachment, env):
+    def open(self, ist, body, attachment, ctx):
         raise NotImplementedError
 
-    def update(self, ist, new_state, attachment, env):
+    def update(self, ist, new_state, attachment, ctx):
         raise NotImplementedError
 
-    def read(self, ist, idx, env):
+    def read(self, ist, idx, ctx):
         raise NotImplementedError
 
-    def settlement(self, ist, body, attachment, env):
+    def settlement(self, ist, body, attachment, ctx):
         raise NotImplementedError
 
-    def upd_rnd(self, ist, env):
+    def upd_rnd(self, ist, ctx):
         return True, None
 
 
@@ -254,7 +230,7 @@ class InterfaceMachine(Machine):
         if ist.halted:
             ok, reason = False, "halted"
         else:
-            ok, reason = self._bundle.submit(ist, request, BundleEnv(ctx.world))
+            ok, reason = self._bundle.submit(ist, request, ctx)
         self._call(ctx, "submit", {"by": pid, "kind": request["kind"]},
                    {"ok": ok, "reason": reason})
         if ok:
@@ -271,12 +247,11 @@ class InterfaceMachine(Machine):
         ist = self.ist
         idx = None
         if not ist.halted and ist.states:
-            env = BundleEnv(ctx.world)
             top = len(ist.states) - 1
-            delay = env.hint("read-delay", pid=pid)
+            delay = ctx.world.hint("read-delay", pid=pid)
             idx = max(ist.read_ptr.get(pid, 0),
                       top if delay is None else min(top, delay))
-            if not self._bundle.read(ist, idx, env):
+            if not self._bundle.read(ist, idx, ctx):
                 idx = None
         self._call(ctx, "read", {"by": pid}, {"empty": idx is None, "pointer": idx})
         if idx is None:
@@ -295,9 +270,8 @@ class InterfaceMachine(Machine):
 
     def _open(self, ctx, body, attachment):
         ist = self.ist
-        env = BundleEnv(ctx.world)
         ok, reason, record = (_refused(ist, "init", body, attachment)
-                              or self._bundle.open(ist, body, attachment, env))
+                              or self._bundle.open(ist, body, attachment, ctx))
         self._call(ctx, "open", {}, {"ok": ok, "reason": reason})
         if not ok:
             return
@@ -306,16 +280,15 @@ class InterfaceMachine(Machine):
         ist.executed.append(record)
         ist.queue = [r for r in ist.queue if r["kind"] != OPEN]
         ctx.world.emit("exec", kind=OPEN, seq=0, state=ist.states[0])
-        for pid in ist.identities.get(CLIENT, ()):
-            if not env.is_corrupt_pid(CLIENT, pid):
-                ctx.world.queue_io(self._clients[pid], env_entity(self.me.sid),
-                                   {"kind": "open-ok", "state": ist.states[0]})
+        for pid in honest(ctx, ist, CLIENT):
+            ctx.world.queue_io(self._clients[pid], env_entity(self.me.sid),
+                               {"kind": "open-ok", "state": ist.states[0]})
 
     def _update(self, ctx, new_state, attachment):
         ist = self.ist
         ok, reason, record = (
             _refused(ist, "open", new_state, attachment)
-            or self._bundle.update(ist, new_state, attachment, BundleEnv(ctx.world)))
+            or self._bundle.update(ist, new_state, attachment, ctx))
         self._call(ctx, "update", {"state": new_state}, {"ok": ok, "reason": reason})
         if reason and str(reason).startswith(HALT_PREFIX):
             ist.halted = str(reason)[len(HALT_PREFIX):]
@@ -334,33 +307,32 @@ class InterfaceMachine(Machine):
 
     def _settle(self, ctx, body, attachment):
         ist = self.ist
-        env = BundleEnv(ctx.world)
         stype = body.get("type") if isinstance(body, dict) else None
         ok, reason, sstate = (
             _refused(ist, "open", body, attachment)
-            or self._bundle.settlement(ist, body, attachment, env))
+            or self._bundle.settlement(ist, body, attachment, ctx))
         self._call(ctx, "settlement", {"type": stype}, {"ok": ok, "reason": reason})
         if not ok:
             return
         ist.settled = {"state": sstate, "type": stype}
         ist.onchain = sstate
         ist.executed.append({"kind": SETTLEMENT, "state": sstate,
-                             "type": stype, "round": env.round})
+                             "type": stype, "round": ctx.round})
         ist.queue = [r for r in ist.queue if r["kind"] != SETTLEMENT]
         ctx.world.emit("exec", kind=SETTLEMENT, state=sstate, type=stype)
-        for pid in ist.identities.get(CLIENT, ()):
-            if not env.is_corrupt_pid(CLIENT, pid):
-                ctx.world.queue_io(self._clients[pid], env_entity(self.me.sid),
-                                   {"kind": "settle-ok", "success": True, "state": sstate})
+        for pid in honest(ctx, ist, CLIENT):
+            ctx.world.queue_io(self._clients[pid], env_entity(self.me.sid),
+                               {"kind": "settle-ok", "success": True, "state": sstate})
 
 
 def attach_round_gate(world, interface: InterfaceMachine):
     """Round advances consult the bundle's round subroutine."""
 
+    ctx = Ctx(world, interface.me)
+
     def gate():
         if interface.ist.halted:
             return False, "halted"
-        ok, reason = interface._bundle.upd_rnd(interface.ist, BundleEnv(world))
-        return ok, reason
+        return interface._bundle.upd_rnd(interface.ist, ctx)
 
     world.round_gates.append(gate)

@@ -186,9 +186,9 @@ class Simulator:
                 self.outer.queue_net(self.adv, self.funct, trig)
                 self.outer.deliver_net(self.outer.net[-1].eid)
 
-    def feed_env(self, pid, entry, force=False):
+    def feed_env(self, pid, entry):
         ent = self.inner.entity(CLIENT, pid)
-        self.inner.inject_input(ent, dict(entry), force=force)
+        self.inner.inject_input(ent, dict(entry))
         self.sync()
 
     def corrupt(self, role, pid, force=False):

@@ -389,21 +389,21 @@ class LiquidBundle(AccountBundle):
         super().__init__(sid, clients, operators, initial)
         self.quorum = quorum
 
-    def open(self, ist, body, attachment, env):
-        ok, reason, record = super().open(ist, body, attachment, env)
+    def open(self, ist, body, attachment, ctx):
+        ok, reason, record = super().open(ist, body, attachment, ctx)
         return ok, reason, record and dict(record, block=genesis_block())
 
-    def _certify(self, ist, block, attachment, env):
+    def _certify(self, ist, block, attachment, ctx):
         # while open, the last record is the open or an update, and both
         # carry their block
         if block.get("prev") != digest(ist.executed[-1]["block"]):
             return "wrong-parent"
-        if not cert_valid(env.certs, self.sid, block, attachment,
+        if not cert_valid(ctx.certs, self.sid, block, attachment,
                           self.quorum, self.operators):
             return "thin-certificate"
         return None
 
-    def upd_rnd(self, ist, env):
+    def upd_rnd(self, ist, ctx):
         if ist.phase() != "open":
             return True, None
         for r in ist.queue:
@@ -411,18 +411,18 @@ class LiquidBundle(AccountBundle):
                 continue
             allowance = (UPDATE_ALLOWANCE if r["kind"] == UPDATE
                          else SETTLE_ALLOWANCE)
-            if env.round - r["round"] < allowance:
+            if ctx.round - r["round"] < allowance:
                 continue
             if r["kind"] == UPDATE and r["body"].get("op") == "peg-in":
-                if not self._ripe_deposit(ist, r, env):
+                if not self._ripe_deposit(ist, r, ctx):
                     continue
             return False, "pending-l2-work"
         return True, None
 
-    def _ripe_deposit(self, ist, req, env):
+    def _ripe_deposit(self, ist, req, ctx):
         return any(m["to"] == req["by"] and m["amt"] == req["body"].get("amt")
-                   for m in ripe_deposits(env.ledger, self.sid, ist.latest(),
-                                          env.timing["confirm_depth"]))
+                   for m in ripe_deposits(ctx.ledger, self.sid, ist.latest(),
+                                          ctx.timing["confirm_depth"]))
 
 
 # -- protocol descriptor ---------------------------------------------------

@@ -99,11 +99,6 @@ def corrupted_parties(trace) -> dict:
     return out
 
 
-def corruption_counts(trace) -> dict:
-    """role -> number of its parties ever corrupted."""
-    return dict(summarize(trace).counts)
-
-
 def read_views(trace) -> list[ReadView]:
     """Read results output to parties that were never corrupted, each
     rebuilt into its reader's whole view."""

@@ -235,7 +235,7 @@ class World:
         self.wiring.add((a, b))
         self.wiring.add((b, a))
 
-    def register(self, machine: Machine, io_peers=()):
+    def register(self, machine: Machine):
         for ent in machine.entities():
             if ent.role not in self.declared:
                 raise RegistrationError(f"unknown role {ent.role}")
@@ -246,10 +246,6 @@ class World:
             self.owners[ent] = machine
             self.roles[ent.role].append(ent)
         self.machines[machine.me] = machine
-        for peer in io_peers:
-            if peer not in self.declared and peer != ENV_ROLE:
-                raise RegistrationError(f"cannot wire {machine.me.role} to unknown role {peer}")
-            self.wire(machine.me.role, peer)
         machine.on_start(Ctx(self, machine.me))
 
     def entity(self, role: str, pid: str) -> EntityId:
@@ -290,9 +286,6 @@ class World:
         self.eid_counter += 1
         self.net.append(Envelope(self.eid_counter, src, dst, NET, payload,
                                  self.step_no, self.round_no))
-
-    def is_corrupt(self, entity: EntityId) -> bool:
-        return entity in self.corruption
 
     def hint(self, kind: str, **kw):
         if self.hints is None:
@@ -433,34 +426,11 @@ class World:
             if m.me not in self.corruption:
                 m.on_ledger_block(Ctx(self, m.me), height)
 
-    # -- generic step API ---------------------------------------------------
-
-    def step(self, action: dict):
-        """Apply one adversary choice.  Returns False once halted."""
-        if self.halted:
-            return False
-        do = action["do"]
-        if do == "deliver":
-            self.deliver_net(action["eid"])
-        elif do == "input":
-            self.inject_input(action["party"], action["payload"],
-                              force=action.get("force", False))
-        elif do == "corrupt":
-            self.corrupt(action["party"], allow_over_budget=action.get("force", False))
-        elif do == "round":
-            self.advance_round()
-        elif do == "hold":
-            self.hold_net(action["eid"], action["until"])
-        elif do == "halt":
-            self.halted = action.get("reason", "script")
-            self.emit("halt", reason=self.halted)
-        else:
-            raise ScheduleError(f"unknown action {do}")
-        return self.halted is None
-
     # -- snapshots for state-space search ----------------------------------
 
     def fingerprint(self) -> int:
+        """Hash of the state a search deduplicates on; kept, with ``clone``
+        and ``hold_net``, for the planned adversary search (ROADMAP.md)."""
         parts = [self.round_no, tuple(sorted(e.short() for e in self.corruption.members))]
         for key in sorted(self.machines):
             parts.append((key.short(), canon_loose(self.machines[key].state())))

@@ -68,6 +68,8 @@ class Trace:
         return "\n".join(lines) + "\n"
 
     def dump(self, path):
+        """Write the trace file; kept, with ``load`` and ``observers``, for
+        the planned trace-checking CLI (ROADMAP.md)."""
         with open(path, "w") as f:
             f.write(self.to_text())
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from l2sim.runtime import World, EntityId
+from l2sim.runtime import Ctx, World, EntityId
 from l2sim.base import CertRegistry, Ledger, make_tx, tx_signable
-from l2sim.core import OPEN, UPDATE, SETTLEMENT, CLIENT, InternalState, BundleEnv
+from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
+                        InternalState)
 from l2sim import arbitrum
 from l2sim.properties import read_views
 from l2sim.accounts import genesis_state, l2_txid
@@ -200,13 +201,13 @@ def test_unchallenged_fraud_finalizes():
     world.corrupt(world.entity(arbitrum.VALIDATOR, "v1"), allow_over_budget=True)
     p1 = world.entity(arbitrum.OPERATOR, "p1")
     world.corrupt(p1)
-    arbitrum.publish_wrong_batch(world, p1, skim=7)
+    arbitrum.publish_wrong_batch(world, p1)
     cycle(world, 10)
     v = view_of(world, scn)
     assert v["final"] == 1
     assert v["entries"][0]["post"] != v["entries"][0]["claimed"]
     r = reads(world, "c1")
-    assert r["state"]["bal"]["c1"] == 17      # the skim went through
+    assert r["state"]["bal"]["c1"] == 11      # the skim went through
 
 
 def test_held_proof_cannot_strike_final_batch():
@@ -235,7 +236,7 @@ def test_self_publish_rescues_censored_tx():
     world.corrupt(world.entity(arbitrum.OPERATOR, "p2"))
     world.inject_input(world.entity(CLIENT, "c1"),
                        {"kind": "pay", "to": "c2", "amt": 3})
-    cycle(world, 6)           # patience (t_period) runs out at round 5
+    cycle(world, 6)           # the wait (t_period) runs out at round 5
     assert notes(world, "self-publish")
     v = view_of(world, scn)
     assert len(v["entries"]) == 1
@@ -325,11 +326,10 @@ def test_forged_exit_claim_is_rejected():
 def bundle_pair(world, scn):
     bundle = arbitrum.make_bundle(world, scn)
     ist = InternalState(identities={CLIENT: list(scn["clients"])})
-    env = BundleEnv(world)
-    return bundle, ist, env
+    return bundle, ist, Ctx(world, world.entity(INTERFACE_ROLE, "F"))
 
 
-def seed_open(bundle, ist, env, scn):
+def seed_open(bundle, ist, ctx, scn):
     s0 = genesis_state(scn["initial"])
     ist.states.append(s0)
     ist.onchain = s0
@@ -339,42 +339,42 @@ def seed_open(bundle, ist, env, scn):
 
 def test_bundle_submit_gating():
     world, scn = make_world()
-    bundle, ist, env = bundle_pair(world, scn)
+    bundle, ist, ctx = bundle_pair(world, scn)
     ok, why = bundle.submit(ist, {"kind": UPDATE, "body": {"op": "pay"},
-                                  "by": "c1"}, env)
+                                  "by": "c1"}, ctx)
     assert not ok and why == "phase"
     ok, _ = bundle.submit(ist, {"kind": OPEN,
                                 "body": {"state": genesis_state(scn["initial"])},
-                                "by": "c1"}, env)
+                                "by": "c1"}, ctx)
     assert ok
-    seed_open(bundle, ist, env, scn)
+    seed_open(bundle, ist, ctx, scn)
     ok, why = bundle.submit(ist, {"kind": UPDATE,
                                   "body": {"op": "pay", "to": "c2", "amt": 11},
-                                  "by": "c1"}, env)
+                                  "by": "c1"}, ctx)
     assert not ok and why == "insufficient"
     ok, _ = bundle.submit(ist, {"kind": UPDATE,
                                 "body": {"op": "pay", "to": "c2", "amt": 6},
-                                "by": "c1"}, env)
+                                "by": "c1"}, ctx)
     assert ok
     ist.queue.append({"kind": UPDATE, "body": {"op": "pay", "to": "c2", "amt": 6},
                       "by": "c1", "rid": 1})
     ok, why = bundle.submit(ist, {"kind": SETTLEMENT,
                                   "body": {"op": "peg-out", "amt": 5},
-                                  "by": "c1"}, env)
+                                  "by": "c1"}, ctx)
     assert not ok and why == "insufficient"     # 10 minus pending 6
     ok, _ = bundle.submit(ist, {"kind": UPDATE, "body": {"op": "peg-in", "amt": 5},
-                                "by": "c1"}, env)
+                                "by": "c1"}, ctx)
     assert ok
     ok, why = bundle.submit(ist, {"kind": UPDATE, "body": {"op": "scramble"},
-                                  "by": "c1"}, env)
+                                  "by": "c1"}, ctx)
     assert not ok and why == "unknown-kind"
 
 
 def test_bundle_check_open_progression():
     world, scn = make_world()
-    bundle, ist, env = bundle_pair(world, scn)
+    bundle, ist, ctx = bundle_pair(world, scn)
     body = {"state": genesis_state(scn["initial"])}
-    ok, why, _ = bundle.open(ist, body, None, env)
+    ok, why, _ = bundle.open(ist, body, None, ctx)
     assert not ok and why == "missing-open-requests"
     for c in scn["clients"]:
         ist.queue.append({"kind": OPEN, "body": body, "by": c, "rid": len(ist.queue)})
@@ -384,10 +384,11 @@ def test_bundle_check_open_progression():
     fresh.ledger = Ledger(TIMING)
     fresh.ledger.bind(fresh)
     arbitrum.build_real(fresh, scn)
-    ok, why, _ = bundle.open(ist, body, None, BundleEnv(fresh))
+    ok, why, _ = bundle.open(ist, body, None,
+                             Ctx(fresh, fresh.entity(INTERFACE_ROLE, "F")))
     assert not ok and why == "registration-missing"
     world.advance_round()
-    ok, why, record = bundle.open(ist, body, None, env)
+    ok, why, record = bundle.open(ist, body, None, ctx)
     assert ok, why
     assert record == {"kind": OPEN, "state": body["state"], "seq": 0,
                       "evidence": None, "round": world.round_no}
@@ -400,19 +401,19 @@ def test_bundle_check_update_arms():
     world.inject_input(world.entity(CLIENT, "c1"),
                        {"kind": "pay", "to": "c2", "amt": 3})
     cycle(world, 4)           # published and committed at round five
-    bundle, ist, env = bundle_pair(world, scn)
-    seed_open(bundle, ist, env, scn)
+    bundle, ist, ctx = bundle_pair(world, scn)
+    seed_open(bundle, ist, ctx, scn)
     batch = view_of(world, scn)["entries"][0]["batch"]
-    assert bundle.update(ist, {"seq": 1}, None, env) == \
+    assert bundle.update(ist, {"seq": 1}, None, ctx) == \
         (False, "malformed", None)
-    assert bundle.update(ist, dict(batch, seq=5), None, env) == \
+    assert bundle.update(ist, dict(batch, seq=5), None, ctx) == \
         (False, "stale", None)
     ghost = dict(batch, txs=[])
-    assert bundle.update(ist, ghost, None, env) == \
+    assert bundle.update(ist, ghost, None, ctx) == \
         (False, "not-on-ledger", None)
-    assert bundle.update(ist, batch, None, env) == (False, "window-open", None)
+    assert bundle.update(ist, batch, None, ctx) == (False, "window-open", None)
     cycle(world, 5)
-    ok, why, record = bundle.update(ist, batch, None, env)
+    ok, why, record = bundle.update(ist, batch, None, ctx)
     assert ok, why
     post = record["state"]
     assert post["bal"] == {"c1": 7, "c2": 13} and post["height"] == 1
@@ -431,25 +432,25 @@ def test_bundle_halts_on_unchallenged_fraud():
     cycle(world, 10)
     v = view_of(world, scn)
     assert v["final"] == 1
-    bundle, ist, env = bundle_pair(world, scn)
-    seed_open(bundle, ist, env, scn)
-    ok, why, _ = bundle.update(ist, v["entries"][0]["batch"], None, env)
+    bundle, ist, ctx = bundle_pair(world, scn)
+    seed_open(bundle, ist, ctx, scn)
+    ok, why, _ = bundle.update(ist, v["entries"][0]["batch"], None, ctx)
     assert not ok and why == "halt:unchallenged-fraud"
 
 
 def test_bundle_read_entries_behind_index_and_gap():
     world, scn = make_world()
-    bundle, ist, env = bundle_pair(world, scn)
-    seed_open(bundle, ist, env, scn)
+    bundle, ist, ctx = bundle_pair(world, scn)
+    seed_open(bundle, ist, ctx, scn)
     s1 = dict(genesis_state(scn["initial"]), height=1)
     s2 = dict(s1, height=2)
     ist.states += [s1, s2]
     ist.executed.append({"kind": UPDATE, "seq": 1, "state": s1, "txs": []})
     ist.executed.append({"kind": UPDATE, "seq": 2, "state": s2, "txs": []})
-    assert bundle.read(ist, 1, env) is True
-    assert bundle.read(ist, 2, env) is True
+    assert bundle.read(ist, 1, ctx) is True
+    assert bundle.read(ist, 2, ctx) is True
     ist.executed = [e for e in ist.executed if e.get("seq") != 1]
-    assert bundle.read(ist, 2, env) is False    # reconstruction gap
+    assert bundle.read(ist, 2, ctx) is False    # reconstruction gap
 
 
 def test_bundle_check_settlement_arms():
@@ -458,29 +459,29 @@ def test_bundle_check_settlement_arms():
     world.inject_input(world.entity(CLIENT, "c1"), {"kind": "settle", "amt": 4})
     cycle(world, 11)
     assert world.ledger.find(lambda t: t["kind"] == "settle")
-    bundle, ist, env = bundle_pair(world, scn)
-    seed_open(bundle, ist, env, scn)
+    bundle, ist, ctx = bundle_pair(world, scn)
+    seed_open(bundle, ist, ctx, scn)
     body = {"op": "peg-out", "from": "c1", "amt": 4}
-    ok, why, _ = bundle.settlement(ist, body, None, env)
+    ok, why, _ = bundle.settlement(ist, body, None, ctx)
     assert not ok and why == "no-settle-request"
     ist.queue.append({"kind": SETTLEMENT, "body": body, "by": "c1", "rid": 9})
-    ok, why, _ = bundle.settlement(ist, body, None, env)
+    ok, why, _ = bundle.settlement(ist, body, None, ctx)
     assert not ok and why == "no-burn"
     entry = view_of(world, scn)["entries"][0]
     ist.executed.append({"kind": UPDATE, "seq": 1, "state": entry["post"],
                          "txs": entry["batch"]["txs"]})
-    ok, why, sstate = bundle.settlement(ist, body, None, env)
+    ok, why, sstate = bundle.settlement(ist, body, None, ctx)
     assert ok, why
     assert sstate["bal"]["c1"] == 6
 
 
 def test_bundle_round_gate_never_refuses():
     world, scn = make_world()
-    bundle, ist, env = bundle_pair(world, scn)
-    seed_open(bundle, ist, env, scn)
+    bundle, ist, ctx = bundle_pair(world, scn)
+    seed_open(bundle, ist, ctx, scn)
     ist.queue.append({"kind": UPDATE, "body": {"op": "pay", "to": "c2", "amt": 1},
                       "by": "c1", "rid": 3, "round": 0})
-    assert bundle.upd_rnd(ist, env) == (True, None)
+    assert bundle.upd_rnd(ist, ctx) == (True, None)
 
 
 @pytest.mark.parametrize("n_ops", [1, 2, 3])

@@ -29,15 +29,17 @@ def ledger_world(n_ops=0, n_vals=0):
     w.declare_role("operator")
     w.declare_role("validator")
     w.declare_role("clock")
+    w.wire("operator", "clock")
+    w.wire("validator", "clock")
     ops = []
     for i in range(n_ops):
         e = w.entity("operator", f"op{i+1}")
-        w.register(Sink(e), io_peers=("clock",))
+        w.register(Sink(e))
         ops.append(e)
     vals = []
     for i in range(n_vals):
         e = w.entity("validator", f"v{i+1}")
-        w.register(Sink(e), io_peers=("clock",))
+        w.register(Sink(e))
         vals.append(e)
     return w, ops, vals
 
@@ -67,12 +69,20 @@ def test_a_non_int_handle_is_invalid(handle):
     assert certs.verify_any(ref, {"m": 1}) is None
 
 
+@pytest.mark.parametrize("handle", [0, -1, 2])
+def test_a_handle_outside_the_log_is_invalid(handle):
+    certs = CertRegistry()
+    ref = dict(certs.sign("client:a", {"m": 1}), sig=handle)
+    assert certs.verify(ref, {"m": 1}, "client:a") is False
+    assert certs.verify_any(ref, {"m": 1}) is None
+
+
 def test_every_true_verify_has_a_prior_sign_record():
     certs = CertRegistry()
     refs = [certs.sign(f"client:{i}", {"n": i}) for i in range(20)]
     for i, ref in enumerate(refs):
         assert certs.verify(ref, {"n": i}, f"client:{i}")
-        assert certs.by_handle[ref["sig"]] in certs.log
+        assert certs.log[ref["sig"] - 1] == (f"client:{i}", ref["over"])
 
 
 def test_ledger_rejects_malformed_and_unsigned():

@@ -2,10 +2,10 @@
 
 import pytest
 
-from l2sim.runtime import World, EntityId
+from l2sim.runtime import Ctx, World, EntityId
 from l2sim.base import CertRegistry, Ledger, make_tx, tx_signable
-from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, InternalState,
-                        BundleEnv, open_record)
+from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
+                        InternalState, open_record)
 from l2sim import brick
 from l2sim.properties import read_views
 
@@ -267,70 +267,71 @@ def ideal_fixture():
     bundle = brick.make_bundle(world, scn)
     ist = InternalState(identities={CLIENT: list(scn["clients"]),
                                     brick.WARDEN: list(scn["wardens"])})
-    return world, scn, bundle, ist, BundleEnv(world)
+    ctx = Ctx(world, world.entity(INTERFACE_ROLE, "F"))
+    return world, scn, bundle, ist, ctx
 
 
-def seed_open(bundle, ist, scn, env):
+def seed_open(bundle, ist, scn, ctx):
     s0 = brick.initial_state(scn["collateral"])
     for c in scn["clients"]:
         ok, _ = bundle.submit(ist, {"kind": OPEN, "body": {"state": s0},
-                                    "by": c, "round": 0}, env)
+                                    "by": c, "round": 0}, ctx)
         assert ok
         ist.queue.append({"kind": OPEN, "body": {"state": s0}, "by": c,
                           "rid": ist.new_rid()})
     # what the interface records for an accepted open
     ist.states.append(s0)
     ist.onchain = s0
-    ist.executed.append(open_record(s0, {"wardens": []}, env))
+    ist.executed.append(open_record(s0, {"wardens": []}, ctx))
     ist.queue = [r for r in ist.queue if r["kind"] != OPEN]
     return s0
 
 
 def test_bundle_submit_gating():
-    world, scn, bundle, ist, env = ideal_fixture()
+    world, scn, bundle, ist, ctx = ideal_fixture()
     s0 = brick.initial_state(scn["collateral"])
     ok, why = bundle.submit(ist, {"kind": OPEN, "body": {"state": {"bal": {}, "seq": 0}},
-                                  "by": "c1", "round": 0}, env)
+                                  "by": "c1", "round": 0}, ctx)
     assert (ok, why) == (False, "bad-state")
     ok, why = bundle.submit(ist, {"kind": UPDATE, "body": {"state": s0, "seq": 0},
-                                  "by": "c1", "round": 0}, env)
+                                  "by": "c1", "round": 0}, ctx)
     assert (ok, why) == (False, "phase")
-    seed_open(bundle, ist, scn, env)
+    seed_open(bundle, ist, scn, ctx)
     stale = dict(s0)
     ok, why = bundle.submit(ist, {"kind": UPDATE, "body": {"state": stale, "seq": 0},
-                                  "by": "c1", "round": 0}, env)
+                                  "by": "c1", "round": 0}, ctx)
     assert (ok, why) == (False, "stale")
     skewed = {"bal": {"c1": 9, "c2": 12}, "seq": 1}
     ok, why = bundle.submit(ist, {"kind": UPDATE,
                                   "body": {"state": skewed, "seq": 1},
-                                  "by": "c1", "round": 0}, env)
+                                  "by": "c1", "round": 0}, ctx)
     assert (ok, why) == (False, "not-conserving")
     good = {"bal": {"c1": 7, "c2": 13}, "seq": 1}
     ok, why = bundle.submit(ist, {"kind": UPDATE, "body": {"state": good, "seq": 1},
-                                  "by": "c1", "round": 0}, env)
+                                  "by": "c1", "round": 0}, ctx)
     assert ok
     ok, _ = bundle.submit(ist, {"kind": SETTLEMENT, "body": {"type": "collab"},
-                                "by": "c1", "round": 0}, env)
+                                "by": "c1", "round": 0}, ctx)
     assert ok
     ist.queue.append({"kind": SETTLEMENT, "body": {"type": "collab"}, "by": "c1",
                       "rid": ist.new_rid()})
     ok, why = bundle.submit(ist, {"kind": UPDATE, "body": {"state": good, "seq": 1},
-                                  "by": "c1", "round": 0}, env)
+                                  "by": "c1", "round": 0}, ctx)
     assert (ok, why) == (False, "settle-pending")
 
 
 def test_bundle_open_check_demands_everything():
-    world, scn, bundle, ist, env = ideal_fixture()
+    world, scn, bundle, ist, ctx = ideal_fixture()
     s0 = brick.initial_state(scn["collateral"])
     wardens = [{"by": f"warden:w{i+1}"} for i in range(3)]
-    ok, why, _ = bundle.open(ist, {"state": s0}, {"wardens": wardens}, env)
+    ok, why, _ = bundle.open(ist, {"state": s0}, {"wardens": wardens}, ctx)
     assert (ok, why) == (False, "missing-open-requests")
     for c in scn["clients"]:
         ist.queue.append({"kind": OPEN, "body": {"state": s0}, "by": c,
                           "rid": ist.new_rid()})
-    ok, why, _ = bundle.open(ist, {"state": s0}, {"wardens": wardens[:2]}, env)
+    ok, why, _ = bundle.open(ist, {"state": s0}, {"wardens": wardens[:2]}, ctx)
     assert (ok, why) == (False, "thin-warden-multiset")
-    ok, why, _ = bundle.open(ist, {"state": s0}, {"wardens": wardens}, env)
+    ok, why, _ = bundle.open(ist, {"state": s0}, {"wardens": wardens}, ctx)
     assert (ok, why) == (False, "collateral-missing")
     for short in (["client:c1", "client:c2"] +
                   [f"warden:w{i+1}" for i in range(4)]):
@@ -340,28 +341,28 @@ def test_bundle_open_check_demands_everything():
         tx["sigs"] = [world.certs.sign(short, tx_signable(tx))]
         world.ledger.submit(tx)
     world.advance_round()
-    ok, why, record = bundle.open(ist, {"state": s0}, {"wardens": wardens}, env)
+    ok, why, record = bundle.open(ist, {"state": s0}, {"wardens": wardens}, ctx)
     assert (ok, why) == (True, None)
-    assert record == open_record(s0, {"wardens": wardens}, env)
+    assert record == open_record(s0, {"wardens": wardens}, ctx)
     assert ist.states == [] and ist.executed == []     # the bundle only answers
 
 
 def test_bundle_update_check_wants_client_agreement():
-    world, scn, bundle, ist, env = ideal_fixture()
-    seed_open(bundle, ist, scn, env)
+    world, scn, bundle, ist, ctx = ideal_fixture()
+    seed_open(bundle, ist, scn, ctx)
     new = {"bal": {"c1": 7, "c2": 13}, "seq": 1}
     msg = brick.state_msg(world.sid, new, 1)
     c1 = world.certs.sign("client:c1", msg)
     c2 = world.certs.sign("client:c2", msg)
     wardens = [{"by": f"warden:w{i+1}"} for i in range(3)]
     ok, why, _ = bundle.update(ist, new, {"clients": [c1, c1],
-                                          "wardens": wardens}, env)
+                                          "wardens": wardens}, ctx)
     assert (ok, why) == (False, "missing-agreement")
     ok, why, _ = bundle.update(ist, new, {"clients": [c1, c2],
-                                          "wardens": wardens[:2]}, env)
+                                          "wardens": wardens[:2]}, ctx)
     assert (ok, why) == (False, "thin-warden-multiset")
     att = {"clients": [c1, c2], "wardens": wardens}
-    ok, why, record = bundle.update(ist, new, att, env)
+    ok, why, record = bundle.update(ist, new, att, ctx)
     assert (ok, why) == (True, None)
     assert record == {"kind": UPDATE, "seq": 1, "state": new, "evidence": att,
                       "rids": [], "round": world.round_no}
@@ -369,19 +370,19 @@ def test_bundle_update_check_wants_client_agreement():
 
 
 def test_bundle_read_fails_on_missing_record():
-    world, scn, bundle, ist, env = ideal_fixture()
-    seed_open(bundle, ist, scn, env)
+    world, scn, bundle, ist, ctx = ideal_fixture()
+    seed_open(bundle, ist, scn, ctx)
     s1 = {"bal": {"c1": 7, "c2": 13}, "seq": 1}
     s2 = {"bal": {"c1": 5, "c2": 15}, "seq": 2}
     ist.states.extend([s1, s2])
     ist.executed.append({"kind": UPDATE, "seq": 2, "state": s2, "evidence": None})
-    assert bundle.read(ist, 2, env) is False
-    assert bundle.read(ist, 0, env) is True
+    assert bundle.read(ist, 2, ctx) is False
+    assert bundle.read(ist, 0, ctx) is True
 
 
 def test_bundle_unilateral_needs_quorum_and_latest():
-    world, scn, bundle, ist, env = ideal_fixture()
-    s0 = seed_open(bundle, ist, scn, env)
+    world, scn, bundle, ist, ctx = ideal_fixture()
+    s0 = seed_open(bundle, ist, scn, ctx)
     s1 = {"bal": {"c1": 7, "c2": 13}, "seq": 1}
     ist.states.append(s1)
     ist.executed.append({"kind": UPDATE, "seq": 1, "state": s1, "evidence": None})
@@ -389,7 +390,7 @@ def test_bundle_unilateral_needs_quorum_and_latest():
     csigs = [world.certs.sign("client:c1", msg1),
              world.certs.sign("client:c2", msg1)]
     body = {"type": "unilateral"}
-    ok, why, _ = bundle.settlement(ist, body, None, env)
+    ok, why, _ = bundle.settlement(ist, body, None, ctx)
     assert (ok, why) == (False, "thin-publication")
 
     def publish(short, state, seq, sigs):
@@ -406,10 +407,10 @@ def test_bundle_unilateral_needs_quorum_and_latest():
     publish("warden:w2", s0, 0, open_sigs)
     publish("warden:w3", s0, 0, open_sigs)
     world.advance_round()
-    ok, why, _ = bundle.settlement(ist, body, None, env)
+    ok, why, _ = bundle.settlement(ist, body, None, ctx)
     assert (ok, why) == (False, "not-latest")
     publish("warden:w4", s1, 1, csigs)
     world.advance_round()
-    ok, why, got = bundle.settlement(ist, body, None, env)
+    ok, why, got = bundle.settlement(ist, body, None, ctx)
     assert (ok, why) == (True, None)
     assert got == s1

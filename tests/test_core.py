@@ -29,7 +29,7 @@ class CounterBundle(SubroutineBundle):
     def __init__(self):
         self.refuse_rounds = False
 
-    def submit(self, ist, req, env):
+    def submit(self, ist, req, ctx):
         if req["kind"] == OPEN:
             return (ist.phase() == "init", None if ist.phase() == "init" else "phase")
         if ist.phase() != "open":
@@ -40,12 +40,12 @@ class CounterBundle(SubroutineBundle):
             return True, None
         return False, "unknown-kind"
 
-    def open(self, ist, body, attachment, env):
+    def open(self, ist, body, attachment, ctx):
         if body.get("state") != s(0):
             return False, "bad-genesis", None
-        return True, None, open_record(body["state"], attachment, env)
+        return True, None, open_record(body["state"], attachment, ctx)
 
-    def update(self, ist, new_state, attachment, env):
+    def update(self, ist, new_state, attachment, ctx):
         if new_state.get("poison"):
             return False, "halt:poisoned", None
         if new_state != s(ist.latest()["n"] + 1):
@@ -54,17 +54,17 @@ class CounterBundle(SubroutineBundle):
                 and r["body"].get("n") == new_state["n"]]
         return True, None, {"kind": UPDATE, "seq": new_state["seq"],
                             "state": new_state, "evidence": attachment,
-                            "rids": rids, "round": env.round}
+                            "rids": rids, "round": ctx.round}
 
-    def read(self, ist, idx, env):
+    def read(self, ist, idx, ctx):
         return [e["state"] for e in ist.executed[:idx + 1]] == ist.states[:idx + 1]
 
-    def settlement(self, ist, body, attachment, env):
+    def settlement(self, ist, body, attachment, ctx):
         if not any(r["kind"] == SETTLEMENT for r in ist.queue):
             return False, "no-request", None
         return True, None, ist.latest()
 
-    def upd_rnd(self, ist, env):
+    def upd_rnd(self, ist, ctx):
         if self.refuse_rounds:
             return False, "pending-work"
         return True, None

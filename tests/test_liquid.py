@@ -2,10 +2,10 @@
 
 import pytest
 
-from l2sim.runtime import World, EntityId
+from l2sim.runtime import Ctx, World, EntityId
 from l2sim.base import CertRegistry, Ledger
-from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, InternalState,
-                        BundleEnv, open_record)
+from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
+                        InternalState, open_record)
 from l2sim import liquid
 from l2sim.trace import digest
 
@@ -230,30 +230,30 @@ def ideal_fixture(**kw):
     bundle = liquid.make_bundle(world, scn)
     ist = InternalState(identities={CLIENT: list(scn["clients"]),
                                     liquid.OPERATOR: list(scn["operators"])})
-    env = BundleEnv(world)
-    seed_open(ist, liquid.genesis_state(scn["initial"]), env)
-    return world, scn, bundle, ist, env
+    ctx = Ctx(world, world.entity(INTERFACE_ROLE, "F"))
+    seed_open(ist, liquid.genesis_state(scn["initial"]), ctx)
+    return world, scn, bundle, ist, ctx
 
 
-def seed_open(ist, s0, env):
+def seed_open(ist, s0, ctx):
     """What the interface records for an accepted liquid open."""
     ist.states.append(s0)
     ist.onchain = s0
-    ist.executed.append(dict(open_record(s0, None, env),
+    ist.executed.append(dict(open_record(s0, None, ctx),
                              block=liquid.genesis_block()))
 
 
 def test_bundle_submit_balance_gating():
-    world, scn, bundle, ist, env = ideal_fixture()
+    world, scn, bundle, ist, ctx = ideal_fixture()
     ok, _ = bundle.submit(ist, {"kind": UPDATE,
                                 "body": {"op": "pay", "to": "c2", "amt": 6},
-                                "by": "c1", "round": 0}, env)
+                                "by": "c1", "round": 0}, ctx)
     assert ok
     ist.queue.append({"kind": UPDATE, "body": {"op": "pay", "to": "c2", "amt": 6},
                       "by": "c1", "rid": ist.new_rid(), "round": 0})
     ok, why = bundle.submit(ist, {"kind": UPDATE,
                                   "body": {"op": "pay", "to": "c2", "amt": 6},
-                                  "by": "c1", "round": 0}, env)
+                                  "by": "c1", "round": 0}, ctx)
     assert (ok, why) == (False, "insufficient")
 
 
@@ -267,30 +267,30 @@ def test_bundle_update_checks_cert_and_transition():
     bundle = liquid.make_bundle(world, scn)
     ist = InternalState(identities={CLIENT: list(scn["clients"]),
                                     liquid.OPERATOR: list(scn["operators"])})
-    env = BundleEnv(world)
-    seed_open(ist, liquid.genesis_state(scn["initial"]), env)
-    ok, why, record = bundle.update(ist, entry["block"], entry["cert"], env)
+    ctx = Ctx(world, world.entity(INTERFACE_ROLE, "F"))
+    seed_open(ist, liquid.genesis_state(scn["initial"]), ctx)
+    ok, why, record = bundle.update(ist, entry["block"], entry["cert"], ctx)
     assert (ok, why) == (True, None)
     assert record["state"]["bal"] == {"c1": 7, "c2": 13}
     assert (record["seq"], record["block"]) == (1, entry["block"])
     thin = {"round": entry["cert"]["round"],
             "pre": entry["cert"]["pre"][:1], "fin": entry["cert"]["fin"][:1]}
-    ok, why, _ = bundle.update(ist, entry["block"], thin, env)
+    ok, why, _ = bundle.update(ist, entry["block"], thin, ctx)
     assert (ok, why) == (False, "thin-certificate")
     wrong = dict(entry["block"], txs=entry["block"]["txs"] * 2)
-    ok, why, _ = bundle.update(ist, wrong, entry["cert"], env)
+    ok, why, _ = bundle.update(ist, wrong, entry["cert"], ctx)
     assert why in ("thin-certificate", "invalid-transition")
     assert len(ist.states) == len(ist.executed) == 1   # the bundle only answers
 
 
 def test_bundle_round_gate_waits_for_ripe_work():
-    world, scn, bundle, ist, env = ideal_fixture()
+    world, scn, bundle, ist, ctx = ideal_fixture()
     ist.queue.append({"kind": UPDATE, "body": {"op": "pay", "to": "c2", "amt": 1},
                       "by": "c1", "rid": ist.new_rid(), "round": 0})
-    ok, _ = bundle.upd_rnd(ist, env)
+    ok, _ = bundle.upd_rnd(ist, ctx)
     assert ok                          # younger than the update allowance
     world.round_no = liquid.UPDATE_ALLOWANCE
-    ok, why = bundle.upd_rnd(ist, env)
+    ok, why = bundle.upd_rnd(ist, ctx)
     assert (ok, why) == (False, "pending-l2-work")
 
 
@@ -309,27 +309,27 @@ def overdue_peg_in(world, ist, amt=5):
 
 
 def test_bundle_round_gate_ignores_unripe_deposit():
-    world, scn, bundle, ist, env = ideal_fixture()
+    world, scn, bundle, ist, ctx = ideal_fixture()
     deposit_on_l1(world, TIMING["confirm_depth"] - 1)
     overdue_peg_in(world, ist)
-    ok, _ = bundle.upd_rnd(ist, env)
+    ok, _ = bundle.upd_rnd(ist, ctx)
     assert ok                          # no ripe deposit on L1 backing it
 
 
 def test_bundle_round_gate_waits_for_ripe_deposit():
-    world, scn, bundle, ist, env = ideal_fixture()
+    world, scn, bundle, ist, ctx = ideal_fixture()
     deposit_on_l1(world, TIMING["confirm_depth"])
     overdue_peg_in(world, ist, amt=4)
-    assert bundle.upd_rnd(ist, env) == (True, None)    # amount differs
+    assert bundle.upd_rnd(ist, ctx) == (True, None)    # amount differs
     overdue_peg_in(world, ist)
-    assert bundle.upd_rnd(ist, env) == (False, "pending-l2-work")
+    assert bundle.upd_rnd(ist, ctx) == (False, "pending-l2-work")
 
 
 def test_bundle_read_reconstruction_gap():
-    world, scn, bundle, ist, env = ideal_fixture()
+    world, scn, bundle, ist, ctx = ideal_fixture()
     s1 = dict(liquid.genesis_state(scn["initial"]), height=1)
     s2 = dict(s1, height=2)
     ist.states.extend([s1, s2])
     ist.executed.append({"kind": UPDATE, "seq": 2, "state": s2, "txs": [],
                          "block": None, "evidence": None})
-    assert bundle.read(ist, 2, env) is False
+    assert bundle.read(ist, 2, ctx) is False

@@ -10,7 +10,9 @@ and no polling path (a machine's ``on_round``, ``on_ledger_block``,
 they call) scans the ledger with ``Ledger.find``: they read the kind index.
 The bundle classes define no entry point beyond the six of
 ``SubroutineBundle``, so a leftover override of a retired one cannot sit
-there unused.
+there unused, and they only answer: no method of theirs sends, outputs,
+notes, emits, submits, signs, holds, ticks or corrupts through the
+``Ctx`` it is handed.
 """
 
 import ast
@@ -139,6 +141,28 @@ def polling_finds(sources) -> set:
                    for node in ast.walk(fn))}
 
 
+ACTIONS = {"send_net", "output", "note", "queue_io", "queue_net", "emit",
+           "submit", "sign", "hold", "tick", "corrupt"}
+
+
+def calls_action(node):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
+    return name in ACTIONS
+
+
+def acting_methods(source, classes) -> set:
+    """(class, method) of each method of the named top-level ``classes``
+    that calls an action."""
+    return {(top.name, fn.name) for top in ast.parse(source).body
+            if isinstance(top, ast.ClassDef) and top.name in classes
+            for fn in top.body if isinstance(fn, ast.FunctionDef)
+            and any(calls_action(node) for node in ast.walk(fn))}
+
+
 def test_the_guards_see_what_they_look_for():
     source = ("def a(t):\n    return t.events\n"
               "def b(s):\n    return {'kind': SETTLEMENT, 'seq': None, "
@@ -168,6 +192,18 @@ def test_the_guards_see_what_they_look_for():
               "def scan(ledger):\n    return ledger.find(lambda t: True)\n")
     assert polling_finds([machine]) == {"_check"}
     assert polling_finds([machine, helper]) == {"_check", "scan"}
+    bundles = ("class B(SubroutineBundle):\n"
+               "    def open(self, ist, body, attachment, ctx):\n"
+               "        return ctx.ledger.find(lambda t: True)\n"
+               "    def update(self, ist, state, attachment, ctx):\n"
+               "        ctx.ledger.submit(state)\n"
+               "    def read(self, ist, idx, ctx):\n"
+               "        ctx.world.emit('x')\n"
+               "    def upd_rnd(self, ist, ctx):\n"
+               "        return ctx.certs.verify_any(None, 1), None\n"
+               "class M:\n"
+               "    def on_round(self, ctx):\n        ctx.note('x')\n")
+    assert acting_methods(bundles, {"B"}) == {("B", "update"), ("B", "read")}
 
 
 def test_only_the_summary_builders_read_events():
@@ -204,14 +240,26 @@ def test_the_bundle_contract_has_six_entry_points():
     assert public_methods(core.SubroutineBundle) == ENTRY_POINTS
 
 
+def bundle_classes(path) -> list:
+    """The SubroutineBundle subclasses the module at ``path`` defines."""
+    module = importlib.import_module(f"l2sim.{path.stem}")
+    return [value for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == module.__name__
+            and issubclass(value, core.SubroutineBundle)
+            and value is not core.SubroutineBundle]
+
+
 def test_no_bundle_defines_another_entry_point():
-    bundles = {}
-    for path in sorted(SRC.glob("*.py")):
-        module = importlib.import_module(f"l2sim.{path.stem}")
-        for value in vars(module).values():
-            if isinstance(value, type) and value.__module__ == module.__name__ \
-                    and issubclass(value, core.SubroutineBundle) \
-                    and value is not core.SubroutineBundle:
-                bundles[value.__name__] = public_methods(value) - ENTRY_POINTS
+    bundles = {cls.__name__: public_methods(cls) - ENTRY_POINTS
+               for path in sorted(SRC.glob("*.py"))
+               for cls in bundle_classes(path)}
     assert bundles == {"AccountBundle": set(), "ArbitrumBundle": set(),
                        "BrickBundle": set(), "LiquidBundle": set()}
+
+
+def test_bundles_only_answer():
+    acting = set()
+    for path in sorted(SRC.glob("*.py")):
+        names = {cls.__name__ for cls in bundle_classes(path)}
+        acting |= acting_methods(path.read_text(), names)
+    assert acting == set()
