@@ -25,7 +25,6 @@ same check (wrapped in any `.events` holder) reproduces the failure.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -333,16 +332,16 @@ def check_correct_initialization(trace) -> Verdict:
             or bool(accounts) and accounts <= joined
 
     for ev in s.open_oks:
-        if not any(i.get("step", 0) <= ev.get("step", 0)
-                   for i in s.open_inputs):
+        asked = next((i for i in s.open_inputs
+                      if i.get("step", 0) <= ev.get("step", 0)), None)
+        if asked is None:
             return Verdict(name, False, witness=[ev],
                            params={"reason": "no-honest-open-request"})
         if not anchored(ev["payload"].get("state")):
-            return Verdict(name, False, witness=[ev],
+            # the request rides along, so the witness fails for this reason
+            return Verdict(name, False, witness=[asked, ev],
                            params={"reason": "initial-state-not-on-chain"})
-    # every party's confirmations count, corrupted ones too
-    n = sum(len(rounds) for (_, kind), rounds in s.confirmed.items()
-            if kind == "open-ok")
+    n = len(s.open_oks)                # only honest confirmations are judged
     return Verdict(name, True, params={"open_outputs": n}, vacuous=n == 0)
 
 
@@ -441,29 +440,29 @@ def check_liveness(trace, kind, params) -> Verdict:
                                "reason": "corruptions-exceed-f"})
     # opens and settlements are served by confirmation outputs alone
     seen = _first_seen(s) if kind == UPDATE else {}
-    deposits = {}                      # pid -> sorted steps of its deposits
-    for q in s.requests:
-        if q["entry"].get("kind") == "deposit":
-            deposits.setdefault(q["pid"], []).append(q["step"])
-    for steps in deposits.values():
-        steps.sort()
     judged = unresolved = 0
     pays = 0                           # real-run pays so far, this one included
+    deposited = {}                     # pid -> its deposits so far, the same
     marker = {"t": "horizon", "round": s.horizon}
     for r in s.requests:
         if r["cls"] != kind or r["refused"]:
             continue
+        asked = [r]
         if r["cls"] == UPDATE and r["entry"].get("kind") == "pay" \
                 and r["rid"] is None:
             pays += 1
+        elif r["entry"].get("kind") == "deposit":
+            # a deposit waits for a mint per deposit of its depositor up
+            # to it, so its witness carries them all
+            asked = deposited[r["pid"]] = deposited.get(r["pid"], []) + [r]
         deadline = r["round"] + t_l2 + t_l1
         if deadline > s.horizon:
             unresolved += 1
             continue
         judged += 1
-        if not _served(r, deadline, seen, s.confirmed, deposits, pays):
-            witness = [r["event"]] + [_view_event(v) for v in s.views
-                                      if v.round <= deadline] + [marker]
+        if not _served(r, deadline, seen, s.confirmed, len(asked), pays):
+            witness = [q["event"] for q in asked] + [
+                _view_event(v) for v in s.views if v.round <= deadline] + [marker]
             return Verdict(name, False, witness=witness,
                            params={"kind": kind, "pid": r["pid"],
                                    "submit_round": r["round"],
@@ -485,8 +484,7 @@ def _served(r, deadline, seen, confirmed, deposits, pays) -> bool:
     if r["rid"] is not None:                       # interface run: exact rid
         key = ("rid", r["rid"])
     elif r["entry"].get("kind") == "deposit":
-        # the deposits of pid up to this one, itself included, so k >= 1
-        key = ("mint", pid, bisect_right(deposits[pid], r["step"]))
+        key = ("mint", pid, deposits)     # deposits of pid so far, k >= 1
     elif r.get("queued") is None:
         return False                               # accepted but never sent
     elif "nonce" in r["queued"]:

@@ -111,19 +111,19 @@ EMBEDDED = committed(1, 2, "open", A, {"channel": "ch", "state": INITIAL})
 JOINED_A = committed(1, 2, "open-commit", A, {"chain": "sc"})
 JOINED_B = committed(1, 3, "open-commit", B, {"chain": "sc"})
 
-# label -> (events, index of the failing open-ok or None)
+# label -> (events, indexes of the witness events or None)
 INITIALIZATION_CASES = {
     "no-honest-open-request": (
-        [*EMBEDDED, open_ok(A, 2, 3)], 2),
+        [*EMBEDDED, open_ok(A, 2, 3)], [2]),
     "request-after-confirmation": (
-        [*EMBEDDED, open_ok(A, 2, 3), open_input(A, 3, 4)], 2),
+        [*EMBEDDED, open_ok(A, 2, 3), open_input(A, 3, 4)], [2]),
     "only-a-corrupted-party-requested": (
         [event("corrupt", B, 0, 0), open_input(B, 1, 1), *EMBEDDED,
-         open_ok(A, 2, 3)], 4),
+         open_ok(A, 2, 3)], [4]),
     "initial-state-not-on-chain": (
-        [open_input(A, 1, 1), open_ok(A, 2, 2)], 1),
+        [open_input(A, 1, 1), open_ok(A, 2, 2)], [0, 1]),
     "joining-record-missing": (
-        [open_input(A, 1, 1), *JOINED_A, open_ok(A, 2, 4)], 3),
+        [open_input(A, 1, 1), *JOINED_A, open_ok(A, 2, 4)], [0, 3]),
     "anchored-by-embedding": (
         [open_input(A, 1, 1), *EMBEDDED, open_ok(A, 2, 3)], None),
     "anchored-through-joining-records-only": (
@@ -139,10 +139,10 @@ INITIALIZATION_CASES = {
 }
 
 
-def failed(reason):
+def failed(reason, witness_len=1):
     return {"record": "verdict", "property": "correct-initialization",
             "pass": False, "vacuous": False, "params": {"reason": reason},
-            "witness_len": 1}
+            "witness_len": witness_len}
 
 
 def passed(n):
@@ -159,17 +159,17 @@ INITIALIZATION_EXPECTED = {
         failed("no-honest-open-request"), "no-honest-open-request"),
     "only-a-corrupted-party-requested": (
         failed("no-honest-open-request"), "no-honest-open-request"),
-    # the witness keeps only the confirmation, so on its own it fails for
-    # want of a request
+    # the witness carries the request with the confirmation, so on its
+    # own it fails for the same reason
     "initial-state-not-on-chain": (
-        failed("initial-state-not-on-chain"), "no-honest-open-request"),
+        failed("initial-state-not-on-chain", 2), "initial-state-not-on-chain"),
     "joining-record-missing": (
-        failed("initial-state-not-on-chain"), "no-honest-open-request"),
+        failed("initial-state-not-on-chain", 2), "initial-state-not-on-chain"),
     "anchored-by-embedding": (passed(1), None),
     "anchored-through-joining-records-only": (passed(1), None),
     "interface-submit-request": (passed(1), None),
-    # a corrupted party's confirmation is skipped but still counted
-    "corrupted-confirmation-not-judged": (passed(1), None),
+    # a corrupted party's confirmation is neither judged nor counted
+    "corrupted-confirmation-not-judged": (passed(0), None),
     "vacuous": (passed(0), None),
 }
 
@@ -183,7 +183,7 @@ def test_correct_initialization_on_hand_built_traces(label):
     if bad is None:
         assert v.witness == []
         return
-    assert v.witness == [events[bad]]
+    assert v.witness == [events[i] for i in bad]
     again = check_correct_initialization(as_trace(v.witness))
     assert not again.passed
     assert again.params["reason"] == replay_reason

@@ -16,8 +16,8 @@ one-pass ``check_safety`` replaced; the two are compared on hand-built
 failing traces and on random view sets.  The hand-built liveness and
 settlement traces pin the verdicts the checks gave before that rework
 (their witness digests recorded again with delta reads), and every
-failing witness must fail again when checked on its own (one liveness
-witness that does not is marked as a known defect).
+failing witness must fail again, with the same parameters, when checked
+on its own.
 """
 
 import hashlib
@@ -307,7 +307,10 @@ LIFECYCLE_WITNESSES = {
 # sha256 of ``full_view_projection`` and of every check's ``to_record()``.
 # They were recorded once, while every read-result still carried its
 # reader's whole view, and are not regenerated: the payload format may
-# change, the views a reader was shown and the verdicts may not.
+# change, the views a reader was shown and the verdicts may not.  The
+# records of brick stale-settle-attempt and unilateral-exit and of liquid
+# client-spam were recorded again when ``open_outputs`` stopped counting
+# the confirmation of a client corrupted later (2 became 1).
 
 # (protocol, schedule label) -> (real projection, real records,
 #                                ideal projection, ideal records)
@@ -379,19 +382,19 @@ SCRIPTED_OUTPUTS = {
         "f9965d86ea3faf3675568108e6a24c87f69c3caf95c24a3d19738e6e245e1980"),
     ("brick", "stale-settle-attempt"): (
         "591de4be64745237f2453f517ab900097ff9756340fbc4f9b6105f45443b6341",
-        "7a03418d5af3f7e50a00217e66bc396a2b0d9edba1aa94b7a149b6027b2be74a",
+        "ef902059e83473268412fce31b71f49d1f39cabe7038b5b9337c3a52794f262c",
         "591de4be64745237f2453f517ab900097ff9756340fbc4f9b6105f45443b6341",
-        "7a03418d5af3f7e50a00217e66bc396a2b0d9edba1aa94b7a149b6027b2be74a"),
+        "ef902059e83473268412fce31b71f49d1f39cabe7038b5b9337c3a52794f262c"),
     ("brick", "unilateral-exit"): (
         "b0fc79bc64b27f8acdd3b01bb61c94740e02e755ec520047888dfae3d8c9296b",
-        "27225c854e1d9f82286e90dc82d31720895a3b6e4a27804a6248272c36e14f98",
+        "ceb8419b4e43ea320d409b10718352eeec5ba2d96eb49c6fcf1d94b02c78c429",
         "b0fc79bc64b27f8acdd3b01bb61c94740e02e755ec520047888dfae3d8c9296b",
-        "27225c854e1d9f82286e90dc82d31720895a3b6e4a27804a6248272c36e14f98"),
+        "ceb8419b4e43ea320d409b10718352eeec5ba2d96eb49c6fcf1d94b02c78c429"),
     ("liquid", "client-spam"): (
         "c0196f7e846fbcd1bf091de4fce00d11508d657b0f5dbd69b6ff750c030bf04b",
-        "219f76e63781d6c9ed87d51947857f74285d6cb38abe9f71eafc11663c189faf",
+        "50e0d243c8ab2df5dbc8769bb7a32b1d74ecd0150593b9e7755145762857acf6",
         "c0196f7e846fbcd1bf091de4fce00d11508d657b0f5dbd69b6ff750c030bf04b",
-        "219f76e63781d6c9ed87d51947857f74285d6cb38abe9f71eafc11663c189faf"),
+        "50e0d243c8ab2df5dbc8769bb7a32b1d74ecd0150593b9e7755145762857acf6"),
     ("liquid", "corrupt-operator-rotation"): (
         "19baa58fdead7b8b620cd52484a93e288830f2d66b87899d39fcac49f8e2752f",
         "d1cbc030faaebe661a0726396fb41f005c5d5a6ee13282abd643e6d95c57c98a",
@@ -993,7 +996,8 @@ LIVENESS_CASES = {
 }
 
 # label -> (record, witness sha256) as the checks gave them before the
-# one-pass rework
+# one-pass rework; second-deposit-needs-second-mint recorded again when a
+# deposit's witness began to carry its depositor's earlier deposits
 LIVENESS_EXPECTED = {
     "deposit-never-minted": (
         {"record": "verdict",
@@ -1030,8 +1034,8 @@ LIVENESS_EXPECTED = {
                     "deadline": 8,
                     "t_l2": 4,
                     "t_l1": 2},
-         "witness_len": 3},
-        "8f6f5777febe75eb90fa0150f88fdf8cfca84b1c3a0f3bb3c7e36c2f009dc30e"),
+         "witness_len": 4},
+        "dcd906287c8a68a5b81dfbf9f5a8c65d99d6b4625ffa1033e5e9db1e1bbae54f"),
     "queued-pay-nonce-missing": (
         {"record": "verdict",
          "property": "liveness-update",
@@ -1144,24 +1148,14 @@ def test_liveness_on_hand_built_traces(label):
     assert witness_digest(v) == witness
 
 
-def replay_cases():
-    for label, (kind, events) in LIVENESS_CASES.items():
-        if LIVENESS_EXPECTED[label][0]["pass"]:
-            continue
-        marks = ()
-        if label == "second-deposit-needs-second-mint":
-            # the witness keeps only the failing deposit, so on its own it
-            # waits for one mint, which the window holds
-            marks = pytest.mark.xfail(strict=True,
-                                      reason="witness drops earlier deposits")
-        yield pytest.param(label, marks=marks)
-
-
-@pytest.mark.parametrize("label", replay_cases())
+@pytest.mark.parametrize("label", [
+    label for label in LIVENESS_CASES
+    if not LIVENESS_EXPECTED[label][0]["pass"]])
 def test_liveness_witness_replays(label):
     kind, events = LIVENESS_CASES[label]
     v = check_liveness(as_trace(events), kind, LIVE)
-    assert not check_liveness(as_trace(v.witness), kind, LIVE).passed
+    again = check_liveness(as_trace(v.witness), kind, LIVE)
+    assert not again.passed and again.params == v.params
 
 
 def stale_view():
