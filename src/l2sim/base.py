@@ -201,7 +201,7 @@ class Ledger:
 
     def read(self, party: str, lag: int = 0) -> dict:
         """Committed prefix visible to `party`; the frontier never moves back.
-        Only the benchmark's tracer names it (it wraps it), so it stays."""
+        No party calls it; it stays because the benchmark's tracer wraps it."""
         visible = max(0, len(self.committed) - max(0, lag))
         visible = max(visible, self.frontier.get(party, 0))
         self.frontier[party] = visible
