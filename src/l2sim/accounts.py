@@ -24,6 +24,9 @@ from .trace import digest
 
 OPERATOR = "operator"
 
+# the (request kind, op) pairs that spend the requester's balance
+SPENDS = ((UPDATE, "pay"), (SETTLEMENT, "peg-out"))
+
 
 def genesis_state(initial: dict) -> dict:
     return {"bal": dict(sorted(initial.items())),
@@ -283,7 +286,8 @@ class AccountBundle(SubroutineBundle):
     ctx)``, None or the reason the protocol refuses the update; it runs
     after the shape and position checks and before the one computation of
     the post-state.  A settlement needs the burn's committed ledger record
-    of kind ``settle_kind``.
+    of kind ``settle_kind``.  Every state may be read: an update is
+    accepted only at height ``latest + 1``, so ``states[i]`` has height i.
     """
 
     update_key = seq_field = settle_kind = None
@@ -297,7 +301,7 @@ class AccountBundle(SubroutineBundle):
     def _pending_spend(self, ist, pid):
         return sum(r["body"].get("amt", 0) for r in ist.queue
                    if r["by"] == pid and (r["kind"], r["body"].get("op"))
-                   in ((UPDATE, "pay"), (SETTLEMENT, "peg-out")))
+                   in SPENDS)
 
     def submit(self, ist, req, ctx):
         kind, body, by = req["kind"], req["body"], req["by"]
@@ -311,26 +315,16 @@ class AccountBundle(SubroutineBundle):
             return True, None
         if ist.phase() != "open":
             return False, "phase"
-        op = body.get("op")
-        if kind == UPDATE and op == "pay":
-            if body.get("to") not in self.clients or body.get("amt", 0) <= 0:
-                return False, "malformed"
-            free = ist.latest()["bal"].get(by, 0) - self._pending_spend(ist, by)
-            if body["amt"] > free:
-                return False, "insufficient"
-            return True, None
-        if kind == UPDATE and op == "peg-in":
-            if body.get("amt", 0) <= 0:
-                return False, "malformed"
-            return True, None
-        if kind == SETTLEMENT and op == "peg-out":
-            if body.get("amt", 0) <= 0:
-                return False, "malformed"
-            free = ist.latest()["bal"].get(by, 0) - self._pending_spend(ist, by)
-            if body["amt"] > free:
-                return False, "insufficient"
-            return True, None
-        return False, "unknown-kind"
+        move = (kind, body.get("op"))
+        if move not in SPENDS and move != (UPDATE, "peg-in"):
+            return False, "unknown-kind"
+        if move == (UPDATE, "pay") and body.get("to") not in self.clients \
+                or body.get("amt", 0) <= 0:
+            return False, "malformed"
+        if move in SPENDS and body["amt"] > \
+                ist.latest()["bal"].get(by, 0) - self._pending_spend(ist, by):
+            return False, "insufficient"
+        return True, None
 
     def open(self, ist, body, attachment, ctx):
         if body.get("state") != genesis_state(self.initial):
@@ -375,17 +369,6 @@ class AccountBundle(SubroutineBundle):
             "kind": UPDATE, "seq": seq, "state": post, "txs": update["txs"],
             self.update_key: update, "evidence": attachment, "rids": rids,
             "round": ctx.round}
-
-    def read(self, ist, idx, ctx):
-        want = ist.states[idx]
-        cur = ist.states[0]
-        for e in ist.executed:
-            if e["kind"] != UPDATE or e["seq"] > want["height"]:
-                continue
-            if e["seq"] != cur["height"] + 1:
-                return False
-            cur = e["state"]
-        return cur == want
 
     def settlement(self, ist, body, attachment, ctx):
         if body.get("op") != "peg-out":

@@ -209,7 +209,7 @@ def view_state(view):
 # -- ledger kind checks ----------------------------------------------------
 
 
-def install_ledger_checks(world, sid, initial, publishers):
+def install_ledger_checks(world, initial, publishers):
     """Batches are shape-checked; fraud proofs are settled by re-execution."""
 
     def check_batch(tx, ledger):
@@ -569,7 +569,7 @@ def build_real(world, scn):
     vals = [world.entity(VALIDATOR, v) for v in scn["validators"]]
     clients = [world.entity(CLIENT, c) for c in scn["clients"]]
     publishers = {o.short() for o in ops} | {c.short() for c in clients}
-    install_ledger_checks(world, world.sid, scn["initial"], publishers)
+    install_ledger_checks(world, scn["initial"], publishers)
     for c in clients:
         world.register(ArbitrumClient(c, ops, scn["initial"],
                                       self_publish=scn.get("self_publish", True)))

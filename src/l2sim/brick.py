@@ -16,7 +16,12 @@ The ideal bundle mirrors these rules as subroutine checks over the shared
 internal state: client signatures are verified against the registry (they
 carry the agreement), warden multisets are counted structurally, and every
 on-chain condition is delegated to the ledger, whose kind checks validate
-embedded channel signatures.
+embedded channel signatures.  An update must carry sequence number
+``latest + 1``, as a client accepts only the state after its own, so
+``states[i]`` has seq i; a collab settlement must name a recorded state, as
+an honest client co-signs only entries of its chain.  A read may therefore
+serve every state from the on-chain anchor's seq up: a closed channel hides
+the states below its settled anchor.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ class BrickClient(Machine):
 
     # helpers
 
-    def _peer_entity(self, ctx):
+    def _peer_entity(self):
         return EntityId(self.peer, self.me.sid, CLIENT)
 
     def latest(self):
@@ -144,7 +149,7 @@ class BrickClient(Machine):
         self.s0 = initial_state(self.collateral)
         self.my_open_sig = ctx.certs.sign(self.me.short(), open_msg(self.me.sid, self.s0))
         msg = {"kind": "chan-open", "state": self.s0, "sig": self.my_open_sig}
-        ctx.send_net(self._peer_entity(ctx), msg)
+        ctx.send_net(self._peer_entity(), msg)
         for w in self.wardens:
             ctx.send_net(w, msg)
         self.phase = "opening"
@@ -169,12 +174,15 @@ class BrickClient(Machine):
         ctx.note("request-queued", req="pay", seq=seq)
         sig = ctx.certs.sign(self.me.short(), state_msg(self.me.sid, new, seq))
         self.proposal = {"state": new, "seq": seq, "sig": sig}
-        ctx.send_net(self._peer_entity(ctx),
+        ctx.send_net(self._peer_entity(),
                      {"kind": "pay", "state": new, "seq": seq, "sig": sig})
 
     def _start_settle(self, ctx, stype, seq):
         if self.phase != "open":
             ctx.note("request-refused", why="phase", req="settle")
+            return
+        if stype not in ("collab", "unilateral"):
+            ctx.note("request-refused", why="malformed", req="settle")
             return
         if stype == "unilateral":
             self.uni_pending = True
@@ -191,7 +199,7 @@ class BrickClient(Machine):
         sig = ctx.certs.sign(self.me.short(),
                              close_msg(self.me.sid, target["state"], target["seq"]))
         self.close_pending = {"state": target["state"], "seq": target["seq"], "sig": sig}
-        ctx.send_net(self._peer_entity(ctx),
+        ctx.send_net(self._peer_entity(),
                      {"kind": "close-req", "state": target["state"],
                       "seq": target["seq"], "sig": sig})
 
@@ -288,7 +296,7 @@ class BrickClient(Machine):
                                 f"{CLIENT}:{self.peer}"):
             return
         sig2 = ctx.certs.sign(self.me.short(), close_msg(self.me.sid, state, seq))
-        ctx.send_net(self._peer_entity(ctx), {"kind": "close-ack", "seq": seq, "sig": sig2})
+        ctx.send_net(self._peer_entity(), {"kind": "close-ack", "seq": seq, "sig": sig2})
 
     def _on_close_ack(self, ctx, p):
         if self.close_pending is None or p["seq"] != self.close_pending["seq"]:
@@ -369,7 +377,7 @@ class BrickWarden(Machine):
         elif kind == "close-uni":
             self._publish(ctx)
 
-    def _client_entities(self, ctx):
+    def _client_entities(self):
         return [EntityId(c.split(":", 1)[1], self.me.sid, CLIENT) for c in self.clients]
 
     def _on_open(self, ctx, p, src):
@@ -386,7 +394,7 @@ class BrickWarden(Machine):
             self.stored = {"state": self.s0, "seq": 0,
                            "csigs": [self.open_sigs[c] for c in self.clients]}
             wsig = ctx.certs.sign(self.me.short(), warden_msg(self.me.sid, self.s0, 0))
-            for c in self._client_entities(ctx):
+            for c in self._client_entities():
                 ctx.send_net(c, {"kind": "chan-open-ack", "state": self.s0, "wsig": wsig})
             ctx.ledger.submit(signed_tx(
                 ctx.certs, "open-commit",
@@ -411,7 +419,7 @@ class BrickWarden(Machine):
         self.stored = {"state": state, "seq": seq, "csigs": csigs}
         ctx.note("warden-accept", seq=seq, state=state)
         wsig = ctx.certs.sign(self.me.short(), warden_msg(self.me.sid, state, seq))
-        for c in self._client_entities(ctx):
+        for c in self._client_entities():
             ctx.send_net(c, {"kind": "pay-ack", "state": state, "seq": seq,
                              "wsig": wsig, "csigs": csigs})
 
@@ -431,35 +439,34 @@ class BrickWarden(Machine):
 # -- ledger kind checks ----------------------------------------------------
 
 
-def install_ledger_checks(world, sid, clients, f):
+def install_ledger_checks(world, sid, clients):
     """On-chain validation of embedded channel signatures."""
-    shorts = [f"{CLIENT}:{c}" for c in clients]
+    shorts = {f"{CLIENT}:{c}" for c in clients}
+
+    def unsigned(body, forms):
+        """None if both clients signed one of ``forms`` in the body's
+        ``csigs``, else the refusal."""
+        csigs = body.get("csigs") or []
+        if len(csigs) != 2:
+            return "need-both-client-sigs"
+        for want in forms:
+            if {world.certs.verify_any(ref, want) for ref in csigs} == shorts:
+                return None
+        return "bad-channel-sigs"
 
     def check_close(tx, ledger):
         body = tx["body"]
         state, seq = body.get("state"), body.get("seq")
-        csigs = body.get("csigs") or []
-        if len(csigs) != 2:
-            return False, "need-both-client-sigs"
-        forms = (close_msg(sid, state, seq), state_msg(sid, state, seq),
-                 open_msg(sid, state))
-        for want in forms:
-            signers = {world.certs.verify_any(ref, want) for ref in csigs}
-            if signers == set(shorts):
-                return True, None
-        return False, "bad-channel-sigs"
+        why = unsigned(body, (close_msg(sid, state, seq),
+                              state_msg(sid, state, seq), open_msg(sid, state)))
+        return why is None, why
 
     def check_wpub(tx, ledger):
         body = tx["body"]
         state, seq = body.get("state"), body.get("seq")
-        csigs = body.get("csigs") or []
-        if len(csigs) != 2:
-            return False, "need-both-client-sigs"
-        want = open_msg(sid, state) if seq == 0 else state_msg(sid, state, seq)
-        signers = {world.certs.verify_any(ref, want) for ref in csigs}
-        if signers != set(shorts):
-            return False, "bad-channel-sigs"
-        return True, None
+        why = unsigned(body, (open_msg(sid, state) if seq == 0
+                              else state_msg(sid, state, seq),))
+        return why is None, why
 
     world.ledger.kind_checks["settle"] = check_close
     world.ledger.kind_checks["warden-publish"] = check_wpub
@@ -539,6 +546,8 @@ class BrickBundle(SubroutineBundle):
         seq = new_state["seq"]
         if seq <= ist.latest()["seq"]:
             return False, "stale", None
+        if seq != ist.latest()["seq"] + 1:
+            return False, "not-next", None
         if not conserves(ist.latest(), new_state):
             return False, "not-conserving", None
         if not self._agreed(attachment, state_msg(self.sid, new_state, seq), ctx):
@@ -552,21 +561,7 @@ class BrickBundle(SubroutineBundle):
                             "round": ctx.round}
 
     def read(self, ist, idx, ctx):
-        # fold the off-chain evidence above the anchor; after settlement the
-        # anchor may already sit at (or past) the wanted sequence number
-        want = ist.states[idx]
-        cur = ist.onchain
-        if cur is None:
-            return False
-        if cur["seq"] >= want["seq"]:
-            return cur == want
-        for e in ist.executed:
-            if e["kind"] != UPDATE or e["seq"] > want["seq"] or e["seq"] <= cur["seq"]:
-                continue
-            if e["seq"] != cur["seq"] + 1 or not conserves(cur, e["state"]):
-                return False
-            cur = e["state"]
-        return cur == want
+        return idx >= ist.onchain["seq"]
 
     def settlement(self, ist, body, attachment, ctx):
         stype = body.get("type")
@@ -576,6 +571,9 @@ class BrickBundle(SubroutineBundle):
                      and r["body"].get("type") == "collab"]
             if not asked:
                 return False, "no-settle-request", None
+            if not (isinstance(want_seq, int) and 0 <= want_seq < len(ist.states)
+                    and ist.states[want_seq] == want_state):
+                return False, "unrecorded-state", None
             if not self._agreed(attachment,
                                 close_msg(self.sid, want_state, want_seq), ctx):
                 return False, "missing-agreement", None
@@ -636,7 +634,7 @@ def build_real(world, scn):
     shorts = [f"{CLIENT}:{c}" for c in scn["clients"]]
     for w in wardens:
         world.register(BrickWarden(w, shorts, scn["f"]))
-    install_ledger_checks(world, sid, scn["clients"], scn["f"])
+    install_ledger_checks(world, sid, scn["clients"])
 
 
 def make_bundle(world, scn):

@@ -13,7 +13,7 @@ return, notifies the uncorrupted clients (``honest``), and leaks its whole
 internal state when a client is corrupted.
 A read's position is the interface's own: it clamps the simulator's
 read-delay hint into [the party's pointer, the top state] and serves the
-records behind that state if the bundle says they reconstruct it.
+records behind that state unless the bundle says the protocol hides it.
 
 ``read_result`` builds every read-result payload (this machine's, the real
 clients' and the property witnesses').  A read carries only what its
@@ -133,8 +133,10 @@ class SubroutineBundle:
       executed record of the update, carrying the post-state under "state"
       and the queue rids it executes under "rids"; a reason starting with
       ``HALT_PREFIX`` halts the session;
-    - ``read(ist, idx, ctx)`` -> bool: whether the executed records
-      reconstruct ``ist.states[idx]``;
+    - ``read(ist, idx, ctx)`` -> bool: whether ``ist.states[idx]`` may be
+      served; True unless the protocol hides states.  The interface
+      appends ``states[i]`` together with its open or update record
+      ``executed[i]``, so the answer needs no walk over the records;
     - ``settlement(ist, body, attachment, ctx)`` -> (ok, reason, state):
       the settled state;
     - ``upd_rnd(ist, ctx)`` -> (ok, reason): may the round advance.
@@ -155,7 +157,7 @@ class SubroutineBundle:
         raise NotImplementedError
 
     def read(self, ist, idx, ctx):
-        raise NotImplementedError
+        return True
 
     def settlement(self, ist, body, attachment, ctx):
         raise NotImplementedError

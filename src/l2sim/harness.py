@@ -80,6 +80,8 @@ from .trace import canon
 
 PROTOCOLS = {"brick": brick, "liquid": liquid, "arbitrum": arbitrum}
 
+# every world's timing (``World`` copies it); t_period > liveness_bound
+# keeps rollup finality monotone (see ``arbitrum``)
 DESK_TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2,
                "t_period": 4}
 
@@ -93,17 +95,11 @@ def protocol(name):
         raise ValueError(f"unknown protocol {name!r}") from None
 
 
-def desk_timing(overrides=None):
-    t = dict(DESK_TIMING)
-    t.update(overrides or {})
-    return t
-
-
-def make_real(name, scn=None, timing=None):
+def make_real(name, scn=None):
     """Stand-alone real world: ledger, certificates, protocol machines."""
     proto = protocol(name)
     scn = scn or proto.canonical_scenario()
-    world = World(name, desk_timing(timing))
+    world = World(name, DESK_TIMING)
     world.certs = CertRegistry()
     world.ledger = Ledger(world.timing)
     world.ledger.bind(world)
@@ -118,11 +114,11 @@ class DummyParty(Machine):
         pass
 
 
-def build_ideal(name, scn=None, timing=None):
+def build_ideal(name, scn=None):
     """Outer interface world plus the simulator running the inner twin."""
     proto = protocol(name)
     scn = scn or proto.canonical_scenario()
-    outer = World(name, desk_timing(timing))
+    outer = World(name, DESK_TIMING)
     outer.certs = CertRegistry()
     outer.ledger = Ledger(outer.timing)
     outer.ledger.bind(outer)
@@ -230,9 +226,9 @@ class RealRun:
 
     flavor = "real"
 
-    def __init__(self, name, scn=None, timing=None):
+    def __init__(self, name, scn=None):
         self.proto = protocol(name)
-        self.world, self.scn = make_real(name, scn, timing)
+        self.world, self.scn = make_real(name, scn)
 
     @property
     def trace(self):
@@ -266,9 +262,9 @@ class IdealRun:
 
     flavor = "ideal"
 
-    def __init__(self, name, scn=None, timing=None):
+    def __init__(self, name, scn=None):
         self.proto = protocol(name)
-        self.outer, self.sim, self.scn = build_ideal(name, scn, timing)
+        self.outer, self.sim, self.scn = build_ideal(name, scn)
         self.tracker = self.proto.EnvTracker(self.scn)
 
     @property
@@ -630,10 +626,10 @@ def diff_outputs(real_trace, ideal_trace):
     return out
 
 
-def run_differential(name, scn=None, schedule=(), timing=None):
+def run_differential(name, scn=None, schedule=()):
     """Drive one schedule through both flavors and diff the outputs."""
-    real = RealRun(name, scn, timing)
-    ideal = IdealRun(name, scn, timing)
+    real = RealRun(name, scn)
+    ideal = IdealRun(name, scn)
     apply_schedule(real, schedule)
     apply_schedule(ideal, schedule)
     return real, ideal, diff_outputs(real.trace, ideal.trace)

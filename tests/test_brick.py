@@ -369,23 +369,75 @@ def test_bundle_update_check_wants_client_agreement():
     assert ist.states == [ist.onchain]
 
 
-def test_bundle_read_fails_on_missing_record():
+def record_updates(ist, *states):
+    """What the interface records for accepted updates to ``states``."""
+    for state in states:
+        ist.states.append(state)
+        ist.executed.append({"kind": UPDATE, "seq": state["seq"],
+                             "state": state, "evidence": None})
+
+
+def test_bundle_update_takes_only_the_next_seq():
+    world, scn, bundle, ist, ctx = ideal_fixture()
+    seed_open(bundle, ist, scn, ctx)
+    wardens = [{"by": f"warden:w{i+1}"} for i in range(3)]
+
+    def update(state):
+        msg = brick.state_msg(world.sid, state, state["seq"])
+        att = {"clients": [world.certs.sign(c, msg)
+                           for c in ("client:c1", "client:c2")],
+               "wardens": wardens}
+        return bundle.update(ist, state, att, ctx)[:2]
+
+    assert update({"bal": {"c1": 7, "c2": 13}, "seq": 2}) == (False, "not-next")
+    assert update({"bal": {"c1": 7, "c2": 13}, "seq": 0}) == (False, "stale")
+    assert update({"bal": {"c1": 7, "c2": 13}, "seq": 1}) == (True, None)
+
+
+def test_bundle_read_hides_states_below_the_settled_anchor():
     world, scn, bundle, ist, ctx = ideal_fixture()
     seed_open(bundle, ist, scn, ctx)
     s1 = {"bal": {"c1": 7, "c2": 13}, "seq": 1}
-    s2 = {"bal": {"c1": 5, "c2": 15}, "seq": 2}
-    ist.states.extend([s1, s2])
-    ist.executed.append({"kind": UPDATE, "seq": 2, "state": s2, "evidence": None})
-    assert bundle.read(ist, 2, ctx) is False
-    assert bundle.read(ist, 0, ctx) is True
+    record_updates(ist, s1, {"bal": {"c1": 5, "c2": 15}, "seq": 2})
+    assert [bundle.read(ist, i, ctx) for i in range(3)] == [True] * 3
+    ist.onchain = s1                # what a settlement of s1 records
+    assert [bundle.read(ist, i, ctx) for i in range(3)] == [False, True, True]
+
+
+def test_bundle_collab_settles_only_a_recorded_state():
+    world, scn, bundle, ist, ctx = ideal_fixture()
+    seed_open(bundle, ist, scn, ctx)
+    s1 = {"bal": {"c1": 7, "c2": 13}, "seq": 1}
+    record_updates(ist, s1)
+    ist.queue.append({"kind": SETTLEMENT, "body": {"type": "collab"},
+                      "by": "c1", "rid": ist.new_rid()})
+    msg = brick.close_msg(world.sid, s1, 1)
+    csigs = [world.certs.sign(c, msg) for c in ("client:c1", "client:c2")]
+
+    def settle(state, seq, att):
+        body = {"type": "collab", "state": state, "seq": seq}
+        return bundle.settlement(ist, body, att, ctx)
+
+    other = {"bal": {"c1": 9, "c2": 11}, "seq": 1}
+    for state, seq in ((other, 1), (s1, 2), (s1, "1"), (s1, None), (s1, -1)):
+        assert settle(state, seq, {"clients": csigs}) == \
+            (False, "unrecorded-state", None)
+    assert settle(s1, 1, None) == (False, "missing-agreement", None)
+    assert settle(s1, 1, {"clients": csigs}) == (False, "not-committed", None)
+    tx = make_tx("settle", {"channel": world.sid, "state": s1, "seq": 1,
+                            "csigs": csigs, "mode": "collab",
+                            "conflict": f"close/{world.sid}"}, "client:c1")
+    tx["sigs"] = [world.certs.sign("client:c1", tx_signable(tx))]
+    assert world.ledger.submit(tx)["accepted"]
+    world.advance_round()
+    assert settle(s1, 1, {"clients": csigs}) == (True, None, s1)
 
 
 def test_bundle_unilateral_needs_quorum_and_latest():
     world, scn, bundle, ist, ctx = ideal_fixture()
     s0 = seed_open(bundle, ist, scn, ctx)
     s1 = {"bal": {"c1": 7, "c2": 13}, "seq": 1}
-    ist.states.append(s1)
-    ist.executed.append({"kind": UPDATE, "seq": 1, "state": s1, "evidence": None})
+    record_updates(ist, s1)
     msg1 = brick.state_msg(world.sid, s1, 1)
     csigs = [world.certs.sign("client:c1", msg1),
              world.certs.sign("client:c2", msg1)]

@@ -327,7 +327,7 @@ def _bare_rollup():
     w.certs = CertRegistry()
     w.ledger = Ledger(w.timing)
     w.ledger.bind(w)
-    arbitrum.install_ledger_checks(w, w.sid, INITIAL, {"operator:p1"})
+    arbitrum.install_ledger_checks(w, INITIAL, {"operator:p1"})
     w.advance_round()
     return w
 

@@ -80,6 +80,23 @@ def test_failing_witnesses_replay_on_scripted(name, label):
                 assert not again.passed and again.params == v.params
 
 
+@pytest.mark.parametrize("stype", ["bogus", 5, None])
+def test_an_unknown_brick_settle_type_is_refused_in_both_runs(stype):
+    scn = harness.protocol("brick").canonical_scenario()
+    schedule = copy.deepcopy(
+        harness.scripted_schedules("brick", scn)["settle-fresh"])
+    for step in schedule:
+        if step["op"] == "input" and step["entry"]["kind"] == "settle":
+            step["entry"]["type"] = stype
+    real, ideal, diffs = harness.run_differential("brick", scn, schedule)
+    assert diffs == []
+    assert [ev["why"] for ev in real.trace.events if ev["t"] == "note"
+            and ev["kind"] == "request-refused"] == ["malformed"]
+    verdicts = [{k: v.passed for k, v in checks("brick", scn, run.trace).items()}
+                for run in (real, ideal)]
+    assert verdicts[0] == verdicts[1]
+
+
 # -- correct initialization on hand-built traces -----------------------------
 
 A, B = f"{CLIENT}:A", f"{CLIENT}:B"

@@ -1,12 +1,13 @@
 """The subroutine contract: bundles answer, the interface machine writes.
 
-Three things pin it on whole runs.  Each accepted account-model update
+Four things pin it on whole runs.  Each accepted account-model update
 computes its post-state once.  The whole views the interface serves on
 reads, rebuilt from their deltas, equal what the bundles' own read bodies
 served before the interface built them; those bodies are kept here as the
-reference.  And a raw trigger of
-any shape is refused (or, if its payload is not a dict, ignored), never
-raised, without an output the real run lacks.
+reference.  Every state the interface holds sits at its own position
+beside its own record, the invariant the bundles' reads answer from.  And a
+raw trigger of any shape is refused (or, if its payload is not a dict,
+ignored), never raised, without an output the real run lacks.
 """
 
 import pytest
@@ -171,6 +172,39 @@ def test_reads_match_reference_on_lifecycles(name, seed, adversarial):
         name, scn, lifecycle_schedule(name, scn, seed, pays=10,
                                       adversarial=adversarial))
     assert served and canon(served) == canon(expected)
+
+
+# -- the invariants reads answer from ------------------------------------------
+
+
+POSITION = {"brick": "seq", "liquid": "height", "arbitrum": "height"}
+
+
+def assert_states_beside_records(name, scn, schedule):
+    """``ist.states[i]`` is the state of the record ``ist.executed[i]``
+    and sits at position i, which is what lets a bundle's read answer
+    without walking the records."""
+    ist = interface(apply_schedule(IdealRun(name, scn), schedule)).ist
+    assert ist.states
+    assert [(s is ist.executed[i]["state"], s[POSITION[name]])
+            for i, s in enumerate(ist.states)] == \
+        [(True, i) for i in range(len(ist.states))]
+
+
+@pytest.mark.parametrize("name, label", scripted_corpus())
+def test_states_sit_beside_their_records_on_scripted(name, label):
+    scn = protocol(name).canonical_scenario()
+    assert_states_beside_records(name, scn, scripted_schedules(name, scn)[label])
+
+
+@pytest.mark.parametrize("name, seed, adversarial",
+                         [(name, seed, adversarial) for name in sorted(PROTOCOLS)
+                          for seed in (1, 2, 3, 7919)
+                          for adversarial in (False, True)])
+def test_states_sit_beside_their_records_on_lifecycles(name, seed, adversarial):
+    scn = protocol(name).canonical_scenario()
+    assert_states_beside_records(name, scn, lifecycle_schedule(
+        name, scn, seed, pays=10, adversarial=adversarial))
 
 
 # -- malformed raw triggers ----------------------------------------------------

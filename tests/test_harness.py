@@ -17,7 +17,6 @@ from l2sim.harness import (
     IdealRun,
     RealRun,
     apply_schedule,
-    desk_timing,
     diff_outputs,
     lifecycle_schedule,
     output_projection,
@@ -314,11 +313,11 @@ def test_unknown_protocol_rejected():
         protocol("lightning")
 
 
-def test_desk_timing_overrides_merge():
-    t = desk_timing({"delta": 3})
-    assert t["delta"] == 3
-    assert t["confirm_depth"] == harness.DESK_TIMING["confirm_depth"]
-    assert desk_timing() == harness.DESK_TIMING
+def test_desk_timing_keeps_rollup_finality_monotone():
+    # the condition the arbitrum module docstring states for finality
+    t = harness.DESK_TIMING
+    assert t["t_period"] > t["liveness_bound"]
+    assert harness.make_real("arbitrum")[0].timing == t
 
 
 def test_diff_outputs_reports_mismatch_and_length_drift():

@@ -324,12 +324,3 @@ def test_bundle_round_gate_waits_for_ripe_deposit():
     overdue_peg_in(world, ist)
     assert bundle.upd_rnd(ist, ctx) == (False, "pending-l2-work")
 
-
-def test_bundle_read_reconstruction_gap():
-    world, scn, bundle, ist, ctx = ideal_fixture()
-    s1 = dict(liquid.genesis_state(scn["initial"]), height=1)
-    s2 = dict(s1, height=2)
-    ist.states.extend([s1, s2])
-    ist.executed.append({"kind": UPDATE, "seq": 2, "state": s2, "txs": [],
-                         "block": None, "evidence": None})
-    assert bundle.read(ist, 2, ctx) is False

@@ -12,7 +12,9 @@ The bundle classes define no entry point beyond the six of
 ``SubroutineBundle``, so a leftover override of a retired one cannot sit
 there unused, and they only answer: no method of theirs sends, outputs,
 notes, emits, submits, signs, holds, ticks or corrupts through the
-``Ctx`` it is handed.
+``Ctx`` it is handed.  No bundle ``read`` loops or builds a comprehension
+over ``ist.executed`` or ``ist.states``: the interface keeps them in step,
+so a read answers from that invariant instead of walking them.
 """
 
 import ast
@@ -154,13 +156,21 @@ def calls_action(node):
     return name in ACTIONS
 
 
-def acting_methods(source, classes) -> set:
+def methods_where(source, classes, found) -> set:
     """(class, method) of each method of the named top-level ``classes``
-    that calls an action."""
+    holding a node for which ``found`` is true."""
     return {(top.name, fn.name) for top in ast.parse(source).body
             if isinstance(top, ast.ClassDef) and top.name in classes
             for fn in top.body if isinstance(fn, ast.FunctionDef)
-            and any(calls_action(node) for node in ast.walk(fn))}
+            and any(found(node) for node in ast.walk(fn))}
+
+
+def walks_records(node):
+    """``node`` loops or builds a comprehension over ``ist.executed`` or
+    ``ist.states``, or over anything made of them."""
+    return isinstance(node, (ast.For, ast.comprehension)) and any(
+        isinstance(n, ast.Attribute) and n.attr in ("executed", "states")
+        and on_ist(n) for n in ast.walk(node.iter))
 
 
 def test_the_guards_see_what_they_look_for():
@@ -203,7 +213,29 @@ def test_the_guards_see_what_they_look_for():
                "        return ctx.certs.verify_any(None, 1), None\n"
                "class M:\n"
                "    def on_round(self, ctx):\n        ctx.note('x')\n")
-    assert acting_methods(bundles, {"B"}) == {("B", "update"), ("B", "read")}
+    assert methods_where(bundles, {"B"}, calls_action) == \
+        {("B", "update"), ("B", "read")}
+    reads = ("class R1:\n"
+             "    def read(self, ist, idx, ctx):\n"
+             "        for e in ist.executed[:idx]:\n            pass\n"
+             "class R2:\n"
+             "    def read(self, ist, idx, ctx):\n"
+             "        return all(s for i, s in enumerate(self.ist.states))\n"
+             "class R3:\n"
+             "    def read(self, ist, idx, ctx):\n"
+             "        return [e['state'] for e in ist.executed]\n"
+             "class R4:\n"
+             "    def read(self, ist, idx, ctx):\n"
+             "        return idx >= ist.states[idx]['seq']\n"
+             "    def settlement(self, ist, body, attachment, ctx):\n"
+             "        return [e for e in ist.executed]\n"
+             "class R5:\n"
+             "    def read(self, ist, idx, ctx):\n"
+             "        return [r for r in ist.queue]\n")
+    assert methods_where(reads, {f"R{i}" for i in range(1, 6)},
+                         walks_records) == {("R1", "read"), ("R2", "read"),
+                                            ("R3", "read"),
+                                            ("R4", "settlement")}
 
 
 def test_only_the_summary_builders_read_events():
@@ -261,5 +293,15 @@ def test_bundles_only_answer():
     acting = set()
     for path in sorted(SRC.glob("*.py")):
         names = {cls.__name__ for cls in bundle_classes(path)}
-        acting |= acting_methods(path.read_text(), names)
+        acting |= methods_where(path.read_text(), names, calls_action)
     assert acting == set()
+
+
+def test_no_bundle_read_walks_the_records():
+    walking = set()
+    for path in sorted(SRC.glob("*.py")):
+        names = {cls.__name__ for cls in bundle_classes(path)} | \
+            {"SubroutineBundle"}
+        walking |= {found for found in methods_where(
+            path.read_text(), names, walks_records) if found[1] == "read"}
+    assert walking == set()
