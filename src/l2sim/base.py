@@ -4,9 +4,9 @@ The ledger is the one source of on-chain truth in every run.  Submissions are
 validated immediately (kind, authorization signature, conflict key); accepted
 transactions wait in a pending pool and are committed by the next round's
 block unless the adversary holds them, and a hold can never stretch past
-`liveness_bound` rounds.  Exactly one block is minted per round advance, so
-block height and round count stay in lockstep and confirmation depth is
-height_now - height(tx) + 1.
+`liveness_bound` rounds.  The world the ledger is bound to mints one block
+per round advance, so ``height`` (a count; no block is kept) and the round
+count stay in lockstep; confirmation depth is height_now - height(tx) + 1.
 
 Committed entries are kept twice, in commit order: in ``committed`` and,
 split by transaction kind, in the kind index that ``records(kind)`` reads.
@@ -17,8 +17,9 @@ kind's records instead of scanning the whole history.  ``find(pred)`` scans
 ``open`` and ``settlement`` and the brick simulator's settlement trigger.
 
 Signatures are idealized: sign() records (signer, digest) under a fresh
-handle (an int), verify() succeeds only for refs whose handle replays that
-exact record.  There is no key material and nothing to forge.
+handle (an int); one lookup gives the signer whose record a ref replays
+over a message, which verify() compares and verify_any() returns.  There is
+no key material and nothing to forge.
 """
 
 from __future__ import annotations
@@ -41,28 +42,23 @@ class CertRegistry:
         self.log.append((signer, dig))
         return {"sig": len(self.log), "by": signer, "over": dig}
 
-    def _record(self, ref):
-        """The (signer, digest) record behind ``ref``, or None."""
-        if not isinstance(ref, dict) or not isinstance(ref.get("sig"), int):
+    def _signer(self, ref, msg) -> str | None:
+        """The signer whose record ``ref`` replays over ``msg``, or None."""
+        if not isinstance(ref, dict) or not isinstance(ref.get("sig"), int) \
+                or not 1 <= ref["sig"] <= len(self.log):
             return None
-        handle = ref["sig"]
-        return self.log[handle - 1] if 1 <= handle <= len(self.log) else None
+        signer, dig = self.log[ref["sig"] - 1]
+        if ref.get("by") != signer or dig != digest(msg):
+            return None
+        return signer
 
     def verify(self, ref, msg, signer: str) -> bool:
-        rec = self._record(ref)
-        if rec is None:
-            return False
-        return rec == (signer, digest(msg)) and ref.get("by") == signer
+        found = self._signer(ref, msg)
+        return found is not None and found == signer
 
     def verify_any(self, ref, msg) -> str | None:
         """Returns the signer if the ref is a valid signature over msg."""
-        rec = self._record(ref)
-        if rec is None:
-            return None
-        signer, dig = rec
-        if dig == digest(msg) and ref.get("by") == signer:
-            return signer
-        return None
+        return self._signer(ref, msg)
 
 
 def make_tx(kind: str, body: dict, author: str) -> dict:
@@ -85,7 +81,7 @@ def signed_tx(certs: CertRegistry, kind: str, body: dict, author: str) -> dict:
 class Ledger:
     def __init__(self, timing: dict):
         self.timing = timing
-        self.blocks: list[dict] = []          # {"height", "round", "txids"}
+        self.height = 0                       # blocks minted so far
         self.committed: list[dict] = []       # tx + {"height"}
         self.by_txid: dict[str, dict] = {}    # txid -> first committed entry
         self.by_kind: dict[str, list] = {k: [] for k in TX_KINDS}
@@ -102,10 +98,6 @@ class Ledger:
     def _emit(self, t, **fields):
         if self.world is not None:
             self.world.emit(t, **fields)
-
-    @property
-    def height(self) -> int:
-        return len(self.blocks)
 
     def depth(self, tx: dict) -> int:
         return self.height - tx["height"] + 1
@@ -193,7 +185,7 @@ class Ledger:
                 self.keys[key] = tx["txid"]
             included.append(tx["txid"])
         self.pending = rest
-        self.blocks.append({"height": height, "round": rnd, "txids": included})
+        self.height = height
         self._emit("ledger-commit", height=height, txids=included)
         world.ledger_block_hooks(height)
 

@@ -683,7 +683,6 @@ class Hooks:
     """Turns internal-simulation progress into interface triggers."""
 
     def __init__(self, scn):
-        self.scn = scn
         self.done = set()
 
     def triggers_for(self, inner, ev):

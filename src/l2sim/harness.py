@@ -7,7 +7,9 @@ machines, and a scripted simulator that replays inner progress as interface
 triggers.  The inner world shares the outer world's ledger and signature
 registry and advances in lockstep right after every outer round, which
 keeps envelope numbering, block timing, and therefore client-visible
-outputs identical between the two runs.
+outputs identical between the two runs.  Only the outer world, which the
+ledger is bound to, mints blocks; reads ask the simulator through its
+``read_delay``.
 
 Schedules are plain data (lists of step dicts), so they serialize into
 scenario files and replay bit-exactly; ``apply_schedule`` checks every
@@ -85,8 +87,6 @@ PROTOCOLS = {"brick": brick, "liquid": liquid, "arbitrum": arbitrum}
 DESK_TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2,
                "t_period": 4}
 
-SIM_ENTITY = ("sim", "adv")
-
 
 def protocol(name):
     try:
@@ -146,31 +146,23 @@ def build_ideal(name, scn=None):
 class Simulator:
     """Scripted adversary-side program for the ideal run.
 
-    Keeps a private copy of the protocol running against the shared ledger,
-    forwards environment inputs to it, watches its trace, and turns progress
-    notes into open/update/settlement triggers on the interface machine.
-    Read-delay hints are answered from the inner clients' positions.
+    Keeps a private copy of the protocol, ``inner``, on the shared ledger
+    (only the outer world ticks it); the run drives ``inner`` and calls
+    ``sync``, which turns its progress notes into interface triggers.  The
+    outer world's ``read_delay`` answers from the inner clients' positions.
     """
 
     def __init__(self, outer, proto, scn):
         self.outer = outer
-        self.proto = proto
-        self.scn = scn
         self.hooks = proto.Hooks(scn)
         self.funct = outer.roles[INTERFACE_ROLE][0]
-        pid, role = SIM_ENTITY
-        self.adv = EntityId(pid, outer.sid, role)
+        self.adv = EntityId("sim", outer.sid, "adv")
         self.inner = World(outer.sid, dict(outer.timing), ledger=outer.ledger,
-                           certs=outer.certs, ticks_ledger=False)
+                           certs=outer.certs)
         proto.build_real(self.inner, scn)
         self.cursor = 0
-        outer.hints = self._answer
+        outer.read_delay = lambda pid: self.hooks.read_delay(self.inner, pid)
         self.sync()
-
-    def _answer(self, kind, **kw):
-        if kind == "read-delay":
-            return self.hooks.read_delay(self.inner, kw["pid"])
-        return None
 
     def sync(self):
         """Flush new inner progress into interface triggers."""
@@ -181,25 +173,6 @@ class Simulator:
             for trig in self.hooks.triggers_for(self.inner, ev):
                 self.outer.queue_net(self.adv, self.funct, trig)
                 self.outer.deliver_net(self.outer.net[-1].eid)
-
-    def feed_env(self, pid, entry):
-        ent = self.inner.entity(CLIENT, pid)
-        self.inner.inject_input(ent, dict(entry))
-        self.sync()
-
-    def corrupt(self, role, pid, force=False):
-        self.inner.corrupt(self.inner.entity(role, pid),
-                           allow_over_budget=force)
-        self.sync()
-
-    def flush(self):
-        self.inner.flush_overdue()
-        self.sync()
-
-    def advance(self):
-        ok = self.inner.advance_round()
-        self.sync()
-        return ok
 
 
 def _deliverable(world):
@@ -272,26 +245,25 @@ class IdealRun:
         return self.outer.trace
 
     def input(self, pid, entry):
+        inner = self.sim.inner
+        inner.inject_input(inner.entity(CLIENT, pid), dict(entry))
+        self.sim.sync()
         ent = self.outer.entity(CLIENT, pid)
         if entry["kind"] == "read":
-            self.sim.feed_env(pid, entry)
             self.outer.inject_input(ent, {"kind": "read"})
-            return
-        if ent in self.outer.corruption:
+        elif ent in self.outer.corruption:
             # both worlds absorb requests to a corrupted client; keep the
             # environment-side bookkeeping untouched
-            self.sim.feed_env(pid, entry)
             self.outer.inject_input(ent, {"kind": "submit", "entry": dict(entry)})
-            return
-        req = self.tracker.ideal_request(pid, entry)
-        self.sim.feed_env(pid, entry)
-        if req is not None:
-            self.outer.inject_input(ent, {"kind": "submit", "req": req})
+        else:
+            req = self.tracker.ideal_request(pid, entry)
+            if req is not None:
+                self.outer.inject_input(ent, {"kind": "submit", "req": req})
 
     def corrupt(self, role, pid, force=False):
-        self.outer.corrupt(self.outer.entity(role, pid),
-                           allow_over_budget=force)
-        self.sim.corrupt(role, pid, force)
+        for world in (self.outer, self.sim.inner):
+            world.corrupt(world.entity(role, pid), allow_over_budget=force)
+        self.sim.sync()
 
     def menu_act(self, role, pid, action):
         ent = self.sim.inner.entity(role, pid)
@@ -317,10 +289,12 @@ class IdealRun:
         # the shared chain extends, exactly as one real advance interleaves
         # its flush and its tick; only then does the clock move on both
         # sides of the stack
-        self.sim.flush()
+        self.sim.inner.flush_overdue()
+        self.sim.sync()
         ok = self.outer.advance_round()
         if ok:
-            self.sim.advance()
+            self.sim.inner.advance_round()
+            self.sim.sync()
         return ok
 
 

@@ -314,31 +314,28 @@ class LiquidClient(AccountClient):
             self._on_push(ctx, env.payload["entry"])
 
     def _on_push(self, ctx, entry):
-        block = entry["block"]
-        self.buffer.setdefault(block["height"], entry)
+        height = entry["block"]["height"]
+        if height > self.height():       # a push for a held height is stale
+            self.buffer.setdefault(height, entry)
         self._absorb(ctx)
 
     def _absorb(self, ctx):
         while True:
-            entry = self.buffer.get(self.height() + 1)
+            entry = self.buffer.pop(self.height() + 1, None)
             if entry is None:
                 return
             block = entry["block"]
             if block.get("prev") != digest(self.chain[-1]["block"]):
-                del self.buffer[block["height"]]
                 return
             if not cert_valid(ctx.certs, self.me.sid, block, entry["cert"],
                               self.quorum, [o.short() for o in self.operators]):
-                del self.buffer[block["height"]]
                 return
             new_state = apply_block(self.states[-1], block, ctx.ledger,
                                     ctx.timing["confirm_depth"])
             if new_state is None:
-                del self.buffer[block["height"]]
                 return
             self.chain.append(entry)
             self.states.append(new_state)
-            del self.buffer[block["height"]]
             ctx.note("chain-extend", height=block["height"])
             if (self.outstanding is not None
                     and any(l2_txid(t) == self.outstanding["txid"]

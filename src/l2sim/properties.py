@@ -193,10 +193,11 @@ def requests(trace) -> list[dict]:
 
     A request dict has: pid, party, round, step, cls (open/update/
     settlement), entry, refused (bool), queued (note fields or None),
-    rid (interface runs only).  Notes pair with inputs first-in first-out
-    per party and request word, which mirrors how the clients drain their
-    queues.  Corrupted submitters are skipped; their inputs are absorbed
-    or adversary-forged, and no guarantee covers them.
+    rid (interface runs only), event (the input or leak event) and note
+    (the paired note event or None).  Notes pair with inputs first-in
+    first-out per party and request word, which mirrors how the clients
+    drain their queues.  Corrupted submitters are skipped; their inputs
+    are absorbed or adversary-forged, and no guarantee covers them.
     """
     bad = set(corrupted_parties(trace))
     reqs = []
@@ -215,7 +216,8 @@ def requests(trace) -> list[dict]:
             reqs.append({"pid": _pid(ev["party"]), "party": ev["party"],
                          "round": ev.get("round", 0), "step": ev.get("step", 0),
                          "cls": cls, "entry": dict(p), "refused": False,
-                         "queued": None, "rid": None, "event": ev})
+                         "queued": None, "rid": None, "event": ev,
+                         "note": None})
             key = (reqs[-1]["pid"], p["kind"])
             pending.setdefault(key, []).append(len(reqs) - 1)
         elif t == "note" and ev.get("kind") in ("request-refused",
@@ -225,6 +227,7 @@ def requests(trace) -> list[dict]:
             if not waiting:
                 continue
             i = waiting.pop(0)
+            reqs[i]["note"] = ev
             if ev["kind"] == "request-refused":
                 reqs[i]["refused"] = True
             else:
@@ -244,7 +247,7 @@ def requests(trace) -> list[dict]:
                          "step": ev.get("step", 0), "cls": cls,
                          "entry": dict(req.get("body", {})),
                          "refused": False, "queued": {},
-                         "rid": req.get("rid"), "event": ev})
+                         "rid": req.get("rid"), "event": ev, "note": None})
     return reqs
 
 
@@ -441,7 +444,7 @@ def check_liveness(trace, kind, params) -> Verdict:
     # opens and settlements are served by confirmation outputs alone
     seen = _first_seen(s) if kind == UPDATE else {}
     judged = unresolved = 0
-    pays = 0                           # real-run pays so far, this one included
+    pays = []                          # real-run pays up to this one
     deposited = {}                     # pid -> its deposits so far, the same
     marker = {"t": "horizon", "round": s.horizon}
     for r in s.requests:
@@ -450,7 +453,10 @@ def check_liveness(trace, kind, params) -> Verdict:
         asked = [r]
         if r["cls"] == UPDATE and r["entry"].get("kind") == "pay" \
                 and r["rid"] is None:
-            pays += 1
+            pays.append(r)
+            if r["queued"] is not None and "nonce" not in r["queued"]:
+                # it waits for an update per pay, so its witness has them
+                asked = list(pays)
         elif r["entry"].get("kind") == "deposit":
             # a deposit waits for a mint per deposit of its depositor up
             # to it, so its witness carries them all
@@ -460,9 +466,10 @@ def check_liveness(trace, kind, params) -> Verdict:
             unresolved += 1
             continue
         judged += 1
-        if not _served(r, deadline, seen, s.confirmed, len(asked), pays):
-            witness = [q["event"] for q in asked] + [
-                _view_event(v) for v in s.views if v.round <= deadline] + [marker]
+        if not _served(r, deadline, seen, s.confirmed, len(asked), len(pays)):
+            shown = [e for q in asked for e in (q["event"], q["note"]) if e]
+            witness = shown + [_view_event(v) for v in s.views
+                               if v.round <= deadline] + [marker]
             return Verdict(name, False, witness=witness,
                            params={"kind": kind, "pid": r["pid"],
                                    "submit_round": r["round"],

@@ -5,12 +5,13 @@ envelopes over two channels: IO envelopes deliver immediately in FIFO order
 (a cascade drains before the adversary gets control back), NET envelopes sit
 in a pending pool until an adversary directive delivers them.  A single step
 counter numbers every event; logical rounds advance only through an explicit
-round directive, which also mints one ledger block and runs clock hooks.
+round directive, which also runs clock hooks and ticks the ledger if it is
+bound to this world (any other world runs only its block hooks).
 
 Invariants the tests lean on:
   - identical (scenario, scripts, seed) inputs produce identical traces;
   - NET envelopes are never dropped: each is pending, delivered, or absorbed
-    by a corrupted recipient's knowledge log;
+    by a corrupted recipient, which leaves an ``absorb`` event;
   - an IO send between roles that were never wired is an error;
   - corruption is monotone and budget-checked per role, and subroutine roles
     are not corruptible;
@@ -194,14 +195,13 @@ class CorruptionSet:
 
 
 class World:
-    def __init__(self, sid: str, timing: dict, *, ledger=None, certs=None,
-                 ticks_ledger=True):
+    def __init__(self, sid: str, timing: dict, *, ledger=None, certs=None):
         self.sid = sid
         self.timing = dict(timing)
         self.machines: dict[EntityId, Machine] = {}
         self.owners: dict[EntityId, Machine] = {}   # entity -> owning machine
         self.roles: dict[str, list[EntityId]] = {}
-        self.declared: dict[str, dict] = {}          # role -> {subroutine: bool}
+        self.subroutines: set[str] = set()           # roles not corruptible
         self.wiring: set[tuple[str, str]] = set()    # allowed IO (src_role, dst_role)
         self.io_q: deque[Envelope] = deque()
         self.net: list[Envelope] = []
@@ -209,7 +209,6 @@ class World:
         self.step_no = 0
         self.round_no = 0
         self.corruption = CorruptionSet()
-        self.shells: dict[EntityId, list] = {}       # corrupted entity -> knowledge log
         self.ledger = ledger
         self.certs = certs
         self.trace = Trace()
@@ -217,16 +216,16 @@ class World:
         self.halted = None
         self.round_gates = []    # callables() -> (ok, reason)
         self.round_hooks = []    # callables() run after a successful advance
-        self.hints = None        # adversary oracle: fn(kind, **kw) -> value
-        self.ticks_ledger = ticks_ledger
+        self.read_delay = None   # simulator's answer: fn(pid) -> state index
 
     # -- registration ------------------------------------------------------
 
     def declare_role(self, role: str, budget: int = 0, subroutine: bool = False):
-        if role in self.declared:
+        if role in self.roles:
             raise RegistrationError(f"role {role} already declared")
-        self.declared[role] = {"subroutine": subroutine}
         self.roles[role] = []
+        if subroutine:
+            self.subroutines.add(role)
         if budget:
             self.corruption.budgets[role] = budget
         self.wire(role, ENV_ROLE)
@@ -237,7 +236,7 @@ class World:
 
     def register(self, machine: Machine):
         for ent in machine.entities():
-            if ent.role not in self.declared:
+            if ent.role not in self.roles:
                 raise RegistrationError(f"unknown role {ent.role}")
             if ent.sid != self.sid:
                 raise RegistrationError(f"session mismatch for {ent.short()}")
@@ -287,11 +286,6 @@ class World:
         self.net.append(Envelope(self.eid_counter, src, dst, NET, payload,
                                  self.step_no, self.round_no))
 
-    def hint(self, kind: str, **kw):
-        if self.hints is None:
-            return None
-        return self.hints(kind, **kw)
-
     # -- delivery ----------------------------------------------------------
 
     def drain_io(self):
@@ -307,8 +301,6 @@ class World:
             self.emit("output", party=env.src.short(), payload=env.payload)
             return
         if env.dst in self.corruption:
-            self.shells.setdefault(env.dst, []).append(
-                {"src": env.src.short(), "channel": env.channel, "payload": env.payload})
             self.emit("absorb", dst=env.dst.short(), src=env.src.short(),
                       channel=env.channel, payload=env.payload)
             return
@@ -344,17 +336,15 @@ class World:
     def inject_input(self, party: EntityId, payload: dict, force=False):
         """Environment hands `party` a request over IO.
 
-        Inputs to corrupted parties are absorbed into their knowledge log,
-        mirroring a corrupted machine that ignores its environment; `force`
-        is the adversary acting in the corrupted party's name.
+        An input to a corrupted party is absorbed, leaving only its
+        ``input`` event, as a corrupted machine ignores its environment;
+        `force` is the adversary acting in the corrupted party's name.
         """
         self._bump()
         self.emit("input", party=party.short(), payload=payload, forced=force)
         if self.halted:
             return
         if party in self.corruption and not force:
-            self.shells.setdefault(party, []).append(
-                {"src": "env", "channel": IO, "payload": payload})
             return
         machine = self.owners.get(party)
         if machine is None:
@@ -367,12 +357,11 @@ class World:
     def corrupt(self, entity: EntityId, allow_over_budget=False):
         if entity not in self.owners:
             raise CorruptionError(f"cannot corrupt unregistered {entity.short()}")
-        if self.declared[entity.role].get("subroutine"):
+        if entity.role in self.subroutines:
             raise CorruptionError(f"subroutine role {entity.role} is not corruptible")
         over = self.corruption.add(entity, allow_over_budget=allow_over_budget)
         machine = self.owners[entity]
         leak = machine.on_corrupt(entity)
-        self.shells.setdefault(entity, [])
         self._bump()
         self.emit("corrupt", party=entity.short(), over_budget=over, leak=leak)
         self.drain_io()
@@ -392,11 +381,11 @@ class World:
         self._bump()
         self.emit("round", now=self.round_no)
         if self.ledger is not None:
-            if self.ticks_ledger:
+            if self.ledger.world is self:
                 self.ledger.tick(self)
             else:
-                # a shared ledger is ticked by its owning world; observers
-                # still get their block notifications at the same point
+                # a shared ledger is ticked by the world it is bound to;
+                # this world's machines still hear of the block here
                 self.ledger_block_hooks(self.ledger.height)
         for hook in self.round_hooks:
             hook()
@@ -443,13 +432,13 @@ class World:
     def clone(self) -> "World":
         """Copy for search: trace is replaced by a fresh, unobserved one."""
         trace, observers = self.trace, self.trace.observers
-        hints = self.hints
+        read_delay = self.read_delay
         self.trace = Trace()
-        self.hints = None
+        self.read_delay = None
         try:
             twin = copy.deepcopy(self)
         finally:
             self.trace = trace
             self.trace.observers = observers
-            self.hints = hints
+            self.read_delay = read_delay
         return twin

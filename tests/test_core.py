@@ -204,7 +204,7 @@ def test_read_empty_then_latest_then_pointer_monotone():
     assert reads[-1]["payload"]["state"] == s(1)
     assert machine.ist.read_ptr["a"] == 1
     # a delayed answer may not rewind below the pointer
-    world.hints = lambda kind, **kw: 0
+    world.read_delay = lambda pid: 0
     world.inject_input(a, {"kind": "read"})
     reads = [o for o in outputs(world) if o["payload"]["kind"] == "read-result"]
     assert reads[-1]["payload"]["state"] == s(1)
@@ -217,8 +217,8 @@ def test_read_empty_then_latest_then_pointer_monotone():
 
 
 def read_with_delay(world, client, delay):
-    """The client's read under a read-delay hint: its payload, or None."""
-    world.hints = lambda kind, **kw: delay if kind == "read-delay" else None
+    """The client's read under a read-delay answer: its payload, or None."""
+    world.read_delay = None if delay is None else lambda pid: delay
     before = len(world.trace.events)
     world.inject_input(client, {"kind": "read"})
     for ev in world.trace.events[before:]:

@@ -10,6 +10,7 @@ import types
 import pytest
 
 from l2sim import harness
+from l2sim.base import Ledger
 from l2sim.runtime import ScheduleError
 from l2sim.trace import canon
 from l2sim.harness import (
@@ -164,6 +165,27 @@ def test_worlds_stay_in_lockstep(name):
     assert ideal.sim.inner.round_no == real.world.round_no
     # identical machine activity implies identical envelope numbering
     assert ideal.sim.inner.eid_counter == real.world.eid_counter
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_only_the_ledgers_own_world_ticks_it(name, monkeypatch):
+    ticked = []
+    tick = Ledger.tick
+
+    def recorded(ledger, world):
+        ticked.append(world)
+        tick(ledger, world)
+
+    monkeypatch.setattr(Ledger, "tick", recorded)
+    scn = protocol(name).canonical_scenario()
+    sched = scripted_schedules(name, scn)["single-pay"]
+    real = apply_schedule(RealRun(name, scn), sched)
+    ideal = apply_schedule(IdealRun(name, scn), sched)
+    # the inner world shares the outer ledger and only runs its block hooks
+    assert ticked == [real.world] * real.world.round_no \
+        + [ideal.outer] * ideal.outer.round_no
+    for world in (real.world, ideal.outer, ideal.sim.inner):
+        assert world.ledger.height == world.round_no > 0
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)

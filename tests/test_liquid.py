@@ -6,7 +6,7 @@ from l2sim.runtime import Ctx, World, EntityId
 from l2sim.base import CertRegistry, Ledger
 from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
                         InternalState, open_record)
-from l2sim import liquid
+from l2sim import harness, liquid
 from l2sim.trace import digest
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
@@ -324,3 +324,16 @@ def test_bundle_round_gate_waits_for_ripe_deposit():
     overdue_peg_in(world, ist)
     assert bundle.upd_rnd(ist, ctx) == (False, "pending-l2-work")
 
+
+
+def test_clients_buffer_only_heights_above_their_chain():
+    # a push for a height the client already holds is never read again
+    scn = liquid.canonical_scenario()
+    run = harness.apply_schedule(
+        harness.RealRun("liquid", scn),
+        harness.lifecycle_schedule("liquid", scn, 1, pays=40))
+    clients = [run.world.machines[e] for e in run.world.roles[CLIENT]]
+    assert clients
+    for m in clients:
+        assert m.height() > 0
+        assert all(h > m.height() for h in m.buffer), m.me.short()

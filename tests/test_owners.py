@@ -15,6 +15,11 @@ notes, emits, submits, signs, holds, ticks or corrupts through the
 ``Ctx`` it is handed.  No bundle ``read`` loops or builds a comprehension
 over ``ist.executed`` or ``ist.states``: the interface keeps them in step,
 so a read answers from that invariant instead of walking them.
+
+Every attribute a class under ``src/l2sim`` assigns on ``self`` is read by
+name somewhere in ``src/`` or ``perfbench/``; storing into its items or
+calling a mutator on it whose result is dropped is not a read.  ``Machine``
+subclasses are exempt: their public attributes are the corruption leak.
 """
 
 import ast
@@ -22,8 +27,10 @@ import importlib
 from pathlib import Path
 
 from l2sim import core
+from l2sim.runtime import Machine
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "l2sim"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "l2sim"
 
 SUMMARY_BUILDERS = {"summarize", "corrupted_parties", "read_views",
                     "requests", "committed_txs"}
@@ -173,6 +180,54 @@ def walks_records(node):
         and on_ist(n) for n in ast.walk(node.iter))
 
 
+def self_writes(source, exempt) -> set:
+    """(class, attribute) of each ``self.attribute`` that a top-level class
+    not named in ``exempt`` assigns or deletes."""
+    return {(top.name, t.attr) for top in ast.parse(source).body
+            if isinstance(top, ast.ClassDef) and top.name not in exempt
+            for node in ast.walk(top) for t in targets(node)
+            if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+            and t.value.id == "self"}
+
+
+def only_written(node, parent) -> bool:
+    """``node``'s value is only stored into: it takes an item assignment
+    or delete, or a mutator call whose result is dropped or itself only
+    written into."""
+    up = parent.get(node)
+    if isinstance(up, ast.Subscript) and up.value is node:
+        return isinstance(up.ctx, (ast.Store, ast.Del)) \
+            or only_written(up, parent)
+    call = parent.get(up)
+    if isinstance(up, ast.Attribute) and up.attr in MUTATORS \
+            and isinstance(call, ast.Call) and call.func is up:
+        return isinstance(parent.get(call), ast.Expr) \
+            or only_written(call, parent)
+    return False
+
+
+def read_names(sources) -> set:
+    """Names of the attributes some expression in ``sources`` reads."""
+    names = set()
+    for source in sources:
+        tree = ast.parse(source)
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        names |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)
+                  and not only_written(node, parent)}
+    return names
+
+
+def machine_classes(path) -> set:
+    """Names of the Machine subclasses the module at ``path`` defines."""
+    module = importlib.import_module(f"l2sim.{path.stem}")
+    return {name for name, value in vars(module).items()
+            if isinstance(value, type) and value.__module__ == module.__name__
+            and issubclass(value, Machine)}
+
+
 def test_the_guards_see_what_they_look_for():
     source = ("def a(t):\n    return t.events\n"
               "def b(s):\n    return {'kind': SETTLEMENT, 'seq': None, "
@@ -236,6 +291,25 @@ def test_the_guards_see_what_they_look_for():
                          walks_records) == {("R1", "read"), ("R2", "read"),
                                             ("R3", "read"),
                                             ("R4", "settlement")}
+    attrs = ("class A:\n"
+             "    def __init__(self):\n"
+             "        self.log, self.seen, self.n = [], {}, 0\n"
+             "        self.kept: dict = {}\n        self.got = []\n"
+             "    def add(self, x):\n"
+             "        self.log.append(x)\n"
+             "        self.seen.setdefault(x, []).append(1)\n"
+             "        self.n += 1\n"
+             "        self.kept[x] = 1\n"
+             "        return self.got.pop()\n"
+             "    def has(self, x):\n        return x in self.kept\n"
+             "class M:\n"
+             "    def __init__(self):\n        self.leak = 1\n")
+    assert self_writes(attrs, {"M"}) == \
+        {("A", a) for a in ("log", "seen", "n", "kept", "got")}
+    assert self_writes(attrs, set()) >= {("M", "leak")}
+    read = read_names([attrs])
+    assert {"kept", "got"} <= read
+    assert not {"log", "seen", "n", "leak"} & read
 
 
 def test_only_the_summary_builders_read_events():
@@ -305,3 +379,13 @@ def test_no_bundle_read_walks_the_records():
         walking |= {found for found in methods_where(
             path.read_text(), names, walks_records) if found[1] == "read"}
     assert walking == set()
+
+
+def test_every_written_attribute_is_read():
+    read = read_names(path.read_text() for path in
+                      [*sorted(SRC.glob("*.py")),
+                       *sorted((ROOT / "perfbench").rglob("*.py"))])
+    unread = {found for path in sorted(SRC.glob("*.py"))
+              for found in self_writes(path.read_text(), machine_classes(path))
+              if found[1] not in read}
+    assert unread == set()

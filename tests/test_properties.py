@@ -35,6 +35,7 @@ from l2sim.properties import (
     check_liveness,
     check_safety,
     read_views,
+    requests,
 )
 from l2sim.trace import canon
 
@@ -997,7 +998,10 @@ LIVENESS_CASES = {
 
 # label -> (record, witness sha256) as the checks gave them before the
 # one-pass rework; second-deposit-needs-second-mint recorded again when a
-# deposit's witness began to carry its depositor's earlier deposits
+# deposit's witness began to carry its depositor's earlier deposits, and
+# queued-pay-nonce-missing and kth-update-missing when a pay's witness
+# began to carry its request-queued note and, without a nonce, the earlier
+# pays with theirs
 LIVENESS_EXPECTED = {
     "deposit-never-minted": (
         {"record": "verdict",
@@ -1047,8 +1051,8 @@ LIVENESS_EXPECTED = {
                     "deadline": 7,
                     "t_l2": 4,
                     "t_l1": 2},
-         "witness_len": 3},
-        "1292d17d868628870571d13b339ef6e3f2134f329862c3577845b9d10d57cf68"),
+         "witness_len": 4},
+        "2b28bd29aabd4034a3f8e0971e10d2e31ee25d2a9fdbdb2a6aa0a72569f363bd"),
     "queued-pay-nonce-seen": (
         {"record": "verdict",
          "property": "liveness-update",
@@ -1071,8 +1075,8 @@ LIVENESS_EXPECTED = {
                     "deadline": 8,
                     "t_l2": 4,
                     "t_l1": 2},
-         "witness_len": 3},
-        "c76b95eb19a0ca61d796cbf86a9dcad5190b9177cf230bb2c013206c900c1cd6"),
+         "witness_len": 6},
+        "f06cf3997bcf6d167b39ea4b91410999dad51909bf85f5c8b1e87af0648cde0c"),
     "pay-never-sent": (
         {"record": "verdict",
          "property": "liveness-update",
@@ -1156,6 +1160,22 @@ def test_liveness_witness_replays(label):
     v = check_liveness(as_trace(events), kind, LIVE)
     again = check_liveness(as_trace(v.witness), kind, LIVE)
     assert not again.passed and again.params == v.params
+    # the replay fails for the same reason: its failing request is queued
+    # alike and follows as many real-run pays
+    assert failing_request(v.witness, kind, v.params) == \
+        failing_request(events, kind, v.params)
+
+
+def failing_request(events, kind, params):
+    """(queued, earlier real-run pays) of the request a failing liveness
+    verdict with ``params`` names."""
+    judged = [r for r in requests(as_trace(events))
+              if r["cls"] == kind and not r["refused"]]
+    i = next(i for i, r in enumerate(judged) if r["pid"] == params["pid"]
+             and r["round"] == params["submit_round"])
+    pays = [r for r in judged[:i]
+            if r["entry"].get("kind") == "pay" and r["rid"] is None]
+    return judged[i]["queued"], len(pays)
 
 
 def stale_view():

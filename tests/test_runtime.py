@@ -148,9 +148,9 @@ def test_corrupted_recipient_absorbs_delivery():
     eid = w.pending_net()[0].eid
     w.deliver_net(eid)
     assert w.machines[b].seen == []        # machine never ran
-    assert w.shells[b][0]["payload"]["n"] == 3
     absorbed = [e for e in w.trace.events if e["t"] == "absorb"]
     assert len(absorbed) == 1
+    assert absorbed[0]["payload"]["n"] == 3
 
 
 def test_round_advance_force_delivers_overdue_honest_net():
