@@ -17,7 +17,9 @@ batch orphans its descendants and the next publisher simply rebuilds.  The
 walk is kept incrementally, once per ledger, and still equals a walk from
 genesis: a batch's re-executed post only goes from None (a mint whose
 deposit is not yet buried) to its one valid value, so only None posts are
-run again, and a proof that strikes an accepted batch re-walks from genesis.
+run again, and a proof that strikes an accepted batch cuts the chain back
+to the batches before it and re-walks only the publications after the last
+one kept.
 
 Clients can rescue a censored transaction by publishing it themselves as a
 one-transaction batch once it has waited ``t_period`` rounds (a buried
@@ -83,8 +85,9 @@ def chain_view(ledger, sid, initial, confirm_depth, round_no, t_period):
     ``ChainFold`` per (sid, confirm_depth, initial) kept on the ledger (see
     ``chain_fold``).  That equals a fold from genesis: a post can only go
     from None to its one valid value (deposits only gain depth), so only
-    None posts are run again, and a proof striking an accepted batch
-    re-walks from genesis.  Entries follow ledger commit order, so their
+    None posts are run again, and a proof striking an accepted batch keeps
+    the entries before it and re-walks the publications after theirs (see
+    ``ChainFold._read``).  Entries follow ledger commit order, so their
     "commit_round" never decreases and the final prefix, the entries whose
     window has closed (round_no > commit_round + t_period), is found by
     bisection.
@@ -115,9 +118,13 @@ class ChainFold:
     whose post ripens is replaced rather than changed, so views handed out
     earlier stay as they were.
 
+    A publication's batch digest and l2 txids are taken once, when the
+    fold first accepts it, and kept under its index in ``published``
+    (txids need not be unique), so walking it again digests nothing.
+
     ``positions`` maps each l2 txid to the index of the first entry whose
-    "ids" hold it.  Extending the chain adds to the map; a re-walk starts a
-    fresh one, so a map taken together with a view
+    "ids" hold it.  Extending the chain adds to the map; cutting the chain
+    back starts a fresh one, so a map taken together with a view
     (``RollupParty.positions``) stays exact for that view: a txid is in the
     view's entries iff its position is below ``len(entries)``, and in its
     final prefix iff below ``final``.
@@ -129,8 +136,10 @@ class ChainFold:
         self.confirm_depth = confirm_depth
         self.mark = (0, None)      # (commits read, ledger height) last seen
         self.published = []        # this chain's batch publications, in order
+        self.digested = {}         # index in published -> (digest, ids)
         self.struck = set()        # targets of committed fraud proofs
         self.entries = []
+        self.sources = []          # index in published of each entry
         self.positions = {}        # l2 txid -> index of first entry with it
 
     def catch_up(self, ledger):
@@ -141,34 +150,46 @@ class ChainFold:
             self._read(new, ledger)
 
     def _read(self, new, ledger):
-        batches, strikes = [], set()
+        """Fold in newly committed transactions.
+
+        A proof striking entry k cuts the chain back to ``entries[:k]`` and
+        re-walks only the publications after entry k - 1's.  That equals a
+        walk from genesis under the grown struck set: up to that
+        publication the walk makes the same decisions, since none of
+        ``entries[:k]`` is struck and a publication it refused there meets
+        the same predecessor and a struck set that only grew.
+        """
+        start, strikes = len(self.published), set()
         for tx in new:
             if tx["body"].get("chain") != self.sid:
                 continue
             if tx["kind"] == "batch-publish":
-                batches.append(tx)
+                self.published.append(tx)
             elif tx["kind"] == "fraud-proof":
                 strikes.add(tx["body"].get("target"))
-        self.published += batches
         self.struck |= strikes
-        if any(e["txid"] in strikes for e in self.entries):
-            self.entries, self.positions = [], {}
-            batches = self.published
-        else:
-            # deposits may have been buried since: run unripe posts again
-            for i, e in enumerate(self.entries):
-                if e["post"] is None:
-                    self.entries[i] = dict(e, post=self._execute(i, e["batch"],
-                                                                 ledger))
-        for tx in batches:
-            self._extend(tx, ledger)
+        k = next((i for i, e in enumerate(self.entries)
+                  if e["txid"] in strikes), None)
+        if k is not None:
+            start = self.sources[k - 1] + 1 if k else 0
+            del self.entries[k:], self.sources[k:]
+            self.positions = {t: i for t, i in self.positions.items() if i < k}
+        # deposits may have been buried since: run unripe posts again
+        for i, e in enumerate(self.entries):
+            if e["post"] is None:
+                self.entries[i] = dict(e, post=self._execute(i, e["batch"],
+                                                             ledger))
+        for p in range(start, len(self.published)):
+            self._extend(p, ledger)
 
     def _execute(self, i, batch, ledger):
         state = self.entries[i - 1]["claimed"] if i else self.genesis
         return apply_txs(state, batch.get("txs", []), ledger,
                          self.confirm_depth, batch["seq"])
 
-    def _extend(self, tx, ledger):
+    def _extend(self, p, ledger):
+        """Append publication ``published[p]`` if it extends the chain."""
+        tx = self.published[p]
         if tx["txid"] in self.struck:
             return
         batch = tx["body"].get("batch") or {}
@@ -176,14 +197,18 @@ class ChainFold:
         prev = self.entries[-1]["digest"] if n else genesis_anchor(self.sid)
         if batch.get("seq") != n + 1 or batch.get("prev") != prev:
             return
-        ids = [l2_txid(t) for t in batch.get("txs", [])]
+        if p not in self.digested:
+            self.digested[p] = (batch_digest(batch),
+                                [l2_txid(t) for t in batch.get("txs", [])])
+        dig, ids = self.digested[p]
         for i in ids:
             self.positions.setdefault(i, n)
+        self.sources.append(p)
         self.entries.append({
             "batch": batch, "txid": tx["txid"],
             "commit_round": tx.get("commit_round", 0),
             "post": self._execute(n, batch, ledger), "claimed": batch["post"],
-            "digest": batch_digest(batch), "ids": ids})
+            "digest": dig, "ids": ids})
 
 
 def world_view(world, initial):

@@ -18,8 +18,12 @@ kind's records instead of scanning the whole history.  ``find(pred)`` scans
 
 Signatures are idealized: sign() records (signer, digest) under a fresh
 handle (an int); one lookup gives the signer whose record a ref replays
-over a message, which verify() compares and verify_any() returns.  There is
-no key material and nothing to forge.
+over a message digest, which verify() compares and verify_any() returns.
+There is no key material and nothing to forge.  Signing and verifying take
+the message's digest rather than the message, so a caller that checks
+several refs over one message digests it once; ``signed_tx`` signs the
+``txid`` that ``make_tx`` computed, which is the digest of the signable
+part, and ``Ledger.validate`` refuses a transaction whose txid is not.
 """
 
 from __future__ import annotations
@@ -37,28 +41,28 @@ class CertRegistry:
     def __init__(self):
         self.log: list[tuple[str, str]] = []    # handle h is log[h - 1]
 
-    def sign(self, signer: str, msg) -> dict:
-        dig = digest(msg)
+    def sign(self, signer: str, dig: str) -> dict:
+        """Sign the message whose digest is ``dig``."""
         self.log.append((signer, dig))
         return {"sig": len(self.log), "by": signer, "over": dig}
 
-    def _signer(self, ref, msg) -> str | None:
-        """The signer whose record ``ref`` replays over ``msg``, or None."""
+    def _signer(self, ref, dig) -> str | None:
+        """The signer whose record ``ref`` replays over ``dig``, or None."""
         if not isinstance(ref, dict) or not isinstance(ref.get("sig"), int) \
                 or not 1 <= ref["sig"] <= len(self.log):
             return None
-        signer, dig = self.log[ref["sig"] - 1]
-        if ref.get("by") != signer or dig != digest(msg):
+        signer, signed = self.log[ref["sig"] - 1]
+        if ref.get("by") != signer or signed != dig:
             return None
         return signer
 
-    def verify(self, ref, msg, signer: str) -> bool:
-        found = self._signer(ref, msg)
+    def verify(self, ref, dig, signer: str) -> bool:
+        found = self._signer(ref, dig)
         return found is not None and found == signer
 
-    def verify_any(self, ref, msg) -> str | None:
-        """Returns the signer if the ref is a valid signature over msg."""
-        return self._signer(ref, msg)
+    def verify_any(self, ref, dig) -> str | None:
+        """Returns the signer if the ref is a valid signature over ``dig``."""
+        return self._signer(ref, dig)
 
 
 def make_tx(kind: str, body: dict, author: str) -> dict:
@@ -74,7 +78,7 @@ def tx_signable(tx: dict):
 def signed_tx(certs: CertRegistry, kind: str, body: dict, author: str) -> dict:
     """A ledger transaction authorized by its author's own signature."""
     tx = make_tx(kind, body, author)
-    tx["sigs"] = [certs.sign(author, tx_signable(tx))]
+    tx["sigs"] = [certs.sign(author, tx["txid"])]
     return tx
 
 
@@ -109,19 +113,23 @@ class Ledger:
             return False, "unknown-kind"
         if not isinstance(tx.get("body"), dict) or not isinstance(tx.get("author"), str):
             return False, "malformed"
+        dig = digest(tx_signable(tx))
         certs = self.world.certs if self.world else None
         if certs is not None:
             if not tx.get("sigs"):
                 return False, "unsigned"
             authorized = False
             for ref in tx["sigs"]:
-                signer = certs.verify_any(ref, tx_signable(tx))
+                signer = certs.verify_any(ref, dig)
                 if signer is None:
                     return False, "bad-signature"
                 if signer == tx["author"]:
                     authorized = True
             if not authorized:
                 return False, "unauthorized"
+        if tx.get("txid") != dig:
+            # proofs strike, and Ledger.get finds, entries by txid
+            return False, "bad-txid"
         key = tx["body"].get("conflict")
         if key is not None and key in self.keys:
             return False, "conflict"

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from .runtime import Machine, EntityId
 from .base import signed_tx
+from .trace import digest
 from .core import (SubroutineBundle, OPEN, UPDATE, SETTLEMENT, CLIENT,
                    honest, open_record, read_entries, read_result,
                    settled_entry)
@@ -147,7 +148,8 @@ class BrickClient(Machine):
             ctx.note("request-refused", why="phase", req="open")
             return
         self.s0 = initial_state(self.collateral)
-        self.my_open_sig = ctx.certs.sign(self.me.short(), open_msg(self.me.sid, self.s0))
+        self.my_open_sig = ctx.certs.sign(self.me.short(),
+                                          digest(open_msg(self.me.sid, self.s0)))
         msg = {"kind": "chan-open", "state": self.s0, "sig": self.my_open_sig}
         ctx.send_net(self._peer_entity(), msg)
         for w in self.wardens:
@@ -172,7 +174,8 @@ class BrickClient(Machine):
             return
         seq = new["seq"]
         ctx.note("request-queued", req="pay", seq=seq)
-        sig = ctx.certs.sign(self.me.short(), state_msg(self.me.sid, new, seq))
+        sig = ctx.certs.sign(self.me.short(),
+                             digest(state_msg(self.me.sid, new, seq)))
         self.proposal = {"state": new, "seq": seq, "sig": sig}
         ctx.send_net(self._peer_entity(),
                      {"kind": "pay", "state": new, "seq": seq, "sig": sig})
@@ -196,8 +199,8 @@ class BrickClient(Machine):
                 ctx.note("request-refused", why="unknown-seq", req="settle")
                 return
             target = hits[0]
-        sig = ctx.certs.sign(self.me.short(),
-                             close_msg(self.me.sid, target["state"], target["seq"]))
+        sig = ctx.certs.sign(self.me.short(), digest(
+            close_msg(self.me.sid, target["state"], target["seq"])))
         self.close_pending = {"state": target["state"], "seq": target["seq"], "sig": sig}
         ctx.send_net(self._peer_entity(),
                      {"kind": "close-req", "state": target["state"],
@@ -217,7 +220,8 @@ class BrickClient(Machine):
 
     def _from_net(self, ctx, kind, p, src):
         if kind == "chan-open":
-            if ctx.certs.verify(p["sig"], open_msg(self.me.sid, p["state"]),
+            if ctx.certs.verify(p["sig"],
+                                digest(open_msg(self.me.sid, p["state"])),
                                 f"{CLIENT}:{self.peer}"):
                 self.peer_open_sig = p["sig"]
         elif kind == "chan-open-ack":
@@ -234,7 +238,9 @@ class BrickClient(Machine):
     def _on_open_ack(self, ctx, p, src):
         if self.phase != "opening" or p["state"] != self.s0:
             return
-        if not ctx.certs.verify(p["wsig"], warden_msg(self.me.sid, self.s0, 0), src.short()):
+        if not ctx.certs.verify(p["wsig"],
+                                digest(warden_msg(self.me.sid, self.s0, 0)),
+                                src.short()):
             return
         self.open_acks[src.short()] = p["wsig"]
         if len(self.open_acks) >= 2 * self.f + 1 and not self.open_submitted:
@@ -256,10 +262,10 @@ class BrickClient(Machine):
             return
         if state["bal"].get(self.me.pid, 0) < mine["state"]["bal"].get(self.me.pid, 0):
             return                       # the proposer pays out of their own share
-        if not ctx.certs.verify(p["sig"], state_msg(self.me.sid, state, seq),
-                                f"{CLIENT}:{self.peer}"):
+        dig = digest(state_msg(self.me.sid, state, seq))
+        if not ctx.certs.verify(p["sig"], dig, f"{CLIENT}:{self.peer}"):
             return
-        sig2 = ctx.certs.sign(self.me.short(), state_msg(self.me.sid, state, seq))
+        sig2 = ctx.certs.sign(self.me.short(), dig)
         for w in self.wardens:
             ctx.send_net(w, {"kind": "pay2", "state": state, "seq": seq,
                              "csigs": [p["sig"], sig2]})
@@ -271,7 +277,9 @@ class BrickClient(Machine):
         mine = self.latest()
         if mine is None or seq != mine["seq"] + 1:
             return
-        if not ctx.certs.verify(p["wsig"], warden_msg(self.me.sid, state, seq), src.short()):
+        if not ctx.certs.verify(p["wsig"],
+                                digest(warden_msg(self.me.sid, state, seq)),
+                                src.short()):
             return
         slot = self.acks.setdefault(seq, {})
         slot[src.short()] = {"ref": p["wsig"], "state": state, "csigs": p["csigs"]}
@@ -292,17 +300,18 @@ class BrickClient(Machine):
         known = [e for e in self.chain if e["seq"] == seq and e["state"] == state]
         if not known:
             return
-        if not ctx.certs.verify(p["sig"], close_msg(self.me.sid, state, seq),
-                                f"{CLIENT}:{self.peer}"):
+        dig = digest(close_msg(self.me.sid, state, seq))
+        if not ctx.certs.verify(p["sig"], dig, f"{CLIENT}:{self.peer}"):
             return
-        sig2 = ctx.certs.sign(self.me.short(), close_msg(self.me.sid, state, seq))
+        sig2 = ctx.certs.sign(self.me.short(), dig)
         ctx.send_net(self._peer_entity(), {"kind": "close-ack", "seq": seq, "sig": sig2})
 
     def _on_close_ack(self, ctx, p):
         if self.close_pending is None or p["seq"] != self.close_pending["seq"]:
             return
         cp = self.close_pending
-        if not ctx.certs.verify(p["sig"], close_msg(self.me.sid, cp["state"], cp["seq"]),
+        if not ctx.certs.verify(p["sig"],
+                                digest(close_msg(self.me.sid, cp["state"], cp["seq"])),
                                 f"{CLIENT}:{self.peer}"):
             return
         self._submit_close(ctx, cp["state"], cp["seq"], [cp["sig"], p["sig"]], "collab")
@@ -385,7 +394,9 @@ class BrickWarden(Machine):
             return
         if src.short() not in self.clients:
             return
-        if not ctx.certs.verify(p["sig"], open_msg(self.me.sid, p["state"]), src.short()):
+        if not ctx.certs.verify(p["sig"],
+                                digest(open_msg(self.me.sid, p["state"])),
+                                src.short()):
             return
         self.open_sigs[src.short()] = p["sig"]
         self.s0 = p["state"]
@@ -393,7 +404,8 @@ class BrickWarden(Machine):
             self.countersigned_open = True
             self.stored = {"state": self.s0, "seq": 0,
                            "csigs": [self.open_sigs[c] for c in self.clients]}
-            wsig = ctx.certs.sign(self.me.short(), warden_msg(self.me.sid, self.s0, 0))
+            wsig = ctx.certs.sign(self.me.short(),
+                                  digest(warden_msg(self.me.sid, self.s0, 0)))
             for c in self._client_entities():
                 ctx.send_net(c, {"kind": "chan-open-ack", "state": self.s0, "wsig": wsig})
             ctx.ledger.submit(signed_tx(
@@ -410,15 +422,16 @@ class BrickWarden(Machine):
         if seq <= self.stored["seq"]:
             ctx.note("stale-refused", seq=seq)
             return
-        msg = state_msg(self.me.sid, state, seq)
         if len(csigs) != 2:
             return
-        signers = {ctx.certs.verify_any(ref, msg) for ref in csigs}
+        dig = digest(state_msg(self.me.sid, state, seq))
+        signers = {ctx.certs.verify_any(ref, dig) for ref in csigs}
         if signers != set(self.clients):
             return
         self.stored = {"state": state, "seq": seq, "csigs": csigs}
         ctx.note("warden-accept", seq=seq, state=state)
-        wsig = ctx.certs.sign(self.me.short(), warden_msg(self.me.sid, state, seq))
+        wsig = ctx.certs.sign(self.me.short(),
+                              digest(warden_msg(self.me.sid, state, seq)))
         for c in self._client_entities():
             ctx.send_net(c, {"kind": "pay-ack", "state": state, "seq": seq,
                              "wsig": wsig, "csigs": csigs})
@@ -450,7 +463,8 @@ def install_ledger_checks(world, sid, clients):
         if len(csigs) != 2:
             return "need-both-client-sigs"
         for want in forms:
-            if {world.certs.verify_any(ref, want) for ref in csigs} == shorts:
+            dig = digest(want)
+            if {world.certs.verify_any(ref, dig) for ref in csigs} == shorts:
                 return None
         return "bad-channel-sigs"
 
@@ -536,7 +550,8 @@ class BrickBundle(SubroutineBundle):
 
     def _agreed(self, attachment, msg, ctx):
         """Both clients signed ``msg`` in the attachment's client refs."""
-        signers = {ctx.certs.verify_any(ref, msg)
+        dig = digest(msg)
+        signers = {ctx.certs.verify_any(ref, dig)
                    for ref in attached(attachment, "clients")}
         return signers == {f"{CLIENT}:{c}" for c in self.clients}
 
@@ -759,7 +774,8 @@ def menu(world, entity):
 
         def ack_garbage():
             bogus = {"bal": {"c1": 1, "c2": 1}, "seq": 99}
-            wsig = world.certs.sign(entity.short(), warden_msg(sid, bogus, 99))
+            wsig = world.certs.sign(entity.short(),
+                                    digest(warden_msg(sid, bogus, 99)))
             for ent in world.roles.get(CLIENT, []):
                 world.queue_net(entity, ent,
                                 {"kind": "pay-ack", "state": bogus, "seq": 99,
@@ -773,8 +789,8 @@ def menu(world, entity):
             if m is None or not m.chain:
                 return None
             target = m.chain[0]
-            sig = world.certs.sign(entity.short(),
-                                   close_msg(sid, target["state"], target["seq"]))
+            sig = world.certs.sign(entity.short(), digest(
+                close_msg(sid, target["state"], target["seq"])))
             peer = EntityId(m.peer, sid, CLIENT)
             world.queue_net(entity, peer,
                             {"kind": "close-req", "state": target["state"],

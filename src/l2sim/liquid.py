@@ -76,10 +76,11 @@ def cert_valid(certs, sid, block, cert, quorum, operators):
         if not isinstance(entries, list) \
                 or not all(isinstance(e, dict) for e in entries):
             return False
+        dig = digest(msg)
         good = set()
         for entry in entries:
             by = entry.get("by")
-            if by in operators and certs.verify(entry.get("ref"), msg, by):
+            if by in operators and certs.verify(entry.get("ref"), dig, by):
                 good.add(by)
         ok_sets.append(good)
     return all(len(g) >= quorum for g in ok_sets)
@@ -96,6 +97,7 @@ class LiquidOperator(Machine):
         self.f = f
         self.quorum = quorum
         self.chain = [{"block": genesis_block(), "cert": None}]
+        self._tip_dig = digest(genesis_block())   # digest(self.tip())
         self.states = [genesis_state(initial)]
         self.mempool = {}
         self.voted = set()        # (height, round) precommit slots
@@ -160,7 +162,7 @@ class LiquidOperator(Machine):
                                 self.mempool, ctx.timing["confirm_depth"])
             if not txs:
                 return
-            block = {"height": h, "prev": digest(self.tip()), "txs": txs,
+            block = {"height": h, "prev": self._tip_dig, "txs": txs,
                      "round": rnd, "proposer": self.me.short()}
         self._broadcast_ops(ctx, {"kind": "propose", "block": block})
 
@@ -172,7 +174,7 @@ class LiquidOperator(Machine):
             return
         if src != self.me and src.short() != block.get("proposer"):
             return
-        if block.get("prev") != digest(self.tip()):
+        if block.get("prev") != self._tip_dig:
             return
         bdig = digest(block)
         lock = self.locks.get(h)
@@ -186,7 +188,8 @@ class LiquidOperator(Machine):
             return
         self.voted.add(slot)
         self.blocks_seen[bdig] = block
-        ref = ctx.certs.sign(self.me.short(), pre_msg(self.me.sid, h, block["round"], bdig))
+        ref = ctx.certs.sign(self.me.short(),
+                             digest(pre_msg(self.me.sid, h, block["round"], bdig)))
         self._broadcast_ops(ctx, {"kind": "precommit", "height": h,
                                   "round": block["round"], "bdig": bdig,
                                   "ref": ref, "block": block})
@@ -194,7 +197,7 @@ class LiquidOperator(Machine):
     def _on_precommit(self, ctx, p, src):
         h, rnd, bdig = p["height"], p["round"], p["bdig"]
         if src != self.me and not ctx.certs.verify(
-                p["ref"], pre_msg(self.me.sid, h, rnd, bdig), src.short()):
+                p["ref"], digest(pre_msg(self.me.sid, h, rnd, bdig)), src.short()):
             return
         self.blocks_seen.setdefault(bdig, p.get("block"))
         store = self.pre_store.setdefault((h, rnd, bdig), {})
@@ -206,7 +209,8 @@ class LiquidOperator(Machine):
             self.finvoted.add(slot)
             block = self.blocks_seen[bdig]
             self.locks[h] = {"cdig": content_digest(block), "block": block}
-            ref = ctx.certs.sign(self.me.short(), fin_msg(self.me.sid, h, rnd, bdig))
+            ref = ctx.certs.sign(self.me.short(),
+                                 digest(fin_msg(self.me.sid, h, rnd, bdig)))
             self._broadcast_ops(ctx, {"kind": "final", "height": h, "round": rnd,
                                       "bdig": bdig, "ref": ref,
                                       "block": self.blocks_seen[bdig]})
@@ -214,7 +218,7 @@ class LiquidOperator(Machine):
     def _on_final(self, ctx, p, src):
         h, rnd, bdig = p["height"], p["round"], p["bdig"]
         if src != self.me and not ctx.certs.verify(
-                p["ref"], fin_msg(self.me.sid, h, rnd, bdig), src.short()):
+                p["ref"], digest(fin_msg(self.me.sid, h, rnd, bdig)), src.short()):
             return
         self.blocks_seen.setdefault(bdig, p.get("block"))
         store = self.fin_store.setdefault((h, rnd, bdig), {})
@@ -235,10 +239,11 @@ class LiquidOperator(Machine):
         if new_state is None:
             return
         self.chain.append(entry)
+        self._tip_dig = digest(block)
         self.states.append(new_state)
         for tx in block["txs"]:
             self.mempool.pop(l2_txid(tx), None)
-        ctx.note("block-final", height=block["height"], bdig=digest(block),
+        ctx.note("block-final", height=block["height"], bdig=self._tip_dig,
                  via=via, ntx=len(block["txs"]))
         push = {"kind": "block-push", "entry": entry}
         for c in self.clients:
@@ -249,8 +254,8 @@ class LiquidOperator(Machine):
         for tx in block["txs"]:
             if tx.get("op") == "peg-out":
                 txid = l2_txid(tx)
-                ref = ctx.certs.sign(self.me.short(),
-                                     pegout_msg(self.me.sid, txid, block["height"]))
+                ref = ctx.certs.sign(self.me.short(), digest(
+                    pegout_msg(self.me.sid, txid, block["height"])))
                 self._broadcast_ops(ctx, {"kind": "pegout-sig", "l2txid": txid,
                                           "height": block["height"], "ref": ref,
                                           "tx": tx})
@@ -259,7 +264,7 @@ class LiquidOperator(Machine):
         block = entry["block"]
         if block["height"] != self.tip()["height"] + 1:
             return
-        if block.get("prev") != digest(self.tip()):
+        if block.get("prev") != self._tip_dig:
             return
         if not cert_valid(ctx.certs, self.me.sid, block, entry["cert"],
                           self.quorum, [o.short() for o in self.operators]):
@@ -269,7 +274,7 @@ class LiquidOperator(Machine):
     def _on_pegout_sig(self, ctx, p, src):
         txid, h = p["l2txid"], p["height"]
         if src != self.me and not ctx.certs.verify(
-                p["ref"], pegout_msg(self.me.sid, txid, h), src.short()):
+                p["ref"], digest(pegout_msg(self.me.sid, txid, h)), src.short()):
             return
         store = self.pegout_sigs.setdefault(txid, {})
         store[src.short()] = p["ref"]
@@ -295,6 +300,7 @@ class LiquidClient(AccountClient):
         self.f = f
         self.quorum = quorum
         self.chain = [{"block": genesis_block(), "cert": None}]
+        self._tip_dig = digest(genesis_block())   # digest of the last block
         self.states = [genesis_state(initial)]
         self.buffer = {}
 
@@ -325,7 +331,7 @@ class LiquidClient(AccountClient):
             if entry is None:
                 return
             block = entry["block"]
-            if block.get("prev") != digest(self.chain[-1]["block"]):
+            if block.get("prev") != self._tip_dig:
                 return
             if not cert_valid(ctx.certs, self.me.sid, block, entry["cert"],
                               self.quorum, [o.short() for o in self.operators]):
@@ -335,6 +341,7 @@ class LiquidClient(AccountClient):
             if new_state is None:
                 return
             self.chain.append(entry)
+            self._tip_dig = digest(block)
             self.states.append(new_state)
             ctx.note("chain-extend", height=block["height"])
             if (self.outstanding is not None
@@ -365,9 +372,9 @@ def install_ledger_checks(world, sid, operators, quorum):
     def check_pegout(tx, ledger):
         body = tx["body"]
         entries = body.get("opsigs") or []
-        msg = pegout_msg(sid, body.get("l2txid"), body.get("height"))
+        dig = digest(pegout_msg(sid, body.get("l2txid"), body.get("height")))
         good = {e.get("by") for e in entries
-                if e.get("by") in ops and world.certs.verify(e.get("ref"), msg, e["by"])}
+                if e.get("by") in ops and world.certs.verify(e.get("ref"), dig, e["by"])}
         if len(good) < quorum:
             return False, "thin-federation-multisig"
         return True, None
@@ -511,8 +518,8 @@ def sign_branch(world, op_entity, block):
     sid = world.sid
     bdig = digest(block)
     h, rnd = block["height"], block["round"]
-    pre = world.certs.sign(op_entity.short(), pre_msg(sid, h, rnd, bdig))
-    fin = world.certs.sign(op_entity.short(), fin_msg(sid, h, rnd, bdig))
+    pre = world.certs.sign(op_entity.short(), digest(pre_msg(sid, h, rnd, bdig)))
+    fin = world.certs.sign(op_entity.short(), digest(fin_msg(sid, h, rnd, bdig)))
     return {"pre": {"kind": "precommit", "height": h, "round": rnd, "bdig": bdig,
                     "ref": pre, "block": block},
             "fin": {"kind": "final", "height": h, "round": rnd, "bdig": bdig,

@@ -9,6 +9,7 @@ from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
 from l2sim import arbitrum
 from l2sim.properties import read_views
 from l2sim.accounts import genesis_state, l2_txid
+from l2sim.trace import digest
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
@@ -222,7 +223,7 @@ def test_held_proof_cannot_strike_final_batch():
                     {"chain": world.sid, "target": v["entries"][0]["txid"],
                      "seq": 1, "conflict": "fraud/late"},
                     "validator:v1")
-    proof["sigs"] = [world.certs.sign("validator:v1", tx_signable(proof))]
+    proof["sigs"] = [world.certs.sign("validator:v1", digest(tx_signable(proof)))]
     res = world.ledger.submit(proof)
     assert not res["accepted"] and res["reason"] in ("window-closed",
                                                      "batch-correct")
@@ -274,7 +275,7 @@ def test_reorged_tx_is_requeued_and_lands():
              "txs": [tx], "post": bad_post, "by": p1.short()}
     ltx = make_tx("batch-publish", {"chain": world.sid, "batch": batch},
                   p1.short())
-    ltx["sigs"] = [world.certs.sign(p1.short(), tx_signable(ltx))]
+    ltx["sigs"] = [world.certs.sign(p1.short(), digest(tx_signable(ltx)))]
     assert world.ledger.submit(ltx)["accepted"]
     cycle(world)              # wrong batch commits; c1 sees the tx included
     assert client(world, "c1").outstanding is None
@@ -315,7 +316,7 @@ def test_forged_exit_claim_is_rejected():
                      "state": genesis_state(scn["initial"]),
                      "conflict": "exit/forged"},
                     "client:c1")
-    claim["sigs"] = [world.certs.sign("client:c1", tx_signable(claim))]
+    claim["sigs"] = [world.certs.sign("client:c1", digest(tx_signable(claim)))]
     res = world.ledger.submit(claim)
     assert not res["accepted"] and res["reason"] == "batch-not-final"
 

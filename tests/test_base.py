@@ -7,6 +7,7 @@ from l2sim.base import (
     attach_leader_clock, attach_periodic_clock,
 )
 from l2sim.runtime import World, Machine, SimError
+from l2sim.trace import digest
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
@@ -46,42 +47,42 @@ def ledger_world(n_ops=0, n_vals=0):
 
 def signed_tx(w, kind, body, author):
     tx = make_tx(kind, body, author)
-    tx["sigs"] = [w.certs.sign(author, tx_signable(tx))]
+    tx["sigs"] = [w.certs.sign(author, digest(tx_signable(tx)))]
     return tx
 
 
 def test_cert_sign_verify_and_forgery():
     certs = CertRegistry()
-    ref = certs.sign("client:a", {"m": 1})
-    assert certs.verify(ref, {"m": 1}, "client:a")
-    assert not certs.verify(ref, {"m": 2}, "client:a")
-    assert not certs.verify(ref, {"m": 1}, "client:b")
+    ref = certs.sign("client:a", digest({"m": 1}))
+    assert certs.verify(ref, digest({"m": 1}), "client:a")
+    assert not certs.verify(ref, digest({"m": 2}), "client:a")
+    assert not certs.verify(ref, digest({"m": 1}), "client:b")
     forged = {"sig": 999, "by": "client:a", "over": ref["over"]}
-    assert not certs.verify(forged, {"m": 1}, "client:a")
-    assert not certs.verify({"nonsense": True}, {"m": 1}, "client:a")
+    assert not certs.verify(forged, digest({"m": 1}), "client:a")
+    assert not certs.verify({"nonsense": True}, digest({"m": 1}), "client:a")
 
 
 @pytest.mark.parametrize("handle", [[1], {"h": 1}, "1", None, 1.5])
 def test_a_non_int_handle_is_invalid(handle):
     certs = CertRegistry()
-    ref = dict(certs.sign("client:a", {"m": 1}), sig=handle)
-    assert certs.verify(ref, {"m": 1}, "client:a") is False
-    assert certs.verify_any(ref, {"m": 1}) is None
+    ref = dict(certs.sign("client:a", digest({"m": 1})), sig=handle)
+    assert certs.verify(ref, digest({"m": 1}), "client:a") is False
+    assert certs.verify_any(ref, digest({"m": 1})) is None
 
 
 @pytest.mark.parametrize("handle", [0, -1, 2])
 def test_a_handle_outside_the_log_is_invalid(handle):
     certs = CertRegistry()
-    ref = dict(certs.sign("client:a", {"m": 1}), sig=handle)
-    assert certs.verify(ref, {"m": 1}, "client:a") is False
-    assert certs.verify_any(ref, {"m": 1}) is None
+    ref = dict(certs.sign("client:a", digest({"m": 1})), sig=handle)
+    assert certs.verify(ref, digest({"m": 1}), "client:a") is False
+    assert certs.verify_any(ref, digest({"m": 1})) is None
 
 
 def test_every_true_verify_has_a_prior_sign_record():
     certs = CertRegistry()
-    refs = [certs.sign(f"client:{i}", {"n": i}) for i in range(20)]
+    refs = [certs.sign(f"client:{i}", digest({"n": i})) for i in range(20)]
     for i, ref in enumerate(refs):
-        assert certs.verify(ref, {"n": i}, f"client:{i}")
+        assert certs.verify(ref, digest({"n": i}), f"client:{i}")
         assert certs.log[ref["sig"] - 1] == (f"client:{i}", ref["over"])
 
 
@@ -96,8 +97,25 @@ def test_ledger_rejects_malformed_and_unsigned():
     forged["sigs"] = [{"sig": 123, "by": "client:a", "over": "zz"}]
     assert w.ledger.submit(forged)["reason"] == "bad-signature"
     other = make_tx("deposit", {"x": 1}, "client:a")
-    other["sigs"] = [w.certs.sign("client:b", tx_signable(other))]
+    other["sigs"] = [w.certs.sign("client:b", digest(tx_signable(other)))]
     assert w.ledger.submit(other)["reason"] == "unauthorized"
+
+
+def test_ledger_rejects_a_forged_txid():
+    # the rollup fold strikes by txid and Ledger.get finds the first entry
+    # with one, so a tx carrying another's txid must not commit even when
+    # its author really signed it
+    w, _, _ = ledger_world()
+    honest = signed_tx(w, "deposit", {"amt": 1, "conflict": "dep/1"}, "client:a")
+    assert honest["sigs"][0]["over"] == honest["txid"]
+    forged = signed_tx(w, "deposit", {"amt": 2, "conflict": "dep/2"}, "client:a")
+    assert w.ledger.validate(forged) == (True, None)
+    forged["txid"] = honest["txid"]
+    r = w.ledger.submit(forged)
+    assert r["accepted"] is False and r["reason"] == "bad-txid"
+    del forged["txid"]
+    assert w.ledger.validate(forged) == (False, "bad-txid")
+    assert w.ledger.submit(honest)["accepted"]
 
 
 def test_ledger_commit_within_liveness_bound():

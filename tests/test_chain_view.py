@@ -67,7 +67,7 @@ class Audit:
 
     Every ``chain_view`` call, including those made inside a ledger tick,
     is compared with the reference.  It also counts re-walks (a fold
-    extending with a committed batch it had already extended with),
+    extending with a publication it had already extended with),
     accepted batches that later drop out without being struck (orphaned
     descendants), rejected fraud proofs and self-published batches.
     """
@@ -77,7 +77,7 @@ class Audit:
         self.rewalks = 0
         self.ever_accepted = {}       # id(ledger) -> txids ever accepted
         self.orphaned = set()
-        self.extended = set()         # (id(fold), id(committed tx))
+        self.extended = set()         # (id(fold), index in published)
         view, extend = arbitrum.chain_view, arbitrum.ChainFold._extend
 
         def checked(ledger, sid, initial, confirm_depth, round_no, t_period):
@@ -94,12 +94,12 @@ class Audit:
             seen |= now
             return got
 
-        def counted(fold, tx, ledger):
-            key = (id(fold), id(tx))
+        def counted(fold, p, ledger):
+            key = (id(fold), p)
             if key in self.extended:
                 self.rewalks += 1
             self.extended.add(key)
-            return extend(fold, tx, ledger)
+            return extend(fold, p, ledger)
 
         monkeypatch.setattr(arbitrum, "chain_view", checked)
         monkeypatch.setattr(arbitrum.ChainFold, "_extend", counted)
@@ -406,6 +406,54 @@ def test_proof_against_unripe_mint_strikes_in_the_ripening_block():
         RIPEN_TIMING["t_period"])
 
 
+# -- a strike behind an accepted batch ----------------------------------------
+
+
+def _pay(frm, to, nonce):
+    return {"op": "pay", "from": frm, "to": to, "amt": 1, "nonce": nonce}
+
+
+def _publish(w, seq, txs, claimed=None):
+    """Commit batch ``seq`` on the current view; its claim is the true post
+    unless ``claimed`` is given."""
+    view = _view(w)
+    state = arbitrum.view_state(view) or genesis_state(INITIAL)
+    post = apply_txs(state, txs, w.ledger, RIPEN_TIMING["confirm_depth"], seq)
+    pub = arbitrum.batch_tx(w.certs, view, w.sid, "operator:p1", seq, txs,
+                            claimed or post)
+    assert w.ledger.submit(pub)["accepted"]
+    w.advance_round()
+    return pub
+
+
+def test_a_strike_keeps_the_entries_before_it(monkeypatch):
+    # batch 2 is wrong, batch 3 builds on it; the proof against batch 2
+    # cuts the chain back to batch 1, re-walking batches 2 and 3 only, and
+    # a correct batch 2 then extends it; every view, including those the
+    # ledger's proof check takes, must equal the fold from genesis
+    audit = Audit(monkeypatch)
+    w = _bare_rollup()
+    first = _publish(w, 1, [_pay("c1", "c2", 1)])
+    wrong = _publish(w, 2, [_pay("c1", "c2", 2)],
+                     dict(genesis_state(INITIAL), height=2))
+    _publish(w, 3, [_pay("c2", "c1", 1)])
+    assert [e["txid"] for e in _view(w)["entries"]][:2] \
+        == [first["txid"], wrong["txid"]]
+    assert len(_view(w)["entries"]) == 3
+    assert audit.rewalks == 0
+    assert w.ledger.submit(_proof(w, wrong["txid"], "fraud/wrong"))["accepted"]
+    w.advance_round()
+    assert [e["txid"] for e in _view(w)["entries"]] == [first["txid"]]
+    assert audit.rewalks == 2            # from genesis it would be 3
+    fold = arbitrum.chain_fold(w.ledger, w.sid, INITIAL,
+                               RIPEN_TIMING["confirm_depth"])
+    assert set(fold.positions) == set(_view(w)["entries"][0]["ids"])
+    again = _publish(w, 2, [_pay("c1", "c2", 2)])
+    assert [e["txid"] for e in _view(w)["entries"]] \
+        == [first["txid"], again["txid"]]
+    assert audit.calls >= 8
+
+
 # -- clones carry their own fold ----------------------------------------------
 
 
@@ -448,3 +496,39 @@ def test_clone_keeps_an_independent_chain_view():
 
     _pay_and_wait(world, 2)
     assert arbitrum.world_view(world, SCN["initial"]) == grown
+
+
+# -- each publication is digested once ----------------------------------------
+
+
+def test_a_fold_digests_each_publication_once(monkeypatch):
+    # on runs whose proofs strike batches with descendants, a fold digests
+    # a publication when it first accepts it and never again
+    digested, accepted = [], {}
+    batch_digest, catch_up = arbitrum.batch_digest, arbitrum.ChainFold.catch_up
+
+    def counted(batch):
+        digested.append(batch)
+        return batch_digest(batch)
+
+    def watched(fold, ledger):
+        catch_up(fold, ledger)
+        for e in fold.entries:
+            accepted[id(e["batch"])] = e["batch"]
+
+    monkeypatch.setattr(arbitrum, "batch_digest", counted)
+    monkeypatch.setattr(arbitrum.ChainFold, "catch_up", watched)
+    scn = protocol("arbitrum").canonical_scenario(n_vals=2)
+    runs = [(SCN, scripted_schedules("arbitrum", SCN)["fraud-struck"]),
+            (scn, lifecycle_schedule("arbitrum", scn, 4, pays=12,
+                                     adversarial=True))]
+    published = 0
+    for scn, sched in runs:
+        real, ideal, _ = run_differential("arbitrum", scn, sched)
+        for ledger in (real.world.ledger, ideal.outer.ledger):
+            assert ledger.records("fraud-proof")
+            published += len(ledger.records("batch-publish"))
+    ids = [id(b) for b in digested]
+    assert len(ids) == len(set(ids)) == len(accepted)
+    assert set(ids) == set(accepted)
+    assert len(ids) < published

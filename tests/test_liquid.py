@@ -6,7 +6,7 @@ from l2sim.runtime import Ctx, World, EntityId
 from l2sim.base import CertRegistry, Ledger
 from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
                         InternalState, open_record)
-from l2sim import harness, liquid
+from l2sim import base, harness, liquid, trace
 from l2sim.trace import digest
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
@@ -337,3 +337,34 @@ def test_clients_buffer_only_heights_above_their_chain():
     for m in clients:
         assert m.height() > 0
         assert all(h > m.height() for h in m.buffer), m.me.short()
+
+
+def test_cert_valid_digests_the_block_and_each_phase_once(monkeypatch):
+    # however many refs a certificate holds, checking it digests the block
+    # and the two phase messages, each once
+    calls, per_call = [0], []
+    original = trace.digest
+
+    def counted(obj):
+        calls[0] += 1
+        return original(obj)
+
+    for mod in (base, liquid):
+        monkeypatch.setattr(mod, "digest", counted)
+    cert_valid = liquid.cert_valid
+
+    def measured(*args):
+        before = calls[0]
+        out = cert_valid(*args)
+        per_call.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(liquid, "cert_valid", measured)
+    scn = liquid.canonical_scenario()
+    schedules = list(harness.scripted_schedules("liquid", scn).values())
+    schedules.append(harness.lifecycle_schedule("liquid", scn, 1, pays=12,
+                                                adversarial=True))
+    for sched in schedules:
+        harness.run_differential("liquid", scn, sched)
+    assert len(per_call) > 100
+    assert set(per_call) == {3}
