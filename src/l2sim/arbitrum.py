@@ -118,10 +118,6 @@ class ChainFold:
     whose post ripens is replaced rather than changed, so views handed out
     earlier stay as they were.
 
-    A publication's batch digest and l2 txids are taken once, when the
-    fold first accepts it, and kept under its index in ``published``
-    (txids need not be unique), so walking it again digests nothing.
-
     ``positions`` maps each l2 txid to the index of the first entry whose
     "ids" hold it.  Extending the chain adds to the map; cutting the chain
     back starts a fresh one, so a map taken together with a view
@@ -136,7 +132,6 @@ class ChainFold:
         self.confirm_depth = confirm_depth
         self.mark = (0, None)      # (commits read, ledger height) last seen
         self.published = []        # this chain's batch publications, in order
-        self.digested = {}         # index in published -> (digest, ids)
         self.struck = set()        # targets of committed fraud proofs
         self.entries = []
         self.sources = []          # index in published of each entry
@@ -197,10 +192,7 @@ class ChainFold:
         prev = self.entries[-1]["digest"] if n else genesis_anchor(self.sid)
         if batch.get("seq") != n + 1 or batch.get("prev") != prev:
             return
-        if p not in self.digested:
-            self.digested[p] = (batch_digest(batch),
-                                [l2_txid(t) for t in batch.get("txs", [])])
-        dig, ids = self.digested[p]
+        ids = [l2_txid(t) for t in batch.get("txs", [])]
         for i in ids:
             self.positions.setdefault(i, n)
         self.sources.append(p)
@@ -208,7 +200,7 @@ class ChainFold:
             "batch": batch, "txid": tx["txid"],
             "commit_round": tx.get("commit_round", 0),
             "post": self._execute(n, batch, ledger), "claimed": batch["post"],
-            "digest": dig, "ids": ids})
+            "digest": batch_digest(batch), "ids": ids})
 
 
 def world_view(world, initial):

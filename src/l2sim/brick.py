@@ -70,20 +70,21 @@ def conserves(prev: dict, new: dict) -> bool:
     return sum(new["bal"].values()) == sum(prev["bal"].values())
 
 
+# each *_msg helper returns the digest of the message that is signed
 def state_msg(sid, state, seq):
-    return ["chan-state", sid, state, seq]
+    return digest(["chan-state", sid, state, seq])
 
 
 def open_msg(sid, state):
-    return ["chan-open", sid, state]
+    return digest(["chan-open", sid, state])
 
 
 def close_msg(sid, state, seq):
-    return ["chan-close", sid, state, seq]
+    return digest(["chan-close", sid, state, seq])
 
 
 def warden_msg(sid, state, seq):
-    return ["warden-state", sid, state, seq]
+    return digest(["warden-state", sid, state, seq])
 
 
 # -- real machines ---------------------------------------------------------
@@ -149,7 +150,7 @@ class BrickClient(Machine):
             return
         self.s0 = initial_state(self.collateral)
         self.my_open_sig = ctx.certs.sign(self.me.short(),
-                                          digest(open_msg(self.me.sid, self.s0)))
+                                          open_msg(self.me.sid, self.s0))
         msg = {"kind": "chan-open", "state": self.s0, "sig": self.my_open_sig}
         ctx.send_net(self._peer_entity(), msg)
         for w in self.wardens:
@@ -175,7 +176,7 @@ class BrickClient(Machine):
         seq = new["seq"]
         ctx.note("request-queued", req="pay", seq=seq)
         sig = ctx.certs.sign(self.me.short(),
-                             digest(state_msg(self.me.sid, new, seq)))
+                             state_msg(self.me.sid, new, seq))
         self.proposal = {"state": new, "seq": seq, "sig": sig}
         ctx.send_net(self._peer_entity(),
                      {"kind": "pay", "state": new, "seq": seq, "sig": sig})
@@ -199,8 +200,8 @@ class BrickClient(Machine):
                 ctx.note("request-refused", why="unknown-seq", req="settle")
                 return
             target = hits[0]
-        sig = ctx.certs.sign(self.me.short(), digest(
-            close_msg(self.me.sid, target["state"], target["seq"])))
+        sig = ctx.certs.sign(self.me.short(),
+                             close_msg(self.me.sid, target["state"], target["seq"]))
         self.close_pending = {"state": target["state"], "seq": target["seq"], "sig": sig}
         ctx.send_net(self._peer_entity(),
                      {"kind": "close-req", "state": target["state"],
@@ -221,7 +222,7 @@ class BrickClient(Machine):
     def _from_net(self, ctx, kind, p, src):
         if kind == "chan-open":
             if ctx.certs.verify(p["sig"],
-                                digest(open_msg(self.me.sid, p["state"])),
+                                open_msg(self.me.sid, p["state"]),
                                 f"{CLIENT}:{self.peer}"):
                 self.peer_open_sig = p["sig"]
         elif kind == "chan-open-ack":
@@ -239,7 +240,7 @@ class BrickClient(Machine):
         if self.phase != "opening" or p["state"] != self.s0:
             return
         if not ctx.certs.verify(p["wsig"],
-                                digest(warden_msg(self.me.sid, self.s0, 0)),
+                                warden_msg(self.me.sid, self.s0, 0),
                                 src.short()):
             return
         self.open_acks[src.short()] = p["wsig"]
@@ -262,7 +263,7 @@ class BrickClient(Machine):
             return
         if state["bal"].get(self.me.pid, 0) < mine["state"]["bal"].get(self.me.pid, 0):
             return                       # the proposer pays out of their own share
-        dig = digest(state_msg(self.me.sid, state, seq))
+        dig = state_msg(self.me.sid, state, seq)
         if not ctx.certs.verify(p["sig"], dig, f"{CLIENT}:{self.peer}"):
             return
         sig2 = ctx.certs.sign(self.me.short(), dig)
@@ -278,7 +279,7 @@ class BrickClient(Machine):
         if mine is None or seq != mine["seq"] + 1:
             return
         if not ctx.certs.verify(p["wsig"],
-                                digest(warden_msg(self.me.sid, state, seq)),
+                                warden_msg(self.me.sid, state, seq),
                                 src.short()):
             return
         slot = self.acks.setdefault(seq, {})
@@ -300,7 +301,7 @@ class BrickClient(Machine):
         known = [e for e in self.chain if e["seq"] == seq and e["state"] == state]
         if not known:
             return
-        dig = digest(close_msg(self.me.sid, state, seq))
+        dig = close_msg(self.me.sid, state, seq)
         if not ctx.certs.verify(p["sig"], dig, f"{CLIENT}:{self.peer}"):
             return
         sig2 = ctx.certs.sign(self.me.short(), dig)
@@ -311,7 +312,7 @@ class BrickClient(Machine):
             return
         cp = self.close_pending
         if not ctx.certs.verify(p["sig"],
-                                digest(close_msg(self.me.sid, cp["state"], cp["seq"])),
+                                close_msg(self.me.sid, cp["state"], cp["seq"]),
                                 f"{CLIENT}:{self.peer}"):
             return
         self._submit_close(ctx, cp["state"], cp["seq"], [cp["sig"], p["sig"]], "collab")
@@ -395,7 +396,7 @@ class BrickWarden(Machine):
         if src.short() not in self.clients:
             return
         if not ctx.certs.verify(p["sig"],
-                                digest(open_msg(self.me.sid, p["state"])),
+                                open_msg(self.me.sid, p["state"]),
                                 src.short()):
             return
         self.open_sigs[src.short()] = p["sig"]
@@ -405,7 +406,7 @@ class BrickWarden(Machine):
             self.stored = {"state": self.s0, "seq": 0,
                            "csigs": [self.open_sigs[c] for c in self.clients]}
             wsig = ctx.certs.sign(self.me.short(),
-                                  digest(warden_msg(self.me.sid, self.s0, 0)))
+                                  warden_msg(self.me.sid, self.s0, 0))
             for c in self._client_entities():
                 ctx.send_net(c, {"kind": "chan-open-ack", "state": self.s0, "wsig": wsig})
             ctx.ledger.submit(signed_tx(
@@ -424,14 +425,14 @@ class BrickWarden(Machine):
             return
         if len(csigs) != 2:
             return
-        dig = digest(state_msg(self.me.sid, state, seq))
+        dig = state_msg(self.me.sid, state, seq)
         signers = {ctx.certs.verify_any(ref, dig) for ref in csigs}
         if signers != set(self.clients):
             return
         self.stored = {"state": state, "seq": seq, "csigs": csigs}
         ctx.note("warden-accept", seq=seq, state=state)
         wsig = ctx.certs.sign(self.me.short(),
-                              digest(warden_msg(self.me.sid, state, seq)))
+                              warden_msg(self.me.sid, state, seq))
         for c in self._client_entities():
             ctx.send_net(c, {"kind": "pay-ack", "state": state, "seq": seq,
                              "wsig": wsig, "csigs": csigs})
@@ -457,13 +458,12 @@ def install_ledger_checks(world, sid, clients):
     shorts = {f"{CLIENT}:{c}" for c in clients}
 
     def unsigned(body, forms):
-        """None if both clients signed one of ``forms`` in the body's
-        ``csigs``, else the refusal."""
+        """None if both clients signed one of the message digests that
+        ``forms`` yields in the body's ``csigs``, else the refusal."""
         csigs = body.get("csigs") or []
         if len(csigs) != 2:
             return "need-both-client-sigs"
-        for want in forms:
-            dig = digest(want)
+        for dig in forms:
             if {world.certs.verify_any(ref, dig) for ref in csigs} == shorts:
                 return None
         return "bad-channel-sigs"
@@ -471,8 +471,12 @@ def install_ledger_checks(world, sid, clients):
     def check_close(tx, ledger):
         body = tx["body"]
         state, seq = body.get("state"), body.get("seq")
-        why = unsigned(body, (close_msg(sid, state, seq),
-                              state_msg(sid, state, seq), open_msg(sid, state)))
+
+        def forms():                     # digested only as far as tried
+            yield close_msg(sid, state, seq)
+            yield state_msg(sid, state, seq)
+            yield open_msg(sid, state)
+        why = unsigned(body, forms())
         return why is None, why
 
     def check_wpub(tx, ledger):
@@ -548,9 +552,9 @@ class BrickBundle(SubroutineBundle):
         return {e.get("by") for e in attached(attachment, "wardens")
                 if isinstance(e, dict) and e.get("by") in self.wardens}
 
-    def _agreed(self, attachment, msg, ctx):
-        """Both clients signed ``msg`` in the attachment's client refs."""
-        dig = digest(msg)
+    def _agreed(self, attachment, dig, ctx):
+        """Both clients signed the message digest ``dig`` in the
+        attachment's client refs."""
         signers = {ctx.certs.verify_any(ref, dig)
                    for ref in attached(attachment, "clients")}
         return signers == {f"{CLIENT}:{c}" for c in self.clients}
@@ -775,7 +779,7 @@ def menu(world, entity):
         def ack_garbage():
             bogus = {"bal": {"c1": 1, "c2": 1}, "seq": 99}
             wsig = world.certs.sign(entity.short(),
-                                    digest(warden_msg(sid, bogus, 99)))
+                                    warden_msg(sid, bogus, 99))
             for ent in world.roles.get(CLIENT, []):
                 world.queue_net(entity, ent,
                                 {"kind": "pay-ack", "state": bogus, "seq": 99,
@@ -789,8 +793,8 @@ def menu(world, entity):
             if m is None or not m.chain:
                 return None
             target = m.chain[0]
-            sig = world.certs.sign(entity.short(), digest(
-                close_msg(sid, target["state"], target["seq"])))
+            sig = world.certs.sign(entity.short(),
+                                   close_msg(sid, target["state"], target["seq"]))
             peer = EntityId(m.peer, sid, CLIENT)
             world.queue_net(entity, peer,
                             {"kind": "close-req", "state": target["state"],

@@ -40,16 +40,17 @@ def genesis_block():
     return {"height": 0, "prev": None, "txs": [], "round": 0, "proposer": None}
 
 
+# each *_msg helper returns the digest of the message that is signed
 def pre_msg(sid, h, rnd, bdig):
-    return ["pre", sid, h, rnd, bdig]
+    return digest(["pre", sid, h, rnd, bdig])
 
 
 def fin_msg(sid, h, rnd, bdig):
-    return ["fin", sid, h, rnd, bdig]
+    return digest(["fin", sid, h, rnd, bdig])
 
 
 def pegout_msg(sid, l2txid, height):
-    return ["pegout", sid, l2txid, height]
+    return digest(["pegout", sid, l2txid, height])
 
 
 def content_digest(block):
@@ -64,26 +65,26 @@ def apply_block(state, block, ledger, confirm_depth):
 
 
 def cert_valid(certs, sid, block, cert, quorum, operators):
-    """Both quorum certificates of ``block``: lists of {"by", "ref"}."""
+    """The digest of ``block`` if both its quorum certificates (lists of
+    {"by", "ref"}) hold, else None; callers keep it as their tip digest."""
     if not isinstance(cert, dict):
-        return False
+        return None
     bdig = digest(block)
     h, rnd = block["height"], cert.get("round")
     ok_sets = []
-    for phase, msg in (("pre", pre_msg(sid, h, rnd, bdig)),
+    for phase, dig in (("pre", pre_msg(sid, h, rnd, bdig)),
                        ("fin", fin_msg(sid, h, rnd, bdig))):
         entries = cert.get(phase, [])
         if not isinstance(entries, list) \
                 or not all(isinstance(e, dict) for e in entries):
-            return False
-        dig = digest(msg)
+            return None
         good = set()
         for entry in entries:
             by = entry.get("by")
             if by in operators and certs.verify(entry.get("ref"), dig, by):
                 good.add(by)
         ok_sets.append(good)
-    return all(len(g) >= quorum for g in ok_sets)
+    return bdig if all(len(g) >= quorum for g in ok_sets) else None
 
 
 # -- real machines ---------------------------------------------------------
@@ -189,7 +190,7 @@ class LiquidOperator(Machine):
         self.voted.add(slot)
         self.blocks_seen[bdig] = block
         ref = ctx.certs.sign(self.me.short(),
-                             digest(pre_msg(self.me.sid, h, block["round"], bdig)))
+                             pre_msg(self.me.sid, h, block["round"], bdig))
         self._broadcast_ops(ctx, {"kind": "precommit", "height": h,
                                   "round": block["round"], "bdig": bdig,
                                   "ref": ref, "block": block})
@@ -197,7 +198,7 @@ class LiquidOperator(Machine):
     def _on_precommit(self, ctx, p, src):
         h, rnd, bdig = p["height"], p["round"], p["bdig"]
         if src != self.me and not ctx.certs.verify(
-                p["ref"], digest(pre_msg(self.me.sid, h, rnd, bdig)), src.short()):
+                p["ref"], pre_msg(self.me.sid, h, rnd, bdig), src.short()):
             return
         self.blocks_seen.setdefault(bdig, p.get("block"))
         store = self.pre_store.setdefault((h, rnd, bdig), {})
@@ -210,7 +211,7 @@ class LiquidOperator(Machine):
             block = self.blocks_seen[bdig]
             self.locks[h] = {"cdig": content_digest(block), "block": block}
             ref = ctx.certs.sign(self.me.short(),
-                                 digest(fin_msg(self.me.sid, h, rnd, bdig)))
+                                 fin_msg(self.me.sid, h, rnd, bdig))
             self._broadcast_ops(ctx, {"kind": "final", "height": h, "round": rnd,
                                       "bdig": bdig, "ref": ref,
                                       "block": self.blocks_seen[bdig]})
@@ -218,7 +219,7 @@ class LiquidOperator(Machine):
     def _on_final(self, ctx, p, src):
         h, rnd, bdig = p["height"], p["round"], p["bdig"]
         if src != self.me and not ctx.certs.verify(
-                p["ref"], digest(fin_msg(self.me.sid, h, rnd, bdig)), src.short()):
+                p["ref"], fin_msg(self.me.sid, h, rnd, bdig), src.short()):
             return
         self.blocks_seen.setdefault(bdig, p.get("block"))
         store = self.fin_store.setdefault((h, rnd, bdig), {})
@@ -230,16 +231,19 @@ class LiquidOperator(Machine):
             cert = {"round": rnd,
                     "pre": [{"by": o, "ref": r} for o, r in sorted(pres.items())],
                     "fin": [{"by": o, "ref": r} for o, r in sorted(store.items())]}
-            self._append(ctx, {"block": block, "cert": cert}, via="vote")
+            # blocks_seen takes peers' blocks unchecked: digest the block
+            self._append(ctx, {"block": block, "cert": cert}, digest(block),
+                         via="vote")
 
-    def _append(self, ctx, entry, via):
+    def _append(self, ctx, entry, bdig, via):
+        """Append ``entry``, whose block has digest ``bdig``, if it applies."""
         block = entry["block"]
         new_state = apply_block(self.states[-1], block, ctx.ledger,
                                 ctx.timing["confirm_depth"])
         if new_state is None:
             return
         self.chain.append(entry)
-        self._tip_dig = digest(block)
+        self._tip_dig = bdig
         self.states.append(new_state)
         for tx in block["txs"]:
             self.mempool.pop(l2_txid(tx), None)
@@ -254,8 +258,8 @@ class LiquidOperator(Machine):
         for tx in block["txs"]:
             if tx.get("op") == "peg-out":
                 txid = l2_txid(tx)
-                ref = ctx.certs.sign(self.me.short(), digest(
-                    pegout_msg(self.me.sid, txid, block["height"])))
+                ref = ctx.certs.sign(self.me.short(),
+                                     pegout_msg(self.me.sid, txid, block["height"]))
                 self._broadcast_ops(ctx, {"kind": "pegout-sig", "l2txid": txid,
                                           "height": block["height"], "ref": ref,
                                           "tx": tx})
@@ -266,15 +270,16 @@ class LiquidOperator(Machine):
             return
         if block.get("prev") != self._tip_dig:
             return
-        if not cert_valid(ctx.certs, self.me.sid, block, entry["cert"],
-                          self.quorum, [o.short() for o in self.operators]):
+        bdig = cert_valid(ctx.certs, self.me.sid, block, entry["cert"],
+                          self.quorum, [o.short() for o in self.operators])
+        if bdig is None:
             return
-        self._append(ctx, entry, via="adopt")
+        self._append(ctx, entry, bdig, via="adopt")
 
     def _on_pegout_sig(self, ctx, p, src):
         txid, h = p["l2txid"], p["height"]
         if src != self.me and not ctx.certs.verify(
-                p["ref"], digest(pegout_msg(self.me.sid, txid, h)), src.short()):
+                p["ref"], pegout_msg(self.me.sid, txid, h), src.short()):
             return
         store = self.pegout_sigs.setdefault(txid, {})
         store[src.short()] = p["ref"]
@@ -333,15 +338,16 @@ class LiquidClient(AccountClient):
             block = entry["block"]
             if block.get("prev") != self._tip_dig:
                 return
-            if not cert_valid(ctx.certs, self.me.sid, block, entry["cert"],
-                              self.quorum, [o.short() for o in self.operators]):
+            bdig = cert_valid(ctx.certs, self.me.sid, block, entry["cert"],
+                              self.quorum, [o.short() for o in self.operators])
+            if bdig is None:
                 return
             new_state = apply_block(self.states[-1], block, ctx.ledger,
                                     ctx.timing["confirm_depth"])
             if new_state is None:
                 return
             self.chain.append(entry)
-            self._tip_dig = digest(block)
+            self._tip_dig = bdig
             self.states.append(new_state)
             ctx.note("chain-extend", height=block["height"])
             if (self.outstanding is not None
@@ -372,7 +378,7 @@ def install_ledger_checks(world, sid, operators, quorum):
     def check_pegout(tx, ledger):
         body = tx["body"]
         entries = body.get("opsigs") or []
-        dig = digest(pegout_msg(sid, body.get("l2txid"), body.get("height")))
+        dig = pegout_msg(sid, body.get("l2txid"), body.get("height"))
         good = {e.get("by") for e in entries
                 if e.get("by") in ops and world.certs.verify(e.get("ref"), dig, e["by"])}
         if len(good) < quorum:
@@ -402,8 +408,8 @@ class LiquidBundle(AccountBundle):
         # carry their block
         if block.get("prev") != digest(ist.executed[-1]["block"]):
             return "wrong-parent"
-        if not cert_valid(ctx.certs, self.sid, block, attachment,
-                          self.quorum, self.operators):
+        if cert_valid(ctx.certs, self.sid, block, attachment,
+                      self.quorum, self.operators) is None:
             return "thin-certificate"
         return None
 
@@ -518,8 +524,8 @@ def sign_branch(world, op_entity, block):
     sid = world.sid
     bdig = digest(block)
     h, rnd = block["height"], block["round"]
-    pre = world.certs.sign(op_entity.short(), digest(pre_msg(sid, h, rnd, bdig)))
-    fin = world.certs.sign(op_entity.short(), digest(fin_msg(sid, h, rnd, bdig)))
+    pre = world.certs.sign(op_entity.short(), pre_msg(sid, h, rnd, bdig))
+    fin = world.certs.sign(op_entity.short(), fin_msg(sid, h, rnd, bdig))
     return {"pre": {"kind": "precommit", "height": h, "round": rnd, "bdig": bdig,
                     "ref": pre, "block": block},
             "fin": {"kind": "final", "height": h, "round": rnd, "bdig": bdig,

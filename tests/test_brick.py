@@ -224,7 +224,7 @@ def test_ledger_rejects_forged_close():
     world, scn = make_world()
     open_channel(world)
     bogus = {"bal": {"c1": 0, "c2": 20}, "seq": 5}
-    ref = world.certs.sign("client:c2", digest(brick.close_msg(world.sid, bogus, 5)))
+    ref = world.certs.sign("client:c2", brick.close_msg(world.sid, bogus, 5))
     tx = make_tx("settle", {"channel": world.sid, "state": bogus, "seq": 5,
                             "csigs": [ref, ref], "mode": "collab",
                             "conflict": f"close/{world.sid}"}, "client:c2")
@@ -353,8 +353,8 @@ def test_bundle_update_check_wants_client_agreement():
     seed_open(bundle, ist, scn, ctx)
     new = {"bal": {"c1": 7, "c2": 13}, "seq": 1}
     msg = brick.state_msg(world.sid, new, 1)
-    c1 = world.certs.sign("client:c1", digest(msg))
-    c2 = world.certs.sign("client:c2", digest(msg))
+    c1 = world.certs.sign("client:c1", msg)
+    c2 = world.certs.sign("client:c2", msg)
     wardens = [{"by": f"warden:w{i+1}"} for i in range(3)]
     ok, why, _ = bundle.update(ist, new, {"clients": [c1, c1],
                                           "wardens": wardens}, ctx)
@@ -385,7 +385,7 @@ def test_bundle_update_takes_only_the_next_seq():
 
     def update(state):
         msg = brick.state_msg(world.sid, state, state["seq"])
-        att = {"clients": [world.certs.sign(c, digest(msg))
+        att = {"clients": [world.certs.sign(c, msg)
                            for c in ("client:c1", "client:c2")],
                "wardens": wardens}
         return bundle.update(ist, state, att, ctx)[:2]
@@ -413,7 +413,7 @@ def test_bundle_collab_settles_only_a_recorded_state():
     ist.queue.append({"kind": SETTLEMENT, "body": {"type": "collab"},
                       "by": "c1", "rid": ist.new_rid()})
     msg = brick.close_msg(world.sid, s1, 1)
-    csigs = [world.certs.sign(c, digest(msg)) for c in ("client:c1", "client:c2")]
+    csigs = [world.certs.sign(c, msg) for c in ("client:c1", "client:c2")]
 
     def settle(state, seq, att):
         body = {"type": "collab", "state": state, "seq": seq}
@@ -440,8 +440,8 @@ def test_bundle_unilateral_needs_quorum_and_latest():
     s1 = {"bal": {"c1": 7, "c2": 13}, "seq": 1}
     record_updates(ist, s1)
     msg1 = brick.state_msg(world.sid, s1, 1)
-    csigs = [world.certs.sign("client:c1", digest(msg1)),
-             world.certs.sign("client:c2", digest(msg1))]
+    csigs = [world.certs.sign("client:c1", msg1),
+             world.certs.sign("client:c2", msg1)]
     body = {"type": "unilateral"}
     ok, why, _ = bundle.settlement(ist, body, None, ctx)
     assert (ok, why) == (False, "thin-publication")
@@ -454,8 +454,8 @@ def test_bundle_unilateral_needs_quorum_and_latest():
         tx["sigs"] = [world.certs.sign(short, digest(tx_signable(tx)))]
         assert world.ledger.submit(tx)["accepted"]
 
-    open_sigs = [world.certs.sign("client:c1", digest(brick.open_msg(world.sid, s0))),
-                 world.certs.sign("client:c2", digest(brick.open_msg(world.sid, s0)))]
+    open_sigs = [world.certs.sign("client:c1", brick.open_msg(world.sid, s0)),
+                 world.certs.sign("client:c2", brick.open_msg(world.sid, s0))]
     publish("warden:w1", s0, 0, open_sigs)
     publish("warden:w2", s0, 0, open_sigs)
     publish("warden:w3", s0, 0, open_sigs)
