@@ -146,7 +146,7 @@ class AccountClient(Machine):
     for building transactions, ``read_view(ctx, start)`` for reads (the
     tip state, the executed entries from index ``start`` on, and the
     pointer), and
-    ``_recheck(ctx)``, run on every round and block, which opens the client
+    ``_recheck(ctx)``, run once a round, which opens the client
     (``_check_open``) and reports settlements (``_watch_settlements``); both
     read one kind of the ledger's records (``Ledger.records``).  A
     settlement is a committed ledger record of kind ``settle_kind``; its
@@ -193,9 +193,6 @@ class AccountClient(Machine):
             self._serve_read(ctx)
 
     def on_round(self, ctx):
-        self._recheck(ctx)
-
-    def on_ledger_block(self, ctx, height):
         self._recheck(ctx)
 
     def _queue_tx(self, ctx, body):

@@ -340,7 +340,7 @@ class ArbitrumOperator(RollupParty):
                                    seq, txs, dict(post, height=seq)))
         ctx.note("batch-publish", seq=seq, ntx=len(txs))
 
-    def on_ledger_block(self, ctx, height):
+    def on_round(self, ctx):
         # drop mempool entries that landed in an accepted batch
         positions = self.positions(ctx)
         for txid in [t for t in self.mempool if t in positions]:
@@ -356,7 +356,7 @@ class ArbitrumValidator(RollupParty):
         if env.payload.get("kind") == "update-check":
             self._audit(ctx)
 
-    def on_ledger_block(self, ctx, height):
+    def on_round(self, ctx):
         self._audit(ctx)
 
     def _audit(self, ctx):

@@ -4,15 +4,17 @@ The ledger is the one source of on-chain truth in every run.  Submissions are
 validated immediately (kind, authorization signature, conflict key); accepted
 transactions wait in a pending pool and are committed by the next round's
 block unless the adversary holds them, and a hold can never stretch past
-`liveness_bound` rounds.  The world the ledger is bound to mints one block
-per round advance, so ``height`` (a count; no block is kept) and the round
-count stay in lockstep; confirmation depth is height_now - height(tx) + 1.
+`liveness_bound` rounds.  There is one block per round: the world the ledger
+is bound to mints it on each round advance, and every world's machines poll
+once, after it, from ``Machine.on_round``.  So ``height`` (a count; no block
+is kept) and the round count stay in lockstep; confirmation depth is
+height_now - height(tx) + 1.
 
 Committed entries are kept twice, in commit order: in ``committed`` and,
 split by transaction kind, in the kind index that ``records(kind)`` reads.
-``tick`` appends to both, so every party that polls the ledger on each round
-and block (openings, warden publications, deposits, settlements) reads one
-kind's records instead of scanning the whole history.  ``find(pred)`` scans
+``tick`` appends to both, so every party that polls the ledger each round
+(openings, warden publications, deposits, settlements) reads one kind's
+records instead of scanning the whole history.  ``find(pred)`` scans
 ``committed`` and stays the query for one-shot checks: the ideal bundles'
 ``open`` and ``settlement`` and the brick simulator's settlement trigger.
 
@@ -195,7 +197,6 @@ class Ledger:
         self.pending = rest
         self.height = height
         self._emit("ledger-commit", height=height, txids=included)
-        world.ledger_block_hooks(height)
 
     # -- reads --------------------------------------------------------------
 

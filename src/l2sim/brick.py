@@ -332,9 +332,6 @@ class BrickClient(Machine):
     def on_round(self, ctx):
         self._recheck(ctx)
 
-    def on_ledger_block(self, ctx, height):
-        self._recheck(ctx)
-
     def _recheck(self, ctx):
         if self.phase == "opening" and self.open_submitted:
             authors = {t["author"] for t in ctx.ledger.records("open-commit")

@@ -53,7 +53,7 @@ their names and signatures:
 - per protocol: ``canonical_scenario``, ``party_roles`` and
   ``liveness_params``; it wraps ``Hooks.triggers_for``, ``Hooks.read_delay``
   and ``EnvTracker.ideal_request`` (each in the class's own ``__dict__``)
-  and the machine classes' ``on_message``/``on_round``/``on_ledger_block``;
+  and the machine classes' ``on_message``/``on_round``;
 - it wraps ``liquid.cert_valid``, ``arbitrum.chain_view``,
   ``arbitrum.batch_digest`` and public functions of ``accounts``, ``trace``
   and ``properties``, which callers look up through the module global so

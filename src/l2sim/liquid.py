@@ -200,7 +200,10 @@ class LiquidOperator(Machine):
         if src != self.me and not ctx.certs.verify(
                 p["ref"], pre_msg(self.me.sid, h, rnd, bdig), src.short()):
             return
-        self.blocks_seen.setdefault(bdig, p.get("block"))
+        # a vote carries its own copy of the block: keep only one that
+        # ``bdig`` digests, so a certificate is never paired with another
+        if bdig not in self.blocks_seen and digest(p.get("block")) == bdig:
+            self.blocks_seen[bdig] = p["block"]
         store = self.pre_store.setdefault((h, rnd, bdig), {})
         store[src.short()] = p["ref"]
         slot = (h, rnd)
@@ -221,7 +224,8 @@ class LiquidOperator(Machine):
         if src != self.me and not ctx.certs.verify(
                 p["ref"], fin_msg(self.me.sid, h, rnd, bdig), src.short()):
             return
-        self.blocks_seen.setdefault(bdig, p.get("block"))
+        if bdig not in self.blocks_seen and digest(p.get("block")) == bdig:
+            self.blocks_seen[bdig] = p["block"]
         store = self.fin_store.setdefault((h, rnd, bdig), {})
         store[src.short()] = p["ref"]
         pres = self.pre_store.get((h, rnd, bdig), {})
@@ -231,9 +235,7 @@ class LiquidOperator(Machine):
             cert = {"round": rnd,
                     "pre": [{"by": o, "ref": r} for o, r in sorted(pres.items())],
                     "fin": [{"by": o, "ref": r} for o, r in sorted(store.items())]}
-            # blocks_seen takes peers' blocks unchecked: digest the block
-            self._append(ctx, {"block": block, "cert": cert}, digest(block),
-                         via="vote")
+            self._append(ctx, {"block": block, "cert": cert}, bdig, via="vote")
 
     def _append(self, ctx, entry, bdig, via):
         """Append ``entry``, whose block has digest ``bdig``, if it applies."""

@@ -5,8 +5,11 @@ envelopes over two channels: IO envelopes deliver immediately in FIFO order
 (a cascade drains before the adversary gets control back), NET envelopes sit
 in a pending pool until an adversary directive delivers them.  A single step
 counter numbers every event; logical rounds advance only through an explicit
-round directive, which also runs clock hooks and ticks the ledger if it is
-bound to this world (any other world runs only its block hooks).
+round directive.  An advance ticks the ledger if it is bound to this world
+(a world that only shares the ledger sees the block its owner minted), then
+calls ``on_round`` once on every uncorrupted machine, then runs the clock
+hooks: ledger events are the one source of time, and each party polls the
+chain once per block.
 
 Invariants the tests lean on:
   - identical (scenario, scripts, seed) inputs produce identical traces;
@@ -95,10 +98,8 @@ class Machine:
         raise NotImplementedError
 
     def on_round(self, ctx):
-        """Called after every round advance (stands in for clock polling)."""
-
-    def on_ledger_block(self, ctx, height: int):
-        """Called after every ledger block (stands in for ledger polling)."""
+        """Called once per round advance, after the round's block and before
+        the clock hooks (stands in for clock and ledger polling)."""
 
     def entities(self):
         return [self.me]
@@ -380,18 +381,13 @@ class World:
         self.round_no += 1
         self._bump()
         self.emit("round", now=self.round_no)
-        if self.ledger is not None:
-            if self.ledger.world is self:
-                self.ledger.tick(self)
-            else:
-                # a shared ledger is ticked by the world it is bound to;
-                # this world's machines still hear of the block here
-                self.ledger_block_hooks(self.ledger.height)
-        for hook in self.round_hooks:
-            hook()
+        if self.ledger is not None and self.ledger.world is self:
+            self.ledger.tick(self)
         for m in self.machines_sorted():
             if m.me not in self.corruption:
                 m.on_round(Ctx(self, m.me))
+        for hook in self.round_hooks:
+            hook()
         self.drain_io()
         return True
 
@@ -409,11 +405,6 @@ class World:
             self.net.remove(env)
             self._deliver(env)
             self.drain_io()
-
-    def ledger_block_hooks(self, height: int):
-        for m in self.machines_sorted():
-            if m.me not in self.corruption:
-                m.on_ledger_block(Ctx(self, m.me), height)
 
     # -- snapshots for state-space search ----------------------------------
 

@@ -188,7 +188,7 @@ class PositionAudit:
         client, operator = arbitrum.ArbitrumClient, arbitrum.ArbitrumOperator
         included, split = client._included, client._sort_inflight
         self.included_unchecked = included
-        on_block = operator.on_ledger_block
+        on_round = operator.on_round
 
         def checked_included(me, view, positions, txid):
             got = included(me, view, positions, txid)
@@ -213,10 +213,10 @@ class PositionAudit:
             self._keep(me, view, positions, [i["txid"] for i in me.inflight])
             return got
 
-        def checked_block(me, ctx, height):
+        def checked_round(me, ctx):
             before = set(me.mempool)
             view = arbitrum.world_view(ctx.world, me.initial)
-            on_block(me, ctx, height)
+            on_round(me, ctx)
             dropped = before - set(me.mempool)
             assert dropped == {t for t in before
                                if holds(view["entries"], t)}
@@ -225,7 +225,7 @@ class PositionAudit:
 
         monkeypatch.setattr(client, "_included", checked_included)
         monkeypatch.setattr(client, "_sort_inflight", checked_split)
-        monkeypatch.setattr(operator, "on_ledger_block", checked_block)
+        monkeypatch.setattr(operator, "on_round", checked_round)
 
     def _keep(self, me, view, positions, txids):
         self.txids.update(txids)

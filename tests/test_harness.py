@@ -9,9 +9,10 @@ import types
 
 import pytest
 
-from l2sim import harness
+from l2sim import arbitrum, brick, harness, liquid
 from l2sim.base import Ledger
-from l2sim.runtime import ScheduleError
+from l2sim.core import CLIENT
+from l2sim.runtime import ScheduleError, World
 from l2sim.trace import canon
 from l2sim.harness import (
     GARBAGE_TRIGGERS,
@@ -181,11 +182,68 @@ def test_only_the_ledgers_own_world_ticks_it(name, monkeypatch):
     sched = scripted_schedules(name, scn)["single-pay"]
     real = apply_schedule(RealRun(name, scn), sched)
     ideal = apply_schedule(IdealRun(name, scn), sched)
-    # the inner world shares the outer ledger and only runs its block hooks
+    # the inner world shares the outer ledger: it polls it, never ticks it
     assert ticked == [real.world] * real.world.round_no \
         + [ideal.outer] * ideal.outer.round_no
     for world in (real.world, ideal.outer, ideal.sim.inner):
         assert world.ledger.height == world.round_no > 0
+
+
+CLIENT_CLASSES = {"brick": brick.BrickClient, "liquid": liquid.LiquidClient,
+                  "arbitrum": arbitrum.ArbitrumClient}
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_each_client_polls_once_per_advance(name, monkeypatch):
+    cls = CLIENT_CLASSES[name]
+    recheck, advance = cls._recheck, World.advance_round
+    calls, polled = [], []
+
+    def counted(me, ctx):
+        calls.append(me.me)
+        recheck(me, ctx)
+
+    def checked(world):
+        calls.clear()
+        ok = advance(world)
+        want = [m.me for m in world.machines_sorted()
+                if ok and isinstance(m, cls) and m.me not in world.corruption]
+        assert calls == want
+        polled.extend(want)
+        return ok
+
+    monkeypatch.setattr(cls, "_recheck", counted)
+    monkeypatch.setattr(World, "advance_round", checked)
+    scn = protocol(name).canonical_scenario()
+    run_differential(name, scn, scripted_schedules(name, scn)["single-pay"])
+    assert polled
+
+
+def client_resubmits(trace):
+    """(author, txid) of each accepted ledger submit by a client that
+    repeats one the same client already made."""
+    seen, again = set(), []
+    for ev in trace.events:
+        if ev["t"] == "ledger-submit" and ev["accepted"] \
+                and ev["author"].startswith(f"{CLIENT}:"):
+            key = (ev["author"], ev["txid"])
+            if key in seen:
+                again.append(key)
+            seen.add(key)
+    return again
+
+
+@pytest.mark.parametrize("name, label",
+                         corpus() + [("arbitrum", seed) for seed in (1, 2, 3)])
+def test_no_client_resubmits_an_accepted_txid(name, label):
+    """A self-published batch, a deposit or a close goes to the ledger once:
+    the arbitrum entries are the adversarial lifecycles (pays=10)."""
+    scn = protocol(name).canonical_scenario()
+    schedule = (lifecycle_schedule(name, scn, label, pays=10, adversarial=True)
+                if isinstance(label, int) else scripted_schedules(name, scn)[label])
+    real, ideal, _ = run_differential(name, scn, schedule)
+    assert client_resubmits(real.trace) == []
+    assert client_resubmits(ideal.trace) == []
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)

@@ -222,6 +222,46 @@ def test_thin_quorum_splits_clients():
     assert s1 != s2                   # divergent reads at the same height
 
 
+def test_a_vote_cannot_swap_the_block_under_a_certificate():
+    """A corrupted operator (within f) votes for the leader's block X but
+    ships another height-1 block Y with its votes, and they reach op1
+    before the proposal does; op1 must still finalize X."""
+    world, scn = make_world()
+    open_chain(world)
+    world.inject_input(world.entity(CLIENT, "c1"),
+                       {"kind": "pay", "to": "c2", "amt": 3})
+    pump(world)
+    op1, op4 = (world.entity(liquid.OPERATOR, o) for o in ("op1", "op4"))
+    world.corrupt(op4)
+    world.advance_round()             # round 2: op3 proposes X
+    [x] = {digest(e.payload["block"]) for e in world.pending_net()
+           if e.payload.get("kind") == "propose"}
+    block_x = operator(world, "op3").blocks_seen[x]
+    block_y = dict(block_x, txs=[])
+    honest = [world.entity(liquid.OPERATOR, o) for o in ("op1", "op2", "op3")]
+    votes = liquid.sign_branch(world, op4, block_x).values()
+    for dst in honest:
+        for msg in votes:
+            world.queue_net(op4, dst, dict(msg, block=block_y))
+    for env in world.pending_net():   # op4's votes reach op1 first
+        if env.src == op4 and env.dst == op1:
+            world.deliver_net(env.eid)
+    late = [e for e in world.pending_net()
+            if e.dst == op1 and e.payload.get("kind") == "propose"]
+    while True:
+        rest = [e for e in world.pending_net() if e not in late]
+        if not rest:
+            break
+        world.deliver_net(min(e.eid for e in rest))
+    pump(world)                       # the proposal reaches op1 last
+    ops = [world.machines[e] for e in honest]
+    assert [m.tip() for m in ops] == [block_x] * 3
+    for m in ops:
+        assert liquid.cert_valid(world.certs, world.sid, m.tip(),
+                                 m.chain[-1]["cert"], scn["quorum"],
+                                 [o.short() for o in m.operators]) == x
+
+
 # -- ideal bundle ----------------------------------------------------------
 
 

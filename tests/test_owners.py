@@ -5,9 +5,8 @@ An ``ast`` walk over the sources, like ``tests/test_imports.py``: in
 ``.events``; under ``src/l2sim`` one function builds the settled entry
 ``{"kind": SETTLEMENT, "seq": None, "state": ...}`` of read results; and
 only ``core.InterfaceMachine`` writes the internal state ``ist`` directly;
-and no polling path (a machine's ``on_round``, ``on_ledger_block``,
-``_recheck*`` or ``_watch_*`` handler, or ``ripe_deposits``, nor anything
-they call) scans the ledger with ``Ledger.find``: they read the kind index.
+and no polling path (a machine's ``on_round``, ``_recheck*`` or
+``_watch_*`` handler, or ``ripe_deposits``, nor anything they call) scans the ledger with ``Ledger.find``: they read the kind index.
 The bundle classes define no entry point beyond the six of
 ``SubroutineBundle``, so a leftover override of a retired one cannot sit
 there unused, and they only answer: no method of theirs sends, outputs,
@@ -101,7 +100,7 @@ def writes_ist(node):
             and node.func.attr in MUTATORS and on_ist(node.func.value))
 
 
-POLLING = ("on_round", "on_ledger_block", "ripe_deposits")
+POLLING = ("on_round", "ripe_deposits")
 
 
 def is_polling(name):

@@ -632,9 +632,9 @@ LIFECYCLE_OUTPUTS = {
         "1e1fd9b96739c601f14ad6a4f5d13c1f08c22951ce11e57d69e2d3244928922f"),
     ("arbitrum", 1, True): (
         "58bec5ffb3a7a63c4f1de42fecfc049821b94c66005d701adf0f6488d8743d8b",
-        "3d125417dac58861d8a803ac705458628519743cb7046fdeb309c1e488508cf5",
+        "11e509e1009d15748a5d69b7a30a1cf69994be81d7b98775b167c74ccf3100c1",
         "58bec5ffb3a7a63c4f1de42fecfc049821b94c66005d701adf0f6488d8743d8b",
-        "3d125417dac58861d8a803ac705458628519743cb7046fdeb309c1e488508cf5"),
+        "11e509e1009d15748a5d69b7a30a1cf69994be81d7b98775b167c74ccf3100c1"),
     ("arbitrum", 2, False): (
         "c66fe24ad277393dfb2c586861fe7bdcb931a0cafccd6feb57001fff13730405",
         "3c851140fdc01050042c666aa8a9d393ec14c9d1e82d50c6c56f151f02505830",
@@ -642,9 +642,9 @@ LIFECYCLE_OUTPUTS = {
         "3c851140fdc01050042c666aa8a9d393ec14c9d1e82d50c6c56f151f02505830"),
     ("arbitrum", 2, True): (
         "eb7e08d5178355da1585594c9f9b3e3263c9918755895b4acb0bc50340af6189",
-        "11e509e1009d15748a5d69b7a30a1cf69994be81d7b98775b167c74ccf3100c1",
+        "ccd1e18035f1abf12e7d29bf6836131476d05e85d1462c5a5a57b7569ed58631",
         "eb7e08d5178355da1585594c9f9b3e3263c9918755895b4acb0bc50340af6189",
-        "11e509e1009d15748a5d69b7a30a1cf69994be81d7b98775b167c74ccf3100c1"),
+        "ccd1e18035f1abf12e7d29bf6836131476d05e85d1462c5a5a57b7569ed58631"),
     ("arbitrum", 3, False): (
         "91f47f62f1f32ea14b5e1a0c131f683617df376d790a706f606eab557d73a168",
         "0cb67b6872c75ba5e1e28a5f0474d4fcac5c0fb0f37333ff34f964d4115d119c",

@@ -2,6 +2,7 @@
 
 import pytest
 
+from l2sim.base import Ledger
 from l2sim.runtime import (
     World, Machine, EntityId, env_entity,
     RegistrationError, RoutingError, ScheduleError, CorruptionError,
@@ -190,6 +191,46 @@ def test_round_gate_refusal_leaves_state_unchanged():
     assert w.advance_round() is False
     assert w.round_no == before
     assert w.trace.events[-1]["t"] == "round-refused"
+
+
+class Poller(Machine):
+    """Logs each ``on_round`` with the round and ledger height it sees."""
+
+    def __init__(self, me, log):
+        super().__init__(me)
+        self.log = log
+
+    def on_message(self, ctx, env):
+        pass
+
+    def on_round(self, ctx):
+        self.log.append(("poll", self.me.pid, ctx.round, ctx.ledger.height))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+def test_on_round_runs_once_per_advance_after_the_block(shared):
+    """Each uncorrupted machine polls once per advance, sees that round's
+    block, and polls before the clock hooks; a world that only shares the
+    ledger (its owner mints first) polls the same way."""
+    ledger = Ledger(TIMING)
+    owner = World("s1", TIMING, ledger=ledger)
+    ledger.bind(owner)
+    w = World("s1", TIMING, ledger=ledger) if shared else owner
+    w.declare_role("client", budget=1)
+    log = []
+    for pid in ("a", "b"):
+        w.register(Poller(w.entity("client", pid), log))
+    w.round_hooks.append(lambda: log.append(("clock", w.round_no)))
+    want = []
+    for rnd in (1, 2, 3):
+        if rnd == 3:
+            w.corrupt(w.entity("client", "b"))
+        if shared:
+            owner.advance_round()
+        assert w.advance_round()
+        want += [("poll", pid, rnd, rnd) for pid in ("a", "b")
+                 if rnd < 3 or pid == "a"] + [("clock", rnd)]
+    assert log == want
 
 
 def test_max_steps_truncates_and_flags():
