@@ -1,13 +1,16 @@
 """Shared base functionalities: append-only ledger, signature registry, clocks.
 
 The ledger is the one source of on-chain truth in every run.  Submissions are
-validated immediately (kind, authorization signature, conflict key); accepted
-transactions wait in a pending pool and are committed by the next round's
-block unless the adversary holds them, and a hold can never stretch past
-`liveness_bound` rounds.  There is one block per round: the world the ledger
-is bound to mints it on each round advance, and every world's machines poll
-once, after it, from ``Machine.on_round``.  So ``height`` (a count; no block
-is kept) and the round count stay in lockstep; confirmation depth is
+validated immediately (kind, authorization signature, txid, conflict key);
+accepted transactions wait in a pending pool and are committed by the next
+round's block unless the adversary holds them, and a hold can never stretch
+past `liveness_bound` rounds.  The txid and the signatures are checked once,
+at submit (``validate``); the block re-checks only what can change while a
+transaction waits, its conflict key and its kind's check (``admissible``).
+There is one block per round: the world the ledger is bound to mints it on
+each round advance, and every world's machines poll once, after it, from
+``Machine.on_round``.  So ``height`` (a count; no block is kept) and the
+round count stay in lockstep; confirmation depth is
 height_now - height(tx) + 1.
 
 Committed entries are kept twice, in commit order: in ``committed`` and,
@@ -26,6 +29,9 @@ the message's digest rather than the message, so a caller that checks
 several refs over one message digests it once; ``signed_tx`` signs the
 ``txid`` that ``make_tx`` computed, which is the digest of the signable
 part, and ``Ledger.validate`` refuses a transaction whose txid is not.
+``CertRegistry.message`` digests a message given as its parts and memoizes
+the digest for the registry's one run, so a phase message that every
+committee member signs or checks is digested once.
 """
 
 from __future__ import annotations
@@ -42,6 +48,19 @@ TX_KINDS = (
 class CertRegistry:
     def __init__(self):
         self.log: list[tuple[str, str]] = []    # handle h is log[h - 1]
+        self.messages: dict[tuple, str] = {}    # parts -> digest(list(parts))
+
+    def message(self, *parts) -> str:
+        """The digest of the message ``list(parts)``, memoized for this
+        registry when every part is exactly a ``str`` or an ``int`` (so
+        ``True`` never stands in for ``1``)."""
+        for part in parts:
+            if type(part) is not str and type(part) is not int:
+                return digest(list(parts))
+        dig = self.messages.get(parts)
+        if dig is None:
+            dig = self.messages[parts] = digest(list(parts))
+        return dig
 
     def sign(self, signer: str, dig: str) -> dict:
         """Sign the message whose digest is ``dig``."""
@@ -111,6 +130,8 @@ class Ledger:
     # -- submission --------------------------------------------------------
 
     def validate(self, tx: dict):
+        """Kind, shape, signatures and txid, then ``admissible``; ``submit``
+        runs it once, so a transaction's txid is digested once."""
         if not isinstance(tx, dict) or tx.get("kind") not in TX_KINDS:
             return False, "unknown-kind"
         if not isinstance(tx.get("body"), dict) or not isinstance(tx.get("author"), str):
@@ -132,6 +153,11 @@ class Ledger:
         if tx.get("txid") != dig:
             # proofs strike, and Ledger.get finds, entries by txid
             return False, "bad-txid"
+        return self.admissible(tx)
+
+    def admissible(self, tx: dict):
+        """The checks that can change between submit and tick: the conflict
+        key and the kind's own check."""
         key = tx["body"].get("conflict")
         if key is not None and key in self.keys:
             return False, "conflict"
@@ -179,7 +205,7 @@ class Ledger:
         height = self.height + 1
         included = []
         for tx in due:
-            ok, reason = self.validate(tx)   # conflicts may have appeared since
+            ok, reason = self.admissible(tx)   # conflicts may have appeared since
             if not ok:
                 self._emit("ledger-reject", txid=tx["txid"], reason=reason)
                 continue

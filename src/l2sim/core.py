@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 
-from .runtime import Ctx, Machine, EntityId, env_entity
+from .runtime import Machine, EntityId
 
 OPEN = "open"
 UPDATE = "update"
@@ -266,7 +266,7 @@ class InterfaceMachine(Machine):
         executed = read_entries(ist.executed[base:idx + 1])
         settled = None if ist.settled is None else ist.settled["state"]
         ist.read_ptr[pid] = idx
-        ctx.world.queue_io(self._clients[pid], env_entity(self.me.sid),
+        ctx.world.queue_io(self._clients[pid], ctx.world.env,
                            read_result(ist.states[idx], base, executed, idx,
                                        settled))
 
@@ -283,7 +283,7 @@ class InterfaceMachine(Machine):
         ist.queue = [r for r in ist.queue if r["kind"] != OPEN]
         ctx.world.emit("exec", kind=OPEN, seq=0, state=ist.states[0])
         for pid in honest(ctx, ist, CLIENT):
-            ctx.world.queue_io(self._clients[pid], env_entity(self.me.sid),
+            ctx.world.queue_io(self._clients[pid], ctx.world.env,
                                {"kind": "open-ok", "state": ist.states[0]})
 
     def _update(self, ctx, new_state, attachment):
@@ -323,14 +323,14 @@ class InterfaceMachine(Machine):
         ist.queue = [r for r in ist.queue if r["kind"] != SETTLEMENT]
         ctx.world.emit("exec", kind=SETTLEMENT, state=sstate, type=stype)
         for pid in honest(ctx, ist, CLIENT):
-            ctx.world.queue_io(self._clients[pid], env_entity(self.me.sid),
+            ctx.world.queue_io(self._clients[pid], ctx.world.env,
                                {"kind": "settle-ok", "success": True, "state": sstate})
 
 
 def attach_round_gate(world, interface: InterfaceMachine):
     """Round advances consult the bundle's round subroutine."""
 
-    ctx = Ctx(world, interface.me)
+    ctx = world.ctxs[interface.me]
 
     def gate():
         if interface.ist.halted:

@@ -40,17 +40,18 @@ def genesis_block():
     return {"height": 0, "prev": None, "txs": [], "round": 0, "proposer": None}
 
 
-# each *_msg helper returns the digest of the message that is signed
-def pre_msg(sid, h, rnd, bdig):
-    return digest(["pre", sid, h, rnd, bdig])
+# each *_msg helper returns the digest of the message that is signed, which
+# the registry memoizes: every operator checks each peer's vote on one message
+def pre_msg(certs, sid, h, rnd, bdig):
+    return certs.message("pre", sid, h, rnd, bdig)
 
 
-def fin_msg(sid, h, rnd, bdig):
-    return digest(["fin", sid, h, rnd, bdig])
+def fin_msg(certs, sid, h, rnd, bdig):
+    return certs.message("fin", sid, h, rnd, bdig)
 
 
-def pegout_msg(sid, l2txid, height):
-    return digest(["pegout", sid, l2txid, height])
+def pegout_msg(certs, sid, l2txid, height):
+    return certs.message("pegout", sid, l2txid, height)
 
 
 def content_digest(block):
@@ -72,8 +73,8 @@ def cert_valid(certs, sid, block, cert, quorum, operators):
     bdig = digest(block)
     h, rnd = block["height"], cert.get("round")
     ok_sets = []
-    for phase, dig in (("pre", pre_msg(sid, h, rnd, bdig)),
-                       ("fin", fin_msg(sid, h, rnd, bdig))):
+    for phase, dig in (("pre", pre_msg(certs, sid, h, rnd, bdig)),
+                       ("fin", fin_msg(certs, sid, h, rnd, bdig))):
         entries = cert.get(phase, [])
         if not isinstance(entries, list) \
                 or not all(isinstance(e, dict) for e in entries):
@@ -190,7 +191,7 @@ class LiquidOperator(Machine):
         self.voted.add(slot)
         self.blocks_seen[bdig] = block
         ref = ctx.certs.sign(self.me.short(),
-                             pre_msg(self.me.sid, h, block["round"], bdig))
+                             pre_msg(ctx.certs, self.me.sid, h, block["round"], bdig))
         self._broadcast_ops(ctx, {"kind": "precommit", "height": h,
                                   "round": block["round"], "bdig": bdig,
                                   "ref": ref, "block": block})
@@ -198,7 +199,7 @@ class LiquidOperator(Machine):
     def _on_precommit(self, ctx, p, src):
         h, rnd, bdig = p["height"], p["round"], p["bdig"]
         if src != self.me and not ctx.certs.verify(
-                p["ref"], pre_msg(self.me.sid, h, rnd, bdig), src.short()):
+                p["ref"], pre_msg(ctx.certs, self.me.sid, h, rnd, bdig), src.short()):
             return
         # a vote carries its own copy of the block: keep only one that
         # ``bdig`` digests, so a certificate is never paired with another
@@ -214,7 +215,7 @@ class LiquidOperator(Machine):
             block = self.blocks_seen[bdig]
             self.locks[h] = {"cdig": content_digest(block), "block": block}
             ref = ctx.certs.sign(self.me.short(),
-                                 fin_msg(self.me.sid, h, rnd, bdig))
+                                 fin_msg(ctx.certs, self.me.sid, h, rnd, bdig))
             self._broadcast_ops(ctx, {"kind": "final", "height": h, "round": rnd,
                                       "bdig": bdig, "ref": ref,
                                       "block": self.blocks_seen[bdig]})
@@ -222,7 +223,7 @@ class LiquidOperator(Machine):
     def _on_final(self, ctx, p, src):
         h, rnd, bdig = p["height"], p["round"], p["bdig"]
         if src != self.me and not ctx.certs.verify(
-                p["ref"], fin_msg(self.me.sid, h, rnd, bdig), src.short()):
+                p["ref"], fin_msg(ctx.certs, self.me.sid, h, rnd, bdig), src.short()):
             return
         if bdig not in self.blocks_seen and digest(p.get("block")) == bdig:
             self.blocks_seen[bdig] = p["block"]
@@ -260,8 +261,8 @@ class LiquidOperator(Machine):
         for tx in block["txs"]:
             if tx.get("op") == "peg-out":
                 txid = l2_txid(tx)
-                ref = ctx.certs.sign(self.me.short(),
-                                     pegout_msg(self.me.sid, txid, block["height"]))
+                ref = ctx.certs.sign(self.me.short(), pegout_msg(
+                    ctx.certs, self.me.sid, txid, block["height"]))
                 self._broadcast_ops(ctx, {"kind": "pegout-sig", "l2txid": txid,
                                           "height": block["height"], "ref": ref,
                                           "tx": tx})
@@ -281,7 +282,7 @@ class LiquidOperator(Machine):
     def _on_pegout_sig(self, ctx, p, src):
         txid, h = p["l2txid"], p["height"]
         if src != self.me and not ctx.certs.verify(
-                p["ref"], pegout_msg(self.me.sid, txid, h), src.short()):
+                p["ref"], pegout_msg(ctx.certs, self.me.sid, txid, h), src.short()):
             return
         store = self.pegout_sigs.setdefault(txid, {})
         store[src.short()] = p["ref"]
@@ -380,7 +381,7 @@ def install_ledger_checks(world, sid, operators, quorum):
     def check_pegout(tx, ledger):
         body = tx["body"]
         entries = body.get("opsigs") or []
-        dig = pegout_msg(sid, body.get("l2txid"), body.get("height"))
+        dig = pegout_msg(world.certs, sid, body.get("l2txid"), body.get("height"))
         good = {e.get("by") for e in entries
                 if e.get("by") in ops and world.certs.verify(e.get("ref"), dig, e["by"])}
         if len(good) < quorum:
@@ -526,8 +527,8 @@ def sign_branch(world, op_entity, block):
     sid = world.sid
     bdig = digest(block)
     h, rnd = block["height"], block["round"]
-    pre = world.certs.sign(op_entity.short(), pre_msg(sid, h, rnd, bdig))
-    fin = world.certs.sign(op_entity.short(), fin_msg(sid, h, rnd, bdig))
+    pre = world.certs.sign(op_entity.short(), pre_msg(world.certs, sid, h, rnd, bdig))
+    fin = world.certs.sign(op_entity.short(), fin_msg(world.certs, sid, h, rnd, bdig))
     return {"pre": {"kind": "precommit", "height": h, "round": rnd, "bdig": bdig,
                     "ref": pre, "block": block},
             "fin": {"kind": "final", "height": h, "round": rnd, "bdig": bdig,

@@ -9,7 +9,8 @@ round directive.  An advance ticks the ledger if it is bound to this world
 (a world that only shares the ledger sees the block its owner minted), then
 calls ``on_round`` once on every uncorrupted machine, then runs the clock
 hooks: ledger events are the one source of time, and each party polls the
-chain once per block.
+chain once per block.  ``register`` builds one ``Ctx`` per entity, and every
+activation of that entity (start, delivery, input, round) is handed it.
 
 Invariants the tests lean on:
   - identical (scenario, scripts, seed) inputs produce identical traces;
@@ -31,6 +32,7 @@ from __future__ import annotations
 import copy
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .trace import Trace, canon, canon_loose
 
@@ -59,8 +61,10 @@ class CorruptionError(SimError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class EntityId:
+class EntityId(NamedTuple):
+    """A machine identity; a tuple, so hashing, equality and ordering run
+    in C (``plain`` tests for it before it tests for tuples)."""
+
     pid: str
     sid: str
     role: str
@@ -163,7 +167,7 @@ class Ctx:
         self.world.queue_net(self.me, dst, payload)
 
     def output(self, payload: dict):
-        self.world.queue_io(self.me, env_entity(self.me.sid), payload)
+        self.world.queue_io(self.me, self.world.env, payload)
 
     def note(self, kind: str, **fields):
         self.world.note(kind, party=self.me.short(), **fields)
@@ -174,7 +178,7 @@ class CorruptionSet:
 
     def __init__(self):
         self.budgets: dict[str, int] = {}
-        self.members: list[EntityId] = []
+        self.members: dict[EntityId, None] = {}   # an ordered set
 
     def count(self, role: str) -> int:
         return sum(1 for e in self.members if e.role == role)
@@ -188,7 +192,7 @@ class CorruptionSet:
         if over and not allow_over_budget:
             raise CorruptionError(
                 f"corrupting {entity.short()} exceeds budget {budget} for role {entity.role}")
-        self.members.append(entity)
+        self.members[entity] = None
         return over
 
     def __contains__(self, entity: EntityId):
@@ -199,8 +203,10 @@ class World:
     def __init__(self, sid: str, timing: dict, *, ledger=None, certs=None):
         self.sid = sid
         self.timing = dict(timing)
+        self.env = env_entity(sid)
         self.machines: dict[EntityId, Machine] = {}
         self.owners: dict[EntityId, Machine] = {}   # entity -> owning machine
+        self.ctxs: dict[EntityId, Ctx] = {}         # entity -> its one Ctx
         self.roles: dict[str, list[EntityId]] = {}
         self.subroutines: set[str] = set()           # roles not corruptible
         self.wiring: set[tuple[str, str]] = set()    # allowed IO (src_role, dst_role)
@@ -244,9 +250,10 @@ class World:
             if ent in self.owners:
                 raise RegistrationError(f"{ent.short()} already registered")
             self.owners[ent] = machine
+            self.ctxs[ent] = Ctx(self, ent)
             self.roles[ent.role].append(ent)
         self.machines[machine.me] = machine
-        machine.on_start(Ctx(self, machine.me))
+        machine.on_start(self.ctxs[machine.me])
 
     def entity(self, role: str, pid: str) -> EntityId:
         return EntityId(pid, self.sid, role)
@@ -264,8 +271,7 @@ class World:
         return self.step_no
 
     def emit(self, t: str, **fields):
-        ev = {"t": t, "step": self.step_no, "round": self.round_no}
-        ev.update(fields)
+        ev = {"t": t, "step": self.step_no, "round": self.round_no, **fields}
         self.trace.emit(ev)
         return ev
 
@@ -307,8 +313,7 @@ class World:
             return
         self.emit("deliver", eid=env.eid, src=env.src.short(), dst=env.dst.short(),
                   channel=env.channel, payload=env.payload, sent=env.step)
-        machine = self.owners[env.dst]
-        machine.on_message(Ctx(self, env.dst), env)
+        self.owners[env.dst].on_message(self.ctxs[env.dst], env)
 
     def pending_net(self):
         return list(self.net)
@@ -350,8 +355,8 @@ class World:
         machine = self.owners.get(party)
         if machine is None:
             raise ScheduleError(f"input to unregistered {party.short()}")
-        machine.on_message(Ctx(self, party),
-                           Envelope(0, env_entity(self.sid), party, IO, payload,
+        machine.on_message(self.ctxs[party],
+                           Envelope(0, self.env, party, IO, payload,
                                     self.step_no, self.round_no))
         self.drain_io()
 
@@ -385,7 +390,7 @@ class World:
             self.ledger.tick(self)
         for m in self.machines_sorted():
             if m.me not in self.corruption:
-                m.on_round(Ctx(self, m.me))
+                m.on_round(self.ctxs[m.me])
         for hook in self.round_hooks:
             hook()
         self.drain_io()

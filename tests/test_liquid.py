@@ -1,5 +1,7 @@
 """Sidechain protocol: committee flow, pegs, quorum experiments, bundle."""
 
+from collections import Counter
+
 import pytest
 
 from l2sim.runtime import Ctx, World, EntityId
@@ -7,7 +9,7 @@ from l2sim.base import CertRegistry, Ledger
 from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
                         InternalState, open_record)
 from l2sim import base, harness, liquid, trace
-from l2sim.trace import digest
+from l2sim.trace import canon, digest
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
@@ -380,9 +382,11 @@ def test_clients_buffer_only_heights_above_their_chain():
 
 
 def test_cert_valid_digests_the_block_and_each_phase_once(monkeypatch):
-    # however many refs a certificate holds, checking it digests the block
-    # and the two phase messages, each once
+    # however many refs a certificate holds, checking it digests at most
+    # the block and the two phase messages; and a registry digests each
+    # distinct phase message once, however many operators sign or check it
     calls, per_call = [0], []
+    phase_digests, registries = Counter(), {}
     original = trace.digest
 
     def counted(obj):
@@ -391,7 +395,7 @@ def test_cert_valid_digests_the_block_and_each_phase_once(monkeypatch):
 
     for mod in (base, liquid):
         monkeypatch.setattr(mod, "digest", counted)
-    cert_valid = liquid.cert_valid
+    cert_valid, message = liquid.cert_valid, base.CertRegistry.message
 
     def measured(*args):
         before = calls[0]
@@ -399,7 +403,16 @@ def test_cert_valid_digests_the_block_and_each_phase_once(monkeypatch):
         per_call.append(calls[0] - before)
         return out
 
+    def recorded(certs, *parts):
+        before = calls[0]
+        out = message(certs, *parts)
+        if parts[0] in ("pre", "fin"):
+            registries[id(certs)] = certs    # kept alive, so ids stay distinct
+            phase_digests[id(certs), canon(list(parts))] += calls[0] - before
+        return out
+
     monkeypatch.setattr(liquid, "cert_valid", measured)
+    monkeypatch.setattr(base.CertRegistry, "message", recorded)
     scn = liquid.canonical_scenario()
     schedules = list(harness.scripted_schedules("liquid", scn).values())
     schedules.append(harness.lifecycle_schedule("liquid", scn, 1, pays=12,
@@ -407,4 +420,6 @@ def test_cert_valid_digests_the_block_and_each_phase_once(monkeypatch):
     for sched in schedules:
         harness.run_differential("liquid", scn, sched)
     assert len(per_call) > 100
-    assert set(per_call) == {3}
+    assert max(per_call) <= 3
+    assert len(phase_digests) > 100
+    assert set(phase_digests.values()) == {1}
