@@ -118,6 +118,92 @@ def test_ledger_rejects_a_forged_txid():
     assert w.ledger.submit(honest)["accepted"]
 
 
+def test_message_is_the_digest_of_its_parts():
+    certs = CertRegistry()
+    for parts in (("pre", "side", 1, 2, "ab"), ("pegout", "side", None, 3),
+                  ("fin", "side", [1, 2], {"k": 1}, "ab")):
+        assert certs.message(*parts) == digest(list(parts))
+        assert certs.message(*parts) == digest(list(parts))    # again
+    # only messages whose parts are all exactly str or int are memoized
+    assert certs.messages == {("pre", "side", 1, 2, "ab"):
+                              digest(["pre", "side", 1, 2, "ab"])}
+
+
+@pytest.mark.parametrize("first", [1, True, 1.0])
+def test_message_keeps_true_one_and_one_point_zero_apart(first):
+    certs = CertRegistry()
+    certs.message("pre", "side", first)
+    digests = {certs.message("pre", "side", part) for part in (1, True, 1.0)}
+    assert len(digests) == 3
+    assert certs.message("pre", "side", 1) == digest(["pre", "side", 1])
+    assert list(certs.messages) == [("pre", "side", 1)]
+
+
+def test_a_fresh_registry_starts_empty():
+    used = CertRegistry()
+    used.message("pre", "side", 1)
+    used.sign("client:a", used.message("pre", "side", 1))
+    fresh = CertRegistry()
+    assert fresh.messages == {} and fresh.log == []
+
+
+def ledger_rejects(w):
+    return [(e["txid"], e["reason"]) for e in w.trace.events
+            if e["t"] == "ledger-reject"]
+
+
+def test_txid_and_signatures_are_checked_once_at_submit(monkeypatch):
+    w, _, _ = ledger_world()
+    validated = []
+    validate = Ledger.validate
+
+    def counted(ledger, tx):
+        validated.append(tx["txid"])
+        return validate(ledger, tx)
+
+    monkeypatch.setattr(Ledger, "validate", counted)
+    txs = [signed_tx(w, "deposit", {"n": i}, "client:a") for i in range(3)]
+    for tx in txs:
+        assert w.ledger.submit(tx)["accepted"]
+    bad_txid = signed_tx(w, "deposit", {"n": 9}, "client:a")
+    bad_txid["txid"] = txs[0]["txid"][::-1]
+    bad_sig = make_tx("deposit", {"n": 8}, "client:a")
+    bad_sig["sigs"] = [w.certs.sign("client:a", txs[0]["txid"])]
+    assert w.ledger.submit(bad_txid)["reason"] == "bad-txid"
+    assert w.ledger.submit(bad_sig)["reason"] == "bad-signature"
+    assert len(w.ledger.pending) == 3
+    w.advance_round()
+    assert [t["txid"] for t in w.ledger.committed] == [tx["txid"] for tx in txs]
+    assert len(validated) == 5                   # the block validates none
+
+
+def test_a_conflict_key_taken_while_pending_is_refused_at_tick():
+    w, _, _ = ledger_world()
+    first = signed_tx(w, "settle", {"conflict": "k", "v": 1}, "client:a")
+    second = signed_tx(w, "settle", {"conflict": "k", "v": 2}, "client:b")
+    assert w.ledger.submit(first)["accepted"]
+    assert w.ledger.submit(second)["accepted"]
+    w.ledger.hold(second["txid"], 2)
+    w.advance_round()                      # round 1 commits first, takes "k"
+    assert ledger_rejects(w) == []
+    w.advance_round()                      # round 2: second is due
+    assert [t["body"]["v"] for t in w.ledger.committed] == [1]
+    assert ledger_rejects(w) == [(second["txid"], "conflict")]
+
+
+def test_a_kind_check_that_fails_only_at_tick_refuses():
+    w, _, _ = ledger_world()
+    window = {"open": True}
+    w.ledger.kind_checks["fraud-proof"] = lambda tx, led: (
+        (True, None) if window["open"] else (False, "window-closed"))
+    tx = signed_tx(w, "fraud-proof", {"target": "t"}, "validator:v1")
+    assert w.ledger.submit(tx)["accepted"]
+    window["open"] = False
+    w.advance_round()
+    assert w.ledger.committed == []
+    assert ledger_rejects(w) == [(tx["txid"], "window-closed")]
+
+
 def test_ledger_commit_within_liveness_bound():
     w, _, _ = ledger_world()
     tx = signed_tx(w, "deposit", {"amt": 5, "conflict": "dep/a"}, "client:a")

@@ -13,7 +13,7 @@ from l2sim import arbitrum, brick, harness, liquid
 from l2sim.base import Ledger
 from l2sim.core import CLIENT
 from l2sim.runtime import ScheduleError, World
-from l2sim.trace import canon
+from l2sim.trace import Trace, canon
 from l2sim.harness import (
     GARBAGE_TRIGGERS,
     IdealRun,
@@ -244,6 +244,30 @@ def test_no_client_resubmits_an_accepted_txid(name, label):
     real, ideal, _ = run_differential(name, scn, schedule)
     assert client_resubmits(real.trace) == []
     assert client_resubmits(ideal.trace) == []
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_events_are_not_changed_after_they_are_emitted(name, monkeypatch):
+    """Events hold payloads and ledger bodies by reference, and the ledger
+    does not check a txid again at commit: nothing may change either once
+    it is in the trace.  Over the scripted suite and one adversarial
+    lifecycle, each event keeps the canonical text it had at emission."""
+    emitted = []
+    init = Trace.__init__
+
+    def observed(trace, header=None):
+        init(trace, header)
+        trace.observers.append(lambda ev: emitted.append((ev, canon(ev))))
+
+    monkeypatch.setattr(Trace, "__init__", observed)
+    scn = protocol(name).canonical_scenario()
+    schedules = list(scripted_schedules(name, scn).values())
+    schedules.append(lifecycle_schedule(name, scn, 1, pays=10, adversarial=True))
+    for schedule in schedules:
+        run_differential(name, scn, schedule)
+        assert emitted
+        assert [text for _, text in emitted] == [canon(ev) for ev, _ in emitted]
+        emitted.clear()
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)

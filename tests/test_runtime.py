@@ -4,7 +4,7 @@ import pytest
 
 from l2sim.base import Ledger
 from l2sim.runtime import (
-    World, Machine, EntityId, env_entity,
+    World, Machine, EntityId, env_entity, plain,
     RegistrationError, RoutingError, ScheduleError, CorruptionError,
 )
 from l2sim.trace import Trace
@@ -274,3 +274,50 @@ def test_corruption_leak_is_plain_json():
     assert leak["voted"] == [[1, 3], [2, 1]]
     assert leak["store"] == {'[1,0,"d"]': {"warden:b": 1}, "4": "x"}
     Trace.from_text(w.trace.to_text())
+
+
+def test_entity_ids_hash_order_and_print_by_their_fields():
+    # (pid, sid, role) is the sort key and the hash, as it was when the id
+    # was a frozen dataclass; plain() prints an id as its short name, even
+    # though an id is now a tuple
+    ids = [EntityId("b", "s1", "client"), EntityId("a", "s2", "warden"),
+           EntityId("a", "s1", "zz"), EntityId("a", "s1", "client")]
+    assert sorted(ids) == sorted(ids, key=lambda e: (e.pid, e.sid, e.role))
+    assert hash(ids[0]) == hash(("b", "s1", "client"))
+    assert EntityId("a", "s1", "zz") == ids[2] != ids[3]
+    assert len({*ids, EntityId("b", "s1", "client")}) == 4
+    assert plain(ids[0]) == "client:b"
+    assert plain({ids[0]: [ids[1]], "k": (ids[2],)}) == {
+        "client:b": ["warden:a"], "k": ["zz:a"]}
+
+
+def test_each_entity_is_handed_one_ctx():
+    # start, delivery, input and round all reuse the Ctx that register built
+    handed = []
+
+    class Recorder(Echo):
+        def on_start(self, ctx):
+            handed.append((self.me, ctx))
+
+        def on_message(self, ctx, env):
+            handed.append((env.dst, ctx))
+            super().on_message(ctx, env)
+
+        def on_round(self, ctx):
+            handed.append((self.me, ctx))
+
+    w = World("s1", TIMING)
+    w.declare_role("client")
+    w.declare_role("warden")
+    a, b = w.entity("client", "a"), w.entity("warden", "b")
+    w.register(Recorder(a, peer=b))
+    w.register(Recorder(b))
+    w.inject_input(a, {"kind": "ping", "n": 1})
+    w.deliver_net(w.pending_net()[0].eid)
+    w.advance_round()
+    assert len(handed) == 6
+    assert all(ctx is w.ctxs[ent] and ctx.me == ent for ent, ctx in handed)
+    assert w.machines[a].seen == [1]
+    outputs = [ev for ev in w.trace.events if ev["t"] == "output"]
+    assert [ev["party"] for ev in outputs] == ["client:a"]
+    assert w.env == env_entity("s1")
