@@ -5,8 +5,10 @@ validated immediately (kind, authorization signature, txid, conflict key);
 accepted transactions wait in a pending pool and are committed by the next
 round's block unless the adversary holds them, and a hold can never stretch
 past `liveness_bound` rounds.  The txid and the signatures are checked once,
-at submit (``validate``); the block re-checks only what can change while a
-transaction waits, its conflict key and its kind's check (``admissible``).
+at submit (``validate``), which also refuses a txid that is already pending
+or committed, so a txid commits at most once; the block re-checks only what
+can change while a transaction waits, its conflict key and its kind's check
+(``admissible``).
 There is one block per round: the world the ledger is bound to mints it on
 each round advance, and every world's machines poll once, after it, from
 ``Machine.on_round``.  So ``height`` (a count; no block is kept) and the
@@ -108,7 +110,7 @@ class Ledger:
         self.timing = timing
         self.height = 0                       # blocks minted so far
         self.committed: list[dict] = []       # tx + {"height"}
-        self.by_txid: dict[str, dict] = {}    # txid -> first committed entry
+        self.by_txid: dict[str, dict] = {}    # txid -> its committed entry
         self.by_kind: dict[str, list] = {k: [] for k in TX_KINDS}
         self.pending: list[dict] = []         # tx + {"submit_round", "hold_until"}
         self.keys: dict[str, str] = {}        # conflict key -> txid
@@ -130,8 +132,8 @@ class Ledger:
     # -- submission --------------------------------------------------------
 
     def validate(self, tx: dict):
-        """Kind, shape, signatures and txid, then ``admissible``; ``submit``
-        runs it once, so a transaction's txid is digested once."""
+        """Kind, shape, signatures, txid and replay, then ``admissible``;
+        ``submit`` runs it once, so a transaction's txid is digested once."""
         if not isinstance(tx, dict) or tx.get("kind") not in TX_KINDS:
             return False, "unknown-kind"
         if not isinstance(tx.get("body"), dict) or not isinstance(tx.get("author"), str):
@@ -153,6 +155,8 @@ class Ledger:
         if tx.get("txid") != dig:
             # proofs strike, and Ledger.get finds, entries by txid
             return False, "bad-txid"
+        if dig in self.by_txid or any(p["txid"] == dig for p in self.pending):
+            return False, "replay"
         return self.admissible(tx)
 
     def admissible(self, tx: dict):
@@ -215,7 +219,7 @@ class Ledger:
             entry["submit_round"] = tx["submit_round"]
             self.committed.append(entry)
             self.by_kind[entry["kind"]].append(entry)
-            self.by_txid.setdefault(tx["txid"], entry)
+            self.by_txid[tx["txid"]] = entry
             key = tx["body"].get("conflict")
             if key is not None:
                 self.keys[key] = tx["txid"]
@@ -246,7 +250,7 @@ class Ledger:
         return [tx for tx in self.committed if pred(tx)]
 
     def get(self, txid) -> dict | None:
-        """The first committed entry with this txid, or None."""
+        """The committed entry with this txid, or None."""
         # txids are strings; a reference copied from untrusted input may not be
         return self.by_txid.get(txid) if isinstance(txid, str) else None
 

@@ -102,9 +102,9 @@ def test_ledger_rejects_malformed_and_unsigned():
 
 
 def test_ledger_rejects_a_forged_txid():
-    # the rollup fold strikes by txid and Ledger.get finds the first entry
-    # with one, so a tx carrying another's txid must not commit even when
-    # its author really signed it
+    # the rollup fold strikes by txid and Ledger.get finds the entry with
+    # one, so a tx carrying another's txid must not commit even when its
+    # author really signed it
     w, _, _ = ledger_world()
     honest = signed_tx(w, "deposit", {"amt": 1, "conflict": "dep/1"}, "client:a")
     assert honest["sigs"][0]["over"] == honest["txid"]
@@ -150,6 +150,18 @@ def test_a_fresh_registry_starts_empty():
 def ledger_rejects(w):
     return [(e["txid"], e["reason"]) for e in w.trace.events
             if e["t"] == "ledger-reject"]
+
+
+def test_submit_refuses_a_replayed_txid():
+    w, _, _ = ledger_world()
+    tx = signed_tx(w, "deposit", {"amt": 1}, "client:a")
+    assert w.ledger.submit(tx)["accepted"]
+    assert w.ledger.submit(dict(tx))["reason"] == "replay"     # pending
+    w.advance_round()
+    assert w.ledger.submit(dict(tx))["reason"] == "replay"     # committed
+    w.advance_round()
+    assert [t["txid"] for t in w.ledger.committed] == [tx["txid"]]
+    assert w.ledger.pending == []
 
 
 def test_txid_and_signatures_are_checked_once_at_submit(monkeypatch):

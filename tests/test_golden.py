@@ -12,7 +12,11 @@ the whole views and verdicts of those runs are pinned across that change
 in ``tests/test_properties.py``.  The two adversarial rollup lifecycles of
 seeds 1 and 2 were recorded again when every party began to poll the chain
 once per block: a client no longer self-publishes the same batch twice in
-one round.  A change that moves a digest changes a trace and has to say why.
+one round.  The adversarial rollup lifecycle of seed 3 was recorded again
+when the ledger began to refuse a replayed txid: a corrupted operator's
+``publish-wrong`` that resubmits an identical batch is refused at submit
+instead of being committed twice.  A change that moves a digest changes a
+trace and has to say why.
 """
 
 import pytest
@@ -243,8 +247,8 @@ LIFECYCLE = {
         "12085afcdc18b409f4a465bbc60b898ce0516c9f2ec1331126cedfdfb5afdd79"),
     ("arbitrum", 3, True): (
         "68c49da401716fdd713798a708e3b2a93072a08b048235f64ed39413b57e4a81",
-        "ed7b7896f04b5f7c38a139626946b9bc4cc605ea2cea2f171e73f152118e44f8",
-        "05ce08b7dc4aa46eaed0f04a880319aa8beb5464a7978f1c70eef794490a3403"),
+        "3e487c9277ddb9889bac64a6577ccf98b71b2d51e34683681524748ac5d75bca",
+        "001f02f59579ed5026db2b051932fef38601ec4e2fc4b2d11a4187b7c17b55fd"),
 }
 
 

@@ -652,9 +652,9 @@ LIFECYCLE_OUTPUTS = {
         "0cb67b6872c75ba5e1e28a5f0474d4fcac5c0fb0f37333ff34f964d4115d119c"),
     ("arbitrum", 3, True): (
         "ec7ab31f30cb171a1f7a207c3f67bf6cf277cf42e2830cb68617d75e72fae08d",
-        "ff67957301340b204a61549c459f412e579cd92397c82471c541e991dc3378f7",
+        "ae7c10a7fb7addd25e8a2dc1c19e3f4c64247ac3fca8ced48cc81ad87392b8f2",
         "ec7ab31f30cb171a1f7a207c3f67bf6cf277cf42e2830cb68617d75e72fae08d",
-        "ff67957301340b204a61549c459f412e579cd92397c82471c541e991dc3378f7"),
+        "ae7c10a7fb7addd25e8a2dc1c19e3f4c64247ac3fca8ced48cc81ad87392b8f2"),
 }
 
 
