@@ -141,7 +141,9 @@ def _plain_key(key) -> str:
 
 
 class Ctx:
-    """Capabilities handed to a machine while it handles one activation."""
+    """One entity's capabilities; ``World.register`` builds it once and
+    every activation of the entity is handed it, so it holds no
+    per-activation state."""
 
     def __init__(self, world: "World", me: EntityId):
         self.world = world
