@@ -20,7 +20,6 @@ from .base import signed_tx
 from .core import (CLIENT, OPEN, SETTLEMENT, UPDATE, SubroutineBundle,
                    honest, open_record, read_result)
 from .runtime import ENV_ROLE, Machine
-from .trace import digest
 
 OPERATOR = "operator"
 
@@ -34,8 +33,9 @@ def genesis_state(initial: dict) -> dict:
             "minted": [], "height": 0}
 
 
-def l2_txid(tx) -> str:
-    return digest(["l2tx", tx])
+def l2_txid(certs, tx) -> str:
+    """The transaction's id, digested once per run by the registry."""
+    return certs.message("l2tx", tx)
 
 
 def apply_tx(state, tx, ledger, confirm_depth):
@@ -214,7 +214,7 @@ class AccountClient(Machine):
             self._try_send(ctx)
             return
         ctx.note("request-queued", req=tx["op"], nonce=nonce)
-        self.outstanding = {"txid": l2_txid(tx), "tx": tx}
+        self.outstanding = {"txid": l2_txid(ctx.certs, tx), "tx": tx}
         self._sent(ctx, body)
         for op in self.operators:
             ctx.send_net(op, {"kind": "tx", "tx": tx})
@@ -384,10 +384,11 @@ class AccountBundle(SubroutineBundle):
         if burn is None:
             return False, "no-burn", None
         entry, tx = burn
+        txid = l2_txid(ctx.certs, tx)
         committed = ctx.ledger.find(
             lambda t: t["kind"] == self.settle_kind
             and t["body"].get("chain") == self.sid
-            and t["body"].get("l2txid") == l2_txid(tx))
+            and t["body"].get("l2txid") == txid)
         if not committed:
             return False, "not-committed", None
         return True, None, entry["state"]

@@ -40,7 +40,6 @@ from bisect import bisect_left
 from .runtime import Machine, EntityId
 from .base import signed_tx, attach_periodic_clock
 from .core import OPEN, UPDATE, SETTLEMENT, CLIENT
-from .trace import digest
 from .accounts import (
     OPERATOR, AccountBundle, AccountClient, AccountHooks, AccountTracker,
     apply_txs, genesis_state, l2_txid, pack_block, register_onchain,
@@ -54,8 +53,8 @@ def genesis_anchor(sid):
     return f"genesis/{sid}"
 
 
-def batch_digest(batch):
-    return digest(["batch", batch])
+def batch_digest(certs, batch):
+    return certs.message("batch", batch)
 
 
 def plausible_state(s) -> bool:
@@ -117,6 +116,9 @@ class ChainFold:
     no work.  ``chain_view`` hands out copies of ``entries``, and an entry
     whose post ripens is replaced rather than changed, so views handed out
     earlier stay as they were.
+
+    Batch digests and l2 txids come from the registry of the world the
+    ledger is bound to, the run's one registry.
 
     ``positions`` maps each l2 txid to the index of the first entry whose
     "ids" hold it.  Extending the chain adds to the map; cutting the chain
@@ -192,7 +194,8 @@ class ChainFold:
         prev = self.entries[-1]["digest"] if n else genesis_anchor(self.sid)
         if batch.get("seq") != n + 1 or batch.get("prev") != prev:
             return
-        ids = [l2_txid(t) for t in batch.get("txs", [])]
+        certs = ledger.world.certs
+        ids = [l2_txid(certs, t) for t in batch.get("txs", [])]
         for i in ids:
             self.positions.setdefault(i, n)
         self.sources.append(p)
@@ -200,7 +203,7 @@ class ChainFold:
             "batch": batch, "txid": tx["txid"],
             "commit_round": tx.get("commit_round", 0),
             "post": self._execute(n, batch, ledger), "claimed": batch["post"],
-            "digest": batch_digest(batch), "ids": ids})
+            "digest": batch_digest(certs, batch), "ids": ids})
 
 
 def world_view(world, initial):
@@ -324,7 +327,7 @@ class ArbitrumOperator(RollupParty):
     def on_message(self, ctx, env):
         p = env.payload
         if p.get("kind") == "tx":
-            self.mempool[l2_txid(p["tx"])] = p["tx"]
+            self.mempool[l2_txid(ctx.certs, p["tx"])] = p["tx"]
         elif p.get("kind") == "update-request":
             self._publish(ctx)
 
@@ -508,12 +511,13 @@ class ArbitrumClient(AccountClient, RollupParty):
             for tx in e["batch"]["txs"]:
                 if tx.get("op") == "peg-out" and tx.get("from") == self.me.pid \
                         and not self.exit_submitted:
+                    l2id = l2_txid(ctx.certs, tx)
                     ctx.ledger.submit(signed_tx(
                         ctx.certs, "settle",
                         {"chain": self.me.sid, "to": self.me.pid,
-                         "amt": tx["amt"], "l2txid": l2_txid(tx),
+                         "amt": tx["amt"], "l2txid": l2id,
                          "batch": e["txid"], "state": e["claimed"],
-                         "conflict": f"exit/{self.me.sid}/{l2_txid(tx)}"},
+                         "conflict": f"exit/{self.me.sid}/{l2id}"},
                         self.me.short()))
                     self.exit_submitted = True
         self._watch_settlements(ctx)

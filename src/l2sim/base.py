@@ -31,15 +31,30 @@ the message's digest rather than the message, so a caller that checks
 several refs over one message digests it once; ``signed_tx`` signs the
 ``txid`` that ``make_tx`` computed, which is the digest of the signable
 part, and ``Ledger.validate`` refuses a transaction whose txid is not.
-``CertRegistry.message`` digests a message given as its parts and memoizes
-the digest for the registry's one run, so a phase message that every
-committee member signs or checks is digested once.
+
+Each run has one registry (the ideal run's outer and inner worlds share
+it), and it is the one place that memoizes digests: ``CertRegistry.digest``
+equals ``trace.digest`` and ``message(*parts)`` is ``digest(list(parts))``,
+each computed once per run for a value.  A list is keyed by its items and
+any other value by its identity; an item that is exactly a ``str`` or an
+``int`` is keyed by value, any other by a tagged identity.  The memo keeps
+every value it keys by identity alive, so no id is reused while the run
+lasts, and a copy of the registry starts with an empty memo.  An identity
+key is exact only while the value is never changed in place, which the
+protocols keep to (``tests/test_digest_memo.py`` re-digests every hit).
+The memo dies with its registry, so memory stays bounded by one run.
+``Ledger.validate`` keeps its own uncached digest of the signable
+part: it is the ledger's forgery check, and must hold even for a body
+changed after it was signed.
 """
 
 from __future__ import annotations
 
 from .trace import digest
 from .runtime import EntityId, SimError
+
+# tags an identity in a memo key, so an id never equals a str or int part
+_BY_ID = object()
 
 TX_KINDS = (
     "deposit", "open-commit", "settle", "peg-out",
@@ -50,18 +65,41 @@ TX_KINDS = (
 class CertRegistry:
     def __init__(self):
         self.log: list[tuple[str, str]] = []    # handle h is log[h - 1]
-        self.messages: dict[tuple, str] = {}    # parts -> digest(list(parts))
+        self.memo: dict[tuple, tuple] = {}      # key -> (digest, what it digests)
+
+    def __getstate__(self):
+        # memo keys are identities of this registry's objects, which a copy
+        # (``World.clone``) does not share, so a copy starts with none
+        return dict(self.__dict__, memo={})
+
+    def digest(self, value) -> str:
+        """``trace.digest(value)``, memoized for this registry's run."""
+        if type(value) is list:
+            return self.message(*value)
+        key = (_BY_ID, id(value))
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit[0]
+        dig = digest(value)
+        self.memo[key] = (dig, value)
+        return dig
 
     def message(self, *parts) -> str:
         """The digest of the message ``list(parts)``, memoized for this
-        registry when every part is exactly a ``str`` or an ``int`` (so
-        ``True`` never stands in for ``1``)."""
+        registry: a part that is exactly a ``str`` or an ``int`` is keyed
+        by value (so ``True`` never stands in for ``1``), any other part by
+        its identity, which the entry keeps alive."""
+        key = parts
         for part in parts:
             if type(part) is not str and type(part) is not int:
-                return digest(list(parts))
-        dig = self.messages.get(parts)
-        if dig is None:
-            dig = self.messages[parts] = digest(list(parts))
+                key = tuple(p if type(p) is str or type(p) is int
+                            else (_BY_ID, id(p)) for p in parts)
+                break
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit[0]
+        dig = digest(list(parts))
+        self.memo[key] = (dig, parts)
         return dig
 
     def sign(self, signer: str, dig: str) -> dict:
@@ -133,7 +171,8 @@ class Ledger:
 
     def validate(self, tx: dict):
         """Kind, shape, signatures, txid and replay, then ``admissible``;
-        ``submit`` runs it once, so a transaction's txid is digested once."""
+        ``submit`` runs it once, so a transaction's txid is digested once,
+        afresh and never through the registry's memo."""
         if not isinstance(tx, dict) or tx.get("kind") not in TX_KINDS:
             return False, "unknown-kind"
         if not isinstance(tx.get("body"), dict) or not isinstance(tx.get("author"), str):

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from .runtime import Machine, EntityId
 from .base import signed_tx
-from .trace import digest
 from .core import (SubroutineBundle, OPEN, UPDATE, SETTLEMENT, CLIENT,
                    honest, open_record, read_entries, read_result,
                    settled_entry)
@@ -70,21 +69,22 @@ def conserves(prev: dict, new: dict) -> bool:
     return sum(new["bal"].values()) == sum(prev["bal"].values())
 
 
-# each *_msg helper returns the digest of the message that is signed
-def state_msg(sid, state, seq):
-    return digest(["chan-state", sid, state, seq])
+# each *_msg helper returns the digest of the message that is signed, which
+# the registry memoizes: both clients and every warden sign or check it
+def state_msg(certs, sid, state, seq):
+    return certs.message("chan-state", sid, state, seq)
 
 
-def open_msg(sid, state):
-    return digest(["chan-open", sid, state])
+def open_msg(certs, sid, state):
+    return certs.message("chan-open", sid, state)
 
 
-def close_msg(sid, state, seq):
-    return digest(["chan-close", sid, state, seq])
+def close_msg(certs, sid, state, seq):
+    return certs.message("chan-close", sid, state, seq)
 
 
-def warden_msg(sid, state, seq):
-    return digest(["warden-state", sid, state, seq])
+def warden_msg(certs, sid, state, seq):
+    return certs.message("warden-state", sid, state, seq)
 
 
 # -- real machines ---------------------------------------------------------
@@ -150,7 +150,7 @@ class BrickClient(Machine):
             return
         self.s0 = initial_state(self.collateral)
         self.my_open_sig = ctx.certs.sign(self.me.short(),
-                                          open_msg(self.me.sid, self.s0))
+                                          open_msg(ctx.certs, self.me.sid, self.s0))
         msg = {"kind": "chan-open", "state": self.s0, "sig": self.my_open_sig}
         ctx.send_net(self._peer_entity(), msg)
         for w in self.wardens:
@@ -176,7 +176,7 @@ class BrickClient(Machine):
         seq = new["seq"]
         ctx.note("request-queued", req="pay", seq=seq)
         sig = ctx.certs.sign(self.me.short(),
-                             state_msg(self.me.sid, new, seq))
+                             state_msg(ctx.certs, self.me.sid, new, seq))
         self.proposal = {"state": new, "seq": seq, "sig": sig}
         ctx.send_net(self._peer_entity(),
                      {"kind": "pay", "state": new, "seq": seq, "sig": sig})
@@ -200,8 +200,8 @@ class BrickClient(Machine):
                 ctx.note("request-refused", why="unknown-seq", req="settle")
                 return
             target = hits[0]
-        sig = ctx.certs.sign(self.me.short(),
-                             close_msg(self.me.sid, target["state"], target["seq"]))
+        sig = ctx.certs.sign(self.me.short(), close_msg(
+            ctx.certs, self.me.sid, target["state"], target["seq"]))
         self.close_pending = {"state": target["state"], "seq": target["seq"], "sig": sig}
         ctx.send_net(self._peer_entity(),
                      {"kind": "close-req", "state": target["state"],
@@ -222,7 +222,7 @@ class BrickClient(Machine):
     def _from_net(self, ctx, kind, p, src):
         if kind == "chan-open":
             if ctx.certs.verify(p["sig"],
-                                open_msg(self.me.sid, p["state"]),
+                                open_msg(ctx.certs, self.me.sid, p["state"]),
                                 f"{CLIENT}:{self.peer}"):
                 self.peer_open_sig = p["sig"]
         elif kind == "chan-open-ack":
@@ -240,7 +240,7 @@ class BrickClient(Machine):
         if self.phase != "opening" or p["state"] != self.s0:
             return
         if not ctx.certs.verify(p["wsig"],
-                                warden_msg(self.me.sid, self.s0, 0),
+                                warden_msg(ctx.certs, self.me.sid, self.s0, 0),
                                 src.short()):
             return
         self.open_acks[src.short()] = p["wsig"]
@@ -263,7 +263,7 @@ class BrickClient(Machine):
             return
         if state["bal"].get(self.me.pid, 0) < mine["state"]["bal"].get(self.me.pid, 0):
             return                       # the proposer pays out of their own share
-        dig = state_msg(self.me.sid, state, seq)
+        dig = state_msg(ctx.certs, self.me.sid, state, seq)
         if not ctx.certs.verify(p["sig"], dig, f"{CLIENT}:{self.peer}"):
             return
         sig2 = ctx.certs.sign(self.me.short(), dig)
@@ -279,7 +279,7 @@ class BrickClient(Machine):
         if mine is None or seq != mine["seq"] + 1:
             return
         if not ctx.certs.verify(p["wsig"],
-                                warden_msg(self.me.sid, state, seq),
+                                warden_msg(ctx.certs, self.me.sid, state, seq),
                                 src.short()):
             return
         slot = self.acks.setdefault(seq, {})
@@ -301,7 +301,7 @@ class BrickClient(Machine):
         known = [e for e in self.chain if e["seq"] == seq and e["state"] == state]
         if not known:
             return
-        dig = close_msg(self.me.sid, state, seq)
+        dig = close_msg(ctx.certs, self.me.sid, state, seq)
         if not ctx.certs.verify(p["sig"], dig, f"{CLIENT}:{self.peer}"):
             return
         sig2 = ctx.certs.sign(self.me.short(), dig)
@@ -311,8 +311,8 @@ class BrickClient(Machine):
         if self.close_pending is None or p["seq"] != self.close_pending["seq"]:
             return
         cp = self.close_pending
-        if not ctx.certs.verify(p["sig"],
-                                close_msg(self.me.sid, cp["state"], cp["seq"]),
+        if not ctx.certs.verify(p["sig"], close_msg(ctx.certs, self.me.sid,
+                                                    cp["state"], cp["seq"]),
                                 f"{CLIENT}:{self.peer}"):
             return
         self._submit_close(ctx, cp["state"], cp["seq"], [cp["sig"], p["sig"]], "collab")
@@ -393,7 +393,7 @@ class BrickWarden(Machine):
         if src.short() not in self.clients:
             return
         if not ctx.certs.verify(p["sig"],
-                                open_msg(self.me.sid, p["state"]),
+                                open_msg(ctx.certs, self.me.sid, p["state"]),
                                 src.short()):
             return
         self.open_sigs[src.short()] = p["sig"]
@@ -403,7 +403,7 @@ class BrickWarden(Machine):
             self.stored = {"state": self.s0, "seq": 0,
                            "csigs": [self.open_sigs[c] for c in self.clients]}
             wsig = ctx.certs.sign(self.me.short(),
-                                  warden_msg(self.me.sid, self.s0, 0))
+                                  warden_msg(ctx.certs, self.me.sid, self.s0, 0))
             for c in self._client_entities():
                 ctx.send_net(c, {"kind": "chan-open-ack", "state": self.s0, "wsig": wsig})
             ctx.ledger.submit(signed_tx(
@@ -422,14 +422,14 @@ class BrickWarden(Machine):
             return
         if len(csigs) != 2:
             return
-        dig = state_msg(self.me.sid, state, seq)
+        dig = state_msg(ctx.certs, self.me.sid, state, seq)
         signers = {ctx.certs.verify_any(ref, dig) for ref in csigs}
         if signers != set(self.clients):
             return
         self.stored = {"state": state, "seq": seq, "csigs": csigs}
         ctx.note("warden-accept", seq=seq, state=state)
         wsig = ctx.certs.sign(self.me.short(),
-                              warden_msg(self.me.sid, state, seq))
+                              warden_msg(ctx.certs, self.me.sid, state, seq))
         for c in self._client_entities():
             ctx.send_net(c, {"kind": "pay-ack", "state": state, "seq": seq,
                              "wsig": wsig, "csigs": csigs})
@@ -470,17 +470,17 @@ def install_ledger_checks(world, sid, clients):
         state, seq = body.get("state"), body.get("seq")
 
         def forms():                     # digested only as far as tried
-            yield close_msg(sid, state, seq)
-            yield state_msg(sid, state, seq)
-            yield open_msg(sid, state)
+            yield close_msg(world.certs, sid, state, seq)
+            yield state_msg(world.certs, sid, state, seq)
+            yield open_msg(world.certs, sid, state)
         why = unsigned(body, forms())
         return why is None, why
 
     def check_wpub(tx, ledger):
         body = tx["body"]
         state, seq = body.get("state"), body.get("seq")
-        why = unsigned(body, (open_msg(sid, state) if seq == 0
-                              else state_msg(sid, state, seq),))
+        why = unsigned(body, (open_msg(world.certs, sid, state) if seq == 0
+                              else state_msg(world.certs, sid, state, seq),))
         return why is None, why
 
     world.ledger.kind_checks["settle"] = check_close
@@ -566,7 +566,8 @@ class BrickBundle(SubroutineBundle):
             return False, "not-next", None
         if not conserves(ist.latest(), new_state):
             return False, "not-conserving", None
-        if not self._agreed(attachment, state_msg(self.sid, new_state, seq), ctx):
+        if not self._agreed(attachment,
+                            state_msg(ctx.certs, self.sid, new_state, seq), ctx):
             return False, "missing-agreement", None
         if len(self._warden_entries(attachment)) < 2 * self.f + 1:
             return False, "thin-warden-multiset", None
@@ -590,8 +591,8 @@ class BrickBundle(SubroutineBundle):
             if not (isinstance(want_seq, int) and 0 <= want_seq < len(ist.states)
                     and ist.states[want_seq] == want_state):
                 return False, "unrecorded-state", None
-            if not self._agreed(attachment,
-                                close_msg(self.sid, want_state, want_seq), ctx):
+            if not self._agreed(attachment, close_msg(ctx.certs, self.sid,
+                                                      want_state, want_seq), ctx):
                 return False, "missing-agreement", None
             closes = ctx.ledger.find(
                 lambda t: t["kind"] == "settle" and t["body"].get("channel") == self.sid
@@ -776,7 +777,7 @@ def menu(world, entity):
         def ack_garbage():
             bogus = {"bal": {"c1": 1, "c2": 1}, "seq": 99}
             wsig = world.certs.sign(entity.short(),
-                                    warden_msg(sid, bogus, 99))
+                                    warden_msg(world.certs, sid, bogus, 99))
             for ent in world.roles.get(CLIENT, []):
                 world.queue_net(entity, ent,
                                 {"kind": "pay-ack", "state": bogus, "seq": 99,
@@ -790,8 +791,8 @@ def menu(world, entity):
             if m is None or not m.chain:
                 return None
             target = m.chain[0]
-            sig = world.certs.sign(entity.short(),
-                                   close_msg(sid, target["state"], target["seq"]))
+            sig = world.certs.sign(entity.short(), close_msg(
+                world.certs, sid, target["state"], target["seq"]))
             peer = EntityId(m.peer, sid, CLIENT)
             world.queue_net(entity, peer,
                             {"kind": "close-req", "state": target["state"],

@@ -13,9 +13,10 @@ ledger is bound to, mints blocks; reads ask the simulator through its
 
 Schedules are plain data (lists of step dicts), so they serialize into
 scenario files and replay bit-exactly; ``apply_schedule`` checks every
-environment entry against ``ENTRY_FIELDS`` before the first step and
-raises ScheduleError for a malformed one.  Both run flavors expose the
-same driving surface (input / corrupt / menu_act / pump / advance), and
+step against ``STEP_FIELDS`` and every environment entry against
+``ENTRY_FIELDS`` before the first step, and raises ScheduleError for a
+malformed one.  Both run flavors expose the same driving surface
+(input / corrupt / menu_act / pump / advance), and
 ``run_differential`` executes one schedule against both and diffs the
 per-party output streams.  Both flavors build read results with
 ``core.read_result``: a read carries ``base``, the length of the longest
@@ -311,6 +312,22 @@ ENTRY_FIELDS = {brick: {"pay": _PAY}, liquid: _ACCOUNT_ENTRIES,
                 arbitrum: _ACCOUNT_ENTRIES}
 
 
+# the fields each schedule op needs, with their types (a raw trigger's
+# payload may be anything: the interface must refuse what it cannot use);
+# any step may also carry the optional fields, which a pump reads as its
+# shuffle seed and a corrupt as its force flag
+STEP_FIELDS = {"input": {"pid": str}, "advance": {}, "pump": {},
+               "corrupt": {"role": str, "pid": str},
+               "menu": {"role": str, "pid": str, "action": str},
+               "raw-trigger": {"payload": object}}
+OPTIONAL_FIELDS = {"seed": int, "force": bool}
+
+
+def _typed(value, typ):
+    """``value`` is a ``typ``; a bool is no int."""
+    return isinstance(value, typ) and not (typ is int and isinstance(value, bool))
+
+
 def _check_entry(proto, entry):
     """Raise ScheduleError unless ``entry`` is a well-formed environment
     entry for protocol module ``proto``."""
@@ -318,16 +335,35 @@ def _check_entry(proto, entry):
         raise ScheduleError(f"malformed environment entry {entry!r}")
     for name, typ in ENTRY_FIELDS[proto].get(entry["kind"], {}).items():
         value = entry.get(name)
-        if not isinstance(value, typ) or isinstance(value, bool):
+        if not _typed(value, typ):
             raise ScheduleError(f"{entry['kind']} entry needs {typ.__name__} "
                                 f"{name!r}, got {value!r}")
 
 
+def _check_step(proto, step):
+    """Raise ScheduleError unless ``step`` is a well-formed schedule step
+    for protocol module ``proto``."""
+    if not isinstance(step, dict):
+        raise ScheduleError(f"schedule step is not a dict: {step!r}")
+    op = step.get("op")
+    if not isinstance(op, str) or op not in STEP_FIELDS:
+        raise ScheduleError(f"unknown schedule op {op!r}")
+    for name, typ in STEP_FIELDS[op].items():
+        if name not in step or not _typed(step[name], typ):
+            raise ScheduleError(f"{op} step needs {typ.__name__} {name!r}, "
+                                f"got {step.get(name)!r}")
+    for name, typ in OPTIONAL_FIELDS.items():
+        if name in step and not _typed(step[name], typ):
+            raise ScheduleError(f"{op} step's {name!r} must be "
+                                f"{typ.__name__}, got {step[name]!r}")
+    if op == "input":
+        _check_entry(proto, step.get("entry"))
+
+
 def apply_schedule(run, schedule):
-    """Run ``schedule`` step by step; every input entry is checked first."""
+    """Run ``schedule`` step by step; every step is checked first."""
     for step in schedule:
-        if step.get("op") == "input":
-            _check_entry(run.proto, step.get("entry"))
+        _check_step(run.proto, step)
     for step in schedule:
         op = step["op"]
         if op == "input":
@@ -341,10 +377,8 @@ def apply_schedule(run, schedule):
             run.corrupt(step["role"], step["pid"], step.get("force", False))
         elif op == "menu":
             run.menu_act(step["role"], step["pid"], step["action"])
-        elif op == "raw-trigger":
-            run.raw_trigger(step["payload"])
         else:
-            raise ValueError(f"unknown schedule op {op!r}")
+            run.raw_trigger(step["payload"])
     return run
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from .runtime import ENV_ROLE, Machine, EntityId
 from .base import signed_tx, attach_leader_clock
 from .core import OPEN, UPDATE, SETTLEMENT, CLIENT
-from .trace import digest
 from .accounts import (
     OPERATOR, AccountBundle, AccountClient, AccountHooks, AccountTracker,
     apply_txs, genesis_state, l2_txid, overdraft_tx, pack_block,
@@ -54,9 +53,9 @@ def pegout_msg(certs, sid, l2txid, height):
     return certs.message("pegout", sid, l2txid, height)
 
 
-def content_digest(block):
+def content_digest(certs, block):
     """Round- and proposer-independent block identity, used for locks."""
-    return digest([block["height"], block["prev"], block["txs"]])
+    return certs.message(block["height"], block["prev"], block["txs"])
 
 
 def apply_block(state, block, ledger, confirm_depth):
@@ -67,10 +66,10 @@ def apply_block(state, block, ledger, confirm_depth):
 
 def cert_valid(certs, sid, block, cert, quorum, operators):
     """The digest of ``block`` if both its quorum certificates (lists of
-    {"by", "ref"}) hold, else None; callers keep it as their tip digest."""
+    {"by", "ref"}) hold, else None."""
     if not isinstance(cert, dict):
         return None
-    bdig = digest(block)
+    bdig = certs.digest(block)
     h, rnd = block["height"], cert.get("round")
     ok_sets = []
     for phase, dig in (("pre", pre_msg(certs, sid, h, rnd, bdig)),
@@ -99,7 +98,6 @@ class LiquidOperator(Machine):
         self.f = f
         self.quorum = quorum
         self.chain = [{"block": genesis_block(), "cert": None}]
-        self._tip_dig = digest(genesis_block())   # digest(self.tip())
         self.states = [genesis_state(initial)]
         self.mempool = {}
         self.voted = set()        # (height, round) precommit slots
@@ -140,7 +138,7 @@ class LiquidOperator(Machine):
             self._maybe_propose(ctx, p["round"])
         elif kind == "tx":
             tx = p["tx"]
-            self.mempool[l2_txid(tx)] = tx
+            self.mempool[l2_txid(ctx.certs, tx)] = tx
         elif kind == "propose":
             self._on_propose(ctx, p["block"], src)
         elif kind == "precommit":
@@ -164,8 +162,8 @@ class LiquidOperator(Machine):
                                 self.mempool, ctx.timing["confirm_depth"])
             if not txs:
                 return
-            block = {"height": h, "prev": self._tip_dig, "txs": txs,
-                     "round": rnd, "proposer": self.me.short()}
+            block = {"height": h, "prev": ctx.certs.digest(self.tip()),
+                     "txs": txs, "round": rnd, "proposer": self.me.short()}
         self._broadcast_ops(ctx, {"kind": "propose", "block": block})
 
     def _on_propose(self, ctx, block, src):
@@ -176,11 +174,11 @@ class LiquidOperator(Machine):
             return
         if src != self.me and src.short() != block.get("proposer"):
             return
-        if block.get("prev") != self._tip_dig:
+        if block.get("prev") != ctx.certs.digest(self.tip()):
             return
-        bdig = digest(block)
+        bdig = ctx.certs.digest(block)
         lock = self.locks.get(h)
-        if lock is not None and lock["cdig"] != content_digest(block):
+        if lock is not None and lock["cdig"] != content_digest(ctx.certs, block):
             return
         slot = (h, block["round"])
         if slot in self.voted:
@@ -203,7 +201,8 @@ class LiquidOperator(Machine):
             return
         # a vote carries its own copy of the block: keep only one that
         # ``bdig`` digests, so a certificate is never paired with another
-        if bdig not in self.blocks_seen and digest(p.get("block")) == bdig:
+        if bdig not in self.blocks_seen \
+                and ctx.certs.digest(p.get("block")) == bdig:
             self.blocks_seen[bdig] = p["block"]
         store = self.pre_store.setdefault((h, rnd, bdig), {})
         store[src.short()] = p["ref"]
@@ -213,7 +212,8 @@ class LiquidOperator(Machine):
                 and self.blocks_seen.get(bdig) is not None):
             self.finvoted.add(slot)
             block = self.blocks_seen[bdig]
-            self.locks[h] = {"cdig": content_digest(block), "block": block}
+            self.locks[h] = {"cdig": content_digest(ctx.certs, block),
+                             "block": block}
             ref = ctx.certs.sign(self.me.short(),
                                  fin_msg(ctx.certs, self.me.sid, h, rnd, bdig))
             self._broadcast_ops(ctx, {"kind": "final", "height": h, "round": rnd,
@@ -225,7 +225,8 @@ class LiquidOperator(Machine):
         if src != self.me and not ctx.certs.verify(
                 p["ref"], fin_msg(ctx.certs, self.me.sid, h, rnd, bdig), src.short()):
             return
-        if bdig not in self.blocks_seen and digest(p.get("block")) == bdig:
+        if bdig not in self.blocks_seen \
+                and ctx.certs.digest(p.get("block")) == bdig:
             self.blocks_seen[bdig] = p["block"]
         store = self.fin_store.setdefault((h, rnd, bdig), {})
         store[src.short()] = p["ref"]
@@ -246,11 +247,10 @@ class LiquidOperator(Machine):
         if new_state is None:
             return
         self.chain.append(entry)
-        self._tip_dig = bdig
         self.states.append(new_state)
         for tx in block["txs"]:
-            self.mempool.pop(l2_txid(tx), None)
-        ctx.note("block-final", height=block["height"], bdig=self._tip_dig,
+            self.mempool.pop(l2_txid(ctx.certs, tx), None)
+        ctx.note("block-final", height=block["height"], bdig=bdig,
                  via=via, ntx=len(block["txs"]))
         push = {"kind": "block-push", "entry": entry}
         for c in self.clients:
@@ -260,7 +260,7 @@ class LiquidOperator(Machine):
                 ctx.send_net(op, push)
         for tx in block["txs"]:
             if tx.get("op") == "peg-out":
-                txid = l2_txid(tx)
+                txid = l2_txid(ctx.certs, tx)
                 ref = ctx.certs.sign(self.me.short(), pegout_msg(
                     ctx.certs, self.me.sid, txid, block["height"]))
                 self._broadcast_ops(ctx, {"kind": "pegout-sig", "l2txid": txid,
@@ -271,7 +271,7 @@ class LiquidOperator(Machine):
         block = entry["block"]
         if block["height"] != self.tip()["height"] + 1:
             return
-        if block.get("prev") != self._tip_dig:
+        if block.get("prev") != ctx.certs.digest(self.tip()):
             return
         bdig = cert_valid(ctx.certs, self.me.sid, block, entry["cert"],
                           self.quorum, [o.short() for o in self.operators])
@@ -308,7 +308,6 @@ class LiquidClient(AccountClient):
         self.f = f
         self.quorum = quorum
         self.chain = [{"block": genesis_block(), "cert": None}]
-        self._tip_dig = digest(genesis_block())   # digest of the last block
         self.states = [genesis_state(initial)]
         self.buffer = {}
 
@@ -339,7 +338,7 @@ class LiquidClient(AccountClient):
             if entry is None:
                 return
             block = entry["block"]
-            if block.get("prev") != self._tip_dig:
+            if block.get("prev") != ctx.certs.digest(self.chain[-1]["block"]):
                 return
             bdig = cert_valid(ctx.certs, self.me.sid, block, entry["cert"],
                               self.quorum, [o.short() for o in self.operators])
@@ -350,11 +349,10 @@ class LiquidClient(AccountClient):
             if new_state is None:
                 return
             self.chain.append(entry)
-            self._tip_dig = bdig
             self.states.append(new_state)
             ctx.note("chain-extend", height=block["height"])
             if (self.outstanding is not None
-                    and any(l2_txid(t) == self.outstanding["txid"]
+                    and any(l2_txid(ctx.certs, t) == self.outstanding["txid"]
                             for t in block["txs"])):
                 self.outstanding = None
             self._try_send(ctx)
@@ -409,7 +407,7 @@ class LiquidBundle(AccountBundle):
     def _certify(self, ist, block, attachment, ctx):
         # while open, the last record is the open or an update, and both
         # carry their block
-        if block.get("prev") != digest(ist.executed[-1]["block"]):
+        if block.get("prev") != ctx.certs.digest(ist.executed[-1]["block"]):
             return "wrong-parent"
         if cert_valid(ctx.certs, self.sid, block, attachment,
                       self.quorum, self.operators) is None:
@@ -525,7 +523,7 @@ def forge_block(proposer_short, height, prev, txs, rnd):
 def sign_branch(world, op_entity, block):
     """Corrupt operator's precommit and final for an arbitrary block."""
     sid = world.sid
-    bdig = digest(block)
+    bdig = world.certs.digest(block)
     h, rnd = block["height"], block["round"]
     pre = world.certs.sign(op_entity.short(), pre_msg(world.certs, sid, h, rnd, bdig))
     fin = world.certs.sign(op_entity.short(), fin_msg(world.certs, sid, h, rnd, bdig))
@@ -544,7 +542,7 @@ def equivocate(world, op_entity, targets_a, targets_b, txs_a, rnd):
     """
     some_op = world.machines[targets_a[0]] if targets_a else None
     tip = some_op.tip() if some_op else genesis_block()
-    h, prev = tip["height"] + 1, digest(tip)
+    h, prev = tip["height"] + 1, world.certs.digest(tip)
     block_a = forge_block(op_entity.short(), h, prev, txs_a, rnd)
     block_b = forge_block(op_entity.short(), h, prev, [], rnd)
     for block, targets in ((block_a, targets_a), (block_b, targets_b)):
@@ -574,7 +572,8 @@ def menu(world, entity):
             if m is None:
                 return None
             bogus = forge_block(entity.short(), m.tip()["height"] + 1,
-                                digest(m.tip()), [overdraft_tx("c1", "c2")],
+                                world.certs.digest(m.tip()),
+                                [overdraft_tx("c1", "c2")],
                                 world.round_no)
             for op in world.roles.get(OPERATOR, []):
                 if op != entity:

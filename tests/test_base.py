@@ -2,6 +2,7 @@
 
 import pytest
 
+from l2sim import base
 from l2sim.base import (
     CertRegistry, Ledger, make_tx, tx_signable,
     attach_leader_clock, attach_periodic_clock,
@@ -124,9 +125,10 @@ def test_message_is_the_digest_of_its_parts():
                   ("fin", "side", [1, 2], {"k": 1}, "ab")):
         assert certs.message(*parts) == digest(list(parts))
         assert certs.message(*parts) == digest(list(parts))    # again
-    # only messages whose parts are all exactly str or int are memoized
-    assert certs.messages == {("pre", "side", 1, 2, "ab"):
-                              digest(["pre", "side", 1, 2, "ab"])}
+    # exact str and int parts are keyed by value, any other by identity
+    assert [key[:2] for key in certs.memo] == [
+        ("pre", "side"), ("pegout", "side"), ("fin", "side")]
+    assert list(certs.memo)[0] == ("pre", "side", 1, 2, "ab")
 
 
 @pytest.mark.parametrize("first", [1, True, 1.0])
@@ -136,7 +138,7 @@ def test_message_keeps_true_one_and_one_point_zero_apart(first):
     digests = {certs.message("pre", "side", part) for part in (1, True, 1.0)}
     assert len(digests) == 3
     assert certs.message("pre", "side", 1) == digest(["pre", "side", 1])
-    assert list(certs.messages) == [("pre", "side", 1)]
+    assert [key for key in certs.memo if key[2] == 1] == [("pre", "side", 1)]
 
 
 def test_a_fresh_registry_starts_empty():
@@ -144,7 +146,44 @@ def test_a_fresh_registry_starts_empty():
     used.message("pre", "side", 1)
     used.sign("client:a", used.message("pre", "side", 1))
     fresh = CertRegistry()
-    assert fresh.messages == {} and fresh.log == []
+    assert fresh.memo == {} and fresh.log == []
+
+
+def test_registry_digest_is_the_digest():
+    certs = CertRegistry()
+    block = {"height": 1, "txs": []}
+    for value in (block, ["l2tx", block], None, "ab", 3, [], [None, True]):
+        assert certs.digest(value) == digest(value)
+        assert certs.digest(value) == digest(value)           # again
+    assert certs.message("l2tx", block) == digest(["l2tx", block])
+    # the list and its one item are distinct values with distinct keys
+    assert certs.digest([block]) != certs.digest(block)
+
+
+def test_a_cloned_world_starts_with_an_empty_memo():
+    # memo keys are identities, and a deep copy's objects have new ones
+    w, _, _ = ledger_world()
+    state = {"bal": {"a": 1}}
+    dig = w.certs.message("chan-state", "s", state, 1)
+    w.certs.sign("client:a", dig)
+    twin = w.clone()
+    assert twin.certs.memo == {} and twin.certs.log == w.certs.log
+    assert twin.certs.message("chan-state", "s", state, 1) == dig
+    assert len(w.certs.memo) == 1
+
+
+def test_the_ledger_check_reads_no_memo():
+    # a body changed in place after signing keeps its memo key, so a memo
+    # would still answer the signed digest; the ledger digests afresh
+    w, _, _ = ledger_world()
+    tx = base.signed_tx(w.certs, "deposit", {"amt": 1, "conflict": "d/1"},
+                        "client:a")
+    assert w.certs.digest(tx_signable(tx)) == tx["txid"]
+    tx["body"]["amt"] = 1000
+    assert w.certs.digest(tx_signable(tx)) == tx["txid"]          # stale
+    r = w.ledger.submit(tx)
+    assert r["accepted"] is False
+    assert r["reason"] in ("bad-signature", "bad-txid")
 
 
 def ledger_rejects(w):

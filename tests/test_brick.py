@@ -224,7 +224,8 @@ def test_ledger_rejects_forged_close():
     world, scn = make_world()
     open_channel(world)
     bogus = {"bal": {"c1": 0, "c2": 20}, "seq": 5}
-    ref = world.certs.sign("client:c2", brick.close_msg(world.sid, bogus, 5))
+    ref = world.certs.sign("client:c2",
+                           brick.close_msg(world.certs, world.sid, bogus, 5))
     tx = make_tx("settle", {"channel": world.sid, "state": bogus, "seq": 5,
                             "csigs": [ref, ref], "mode": "collab",
                             "conflict": f"close/{world.sid}"}, "client:c2")
@@ -352,7 +353,7 @@ def test_bundle_update_check_wants_client_agreement():
     world, scn, bundle, ist, ctx = ideal_fixture()
     seed_open(bundle, ist, scn, ctx)
     new = {"bal": {"c1": 7, "c2": 13}, "seq": 1}
-    msg = brick.state_msg(world.sid, new, 1)
+    msg = brick.state_msg(world.certs, world.sid, new, 1)
     c1 = world.certs.sign("client:c1", msg)
     c2 = world.certs.sign("client:c2", msg)
     wardens = [{"by": f"warden:w{i+1}"} for i in range(3)]
@@ -384,7 +385,7 @@ def test_bundle_update_takes_only_the_next_seq():
     wardens = [{"by": f"warden:w{i+1}"} for i in range(3)]
 
     def update(state):
-        msg = brick.state_msg(world.sid, state, state["seq"])
+        msg = brick.state_msg(world.certs, world.sid, state, state["seq"])
         att = {"clients": [world.certs.sign(c, msg)
                            for c in ("client:c1", "client:c2")],
                "wardens": wardens}
@@ -412,7 +413,7 @@ def test_bundle_collab_settles_only_a_recorded_state():
     record_updates(ist, s1)
     ist.queue.append({"kind": SETTLEMENT, "body": {"type": "collab"},
                       "by": "c1", "rid": ist.new_rid()})
-    msg = brick.close_msg(world.sid, s1, 1)
+    msg = brick.close_msg(world.certs, world.sid, s1, 1)
     csigs = [world.certs.sign(c, msg) for c in ("client:c1", "client:c2")]
 
     def settle(state, seq, att):
@@ -439,7 +440,7 @@ def test_bundle_unilateral_needs_quorum_and_latest():
     s0 = seed_open(bundle, ist, scn, ctx)
     s1 = {"bal": {"c1": 7, "c2": 13}, "seq": 1}
     record_updates(ist, s1)
-    msg1 = brick.state_msg(world.sid, s1, 1)
+    msg1 = brick.state_msg(world.certs, world.sid, s1, 1)
     csigs = [world.certs.sign("client:c1", msg1),
              world.certs.sign("client:c2", msg1)]
     body = {"type": "unilateral"}
@@ -454,8 +455,9 @@ def test_bundle_unilateral_needs_quorum_and_latest():
         tx["sigs"] = [world.certs.sign(short, digest(tx_signable(tx)))]
         assert world.ledger.submit(tx)["accepted"]
 
-    open_sigs = [world.certs.sign("client:c1", brick.open_msg(world.sid, s0)),
-                 world.certs.sign("client:c2", brick.open_msg(world.sid, s0))]
+    open_dig = brick.open_msg(world.certs, world.sid, s0)
+    open_sigs = [world.certs.sign("client:c1", open_dig),
+                 world.certs.sign("client:c2", open_dig)]
     publish("warden:w1", s0, 0, open_sigs)
     publish("warden:w2", s0, 0, open_sigs)
     publish("warden:w3", s0, 0, open_sigs)

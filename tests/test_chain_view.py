@@ -16,7 +16,7 @@ import copy
 import pytest
 
 from l2sim import arbitrum
-from l2sim.accounts import apply_txs, genesis_state, l2_txid
+from l2sim.accounts import apply_txs, genesis_state
 from l2sim.base import CertRegistry, Ledger, signed_tx
 from l2sim.core import CLIENT
 from l2sim.harness import (
@@ -24,6 +24,7 @@ from l2sim.harness import (
     run_differential, scripted_schedules,
 )
 from l2sim.runtime import World
+from l2sim.trace import digest
 
 
 def reference_chain_view(ledger, sid, initial, confirm_depth, round_no,
@@ -45,14 +46,15 @@ def reference_chain_view(ledger, sid, initial, confirm_depth, round_no,
             continue
         post = apply_txs(state, batch.get("txs", []), ledger, confirm_depth,
                          batch["seq"])
-        digest = arbitrum.batch_digest(batch)
+        bdig = digest(["batch", batch])
         entries.append({"batch": batch, "txid": tx["txid"],
                         "commit_round": tx.get("commit_round", 0),
                         "post": post, "claimed": batch["post"],
-                        "digest": digest,
-                        "ids": [l2_txid(t) for t in batch.get("txs", [])]})
+                        "digest": bdig,
+                        "ids": [digest(["l2tx", t])
+                                for t in batch.get("txs", [])]})
         state = batch["post"]
-        prev = digest
+        prev = bdig
     final = 0
     for e in entries:
         if round_no > e["commit_round"] + t_period:
@@ -507,9 +509,9 @@ def test_a_fold_digests_each_publication_once(monkeypatch):
     digested, accepted = [], {}
     batch_digest, catch_up = arbitrum.batch_digest, arbitrum.ChainFold.catch_up
 
-    def counted(batch):
+    def counted(certs, batch):
         digested.append(batch)
-        return batch_digest(batch)
+        return batch_digest(certs, batch)
 
     def watched(fold, ledger):
         catch_up(fold, ledger)

@@ -320,8 +320,45 @@ def test_garbage_triggers_leave_no_output():
 
 def test_unknown_schedule_op_rejected():
     scn = protocol("brick").canonical_scenario()
-    with pytest.raises(ValueError):
+    with pytest.raises(ScheduleError):
         apply_schedule(RealRun("brick", scn), [{"op": "warp"}])
+
+
+# each shape of malformed step; before apply_schedule checked every step,
+# these raised AttributeError, KeyError or ValueError part-way through
+MALFORMED_STEPS = [
+    "advance",
+    None,
+    ["op", "advance"],
+    {},
+    {"op": None},
+    {"op": ["advance"]},
+    {"op": "warp"},
+    {"op": "input", "entry": {"kind": "read"}},
+    {"op": "input", "pid": 1, "entry": {"kind": "read"}},
+    {"op": "input", "pid": "c1"},
+    {"op": "corrupt", "pid": "c1"},
+    {"op": "corrupt", "role": "client"},
+    {"op": "corrupt", "role": "client", "pid": "c1", "force": 1},
+    {"op": "menu", "pid": "c1", "action": "x"},
+    {"op": "menu", "role": "client", "action": "x"},
+    {"op": "menu", "role": "client", "pid": "c1"},
+    {"op": "raw-trigger"},
+    {"op": "pump", "seed": "7"},
+    {"op": "pump", "seed": True},
+]
+
+
+@pytest.mark.parametrize("step", MALFORMED_STEPS,
+                         ids=[canon(s) for s in MALFORMED_STEPS])
+def test_malformed_steps_raise_schedule_error(step):
+    scn = protocol("brick").canonical_scenario()
+    base = scripted_schedules("brick", scn)["open-only"]
+    for run in (RealRun("brick", scn), IdealRun("brick", scn)):
+        before = len(run.trace.events)
+        with pytest.raises(ScheduleError):
+            apply_schedule(run, base + [step] + base)
+        assert len(run.trace.events) == before     # checked before step one
 
 
 # (entry, protocols it is malformed for); most of them crashed a client

@@ -15,6 +15,10 @@ notes, emits, submits, signs, holds, ticks or corrupts through the
 over ``ist.executed`` or ``ist.states``: the interface keeps them in step,
 so a read answers from that invariant instead of walking them.
 
+The protocol modules digest signed and identifying values only through
+the run's ``CertRegistry``, so each is digested once per run: a direct
+``trace.digest`` call there must be on ``DIRECT_DIGESTS``, with its reason.
+
 Every attribute a class under ``src/l2sim`` assigns on ``self`` is read by
 name somewhere in ``src/`` or ``perfbench/``; storing into its items or
 calling a mutator on it whose result is dropped is not a read.  ``Machine``
@@ -227,6 +231,46 @@ def machine_classes(path) -> set:
             and issubclass(value, Machine)}
 
 
+# the protocol modules digest signed and identifying values through the
+# run's registry (``CertRegistry.digest``/``message``), which digests each
+# value once per run; (module, function) -> why it calls ``trace.digest``
+# directly instead
+DIGEST_MODULES = ("accounts.py", "arbitrum.py", "brick.py", "liquid.py")
+DIRECT_DIGESTS: dict[tuple[str, str], str] = {}
+
+
+def direct_digests(source) -> set:
+    """``name`` or ``Class.name`` of each top-level function or method
+    that calls ``trace.digest`` (imported by any name, or as
+    ``trace.digest``); a call outside any function counts as
+    ``<module>``."""
+    tree = ast.parse(source)
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "trace"
+             for alias in node.names if alias.name == "digest"}
+
+    def calls(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return isinstance(func, ast.Name) and func.id in names \
+            or isinstance(func, ast.Attribute) and func.attr == "digest" \
+            and isinstance(func.value, ast.Name) and func.value.id == "trace"
+
+    out = set()
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            scopes = [(f"{top.name}.{fn.name}", fn) for fn in top.body
+                      if isinstance(fn, ast.FunctionDef)]
+        elif isinstance(top, ast.FunctionDef):
+            scopes = [(top.name, top)]
+        else:
+            scopes = [("<module>", top)]
+        out |= {name for name, scope in scopes
+                if any(calls(node) for node in ast.walk(scope))}
+    return out
+
+
 def test_the_guards_see_what_they_look_for():
     source = ("def a(t):\n    return t.events\n"
               "def b(s):\n    return {'kind': SETTLEMENT, 'seq': None, "
@@ -309,6 +353,16 @@ def test_the_guards_see_what_they_look_for():
     read = read_names([attrs])
     assert {"kept", "got"} <= read
     assert not {"log", "seen", "n", "leak"} & read
+    digests = ("from .trace import digest as d\n"
+               "from . import trace\n"
+               "GENESIS = d({})\n"
+               "def f(x):\n    return d(x)\n"
+               "def g(x):\n    return trace.digest(x)\n"
+               "def h(certs, x):\n    return certs.digest(x)\n"
+               "class C:\n"
+               "    def m(self, x):\n        return [d(y) for y in x]\n"
+               "    def n(self, ctx, x):\n        return ctx.certs.digest(x)\n")
+    assert direct_digests(digests) == {"<module>", "f", "g", "C.m"}
 
 
 def test_only_the_summary_builders_read_events():
@@ -388,3 +442,9 @@ def test_every_written_attribute_is_read():
               for found in self_writes(path.read_text(), machine_classes(path))
               if found[1] not in read}
     assert unread == set()
+
+
+def test_protocol_digests_go_through_the_registry():
+    direct = {(name, fn) for name in DIGEST_MODULES
+              for fn in direct_digests((SRC / name).read_text())}
+    assert direct == set(DIRECT_DIGESTS)
