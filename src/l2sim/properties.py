@@ -9,13 +9,22 @@ outputs.  Nothing here mutates a world.
 A read-result carries only its delta (see ``core.read_result``): the
 first ``base`` entries of its reader's previous view, then ``executed``,
 then the entry of the ``settled`` state when set.  ``read_views`` rebuilds
-each honest reader's whole views in trace order, so every check judges
-whole views; a witness read carries its whole view from ``base`` 0, so a
-witness stands on its own.
+each honest reader's whole views in trace order and keeps each read's
+``base``.  The checks judge whole views but walk only deltas: per reader
+they keep running values over the view last walked (evidence keys, update
+and mint counts, the highest state height), cut them back to the next
+view's ``base`` and walk only the entries after it, so each entry is
+walked a bounded number of times and the cost grows linearly with the
+trace.  That needs a reader's previous view in trace order to be its
+previous one in (round, step) order; a reader whose views are out of that
+order (a hand-built or permuted event holder) has every view walked whole,
+so the verdicts are the same on any ``.events`` holder.  A witness read
+carries its whole view from ``base`` 0, so a witness stands on its own.
 
 No check scans the events itself: each reads the trace's TraceSummary,
-which ``summarize`` derives once (corruptions, horizon, honest read views,
-requests, committed transactions, confirmations, exec rids, open inputs).
+which ``summarize`` derives once (corruptions, horizon, honest read views
+and their per-reader chains, requests, committed transactions,
+confirmations, exec rids, open inputs).
 Traces are append-only, so the most recent summary is reused while the
 same trace object has the same number of events; the checks only read it.
 
@@ -46,6 +55,7 @@ class ReadView:
     pointer: int | None
     state: dict | None
     executed: list
+    base: int = 0        # entries shared with the reader's previous view
 
 
 @dataclass
@@ -120,7 +130,7 @@ def read_views(trace) -> list[ReadView]:
         views.append(ReadView(party=ev["party"], pid=_pid(ev["party"]),
                               round=ev.get("round", 0), step=ev.get("step", 0),
                               pointer=p.get("pointer"), state=p.get("state"),
-                              executed=entries))
+                              executed=entries, base=base))
     return views
 
 
@@ -142,15 +152,31 @@ def entry_keys(executed, texts) -> list:
     return row
 
 
-def evidence_keys(views) -> dict:
-    """id(view) -> the entry_keys of the view's executed entries."""
-    texts = {}
-    return {id(v): entry_keys(v.executed, texts) for v in views}
-
-
 def is_prefix(shorter, longer) -> bool:
-    """Whether key list ``shorter`` (see evidence_keys) starts ``longer``."""
+    """Whether key list ``shorter`` (see entry_keys) starts ``longer``."""
     return longer[:len(shorter)] == shorter
+
+
+def _chains(views) -> dict:
+    """party -> its views in (round, step) order, each paired with the
+    index its unwalked part starts at.
+
+    A view shares its first ``base`` entries with its reader's previous
+    view in trace order.  When the reader's views are in (round, step)
+    order already, that is the view walked just before it, so the walk
+    starts at ``base``; otherwise every view of the reader starts at 0.
+    """
+    by_party = {}
+    for v in views:
+        by_party.setdefault(v.party, []).append(v)
+    out = {}
+    for party, vs in by_party.items():
+        ordered = all((a.round, a.step) <= (b.round, b.step)
+                      for a, b in zip(vs, vs[1:]))
+        if not ordered:
+            vs.sort(key=lambda v: (v.round, v.step))
+        out[party] = [(v, v.base if ordered else 0) for v in vs]
+    return out
 
 
 def committed_txs(trace) -> list[dict]:
@@ -261,6 +287,7 @@ class TraceSummary:
     counts: dict         # role -> corrupted parties of that role
     horizon: int         # the last round on record
     views: list          # read_views
+    chains: dict         # _chains of the views
     requests: list       # requests
     commits: list        # committed_txs
     confirmed: dict      # (pid, "open-ok" | "settle-ok") -> output rounds
@@ -277,9 +304,10 @@ def summarize(trace) -> TraceSummary:
     """The facts of ``trace`` that the checks read, derived once.
 
     The summary calls corrupted_parties, read_views, requests and
-    committed_txs once each and gathers the rest in one more pass.  It is
-    kept for the most recent trace: a trace only ever grows, so the same
-    object with the same event count has the same summary.
+    committed_txs once each, groups the views into per-reader chains and
+    gathers the rest in one more pass.  It is kept for the most recent
+    trace: a trace only ever grows, so the same object with the same event
+    count has the same summary.
     """
     global _last
     if _last is not None and _last[0] is trace \
@@ -305,8 +333,10 @@ def summarize(trace) -> TraceSummary:
             open_inputs.append(ev)
         elif t == "exec":
             exec_rids += [(rid, rnd) for rid in ev.get("rids", ())]
+    views = read_views(trace)
     s = TraceSummary(corrupted=bad, counts=counts, horizon=horizon,
-                     views=read_views(trace), requests=requests(trace),
+                     views=views, chains=_chains(views),
+                     requests=requests(trace),
                      commits=committed_txs(trace), confirmed=confirmed,
                      exec_rids=exec_rids, open_inputs=open_inputs,
                      open_oks=open_oks, settle_oks=settle_oks)
@@ -320,9 +350,11 @@ def summarize(trace) -> TraceSummary:
 def check_correct_initialization(trace) -> Verdict:
     """Every open confirmation is requested beforehand and anchored on chain.
 
-    The chain anchor is either a committed transaction embedding the
-    initial state or a committed joining record from every account named
-    in it (registration-style bootstraps never put balances on chain).
+    The chain anchor is either a committed joining record from every
+    account named in the initial state (registration-style bootstraps
+    never put balances on chain) or a committed transaction embedding it.
+    The joining records are tested first: scanning every committed body
+    costs as much as the bodies are large.
     """
     name = "correct-initialization"
     s = summarize(trace)
@@ -331,8 +363,8 @@ def check_correct_initialization(trace) -> Verdict:
 
     def anchored(s_int):
         accounts = set((s_int or {}).get("bal", ()))
-        return any(_embeds(tx.get("body"), s_int) for tx in s.commits) \
-            or bool(accounts) and accounts <= joined
+        return bool(accounts) and accounts <= joined \
+            or any(_embeds(tx.get("body"), s_int) for tx in s.commits)
 
     for ev in s.open_oks:
         asked = next((i for i in s.open_inputs
@@ -368,13 +400,15 @@ def _within(f, counts):
 def check_safety(trace, f) -> Verdict:
     """Per-party view monotonicity plus pairwise view comparability.
 
-    Self-consistency compares each party's consecutive views.  Once it
-    holds, each party's views form a chain, so the views are pairwise
-    comparable exactly when every view is a prefix of a longest one L: a
-    view that is not cannot be L's party's (that chain would make it a
-    prefix), so it and L are an incomparable pair of distinct parties.
-    Only then does the ordered pair scan run, to return the same first
-    pair as a full scan.  Evidence keys are built once per view.
+    Self-consistency compares each party's consecutive views.  Two
+    consecutive views share the later one's first ``base`` entries (see
+    ``_chains``), so only the keys from ``base`` on are built and compared.
+    Once it holds, each party's views form a chain, so the views are
+    pairwise comparable exactly when every party's last view is a prefix
+    of a longest view L: a view that is not cannot be L's party's (that
+    chain would make it a prefix), so it and L are an incomparable pair of
+    distinct parties.  Only then does the ordered pair scan run, over the
+    keys of every whole view, to return the same first pair as a full scan.
     """
     name = "safety"
     s = summarize(trace)
@@ -383,20 +417,24 @@ def check_safety(trace, f) -> Verdict:
                        params={"f": f, "corrupted": dict(s.counts),
                                "reason": "corruptions-exceed-f"})
     views = s.views
-    keys = evidence_keys(views)
-    by_party = {}
-    for v in views:
-        by_party.setdefault(v.party, []).append(v)
-    for party, vs in by_party.items():
-        vs.sort(key=lambda v: (v.round, v.step))
-        for a, b in zip(vs, vs[1:]):
-            if not is_prefix(keys[id(a)], keys[id(b)]):
+    texts = {}
+    last = {}            # party -> keys of its last view
+    for party, chain in s.chains.items():
+        keys, prev = [], None      # keys of the view walked last
+        for v, start in chain:
+            dropped = keys[start:]
+            del keys[start:]
+            keys += entry_keys(v.executed[start:], texts)
+            if prev is not None and not is_prefix(dropped, keys[start:]):
                 return Verdict(name, False,
-                               witness=[_view_event(a), _view_event(b)],
+                               witness=[_view_event(prev), _view_event(v)],
                                params={"clause": "self-consistency",
                                        "party": party, "f": f})
-    top = max(keys.values(), key=len, default=[])
-    if not all(is_prefix(k, top) for k in keys.values()):
+            prev = v
+        last[party] = keys
+    top = max(last.values(), key=len, default=[])
+    if not all(is_prefix(k, top) for k in last.values()):
+        keys = {id(v): entry_keys(v.executed, texts) for v in views}
         flat = sorted(views, key=lambda v: (v.round, v.step))
         for i, a in enumerate(flat):
             for b in flat[i + 1:]:
@@ -431,7 +469,8 @@ def check_liveness(trace, kind, params) -> Verdict:
     key a request can wait on, the earliest round of a view or exec
     record that shows it.  Whether a view shows a key depends on that
     view alone, so "some view up to the deadline shows it" is exactly
-    "its earliest round is at or before the deadline".
+    "its earliest round is at or before the deadline".  The pass walks
+    each view's delta only, as the module docstring describes.
     """
     name = f"liveness-{kind}"
     f, t_l2, t_l1 = params.get("f", {}), params["t_l2"], params["t_l1"]
@@ -509,6 +548,14 @@ def _first_seen(s: TraceSummary) -> dict:
     ("tx", pid, nonce) when a view holds a transaction from pid with that
     nonce; ("rid", rid) when an exec record clears rid.  Counts start at
     1, as every request waits for at least one.
+
+    Each reader's views are walked from where ``_chains`` starts them,
+    with the running update count per entry and the reader's kept mints
+    cut back to that start.  The entries before it were walked in the
+    reader's view before, at a round no later than this one, so each key
+    they show has its earliest round already; the entries after it show
+    exactly the keys this view adds.  A reader out of (round, step) order
+    starts every view at 0, which is the whole-view walk.
     """
     first = {}
 
@@ -516,21 +563,27 @@ def _first_seen(s: TraceSummary) -> dict:
         if key not in first or rnd < first[key]:
             first[key] = rnd
 
-    for v in s.views:
-        updates = 0
-        mints = {}
-        for e in v.executed:
-            if e.get("kind") == UPDATE:
-                updates += 1
-            for tx in e.get("txs", ()):
-                if tx.get("op") == "mint":
-                    mints[tx.get("to")] = mints.get(tx.get("to"), 0) + 1
-                see(("tx", tx.get("from"), tx.get("nonce")), v.round)
-        for k in range(1, updates + 1):
-            see(("update", k), v.round)
-        for to, n in mints.items():
-            for k in range(1, n + 1):
-                see(("mint", to, k), v.round)
+    for chain in s.chains.values():
+        updates = [0]    # updates[i]: update entries among the first i
+        mints = []       # (index, recipient) of each mint walked and kept
+        kept = {}        # recipient -> its mints in ``mints``
+        for v, start in chain:
+            del updates[start + 1:]
+            while mints and mints[-1][0] >= start:
+                kept[mints.pop()[1]] -= 1
+            for i, e in enumerate(v.executed[start:], start):
+                n = updates[-1]
+                if e.get("kind") == UPDATE:
+                    n += 1
+                    see(("update", n), v.round)
+                updates.append(n)
+                for tx in e.get("txs", ()):
+                    if tx.get("op") == "mint":
+                        to = tx.get("to")
+                        kept[to] = kept.get(to, 0) + 1
+                        mints.append((i, to))
+                        see(("mint", to, kept[to]), v.round)
+                    see(("tx", tx.get("from"), tx.get("nonce")), v.round)
     for rid, rnd in s.exec_rids:
         see(("rid", rid), rnd)
     return first
@@ -550,8 +603,7 @@ def check_correct_settlement(trace) -> Verdict:
     for r in s.requests:
         if r["cls"] == SETTLEMENT and r["entry"].get("seq") is not None:
             explicit.add((r["pid"], r["entry"]["seq"]))
-    heights = [max((_state_height(e.get("state") or {}) for e in v.executed),
-                   default=None) for v in s.views]
+    heights = _heights(s)
     closed = any(t.get("kind") in SETTLE_TX_KINDS for t in s.commits)
     for ev in s.settle_oks:
         state = ev["payload"].get("state") or {}
@@ -570,6 +622,24 @@ def check_correct_settlement(trace) -> Verdict:
                            params={"reason": "no-close-record-on-chain"})
     return Verdict(name, True, params={"settlements": len(s.settle_oks)},
                    vacuous=not s.settle_oks)
+
+
+def _heights(s: TraceSummary) -> list:
+    """The highest state height among each view's entries, or None.
+
+    A running prefix maximum per reader, cut back to where ``_chains``
+    starts each view, so only the entries after that start are read.
+    """
+    out = {}
+    for chain in s.chains.values():
+        best = [None]    # best[i]: the highest height among the first i
+        for v, start in chain:
+            del best[start + 1:]
+            for e in v.executed[start:]:
+                h = _state_height(e.get("state") or {})
+                best.append(h if best[-1] is None else max(best[-1], h))
+            out[id(v)] = best[-1]
+    return [out[id(v)] for v in s.views]
 
 
 def _state_height(state) -> int:
