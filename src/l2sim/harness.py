@@ -15,8 +15,9 @@ Schedules are plain data (lists of step dicts), so they serialize into
 scenario files and replay bit-exactly; ``apply_schedule`` checks every
 step against ``STEP_FIELDS`` and every environment entry against
 ``ENTRY_FIELDS`` before the first step, and raises ScheduleError for a
-malformed one.  Both run flavors expose the same driving surface
-(input / corrupt / menu_act / pump / advance), and
+malformed one, or for a menu step whose party is not corrupted by then or
+whose action that party's menu lacks.  Both run flavors expose the same
+driving surface (input / corrupt / menu / menu_act / pump / advance), and
 ``run_differential`` executes one schedule against both and diffs the
 per-party output streams.  Both flavors build read results with
 ``core.read_result``: a read carries ``base``, the length of the longest
@@ -215,11 +216,14 @@ class RealRun:
         self.world.corrupt(self.world.entity(role, pid),
                            allow_over_budget=force)
 
+    def corrupted(self, role, pid):
+        return self.world.entity(role, pid) in self.world.corruption
+
+    def menu(self, role, pid):
+        return self.proto.menu(self.world, self.world.entity(role, pid))
+
     def menu_act(self, role, pid, action):
-        ent = self.world.entity(role, pid)
-        fn = self.proto.menu(self.world, ent).get(action)
-        if fn is not None:
-            fn()
+        self.menu(role, pid)[action]()
 
     def raw_trigger(self, payload):
         pass
@@ -266,12 +270,16 @@ class IdealRun:
             world.corrupt(world.entity(role, pid), allow_over_budget=force)
         self.sim.sync()
 
+    def corrupted(self, role, pid):
+        inner = self.sim.inner
+        return inner.entity(role, pid) in inner.corruption
+
+    def menu(self, role, pid):
+        inner = self.sim.inner
+        return self.proto.menu(inner, inner.entity(role, pid))
+
     def menu_act(self, role, pid, action):
-        ent = self.sim.inner.entity(role, pid)
-        fn = self.proto.menu(self.sim.inner, ent).get(action)
-        if fn is None:
-            return
-        mirrored = fn()
+        mirrored = self.menu(role, pid)[action]()
         self.sim.sync()
         if isinstance(mirrored, dict):
             self.outer.inject_input(self.outer.entity(CLIENT, pid),
@@ -361,9 +369,25 @@ def _check_step(proto, step):
 
 
 def apply_schedule(run, schedule):
-    """Run ``schedule`` step by step; every step is checked first."""
+    """Run ``schedule`` step by step; every step is checked first.
+
+    Besides its form, a menu step must name a party that the run has
+    corrupted already or an earlier corrupt step names, and an action of
+    that party's ``menu``.
+    """
+    corrupted = set()
     for step in schedule:
         _check_step(run.proto, step)
+        if step["op"] == "corrupt":
+            corrupted.add((step["role"], step["pid"]))
+        elif step["op"] == "menu":
+            party = (step["role"], step["pid"])
+            if party not in corrupted and not run.corrupted(*party):
+                raise ScheduleError(f"menu step for {party[0]} {party[1]}, "
+                                    "which is not corrupted")
+            if step["action"] not in run.menu(*party):
+                raise ScheduleError(f"{party[0]} {party[1]} has no menu "
+                                    f"action {step['action']!r}")
     for step in schedule:
         op = step["op"]
         if op == "input":

@@ -361,6 +361,34 @@ def test_malformed_steps_raise_schedule_error(step):
         assert len(run.trace.events) == before     # checked before step one
 
 
+# menu steps that both runs used to play: a warden's sends in the name of
+# an uncorrupted party, or a silent no-op for an action its menu lacks
+CORRUPT_W1 = {"op": "corrupt", "role": "warden", "pid": "w1"}
+MENU_W1 = {"op": "menu", "role": "warden", "pid": "w1",
+           "action": "ack-garbage"}
+BAD_MENU_STEPS = {
+    "party-not-corrupted": [MENU_W1],
+    "party-corrupted-later": [MENU_W1, CORRUPT_W1],
+    "other-party-corrupted": [dict(CORRUPT_W1, pid="w2"), MENU_W1],
+    "unknown-action": [CORRUPT_W1, dict(MENU_W1, action="nope")],
+    "action-of-another-role": [
+        {"op": "corrupt", "role": "client", "pid": "c2"},
+        dict(MENU_W1, role="client", pid="c2")],
+}
+
+
+@pytest.mark.parametrize("flavor", [RealRun, IdealRun])
+@pytest.mark.parametrize("label", list(BAD_MENU_STEPS))
+def test_bad_menu_steps_raise_schedule_error(label, flavor):
+    scn = protocol("brick").canonical_scenario()
+    base = scripted_schedules("brick", scn)["open-only"]
+    run = flavor("brick", scn)
+    before = len(run.trace.events)
+    with pytest.raises(ScheduleError):
+        apply_schedule(run, base + BAD_MENU_STEPS[label] + base)
+    assert len(run.trace.events) == before         # checked before step one
+
+
 # (entry, protocols it is malformed for); most of them crashed a client
 # or the ideal request translation before apply_schedule checked entries
 MALFORMED_ENTRIES = [
