@@ -27,8 +27,9 @@ entries after that prefix, and ``settled``, the settled state or None.
 entries; the prefix rule fixes ``base`` from the views alone, so the
 outputs of two runs are equal exactly when their readers' whole views
 are.  A run's trace is only ever appended to: the
-property checks share one ``properties.summarize`` summary per trace
-object and event count, so an event must never be edited in place.
+property checks share one ``properties.summarize`` summary, built in one
+walk over the events, per trace object, events list and event count, so
+an event must never be edited in place.
 
 A protocol is a module registered in ``PROTOCOLS``; the module itself is
 the contract, and it provides:

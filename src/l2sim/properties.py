@@ -6,27 +6,31 @@ are interpreted through client inputs, refusal/queue notes, and read
 outputs; interface runs through submit leaks, exec records, and the same
 outputs.  Nothing here mutates a world.
 
-A read-result carries only its delta (see ``core.read_result``): the
-first ``base`` entries of its reader's previous view, then ``executed``,
-then the entry of the ``settled`` state when set.  ``read_views`` rebuilds
-each honest reader's whole views in trace order and keeps each read's
-``base``.  The checks judge whole views but walk only deltas: per reader
-they keep running values over the view last walked (evidence keys, update
-and mint counts, the highest state height), cut them back to the next
-view's ``base`` and walk only the entries after it, so each entry is
-walked a bounded number of times and the cost grows linearly with the
-trace.  That needs a reader's previous view in trace order to be its
-previous one in (round, step) order; a reader whose views are out of that
-order (a hand-built or permuted event holder) has every view walked whole,
-so the verdicts are the same on any ``.events`` holder.  A witness read
-carries its whole view from ``base`` 0, so a witness stands on its own.
+A read-result carries only its delta (see ``core.read_result``): the first
+``base`` entries of its reader's previous view, then ``executed``, then
+the entry of the ``settled`` state when set.  ``read_views`` keeps each
+honest read as a ReadView holding just that delta and settled entry; a
+view's whole ``executed`` list is rebuilt from its reader's earlier reads
+only when something asks for it (witnesses, the pair scan of a failing
+safety check, readers out of order, the data-availability replay).  The
+checks judge whole views but walk only deltas: per reader they keep
+running values over the view last walked (evidence keys, update and mint
+counts, the highest state height), cut them back to the next view's
+``base`` and walk only the entries after it, so each entry is walked a
+bounded number of times and the cost grows linearly with the trace.  That
+needs a reader's previous view in trace order to be its previous one in
+(round, step) order; a reader whose views are out of that order (a
+hand-built or permuted event holder) has every view walked whole, so the
+verdicts are the same on any ``.events`` holder.  A witness read carries
+its whole view from ``base`` 0, so a witness stands on its own.
 
 No check scans the events itself: each reads the trace's TraceSummary,
-which ``summarize`` derives once (corruptions, horizon, honest read views
-and their per-reader chains, requests, committed transactions,
-confirmations, exec rids, open inputs).
-Traces are append-only, so the most recent summary is reused while the
-same trace object has the same number of events; the checks only read it.
+which ``summarize`` derives in one walk over the events.  That walk sorts
+them into lists by type, builds the corrupted set once, and hands each
+list to the helper that reads it (``read_views``, ``requests``,
+``committed_txs``).  Traces are append-only, so the most recent summary
+is reused while the same trace object holds the same events list with the
+same number of events; the checks only read it.
 
 A Verdict's witness is a minimal list of events: feeding it back to the
 same check (wrapped in any `.events` holder) reproduces the failure.
@@ -48,14 +52,46 @@ SETTLE_TX_KINDS = ("settle", "peg-out")
 
 @dataclass
 class ReadView:
+    """One honest read, holding only what it adds to its reader's view.
+
+    Its whole view is the first ``base`` entries of the reader's previous
+    view in trace order (settled entry aside), then ``delta``, then
+    ``settled`` when set.  ``reads`` is the reader's views in trace order,
+    shared by all of them, and ``index`` this view's place in it; they
+    are left out of comparisons, so views compare by their own fields.
+    """
     party: str
     pid: str
     round: int
     step: int
     pointer: int | None
     state: dict | None
-    executed: list
-    base: int = 0        # entries shared with the reader's previous view
+    base: int            # entries shared with the reader's previous view
+    delta: list          # the entries the read carried after them
+    settled: dict | None  # the settled entry, or None
+    reads: list = field(compare=False, repr=False)
+    index: int = field(compare=False, repr=False)
+
+    @property
+    def executed(self) -> list:
+        """The whole view, rebuilt from the reader's reads since its last
+        read with ``base`` 0, one read after the other."""
+        first = self.index
+        while first and self.reads[first].base:
+            first -= 1
+        kept = []
+        for v in self.reads[first:self.index + 1]:
+            del kept[v.base:]
+            kept += v.delta
+        return kept if self.settled is None else kept + [self.settled]
+
+    def after(self, start) -> list:
+        """``executed[start:]``, read off the delta when ``start`` is
+        ``base``."""
+        if start != self.base:
+            return self.executed[start:]
+        return self.delta if self.settled is None \
+            else self.delta + [self.settled]
 
 
 @dataclass
@@ -108,29 +144,39 @@ def corrupted_parties(trace) -> dict:
     return out
 
 
-def read_views(trace) -> list[ReadView]:
-    """Read results output to parties that were never corrupted, each
-    rebuilt into its reader's whole view."""
-    bad = set(corrupted_parties(trace))
+def read_views(trace, events=None, bad=None) -> list[ReadView]:
+    """Read results output to parties that were never corrupted, in trace
+    order, each holding its delta (see ReadView).
+
+    ``events`` (any list holding the trace's read outputs) and ``bad``
+    (its corrupted parties) default to the trace's events and
+    ``corrupted_parties``.
+    """
+    if bad is None:
+        bad = corrupted_parties(trace)
     views = []
-    shown = {}           # party -> entries of its previous read
-    for ev in trace.events:
+    reads = {}           # party -> its views so far
+    for ev in trace.events if events is None else events:
         if ev.get("t") != "output":
             continue
         p = ev.get("payload", {})
         if p.get("kind") != "read-result" or ev.get("party") in bad:
             continue
-        prev, base = shown.get(ev["party"], []), p.get("base", 0)
-        if not 0 <= base <= len(prev):
+        mine = reads.setdefault(ev["party"], [])
+        seen = mine[-1].base + len(mine[-1].delta) if mine else 0
+        base = p.get("base", 0)
+        if not 0 <= base <= seen:
             raise IntegrityError(f"read at step {ev.get('step')} extends "
-                                 f"{base} of {len(prev)} entries seen")
-        entries = shown[ev["party"]] = prev[:base] + list(p.get("executed", ()))
-        if p.get("settled") is not None:
-            entries = entries + [settled_entry(p["settled"])]
-        views.append(ReadView(party=ev["party"], pid=_pid(ev["party"]),
-                              round=ev.get("round", 0), step=ev.get("step", 0),
-                              pointer=p.get("pointer"), state=p.get("state"),
-                              executed=entries, base=base))
+                                 f"{base} of {seen} entries seen")
+        settled = p.get("settled")
+        mine.append(ReadView(
+            party=ev["party"], pid=_pid(ev["party"]), round=ev.get("round", 0),
+            step=ev.get("step", 0), pointer=p.get("pointer"),
+            state=p.get("state"), base=base,
+            delta=list(p.get("executed", ())),
+            settled=None if settled is None else settled_entry(settled),
+            reads=mine, index=len(mine)))
+        views.append(mine[-1])
     return views
 
 
@@ -179,17 +225,23 @@ def _chains(views) -> dict:
     return out
 
 
-def committed_txs(trace) -> list[dict]:
-    """Committed transactions reassembled from submit and commit events."""
-    bodies = {}
-    for ev in trace.events:
-        if ev.get("t") == "ledger-submit" and ev.get("accepted"):
+def committed_txs(trace, events=None) -> list[dict]:
+    """Committed transactions reassembled from submit and commit events.
+
+    ``events`` (any list holding the trace's ledger events) defaults to
+    the trace's events.
+    """
+    bodies, commits = {}, []
+    for ev in trace.events if events is None else events:
+        t = ev.get("t")
+        if t == "ledger-submit" and ev.get("accepted"):
             bodies[ev["txid"]] = {"txid": ev["txid"], "kind": ev.get("kind"),
                                   "author": ev.get("author"),
                                   "body": ev.get("body", {})}
+        elif t == "ledger-commit":
+            commits.append(ev)
     return [dict(bodies[txid], height=ev.get("height"), round=ev.get("round"))
-            for ev in trace.events if ev.get("t") == "ledger-commit"
-            for txid in ev.get("txids", ()) if txid in bodies]
+            for ev in commits for txid in ev.get("txids", ()) if txid in bodies]
 
 
 class _TraceLedger:
@@ -214,7 +266,7 @@ _NOTE_REQ = {"open": "open", "pay": "pay", "settle": "settle",
              "peg-out": "settle"}
 
 
-def requests(trace) -> list[dict]:
+def requests(trace, events=None, bad=None) -> list[dict]:
     """Client requests with outcome annotations, in submission order.
 
     A request dict has: pid, party, round, step, cls (open/update/
@@ -224,11 +276,16 @@ def requests(trace) -> list[dict]:
     first-out per party and request word, which mirrors how the clients
     drain their queues.  Corrupted submitters are skipped; their inputs
     are absorbed or adversary-forged, and no guarantee covers them.
+
+    ``events`` (any list holding the trace's input, note and leak events)
+    and ``bad`` (its corrupted parties) default to the trace's events and
+    ``corrupted_parties``.
     """
-    bad = set(corrupted_parties(trace))
+    if bad is None:
+        bad = corrupted_parties(trace)
     reqs = []
     pending = {}         # (pid, input word) -> indexes awaiting an outcome
-    for ev in trace.events:
+    for ev in trace.events if events is None else events:
         t = ev.get("t")
         if t == "input":
             p = ev.get("payload", {})
@@ -297,51 +354,77 @@ class TraceSummary:
     settle_oks: list     # honest settle-ok output events
 
 
-_last = None             # (trace, event count, its TraceSummary)
+_last = None             # (trace, its events list, their count, TraceSummary)
 
 
 def summarize(trace) -> TraceSummary:
-    """The facts of ``trace`` that the checks read, derived once.
+    """The facts of ``trace`` that the checks read, derived in one walk.
 
-    The summary calls corrupted_parties, read_views, requests and
-    committed_txs once each, groups the views into per-reader chains and
-    gathers the rest in one more pass.  It is kept for the most recent
-    trace: a trace only ever grows, so the same object with the same event
+    The one walk over the events takes the horizon and sorts the events
+    into lists by type: outputs, the input, note and leak events, the
+    ledger submits and commits, corruptions and exec records.  The
+    corrupted set is built once from its list, and the rest from theirs:
+    the confirmation rounds and honest open-ok and settle-ok outputs from
+    the outputs, the exec rids, the honest open inputs; ``read_views``
+    walks the outputs, ``requests`` the inputs, notes and leaks and
+    ``committed_txs`` the ledger events, each with that corrupted set.
+
+    The summary is kept for the most recent trace: a trace only ever
+    grows, so the same object holding the same events list with the same
     count has the same summary.
     """
     global _last
-    if _last is not None and _last[0] is trace \
-            and _last[1] == len(trace.events):
-        return _last[2]
-    bad = corrupted_parties(trace)
-    counts = dict(Counter(str(party).split(":", 1)[0] for party in bad))
-    horizon, confirmed, exec_rids = 0, {}, []
-    open_inputs, open_oks, settle_oks = [], [], []
-    for ev in trace.events:
-        t, rnd = ev.get("t"), ev.get("round", 0)
-        horizon = max(horizon, rnd)
-        honest = ev.get("party") not in bad
-        p = ev.get("payload", {})
-        if t == "output" and p.get("kind") in ("open-ok", "settle-ok"):
-            confirmed.setdefault((_pid(ev.get("party", "")), p["kind"]),
-                                 []).append(rnd)
-            if honest:
-                (open_oks if p["kind"] == "open-ok" else settle_oks).append(ev)
-        elif t == "input" and honest and (
-                p.get("kind") == "open" or (p.get("kind") == "submit" and
-                                            p.get("req", {}).get("kind") == OPEN)):
-            open_inputs.append(ev)
-        elif t == "exec":
-            exec_rids += [(rid, rnd) for rid in ev.get("rids", ())]
-    views = read_views(trace)
-    s = TraceSummary(corrupted=bad, counts=counts, horizon=horizon,
-                     views=views, chains=_chains(views),
-                     requests=requests(trace),
-                     commits=committed_txs(trace), confirmed=confirmed,
-                     exec_rids=exec_rids, open_inputs=open_inputs,
-                     open_oks=open_oks, settle_oks=settle_oks)
-    _last = (trace, len(trace.events), s)
+    events = trace.events
+    if _last is not None and _last[0] is trace and _last[1] is events \
+            and _last[2] == len(events):
+        return _last[3]
+    outputs, asks, ledger, corrupts, execs = [], [], [], [], []
+    into = {"output": outputs, "input": asks, "note": asks, "leak": asks,
+            "ledger-submit": ledger, "ledger-commit": ledger,
+            "corrupt": corrupts, "exec": execs}
+    horizon = 0
+    for ev in events:
+        rnd = ev.get("round", 0)
+        if rnd > horizon:
+            horizon = rnd
+        kept = into.get(ev.get("t"))
+        if kept is not None:
+            kept.append(ev)
+    bad = {}
+    for ev in corrupts:
+        if ev.get("party") not in bad:
+            bad[ev["party"]] = ev.get("round", 0)
+    exec_rids = [(rid, ev.get("round", 0)) for ev in execs
+                 for rid in ev.get("rids", ())]
+    confirmed, oks = {}, {"open-ok": [], "settle-ok": []}
+    for ev in outputs:
+        kind = ev.get("payload", {}).get("kind")
+        if kind in oks:
+            confirmed.setdefault((_pid(ev.get("party", "")), kind),
+                                 []).append(ev.get("round", 0))
+            if ev.get("party") not in bad:
+                oks[kind].append(ev)
+    views = read_views(trace, outputs, bad)
+    s = TraceSummary(
+        corrupted=bad,
+        counts=dict(Counter(str(party).split(":", 1)[0] for party in bad)),
+        horizon=horizon, views=views, chains=_chains(views),
+        requests=requests(trace, asks, bad),
+        commits=committed_txs(trace, ledger), confirmed=confirmed,
+        exec_rids=exec_rids,
+        open_inputs=[ev for ev in asks if ev.get("t") == "input"
+                     and ev.get("party") not in bad
+                     and _asks_open(ev.get("payload", {}))],
+        open_oks=oks["open-ok"], settle_oks=oks["settle-ok"])
+    _last = (trace, events, len(events), s)
     return s
+
+
+def _asks_open(p) -> bool:
+    """Whether input payload ``p`` requests an open, directly or through
+    the interface's submit."""
+    return p.get("kind") == "open" or (
+        p.get("kind") == "submit" and p.get("req", {}).get("kind") == OPEN)
 
 
 # -- Definition checks ------------------------------------------------------
@@ -424,7 +507,7 @@ def check_safety(trace, f) -> Verdict:
         for v, start in chain:
             dropped = keys[start:]
             del keys[start:]
-            keys += entry_keys(v.executed[start:], texts)
+            keys += entry_keys(v.after(start), texts)
             if prev is not None and not is_prefix(dropped, keys[start:]):
                 return Verdict(name, False,
                                witness=[_view_event(prev), _view_event(v)],
@@ -571,7 +654,7 @@ def _first_seen(s: TraceSummary) -> dict:
             del updates[start + 1:]
             while mints and mints[-1][0] >= start:
                 kept[mints.pop()[1]] -= 1
-            for i, e in enumerate(v.executed[start:], start):
+            for i, e in enumerate(v.after(start), start):
                 n = updates[-1]
                 if e.get("kind") == UPDATE:
                     n += 1
@@ -635,7 +718,7 @@ def _heights(s: TraceSummary) -> list:
         best = [None]    # best[i]: the highest height among the first i
         for v, start in chain:
             del best[start + 1:]
-            for e in v.executed[start:]:
+            for e in v.after(start):
                 h = _state_height(e.get("state") or {})
                 best.append(h if best[-1] is None else max(best[-1], h))
             out[id(v)] = best[-1]
@@ -671,11 +754,12 @@ def measure_data_availability(trace) -> DAReport:
         cur = latest.get(v.pid)
         if cur is None or (v.round, v.step) >= (cur.round, cur.step):
             latest[v.pid] = v
+    whole = {pid: v.executed for pid, v in latest.items()}
     per_party = {pid: 1 if batches_onchain else
-                 sum(1 for e in v.executed if e.get("kind") == UPDATE)
-                 for pid, v in latest.items()}
-    ok = bool(latest) and all(_replay(v.executed, ledger)
-                              for v in latest.values())
+                 sum(1 for e in executed if e.get("kind") == UPDATE)
+                 for pid, executed in whole.items()}
+    ok = bool(whole) and all(_replay(executed, ledger)
+                             for executed in whole.values())
     g_l2 = 1 if batches_onchain else min(per_party.values(), default=0)
     return DAReport(g_l2=g_l2, g_l1=g_l1, reconstruction_ok=ok,
                     detail={"per_party_l2": per_party,

@@ -285,9 +285,9 @@ def test_checks_on_one_trace_share_one_summary(monkeypatch):
     trace.events = copy.deepcopy(real_trace("liquid").events)
     calls = []
     for fn in ("read_views", "requests", "committed_txs"):
-        def counted(t, _fn=getattr(properties, fn), _name=fn):
+        def counted(*args, _fn=getattr(properties, fn), _name=fn, **kwargs):
             calls.append(_name)
-            return _fn(t)
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(properties, fn, counted)
     scn = harness.protocol("liquid").canonical_scenario()
     checks("liquid", scn, trace)
@@ -298,6 +298,20 @@ def test_checks_on_one_trace_share_one_summary(monkeypatch):
                 "kind": "tick"})
     checks("liquid", scn, trace)
     assert len(calls) == 6
+
+
+def test_a_replaced_events_list_is_summarized_again():
+    # same trace object, same event count, other events: the summary of
+    # the old list must not be served for the new one
+    trace = Trace()
+    trace.events = list(real_trace("liquid").events)
+    old = properties.summarize(trace)
+    trace.events = real_trace("liquid", "client-spam").events[
+        :len(trace.events)]
+    got = properties.summarize(trace)
+    cold = properties.summarize(as_trace(trace.events))
+    assert got is not old and got == cold
+    assert (got.views, got.corrupted) != (old.views, old.corrupted)
 
 
 @pytest.mark.parametrize("name", list(harness.PROTOCOLS))

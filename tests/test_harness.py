@@ -295,6 +295,31 @@ def test_bare_advances_agree_with_pumped_delivery():
     assert outs[-1]["pointer"] == 1
 
 
+# ROADMAP item 2 (fuzz the environment): its schedules always open both
+# clients, so they never reach a lone open, which only the real account
+# runs confirm; which run is right is that item's triage
+LONE_OPEN_SPLITS = {"liquid", "arbitrum"}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 2: a lone open is confirmed by the real run "
+        "only")) if name in LONE_OPEN_SPLITS else name
+    for name in PROTOCOLS])
+def test_a_lone_open_gets_the_same_outputs_in_both_runs(name):
+    scn = protocol(name).canonical_scenario()
+    sched = [{"op": "input", "pid": scn["clients"][0],
+              "entry": {"kind": "open"}}]
+    sched += [{"op": op} for _ in range(16) for op in ("advance", "pump")]
+    real, ideal, diffs = run_differential(name, scn, sched)
+    opened = [[ev["party"] for ev in run.trace.events if ev["t"] == "output"
+               and ev["payload"]["kind"] == "open-ok"]
+              for run in (real, ideal)]
+    assert opened[0] == opened[1]
+    assert diffs == []
+
+
 def test_corrupted_client_inputs_absorbed_in_both_worlds():
     scn = protocol("brick").canonical_scenario()
     scheds = scripted_schedules("brick", scn)
