@@ -143,16 +143,15 @@ class AccountClient(Machine):
     """Client plumbing of the account-model protocols.
 
     A subclass supplies its chain view: ``genesis()``, ``tip_state(ctx)``
-    for building transactions, ``read_view(ctx, start)`` for reads (the
-    tip state, the executed entries from index ``start`` on, and the
-    pointer), and
-    ``_recheck(ctx)``, run once a round, which opens the client
-    (``_check_open``) and reports settlements (``_watch_settlements``); both
-    read one kind of the ledger's records (``Ledger.records``).  A
-    settlement is a committed ledger record of kind ``settle_kind``; its
-    body fields named in ``settle_note_fields`` ride along on the note.
-    Constructor arguments after ``operators`` go to the next base class
-    (the rollup client's ``RollupParty``).
+    for building transactions, ``read_view(ctx, start)`` for reads (just
+    the executed entries from index ``start`` on), and ``_recheck(ctx)``,
+    run once a round, which opens the client (``_check_open``) and reports
+    settlements (``_watch_settlements``); both read one kind of the
+    ledger's records (``Ledger.records``).  A settlement is a committed
+    ledger record of kind ``settle_kind``; its body fields named in
+    ``settle_note_fields`` ride along on the note.  Constructor arguments
+    after ``operators`` go to the next base class (the rollup client's
+    ``RollupParty``).
     """
 
     settle_kind = None
@@ -237,10 +236,9 @@ class AccountClient(Machine):
             ctx.note("read-empty")
             return
         base = self._served
-        state, executed, pointer = self.read_view(ctx, base)
+        executed = self.read_view(ctx, base)
         self._served += len(executed)
-        ctx.output(read_result(state, base, executed, pointer,
-                               self.settled_state))
+        ctx.output(read_result(base, executed, self.settled_state))
 
     def _check_open(self, ctx):
         """Open once every operator's joining record has committed."""
@@ -267,8 +265,7 @@ class AccountClient(Machine):
             ctx.note("settle-done", state=body["state"], l2txid=body["l2txid"],
                      frm=body["to"], amt=body["amt"],
                      **{k: body[k] for k in self.settle_note_fields})
-            ctx.output({"kind": "settle-ok", "success": True,
-                        "state": body["state"]})
+            ctx.output({"kind": "settle-ok", "state": body["state"]})
 
 
 # -- ideal bundle ----------------------------------------------------------

@@ -448,14 +448,12 @@ class ArbitrumClient(AccountClient, RollupParty):
 
     def read_view(self, ctx, start):
         view = self.view(ctx)
-        final = view["entries"][:view["final"]]
-        genesis = genesis_state(self.initial)
-        executed = [{"kind": OPEN, "seq": 0, "state": genesis}][start:]
+        executed = [{"kind": OPEN, "seq": 0, "state": self.genesis()}][start:]
         # executed entry i > 0 is final batch i - 1
-        for e in final[max(start, 1) - 1:]:
+        for e in view["entries"][max(start, 1) - 1:view["final"]]:
             executed.append({"kind": UPDATE, "seq": e["batch"]["seq"],
                              "state": e["claimed"], "txs": e["batch"]["txs"]})
-        return final[-1]["claimed"] if final else genesis, executed, view["final"]
+        return executed
 
     def _recheck(self, ctx):
         self._check_open(ctx)

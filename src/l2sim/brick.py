@@ -213,9 +213,7 @@ class BrickClient(Machine):
             return
         settled = self.settled_entry and self.settled_entry["state"]
         base, self._served = self._served, len(self.chain)
-        ctx.output(read_result(self.latest()["state"], base,
-                               read_entries(self.chain[base:]),
-                               len(self.chain) - 1, settled))
+        ctx.output(read_result(base, read_entries(self.chain[base:]), settled))
 
     # protocol messages
 
@@ -360,7 +358,7 @@ class BrickClient(Machine):
                 stype = body.get("mode", "collab")
                 self.settled_entry = settled_entry(body["state"])
                 ctx.note("settle-done", state=body["state"], seq=body["seq"], type=stype)
-                ctx.output({"kind": "settle-ok", "success": True, "state": body["state"]})
+                ctx.output({"kind": "settle-ok", "state": body["state"]})
 
 
 class BrickWarden(Machine):

@@ -24,7 +24,9 @@ None.  The reader's whole view is the first ``base`` entries of its
 previous view, then ``executed``, then the entry ``settled_entry`` builds
 when ``settled`` is set.  Every history a reader is shown only grows, so
 ``base`` is the length of its previous read's entries; a witness read
-carries its whole view from ``base`` 0.
+carries its whole view from ``base`` 0.  A read sends no tip state (the
+view's last entry before the settled one has it) and no pointer (that
+entry's index), and a ``settle-ok`` sends only the settled state.
 
 Requests arrive from the environment over IO; open/update/settlement
 triggers arrive over NET from the adversary side (in differential runs, from
@@ -55,12 +57,12 @@ def settled_entry(state) -> dict:
     return {"kind": SETTLEMENT, "seq": None, "state": state}
 
 
-def read_result(state, base, executed, pointer, settled) -> dict:
+def read_result(base, executed, settled) -> dict:
     """A read-result payload: ``executed`` follows the first ``base``
     entries of the reader's previous view; ``settled`` is the settled state
     or None."""
-    return {"kind": "read-result", "state": state, "base": base,
-            "executed": executed, "pointer": pointer, "settled": settled}
+    return {"kind": "read-result", "base": base, "executed": executed,
+            "settled": settled}
 
 
 def open_record(state, attachment, ctx) -> dict:
@@ -267,8 +269,7 @@ class InterfaceMachine(Machine):
         settled = None if ist.settled is None else ist.settled["state"]
         ist.read_ptr[pid] = idx
         ctx.world.queue_io(self._clients[pid], ctx.world.env,
-                           read_result(ist.states[idx], base, executed, idx,
-                                       settled))
+                           read_result(base, executed, settled))
 
     def _open(self, ctx, body, attachment):
         ist = self.ist
@@ -324,7 +325,7 @@ class InterfaceMachine(Machine):
         ctx.world.emit("exec", kind=SETTLEMENT, state=sstate, type=stype)
         for pid in honest(ctx, ist, CLIENT):
             ctx.world.queue_io(self._clients[pid], ctx.world.env,
-                               {"kind": "settle-ok", "success": True, "state": sstate})
+                               {"kind": "settle-ok", "state": sstate})
 
 
 def attach_round_gate(world, interface: InterfaceMachine):

@@ -20,16 +20,13 @@ whose action that party's menu lacks.  Both run flavors expose the same
 driving surface (input / corrupt / menu / menu_act / pump / advance), and
 ``run_differential`` executes one schedule against both and diffs the
 per-party output streams.  Both flavors build read results with
-``core.read_result``: a read carries ``base``, the length of the longest
-common prefix of its reader's previous view and this one, the executed
-entries after that prefix, and ``settled``, the settled state or None.
-``output_projection`` keeps ``base``, ``settled`` and the keys of those
-entries; the prefix rule fixes ``base`` from the views alone, so the
-outputs of two runs are equal exactly when their readers' whole views
-are.  A run's trace is only ever appended to: the
-property checks share one ``properties.summarize`` summary, built in one
-walk over the events, per trace object, events list and event count, so
-an event must never be edited in place.
+``core.read_result``, and ``output_projection`` keeps a read's ``base``,
+``settled`` and the keys of its executed entries.  The prefix rule fixes
+``base`` from the views alone, so the outputs of two runs are equal
+exactly when their readers' whole views are.  A run's trace is only ever
+appended to: the property checks share one ``properties.summarize``
+summary, built in one walk over the events, per trace object, events list
+and event count, so an event must never be edited in place.
 
 A protocol is a module registered in ``PROTOCOLS``; the module itself is
 the contract, and it provides:
@@ -626,15 +623,11 @@ def output_projection(trace):
         p = ev["payload"]
         kind = p.get("kind")
         if kind == "read-result":
-            item = {"kind": kind, "state": p.get("state"),
-                    "pointer": p.get("pointer"), "base": p.get("base", 0),
+            item = {"kind": kind, "base": p.get("base", 0),
                     "settled": p.get("settled"),
                     "executed": entry_keys(p.get("executed", ()), texts)}
-        elif kind == "open-ok":
+        elif kind in ("open-ok", "settle-ok"):
             item = {"kind": kind, "state": p.get("state")}
-        elif kind == "settle-ok":
-            item = {"kind": kind, "success": p.get("success", True),
-                    "state": p.get("state")}
         else:
             item = {"kind": kind, "raw": canon(p)}
         per.setdefault(ev["party"], []).append(item)

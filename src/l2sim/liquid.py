@@ -3,11 +3,12 @@
 Operators keep an account ledger and finalize one block per committee round
 trip: the round's leader proposes, operators precommit, then final-sign, and
 a block carrying both quorum certificates is appended and pushed to clients.
-Honest operators vote at most once per (height, round) slot and lock on the
-first digest they see a precommit quorum for, so with the default quorum of
-2f+1 two conflicting blocks can never both gather certificates.  The quorum
-is a scenario parameter; ``tests/test_liquid.py`` sets quorum=2 to show
-what happens below the intersection threshold.
+Honest operators vote at most once per (height, round) slot and refuse a
+proposal that differs from their lock, but ``_on_precommit`` moves the
+lock to each later round's quorum block, so even at the default quorum of
+2f+1 two conflicting blocks can both gather certificates: honest operators
+fork (ROADMAP item 1; ``tests/test_liquid.py`` pins a fork as a strict
+xfail, and sets quorum=2 to show what happens below the intersection).
 
 Value enters by peg-in (an L1 deposit that leaders mint once it is buried
 confirm_depth blocks deep) and leaves by peg-out (an L2 burn followed by a
@@ -363,7 +364,7 @@ class LiquidClient(AccountClient):
             block = self.chain[h]["block"]
             executed.append({"kind": UPDATE, "seq": block["height"],
                              "state": self.states[h], "txs": block["txs"]})
-        return self.states[-1], executed, self.height()
+        return executed
 
     def _recheck(self, ctx):
         self._check_open(ctx)

@@ -56,16 +56,15 @@ class ReadView:
 
     Its whole view is the first ``base`` entries of the reader's previous
     view in trace order (settled entry aside), then ``delta``, then
-    ``settled`` when set.  ``reads`` is the reader's views in trace order,
-    shared by all of them, and ``index`` this view's place in it; they
-    are left out of comparisons, so views compare by their own fields.
+    ``settled`` when set; its last entry before ``settled`` has the tip
+    state.  ``reads`` is the reader's views in trace order, shared by all
+    of them, and ``index`` this view's place in it; they are left out of
+    comparisons, so views compare by their own fields.
     """
     party: str
     pid: str
     round: int
     step: int
-    pointer: int | None
-    state: dict | None
     base: int            # entries shared with the reader's previous view
     delta: list          # the entries the read carried after them
     settled: dict | None  # the settled entry, or None
@@ -146,10 +145,14 @@ def corrupted_parties(trace) -> dict:
 
 def read_views(trace, events=None, bad=None) -> list[ReadView]:
     """Read results output to parties that were never corrupted, in trace
-    order, each holding its delta (see ReadView).
+    order, each holding its delta (see ReadView).  The one decoder of the
+    read format, it raises IntegrityError for an output payload that is no
+    object and a read whose ``base`` is no int within what its reader has
+    seen, ``executed`` no list of objects or ``settled`` no object or null;
+    a missing field keeps its default.
 
-    ``events`` (any list holding the trace's read outputs) and ``bad``
-    (its corrupted parties) default to the trace's events and
+    ``events`` (any list holding the trace's outputs) and ``bad`` (its
+    corrupted parties) default to the trace's events and
     ``corrupted_parties``.
     """
     if bad is None:
@@ -160,20 +163,26 @@ def read_views(trace, events=None, bad=None) -> list[ReadView]:
         if ev.get("t") != "output":
             continue
         p = ev.get("payload", {})
+        if not isinstance(p, dict):
+            raise IntegrityError(f"output at step {ev.get('step')} is no object")
         if p.get("kind") != "read-result" or ev.get("party") in bad:
             continue
         mine = reads.setdefault(ev["party"], [])
         seen = mine[-1].base + len(mine[-1].delta) if mine else 0
-        base = p.get("base", 0)
-        if not 0 <= base <= seen:
-            raise IntegrityError(f"read at step {ev.get('step')} extends "
-                                 f"{base} of {seen} entries seen")
+        base, delta = p.get("base", 0), p.get("executed", [])
         settled = p.get("settled")
+        if not (type(base) is int and 0 <= base <= seen
+                and isinstance(delta, list)
+                and (settled is None or isinstance(settled, dict))):
+            raise IntegrityError(f"read at step {ev.get('step')} is malformed "
+                                 f"or extends {base!r} of {seen} entries seen")
+        for e in delta:          # a loop: cheaper than all() on short deltas
+            if not isinstance(e, dict):
+                raise IntegrityError(f"read at step {ev.get('step')} has an "
+                                     f"entry that is no object")
         mine.append(ReadView(
             party=ev["party"], pid=_pid(ev["party"]), round=ev.get("round", 0),
-            step=ev.get("step", 0), pointer=p.get("pointer"),
-            state=p.get("state"), base=base,
-            delta=list(p.get("executed", ())),
+            step=ev.get("step", 0), base=base, delta=list(delta),
             settled=None if settled is None else settled_entry(settled),
             reads=mine, index=len(mine)))
         views.append(mine[-1])
@@ -396,6 +405,7 @@ def summarize(trace) -> TraceSummary:
             bad[ev["party"]] = ev.get("round", 0)
     exec_rids = [(rid, ev.get("round", 0)) for ev in execs
                  for rid in ev.get("rids", ())]
+    views = read_views(trace, outputs, bad)      # refuses non-object payloads
     confirmed, oks = {}, {"open-ok": [], "settle-ok": []}
     for ev in outputs:
         kind = ev.get("payload", {}).get("kind")
@@ -404,7 +414,6 @@ def summarize(trace) -> TraceSummary:
                                  []).append(ev.get("round", 0))
             if ev.get("party") not in bad:
                 oks[kind].append(ev)
-    views = read_views(trace, outputs, bad)
     s = TraceSummary(
         corrupted=bad,
         counts=dict(Counter(str(party).split(":", 1)[0] for party in bad)),
@@ -537,7 +546,7 @@ def check_safety(trace, f) -> Verdict:
 def _view_event(v: ReadView):
     """A read event carrying the whole view ``v``, settled entry included."""
     return {"t": "output", "party": v.party, "round": v.round, "step": v.step,
-            "payload": read_result(v.state, 0, v.executed, v.pointer, None)}
+            "payload": read_result(0, v.executed, None)}
 
 
 def check_liveness(trace, kind, params) -> Verdict:

@@ -84,6 +84,8 @@ class Trace:
             events = [json.loads(ln) for ln in lines[1:-1]]
         except json.JSONDecodeError as e:
             raise IntegrityError(f"trace file is not line-delimited JSON: {e}")
+        if not all(isinstance(x, dict) for x in [head, tail, *events]):
+            raise IntegrityError("trace file has a line that is not a JSON object")
         if head.pop("l2sim-trace", None) != 1:
             raise IntegrityError("missing or unsupported trace header")
         if "end" not in tail or "digest" not in tail:

@@ -65,9 +65,12 @@ def open_rollup(world):
 
 
 def reads(world, pid):
+    """The whole view a read shows ``pid``, or None when it reads empty."""
+    before = len(outputs(world, "read-result"))
     world.inject_input(world.entity(CLIENT, pid), {"kind": "read"})
-    res = outputs(world, "read-result")
-    return res[-1]["payload"] if res else None
+    if len(outputs(world, "read-result")) == before:
+        return None
+    return read_views(world.trace)[-1].executed
 
 
 # -- honest flows ----------------------------------------------------------
@@ -98,9 +101,8 @@ def test_pay_published_then_final():
     assert v["final"] == 1
     assert notes(world, "batch-final")
     r = reads(world, "c2")
-    assert r["state"]["bal"] == {"c1": 7, "c2": 13}
-    assert r["pointer"] == 1
-    assert [e["kind"] for e in r["executed"]] == [OPEN, UPDATE]
+    assert r[-1]["state"]["bal"] == {"c1": 7, "c2": 13}
+    assert [e["kind"] for e in r] == [OPEN, UPDATE]
 
 
 def test_pays_pipeline_across_batches():
@@ -115,8 +117,8 @@ def test_pays_pipeline_across_batches():
     assert [e["batch"]["seq"] for e in v["entries"]] == [1, 2]
     assert v["final"] == 2
     r = reads(world, "c1")
-    assert r["state"]["bal"] == {"c1": 7, "c2": 13}
-    assert r["state"]["nonce"]["c1"] == 2
+    assert r[-1]["state"]["bal"] == {"c1": 7, "c2": 13}
+    assert r[-1]["state"]["nonce"]["c1"] == 2
 
 
 def test_refuses_overdraft_locally():
@@ -139,7 +141,7 @@ def test_deposit_mints_after_confirmations():
              if t.get("op") == "mint"]
     assert len(mints) == 1 and mints[0]["to"] == "c1"
     r = reads(world, "c1")
-    assert r["state"]["bal"]["c1"] == 15
+    assert r[-1]["state"]["bal"]["c1"] == 15
 
 
 def test_withdraw_settles_on_l1():
@@ -156,8 +158,9 @@ def test_withdraw_settles_on_l1():
         m = client(world, pid)
         assert m.closed and m.settled_state["bal"]["c1"] == 6
     r = reads(world, "c2")
-    assert r["settled"] == m.settled_state
-    assert read_views(world.trace)[-1].executed[-1]["kind"] == SETTLEMENT
+    assert outputs(world, "read-result")[-1]["payload"]["settled"] == \
+        m.settled_state
+    assert r[-1] == {"kind": SETTLEMENT, "seq": None, "state": m.settled_state}
 
 
 # -- adversarial flows -----------------------------------------------------
@@ -193,7 +196,7 @@ def test_chain_rebuilds_after_strike():
     assert v["final"] >= 1
     assert v["entries"][0]["batch"]["by"] == "operator:p2"
     r = reads(world, "c1")
-    assert r["state"]["bal"] == {"c1": 7, "c2": 13}
+    assert r[-1]["state"]["bal"] == {"c1": 7, "c2": 13}
 
 
 def test_unchallenged_fraud_finalizes():
@@ -208,7 +211,7 @@ def test_unchallenged_fraud_finalizes():
     assert v["final"] == 1
     assert v["entries"][0]["post"] != v["entries"][0]["claimed"]
     r = reads(world, "c1")
-    assert r["state"]["bal"]["c1"] == 11      # the skim went through
+    assert r[-1]["state"]["bal"]["c1"] == 11      # the skim went through
 
 
 def test_held_proof_cannot_strike_final_batch():
@@ -245,7 +248,7 @@ def test_self_publish_rescues_censored_tx():
     cycle(world, 6)
     assert view_of(world, scn)["final"] == 1
     r = reads(world, "c1")
-    assert r["state"]["bal"] == {"c1": 7, "c2": 13}
+    assert r[-1]["state"]["bal"] == {"c1": 7, "c2": 13}
 
 
 def test_no_self_publish_means_censorship_sticks():
@@ -285,8 +288,8 @@ def test_reorged_tx_is_requeued_and_lands():
     v = view_of(world, scn)
     assert v["final"] >= 1
     r = reads(world, "c1")
-    assert r["state"]["bal"] == {"c1": 7, "c2": 13}
-    assert r["state"]["nonce"]["c1"] == 1
+    assert r[-1]["state"]["bal"] == {"c1": 7, "c2": 13}
+    assert r[-1]["state"]["nonce"]["c1"] == 1
 
 
 def test_false_accusation_is_rejected():

@@ -193,6 +193,14 @@ def test_settlement_requires_request_then_notifies():
     assert machine.ist.states == [s(0), s(1)]
 
 
+def tip(world):
+    """The party and tip state of the last read's whole view: the state of
+    its last entry before the settled one."""
+    view = properties.read_views(world.trace)[-1]
+    whole = view.executed
+    return view.party, whole[-1 if view.settled is None else -2]["state"]
+
+
 def test_read_empty_then_latest_then_pointer_monotone():
     world, machine, bundle, (a, b), trigger = build()
     world.inject_input(a, {"kind": "read"})
@@ -200,30 +208,31 @@ def test_read_empty_then_latest_then_pointer_monotone():
     opened(trigger, world, a)
     trigger({"kind": UPDATE, "state": s(1)})
     world.inject_input(a, {"kind": "read"})
-    reads = [o for o in outputs(world) if o["payload"]["kind"] == "read-result"]
-    assert reads[-1]["payload"]["state"] == s(1)
+    assert tip(world) == ("client:a", s(1))
     assert machine.ist.read_ptr["a"] == 1
     # a delayed answer may not rewind below the pointer
     world.read_delay = lambda pid: 0
     world.inject_input(a, {"kind": "read"})
-    reads = [o for o in outputs(world) if o["payload"]["kind"] == "read-result"]
-    assert reads[-1]["payload"]["state"] == s(1)
-    assert reads[-1]["payload"]["pointer"] == 1
+    assert tip(world) == ("client:a", s(1))
+    assert machine.ist.read_ptr["a"] == 1
     # a fresh party may still be served the older state
     world.inject_input(b, {"kind": "read"})
-    reads = [o for o in outputs(world) if o["payload"]["kind"] == "read-result"]
-    assert reads[-1]["party"] == "client:b"
-    assert reads[-1]["payload"]["state"] == s(0)
+    assert tip(world) == ("client:b", s(0))
 
 
 def read_with_delay(world, client, delay):
-    """The client's read under a read-delay answer: its payload, or None."""
+    """The client's read under a read-delay answer: the pointer in the
+    interface's ``read`` sub-reply, the tip state of the client's whole
+    view and the payload, or None when the read is empty."""
     world.read_delay = None if delay is None else lambda pid: delay
     before = len(world.trace.events)
     world.inject_input(client, {"kind": "read"})
-    for ev in world.trace.events[before:]:
+    new = world.trace.events[before:]
+    pointer = next(ev["result"]["pointer"] for ev in new
+                   if ev["t"] == "sub-reply" and ev["sub"] == "read")
+    for ev in new:
         if ev["t"] == "output":
-            return ev["payload"]
+            return pointer, tip(world)[1], ev["payload"]
         if ev["t"] == "read-empty":
             return None
     raise AssertionError("the read left no result")
@@ -234,24 +243,24 @@ def test_read_clamps_delay_hint_between_pointer_and_top():
     opened(trigger, world, a)
     for n in (1, 2, 3):
         trigger({"kind": UPDATE, "state": s(n)})
-    got = read_with_delay(world, a, 1)
-    assert (got["pointer"], got["state"]) == (1, s(1))
+    pointer, state, got = read_with_delay(world, a, 1)
+    assert (pointer, state) == (1, s(1))
     assert (got["base"], [e["seq"] for e in got["executed"]]) == (0, [0, 1])
-    got = read_with_delay(world, a, 0)          # below the pointer: raised
-    assert (got["pointer"], got["state"]) == (1, s(1))
+    pointer, state, got = read_with_delay(world, a, 0)   # below the pointer: raised
+    assert (pointer, state) == (1, s(1))
     assert (got["base"], got["executed"]) == (2, [])
-    got = read_with_delay(world, a, 99)         # above the top: lowered
-    assert (got["pointer"], got["state"]) == (3, s(3))
+    pointer, state, got = read_with_delay(world, a, 99)  # above the top: lowered
+    assert (pointer, state) == (3, s(3))
     assert (got["base"], [e["seq"] for e in got["executed"]]) == (2, [2, 3])
-    got = read_with_delay(world, a, 2)          # the pointer never moves back
-    assert got["pointer"] == 3 and machine.ist.read_ptr["a"] == 3
-    got = read_with_delay(world, b, -5)
-    assert (got["pointer"], got["state"]) == (0, s(0))
+    pointer, _, _ = read_with_delay(world, a, 2)         # the pointer never moves back
+    assert pointer == 3 and machine.ist.read_ptr["a"] == 3
+    pointer, state, _ = read_with_delay(world, b, -5)
+    assert (pointer, state) == (0, s(0))
     assert machine.ist.read_ptr == {"a": 3, "b": 0}
     # an index whose entries do not reconstruct its state reads empty
     machine.ist.executed = [e for e in machine.ist.executed if e["seq"] != 2]
     assert read_with_delay(world, b, 3) is None
-    assert read_with_delay(world, b, 1)["pointer"] == 1
+    assert read_with_delay(world, b, 1)[0] == 1
     assert machine.ist.read_ptr == {"a": 3, "b": 1}
     replies = [e["result"] for e in events(world, "sub-reply")
                if e["sub"] == "read"]
@@ -266,10 +275,10 @@ def test_read_appends_the_settled_entry():
     submit(world, b, {"kind": SETTLEMENT, "body": {"type": "final"}})
     trigger({"kind": SETTLEMENT, "body": {"type": "final"}})
     records = len(machine.ist.executed)
-    got = read_with_delay(world, a, 0)
-    assert (got["pointer"], got["base"], got["settled"]) == (0, 0, s(1))
+    pointer, state, got = read_with_delay(world, a, 0)
+    assert (pointer, state, got["base"], got["settled"]) == (0, s(0), 0, s(1))
     assert got["executed"] == [{"kind": OPEN, "seq": 0, "state": s(0)}]
-    got = read_with_delay(world, a, None)
+    _, _, got = read_with_delay(world, a, None)
     assert (got["base"], got["settled"]) == (1, s(1))
     assert [e["kind"] for e in got["executed"]] == [UPDATE]
     assert len(machine.ist.executed) == records     # reads record nothing

@@ -212,10 +212,8 @@ def delta_traces(draw):
             delta = draw(st.lists(st.sampled_from(ENTRIES), max_size=3))
             shown[pid] = base + len(delta)
             settled = draw(st.sampled_from([None, None] + STATES[2:]))
-            state = delta[-1]["state"] if delta else None
             events.append(event("output", party(pid), rnd,
-                                payload=read_result(state, base, delta,
-                                                    shown[pid], settled)))
+                                payload=read_result(base, delta, settled)))
         elif what == "pay":
             events.append(event("input", party(pid), rnd,
                                 payload={"kind": "pay", "to": "A", "amt": 1}))

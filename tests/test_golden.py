@@ -15,8 +15,13 @@ once per block: a client no longer self-publishes the same batch twice in
 one round.  The adversarial rollup lifecycle of seed 3 was recorded again
 when the ledger began to refuse a replayed txid: a corrupted operator's
 ``publish-wrong`` that resubmits an identical batch is refused at submit
-instead of being committed twice.  A change that moves a digest changes a
-trace and has to say why.
+instead of being committed twice.  Every run digest was recorded again,
+with the schedule digests unchanged, when a read result stopped carrying
+its tip state and pointer and a settle-ok its constant ``success`` flag:
+the reader's whole view gives the first two, and the output tables of
+``tests/test_properties.py`` pin that the views and verdicts of those runs
+did not move.  A change that moves a digest changes a trace and has to
+say why.
 """
 
 import pytest
@@ -27,228 +32,228 @@ from l2sim.trace import digest
 # (protocol, schedule label) -> (real digest, ideal digest)
 SCRIPTED = {
     ("brick", "corrupt-warden-noise"): (
-        "4e49769d5906de8dcf4f405cfb5aa91863b74b1a8f8f02fbafc726960b488269",
-        "45930d0a2ce9f9ee16e03f0fdc5b54b5dfc8fca45759503a148830c114df834a"),
+        "238c0c9ccae10d51f198ccf041a86f99de80e9581f6157cb0bb53259c9ba0e6c",
+        "09024ff6d45e7a492afb2f0ce9695292ea3bd8c3125e752471917220dde38170"),
     ("brick", "garbage-triggers"): (
-        "90e874ab34b10f51b71a78b981f5b028ced2b056a2bb750f8fc5f865904613be",
-        "823324a1bd8a90c604aacba687374528e37396300e3e870e25c41b594562b0b1"),
+        "0037aeac3999a79c7a1f98df748e3af927e140350c2964d039881c8e11634350",
+        "83ec3a8d3021a0f0aef15804446d92c73ee2fa19c6c45ebb774a4f3e22856bec"),
     ("brick", "no-pump-delta-flush"): (
-        "08a8b68a6201b812fb8bbd3057bb1607374a0f263623a90ff12ae422deda2cde",
-        "26cee8c4f76e9ebe152ba794fda1d1838c1bad314e2a036040dca3e9897a9b51"),
+        "2d6de4eb51f6133eeeb19c5d0f6c8928dd37c9a47321986ff9a2e405e5c7bfcd",
+        "bc242870b5bdfb83afed943ad45b27da90f26e5afa702579489a365eb22b7614"),
     ("brick", "open-only"): (
-        "84593724d6894499aeb0ade26798619beec247b13edf7bd7e8f3da645de0efab",
-        "01ee956e154e1520a7011c1016da10dd8b5ec844230d3958f8c3fb4c04a9b086"),
+        "1e0d990984454721782f30e034d018d2564e1af44cbbcdfb5b5cf1b631ba88bc",
+        "f589fb7743cd932bbee98aca1f3a515eaf35c1d961b8e42787e26a5387fa7ace"),
     ("brick", "overdraft-refused"): (
-        "52953ea6128ca1edd07c5993c8d7bf33f48826806eb9147d7f92e52ceffc9f5d",
-        "b3e13aa2f65f720d9746a9995ccfa5eaddb955b61766f266e0e5e9c7466f7771"),
+        "829dde11927bb2286f144eb2ed281aa009450570c13928627989cf690789a989",
+        "16dcbeff387ea58262f3cddb9f4f29554324d99989c379d7d47a91705cefdc20"),
     ("brick", "pay-both-directions"): (
-        "411fa2d9839f89189400dcf26994a9eeb2ad21ced7f748cb29f9ea1756f1492f",
-        "ba1c601593022a8b2dd0801054a822294073072701910eeef58fa424293f0595"),
+        "a190d12112e6875f49759947851691a20aae47e367cb287cbc628389702d4dad",
+        "069479d9a8dc379da3d2be9478a70d888e6ebce0a59ac485ca1478d8c38192f4"),
     ("brick", "pay-pipeline"): (
-        "a098519262a1f8e568a8483b529db4b1857d97d9c459adf4d5ee96a5a811d769",
-        "f500c59c98db593b505d61e061a9f539718fc04a6d1b16de86d661184b79d5ae"),
+        "c691e555d47007d83837d631019ab3a78864e15fa076de64cb88cc8eb4de3749",
+        "322914d0017c3ca88d9f55cf734abaa36059884eba246936a81e8b02ab6fd1d6"),
     ("brick", "pay-race-same-step"): (
-        "25110f7137e3c5cedb65985d5c9ab110d7988519b8ae807bbda107d8ed6151be",
-        "538260a5141c41f057fc6dc9daad92a4154d8951be5e645228b9b6fb65687ae8"),
+        "893b6f4b7c2de0bf51d666066bf16207bd3f7f77a5a2eef6fb7f2e87ba6cde41",
+        "337b72df98faa0507813759fcbc16950e9843d8fe63ac42e84539cacc9c8c82b"),
     ("brick", "read-heavy"): (
-        "e89abef4ebbf3d8aa5419a6369dd090de92d01d3ead0707f944c7760ba474a43",
-        "74eb348ae5052d31aa3873f559d4e66a9fe872000cc875d008745490c972d724"),
+        "939927e3d4031aba80441d342c8d8d75f5d37a495170b7866caa04738109c5d0",
+        "4117fb93ad76a034ef01aee59af7c6038cb5a43761ca759a6974ec5486d30952"),
     ("brick", "settle-after-traffic"): (
-        "662e14fea4bef2fef394a8b4c2875a74eea14c8f875bd683639e94d94dfdbe24",
-        "b7a901e5506d7822ac2fbb5c85892c137834cb95f0e0c2cf405e376fd520a520"),
+        "93d91e30821bece14812207cff3d789fd8f3e7e02873fda790221b542aa21c76",
+        "21883f39c324c0204563ababbe9431e7cb92a2163c8a26e9f40909b176a76cb1"),
     ("brick", "settle-fresh"): (
-        "0de469e5147b3a049e29250862a4aff3de8879c3482b5406d7e9b5a44d27d5db",
-        "040115fc2711ed39dde47317b4f92770ba6ee695a77f319e684b3f51316f83f1"),
+        "92284d864bbebda0679ad03219b656456724e6052f51e2462395cb2bf75633d2",
+        "0610a90759a8f11c4a8849ed0378fd250e39cab410a3333fd4a1638ab759c9ca"),
     ("brick", "shuffled-delivery"): (
-        "1c58eabef822bb99ba9475e477afba4adfe582dd90476d75c0d9a7b3cfd0f61e",
-        "8391ab34326466305d475cb71754fc3c116a0fb9ee374601c7a8c7b5c5ea731a"),
+        "e2abea5e3eaa5caff5022b4b0d385e367cdae064ef5afcc20b5b9b6e84aff841",
+        "6253a5472f54d7651a3e85f4f7cfa617470d6e82398cd9d4c50ee96531dcd592"),
     ("brick", "single-pay"): (
-        "88a31171ed66ee5e5f9888d559651fe48e50d5bea6b22e61b5febf5d8c330849",
-        "c1dd5c664efe8722037adc0ff9369df396bb4b8c0684ca58d748242dc486e4e9"),
+        "59e2268980d4052b7bf067a1192845164181cbc81ebbd223aca3193329eba166",
+        "22d0248d93202028f9f9a1f934950967c715b6fd0b963bfc23c78a57be69aef3"),
     ("brick", "stale-settle-attempt"): (
-        "32449a3bdc3cf8ce930a5599dc4dc4c7c201f9d3e5b4f6bb62a370c6dd4a8c51",
-        "59eba4142cb72d0ec54244c9b785aae6faf0f010a0581b9a2cfe03312a703bf6"),
+        "c54db0cd775579ce9d7a3b7982a16b3a3cb23f430bf560d207fc26030aff6407",
+        "a77a2c965d9c581b5cc0387695cf889d4bebaaa242d2280280421b648c149274"),
     ("brick", "unilateral-exit"): (
-        "fce8eb1e77a8f6addde5f8cfed5599f917bc36d9d509ae8c0f7bf28d8c515460",
-        "aacf1f63c85c5741622a63f98ceddf1820c61c33cbb835c63a6408c25bef4a4c"),
+        "a8b8cb93cc96d600755656e7d3bee2a0253f2c8c3c6986d5b93d578c6d243789",
+        "3b329348f6dbaf6734b04df723feb032b6de62ef68caed1d7201aec4c18889cd"),
     ("liquid", "client-spam"): (
-        "6c5d2b7e8840598cadc5c67477191168fa621c067fa08ff45e7c808ba93dac0d",
-        "3a6620f95ea1bdc271a0709f011e886fff9b006e9fab04674b52d0f0d246bd5d"),
+        "87c3feeccdd379c262b00f2877c9fa1195f4f62569d4a3822897e06dbb04f573",
+        "f6fad9c76a49ae4da2563d5c9154239489e908c39bef30956c5dffafceb5ab0f"),
     ("liquid", "corrupt-operator-rotation"): (
-        "c88bb5a70198d75bd9dad3a695f289f201ab528e55e36ca1e62503043376a1d2",
-        "7bd9ff782ed14371d6ba67403a592271394dfa75a2c13a30b47a8798d5c86d22"),
+        "3ed3d4e38b5a91ad7b80e17fd598a5d624287b35f5a96feaf38b76d690ca9d6a",
+        "ed7d87fd7774a181bcc6a25ce1ffc1e8eaa73da2dd6e72db3d781dff8e81144d"),
     ("liquid", "deposit-mint"): (
-        "dbed2cd36625262b36872853d7acfd15d2cd37dda5cc4d94cf6919707b21bbde",
-        "20ec9a639a8a1f007d1ec81f08fa1a500e850320f3d5c812b18f6ceee170197a"),
+        "aa5b5af2f757bb9f60a15c5601322eff317aa6e4c29a3e8b57e55d140fc67e37",
+        "8b5ee733a30ce4e56641ea0acb355c734d4d1bec22a7731a0a4de584c3bbce54"),
     ("liquid", "deposit-then-withdraw"): (
-        "1445e3a834442578448d4293424dee7a4f38b0b84aabacbca277193f239f08ee",
-        "504d67ac0713db3eca1df9458da0368a204cef020035fecc5faaa08b0e65f6f7"),
+        "05e2f1fee52ff1833aea28bdf0c652f2035b093d7c511254f96d72aae7d48744",
+        "5d8530056d883094ff3e4e481033eaf334f27934b2f830a46d92785e288de0a6"),
     ("liquid", "garbage-triggers"): (
-        "b34e25c81f45e5be56d413db511372a52ce4312093f936f358f6daac8624859d",
-        "102e842ea6fc28bb8623a30e3a576bc9999bac5fb06f491940317cc04647891c"),
+        "4cc0adcfe2e8976c4372f88e766919de5827628241cb92f76fda2db8e8191fde",
+        "af41b83050b63cffa7ab675b28a4a8f3937fa3597d7b89cec46ca3b2389161b2"),
     ("liquid", "no-pump-delta-flush"): (
-        "7492c41d54968d0b70354d9ca6fb6035658cb498d01dcb34dea989e1129ef6f0",
-        "19dbf68836c3f5df6c635d78c24402e574135fe76ed9c0c11a07266f2dbc31bf"),
+        "2de153fd2e1f6f6f28bca95373cdec5e7df4858e33be9f424029a2bc7d159d9f",
+        "bdb71aa94f6e1f21e40e09e56a41c778523c9d353dd9178c0feff3a4463e5e8a"),
     ("liquid", "open-only"): (
-        "ae77f18c2610edd0232eb147af59c9a48f913df9ad3a0c09566f3747ed44eb12",
-        "132436fb1841884792ca911a5459ad91807e23e4cb07ba3c149e16be3a18c17d"),
+        "c31d345c8be708192fd36d0a18a1131825a0c9677689fdbeed6863bf5b1edfaf",
+        "9272217eb0c681d34b1080e50c45a8e5e319c3c784e931259f6a4d24df2a3441"),
     ("liquid", "operator-menu-noise"): (
-        "cb6f1b3d36900a95d027e5f7d6a162883ad7b9542b908629ebfc84b91253178f",
-        "004b5d8e1dcafd1685d26c8282742081057100ef16eacdb5762b156e228c090d"),
+        "7d07ef86e9656952e6052776f1e3402c73fecd13615b7f0ab18a7da3ad6992c8",
+        "0e3b6ebd6b4a5448d67cca2d938127e8804b05ca7b5dfef3f064dd94d3f36dd3"),
     ("liquid", "overdraft-refused"): (
-        "033e164667d94bda3ae76f65ee9ffe289e7f982f71b2def85421c8e61bfd2f7f",
-        "836141cf8545ceafc896c6d0d03f6974ae730e842bcfef973e785d770890f7f0"),
+        "8a94131646bd05def0b759f81c9f4d774854adfacb0d5dbfcc896b0f6f4d51c8",
+        "f2fd40bbeb36e30f4daa5f58a732d11c00e5468ca466f4a46f557c1ddb142b24"),
     ("liquid", "pay-both-directions"): (
-        "08e3290b481ea4936e1e6158aa2ab288c7d99f2e4856dc8d4c539e1931182a17",
-        "c258da10d4fefd779bba7fcc3871ae805fe7d00c694408555c9b64a371e46f61"),
+        "0fc7f51c9efc95c96c1963cadf4c1e695a31a180bf68d346879b0307eb7f544c",
+        "51bc0c5ddf9bccac386b1e65ff71237484f740c24568371fe173398844a3696d"),
     ("liquid", "pay-pipeline"): (
-        "ad6655995280fc8345e7af8ad4b77a51f38889033266d99a8bebc9bc8d651a97",
-        "bb292e892ddf13ab4c5ac8a18956c5a87eb979009ab3788892920775978f8c74"),
+        "ce60b110f37fb696b044fd4865e464576a659ae1872c10baab214c9f053e5d07",
+        "f417f1a81cb48ada83f88629a28070599b2e05cfadf8023fe508d4abbc90ee3a"),
     ("liquid", "pay-race-same-step"): (
-        "a6608e64374b51f29e6d9512870ab2890887a6632aeea0b4c43a6cb3df3337aa",
-        "3aac8c5dd48b496f58014cadecdefae1c8afddd8feffe57e6b69d29d3481b046"),
+        "5c4476cba299f5048c3cea7a3a738a9174624e16125542fb790316a9caa36017",
+        "16f2ea0f0a7fe58aedf7b45d791bfbcaa447f64dcf0b1531f91b022d49376f58"),
     ("liquid", "read-heavy"): (
-        "a437263577c6cfc16f5f770c4eefcef5be527652414a3e567baecc920cdee6f3",
-        "9e0ec7133f5d81c74ec53e862ffe7cd99dbe03bf6f1a5e87fbb9540e9255768a"),
+        "de2bd998ce54675dfe74c0d3b1c7947a98fd9ca30af0b4ff52f9c658d9a7077b",
+        "3f0b571cd6d3a0a801bbf05a0c8bb0171b7c62549143628331a45b6ef6dd3ca6"),
     ("liquid", "settle-after-traffic"): (
-        "3740a47fc1bb57077fb8bf8eec2cf51f0621050d130cea32581792e3d1b772c5",
-        "f250317d1659b5fcae87f042bca76696c323d60c58f9b7e6dd15740051773a6e"),
+        "afac229bd01e85181a14b7694e17aeeda0c1b140d30b86d2e9730ca590e0f5b4",
+        "be1c64989c2ec80e3a5ab2b73c61987057a35222bb152e50eb8017fd7037d883"),
     ("liquid", "settle-fresh"): (
-        "0f9aab4462d3b1123aa56515c59b0b72f52bc6d0f8ee44f8321851a073472437",
-        "18554a7fdd46593a859348193570122dbcdbe3ded74bda64bd3acad7ce385c29"),
+        "7e6b66ab2a7f65d76d235e2db1244388f78b976f0c9616beb79cef8388f1460c",
+        "01cb7a175440851e16a8ea3c708ddff25142464ab0b063c8fe7fb28b889a660b"),
     ("liquid", "shuffled-delivery"): (
-        "e820375735ab5e1ce6872bb520071ef0aab0f26d7cbf849620e0d29937f96edf",
-        "a431e92ae7d84b360df89163d3136943435f125f755a200a7d4487f8ea449ee8"),
+        "6a82fe132dc69b60141ddfab4e51c8b4974804e34a1a311a71f40dc79c289cf0",
+        "3b9b5fd5e79695605d5c664a0fe0a54a353dc0f36bd24e6626a2fb3a7070b579"),
     ("liquid", "single-pay"): (
-        "38e797bbcf11d52c6a10a3d2343633044ce5b0b6a87aeb6684636cb0b7326b2e",
-        "743fbb12a4d84ff800a725527efb3246004f977643e350f420746fd3d9da1222"),
+        "a540665e765c3d8cb62205cab86a64fa9550f4e3a20cd5232d4f5f2ddfa137f8",
+        "5dcbd28742bdee243a789904373e078af63c5808a9bcf5e852ed83bb91dcec60"),
     ("arbitrum", "deposit-mint"): (
-        "bfeec4b029380c321265ce17734933ddc4b901549a0e2c0debd2f86961511cb0",
-        "1b55fd419918f4c0b128a901f9fa7b95117d6a1d234e4bd46d794084e021c584"),
+        "c0603ce57eff31d9eda13a80ec763f75f53d31b8d016a273780989ba9baf691d",
+        "9ec50793b1d03d1d6c45fe8d351ec9478fd44a275bc2517de4523e22fb627f56"),
     ("arbitrum", "false-accuse-noise"): (
-        "dbf353261dfc7b396ed7694a97e70c04e355b0899142bab7f166865002df2e95",
-        "9ff782ec7180a1b8bcda2cbb8ab50e125b160f6b1e3bcdb41948a10fe7918d1e"),
+        "581262627c093d791347699c17f12fc0276944603c06c9985365fe9b4cbab41c",
+        "c4068fa040089f7bc5827199154a1052bc3199c2bbea3e6c391320733ce33ace"),
     ("arbitrum", "fraud-struck"): (
-        "2c538a0b3a17d9c9b82e26a131f740485a7c8f5f6340a6bf92331936d76c8931",
-        "d628879dad195527eafca2bce325c556f6e473cf9d522a794f8ac2dc89954d94"),
+        "f89238c78cd7ca1907dab6e924fdeafc74058d835f7e615725c124ba96311390",
+        "90695f24de117d4869b2227dc74ecb6fcabe81c98a70c27a1305571c9a27650b"),
     ("arbitrum", "garbage-triggers"): (
-        "b962a5d1c3e87380382d2592773f7c166c19dfd008d02d1d46ca047964eb1fa7",
-        "486de29dac6d8e9f2091ab3ee7215603ec6bf7b8b04a7f34f59bbabb5087b0eb"),
+        "b27626fa39771d069dfc8895d42f89c3f7eddfecc1196adb68cc5c3311266da7",
+        "9e16bc4b8ade02c8bdad372cd8a6924c84735a7d8e3306091f40be973b4ab090"),
     ("arbitrum", "no-pump-delta-flush"): (
-        "450396ee648e68ac19624248a0b0042ba1c791db180c9de8d81acbc4d719cfae",
-        "b54490253a18c7c8a7cbf53f46023ad8cb61ac3057b8752afeb37e130e350485"),
+        "b51ab10edf1a8fa000ffce9638ff83b580adc67646f611443762a8ce6e90e779",
+        "42bb78294380ff8ee784c6c6a1b97b304b7fe7c9d4464d060e65c8a53f8ccbea"),
     ("arbitrum", "open-only"): (
-        "d5ac4922d04258ee4a52ae70623b53794214ccff8a05af8618c44fc856ac3634",
-        "a629ada8e1aa174b0a245a34929e27c262b51b536ba51379ecb4fdf5c66606bb"),
+        "34ced6760282c34d376bffa1aee9049468a6511a856af81f836cefdde3051049",
+        "6db98bf913a5d9e0c2e2f1b4f118ca2783bbafb4df67701221c87656213ecb77"),
     ("arbitrum", "overdraft-refused"): (
-        "59a70c8103e02bb30ead6424c2b804aee379822bc23782fa830b585d8fff8ffb",
-        "d8e7d7e300f1890c95d510aa4c530a3e8d6fe9966c6c1ec72acef4799dc35605"),
+        "d6996fbda339e915965f41e84e8d7676b29f5e6d28fe3f8bdb11b34f2f023322",
+        "48d113739b40edacda8947c9617f34d6ea00ea8c3ef2ddacec4814777d2cd2a2"),
     ("arbitrum", "pay-both-directions"): (
-        "8ac84d8537d5739bee36ccd1d7b1c072828ee3f1efd492cd9df4cb5a660c4eae",
-        "aed9b01622e59d3b4aef0135d83fc16bd9a67bfe2ca7403ab665a0c89cd25582"),
+        "05e2fb6f0b29a75083f8b6d52d8242727d7a9b4962a04e4408236d69343d5c85",
+        "f6898461c93ece77aa2a6aa71946b61e1e5effb204d8f43c7d43bd72d248a5a2"),
     ("arbitrum", "pay-pipeline"): (
-        "65981294754c9cbb513109f365909ec606178edab70220bf6e19d9352dd4ca25",
-        "2d3f52e5f101fd3e481aabf9d8dcfe35384f05abfec0b60573516901a58a1240"),
+        "7fb1659f6939078c19c3c6780d068a84e5ce17046fbfac54e75f72344fdc3a6c",
+        "ae276efa9a4ca041a0e8aea9126cc55712e6af8555773fbd8eaed09b8b32d87b"),
     ("arbitrum", "pay-race-same-step"): (
-        "6730f05f3435717af99cb0b55e1c647ea627ba86d376d3566a9accf23549c42d",
-        "cdc78b7ecdb1cadafa5215f6e4d9fdb593a8dc5281b0670217aeb79c3c412c07"),
+        "3a378da104d13f7380010106642db6f4e22dd31530065e31011648883e772d93",
+        "2b509cc95dbaa13a7613732137be5c4188c68971a0a216142c69f8bfa84bc2e5"),
     ("arbitrum", "read-heavy"): (
-        "22a3a5247256a738e3a4ec3d5d98e0314e94fc0dfd229fb82847744a3c9f8b4a",
-        "24dd1843b4277e6d25331de23894b22e12387d2d795c1c5e680caa10631848ee"),
+        "ffe1614339edc2de24af99fda66e7bce7ea53e1ae28c46874f2f53307da8d583",
+        "bcdbcb8770d25a343ffb5e11dacd57841cc4d105587af302cdbafd5dd0fd8445"),
     ("arbitrum", "self-publish-rescue"): (
-        "f9ae0aa76501469852a7ad9d35eb3d153cb223e52521ad1b7c1b815ddbaeab14",
-        "948122230fa3e31529664c0cb2c7d49c795013244e9c11ccb88b42a07c6ef873"),
+        "7a769891f2256f60f39a1018ec526f820c9a2f6afd9d9b61192b793bb402a6d9",
+        "229dcd5b9d44d68fa9c3f841aeb344c1479b6768001042b785fa8d090e2ea157"),
     ("arbitrum", "settle-after-traffic"): (
-        "222e0703b8b983ced5a51c008bd2deaa000c2b408e594c7bb395c45b1bc83c71",
-        "f0bd87cf19850e878352e1cb1c42881868ba553c28ee13bdf14d73dc695f4dcf"),
+        "47dc7d10f3bead24f932847fa379d3f51a06dc3e4f92620733e8f88190905c63",
+        "95e479df025d126c8302d6c2bc4f79e9d1255c1be5354d413f6255efaccb2565"),
     ("arbitrum", "settle-fresh"): (
-        "aeca34ed423c1a6242ceb99aa577d403bc8fc0432d694d1fa7eee4272959400c",
-        "1af54451a31c4da4099549d36a73de6c266eaa246a4f94957539517d99770d9c"),
+        "c2c823efca5c5d8ff0a68f8776350056e208e8531c20797dad99076eb8ea52ab",
+        "9a62ea4e27cdb2da6459536d5577d50736cb977cc514aef3e8fd84553559d545"),
     ("arbitrum", "shuffled-delivery"): (
-        "6721e402bb9d5bae17d81d8242798689c10d72285a9e51a7b7e50220383a20d0",
-        "b816b87394ed3f58c076fe3bda1762e5c166c5dc4fea4db5f4162f1d8a6d6f19"),
+        "72064a9faea456125ef1e6948c96a332a922cecc49092362b363b67519ab302c",
+        "1620d1796ca25c318a80d2c8b8462b72586647bccd3845474458bc64ca4ffdfc"),
     ("arbitrum", "single-pay"): (
-        "a1534090259a90b3c124878fbdb0a29256e30a9b9e477cfda1792557aa398984",
-        "3559283ba5c14d0289d3f8bc65d5db99451f0be1e25b55d6422f8b08574be6e5"),
+        "f1f2b9af2a0e549e93a1d7b1c2810106b68aac5a808f9f48d67f5405180ac2c0",
+        "80600b69e259e2a8c7b45b850ba0a6755c08be314b1183d97b4048f528a7b77b"),
     ("arbitrum", "withdraw-exit"): (
-        "e71cfe479be47e77c6cc61380fc7c700c4911f4779b9337fe783be61f3eb62e4",
-        "dc035cde01ff453b4453627cbb855b13a6df6bb6fb934578cfb62cd3c81d3bdb"),
+        "ade3aaff88bb218204f407c9e0bd82f4975871bf08d2c4578802e753c4604a23",
+        "9eec71b534efd9127c97f6e92c36569d97413a6ef1ad96f82bff7b291ff91130"),
 }
 
 # (protocol, seed, adversarial) -> (schedule, real, ideal) digests
 LIFECYCLE = {
     ("brick", 1, False): (
         "7b491486d3a05d4d144d0fb9c415e7e76cb6ca60e444a0c89b7dacc67196fd03",
-        "81f0c86215143048cc4d92cc3029bd6bbfe634868840909ee95a04dc017bdeb5",
-        "ac5f35cfdb7ad78c4a20da34562c36dda03dac793f2bba3fe3e11a026f05ef8e"),
+        "476830c087bfcbb9adcbe750ff28c712a30ce388538a92ae3d14257aa410a50f",
+        "eccc6ea06db1eb36437b8a8569918441c7d05e4956eabddbb4a32e7f121dff5b"),
     ("brick", 1, True): (
         "45005cce99fedb08c7f1c60d89fb66c81fdaf5adcd15a5d5e4b7fc1d8dfd0e53",
-        "901043658ae78289d58f6441ae206496c470c4afebbe2023c88a1bb905af62c8",
-        "2b9ef0bf4a015647251ab2b943d51610db172c2ff73c8c938d76eb95803037aa"),
+        "0963d354b7321a1735e91e714a636df5a5ad39a6220d330a7aa2f1fc2ece9b64",
+        "b22d7eb8b9c59bb7fd89345478077c348fea8533bcae7dd9994cc9e07f1c624b"),
     ("brick", 2, False): (
         "f9ef6d47ab02a84ec92e8929c4d938b68e23d898cfdca734208fc959ff5a0c6b",
-        "a8a2a10f2f733d5604f028a268739a74fa326462a2735f1e58858f5dfa6ed7ee",
-        "2f591f68b75e884bd07042c32a46b25f5a01d592d153e75d262c0559ffae0c5f"),
+        "03dc2f9f7a06eb4365bb29c5a82b627aab9207075dba49be2e5d68dd6970a91d",
+        "2719f81ef2dacbfe1f17501cbf08a9b33b276996fcb0d584afd8c4a3ba26a2a0"),
     ("brick", 2, True): (
         "028a97ebfec91c21423f4bef0a23d18a8e938b0a0e08ca401e4fc0864d498adc",
-        "522141dd582fe0724612527bfc6159e486a0c1ca940f21cb40239273c248d8d4",
-        "a5e4b7354637525e6ccb5208c3043b59ca86828114a74e5ae05b23cb3e169d80"),
+        "44e196c76c23293d3fe9bc3e277fa551270eb549e9cd5b0de85b33bf02894a1e",
+        "92d4124a22b90cc6d76b03d8c75065985458897bf58cc1219f957dcef09555cd"),
     ("brick", 3, False): (
         "6381cd749c6b93fe6d28095fb0a94784ed7ecad2bec85e465c2bbb756aa9efe2",
-        "7d98d69f277625ab45c71b46789ec5fae9883f0650ee75ff9db3fca6ac98c35b",
-        "23d6a77db26ab71d9d7cd731830cafd3eeebae3f1c9b3e39fd347e29b3f22aa5"),
+        "5d1a5f5f264a015791ab2eceade1feba0b1608859b780a3d88dc1187af364bc7",
+        "01af4a9aa6653e614cc8e37b5f36cf8741ae1e0b35036a3ab058df4cf67bf50a"),
     ("brick", 3, True): (
         "aa53cca3c169a82ec5b2a4d5bc150920c6651eee1d96a004e850d249e1fa648e",
-        "89e77a2240043fa0d2033dc629327e4e7b3f35c7b0249ab91f0c1164eec2347e",
-        "8b9ccfb8fbb6f5197df0c8e25c3d40d2333a85eee6e078d43f4a14e5544f87ec"),
+        "bb709b469e6ead73138120bb47318bdf7c638af37d8edd0b055d9393dc393e0a",
+        "517ffeb7b0246fd1aaab3187991d6758a95cd5d410877febd86750caeaa42be8"),
     ("liquid", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
-        "785c161fefdc3b231b58a385d91e49bf65bfa0cf0a60e1c0023ba50153afa208",
-        "cd50a99e278a827fa04d584aac2bf1213f915fb36323bb2f1cbdce722c13b5c7"),
+        "0324a622d25681656c6c36a6be30c17047dd14dab5c3149a961f2fd2d5f7d5b7",
+        "ccb3e85476005f397463c0aec38795aff4999dccfd5a3a3c44a8a4d9b615bf73"),
     ("liquid", 1, True): (
         "38871f87b4398e8c60f45665ae6581997da8b80a3457f0fafedd724f5ce11c35",
-        "e59c6769b9e5110f7f06ad5d8e813fa048bfb385a40e79bfbd30476cce521d5b",
-        "2433ee190797a5b0e610546f98f6dfef2331e844285120e8511941c275569a77"),
+        "87f4f100438d59b95e8d4d0d4220c9eba99a71b1bd2c7d785e25fb55540847ab",
+        "e0430f3ea5c763e05c4ea4dcb24cd86d0ba9b6a42cc73c3a70f0cdd2deb510c9"),
     ("liquid", 2, False): (
         "2105c5aeb6ee8aedf7aa9f14ecd63921c5d11f5d50a7367a0053e03a63c2ed9b",
-        "89f461e7a11d5a6dd52256ebd141d723ee5dd2e9ae31f98bf07753af6f85f56a",
-        "057ad75bf883bbba2cdde70a7e0e88b65e869a4d5365e2dc829a77ed0cff4f4e"),
+        "5f2a6ca989c268487a88f7fd3b771cd7779c38438742cc68012979b99193059e",
+        "e00e7094c87b2f8db20798d2b099042a0da7686e2f2219977cf7b0beb1cab223"),
     ("liquid", 2, True): (
         "ba57234f2d6d51af98f908cb3fd4eecaa7d77d24934cad954065f01807be5760",
-        "45a49b06597b94cb1c4cf414835b5cda1d90e8a208e2f212830aa0931627c678",
-        "046a7e9adb714e9ffa92c9496072eadc28f6ae9e81cf9401468cac0fed196c96"),
+        "67af47ecd17511bed4161bb3f34c1a59fe2770ec19a58c28f88f5aacf920bd41",
+        "a050cde598f6456eb5e1289be386f8310729b66fa65dff1c095254255a41edd3"),
     ("liquid", 3, False): (
         "b2c8af5adbdfd31c5166d86924da9e3382226e6490394dacd22a4bc8187e9b28",
-        "a6aec24f775184ab35d9a5a270c998c8b72cf454a70f0e8d5717fa2b19fbca40",
-        "3e3375098c3b1945c607ac3259c60ed1dc349a93debaf2c734e9a73044dabc60"),
+        "aa4cd1811c5639a548a459e9cdd813537c3b5d1690f9057c1614b2895bdafb4b",
+        "a11bbf584647fc2432e2219fb0f2c6beff1242a0cbe7b6f51b138fecfd402787"),
     ("liquid", 3, True): (
         "7fb13eb7060bebd9750a941899aaf1437f11ea1e96165c0db285bd945554cf32",
-        "1947d5c7972b6b20cb799b50e7d2ff6780d6cab19df914adc7dd34621cb60664",
-        "50e68859b4259dc4d13bd6636ad10b6b9f12ae4c2614c02538d6cac2521bf536"),
+        "7a7d199d4381a65765d3bb464aae1976ba3df7b773ec2dbf75439ca58b029853",
+        "f27e48b4350077d94d7e38825100321bd91ba3d19263c7ad2331a53ed98ad590"),
     ("arbitrum", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
-        "6bb3a44ae312681594745a074f2827dd1c786b5c882094c23ae7dd6fcbd906de",
-        "b57e984556ea00083dd1f9022e6482f2d82219d63e7df3de1b8eb803eba9250b"),
+        "136c000e1298741a4a682e3cc56736ea1ec787b465ddf5bd82ec0dd8e35694bb",
+        "a2aa41922974de6ddc3b2b900428de5a49f8716071c95ee2697a04e1eaf419a7"),
     ("arbitrum", 1, True): (
         "b2e16ca7cb0c27e9c67b5a44590bb0bf50942caa03182090b25c2199ae5b73ab",
-        "6a71e5508a8ad94f09b410f1270f3baf734f47cd7d3c860514298517090fe479",
-        "d1fb2b7b4b1dd1a87f5db5ab264708935a9112aeeb55a01863e2b72caa45f2cf"),
+        "243fdc8eb0a3369b88656d8bc9980db993b981ac616c0c5cf38eb678a29e9a65",
+        "d7fcca5237880eeff09dc6c2546307fbd6ffce2ee1f82492f794635ed4aec418"),
     ("arbitrum", 2, False): (
         "2105c5aeb6ee8aedf7aa9f14ecd63921c5d11f5d50a7367a0053e03a63c2ed9b",
-        "2aa17db8007f9e3cb96779ce10650ae88821564bcc00a2ec686877a59886a98e",
-        "2891eb0396a705e531faedc75aaaa7f879308bf9cf1ce190ce5aa9416c4446eb"),
+        "c5a99f0d5ea297987f8a9d69efc95c0f603fabb8234128a00d5cfe16e58c2255",
+        "713b893f6acceb173723cc2513af2b43531525d25aa0f112e31a9ba1251917ae"),
     ("arbitrum", 2, True): (
         "1daed42271d646aeb89ce6bffdfaaf2207e95cee8e9f5f5b39150fc3641e95b2",
-        "85a8a37e343344e6afd2fd60d9c6ae11f8f35ff9793e3a9a0e197610e6826bf3",
-        "5fb3f2fcebb67f258d5f153ac47cecbe873b5c42d2731e9f2bec19e1757cf858"),
+        "5d0af51235a70710697ed02fbd12be513f337b17499b72b99f33a94e0513e6af",
+        "5d681e0f11aae426d4aa921913e9841663bbad3bcc570445f31101e97e7c4962"),
     ("arbitrum", 3, False): (
         "b2c8af5adbdfd31c5166d86924da9e3382226e6490394dacd22a4bc8187e9b28",
-        "67a5de18625b996705775707e4a765956ea07b86efefd581120cd8f4f7979e48",
-        "12085afcdc18b409f4a465bbc60b898ce0516c9f2ec1331126cedfdfb5afdd79"),
+        "8894ca65c5c6d7b0239d56ccfabed7e01c0ff0527738411ee21288d5539e1939",
+        "9e55b0b152497007ee276a125f7949cda2ab0f316c1e0ecdca47d1038b09ac85"),
     ("arbitrum", 3, True): (
         "68c49da401716fdd713798a708e3b2a93072a08b048235f64ed39413b57e4a81",
-        "3e487c9277ddb9889bac64a6577ccf98b71b2d51e34683681524748ac5d75bca",
-        "001f02f59579ed5026db2b051932fef38601ec4e2fc4b2d11a4187b7c17b55fd"),
+        "d3c16472adc45514eb6f2f74597cdc4544d444a8ba7525ebdd6e29ae55f26b46",
+        "f331e24a6aab780be51caaf69c266a98803c8144713ce6ec56582861e58d4bb0"),
 }
 
 

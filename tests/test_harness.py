@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from l2sim import arbitrum, brick, harness, liquid
+from l2sim import arbitrum, brick, harness, liquid, properties
 from l2sim.base import Ledger
 from l2sim.core import CLIENT
 from l2sim.runtime import ScheduleError, World
@@ -83,21 +83,29 @@ def reference_projection(trace):
         p = ev["payload"]
         kind = p.get("kind")
         if kind == "read-result":
-            item = {"kind": kind, "state": p.get("state"),
-                    "pointer": p.get("pointer"), "base": p.get("base", 0),
+            item = {"kind": kind, "base": p.get("base", 0),
                     "settled": p.get("settled"),
                     "executed": [[e.get("kind"), e.get("seq"),
                                   canon(e.get("state"))]
                                  for e in p.get("executed", ())]}
-        elif kind == "open-ok":
+        elif kind in ("open-ok", "settle-ok"):
             item = {"kind": kind, "state": p.get("state")}
-        elif kind == "settle-ok":
-            item = {"kind": kind, "success": p.get("success", True),
-                    "state": p.get("state")}
         else:
             item = {"kind": kind, "raw": canon(p)}
         per.setdefault(ev["party"], []).append(item)
     return per
+
+
+# the exact keys of the outputs that repeat nothing the reader's whole view
+# gives: no tip state or pointer on a read, no constant flag on a settle-ok
+OUTPUT_KEYS = {"read-result": {"kind", "base", "executed", "settled"},
+               "settle-ok": {"kind", "state"}}
+
+
+def assert_exact_output_keys(trace):
+    for ev in trace.events:
+        if ev["t"] == "output" and ev["payload"]["kind"] in OUTPUT_KEYS:
+            assert set(ev["payload"]) == OUTPUT_KEYS[ev["payload"]["kind"]]
 
 
 # the golden lifecycles of tests/test_golden.py
@@ -112,6 +120,7 @@ def test_projection_matches_reference_on_scripted(name, label):
                                       scripted_schedules(name, scn)[label])
     for run in (real, ideal):
         assert output_projection(run.trace) == reference_projection(run.trace)
+        assert_exact_output_keys(run.trace)
 
 
 @pytest.mark.parametrize("name, seed, adversarial", GOLDEN_LIFECYCLES)
@@ -123,6 +132,7 @@ def test_projection_matches_reference_on_lifecycles(name, seed, adversarial):
     for run in (real, ideal):
         got = output_projection(run.trace)
         assert got == reference_projection(run.trace)
+        assert_exact_output_keys(run.trace)
         assert any(o["kind"] == "read-result"
                    and o["base"] + len(o["executed"]) > 2
                    for outs in got.values() for o in outs)
@@ -141,7 +151,8 @@ def test_single_pay_is_not_vacuous(name):
         outs = per[f"client:{pid}"]
         kinds = [o["kind"] for o in outs]
         assert kinds.count("read-result") == 2
-        assert outs[-1]["pointer"] > outs[1]["pointer"]
+        assert outs[-1]["base"] + len(outs[-1]["executed"]) > \
+            outs[1]["base"] + len(outs[1]["executed"])
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)
@@ -292,7 +303,9 @@ def test_bare_advances_agree_with_pumped_delivery():
     assert diffs == []
     outs = output_projection(real.trace)["client:c1"]
     assert outs[-1]["kind"] == "read-result"
-    assert outs[-1]["pointer"] == 1
+    views = [v for v in properties.read_views(real.trace)
+             if v.party == "client:c1"]
+    assert [e["seq"] for e in views[-1].executed] == [0, 1]
 
 
 # ROADMAP item 2 (fuzz the environment): its schedules always open both
@@ -524,7 +537,7 @@ def test_diff_outputs_reports_mismatch_and_length_drift():
                 "payload": {"kind": kind, **extra}}
 
     a = T([out("client:c1", "open-ok", state={"seq": 0}),
-           out("client:c1", "settle-ok", success=True, state={"seq": 1})])
+           out("client:c1", "settle-ok", state={"seq": 1})])
     b = T([out("client:c1", "open-ok", state={"seq": 9})])
     got = diff_outputs(a, b)
     assert len(got) == 2

@@ -8,7 +8,7 @@ from l2sim.runtime import Ctx, World, EntityId
 from l2sim.base import CertRegistry, Ledger
 from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
                         InternalState, open_record)
-from l2sim import base, harness, liquid, trace
+from l2sim import base, harness, liquid, properties, trace
 from l2sim.trace import canon, digest
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
@@ -152,10 +152,9 @@ def test_read_carries_block_records():
     cycle(world)
     world.inject_input(world.entity(CLIENT, "c2"), {"kind": "read"})
     r = outputs(world, "read-result")[-1]["payload"]
-    assert r["state"]["bal"] == {"c1": 7, "c2": 13}
     assert [e["kind"] for e in r["executed"]] == [OPEN, UPDATE]
     assert len(r["executed"][1]["txs"]) == 1
-    assert r["pointer"] == 1
+    assert r["executed"][-1]["state"]["bal"] == {"c1": 7, "c2": 13}
 
 
 def test_garbage_proposal_is_ignored():
@@ -262,6 +261,35 @@ def test_a_vote_cannot_swap_the_block_under_a_certificate():
         assert liquid.cert_valid(world.certs, world.sid, m.tip(),
                                  m.chain[-1]["cert"], scn["quorum"],
                                  [o.short() for o in m.operators]) == x
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: honest liquid operators fork")
+def test_honest_operators_agree_after_two_deposits():
+    """All operators and clients honest: op1, op2 and op4 finalize one
+    height-1 block and op3 another, so the real run fails safety (c1 and
+    c2 read different height-1 states) while the ideal run passes, and
+    ``diff_outputs`` has one entry, for client:c2."""
+    scn = liquid.canonical_scenario()
+
+    def inp(pid, **entry):
+        return {"op": "input", "pid": pid, "entry": entry}
+    sched = [inp("c1", kind="open"), inp("c2", kind="open"),
+             inp("c1", kind="deposit", amt=3), {"op": "advance"},
+             inp("c1", kind="deposit", amt=3)]
+    sched += [{"op": "advance"}] * 3
+    sched += [{"op": "pump", "seed": 484162},
+              inp("c1", kind="read"), inp("c2", kind="read")]
+    real, ideal, diffs = harness.run_differential("liquid", scn, sched)
+    finals = {ev["party"]: ev["bdig"] for ev in real.trace.events
+              if ev["t"] == "note" and ev.get("kind") == "block-final"
+              and ev["height"] == 1}
+    assert len(finals) == len(scn["operators"])
+    assert len(set(finals.values())) == 1
+    f = {role: budget for role, _, budget in liquid.party_roles(scn)}
+    assert [properties.check_safety(run.trace, f).passed
+            for run in (real, ideal)] == [True, True]
+    assert diffs == []
 
 
 # -- ideal bundle ----------------------------------------------------------

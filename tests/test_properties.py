@@ -8,14 +8,18 @@ once, while each read still carried its reader's whole view, and are not
 regenerated.  The witness tables hold a sha256 of every check's witness;
 they were recorded before the checks were reworked to build evidence
 keys once per view, and again when reads began to carry only their delta
-(a witness read carries its whole view from ``base`` 0).  A change that
-moves a verdict or a witness has to say why.
+(a witness read carries its whole view from ``base`` 0).  The witness
+rows that hold a read event (the real run of liquid
+deposit-then-withdraw) were recorded once more when a read stopped
+carrying its tip state and pointer.  A change that moves a verdict or a
+witness has to say why.
 
 ``reference_check_safety`` keeps the all-pairs safety check that the
 one-pass ``check_safety`` replaced; the two are compared on hand-built
 failing traces and on random view sets.  The hand-built liveness and
 settlement traces pin the verdicts the checks gave before that rework
-(their witness digests recorded again with delta reads), and every
+(their witness digests recorded again with delta reads, and those with a
+read event again when reads dropped their tip state and pointer), and every
 failing witness must fail again, with the same parameters, when checked
 on its own.
 """
@@ -73,7 +77,12 @@ def full_view_projection(trace):
     A read keeps the first ``base`` entries (0 when absent) of its reader's
     previous read and appends its own; a ``settled`` state ends the view.
     The rebuild follows the payload format alone, independently of
-    ``properties.read_views``.
+    ``properties.read_views``.  Reads and settle-oks once also carried the
+    fields the output tables below were recorded with, and no longer do
+    because the whole view gives them: a read's ``state`` (the state of
+    its view's last entry before the settled one) and ``pointer`` (that
+    entry's index), and a settle-ok's constant ``success``.  They are
+    derived here, so the tables pin that the fields were redundant.
     """
     per = harness.output_projection(trace)
     texts, prev, seen = {}, {}, {}
@@ -82,14 +91,16 @@ def full_view_projection(trace):
             continue
         party, p = ev["party"], ev["payload"]
         i = seen[party] = seen.get(party, -1) + 1
+        if p.get("kind") == "settle-ok":
+            per[party][i] = dict(per[party][i], success=True)
         if p.get("kind") != "read-result":
             continue
         entries = prev.get(party, [])[:p.get("base", 0)] + list(p["executed"])
         prev[party] = entries
+        tip = {"state": entries[-1]["state"], "pointer": len(entries) - 1}
         if p.get("settled") is not None:
             entries = entries + [settled_entry(p["settled"])]
-        per[party][i] = {"kind": "read-result", "state": p.get("state"),
-                         "pointer": p.get("pointer"),
+        per[party][i] = {"kind": "read-result", **tip,
                          "executed": properties.entry_keys(entries, texts)}
     return per
 
@@ -151,7 +162,7 @@ SCRIPTED_WITNESSES = {
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "deposit-then-withdraw"): (
-        "3925aa5318ac4bdb2b3671fa86873b34c34cf198f08799a5dff36134e0d0bbe5",
+        "fda006012f062269844d0aa62297579a833ae9692d315468b167a955661752b1",
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "garbage-triggers"): (
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
@@ -755,10 +766,8 @@ def event(t, party, rnd, step, **fields):
 
 
 def read(party, rnd, step, executed):
-    state = executed[-1]["state"] if executed else None
     return event("output", party, rnd, step,
-                 payload={"kind": "read-result", "state": state,
-                          "pointer": len(executed), "executed": executed})
+                 payload={"kind": "read-result", "executed": executed})
 
 
 def corrupt(party, rnd, step):
@@ -1015,7 +1024,7 @@ LIVENESS_EXPECTED = {
                     "t_l2": 4,
                     "t_l1": 2},
          "witness_len": 3},
-        "fca613b222977c337a5dc727ec61c1bf9bf4b7f08331f6b2d4f2cc7a2edb0a8c"),
+        "0fc98b4ca220bab37489206ab25299478d61c05d6363e4b5a937a581da05f3eb"),
     "deposit-minted-at-deadline": (
         {"record": "verdict",
          "property": "liveness-update",
@@ -1039,7 +1048,7 @@ LIVENESS_EXPECTED = {
                     "t_l2": 4,
                     "t_l1": 2},
          "witness_len": 4},
-        "dcd906287c8a68a5b81dfbf9f5a8c65d99d6b4625ffa1033e5e9db1e1bbae54f"),
+        "ed2ea97daf6139bdd600edd318e36d0b5c9c3255b1f2280c0454f9dfa2afd48c"),
     "queued-pay-nonce-missing": (
         {"record": "verdict",
          "property": "liveness-update",
@@ -1052,7 +1061,7 @@ LIVENESS_EXPECTED = {
                     "t_l2": 4,
                     "t_l1": 2},
          "witness_len": 4},
-        "2b28bd29aabd4034a3f8e0971e10d2e31ee25d2a9fdbdb2a6aa0a72569f363bd"),
+        "d528118256573246e1a1398cbec8d5e61287c571c535820fb71ed395a7c6a977"),
     "queued-pay-nonce-seen": (
         {"record": "verdict",
          "property": "liveness-update",
@@ -1076,7 +1085,7 @@ LIVENESS_EXPECTED = {
                     "t_l2": 4,
                     "t_l1": 2},
          "witness_len": 6},
-        "f06cf3997bcf6d167b39ea4b91410999dad51909bf85f5c8b1e87af0648cde0c"),
+        "93040062a50902c85ba4e3f93aae3e768e1c3bca57099a711bbf775276891de0"),
     "pay-never-sent": (
         {"record": "verdict",
          "property": "liveness-update",
@@ -1089,7 +1098,7 @@ LIVENESS_EXPECTED = {
                     "t_l2": 4,
                     "t_l1": 2},
          "witness_len": 3},
-        "2b535a08b7a4c083fe678505d57435ae48a65f009d83068f31f3fb47b8000d21"),
+        "0a88aae08d98443a2c1647522095fb0f93d4144f1b173fdce1e600db7e0c23a0"),
     "open-without-open-ok": (
         {"record": "verdict",
          "property": "liveness-open",
@@ -1209,7 +1218,7 @@ SETTLEMENT_EXPECTED = {
          "vacuous": False,
          "params": {"settled_at": 1, "latest_known": 2},
          "witness_len": 2},
-        "efc4d88c2dd8d4af616c4f6cd7d726d4f052fe5a47b9a39c66b61ba69e7bbcff"),
+        "884921b6fcdf30d831a0c415e219859b250502ae3119ac62986de3af8fbe09d5"),
     "stale-but-explicit-anchor": (
         {"record": "verdict",
          "property": "correct-settlement",

@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from l2sim import harness
 from l2sim.core import CLIENT, OPEN, UPDATE, read_result, settled_entry
-from l2sim.properties import as_trace, check_safety, read_views
+from l2sim.properties import (as_trace, check_correct_settlement,
+                              check_safety, measure_data_availability,
+                              read_views)
 from l2sim.trace import IntegrityError
 
 PARTIES = [f"{CLIENT}:p{i}" for i in range(3)]
@@ -70,12 +72,9 @@ def encode(history, order):
         entries, settled = queues[party].pop(0)
         base = common_prefix(shown.get(party, []), entries)
         shown[party] = entries
-        # no pointer: it would give away each view's length
-        state = entries[-1]["state"] if entries else None
         events.append({"t": "output", "party": party, "round": step,
                        "step": step,
-                       "payload": read_result(state, base, entries[base:],
-                                              None, settled)})
+                       "payload": read_result(base, entries[base:], settled)})
     return as_trace(events)
 
 
@@ -149,6 +148,31 @@ def test_a_base_beyond_the_previous_view_is_an_integrity_error():
         read_views(trace)
     with pytest.raises(IntegrityError):
         check_safety(trace, {CLIENT: 0})
+
+
+# label -> (payload field, value) that no read may carry; field None for
+# a payload that is not an object
+MALFORMED = {"base-str": ("base", "x"), "base-bool": ("base", True),
+             "executed-int": ("executed", 5),
+             "executed-str-entry": ("executed", ["x"]),
+             "settled-str": ("settled", "x"), "payload-list": (None, ["x"])}
+
+
+@pytest.mark.parametrize("field, value", list(MALFORMED.values()),
+                         ids=list(MALFORMED))
+def test_a_malformed_read_is_an_integrity_error(field, value):
+    history = {PARTIES[0]: [(ENTRIES[:2], None), (ENTRIES[:4], None)]}
+    events = encode(history, [PARTIES[0]] * 2).events
+    if field is None:
+        events[1]["payload"] = value
+    else:
+        events[1]["payload"][field] = value
+    trace = as_trace(events)
+    with pytest.raises(IntegrityError):
+        read_views(trace)
+    for check in (check_correct_settlement, measure_data_availability):
+        with pytest.raises(IntegrityError):
+            check(trace)
 
 
 @pytest.mark.parametrize("name", sorted(harness.PROTOCOLS))

@@ -7,7 +7,7 @@ from l2sim.runtime import (
     World, Machine, EntityId, env_entity, plain,
     RegistrationError, RoutingError, ScheduleError, CorruptionError,
 )
-from l2sim.trace import Trace
+from l2sim.trace import IntegrityError, Trace
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
@@ -251,6 +251,17 @@ def test_trace_roundtrip_and_integrity():
     broken = "\n".join(text.splitlines()[:-1]) + "\n"
     with pytest.raises(Exception):
         Trace.from_text(broken)
+
+
+@pytest.mark.parametrize("line", ["header", "event", "integrity"])
+def test_a_trace_file_line_that_is_no_object_is_an_integrity_error(line):
+    trace = Trace()
+    trace.events = [{"t": "note"}, [1] if line == "event" else {"t": "note"}]
+    lines = trace.to_text().splitlines()
+    if line != "event":
+        lines[0 if line == "header" else -1] = "[1]"
+    with pytest.raises(IntegrityError):
+        Trace.from_text("\n".join(lines) + "\n")
 
 
 def test_clone_is_independent():

@@ -111,8 +111,7 @@ def long_reader_trace(reads):
         entry = {"kind": UPDATE, "seq": i + 1, "state": {"seq": i + 1}}
         settled = {"seq": i + 1} if i == reads - 1 else None
         events.append({"t": "output", "party": f"{CLIENT}:A", "round": i,
-                       "step": i, "payload": read_result(
-                           entry["state"], i, [entry], i + 1, settled)})
+                       "step": i, "payload": read_result(i, [entry], settled)})
     return as_trace(events)
 
 
