@@ -164,7 +164,7 @@ def read_views(trace, events=None, bad=None) -> list[ReadView]:
             continue
         p = ev.get("payload", {})
         if not isinstance(p, dict):
-            raise IntegrityError(f"output at step {ev.get('step')} is no object")
+            raise IntegrityError(f"step {ev.get('step')}: output is no object")
         if p.get("kind") != "read-result" or ev.get("party") in bad:
             continue
         mine = reads.setdefault(ev["party"], [])

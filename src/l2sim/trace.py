@@ -85,7 +85,7 @@ class Trace:
         except json.JSONDecodeError as e:
             raise IntegrityError(f"trace file is not line-delimited JSON: {e}")
         if not all(isinstance(x, dict) for x in [head, tail, *events]):
-            raise IntegrityError("trace file has a line that is not a JSON object")
+            raise IntegrityError("a trace file line is no JSON object")
         if head.pop("l2sim-trace", None) != 1:
             raise IntegrityError("missing or unsupported trace header")
         if "end" not in tail or "digest" not in tail:

@@ -246,13 +246,16 @@ def test_read_clamps_delay_hint_between_pointer_and_top():
     pointer, state, got = read_with_delay(world, a, 1)
     assert (pointer, state) == (1, s(1))
     assert (got["base"], [e["seq"] for e in got["executed"]]) == (0, [0, 1])
-    pointer, state, got = read_with_delay(world, a, 0)   # below the pointer: raised
+    # below the pointer: raised
+    pointer, state, got = read_with_delay(world, a, 0)
     assert (pointer, state) == (1, s(1))
     assert (got["base"], got["executed"]) == (2, [])
-    pointer, state, got = read_with_delay(world, a, 99)  # above the top: lowered
+    # above the top: lowered
+    pointer, state, got = read_with_delay(world, a, 99)
     assert (pointer, state) == (3, s(3))
     assert (got["base"], [e["seq"] for e in got["executed"]]) == (2, [2, 3])
-    pointer, _, _ = read_with_delay(world, a, 2)         # the pointer never moves back
+    # the pointer never moves back
+    pointer, _, _ = read_with_delay(world, a, 2)
     assert pointer == 3 and machine.ist.read_ptr["a"] == 3
     pointer, state, _ = read_with_delay(world, b, -5)
     assert (pointer, state) == (0, s(0))
