@@ -208,11 +208,13 @@ class LiquidOperator(Machine):
         store = self.pre_store.setdefault((h, rnd, bdig), {})
         store[src.short()] = p["ref"]
         slot = (h, rnd)
+        block = self.blocks_seen.get(bdig)
+        lock = self.locks.get(h)
         if (len(store) >= self.quorum and slot not in self.finvoted
-                and h == self.tip()["height"] + 1
-                and self.blocks_seen.get(bdig) is not None):
+                and h == self.tip()["height"] + 1 and block is not None
+                and (lock is None
+                     or lock["cdig"] == content_digest(ctx.certs, block))):
             self.finvoted.add(slot)
-            block = self.blocks_seen[bdig]
             self.locks[h] = {"cdig": content_digest(ctx.certs, block),
                              "block": block}
             ref = ctx.certs.sign(self.me.short(),
