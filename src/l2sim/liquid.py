@@ -3,12 +3,18 @@
 Operators keep an account ledger and finalize one block per committee round
 trip: the round's leader proposes, operators precommit, then final-sign, and
 a block carrying both quorum certificates is appended and pushed to clients.
-Honest operators vote at most once per (height, round) slot and refuse a
-proposal that differs from their lock, but ``_on_precommit`` moves the
-lock to each later round's quorum block, so even at the default quorum of
-2f+1 two conflicting blocks can both gather certificates: honest operators
-fork (ROADMAP item 1; ``tests/test_liquid.py`` pins a fork as a strict
-xfail, and sets quorum=2 to show what happens below the intersection).
+A block is ``{height, prev, txs}`` and its digest is its one identity: the
+round travels in the proposal and in the votes, and the proposer is the
+proposal's sender, so the same content certified in two rounds is one block.
+An honest operator votes at most once per (height, round) slot.  The first
+block it final-votes at a height becomes its lock there; the lock never
+moves, it precommits no other proposal at that height, final-votes no other
+quorum block, and as leader it re-proposes the locked block.  So at the
+default quorum of 2f+1 no two blocks at one height can both gather
+certificates.  With no unlock rule, though, a lock split (two honest
+operators locked on each of two blocks) stalls the chain for good
+(ROADMAP item 1; ``tests/test_liquid.py`` pins one as a strict xfail, and
+sets quorum=2 to show what happens below the intersection).
 
 Value enters by peg-in (an L1 deposit that leaders mint once it is buried
 confirm_depth blocks deep) and leaves by peg-out (an L2 burn followed by a
@@ -37,7 +43,7 @@ SETTLE_ALLOWANCE = 18
 
 
 def genesis_block():
-    return {"height": 0, "prev": None, "txs": [], "round": 0, "proposer": None}
+    return {"height": 0, "prev": None, "txs": []}
 
 
 # each *_msg helper returns the digest of the message that is signed, which
@@ -52,11 +58,6 @@ def fin_msg(certs, sid, h, rnd, bdig):
 
 def pegout_msg(certs, sid, l2txid, height):
     return certs.message("pegout", sid, l2txid, height)
-
-
-def content_digest(certs, block):
-    """Round- and proposer-independent block identity, used for locks."""
-    return certs.message(block["height"], block["prev"], block["txs"])
 
 
 def apply_block(state, block, ledger, confirm_depth):
@@ -103,7 +104,7 @@ class LiquidOperator(Machine):
         self.mempool = {}
         self.voted = set()        # (height, round) precommit slots
         self.finvoted = set()
-        self.locks = {}           # height -> {"cdig", "block"}
+        self.locks = {}           # height -> bdig of the block final-voted
         self.pre_store = {}       # (h, rnd, bdig) -> {op: ref}
         self.fin_store = {}
         self.blocks_seen = {}     # bdig -> block
@@ -141,7 +142,7 @@ class LiquidOperator(Machine):
             tx = p["tx"]
             self.mempool[l2_txid(ctx.certs, tx)] = tx
         elif kind == "propose":
-            self._on_propose(ctx, p["block"], src)
+            self._on_propose(ctx, p["round"], p["block"], src)
         elif kind == "precommit":
             self._on_precommit(ctx, p, src)
         elif kind == "final":
@@ -157,31 +158,29 @@ class LiquidOperator(Machine):
         h = self.tip()["height"] + 1
         lock = self.locks.get(h)
         if lock is not None:
-            block = dict(lock["block"], round=rnd, proposer=self.me.short())
+            block = self.blocks_seen[lock]
         else:
             txs, _ = pack_block(ctx.ledger, self.me.sid, self.states[-1],
                                 self.mempool, ctx.timing["confirm_depth"])
             if not txs:
                 return
             block = {"height": h, "prev": ctx.certs.digest(self.tip()),
-                     "txs": txs, "round": rnd, "proposer": self.me.short()}
-        self._broadcast_ops(ctx, {"kind": "propose", "block": block})
+                     "txs": txs}
+        self._broadcast_ops(ctx, {"kind": "propose", "round": rnd,
+                                  "block": block})
 
-    def _on_propose(self, ctx, block, src):
+    def _on_propose(self, ctx, rnd, block, src):
         h = block["height"]
         if h != self.tip()["height"] + 1:
             return
-        if block.get("proposer") != self._leader_for(block["round"]).short():
-            return
-        if src != self.me and src.short() != block.get("proposer"):
+        if src != self._leader_for(rnd):
             return
         if block.get("prev") != ctx.certs.digest(self.tip()):
             return
         bdig = ctx.certs.digest(block)
-        lock = self.locks.get(h)
-        if lock is not None and lock["cdig"] != content_digest(ctx.certs, block):
+        if self.locks.get(h, bdig) != bdig:
             return
-        slot = (h, block["round"])
+        slot = (h, rnd)
         if slot in self.voted:
             return
         if apply_block(self.states[-1], block, ctx.ledger,
@@ -190,9 +189,9 @@ class LiquidOperator(Machine):
         self.voted.add(slot)
         self.blocks_seen[bdig] = block
         ref = ctx.certs.sign(self.me.short(),
-                             pre_msg(ctx.certs, self.me.sid, h, block["round"], bdig))
+                             pre_msg(ctx.certs, self.me.sid, h, rnd, bdig))
         self._broadcast_ops(ctx, {"kind": "precommit", "height": h,
-                                  "round": block["round"], "bdig": bdig,
+                                  "round": rnd, "bdig": bdig,
                                   "ref": ref, "block": block})
 
     def _on_precommit(self, ctx, p, src):
@@ -209,19 +208,15 @@ class LiquidOperator(Machine):
         store[src.short()] = p["ref"]
         slot = (h, rnd)
         block = self.blocks_seen.get(bdig)
-        lock = self.locks.get(h)
         if (len(store) >= self.quorum and slot not in self.finvoted
                 and h == self.tip()["height"] + 1 and block is not None
-                and (lock is None
-                     or lock["cdig"] == content_digest(ctx.certs, block))):
+                and self.locks.get(h, bdig) == bdig):
             self.finvoted.add(slot)
-            self.locks[h] = {"cdig": content_digest(ctx.certs, block),
-                             "block": block}
+            self.locks[h] = bdig
             ref = ctx.certs.sign(self.me.short(),
                                  fin_msg(ctx.certs, self.me.sid, h, rnd, bdig))
             self._broadcast_ops(ctx, {"kind": "final", "height": h, "round": rnd,
-                                      "bdig": bdig, "ref": ref,
-                                      "block": self.blocks_seen[bdig]})
+                                      "bdig": bdig, "ref": ref, "block": block})
 
     def _on_final(self, ctx, p, src):
         h, rnd, bdig = p["height"], p["round"], p["bdig"]
@@ -518,16 +513,11 @@ class Hooks(AccountHooks):
 # -- adversary helpers -----------------------------------------------------
 
 
-def forge_block(proposer_short, height, prev, txs, rnd):
-    return {"height": height, "prev": prev, "txs": txs, "round": rnd,
-            "proposer": proposer_short}
-
-
-def sign_branch(world, op_entity, block):
+def sign_branch(world, op_entity, block, rnd):
     """Corrupt operator's precommit and final for an arbitrary block."""
     sid = world.sid
     bdig = world.certs.digest(block)
-    h, rnd = block["height"], block["round"]
+    h = block["height"]
     pre = world.certs.sign(op_entity.short(), pre_msg(world.certs, sid, h, rnd, bdig))
     fin = world.certs.sign(op_entity.short(), fin_msg(world.certs, sid, h, rnd, bdig))
     return {"pre": {"kind": "precommit", "height": h, "round": rnd, "bdig": bdig,
@@ -546,12 +536,13 @@ def equivocate(world, op_entity, targets_a, targets_b, txs_a, rnd):
     some_op = world.machines[targets_a[0]] if targets_a else None
     tip = some_op.tip() if some_op else genesis_block()
     h, prev = tip["height"] + 1, world.certs.digest(tip)
-    block_a = forge_block(op_entity.short(), h, prev, txs_a, rnd)
-    block_b = forge_block(op_entity.short(), h, prev, [], rnd)
+    block_a = {"height": h, "prev": prev, "txs": txs_a}
+    block_b = {"height": h, "prev": prev, "txs": []}
     for block, targets in ((block_a, targets_a), (block_b, targets_b)):
-        sigs = sign_branch(world, op_entity, block)
+        sigs = sign_branch(world, op_entity, block, rnd)
         for t in targets:
-            world.queue_net(op_entity, t, {"kind": "propose", "block": block})
+            world.queue_net(op_entity, t, {"kind": "propose", "round": rnd,
+                                           "block": block})
             world.queue_net(op_entity, t, sigs["pre"])
             world.queue_net(op_entity, t, sigs["fin"])
     return block_a, block_b
@@ -574,13 +565,14 @@ def menu(world, entity):
         def garbage_propose():
             if m is None:
                 return None
-            bogus = forge_block(entity.short(), m.tip()["height"] + 1,
-                                world.certs.digest(m.tip()),
-                                [overdraft_tx("c1", "c2")],
-                                world.round_no)
+            bogus = {"height": m.tip()["height"] + 1,
+                     "prev": world.certs.digest(m.tip()),
+                     "txs": [overdraft_tx("c1", "c2")]}
             for op in world.roles.get(OPERATOR, []):
                 if op != entity:
-                    world.queue_net(entity, op, {"kind": "propose", "block": bogus})
+                    world.queue_net(entity, op, {"kind": "propose",
+                                                 "round": world.round_no,
+                                                 "block": bogus})
             return None
 
         actions["stale-push"] = stale_push

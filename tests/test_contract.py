@@ -212,8 +212,7 @@ def test_states_sit_beside_their_records_on_lifecycles(name, seed, adversarial):
 
 def liquid_block():
     """A block that passes the position checks after a liquid open."""
-    return {"height": 1, "prev": digest(liquid.genesis_block()), "txs": [],
-            "round": 0, "proposer": "operator:op1"}
+    return {"height": 1, "prev": digest(liquid.genesis_block()), "txs": []}
 
 
 CHANNEL_STATE = {"bal": {"c1": 9, "c2": 11}, "seq": 1}

@@ -235,12 +235,13 @@ def test_a_vote_cannot_swap_the_block_under_a_certificate():
     op1, op4 = (world.entity(liquid.OPERATOR, o) for o in ("op1", "op4"))
     world.corrupt(op4)
     world.advance_round()             # round 2: op3 proposes X
-    [x] = {digest(e.payload["block"]) for e in world.pending_net()
-           if e.payload.get("kind") == "propose"}
+    [(rnd, x)] = {(e.payload["round"], digest(e.payload["block"]))
+                  for e in world.pending_net()
+                  if e.payload.get("kind") == "propose"}
     block_x = operator(world, "op3").blocks_seen[x]
     block_y = dict(block_x, txs=[])
     honest = [world.entity(liquid.OPERATOR, o) for o in ("op1", "op2", "op3")]
-    votes = liquid.sign_branch(world, op4, block_x).values()
+    votes = liquid.sign_branch(world, op4, block_x, rnd).values()
     for dst in honest:
         for msg in votes:
             world.queue_net(op4, dst, dict(msg, block=block_y))
