@@ -20,8 +20,14 @@ with the schedule digests unchanged, when a read result stopped carrying
 its tip state and pointer and a settle-ok its constant ``success`` flag:
 the reader's whole view gives the first two, and the output tables of
 ``tests/test_properties.py`` pin that the views and verdicts of those runs
-did not move.  A change that moves a digest changes a trace and has to
-say why.
+did not move.  Every liquid run digest whose run finalizes a block (all
+six lifecycles and every scripted row but ``open-only`` and
+``read-heavy``) was recorded again, with the schedule digests unchanged,
+when a liquid block lost its ``round`` and ``proposer`` fields and its
+digest became its one identity: the round moved into the proposal
+message, so every proposal, vote, certificate and block-final note
+changed its bytes while the envelopes and their order stayed the same.
+A change that moves a digest changes a trace and has to say why.
 """
 
 import pytest
@@ -77,56 +83,56 @@ SCRIPTED = {
         "a8b8cb93cc96d600755656e7d3bee2a0253f2c8c3c6986d5b93d578c6d243789",
         "3b329348f6dbaf6734b04df723feb032b6de62ef68caed1d7201aec4c18889cd"),
     ("liquid", "client-spam"): (
-        "87c3feeccdd379c262b00f2877c9fa1195f4f62569d4a3822897e06dbb04f573",
-        "f6fad9c76a49ae4da2563d5c9154239489e908c39bef30956c5dffafceb5ab0f"),
+        "4700a3ec8c40ba8a5e55007fe9f47f6729c8e5421093d696d3409687fcbb150b",
+        "a70643b9e4641c65286bd13f9b5b4a8b481bc169aeba9a3eb7899f18b92596c6"),
     ("liquid", "corrupt-operator-rotation"): (
-        "3ed3d4e38b5a91ad7b80e17fd598a5d624287b35f5a96feaf38b76d690ca9d6a",
-        "ed7d87fd7774a181bcc6a25ce1ffc1e8eaa73da2dd6e72db3d781dff8e81144d"),
+        "072ce16820fdfb49826f3d985669777a271d41d54a7360492700ccab5e135107",
+        "ab99c9da1f9965bd5cf62b21d2021e7dfb9097bc0c19a690b98425461a842683"),
     ("liquid", "deposit-mint"): (
-        "aa5b5af2f757bb9f60a15c5601322eff317aa6e4c29a3e8b57e55d140fc67e37",
-        "8b5ee733a30ce4e56641ea0acb355c734d4d1bec22a7731a0a4de584c3bbce54"),
+        "40365a1da874810f76367eaff0cae45b28ba46a17d9de11f057d5e29da9cbda1",
+        "4fe3fb81c2223c5953a6d9b42d96c0b80ff34906f49a8600f1a9e0ed85290672"),
     ("liquid", "deposit-then-withdraw"): (
-        "05e2f1fee52ff1833aea28bdf0c652f2035b093d7c511254f96d72aae7d48744",
-        "5d8530056d883094ff3e4e481033eaf334f27934b2f830a46d92785e288de0a6"),
+        "1a0e7fdff325a23f14bd388e020b1d8961321c7d35999b08c524d70b88d300ec",
+        "940daeeed0dd8c04c28c2359da8153fa10eb64cc883d27676b926f565d4d6301"),
     ("liquid", "garbage-triggers"): (
-        "4cc0adcfe2e8976c4372f88e766919de5827628241cb92f76fda2db8e8191fde",
-        "af41b83050b63cffa7ab675b28a4a8f3937fa3597d7b89cec46ca3b2389161b2"),
+        "64f3d81089e757bfa19fe178fe39952e6d94e0a04480429d5966de33c993602f",
+        "dc65ae6305aa1d852b09f861cedbe07d47482ad4f0da9e9462d60d71c53f449d"),
     ("liquid", "no-pump-delta-flush"): (
-        "2de153fd2e1f6f6f28bca95373cdec5e7df4858e33be9f424029a2bc7d159d9f",
-        "bdb71aa94f6e1f21e40e09e56a41c778523c9d353dd9178c0feff3a4463e5e8a"),
+        "a8fdc79a751ecf339777bd3efdc2c2f02a82baaef04466dbc27183b4d3c95ba2",
+        "7c1497be36fcd7b05b153e97495647ea549bfe69e4f00537281100f36c170b68"),
     ("liquid", "open-only"): (
         "c31d345c8be708192fd36d0a18a1131825a0c9677689fdbeed6863bf5b1edfaf",
         "9272217eb0c681d34b1080e50c45a8e5e319c3c784e931259f6a4d24df2a3441"),
     ("liquid", "operator-menu-noise"): (
-        "7d07ef86e9656952e6052776f1e3402c73fecd13615b7f0ab18a7da3ad6992c8",
-        "0e3b6ebd6b4a5448d67cca2d938127e8804b05ca7b5dfef3f064dd94d3f36dd3"),
+        "b8bf42a6693231d1bcb86d6a47b90a3bafee2fadfe95902b3e76f5b1a8e7480f",
+        "c340f3f7715300731ab3b2660c5b6016959896932413b0381a47b709dab0449e"),
     ("liquid", "overdraft-refused"): (
-        "8a94131646bd05def0b759f81c9f4d774854adfacb0d5dbfcc896b0f6f4d51c8",
-        "f2fd40bbeb36e30f4daa5f58a732d11c00e5468ca466f4a46f557c1ddb142b24"),
+        "df71c25b880c20de84ddc8a498c139d7629657010ee9d4370c478f2d9455597c",
+        "a045a10f88d5ecff5ce70298dc5a879d091ca9c9c1366f7531839082f6b8b436"),
     ("liquid", "pay-both-directions"): (
-        "0fc7f51c9efc95c96c1963cadf4c1e695a31a180bf68d346879b0307eb7f544c",
-        "51bc0c5ddf9bccac386b1e65ff71237484f740c24568371fe173398844a3696d"),
+        "cba76a799915b57bd9364b55759673e98ee4d79e6c96792330bedcc077748470",
+        "e9e24b8e22d335e61b9c198146c1adca72754f312fc9464b6379331ed7470e21"),
     ("liquid", "pay-pipeline"): (
-        "ce60b110f37fb696b044fd4865e464576a659ae1872c10baab214c9f053e5d07",
-        "f417f1a81cb48ada83f88629a28070599b2e05cfadf8023fe508d4abbc90ee3a"),
+        "bd5d50640b0d6d817991eb24ee23b82f9325bf10e6e81164e4edc3f5256cf0eb",
+        "a5388d08dc250765d9b7dbe00e8162d3443b84ac49be0486605feae7605af82c"),
     ("liquid", "pay-race-same-step"): (
-        "5c4476cba299f5048c3cea7a3a738a9174624e16125542fb790316a9caa36017",
-        "16f2ea0f0a7fe58aedf7b45d791bfbcaa447f64dcf0b1531f91b022d49376f58"),
+        "3181757827809208818161a30a8b9e50875ce1efc977f587b17445e1cac643d9",
+        "fab630b97cc5b9c5581d582178af9942144307b3b7a6c8fcca52e8134e860ed8"),
     ("liquid", "read-heavy"): (
         "de2bd998ce54675dfe74c0d3b1c7947a98fd9ca30af0b4ff52f9c658d9a7077b",
         "3f0b571cd6d3a0a801bbf05a0c8bb0171b7c62549143628331a45b6ef6dd3ca6"),
     ("liquid", "settle-after-traffic"): (
-        "afac229bd01e85181a14b7694e17aeeda0c1b140d30b86d2e9730ca590e0f5b4",
-        "be1c64989c2ec80e3a5ab2b73c61987057a35222bb152e50eb8017fd7037d883"),
+        "2772f11ad4245624642e9bec8d52be7ea0685f041031bfc4a467d392cad202e1",
+        "cfa0f61dc68bdf44982e51db4514ce563292192447864ee418b7956e78dff7f7"),
     ("liquid", "settle-fresh"): (
-        "7e6b66ab2a7f65d76d235e2db1244388f78b976f0c9616beb79cef8388f1460c",
-        "01cb7a175440851e16a8ea3c708ddff25142464ab0b063c8fe7fb28b889a660b"),
+        "5ca70667bb40bb550d1da69b21032edab8070728014144baa133a34f40e94849",
+        "a026a76b4af51c80320a56d537b07935f3cad86b6334c01542c62d01aa7e304f"),
     ("liquid", "shuffled-delivery"): (
-        "6a82fe132dc69b60141ddfab4e51c8b4974804e34a1a311a71f40dc79c289cf0",
-        "3b9b5fd5e79695605d5c664a0fe0a54a353dc0f36bd24e6626a2fb3a7070b579"),
+        "ccd80183a36183620b166ac46d489ff13c68a5907d7aab19976b4d2047e17d3d",
+        "e98833cccffe00c540e27e48aa7b64eb46f63d88b20738919ac7876d46ebcedf"),
     ("liquid", "single-pay"): (
-        "a540665e765c3d8cb62205cab86a64fa9550f4e3a20cd5232d4f5f2ddfa137f8",
-        "5dcbd28742bdee243a789904373e078af63c5808a9bcf5e852ed83bb91dcec60"),
+        "b0c120985f397f8472afcc34709ad05292f3fcf6afa3e19fd13f1f390be9e784",
+        "0f2b303c3e2e2ad8ca23a707ff2e3688726454f7c46bfb7793f5e55368da49b8"),
     ("arbitrum", "deposit-mint"): (
         "c0603ce57eff31d9eda13a80ec763f75f53d31b8d016a273780989ba9baf691d",
         "9ec50793b1d03d1d6c45fe8d351ec9478fd44a275bc2517de4523e22fb627f56"),
@@ -208,28 +214,28 @@ LIFECYCLE = {
         "517ffeb7b0246fd1aaab3187991d6758a95cd5d410877febd86750caeaa42be8"),
     ("liquid", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
-        "0324a622d25681656c6c36a6be30c17047dd14dab5c3149a961f2fd2d5f7d5b7",
-        "ccb3e85476005f397463c0aec38795aff4999dccfd5a3a3c44a8a4d9b615bf73"),
+        "6c4016fe51d6a32996c303909a98d4a472eaecdb2d3770b7a19793996c5cca6a",
+        "44a6aa024575929dd5a69354aaa6d5d3f6fe166ae6affbb72c66b3503dcc0b64"),
     ("liquid", 1, True): (
         "38871f87b4398e8c60f45665ae6581997da8b80a3457f0fafedd724f5ce11c35",
-        "87f4f100438d59b95e8d4d0d4220c9eba99a71b1bd2c7d785e25fb55540847ab",
-        "e0430f3ea5c763e05c4ea4dcb24cd86d0ba9b6a42cc73c3a70f0cdd2deb510c9"),
+        "5c4e6ea802935ea1a9d120b1a779256fabeec32f96b4fe588e1b61c9e85ab978",
+        "164ce80172ce204baafe2afde822c282699894f623473539f69b2d8d82c665b0"),
     ("liquid", 2, False): (
         "2105c5aeb6ee8aedf7aa9f14ecd63921c5d11f5d50a7367a0053e03a63c2ed9b",
-        "5f2a6ca989c268487a88f7fd3b771cd7779c38438742cc68012979b99193059e",
-        "e00e7094c87b2f8db20798d2b099042a0da7686e2f2219977cf7b0beb1cab223"),
+        "ef98a0b333612040208b31eec17763684436eb9f8e02e0c652187af5e9fb0afa",
+        "a1250bfbb1561cb8932a3ac1bf854ee5f698759ca38a5ffe348127abe7f37dc5"),
     ("liquid", 2, True): (
         "ba57234f2d6d51af98f908cb3fd4eecaa7d77d24934cad954065f01807be5760",
-        "67af47ecd17511bed4161bb3f34c1a59fe2770ec19a58c28f88f5aacf920bd41",
-        "a050cde598f6456eb5e1289be386f8310729b66fa65dff1c095254255a41edd3"),
+        "00e3a930e8ade5d927f853df3680c7cd30437e7e46c6c66bf3bb0c3de418c9ed",
+        "6d40b87b4875f35b6a30004222260f83519d6c4ad3d2651fccb81b89d64555e5"),
     ("liquid", 3, False): (
         "b2c8af5adbdfd31c5166d86924da9e3382226e6490394dacd22a4bc8187e9b28",
-        "aa4cd1811c5639a548a459e9cdd813537c3b5d1690f9057c1614b2895bdafb4b",
-        "a11bbf584647fc2432e2219fb0f2c6beff1242a0cbe7b6f51b138fecfd402787"),
+        "a6ddf78aec2b74b73770befa60dfa66429e36d15ba4fce2302c01c74c4ea9831",
+        "c937064c3e283e0d2da5a777d703e2b87c1ce195be369f811a472543db38030b"),
     ("liquid", 3, True): (
         "7fb13eb7060bebd9750a941899aaf1437f11ea1e96165c0db285bd945554cf32",
-        "7a7d199d4381a65765d3bb464aae1976ba3df7b773ec2dbf75439ca58b029853",
-        "f27e48b4350077d94d7e38825100321bd91ba3d19263c7ad2331a53ed98ad590"),
+        "a4b896da64a490111ee8e6c789b1986988e44d0c3fb90552d70ff72e8fadd0bd",
+        "0d347df717b6c232bb831aca5fa3dbdf4fe25fa91680059ed01082d4a5ffd905"),
     ("arbitrum", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
         "136c000e1298741a4a682e3cc56736ea1ec787b465ddf5bd82ec0dd8e35694bb",
