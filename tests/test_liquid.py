@@ -264,23 +264,30 @@ def test_a_vote_cannot_swap_the_block_under_a_certificate():
                                  [o.short() for o in m.operators]) == x
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: honest liquid operators fork")
-def test_honest_operators_agree_after_two_deposits():
-    """All operators and clients honest: op1, op2 and op4 finalize one
-    height-1 block and op3 another, so the real run fails safety (c1 and
-    c2 read different height-1 states) while the ideal run passes, and
-    ``diff_outputs`` has one entry, for client:c2."""
-    scn = liquid.canonical_scenario()
+def sched_input(pid, **entry):
+    return {"op": "input", "pid": pid, "entry": entry}
 
-    def inp(pid, **entry):
-        return {"op": "input", "pid": pid, "entry": entry}
+
+def two_deposits(pump_seed):
+    """Both clients open, c1 deposits 3 twice a round apart, then three
+    rounds pass with no delivery and one seeded pump delivers their
+    proposals and votes in one batch."""
+    inp = sched_input
     sched = [inp("c1", kind="open"), inp("c2", kind="open"),
              inp("c1", kind="deposit", amt=3), {"op": "advance"},
              inp("c1", kind="deposit", amt=3)]
-    sched += [{"op": "advance"}] * 3
-    sched += [{"op": "pump", "seed": 484162},
-              inp("c1", kind="read"), inp("c2", kind="read")]
+    return sched + [{"op": "advance"}] * 3 + [{"op": "pump", "seed": pump_seed}]
+
+
+def test_honest_operators_agree_after_two_deposits():
+    """All operators and clients honest.  While a block's digest covered
+    its round and an operator final-voted every round's quorum block, op1,
+    op2 and op4 finalized one height-1 block and op3 another at this pump
+    seed, the real run failed safety (c1 and c2 read different height-1
+    states) and ``diff_outputs`` had one entry, for client:c2."""
+    scn = liquid.canonical_scenario()
+    sched = two_deposits(484162) + [sched_input("c1", kind="read"),
+                                    sched_input("c2", kind="read")]
     real, ideal, diffs = harness.run_differential("liquid", scn, sched)
     finals = {ev["party"]: ev["bdig"] for ev in real.trace.events
               if ev["t"] == "note" and ev.get("kind") == "block-final"
@@ -291,6 +298,28 @@ def test_honest_operators_agree_after_two_deposits():
     assert [properties.check_safety(run.trace, f).passed
             for run in (real, ideal)] == [True, True]
     assert diffs == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: no unlock rule, so a 2/2 lock "
+                          "split stalls the chain")
+def test_a_lock_split_does_not_stall_the_chain():
+    """All operators and clients honest.  At this pump seed op1 and op4
+    lock the round-2 block of height 1 and op2 and op3 the round-3 block,
+    so neither gathers a 2f+1 final quorum, and a locked operator neither
+    votes for nor proposes another block: every operator stays at height
+    0, and update liveness fails in both runs."""
+    scn = liquid.canonical_scenario()
+    sched = two_deposits(2)
+    for _ in range(20):
+        sched += [{"op": "advance"}, {"op": "pump"},
+                  sched_input("c1", kind="read"), sched_input("c2", kind="read")]
+    real, ideal, _ = harness.run_differential("liquid", scn, sched)
+    assert all(operator(real.world, o).tip()["height"] >= 1
+               for o in scn["operators"])
+    params = liquid.liveness_params(scn)[UPDATE]
+    assert [properties.check_liveness(run.trace, UPDATE, params).passed
+            for run in (real, ideal)] == [True, True]
 
 
 # -- ideal bundle ----------------------------------------------------------
