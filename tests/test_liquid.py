@@ -1,5 +1,6 @@
 """Sidechain protocol: committee flow, pegs, quorum experiments, bundle."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -320,6 +321,92 @@ def test_a_lock_split_does_not_stall_the_chain():
     params = liquid.liveness_params(scn)[UPDATE]
     assert [properties.check_liveness(run.trace, UPDATE, params).passed
             for run in (real, ideal)] == [True, True]
+
+
+# -- seeded agreement sweep --------------------------------------------------
+
+# the menu moves a corrupted party of each role can make
+MENU_MOVES = {CLIENT: ["spam-overdraft"],
+              liquid.OPERATOR: ["stale-push", "garbage-propose"]}
+
+
+def random_schedule(seed, corrupt):
+    """Both clients open, then 5-40 steps drawn uniformly from pay, deposit,
+    read, advance, seeded pump and garbage raw trigger, then 20 closing
+    rounds of advance, seeded pump and a read by each client.  With
+    ``corrupt``, one client or operator is corrupted at step 2-6 and makes
+    1-4 of its menu moves at later random steps."""
+    rng = random.Random(seed)
+    scn = liquid.canonical_scenario()
+    clients = scn["clients"]
+    sched = [sched_input(c, kind="open") for c in clients]
+    steps = []
+    for _ in range(rng.randint(5, 40)):
+        pick = rng.randrange(6)
+        pid = rng.choice(clients)
+        if pick == 0:
+            other = next(c for c in clients if c != pid)
+            steps.append(sched_input(pid, kind="pay", to=other,
+                                     amt=rng.randint(1, 3)))
+        elif pick == 1:
+            steps.append(sched_input(pid, kind="deposit", amt=rng.randint(1, 3)))
+        elif pick == 2:
+            steps.append(sched_input(pid, kind="read"))
+        elif pick == 3:
+            steps.append({"op": "advance"})
+        elif pick == 4:
+            steps.append({"op": "pump", "seed": rng.randrange(1 << 20)})
+        else:
+            steps.append({"op": "raw-trigger",
+                          "payload": dict(rng.choice(harness.GARBAGE_TRIGGERS))})
+    if corrupt:
+        role = rng.choice([CLIENT, liquid.OPERATOR])
+        pid = rng.choice(clients if role == CLIENT else scn["operators"])
+        at = rng.randint(2, 6)
+        steps.insert(at, {"op": "corrupt", "role": role, "pid": pid})
+        for _ in range(rng.randint(1, 4)):
+            steps.insert(rng.randint(at + 1, len(steps)),
+                         {"op": "menu", "role": role, "pid": pid,
+                          "action": rng.choice(MENU_MOVES[role])})
+    sched += steps
+    for _ in range(20):
+        sched += [{"op": "advance"},
+                  {"op": "pump", "seed": rng.randrange(1 << 20)}]
+        sched += [sched_input(c, kind="read") for c in clients]
+    return scn, sched
+
+
+def honest_forks(world):
+    """Heights at which honest operators' block-final notes name two
+    digests."""
+    bad = properties.corrupted_parties(world.trace)
+    named = {}
+    for ev in world.trace.events:
+        if ev["t"] == "note" and ev.get("kind") == "block-final" \
+                and ev["party"] not in bad:
+            named.setdefault(ev["height"], set()).add(ev["bdig"])
+    return sorted(h for h, digs in named.items() if len(digs) > 1)
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["honest", "corrupt"])
+def test_seeded_schedules_keep_operators_and_runs_in_agreement(corrupt):
+    """Over 150 seeded schedules, honest operators of the real run and of
+    the simulator's copy never finalize two blocks at one height, the
+    real and ideal outputs are equal, and both runs get the same safety
+    verdict."""
+    failures = {"fork": [], "outputs": [], "safety": []}
+    for seed in range(150):
+        scn, sched = random_schedule(seed, corrupt)
+        real, ideal, diffs = harness.run_differential("liquid", scn, sched)
+        if honest_forks(real.world) or honest_forks(ideal.sim.inner):
+            failures["fork"].append(seed)
+        if diffs:
+            failures["outputs"].append(seed)
+        f = {role: budget for role, _, budget in liquid.party_roles(scn)}
+        if len({properties.check_safety(run.trace, f).passed
+                for run in (real, ideal)}) > 1:
+            failures["safety"].append(seed)
+    assert failures == {"fork": [], "outputs": [], "safety": []}
 
 
 # -- ideal bundle ----------------------------------------------------------
