@@ -78,7 +78,7 @@ from .base import CertRegistry, Ledger
 from .core import CLIENT, INTERFACE_ROLE, InterfaceMachine, attach_round_gate
 from .properties import entry_keys
 from .runtime import EntityId, Machine, ScheduleError, World
-from .trace import canon
+from .trace import IntegrityError, canon
 
 PROTOCOLS = {"brick": brick, "liquid": liquid, "arbitrum": arbitrum}
 
@@ -614,13 +614,16 @@ def scripted_schedules(name, scn):
 
 def output_projection(trace):
     """Per-party ordered view of what the environment saw; a read keeps
-    its ``base``, its ``settled`` state and the keys of its entries."""
+    its ``base``, its ``settled`` state and the keys of its entries.
+    Raises IntegrityError for an output payload that is no object."""
     per = {}
     texts = {}              # canonical state texts, shared by every read
     for ev in trace.events:
         if ev.get("t") != "output":
             continue
-        p = ev["payload"]
+        p = ev.get("payload")
+        if not isinstance(p, dict):
+            raise IntegrityError(f"step {ev.get('step')}: output is no object")
         kind = p.get("kind")
         if kind == "read-result":
             item = {"kind": kind, "base": p.get("base", 0),

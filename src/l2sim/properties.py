@@ -286,6 +286,10 @@ def requests(trace, events=None, bad=None) -> list[dict]:
     drain their queues.  Corrupted submitters are skipped; their inputs
     are absorbed or adversary-forged, and no guarantee covers them.
 
+    It raises IntegrityError for an input payload that is no object and
+    for a submit leak whose request is no object, names no submitter or
+    carries a body that is no object.
+
     ``events`` (any list holding the trace's input, note and leak events)
     and ``bad`` (its corrupted parties) default to the trace's events and
     ``corrupted_parties``.
@@ -298,6 +302,8 @@ def requests(trace, events=None, bad=None) -> list[dict]:
         t = ev.get("t")
         if t == "input":
             p = ev.get("payload", {})
+            if not isinstance(p, dict):
+                raise IntegrityError(f"step {ev.get('step')}: input is no object")
             if ev.get("party") in bad or ev.get("forced"):
                 continue
             if p.get("kind") == "submit":      # interface-run submission
@@ -327,7 +333,11 @@ def requests(trace, events=None, bad=None) -> list[dict]:
                                      if k in ev}
         elif t == "leak" and isinstance(ev.get("data"), dict) \
                 and ev["data"].get("kind") == "submit":
-            req = ev["data"]["req"]
+            req = ev["data"].get("req")
+            if not (isinstance(req, dict) and "by" in req
+                    and isinstance(req.get("body", {}), dict)):
+                raise IntegrityError(f"step {ev.get('step')}: submitted "
+                                     f"request is malformed")
             party = f"{CLIENT}:{req['by']}"
             if party in bad:
                 continue

@@ -277,6 +277,33 @@ def test_a_dumped_trace_loads_with_the_same_verdicts(name, tmp_path):
         Trace.load(cut)
 
 
+# -- malformed requests ----------------------------------------------------------
+
+# label -> the one event of a trace whose request cannot be decoded
+MALFORMED_REQUESTS = {
+    "input-payload-int": event("input", A, 0, 0, payload=5),
+    "submit-req-int": event("leak", "adversary", 0, 0,
+                            data={"kind": "submit", "req": 5}),
+    "submit-req-no-by": event("leak", "adversary", 0, 0,
+                              data={"kind": "submit",
+                                    "req": {"kind": OPEN, "body": {}}}),
+    "submit-body-int": event("leak", "adversary", 0, 0,
+                             data={"kind": "submit",
+                                   "req": {"kind": OPEN, "by": "A",
+                                           "body": 5}}),
+}
+
+
+@pytest.mark.parametrize("ev", list(MALFORMED_REQUESTS.values()),
+                         ids=list(MALFORMED_REQUESTS))
+def test_a_malformed_request_is_an_integrity_error(ev):
+    trace = as_trace([ev])
+    with pytest.raises(IntegrityError):
+        properties.requests(trace)
+    with pytest.raises(IntegrityError):
+        properties.check_correct_settlement(trace)
+
+
 # -- one summary per trace ----------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ from l2sim import arbitrum, brick, harness, liquid, properties
 from l2sim.base import Ledger
 from l2sim.core import CLIENT
 from l2sim.runtime import ScheduleError, World
-from l2sim.trace import Trace, canon
+from l2sim.trace import IntegrityError, Trace, canon
 from l2sim.harness import (
     GARBAGE_TRIGGERS,
     IdealRun,
@@ -544,3 +544,13 @@ def test_diff_outputs_reports_mismatch_and_length_drift():
     assert got[0]["index"] == 0
     assert got[1]["real"] == "2 outputs"
     assert diff_outputs(a, a) == []
+
+
+def test_an_output_that_is_no_object_is_an_integrity_error():
+    trace = Trace()
+    trace.events = [{"t": "output", "party": "client:c1", "round": 0,
+                     "step": 0, "payload": 5}]
+    with pytest.raises(IntegrityError):
+        output_projection(trace)
+    with pytest.raises(IntegrityError):
+        diff_outputs(trace, trace)
