@@ -265,7 +265,7 @@ def test_a_vote_cannot_swap_the_block_under_a_certificate():
                                  [o.short() for o in m.operators]) == x
 
 
-def sched_input(pid, **entry):
+def inp(pid, **entry):
     return {"op": "input", "pid": pid, "entry": entry}
 
 
@@ -273,7 +273,6 @@ def two_deposits(pump_seed):
     """Both clients open, c1 deposits 3 twice a round apart, then three
     rounds pass with no delivery and one seeded pump delivers their
     proposals and votes in one batch."""
-    inp = sched_input
     sched = [inp("c1", kind="open"), inp("c2", kind="open"),
              inp("c1", kind="deposit", amt=3), {"op": "advance"},
              inp("c1", kind="deposit", amt=3)]
@@ -287,8 +286,8 @@ def test_honest_operators_agree_after_two_deposits():
     seed, the real run failed safety (c1 and c2 read different height-1
     states) and ``diff_outputs`` had one entry, for client:c2."""
     scn = liquid.canonical_scenario()
-    sched = two_deposits(484162) + [sched_input("c1", kind="read"),
-                                    sched_input("c2", kind="read")]
+    sched = two_deposits(484162) + [inp("c1", kind="read"),
+                                    inp("c2", kind="read")]
     real, ideal, diffs = harness.run_differential("liquid", scn, sched)
     finals = {ev["party"]: ev["bdig"] for ev in real.trace.events
               if ev["t"] == "note" and ev.get("kind") == "block-final"
@@ -314,7 +313,7 @@ def test_a_lock_split_does_not_stall_the_chain():
     sched = two_deposits(2)
     for _ in range(20):
         sched += [{"op": "advance"}, {"op": "pump"},
-                  sched_input("c1", kind="read"), sched_input("c2", kind="read")]
+                  inp("c1", kind="read"), inp("c2", kind="read")]
     real, ideal, _ = harness.run_differential("liquid", scn, sched)
     assert all(operator(real.world, o).tip()["height"] >= 1
                for o in scn["operators"])
@@ -339,19 +338,19 @@ def random_schedule(seed, corrupt):
     rng = random.Random(seed)
     scn = liquid.canonical_scenario()
     clients = scn["clients"]
-    sched = [sched_input(c, kind="open") for c in clients]
+    sched = [inp(c, kind="open") for c in clients]
     steps = []
     for _ in range(rng.randint(5, 40)):
         pick = rng.randrange(6)
         pid = rng.choice(clients)
         if pick == 0:
             other = next(c for c in clients if c != pid)
-            steps.append(sched_input(pid, kind="pay", to=other,
+            steps.append(inp(pid, kind="pay", to=other,
                                      amt=rng.randint(1, 3)))
         elif pick == 1:
-            steps.append(sched_input(pid, kind="deposit", amt=rng.randint(1, 3)))
+            steps.append(inp(pid, kind="deposit", amt=rng.randint(1, 3)))
         elif pick == 2:
-            steps.append(sched_input(pid, kind="read"))
+            steps.append(inp(pid, kind="read"))
         elif pick == 3:
             steps.append({"op": "advance"})
         elif pick == 4:
@@ -372,7 +371,7 @@ def random_schedule(seed, corrupt):
     for _ in range(20):
         sched += [{"op": "advance"},
                   {"op": "pump", "seed": rng.randrange(1 << 20)}]
-        sched += [sched_input(c, kind="read") for c in clients]
+        sched += [inp(c, kind="read") for c in clients]
     return scn, sched
 
 
