@@ -22,6 +22,12 @@ embedded channel signatures.  An update must carry sequence number
 an honest client co-signs only entries of its chain.  A read may therefore
 serve every state from the on-chain anchor's seq up: a closed channel hides
 the states below its settled anchor.
+
+A pay request names the transfer, ``{"op": "pay", "to", "amt"}``, and the
+bundle judges it against its own latest state, as the account models do:
+``to`` is a client and ``amt`` a positive int within the payer's balance
+less its queued pays.  An update clears one request: the first queued pay
+whose transfer from the latest state gives the executed state, if any.
 """
 
 from __future__ import annotations
@@ -513,13 +519,13 @@ class BrickBundle(SubroutineBundle):
         if ist.phase() != "open":
             return False, "phase"
         if kind == UPDATE:
-            state = body.get("state")
-            if not isinstance(state, dict) or state.get("seq") != body.get("seq"):
+            to, amt = body.get("to"), body.get("amt")
+            if to not in self.clients or type(amt) is not int or amt <= 0:
                 return False, "malformed"
-            if body["seq"] <= ist.latest()["seq"]:
-                return False, "stale"
-            if not conserves(ist.latest(), state):
-                return False, "not-conserving"
+            queued = sum(r["body"]["amt"] for r in ist.queue
+                         if r["kind"] == UPDATE and r["by"] == by)
+            if amt > ist.latest()["bal"].get(by, 0) - queued:
+                return False, "insufficient"
             return True, None
         if kind == SETTLEMENT:
             if body.get("type") not in ("collab", "unilateral"):
@@ -569,8 +575,9 @@ class BrickBundle(SubroutineBundle):
             return False, "missing-agreement", None
         if len(self._warden_entries(attachment)) < 2 * self.f + 1:
             return False, "thin-warden-multiset", None
-        rids = [r["rid"] for r in ist.queue
-                if r["kind"] == UPDATE and r["body"].get("state") == new_state]
+        rids = [r["rid"] for r in ist.queue if r["kind"] == UPDATE
+                and transfer(ist.latest(), r["by"], r["body"]["to"],
+                             r["body"]["amt"]) == new_state][:1]
         return True, None, {"kind": UPDATE, "seq": seq, "state": new_state,
                             "evidence": attachment, "rids": rids,
                             "round": ctx.round}
@@ -665,24 +672,19 @@ def party_roles(scn):
 
 
 class EnvTracker:
-    """Environment-side channel arithmetic for building ideal submissions."""
+    """Environment-side translation of client inputs into ideal requests;
+    it keeps no state, so a request depends on its input alone."""
 
     def __init__(self, scn):
         self.scn = scn
-        self.state = initial_state(scn["collateral"])
 
     def ideal_request(self, pid, entry):
         kind = entry["kind"]
         if kind == "open":
             return {"kind": OPEN, "body": {"state": initial_state(self.scn["collateral"])}}
         if kind == "pay":
-            new = transfer(self.state, pid, entry["to"], entry["amt"])
-            if new is None:
-                new = {"bal": dict(self.state["bal"]), "seq": self.state["seq"] + 1,
-                       "invalid": True}
-            else:
-                self.state = new
-            return {"kind": UPDATE, "body": {"state": new, "seq": new["seq"]}}
+            return {"kind": UPDATE,
+                    "body": {"op": "pay", "to": entry["to"], "amt": entry["amt"]}}
         if kind == "settle":
             body = {"type": entry.get("type", "collab")}
             if entry.get("seq") is not None:

@@ -309,37 +309,40 @@ def seed_open(bundle, ist, scn, ctx):
     return s0
 
 
+def pay_request(by, to, amt):
+    return {"kind": UPDATE, "body": {"op": "pay", "to": to, "amt": amt},
+            "by": by, "round": 0}
+
+
 def test_bundle_submit_gating():
+    """A pay request names its transfer, and the bundle judges it against
+    its own latest state less the payer's queued pays."""
     world, scn, bundle, ist, ctx = ideal_fixture()
-    s0 = brick.initial_state(scn["collateral"])
     ok, why = bundle.submit(ist, {"kind": OPEN, "body": {"state": {"bal": {}, "seq": 0}},
                                   "by": "c1", "round": 0}, ctx)
     assert (ok, why) == (False, "bad-state")
-    ok, why = bundle.submit(ist, {"kind": UPDATE, "body": {"state": s0, "seq": 0},
-                                  "by": "c1", "round": 0}, ctx)
-    assert (ok, why) == (False, "phase")
+    assert bundle.submit(ist, pay_request("c1", "c2", 3), ctx) == (False, "phase")
     seed_open(bundle, ist, scn, ctx)
-    stale = dict(s0)
-    ok, why = bundle.submit(ist, {"kind": UPDATE, "body": {"state": stale, "seq": 0},
-                                  "by": "c1", "round": 0}, ctx)
-    assert (ok, why) == (False, "stale")
-    skewed = {"bal": {"c1": 9, "c2": 12}, "seq": 1}
-    ok, why = bundle.submit(ist, {"kind": UPDATE,
-                                  "body": {"state": skewed, "seq": 1},
-                                  "by": "c1", "round": 0}, ctx)
-    assert (ok, why) == (False, "not-conserving")
-    good = {"bal": {"c1": 7, "c2": 13}, "seq": 1}
-    ok, why = bundle.submit(ist, {"kind": UPDATE, "body": {"state": good, "seq": 1},
-                                  "by": "c1", "round": 0}, ctx)
-    assert ok
+    for to, amt in (("c3", 3), (None, 3), ("c2", 0), ("c2", -1), ("c2", "3"),
+                    ("c2", True), ("c2", 1.5), ("c2", None)):
+        assert bundle.submit(ist, pay_request("c1", to, amt), ctx) == \
+            (False, "malformed")
+    assert bundle.submit(ist, pay_request("c1", "c2", 11), ctx) == \
+        (False, "insufficient")
+    assert bundle.submit(ist, pay_request("c1", "c2", 7), ctx) == (True, None)
+    ist.queue.append(dict(pay_request("c1", "c2", 7), rid=ist.new_rid()))
+    assert bundle.submit(ist, pay_request("c1", "c2", 4), ctx) == \
+        (False, "insufficient")
+    assert bundle.submit(ist, pay_request("c1", "c2", 3), ctx) == (True, None)
+    # the peer's queued pays do not count against the payer
+    assert bundle.submit(ist, pay_request("c2", "c1", 10), ctx) == (True, None)
     ok, _ = bundle.submit(ist, {"kind": SETTLEMENT, "body": {"type": "collab"},
                                 "by": "c1", "round": 0}, ctx)
     assert ok
     ist.queue.append({"kind": SETTLEMENT, "body": {"type": "collab"}, "by": "c1",
                       "rid": ist.new_rid()})
-    ok, why = bundle.submit(ist, {"kind": UPDATE, "body": {"state": good, "seq": 1},
-                                  "by": "c1", "round": 0}, ctx)
-    assert (ok, why) == (False, "settle-pending")
+    assert bundle.submit(ist, pay_request("c1", "c2", 1), ctx) == \
+        (False, "settle-pending")
 
 
 def test_bundle_open_check_demands_everything():
@@ -389,6 +392,30 @@ def test_bundle_update_check_wants_client_agreement():
     assert record == {"kind": UPDATE, "seq": 1, "state": new, "evidence": att,
                       "rids": [], "round": world.round_no}
     assert ist.states == [ist.onchain]
+
+
+def test_bundle_update_clears_the_first_pay_it_executes():
+    """An update clears one rid: that of the first queued pay whose
+    transfer from the latest state gives the executed state."""
+    world, scn, bundle, ist, ctx = ideal_fixture()
+    seed_open(bundle, ist, scn, ctx)
+    for by, to in (("c2", "c1"), ("c1", "c2"), ("c1", "c2")):
+        ist.queue.append(dict(pay_request(by, to, 3), rid=ist.new_rid()))
+    back, first, _ = [r["rid"] for r in ist.queue]
+    wardens = [{"by": f"warden:w{i+1}"} for i in range(3)]
+
+    def rids(state):
+        msg = brick.state_msg(world.certs, world.sid, state, state["seq"])
+        att = {"clients": [world.certs.sign(c, msg)
+                           for c in ("client:c1", "client:c2")],
+               "wardens": wardens}
+        ok, _, record = bundle.update(ist, state, att, ctx)
+        assert ok
+        return record["rids"]
+
+    assert rids({"bal": {"c1": 7, "c2": 13}, "seq": 1}) == [first]
+    assert rids({"bal": {"c1": 13, "c2": 7}, "seq": 1}) == [back]
+    assert rids({"bal": {"c1": 8, "c2": 12}, "seq": 1}) == []
 
 
 def record_updates(ist, *states):
