@@ -27,6 +27,13 @@ when a liquid block lost its ``round`` and ``proposer`` fields and its
 digest became its one identity: the round moved into the proposal
 message, so every proposal, vote, certificate and block-final note
 changed its bytes while the envelopes and their order stayed the same.
+Eighteen brick ideal digests (every scripted row but ``open-only``,
+``read-heavy`` and ``settle-fresh``, and all six lifecycles) were recorded
+again, with every real digest and the schedule digests unchanged, when a
+brick pay request stopped carrying a predicted post-state: it names the
+transfer (``op``, ``to``, ``amt``), so every pay's submit leak changed its
+bytes, and ``overdraft-refused`` loses the leak of the overdraft, which
+the interface now refuses at submit as the real client does.
 A change that moves a digest changes a trace and has to say why.
 """
 
@@ -39,49 +46,49 @@ from l2sim.trace import digest
 SCRIPTED = {
     ("brick", "corrupt-warden-noise"): (
         "238c0c9ccae10d51f198ccf041a86f99de80e9581f6157cb0bb53259c9ba0e6c",
-        "09024ff6d45e7a492afb2f0ce9695292ea3bd8c3125e752471917220dde38170"),
+        "f46ed2cddd8aded80a6586f712497b760d57ae91c7f6baed63896945626207d3"),
     ("brick", "garbage-triggers"): (
         "0037aeac3999a79c7a1f98df748e3af927e140350c2964d039881c8e11634350",
-        "83ec3a8d3021a0f0aef15804446d92c73ee2fa19c6c45ebb774a4f3e22856bec"),
+        "ac5b6afa6dc417fc453bc342f9fb226406d20a00e81051b869ec933536e2c99b"),
     ("brick", "no-pump-delta-flush"): (
         "2d6de4eb51f6133eeeb19c5d0f6c8928dd37c9a47321986ff9a2e405e5c7bfcd",
-        "bc242870b5bdfb83afed943ad45b27da90f26e5afa702579489a365eb22b7614"),
+        "28e6d1126f498c63282b84a8bca5e435b2d8b14a19de470ad8795a4263f2ad36"),
     ("brick", "open-only"): (
         "1e0d990984454721782f30e034d018d2564e1af44cbbcdfb5b5cf1b631ba88bc",
         "f589fb7743cd932bbee98aca1f3a515eaf35c1d961b8e42787e26a5387fa7ace"),
     ("brick", "overdraft-refused"): (
         "829dde11927bb2286f144eb2ed281aa009450570c13928627989cf690789a989",
-        "16dcbeff387ea58262f3cddb9f4f29554324d99989c379d7d47a91705cefdc20"),
+        "f857a31c378fbcfc61bdb355dfabd676767df5c51e3b4944bd60d3084dafd4f2"),
     ("brick", "pay-both-directions"): (
         "a190d12112e6875f49759947851691a20aae47e367cb287cbc628389702d4dad",
-        "069479d9a8dc379da3d2be9478a70d888e6ebce0a59ac485ca1478d8c38192f4"),
+        "4e69d4c6d7271efbb05f14c9cf5f7ce062134fd176ed96411b4bfb953e59fb5a"),
     ("brick", "pay-pipeline"): (
         "c691e555d47007d83837d631019ab3a78864e15fa076de64cb88cc8eb4de3749",
-        "322914d0017c3ca88d9f55cf734abaa36059884eba246936a81e8b02ab6fd1d6"),
+        "271e10ad6d0192ed6e32b2b03a7afba12f4830f6e05b85cc20775902bcd6c767"),
     ("brick", "pay-race-same-step"): (
         "893b6f4b7c2de0bf51d666066bf16207bd3f7f77a5a2eef6fb7f2e87ba6cde41",
-        "337b72df98faa0507813759fcbc16950e9843d8fe63ac42e84539cacc9c8c82b"),
+        "81f95a93607f73b50758c6be3267d8bff2447201c3393ec859d455d8af53fa8d"),
     ("brick", "read-heavy"): (
         "939927e3d4031aba80441d342c8d8d75f5d37a495170b7866caa04738109c5d0",
         "4117fb93ad76a034ef01aee59af7c6038cb5a43761ca759a6974ec5486d30952"),
     ("brick", "settle-after-traffic"): (
         "93d91e30821bece14812207cff3d789fd8f3e7e02873fda790221b542aa21c76",
-        "21883f39c324c0204563ababbe9431e7cb92a2163c8a26e9f40909b176a76cb1"),
+        "5bd3f3e803e8610c0a7a4c2c632610030adab9c75a286ace1e324ce5bd5b2ee9"),
     ("brick", "settle-fresh"): (
         "92284d864bbebda0679ad03219b656456724e6052f51e2462395cb2bf75633d2",
         "0610a90759a8f11c4a8849ed0378fd250e39cab410a3333fd4a1638ab759c9ca"),
     ("brick", "shuffled-delivery"): (
         "e2abea5e3eaa5caff5022b4b0d385e367cdae064ef5afcc20b5b9b6e84aff841",
-        "6253a5472f54d7651a3e85f4f7cfa617470d6e82398cd9d4c50ee96531dcd592"),
+        "7336566aa1b1b4231ec907995f49e2215a3536e6ad2c325bea8b1e07c7dc31ee"),
     ("brick", "single-pay"): (
         "59e2268980d4052b7bf067a1192845164181cbc81ebbd223aca3193329eba166",
-        "22d0248d93202028f9f9a1f934950967c715b6fd0b963bfc23c78a57be69aef3"),
+        "aeb63fa23f069dcef818d036154c0df72901e7e1466b1891f2f41a70a822a8b4"),
     ("brick", "stale-settle-attempt"): (
         "c54db0cd775579ce9d7a3b7982a16b3a3cb23f430bf560d207fc26030aff6407",
-        "a77a2c965d9c581b5cc0387695cf889d4bebaaa242d2280280421b648c149274"),
+        "f60a8a8c378a1ad7a9e3918df2d6a8aeeb08907974e6df9f888833f8155dbf7b"),
     ("brick", "unilateral-exit"): (
         "a8b8cb93cc96d600755656e7d3bee2a0253f2c8c3c6986d5b93d578c6d243789",
-        "3b329348f6dbaf6734b04df723feb032b6de62ef68caed1d7201aec4c18889cd"),
+        "207c41fcce74e166b8095fbe61d30af299c2c3039853825f26e35668a2284d12"),
     ("liquid", "client-spam"): (
         "4700a3ec8c40ba8a5e55007fe9f47f6729c8e5421093d696d3409687fcbb150b",
         "a70643b9e4641c65286bd13f9b5b4a8b481bc169aeba9a3eb7899f18b92596c6"),
@@ -191,27 +198,27 @@ LIFECYCLE = {
     ("brick", 1, False): (
         "7b491486d3a05d4d144d0fb9c415e7e76cb6ca60e444a0c89b7dacc67196fd03",
         "476830c087bfcbb9adcbe750ff28c712a30ce388538a92ae3d14257aa410a50f",
-        "eccc6ea06db1eb36437b8a8569918441c7d05e4956eabddbb4a32e7f121dff5b"),
+        "b46b552b22e19e00a3c64cd5b6d1913d725c4d4262e63dec889ce9f39193f6c4"),
     ("brick", 1, True): (
         "45005cce99fedb08c7f1c60d89fb66c81fdaf5adcd15a5d5e4b7fc1d8dfd0e53",
         "0963d354b7321a1735e91e714a636df5a5ad39a6220d330a7aa2f1fc2ece9b64",
-        "b22d7eb8b9c59bb7fd89345478077c348fea8533bcae7dd9994cc9e07f1c624b"),
+        "26b45ce6a78cba0077053003e7bc9ea6d692429178849238e48a39f26c5e3356"),
     ("brick", 2, False): (
         "f9ef6d47ab02a84ec92e8929c4d938b68e23d898cfdca734208fc959ff5a0c6b",
         "03dc2f9f7a06eb4365bb29c5a82b627aab9207075dba49be2e5d68dd6970a91d",
-        "2719f81ef2dacbfe1f17501cbf08a9b33b276996fcb0d584afd8c4a3ba26a2a0"),
+        "485324b39e940649613801800fd8cb8bc14401a7335aa29dd3e99e7f8430d0b8"),
     ("brick", 2, True): (
         "028a97ebfec91c21423f4bef0a23d18a8e938b0a0e08ca401e4fc0864d498adc",
         "44e196c76c23293d3fe9bc3e277fa551270eb549e9cd5b0de85b33bf02894a1e",
-        "92d4124a22b90cc6d76b03d8c75065985458897bf58cc1219f957dcef09555cd"),
+        "bd153eb1162fa851841d3f0ef63c19de425c46022b93a8bd498a52987e2ae70d"),
     ("brick", 3, False): (
         "6381cd749c6b93fe6d28095fb0a94784ed7ecad2bec85e465c2bbb756aa9efe2",
         "5d1a5f5f264a015791ab2eceade1feba0b1608859b780a3d88dc1187af364bc7",
-        "01af4a9aa6653e614cc8e37b5f36cf8741ae1e0b35036a3ab058df4cf67bf50a"),
+        "bed9adabbbe0ee76daffbc67628d9ac2463a7e8babffdf1942c26724679f033d"),
     ("brick", 3, True): (
         "aa53cca3c169a82ec5b2a4d5bc150920c6651eee1d96a004e850d249e1fa648e",
         "bb709b469e6ead73138120bb47318bdf7c638af37d8edd0b055d9393dc393e0a",
-        "517ffeb7b0246fd1aaab3187991d6758a95cd5d410877febd86750caeaa42be8"),
+        "245e5cb8e25d729a11453e30256c4a153fcef53aba4acbbfe40b4764fc35a0c9"),
     ("liquid", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
         "6c4016fe51d6a32996c303909a98d4a472eaecdb2d3770b7a19793996c5cca6a",
