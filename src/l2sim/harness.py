@@ -76,7 +76,7 @@ import random
 from . import arbitrum, brick, liquid
 from .base import CertRegistry, Ledger
 from .core import CLIENT, INTERFACE_ROLE, InterfaceMachine, attach_round_gate
-from .properties import entry_keys
+from .properties import entry_keys, read_fields
 from .runtime import EntityId, Machine, ScheduleError, World
 from .trace import IntegrityError, canon
 
@@ -613,9 +613,10 @@ def scripted_schedules(name, scn):
 
 
 def output_projection(trace):
-    """Per-party ordered view of what the environment saw; a read keeps
-    its ``base``, its ``settled`` state and the keys of its entries.
-    Raises IntegrityError for an output payload that is no object."""
+    """Per-party ordered view of what the environment saw, corrupted
+    parties' reads included: a read keeps its ``base``, ``settled`` and
+    entry keys.  Raises IntegrityError for an output payload that is no
+    object and a read that ``properties.read_fields`` refuses."""
     per = {}
     texts = {}              # canonical state texts, shared by every read
     for ev in trace.events:
@@ -626,9 +627,9 @@ def output_projection(trace):
             raise IntegrityError(f"step {ev.get('step')}: output is no object")
         kind = p.get("kind")
         if kind == "read-result":
-            item = {"kind": kind, "base": p.get("base", 0),
-                    "settled": p.get("settled"),
-                    "executed": entry_keys(p.get("executed", ()), texts)}
+            base, executed, settled = read_fields(p, ev.get("step"))
+            item = {"kind": kind, "base": base, "settled": settled,
+                    "executed": entry_keys(executed, texts)}
         elif kind in ("open-ok", "settle-ok"):
             item = {"kind": kind, "state": p.get("state")}
         else:

@@ -145,11 +145,9 @@ def corrupted_parties(trace) -> dict:
 
 def read_views(trace, events=None, bad=None) -> list[ReadView]:
     """Read results output to parties that were never corrupted, in trace
-    order, each holding its delta (see ReadView).  The one decoder of the
-    read format, it raises IntegrityError for an output payload that is no
-    object and a read whose ``base`` is no int within what its reader has
-    seen, ``executed`` no list of objects or ``settled`` no object or null;
-    a missing field keeps its default.
+    order, each holding its delta (see ReadView).  It raises IntegrityError
+    for an output payload that is no object and for a read ``read_fields``
+    refuses, its ``base`` bounded by the entries its reader has seen.
 
     ``events`` (any list holding the trace's outputs) and ``bad`` (its
     corrupted parties) default to the trace's events and
@@ -169,17 +167,7 @@ def read_views(trace, events=None, bad=None) -> list[ReadView]:
             continue
         mine = reads.setdefault(ev["party"], [])
         seen = mine[-1].base + len(mine[-1].delta) if mine else 0
-        base, delta = p.get("base", 0), p.get("executed", [])
-        settled = p.get("settled")
-        if not (type(base) is int and 0 <= base <= seen
-                and isinstance(delta, list)
-                and (settled is None or isinstance(settled, dict))):
-            raise IntegrityError(f"read at step {ev.get('step')} is malformed "
-                                 f"or extends {base!r} of {seen} entries seen")
-        for e in delta:          # a loop: cheaper than all() on short deltas
-            if not isinstance(e, dict):
-                raise IntegrityError(f"read at step {ev.get('step')} has an "
-                                     f"entry that is no object")
+        base, delta, settled = read_fields(p, ev.get("step"), seen)
         mine.append(ReadView(
             party=ev["party"], pid=_pid(ev["party"]), round=ev.get("round", 0),
             step=ev.get("step", 0), base=base, delta=list(delta),
@@ -187,6 +175,23 @@ def read_views(trace, events=None, bad=None) -> list[ReadView]:
             reads=mine, index=len(mine)))
         views.append(mine[-1])
     return views
+
+
+def read_fields(p, step, seen=None) -> tuple:
+    """The one decoder of read-result payload ``p``: its ``base``,
+    ``executed`` and ``settled``, a missing field at its default.  Raises
+    IntegrityError unless they are an int (in [0, ``seen``] when ``seen``
+    is given), a list of objects and an object or null."""
+    base, executed, settled = p.get("base", 0), p.get("executed", []), p.get("settled")
+    if not (type(base) is int and isinstance(executed, list)
+            and (settled is None or isinstance(settled, dict))
+            and (seen is None or 0 <= base <= seen)):
+        raise IntegrityError(f"read at step {step} is malformed "
+                             f"or extends {base!r} of {seen} entries seen")
+    for e in executed:       # a loop: cheaper than all() on short lists
+        if not isinstance(e, dict):
+            raise IntegrityError(f"read at step {step} has an entry that is no object")
+    return base, executed, settled
 
 
 def entry_keys(executed, texts) -> list:

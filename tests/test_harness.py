@@ -547,10 +547,28 @@ def test_diff_outputs_reports_mismatch_and_length_drift():
 
 
 def test_an_output_that_is_no_object_is_an_integrity_error():
+    """An output that is no object, and a read whose ``base`` is no int,
+    ``executed`` no list of objects or ``settled`` no object or null, is
+    refused, also when the reader is corrupted: the projection keeps
+    corrupted parties' reads."""
+    def read(**fields):
+        return {"kind": "read-result", "base": 0, "executed": [],
+                "settled": None, **fields}
+
+    corrupt = {"t": "corrupt", "party": "client:c1", "round": 0, "step": 0}
+    for payload in (5, read(executed=5), read(executed=[5]),
+                    read(base="0"), read(base=None), read(settled=5)):
+        for prefix in ([], [corrupt]):
+            trace = Trace()
+            trace.events = prefix + [{"t": "output", "party": "client:c1",
+                                      "round": 0, "step": 1,
+                                      "payload": payload}]
+            with pytest.raises(IntegrityError):
+                output_projection(trace)
+            with pytest.raises(IntegrityError):
+                diff_outputs(trace, trace)
     trace = Trace()
-    trace.events = [{"t": "output", "party": "client:c1", "round": 0,
-                     "step": 0, "payload": 5}]
-    with pytest.raises(IntegrityError):
-        output_projection(trace)
-    with pytest.raises(IntegrityError):
-        diff_outputs(trace, trace)
+    trace.events = [corrupt, {"t": "output", "party": "client:c1", "round": 0,
+                              "step": 1, "payload": read()}]
+    assert output_projection(trace) == {"client:c1": [
+        {"kind": "read-result", "base": 0, "settled": None, "executed": []}]}
