@@ -42,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-from .accounts import apply_tx
+from .accounts import apply_txs
 from .brick import conserves
 from .core import CLIENT, OPEN, SETTLEMENT, UPDATE, read_result, settled_entry
 from .trace import IntegrityError, canon
@@ -803,17 +803,10 @@ def _replay(executed, ledger) -> bool:
         if cur is None:
             return False
         if "txs" in e:
-            nxt = cur
-            for tx in e["txs"]:
-                nxt = apply_tx(nxt, tx, ledger, 0)
-                if nxt is None:
-                    return False
-            nxt = dict(nxt, height=e.get("seq"))
-            if nxt != state:
-                return False
+            ok = apply_txs(cur, e["txs"], ledger, 0, e.get("seq")) == state
         else:
-            if e.get("seq") != cur.get("seq", 0) + 1 \
-                    or not conserves(cur, state):
-                return False
+            ok = e.get("seq") == cur.get("seq", 0) + 1 and conserves(cur, state)
+        if not ok:
+            return False
         cur = state
     return True
