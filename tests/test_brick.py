@@ -9,6 +9,7 @@ from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
 from l2sim import brick, harness, properties
 from l2sim.properties import read_views
 from l2sim.trace import digest
+from seeded_schedules import random_schedule
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
@@ -279,6 +280,62 @@ def test_settlement_liveness_judges_the_collab_settle():
             for kind, params in brick.liveness_params(scn).items()
             if kind.startswith(SETTLEMENT))
         assert judged == 1
+
+
+def test_the_ideal_run_refuses_an_overdraft_as_the_real_client_does():
+    """overdraft-refused, then 12 rounds and a read per client.  The real
+    client refuses c1's pay of 99 and the interface refuses it at submit,
+    so in both runs the one pay judged is the later pay of 2, and it is
+    served.  While the environment predicted each pay's post-state, the
+    ideal run queued the overdraft and its update liveness failed (pid
+    c1, deadline 12)."""
+    scn = brick.canonical_scenario()
+    sched = harness.scripted_schedules("brick", scn)["overdraft-refused"]
+    sched += [{"op": op} for _ in range(12) for op in ("advance", "pump")]
+    sched += [{"op": "input", "pid": c, "entry": {"kind": "read"}}
+              for c in scn["clients"]]
+    real, ideal, diffs = harness.run_differential("brick", scn, sched)
+    params = brick.liveness_params(scn)[UPDATE]
+    verdicts = [properties.check_liveness(run.trace, UPDATE, params)
+                for run in (real, ideal)]
+    assert [v.passed for v in verdicts] == [True, True]
+    assert verdicts[0].params == verdicts[1].params
+    assert (verdicts[0].params["judged"],
+            verdicts[0].params["beyond_horizon"]) == (1, 0)
+    assert diffs == []
+
+
+# -- seeded agreement sweep --------------------------------------------------
+
+# the menu moves a corrupted party of each role can make
+MENU_MOVES = {CLIENT: ["stale-settle"],
+              brick.WARDEN: ["publish-stale", "ack-garbage"]}
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["honest", "corrupt"])
+def test_seeded_schedules_keep_the_runs_in_agreement(corrupt):
+    """Over 150 seeded schedules, the real and ideal outputs are equal
+    and both runs get the same safety and update-liveness verdicts.
+    While the environment predicted each pay's post-state, update
+    liveness differed in 43 honest and 10 corrupt schedules.  Schedules
+    in which update liveness fails in both runs (ROADMAP item 1's warden
+    split) are not judged here."""
+    failures = {"outputs": [], "safety": [], "liveness-update": []}
+    for seed in range(150):
+        scn, sched = random_schedule("brick", seed, corrupt, ("pay",),
+                                     MENU_MOVES)
+        real, ideal, diffs = harness.run_differential("brick", scn, sched)
+        if diffs:
+            failures["outputs"].append(seed)
+        f = {role: budget for role, _, budget in brick.party_roles(scn)}
+        params = brick.liveness_params(scn)[UPDATE]
+        for name, check in (
+                ("safety", lambda t: properties.check_safety(t, f)),
+                ("liveness-update",
+                 lambda t: properties.check_liveness(t, UPDATE, params))):
+            if len({check(run.trace).passed for run in (real, ideal)}) > 1:
+                failures[name].append(seed)
+    assert failures == {"outputs": [], "safety": [], "liveness-update": []}
 
 
 # -- ideal bundle gating ---------------------------------------------------

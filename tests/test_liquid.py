@@ -1,6 +1,5 @@
 """Sidechain protocol: committee flow, pegs, quorum experiments, bundle."""
 
-import random
 from collections import Counter
 
 import pytest
@@ -11,6 +10,7 @@ from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
                         InternalState, open_record)
 from l2sim import base, harness, liquid, properties, trace
 from l2sim.trace import canon, digest
+from seeded_schedules import inp, random_schedule
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
@@ -265,10 +265,6 @@ def test_a_vote_cannot_swap_the_block_under_a_certificate():
                                  [o.short() for o in m.operators]) == x
 
 
-def inp(pid, **entry):
-    return {"op": "input", "pid": pid, "entry": entry}
-
-
 def two_deposits(pump_seed):
     """Both clients open, c1 deposits 3 twice a round apart, then three
     rounds pass with no delivery and one seeded pump delivers their
@@ -324,55 +320,28 @@ def test_a_lock_split_does_not_stall_the_chain():
 
 # -- seeded agreement sweep --------------------------------------------------
 
-# the menu moves a corrupted party of each role can make
+# what the sweep draws: entry kinds, and the menu moves a corrupted party
+# of each role can make
+ENTRY_KINDS = ("pay", "deposit")
 MENU_MOVES = {CLIENT: ["spam-overdraft"],
               liquid.OPERATOR: ["stale-push", "garbage-propose"]}
 
+# digest of the 150 (scenario, schedule) pairs per mode, recorded from the
+# generator the sweep's counts in ROADMAP.md were measured with
+SWEEP_DIGESTS = {
+    False: "c9303536e4ca62a01436c538264a5ef2ac80f4db84d58b93fbe2ab5754f6a099",
+    True: "92e2ca22e9e2099486347a842bf1788f5220b36fe6cdaec181139710e07acfa3",
+}
 
-def random_schedule(seed, corrupt):
-    """Both clients open, then 5-40 steps drawn uniformly from pay, deposit,
-    read, advance, seeded pump and garbage raw trigger, then 20 closing
-    rounds of advance, seeded pump and a read by each client.  With
-    ``corrupt``, one client or operator is corrupted at step 2-6 and makes
-    1-4 of its menu moves at later random steps."""
-    rng = random.Random(seed)
-    scn = liquid.canonical_scenario()
-    clients = scn["clients"]
-    sched = [inp(c, kind="open") for c in clients]
-    steps = []
-    for _ in range(rng.randint(5, 40)):
-        pick = rng.randrange(6)
-        pid = rng.choice(clients)
-        if pick == 0:
-            other = next(c for c in clients if c != pid)
-            steps.append(inp(pid, kind="pay", to=other,
-                                     amt=rng.randint(1, 3)))
-        elif pick == 1:
-            steps.append(inp(pid, kind="deposit", amt=rng.randint(1, 3)))
-        elif pick == 2:
-            steps.append(inp(pid, kind="read"))
-        elif pick == 3:
-            steps.append({"op": "advance"})
-        elif pick == 4:
-            steps.append({"op": "pump", "seed": rng.randrange(1 << 20)})
-        else:
-            steps.append({"op": "raw-trigger",
-                          "payload": dict(rng.choice(harness.GARBAGE_TRIGGERS))})
-    if corrupt:
-        role = rng.choice([CLIENT, liquid.OPERATOR])
-        pid = rng.choice(clients if role == CLIENT else scn["operators"])
-        at = rng.randint(2, 6)
-        steps.insert(at, {"op": "corrupt", "role": role, "pid": pid})
-        for _ in range(rng.randint(1, 4)):
-            steps.insert(rng.randint(at + 1, len(steps)),
-                         {"op": "menu", "role": role, "pid": pid,
-                          "action": rng.choice(MENU_MOVES[role])})
-    sched += steps
-    for _ in range(20):
-        sched += [{"op": "advance"},
-                  {"op": "pump", "seed": rng.randrange(1 << 20)}]
-        sched += [inp(c, kind="read") for c in clients]
-    return scn, sched
+
+def sweep_schedule(seed, corrupt):
+    return random_schedule("liquid", seed, corrupt, ENTRY_KINDS, MENU_MOVES)
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["honest", "corrupt"])
+def test_the_sweep_draws_the_same_schedules(corrupt):
+    got = [sweep_schedule(seed, corrupt) for seed in range(150)]
+    assert digest(got) == SWEEP_DIGESTS[corrupt]
 
 
 def honest_forks(world):
@@ -395,7 +364,7 @@ def test_seeded_schedules_keep_operators_and_runs_in_agreement(corrupt):
     verdict."""
     failures = {"fork": [], "outputs": [], "safety": []}
     for seed in range(150):
-        scn, sched = random_schedule(seed, corrupt)
+        scn, sched = sweep_schedule(seed, corrupt)
         real, ideal, diffs = harness.run_differential("liquid", scn, sched)
         if honest_forks(real.world) or honest_forks(ideal.sim.inner):
             failures["fork"].append(seed)
