@@ -36,8 +36,8 @@ the contract, and it provides:
 - ``party_roles(scn)``: (role, pids, corruption budget) rows of the cast;
 - ``build_real(world, scn)``: declares roles and registers the machines;
 - ``make_bundle(world, scn)``: the SubroutineBundle of the ideal run;
-- ``EnvTracker(scn).ideal_request(pid, entry)``: the interface request
-  an environment input becomes, or None;
+- ``EnvTracker(scn).ideal_request(pid, entry)``: a stateless translation
+  of an environment input into an interface request, or None;
 - ``Hooks(scn)`` with ``triggers_for(inner, ev)`` and
   ``read_delay(inner, pid)``: the simulator's view of the inner run;
 - ``menu(world, entity)``: {action name: callable} of moves in a corrupted

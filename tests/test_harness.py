@@ -475,6 +475,23 @@ def test_protocol_module_provides_the_contract(name):
     assert "ideal_request" in vars(proto.EnvTracker)
 
 
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_a_tracker_translates_each_input_alone(name):
+    """``EnvTracker.ideal_request`` keeps no state: after every input of
+    a seeded lifecycle, a tracker that has translated the inputs before it
+    returns what a fresh tracker returns."""
+    proto = protocol(name)
+    scn = proto.canonical_scenario()
+    used = proto.EnvTracker(scn)
+    steps = [s for s in lifecycle_schedule(name, scn, 1, pays=10)
+             if s["op"] == "input"]
+    assert {s["entry"]["kind"] for s in steps} >= {"open", "pay", "settle"}
+    for step in steps + steps:
+        pid, entry = step["pid"], step["entry"]
+        assert used.ideal_request(pid, entry) == \
+            proto.EnvTracker(scn).ideal_request(pid, entry)
+
+
 def test_benchmark_spans_stay_module_functions(monkeypatch):
     # the benchmark's tracer wraps these by name on their module, so they
     # must stay plain module functions that callers look up at call time
