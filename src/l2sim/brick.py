@@ -23,11 +23,10 @@ an honest client co-signs only entries of its chain.  A read may therefore
 serve every state from the on-chain anchor's seq up: a closed channel hides
 the states below its settled anchor.
 
-A pay request names the transfer, ``{"op": "pay", "to", "amt"}``, and the
-bundle judges it against its own latest state, as the account models do:
-``to`` is a client and ``amt`` a positive int within the payer's balance
-less its queued pays.  An update clears one request: the first queued pay
-whose transfer from the latest state gives the executed state, if any.
+A pay request names its transfer (``op``, ``to``, ``amt``), and the bundle
+admits it as the account models do: ``to`` is a client and ``amt`` a
+positive int within the payer's latest balance less its queued pays.  An
+update clears the first queued pay whose transfer yields its post-state.
 """
 
 from __future__ import annotations
@@ -672,8 +671,7 @@ def party_roles(scn):
 
 
 class EnvTracker:
-    """Environment-side translation of client inputs into ideal requests;
-    it keeps no state, so a request depends on its input alone."""
+    """Stateless translation of client inputs into ideal requests."""
 
     def __init__(self, scn):
         self.scn = scn
