@@ -38,24 +38,20 @@ def random_schedule(name, seed, corrupt, entry_kinds, menu_moves):
     cast = {role: pids for role, pids, _ in proto.party_roles(scn)}
     sched = [inp(c, kind="open") for c in clients]
     steps = []
+    kinds = tuple(entry_kinds) + OTHER_STEPS
     for _ in range(rng.randint(5, 40)):
-        pick = rng.randrange(len(entry_kinds) + len(OTHER_STEPS))
+        kind = kinds[rng.randrange(len(kinds))]
         pid = rng.choice(clients)
-        if pick < len(entry_kinds):
-            kind = entry_kinds[pick]
-            if kind == "pay":
-                other = next(c for c in clients if c != pid)
-                steps.append(inp(pid, kind="pay", to=other,
-                                 amt=rng.randint(1, 3)))
-            else:
-                steps.append(inp(pid, kind=kind, amt=rng.randint(1, 3)))
-            continue
-        step = OTHER_STEPS[pick - len(entry_kinds)]
-        if step == "read":
+        if kind == "pay":
+            other = next(c for c in clients if c != pid)
+            steps.append(inp(pid, kind="pay", to=other, amt=rng.randint(1, 3)))
+        elif kind in entry_kinds:
+            steps.append(inp(pid, kind=kind, amt=rng.randint(1, 3)))
+        elif kind == "read":
             steps.append(inp(pid, kind="read"))
-        elif step == "advance":
+        elif kind == "advance":
             steps.append({"op": "advance"})
-        elif step == "pump":
+        elif kind == "pump":
             steps.append({"op": "pump", "seed": rng.randrange(1 << 20)})
         else:
             steps.append({"op": "raw-trigger",
