@@ -32,8 +32,10 @@ Requests arrive from the environment over IO; open/update/settlement
 triggers arrive over NET from the adversary side (in differential runs, from
 the simulator program), and one whose payload is not a dict is ignored.
 Every subroutine consultation is recorded as a sub-call/sub-reply event
-pair, and every accepted update leaves an "exec" event carrying the
-evidence summary, which is what the trace predicates key on.
+pair, and every accepted open, update and settlement leaves an "exec"
+event recording what was executed (an update's with the queue rids it
+clears).  The trace predicates do not read exec events: they judge a run
+by its requests and what honest parties are shown, as in a real run.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Trace predicates: initialization, safety, liveness, settlement, storage.
 
 Every check consumes a finished run's trace (any object with an `.events`
-list) and returns a Verdict.  The checks work on both stackings: real runs
-are interpreted through client inputs, refusal/queue notes, and read
-outputs; interface runs through submit leaks, exec records, and the same
-outputs.  Nothing here mutates a world.
+list) and returns a Verdict.  The checks work on both stackings and judge
+them by what the environment sees: the requests come from client inputs
+and refusal notes in real runs and from submit leaks in interface runs,
+and both are judged against the same honest read outputs and
+confirmations.  Nothing here mutates a world.
 
 A read-result carries only its delta (see ``core.read_result``): the first
 ``base`` entries of its reader's previous view, then ``executed``, then
@@ -14,7 +15,7 @@ view's whole ``executed`` list is rebuilt from its reader's earlier reads
 only when something asks for it (witnesses, the pair scan of a failing
 safety check, readers out of order, the data-availability replay).  The
 checks judge whole views but walk only deltas: per reader they keep
-running values over the view last walked (evidence keys, update and mint
+running values over the view last walked (evidence keys, pay and mint
 counts, the highest state height), cut them back to the next view's
 ``base`` and walk only the entries after it, so each entry is walked a
 bounded number of times and the cost grows linearly with the trace.  That
@@ -278,18 +279,21 @@ _ENTRY_CLASS = {"open": OPEN, "pay": UPDATE, "deposit": UPDATE,
                 "settle": SETTLEMENT}
 _NOTE_REQ = {"open": "open", "pay": "pay", "settle": "settle",
              "peg-out": "settle"}
+# the entry word an interface update's body op stands for
+_BODY_WHAT = {"pay": "pay", "peg-in": "deposit"}
 
 
 def requests(trace, events=None, bad=None) -> list[dict]:
     """Client requests with outcome annotations, in submission order.
 
     A request dict has: pid, party, round, step, cls (open/update/
-    settlement), entry, refused (bool), queued (note fields or None),
-    rid (interface runs only), event (the input or leak event) and note
-    (the paired note event or None).  Notes pair with inputs first-in
-    first-out per party and request word, which mirrors how the clients
-    drain their queues.  Corrupted submitters are skipped; their inputs
-    are absorbed or adversary-forged, and no guarantee covers them.
+    settlement), what (a real run's entry kind; ``pay`` or ``deposit``
+    for an interface update with body op ``pay`` or ``peg-in``), entry,
+    refused (bool), event (the input or leak event) and note (the paired
+    note event or None).  Notes pair with inputs first-in first-out per
+    party and request word, which mirrors how the clients drain their
+    queues.  Corrupted submitters are skipped; their inputs are absorbed
+    or adversary-forged, and no guarantee covers them.
 
     It raises IntegrityError for an input payload that is no object and
     for a submit leak whose request is no object, names no submitter or
@@ -318,9 +322,8 @@ def requests(trace, events=None, bad=None) -> list[dict]:
                 continue
             reqs.append({"pid": _pid(ev["party"]), "party": ev["party"],
                          "round": ev.get("round", 0), "step": ev.get("step", 0),
-                         "cls": cls, "entry": dict(p), "refused": False,
-                         "queued": None, "rid": None, "event": ev,
-                         "note": None})
+                         "cls": cls, "what": p["kind"], "entry": dict(p),
+                         "refused": False, "event": ev, "note": None})
             key = (reqs[-1]["pid"], p["kind"])
             pending.setdefault(key, []).append(len(reqs) - 1)
         elif t == "note" and ev.get("kind") in ("request-refused",
@@ -331,11 +334,7 @@ def requests(trace, events=None, bad=None) -> list[dict]:
                 continue
             i = waiting.pop(0)
             reqs[i]["note"] = ev
-            if ev["kind"] == "request-refused":
-                reqs[i]["refused"] = True
-            else:
-                reqs[i]["queued"] = {k: ev[k] for k in ("seq", "nonce")
-                                     if k in ev}
+            reqs[i]["refused"] = ev["kind"] == "request-refused"
         elif t == "leak" and isinstance(ev.get("data"), dict) \
                 and ev["data"].get("kind") == "submit":
             req = ev["data"].get("req")
@@ -349,12 +348,13 @@ def requests(trace, events=None, bad=None) -> list[dict]:
             cls = req.get("kind")
             if cls not in (OPEN, UPDATE, SETTLEMENT):
                 continue
+            body = req.get("body", {})
             reqs.append({"pid": req["by"], "party": party,
                          "round": req.get("round", ev.get("round", 0)),
                          "step": ev.get("step", 0), "cls": cls,
-                         "entry": dict(req.get("body", {})),
-                         "refused": False, "queued": {},
-                         "rid": req.get("rid"), "event": ev, "note": None})
+                         "what": _BODY_WHAT.get(body.get("op")),
+                         "entry": dict(body), "refused": False,
+                         "event": ev, "note": None})
     return reqs
 
 
@@ -372,7 +372,6 @@ class TraceSummary:
     requests: list       # requests
     commits: list        # committed_txs
     confirmed: dict      # (pid, "open-ok" | "settle-ok") -> output rounds
-    exec_rids: list      # (rid, round) of each exec record clearing rid
     open_inputs: list    # honest open-request input events
     open_oks: list       # honest open-ok output events
     settle_oks: list     # honest settle-ok output events
@@ -386,12 +385,12 @@ def summarize(trace) -> TraceSummary:
 
     The one walk over the events takes the horizon and sorts the events
     into lists by type: outputs, the input, note and leak events, the
-    ledger submits and commits, corruptions and exec records.  The
-    corrupted set is built once from its list, and the rest from theirs:
-    the confirmation rounds and honest open-ok and settle-ok outputs from
-    the outputs, the exec rids, the honest open inputs; ``read_views``
-    walks the outputs, ``requests`` the inputs, notes and leaks and
-    ``committed_txs`` the ledger events, each with that corrupted set.
+    ledger submits and commits, and corruptions.  The corrupted set is
+    built once from its list, and the rest from theirs: the confirmation
+    rounds and honest open-ok and settle-ok outputs from the outputs, the
+    honest open inputs; ``read_views`` walks the outputs, ``requests`` the
+    inputs, notes and leaks and ``committed_txs`` the ledger events, each
+    with that corrupted set.
 
     The summary is kept for the most recent trace: a trace only ever
     grows, so the same object holding the same events list with the same
@@ -402,10 +401,10 @@ def summarize(trace) -> TraceSummary:
     if _last is not None and _last[0] is trace and _last[1] is events \
             and _last[2] == len(events):
         return _last[3]
-    outputs, asks, ledger, corrupts, execs = [], [], [], [], []
+    outputs, asks, ledger, corrupts = [], [], [], []
     into = {"output": outputs, "input": asks, "note": asks, "leak": asks,
             "ledger-submit": ledger, "ledger-commit": ledger,
-            "corrupt": corrupts, "exec": execs}
+            "corrupt": corrupts}
     horizon = 0
     for ev in events:
         rnd = ev.get("round", 0)
@@ -418,8 +417,6 @@ def summarize(trace) -> TraceSummary:
     for ev in corrupts:
         if ev.get("party") not in bad:
             bad[ev["party"]] = ev.get("round", 0)
-    exec_rids = [(rid, ev.get("round", 0)) for ev in execs
-                 for rid in ev.get("rids", ())]
     views = read_views(trace, outputs, bad)      # refuses non-object payloads
     confirmed, oks = {}, {"open-ok": [], "settle-ok": []}
     for ev in outputs:
@@ -435,7 +432,6 @@ def summarize(trace) -> TraceSummary:
         horizon=horizon, views=views, chains=_chains(views),
         requests=requests(trace, asks, bad),
         commits=committed_txs(trace, ledger), confirmed=confirmed,
-        exec_rids=exec_rids,
         open_inputs=[ev for ev in asks if ev.get("t") == "input"
                      and ev.get("party") not in bad
                      and _asks_open(ev.get("payload", {}))],
@@ -567,17 +563,20 @@ def _view_event(v: ReadView):
 def check_liveness(trace, kind, params) -> Verdict:
     """Every valid request of the kind is served inside its latency budget.
 
-    Serving means: a confirmation output for opens and settlements, and for
-    updates either an exec record clearing the request (interface runs) or
-    evidence of the transfer inside some honest read view (real runs).
-    Requests whose deadline lies past the recorded horizon are not judged.
+    Serving means a confirmation output for opens and settlements.  An
+    update is served by what honest reads show, by one rule in both runs:
+    the k-th pay (deposit) request of a pid is served when an honest view
+    read by its deadline shows k pays from (mints to) that pid.  Requests
+    whose deadline lies past the recorded horizon are not judged, but
+    they count among their pid's requests.
 
     The evidence is summarised in one pass (``_first_seen``): for each
-    key a request can wait on, the earliest round of a view or exec
-    record that shows it.  Whether a view shows a key depends on that
-    view alone, so "some view up to the deadline shows it" is exactly
-    "its earliest round is at or before the deadline".  The pass walks
-    each view's delta only, as the module docstring describes.
+    (what, pid, k) the earliest round of a view that shows it.  Whether a
+    view shows a key depends on that view alone, so "some view up to the
+    deadline shows it" is exactly "its earliest round is at or before the
+    deadline".  The pass walks each view's delta only, as the module
+    docstring describes.  A failing update's witness carries the pid's k
+    requests of that word with their notes.
     """
     name = f"liveness-{kind}"
     f, t_l2, t_l1 = params.get("f", {}), params["t_l2"], params["t_l1"]
@@ -590,30 +589,22 @@ def check_liveness(trace, kind, params) -> Verdict:
     # opens and settlements are served by confirmation outputs alone
     seen = _first_seen(s) if kind == UPDATE else {}
     judged = unresolved = 0
-    pays = []                          # real-run pays up to this one
-    deposited = {}                     # pid -> its deposits so far, the same
+    asked = {}                         # (pid, what) -> its requests so far
     marker = {"t": "horizon", "round": s.horizon}
     for r in s.requests:
         if r["cls"] != kind or r["refused"]:
             continue
-        asked = [r]
-        if r["cls"] == UPDATE and r["entry"].get("kind") == "pay" \
-                and r["rid"] is None:
-            pays.append(r)
-            if r["queued"] is not None and "nonce" not in r["queued"]:
-                # it waits for an update per pay, so its witness has them
-                asked = list(pays)
-        elif r["entry"].get("kind") == "deposit":
-            # a deposit waits for a mint per deposit of its depositor up
-            # to it, so its witness carries them all
-            asked = deposited[r["pid"]] = deposited.get(r["pid"], []) + [r]
+        mine = [r]
+        if kind == UPDATE:
+            mine = asked.setdefault((r["pid"], r["what"]), [])
+            mine.append(r)
         deadline = r["round"] + t_l2 + t_l1
         if deadline > s.horizon:
             unresolved += 1
             continue
         judged += 1
-        if not _served(r, deadline, seen, s.confirmed, len(asked), len(pays)):
-            shown = [e for q in asked for e in (q["event"], q["note"]) if e]
+        if not _served(r, deadline, seen, s.confirmed, len(mine)):
+            shown = [e for q in mine for e in (q["event"], q["note"]) if e]
             witness = shown + [_view_event(v) for v in s.views
                                if v.round <= deadline] + [marker]
             return Verdict(name, False, witness=witness,
@@ -626,7 +617,7 @@ def check_liveness(trace, kind, params) -> Verdict:
                            "beyond_horizon": unresolved, "f": f})
 
 
-def _served(r, deadline, seen, confirmed, deposits, pays) -> bool:
+def _served(r, deadline, seen, confirmed, k) -> bool:
     pid, cls = r["pid"], r["cls"]
     if cls == OPEN:
         return any(rnd <= deadline
@@ -634,66 +625,69 @@ def _served(r, deadline, seen, confirmed, deposits, pays) -> bool:
     if cls == SETTLEMENT:
         return any(r["round"] <= rnd <= deadline
                    for rnd in confirmed.get((pid, "settle-ok"), ()))
-    if r["rid"] is not None:                       # interface run: exact rid
-        key = ("rid", r["rid"])
-    elif r["entry"].get("kind") == "deposit":
-        key = ("mint", pid, deposits)     # deposits of pid so far, k >= 1
-    elif r.get("queued") is None:
-        return False                               # accepted but never sent
-    elif "nonce" in r["queued"]:
-        key = ("tx", pid, r["queued"]["nonce"])
-    else:
-        key = ("update", pays)
-    return key in seen and seen[key] <= deadline
+    return seen.get((r["what"], pid, k), deadline + 1) <= deadline
 
 
 def _first_seen(s: TraceSummary) -> dict:
-    """Earliest round at which each piece of update evidence shows.
+    """Earliest round at which an honest view shows each update key.
 
-    Keys: ("update", k) when a view holds at least k update entries;
-    ("mint", pid, k) when a view holds at least k mints to pid;
-    ("tx", pid, nonce) when a view holds a transaction from pid with that
-    nonce; ("rid", rid) when an exec record clears rid.  Counts start at
-    1, as every request waits for at least one.
+    Key (what, pid, k), k >= 1: ("pay", pid, k) when a view holds at
+    least k pays from pid, ("deposit", pid, k) when it holds at least k
+    mints to pid (``_shown``).
 
     Each reader's views are walked from where ``_chains`` starts them,
-    with the running update count per entry and the reader's kept mints
-    cut back to that start.  The entries before it were walked in the
+    with the reader's kept entries and its pays and mints among them cut
+    back to that start.  The entries before it were walked in the
     reader's view before, at a round no later than this one, so each key
     they show has its earliest round already; the entries after it show
     exactly the keys this view adds.  A reader out of (round, step) order
     starts every view at 0, which is the whole-view walk.
     """
     first = {}
-
-    def see(key, rnd):
-        if key not in first or rnd < first[key]:
-            first[key] = rnd
-
     for chain in s.chains.values():
-        updates = [0]    # updates[i]: update entries among the first i
-        mints = []       # (index, recipient) of each mint walked and kept
-        kept = {}        # recipient -> its mints in ``mints``
+        kept = []        # the entries walked and kept, in view order
+        marks = []       # (index, (what, pid)) of each pay and mint in them
+        count = {}       # (what, pid) -> its marks
         for v, start in chain:
-            del updates[start + 1:]
-            while mints and mints[-1][0] >= start:
-                kept[mints.pop()[1]] -= 1
-            for i, e in enumerate(v.after(start), start):
-                n = updates[-1]
-                if e.get("kind") == UPDATE:
-                    n += 1
-                    see(("update", n), v.round)
-                updates.append(n)
-                for tx in e.get("txs", ()):
-                    if tx.get("op") == "mint":
-                        to = tx.get("to")
-                        kept[to] = kept.get(to, 0) + 1
-                        mints.append((i, to))
-                        see(("mint", to, kept[to]), v.round)
-                    see(("tx", tx.get("from"), tx.get("nonce")), v.round)
-    for rid, rnd in s.exec_rids:
-        see(("rid", rid), rnd)
+            del kept[start:]
+            while marks and marks[-1][0] >= start:
+                count[marks.pop()[1]] -= 1
+            for e in v.after(start):
+                for mark in _shown(e, kept):
+                    n = count[mark] = count.get(mark, 0) + 1
+                    marks.append((len(kept), mark))
+                    key = mark + (n,)
+                    if key not in first or v.round < first[key]:
+                        first[key] = v.round
+                kept.append(e)
     return first
+
+
+def _shown(e, before) -> list:
+    """The (what, pid) of each pay and mint entry ``e`` shows after the
+    entries ``before`` it.
+
+    A ``pay`` transaction is a pay from its ``from``, a ``mint`` one a
+    deposit to its ``to``.  An update entry without ``txs`` (a channel
+    state) is a pay of each client whose balance it lowers against the
+    entry before it.  Both counts are sound: a co-signing channel client
+    refuses any state that lowers its own share, so a channel update
+    lowers only its proposer's balance, and an account's pays apply in
+    nonce order.
+    """
+    txs = e.get("txs")
+    if txs is not None:
+        return [("pay", tx.get("from")) if tx.get("op") == "pay"
+                else ("deposit", tx.get("to"))
+                for tx in txs if tx.get("op") in ("pay", "mint")]
+    if e.get("kind") != UPDATE or not before:
+        return []
+    old = (before[-1].get("state") or {}).get("bal")
+    new = (e.get("state") or {}).get("bal")
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return []
+    return [("pay", pid) for pid, amt in new.items()
+            if pid in old and amt < old[pid]]
 
 
 def check_correct_settlement(trace) -> Verdict:

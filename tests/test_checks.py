@@ -40,12 +40,6 @@ def scripted_verdicts(name, label):
     return checks(name, scn, real.trace), checks(name, scn, ideal.trace)
 
 
-# the one known parity break (CHANGES.md FOUND line on liquid
-# deposit-then-withdraw): the real run sees updates only through honest
-# reads, and the schedule reads nothing before the round-14 deadline
-PARITY_BREAKS = {("liquid", "deposit-then-withdraw", "liveness-update")}
-
-
 def parity_cases():
     for name, proto in harness.PROTOCOLS.items():
         scn = proto.canonical_scenario()
@@ -53,12 +47,7 @@ def parity_cases():
         for label in harness.scripted_schedules(name, scn):
             for check in ["correct-initialization", "safety", *kinds,
                           "correct-settlement"]:
-                marks = ()
-                if (name, label, check) in PARITY_BREAKS:
-                    marks = pytest.mark.xfail(
-                        strict=True, reason="real run judges updates by reads "
-                        "only; see the liquid deposit-then-withdraw FOUND line")
-                yield pytest.param(name, label, check, marks=marks,
+                yield pytest.param(name, label, check,
                                    id=f"{name}-{label}-{check}")
 
 

@@ -42,31 +42,35 @@ from test_properties import (
 
 
 def reference_first_seen(trace) -> dict:
-    """Earliest round of each piece of update evidence, every view whole."""
+    """Earliest round of each (what, pid, k) update key, every view whole:
+    a view shows ("pay", pid, k) when it holds k pays from pid, and
+    ("deposit", pid, k) when it holds k mints to pid.  A pay is a ``pay``
+    transaction, or an update entry without ``txs`` that lowers pid's
+    balance against the entry before it."""
     first = {}
-
-    def see(key, rnd):
-        if key not in first or rnd < first[key]:
-            first[key] = rnd
-
     for v in read_views(trace):
-        updates, mints = 0, {}
+        counts, before = {}, None
         for e in v.executed:
-            if e.get("kind") == UPDATE:
-                updates += 1
-            for tx in e.get("txs", ()):
-                if tx.get("op") == "mint":
-                    mints[tx.get("to")] = mints.get(tx.get("to"), 0) + 1
-                see(("tx", tx.get("from"), tx.get("nonce")), v.round)
-        for k in range(1, updates + 1):
-            see(("update", k), v.round)
-        for to, n in mints.items():
+            marks = []
+            if e.get("txs") is not None:
+                for tx in e["txs"]:
+                    if tx.get("op") == "pay":
+                        marks.append(("pay", tx.get("from")))
+                    elif tx.get("op") == "mint":
+                        marks.append(("deposit", tx.get("to")))
+            elif e.get("kind") == UPDATE and before is not None:
+                old = (before.get("state") or {}).get("bal")
+                new = (e.get("state") or {}).get("bal")
+                if isinstance(old, dict) and isinstance(new, dict):
+                    marks += [("pay", pid) for pid in new
+                              if pid in old and new[pid] < old[pid]]
+            for mark in marks:
+                counts[mark] = counts.get(mark, 0) + 1
+            before = e
+        for (what, pid), n in counts.items():
             for k in range(1, n + 1):
-                see(("mint", to, k), v.round)
-    for ev in trace.events:
-        if ev.get("t") == "exec":
-            for rid in ev.get("rids", ()):
-                see(("rid", rid), ev.get("round", 0))
+                key = (what, pid, k)
+                first[key] = min(first.get(key, v.round), v.round)
     return first
 
 
@@ -94,25 +98,19 @@ def reference_check_liveness(trace, params) -> Verdict:
     seen = reference_first_seen(trace)
     views, horizon = read_views(trace), horizon_of(trace)
     judged = unresolved = 0
-    pays, deposited = [], {}
+    asked = {}
     for r in requests(trace):
         if r["cls"] != kind or r["refused"]:
             continue
-        asked = [r]
-        if r["entry"].get("kind") == "pay" and r["rid"] is None:
-            pays.append(r)
-            if r["queued"] is not None and "nonce" not in r["queued"]:
-                asked = list(pays)
-        elif r["entry"].get("kind") == "deposit":
-            asked = deposited[r["pid"]] = deposited.get(r["pid"], []) + [r]
+        mine = asked[r["pid"], r["what"]] = \
+            asked.get((r["pid"], r["what"]), []) + [r]
         deadline = r["round"] + t_l2 + t_l1
         if deadline > horizon:
             unresolved += 1
             continue
         judged += 1
-        if not properties._served(r, deadline, seen, {}, len(asked),
-                                  len(pays)):
-            shown = [e for q in asked for e in (q["event"], q["note"]) if e]
+        if seen.get((r["what"], r["pid"], len(mine)), deadline + 1) > deadline:
+            shown = [e for q in mine for e in (q["event"], q["note"]) if e]
             witness = shown + [properties._view_event(v) for v in views
                                if v.round <= deadline]
             witness.append({"t": "horizon", "round": horizon})
@@ -180,6 +178,13 @@ ENTRIES = [{"kind": kind, "seq": seq, "state": STATES[st_], "txs": txs}
                (UPDATE, 2, 6, [TXS[0], TXS[0]]), (UPDATE, 3, 5, [TXS[5]]),
                (UPDATE, 3, 7, []), (UPDATE, 4, 0, [TXS[2], TXS[7]]),
                (OPEN, 0, 1, [TXS[6]])]]
+# channel entries: update entries without txs, whose balances fall and rise
+BALANCES = [{"A": 5, "B": 5}, {"A": 4, "B": 6}, {"A": 3, "B": 7}]
+CHANNEL = [{"kind": kind, "seq": seq, "state": {"seq": seq, "bal": bal}}
+           for kind, seq, bal in [
+               (OPEN, 0, BALANCES[0]), (UPDATE, 1, BALANCES[1]),
+               (UPDATE, 2, BALANCES[0]), (UPDATE, 2, BALANCES[2]),
+               (UPDATE, 3, BALANCES[1])]]
 
 
 def party(pid):
@@ -204,12 +209,13 @@ def delta_traces(draw):
         rnd += draw(st.integers(0, 2))
         pid = draw(st.sampled_from(PIDS))
         what = draw(st.sampled_from(["read"] * 4 + ["pay", "deposit",
-                                                    "settle", "rid"]))
+                                                    "settle", "submit"]))
         if what == "read":
             prev = shown.get(pid, 0)
             base = prev if draw(st.booleans()) else \
                 draw(st.integers(0, prev))
-            delta = draw(st.lists(st.sampled_from(ENTRIES), max_size=3))
+            delta = draw(st.lists(st.sampled_from(ENTRIES + CHANNEL),
+                                  max_size=3))
             shown[pid] = base + len(delta)
             settled = draw(st.sampled_from([None, None] + STATES[2:]))
             events.append(event("output", party(pid), rnd,
@@ -246,10 +252,12 @@ def delta_traces(draw):
                                  txids=[txid])]
         else:
             rid = draw(st.integers(0, 3))
+            op = draw(st.sampled_from(["pay", "peg-in", "peg-out"]))
             events.append(event("leak", "funct", rnd, data={
                 "kind": "submit", "req": {"by": pid, "kind": UPDATE,
                                           "rid": rid, "round": rnd,
-                                          "body": {"kind": "pay"}}}))
+                                          "body": {"op": op}}}))
+            # an exec record clearing the rid serves nothing
             if draw(st.booleans()):
                 events.append(event("exec", "funct", rnd + draw(
                     st.integers(0, 4)), kind=UPDATE, rids=[rid]))

@@ -19,9 +19,10 @@ one-pass ``check_safety`` replaced; the two are compared on hand-built
 failing traces and on random view sets.  The hand-built liveness and
 settlement traces pin the verdicts the checks gave before that rework
 (their witness digests recorded again with delta reads, and those with a
-read event again when reads dropped their tip state and pointer), and every
-failing witness must fail again, with the same parameters, when checked
-on its own.
+read event again when reads dropped their tip state and pointer; the
+update cases reworked when both runs came to be judged by one rule over
+honest reads), and every failing witness must fail again, with the same
+parameters, when checked on its own.
 """
 
 import hashlib
@@ -921,7 +922,14 @@ def entry(seq, txs=()):
             "txs": list(txs)}
 
 
+def channel(seq, a, b):
+    """A channel entry: an update entry without ``txs``."""
+    return {"kind": OPEN if seq == 0 else UPDATE, "seq": seq,
+            "state": {"seq": seq, "bal": {"A": a, "B": b}}}
+
+
 GENESIS = {"kind": OPEN, "seq": 0, "state": {"seq": 0}}
+PAY_A = {"op": "pay", "from": "A", "to": "B", "amt": 1, "nonce": 1}
 PAY_B = {"op": "pay", "from": "B", "to": "C", "amt": 1, "nonce": 1}
 MINT_A = {"op": "mint", "to": "A", "amt": 5, "ref": "dep-1"}
 
@@ -967,8 +975,10 @@ LIVENESS_CASES = {
         horizon(20)]),
     "queued-pay-nonce-missing": (UPDATE, [
         inp(B, 1, 1, kind="pay", to="C", amt=1),
-        note(B, 1, 2, "request-queued", req="pay", nonce=2),
-        read(C, 4, 3, [GENESIS, entry(1, [PAY_B])]),
+        note(B, 1, 2, "request-queued", req="pay", nonce=1),
+        inp(B, 2, 3, kind="pay", to="C", amt=1),
+        note(B, 2, 4, "request-queued", req="pay", nonce=2),
+        read(C, 4, 5, [GENESIS, entry(1, [PAY_B])]),
         horizon(20)]),
     "queued-pay-nonce-seen": (UPDATE, [
         inp(B, 1, 1, kind="pay", to="C", amt=1),
@@ -980,8 +990,18 @@ LIVENESS_CASES = {
         note(A, 1, 2, "request-queued", req="pay", seq=1),
         inp(A, 2, 3, kind="pay", amt=1),
         note(A, 2, 4, "request-queued", req="pay", seq=2),
-        read(B, 5, 5, [GENESIS, entry(1)]),
-        read(B, 9, 6, [GENESIS, entry(1), entry(2)]),
+        read(B, 5, 5, [channel(0, 5, 5), channel(1, 4, 6)]),
+        read(B, 9, 6, [channel(0, 5, 5), channel(1, 4, 6), channel(2, 3, 7)]),
+        horizon(20)]),
+    "channel-state-lowers-the-peer": (UPDATE, [
+        inp(A, 1, 1, kind="pay", amt=1),
+        note(A, 1, 2, "request-queued", req="pay", seq=1),
+        read(B, 5, 3, [channel(0, 5, 5), channel(1, 6, 4)]),
+        horizon(20)]),
+    "channel-pays-counted-per-client": (UPDATE, [
+        inp(A, 1, 1, kind="pay", amt=1),
+        note(A, 1, 2, "request-queued", req="pay", seq=2),
+        read(A, 5, 3, [channel(0, 5, 5), channel(1, 6, 4), channel(2, 5, 5)]),
         horizon(20)]),
     "pay-never-sent": (UPDATE, [
         inp(A, 1, 1, kind="pay", amt=1),
@@ -999,22 +1019,34 @@ LIVENESS_CASES = {
         out(A, 1, 1, kind="settle-ok", state={"seq": 0}),
         inp(A, 2, 2, kind="settle"),
         horizon(20)]),
-    "exec-clears-rid-late": (UPDATE, [
+    # the exec record clears the request's rid in time, but an update is
+    # served only by what an honest read shows
+    "submitted-pay-read-late": (UPDATE, [
         event("leak", "funct", 1, 1,
               data={"kind": "submit",
                     "req": {"by": "A", "kind": UPDATE, "rid": 7, "round": 1,
-                            "body": {"kind": "pay"}}}),
-        event("exec", "funct", 3, 2, kind=UPDATE, seq=1, rids=[6]),
-        event("exec", "funct", 8, 3, kind=UPDATE, seq=2, rids=[7]),
+                            "body": {"op": "pay", "to": "B", "amt": 1}}}),
+        event("exec", "funct", 3, 2, kind=UPDATE, seq=1, rids=[7]),
+        read(B, 8, 3, [GENESIS, entry(1, [PAY_A])]),
+        horizon(20)]),
+    "submitted-deposit-minted": (UPDATE, [
+        event("leak", "funct", 1, 1,
+              data={"kind": "submit",
+                    "req": {"by": "A", "kind": UPDATE, "rid": 7, "round": 1,
+                            "body": {"op": "peg-in", "amt": 5}}}),
+        read(B, 6, 2, [GENESIS, entry(1, [MINT_A])]),
         horizon(20)]),
 }
 
 # label -> (record, witness sha256) as the checks gave them before the
 # one-pass rework; second-deposit-needs-second-mint recorded again when a
-# deposit's witness began to carry its depositor's earlier deposits, and
-# queued-pay-nonce-missing and kth-update-missing when a pay's witness
-# began to carry its request-queued note and, without a nonce, the earlier
-# pays with theirs
+# deposit's witness began to carry its depositor's earlier deposits.  When
+# update liveness came to be judged by one rule over honest reads (the
+# k-th pay or deposit of a pid needs a view with k pays from, or mints to,
+# it), queued-pay-nonce-missing gained the first pay its missing second
+# one follows, kth-update-missing's views gained channel balances, and the
+# channel and submitted cases were added; submitted-pay-read-late replaced
+# a case in which an exec record cleared a request's rid late
 LIVENESS_EXPECTED = {
     "deposit-never-minted": (
         {"record": "verdict",
@@ -1060,12 +1092,12 @@ LIVENESS_EXPECTED = {
          "vacuous": False,
          "params": {"kind": "update",
                     "pid": "B",
-                    "submit_round": 1,
-                    "deadline": 7,
+                    "submit_round": 2,
+                    "deadline": 8,
                     "t_l2": 4,
                     "t_l1": 2},
-         "witness_len": 4},
-        "d528118256573246e1a1398cbec8d5e61287c571c535820fb71ed395a7c6a977"),
+         "witness_len": 6},
+        "f4018ed20c4022c9905a3b698be36b724b28ef71ab0921919c595e4ca0edd04b"),
     "queued-pay-nonce-seen": (
         {"record": "verdict",
          "property": "liveness-update",
@@ -1089,7 +1121,31 @@ LIVENESS_EXPECTED = {
                     "t_l2": 4,
                     "t_l1": 2},
          "witness_len": 6},
-        "93040062a50902c85ba4e3f93aae3e768e1c3bca57099a711bbf775276891de0"),
+        "d9e68bd4dfb19195b275afc42ff974556cdc54407ee3418d302dd2071508964c"),
+    "channel-state-lowers-the-peer": (
+        {"record": "verdict",
+         "property": "liveness-update",
+         "pass": False,
+         "vacuous": False,
+         "params": {"kind": "update",
+                    "pid": "A",
+                    "submit_round": 1,
+                    "deadline": 7,
+                    "t_l2": 4,
+                    "t_l1": 2},
+         "witness_len": 4},
+        "3fe9babc8aed6856a7e7ca8e4a9014e40dead662aa665eb9296c79db0da6a010"),
+    "channel-pays-counted-per-client": (
+        {"record": "verdict",
+         "property": "liveness-update",
+         "pass": True,
+         "vacuous": False,
+         "params": {"kind": "update",
+                    "judged": 1,
+                    "beyond_horizon": 0,
+                    "f": {"client": 0}},
+         "witness_len": 0},
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     "pay-never-sent": (
         {"record": "verdict",
          "property": "liveness-update",
@@ -1140,7 +1196,7 @@ LIVENESS_EXPECTED = {
                     "t_l1": 2},
          "witness_len": 2},
         "98796b6f20fc09c0e52955540ac0d99f57b7d4e672da26dc8938cc045279b67e"),
-    "exec-clears-rid-late": (
+    "submitted-pay-read-late": (
         {"record": "verdict",
          "property": "liveness-update",
          "pass": False,
@@ -1152,7 +1208,18 @@ LIVENESS_EXPECTED = {
                     "t_l2": 4,
                     "t_l1": 2},
          "witness_len": 2},
-        "ce3e7525b01d2da9df2675b88fbc58ffb7dbcb1b2c9ed0f73be790c682599185"),
+        "bb2f5e7f9035b73fb6be719b56a7474007ee45f0dee425b9f34c2666c40fc801"),
+    "submitted-deposit-minted": (
+        {"record": "verdict",
+         "property": "liveness-update",
+         "pass": True,
+         "vacuous": False,
+         "params": {"kind": "update",
+                    "judged": 1,
+                    "beyond_horizon": 0,
+                    "f": {"client": 0}},
+         "witness_len": 0},
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
 }
 
 
@@ -1173,22 +1240,22 @@ def test_liveness_witness_replays(label):
     v = check_liveness(as_trace(events), kind, LIVE)
     again = check_liveness(as_trace(v.witness), kind, LIVE)
     assert not again.passed and again.params == v.params
-    # the replay fails for the same reason: its failing request is queued
-    # alike and follows as many real-run pays
+    # the replay fails for the same reason: its failing request is its
+    # pid's k-th of the same word
     assert failing_request(v.witness, kind, v.params) == \
         failing_request(events, kind, v.params)
 
 
 def failing_request(events, kind, params):
-    """(queued, earlier real-run pays) of the request a failing liveness
-    verdict with ``params`` names."""
+    """(word, k) of the request a failing liveness verdict with ``params``
+    names: its pid's k-th judged request of that word."""
     judged = [r for r in requests(as_trace(events))
               if r["cls"] == kind and not r["refused"]]
     i = next(i for i, r in enumerate(judged) if r["pid"] == params["pid"]
              and r["round"] == params["submit_round"])
-    pays = [r for r in judged[:i]
-            if r["entry"].get("kind") == "pay" and r["rid"] is None]
-    return judged[i]["queued"], len(pays)
+    mine = [r for r in judged[:i + 1]
+            if (r["pid"], r["what"]) == (judged[i]["pid"], judged[i]["what"])]
+    return judged[i]["what"], len(mine)
 
 
 def stale_view():
