@@ -11,7 +11,12 @@ keys once per view, and again when reads began to carry only their delta
 (a witness read carries its whole view from ``base`` 0).  The witness
 rows that hold a read event (the real run of liquid
 deposit-then-withdraw) were recorded once more when a read stopped
-carrying its tip state and pointer.  A change that moves a verdict or a
+carrying its tip state and pointer.  The ideal run of liquid
+deposit-then-withdraw was recorded again (its record and witness digests)
+when update liveness came to be judged from honest reads in both runs:
+an exec record had served its deposit, while no honest read shows the
+mint by the round-14 deadline, so it now fails as the real run does and
+the two record digests are equal.  A change that moves a verdict or a
 witness has to say why.
 
 ``reference_check_safety`` keeps the all-pairs safety check that the
@@ -164,7 +169,7 @@ SCRIPTED_WITNESSES = {
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "deposit-then-withdraw"): (
         "fda006012f062269844d0aa62297579a833ae9692d315468b167a955661752b1",
-        "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
+        "a21e5d462851110e616d75db463337f19c074c0aa25cfbed945b8fbda672a54a"),
     ("liquid", "garbage-triggers"): (
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
@@ -426,7 +431,7 @@ SCRIPTED_OUTPUTS = {
         "9c28505ea7b4347b3c8576cfa85540641fe127d913c2e11930f437409284e3f3",
         "b132d0d868b8f5c617a54a587b6b8bb2e2d928fc67ef9e35be58c34a2906fc5b",
         "9c28505ea7b4347b3c8576cfa85540641fe127d913c2e11930f437409284e3f3",
-        "d31584483bcd76c50c3e2e7cb0c51b3bd27d00c2cdc3611b4fdf7d339e2a44bc"),
+        "b132d0d868b8f5c617a54a587b6b8bb2e2d928fc67ef9e35be58c34a2906fc5b"),
     ("liquid", "garbage-triggers"): (
         "e4ff78dc9b0f9d673d297ae691123d8ee7935a87dda6c8aa72aa027cb57edbc0",
         "7edc7453a51a6ef9c248f422eab498b4073fa8dda777f194b33b52e00644db47",
