@@ -307,9 +307,10 @@ class AccountBundle(SubroutineBundle):
             if body.get("state") != genesis_state(self.initial):
                 return False, "bad-state"
             return True, None
-        if ist.phase() != "open":
-            return False, "phase"
         move = (kind, body.get("op"))
+        # a deposit is an L1 transfer, so a client may make it before the open
+        if ist.phase() != "open" and move != (UPDATE, "peg-in"):
+            return False, "phase"
         if move not in SPENDS and move != (UPDATE, "peg-in"):
             return False, "unknown-kind"
         if move == (UPDATE, "pay") and body.get("to") not in self.clients \

@@ -11,7 +11,7 @@ import pytest
 
 from l2sim import arbitrum, brick, harness, liquid, properties
 from l2sim.base import Ledger
-from l2sim.core import CLIENT
+from l2sim.core import CLIENT, UPDATE
 from l2sim.runtime import ScheduleError, World
 from l2sim.trace import IntegrityError, Trace, canon
 from l2sim.harness import (
@@ -331,6 +331,31 @@ def test_a_lone_open_gets_the_same_outputs_in_both_runs(name):
               for run in (real, ideal)]
     assert opened[0] == opened[1]
     assert diffs == []
+
+
+@pytest.mark.parametrize("name", ["liquid", "arbitrum"])
+def test_a_deposit_before_the_open_is_judged_alike_in_both_runs(name):
+    """The real client makes an L1 deposit in any phase.  While the
+    interface refused a peg-in before the open, the real run judged one
+    more deposit request than the ideal run: in liquid it judged 1
+    request and the ideal run 0, and in arbitrum its ``beyond_horizon``
+    was 1 and the ideal run's 0."""
+    scn = protocol(name).canonical_scenario()
+    sched = [{"op": "input", "pid": "c1",
+              "entry": {"kind": "deposit", "amt": 2}}]
+    sched += [{"op": "input", "pid": c, "entry": {"kind": "open"}}
+              for c in scn["clients"]]
+    for _ in range(16):
+        sched += [{"op": "advance"}, {"op": "pump"}]
+        sched += [{"op": "input", "pid": c, "entry": {"kind": "read"}}
+                  for c in scn["clients"]]
+    real, ideal, diffs = run_differential(name, scn, sched)
+    assert diffs == []
+    params = protocol(name).liveness_params(scn)[UPDATE]
+    real_v, ideal_v = (properties.check_liveness(run.trace, UPDATE, params)
+                       for run in (real, ideal))
+    assert real_v.to_record() == ideal_v.to_record()
+    assert real_v.params["judged"] + real_v.params["beyond_horizon"] == 1
 
 
 def test_corrupted_client_inputs_absorbed_in_both_worlds():

@@ -398,6 +398,27 @@ def seed_open(ist, s0, ctx):
                              block=liquid.genesis_block()))
 
 
+def test_bundle_admits_only_a_deposit_before_the_open():
+    """A deposit is an L1 transfer the real client makes in any phase, so
+    the interface queues a peg-in before the open too; every other update
+    or settlement request is refused there."""
+    world, scn = make_world()
+    bundle = liquid.make_bundle(world, scn)
+    ist = InternalState(identities={CLIENT: list(scn["clients"]),
+                                    liquid.OPERATOR: list(scn["operators"])})
+    ctx = Ctx(world, world.entity(INTERFACE_ROLE, "F"))
+
+    def submit(kind, **body):
+        return bundle.submit(ist, {"kind": kind, "body": body, "by": "c1",
+                                   "round": 0}, ctx)
+
+    assert ist.phase() == "init"
+    assert submit(UPDATE, op="peg-in", amt=2) == (True, None)
+    assert submit(UPDATE, op="pay", to="c2", amt=1) == (False, "phase")
+    assert submit(UPDATE, op="bogus", amt=1) == (False, "phase")
+    assert submit(SETTLEMENT, op="peg-out", amt=1) == (False, "phase")
+
+
 def test_bundle_submit_balance_gating():
     world, scn, bundle, ist, ctx = ideal_fixture()
     ok, _ = bundle.submit(ist, {"kind": UPDATE,
