@@ -6,10 +6,11 @@ from l2sim.runtime import Ctx, World, EntityId
 from l2sim.base import CertRegistry, Ledger, make_tx, tx_signable
 from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
                         InternalState)
-from l2sim import arbitrum
+from l2sim import arbitrum, harness, properties
 from l2sim.properties import read_views
 from l2sim.accounts import genesis_state, l2_txid
 from l2sim.trace import digest
+from seeded_schedules import random_schedule
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
@@ -322,6 +323,36 @@ def test_forged_exit_claim_is_rejected():
     claim["sigs"] = [world.certs.sign("client:c1", digest(tx_signable(claim)))]
     res = world.ledger.submit(claim)
     assert not res["accepted"] and res["reason"] == "batch-not-final"
+
+
+# -- seeded agreement sweep --------------------------------------------------
+
+# what the sweep draws: entry kinds, and the menu moves a corrupted party
+# of each role can make
+ENTRY_KINDS = ("pay", "deposit")
+MENU_MOVES = {CLIENT: ["spam-overdraft"], arbitrum.OPERATOR: ["publish-wrong"]}
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["honest", "corrupt"])
+def test_seeded_schedules_keep_the_runs_in_agreement(corrupt):
+    """Over 150 seeded schedules, the real and ideal outputs are equal
+    and both runs get the same safety and update-liveness verdicts."""
+    failures = {"outputs": [], "safety": [], "liveness-update": []}
+    for seed in range(150):
+        scn, sched = random_schedule("arbitrum", seed, corrupt, ENTRY_KINDS,
+                                     MENU_MOVES)
+        real, ideal, diffs = harness.run_differential("arbitrum", scn, sched)
+        if diffs:
+            failures["outputs"].append(seed)
+        f = {role: budget for role, _, budget in arbitrum.party_roles(scn)}
+        params = arbitrum.liveness_params(scn)[UPDATE]
+        for name, check in (
+                ("safety", lambda t: properties.check_safety(t, f)),
+                ("liveness-update",
+                 lambda t: properties.check_liveness(t, UPDATE, params))):
+            if len({check(run.trace).passed for run in (real, ideal)}) > 1:
+                failures[name].append(seed)
+    assert failures == {"outputs": [], "safety": [], "liveness-update": []}
 
 
 # -- ideal bundle ----------------------------------------------------------

@@ -33,11 +33,23 @@ def checks(name, scn, trace):
 
 
 @lru_cache(maxsize=None)
-def scripted_verdicts(name, label):
+def scripted_traces(name, label):
     scn = harness.protocol(name).canonical_scenario()
     schedule = harness.scripted_schedules(name, scn)[label]
     real, ideal, _ = harness.run_differential(name, scn, schedule)
-    return checks(name, scn, real.trace), checks(name, scn, ideal.trace)
+    return real.trace, ideal.trace
+
+
+@lru_cache(maxsize=None)
+def scripted_verdicts(name, label):
+    scn = harness.protocol(name).canonical_scenario()
+    return tuple(checks(name, scn, trace)
+                 for trace in scripted_traces(name, label))
+
+
+SCRIPTED = [(name, label) for name, proto in harness.PROTOCOLS.items()
+            for label in harness.scripted_schedules(
+                name, proto.canonical_scenario())]
 
 
 def parity_cases():
@@ -57,9 +69,7 @@ def test_real_and_ideal_verdicts_agree(name, label, check):
     assert real[check].passed == ideal[check].passed
 
 
-@pytest.mark.parametrize("name, label", [
-    (name, label) for name, proto in harness.PROTOCOLS.items()
-    for label in harness.scripted_schedules(name, proto.canonical_scenario())])
+@pytest.mark.parametrize("name, label", SCRIPTED)
 def test_failing_witnesses_replay_on_scripted(name, label):
     scn = harness.protocol(name).canonical_scenario()
     for verdicts in scripted_verdicts(name, label):
@@ -67,6 +77,18 @@ def test_failing_witnesses_replay_on_scripted(name, label):
             if not v.passed:
                 again = checks(name, scn, as_trace(v.witness))[v.name]
                 assert not again.passed and again.params == v.params
+
+
+@pytest.mark.parametrize("name, label", SCRIPTED)
+def test_verdicts_ignore_exec_records(name, label):
+    # an ideal run is judged by what the environment sees, as a real run
+    # is: the interface's exec records serve no request
+    scn = harness.protocol(name).canonical_scenario()
+    trace = scripted_traces(name, label)[1]
+    stripped = as_trace(ev for ev in trace.events if ev.get("t") != "exec")
+    assert len(stripped.events) < len(trace.events)
+    assert [v.to_record() for v in checks(name, scn, stripped).values()] == \
+        [v.to_record() for v in scripted_verdicts(name, label)[1].values()]
 
 
 @pytest.mark.parametrize("stype", ["bogus", 5, None])

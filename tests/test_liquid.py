@@ -360,9 +360,17 @@ def honest_forks(world):
 def test_seeded_schedules_keep_operators_and_runs_in_agreement(corrupt):
     """Over 150 seeded schedules, honest operators of the real run and of
     the simulator's copy never finalize two blocks at one height, the
-    real and ideal outputs are equal, and both runs get the same safety
-    verdict."""
-    failures = {"fork": [], "outputs": [], "safety": []}
+    real and ideal outputs are equal, both runs get the same safety
+    verdict, and both get the same update-liveness verdict unless the
+    ideal clock froze.
+
+    A schedule is frozen when the ideal run's outer round ends behind the
+    real run's: the interface's round gate refused a round, and the ideal
+    run judged fewer rounds (ROADMAP item 2).  29 honest and 24 corrupt
+    schedules freeze; the corrupt frozen seeds 101 and 109 get different
+    update-liveness verdicts, because the two runs judge different
+    requests.  That parity is item 2's."""
+    failures = {"fork": [], "outputs": [], "safety": [], "liveness-update": []}
     for seed in range(150):
         scn, sched = sweep_schedule(seed, corrupt)
         real, ideal, diffs = harness.run_differential("liquid", scn, sched)
@@ -374,7 +382,14 @@ def test_seeded_schedules_keep_operators_and_runs_in_agreement(corrupt):
         if len({properties.check_safety(run.trace, f).passed
                 for run in (real, ideal)}) > 1:
             failures["safety"].append(seed)
-    assert failures == {"fork": [], "outputs": [], "safety": []}
+        params = liquid.liveness_params(scn)[UPDATE]
+        frozen = ideal.outer.round_no < real.world.round_no
+        if not frozen and len({
+                properties.check_liveness(run.trace, UPDATE, params).passed
+                for run in (real, ideal)}) > 1:
+            failures["liveness-update"].append(seed)
+    assert failures == {"fork": [], "outputs": [], "safety": [],
+                        "liveness-update": []}
 
 
 # -- ideal bundle ----------------------------------------------------------
