@@ -308,11 +308,11 @@ class AccountBundle(SubroutineBundle):
                 return False, "bad-state"
             return True, None
         move = (kind, body.get("op"))
-        # a deposit is an L1 transfer, so a client may make it before the open
-        if ist.phase() != "open" and move != (UPDATE, "peg-in"):
-            return False, "phase"
         if move not in SPENDS and move != (UPDATE, "peg-in"):
             return False, "unknown-kind"
+        # a deposit is an L1 transfer, so a client may make it before the open
+        if ist.phase() != "open" and move in SPENDS:
+            return False, "phase"
         if move == (UPDATE, "pay") and body.get("to") not in self.clients \
                 or body.get("amt", 0) <= 0:
             return False, "malformed"

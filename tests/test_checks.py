@@ -1,8 +1,9 @@
 """Property checks across the two runs, on hand-built traces, and on files.
 
 Verdict parity: for every scripted schedule each check's ``passed`` is the
-same on the real and the ideal trace, and every failing verdict's witness
-fails again with the same parameters on its own.  Initialization and data
+same on the real and the ideal trace, every failing verdict's witness
+fails again with the same parameters on its own, and no check's record
+moves when the ideal trace loses its exec records.  Initialization and data
 availability get hand-built and tampered traces, with every record pinned
 and every failing witness re-checked on its own.  A trace written with
 ``Trace.dump`` and read back with ``Trace.load`` gets the same digest and

@@ -430,7 +430,7 @@ def test_bundle_admits_only_a_deposit_before_the_open():
     assert ist.phase() == "init"
     assert submit(UPDATE, op="peg-in", amt=2) == (True, None)
     assert submit(UPDATE, op="pay", to="c2", amt=1) == (False, "phase")
-    assert submit(UPDATE, op="bogus", amt=1) == (False, "phase")
+    assert submit(UPDATE, op="bogus", amt=1) == (False, "unknown-kind")
     assert submit(SETTLEMENT, op="peg-out", amt=1) == (False, "phase")
 
 
