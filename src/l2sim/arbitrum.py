@@ -38,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .runtime import Machine, EntityId
-from .base import signed_tx, attach_periodic_clock
+from .base import signed_tx
 from .core import OPEN, UPDATE, SETTLEMENT, CLIENT
 from .accounts import (
     OPERATOR, AccountBundle, AccountClient, AccountHooks, AccountTracker,
@@ -328,8 +328,6 @@ class ArbitrumOperator(RollupParty):
         p = env.payload
         if p.get("kind") == "tx":
             self.mempool[l2_txid(ctx.certs, p["tx"])] = p["tx"]
-        elif p.get("kind") == "update-request":
-            self._publish(ctx)
 
     def _publish(self, ctx):
         view = self.view(ctx)
@@ -348,6 +346,8 @@ class ArbitrumOperator(RollupParty):
         positions = self.positions(ctx)
         for txid in [t for t in self.mempool if t in positions]:
             del self.mempool[txid]
+        if ctx.round % ctx.timing["t_period"] == 0:
+            self._publish(ctx)
 
 
 class ArbitrumValidator(RollupParty):
@@ -356,8 +356,7 @@ class ArbitrumValidator(RollupParty):
         self.checked = set()
 
     def on_message(self, ctx, env):
-        if env.payload.get("kind") == "update-check":
-            self._audit(ctx)
+        pass    # a validator reads only the chain
 
     def on_round(self, ctx):
         self._audit(ctx)
@@ -581,9 +580,6 @@ def liveness_params(scn):
 def build_real(world, scn):
     for role, _, budget in party_roles(scn):
         world.declare_role(role, budget=budget)
-    world.declare_role("clock")
-    world.wire("clock", OPERATOR)
-    world.wire("clock", VALIDATOR)
     ops = [world.entity(OPERATOR, o) for o in scn["operators"]]
     vals = [world.entity(VALIDATOR, v) for v in scn["validators"]]
     clients = [world.entity(CLIENT, c) for c in scn["clients"]]
@@ -596,7 +592,6 @@ def build_real(world, scn):
         world.register(ArbitrumOperator(o, scn["initial"]))
     for v in vals:
         world.register(ArbitrumValidator(v, scn["initial"]))
-    attach_periodic_clock(world, world.timing["t_period"], ops, vals)
 
 
 def make_bundle(world, scn):

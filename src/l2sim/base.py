@@ -1,4 +1,4 @@
-"""Shared base functionalities: append-only ledger, signature registry, clocks.
+"""Shared base functionalities: append-only ledger and signature registry.
 
 The ledger is the one source of on-chain truth in every run.  Submissions are
 validated immediately (kind, authorization signature, txid, conflict key);
@@ -51,7 +51,7 @@ changed after it was signed.
 from __future__ import annotations
 
 from .trace import digest
-from .runtime import EntityId, SimError
+from .runtime import SimError
 
 # tags an identity in a memo key, so an id never equals a str or int part
 _BY_ID = object()
@@ -297,36 +297,3 @@ class Ledger:
         return (len(self.committed), len(self.pending), self.height,
                 tuple(tx["txid"] for tx in self.committed[-4:]))
 
-
-# -- clocks ----------------------------------------------------------------
-
-
-def clock_entity(sid: str) -> EntityId:
-    return EntityId("tick", sid, "clock")
-
-
-def attach_leader_clock(world, operators: list[EntityId]):
-    """Every round advance nudges the round-robin leader (sidechain style)."""
-    clock = clock_entity(world.sid)
-
-    def hook():
-        leader = operators[world.round_no % len(operators)]
-        world.queue_io(clock, leader, {"kind": "update-leader", "round": world.round_no})
-
-    world.round_hooks.append(hook)
-
-
-def attach_periodic_clock(world, t_period: int, operators, validators):
-    """Every t_period rounds: publication nudge to operators, audit nudge to
-    validators (rollup style)."""
-    clock = clock_entity(world.sid)
-
-    def hook():
-        if world.round_no % t_period != 0:
-            return
-        for op in operators:
-            world.queue_io(clock, op, {"kind": "update-request", "round": world.round_no})
-        for v in validators:
-            world.queue_io(clock, v, {"kind": "update-check", "round": world.round_no})
-
-    world.round_hooks.append(hook)

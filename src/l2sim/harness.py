@@ -496,7 +496,7 @@ def scripted_schedules(name, scn):
     c1, c2 = clients[0], clients[1]
     settle = ({"kind": "settle", "type": "collab"} if name == "brick"
               else {"kind": "settle", "amt": 1})
-    # rollup traffic finalizes through the batch clock and chain burial, so
+    # rollup traffic finalizes through periodic batches and chain burial, so
     # its scenarios breathe on a slower cadence than the channel protocols
     lag = 10 if name == "arbitrum" else 4
     wind = 12 if name == "arbitrum" else 6

@@ -27,7 +27,7 @@ themselves, and serve reads from their local copy.
 from __future__ import annotations
 
 from .runtime import ENV_ROLE, Machine, EntityId
-from .base import signed_tx, attach_leader_clock
+from .base import signed_tx
 from .core import OPEN, UPDATE, SETTLEMENT, CLIENT
 from .accounts import (
     OPERATOR, AccountBundle, AccountClient, AccountHooks, AccountTracker,
@@ -134,11 +134,12 @@ class LiquidOperator(Machine):
     def on_message(self, ctx, env):
         self._handle(ctx, env.payload, env.src)
 
+    def on_round(self, ctx):
+        self._maybe_propose(ctx, ctx.round)
+
     def _handle(self, ctx, p, src):
         kind = p.get("kind")
-        if kind == "update-leader":
-            self._maybe_propose(ctx, p["round"])
-        elif kind == "tx":
+        if kind == "tx":
             tx = p["tx"]
             self.mempool[l2_txid(ctx.certs, tx)] = tx
         elif kind == "propose":
@@ -464,8 +465,6 @@ def liveness_params(scn):
 def build_real(world, scn):
     for role, _, budget in party_roles(scn):
         world.declare_role(role, budget=budget)
-    world.declare_role("clock")
-    world.wire("clock", OPERATOR)
     ops = [world.entity(OPERATOR, o) for o in scn["operators"]]
     clients = [world.entity(CLIENT, c) for c in scn["clients"]]
     for c in clients:
@@ -474,7 +473,6 @@ def build_real(world, scn):
         world.register(LiquidOperator(o, ops, clients, scn["f"], scn["quorum"],
                                       scn["initial"]))
     install_ledger_checks(world, world.sid, [o.short() for o in ops], scn["quorum"])
-    attach_leader_clock(world, ops)
 
 
 def make_bundle(world, scn):

@@ -7,16 +7,18 @@ in a pending pool until an adversary directive delivers them.  A single step
 counter numbers every event; logical rounds advance only through an explicit
 round directive.  An advance ticks the ledger if it is bound to this world
 (a world that only shares the ledger sees the block its owner minted), then
-calls ``on_round`` once on every uncorrupted machine, then runs the clock
-hooks: ledger events are the one source of time, and each party polls the
-chain once per block.  ``register`` builds one ``Ctx`` per entity, and every
+calls ``on_round`` once on every uncorrupted machine in entity order: ledger
+events are the one source of time, each party polls the chain once per
+block, and whatever a party does on a schedule (a leader's proposal, a
+periodic publication) it does from ``on_round``.  ``register`` builds one ``Ctx`` per entity, and every
 activation of that entity (start, delivery, input, round) is handed it.
 
 Invariants the tests lean on:
   - identical (scenario, scripts, seed) inputs produce identical traces;
   - NET envelopes are never dropped: each is pending, delivered, or absorbed
     by a corrupted recipient, which leaves an ``absorb`` event;
-  - an IO send between roles that were never wired is an error;
+  - IO goes only to the environment: ``queue_io`` refuses any other
+    destination;
   - corruption is monotone and budget-checked per role, and subroutine roles
     are not corruptible;
   - once a round advance is refused by a gate, state is unchanged.
@@ -102,8 +104,8 @@ class Machine:
         raise NotImplementedError
 
     def on_round(self, ctx):
-        """Called once per round advance, after the round's block and before
-        the clock hooks (stands in for clock and ledger polling)."""
+        """Called once per round advance, after the round's block: the
+        party's one clock and its ledger poll."""
 
     def entities(self):
         return [self.me]
@@ -211,7 +213,6 @@ class World:
         self.ctxs: dict[EntityId, Ctx] = {}         # entity -> its one Ctx
         self.roles: dict[str, list[EntityId]] = {}
         self.subroutines: set[str] = set()           # roles not corruptible
-        self.wiring: set[tuple[str, str]] = set()    # allowed IO (src_role, dst_role)
         self.io_q: deque[Envelope] = deque()
         self.net: list[Envelope] = []
         self.eid_counter = 0
@@ -224,7 +225,6 @@ class World:
         self.max_steps = 10000
         self.halted = None
         self.round_gates = []    # callables() -> (ok, reason)
-        self.round_hooks = []    # callables() run after a successful advance
         self.read_delay = None   # simulator's answer: fn(pid) -> state index
 
     # -- registration ------------------------------------------------------
@@ -237,11 +237,6 @@ class World:
             self.subroutines.add(role)
         if budget:
             self.corruption.budgets[role] = budget
-        self.wire(role, ENV_ROLE)
-
-    def wire(self, a: str, b: str):
-        self.wiring.add((a, b))
-        self.wiring.add((b, a))
 
     def register(self, machine: Machine):
         for ent in machine.entities():
@@ -282,8 +277,9 @@ class World:
         self.emit("note", kind=kind, **fields)
 
     def queue_io(self, src: EntityId, dst: EntityId, payload: dict):
-        if dst.role != ENV_ROLE and (src.role, dst.role) not in self.wiring:
-            raise RoutingError(f"no IO wiring {src.role} -> {dst.role}")
+        if dst.role != ENV_ROLE:
+            raise RoutingError(f"IO from {src.short()} to {dst.short()}: "
+                               "IO goes only to the environment")
         self.eid_counter += 1
         self.io_q.append(Envelope(self.eid_counter, src, dst, IO, payload,
                                   self.step_no, self.round_no))
@@ -393,8 +389,6 @@ class World:
         for m in self.machines_sorted():
             if m.me not in self.corruption:
                 m.on_round(self.ctxs[m.me])
-        for hook in self.round_hooks:
-            hook()
         self.drain_io()
         return True
 

@@ -122,6 +122,44 @@ def test_pays_pipeline_across_batches():
     assert r[-1]["state"]["nonce"]["c1"] == 2
 
 
+def real_runs():
+    """(schedule, real run) for every scripted schedule and every golden
+    lifecycle (seeds 1-3, ten pays, honest and adversarial)."""
+    scn = arbitrum.canonical_scenario()
+    scheds = list(harness.scripted_schedules("arbitrum", scn).values())
+    scheds += [harness.lifecycle_schedule("arbitrum", scn, seed, pays=10,
+                                          adversarial=adv)
+               for seed in (1, 2, 3) for adv in (False, True)]
+    for sched in scheds:
+        run = harness.RealRun("arbitrum", scn)
+        harness.apply_schedule(run, sched)
+        yield sched, run
+
+
+def test_operators_publish_only_in_period_rounds():
+    """In every real run, an honest operator submits batches only in
+    rounds that are multiples of ``t_period``; a corrupted operator, which
+    gets no ``on_round``, publishes only by the ``publish-wrong`` menu
+    move."""
+    rounds = set()
+    for sched, run in real_runs():
+        events = run.trace.events
+        corrupted_at = {ev["party"]: ev["step"] for ev in events
+                        if ev["t"] == "corrupt"}
+        for ev in events:
+            if ev["t"] != "ledger-submit" or ev["kind"] != "batch-publish" \
+                    or not ev["author"].startswith(f"{arbitrum.OPERATOR}:"):
+                continue
+            if ev["step"] >= corrupted_at.get(ev["author"], ev["step"] + 1):
+                assert {"op": "menu", "role": arbitrum.OPERATOR,
+                        "pid": ev["author"].split(":")[1],
+                        "action": "publish-wrong"} in sched
+                continue
+            assert ev["round"] % run.world.timing["t_period"] == 0
+            rounds.add(ev["round"])
+    assert len(rounds) > 3
+
+
 def test_refuses_overdraft_locally():
     world, scn = make_world()
     open_rollup(world)

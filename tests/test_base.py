@@ -1,49 +1,21 @@
-"""Ledger, signature registry, and clock behavior."""
+"""Ledger and signature registry behavior."""
 
 import pytest
 
 from l2sim import base
-from l2sim.base import (
-    CertRegistry, Ledger, make_tx, tx_signable,
-    attach_leader_clock, attach_periodic_clock,
-)
-from l2sim.runtime import World, Machine, SimError
+from l2sim.base import CertRegistry, Ledger, make_tx, tx_signable
+from l2sim.runtime import World, SimError
 from l2sim.trace import digest
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
 
-class Sink(Machine):
-    def __init__(self, me):
-        super().__init__(me)
-        self.got = []
-
-    def on_message(self, ctx, env):
-        self.got.append(env.payload)
-
-
-def ledger_world(n_ops=0, n_vals=0):
+def ledger_world():
     w = World("s", TIMING)
     w.certs = CertRegistry()
     w.ledger = Ledger(TIMING)
     w.ledger.bind(w)
-    w.declare_role("client")
-    w.declare_role("operator")
-    w.declare_role("validator")
-    w.declare_role("clock")
-    w.wire("operator", "clock")
-    w.wire("validator", "clock")
-    ops = []
-    for i in range(n_ops):
-        e = w.entity("operator", f"op{i+1}")
-        w.register(Sink(e))
-        ops.append(e)
-    vals = []
-    for i in range(n_vals):
-        e = w.entity("validator", f"v{i+1}")
-        w.register(Sink(e))
-        vals.append(e)
-    return w, ops, vals
+    return w
 
 
 def signed_tx(w, kind, body, author):
@@ -88,7 +60,7 @@ def test_every_true_verify_has_a_prior_sign_record():
 
 
 def test_ledger_rejects_malformed_and_unsigned():
-    w, _, _ = ledger_world()
+    w = ledger_world()
     bad = make_tx("teleport", {"x": 1}, "client:a")
     assert w.ledger.submit(bad)["accepted"] is False
     unsigned = make_tx("deposit", {"x": 1}, "client:a")
@@ -106,7 +78,7 @@ def test_ledger_rejects_a_forged_txid():
     # the rollup fold strikes by txid and Ledger.get finds the entry with
     # one, so a tx carrying another's txid must not commit even when its
     # author really signed it
-    w, _, _ = ledger_world()
+    w = ledger_world()
     honest = signed_tx(w, "deposit", {"amt": 1, "conflict": "dep/1"}, "client:a")
     assert honest["sigs"][0]["over"] == honest["txid"]
     forged = signed_tx(w, "deposit", {"amt": 2, "conflict": "dep/2"}, "client:a")
@@ -162,7 +134,7 @@ def test_registry_digest_is_the_digest():
 
 def test_a_cloned_world_starts_with_an_empty_memo():
     # memo keys are identities, and a deep copy's objects have new ones
-    w, _, _ = ledger_world()
+    w = ledger_world()
     state = {"bal": {"a": 1}}
     dig = w.certs.message("chan-state", "s", state, 1)
     w.certs.sign("client:a", dig)
@@ -175,7 +147,7 @@ def test_a_cloned_world_starts_with_an_empty_memo():
 def test_the_ledger_check_reads_no_memo():
     # a body changed in place after signing keeps its memo key, so a memo
     # would still answer the signed digest; the ledger digests afresh
-    w, _, _ = ledger_world()
+    w = ledger_world()
     tx = base.signed_tx(w.certs, "deposit", {"amt": 1, "conflict": "d/1"},
                         "client:a")
     assert w.certs.digest(tx_signable(tx)) == tx["txid"]
@@ -192,7 +164,7 @@ def ledger_rejects(w):
 
 
 def test_submit_refuses_a_replayed_txid():
-    w, _, _ = ledger_world()
+    w = ledger_world()
     tx = signed_tx(w, "deposit", {"amt": 1}, "client:a")
     assert w.ledger.submit(tx)["accepted"]
     assert w.ledger.submit(dict(tx))["reason"] == "replay"     # pending
@@ -204,7 +176,7 @@ def test_submit_refuses_a_replayed_txid():
 
 
 def test_txid_and_signatures_are_checked_once_at_submit(monkeypatch):
-    w, _, _ = ledger_world()
+    w = ledger_world()
     validated = []
     validate = Ledger.validate
 
@@ -229,7 +201,7 @@ def test_txid_and_signatures_are_checked_once_at_submit(monkeypatch):
 
 
 def test_a_conflict_key_taken_while_pending_is_refused_at_tick():
-    w, _, _ = ledger_world()
+    w = ledger_world()
     first = signed_tx(w, "settle", {"conflict": "k", "v": 1}, "client:a")
     second = signed_tx(w, "settle", {"conflict": "k", "v": 2}, "client:b")
     assert w.ledger.submit(first)["accepted"]
@@ -243,7 +215,7 @@ def test_a_conflict_key_taken_while_pending_is_refused_at_tick():
 
 
 def test_a_kind_check_that_fails_only_at_tick_refuses():
-    w, _, _ = ledger_world()
+    w = ledger_world()
     window = {"open": True}
     w.ledger.kind_checks["fraud-proof"] = lambda tx, led: (
         (True, None) if window["open"] else (False, "window-closed"))
@@ -256,7 +228,7 @@ def test_a_kind_check_that_fails_only_at_tick_refuses():
 
 
 def test_ledger_commit_within_liveness_bound():
-    w, _, _ = ledger_world()
+    w = ledger_world()
     tx = signed_tx(w, "deposit", {"amt": 5, "conflict": "dep/a"}, "client:a")
     assert w.ledger.submit(tx)["accepted"]
     assert w.ledger.committed == []
@@ -267,7 +239,7 @@ def test_ledger_commit_within_liveness_bound():
 
 
 def test_ledger_hold_capped_and_forced():
-    w, _, _ = ledger_world()
+    w = ledger_world()
     tx = signed_tx(w, "deposit", {"amt": 5}, "client:a")
     w.ledger.submit(tx)
     w.ledger.hold(tx["txid"], 2)
@@ -282,7 +254,7 @@ def test_ledger_hold_capped_and_forced():
 
 def test_conflicting_settles_first_wins_either_order():
     def run(order):
-        w, _, _ = ledger_world()
+        w = ledger_world()
         t1 = signed_tx(w, "settle", {"conflict": "close/ch", "v": 1}, "client:a")
         t2 = signed_tx(w, "settle", {"conflict": "close/ch", "v": 2}, "client:b")
         pair = [t1, t2] if order == 0 else [t2, t1]
@@ -298,7 +270,7 @@ def test_conflicting_settles_first_wins_either_order():
 
 
 def test_conflict_rejected_at_submit_after_commit():
-    w, _, _ = ledger_world()
+    w = ledger_world()
     t1 = signed_tx(w, "settle", {"conflict": "k"}, "client:a")
     w.ledger.submit(t1)
     w.advance_round()
@@ -307,7 +279,7 @@ def test_conflict_rejected_at_submit_after_commit():
 
 
 def test_get_returns_committed_entries_only():
-    w, _, _ = ledger_world()
+    w = ledger_world()
     first = signed_tx(w, "settle", {"v": 1, "conflict": "k"}, "client:a")
     loser = signed_tx(w, "settle", {"v": 2, "conflict": "k"}, "client:a")
     assert w.ledger.submit(first)["accepted"]
@@ -325,7 +297,7 @@ def test_get_returns_committed_entries_only():
 
 
 def test_depth_counts_blocks_since_inclusion():
-    w, _, _ = ledger_world()
+    w = ledger_world()
     tx = signed_tx(w, "deposit", {"amt": 1}, "client:a")
     w.ledger.submit(tx)
     w.advance_round()
@@ -337,7 +309,7 @@ def test_depth_counts_blocks_since_inclusion():
 
 
 def test_reads_are_prefixes_and_frontier_monotone():
-    w, _, _ = ledger_world()
+    w = ledger_world()
     for i in range(4):
         w.ledger.submit(signed_tx(w, "deposit", {"n": i}, "client:a"))
         w.advance_round()
@@ -351,35 +323,7 @@ def test_reads_are_prefixes_and_frontier_monotone():
 
 
 def test_kind_check_hook_runs():
-    w, _, _ = ledger_world()
+    w = ledger_world()
     w.ledger.kind_checks["fraud-proof"] = lambda tx, led: (False, "no-mismatch")
     tx = signed_tx(w, "fraud-proof", {"target": "t"}, "validator:v1")
     assert w.ledger.submit(tx)["reason"] == "no-mismatch"
-
-
-def test_leader_clock_round_robin():
-    w, ops, _ = ledger_world(n_ops=3)
-    attach_leader_clock(w, ops)
-    for _ in range(4):
-        w.advance_round()
-    # leader for round r is ops[r % 3]; rounds 1..4 -> op2, op3, op1, op2
-    got = [(i, m.got) for i, m in enumerate(w.machines.values())]
-    leaders = []
-    for e in w.trace.events:
-        if e["t"] == "deliver" and e["payload"].get("kind") == "update-leader":
-            leaders.append(e["dst"])
-    assert leaders == ["operator:op2", "operator:op3", "operator:op1", "operator:op2"]
-
-
-def test_periodic_clock_fires_every_t_period():
-    w, ops, vals = ledger_world(n_ops=2, n_vals=1)
-    attach_periodic_clock(w, TIMING["t_period"], ops, vals)
-    for _ in range(8):
-        w.advance_round()
-    fires = [e["round"] for e in w.trace.events
-             if e["t"] == "deliver" and e["payload"].get("kind") == "update-request"]
-    assert fires == [4, 4, 8, 8]           # both operators, rounds 4 and 8
-    checks = [e for e in w.trace.events
-              if e["t"] == "deliver" and e["payload"].get("kind") == "update-check"]
-    assert len(checks) == 2
-

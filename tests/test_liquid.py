@@ -169,6 +169,48 @@ def test_garbage_proposal_is_ignored():
                for o in scn["operators"][1:])
 
 
+def real_runs():
+    """(schedule, real run) for every scripted schedule and every golden
+    lifecycle (seeds 1-3, ten pays, honest and adversarial)."""
+    scn = liquid.canonical_scenario()
+    scheds = list(harness.scripted_schedules("liquid", scn).values())
+    scheds += [harness.lifecycle_schedule("liquid", scn, seed, pays=10,
+                                          adversarial=adv)
+               for seed in (1, 2, 3) for adv in (False, True)]
+    for sched in scheds:
+        run = harness.RealRun("liquid", scn)
+        harness.apply_schedule(run, sched)
+        yield sched, run
+
+
+def test_only_the_round_leader_proposes():
+    """In every real run, a proposal an honest operator sends in round r
+    names round r and comes from the leader of r; a corrupted operator,
+    which gets no ``on_round``, proposes only by the ``garbage-propose``
+    menu move."""
+    ops = [f"{liquid.OPERATOR}:{o}"
+           for o in liquid.canonical_scenario()["operators"]]
+    honest = 0
+    for sched, run in real_runs():
+        events = run.trace.events
+        round_of = {ev["step"]: ev["round"] for ev in events}
+        corrupted_at = {ev["party"]: ev["step"] for ev in events
+                        if ev["t"] == "corrupt"}
+        for ev in events:
+            if ev["t"] != "deliver" or ev["payload"].get("kind") != "propose":
+                continue
+            if ev["sent"] >= corrupted_at.get(ev["src"], ev["sent"] + 1):
+                assert {"op": "menu", "role": liquid.OPERATOR,
+                        "pid": ev["src"].split(":")[1],
+                        "action": "garbage-propose"} in sched
+                continue
+            rnd = round_of[ev["sent"]]
+            assert ev["payload"]["round"] == rnd
+            assert ev["src"] == ops[rnd % len(ops)]
+            honest += 1
+    assert honest > 100
+
+
 def stage_equivocation(world, scn):
     """Walk to the corrupt operator's leadership round with a tx in hand."""
     open_chain(world)

@@ -49,14 +49,19 @@ def test_register_rejects_duplicates_and_unknown_roles():
         w.register(Echo(EntityId("x", "other-session", "client")))
 
 
-def test_io_needs_wiring():
+def test_io_goes_only_to_the_environment():
+    """A machine's IO reaches the environment as an output; an IO send to
+    any other machine is a routing error and queues nothing."""
     w, a, b = small_world()
-    with pytest.raises(RoutingError):
-        w.queue_io(a, b, {"kind": "x"})   # client and warden were never wired
-    w.wire("client", "warden")
-    w.queue_io(a, b, {"kind": "x"})
+    for dst in (b, a, EntityId("ghost", "s1", "warden")):
+        with pytest.raises(RoutingError):
+            w.queue_io(a, dst, {"kind": "x"})
+    assert not w.io_q
+    w.queue_io(a, w.env, {"kind": "x"})
     w.drain_io()
-    assert w.machines[b].seen == [None]
+    assert w.machines[b].seen == []
+    assert [(e["t"], e["party"], e["payload"]) for e in w.trace.events] == [
+        ("output", "client:a", {"kind": "x"})]
 
 
 def test_net_send_requires_registered_destination():
@@ -209,9 +214,9 @@ class Poller(Machine):
 
 @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
 def test_on_round_runs_once_per_advance_after_the_block(shared):
-    """Each uncorrupted machine polls once per advance, sees that round's
-    block, and polls before the clock hooks; a world that only shares the
-    ledger (its owner mints first) polls the same way."""
+    """Each uncorrupted machine polls once per advance, in entity order,
+    and sees that round's block; a world that only shares the ledger (its
+    owner mints first) polls the same way."""
     ledger = Ledger(TIMING)
     owner = World("s1", TIMING, ledger=ledger)
     ledger.bind(owner)
@@ -220,7 +225,6 @@ def test_on_round_runs_once_per_advance_after_the_block(shared):
     log = []
     for pid in ("a", "b"):
         w.register(Poller(w.entity("client", pid), log))
-    w.round_hooks.append(lambda: log.append(("clock", w.round_no)))
     want = []
     for rnd in (1, 2, 3):
         if rnd == 3:
@@ -229,7 +233,7 @@ def test_on_round_runs_once_per_advance_after_the_block(shared):
             owner.advance_round()
         assert w.advance_round()
         want += [("poll", pid, rnd, rnd) for pid in ("a", "b")
-                 if rnd < 3 or pid == "a"] + [("clock", rnd)]
+                 if rnd < 3 or pid == "a"]
     assert log == want
 
 
