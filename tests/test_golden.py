@@ -34,6 +34,12 @@ brick pay request stopped carrying a predicted post-state: it names the
 transfer (``op``, ``to``, ``amt``), so every pay's submit leak changed its
 bytes, and ``overdraft-refused`` loses the leak of the overdraft, which
 the interface now refuses at submit as the real client does.
+Every liquid and rollup real digest (46 rows) was recorded again, with
+every brick and ideal digest and the schedule digests unchanged, when
+parties began to act on a schedule from their own ``on_round`` instead of
+from a clock pseudo-party's IO nudges: the real traces lost the nudges'
+``deliver`` events, so their steps and envelope ids shifted, and rollup
+operators now publish before the validator audits in a round.
 A change that moves a digest changes a trace and has to say why.
 """
 
@@ -90,106 +96,106 @@ SCRIPTED = {
         "a8b8cb93cc96d600755656e7d3bee2a0253f2c8c3c6986d5b93d578c6d243789",
         "207c41fcce74e166b8095fbe61d30af299c2c3039853825f26e35668a2284d12"),
     ("liquid", "client-spam"): (
-        "4700a3ec8c40ba8a5e55007fe9f47f6729c8e5421093d696d3409687fcbb150b",
+        "4f400b797b35dea6052b8005362ad507f9f0dd34e34955b1d5a0f3271cbc6d51",
         "a70643b9e4641c65286bd13f9b5b4a8b481bc169aeba9a3eb7899f18b92596c6"),
     ("liquid", "corrupt-operator-rotation"): (
-        "072ce16820fdfb49826f3d985669777a271d41d54a7360492700ccab5e135107",
+        "416b742bedbf8850a8d47629342f46edcd68a9b0e559af4b8e072af8ffc22464",
         "ab99c9da1f9965bd5cf62b21d2021e7dfb9097bc0c19a690b98425461a842683"),
     ("liquid", "deposit-mint"): (
-        "40365a1da874810f76367eaff0cae45b28ba46a17d9de11f057d5e29da9cbda1",
+        "693af661a264d6e95006e2afa7b6a2dea51193d610c74f79944355ccf17b7722",
         "4fe3fb81c2223c5953a6d9b42d96c0b80ff34906f49a8600f1a9e0ed85290672"),
     ("liquid", "deposit-then-withdraw"): (
-        "1a0e7fdff325a23f14bd388e020b1d8961321c7d35999b08c524d70b88d300ec",
+        "7b08e9305e3d234c6bfb43c7ea3ba877ae6cab5c18208d163386ef4484e07507",
         "940daeeed0dd8c04c28c2359da8153fa10eb64cc883d27676b926f565d4d6301"),
     ("liquid", "garbage-triggers"): (
-        "64f3d81089e757bfa19fe178fe39952e6d94e0a04480429d5966de33c993602f",
+        "773c4654151fae3e57ca0d9cd00867f9240687e37ad975c8e6c43db663f30365",
         "dc65ae6305aa1d852b09f861cedbe07d47482ad4f0da9e9462d60d71c53f449d"),
     ("liquid", "no-pump-delta-flush"): (
-        "a8fdc79a751ecf339777bd3efdc2c2f02a82baaef04466dbc27183b4d3c95ba2",
+        "6f7f97f8e9626ee9a325673daddcad386855732990b0e4b96cb34d4e3bcaef23",
         "7c1497be36fcd7b05b153e97495647ea549bfe69e4f00537281100f36c170b68"),
     ("liquid", "open-only"): (
-        "c31d345c8be708192fd36d0a18a1131825a0c9677689fdbeed6863bf5b1edfaf",
+        "9e806f503e425d32b43c18314eecfd00fd7306b0ebede57aebe668239903a2c2",
         "9272217eb0c681d34b1080e50c45a8e5e319c3c784e931259f6a4d24df2a3441"),
     ("liquid", "operator-menu-noise"): (
-        "b8bf42a6693231d1bcb86d6a47b90a3bafee2fadfe95902b3e76f5b1a8e7480f",
+        "6c1793f55d045cc09c9a5c1e6b4f515dc610c240dd28ec432051469d6395bcb3",
         "c340f3f7715300731ab3b2660c5b6016959896932413b0381a47b709dab0449e"),
     ("liquid", "overdraft-refused"): (
-        "df71c25b880c20de84ddc8a498c139d7629657010ee9d4370c478f2d9455597c",
+        "b76ba8d628cd92d823d8779dc6b7f1748c17e44ce2f36d8a79066655be4a41c4",
         "a045a10f88d5ecff5ce70298dc5a879d091ca9c9c1366f7531839082f6b8b436"),
     ("liquid", "pay-both-directions"): (
-        "cba76a799915b57bd9364b55759673e98ee4d79e6c96792330bedcc077748470",
+        "380bd796a2bf38ee77f1a7cd4dec1cb66e06ba3cbe3054e5d9cb3b3733540c1e",
         "e9e24b8e22d335e61b9c198146c1adca72754f312fc9464b6379331ed7470e21"),
     ("liquid", "pay-pipeline"): (
-        "bd5d50640b0d6d817991eb24ee23b82f9325bf10e6e81164e4edc3f5256cf0eb",
+        "e6a4357a8914ac4108582538ddcb2c9268b3e7bb000aedcd0de3e8477c86a2c5",
         "a5388d08dc250765d9b7dbe00e8162d3443b84ac49be0486605feae7605af82c"),
     ("liquid", "pay-race-same-step"): (
-        "3181757827809208818161a30a8b9e50875ce1efc977f587b17445e1cac643d9",
+        "f534dc72fdc6f1e7b271aa842ed9bcf48d18833e6771d089aaebf482df15a2ac",
         "fab630b97cc5b9c5581d582178af9942144307b3b7a6c8fcca52e8134e860ed8"),
     ("liquid", "read-heavy"): (
-        "de2bd998ce54675dfe74c0d3b1c7947a98fd9ca30af0b4ff52f9c658d9a7077b",
+        "61925ee375bbd6ffb885f7b96740067db4b18377e0e7523479909cf46eb76b8e",
         "3f0b571cd6d3a0a801bbf05a0c8bb0171b7c62549143628331a45b6ef6dd3ca6"),
     ("liquid", "settle-after-traffic"): (
-        "2772f11ad4245624642e9bec8d52be7ea0685f041031bfc4a467d392cad202e1",
+        "90ad991cac80e938c25079a9440c08c476b52a04e5c7e28ad65c4c4c5f5076b2",
         "cfa0f61dc68bdf44982e51db4514ce563292192447864ee418b7956e78dff7f7"),
     ("liquid", "settle-fresh"): (
-        "5ca70667bb40bb550d1da69b21032edab8070728014144baa133a34f40e94849",
+        "2423ae13648f24c434e38fa0cc818ae66062b465061d59a515b93739d3eea389",
         "a026a76b4af51c80320a56d537b07935f3cad86b6334c01542c62d01aa7e304f"),
     ("liquid", "shuffled-delivery"): (
-        "ccd80183a36183620b166ac46d489ff13c68a5907d7aab19976b4d2047e17d3d",
+        "06ae27f49b7bf9ac240e2cbe26cfb4b55a094ddda1d233d6f7c4b597017b92ec",
         "e98833cccffe00c540e27e48aa7b64eb46f63d88b20738919ac7876d46ebcedf"),
     ("liquid", "single-pay"): (
-        "b0c120985f397f8472afcc34709ad05292f3fcf6afa3e19fd13f1f390be9e784",
+        "c997814537f928336c3768fb090f786594e0833406fd79ab8d3eef0a1d5f55ea",
         "0f2b303c3e2e2ad8ca23a707ff2e3688726454f7c46bfb7793f5e55368da49b8"),
     ("arbitrum", "deposit-mint"): (
-        "c0603ce57eff31d9eda13a80ec763f75f53d31b8d016a273780989ba9baf691d",
+        "de4629f10c3573aec097d623e966100794b06978f712cb530ecd01184f87b871",
         "9ec50793b1d03d1d6c45fe8d351ec9478fd44a275bc2517de4523e22fb627f56"),
     ("arbitrum", "false-accuse-noise"): (
-        "581262627c093d791347699c17f12fc0276944603c06c9985365fe9b4cbab41c",
+        "bccf4583279972e3257dcdb19db6dfad2b3fe5437034f5bddae15ceadd08e10c",
         "c4068fa040089f7bc5827199154a1052bc3199c2bbea3e6c391320733ce33ace"),
     ("arbitrum", "fraud-struck"): (
-        "f89238c78cd7ca1907dab6e924fdeafc74058d835f7e615725c124ba96311390",
+        "4fe74a7a7048a98d78e88349454e7b6195ffd96fd197cb43a99e7003a1a7c468",
         "90695f24de117d4869b2227dc74ecb6fcabe81c98a70c27a1305571c9a27650b"),
     ("arbitrum", "garbage-triggers"): (
-        "b27626fa39771d069dfc8895d42f89c3f7eddfecc1196adb68cc5c3311266da7",
+        "81a99e078b1ef6ef67be3560a8f6547307df7d6244bd5b0c2792634dcb659ccf",
         "9e16bc4b8ade02c8bdad372cd8a6924c84735a7d8e3306091f40be973b4ab090"),
     ("arbitrum", "no-pump-delta-flush"): (
-        "b51ab10edf1a8fa000ffce9638ff83b580adc67646f611443762a8ce6e90e779",
+        "69c4d836e5af98717c0450b1105a2077a96f74dba457cbd31d8c387d9612caff",
         "42bb78294380ff8ee784c6c6a1b97b304b7fe7c9d4464d060e65c8a53f8ccbea"),
     ("arbitrum", "open-only"): (
-        "34ced6760282c34d376bffa1aee9049468a6511a856af81f836cefdde3051049",
+        "87f89b3b7600b60d9406416e4c934dfd5a363a906dd4948a477a49df3371bd66",
         "6db98bf913a5d9e0c2e2f1b4f118ca2783bbafb4df67701221c87656213ecb77"),
     ("arbitrum", "overdraft-refused"): (
-        "d6996fbda339e915965f41e84e8d7676b29f5e6d28fe3f8bdb11b34f2f023322",
+        "1db14055b448098071d4af1de4327977eaf07a20b03a59de4753586821ad770a",
         "48d113739b40edacda8947c9617f34d6ea00ea8c3ef2ddacec4814777d2cd2a2"),
     ("arbitrum", "pay-both-directions"): (
-        "05e2fb6f0b29a75083f8b6d52d8242727d7a9b4962a04e4408236d69343d5c85",
+        "3affa79bca1e20c5a6b0638c499a5f8d0e3ba76da940ad1568e0b7d30671ccff",
         "f6898461c93ece77aa2a6aa71946b61e1e5effb204d8f43c7d43bd72d248a5a2"),
     ("arbitrum", "pay-pipeline"): (
-        "7fb1659f6939078c19c3c6780d068a84e5ce17046fbfac54e75f72344fdc3a6c",
+        "7fef989aac4af8ae597c2955779bd252cfd39062f9467d211f622961882f12eb",
         "ae276efa9a4ca041a0e8aea9126cc55712e6af8555773fbd8eaed09b8b32d87b"),
     ("arbitrum", "pay-race-same-step"): (
-        "3a378da104d13f7380010106642db6f4e22dd31530065e31011648883e772d93",
+        "39be80c834427424dc5137db29f0d9b4b2bd5d367fa72e34bbcb90ce3aa4ad4f",
         "2b509cc95dbaa13a7613732137be5c4188c68971a0a216142c69f8bfa84bc2e5"),
     ("arbitrum", "read-heavy"): (
-        "ffe1614339edc2de24af99fda66e7bce7ea53e1ae28c46874f2f53307da8d583",
+        "037dec522c3698532699835701c8bdcc1636ca879d7c56f7866a600c34c3c341",
         "bcdbcb8770d25a343ffb5e11dacd57841cc4d105587af302cdbafd5dd0fd8445"),
     ("arbitrum", "self-publish-rescue"): (
-        "7a769891f2256f60f39a1018ec526f820c9a2f6afd9d9b61192b793bb402a6d9",
+        "5a790a52d3bcacee1d68ae17a4c1e07dda332c6c75a33d8ce517c8bca399068b",
         "229dcd5b9d44d68fa9c3f841aeb344c1479b6768001042b785fa8d090e2ea157"),
     ("arbitrum", "settle-after-traffic"): (
-        "47dc7d10f3bead24f932847fa379d3f51a06dc3e4f92620733e8f88190905c63",
+        "c9b1f1151ab72369ed49afa5ddf2b44ce83b9aa6dddeb2ca6d3ce23d08ff5e86",
         "95e479df025d126c8302d6c2bc4f79e9d1255c1be5354d413f6255efaccb2565"),
     ("arbitrum", "settle-fresh"): (
-        "c2c823efca5c5d8ff0a68f8776350056e208e8531c20797dad99076eb8ea52ab",
+        "c4d70e2a6e26f029bf427c1343fd12f894c28118872c7e7cc783844692fd8b46",
         "9a62ea4e27cdb2da6459536d5577d50736cb977cc514aef3e8fd84553559d545"),
     ("arbitrum", "shuffled-delivery"): (
-        "72064a9faea456125ef1e6948c96a332a922cecc49092362b363b67519ab302c",
+        "03b25f9d8f3b9eca5f28705e9cffbcd08f3c5e59e0c1a87ebb205d8df171c594",
         "1620d1796ca25c318a80d2c8b8462b72586647bccd3845474458bc64ca4ffdfc"),
     ("arbitrum", "single-pay"): (
-        "f1f2b9af2a0e549e93a1d7b1c2810106b68aac5a808f9f48d67f5405180ac2c0",
+        "612788ffedf9448075bf16da7cd63623d484c94c455fb20932440f37cd57c678",
         "80600b69e259e2a8c7b45b850ba0a6755c08be314b1183d97b4048f528a7b77b"),
     ("arbitrum", "withdraw-exit"): (
-        "ade3aaff88bb218204f407c9e0bd82f4975871bf08d2c4578802e753c4604a23",
+        "d956a7d08607ac7f09f067154842eda336550c3b4e73d19b0cf824116a6b668e",
         "9eec71b534efd9127c97f6e92c36569d97413a6ef1ad96f82bff7b291ff91130"),
 }
 
@@ -221,51 +227,51 @@ LIFECYCLE = {
         "245e5cb8e25d729a11453e30256c4a153fcef53aba4acbbfe40b4764fc35a0c9"),
     ("liquid", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
-        "6c4016fe51d6a32996c303909a98d4a472eaecdb2d3770b7a19793996c5cca6a",
+        "8a8869511b61d0b0cd44e10220d14b2c75658be53b83b245053a3309c10a6101",
         "44a6aa024575929dd5a69354aaa6d5d3f6fe166ae6affbb72c66b3503dcc0b64"),
     ("liquid", 1, True): (
         "38871f87b4398e8c60f45665ae6581997da8b80a3457f0fafedd724f5ce11c35",
-        "5c4e6ea802935ea1a9d120b1a779256fabeec32f96b4fe588e1b61c9e85ab978",
+        "e9b617653c5e2995712ec91e7c3ba119c95a570076e00b6c50c07f440850cc3e",
         "164ce80172ce204baafe2afde822c282699894f623473539f69b2d8d82c665b0"),
     ("liquid", 2, False): (
         "2105c5aeb6ee8aedf7aa9f14ecd63921c5d11f5d50a7367a0053e03a63c2ed9b",
-        "ef98a0b333612040208b31eec17763684436eb9f8e02e0c652187af5e9fb0afa",
+        "8d2991c4bbc89519ab2222aae76f9aa5209dd5d4b38cb563ef867f8ba5bb0300",
         "a1250bfbb1561cb8932a3ac1bf854ee5f698759ca38a5ffe348127abe7f37dc5"),
     ("liquid", 2, True): (
         "ba57234f2d6d51af98f908cb3fd4eecaa7d77d24934cad954065f01807be5760",
-        "00e3a930e8ade5d927f853df3680c7cd30437e7e46c6c66bf3bb0c3de418c9ed",
+        "3b15a368df1f354c6d93bbe370d75be3d4f8e948440fc419ff2d3861fc4e0646",
         "6d40b87b4875f35b6a30004222260f83519d6c4ad3d2651fccb81b89d64555e5"),
     ("liquid", 3, False): (
         "b2c8af5adbdfd31c5166d86924da9e3382226e6490394dacd22a4bc8187e9b28",
-        "a6ddf78aec2b74b73770befa60dfa66429e36d15ba4fce2302c01c74c4ea9831",
+        "981c9be5e3b5c6e452c923bb9184ce115654c9514b57b6958de2e45d214fc1d7",
         "c937064c3e283e0d2da5a777d703e2b87c1ce195be369f811a472543db38030b"),
     ("liquid", 3, True): (
         "7fb13eb7060bebd9750a941899aaf1437f11ea1e96165c0db285bd945554cf32",
-        "a4b896da64a490111ee8e6c789b1986988e44d0c3fb90552d70ff72e8fadd0bd",
+        "7e988c0aeaf94e10f36be94141e548a03f9c631227fa8599ba4477cc5dde3fde",
         "0d347df717b6c232bb831aca5fa3dbdf4fe25fa91680059ed01082d4a5ffd905"),
     ("arbitrum", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
-        "136c000e1298741a4a682e3cc56736ea1ec787b465ddf5bd82ec0dd8e35694bb",
+        "1012d482884bb53c1d1f27f88d057456dd2e2d593991651936184b4eba7f1388",
         "a2aa41922974de6ddc3b2b900428de5a49f8716071c95ee2697a04e1eaf419a7"),
     ("arbitrum", 1, True): (
         "b2e16ca7cb0c27e9c67b5a44590bb0bf50942caa03182090b25c2199ae5b73ab",
-        "243fdc8eb0a3369b88656d8bc9980db993b981ac616c0c5cf38eb678a29e9a65",
+        "7e77ac28114d3a15826675e4478b763eae4cf63bf4ecb93914b88e58f8e02d9d",
         "d7fcca5237880eeff09dc6c2546307fbd6ffce2ee1f82492f794635ed4aec418"),
     ("arbitrum", 2, False): (
         "2105c5aeb6ee8aedf7aa9f14ecd63921c5d11f5d50a7367a0053e03a63c2ed9b",
-        "c5a99f0d5ea297987f8a9d69efc95c0f603fabb8234128a00d5cfe16e58c2255",
+        "8b2f4e0898198a3c3df4bd9e980bf7380d0d40096c6ceeed054d02f5a3a9151a",
         "713b893f6acceb173723cc2513af2b43531525d25aa0f112e31a9ba1251917ae"),
     ("arbitrum", 2, True): (
         "1daed42271d646aeb89ce6bffdfaaf2207e95cee8e9f5f5b39150fc3641e95b2",
-        "5d0af51235a70710697ed02fbd12be513f337b17499b72b99f33a94e0513e6af",
+        "1ce2fc8ac319d21614c5d46e4851416c72b6228e73ed2c30ee78ef3c6a29ba02",
         "5d681e0f11aae426d4aa921913e9841663bbad3bcc570445f31101e97e7c4962"),
     ("arbitrum", 3, False): (
         "b2c8af5adbdfd31c5166d86924da9e3382226e6490394dacd22a4bc8187e9b28",
-        "8894ca65c5c6d7b0239d56ccfabed7e01c0ff0527738411ee21288d5539e1939",
+        "f7c4c23616a3655b9681983c705ed1a064df67b001dfdf7b46431b6612b45ee9",
         "9e55b0b152497007ee276a125f7949cda2ab0f316c1e0ecdca47d1038b09ac85"),
     ("arbitrum", 3, True): (
         "68c49da401716fdd713798a708e3b2a93072a08b048235f64ed39413b57e4a81",
-        "d3c16472adc45514eb6f2f74597cdc4544d444a8ba7525ebdd6e29ae55f26b46",
+        "f30003cc35a3e820891cb3f5e76175443ae865d39e59cb2b3a60d2873f884d0f",
         "f331e24a6aab780be51caaf69c266a98803c8144713ce6ec56582861e58d4bb0"),
 }
 

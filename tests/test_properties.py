@@ -16,7 +16,11 @@ deposit-then-withdraw was recorded again (its record and witness digests)
 when update liveness came to be judged from honest reads in both runs:
 an exec record had served its deposit, while no honest read shows the
 mint by the round-14 deadline, so it now fails as the real run does and
-the two record digests are equal.  A change that moves a verdict or a
+the two record digests are equal.  The real witness digest of liquid
+deposit-then-withdraw was recorded again when the leader began to propose
+from its own ``on_round`` instead of from a clock nudge: its witness
+events are the same but for their step numbers, which shifted when the
+nudges' deliveries left the trace.  A change that moves a verdict or a
 witness has to say why.
 
 ``reference_check_safety`` keeps the all-pairs safety check that the
@@ -168,7 +172,7 @@ SCRIPTED_WITNESSES = {
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "deposit-then-withdraw"): (
-        "fda006012f062269844d0aa62297579a833ae9692d315468b167a955661752b1",
+        "40dbfbe588d9d70e57defb4b3e55f5be8dee4eb76b76ec2cd8d3e9d2d4988625",
         "a21e5d462851110e616d75db463337f19c074c0aa25cfbed945b8fbda672a54a"),
     ("liquid", "garbage-triggers"): (
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
