@@ -212,7 +212,7 @@ class AccountClient(Machine):
             ctx.note("request-refused", why="invalid-transfer", req=body["op"])
             self._try_send(ctx)
             return
-        ctx.note("request-queued", req=tx["op"], nonce=nonce)
+        ctx.note("request-queued", req=tx["op"])
         self.outstanding = {"txid": l2_txid(ctx.certs, tx), "tx": tx}
         self._sent(ctx, body)
         for op in self.operators:

@@ -179,7 +179,7 @@ class BrickClient(Machine):
             self._try_propose(ctx)
             return
         seq = new["seq"]
-        ctx.note("request-queued", req="pay", seq=seq)
+        ctx.note("request-queued", req="pay")
         sig = ctx.certs.sign(self.me.short(),
                              state_msg(ctx.certs, self.me.sid, new, seq))
         self.proposal = {"state": new, "seq": seq, "sig": sig}
