@@ -2,8 +2,12 @@
 
 ``random_schedule`` draws one schedule from a seed: both clients open,
 then 5-40 steps drawn uniformly from the protocol's entry kinds and read,
-advance, seeded pump and garbage raw trigger, then 20 closing rounds of
-advance, seeded pump and a read by each client.  With ``corrupt``, one
+advance, seeded pump and garbage raw trigger, then closing rounds of
+advance, seeded pump and a read by each client.  There are 20 closing
+rounds, or more when the protocol's update deadline allowance
+(``t_l2 + t_l1`` of its update liveness parameters) plus 4 is longer, so
+that an update requested in the drawn steps can still be judged: 30 for
+the rollup, 20 for the channel and the sidechain.  With ``corrupt``, one
 party of a role in the menu-move table is corrupted at step 2-6 and makes
 1-4 of its role's menu moves at later random steps.
 
@@ -15,6 +19,7 @@ so a sweep sees the same schedules on every run.
 import random
 
 from l2sim import harness
+from l2sim.core import UPDATE
 
 # the steps drawn after the entry kinds, in draw order
 OTHER_STEPS = ("read", "advance", "pump", "garbage")
@@ -66,7 +71,8 @@ def random_schedule(name, seed, corrupt, entry_kinds, menu_moves):
                          {"op": "menu", "role": role, "pid": pid,
                           "action": rng.choice(menu_moves[role])})
     sched += steps
-    for _ in range(20):
+    update = proto.liveness_params(scn)[UPDATE]
+    for _ in range(max(20, update["t_l2"] + update["t_l1"] + 4)):
         sched += [{"op": "advance"},
                   {"op": "pump", "seed": rng.randrange(1 << 20)}]
         sched += [inp(c, kind="read") for c in clients]
