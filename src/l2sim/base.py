@@ -296,4 +296,3 @@ class Ledger:
     def fingerprint(self):
         return (len(self.committed), len(self.pending), self.height,
                 tuple(tx["txid"] for tx in self.committed[-4:]))
-

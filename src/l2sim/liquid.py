@@ -134,9 +134,6 @@ class LiquidOperator(Machine):
     def on_message(self, ctx, env):
         self._handle(ctx, env.payload, env.src)
 
-    def on_round(self, ctx):
-        self._maybe_propose(ctx, ctx.round)
-
     def _handle(self, ctx, p, src):
         kind = p.get("kind")
         if kind == "tx":
@@ -153,7 +150,9 @@ class LiquidOperator(Machine):
         elif kind == "pegout-sig":
             self._on_pegout_sig(ctx, p, src)
 
-    def _maybe_propose(self, ctx, rnd):
+    def on_round(self, ctx):
+        """As the round's leader, propose the locked block or a new one."""
+        rnd = ctx.round
         if self._leader_for(rnd) != self.me:
             return
         h = self.tip()["height"] + 1

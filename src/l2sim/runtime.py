@@ -10,8 +10,9 @@ round directive.  An advance ticks the ledger if it is bound to this world
 calls ``on_round`` once on every uncorrupted machine in entity order: ledger
 events are the one source of time, each party polls the chain once per
 block, and whatever a party does on a schedule (a leader's proposal, a
-periodic publication) it does from ``on_round``.  ``register`` builds one ``Ctx`` per entity, and every
-activation of that entity (start, delivery, input, round) is handed it.
+periodic publication) it does from ``on_round``.  ``register`` builds one
+``Ctx`` per entity, and every activation of that entity (start, delivery,
+input, round) is handed it.
 
 Invariants the tests lean on:
   - identical (scenario, scripts, seed) inputs produce identical traces;

@@ -14,6 +14,9 @@ party of a role in the menu-move table is corrupted at step 2-6 and makes
 A pay goes to the other client and every entry's amount is 1-3.  The
 draws depend only on the seed, the entry kinds and the menu-move table,
 so a sweep sees the same schedules on every run.
+
+``real_runs`` replays the fixed corpus instead: every scripted schedule
+and every golden lifecycle, each in a real run.
 """
 
 import random
@@ -77,3 +80,18 @@ def random_schedule(name, seed, corrupt, entry_kinds, menu_moves):
                   {"op": "pump", "seed": rng.randrange(1 << 20)}]
         sched += [inp(c, kind="read") for c in clients]
     return scn, sched
+
+
+def real_runs(name):
+    """(schedule, real run) of protocol ``name`` for every scripted
+    schedule and every golden lifecycle (seeds 1-3, ten pays, honest and
+    adversarial)."""
+    scn = harness.protocol(name).canonical_scenario()
+    scheds = list(harness.scripted_schedules(name, scn).values())
+    scheds += [harness.lifecycle_schedule(name, scn, seed, pays=10,
+                                          adversarial=adv)
+               for seed in (1, 2, 3) for adv in (False, True)]
+    for sched in scheds:
+        run = harness.RealRun(name, scn)
+        harness.apply_schedule(run, sched)
+        yield sched, run

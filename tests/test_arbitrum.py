@@ -10,7 +10,7 @@ from l2sim import arbitrum, harness, properties
 from l2sim.properties import read_views
 from l2sim.accounts import genesis_state, l2_txid
 from l2sim.trace import digest
-from seeded_schedules import random_schedule
+from seeded_schedules import random_schedule, real_runs
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
@@ -122,27 +122,13 @@ def test_pays_pipeline_across_batches():
     assert r[-1]["state"]["nonce"]["c1"] == 2
 
 
-def real_runs():
-    """(schedule, real run) for every scripted schedule and every golden
-    lifecycle (seeds 1-3, ten pays, honest and adversarial)."""
-    scn = arbitrum.canonical_scenario()
-    scheds = list(harness.scripted_schedules("arbitrum", scn).values())
-    scheds += [harness.lifecycle_schedule("arbitrum", scn, seed, pays=10,
-                                          adversarial=adv)
-               for seed in (1, 2, 3) for adv in (False, True)]
-    for sched in scheds:
-        run = harness.RealRun("arbitrum", scn)
-        harness.apply_schedule(run, sched)
-        yield sched, run
-
-
 def test_operators_publish_only_in_period_rounds():
     """In every real run, an honest operator submits batches only in
     rounds that are multiples of ``t_period``; a corrupted operator, which
     gets no ``on_round``, publishes only by the ``publish-wrong`` menu
     move."""
     rounds = set()
-    for sched, run in real_runs():
+    for sched, run in real_runs("arbitrum"):
         events = run.trace.events
         corrupted_at = {ev["party"]: ev["step"] for ev in events
                         if ev["t"] == "corrupt"}

@@ -10,7 +10,7 @@ from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
                         InternalState, open_record)
 from l2sim import base, harness, liquid, properties, trace
 from l2sim.trace import canon, digest
-from seeded_schedules import inp, random_schedule
+from seeded_schedules import inp, random_schedule, real_runs
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
@@ -169,20 +169,6 @@ def test_garbage_proposal_is_ignored():
                for o in scn["operators"][1:])
 
 
-def real_runs():
-    """(schedule, real run) for every scripted schedule and every golden
-    lifecycle (seeds 1-3, ten pays, honest and adversarial)."""
-    scn = liquid.canonical_scenario()
-    scheds = list(harness.scripted_schedules("liquid", scn).values())
-    scheds += [harness.lifecycle_schedule("liquid", scn, seed, pays=10,
-                                          adversarial=adv)
-               for seed in (1, 2, 3) for adv in (False, True)]
-    for sched in scheds:
-        run = harness.RealRun("liquid", scn)
-        harness.apply_schedule(run, sched)
-        yield sched, run
-
-
 def test_only_the_round_leader_proposes():
     """In every real run, a proposal an honest operator sends in round r
     names round r and comes from the leader of r; a corrupted operator,
@@ -191,7 +177,7 @@ def test_only_the_round_leader_proposes():
     ops = [f"{liquid.OPERATOR}:{o}"
            for o in liquid.canonical_scenario()["operators"]]
     honest = 0
-    for sched, run in real_runs():
+    for sched, run in real_runs("liquid"):
         events = run.trace.events
         round_of = {ev["step"]: ev["round"] for ev in events}
         corrupted_at = {ev["party"]: ev["step"] for ev in events
