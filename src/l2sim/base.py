@@ -13,7 +13,11 @@ There is one block per round: the world the ledger is bound to mints it on
 each round advance, and every world's machines poll once, after it, from
 ``Machine.on_round``.  So ``height`` (a count; no block is kept) and the
 round count stay in lockstep; confirmation depth is
-height_now - height(tx) + 1.
+height_now - height(tx) + 1.  Ledger events go to the bound world and to
+each of ``mirrors``, worlds that share the ledger without ticking it: a
+mirror gets each ``ledger-submit`` as it is made, and the last block's
+events (``block``) right after its own ``round`` event, as a bound world
+would.  Any other world that shares the ledger gets no ledger events.
 
 Committed entries are kept twice, in commit order: in ``committed`` and,
 split by transaction kind, in the kind index that ``records(kind)`` reads.
@@ -155,12 +159,16 @@ class Ledger:
         self.frontier: dict[str, int] = {}
         self.kind_checks = {}                 # kind -> fn(tx, ledger) -> (ok, reason)
         self.world = None                     # bound owner, for events and hooks
+        self.mirrors = []                     # unbound worlds that see the events
+        self.block = []                       # the last tick's (type, fields)
         self.views = {}                       # readers' folds over `committed`
 
     def bind(self, world):
         self.world = world
 
     def _emit(self, t, **fields):
+        """A block event: the mirrors emit it when they advance (``tick``)."""
+        self.block.append((t, fields))
         if self.world is not None:
             self.world.emit(t, **fields)
 
@@ -219,9 +227,11 @@ class Ledger:
             entry["submit_round"] = rnd
             entry["hold_until"] = rnd + 1
             self.pending.append(entry)
-        self._emit("ledger-submit", txid=tx.get("txid"), kind=tx.get("kind"),
-                   author=tx.get("author"), body=tx.get("body"),
-                   accepted=ok, reason=reason)
+        for world in (self.world, *self.mirrors):
+            if world is not None:
+                world.emit("ledger-submit", txid=tx.get("txid"),
+                           kind=tx.get("kind"), author=tx.get("author"),
+                           body=tx.get("body"), accepted=ok, reason=reason)
         return {"accepted": ok, "reason": reason, "txid": tx.get("txid")}
 
     def hold(self, txid: str, until_round: int):
@@ -246,7 +256,7 @@ class Ledger:
             force = rnd - tx["submit_round"] >= self.timing["liveness_bound"]
             (due if force or rnd >= tx["hold_until"] else rest).append(tx)
         height = self.height + 1
-        included = []
+        included, self.block = [], []
         for tx in due:
             ok, reason = self.admissible(tx)   # conflicts may have appeared since
             if not ok:

@@ -9,24 +9,28 @@ registry and advances in lockstep right after every outer round, which
 keeps envelope numbering, block timing, and therefore client-visible
 outputs identical between the two runs.  Only the outer world, which the
 ledger is bound to, mints blocks; reads ask the simulator through its
-``read_delay``.
+``read_delay``.  The inner world mirrors the ledger's events, so its trace
+is a stand-alone real run's: the inner world *is* the real run, unless the
+ideal run refused a round (``IdealRun.advance`` then flushes the inner
+world but does not advance it).
 
 Schedules are plain data (lists of step dicts), so they serialize into
-scenario files and replay bit-exactly; ``apply_schedule`` checks every
-step against ``STEP_FIELDS`` and every environment entry against
+scenario files and replay bit-exactly; ``apply_schedule`` checks every step
+against ``STEP_FIELDS`` and every environment entry against
 ``ENTRY_FIELDS`` before the first step, and raises ScheduleError for a
 malformed one, or for a menu step whose party is not corrupted by then or
 whose action that party's menu lacks.  Both run flavors expose the same
 driving surface (input / corrupt / menu / menu_act / pump / advance), and
-``run_differential`` executes one schedule against both and diffs the
-per-party output streams.  Both flavors build read results with
-``core.read_result``, and ``output_projection`` keeps a read's ``base``,
-``settled`` and the keys of its executed entries.  The prefix rule fixes
-``base`` from the views alone, so the outputs of two runs are equal
-exactly when their readers' whole views are.  A run's trace is only ever
-appended to: the property checks share one ``properties.summarize``
-summary, built in one walk over the events, per trace object, events list
-and event count, so an event must never be edited in place.
+``run_differential`` executes one schedule against both, running the
+protocol once where it can, and diffs the per-party output streams.  Both
+flavors build read results with ``core.read_result``, and
+``output_projection`` keeps a read's ``base``, ``settled`` and the keys of
+its executed entries.  The prefix rule fixes ``base`` from the views alone,
+so the outputs of two runs are equal exactly when their readers' whole
+views are.  A run's trace is only ever appended to: the property checks
+share one ``properties.summarize`` summary, built in one walk over the
+events, per trace object, events list and event count, so an event must
+never be edited in place.
 
 A protocol is a module registered in ``PROTOCOLS``; the module itself is
 the contract, and it provides:
@@ -147,9 +151,10 @@ class Simulator:
     """Scripted adversary-side program for the ideal run.
 
     Keeps a private copy of the protocol, ``inner``, on the shared ledger
-    (only the outer world ticks it); the run drives ``inner`` and calls
-    ``sync``, which turns its progress notes into interface triggers.  The
-    outer world's ``read_delay`` answers from the inner clients' positions.
+    (the outer world ticks it, ``inner`` mirrors its events); the run drives
+    ``inner`` and calls ``sync``, which turns its progress notes into
+    interface triggers.  The outer world's ``read_delay`` answers from the
+    inner clients' positions.
     """
 
     def __init__(self, outer, proto, scn):
@@ -159,6 +164,7 @@ class Simulator:
         self.adv = EntityId("sim", outer.sid, "adv")
         self.inner = World(outer.sid, dict(outer.timing), ledger=outer.ledger,
                            certs=outer.certs)
+        outer.ledger.mirrors.append(self.inner)
         proto.build_real(self.inner, scn)
         self.cursor = 0
         outer.read_delay = lambda pid: self.hooks.read_delay(self.inner, pid)
@@ -195,13 +201,14 @@ def _pump_world(world, rng=None, after=None):
 
 
 class RealRun:
-    """Schedule facade over a stand-alone real world."""
+    """Schedule facade over a stand-alone real world, or over ``world``, an
+    ideal run's inner world, which must not be driven further."""
 
     flavor = "real"
 
-    def __init__(self, name, scn=None):
+    def __init__(self, name, scn=None, world=None):
         self.proto = protocol(name)
-        self.world, self.scn = make_real(name, scn)
+        self.world, self.scn = (world, scn) if world else make_real(name, scn)
 
     @property
     def trace(self):
@@ -242,6 +249,7 @@ class IdealRun:
         self.proto = protocol(name)
         self.outer, self.sim, self.scn = build_ideal(name, scn)
         self.tracker = self.proto.EnvTracker(self.scn)
+        self.refused = []    # {round, reason} of each advance the outer refused
 
     @property
     def trace(self):
@@ -302,6 +310,10 @@ class IdealRun:
         if ok:
             self.sim.inner.advance_round()
             self.sim.sync()
+        else:   # a gate's refusal is the outer's last event; a halt has none
+            self.refused.append({"round": self.outer.round_no, "reason":
+                                 "halted" if self.outer.halted
+                                 else self.outer.trace.events[-1]["reason"]})
         return ok
 
 
@@ -657,9 +669,10 @@ def diff_outputs(real_trace, ideal_trace):
 
 
 def run_differential(name, scn=None, schedule=()):
-    """Drive one schedule through both flavors and diff the outputs."""
-    real = RealRun(name, scn)
-    ideal = IdealRun(name, scn)
-    apply_schedule(real, schedule)
-    apply_schedule(ideal, schedule)
+    """Drive one schedule through both flavors and diff the outputs.  The
+    real run is the ideal run's inner world, not to be driven further,
+    unless the ideal run refused a round: then it is a separate run."""
+    ideal = apply_schedule(IdealRun(name, scn), schedule)
+    real = (apply_schedule(RealRun(name, scn), schedule) if ideal.refused
+            else RealRun(name, ideal.scn, ideal.sim.inner))
     return real, ideal, diff_outputs(real.trace, ideal.trace)

@@ -6,13 +6,14 @@ envelopes over two channels: IO envelopes deliver immediately in FIFO order
 in a pending pool until an adversary directive delivers them.  A single step
 counter numbers every event; logical rounds advance only through an explicit
 round directive.  An advance ticks the ledger if it is bound to this world
-(a world that only shares the ledger sees the block its owner minted), then
-calls ``on_round`` once on every uncorrupted machine in entity order: ledger
-events are the one source of time, each party polls the chain once per
-block, and whatever a party does on a schedule (a leader's proposal, a
-periodic publication) it does from ``on_round``.  ``register`` builds one
-``Ctx`` per entity, and every activation of that entity (start, delivery,
-input, round) is handed it.
+(a world that only shares the ledger sees the block its owner minted, and a
+mirror of the ledger also gets that block's events, with its own step and
+round, right after its ``round`` event), then calls ``on_round`` once on
+every uncorrupted machine in entity order: ledger events are the one source
+of time, each party polls the chain once per block, and whatever a party
+does on a schedule (a leader's proposal, a periodic publication) it does
+from ``on_round``.  ``register`` builds one ``Ctx`` per entity, and every
+activation of that entity (start, delivery, input, round) is handed it.
 
 Invariants the tests lean on:
   - identical (scenario, scripts, seed) inputs produce identical traces;
@@ -387,6 +388,9 @@ class World:
         self.emit("round", now=self.round_no)
         if self.ledger is not None and self.ledger.world is self:
             self.ledger.tick(self)
+        elif self.ledger is not None and self in self.ledger.mirrors:
+            for t, fields in self.ledger.block:
+                self.emit(t, **fields)
         for m in self.machines_sorted():
             if m.me not in self.corruption:
                 m.on_round(self.ctxs[m.me])

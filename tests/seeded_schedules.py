@@ -17,6 +17,12 @@ so a sweep sees the same schedules on every run.
 
 ``real_runs`` replays the fixed corpus instead: every scripted schedule
 and every golden lifecycle, each in a real run.
+
+``separate_runs`` drives a schedule through a stand-alone real run and an
+ideal run, so the protocol executes twice, and requires the two executions
+to write one trace whenever the ideal run refused no round.  That is what
+makes it sound for ``harness.run_differential`` to return the ideal run's
+inner world as the real run.
 """
 
 import random
@@ -95,3 +101,14 @@ def real_runs(name):
         run = harness.RealRun(name, scn)
         harness.apply_schedule(run, sched)
         yield sched, run
+
+
+def separate_runs(name, scn, sched):
+    """(real, ideal, diffs) of ``sched``, where ``real`` is a stand-alone
+    real run, not the ideal run's inner world.  Unless the ideal run
+    refused a round, the inner world's events equal the real run's."""
+    real = harness.apply_schedule(harness.RealRun(name, scn), sched)
+    ideal = harness.apply_schedule(harness.IdealRun(name, scn), sched)
+    if not ideal.refused:
+        assert real.trace.events == ideal.sim.inner.trace.events
+    return real, ideal, harness.diff_outputs(real.trace, ideal.trace)

@@ -4,19 +4,19 @@
 is not an exact ``str`` or ``int`` by its identity.  That is exact only
 while no digested value is changed in place, which the protocols never
 do; these tests re-digest every memo hit of every scripted schedule and
-of one adversarial lifecycle per protocol, in the real and the ideal run,
-so a future change that mutates a digested value fails here.  Each run
-has its own registry: the ideal run's outer and inner worlds share one,
-and no object is keyed or kept alive by both the real and the ideal
-run's memo.
+of one adversarial lifecycle per protocol, in a stand-alone real run and
+in the ideal run, so a future change that mutates a digested value fails
+here.  Each run has its own registry: the ideal run's outer and inner
+worlds share one, and no object is keyed or kept alive by both the real
+and the ideal run's memo.
 """
 
 import pytest
 
 from l2sim import base
 from l2sim.harness import (
-    PROTOCOLS, lifecycle_schedule, protocol, run_differential,
-    scripted_schedules,
+    PROTOCOLS, IdealRun, RealRun, apply_schedule, lifecycle_schedule,
+    protocol, scripted_schedules,
 )
 from l2sim.trace import digest
 
@@ -70,7 +70,8 @@ def schedules(name):
 def test_every_memo_hit_is_exact(name, checked):
     scn, scheds = schedules(name)
     for sched in scheds:
-        real, ideal, _ = run_differential(name, scn, sched)
+        real = apply_schedule(RealRun(name, scn), sched)
+        ideal = apply_schedule(IdealRun(name, scn), sched)
         assert isinstance(real.world.certs.memo, checked)
         assert ideal.sim.inner.certs is ideal.outer.certs
         # equal str and int messages may have equal keys in both memos,

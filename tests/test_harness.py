@@ -14,6 +14,7 @@ from l2sim.base import Ledger
 from l2sim.core import CLIENT, UPDATE
 from l2sim.runtime import ScheduleError, World
 from l2sim.trace import IntegrityError, Trace, canon
+from seeded_schedules import real_runs
 from l2sim.harness import (
     GARBAGE_TRIGGERS,
     IdealRun,
@@ -198,6 +199,20 @@ def test_only_the_ledgers_own_world_ticks_it(name, monkeypatch):
         + [ideal.outer] * ideal.outer.round_no
     for world in (real.world, ideal.outer, ideal.sim.inner):
         assert world.ledger.height == world.round_no > 0
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_the_differential_returns_the_inner_world_as_the_real_run(name):
+    """Over every scripted schedule and golden lifecycle, the ideal run
+    refuses no round, so ``run_differential`` runs the protocol once: the
+    real run it returns is the ideal run's inner world, and its trace is
+    a stand-alone real run's."""
+    scn = protocol(name).canonical_scenario()
+    for sched, alone in real_runs(name):
+        real, ideal, _ = run_differential(name, scn, sched)
+        assert ideal.refused == []
+        assert real.world is ideal.sim.inner
+        assert real.trace.events == alone.trace.events
 
 
 CLIENT_CLASSES = {"brick": brick.BrickClient, "liquid": liquid.LiquidClient,

@@ -10,7 +10,7 @@ from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
                         InternalState, open_record)
 from l2sim import base, harness, liquid, properties, trace
 from l2sim.trace import canon, digest
-from seeded_schedules import inp, random_schedule, real_runs
+from seeded_schedules import inp, random_schedule, real_runs, separate_runs
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
@@ -324,6 +324,16 @@ def test_honest_operators_agree_after_two_deposits():
     assert diffs == []
 
 
+def lock_split():
+    """two_deposits at pump seed 2, then 20 closing rounds of advance,
+    pump and a read by each client."""
+    sched = two_deposits(2)
+    for _ in range(20):
+        sched += [{"op": "advance"}, {"op": "pump"},
+                  inp("c1", kind="read"), inp("c2", kind="read")]
+    return sched
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 1: no unlock rule, so a 2/2 lock "
                           "split stalls the chain")
@@ -334,16 +344,42 @@ def test_a_lock_split_does_not_stall_the_chain():
     votes for nor proposes another block: every operator stays at height
     0, and update liveness fails in both runs."""
     scn = liquid.canonical_scenario()
-    sched = two_deposits(2)
-    for _ in range(20):
-        sched += [{"op": "advance"}, {"op": "pump"},
-                  inp("c1", kind="read"), inp("c2", kind="read")]
-    real, ideal, _ = harness.run_differential("liquid", scn, sched)
+    real, ideal, _ = harness.run_differential("liquid", scn, lock_split())
     assert all(operator(real.world, o).tip()["height"] >= 1
                for o in scn["operators"])
     params = liquid.liveness_params(scn)[UPDATE]
     assert [properties.check_liveness(run.trace, UPDATE, params).passed
             for run in (real, ideal)] == [True, True]
+
+
+def test_a_refused_round_takes_a_separate_real_run():
+    """On the lock split's schedule the interface's round gate refuses 14
+    advances, all at round 10, so the inner world stops there while a
+    real run moves on.  ``run_differential`` then returns a separate real
+    run, and its trace is a stand-alone real run's."""
+    scn = liquid.canonical_scenario()
+    sched = lock_split()
+    real, ideal, _ = harness.run_differential("liquid", scn, sched)
+    assert ideal.refused == [{"round": 10, "reason": "pending-l2-work"}] * 14
+    assert real.world is not ideal.sim.inner
+    assert (ideal.sim.inner.round_no, real.world.round_no) == (10, 24)
+    alone = harness.apply_schedule(harness.RealRun("liquid", scn), sched)
+    assert real.trace.events == alone.trace.events
+
+
+def test_a_truncated_run_takes_a_separate_real_run():
+    """The honest seed-1 lifecycle at 150 pays: the step limit halts the
+    inner world (ROADMAP item 2), the outer world runs on, and its round
+    gate refuses two advances at round 308.  The real run returned is a
+    separate one, cut by the step limit like the inner world."""
+    scn = liquid.canonical_scenario()
+    sched = harness.lifecycle_schedule("liquid", scn, 1, pays=150)
+    real, ideal, _ = harness.run_differential("liquid", scn, sched)
+    assert ideal.refused == [{"round": 308, "reason": "pending-l2-work"}] * 2
+    assert real.world is not ideal.sim.inner
+    alone = harness.apply_schedule(harness.RealRun("liquid", scn), sched)
+    assert real.trace.events == alone.trace.events
+    assert not real.trace.complete and not alone.trace.complete
 
 
 # -- seeded agreement sweep --------------------------------------------------
@@ -360,6 +396,10 @@ SWEEP_DIGESTS = {
     False: "c9303536e4ca62a01436c538264a5ef2ac80f4db84d58b93fbe2ab5754f6a099",
     True: "92e2ca22e9e2099486347a842bf1788f5220b36fe6cdaec181139710e07acfa3",
 }
+
+
+# how many of the 150 schedules freeze the ideal clock, per mode
+FROZEN = {False: 29, True: 24}
 
 
 def sweep_schedule(seed, corrupt):
@@ -395,13 +435,17 @@ def test_seeded_schedules_keep_operators_and_runs_in_agreement(corrupt):
     A schedule is frozen when the ideal run's outer round ends behind the
     real run's: the interface's round gate refused a round, and the ideal
     run judged fewer rounds (ROADMAP item 2).  29 honest and 24 corrupt
-    schedules freeze; the corrupt frozen seeds 101 and 109 get different
-    update-liveness verdicts, because the two runs judge different
-    requests.  That parity is item 2's."""
+    schedules freeze, and they are exactly the schedules whose ideal run
+    records a refused round; the corrupt frozen seeds 101 and 109 get
+    different update-liveness verdicts, because the two runs judge
+    different requests.  That parity is item 2's.  The real run is a
+    separate one, and in every schedule that does not freeze the ideal
+    run's inner world writes the real trace."""
     failures = {"fork": [], "outputs": [], "safety": [], "liveness-update": []}
+    frozen, refused = [], []
     for seed in range(150):
         scn, sched = sweep_schedule(seed, corrupt)
-        real, ideal, diffs = harness.run_differential("liquid", scn, sched)
+        real, ideal, diffs = separate_runs("liquid", scn, sched)
         if honest_forks(real.world) or honest_forks(ideal.sim.inner):
             failures["fork"].append(seed)
         if diffs:
@@ -411,13 +455,18 @@ def test_seeded_schedules_keep_operators_and_runs_in_agreement(corrupt):
                 for run in (real, ideal)}) > 1:
             failures["safety"].append(seed)
         params = liquid.liveness_params(scn)[UPDATE]
-        frozen = ideal.outer.round_no < real.world.round_no
-        if not frozen and len({
+        if ideal.refused:
+            refused.append(seed)
+        if ideal.outer.round_no < real.world.round_no:
+            frozen.append(seed)
+        elif len({
                 properties.check_liveness(run.trace, UPDATE, params).passed
                 for run in (real, ideal)}) > 1:
             failures["liveness-update"].append(seed)
     assert failures == {"fork": [], "outputs": [], "safety": [],
                         "liveness-update": []}
+    assert refused == frozen
+    assert len(frozen) == FROZEN[corrupt]
 
 
 # -- ideal bundle ----------------------------------------------------------
@@ -593,8 +642,10 @@ def test_cert_valid_digests_the_block_and_each_phase_once(monkeypatch):
     schedules = list(harness.scripted_schedules("liquid", scn).values())
     schedules.append(harness.lifecycle_schedule("liquid", scn, 1, pays=12,
                                                 adversarial=True))
-    for sched in schedules:
-        harness.run_differential("liquid", scn, sched)
+    for sched in schedules:     # two executions, each with its registry
+        for run in (harness.RealRun("liquid", scn),
+                    harness.IdealRun("liquid", scn)):
+            harness.apply_schedule(run, sched)
     assert len(per_call) > 100
     assert max(per_call) <= 3
     assert len(phase_digests) > 100

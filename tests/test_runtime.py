@@ -2,7 +2,7 @@
 
 import pytest
 
-from l2sim.base import Ledger
+from l2sim.base import Ledger, make_tx
 from l2sim.runtime import (
     World, Machine, EntityId, env_entity, plain,
     RegistrationError, RoutingError, ScheduleError, CorruptionError,
@@ -235,6 +235,61 @@ def test_on_round_runs_once_per_advance_after_the_block(shared):
         want += [("poll", pid, rnd, rnd) for pid in ("a", "b")
                  if rnd < 3 or pid == "a"]
     assert log == want
+
+
+class Submitter(Machine):
+    """Submits a deposit holding the input's ``n`` and ``conflict``."""
+
+    def on_message(self, ctx, env):
+        ctx.ledger.submit(make_tx("deposit", dict(env.payload), "a"))
+
+
+def test_a_mirror_gets_the_ledger_events_a_bound_world_would():
+    """A mirror gets each ``ledger-submit`` as it is made, whoever made it,
+    and the block's events right after its own ``round`` event, with its
+    own step and round; a world that only shares the ledger gets none,
+    and the bound world's trace is the one it has without the mirror."""
+    def run(mirrored):
+        ledger = Ledger(TIMING)
+        owner = World("s1", TIMING, ledger=ledger)
+        ledger.bind(owner)
+        mirror = World("s1", TIMING, ledger=ledger)
+        sharer = World("s1", TIMING, ledger=ledger)
+        if mirrored:
+            ledger.mirrors.append(mirror)
+        for w in (mirror, sharer):
+            w.declare_role("client")
+            w.register(Submitter(w.entity("client", "a")))
+        # the first two conflict, so the block rejects the second
+        for w, n, conflict in ((mirror, 1, "k"), (mirror, 2, "k"),
+                               (sharer, 3, None)):
+            w.inject_input(w.entity("client", "a"),
+                           {"n": n, "conflict": conflict})
+        for w in (owner, mirror, sharer):
+            assert w.advance_round()
+        return owner, mirror, sharer
+
+    owner, mirror, sharer = run(True)
+    assert owner.trace.events == run(False)[0].trace.events
+    assert [(ev["t"], ev["step"], ev["round"])
+            for ev in sharer.trace.events] == [("input", 1, 0), ("round", 2, 1)]
+    got = [(ev["t"], ev["step"], ev["round"], ev.get("accepted"),
+            ev.get("reason"), ev.get("payload", ev.get("body", {})).get("n"))
+           for ev in mirror.trace.events]
+    assert got == [
+        ("input", 1, 0, None, None, 1), ("ledger-submit", 1, 0, True, None, 1),
+        ("input", 2, 0, None, None, 2), ("ledger-submit", 2, 0, True, None, 2),
+        ("ledger-submit", 2, 0, True, None, 3),
+        ("round", 3, 1, None, None, None),
+        ("ledger-reject", 3, 1, None, "conflict", None),
+        ("ledger-commit", 3, 1, None, None, None)]
+    submits = [ev["txid"] for ev in mirror.trace.events
+               if ev["t"] == "ledger-submit"]
+    assert mirror.trace.events[-2]["txid"] == submits[1]
+    assert mirror.trace.events[-1]["txids"] == [submits[0], submits[2]]
+    assert [ev for ev in owner.trace.events if ev["t"] != "round"] == [
+        dict(ev, step=0 if ev["round"] == 0 else 1)
+        for ev in mirror.trace.events if ev["t"].startswith("ledger-")]
 
 
 def test_max_steps_truncates_and_flags():
