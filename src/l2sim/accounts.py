@@ -421,7 +421,7 @@ class AccountHooks:
     """Simulator triggers for the open and for each settlement.
 
     Subclasses turn their own update notes into update triggers and fall
-    back on ``account_triggers`` for every other event.
+    back on ``account_triggers`` for every other note.
     """
 
     def __init__(self, scn):
@@ -429,8 +429,6 @@ class AccountHooks:
         self.done = set()
 
     def account_triggers(self, ev):
-        if ev.get("t") != "note":
-            return []
         kind = ev.get("kind")
         if kind == "open-done" and "open" not in self.done:
             self.done.add("open")

@@ -615,7 +615,7 @@ EnvTracker = AccountTracker
 
 class Hooks(AccountHooks):
     def triggers_for(self, inner, ev):
-        if ev.get("t") != "note" or ev.get("kind") != "batch-final":
+        if ev.get("kind") != "batch-final":
             return self.account_triggers(ev)
         key = ("b", ev["seq"])
         if key in self.done:

@@ -96,8 +96,8 @@ class CertRegistry:
         key = parts
         for part in parts:
             if type(part) is not str and type(part) is not int:
-                key = tuple(p if type(p) is str or type(p) is int
-                            else (_BY_ID, id(p)) for p in parts)
+                key = tuple([p if type(p) is str or type(p) is int
+                             else (_BY_ID, id(p)) for p in parts])
                 break
         hit = self.memo.get(key)
         if hit is not None:

@@ -701,8 +701,6 @@ class Hooks:
         self.done = set()
 
     def triggers_for(self, inner, ev):
-        if ev.get("t") != "note":
-            return []
         kind = ev.get("kind")
         out = []
         if kind == "open-done" and "open" not in self.done:

@@ -42,8 +42,9 @@ the contract, and it provides:
 - ``make_bundle(world, scn)``: the SubroutineBundle of the ideal run;
 - ``EnvTracker(scn).ideal_request(pid, entry)``: a stateless translation
   of an environment input into an interface request, or None;
-- ``Hooks(scn)`` with ``triggers_for(inner, ev)`` and
-  ``read_delay(inner, pid)``: the simulator's view of the inner run;
+- ``Hooks(scn)`` with ``triggers_for(inner, note)``, which sees only the
+  inner run's ``note`` events, and ``read_delay(inner, pid)``: the
+  simulator's view of the inner run;
 - ``menu(world, entity)``: {action name: callable} of moves in a corrupted
   party's name.
 
@@ -176,23 +177,28 @@ class Simulator:
         while self.cursor < len(evs):
             ev = evs[self.cursor]
             self.cursor += 1
-            for trig in self.hooks.triggers_for(self.inner, ev):
-                self.outer.queue_net(self.adv, self.funct, trig)
-                self.outer.deliver_net(self.outer.net[-1].eid)
+            if ev["t"] == "note":
+                for trig in self.hooks.triggers_for(self.inner, ev):
+                    self.outer.queue_net(self.adv, self.funct, trig)
+                    self.outer.deliver_net(self.outer.eid_counter)
 
 
 def _deliverable(world):
-    return sorted(e.eid for e in world.pending_net()
-                  if e.hold_until is None or world.round_no >= e.hold_until)
+    return [e.eid for e in world.pending_net()
+            if e.hold_until is None or world.round_no >= e.hold_until]
 
 
-def _pump_world(world, rng=None, after=None):
-    """Deliver every unheld NET envelope, batch by batch, until quiescent."""
+def _pump_world(world, seed=None, after=None):
+    """Deliver every unheld NET envelope, batch by batch, until quiescent.
+    With a ``seed``, each batch goes in the order that one ``Random(seed)``
+    shuffles it into, seeded at the first batch that a shuffle can move."""
+    rng = None
     while world.halted is None:
         batch = _deliverable(world)
         if not batch:
             break
-        if rng is not None:
+        if seed is not None and len(batch) > 1:
+            rng = rng or random.Random(seed)
             rng.shuffle(batch)
         for eid in batch:
             world.deliver_net(eid)
@@ -233,8 +239,8 @@ class RealRun:
     def raw_trigger(self, payload):
         pass
 
-    def pump(self, rng=None):
-        _pump_world(self.world, rng)
+    def pump(self, seed=None):
+        _pump_world(self.world, seed)
 
     def advance(self):
         return self.world.advance_round()
@@ -294,10 +300,10 @@ class IdealRun:
 
     def raw_trigger(self, payload):
         self.outer.queue_net(self.sim.adv, self.sim.funct, payload)
-        self.outer.deliver_net(self.outer.net[-1].eid)
+        self.outer.deliver_net(self.outer.eid_counter)
 
-    def pump(self, rng=None):
-        _pump_world(self.sim.inner, rng, after=self.sim.sync)
+    def pump(self, seed=None):
+        _pump_world(self.sim.inner, seed, after=self.sim.sync)
 
     def advance(self):
         # the protocol machines must see their overdue deliveries before
@@ -405,8 +411,7 @@ def apply_schedule(run, schedule):
         elif op == "advance":
             run.advance()
         elif op == "pump":
-            rng = random.Random(step["seed"]) if "seed" in step else None
-            run.pump(rng)
+            run.pump(step.get("seed"))
         elif op == "corrupt":
             run.corrupt(step["role"], step["pid"], step.get("force", False))
         elif op == "menu":

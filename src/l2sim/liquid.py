@@ -491,7 +491,7 @@ EnvTracker = AccountTracker
 
 class Hooks(AccountHooks):
     def triggers_for(self, inner, ev):
-        if ev.get("t") != "note" or ev.get("kind") != "block-final":
+        if ev.get("kind") != "block-final":
             return self.account_triggers(ev)
         key = ("b", ev["height"])
         if key in self.done:

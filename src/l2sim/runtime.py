@@ -3,16 +3,17 @@
 Machines are registered under (pid, sid, role) identities and exchange
 envelopes over two channels: IO envelopes deliver immediately in FIFO order
 (a cascade drains before the adversary gets control back), NET envelopes sit
-in a pending pool until an adversary directive delivers them.  A single step
-counter numbers every event; logical rounds advance only through an explicit
-round directive.  An advance ticks the ledger if it is bound to this world
-(a world that only shares the ledger sees the block its owner minted, and a
-mirror of the ledger also gets that block's events, with its own step and
-round, right after its ``round`` event), then calls ``on_round`` once on
-every uncorrupted machine in entity order: ledger events are the one source
-of time, each party polls the chain once per block, and whatever a party
-does on a schedule (a leader's proposal, a periodic publication) it does
-from ``on_round``.  ``register`` builds one ``Ctx`` per entity, and every
+in a pending pool, keyed by eid in send order, until an adversary directive
+delivers them.  A single step counter numbers every event; logical rounds
+advance only through an explicit round directive.  An advance ticks the
+ledger if it is bound to this world (a world that only shares the ledger
+sees the block its owner minted, and a mirror of the ledger also gets that
+block's events, with its own step and round, right after its ``round``
+event), then calls ``on_round`` once on every uncorrupted machine in entity
+order, which ``register`` fixes: ledger events are the one source of time,
+each party polls the chain once per block, and whatever a party does on a
+schedule (a leader's proposal, a periodic publication) it does from
+``on_round``.  ``register`` also builds one ``Ctx`` per entity, and every
 activation of that entity (start, delivery, input, round) is handed it.
 
 Invariants the tests lean on:
@@ -74,7 +75,18 @@ class EntityId(NamedTuple):
     role: str
 
     def short(self) -> str:
-        return f"{self.role}:{self.pid}"
+        return _SHORT[self]
+
+
+class _ShortNames(dict):
+    """EntityId -> ``role:pid``, built on first use; a name depends on the
+    id alone, so one table serves every world."""
+    def __missing__(self, ent):
+        name = self[ent] = f"{ent.role}:{ent.pid}"
+        return name
+
+
+_SHORT = _ShortNames()
 
 
 def env_entity(sid: str) -> EntityId:
@@ -176,7 +188,7 @@ class Ctx:
         self.world.queue_io(self.me, self.world.env, payload)
 
     def note(self, kind: str, **fields):
-        self.world.note(kind, party=self.me.short(), **fields)
+        self.world.note(kind, party=_SHORT[self.me], **fields)
 
 
 class CorruptionSet:
@@ -210,13 +222,13 @@ class World:
         self.sid = sid
         self.timing = dict(timing)
         self.env = env_entity(sid)
-        self.machines: dict[EntityId, Machine] = {}
+        self.machines: dict[EntityId, Machine] = {}  # in entity order
         self.owners: dict[EntityId, Machine] = {}   # entity -> owning machine
         self.ctxs: dict[EntityId, Ctx] = {}         # entity -> its one Ctx
         self.roles: dict[str, list[EntityId]] = {}
         self.subroutines: set[str] = set()           # roles not corruptible
         self.io_q: deque[Envelope] = deque()
-        self.net: list[Envelope] = []
+        self.net: dict[int, Envelope] = {}         # eid -> pending, in eid order
         self.eid_counter = 0
         self.step_no = 0
         self.round_no = 0
@@ -251,14 +263,14 @@ class World:
             self.owners[ent] = machine
             self.ctxs[ent] = Ctx(self, ent)
             self.roles[ent.role].append(ent)
-        self.machines[machine.me] = machine
+        self.machines = dict(sorted({**self.machines, machine.me: machine}.items()))
         machine.on_start(self.ctxs[machine.me])
 
     def entity(self, role: str, pid: str) -> EntityId:
         return EntityId(pid, self.sid, role)
 
     def machines_sorted(self):
-        return [self.machines[k] for k in sorted(self.machines)]
+        return list(self.machines.values())
 
     # -- event plumbing ----------------------------------------------------
 
@@ -276,7 +288,8 @@ class World:
 
     def note(self, kind: str, **fields):
         self._bump()
-        self.emit("note", kind=kind, **fields)
+        self.trace.emit({"t": "note", "step": self.step_no,
+                         "round": self.round_no, "kind": kind, **fields})
 
     def queue_io(self, src: EntityId, dst: EntityId, payload: dict):
         if dst.role != ENV_ROLE:
@@ -290,8 +303,8 @@ class World:
         if dst not in self.owners and dst.role != ENV_ROLE:
             raise RoutingError(f"NET send to unregistered {dst.short()}")
         self.eid_counter += 1
-        self.net.append(Envelope(self.eid_counter, src, dst, NET, payload,
-                                 self.step_no, self.round_no))
+        self.net[self.eid_counter] = Envelope(self.eid_counter, src, dst, NET,
+                                              payload, self.step_no, self.round_no)
 
     # -- delivery ----------------------------------------------------------
 
@@ -301,41 +314,43 @@ class World:
             self._deliver(env)
 
     def _deliver(self, env: Envelope):
-        self._bump()
+        step = self._bump()
         if self.halted:
             return
-        if env.dst.role == ENV_ROLE:
-            self.emit("output", party=env.src.short(), payload=env.payload)
-            return
-        if env.dst in self.corruption:
-            self.emit("absorb", dst=env.dst.short(), src=env.src.short(),
-                      channel=env.channel, payload=env.payload)
-            return
-        self.emit("deliver", eid=env.eid, src=env.src.short(), dst=env.dst.short(),
-                  channel=env.channel, payload=env.payload, sent=env.step)
-        self.owners[env.dst].on_message(self.ctxs[env.dst], env)
+        dst = env.dst
+        if dst.role == ENV_ROLE:
+            self.trace.emit({"t": "output", "step": step, "round": self.round_no,
+                             "party": _SHORT[env.src], "payload": env.payload})
+        elif dst in self.corruption.members:
+            self.trace.emit({"t": "absorb", "step": step, "round": self.round_no,
+                             "dst": _SHORT[dst], "src": _SHORT[env.src],
+                             "channel": env.channel, "payload": env.payload})
+        else:
+            self.trace.emit({"t": "deliver", "step": step, "round": self.round_no,
+                             "eid": env.eid, "src": _SHORT[env.src],
+                             "dst": _SHORT[dst], "channel": env.channel,
+                             "payload": env.payload, "sent": env.step})
+            self.owners[dst].on_message(self.ctxs[dst], env)
 
     def pending_net(self):
-        return list(self.net)
+        return list(self.net.values())
 
     def deliver_net(self, eid: int):
-        for i, env in enumerate(self.net):
-            if env.eid == eid:
-                self.net.pop(i)
-                self._deliver(env)
-                self.drain_io()
-                return
-        raise ScheduleError(f"no pending NET envelope {eid}")
+        env = self.net.pop(eid, None)
+        if env is None:
+            raise ScheduleError(f"no pending NET envelope {eid}")
+        self._deliver(env)
+        if self.io_q:
+            self.drain_io()
 
     def hold_net(self, eid: int, until_round: int):
-        for env in self.net:
-            if env.eid == eid:
-                if until_round > env.round + self.timing["delta"]:
-                    raise ScheduleError(
-                        f"hold beyond delta={self.timing['delta']} rounds for envelope {eid}")
-                env.hold_until = until_round
-                return
-        raise ScheduleError(f"no pending NET envelope {eid}")
+        env = self.net.get(eid)
+        if env is None:
+            raise ScheduleError(f"no pending NET envelope {eid}")
+        if until_round > env.round + self.timing["delta"]:
+            raise ScheduleError(
+                f"hold beyond delta={self.timing['delta']} rounds for envelope {eid}")
+        env.hold_until = until_round
 
     # -- adversary-facing actions ------------------------------------------
 
@@ -346,11 +361,13 @@ class World:
         ``input`` event, as a corrupted machine ignores its environment;
         `force` is the adversary acting in the corrupted party's name.
         """
-        self._bump()
-        self.emit("input", party=party.short(), payload=payload, forced=force)
+        step = self._bump()
+        self.trace.emit({"t": "input", "step": step, "round": self.round_no,
+                         "party": _SHORT[party], "payload": payload,
+                         "forced": force})
         if self.halted:
             return
-        if party in self.corruption and not force:
+        if party in self.corruption.members and not force:
             return
         machine = self.owners.get(party)
         if machine is None:
@@ -358,7 +375,8 @@ class World:
         machine.on_message(self.ctxs[party],
                            Envelope(0, self.env, party, IO, payload,
                                     self.step_no, self.round_no))
-        self.drain_io()
+        if self.io_q:
+            self.drain_io()
 
     def corrupt(self, entity: EntityId, allow_over_budget=False):
         if entity not in self.owners:
@@ -391,10 +409,12 @@ class World:
         elif self.ledger is not None and self in self.ledger.mirrors:
             for t, fields in self.ledger.block:
                 self.emit(t, **fields)
+        members = self.corruption.members
         for m in self.machines_sorted():
-            if m.me not in self.corruption:
+            if m.me not in members:
                 m.on_round(self.ctxs[m.me])
-        self.drain_io()
+        if self.io_q:
+            self.drain_io()
         return True
 
     def flush_overdue(self):
@@ -405,12 +425,14 @@ class World:
         actually waited through.
         """
         delta = self.timing["delta"]
-        overdue = [e for e in self.net
-                   if e.src not in self.corruption and self.round_no - e.round >= delta]
+        members = self.corruption.members
+        overdue = [e for e in self.net.values()
+                   if e.src not in members and self.round_no - e.round >= delta]
         for env in overdue:
-            self.net.remove(env)
+            del self.net[env.eid]
             self._deliver(env)
-            self.drain_io()
+            if self.io_q:
+                self.drain_io()
 
     # -- snapshots for state-space search ----------------------------------
 
@@ -421,7 +443,7 @@ class World:
         for key in sorted(self.machines):
             parts.append((key.short(), canon_loose(self.machines[key].state())))
         parts.append(tuple((e.src.short(), e.dst.short(), canon_loose(e.payload))
-                           for e in self.net))
+                           for e in self.net.values()))
         if self.ledger is not None:
             parts.append(self.ledger.fingerprint())
         return hash(tuple(parts))

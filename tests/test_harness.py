@@ -297,6 +297,43 @@ def test_events_are_not_changed_after_they_are_emitted(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)
+def test_an_observer_sees_exactly_the_trace(name, monkeypatch):
+    """Every writer goes through ``Trace.emit``: over the scripted suite an
+    observer on each trace gets the very event objects of ``trace.events``,
+    in order, and the suite writes every kind the runtime builds itself."""
+    seen = {}
+    init = Trace.__init__
+
+    def observed(trace, header=None):
+        init(trace, header)
+        trace.observers.append(seen.setdefault(trace, []).append)
+
+    monkeypatch.setattr(Trace, "__init__", observed)
+    scn = protocol(name).canonical_scenario()
+    kinds = set()
+    for schedule in scripted_schedules(name, scn).values():
+        seen.clear()
+        real, ideal, _ = run_differential(name, scn, schedule)
+        for trace in (real.trace, ideal.trace):
+            got = seen[trace]
+            assert len(got) == len(trace.events)
+            assert all(a is b for a, b in zip(got, trace.events))
+            kinds.update(ev["t"] for ev in got)
+    assert {"deliver", "absorb", "output", "note", "input"} <= kinds
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_short_names_are_role_and_pid(name):
+    ideal = IdealRun(name)
+    real = RealRun(name)
+    for world in (real.world, ideal.outer, ideal.sim.inner):
+        for ent in [world.env, *world.owners]:
+            assert ent.short() == ent.short() == f"{ent.role}:{ent.pid}"
+    assert ideal.sim.adv.short() == "adv:sim"
+    assert real.world.env.short() == "env:env"
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
 def test_differential_is_deterministic(name):
     scn = protocol(name).canonical_scenario()
     sched = scripted_schedules(name, scn)["pay-race-same-step"]

@@ -1,7 +1,10 @@
 """Runtime contracts: registration, routing, determinism, corruption, rounds."""
 
+import random
+
 import pytest
 
+from l2sim import harness
 from l2sim.base import Ledger, make_tx
 from l2sim.runtime import (
     World, Machine, EntityId, env_entity, plain,
@@ -391,3 +394,114 @@ def test_each_entity_is_handed_one_ctx():
     outputs = [ev for ev in w.trace.events if ev["t"] == "output"]
     assert [ev["party"] for ev in outputs] == ["client:a"]
     assert w.env == env_entity("s1")
+
+
+class Bounce(Machine):
+    """Sends ``fan`` copies of what it gets to its peer, one hop fewer,
+    until the hops run out; an input starts a bounce like a delivery."""
+
+    def __init__(self, me, peer, fan=1):
+        super().__init__(me)
+        self.peer = peer
+        self.fan = fan
+
+    def on_message(self, ctx, env):
+        hops = env.payload["hops"]
+        for _ in range(self.fan if hops else 0):
+            ctx.send_net(self.peer, {"n": env.payload["n"], "hops": hops - 1})
+
+
+def bounce_world(fan=1):
+    w = World("s1", TIMING)
+    w.declare_role("client")
+    w.declare_role("warden")
+    a, b = w.entity("client", "a"), w.entity("warden", "b")
+    w.register(Bounce(a, peer=b))
+    w.register(Bounce(b, peer=a, fan=fan))
+    return w, a, b
+
+
+def pool(w):
+    return [(e.eid, e.hold_until) for e in w.pending_net()]
+
+
+def test_an_unknown_or_delivered_eid_leaves_the_pool_unchanged():
+    w, a, b = bounce_world()
+    for n in range(3):
+        w.inject_input(a, {"n": n, "hops": 2})
+    first = w.pending_net()[0].eid
+    w.deliver_net(first)
+    w.hold_net(w.pending_net()[0].eid, until_round=1)
+    before = (pool(w), w.step_no, len(w.trace.events), w.eid_counter)
+    for eid in (first, 0, w.eid_counter + 1):
+        with pytest.raises(ScheduleError):
+            w.deliver_net(eid)
+        with pytest.raises(ScheduleError):
+            w.hold_net(eid, until_round=1)
+        assert (pool(w), w.step_no, len(w.trace.events), w.eid_counter) == before
+
+
+def test_the_pool_stays_in_eid_order():
+    # holds, deliveries out of order and the round flush (which sends
+    # again) never reorder what is pending
+    w, a, b = bounce_world()
+    for n in range(4):
+        w.inject_input(a, {"n": n, "hops": 3})
+    eids = [e.eid for e in w.pending_net()]
+    w.hold_net(eids[0], until_round=2)
+    w.deliver_net(eids[2])
+    w.deliver_net(eids[1])
+    while w.pending_net() and w.round_no < 12:
+        order = [e.eid for e in w.pending_net()]
+        assert order == sorted(order) and len(set(order)) == len(order)
+        w.advance_round()
+    assert not w.pending_net()
+    delivered = [ev["eid"] for ev in w.trace.events if ev["t"] == "deliver"]
+    assert sorted(delivered) == list(range(1, w.eid_counter + 1))
+
+
+def reference_pump(w, seed):
+    """One eagerly seeded Random shuffles each batch of the unheld pending
+    eids, taken in eid order."""
+    rng = random.Random(seed)
+    sizes = []
+    while True:
+        batch = sorted(e.eid for e in w.pending_net()
+                       if e.hold_until is None or w.round_no >= e.hold_until)
+        if not batch:
+            return sizes
+        sizes.append(len(batch))
+        rng.shuffle(batch)
+        for eid in batch:
+            w.deliver_net(eid)
+
+
+def delivered(w):
+    return [ev["eid"] for ev in w.trace.events if ev["t"] == "deliver"]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_a_seeded_pump_shuffles_each_batch_with_one_random(seed):
+    # a lone first envelope fans out into a batch of three, and each of
+    # those into one more; envelope 2 is held out of every batch until
+    # round 1, so the first batch draws nothing from the Random
+    def world():
+        w, a, b = bounce_world(fan=3)
+        w.inject_input(a, {"n": 0, "hops": 3})
+        w.inject_input(a, {"n": 1, "hops": 1})
+        w.hold_net(2, until_round=1)
+        return w
+
+    ref, run = world(), world()
+    sizes = reference_pump(ref, seed)
+    harness._pump_world(run, seed)
+    assert sizes == [1, 3, 3]
+    assert 2 not in delivered(run)
+    assert delivered(run) == delivered(ref)
+    assert run.trace.digest() == ref.trace.digest()
+    ref.advance_round()
+    run.advance_round()
+    reference_pump(ref, seed)
+    harness._pump_world(run, seed)
+    assert 2 in delivered(run) and delivered(run) == delivered(ref)
+
