@@ -117,8 +117,8 @@ class ChainFold:
     whose post ripens is replaced rather than changed, so views handed out
     earlier stay as they were.
 
-    Batch digests and l2 txids come from the registry of the world the
-    ledger is bound to, the run's one registry.
+    Batch digests and l2 txids come from the ledger's registry, the run's
+    one registry.
 
     ``positions`` maps each l2 txid to the index of the first entry whose
     "ids" hold it.  Extending the chain adds to the map; cutting the chain
@@ -194,7 +194,7 @@ class ChainFold:
         prev = self.entries[-1]["digest"] if n else genesis_anchor(self.sid)
         if batch.get("seq") != n + 1 or batch.get("prev") != prev:
             return
-        certs = ledger.world.certs
+        certs = ledger.certs
         ids = [l2_txid(certs, t) for t in batch.get("txs", [])]
         for i in ids:
             self.positions.setdefault(i, n)
@@ -232,6 +232,11 @@ def view_state(view):
 def install_ledger_checks(world, initial, publishers):
     """Batches are shape-checked; fraud proofs are settled by re-execution."""
 
+    def view_now(ledger):
+        t = ledger.timing
+        return chain_view(ledger, world.sid, initial, t["confirm_depth"],
+                          ledger.round, t["t_period"])
+
     def check_batch(tx, ledger):
         body = tx["body"]
         batch = body.get("batch")
@@ -248,10 +253,8 @@ def install_ledger_checks(world, initial, publishers):
     def check_proof(tx, ledger):
         # validated again at inclusion time, so the window check below also
         # guards against proofs the adversary held back: once a batch turns
-        # final nothing can strike it any more.  The round comes from the
-        # world that ticks the ledger, which may sit above the building one.
-        w = ledger.world
-        view = world_view(w, initial)
+        # final nothing can strike it any more
+        view = view_now(ledger)
         entry = None
         for e in view["entries"]:
             if e["txid"] == tx["body"].get("target"):
@@ -259,7 +262,7 @@ def install_ledger_checks(world, initial, publishers):
                 break
         if entry is None:
             return False, "unknown-target"
-        if w.round_no > entry["commit_round"] + w.timing["t_period"]:
+        if ledger.round > entry["commit_round"] + ledger.timing["t_period"]:
             return False, "window-closed"
         if entry["post"] is not None and entry["post"] == entry["claimed"]:
             return False, "batch-correct"
@@ -267,7 +270,7 @@ def install_ledger_checks(world, initial, publishers):
 
     def check_settle(tx, ledger):
         body = tx["body"]
-        view = world_view(ledger.world, initial)
+        view = view_now(ledger)
         entry = None
         for e in view["entries"][:view["final"]]:
             if e["txid"] == body.get("batch"):

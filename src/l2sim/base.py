@@ -9,15 +9,14 @@ at submit (``validate``), which also refuses a txid that is already pending
 or committed, so a txid commits at most once; the block re-checks only what
 can change while a transaction waits, its conflict key and its kind's check
 (``admissible``).
-There is one block per round: the world the ledger is bound to mints it on
-each round advance, and every world's machines poll once, after it, from
-``Machine.on_round``.  So ``height`` (a count; no block is kept) and the
-round count stay in lockstep; confirmation depth is
-height_now - height(tx) + 1.  Ledger events go to the bound world and to
-each of ``mirrors``, worlds that share the ledger without ticking it: a
-mirror gets each ``ledger-submit`` as it is made, and the last block's
-events (``block``) right after its own ``round`` event, as a bound world
-would.  Any other world that shares the ledger gets no ledger events.
+The ledger stands alone: it holds the run's signature registry and counts
+its own rounds, one block per round, which the first world on it to reach
+the round mints (``World.advance_round``).  Every world built on it joins
+``worlds`` and sees its events by one rule: each ``ledger-submit`` as it is
+made, and the last block's events (``block``) right after its own
+``round`` event; machines poll after that, from ``Machine.on_round``.  So
+``round``, ``height`` (a count; no block is kept) and every world's round
+stay in lockstep; confirmation depth is height_now - height(tx) + 1.
 
 Committed entries are kept twice, in commit order: in ``committed`` and,
 split by transaction kind, in the kind index that ``records(kind)`` reads.
@@ -36,8 +35,8 @@ several refs over one message digests it once; ``signed_tx`` signs the
 ``txid`` that ``make_tx`` computed, which is the digest of the signable
 part, and ``Ledger.validate`` refuses a transaction whose txid is not.
 
-Each run has one registry (the ideal run's outer and inner worlds share
-it), and it is the one place that memoizes digests: ``CertRegistry.digest``
+Each run has one registry (its ledger's, shared by every world on it),
+and it is the one place that memoizes digests: ``CertRegistry.digest``
 equals ``trace.digest`` and ``message(*parts)`` is ``digest(list(parts))``,
 each computed once per run for a value.  A list is keyed by its items and
 any other value by its identity; an item that is exactly a ``str`` or an
@@ -148,8 +147,11 @@ def signed_tx(certs: CertRegistry, kind: str, body: dict, author: str) -> dict:
 
 
 class Ledger:
-    def __init__(self, timing: dict):
-        self.timing = timing
+    def __init__(self, timing: dict, certs: CertRegistry):
+        self.timing = dict(timing)
+        self.certs = certs
+        self.worlds = []                      # every world on the ledger
+        self.round = 0                        # the round of the last block
         self.height = 0                       # blocks minted so far
         self.committed: list[dict] = []       # tx + {"height"}
         self.by_txid: dict[str, dict] = {}    # txid -> its committed entry
@@ -158,19 +160,8 @@ class Ledger:
         self.keys: dict[str, str] = {}        # conflict key -> txid
         self.frontier: dict[str, int] = {}
         self.kind_checks = {}                 # kind -> fn(tx, ledger) -> (ok, reason)
-        self.world = None                     # bound owner, for events and hooks
-        self.mirrors = []                     # unbound worlds that see the events
         self.block = []                       # the last tick's (type, fields)
         self.views = {}                       # readers' folds over `committed`
-
-    def bind(self, world):
-        self.world = world
-
-    def _emit(self, t, **fields):
-        """A block event: the mirrors emit it when they advance (``tick``)."""
-        self.block.append((t, fields))
-        if self.world is not None:
-            self.world.emit(t, **fields)
 
     def depth(self, tx: dict) -> int:
         return self.height - tx["height"] + 1
@@ -186,19 +177,17 @@ class Ledger:
         if not isinstance(tx.get("body"), dict) or not isinstance(tx.get("author"), str):
             return False, "malformed"
         dig = digest(tx_signable(tx))
-        certs = self.world.certs if self.world else None
-        if certs is not None:
-            if not tx.get("sigs"):
-                return False, "unsigned"
-            authorized = False
-            for ref in tx["sigs"]:
-                signer = certs.verify_any(ref, dig)
-                if signer is None:
-                    return False, "bad-signature"
-                if signer == tx["author"]:
-                    authorized = True
-            if not authorized:
-                return False, "unauthorized"
+        if not tx.get("sigs"):
+            return False, "unsigned"
+        authorized = False
+        for ref in tx["sigs"]:
+            signer = self.certs.verify_any(ref, dig)
+            if signer is None:
+                return False, "bad-signature"
+            if signer == tx["author"]:
+                authorized = True
+        if not authorized:
+            return False, "unauthorized"
         if tx.get("txid") != dig:
             # proofs strike, and Ledger.get finds, entries by txid
             return False, "bad-txid"
@@ -220,18 +209,16 @@ class Ledger:
         return True, None
 
     def submit(self, tx: dict) -> dict:
-        rnd = self.world.round_no if self.world else 0
         ok, reason = self.validate(tx)
         if ok:
             entry = dict(tx)
-            entry["submit_round"] = rnd
-            entry["hold_until"] = rnd + 1
+            entry["submit_round"] = self.round
+            entry["hold_until"] = self.round + 1
             self.pending.append(entry)
-        for world in (self.world, *self.mirrors):
-            if world is not None:
-                world.emit("ledger-submit", txid=tx.get("txid"),
-                           kind=tx.get("kind"), author=tx.get("author"),
-                           body=tx.get("body"), accepted=ok, reason=reason)
+        for world in self.worlds:
+            world.emit("ledger-submit", txid=tx.get("txid"),
+                       kind=tx.get("kind"), author=tx.get("author"),
+                       body=tx.get("body"), accepted=ok, reason=reason)
         return {"accepted": ok, "reason": reason, "txid": tx.get("txid")}
 
     def hold(self, txid: str, until_round: int):
@@ -248,9 +235,10 @@ class Ledger:
 
     # -- block production ---------------------------------------------------
 
-    def tick(self, world):
-        """Mint the block for the round; ``world`` calls it once per advance."""
-        rnd = world.round_no
+    def tick(self):
+        """Mint the next round's block into ``block``.  The round moves
+        first, the height last: its checks see the new round, old depth."""
+        rnd = self.round = self.round + 1
         due, rest = [], []
         for tx in self.pending:
             force = rnd - tx["submit_round"] >= self.timing["liveness_bound"]
@@ -260,7 +248,8 @@ class Ledger:
         for tx in due:
             ok, reason = self.admissible(tx)   # conflicts may have appeared since
             if not ok:
-                self._emit("ledger-reject", txid=tx["txid"], reason=reason)
+                self.block.append(("ledger-reject",
+                                   {"txid": tx["txid"], "reason": reason}))
                 continue
             entry = {k: tx[k] for k in ("kind", "body", "author", "sigs", "txid")}
             entry["height"] = height
@@ -275,7 +264,8 @@ class Ledger:
             included.append(tx["txid"])
         self.pending = rest
         self.height = height
-        self._emit("ledger-commit", height=height, txids=included)
+        self.block.append(("ledger-commit",
+                           {"height": height, "txids": included}))
 
     # -- reads --------------------------------------------------------------
 

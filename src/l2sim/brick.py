@@ -457,33 +457,33 @@ def install_ledger_checks(world, sid, clients):
     """On-chain validation of embedded channel signatures."""
     shorts = {f"{CLIENT}:{c}" for c in clients}
 
-    def unsigned(body, forms):
+    def unsigned(certs, body, forms):
         """None if both clients signed one of the message digests that
         ``forms`` yields in the body's ``csigs``, else the refusal."""
         csigs = body.get("csigs") or []
         if len(csigs) != 2:
             return "need-both-client-sigs"
         for dig in forms:
-            if {world.certs.verify_any(ref, dig) for ref in csigs} == shorts:
+            if {certs.verify_any(ref, dig) for ref in csigs} == shorts:
                 return None
         return "bad-channel-sigs"
 
     def check_close(tx, ledger):
-        body = tx["body"]
+        body, certs = tx["body"], ledger.certs
         state, seq = body.get("state"), body.get("seq")
 
         def forms():                     # digested only as far as tried
-            yield close_msg(world.certs, sid, state, seq)
-            yield state_msg(world.certs, sid, state, seq)
-            yield open_msg(world.certs, sid, state)
-        why = unsigned(body, forms())
+            yield close_msg(certs, sid, state, seq)
+            yield state_msg(certs, sid, state, seq)
+            yield open_msg(certs, sid, state)
+        why = unsigned(certs, body, forms())
         return why is None, why
 
     def check_wpub(tx, ledger):
-        body = tx["body"]
+        body, certs = tx["body"], ledger.certs
         state, seq = body.get("state"), body.get("seq")
-        why = unsigned(body, (open_msg(world.certs, sid, state) if seq == 0
-                              else state_msg(world.certs, sid, state, seq),))
+        why = unsigned(certs, body, (open_msg(certs, sid, state) if seq == 0
+                                     else state_msg(certs, sid, state, seq),))
         return why is None, why
 
     world.ledger.kind_checks["settle"] = check_close

@@ -270,7 +270,7 @@ class InterfaceMachine(Machine):
         executed = read_entries(ist.executed[base:idx + 1])
         settled = None if ist.settled is None else ist.settled["state"]
         ist.read_ptr[pid] = idx
-        ctx.world.queue_io(self._clients[pid], ctx.world.env,
+        ctx.world.queue_io(self._clients[pid],
                            read_result(base, executed, settled))
 
     def _open(self, ctx, body, attachment):
@@ -286,7 +286,7 @@ class InterfaceMachine(Machine):
         ist.queue = [r for r in ist.queue if r["kind"] != OPEN]
         ctx.world.emit("exec", kind=OPEN, seq=0, state=ist.states[0])
         for pid in honest(ctx, ist, CLIENT):
-            ctx.world.queue_io(self._clients[pid], ctx.world.env,
+            ctx.world.queue_io(self._clients[pid],
                                {"kind": "open-ok", "state": ist.states[0]})
 
     def _update(self, ctx, new_state, attachment):
@@ -326,7 +326,7 @@ class InterfaceMachine(Machine):
         ist.queue = [r for r in ist.queue if r["kind"] != SETTLEMENT]
         ctx.world.emit("exec", kind=SETTLEMENT, state=sstate, type=stype)
         for pid in honest(ctx, ist, CLIENT):
-            ctx.world.queue_io(self._clients[pid], ctx.world.env,
+            ctx.world.queue_io(self._clients[pid],
                                {"kind": "settle-ok", "state": sstate})
 
 

@@ -4,15 +4,15 @@ A real run hosts the protocol machines alone.  An ideal run stacks three
 pieces: an outer world holding the interface machine plus inert stand-ins
 for the non-client cast, an inner world running the very same protocol
 machines, and a scripted simulator that replays inner progress as interface
-triggers.  The inner world shares the outer world's ledger and signature
-registry and advances in lockstep right after every outer round, which
-keeps envelope numbering, block timing, and therefore client-visible
-outputs identical between the two runs.  Only the outer world, which the
-ledger is bound to, mints blocks; reads ask the simulator through its
-``read_delay``.  The inner world mirrors the ledger's events, so its trace
-is a stand-alone real run's: the inner world *is* the real run, unless the
-ideal run refused a round (``IdealRun.advance`` then flushes the inner
-world but does not advance it).
+triggers.  Both worlds are built on one ledger, which holds the run's
+registry, and the inner world advances in lockstep right after every outer
+round, which keeps envelope numbering, block timing, and therefore
+client-visible outputs identical between the two runs.  The outer world,
+first to each round, mints its block; reads ask the simulator through its
+``read_delay``.  The inner world sees the ledger's events by the same rule,
+so its trace is a stand-alone real run's: the inner world *is* the real
+run, unless the ideal run refused a round (``IdealRun.advance`` then
+flushes the inner world but does not advance it).
 
 Schedules are plain data (lists of step dicts), so they serialize into
 scenario files and replay bit-exactly; ``apply_schedule`` checks every step
@@ -104,10 +104,7 @@ def make_real(name, scn=None):
     """Stand-alone real world: ledger, certificates, protocol machines."""
     proto = protocol(name)
     scn = scn or proto.canonical_scenario()
-    world = World(name, DESK_TIMING)
-    world.certs = CertRegistry()
-    world.ledger = Ledger(world.timing)
-    world.ledger.bind(world)
+    world = World(name, DESK_TIMING, ledger=Ledger(DESK_TIMING, CertRegistry()))
     proto.build_real(world, scn)
     return world, scn
 
@@ -123,10 +120,7 @@ def build_ideal(name, scn=None):
     """Outer interface world plus the simulator running the inner twin."""
     proto = protocol(name)
     scn = scn or proto.canonical_scenario()
-    outer = World(name, DESK_TIMING)
-    outer.certs = CertRegistry()
-    outer.ledger = Ledger(outer.timing)
-    outer.ledger.bind(outer)
+    outer = World(name, DESK_TIMING, ledger=Ledger(DESK_TIMING, CertRegistry()))
     outer.declare_role(INTERFACE_ROLE, subroutine=True)
     identities = {}
     client_pids = []
@@ -151,11 +145,11 @@ def build_ideal(name, scn=None):
 class Simulator:
     """Scripted adversary-side program for the ideal run.
 
-    Keeps a private copy of the protocol, ``inner``, on the shared ledger
-    (the outer world ticks it, ``inner`` mirrors its events); the run drives
-    ``inner`` and calls ``sync``, which turns its progress notes into
-    interface triggers.  The outer world's ``read_delay`` answers from the
-    inner clients' positions.
+    Keeps a private copy of the protocol, ``inner``, on the outer world's
+    ledger (the outer world reaches each round first, so it mints every
+    block); the run drives ``inner`` and calls ``sync``, which turns its
+    progress notes into interface triggers.  The outer world's
+    ``read_delay`` answers from the inner clients' positions.
     """
 
     def __init__(self, outer, proto, scn):
@@ -163,9 +157,7 @@ class Simulator:
         self.hooks = proto.Hooks(scn)
         self.funct = outer.roles[INTERFACE_ROLE][0]
         self.adv = EntityId("sim", outer.sid, "adv")
-        self.inner = World(outer.sid, dict(outer.timing), ledger=outer.ledger,
-                           certs=outer.certs)
-        outer.ledger.mirrors.append(self.inner)
+        self.inner = World(outer.sid, outer.timing, ledger=outer.ledger)
         proto.build_real(self.inner, scn)
         self.cursor = 0
         outer.read_delay = lambda pid: self.hooks.read_delay(self.inner, pid)

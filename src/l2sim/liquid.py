@@ -377,9 +377,9 @@ def install_ledger_checks(world, sid, operators, quorum):
     def check_pegout(tx, ledger):
         body = tx["body"]
         entries = body.get("opsigs") or []
-        dig = pegout_msg(world.certs, sid, body.get("l2txid"), body.get("height"))
+        dig = pegout_msg(ledger.certs, sid, body.get("l2txid"), body.get("height"))
         good = {e.get("by") for e in entries
-                if e.get("by") in ops and world.certs.verify(e.get("ref"), dig, e["by"])}
+                if e.get("by") in ops and ledger.certs.verify(e.get("ref"), dig, e["by"])}
         if len(good) < quorum:
             return False, "thin-federation-multisig"
         return True, None

@@ -5,23 +5,23 @@ envelopes over two channels: IO envelopes deliver immediately in FIFO order
 (a cascade drains before the adversary gets control back), NET envelopes sit
 in a pending pool, keyed by eid in send order, until an adversary directive
 delivers them.  A single step counter numbers every event; logical rounds
-advance only through an explicit round directive.  An advance ticks the
-ledger if it is bound to this world (a world that only shares the ledger
-sees the block its owner minted, and a mirror of the ledger also gets that
-block's events, with its own step and round, right after its ``round``
-event), then calls ``on_round`` once on every uncorrupted machine in entity
-order, which ``register`` fixes: ledger events are the one source of time,
-each party polls the chain once per block, and whatever a party does on a
-schedule (a leader's proposal, a periodic publication) it does from
-``on_round``.  ``register`` also builds one ``Ctx`` per entity, and every
-activation of that entity (start, delivery, input, round) is handed it.
+advance only through an explicit round directive.  A world built on a
+ledger joins it and signs with its registry.  An advance mints the round's
+block if no world on the ledger has yet, emits that block's events right
+after the world's ``round`` event, then calls ``on_round`` once on every
+uncorrupted machine in entity order, which ``register`` fixes: ledger
+events are the one source of time, each party polls the chain once per
+block, and whatever a party does on a schedule (a leader's proposal, a
+periodic publication) it does from ``on_round``.  ``register`` also builds
+one ``Ctx`` per entity, and every activation of that entity (start,
+delivery, input, round) is handed it.
 
 Invariants the tests lean on:
   - identical (scenario, scripts, seed) inputs produce identical traces;
   - NET envelopes are never dropped: each is pending, delivered, or absorbed
     by a corrupted recipient, which leaves an ``absorb`` event;
-  - IO goes only to the environment: ``queue_io`` refuses any other
-    destination;
+  - IO goes only to the environment, and NET only to a registered
+    machine: ``queue_net`` refuses any other destination;
   - corruption is monotone and budget-checked per role, and subroutine roles
     are not corruptible;
   - once a round advance is refused by a gate, state is unchanged.
@@ -185,7 +185,7 @@ class Ctx:
         self.world.queue_net(self.me, dst, payload)
 
     def output(self, payload: dict):
-        self.world.queue_io(self.me, self.world.env, payload)
+        self.world.queue_io(self.me, payload)
 
     def note(self, kind: str, **fields):
         self.world.note(kind, party=_SHORT[self.me], **fields)
@@ -218,7 +218,7 @@ class CorruptionSet:
 
 
 class World:
-    def __init__(self, sid: str, timing: dict, *, ledger=None, certs=None):
+    def __init__(self, sid: str, timing: dict, *, ledger=None):
         self.sid = sid
         self.timing = dict(timing)
         self.env = env_entity(sid)
@@ -234,7 +234,9 @@ class World:
         self.round_no = 0
         self.corruption = CorruptionSet()
         self.ledger = ledger
-        self.certs = certs
+        self.certs = ledger.certs if ledger else None
+        if ledger:
+            ledger.worlds.append(self)
         self.trace = Trace()
         self.max_steps = 10000
         self.halted = None
@@ -269,9 +271,6 @@ class World:
     def entity(self, role: str, pid: str) -> EntityId:
         return EntityId(pid, self.sid, role)
 
-    def machines_sorted(self):
-        return list(self.machines.values())
-
     # -- event plumbing ----------------------------------------------------
 
     def _bump(self) -> int:
@@ -291,16 +290,13 @@ class World:
         self.trace.emit({"t": "note", "step": self.step_no,
                          "round": self.round_no, "kind": kind, **fields})
 
-    def queue_io(self, src: EntityId, dst: EntityId, payload: dict):
-        if dst.role != ENV_ROLE:
-            raise RoutingError(f"IO from {src.short()} to {dst.short()}: "
-                               "IO goes only to the environment")
+    def queue_io(self, src: EntityId, payload: dict):
         self.eid_counter += 1
-        self.io_q.append(Envelope(self.eid_counter, src, dst, IO, payload,
+        self.io_q.append(Envelope(self.eid_counter, src, self.env, IO, payload,
                                   self.step_no, self.round_no))
 
     def queue_net(self, src: EntityId, dst: EntityId, payload: dict):
-        if dst not in self.owners and dst.role != ENV_ROLE:
+        if dst not in self.owners:
             raise RoutingError(f"NET send to unregistered {dst.short()}")
         self.eid_counter += 1
         self.net[self.eid_counter] = Envelope(self.eid_counter, src, dst, NET,
@@ -384,11 +380,9 @@ class World:
         if entity.role in self.subroutines:
             raise CorruptionError(f"subroutine role {entity.role} is not corruptible")
         over = self.corruption.add(entity, allow_over_budget=allow_over_budget)
-        machine = self.owners[entity]
-        leak = machine.on_corrupt(entity)
+        leak = self.owners[entity].on_corrupt(entity)
         self._bump()
         self.emit("corrupt", party=entity.short(), over_budget=over, leak=leak)
-        self.drain_io()
         return over
 
     def advance_round(self) -> bool:
@@ -404,13 +398,13 @@ class World:
         self.round_no += 1
         self._bump()
         self.emit("round", now=self.round_no)
-        if self.ledger is not None and self.ledger.world is self:
-            self.ledger.tick(self)
-        elif self.ledger is not None and self in self.ledger.mirrors:
+        if self.ledger:
+            if self.ledger.round < self.round_no:
+                self.ledger.tick()
             for t, fields in self.ledger.block:
                 self.emit(t, **fields)
         members = self.corruption.members
-        for m in self.machines_sorted():
+        for m in self.machines.values():
             if m.me not in members:
                 m.on_round(self.ctxs[m.me])
         if self.io_q:

@@ -1,8 +1,8 @@
 """Trace records and trace files.
 
-A trace is an ordered list of plain-dict events plus a header describing how
-the run was produced (scenario text, scripts, seed).  Everything in a trace is
-JSON-serializable so a run can be written to disk and replayed byte for byte.
+A trace is an ordered list of plain-dict events plus a header dict that the
+digest covers (no run sets one).  Everything in a trace is JSON-serializable,
+so a trace can be written to disk and read back byte for byte.
 Files are line-delimited JSON: one header line, one line per event, and a
 final integrity line carrying the event count and a digest of everything
 above it.

@@ -17,10 +17,7 @@ TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
 def make_world(scn=None, **kw):
     scn = scn or arbitrum.canonical_scenario(**kw)
-    w = World("roll", dict(TIMING))
-    w.certs = CertRegistry()
-    w.ledger = Ledger(TIMING)
-    w.ledger.bind(w)
+    w = World("roll", TIMING, ledger=Ledger(TIMING, CertRegistry()))
     arbitrum.build_real(w, scn)
     return w, scn
 
@@ -473,10 +470,7 @@ def test_bundle_check_open_progression():
     for c in scn["clients"]:
         ist.queue.append({"kind": OPEN, "body": body, "by": c, "rid": len(ist.queue)})
     # registrations are still pending at round 0
-    fresh = World("roll2", dict(TIMING))
-    fresh.certs = CertRegistry()
-    fresh.ledger = Ledger(TIMING)
-    fresh.ledger.bind(fresh)
+    fresh = World("roll2", TIMING, ledger=Ledger(TIMING, CertRegistry()))
     arbitrum.build_real(fresh, scn)
     ok, why, _ = bundle.open(ist, body, None,
                              Ctx(fresh, fresh.entity(INTERFACE_ROLE, "F")))

@@ -11,10 +11,7 @@ TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
 
 def ledger_world():
-    w = World("s", TIMING)
-    w.certs = CertRegistry()
-    w.ledger = Ledger(TIMING)
-    w.ledger.bind(w)
+    w = World("s", TIMING, ledger=Ledger(TIMING, CertRegistry()))
     return w
 
 

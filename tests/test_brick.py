@@ -16,10 +16,7 @@ TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
 def make_world(scn=None):
     scn = scn or brick.canonical_scenario()
-    w = World("chan", dict(TIMING))
-    w.certs = CertRegistry()
-    w.ledger = Ledger(TIMING)
-    w.ledger.bind(w)
+    w = World("chan", TIMING, ledger=Ledger(TIMING, CertRegistry()))
     brick.build_real(w, scn)
     return w, scn
 
@@ -262,7 +259,7 @@ def test_read_includes_settlement_record():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 6: no brick settlement kind matches "
+                   reason="ROADMAP item 7: no brick settlement kind matches "
                    "a request of class settlement")
 def test_settlement_liveness_judges_the_collab_settle():
     """The collab settle of settle-after-traffic has class ``settlement``

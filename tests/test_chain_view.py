@@ -325,10 +325,7 @@ INITIAL = {"c1": 10, "c2": 10}
 
 
 def _bare_rollup():
-    w = World("roll", dict(RIPEN_TIMING))
-    w.certs = CertRegistry()
-    w.ledger = Ledger(w.timing)
-    w.ledger.bind(w)
+    w = World("roll", RIPEN_TIMING, ledger=Ledger(RIPEN_TIMING, CertRegistry()))
     arbitrum.install_ledger_checks(w, INITIAL, {"operator:p1"})
     w.advance_round()
     return w

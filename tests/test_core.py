@@ -14,7 +14,7 @@ from l2sim.core import (
     InterfaceMachine, SubroutineBundle, attach_round_gate, open_record,
     settled_entry, OPEN, UPDATE, SETTLEMENT, INTERFACE_ROLE, CLIENT,
 )
-from l2sim.base import Ledger
+from l2sim.base import CertRegistry, Ledger
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
@@ -71,7 +71,7 @@ class CounterBundle(SubroutineBundle):
 
 
 def build():
-    world = World("sess", dict(TIMING), ledger=Ledger(TIMING))
+    world = World("sess", TIMING, ledger=Ledger(TIMING, CertRegistry()))
     world.declare_role(INTERFACE_ROLE, subroutine=True)
     world.declare_role(CLIENT, budget=1)
     funct = world.entity(INTERFACE_ROLE, "F")

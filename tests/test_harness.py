@@ -182,23 +182,34 @@ def test_worlds_stay_in_lockstep(name):
 
 @pytest.mark.parametrize("name", PROTOCOLS)
 def test_only_the_ledgers_own_world_ticks_it(name, monkeypatch):
-    ticked = []
-    tick = Ledger.tick
+    """The world a ledger is built with, the first on it, reaches every
+    round first: it ticks the ledger once per round, inside its advance,
+    and the ideal run's inner world only polls the blocks."""
+    advancing, ticked = [], []
+    tick, advance = Ledger.tick, World.advance_round
 
-    def recorded(ledger, world):
-        ticked.append(world)
-        tick(ledger, world)
+    def tracked(world):
+        advancing.append(world)
+        try:
+            return advance(world)
+        finally:
+            advancing.pop()
 
+    def recorded(ledger):
+        ticked.append(advancing[-1])
+        tick(ledger)
+
+    monkeypatch.setattr(World, "advance_round", tracked)
     monkeypatch.setattr(Ledger, "tick", recorded)
     scn = protocol(name).canonical_scenario()
     sched = scripted_schedules(name, scn)["single-pay"]
     real = apply_schedule(RealRun(name, scn), sched)
     ideal = apply_schedule(IdealRun(name, scn), sched)
-    # the inner world shares the outer ledger: it polls it, never ticks it
     assert ticked == [real.world] * real.world.round_no \
         + [ideal.outer] * ideal.outer.round_no
     for world in (real.world, ideal.outer, ideal.sim.inner):
-        assert world.ledger.height == world.round_no > 0
+        ledger = world.ledger
+        assert ledger.round == ledger.height == world.round_no > 0
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)
@@ -232,7 +243,7 @@ def test_each_client_polls_once_per_advance(name, monkeypatch):
     def checked(world):
         calls.clear()
         ok = advance(world)
-        want = [m.me for m in world.machines_sorted()
+        want = [m.me for m in world.machines.values()
                 if ok and isinstance(m, cls) and m.me not in world.corruption]
         assert calls == want
         polled.extend(want)
@@ -360,7 +371,7 @@ def test_bare_advances_agree_with_pumped_delivery():
     assert [e["seq"] for e in views[-1].executed] == [0, 1]
 
 
-# ROADMAP item 2 (fuzz the environment): its schedules always open both
+# ROADMAP item 4 (fuzz the environment): its schedules always open both
 # clients, so they never reach a lone open, which only the real account
 # runs confirm; which run is right is that item's triage
 LONE_OPEN_SPLITS = {"liquid", "arbitrum"}
@@ -369,7 +380,7 @@ LONE_OPEN_SPLITS = {"liquid", "arbitrum"}
 @pytest.mark.parametrize("name", [
     pytest.param(name, marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="ROADMAP item 2: a lone open is confirmed by the real run "
+        reason="ROADMAP item 4: a lone open is confirmed by the real run "
         "only")) if name in LONE_OPEN_SPLITS else name
     for name in PROTOCOLS])
 def test_a_lone_open_gets_the_same_outputs_in_both_runs(name):

@@ -40,8 +40,8 @@ class IndexAudit:
         self.kinds_seen = set()
         tick = Ledger.tick
 
-        def checked(ledger, world=None):
-            tick(ledger, world)
+        def checked(ledger):
+            tick(ledger)
             for kind in TX_KINDS:
                 assert exact(ledger, kind)
                 if ledger.records(kind):

@@ -17,10 +17,7 @@ TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
 def make_world(scn=None, **kw):
     scn = scn or liquid.canonical_scenario(**kw)
-    w = World("side", dict(TIMING))
-    w.certs = CertRegistry()
-    w.ledger = Ledger(TIMING)
-    w.ledger.bind(w)
+    w = World("side", TIMING, ledger=Ledger(TIMING, CertRegistry()))
     liquid.build_real(w, scn)
     return w, scn
 

@@ -15,6 +15,10 @@ notes, emits, submits, signs, holds, ticks or corrupts through the
 over ``ist.executed`` or ``ist.states``: the interface keeps them in step,
 so a read answers from that invariant instead of walking them.
 
+One owner mints blocks: under ``src/l2sim`` only ``World.advance_round``
+calls ``Ledger.tick``, so every world on a ledger sees its blocks by the
+one rule that method keeps.
+
 The protocol modules digest signed and identifying values only through
 the run's ``CertRegistry``, so each is digested once per run: a direct
 ``trace.digest`` call there must be on ``DIRECT_DIGESTS``, with its reason.
@@ -239,11 +243,32 @@ DIGEST_MODULES = ("accounts.py", "arbitrum.py", "brick.py", "liquid.py")
 DIRECT_DIGESTS: dict[tuple[str, str], str] = {}
 
 
+def scopes_where(tree, found) -> set:
+    """``name`` or ``Class.name`` of each top-level function or method of
+    ``tree`` holding a node for which ``found`` is true; a node outside
+    any function counts as ``<module>``."""
+    out = set()
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            scopes = [(f"{top.name}.{fn.name}", fn) for fn in top.body
+                      if isinstance(fn, ast.FunctionDef)]
+        elif isinstance(top, ast.FunctionDef):
+            scopes = [(top.name, top)]
+        else:
+            scopes = [("<module>", top)]
+        out |= {name for name, scope in scopes
+                if any(found(node) for node in ast.walk(scope))}
+    return out
+
+
+def calls_tick(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "tick")
+
+
 def direct_digests(source) -> set:
-    """``name`` or ``Class.name`` of each top-level function or method
-    that calls ``trace.digest`` (imported by any name, or as
-    ``trace.digest``); a call outside any function counts as
-    ``<module>``."""
+    """The scopes (see ``scopes_where``) that call ``trace.digest``,
+    imported by any name, or as ``trace.digest``."""
     tree = ast.parse(source)
     names = {alias.asname or alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "trace"
@@ -257,18 +282,7 @@ def direct_digests(source) -> set:
             or isinstance(func, ast.Attribute) and func.attr == "digest" \
             and isinstance(func.value, ast.Name) and func.value.id == "trace"
 
-    out = set()
-    for top in tree.body:
-        if isinstance(top, ast.ClassDef):
-            scopes = [(f"{top.name}.{fn.name}", fn) for fn in top.body
-                      if isinstance(fn, ast.FunctionDef)]
-        elif isinstance(top, ast.FunctionDef):
-            scopes = [(top.name, top)]
-        else:
-            scopes = [("<module>", top)]
-        out |= {name for name, scope in scopes
-                if any(calls(node) for node in ast.walk(scope))}
-    return out
+    return scopes_where(tree, calls)
 
 
 def test_the_guards_see_what_they_look_for():
@@ -363,6 +377,13 @@ def test_the_guards_see_what_they_look_for():
                "    def m(self, x):\n        return [d(y) for y in x]\n"
                "    def n(self, ctx, x):\n        return ctx.certs.digest(x)\n")
     assert direct_digests(digests) == {"<module>", "f", "g", "C.m"}
+    ticks = ("class W:\n"
+             "    def advance_round(self):\n        self.ledger.tick()\n"
+             "    def corrupt(self, e):\n        return self.tick\n"
+             "def mint(world):\n    world.ledger.tick()\n"
+             "LEDGER.tick()\n")
+    assert scopes_where(ast.parse(ticks), calls_tick) == \
+        {"W.advance_round", "mint", "<module>"}
 
 
 def test_only_the_summary_builders_read_events():
@@ -442,6 +463,13 @@ def test_every_written_attribute_is_read():
               for found in self_writes(path.read_text(), machine_classes(path))
               if found[1] not in read}
     assert unread == set()
+
+
+def test_only_a_round_advance_mints():
+    minters = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+               for name in scopes_where(ast.parse(path.read_text()),
+                                        calls_tick)}
+    assert minters == {("runtime.py", "World.advance_round")}
 
 
 def test_protocol_digests_go_through_the_registry():

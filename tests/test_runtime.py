@@ -5,7 +5,7 @@ import random
 import pytest
 
 from l2sim import harness
-from l2sim.base import Ledger, make_tx
+from l2sim.base import CertRegistry, Ledger, signed_tx
 from l2sim.runtime import (
     World, Machine, EntityId, env_entity, plain,
     RegistrationError, RoutingError, ScheduleError, CorruptionError,
@@ -53,14 +53,9 @@ def test_register_rejects_duplicates_and_unknown_roles():
 
 
 def test_io_goes_only_to_the_environment():
-    """A machine's IO reaches the environment as an output; an IO send to
-    any other machine is a routing error and queues nothing."""
+    """A machine's IO send is one ``output`` event for the environment."""
     w, a, b = small_world()
-    for dst in (b, a, EntityId("ghost", "s1", "warden")):
-        with pytest.raises(RoutingError):
-            w.queue_io(a, dst, {"kind": "x"})
-    assert not w.io_q
-    w.queue_io(a, w.env, {"kind": "x"})
+    w.queue_io(a, {"kind": "x"})
     w.drain_io()
     assert w.machines[b].seen == []
     assert [(e["t"], e["party"], e["payload"]) for e in w.trace.events] == [
@@ -71,6 +66,15 @@ def test_net_send_requires_registered_destination():
     w, a, b = small_world()
     with pytest.raises(RoutingError):
         w.queue_net(a, EntityId("ghost", "s1", "warden"), {})
+
+
+def test_the_environment_is_no_net_destination():
+    """A NET send to the environment would be an output in the sender's
+    name outside ``queue_io``; it is refused and queues nothing."""
+    w, a, b = small_world()
+    with pytest.raises(RoutingError):
+        w.ctxs[a].send_net(w.env, {"kind": "pong", "n": 1})
+    assert not w.net and w.eid_counter == 0 and w.trace.events == []
 
 
 def test_env_input_and_output_events():
@@ -218,11 +222,10 @@ class Poller(Machine):
 @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
 def test_on_round_runs_once_per_advance_after_the_block(shared):
     """Each uncorrupted machine polls once per advance, in entity order,
-    and sees that round's block; a world that only shares the ledger (its
-    owner mints first) polls the same way."""
-    ledger = Ledger(TIMING)
+    and sees that round's block; a second world on the ledger (the first
+    mints each block) polls the same way."""
+    ledger = Ledger(TIMING, CertRegistry())
     owner = World("s1", TIMING, ledger=ledger)
-    ledger.bind(owner)
     w = World("s1", TIMING, ledger=ledger) if shared else owner
     w.declare_role("client", budget=1)
     log = []
@@ -241,58 +244,70 @@ def test_on_round_runs_once_per_advance_after_the_block(shared):
 
 
 class Submitter(Machine):
-    """Submits a deposit holding the input's ``n`` and ``conflict``."""
+    """Submits a signed deposit holding the input's ``n`` and ``conflict``."""
 
     def on_message(self, ctx, env):
-        ctx.ledger.submit(make_tx("deposit", dict(env.payload), "a"))
+        ctx.ledger.submit(signed_tx(ctx.certs, "deposit", dict(env.payload),
+                                    "a"))
 
 
-def test_a_mirror_gets_the_ledger_events_a_bound_world_would():
-    """A mirror gets each ``ledger-submit`` as it is made, whoever made it,
-    and the block's events right after its own ``round`` event, with its
-    own step and round; a world that only shares the ledger gets none,
-    and the bound world's trace is the one it has without the mirror."""
-    def run(mirrored):
-        ledger = Ledger(TIMING)
-        owner = World("s1", TIMING, ledger=ledger)
-        ledger.bind(owner)
-        mirror = World("s1", TIMING, ledger=ledger)
-        sharer = World("s1", TIMING, ledger=ledger)
-        if mirrored:
-            ledger.mirrors.append(mirror)
-        for w in (mirror, sharer):
-            w.declare_role("client")
-            w.register(Submitter(w.entity("client", "a")))
-        # the first two conflict, so the block rejects the second
-        for w, n, conflict in ((mirror, 1, "k"), (mirror, 2, "k"),
-                               (sharer, 3, None)):
-            w.inject_input(w.entity("client", "a"),
+def ledger_worlds(*inputs, worlds=3):
+    """``worlds`` worlds on one ledger, each with a ``Submitter``; each
+    input ``(i, n, conflict)`` goes to world ``i``, then every world
+    advances once, in order."""
+    ledger = Ledger(TIMING, CertRegistry())
+    ws = [World("s1", TIMING, ledger=ledger) for _ in range(worlds)]
+    for w in ws:
+        w.declare_role("client")
+        w.register(Submitter(w.entity("client", "a")))
+    for i, n, conflict in inputs:
+        ws[i].inject_input(ws[i].entity("client", "a"),
                            {"n": n, "conflict": conflict})
-        for w in (owner, mirror, sharer):
-            assert w.advance_round()
-        return owner, mirror, sharer
+    for w in ws:
+        assert w.advance_round()
+    return ws
 
-    owner, mirror, sharer = run(True)
-    assert owner.trace.events == run(False)[0].trace.events
-    assert [(ev["t"], ev["step"], ev["round"])
-            for ev in sharer.trace.events] == [("input", 1, 0), ("round", 2, 1)]
-    got = [(ev["t"], ev["step"], ev["round"], ev.get("accepted"),
-            ev.get("reason"), ev.get("payload", ev.get("body", {})).get("n"))
-           for ev in mirror.trace.events]
-    assert got == [
+
+def test_every_world_on_a_ledger_gets_its_events():
+    """Every world on a ledger gets each ``ledger-submit`` as it is made,
+    whoever made it, and the block's events right after its own ``round``
+    event, with its own step and round; the first world's trace is the
+    one it has alone."""
+    # the first two conflict, so the block rejects the second
+    first, second, third = ledger_worlds((1, 1, "k"), (1, 2, "k"),
+                                         (2, 3, None))
+
+    def got(w):
+        return [(ev["t"], ev["step"], ev["round"], ev.get("accepted"),
+                 ev.get("reason"), ev.get("payload", ev.get("body", {})).get("n"))
+                for ev in w.trace.events]
+
+    assert got(second) == [
         ("input", 1, 0, None, None, 1), ("ledger-submit", 1, 0, True, None, 1),
         ("input", 2, 0, None, None, 2), ("ledger-submit", 2, 0, True, None, 2),
         ("ledger-submit", 2, 0, True, None, 3),
         ("round", 3, 1, None, None, None),
         ("ledger-reject", 3, 1, None, "conflict", None),
         ("ledger-commit", 3, 1, None, None, None)]
-    submits = [ev["txid"] for ev in mirror.trace.events
+    assert got(third)[:4] == [
+        ("ledger-submit", 0, 0, True, None, 1),
+        ("ledger-submit", 0, 0, True, None, 2),
+        ("input", 1, 0, None, None, 3), ("ledger-submit", 1, 0, True, None, 3)]
+    submits = [ev["txid"] for ev in second.trace.events
                if ev["t"] == "ledger-submit"]
-    assert mirror.trace.events[-2]["txid"] == submits[1]
-    assert mirror.trace.events[-1]["txids"] == [submits[0], submits[2]]
-    assert [ev for ev in owner.trace.events if ev["t"] != "round"] == [
-        dict(ev, step=0 if ev["round"] == 0 else 1)
-        for ev in mirror.trace.events if ev["t"].startswith("ledger-")]
+    assert second.trace.events[-2]["txid"] == submits[1]
+    assert second.trace.events[-1]["txids"] == [submits[0], submits[2]]
+    for w in (first, second, third):
+        assert w.ledger.round == w.ledger.height == w.round_no == 1
+        assert [ev["t"] for ev in w.trace.events][-3:] == [
+            "round", "ledger-reject", "ledger-commit"]
+        assert [dict(ev, step=0) for ev in w.trace.events
+                if ev["t"].startswith("ledger-")] == [
+            dict(ev, step=0) for ev in second.trace.events
+            if ev["t"].startswith("ledger-")]
+    alone = ledger_worlds((0, 1, "k"), (0, 2, "k"), worlds=1)[0]
+    joined = ledger_worlds((0, 1, "k"), (0, 2, "k"))[0]
+    assert joined.trace.events == alone.trace.events
 
 
 def test_max_steps_truncates_and_flags():
