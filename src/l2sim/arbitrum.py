@@ -89,21 +89,31 @@ def chain_view(ledger, sid, initial, confirm_depth, round_no, t_period):
     ``ChainFold._read``).  Entries follow ledger commit order, so their
     "commit_round" never decreases and the final prefix, the entries whose
     window has closed (round_no > commit_round + t_period), is found by
-    bisection.
+    bisection, once per round (``ChainFold.view``).  On a ledger that has
+    not changed, in the same round, a call does O(1) work.
     """
-    entries = list(chain_fold(ledger, sid, initial, confirm_depth).entries)
-    final = bisect_left(entries, round_no - t_period,
-                        key=lambda e: e["commit_round"])
-    return {"entries": entries, "final": final}
+    return chain_fold(ledger, sid, initial, confirm_depth).view(round_no,
+                                                                t_period)
 
 
 def chain_fold(ledger, sid, initial, confirm_depth):
-    """The ledger's ``ChainFold`` for this chain, caught up with it."""
-    key = (sid, confirm_depth, tuple(sorted(initial.items())))
-    fold = ledger.views.get(key)
-    if fold is None:
-        fold = ledger.views[key] = ChainFold(sid, genesis_state(initial),
-                                             confirm_depth)
+    """The ledger's ``ChainFold`` for this chain, caught up with it.
+
+    Folds are kept by the content of ``initial``, and looked up first by
+    its identity, which the entry keeps alive (so no id is reused while it
+    lasts); as with the registry's memo, that is exact only while the
+    ``initial`` dict is never changed in place, which its holders keep to.
+    """
+    hit = ledger.views.get((sid, confirm_depth, id(initial)))
+    if hit is not None and hit[0] is initial:
+        fold = hit[1]
+    else:
+        key = (sid, confirm_depth, tuple(sorted(initial.items())))
+        fold = ledger.views.get(key)
+        if fold is None:
+            fold = ledger.views[key] = ChainFold(sid, genesis_state(initial),
+                                                 confirm_depth)
+        ledger.views[(sid, confirm_depth, id(initial))] = (initial, fold)
     fold.catch_up(ledger)
     return fold
 
@@ -113,9 +123,10 @@ class ChainFold:
 
     Reads ``ledger.committed`` (append-only) from where the last call left
     off; a call on an unchanged ledger (same commit count and height) does
-    no work.  ``chain_view`` hands out copies of ``entries``, and an entry
-    whose post ripens is replaced rather than changed, so views handed out
-    earlier stay as they were.
+    no work.  ``view`` hands out one snapshot of ``entries``, a list that
+    is never changed: a change to the entries drops it, and the next view
+    takes a new one.  An entry whose post ripens is replaced rather than
+    changed.  So views handed out earlier stay as they were.
 
     Batch digests and l2 txids come from the ledger's registry, the run's
     one registry.
@@ -138,6 +149,9 @@ class ChainFold:
         self.entries = []
         self.sources = []          # index in published of each entry
         self.positions = {}        # l2 txid -> index of first entry with it
+        self.unripe = []           # indexes of the entries whose post is None
+        self.snapshot = None       # the entries views hand out, or None
+        self.final_at = None       # ((round_no, t_period), final) of snapshot
 
     def catch_up(self, ledger):
         mark = (len(ledger.committed), ledger.height)
@@ -145,6 +159,16 @@ class ChainFold:
             new = ledger.committed[self.mark[0]:]
             self.mark = mark
             self._read(new, ledger)
+
+    def view(self, round_no, t_period):
+        """The chain view at ``round_no``; see ``chain_view``."""
+        if self.snapshot is None:
+            self.snapshot, self.final_at = list(self.entries), None
+        at = (round_no, t_period)
+        if self.final_at is None or self.final_at[0] != at:
+            self.final_at = (at, bisect_left(self.snapshot, round_no - t_period,
+                                             key=lambda e: e["commit_round"]))
+        return {"entries": self.snapshot, "final": self.final_at[1]}
 
     def _read(self, new, ledger):
         """Fold in newly committed transactions.
@@ -154,7 +178,9 @@ class ChainFold:
         walk from genesis under the grown struck set: up to that
         publication the walk makes the same decisions, since none of
         ``entries[:k]`` is struck and a publication it refused there meets
-        the same predecessor and a struck set that only grew.
+        the same predecessor and a struck set that only grew.  Struck
+        entries are looked for only when a proof has landed, and only the
+        entries whose post is still None are run again.
         """
         start, strikes = len(self.published), set()
         for tx in new:
@@ -164,18 +190,28 @@ class ChainFold:
                 self.published.append(tx)
             elif tx["kind"] == "fraud-proof":
                 strikes.add(tx["body"].get("target"))
-        self.struck |= strikes
-        k = next((i for i, e in enumerate(self.entries)
-                  if e["txid"] in strikes), None)
-        if k is not None:
-            start = self.sources[k - 1] + 1 if k else 0
-            del self.entries[k:], self.sources[k:]
-            self.positions = {t: i for t, i in self.positions.items() if i < k}
+        if strikes:
+            self.struck |= strikes
+            k = next((i for i, e in enumerate(self.entries)
+                      if e["txid"] in strikes), None)
+            if k is not None:
+                start = self.sources[k - 1] + 1 if k else 0
+                del self.entries[k:], self.sources[k:]
+                self.positions = {t: i for t, i in self.positions.items()
+                                  if i < k}
+                self.unripe = [i for i in self.unripe if i < k]
+                self.snapshot = None
         # deposits may have been buried since: run unripe posts again
-        for i, e in enumerate(self.entries):
-            if e["post"] is None:
-                self.entries[i] = dict(e, post=self._execute(i, e["batch"],
-                                                             ledger))
+        if self.unripe:
+            still = []
+            for i in self.unripe:
+                post = self._execute(i, self.entries[i]["batch"], ledger)
+                if post is None:
+                    still.append(i)
+                else:
+                    self.entries[i] = dict(self.entries[i], post=post)
+                    self.snapshot = None
+            self.unripe = still
         for p in range(start, len(self.published)):
             self._extend(p, ledger)
 
@@ -198,12 +234,16 @@ class ChainFold:
         ids = [l2_txid(certs, t) for t in batch.get("txs", [])]
         for i in ids:
             self.positions.setdefault(i, n)
+        post = self._execute(n, batch, ledger)
+        if post is None:
+            self.unripe.append(n)
         self.sources.append(p)
         self.entries.append({
             "batch": batch, "txid": tx["txid"],
             "commit_round": tx.get("commit_round", 0),
-            "post": self._execute(n, batch, ledger), "claimed": batch["post"],
+            "post": post, "claimed": batch["post"],
             "digest": batch_digest(certs, batch), "ids": ids})
+        self.snapshot = None
 
 
 def world_view(world, initial):
@@ -357,6 +397,7 @@ class ArbitrumValidator(RollupParty):
     def __init__(self, me, initial):
         super().__init__(me, initial)
         self.checked = set()
+        self._audited = []         # txids of the entries audited, in order
 
     def on_message(self, ctx, env):
         pass    # a validator reads only the chain
@@ -365,9 +406,23 @@ class ArbitrumValidator(RollupParty):
         self._audit(ctx)
 
     def _audit(self, ctx):
+        """Audit the entries added since the last audit.  Entry i's batch
+        names entry i - 1's digest, and a txid commits once, so an entry
+        still at its audited position means the prefix up to it stands;
+        otherwise a strike cut the chain back, and the audit starts again
+        from the cut."""
+        entries, done = self.view(ctx)["entries"], self._audited
+        n = len(done)
+        if n and (len(entries) < n or entries[n - 1]["txid"] != done[-1]):
+            n = 0
+            while n < len(entries) and n < len(done) \
+                    and entries[n]["txid"] == done[n]:
+                n += 1
+            del done[n:]
         # orphaned and struck batches are not entries, so never audited
-        for entry in self.view(ctx)["entries"]:
+        for entry in entries[n:]:
             txid = entry["txid"]
+            done.append(txid)
             if txid in self.checked:
                 continue
             self.checked.add(txid)
@@ -450,7 +505,8 @@ class ArbitrumClient(AccountClient, RollupParty):
 
     def read_view(self, ctx, start):
         view = self.view(ctx)
-        executed = [{"kind": OPEN, "seq": 0, "state": self.genesis()}][start:]
+        executed = ([{"kind": OPEN, "seq": 0, "state": self.genesis()}]
+                    if start == 0 else [])
         # executed entry i > 0 is final batch i - 1
         for e in view["entries"][max(start, 1) - 1:view["final"]]:
             executed.append({"kind": UPDATE, "seq": e["batch"]["seq"],

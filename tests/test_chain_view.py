@@ -453,6 +453,32 @@ def test_a_strike_keeps_the_entries_before_it(monkeypatch):
     assert audit.calls >= 8
 
 
+def test_a_handed_out_view_does_not_change():
+    # views share one snapshot of the entries until the fold changes; a
+    # view taken before a post ripens, before a strike or in an earlier
+    # round keeps its entries and its final count
+    w = _bare_rollup()
+    pub, claimed = _mint_batch(w)
+    unripe = _view(w)
+    assert _view(w)["entries"] is unripe["entries"]      # one snapshot
+    w.advance_round()
+    w.advance_round()                        # round 4: the mint ripens
+    ripe = _view(w)
+    assert ripe["entries"][0]["post"] == claimed
+    wrong = _publish(w, 2, [_pay("c1", "c2", 1)],
+                     dict(genesis_state(INITIAL), height=2))
+    before = _view(w)
+    held = [copy.deepcopy(v) for v in (unripe, ripe, before)]
+    assert w.ledger.submit(_proof(w, wrong["txid"], "fraud/wrong"))["accepted"]
+    for _ in range(RIPEN_TIMING["t_period"] + 2):
+        w.advance_round()
+    after = _view(w)
+    assert [e["txid"] for e in after["entries"]] == [pub["txid"]]
+    assert after["final"] == 1 and before["final"] == 0
+    assert [unripe, ripe, before] == held
+    assert unripe["entries"][0]["post"] is None
+
+
 # -- clones carry their own fold ----------------------------------------------
 
 
