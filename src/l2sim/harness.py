@@ -164,15 +164,15 @@ class Simulator:
         self.sync()
 
     def sync(self):
-        """Flush new inner progress into interface triggers."""
-        evs = self.inner.trace.events
-        while self.cursor < len(evs):
-            ev = evs[self.cursor]
+        """Flush new inner progress into interface triggers: the inner
+        world's notes (``World.notes``) from the last one synced on."""
+        notes = self.inner.notes
+        while self.cursor < len(notes):
+            ev = notes[self.cursor]
             self.cursor += 1
-            if ev["t"] == "note":
-                for trig in self.hooks.triggers_for(self.inner, ev):
-                    self.outer.queue_net(self.adv, self.funct, trig)
-                    self.outer.deliver_net(self.outer.eid_counter)
+            for trig in self.hooks.triggers_for(self.inner, ev):
+                self.outer.queue_net(self.adv, self.funct, trig)
+                self.outer.deliver_net(self.outer.eid_counter)
 
 
 def _deliverable(world):

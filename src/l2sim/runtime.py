@@ -238,6 +238,7 @@ class World:
         if ledger:
             ledger.worlds.append(self)
         self.trace = Trace()
+        self.notes: list[dict] = []   # this world's ``note`` events, in order
         self.max_steps = 10000
         self.halted = None
         self.round_gates = []    # callables() -> (ok, reason)
@@ -287,8 +288,10 @@ class World:
 
     def note(self, kind: str, **fields):
         self._bump()
-        self.trace.emit({"t": "note", "step": self.step_no,
-                         "round": self.round_no, "kind": kind, **fields})
+        ev = {"t": "note", "step": self.step_no, "round": self.round_no,
+              "kind": kind, **fields}
+        self.notes.append(ev)
+        self.trace.emit(ev)
 
     def queue_io(self, src: EntityId, payload: dict):
         self.eid_counter += 1
@@ -443,15 +446,16 @@ class World:
         return hash(tuple(parts))
 
     def clone(self) -> "World":
-        """Copy for search: trace is replaced by a fresh, unobserved one."""
+        """Copy for search: trace is replaced by a fresh, unobserved one,
+        and ``notes`` by an empty list, as the notes are the trace's."""
         trace, observers = self.trace, self.trace.observers
-        read_delay = self.read_delay
-        self.trace = Trace()
+        read_delay, notes = self.read_delay, self.notes
+        self.trace, self.notes = Trace(), []
         self.read_delay = None
         try:
             twin = copy.deepcopy(self)
         finally:
-            self.trace = trace
+            self.trace, self.notes = trace, notes
             self.trace.observers = observers
             self.read_delay = read_delay
         return twin

@@ -333,6 +333,22 @@ def test_an_observer_sees_exactly_the_trace(name, monkeypatch):
     assert {"deliver", "absorb", "output", "note", "input"} <= kinds
 
 
+@pytest.mark.parametrize("name,label", corpus())
+def test_a_world_keeps_its_notes(name, label):
+    """``Simulator.sync`` reads only ``World.notes``: in every world of
+    both runs of each scripted schedule, they are the very ``note``
+    events of the world's trace, in order."""
+    scn = protocol(name).canonical_scenario()
+    schedule = scripted_schedules(name, scn)[label]
+    real = apply_schedule(RealRun(name, scn), schedule)
+    ideal = apply_schedule(IdealRun(name, scn), schedule)
+    for world in (real.world, ideal.outer, ideal.sim.inner):
+        notes = [ev for ev in world.trace.events if ev["t"] == "note"]
+        assert len(world.notes) == len(notes)
+        assert all(a is b for a, b in zip(world.notes, notes))
+    assert ideal.sim.cursor == len(ideal.sim.inner.notes)
+
+
 @pytest.mark.parametrize("name", PROTOCOLS)
 def test_short_names_are_role_and_pid(name):
     ideal = IdealRun(name)
