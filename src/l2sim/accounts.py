@@ -1,9 +1,17 @@
 """Account model shared by the committee sidechain and the optimistic rollup.
 
-States map party ids to balances and per-sender nonces, plus the set of L1
-deposit txids already minted and the current chain height.  Transactions are
-plain dicts; application is pure except for the deposit-depth lookup, which
-consults the ledger so mints can only reference sufficiently buried deposits.
+A state holds balances and per-sender nonces, the chain height, and which
+L1 deposits of its chain it has minted, as a watermark: ``minted_upto``
+counts the chain's deposits, in ledger commit order, that are all minted,
+and ``minted_above`` is the sorted list of the positions minted past that
+point (``Ledger.deposit_position``).  Honest operators mint in burial
+order, so ``minted_above`` is empty after every honest block and a state
+stays the same size however many deposits it has minted.  The watermark
+counts positions among the chain's own deposits, so it is a pure function
+of the minted set.  Transactions are plain dicts; application is pure
+except for the deposit lookups, which consult the ledger so mints can only
+reference sufficiently buried deposits.  A new state shares every field a
+transaction leaves alone, so no state is ever changed in place.
 
 Both protocols also share everything around that arithmetic that does not
 depend on how an update is certified: block packing, the client plumbing
@@ -30,7 +38,7 @@ SPENDS = ((UPDATE, "pay"), (SETTLEMENT, "peg-out"))
 def genesis_state(initial: dict) -> dict:
     return {"bal": dict(sorted(initial.items())),
             "nonce": {p: 0 for p in sorted(initial)},
-            "minted": [], "height": 0}
+            "minted_upto": 0, "minted_above": [], "height": 0}
 
 
 def l2_txid(certs, tx) -> str:
@@ -39,40 +47,57 @@ def l2_txid(certs, tx) -> str:
 
 
 def apply_tx(state, tx, ledger, confirm_depth):
-    bal = dict(state["bal"])
-    nonce = dict(state["nonce"])
-    minted = list(state["minted"])
     op = tx.get("op")
     if op == "mint":
-        ref = tx.get("ref")
-        if ref in minted:
-            return None
-        dep = ledger.get(ref)
-        if dep is None or dep["kind"] != "deposit" \
-                or ledger.depth(dep) < confirm_depth:
-            return None
-        body = dep["body"]
-        if body.get("to") != tx.get("to") or body.get("amt") != tx.get("amt"):
-            return None
-        bal[tx["to"]] = bal.get(tx["to"], 0) + tx["amt"]
-        minted.append(ref)
-    elif op in ("pay", "peg-out"):
-        frm, amt = tx.get("from"), tx.get("amt", 0)
-        if frm not in bal or amt <= 0 or bal[frm] < amt:
-            return None
-        if tx.get("nonce") != nonce.get(frm, 0) + 1:
-            return None
-        bal[frm] -= amt
-        nonce[frm] = tx["nonce"]
-        if op == "pay":
-            to = tx.get("to")
-            if to not in bal:
-                return None
-            bal[to] += amt
-    else:
+        return _mint(state, tx, ledger, confirm_depth)
+    if op not in ("pay", "peg-out"):
         return None
-    return {"bal": bal, "nonce": nonce, "minted": sorted(minted),
-            "height": state["height"]}
+    bal, nonce = state["bal"], state["nonce"]
+    frm, amt = tx.get("from"), tx.get("amt", 0)
+    if frm not in bal or amt <= 0 or bal[frm] < amt:
+        return None
+    if tx.get("nonce") != nonce.get(frm, 0) + 1:
+        return None
+    to = tx.get("to")
+    if op == "pay" and to not in bal:
+        return None
+    bal = dict(bal)
+    bal[frm] -= amt
+    if op == "pay":
+        bal[to] += amt
+    return {"bal": bal, "nonce": {**nonce, frm: tx["nonce"]},
+            "minted_upto": state["minted_upto"],
+            "minted_above": state["minted_above"], "height": state["height"]}
+
+
+def _mint(state, tx, ledger, confirm_depth):
+    """Credit a buried deposit of the chain that this state has not
+    minted, and move the watermark past it."""
+    ref = tx.get("ref")
+    dep = ledger.get(ref)
+    if dep is None or dep["kind"] != "deposit" \
+            or ledger.depth(dep) < confirm_depth:
+        return None
+    pos = ledger.deposit_position(ref)
+    upto, above = state["minted_upto"], state["minted_above"]
+    if pos is None or pos < upto or pos in above:
+        return None
+    body = dep["body"]
+    if body.get("to") != tx.get("to") or body.get("amt") != tx.get("amt"):
+        return None
+    bal = dict(state["bal"])
+    bal[tx["to"]] = bal.get(tx["to"], 0) + tx["amt"]
+    if pos == upto:
+        upto += 1
+        skip = 0
+        while skip < len(above) and above[skip] == upto:
+            upto += 1
+            skip += 1
+        above = above[skip:] if skip else above
+    else:
+        above = sorted(above + [pos])
+    return {"bal": bal, "nonce": state["nonce"], "minted_upto": upto,
+            "minted_above": above, "height": state["height"]}
 
 
 def apply_txs(state, txs, ledger, confirm_depth, height):
@@ -86,15 +111,21 @@ def apply_txs(state, txs, ledger, confirm_depth, height):
 
 
 def ripe_deposits(ledger, sid, state, confirm_depth):
-    """Mint transactions for every buried, not-yet-minted bridge deposit."""
-    minted = set(state["minted"])
+    """Mint transactions for every buried bridge deposit of chain ``sid``
+    that ``state`` has not minted.  The walk starts at the watermark and
+    skips the positions minted above it; it stops at the first deposit
+    that is not yet buried, since depth never increases along commit
+    order."""
+    deps, above = ledger.deposits(sid), state["minted_above"]
     out = []
-    for d in ledger.records("deposit"):
-        if d["body"].get("chain") != sid or d["txid"] in minted:
+    for pos in range(state["minted_upto"], len(deps)):
+        if pos in above:
             continue
-        if ledger.depth(d) >= confirm_depth:
-            out.append({"op": "mint", "to": d["body"]["to"],
-                        "amt": d["body"]["amt"], "ref": d["txid"]})
+        d = deps[pos]
+        if ledger.depth(d) < confirm_depth:
+            break
+        out.append({"op": "mint", "to": d["body"]["to"],
+                    "amt": d["body"]["amt"], "ref": d["txid"]})
     return sorted(out, key=lambda t: t["ref"])
 
 

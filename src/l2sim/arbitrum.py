@@ -66,7 +66,15 @@ def plausible_state(s) -> bool:
     vals = list(s["bal"].values()) + list(s["nonce"].values())
     if not all(isinstance(v, int) for v in vals):
         return False
-    return isinstance(s.get("minted"), list) and isinstance(s.get("height"), int)
+    upto, above = s.get("minted_upto"), s.get("minted_above")
+    if not isinstance(upto, int) or upto < 0 or not isinstance(above, list):
+        return False
+    # the positions minted past the watermark, strictly increasing
+    marks = [upto, *above]
+    if not all(isinstance(p, int) for p in above) \
+            or any(a >= b for a, b in zip(marks, above)):
+        return False
+    return isinstance(s.get("height"), int)
 
 
 def chain_view(ledger, sid, initial, confirm_depth, round_no, t_period):

@@ -25,6 +25,10 @@ split by transaction kind, in the kind index that ``records(kind)`` reads.
 records instead of scanning the whole history.  ``find(pred)`` scans
 ``committed`` and stays the query for one-shot checks: the ideal bundles'
 ``open`` and ``settlement`` and the brick simulator's settlement trigger.
+``tick`` also numbers each chain's deposits in commit order:
+``deposits(chain)`` lists them and ``deposit_position(txid)`` gives a
+deposit's index in its chain's list, which is what an account state's
+minted watermark counts (``accounts``).
 
 Signatures are idealized: sign() records (signer, digest) under a fresh
 handle (an int); one lookup gives the signer whose record a ref replays
@@ -156,6 +160,8 @@ class Ledger:
         self.committed: list[dict] = []       # tx + {"height"}
         self.by_txid: dict[str, dict] = {}    # txid -> its committed entry
         self.by_kind: dict[str, list] = {k: [] for k in TX_KINDS}
+        self.by_chain: dict[str, list] = {}   # chain -> its deposits
+        self.deposit_at: dict[str, int] = {}  # deposit txid -> its position
         self.pending: list[dict] = []         # tx + {"submit_round", "hold_until"}
         self.keys: dict[str, str] = {}        # conflict key -> txid
         self.frontier: dict[str, int] = {}
@@ -258,6 +264,8 @@ class Ledger:
             self.committed.append(entry)
             self.by_kind[entry["kind"]].append(entry)
             self.by_txid[tx["txid"]] = entry
+            if entry["kind"] == "deposit":
+                self._number_deposit(entry)
             key = tx["body"].get("conflict")
             if key is not None:
                 self.keys[key] = tx["txid"]
@@ -282,6 +290,24 @@ class Ledger:
         """The committed entries of one kind, in commit order; the list
         grows in place as blocks commit, so callers must not change it."""
         return self.by_kind[kind]
+
+    def _number_deposit(self, entry):
+        chain = entry["body"].get("chain")
+        if isinstance(chain, str):       # a deposit of no chain mints nowhere
+            deps = self.by_chain.setdefault(chain, [])
+            self.deposit_at[entry["txid"]] = len(deps)
+            deps.append(entry)
+
+    def deposits(self, chain) -> list[dict]:
+        """The committed deposits of ``chain``, in commit order; like
+        ``records``, the list grows in place, so callers must not change
+        it."""
+        return self.by_chain.get(chain, [])
+
+    def deposit_position(self, txid) -> int | None:
+        """The index of a committed deposit among its chain's deposits, or
+        None for any other txid."""
+        return self.deposit_at.get(txid) if isinstance(txid, str) else None
 
     def find(self, pred) -> list[dict]:
         """Every committed entry ``pred`` accepts: a scan of the history.  The

@@ -265,9 +265,24 @@ class _TraceLedger:
     def __init__(self, commits):
         # the first commit of a txid wins, as in Ledger.get
         self.by_txid = {t["txid"]: t for t in reversed(commits)}
+        # each chain's deposits numbered in commit order, as Ledger.tick does
+        self.deposit_at, counts = {}, {}
+        for t in commits:
+            body = t.get("body")
+            if t.get("kind") != "deposit" or not isinstance(body, dict) \
+                    or self.by_txid[t["txid"]] is not t:
+                continue
+            chain = body.get("chain")
+            if not isinstance(chain, str):
+                continue
+            self.deposit_at[t["txid"]] = counts.get(chain, 0)
+            counts[chain] = counts.get(chain, 0) + 1
 
     def get(self, txid):
         return self.by_txid.get(txid) if isinstance(txid, str) else None
+
+    def deposit_position(self, txid):
+        return self.deposit_at.get(txid) if isinstance(txid, str) else None
 
     def depth(self, tx):
         return 10 ** 9       # everything in the committed past is buried

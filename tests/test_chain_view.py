@@ -344,7 +344,7 @@ def _mint_batch(w):
                     "client:c1")
     assert w.ledger.submit(dep)["accepted"]
     claimed = dict(genesis_state(INITIAL), bal={"c1": 15, "c2": 10},
-                   minted=[dep["txid"]], height=1)
+                   minted_upto=1, height=1)
     pub = arbitrum.batch_tx(
         w.certs, _view(w), w.sid, "operator:p1", 1,
         [{"op": "mint", "to": "c1", "amt": 5, "ref": dep["txid"]}], claimed)

@@ -4,7 +4,8 @@
 block; ``Ledger.find`` scans ``committed``.  After every ``tick`` of every
 ledger in whole runs (the scripted suites and seeded lifecycles of all three
 protocols, real and ideal) each kind's records must be exactly the entries a
-scan finds, in commit order.  A cloned world carries its own index.
+scan finds, in commit order, and so must each chain's numbered deposits
+(``Ledger.deposits``).  A cloned world carries its own index.
 """
 
 import pytest
@@ -32,6 +33,22 @@ def exact(ledger, kind):
     return [id(t) for t in ledger.records(kind)] == [id(t) for t in want]
 
 
+def deposits_numbered(ledger):
+    """Each chain's deposits are the entries a scan finds, in order, and
+    each one's position is its index there."""
+    chains = {t["body"].get("chain") for t in ledger.records("deposit")}
+    for chain in chains:
+        want = ledger.find(lambda t: t["kind"] == "deposit"
+                           and t["body"].get("chain") == chain)
+        got = ledger.deposits(chain)
+        if [id(t) for t in got] != [id(t) for t in want]:
+            return False
+        if [ledger.deposit_position(t["txid"]) for t in got] \
+                != list(range(len(got))):
+            return False
+    return True
+
+
 class IndexAudit:
     """Compares the index with a scan after every tick of every ledger."""
 
@@ -46,6 +63,7 @@ class IndexAudit:
                 assert exact(ledger, kind)
                 if ledger.records(kind):
                     self.kinds_seen.add(kind)
+            assert deposits_numbered(ledger)
             self.ticks += 1
 
         monkeypatch.setattr(Ledger, "tick", checked)

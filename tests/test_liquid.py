@@ -124,7 +124,7 @@ def test_deposit_mints_after_confirmations():
     m = client(world, "c1")
     assert m.height() == 1
     assert m.states[-1]["bal"]["c1"] == 15
-    assert len(m.states[-1]["minted"]) == 1
+    assert m.states[-1]["minted_upto"] == 1
 
 
 def test_pegout_settles_on_l1():
