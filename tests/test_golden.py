@@ -44,6 +44,13 @@ real digest whose run queues a request (60 rows: 18 brick, 21 liquid and
 21 rollup; every ideal digest and the schedule digests unchanged) was
 recorded again when the ``request-queued`` note dropped the ``nonce``
 (account clients) and ``seq`` (brick clients) that no check reads.
+Every liquid and rollup digest (34 scripted and 12 lifecycle rows, real
+and ideal; every brick digest and the schedule digests unchanged) was
+recorded again when an account state's list of minted deposit txids
+became a watermark (``minted_upto``, ``minted_above``): every state, and
+every digest or txid over a block or batch that holds one, changed its
+bytes, while the event count, the sequence of event types, steps and
+rounds, every verdict and every output difference stayed the same.
 A change that moves a digest changes a trace and has to say why.
 """
 
@@ -100,107 +107,107 @@ SCRIPTED = {
         "49d2f9e04713ca0db04f70d1c37576a40c487caba0dc3680a22f5f724135fd93",
         "207c41fcce74e166b8095fbe61d30af299c2c3039853825f26e35668a2284d12"),
     ("liquid", "client-spam"): (
-        "e363fbe9d54e8c5fd3d30d87ad93ec63c35a0b05e2433055a3573a895e71f9a6",
-        "a70643b9e4641c65286bd13f9b5b4a8b481bc169aeba9a3eb7899f18b92596c6"),
+        "c91f40790f54cc4b6101ce3f011120ce4f6527977857dd37cd0ae6e9152929c9",
+        "c08cb549bbe3f5e3060499036136bb6fba76e3d9d288193638961f71684daeb9"),
     ("liquid", "corrupt-operator-rotation"): (
-        "81eaf4f4fe3602cb6deffeb097942aabd86aea78b42a20104801a7caf8dcf332",
-        "ab99c9da1f9965bd5cf62b21d2021e7dfb9097bc0c19a690b98425461a842683"),
+        "6980b2538979a2cc5a84405077b3d02123a6b6023d5c0abc13439a318038cab8",
+        "0286ff1ae959501d6448f13e03db53863a1db4e76d60cc74d23d2c1b00e54426"),
     ("liquid", "deposit-mint"): (
-        "aa26a282626345e0e2914c749b7a85b2615e4e33b32784b738567f3ee7c949c1",
-        "4fe3fb81c2223c5953a6d9b42d96c0b80ff34906f49a8600f1a9e0ed85290672"),
+        "0f8d0907e4de86a3a1b31cc10c2b47a4b68aa94fb34f69dc03e7b19f492532fd",
+        "2e8b281b1054fd9f02d05814713e55e86a28f5f8b9d2d95da6c64430dee67c2f"),
     ("liquid", "deposit-then-withdraw"): (
-        "7e0a878ddfece88ef10a5fdc6063855537333fa461a47bbc8b99898fc7dcf902",
-        "940daeeed0dd8c04c28c2359da8153fa10eb64cc883d27676b926f565d4d6301"),
+        "777ba3f1723ea4c3811b62c9165f8053a46e4d49fbd4615184da4f307910aada",
+        "05e2155b1429a95cab80bee8a1f291739ff55ff90d4a6525a3bdbbbbe79bcbaa"),
     ("liquid", "garbage-triggers"): (
-        "ea2c60e6094e6cd50b52bb74e4ac1d087b51a5e000baffd7e811211bc6cdbf6b",
-        "dc65ae6305aa1d852b09f861cedbe07d47482ad4f0da9e9462d60d71c53f449d"),
+        "c8a1d315905a824ffdf0b1974e8bdd2d9c6b7b6248d5a9d52f1af3fc04917842",
+        "f1be41852a5cc035355e4a1089779873af938a762ff06f0b883a3c1ccc5d2f07"),
     ("liquid", "no-pump-delta-flush"): (
-        "3ffadb626a58ecc4352525f4a369746553fb7b1f68d774299b84d55f3aedfe5d",
-        "7c1497be36fcd7b05b153e97495647ea549bfe69e4f00537281100f36c170b68"),
+        "4d1f65735019253b93495e998118e4c99886e4406cf21a2f284621c2ed6653e3",
+        "ab68467cdbde068e6a1a62afa5c651de8aef6650dad417f44edc451fbec92863"),
     ("liquid", "open-only"): (
-        "9e806f503e425d32b43c18314eecfd00fd7306b0ebede57aebe668239903a2c2",
-        "9272217eb0c681d34b1080e50c45a8e5e319c3c784e931259f6a4d24df2a3441"),
+        "57f31e2c3aabc438f227cb198badf09c2b496a5657611bbe612fb01cd89ad361",
+        "96a70d477d168c7e76165a0b643901728692a2691ee3b6482c2ab03bb6ed0e08"),
     ("liquid", "operator-menu-noise"): (
-        "1bcb36696a5d53761d1ed2b71486a1b5c2ade23526697efbe520f93a4fde4b84",
-        "c340f3f7715300731ab3b2660c5b6016959896932413b0381a47b709dab0449e"),
+        "eb37cb60fe2bea43507f7fef132b71a473a0adce448c8e830a71e76c9c830d2c",
+        "482fd1f7b009c7b0ae86cfa9f163e61a62fa0d9456458377e06491b46e8f1779"),
     ("liquid", "overdraft-refused"): (
-        "fd5f5e849db35c1bba7dcd3ca0be360dae559f08932cd1394cbf08bf4ba76340",
-        "a045a10f88d5ecff5ce70298dc5a879d091ca9c9c1366f7531839082f6b8b436"),
+        "d1aded84267f7d2d08ab8d96e859a48fd873b8fbf5c3261206387ac20dac493d",
+        "9ad1128846cdbc279b31dd9190b342d706d5797a46bd2f13203ded0ee4cceb58"),
     ("liquid", "pay-both-directions"): (
-        "b8052b54bb43647fdd06d1c6d27e8e1f275ee6d01324868019b0e8b82b807ae7",
-        "e9e24b8e22d335e61b9c198146c1adca72754f312fc9464b6379331ed7470e21"),
+        "060c41f84cfd60a5b0ec4fac3288a62522af9d6d499a278d42ab84ef72897753",
+        "dd7665b61ea0e3d4cb9c130058924d40856c9061eebc45fd3709ec006df41418"),
     ("liquid", "pay-pipeline"): (
-        "3b793922ec0e8c81db6dd212e2ed5757db97fe767c8216f59ea3642a32e06169",
-        "a5388d08dc250765d9b7dbe00e8162d3443b84ac49be0486605feae7605af82c"),
+        "49bda333d4d6db77018ee665f5937ee509fe99bc7c23e2f91b332689ff970eb1",
+        "448659f08b2c3b7f5d66167e1c786988987e90efb1dfa98b707a301cb505af2d"),
     ("liquid", "pay-race-same-step"): (
-        "2759502f811913ee4336660220c5c717ecf99f4bb4e983108a1631c410776e91",
-        "fab630b97cc5b9c5581d582178af9942144307b3b7a6c8fcca52e8134e860ed8"),
+        "1d8f150b91c8ad29ccca244bc249557207888cffb7dd780fa593035332373d5d",
+        "ef2acce36dcb083d1a34f94b114b61f7c031166289c534a0626cf36256061a1e"),
     ("liquid", "read-heavy"): (
-        "61925ee375bbd6ffb885f7b96740067db4b18377e0e7523479909cf46eb76b8e",
-        "3f0b571cd6d3a0a801bbf05a0c8bb0171b7c62549143628331a45b6ef6dd3ca6"),
+        "e2705aedad074ee128f8dad4477e784779bcb7120a2129407ae03a7c12defbca",
+        "0c926d9230628bcffc1b7a081e1f4f31aa256afaba5c9950d93f4dc6565cb252"),
     ("liquid", "settle-after-traffic"): (
-        "080f304677819d20ce701bea393b5350956c3253598fa9d5b12cd0505414ef5e",
-        "cfa0f61dc68bdf44982e51db4514ce563292192447864ee418b7956e78dff7f7"),
+        "f5d75837ac9df01099ed2826dd66ad6dfa6fb5db598613bd7dba002afa8a2084",
+        "5213d610fd47a4266614e0b8fbcb656a78ab6153897954c061217c777ba258b7"),
     ("liquid", "settle-fresh"): (
-        "3e5acaac6dde978f8fb4f57acd034f1e4957d147f71d786b58153567a8c36834",
-        "a026a76b4af51c80320a56d537b07935f3cad86b6334c01542c62d01aa7e304f"),
+        "f7bd64b658d59ba639099c67aaade83a03b732a63f56de313cd243aa63b9fc54",
+        "9512907f7bb9143016c87e84ea7568d059143b894d7dc30e4cf3f2acaf70621a"),
     ("liquid", "shuffled-delivery"): (
-        "dc2f4fd8f5b3bca618995f31f2bc3616ed611fe2e1c54825c22b30e967db7e97",
-        "e98833cccffe00c540e27e48aa7b64eb46f63d88b20738919ac7876d46ebcedf"),
+        "b4b8d8a0ada72ccf28ddf258080edb5f1352085ade0ca37385b82095417120b3",
+        "bbd70fe8cf3e1c99d019adf3ba9ee0fea5ea83e87ab9e09af759776a9b69a075"),
     ("liquid", "single-pay"): (
-        "1d89bd47f4d23485463bf0a26d67f618dcfea646b5f6e5107ce506b88b1a8b2d",
-        "0f2b303c3e2e2ad8ca23a707ff2e3688726454f7c46bfb7793f5e55368da49b8"),
+        "142c7c507116d6866b8a327a9dab7d19819283a999495358c88005936af2868e",
+        "1dbe84604f131f95d217941e64231a5792da6f3a1491972fd0c91c4e1a84b918"),
     ("arbitrum", "deposit-mint"): (
-        "ae1b9d78cbff1e6cff57eda43232823e81f8292e8b0b18f2e162ccc13f25e0a0",
-        "9ec50793b1d03d1d6c45fe8d351ec9478fd44a275bc2517de4523e22fb627f56"),
+        "08929ad1b7491c662747616f5af1c4ec519a7d8c01816eccde4f8b2a898f9658",
+        "d534f76edc9df2c8e0b8774def0c6248240f947049c81be51b60d9d7b55b1491"),
     ("arbitrum", "false-accuse-noise"): (
-        "4d4c6b0636c1d2bbc9cd7893a7c096c8bc96001c580692aaf540e83a23ecb127",
-        "c4068fa040089f7bc5827199154a1052bc3199c2bbea3e6c391320733ce33ace"),
+        "ff8eff87ee192e53cc4adda530e13376afb438adfd2748451475fa5b718a402d",
+        "885bc06ec209c5e6cf24ece13cb8cce0ec03666fa4d7590971856393389fdff7"),
     ("arbitrum", "fraud-struck"): (
-        "bc3ac7d4cbc8dabde43619ef54dfe8f79a6d7c3d66eaebf4bd5c2ff1aab3cfbf",
-        "90695f24de117d4869b2227dc74ecb6fcabe81c98a70c27a1305571c9a27650b"),
+        "fddfe8fe80cb992221a1085469d039884978f967ae28c43f7b988dfabe7b6a70",
+        "6108e2913cc739b3ccdae7cd5a87c5639a38070acc3c1b614aade412f1aa701b"),
     ("arbitrum", "garbage-triggers"): (
-        "84bbbd67c3d30edd2055609b1fc954ef61c320f472d61fcf60fe5f4d030f8ad7",
-        "9e16bc4b8ade02c8bdad372cd8a6924c84735a7d8e3306091f40be973b4ab090"),
+        "a3724b10470364fef8ff77a48b1fc6458b2a078c800545aa7a212b3adab6076f",
+        "3d04783eb5dae211f80de122eb36980e47a2740a604f6f032052fbfc3dc3829b"),
     ("arbitrum", "no-pump-delta-flush"): (
-        "2a60b907e8ad3f1421a735651ae388fb9c5a3dd33117bbb23ed60ba1704dc58d",
-        "42bb78294380ff8ee784c6c6a1b97b304b7fe7c9d4464d060e65c8a53f8ccbea"),
+        "32cf7fd4440434aac734006f1055731d9d1b610aa8d58a7ffd0e3803b778b399",
+        "fd32e3c6bd2d79259a83722da0b9fe5ea60cbaff432efe58256df55f29bbb5b5"),
     ("arbitrum", "open-only"): (
-        "87f89b3b7600b60d9406416e4c934dfd5a363a906dd4948a477a49df3371bd66",
-        "6db98bf913a5d9e0c2e2f1b4f118ca2783bbafb4df67701221c87656213ecb77"),
+        "68a5b6257760e7f8ac8eca3b0a13e6a2111e340b0544d08589598d0cefc21dd5",
+        "88a135fde3b0fca66c2f1f1ddb067d1cb47c046fbddec606c2f272fac12527b8"),
     ("arbitrum", "overdraft-refused"): (
-        "818e434c3a782ef41e91840a4bda02c8ce82ec6a7acb4fe3628dd7713091e4a3",
-        "48d113739b40edacda8947c9617f34d6ea00ea8c3ef2ddacec4814777d2cd2a2"),
+        "b14f3564900d7fd2787f8326b24013f1fc80aa224cf6be4d59a5fcb58acc0c50",
+        "6e95b17909cce1f336d4451939015b1630f600239b8f022340fe4de09058bb3d"),
     ("arbitrum", "pay-both-directions"): (
-        "ac22dd784653552e820ea890a31dfcf4892ac40700c9dd079e9739288424c80b",
-        "f6898461c93ece77aa2a6aa71946b61e1e5effb204d8f43c7d43bd72d248a5a2"),
+        "9953301c153a9889705a7c7439015ff844a36e636f4c9ee528a29d75c3f0e0d6",
+        "56fac9d4ea4a4958e9b630d5e40a303e0f13ce1a1923d28ffa844586a5411eea"),
     ("arbitrum", "pay-pipeline"): (
-        "1778cb98d09053108e204c426be7a231c165cd4c595b85e680d3654b238fef03",
-        "ae276efa9a4ca041a0e8aea9126cc55712e6af8555773fbd8eaed09b8b32d87b"),
+        "2f58a98b983ee7df73c7e1987404b7c2779f4c6fb5e0b0e3312a6ea732765e2a",
+        "08b73a840dcc5764b423e1500e0a4d86b7cb853abb14d07fa3ab348a22f333cc"),
     ("arbitrum", "pay-race-same-step"): (
-        "d3eb1fef4903224656f2b6a8597187bde0e8ff6b8130c6c001f802f95ae2ac27",
-        "2b509cc95dbaa13a7613732137be5c4188c68971a0a216142c69f8bfa84bc2e5"),
+        "2f7af87d215f42db10ece1b757003319b60473b8011ba4b906e2347d7224758c",
+        "ecb9015f6014c688867362e62d443157ce3495f4274fdbded4370b518ca06880"),
     ("arbitrum", "read-heavy"): (
-        "037dec522c3698532699835701c8bdcc1636ca879d7c56f7866a600c34c3c341",
-        "bcdbcb8770d25a343ffb5e11dacd57841cc4d105587af302cdbafd5dd0fd8445"),
+        "e61802381dd61518f45c1d05324fc64b7e7618fdd1b648f021f4a541c0f979f9",
+        "a0e270843d87dd118ec5bbe57651f488823c30c0515515188dd0a4ce5cdc1e5f"),
     ("arbitrum", "self-publish-rescue"): (
-        "f56500cc591767cf9bcc6bc3a56d3e11f116855ce5048aa78f499fa3724a6511",
-        "229dcd5b9d44d68fa9c3f841aeb344c1479b6768001042b785fa8d090e2ea157"),
+        "4f6e4a6c814dba50b60ae7d3f616b14561065ff537d2c3cd55f7e052398eb490",
+        "6a9a9e52e9874e5681ae2f220d6c1d0bfd8931feac06f248103075528e53b736"),
     ("arbitrum", "settle-after-traffic"): (
-        "cc1fabc47b1455823f61888f894c856ef393ecd252ee217763a27d5c36ce2672",
-        "95e479df025d126c8302d6c2bc4f79e9d1255c1be5354d413f6255efaccb2565"),
+        "a2cd6d9e19a710a8c956c66760e04c8e0f37a5e63212b7544991832ddf3096c4",
+        "8afe67ec90138219abca78d88668527084d115a665357475e60b258c812ee6ce"),
     ("arbitrum", "settle-fresh"): (
-        "9336854170264b52c85554f4b4f27bcf943ab81a1cc125d40e741f1916904149",
-        "9a62ea4e27cdb2da6459536d5577d50736cb977cc514aef3e8fd84553559d545"),
+        "a4eb588a004cbf2ab3d73ef68a359862ead256912bb4a8b586222d3affb2f3ba",
+        "eef05cf2f80a8aa715d88874cc2b71e6a425976fa29616a3524836d047f1df16"),
     ("arbitrum", "shuffled-delivery"): (
-        "8f91e5ff401d80db1be3a884ee6331773a5188b048772ae34cd2c5d1ed4edbb3",
-        "1620d1796ca25c318a80d2c8b8462b72586647bccd3845474458bc64ca4ffdfc"),
+        "d49bcd6b6d3f9ee395a680e7db60020d5d5459a402572709e1ae73de140d87a0",
+        "a74e5d358024b24590458ab90e79243929e04fcc90df34bd80ad02d2b1f66488"),
     ("arbitrum", "single-pay"): (
-        "df6e3195b22885c12ac2871bc5c401ee4b1c88a3bd6da96c2c5acb540e99e9d7",
-        "80600b69e259e2a8c7b45b850ba0a6755c08be314b1183d97b4048f528a7b77b"),
+        "9543bec56692fa3f2bf449a9fad50a6e539291e1d429673bf0ab108fb1f9e595",
+        "09ddf66fd356b6ae834f950ec9811f0d8edc8325fca924d469311d9a11d1de55"),
     ("arbitrum", "withdraw-exit"): (
-        "c2c6eff044cd85177cbaffb4f08d8507e801e0103a8bcc0bacaa0ca49164e2e2",
-        "9eec71b534efd9127c97f6e92c36569d97413a6ef1ad96f82bff7b291ff91130"),
+        "332f121a93a23311c643741586663942ce314952686333472d103db20ca02506",
+        "f20f3aeda67f1868cc5fc6b062f4892800dffe11747811bc5abfe61b51674791"),
 }
 
 # (protocol, seed, adversarial) -> (schedule, real, ideal) digests
@@ -231,52 +238,52 @@ LIFECYCLE = {
         "245e5cb8e25d729a11453e30256c4a153fcef53aba4acbbfe40b4764fc35a0c9"),
     ("liquid", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
-        "0a2b11138caa94b14e5036fff65ca0b99694cc0db2550910522e097a33d03600",
-        "44a6aa024575929dd5a69354aaa6d5d3f6fe166ae6affbb72c66b3503dcc0b64"),
+        "4ec5ce9b4578db18c71a9e058b3bda0944e806d6e9c562bc4cad75437ab2b5f9",
+        "f24bd26cb7d3aefb71a1e035ef289d2194f52a7423a5282a6ba627b79d160f46"),
     ("liquid", 1, True): (
         "38871f87b4398e8c60f45665ae6581997da8b80a3457f0fafedd724f5ce11c35",
-        "69f369464c0d72f9a9047b3abd56dde42d4d5fffa2a85e2a5e10e172576cdb14",
-        "164ce80172ce204baafe2afde822c282699894f623473539f69b2d8d82c665b0"),
+        "82c736a4d50c1453ab69ff8fadd5d4839f48eace0818be7a3c258638a09a2813",
+        "56dfe43e841c19a84b735c79361f2c7f9be37ef4797362cc6f44a6c4b3a747c2"),
     ("liquid", 2, False): (
         "2105c5aeb6ee8aedf7aa9f14ecd63921c5d11f5d50a7367a0053e03a63c2ed9b",
-        "686c2e04f523604eb1026bb75154c3d7292bef57e8990b26b0334c024242119e",
-        "a1250bfbb1561cb8932a3ac1bf854ee5f698759ca38a5ffe348127abe7f37dc5"),
+        "0375004add015c272e23d09386fabd058b1def3995ffd6486c76d8e966285c26",
+        "9ef978b38367f0b272bbb48671a619fbefaf77e6f2e880701adba2206e96eb06"),
     ("liquid", 2, True): (
         "ba57234f2d6d51af98f908cb3fd4eecaa7d77d24934cad954065f01807be5760",
-        "ea74e8a6301b3ad3cfef648b090e1efa6f836f3bdbf35986a2bea9cba8315bbe",
-        "6d40b87b4875f35b6a30004222260f83519d6c4ad3d2651fccb81b89d64555e5"),
+        "6fb079e004a1f1c5bf82bf6abe7f9b5c812d5050fb12a72ef0fea4e60787ea71",
+        "1aaf48d9fb4869aebb253536073d45628051ef4584be705909313f85cfcff43c"),
     ("liquid", 3, False): (
         "b2c8af5adbdfd31c5166d86924da9e3382226e6490394dacd22a4bc8187e9b28",
-        "d30a974940fa6a643d01b796cc231042a88e6040636ad81ab3aa64557c05d05c",
-        "c937064c3e283e0d2da5a777d703e2b87c1ce195be369f811a472543db38030b"),
+        "72ca894cb7117d77151e8ce05ccd53b1b9c3d00e75f6b3e0be05af701bbd2a4d",
+        "570015ac1db56e7839dc70296a1be49896ec69a8f246cd36dfe1acc8da222e58"),
     ("liquid", 3, True): (
         "7fb13eb7060bebd9750a941899aaf1437f11ea1e96165c0db285bd945554cf32",
-        "fce81b4ef9443cf8b30d3f4ea14efbd06352b7245559220c11d0f389a3d24d39",
-        "0d347df717b6c232bb831aca5fa3dbdf4fe25fa91680059ed01082d4a5ffd905"),
+        "b720d075df48b8f47e3d21784274e803b5c721dabe5fbf031e3ddeaed847e285",
+        "143e30024c605bdfb781e1b5e24d0b9806360366b7dfa2984bda7f06b870fda7"),
     ("arbitrum", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
-        "fb2e59bac4f8315ac5ad9c7f0f7ed48ef32be41e42834c57be15b1c93b1c6a56",
-        "a2aa41922974de6ddc3b2b900428de5a49f8716071c95ee2697a04e1eaf419a7"),
+        "a40b01230074496ea4a7ba2d07385ed99a543ded295cca77bc9a27ea6631e1ee",
+        "fac24d07a828906f38c10ef5ce76981c095eeb334476b34745df29d6883ff220"),
     ("arbitrum", 1, True): (
         "b2e16ca7cb0c27e9c67b5a44590bb0bf50942caa03182090b25c2199ae5b73ab",
-        "aec1e68e4c8926673999336fd9e7ab3419c104581e341bd23d6d63c13af19a46",
-        "d7fcca5237880eeff09dc6c2546307fbd6ffce2ee1f82492f794635ed4aec418"),
+        "05faf29c6f2044c5beada0e7c7428dbffb5547c3107be2a76a116289e9a7278f",
+        "b1902e650e3a2b073762ae62c75fbd7e3bd8369a12311638c7b8a0b54de062ca"),
     ("arbitrum", 2, False): (
         "2105c5aeb6ee8aedf7aa9f14ecd63921c5d11f5d50a7367a0053e03a63c2ed9b",
-        "d5bda46ba98a2b25b279066b0541225cf4f515a4f99cd4da133edd61bf47e3b2",
-        "713b893f6acceb173723cc2513af2b43531525d25aa0f112e31a9ba1251917ae"),
+        "0eeda2f25e12fc4e5ff5c6811e7a0e53e52ac6ddec56838d19b50a0f30d76837",
+        "2f866f6b652ce2bc63ca5e0cac5e123b864c7498f69d89494704ebadaf57fa1f"),
     ("arbitrum", 2, True): (
         "1daed42271d646aeb89ce6bffdfaaf2207e95cee8e9f5f5b39150fc3641e95b2",
-        "1d4790ef62903b8fc2d5aac5406c7764e621c745ddf053e08fb7de3715d5d56c",
-        "5d681e0f11aae426d4aa921913e9841663bbad3bcc570445f31101e97e7c4962"),
+        "f1d1b7a4af789026e1eedeb7f2ca8455e2568b88933b8c6d5b0989faba24f063",
+        "0d48c3e333a8f1120a74cef9c06b0469a1f906f0fc437de4b7001239b09129d7"),
     ("arbitrum", 3, False): (
         "b2c8af5adbdfd31c5166d86924da9e3382226e6490394dacd22a4bc8187e9b28",
-        "a36d2204be8ba4189d2752f1539d7b83632c8a7b10f329fa79cb74459ce02ae0",
-        "9e55b0b152497007ee276a125f7949cda2ab0f316c1e0ecdca47d1038b09ac85"),
+        "b673c41067c1be51d5af6adaf622414597e95355dcfb3a10b70cd84862f3411e",
+        "09bf7c1f88632d8324c0241ac5c20c5eb02efe9e80899e5d5c51e9b792913bbd"),
     ("arbitrum", 3, True): (
         "68c49da401716fdd713798a708e3b2a93072a08b048235f64ed39413b57e4a81",
-        "12d6d95f94d7d7f8903de0c94a80fe8bc225e2350689b21e0913a9fb30826a51",
-        "f331e24a6aab780be51caaf69c266a98803c8144713ce6ec56582861e58d4bb0"),
+        "c7e673038ac1767858fef09b436ebd791cb82daaf6e1061cfbddb46134836b23",
+        "341d7a7427f3b72973dcd1e473074f098b1dca123cd4f60508ffc09e5ae10824"),
 }
 
 

@@ -4,8 +4,9 @@ The verdict tables pin the real and the ideal trace of every scripted
 schedule and of the golden lifecycles (seeds 1-3, ten payments, honest
 and adversarial) in two parts.  The output tables hold a sha256 of each
 reader's whole views and one of every check's record; they were recorded
-once, while each read still carried its reader's whole view, and are not
-regenerated.  The witness tables hold a sha256 of every check's witness;
+while each read still carried its reader's whole view, and since then
+only the projection digests were recorded again, when states changed
+shape (below).  The witness tables hold a sha256 of every check's witness;
 they were recorded before the checks were reworked to build evidence
 keys once per view, and again when reads began to carry only their delta
 (a witness read carries its whole view from ``base`` 0).  The witness
@@ -20,8 +21,14 @@ the two record digests are equal.  The real witness digest of liquid
 deposit-then-withdraw was recorded again when the leader began to propose
 from its own ``on_round`` instead of from a clock nudge: its witness
 events are the same but for their step numbers, which shifted when the
-nudges' deliveries left the trace.  A change that moves a verdict or a
-witness has to say why.
+nudges' deliveries left the trace.  When an account state's list of
+minted deposit txids became a watermark (``minted_upto``,
+``minted_above``), the projection digests of every liquid and rollup row
+(34 scripted and 12 lifecycle, real and ideal) were recorded again,
+because the views hold states; every record digest stayed the same.  So
+did every witness digest but the two of liquid deposit-then-withdraw,
+whose witnesses hold a read of account states.  A change that moves a
+verdict or a witness has to say why.
 
 ``reference_check_safety`` keeps the all-pairs safety check that the
 one-pass ``check_safety`` replaced; the two are compared on hand-built
@@ -172,8 +179,8 @@ SCRIPTED_WITNESSES = {
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "deposit-then-withdraw"): (
-        "40dbfbe588d9d70e57defb4b3e55f5be8dee4eb76b76ec2cd8d3e9d2d4988625",
-        "a21e5d462851110e616d75db463337f19c074c0aa25cfbed945b8fbda672a54a"),
+        "73f389baf087485edd4a9e4cd9a68ec2ab6829f0bb750c3e31f39dcb41ab1cd4",
+        "d1572b6ec1f1377dc57d6059615b9c3d1cec25983dace47fce195206a25748e2"),
     ("liquid", "garbage-triggers"): (
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
@@ -417,174 +424,174 @@ SCRIPTED_OUTPUTS = {
         "b0fc79bc64b27f8acdd3b01bb61c94740e02e755ec520047888dfae3d8c9296b",
         "ceb8419b4e43ea320d409b10718352eeec5ba2d96eb49c6fcf1d94b02c78c429"),
     ("liquid", "client-spam"): (
-        "c0196f7e846fbcd1bf091de4fce00d11508d657b0f5dbd69b6ff750c030bf04b",
+        "710ec71324e3e430d3ac076c32064508f364fd155afc45bc49ddd35b3f48357e",
         "50e0d243c8ab2df5dbc8769bb7a32b1d74ecd0150593b9e7755145762857acf6",
-        "c0196f7e846fbcd1bf091de4fce00d11508d657b0f5dbd69b6ff750c030bf04b",
+        "710ec71324e3e430d3ac076c32064508f364fd155afc45bc49ddd35b3f48357e",
         "50e0d243c8ab2df5dbc8769bb7a32b1d74ecd0150593b9e7755145762857acf6"),
     ("liquid", "corrupt-operator-rotation"): (
-        "19baa58fdead7b8b620cd52484a93e288830f2d66b87899d39fcac49f8e2752f",
+        "f95cbceba0aad9f10f8e44860ad556e2637a48d291288dea9594ae8f64498fd6",
         "d1cbc030faaebe661a0726396fb41f005c5d5a6ee13282abd643e6d95c57c98a",
-        "19baa58fdead7b8b620cd52484a93e288830f2d66b87899d39fcac49f8e2752f",
+        "f95cbceba0aad9f10f8e44860ad556e2637a48d291288dea9594ae8f64498fd6",
         "d1cbc030faaebe661a0726396fb41f005c5d5a6ee13282abd643e6d95c57c98a"),
     ("liquid", "deposit-mint"): (
-        "1c1bb4811171b4e275a3a7323c4a78f9979fae49a5af74bdace0a7a6a0e8ae14",
+        "6e1b78afb1d5160e73dc420f601df7b148b12312e28058230f8b94eeb1849594",
         "985fb39d7b4a3940e3367e159d3be914364ca5624ef43dfb01074393d0e79fc2",
-        "1c1bb4811171b4e275a3a7323c4a78f9979fae49a5af74bdace0a7a6a0e8ae14",
+        "6e1b78afb1d5160e73dc420f601df7b148b12312e28058230f8b94eeb1849594",
         "985fb39d7b4a3940e3367e159d3be914364ca5624ef43dfb01074393d0e79fc2"),
     ("liquid", "deposit-then-withdraw"): (
-        "9c28505ea7b4347b3c8576cfa85540641fe127d913c2e11930f437409284e3f3",
+        "0e61a1c911a416dff26d2ca258370fe1a692964b627206e396ee3494be283121",
         "b132d0d868b8f5c617a54a587b6b8bb2e2d928fc67ef9e35be58c34a2906fc5b",
-        "9c28505ea7b4347b3c8576cfa85540641fe127d913c2e11930f437409284e3f3",
+        "0e61a1c911a416dff26d2ca258370fe1a692964b627206e396ee3494be283121",
         "b132d0d868b8f5c617a54a587b6b8bb2e2d928fc67ef9e35be58c34a2906fc5b"),
     ("liquid", "garbage-triggers"): (
-        "e4ff78dc9b0f9d673d297ae691123d8ee7935a87dda6c8aa72aa027cb57edbc0",
+        "91b9eb38ca08d3982fa9b979e31eb3c203bbff1d701d8d626452ee6ba31ca70f",
         "7edc7453a51a6ef9c248f422eab498b4073fa8dda777f194b33b52e00644db47",
-        "e4ff78dc9b0f9d673d297ae691123d8ee7935a87dda6c8aa72aa027cb57edbc0",
+        "91b9eb38ca08d3982fa9b979e31eb3c203bbff1d701d8d626452ee6ba31ca70f",
         "7edc7453a51a6ef9c248f422eab498b4073fa8dda777f194b33b52e00644db47"),
     ("liquid", "no-pump-delta-flush"): (
-        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "c10a612de934468b2a2eebbc5e95494249f955456f7a8078d62e8146d4c49c97",
         "7edc7453a51a6ef9c248f422eab498b4073fa8dda777f194b33b52e00644db47",
-        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "c10a612de934468b2a2eebbc5e95494249f955456f7a8078d62e8146d4c49c97",
         "7edc7453a51a6ef9c248f422eab498b4073fa8dda777f194b33b52e00644db47"),
     ("liquid", "open-only"): (
-        "7529b5e98345390a2475dfa1a4582e62447ab304164c872c8c19f84491884dc6",
+        "31e8ff9f803983f44333a2e439bb041aae0304ce62ba251edcae7c0cea23e41e",
         "466e629b5a2f6ba90d0e8881ffd1ce83c12eabeddef8b5564e3b89911342845a",
-        "7529b5e98345390a2475dfa1a4582e62447ab304164c872c8c19f84491884dc6",
+        "31e8ff9f803983f44333a2e439bb041aae0304ce62ba251edcae7c0cea23e41e",
         "466e629b5a2f6ba90d0e8881ffd1ce83c12eabeddef8b5564e3b89911342845a"),
     ("liquid", "operator-menu-noise"): (
-        "e4ff78dc9b0f9d673d297ae691123d8ee7935a87dda6c8aa72aa027cb57edbc0",
+        "91b9eb38ca08d3982fa9b979e31eb3c203bbff1d701d8d626452ee6ba31ca70f",
         "c584a58bc928a40e4bc9cb81abd3fa585eb014940180deb0a33887d162d52da8",
-        "e4ff78dc9b0f9d673d297ae691123d8ee7935a87dda6c8aa72aa027cb57edbc0",
+        "91b9eb38ca08d3982fa9b979e31eb3c203bbff1d701d8d626452ee6ba31ca70f",
         "c584a58bc928a40e4bc9cb81abd3fa585eb014940180deb0a33887d162d52da8"),
     ("liquid", "overdraft-refused"): (
-        "a725a7af25c0ed701bc19929ad5d87ad339d1e83f126a044f7601b7e001e5e5d",
+        "5e696c3294ffdab432b425512f3c913fb16768247bfd13d5d5aaa772b1bdd215",
         "8e6e6c757edb617218a70c0b9091797bd8570bf84264a2d807b14fb62e15db10",
-        "a725a7af25c0ed701bc19929ad5d87ad339d1e83f126a044f7601b7e001e5e5d",
+        "5e696c3294ffdab432b425512f3c913fb16768247bfd13d5d5aaa772b1bdd215",
         "8e6e6c757edb617218a70c0b9091797bd8570bf84264a2d807b14fb62e15db10"),
     ("liquid", "pay-both-directions"): (
-        "a5893581355d0ed9857dc42c42b5e93e73d99e3cedfe8eafd97962b07de3f262",
+        "687494b3423526f7ec0eaa53adcd8cb73f56131d6c85231e2110af9b3234eac3",
         "6e83916676f529b5017a37f67de09143eddb263acb9cb6b2832c87150fd42b02",
-        "a5893581355d0ed9857dc42c42b5e93e73d99e3cedfe8eafd97962b07de3f262",
+        "687494b3423526f7ec0eaa53adcd8cb73f56131d6c85231e2110af9b3234eac3",
         "6e83916676f529b5017a37f67de09143eddb263acb9cb6b2832c87150fd42b02"),
     ("liquid", "pay-pipeline"): (
-        "515716176efacbd2bfb9c6424c6e6192f53eea70c541a14e5ab0f8aa79cdeb0a",
+        "0ca4f455114c7cd85a57193ef2816bb8efe42b2e433cc48c0afe242bdb4e3425",
         "eeab67732c7b9fd89c4e54a3b621ee1c88c8dd934af1b309a41c941241943644",
-        "515716176efacbd2bfb9c6424c6e6192f53eea70c541a14e5ab0f8aa79cdeb0a",
+        "0ca4f455114c7cd85a57193ef2816bb8efe42b2e433cc48c0afe242bdb4e3425",
         "eeab67732c7b9fd89c4e54a3b621ee1c88c8dd934af1b309a41c941241943644"),
     ("liquid", "pay-race-same-step"): (
-        "a12cd587be020f5e3045e828ae37d6c1413f77710082e80886c9a66f5930b7e0",
+        "b5ed392548a8a4c8a37a9babcf2a473562ddaf8892261c3d7c4669ce831030ee",
         "6e83916676f529b5017a37f67de09143eddb263acb9cb6b2832c87150fd42b02",
-        "a12cd587be020f5e3045e828ae37d6c1413f77710082e80886c9a66f5930b7e0",
+        "b5ed392548a8a4c8a37a9babcf2a473562ddaf8892261c3d7c4669ce831030ee",
         "6e83916676f529b5017a37f67de09143eddb263acb9cb6b2832c87150fd42b02"),
     ("liquid", "read-heavy"): (
-        "4baf17f6f52082714a0615e77db01fdeb89b095a839ffdbe4c45be285947b647",
+        "13a9490c28a7ca3c7250f62ddd9a20443e9a6d58dc3dbcb95a3d6bca65a8fa8e",
         "12e58fa85347f876683f007204d229dff02e91c1911d9e63f4d230bf4f25b8b2",
-        "4baf17f6f52082714a0615e77db01fdeb89b095a839ffdbe4c45be285947b647",
+        "13a9490c28a7ca3c7250f62ddd9a20443e9a6d58dc3dbcb95a3d6bca65a8fa8e",
         "12e58fa85347f876683f007204d229dff02e91c1911d9e63f4d230bf4f25b8b2"),
     ("liquid", "settle-after-traffic"): (
-        "fe43d2d602f0885e16acef0d351e268b6980af677680e607df28525e3d0f9511",
+        "c44aecc8f29615629c4cfdb7b245172730a785ada15ba608e93626a903f63316",
         "3958728229378bd8b6c9051ae7be9940671b44429323621a925f994154f09f50",
-        "fe43d2d602f0885e16acef0d351e268b6980af677680e607df28525e3d0f9511",
+        "c44aecc8f29615629c4cfdb7b245172730a785ada15ba608e93626a903f63316",
         "3958728229378bd8b6c9051ae7be9940671b44429323621a925f994154f09f50"),
     ("liquid", "settle-fresh"): (
-        "f688e5b3eacfa1800b736adff427a1b64ea607eb5f2b85759a81014568ce5faa",
+        "670cfbfb7f49f25de1daef686f97c1cd19b8fb84cb1d18056685be51cfd5588e",
         "a70f6a7c445c517bd24044c4cbb3193ef9d75d242d7577a02a89b350d62d88f5",
-        "f688e5b3eacfa1800b736adff427a1b64ea607eb5f2b85759a81014568ce5faa",
+        "670cfbfb7f49f25de1daef686f97c1cd19b8fb84cb1d18056685be51cfd5588e",
         "a70f6a7c445c517bd24044c4cbb3193ef9d75d242d7577a02a89b350d62d88f5"),
     ("liquid", "shuffled-delivery"): (
-        "d9e71baf87a988a2de99a7bd743c51145a9aacbd38435b7ac8e9ef878254eba3",
+        "772ddb0cba621f421ea85cecf9697692bd7d6bb9801c0aeb711e4079de3923bd",
         "2ec7cb5d9aa0e94f49e5d772f0c1df806619df201a21a695fa84bad922ce1325",
-        "d9e71baf87a988a2de99a7bd743c51145a9aacbd38435b7ac8e9ef878254eba3",
+        "772ddb0cba621f421ea85cecf9697692bd7d6bb9801c0aeb711e4079de3923bd",
         "2ec7cb5d9aa0e94f49e5d772f0c1df806619df201a21a695fa84bad922ce1325"),
     ("liquid", "single-pay"): (
-        "413d69d99bee1f752c564b2577567b9e95b28c6ffcbcf37e8d26a0d57120830b",
+        "8a297be5c800c7e715e8bec84f90e4a9d2519f63897873bfe4ebdee0d5f2d827",
         "7edc7453a51a6ef9c248f422eab498b4073fa8dda777f194b33b52e00644db47",
-        "413d69d99bee1f752c564b2577567b9e95b28c6ffcbcf37e8d26a0d57120830b",
+        "8a297be5c800c7e715e8bec84f90e4a9d2519f63897873bfe4ebdee0d5f2d827",
         "7edc7453a51a6ef9c248f422eab498b4073fa8dda777f194b33b52e00644db47"),
     ("arbitrum", "deposit-mint"): (
-        "caf61d79c57411e95f632a7771a76e4e4be8d9d2088a7f6df33fc9294948e8cb",
+        "8db1af4cbb47493af143d2bf8906af90d2341873a41faed47ea310a2170dee12",
         "44b94c4b02f0f3295aaa59b2dccad65380e831fd8e1ed98f7897bc485b72a531",
-        "caf61d79c57411e95f632a7771a76e4e4be8d9d2088a7f6df33fc9294948e8cb",
+        "8db1af4cbb47493af143d2bf8906af90d2341873a41faed47ea310a2170dee12",
         "44b94c4b02f0f3295aaa59b2dccad65380e831fd8e1ed98f7897bc485b72a531"),
     ("arbitrum", "false-accuse-noise"): (
-        "f48e1209733a2deaa7db7d36990cfcbe66e6f4981f5361abbe91c505b4678e47",
+        "ce363af87a6f3f69f3850dc93cddf7441e8258024049622d1d1f9b08e4a6dbf0",
         "5afb80bbe00d3fdecf9fd258d747408b278583eca83ab0b5d32a419ef2d0c26f",
-        "f48e1209733a2deaa7db7d36990cfcbe66e6f4981f5361abbe91c505b4678e47",
+        "ce363af87a6f3f69f3850dc93cddf7441e8258024049622d1d1f9b08e4a6dbf0",
         "5afb80bbe00d3fdecf9fd258d747408b278583eca83ab0b5d32a419ef2d0c26f"),
     ("arbitrum", "fraud-struck"): (
-        "f1eaee70ad96621ee12f61af535fdee32c06e3ed28782fd3134f51ed203db795",
+        "4714424767250b8607bcf3b55438818d2c7c4ec1a0bc0b9b31aa69c50d1a76df",
         "d0efecf4268e3a6efd95ec0811512050eb12b3a520e21f7f2dea9a334810af95",
-        "f1eaee70ad96621ee12f61af535fdee32c06e3ed28782fd3134f51ed203db795",
+        "4714424767250b8607bcf3b55438818d2c7c4ec1a0bc0b9b31aa69c50d1a76df",
         "d0efecf4268e3a6efd95ec0811512050eb12b3a520e21f7f2dea9a334810af95"),
     ("arbitrum", "garbage-triggers"): (
-        "f1eaee70ad96621ee12f61af535fdee32c06e3ed28782fd3134f51ed203db795",
+        "4714424767250b8607bcf3b55438818d2c7c4ec1a0bc0b9b31aa69c50d1a76df",
         "20fa1d25eea4ac0573ced5bce8ba2d01613787583a1b2fe19d14380283b3d338",
-        "f1eaee70ad96621ee12f61af535fdee32c06e3ed28782fd3134f51ed203db795",
+        "4714424767250b8607bcf3b55438818d2c7c4ec1a0bc0b9b31aa69c50d1a76df",
         "20fa1d25eea4ac0573ced5bce8ba2d01613787583a1b2fe19d14380283b3d338"),
     ("arbitrum", "no-pump-delta-flush"): (
-        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "c10a612de934468b2a2eebbc5e95494249f955456f7a8078d62e8146d4c49c97",
         "aac83ebee2ab2d903e09e7d0cde14fbc950d462490a432be7ef2b688459ba6dc",
-        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "c10a612de934468b2a2eebbc5e95494249f955456f7a8078d62e8146d4c49c97",
         "aac83ebee2ab2d903e09e7d0cde14fbc950d462490a432be7ef2b688459ba6dc"),
     ("arbitrum", "open-only"): (
-        "7529b5e98345390a2475dfa1a4582e62447ab304164c872c8c19f84491884dc6",
+        "31e8ff9f803983f44333a2e439bb041aae0304ce62ba251edcae7c0cea23e41e",
         "f31f658eec0a708cd5660b18e90323bc43c842157f1115cd38964209e27b7fa2",
-        "7529b5e98345390a2475dfa1a4582e62447ab304164c872c8c19f84491884dc6",
+        "31e8ff9f803983f44333a2e439bb041aae0304ce62ba251edcae7c0cea23e41e",
         "f31f658eec0a708cd5660b18e90323bc43c842157f1115cd38964209e27b7fa2"),
     ("arbitrum", "overdraft-refused"): (
-        "a725a7af25c0ed701bc19929ad5d87ad339d1e83f126a044f7601b7e001e5e5d",
+        "5e696c3294ffdab432b425512f3c913fb16768247bfd13d5d5aaa772b1bdd215",
         "bb5dbc63b52071e32a154aa0f2a8b0a8363df3e25de9ba3e47713eb0ce94561f",
-        "a725a7af25c0ed701bc19929ad5d87ad339d1e83f126a044f7601b7e001e5e5d",
+        "5e696c3294ffdab432b425512f3c913fb16768247bfd13d5d5aaa772b1bdd215",
         "bb5dbc63b52071e32a154aa0f2a8b0a8363df3e25de9ba3e47713eb0ce94561f"),
     ("arbitrum", "pay-both-directions"): (
-        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "c10a612de934468b2a2eebbc5e95494249f955456f7a8078d62e8146d4c49c97",
         "e18ba83834c629da476b662fb466cf924aa72879e8b1c751e5e6714f8f721208",
-        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "c10a612de934468b2a2eebbc5e95494249f955456f7a8078d62e8146d4c49c97",
         "e18ba83834c629da476b662fb466cf924aa72879e8b1c751e5e6714f8f721208"),
     ("arbitrum", "pay-pipeline"): (
-        "284bab56f8f672b673d347218640ce37014cde9718f42cc9ffca0b9480dd8d96",
+        "f712db6470532d18bb0ccc277ee40dbabe379188644dd3a6604459de24686055",
         "023eef5fd27324f40c805f3fdf2ab1481e921fc19b418ce6db2a03dfdc19f4cc",
-        "284bab56f8f672b673d347218640ce37014cde9718f42cc9ffca0b9480dd8d96",
+        "f712db6470532d18bb0ccc277ee40dbabe379188644dd3a6604459de24686055",
         "023eef5fd27324f40c805f3fdf2ab1481e921fc19b418ce6db2a03dfdc19f4cc"),
     ("arbitrum", "pay-race-same-step"): (
-        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "c10a612de934468b2a2eebbc5e95494249f955456f7a8078d62e8146d4c49c97",
         "e18ba83834c629da476b662fb466cf924aa72879e8b1c751e5e6714f8f721208",
-        "2e09502517541e87dcdaef609c816a3e8b869f1b75c0c5eca398be647b00c473",
+        "c10a612de934468b2a2eebbc5e95494249f955456f7a8078d62e8146d4c49c97",
         "e18ba83834c629da476b662fb466cf924aa72879e8b1c751e5e6714f8f721208"),
     ("arbitrum", "read-heavy"): (
-        "4baf17f6f52082714a0615e77db01fdeb89b095a839ffdbe4c45be285947b647",
+        "13a9490c28a7ca3c7250f62ddd9a20443e9a6d58dc3dbcb95a3d6bca65a8fa8e",
         "370e8382bbfbf0034843ecf13984c7e1d703a83bf3297d8ee5bc76068bb51467",
-        "4baf17f6f52082714a0615e77db01fdeb89b095a839ffdbe4c45be285947b647",
+        "13a9490c28a7ca3c7250f62ddd9a20443e9a6d58dc3dbcb95a3d6bca65a8fa8e",
         "370e8382bbfbf0034843ecf13984c7e1d703a83bf3297d8ee5bc76068bb51467"),
     ("arbitrum", "self-publish-rescue"): (
-        "413d69d99bee1f752c564b2577567b9e95b28c6ffcbcf37e8d26a0d57120830b",
+        "8a297be5c800c7e715e8bec84f90e4a9d2519f63897873bfe4ebdee0d5f2d827",
         "aa48fee498cce156d1c4ed2eaffef06d7d53f3af81cfd0a9f789b3623c539ae9",
-        "413d69d99bee1f752c564b2577567b9e95b28c6ffcbcf37e8d26a0d57120830b",
+        "8a297be5c800c7e715e8bec84f90e4a9d2519f63897873bfe4ebdee0d5f2d827",
         "aa48fee498cce156d1c4ed2eaffef06d7d53f3af81cfd0a9f789b3623c539ae9"),
     ("arbitrum", "settle-after-traffic"): (
-        "fe43d2d602f0885e16acef0d351e268b6980af677680e607df28525e3d0f9511",
+        "c44aecc8f29615629c4cfdb7b245172730a785ada15ba608e93626a903f63316",
         "8f2cda728bb632ae20ecf72258db33b093eca68bcf952616f5f4e4ae153f5e84",
-        "fe43d2d602f0885e16acef0d351e268b6980af677680e607df28525e3d0f9511",
+        "c44aecc8f29615629c4cfdb7b245172730a785ada15ba608e93626a903f63316",
         "8f2cda728bb632ae20ecf72258db33b093eca68bcf952616f5f4e4ae153f5e84"),
     ("arbitrum", "settle-fresh"): (
-        "f688e5b3eacfa1800b736adff427a1b64ea607eb5f2b85759a81014568ce5faa",
+        "670cfbfb7f49f25de1daef686f97c1cd19b8fb84cb1d18056685be51cfd5588e",
         "4dcea45779d11892e46886aa4fb965c304dc8f8f033b29b1319e15d14292a684",
-        "f688e5b3eacfa1800b736adff427a1b64ea607eb5f2b85759a81014568ce5faa",
+        "670cfbfb7f49f25de1daef686f97c1cd19b8fb84cb1d18056685be51cfd5588e",
         "4dcea45779d11892e46886aa4fb965c304dc8f8f033b29b1319e15d14292a684"),
     ("arbitrum", "shuffled-delivery"): (
-        "d9e71baf87a988a2de99a7bd743c51145a9aacbd38435b7ac8e9ef878254eba3",
+        "772ddb0cba621f421ea85cecf9697692bd7d6bb9801c0aeb711e4079de3923bd",
         "f716145e084e0d9fdce535f1b2fc6e66aaf16b82fcc1f64650acf826e6fd626e",
-        "d9e71baf87a988a2de99a7bd743c51145a9aacbd38435b7ac8e9ef878254eba3",
+        "772ddb0cba621f421ea85cecf9697692bd7d6bb9801c0aeb711e4079de3923bd",
         "f716145e084e0d9fdce535f1b2fc6e66aaf16b82fcc1f64650acf826e6fd626e"),
     ("arbitrum", "single-pay"): (
-        "413d69d99bee1f752c564b2577567b9e95b28c6ffcbcf37e8d26a0d57120830b",
+        "8a297be5c800c7e715e8bec84f90e4a9d2519f63897873bfe4ebdee0d5f2d827",
         "9df6df6a8238c365c38d568193e1a4749227d5a2baf69f4cea5a38fde771cd5e",
-        "413d69d99bee1f752c564b2577567b9e95b28c6ffcbcf37e8d26a0d57120830b",
+        "8a297be5c800c7e715e8bec84f90e4a9d2519f63897873bfe4ebdee0d5f2d827",
         "9df6df6a8238c365c38d568193e1a4749227d5a2baf69f4cea5a38fde771cd5e"),
     ("arbitrum", "withdraw-exit"): (
-        "c102202735656fb08051016a353f0e460d72e8ddb48a0fd0f7494717222935ba",
+        "c26179d9bfb569ded56e23c3b7fa3388a2e9c4ce984e80f1ac2bf02d91da8d26",
         "8f2cda728bb632ae20ecf72258db33b093eca68bcf952616f5f4e4ae153f5e84",
-        "c102202735656fb08051016a353f0e460d72e8ddb48a0fd0f7494717222935ba",
+        "c26179d9bfb569ded56e23c3b7fa3388a2e9c4ce984e80f1ac2bf02d91da8d26",
         "8f2cda728bb632ae20ecf72258db33b093eca68bcf952616f5f4e4ae153f5e84"),
 }
 
@@ -621,64 +628,64 @@ LIFECYCLE_OUTPUTS = {
         "c752f48bfd1b95ed21843f0559f83f82000a20af4878fbf0c5d078ca283d6719",
         "340e9f76c9bb90d8c887840716037c6a0748abb709044917ed68e3e04bcfa849"),
     ("liquid", 1, False): (
-        "1a4ede4a14c31622652cb9a4c7f02e024c29ea93249adbc8f71e150c6b857513",
+        "62a4c6495e15c30fef414b8ec26d386144f3b78946532582c2bb61bdd8de4711",
         "a5f40cdbceab6f7a2d024e2964b67841c4461b39ba79600082fe9f7be4b2ca48",
-        "1a4ede4a14c31622652cb9a4c7f02e024c29ea93249adbc8f71e150c6b857513",
+        "62a4c6495e15c30fef414b8ec26d386144f3b78946532582c2bb61bdd8de4711",
         "a5f40cdbceab6f7a2d024e2964b67841c4461b39ba79600082fe9f7be4b2ca48"),
     ("liquid", 1, True): (
-        "d9b96ee3ede9a12824bc72ab588e2d1fbd819160cdd6b09527aaff71c244607b",
+        "e9c3366625ebd2f89a5153a832ad0906627add055ccd26b9a7e095aec8033bd4",
         "e951b8bcc884c6a026d91f45291d2ac2debf9a6a65f4dffba5bbb739f4368de1",
-        "d9b96ee3ede9a12824bc72ab588e2d1fbd819160cdd6b09527aaff71c244607b",
+        "e9c3366625ebd2f89a5153a832ad0906627add055ccd26b9a7e095aec8033bd4",
         "e951b8bcc884c6a026d91f45291d2ac2debf9a6a65f4dffba5bbb739f4368de1"),
     ("liquid", 2, False): (
-        "321b55933814ec82f44ff9272ea4b0e0c8326878afd20222fb6997d2274ae7a8",
+        "7fa0b11403877f98683248b03114c2eb2bb0a6e08be6e9a2327e222c0d25976e",
         "3c6a0d29777a58202ece24f0b8e495eb8f8fb55d564e694556841b1b24d816c2",
-        "321b55933814ec82f44ff9272ea4b0e0c8326878afd20222fb6997d2274ae7a8",
+        "7fa0b11403877f98683248b03114c2eb2bb0a6e08be6e9a2327e222c0d25976e",
         "3c6a0d29777a58202ece24f0b8e495eb8f8fb55d564e694556841b1b24d816c2"),
     ("liquid", 2, True): (
-        "cb43653d183d0df09b6a72f88ed37af40f2e4ab1ce245f2e44efbbd881728f61",
+        "b39d4959ddda38fc198b330b4939f6ce23b5b3e3e26c2f2225f07d4d7c3bdee6",
         "e951b8bcc884c6a026d91f45291d2ac2debf9a6a65f4dffba5bbb739f4368de1",
-        "cb43653d183d0df09b6a72f88ed37af40f2e4ab1ce245f2e44efbbd881728f61",
+        "b39d4959ddda38fc198b330b4939f6ce23b5b3e3e26c2f2225f07d4d7c3bdee6",
         "e951b8bcc884c6a026d91f45291d2ac2debf9a6a65f4dffba5bbb739f4368de1"),
     ("liquid", 3, False): (
-        "1e4fe4c13d34d76ab8eb5480949ad0e42b059c5ffbf5e60991c91c7782b507dc",
+        "5bf8eb93da3adce32acc031792e52c11d3f79bc37f0b82b48ced7cf5b47ebeae",
         "55c8246de151d3d73c8c025c9ea3663571439c12397e0c2e5a4e595a757034b8",
-        "1e4fe4c13d34d76ab8eb5480949ad0e42b059c5ffbf5e60991c91c7782b507dc",
+        "5bf8eb93da3adce32acc031792e52c11d3f79bc37f0b82b48ced7cf5b47ebeae",
         "55c8246de151d3d73c8c025c9ea3663571439c12397e0c2e5a4e595a757034b8"),
     ("liquid", 3, True): (
-        "030471836c9ac689e47b8a2286dcc273a84dd8696563be2bade6f75970b26b1b",
+        "06d023379e7ea0c66abbf8cdb8d93f8dbe3589181043987e6facbe8426a169f6",
         "3c6a0d29777a58202ece24f0b8e495eb8f8fb55d564e694556841b1b24d816c2",
-        "030471836c9ac689e47b8a2286dcc273a84dd8696563be2bade6f75970b26b1b",
+        "06d023379e7ea0c66abbf8cdb8d93f8dbe3589181043987e6facbe8426a169f6",
         "3c6a0d29777a58202ece24f0b8e495eb8f8fb55d564e694556841b1b24d816c2"),
     ("arbitrum", 1, False): (
-        "53352821342994eb83d76c862a4a38c1e6989c656399baa86d058dbbc16be93c",
+        "aa156ebd4bb4d0469946074d8ff1d64612e4c58870b5cd377bc3c4495edc47bb",
         "1e1fd9b96739c601f14ad6a4f5d13c1f08c22951ce11e57d69e2d3244928922f",
-        "53352821342994eb83d76c862a4a38c1e6989c656399baa86d058dbbc16be93c",
+        "aa156ebd4bb4d0469946074d8ff1d64612e4c58870b5cd377bc3c4495edc47bb",
         "1e1fd9b96739c601f14ad6a4f5d13c1f08c22951ce11e57d69e2d3244928922f"),
     ("arbitrum", 1, True): (
-        "58bec5ffb3a7a63c4f1de42fecfc049821b94c66005d701adf0f6488d8743d8b",
+        "c01ade8fe4084765326cb1f29eee180811367738f12827254720914538959c15",
         "11e509e1009d15748a5d69b7a30a1cf69994be81d7b98775b167c74ccf3100c1",
-        "58bec5ffb3a7a63c4f1de42fecfc049821b94c66005d701adf0f6488d8743d8b",
+        "c01ade8fe4084765326cb1f29eee180811367738f12827254720914538959c15",
         "11e509e1009d15748a5d69b7a30a1cf69994be81d7b98775b167c74ccf3100c1"),
     ("arbitrum", 2, False): (
-        "c66fe24ad277393dfb2c586861fe7bdcb931a0cafccd6feb57001fff13730405",
+        "1a609fbee641c3e843247ed349d2d67436e9f13f9ebbd33d05abcf8bddeb0396",
         "3c851140fdc01050042c666aa8a9d393ec14c9d1e82d50c6c56f151f02505830",
-        "c66fe24ad277393dfb2c586861fe7bdcb931a0cafccd6feb57001fff13730405",
+        "1a609fbee641c3e843247ed349d2d67436e9f13f9ebbd33d05abcf8bddeb0396",
         "3c851140fdc01050042c666aa8a9d393ec14c9d1e82d50c6c56f151f02505830"),
     ("arbitrum", 2, True): (
-        "eb7e08d5178355da1585594c9f9b3e3263c9918755895b4acb0bc50340af6189",
+        "643da630946c9dde5d01ce17153c0072d90661092aadf470945133639f49d4da",
         "ccd1e18035f1abf12e7d29bf6836131476d05e85d1462c5a5a57b7569ed58631",
-        "eb7e08d5178355da1585594c9f9b3e3263c9918755895b4acb0bc50340af6189",
+        "643da630946c9dde5d01ce17153c0072d90661092aadf470945133639f49d4da",
         "ccd1e18035f1abf12e7d29bf6836131476d05e85d1462c5a5a57b7569ed58631"),
     ("arbitrum", 3, False): (
-        "91f47f62f1f32ea14b5e1a0c131f683617df376d790a706f606eab557d73a168",
+        "bd89bd110c9a6a61f1e2435be3292692c44b9c56c3161ba02bcbb29d41f04930",
         "0cb67b6872c75ba5e1e28a5f0474d4fcac5c0fb0f37333ff34f964d4115d119c",
-        "91f47f62f1f32ea14b5e1a0c131f683617df376d790a706f606eab557d73a168",
+        "bd89bd110c9a6a61f1e2435be3292692c44b9c56c3161ba02bcbb29d41f04930",
         "0cb67b6872c75ba5e1e28a5f0474d4fcac5c0fb0f37333ff34f964d4115d119c"),
     ("arbitrum", 3, True): (
-        "ec7ab31f30cb171a1f7a207c3f67bf6cf277cf42e2830cb68617d75e72fae08d",
+        "9cd6ecc8382b4de89cde1faf64d346fcd80c6608eb701dc118be21ddd5cc8b30",
         "ae7c10a7fb7addd25e8a2dc1c19e3f4c64247ac3fca8ced48cc81ad87392b8f2",
-        "ec7ab31f30cb171a1f7a207c3f67bf6cf277cf42e2830cb68617d75e72fae08d",
+        "9cd6ecc8382b4de89cde1faf64d346fcd80c6608eb701dc118be21ddd5cc8b30",
         "ae7c10a7fb7addd25e8a2dc1c19e3f4c64247ac3fca8ced48cc81ad87392b8f2"),
 }
 
