@@ -71,8 +71,9 @@ def apply_tx(state, tx, ledger, confirm_depth):
 
 
 def _mint(state, tx, ledger, confirm_depth):
-    """Credit a buried deposit of the chain that this state has not
-    minted, and move the watermark past it."""
+    """Credit a buried deposit that the state has not minted, and move
+    the watermark past the deposit's position among its chain's deposits.
+    The state does not name its chain, so that chain is the deposit's."""
     ref = tx.get("ref")
     dep = ledger.get(ref)
     if dep is None or dep["kind"] != "deposit" \

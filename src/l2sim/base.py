@@ -160,7 +160,7 @@ class Ledger:
         self.committed: list[dict] = []       # tx + {"height"}
         self.by_txid: dict[str, dict] = {}    # txid -> its committed entry
         self.by_kind: dict[str, list] = {k: [] for k in TX_KINDS}
-        self.by_chain: dict[str, list] = {}   # chain -> its deposits
+        self.chain_deposits: dict[str, list] = {}  # chain -> its deposits
         self.deposit_at: dict[str, int] = {}  # deposit txid -> its position
         self.pending: list[dict] = []         # tx + {"submit_round", "hold_until"}
         self.keys: dict[str, str] = {}        # conflict key -> txid
@@ -294,7 +294,7 @@ class Ledger:
     def _number_deposit(self, entry):
         chain = entry["body"].get("chain")
         if isinstance(chain, str):       # a deposit of no chain mints nowhere
-            deps = self.by_chain.setdefault(chain, [])
+            deps = self.chain_deposits.setdefault(chain, [])
             self.deposit_at[entry["txid"]] = len(deps)
             deps.append(entry)
 
@@ -302,7 +302,7 @@ class Ledger:
         """The committed deposits of ``chain``, in commit order; like
         ``records``, the list grows in place, so callers must not change
         it."""
-        return self.by_chain.get(chain, [])
+        return self.chain_deposits.get(chain, [])
 
     def deposit_position(self, txid) -> int | None:
         """The index of a committed deposit among its chain's deposits, or

@@ -8,7 +8,9 @@ semantics of a mint in a batch, and check that a cloned world carries its
 own copy of the fold.  The rollup parties look l2 txids up in the fold's
 positions map instead of scanning the view's "ids"; every such answer is
 compared with the scan, and the ordering that lets ``chain_view`` bisect
-for the final prefix is checked on every view.
+for the final prefix is checked on every view.  Views share one snapshot
+of the entries: a view handed out earlier must not change.  A validator
+audits only new entries, and must audit again from a strike's cut.
 """
 
 import copy
@@ -453,6 +455,25 @@ def test_a_strike_keeps_the_entries_before_it(monkeypatch):
     assert audit.calls >= 8
 
 
+def test_a_validator_audits_again_from_the_cut():
+    # a validator audits only the entries added since its last audit; a
+    # wrong batch is struck, a second wrong batch takes its place at the
+    # same height, and the validator must audit and strike that one too
+    w = _bare_rollup()
+    w.declare_role(arbitrum.VALIDATOR)
+    w.register(arbitrum.ArbitrumValidator(
+        w.entity(arbitrum.VALIDATOR, "v1"), INITIAL))
+    wrongs = []
+    for c1 in (11, 12):
+        claimed = dict(genesis_state(INITIAL), height=1,
+                       bal={"c1": c1, "c2": 10})
+        wrongs.append(_publish(w, 1, [_pay("c1", "c2", 1)], claimed)["txid"])
+        w.advance_round()                    # the proof commits and strikes
+        assert _view(w)["entries"] == []
+    found = [e["target"] for e in _kinds(w.trace, "note", "fraud-found")]
+    assert found == wrongs
+
+
 def test_a_handed_out_view_does_not_change():
     # views share one snapshot of the entries until the fold changes; a
     # view taken before a post ripens, before a strike or in an earlier
@@ -521,6 +542,20 @@ def test_clone_keeps_an_independent_chain_view():
 
     _pay_and_wait(world, 2)
     assert arbitrum.world_view(world, SCN["initial"]) == grown
+
+
+def test_an_identity_key_serves_only_its_own_initial():
+    # a copied ledger (``World.clone``) keeps the identity keys of the
+    # original's ``initial`` dicts; a dict that reuses such an id must get
+    # the fold of its own content, not the one that key names
+    w = _bare_rollup()
+    cd = RIPEN_TIMING["confirm_depth"]
+    other = {"c1": 1, "c2": 1}
+    stale = arbitrum.chain_fold(w.ledger, w.sid, INITIAL, cd)
+    w.ledger.views[(w.sid, cd, id(other))] = (dict(INITIAL), stale)
+    fold = arbitrum.chain_fold(w.ledger, w.sid, other, cd)
+    assert fold is not stale and fold.genesis == genesis_state(other)
+    assert arbitrum.chain_fold(w.ledger, w.sid, dict(INITIAL), cd) is stale
 
 
 # -- each publication is digested once ----------------------------------------

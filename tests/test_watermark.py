@@ -103,7 +103,9 @@ def test_ripe_deposits_visits_only_the_unminted_and_one_more(n, buried, upto,
     unminted = [i for i in range(n) if i not in minted]
     assert [m["ref"] for m in got] == [f"d{i:04}" for i in unminted
                                        if i < buried]
-    assert ledger.list.reads <= len(unminted) + 1
+    # the ripe ones and the first deposit not yet buried, so never more
+    # than the unminted deposits plus one
+    assert ledger.list.reads <= len(got) + 1 <= len(unminted) + 1
 
 
 def test_a_pay_does_not_depend_on_the_minted_count():
