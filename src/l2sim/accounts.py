@@ -25,8 +25,8 @@ certification, its dispute timing and what its parties store.
 from __future__ import annotations
 
 from .base import signed_tx
-from .core import (CLIENT, OPEN, SETTLEMENT, UPDATE, SubroutineBundle,
-                   honest, open_record, read_result)
+from .core import (CLIENT, OPEN, SETTLEMENT, UPDATE, SimulatorHooks,
+                   SubroutineBundle, honest, open_record, read_result)
 from .runtime import ENV_ROLE, Machine
 
 OPERATOR = "operator"
@@ -449,7 +449,7 @@ class AccountTracker:
         return None
 
 
-class AccountHooks:
+class AccountHooks(SimulatorHooks):
     """Simulator triggers for the open and for each settlement.
 
     Subclasses turn their own update notes into update triggers and fall
@@ -457,8 +457,8 @@ class AccountHooks:
     """
 
     def __init__(self, scn):
+        super().__init__(scn)
         self.scn = scn
-        self.done = set()
 
     def account_triggers(self, ev):
         kind = ev.get("kind")

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .runtime import Machine, EntityId
+from .runtime import Machine
 from .base import signed_tx
 from .core import OPEN, UPDATE, SETTLEMENT, CLIENT
 from .accounts import (
@@ -695,7 +695,7 @@ class Hooks(AccountHooks):
                  "attachment": {"l1": ev["txid"]}}]
 
     def read_delay(self, inner, pid):
-        return inner.machines[EntityId(pid, inner.sid, CLIENT)].final_len
+        return self.client(inner, pid).final_len
 
 
 # -- adversary helpers -----------------------------------------------------

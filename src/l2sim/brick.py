@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from .runtime import Machine, EntityId
 from .base import signed_tx
-from .core import (SubroutineBundle, OPEN, UPDATE, SETTLEMENT, CLIENT,
-                   honest, open_record, read_entries, read_result,
-                   settled_entry)
+from .core import (SubroutineBundle, SimulatorHooks, OPEN, UPDATE,
+                   SETTLEMENT, CLIENT, honest, open_record, read_entries,
+                   read_result, settled_entry)
 
 WARDEN = "warden"
 
@@ -694,11 +694,8 @@ class EnvTracker:
 # -- simulator hooks -------------------------------------------------------
 
 
-class Hooks:
+class Hooks(SimulatorHooks):
     """Turns internal-simulation progress into interface triggers."""
-
-    def __init__(self, scn):
-        self.done = set()
 
     def triggers_for(self, inner, ev):
         kind = ev.get("kind")
@@ -706,7 +703,7 @@ class Hooks:
         if kind == "open-done" and "open" not in self.done:
             self.done.add("open")
             pid = ev["party"].split(":", 1)[1]
-            m = self._client(inner, pid)
+            m = self.client(inner, pid)
             out.append({"kind": OPEN, "body": {"state": ev["state"]},
                         "attachment": {"wardens": [
                             {"by": w, "ref": r}
@@ -716,8 +713,7 @@ class Hooks:
             if key not in self.done:
                 self.done.add(key)
                 pid = ev["party"].split(":", 1)[1]
-                m = self._client(inner, pid)
-                entry = next(e for e in m.chain if e["seq"] == ev["seq"])
+                entry = self.client(inner, pid).chain[ev["seq"]]
                 out.append({"kind": UPDATE, "state": ev["state"],
                             "attachment": {
                                 "clients": entry["csigs"],
@@ -737,12 +733,8 @@ class Hooks:
             out.append({"kind": SETTLEMENT, "body": body, "attachment": att})
         return out
 
-    def _client(self, inner, pid):
-        return inner.machines[EntityId(pid, inner.sid, CLIENT)]
-
     def read_delay(self, inner, pid):
-        m = self._client(inner, pid)
-        return max(0, len(m.chain) - 1)
+        return max(0, len(self.client(inner, pid).chain) - 1)
 
 
 # -- corrupted-party menu --------------------------------------------------

@@ -170,6 +170,23 @@ class SubroutineBundle:
         return True, None
 
 
+class SimulatorHooks:
+    """What each protocol's ``Hooks`` shares: ``done``, the keys of the
+    triggers it has sent, and ``client(inner, pid)``, the inner run's
+    client machine, looked up once per pid (a ``Hooks`` serves one
+    simulator, so one inner run)."""
+
+    def __init__(self, scn):
+        self.done = set()
+        self._clients = {}
+
+    def client(self, inner, pid):
+        m = self._clients.get(pid)
+        if m is None:
+            m = self._clients[pid] = inner.machines[EntityId(pid, inner.sid, CLIENT)]
+        return m
+
+
 def _refused(ist, phase, body, attachment):
     """The interface's own refusal of a trigger, answered as a bundle
     would, or None to ask the bundle."""
@@ -188,6 +205,7 @@ class InterfaceMachine(Machine):
         super().__init__(me)
         self._bundle = bundle
         self._clients = {c.pid: c for c in clients}
+        self._client_set = frozenset(clients)
         self.ist = InternalState(identities=identities)
 
     def entities(self):
@@ -209,7 +227,7 @@ class InterfaceMachine(Machine):
         if not isinstance(p, dict):
             return
         kind = p.get("kind")
-        if env.dst in self._clients.values():
+        if env.dst in self._client_set:
             if kind == "submit":
                 self._submit(ctx, env.dst.pid, p["req"])
             elif kind == "read":

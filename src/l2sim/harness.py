@@ -63,7 +63,8 @@ their names and signatures:
   ``arbitrum.batch_digest`` and public functions of ``accounts``, ``trace``
   and ``properties``, which callers look up through the module global so
   that the wrapper sees every call;
-- it wraps ``World`` delivery, rounds, ``corrupt``, ``emit`` and
+- it wraps ``World.deliver_net``, ``drain_io``, ``inject_input``,
+  ``advance_round``, ``flush_overdue``, ``corrupt``, ``emit`` and
   ``queue_net`` in ``runtime``; ``Ledger.find``/``validate``/``submit``/
   ``tick``/``read``, ``CertRegistry.sign``/``verify``/``verify_any`` and
   ``make_tx`` in ``base``; ``InterfaceMachine.on_message`` and every
@@ -180,6 +181,11 @@ def _deliverable(world):
             if e.hold_until is None or world.round_no >= e.hold_until]
 
 
+def _client_entities(world):
+    """pid -> entity of each client registered in ``world``."""
+    return {ent.pid: ent for ent in world.roles.get(CLIENT, ())}
+
+
 def _pump_world(world, seed=None, after=None):
     """Deliver every unheld NET envelope, batch by batch, until quiescent.
     With a ``seed``, each batch goes in the order that one ``Random(seed)``
@@ -207,13 +213,15 @@ class RealRun:
     def __init__(self, name, scn=None, world=None):
         self.proto = protocol(name)
         self.world, self.scn = (world, scn) if world else make_real(name, scn)
+        self.clients = _client_entities(self.world)
 
     @property
     def trace(self):
         return self.world.trace
 
     def input(self, pid, entry):
-        self.world.inject_input(self.world.entity(CLIENT, pid), dict(entry))
+        self.world.inject_input(self.clients.get(pid)
+                                or self.world.entity(CLIENT, pid), dict(entry))
 
     def corrupt(self, role, pid, force=False):
         self.world.corrupt(self.world.entity(role, pid),
@@ -248,16 +256,17 @@ class IdealRun:
         self.outer, self.sim, self.scn = build_ideal(name, scn)
         self.tracker = self.proto.EnvTracker(self.scn)
         self.refused = []    # {round, reason} of each advance the outer refused
+        # the two worlds share a sid, so one entity names a client in both
+        self.clients = _client_entities(self.outer)
 
     @property
     def trace(self):
         return self.outer.trace
 
     def input(self, pid, entry):
-        inner = self.sim.inner
-        inner.inject_input(inner.entity(CLIENT, pid), dict(entry))
+        ent = self.clients.get(pid) or self.outer.entity(CLIENT, pid)
+        self.sim.inner.inject_input(ent, dict(entry))
         self.sim.sync()
-        ent = self.outer.entity(CLIENT, pid)
         if entry["kind"] == "read":
             self.outer.inject_input(ent, {"kind": "read"})
         elif ent in self.outer.corruption:
@@ -357,23 +366,26 @@ def _check_entry(proto, entry):
 
 
 def _check_step(proto, step):
-    """Raise ScheduleError unless ``step`` is a well-formed schedule step
-    for protocol module ``proto``."""
+    """The op of ``step``; raise ScheduleError unless it is a well-formed
+    schedule step for protocol module ``proto``."""
     if not isinstance(step, dict):
         raise ScheduleError(f"schedule step is not a dict: {step!r}")
     op = step.get("op")
-    if not isinstance(op, str) or op not in STEP_FIELDS:
+    fields = STEP_FIELDS.get(op) if isinstance(op, str) else None
+    if fields is None:
         raise ScheduleError(f"unknown schedule op {op!r}")
-    for name, typ in STEP_FIELDS[op].items():
-        if name not in step or not _typed(step[name], typ):
+    for name, typ in fields.items():
+        value = step.get(name)
+        if not (type(value) is typ or name in step and _typed(value, typ)):
             raise ScheduleError(f"{op} step needs {typ.__name__} {name!r}, "
-                                f"got {step.get(name)!r}")
+                                f"got {value!r}")
     for name, typ in OPTIONAL_FIELDS.items():
         if name in step and not _typed(step[name], typ):
             raise ScheduleError(f"{op} step's {name!r} must be "
                                 f"{typ.__name__}, got {step[name]!r}")
     if op == "input":
         _check_entry(proto, step.get("entry"))
+    return op
 
 
 def apply_schedule(run, schedule):
@@ -385,10 +397,10 @@ def apply_schedule(run, schedule):
     """
     corrupted = set()
     for step in schedule:
-        _check_step(run.proto, step)
-        if step["op"] == "corrupt":
+        op = _check_step(run.proto, step)
+        if op == "corrupt":
             corrupted.add((step["role"], step["pid"]))
-        elif step["op"] == "menu":
+        elif op == "menu":
             party = (step["role"], step["pid"])
             if party not in corrupted and not run.corrupted(*party):
                 raise ScheduleError(f"menu step for {party[0]} {party[1]}, "
@@ -621,13 +633,15 @@ def scripted_schedules(name, scn):
 # -- output comparison -----------------------------------------------------
 
 
-def output_projection(trace):
+def output_projection(trace, texts=None):
     """Per-party ordered view of what the environment saw, corrupted
     parties' reads included: a read keeps its ``base``, ``settled`` and
     entry keys.  Raises IntegrityError for an output payload that is no
-    object and a read that ``properties.read_fields`` refuses."""
+    object and a read that ``properties.read_fields`` refuses.  ``texts``
+    is the canonical state-text memo of ``properties.entry_keys``, shared
+    by every read and by any projection handed the same dict."""
     per = {}
-    texts = {}              # canonical state texts, shared by every read
+    texts = {} if texts is None else texts
     for ev in trace.events:
         if ev.get("t") != "output":
             continue
@@ -648,9 +662,11 @@ def output_projection(trace):
 
 
 def diff_outputs(real_trace, ideal_trace):
-    """Element-for-element mismatches between the two output streams."""
-    a = output_projection(real_trace)
-    b = output_projection(ideal_trace)
+    """Element-for-element mismatches between the two output streams; the
+    projections share one memo, as the runs' reads share state objects."""
+    texts = {}
+    a = output_projection(real_trace, texts)
+    b = output_projection(ideal_trace, texts)
     out = []
     for party in sorted(set(a) | set(b)):
         xs, ys = a.get(party, []), b.get(party, [])

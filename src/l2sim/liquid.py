@@ -504,7 +504,7 @@ class Hooks(AccountHooks):
                  "attachment": entry["cert"]}]
 
     def read_delay(self, inner, pid):
-        return inner.machines[EntityId(pid, inner.sid, CLIENT)].height()
+        return self.client(inner, pid).height()
 
 
 # -- adversary helpers -----------------------------------------------------

@@ -1,9 +1,11 @@
 """Deterministic machine runtime.
 
-Machines are registered under (pid, sid, role) identities and exchange
-envelopes over two channels: IO envelopes deliver immediately in FIFO order
-(a cascade drains before the adversary gets control back), NET envelopes sit
-in a pending pool, keyed by eid in send order, until an adversary directive
+Machines are registered under (pid, sid, role) identities and talk over
+two channels.  IO is the environment's: an input is handed to its party at
+once, and outputs become ``output`` events in FIFO order (a cascade drains
+before the adversary gets control back); an output takes an eid from the
+counter NET envelopes share, but no envelope.  NET envelopes sit in a
+pending pool, keyed by eid in send order, until an adversary directive
 delivers them.  A single step counter numbers every event; logical rounds
 advance only through an explicit round directive.  A world built on a
 ledger joins it and signs with its registry.  An advance mints the round's
@@ -93,7 +95,7 @@ def env_entity(sid: str) -> EntityId:
     return EntityId("env", sid, ENV_ROLE)
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     eid: int
     src: EntityId
@@ -164,22 +166,14 @@ class Ctx:
     def __init__(self, world: "World", me: EntityId):
         self.world = world
         self.me = me
+        self.party = _SHORT[me]
+        self.certs = world.certs
+        self.ledger = world.ledger
+        self.timing = world.timing
 
     @property
     def round(self):
         return self.world.round_no
-
-    @property
-    def certs(self):
-        return self.world.certs
-
-    @property
-    def ledger(self):
-        return self.world.ledger
-
-    @property
-    def timing(self):
-        return self.world.timing
 
     def send_net(self, dst: EntityId, payload: dict):
         self.world.queue_net(self.me, dst, payload)
@@ -188,7 +182,11 @@ class Ctx:
         self.world.queue_io(self.me, payload)
 
     def note(self, kind: str, **fields):
-        self.world.note(kind, party=_SHORT[self.me], **fields)
+        world = self.world
+        ev = {"t": "note", "step": world._bump(), "round": world.round_no,
+              "kind": kind, "party": self.party, **fields}
+        world.notes.append(ev)
+        world.trace.emit(ev)
 
 
 class CorruptionSet:
@@ -227,7 +225,7 @@ class World:
         self.ctxs: dict[EntityId, Ctx] = {}         # entity -> its one Ctx
         self.roles: dict[str, list[EntityId]] = {}
         self.subroutines: set[str] = set()           # roles not corruptible
-        self.io_q: deque[Envelope] = deque()
+        self.io_q: deque[tuple] = deque()   # (src, payload) outputs
         self.net: dict[int, Envelope] = {}         # eid -> pending, in eid order
         self.eid_counter = 0
         self.step_no = 0
@@ -286,17 +284,10 @@ class World:
         self.trace.emit(ev)
         return ev
 
-    def note(self, kind: str, **fields):
-        self._bump()
-        ev = {"t": "note", "step": self.step_no, "round": self.round_no,
-              "kind": kind, **fields}
-        self.notes.append(ev)
-        self.trace.emit(ev)
-
     def queue_io(self, src: EntityId, payload: dict):
+        """Queue an output; it draws an eid, so later NET eids stay put."""
         self.eid_counter += 1
-        self.io_q.append(Envelope(self.eid_counter, src, self.env, IO, payload,
-                                  self.step_no, self.round_no))
+        self.io_q.append((src, payload))
 
     def queue_net(self, src: EntityId, dst: EntityId, payload: dict):
         if dst not in self.owners:
@@ -308,19 +299,21 @@ class World:
     # -- delivery ----------------------------------------------------------
 
     def drain_io(self):
+        """One ``output`` event per queued output; none once a step halts."""
         while self.io_q and self.halted is None:
-            env = self.io_q.popleft()
-            self._deliver(env)
+            src, payload = self.io_q.popleft()
+            step = self._bump()
+            if self.halted:
+                return
+            self.trace.emit({"t": "output", "step": step, "round": self.round_no,
+                             "party": _SHORT[src], "payload": payload})
 
     def _deliver(self, env: Envelope):
         step = self._bump()
         if self.halted:
             return
         dst = env.dst
-        if dst.role == ENV_ROLE:
-            self.trace.emit({"t": "output", "step": step, "round": self.round_no,
-                             "party": _SHORT[env.src], "payload": env.payload})
-        elif dst in self.corruption.members:
+        if dst in self.corruption.members:
             self.trace.emit({"t": "absorb", "step": step, "round": self.round_no,
                              "dst": _SHORT[dst], "src": _SHORT[env.src],
                              "channel": env.channel, "payload": env.payload})

@@ -9,7 +9,7 @@ from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
 from l2sim import brick, harness, properties
 from l2sim.properties import read_views
 from l2sim.trace import digest
-from seeded_schedules import random_schedule, separate_runs
+from seeded_schedules import random_schedule, real_runs, separate_runs
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
@@ -231,6 +231,20 @@ def test_ledger_rejects_forged_close():
     res = world.ledger.submit(tx)
     assert res["accepted"] is False
     assert res["reason"] == "bad-channel-sigs"
+
+
+def test_a_client_chain_holds_seq_i_at_index_i():
+    """``Hooks.triggers_for`` finds an accepted state's entry as
+    ``chain[seq]``: in the real run of every scripted schedule and of the
+    honest and adversarial golden lifecycles, each client's chain holds
+    the entry of seq i at index i."""
+    longest = 0
+    for _, run in real_runs("brick"):
+        for m in run.world.machines.values():
+            if isinstance(m, brick.BrickClient):
+                assert [e["seq"] for e in m.chain] == list(range(len(m.chain)))
+                longest = max(longest, len(m.chain))
+    assert longest > 2
 
 
 def test_read_reports_accepted_chain():

@@ -62,6 +62,30 @@ def test_io_goes_only_to_the_environment():
         ("output", "client:a", {"kind": "x"})]
 
 
+def test_an_output_draws_an_eid():
+    """An output builds no envelope but still takes the next eid, so a NET
+    envelope sent after it skips that eid, as it did when outputs were
+    envelopes; traces keep their NET eids."""
+    w, a, b = small_world()
+    w.queue_io(a, {"kind": "x"})
+    w.queue_net(a, b, {"kind": "y"})
+    assert list(w.net) == [2] and w.net[2].eid == 2
+
+
+def test_no_output_once_the_step_limit_halts_a_drain():
+    """Each output takes a step of its own; the one whose step passes
+    ``max_steps`` halts the world and is not written, nor is any after it."""
+    w, a, b = small_world()
+    w.max_steps = 1
+    for n in (1, 2, 3):
+        w.queue_io(a, {"kind": "x", "n": n})
+    w.drain_io()
+    assert [(e["t"], e["step"], e["payload"]["n"]) for e in w.trace.events] \
+        == [("output", 1, 1)]
+    assert w.halted == "max-steps" and w.step_no == 2
+    assert w.trace.complete is False
+
+
 def test_net_send_requires_registered_destination():
     w, a, b = small_world()
     with pytest.raises(RoutingError):
