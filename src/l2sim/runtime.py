@@ -308,7 +308,13 @@ class World:
             self.trace.emit({"t": "output", "step": step, "round": self.round_no,
                              "party": _SHORT[src], "payload": payload})
 
-    def _deliver(self, env: Envelope):
+    def pending_net(self):
+        return list(self.net.values())
+
+    def deliver_net(self, eid: int):
+        env = self.net.pop(eid, None)
+        if env is None:
+            raise ScheduleError(f"no pending NET envelope {eid}")
         step = self._bump()
         if self.halted:
             return
@@ -319,19 +325,10 @@ class World:
                              "channel": env.channel, "payload": env.payload})
         else:
             self.trace.emit({"t": "deliver", "step": step, "round": self.round_no,
-                             "eid": env.eid, "src": _SHORT[env.src],
+                             "eid": eid, "src": _SHORT[env.src],
                              "dst": _SHORT[dst], "channel": env.channel,
                              "payload": env.payload, "sent": env.step})
             self.owners[dst].on_message(self.ctxs[dst], env)
-
-    def pending_net(self):
-        return list(self.net.values())
-
-    def deliver_net(self, eid: int):
-        env = self.net.pop(eid, None)
-        if env is None:
-            raise ScheduleError(f"no pending NET envelope {eid}")
-        self._deliver(env)
         if self.io_q:
             self.drain_io()
 
@@ -419,10 +416,7 @@ class World:
         overdue = [e for e in self.net.values()
                    if e.src not in members and self.round_no - e.round >= delta]
         for env in overdue:
-            del self.net[env.eid]
-            self._deliver(env)
-            if self.io_q:
-                self.drain_io()
+            self.deliver_net(env.eid)
 
     # -- snapshots for state-space search ----------------------------------
 
