@@ -63,9 +63,9 @@ def test_io_goes_only_to_the_environment():
 
 
 def test_an_output_draws_an_eid():
-    """An output builds no envelope but still takes the next eid, so a NET
-    envelope sent after it skips that eid, as it did when outputs were
-    envelopes; traces keep their NET eids."""
+    """An output builds no envelope but takes the next eid, so a NET
+    envelope sent after it skips that eid: the eids in traces count
+    outputs too."""
     w, a, b = small_world()
     w.queue_io(a, {"kind": "x"})
     w.queue_net(a, b, {"kind": "y"})
