@@ -31,7 +31,15 @@ them into lists by type, builds the corrupted set once, and hands each
 list to the helper that reads it (``read_views``, ``requests``,
 ``committed_txs``).  Traces are append-only, so the most recent summary
 is reused while the same trace object holds the same events list with the
-same number of events; the checks only read it.
+same number of events; the checks only read it.  The data-availability
+replay depends only on a view and the committed transactions, so it runs
+once per distinct whole view among the honest parties' latest ones.
+
+A malformed event raises IntegrityError: an input, output, request note or
+corruption whose party is no string, an accepted submit without a string
+txid, a commit whose ``txids`` is no list, a round that does not compare
+with an int.  Each test sits where it costs nothing per event: at a
+party's first sighting, on rare events, or in the walk's exception path.
 
 A Verdict's witness is a minimal list of events: feeding it back to the
 same check (wrapped in any `.events` holder) reproduces the failure.
@@ -39,7 +47,6 @@ same check (wrapped in any `.events` holder) reproduces the failure.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -135,12 +142,25 @@ def _pid(party):
     return party.split(":", 1)[1] if ":" in str(party) else str(party)
 
 
-def corrupted_parties(trace) -> dict:
-    """party short name -> round of corruption (first if repeated)."""
-    out = {}
-    for ev in trace.events:
-        if ev.get("t") == "corrupt" and ev.get("party") not in out:
-            out[ev["party"]] = ev.get("round", 0)
+class _Pids(dict):
+    """party -> its pid, each worked out once; refuses a non-string party."""
+
+    def __missing__(self, party):
+        if not isinstance(party, str):
+            raise IntegrityError(f"party {party!r} is no string")
+        pid = self[party] = _pid(party)
+        return pid
+
+
+def corrupted_parties(trace, events=None) -> dict:
+    """party short name -> round of corruption (first if repeated), from
+    ``events`` (default: the trace's events)."""
+    out, pids = {}, _Pids()
+    for ev in trace.events if events is None else events:
+        if ev.get("t") == "corrupt":
+            party = ev.get("party")
+            pids[party]                # refuses a party that is no string
+            out.setdefault(party, ev.get("round", 0))
     return out
 
 
@@ -156,24 +176,25 @@ def read_views(trace, events=None, bad=None) -> list[ReadView]:
     """
     if bad is None:
         bad = corrupted_parties(trace)
-    views = []
-    reads = {}           # party -> its views so far
+    views, reads, pids = [], {}, _Pids()   # reads: party -> its views so far
     for ev in trace.events if events is None else events:
         if ev.get("t") != "output":
             continue
         p = ev.get("payload", {})
         if not isinstance(p, dict):
             raise IntegrityError(f"step {ev.get('step')}: output is no object")
-        if p.get("kind") != "read-result" or ev.get("party") in bad:
+        if p.get("kind") != "read-result":
             continue
-        mine = reads.setdefault(ev["party"], [])
-        seen = mine[-1].base + len(mine[-1].delta) if mine else 0
-        base, delta, settled = read_fields(p, ev.get("step"), seen)
+        party = ev.get("party")
+        if party in bad:
+            continue
+        mine, step = reads.setdefault(party, []), ev.get("step", 0)
+        base, delta, settled = read_fields(
+            p, step, mine[-1].base + len(mine[-1].delta) if mine else 0)
         mine.append(ReadView(
-            party=ev["party"], pid=_pid(ev["party"]), round=ev.get("round", 0),
-            step=ev.get("step", 0), base=base, delta=list(delta),
-            settled=None if settled is None else settled_entry(settled),
-            reads=mine, index=len(mine)))
+            party, pids[party], ev.get("round", 0), step, base, list(delta),
+            None if settled is None else settled_entry(settled),
+            mine, len(mine)))
         views.append(mine[-1])
     return views
 
@@ -250,10 +271,15 @@ def committed_txs(trace, events=None) -> list[dict]:
     for ev in trace.events if events is None else events:
         t = ev.get("t")
         if t == "ledger-submit" and ev.get("accepted"):
-            bodies[ev["txid"]] = {"txid": ev["txid"], "kind": ev.get("kind"),
-                                  "author": ev.get("author"),
-                                  "body": ev.get("body", {})}
+            txid = ev.get("txid")
+            if not isinstance(txid, str):
+                raise IntegrityError(f"step {ev.get('step')}: no txid")
+            bodies[txid] = {"txid": txid, "kind": ev.get("kind"),
+                            "author": ev.get("author"),
+                            "body": ev.get("body", {})}
         elif t == "ledger-commit":
+            if not isinstance(ev.get("txids", []), list):
+                raise IntegrityError(f"step {ev.get('step')}: txids no list")
             commits.append(ev)
     return [dict(bodies[txid], height=ev.get("height"), round=ev.get("round"))
             for ev in commits for txid in ev.get("txids", ()) if txid in bodies]
@@ -320,7 +346,7 @@ def requests(trace, events=None, bad=None) -> list[dict]:
     """
     if bad is None:
         bad = corrupted_parties(trace)
-    reqs = []
+    reqs, pids = [], _Pids()
     pending = {}         # (pid, input word) -> indexes awaiting an outcome
     for ev in trace.events if events is None else events:
         t = ev.get("t")
@@ -328,31 +354,30 @@ def requests(trace, events=None, bad=None) -> list[dict]:
             p = ev.get("payload", {})
             if not isinstance(p, dict):
                 raise IntegrityError(f"step {ev.get('step')}: input is no object")
-            if ev.get("party") in bad or ev.get("forced"):
+            party, what = ev.get("party"), p.get("kind")
+            pid = pids[party]
+            cls = _ENTRY_CLASS.get(what)   # None for a submit: its leak counts
+            if cls is None or party in bad or ev.get("forced"):
                 continue
-            if p.get("kind") == "submit":      # interface-run submission
-                continue                       # tracked via leak events
-            cls = _ENTRY_CLASS.get(p.get("kind"))
-            if cls is None:
-                continue
-            reqs.append({"pid": _pid(ev["party"]), "party": ev["party"],
+            pending.setdefault((pid, what), []).append(len(reqs))
+            reqs.append({"pid": pid, "party": party,
                          "round": ev.get("round", 0), "step": ev.get("step", 0),
-                         "cls": cls, "what": p["kind"], "entry": dict(p),
+                         "cls": cls, "what": what, "entry": dict(p),
                          "refused": False, "event": ev, "note": None})
-            key = (reqs[-1]["pid"], p["kind"])
-            pending.setdefault(key, []).append(len(reqs) - 1)
-        elif t == "note" and ev.get("kind") in ("request-refused",
-                                                "request-queued"):
-            word = _NOTE_REQ.get(ev.get("req"))
-            waiting = pending.get((_pid(ev.get("party", "")), word))
-            if not waiting:
+        elif t == "note":
+            kind = ev.get("kind")
+            if kind != "request-refused" and kind != "request-queued":
                 continue
-            i = waiting.pop(0)
-            reqs[i]["note"] = ev
-            reqs[i]["refused"] = ev["kind"] == "request-refused"
-        elif t == "leak" and isinstance(ev.get("data"), dict) \
-                and ev["data"].get("kind") == "submit":
-            req = ev["data"].get("req")
+            waiting = pending.get((pids[ev.get("party")],
+                                   _NOTE_REQ.get(ev.get("req"))))
+            if waiting:
+                reqs[waiting.pop(0)].update(
+                    note=ev, refused=kind == "request-refused")
+        elif t == "leak":
+            data = ev.get("data")
+            if not isinstance(data, dict) or data.get("kind") != "submit":
+                continue
+            req = data.get("req")
             if not (isinstance(req, dict) and "by" in req
                     and isinstance(req.get("body", {}), dict)):
                 raise IntegrityError(f"step {ev.get('step')}: submitted "
@@ -421,52 +446,51 @@ def summarize(trace) -> TraceSummary:
             "ledger-submit": ledger, "ledger-commit": ledger,
             "corrupt": corrupts}
     horizon = 0
-    for ev in events:
-        rnd = ev.get("round", 0)
-        if rnd > horizon:
-            horizon = rnd
-        kept = into.get(ev.get("t"))
-        if kept is not None:
-            kept.append(ev)
-    bad = {}
-    for ev in corrupts:
-        if ev.get("party") not in bad:
-            bad[ev["party"]] = ev.get("round", 0)
+    try:
+        for ev in events:
+            rnd = ev.get("round", 0)
+            if rnd > horizon:
+                horizon = rnd
+            kept = into.get(ev.get("t"))
+            if kept is not None:
+                kept.append(ev)
+    except TypeError:    # free until raised, unlike a test of every round
+        raise IntegrityError(f"step {ev.get('step')}: bad round or type") \
+            from None
+    bad = corrupted_parties(trace, corrupts)
     views = read_views(trace, outputs, bad)      # refuses non-object payloads
-    confirmed, oks = {}, {"open-ok": [], "settle-ok": []}
+    confirmed, open_oks, settle_oks, pids = {}, [], [], _Pids()
     for ev in outputs:
         kind = ev.get("payload", {}).get("kind")
-        if kind in oks:
-            confirmed.setdefault((_pid(ev.get("party", "")), kind),
-                                 []).append(ev.get("round", 0))
-            if ev.get("party") not in bad:
-                oks[kind].append(ev)
+        if kind == "open-ok" or kind == "settle-ok":
+            party = ev.get("party")
+            confirmed.setdefault((pids[party], kind), []).append(
+                ev.get("round", 0))
+            if party not in bad:
+                (open_oks if kind == "open-ok" else settle_oks).append(ev)
+    roles = [party.split(":", 1)[0] for party in bad]
     s = TraceSummary(
-        corrupted=bad,
-        counts=dict(Counter(str(party).split(":", 1)[0] for party in bad)),
+        corrupted=bad, counts={role: roles.count(role) for role in roles},
         horizon=horizon, views=views, chains=_chains(views),
         requests=requests(trace, asks, bad),
         commits=committed_txs(trace, ledger), confirmed=confirmed,
-        open_inputs=[ev for ev in asks if ev.get("t") == "input"
-                     and ev.get("party") not in bad
-                     and _asks_open(ev.get("payload", {}))],
-        open_oks=oks["open-ok"], settle_oks=oks["settle-ok"])
+        # an input asks for an open directly or through the interface
+        open_inputs=[ev for ev in asks if ev.get("t") == "input" and (
+            (p := ev.get("payload", {})).get("kind") == "open"
+            or p.get("kind") == "submit"
+            and p.get("req", {}).get("kind") == OPEN)
+            and ev.get("party") not in bad],
+        open_oks=open_oks, settle_oks=settle_oks)
     _last = (trace, events, len(events), s)
     return s
-
-
-def _asks_open(p) -> bool:
-    """Whether input payload ``p`` requests an open, directly or through
-    the interface's submit."""
-    return p.get("kind") == "open" or (
-        p.get("kind") == "submit" and p.get("req", {}).get("kind") == OPEN)
 
 
 # -- Definition checks ------------------------------------------------------
 
 
 def check_correct_initialization(trace) -> Verdict:
-    """Every open confirmation is requested beforehand and anchored on chain.
+    """Every open confirmation is requested beforehand by its own party and
+    anchored on chain.
 
     The chain anchor is either a committed joining record from every
     account named in the initial state (registration-style bootstraps
@@ -485,8 +509,8 @@ def check_correct_initialization(trace) -> Verdict:
             or any(_embeds(tx.get("body"), s_int) for tx in s.commits)
 
     for ev in s.open_oks:
-        asked = next((i for i in s.open_inputs
-                      if i.get("step", 0) <= ev.get("step", 0)), None)
+        asked = next((i for i in s.open_inputs if i["party"] == ev["party"]
+                      and i.get("step", 0) <= ev.get("step", 0)), None)
         if asked is None:
             return Verdict(name, False, witness=[ev],
                            params={"reason": "no-honest-open-request"})
@@ -791,8 +815,10 @@ def measure_data_availability(trace) -> DAReport:
     per_party = {pid: 1 if batches_onchain else
                  sum(1 for e in executed if e.get("kind") == UPDATE)
                  for pid, executed in whole.items()}
-    ok = bool(whole) and all(_replay(executed, ledger)
-                             for executed in whole.values())
+    # _replay reads only the view and the ledger: each distinct one runs once
+    views = list(whole.values())
+    ok = bool(views) and all(_replay(x, ledger) for i, x in enumerate(views)
+                             if x not in views[:i])
     g_l2 = 1 if batches_onchain else min(per_party.values(), default=0)
     return DAReport(g_l2=g_l2, g_l1=g_l1, reconstruction_ok=ok,
                     detail={"per_party_l2": per_party,

@@ -17,9 +17,11 @@ from functools import lru_cache
 import pytest
 
 from l2sim import harness, properties
-from l2sim.core import CLIENT, OPEN
+from l2sim.core import CLIENT, OPEN, UPDATE, read_result
 from l2sim.properties import as_trace, check_correct_initialization
 from l2sim.trace import IntegrityError, Trace, canon
+
+from test_summary import CASES, lifecycle, trace_of
 
 
 def checks(name, scn, trace):
@@ -203,6 +205,19 @@ INITIALIZATION_EXPECTED = {
 }
 
 
+def test_an_open_is_confirmed_only_on_its_own_partys_request():
+    # the liquid open-only run without c2's open input: c1's request does
+    # not stand for c2's confirmation
+    events = [ev for ev in real_trace("liquid", "open-only").events
+              if not (ev["t"] == "input" and ev["party"] == f"{CLIENT}:c2"
+                      and ev["payload"]["kind"] == "open")]
+    v = check_correct_initialization(as_trace(events))
+    assert v.to_record() == failed("no-honest-open-request")
+    assert [ev["party"] for ev in v.witness] == [f"{CLIENT}:c2"]
+    assert check_correct_initialization(
+        real_trace("liquid", "open-only")).to_record() == passed(2)
+
+
 @pytest.mark.parametrize("label", list(INITIALIZATION_CASES))
 def test_correct_initialization_on_hand_built_traces(label):
     events, bad = INITIALIZATION_CASES[label]
@@ -256,6 +271,56 @@ def test_real_runs_reconstruct(name):
 def test_a_tampered_state_breaks_reconstruction(name):
     assert not properties.measure_data_availability(
         tampered(real_trace(name))).reconstruction_ok
+
+
+def spy_replay(monkeypatch) -> list:
+    """The views ``properties._replay`` is called on from now on."""
+    replayed = []
+
+    def spy(executed, ledger, _fn=properties._replay):
+        replayed.append(executed)
+        return _fn(executed, ledger)
+    monkeypatch.setattr(properties, "_replay", spy)
+    return replayed
+
+
+@pytest.mark.parametrize("name, flavor", CASES)
+def test_equal_latest_views_are_replayed_once(name, flavor, monkeypatch):
+    replayed = spy_replay(monkeypatch)
+    da = properties.measure_data_availability(trace_of(name, flavor))
+    assert da.reconstruction_ok
+    # both honest clients end on the same whole view
+    assert len(replayed) == 1 < len(da.detail["per_party_l2"])
+
+
+@pytest.mark.parametrize("name", list(harness.PROTOCOLS))
+def test_a_tampered_copy_of_an_equal_view_is_replayed(name, monkeypatch):
+    replayed = spy_replay(monkeypatch)
+    assert properties.measure_data_availability(
+        real_trace(name)).reconstruction_ok
+    assert len(replayed) == 1
+    # the second client's view no longer equals the first's
+    del replayed[:]
+    assert not properties.measure_data_availability(
+        tampered(real_trace(name))).reconstruction_ok
+    assert len(replayed) == 2 and replayed[0] != replayed[1]
+
+
+@pytest.mark.parametrize("name, flavor", CASES)
+def test_safety_canonicalizes_each_state_object_once(name, flavor,
+                                                      monkeypatch):
+    scn, _, _ = lifecycle(name)
+    trace = trace_of(name, flavor)
+    states = {id(e.get("state")) for v in properties.summarize(trace).views
+              for e in v.executed}
+    texts = []
+    monkeypatch.setattr(properties, "canon",
+                        lambda obj, _fn=canon: texts.append(obj) or _fn(obj))
+    f = {role: budget for role, _, budget
+         in harness.protocol(name).party_roles(scn)}
+    assert properties.check_safety(trace, f).passed
+    assert 0 < len(texts) <= len(states)
+    assert len({id(obj) for obj in texts}) == len(texts)
 
 
 def test_no_views_means_no_reconstruction():
@@ -314,6 +379,46 @@ def test_a_malformed_request_is_an_integrity_error(ev):
         properties.requests(trace)
     with pytest.raises(IntegrityError):
         properties.check_correct_settlement(trace)
+
+
+# label -> the one event of a trace that no check can read
+MALFORMED_EVENTS = {
+    "input-without-party": {"t": "input", "round": 0, "step": 0,
+                            "payload": {"kind": "open"}},
+    "read-without-party": {"t": "output", "round": 0, "step": 0,
+                           "payload": read_result(0, [], None)},
+    "confirmation-party-int": event("output", 5, 0, 0,
+                                    payload={"kind": "open-ok",
+                                             "state": INITIAL}),
+    "corrupt-without-party": {"t": "corrupt", "round": 0, "step": 0},
+    "request-note-without-party": {"t": "note", "round": 0, "step": 0,
+                                   "kind": "request-queued", "req": "pay"},
+    "submit-without-txid": event("ledger-submit", "chain", 0, 0,
+                                 accepted=True, kind="open", author=A,
+                                 body={}),
+    "commit-txids-string": event("ledger-commit", "chain", 0, 0, height=1,
+                                 txids="tx-open-A"),
+    "round-string": event("note", A, "3", 0, kind="tick"),
+    "round-none": event("round", "world", None, 0),
+}
+
+EVERY_CHECK = {
+    "correct-initialization": check_correct_initialization,
+    "safety": lambda trace: properties.check_safety(trace, 0),
+    "liveness": lambda trace: properties.check_liveness(
+        trace, UPDATE, {"t_l2": 1, "t_l1": 1}),
+    "correct-settlement": properties.check_correct_settlement,
+    "data-availability": properties.measure_data_availability,
+}
+
+
+@pytest.mark.parametrize("ev", list(MALFORMED_EVENTS.values()),
+                         ids=list(MALFORMED_EVENTS))
+@pytest.mark.parametrize("check", list(EVERY_CHECK.values()),
+                         ids=list(EVERY_CHECK))
+def test_a_malformed_event_is_an_integrity_error(ev, check):
+    with pytest.raises(IntegrityError):
+        check(as_trace([ev]))
 
 
 # -- one summary per trace ----------------------------------------------------------
