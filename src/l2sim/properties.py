@@ -35,11 +35,11 @@ same number of events; the checks only read it.  The data-availability
 replay depends only on a view and the committed transactions, so it runs
 once per distinct whole view among the honest parties' latest ones.
 
-A malformed event raises IntegrityError: an input, output, request note or
-corruption whose party is no string, an accepted submit without a string
-txid, a commit whose ``txids`` is no list, a round that does not compare
-with an int.  Each test sits where it costs nothing per event: at a
-party's first sighting, on rare events, or in the walk's exception path.
+A malformed event raises IntegrityError: an input, read, confirmation,
+request note or corruption whose party is no string, an accepted submit
+without a string txid, a commit whose ``txids`` is no list, a round that
+does not compare with an int.  Each test costs nothing per event: it runs
+at a party's first sighting, on rare events, or in the walk's except path.
 
 A Verdict's witness is a minimal list of events: feeding it back to the
 same check (wrapped in any `.events` holder) reproduces the failure.
@@ -167,8 +167,9 @@ def corrupted_parties(trace, events=None) -> dict:
 def read_views(trace, events=None, bad=None) -> list[ReadView]:
     """Read results output to parties that were never corrupted, in trace
     order, each holding its delta (see ReadView).  It raises IntegrityError
-    for an output payload that is no object and for a read ``read_fields``
-    refuses, its ``base`` bounded by the entries its reader has seen.
+    for an output payload that is no object, a read whose party is no
+    string and a read ``read_fields`` refuses, its ``base`` bounded by the
+    entries its reader has seen.
 
     ``events`` (any list holding the trace's outputs) and ``bad`` (its
     corrupted parties) default to the trace's events and
@@ -265,7 +266,8 @@ def committed_txs(trace, events=None) -> list[dict]:
     """Committed transactions reassembled from submit and commit events.
 
     ``events`` (any list holding the trace's ledger events) defaults to
-    the trace's events.
+    the trace's events.  It raises IntegrityError for an accepted submit
+    without a string txid and a commit whose ``txids`` is no list.
     """
     bodies, commits = {}, []
     for ev in trace.events if events is None else events:
@@ -336,9 +338,10 @@ def requests(trace, events=None, bad=None) -> list[dict]:
     queues.  Corrupted submitters are skipped; their inputs are absorbed
     or adversary-forged, and no guarantee covers them.
 
-    It raises IntegrityError for an input payload that is no object and
-    for a submit leak whose request is no object, names no submitter or
-    carries a body that is no object.
+    It raises IntegrityError for an input payload that is no object, an
+    input or request note whose party is no string, and a submit leak
+    whose request is no object, names no submitter or carries a body that
+    is no object.
 
     ``events`` (any list holding the trace's input, note and leak events)
     and ``bad`` (its corrupted parties) default to the trace's events and
@@ -455,8 +458,7 @@ def summarize(trace) -> TraceSummary:
             if kept is not None:
                 kept.append(ev)
     except TypeError:    # free until raised, unlike a test of every round
-        raise IntegrityError(f"step {ev.get('step')}: bad round or type") \
-            from None
+        raise IntegrityError(f"step {ev.get('step')}: bad round") from None
     bad = corrupted_parties(trace, corrupts)
     views = read_views(trace, outputs, bad)      # refuses non-object payloads
     confirmed, open_oks, settle_oks, pids = {}, [], [], _Pids()
