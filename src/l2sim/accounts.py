@@ -27,7 +27,7 @@ from __future__ import annotations
 from .base import signed_tx
 from .core import (CLIENT, OPEN, SETTLEMENT, UPDATE, SimulatorHooks,
                    SubroutineBundle, honest, open_record, read_result)
-from .runtime import ENV_ROLE, Machine
+from .runtime import Machine
 
 OPERATOR = "operator"
 
@@ -205,11 +205,7 @@ class AccountClient(Machine):
     def on_start(self, ctx):
         register_onchain(ctx)
 
-    def on_message(self, ctx, env):
-        """Environment requests; other parties' messages are ignored."""
-        if env.src.role != ENV_ROLE:
-            return
-        p = env.payload
+    def on_input(self, ctx, p):
         kind = p.get("kind")
         if kind == "open":
             self.watching = True

@@ -407,9 +407,6 @@ class ArbitrumValidator(RollupParty):
         self.checked = set()
         self._audited = []         # txids of the entries audited, in order
 
-    def on_message(self, ctx, env):
-        pass    # a validator reads only the chain
-
     def on_round(self, ctx):
         self._audit(ctx)
 

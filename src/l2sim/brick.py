@@ -132,14 +132,8 @@ class BrickClient(Machine):
 
     # environment requests
 
-    def on_message(self, ctx, env):
-        kind = env.payload.get("kind")
-        if env.src.role == "env":
-            self._from_env(ctx, kind, env.payload)
-        else:
-            self._from_net(ctx, kind, env.payload, env.src)
-
-    def _from_env(self, ctx, kind, p):
+    def on_input(self, ctx, p):
+        kind = p.get("kind")
         if kind == "open":
             self._start_open(ctx)
         elif kind == "pay":
@@ -222,7 +216,9 @@ class BrickClient(Machine):
 
     # protocol messages
 
-    def _from_net(self, ctx, kind, p, src):
+    def on_message(self, ctx, env):
+        p, src = env.payload, env.src
+        kind = p.get("kind")
         if kind == "chan-open":
             if ctx.certs.verify(p["sig"],
                                 open_msg(ctx.certs, self.me.sid, p["state"]),

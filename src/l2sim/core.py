@@ -28,9 +28,10 @@ carries its whole view from ``base`` 0.  A read sends no tip state (the
 view's last entry before the settled one has it) and no pointer (that
 entry's index), and a ``settle-ok`` sends only the settled state.
 
-Requests arrive from the environment over IO; open/update/settlement
-triggers arrive over NET from the adversary side (in differential runs, from
-the simulator program), and one whose payload is not a dict is ignored.
+Requests are inputs on a client entity (``on_input``); open/update/
+settlement triggers arrive over NET on the functionality entity from the
+adversary side (in differential runs, the simulator program).  Anything
+else, and a trigger whose payload is not a dict, is ignored.
 Every subroutine consultation is recorded as a sub-call/sub-reply event
 pair, and every accepted open, update and settlement leaves an "exec"
 event recording what was executed (an update's with the queue rids it
@@ -205,7 +206,6 @@ class InterfaceMachine(Machine):
         super().__init__(me)
         self._bundle = bundle
         self._clients = {c.pid: c for c in clients}
-        self._client_set = frozenset(clients)
         self.ist = InternalState(identities=identities)
 
     def entities(self):
@@ -222,18 +222,20 @@ class InterfaceMachine(Machine):
 
     # -- dispatch ----------------------------------------------------------
 
-    def on_message(self, ctx, env):
-        p = env.payload
-        if not isinstance(p, dict):
+    def on_input(self, ctx, p):
+        if ctx.me == self.me:
             return
         kind = p.get("kind")
-        if env.dst in self._client_set:
-            if kind == "submit":
-                self._submit(ctx, env.dst.pid, p["req"])
-            elif kind == "read":
-                self._read(ctx, env.dst.pid)
+        if kind == "submit":
+            self._submit(ctx, ctx.me.pid, p["req"])
+        elif kind == "read":
+            self._read(ctx, ctx.me.pid)
+
+    def on_message(self, ctx, env):
+        p = env.payload
+        if env.dst != self.me or not isinstance(p, dict):
             return
-        # triggers on the functionality entity, from the adversary side
+        kind = p.get("kind")
         if kind == OPEN:
             self._open(ctx, p.get("body", {}), p.get("attachment"))
         elif kind == UPDATE:
@@ -288,8 +290,7 @@ class InterfaceMachine(Machine):
         executed = read_entries(ist.executed[base:idx + 1])
         settled = None if ist.settled is None else ist.settled["state"]
         ist.read_ptr[pid] = idx
-        ctx.world.queue_io(self._clients[pid],
-                           read_result(base, executed, settled))
+        ctx.output(read_result(base, executed, settled))
 
     def _open(self, ctx, body, attachment):
         ist = self.ist

@@ -1,7 +1,7 @@
 """Real-versus-ideal differential driving for the three protocols.
 
 A real run hosts the protocol machines alone.  An ideal run stacks three
-pieces: an outer world holding the interface machine plus inert stand-ins
+pieces: an outer world holding the interface machine plus bare ``Machine``s
 for the non-client cast, an inner world running the very same protocol
 machines, and a scripted simulator that replays inner progress as interface
 triggers.  Both worlds are built on one ledger, which holds the run's
@@ -58,7 +58,8 @@ their names and signatures:
 - per protocol: ``canonical_scenario``, ``party_roles`` and
   ``liveness_params``; it wraps ``Hooks.triggers_for``, ``Hooks.read_delay``
   and ``EnvTracker.ideal_request`` (each in the class's own ``__dict__``)
-  and the machine classes' ``on_message``/``on_round``;
+  and the machine classes' ``on_message``/``on_round`` (not ``on_input``,
+  so handling an input counts as ``World.inject_input`` self time);
 - it wraps ``liquid.cert_valid``, ``arbitrum.chain_view``,
   ``arbitrum.batch_digest`` and public functions of ``accounts``, ``trace``
   and ``properties``, which callers look up through the module global so
@@ -110,13 +111,6 @@ def make_real(name, scn=None):
     return world, scn
 
 
-class DummyParty(Machine):
-    """Inert stand-in so the outer world can name and corrupt the party."""
-
-    def on_message(self, ctx, env):
-        pass
-
-
 def build_ideal(name, scn=None):
     """Outer interface world plus the simulator running the inner twin."""
     proto = protocol(name)
@@ -131,8 +125,8 @@ def build_ideal(name, scn=None):
         if role == CLIENT:
             client_pids = list(pids)
             continue
-        for pid in pids:
-            outer.register(DummyParty(outer.entity(role, pid)))
+        for pid in pids:      # an inert stand-in the adversary can corrupt
+            outer.register(Machine(outer.entity(role, pid)))
     bundle = proto.make_bundle(outer, scn)
     clients = [outer.entity(CLIENT, p) for p in client_pids]
     fm = InterfaceMachine(outer.entity(INTERFACE_ROLE, "F"), bundle,
@@ -657,7 +651,10 @@ def output_projection(trace, texts=None):
             item = {"kind": kind, "state": p.get("state")}
         else:
             item = {"kind": kind, "raw": canon(p)}
-        per.setdefault(ev["party"], []).append(item)
+        try:
+            per.setdefault(ev["party"], []).append(item)
+        except TypeError:
+            raise IntegrityError(f"step {ev.get('step')}: unhashable party") from None
     return per
 
 

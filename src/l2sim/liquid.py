@@ -26,7 +26,7 @@ themselves, and serve reads from their local copy.
 
 from __future__ import annotations
 
-from .runtime import ENV_ROLE, Machine, EntityId
+from .runtime import Machine, EntityId
 from .base import signed_tx
 from .core import OPEN, UPDATE, SETTLEMENT, CLIENT
 from .accounts import (
@@ -319,9 +319,7 @@ class LiquidClient(AccountClient):
         return self.states[-1]
 
     def on_message(self, ctx, env):
-        if env.src.role == ENV_ROLE:
-            super().on_message(ctx, env)
-        elif env.payload.get("kind") == "block-push":
+        if env.payload.get("kind") == "block-push":
             self._on_push(ctx, env.payload["entry"])
 
     def _on_push(self, ctx, entry):

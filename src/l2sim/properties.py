@@ -39,7 +39,9 @@ A malformed event raises IntegrityError: an input, read, confirmation,
 request note or corruption whose party is no string, an accepted submit
 without a string txid, a commit whose ``txids`` is no list, a round that
 does not compare with an int.  Each test costs nothing per event: it runs
-at a party's first sighting, on rare events, or in the walk's except path.
+at a party's first sighting, on rare events, or in the walk's except path,
+which also turns the ``TypeError`` of a party (or a request word) that is
+a list or an object into an IntegrityError naming its step.
 
 A Verdict's witness is a minimal list of events: feeding it back to the
 same check (wrapped in any `.events` holder) reproduces the failure.
@@ -156,11 +158,14 @@ def corrupted_parties(trace, events=None) -> dict:
     """party short name -> round of corruption (first if repeated), from
     ``events`` (default: the trace's events)."""
     out, pids = {}, _Pids()
-    for ev in trace.events if events is None else events:
-        if ev.get("t") == "corrupt":
-            party = ev.get("party")
-            pids[party]                # refuses a party that is no string
-            out.setdefault(party, ev.get("round", 0))
+    try:
+        for ev in trace.events if events is None else events:
+            if ev.get("t") == "corrupt":
+                party = ev.get("party")
+                pids[party]            # refuses a party that is no string
+                out.setdefault(party, ev.get("round", 0))
+    except TypeError:
+        raise IntegrityError(f"step {ev.get('step')}: unhashable field") from None
     return out
 
 
@@ -178,25 +183,28 @@ def read_views(trace, events=None, bad=None) -> list[ReadView]:
     if bad is None:
         bad = corrupted_parties(trace)
     views, reads, pids = [], {}, _Pids()   # reads: party -> its views so far
-    for ev in trace.events if events is None else events:
-        if ev.get("t") != "output":
-            continue
-        p = ev.get("payload", {})
-        if not isinstance(p, dict):
-            raise IntegrityError(f"step {ev.get('step')}: output is no object")
-        if p.get("kind") != "read-result":
-            continue
-        party = ev.get("party")
-        if party in bad:
-            continue
-        mine, step = reads.setdefault(party, []), ev.get("step", 0)
-        base, delta, settled = read_fields(
-            p, step, mine[-1].base + len(mine[-1].delta) if mine else 0)
-        mine.append(ReadView(
-            party, pids[party], ev.get("round", 0), step, base, list(delta),
-            None if settled is None else settled_entry(settled),
-            mine, len(mine)))
-        views.append(mine[-1])
+    try:
+        for ev in trace.events if events is None else events:
+            if ev.get("t") != "output":
+                continue
+            p = ev.get("payload", {})
+            if not isinstance(p, dict):
+                raise IntegrityError(f"step {ev.get('step')}: output is no object")
+            if p.get("kind") != "read-result":
+                continue
+            party = ev.get("party")
+            if party in bad:
+                continue
+            mine, step = reads.setdefault(party, []), ev.get("step", 0)
+            base, delta, settled = read_fields(
+                p, step, mine[-1].base + len(mine[-1].delta) if mine else 0)
+            mine.append(ReadView(
+                party, pids[party], ev.get("round", 0), step, base, list(delta),
+                None if settled is None else settled_entry(settled),
+                mine, len(mine)))
+            views.append(mine[-1])
+    except TypeError:
+        raise IntegrityError(f"step {ev.get('step')}: unhashable field") from None
     return views
 
 
@@ -351,53 +359,56 @@ def requests(trace, events=None, bad=None) -> list[dict]:
         bad = corrupted_parties(trace)
     reqs, pids = [], _Pids()
     pending = {}         # (pid, input word) -> indexes awaiting an outcome
-    for ev in trace.events if events is None else events:
-        t = ev.get("t")
-        if t == "input":
-            p = ev.get("payload", {})
-            if not isinstance(p, dict):
-                raise IntegrityError(f"step {ev.get('step')}: input is no object")
-            party, what = ev.get("party"), p.get("kind")
-            pid = pids[party]
-            cls = _ENTRY_CLASS.get(what)   # None for a submit: its leak counts
-            if cls is None or party in bad or ev.get("forced"):
-                continue
-            pending.setdefault((pid, what), []).append(len(reqs))
-            reqs.append({"pid": pid, "party": party,
-                         "round": ev.get("round", 0), "step": ev.get("step", 0),
-                         "cls": cls, "what": what, "entry": dict(p),
-                         "refused": False, "event": ev, "note": None})
-        elif t == "note":
-            kind = ev.get("kind")
-            if kind != "request-refused" and kind != "request-queued":
-                continue
-            waiting = pending.get((pids[ev.get("party")],
-                                   _NOTE_REQ.get(ev.get("req"))))
-            if waiting:
-                reqs[waiting.pop(0)].update(
-                    note=ev, refused=kind == "request-refused")
-        elif t == "leak":
-            data = ev.get("data")
-            if not isinstance(data, dict) or data.get("kind") != "submit":
-                continue
-            req = data.get("req")
-            if not (isinstance(req, dict) and "by" in req
-                    and isinstance(req.get("body", {}), dict)):
-                raise IntegrityError(f"step {ev.get('step')}: submitted "
-                                     f"request is malformed")
-            party = f"{CLIENT}:{req['by']}"
-            if party in bad:
-                continue
-            cls = req.get("kind")
-            if cls not in (OPEN, UPDATE, SETTLEMENT):
-                continue
-            body = req.get("body", {})
-            reqs.append({"pid": req["by"], "party": party,
-                         "round": req.get("round", ev.get("round", 0)),
-                         "step": ev.get("step", 0), "cls": cls,
-                         "what": _BODY_WHAT.get(body.get("op")),
-                         "entry": dict(body), "refused": False,
-                         "event": ev, "note": None})
+    try:
+        for ev in trace.events if events is None else events:
+            t = ev.get("t")
+            if t == "input":
+                p = ev.get("payload", {})
+                if not isinstance(p, dict):
+                    raise IntegrityError(f"step {ev.get('step')}: input is no object")
+                party, what = ev.get("party"), p.get("kind")
+                pid = pids[party]
+                cls = _ENTRY_CLASS.get(what)   # None for a submit: its leak counts
+                if cls is None or party in bad or ev.get("forced"):
+                    continue
+                pending.setdefault((pid, what), []).append(len(reqs))
+                reqs.append({"pid": pid, "party": party,
+                             "round": ev.get("round", 0), "step": ev.get("step", 0),
+                             "cls": cls, "what": what, "entry": dict(p),
+                             "refused": False, "event": ev, "note": None})
+            elif t == "note":
+                kind = ev.get("kind")
+                if kind != "request-refused" and kind != "request-queued":
+                    continue
+                waiting = pending.get((pids[ev.get("party")],
+                                       _NOTE_REQ.get(ev.get("req"))))
+                if waiting:
+                    reqs[waiting.pop(0)].update(
+                        note=ev, refused=kind == "request-refused")
+            elif t == "leak":
+                data = ev.get("data")
+                if not isinstance(data, dict) or data.get("kind") != "submit":
+                    continue
+                req = data.get("req")
+                if not (isinstance(req, dict) and "by" in req
+                        and isinstance(req.get("body", {}), dict)):
+                    raise IntegrityError(f"step {ev.get('step')}: submitted "
+                                         f"request is malformed")
+                party = f"{CLIENT}:{req['by']}"
+                if party in bad:
+                    continue
+                cls = req.get("kind")
+                if cls not in (OPEN, UPDATE, SETTLEMENT):
+                    continue
+                body = req.get("body", {})
+                reqs.append({"pid": req["by"], "party": party,
+                             "round": req.get("round", ev.get("round", 0)),
+                             "step": ev.get("step", 0), "cls": cls,
+                             "what": _BODY_WHAT.get(body.get("op")),
+                             "entry": dict(body), "refused": False,
+                             "event": ev, "note": None})
+    except TypeError:
+        raise IntegrityError(f"step {ev.get('step')}: unhashable field") from None
     return reqs
 
 
@@ -462,14 +473,17 @@ def summarize(trace) -> TraceSummary:
     bad = corrupted_parties(trace, corrupts)
     views = read_views(trace, outputs, bad)      # refuses non-object payloads
     confirmed, open_oks, settle_oks, pids = {}, [], [], _Pids()
-    for ev in outputs:
-        kind = ev.get("payload", {}).get("kind")
-        if kind == "open-ok" or kind == "settle-ok":
-            party = ev.get("party")
-            confirmed.setdefault((pids[party], kind), []).append(
-                ev.get("round", 0))
-            if party not in bad:
-                (open_oks if kind == "open-ok" else settle_oks).append(ev)
+    try:
+        for ev in outputs:
+            kind = ev.get("payload", {}).get("kind")
+            if kind == "open-ok" or kind == "settle-ok":
+                party = ev.get("party")
+                confirmed.setdefault((pids[party], kind), []).append(
+                    ev.get("round", 0))
+                if party not in bad:
+                    (open_oks if kind == "open-ok" else settle_oks).append(ev)
+    except TypeError:
+        raise IntegrityError(f"step {ev.get('step')}: unhashable field") from None
     roles = [party.split(":", 1)[0] for party in bad]
     s = TraceSummary(
         corrupted=bad, counts={role: roles.count(role) for role in roles},

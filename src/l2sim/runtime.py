@@ -1,12 +1,13 @@
 """Deterministic machine runtime.
 
-Machines are registered under (pid, sid, role) identities and talk over
-two channels.  IO is the environment's: an input is handed to its party at
-once, and outputs become ``output`` events in FIFO order (a cascade drains
-before the adversary gets control back); an output takes an eid from the
-counter NET envelopes share, but no envelope.  NET envelopes sit in a
-pending pool, keyed by eid in send order, until an adversary directive
-delivers them.  A single step counter numbers every event; logical rounds
+Machines are registered under (pid, sid, role) identities.  The environment
+reaches a party through ``World.inject_input``, which calls the owning
+machine's ``on_input`` at once; outputs become ``output`` events in FIFO
+order (a cascade drains before the adversary gets control back), and an
+output takes an eid from the counter NET envelopes share, but no envelope.
+Machines reach each other by NET envelopes, which sit in a pending pool,
+keyed by eid in send order, until an adversary directive delivers them to
+``on_message``.  A single step counter numbers every event; logical rounds
 advance only through an explicit round directive.  A world built on a
 ledger joins it and signs with its registry.  An advance mints the round's
 block if no world on the ledger has yet, emits that block's events right
@@ -22,7 +23,7 @@ Invariants the tests lean on:
   - identical (scenario, scripts, seed) inputs produce identical traces;
   - NET envelopes are never dropped: each is pending, delivered, or absorbed
     by a corrupted recipient, which leaves an ``absorb`` event;
-  - IO goes only to the environment, and NET only to a registered
+  - outputs go only to the environment, and NET only to a registered
     machine: ``queue_net`` refuses any other destination;
   - corruption is monotone and budget-checked per role, and subroutine roles
     are not corruptible;
@@ -42,10 +43,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .trace import Trace, canon, canon_loose
-
-IO = "io"
-NET = "net"
-ENV_ROLE = "env"
 
 
 class SimError(Exception):
@@ -91,16 +88,11 @@ class _ShortNames(dict):
 _SHORT = _ShortNames()
 
 
-def env_entity(sid: str) -> EntityId:
-    return EntityId("env", sid, ENV_ROLE)
-
-
 @dataclass(slots=True)
 class Envelope:
     eid: int
     src: EntityId
     dst: EntityId
-    channel: str
     payload: dict
     step: int
     round: int
@@ -108,7 +100,8 @@ class Envelope:
 
 
 class Machine:
-    """Base protocol machine: owns one entity, reacts to envelopes and hooks."""
+    """Base protocol machine: owns its entities; each handler is a no-op
+    default, so a bare ``Machine`` is an inert party with an empty leak."""
 
     def __init__(self, me: EntityId):
         self.me = me
@@ -116,8 +109,11 @@ class Machine:
     def on_start(self, ctx):
         pass
 
+    def on_input(self, ctx, payload: dict):
+        """An input from the environment to the entity ``ctx.me``."""
+
     def on_message(self, ctx, env: Envelope):
-        raise NotImplementedError
+        """A NET envelope delivered to ``env.dst``."""
 
     def on_round(self, ctx):
         """Called once per round advance, after the round's block: the
@@ -219,7 +215,6 @@ class World:
     def __init__(self, sid: str, timing: dict, *, ledger=None):
         self.sid = sid
         self.timing = dict(timing)
-        self.env = env_entity(sid)
         self.machines: dict[EntityId, Machine] = {}  # in entity order
         self.owners: dict[EntityId, Machine] = {}   # entity -> owning machine
         self.ctxs: dict[EntityId, Ctx] = {}         # entity -> its one Ctx
@@ -293,7 +288,7 @@ class World:
         if dst not in self.owners:
             raise RoutingError(f"NET send to unregistered {dst.short()}")
         self.eid_counter += 1
-        self.net[self.eid_counter] = Envelope(self.eid_counter, src, dst, NET,
+        self.net[self.eid_counter] = Envelope(self.eid_counter, src, dst,
                                               payload, self.step_no, self.round_no)
 
     # -- delivery ----------------------------------------------------------
@@ -319,14 +314,15 @@ class World:
         if self.halted:
             return
         dst = env.dst
+        # "channel" is constant, kept so that traces keep their digests
         if dst in self.corruption.members:
             self.trace.emit({"t": "absorb", "step": step, "round": self.round_no,
                              "dst": _SHORT[dst], "src": _SHORT[env.src],
-                             "channel": env.channel, "payload": env.payload})
+                             "channel": "net", "payload": env.payload})
         else:
             self.trace.emit({"t": "deliver", "step": step, "round": self.round_no,
                              "eid": eid, "src": _SHORT[env.src],
-                             "dst": _SHORT[dst], "channel": env.channel,
+                             "dst": _SHORT[dst], "channel": "net",
                              "payload": env.payload, "sent": env.step})
             self.owners[dst].on_message(self.ctxs[dst], env)
         if self.io_q:
@@ -344,7 +340,8 @@ class World:
     # -- adversary-facing actions ------------------------------------------
 
     def inject_input(self, party: EntityId, payload: dict, force=False):
-        """Environment hands `party` a request over IO.
+        """The environment hands `party` an input: its machine's
+        ``on_input``, with the party's ``Ctx``.
 
         An input to a corrupted party is absorbed, leaving only its
         ``input`` event, as a corrupted machine ignores its environment;
@@ -361,9 +358,7 @@ class World:
         machine = self.owners.get(party)
         if machine is None:
             raise ScheduleError(f"input to unregistered {party.short()}")
-        machine.on_message(self.ctxs[party],
-                           Envelope(0, self.env, party, IO, payload,
-                                    self.step_no, self.round_no))
+        machine.on_input(self.ctxs[party], payload)
         if self.io_q:
             self.drain_io()
 

@@ -131,6 +131,20 @@ def test_pay_goes_both_directions():
     assert client(world, "c1").latest()["seq"] == 2
 
 
+def test_an_input_to_a_warden_writes_only_its_input_event():
+    """A warden takes no input: the environment's ``close-uni`` to an
+    open channel's warden leaves its ``input`` event and nothing else
+    (a client's unilateral settle reaches the wardens over NET)."""
+    world, scn = make_world()
+    open_channel(world)
+    w1 = warden(world, "w1")
+    assert w1.stored is not None
+    before = len(world.trace.events)
+    world.inject_input(world.entity(brick.WARDEN, "w1"), {"kind": "close-uni"})
+    assert [ev["t"] for ev in world.trace.events[before:]] == ["input"]
+    assert w1.published is False
+
+
 def test_wardens_store_latest_and_refuse_stale():
     world, scn = make_world()
     open_channel(world)

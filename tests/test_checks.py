@@ -424,6 +424,40 @@ def test_a_malformed_event_is_an_integrity_error(ev, check):
         check(as_trace([ev]))
 
 
+# an event of each type whose party a walk looks up, without its party
+PARTY_EVENTS = {
+    "input": {"t": "input", "round": 0, "step": 7, "payload": {"kind": "open"}},
+    "read": {"t": "output", "round": 0, "step": 7,
+             "payload": read_result(0, [], None)},
+    "corrupt": {"t": "corrupt", "round": 0, "step": 7},
+    "open-ok": {"t": "output", "round": 0, "step": 7,
+                "payload": {"kind": "open-ok", "state": INITIAL}},
+}
+
+# entry point -> the events of PARTY_EVENTS it reads the party of
+PARTY_READERS = {
+    "read_views": (properties.read_views, ("read", "corrupt")),
+    "requests": (properties.requests, ("input", "corrupt")),
+    "corrupted_parties": (properties.corrupted_parties, ("corrupt",)),
+    "check_correct_initialization": (
+        check_correct_initialization, tuple(PARTY_EVENTS)),
+    "output_projection": (harness.output_projection, ("read", "open-ok")),
+}
+
+
+@pytest.mark.parametrize("party", [["client:A"], {"client": "A"}],
+                         ids=["list", "dict"])
+@pytest.mark.parametrize("entry,kind", [
+    (entry, kind) for entry, (_, kinds) in PARTY_READERS.items()
+    for kind in kinds])
+def test_an_unhashable_party_is_an_integrity_error(entry, kind, party):
+    """A party that is a list or an object is refused with the step of its
+    event, not a ``TypeError``."""
+    trace = as_trace([dict(PARTY_EVENTS[kind], party=party)])
+    with pytest.raises(IntegrityError, match="step 7"):
+        PARTY_READERS[entry][0](trace)
+
+
 # -- one summary per trace ----------------------------------------------------------
 
 

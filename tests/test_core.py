@@ -327,3 +327,50 @@ def test_halted_world_blocks_rounds():
     trigger({"kind": UPDATE, "state": {"n": 3, "seq": 3, "poison": True}})
     assert world.advance_round() is False
     assert events(world, "round-refused")[-1]["reason"] == "halted"
+
+
+# -- the two interfaces: inputs on client entities, triggers over NET --------
+
+
+def net_to(world, dst, payload):
+    """The events of one NET delivery of ``payload`` to ``dst``."""
+    before = len(world.trace.events)
+    world.queue_net(EntityId("adv", "sess", "adv"), dst, payload)
+    world.deliver_net(world.eid_counter)
+    return world.trace.events[before:]
+
+
+@pytest.mark.parametrize("kind", ["read", "submit"])
+def test_a_request_over_net_to_a_client_entity_serves_nothing(kind):
+    """Requests are inputs: a NET message shaped like one reaches the
+    client entity and is delivered, and nothing serves it."""
+    world, machine, bundle, (a, b), trigger = build()
+    opened(trigger, world, a)
+    got = net_to(world, a, {"kind": kind,
+                            "req": {"kind": UPDATE, "body": {"n": 1}}})
+    assert [ev["t"] for ev in got] == ["deliver"]
+    assert machine.ist.queue == [] and machine.ist.read_ptr == {}
+
+
+def test_a_trigger_over_net_to_a_client_entity_is_not_executed():
+    world, machine, bundle, (a, b), trigger = build()
+    submit(world, a, {"kind": OPEN, "body": {"state": s(0)}})
+    got = net_to(world, a, {"kind": OPEN, "body": {"state": s(0)}})
+    assert [ev["t"] for ev in got] == ["deliver"]
+    assert machine.ist.phase() == "init"
+
+
+def test_an_input_to_the_functionality_entity_is_ignored():
+    """The environment reaches the interface only on client entities: an
+    input shaped like a trigger or a request, handed to the functionality
+    entity, leaves only its ``input`` event."""
+    world, machine, bundle, (a, b), trigger = build()
+    submit(world, a, {"kind": OPEN, "body": {"state": s(0)}})
+    funct = machine.me
+    before = len(world.trace.events)
+    for payload in ({"kind": OPEN, "body": {"state": s(0)}},
+                    {"kind": "read"},
+                    {"kind": "submit", "req": {"kind": OPEN, "body": {}}}):
+        world.inject_input(funct, payload)
+    assert [ev["t"] for ev in world.trace.events[before:]] == ["input"] * 3
+    assert machine.ist.phase() == "init" and len(machine.ist.queue) == 1

@@ -354,10 +354,9 @@ def test_short_names_are_role_and_pid(name):
     ideal = IdealRun(name)
     real = RealRun(name)
     for world in (real.world, ideal.outer, ideal.sim.inner):
-        for ent in [world.env, *world.owners]:
+        for ent in world.owners:
             assert ent.short() == ent.short() == f"{ent.role}:{ent.pid}"
     assert ideal.sim.adv.short() == "adv:sim"
-    assert real.world.env.short() == "env:env"
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)

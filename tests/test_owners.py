@@ -19,6 +19,11 @@ One owner mints blocks: under ``src/l2sim`` only ``World.advance_round``
 calls ``Ledger.tick``, so every world on a ledger sees its blocks by the
 one rule that method keeps.
 
+Inputs are calls, and envelopes are NET: under ``src/l2sim`` only
+``World.queue_net`` builds an ``Envelope``, and no module tells the
+environment from other senders by a sender's ``.role`` (``src.role`` or
+``env.src.role``).
+
 The protocol modules digest signed and identifying values only through
 the run's ``CertRegistry``, so each is digested once per run: a direct
 ``trace.digest`` call there must be on ``DIRECT_DIGESTS``, with its reason.
@@ -266,6 +271,23 @@ def calls_tick(node):
             and node.func.attr == "tick")
 
 
+def builds_envelope(node):
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "Envelope"
+        or isinstance(node.func, ast.Attribute)
+        and node.func.attr == "Envelope")
+
+
+def reads_sender_role(node):
+    """``node`` reads ``.role`` off a sender: ``src``, ``sender`` or any
+    ``.src`` attribute."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "role"):
+        return False
+    owner = node.value
+    return isinstance(owner, ast.Name) and owner.id in ("src", "sender") \
+        or isinstance(owner, ast.Attribute) and owner.attr == "src"
+
+
 def direct_digests(source) -> set:
     """The scopes (see ``scopes_where``) that call ``trace.digest``,
     imported by any name, or as ``trace.digest``."""
@@ -384,6 +406,24 @@ def test_the_guards_see_what_they_look_for():
              "LEDGER.tick()\n")
     assert scopes_where(ast.parse(ticks), calls_tick) == \
         {"W.advance_round", "mint", "<module>"}
+    envelopes = ("class W:\n"
+                 "    def queue_net(self, a, b, p):\n"
+                 "        self.net[1] = Envelope(1, a, b, p, 0, 0)\n"
+                 "    def inject_input(self, a, p):\n"
+                 "        runtime.Envelope(0, self.env, a, 'io', p, 0, 0)\n"
+                 "def wrap(p):\n    return Envelope\n")
+    assert scopes_where(ast.parse(envelopes), builds_envelope) == \
+        {"W.queue_net", "W.inject_input"}
+    roles = ("class M:\n"
+             "    def on_message(self, ctx, env):\n"
+             "        if env.src.role == ENV_ROLE:\n            pass\n"
+             "    def _on(self, ctx, p, src):\n"
+             "        return src.role != 'env'\n"
+             "    def ok(self, ctx, env):\n"
+             "        return self.me.role, env.dst.role, src.short()\n"
+             "def menu(world, entity):\n    return entity.role\n")
+    assert scopes_where(ast.parse(roles), reads_sender_role) == \
+        {"M.on_message", "M._on"}
 
 
 def test_only_the_summary_builders_read_events():
@@ -476,3 +516,17 @@ def test_protocol_digests_go_through_the_registry():
     direct = {(name, fn) for name in DIGEST_MODULES
               for fn in direct_digests((SRC / name).read_text())}
     assert direct == set(DIRECT_DIGESTS)
+
+
+def test_only_a_net_send_builds_an_envelope():
+    builders = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+                for name in scopes_where(ast.parse(path.read_text()),
+                                         builds_envelope)}
+    assert builders == {("runtime.py", "World.queue_net")}
+
+
+def test_no_machine_picks_out_the_environment_by_role():
+    readers = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+               for name in scopes_where(ast.parse(path.read_text()),
+                                        reads_sender_role)}
+    assert readers == set()

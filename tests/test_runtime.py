@@ -7,7 +7,7 @@ import pytest
 from l2sim import harness
 from l2sim.base import CertRegistry, Ledger, signed_tx
 from l2sim.runtime import (
-    World, Machine, EntityId, env_entity, plain,
+    World, Machine, EntityId, plain,
     RegistrationError, RoutingError, ScheduleError, CorruptionError,
 )
 from l2sim.trace import IntegrityError, Trace
@@ -16,19 +16,22 @@ TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
 
 class Echo(Machine):
-    """Replies over NET to whatever it receives; outputs on IO pings."""
+    """Records what it receives; answers an input with an output and a NET
+    forward to its peer."""
 
     def __init__(self, me, peer=None):
         super().__init__(me)
         self.peer = peer
         self.seen = []
 
+    def on_input(self, ctx, payload):
+        self.seen.append(payload.get("n"))
+        ctx.output({"kind": "pong", "n": payload.get("n")})
+        if self.peer is not None:
+            ctx.send_net(self.peer, {"kind": "fwd", "n": payload.get("n")})
+
     def on_message(self, ctx, env):
         self.seen.append(env.payload.get("n"))
-        if env.channel == "io" and env.src.role == "env":
-            ctx.output({"kind": "pong", "n": env.payload.get("n")})
-            if self.peer is not None:
-                ctx.send_net(self.peer, {"kind": "fwd", "n": env.payload.get("n")})
 
 
 def small_world():
@@ -53,7 +56,7 @@ def test_register_rejects_duplicates_and_unknown_roles():
 
 
 def test_io_goes_only_to_the_environment():
-    """A machine's IO send is one ``output`` event for the environment."""
+    """A machine's output is one ``output`` event for the environment."""
     w, a, b = small_world()
     w.queue_io(a, {"kind": "x"})
     w.drain_io()
@@ -87,17 +90,13 @@ def test_no_output_once_the_step_limit_halts_a_drain():
 
 
 def test_net_send_requires_registered_destination():
+    """A NET send to an unregistered entity is refused and queues nothing;
+    the environment, which takes outputs through ``queue_io``, is none."""
     w, a, b = small_world()
     with pytest.raises(RoutingError):
         w.queue_net(a, EntityId("ghost", "s1", "warden"), {})
-
-
-def test_the_environment_is_no_net_destination():
-    """A NET send to the environment would be an output in the sender's
-    name outside ``queue_io``; it is refused and queues nothing."""
-    w, a, b = small_world()
     with pytest.raises(RoutingError):
-        w.ctxs[a].send_net(w.env, {"kind": "pong", "n": 1})
+        w.ctxs[a].send_net(EntityId("ghost", "s1", "client"), {"kind": "pong"})
     assert not w.net and w.eid_counter == 0 and w.trace.events == []
 
 
@@ -236,9 +235,6 @@ class Poller(Machine):
         super().__init__(me)
         self.log = log
 
-    def on_message(self, ctx, env):
-        pass
-
     def on_round(self, ctx):
         self.log.append(("poll", self.me.pid, ctx.round, ctx.ledger.height))
 
@@ -270,9 +266,8 @@ def test_on_round_runs_once_per_advance_after_the_block(shared):
 class Submitter(Machine):
     """Submits a signed deposit holding the input's ``n`` and ``conflict``."""
 
-    def on_message(self, ctx, env):
-        ctx.ledger.submit(signed_tx(ctx.certs, "deposit", dict(env.payload),
-                                    "a"))
+    def on_input(self, ctx, payload):
+        ctx.ledger.submit(signed_tx(ctx.certs, "deposit", dict(payload), "a"))
 
 
 def ledger_worlds(*inputs, worlds=3):
@@ -411,6 +406,10 @@ def test_each_entity_is_handed_one_ctx():
         def on_start(self, ctx):
             handed.append((self.me, ctx))
 
+        def on_input(self, ctx, payload):
+            handed.append((self.me, ctx))
+            super().on_input(ctx, payload)
+
         def on_message(self, ctx, env):
             handed.append((env.dst, ctx))
             super().on_message(ctx, env)
@@ -432,7 +431,6 @@ def test_each_entity_is_handed_one_ctx():
     assert w.machines[a].seen == [1]
     outputs = [ev for ev in w.trace.events if ev["t"] == "output"]
     assert [ev["party"] for ev in outputs] == ["client:a"]
-    assert w.env == env_entity("s1")
 
 
 class Bounce(Machine):
@@ -444,10 +442,13 @@ class Bounce(Machine):
         self.peer = peer
         self.fan = fan
 
-    def on_message(self, ctx, env):
-        hops = env.payload["hops"]
+    def on_input(self, ctx, payload):
+        hops = payload["hops"]
         for _ in range(self.fan if hops else 0):
-            ctx.send_net(self.peer, {"n": env.payload["n"], "hops": hops - 1})
+            ctx.send_net(self.peer, {"n": payload["n"], "hops": hops - 1})
+
+    def on_message(self, ctx, env):
+        self.on_input(ctx, env.payload)
 
 
 def bounce_world(fan=1):
