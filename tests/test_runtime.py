@@ -90,13 +90,19 @@ def test_no_output_once_the_step_limit_halts_a_drain():
 
 
 def test_net_send_requires_registered_destination():
-    """A NET send to an unregistered entity is refused and queues nothing;
-    the environment, which takes outputs through ``queue_io``, is none."""
     w, a, b = small_world()
     with pytest.raises(RoutingError):
         w.queue_net(a, EntityId("ghost", "s1", "warden"), {})
+
+
+def test_the_environment_is_no_net_destination():
+    """The environment is no registered entity: it takes outputs through
+    ``queue_io`` only.  A NET send addressed to it would be an output in the
+    sender's name outside ``queue_io``; it is refused and queues nothing."""
+    w, a, b = small_world()
+    assert all(e.role != "env" for e in w.owners)
     with pytest.raises(RoutingError):
-        w.ctxs[a].send_net(EntityId("ghost", "s1", "client"), {"kind": "pong"})
+        w.ctxs[a].send_net(EntityId("env", "s1", "env"), {"kind": "pong", "n": 1})
     assert not w.net and w.eid_counter == 0 and w.trace.events == []
 
 
