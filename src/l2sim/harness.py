@@ -85,7 +85,7 @@ from .base import CertRegistry, Ledger
 from .core import CLIENT, INTERFACE_ROLE, InterfaceMachine, attach_round_gate
 from .properties import entry_keys, read_fields
 from .runtime import EntityId, Machine, ScheduleError, World
-from .trace import IntegrityError, canon
+from .trace import canon
 
 PROTOCOLS = {"brick": brick, "liquid": liquid, "arbitrum": arbitrum}
 
@@ -630,31 +630,25 @@ def scripted_schedules(name, scn):
 def output_projection(trace, texts=None):
     """Per-party ordered view of what the environment saw, corrupted
     parties' reads included: a read keeps its ``base``, ``settled`` and
-    entry keys.  Raises IntegrityError for an output payload that is no
-    object and a read that ``properties.read_fields`` refuses.  ``texts``
-    is the canonical state-text memo of ``properties.entry_keys``, shared
-    by every read and by any projection handed the same dict."""
+    entry keys.  ``texts`` is the canonical state-text memo of
+    ``properties.entry_keys``, shared by every read and by any projection
+    handed the same dict."""
     per = {}
     texts = {} if texts is None else texts
     for ev in trace.events:
         if ev.get("t") != "output":
             continue
-        p = ev.get("payload")
-        if not isinstance(p, dict):
-            raise IntegrityError(f"step {ev.get('step')}: output is no object")
+        p = ev["payload"]
         kind = p.get("kind")
         if kind == "read-result":
-            base, executed, settled = read_fields(p, ev.get("step"))
+            base, executed, settled = read_fields(p)
             item = {"kind": kind, "base": base, "settled": settled,
                     "executed": entry_keys(executed, texts)}
         elif kind in ("open-ok", "settle-ok"):
             item = {"kind": kind, "state": p.get("state")}
         else:
             item = {"kind": kind, "raw": canon(p)}
-        try:
-            per.setdefault(ev["party"], []).append(item)
-        except TypeError:
-            raise IntegrityError(f"step {ev.get('step')}: unhashable party") from None
+        per.setdefault(ev["party"], []).append(item)
     return per
 
 

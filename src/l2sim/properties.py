@@ -1,11 +1,11 @@
 """Trace predicates: initialization, safety, liveness, settlement, storage.
 
-Every check consumes a finished run's trace (any object with an `.events`
-list) and returns a Verdict.  The checks work on both stackings and judge
-them by what the environment sees: the requests come from client inputs
-and refusal notes in real runs and from submit leaks in interface runs,
-and both are judged against the same honest read outputs and
-confirmations.  Nothing here mutates a world.
+Every check judges a finished run's trace, a ``Trace`` or a holder that
+``as_trace`` builds, and returns a Verdict.  The checks work on both
+stackings and judge them by what the environment sees: the requests come
+from client inputs and refusal notes in real runs and from submit leaks in
+interface runs, and both are judged against the same honest read outputs
+and confirmations.  Nothing here mutates a world.
 
 A read-result carries only its delta (see ``core.read_result``): the first
 ``base`` entries of its reader's previous view, then ``executed``, then
@@ -21,9 +21,9 @@ counts, the highest state height), cut them back to the next view's
 bounded number of times and the cost grows linearly with the trace.  That
 needs a reader's previous view in trace order to be its previous one in
 (round, step) order; a reader whose views are out of that order (a
-hand-built or permuted event holder) has every view walked whole, so the
-verdicts are the same on any ``.events`` holder.  A witness read carries
-its whole view from ``base`` 0, so a witness stands on its own.
+hand-built or permuted event list) has every view walked whole, so the
+verdicts do not depend on the order.  A witness read carries its whole
+view from ``base`` 0, so a witness stands on its own.
 
 No check scans the events itself: each reads the trace's TraceSummary,
 which ``summarize`` derives in one walk over the events.  That walk sorts
@@ -35,16 +35,12 @@ same number of events; the checks only read it.  The data-availability
 replay depends only on a view and the committed transactions, so it runs
 once per distinct whole view among the honest parties' latest ones.
 
-A malformed event raises IntegrityError: an input, read, confirmation,
-request note or corruption whose party is no string, an accepted submit
-without a string txid, a commit whose ``txids`` is no list, a round that
-does not compare with an int.  Each test costs nothing per event: it runs
-at a party's first sighting, on rare events, or in the walk's except path,
-which also turns the ``TypeError`` of a party (or a request word) that is
-a list or an object into an IntegrityError naming its step.
+Malformed input is refused where it enters: ``Trace.from_text`` and
+``as_trace`` hold its events to ``trace.EVENT`` and raise IntegrityError
+naming the step, so the checks trust the events they read.
 
 A Verdict's witness is a minimal list of events: feeding it back to the
-same check (wrapped in any `.events` holder) reproduces the failure.
+same check (wrapped by ``as_trace``) reproduces the failure.
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ from types import SimpleNamespace
 from .accounts import apply_txs
 from .brick import conserves
 from .core import CLIENT, OPEN, SETTLEMENT, UPDATE, read_result, settled_entry
-from .trace import IntegrityError, canon
+from .trace import canon, validate_events
 
 SETTLE_TX_KINDS = ("settle", "peg-out")
 
@@ -133,8 +129,10 @@ class Verdict:
 
 
 def as_trace(events):
-    """Wrap a bare event list so a witness can be re-checked."""
-    return SimpleNamespace(events=list(events))
+    """Wrap a bare event list, held to ``trace.EVENT``, so a witness or a
+    hand-built trace can be checked."""
+    validate_events(events := list(events))
+    return SimpleNamespace(events=events)
 
 
 # -- trace digestion --------------------------------------------------------
@@ -145,11 +143,9 @@ def _pid(party):
 
 
 class _Pids(dict):
-    """party -> its pid, each worked out once; refuses a non-string party."""
+    """party -> its pid, each worked out once."""
 
     def __missing__(self, party):
-        if not isinstance(party, str):
-            raise IntegrityError(f"party {party!r} is no string")
         pid = self[party] = _pid(party)
         return pid
 
@@ -157,24 +153,16 @@ class _Pids(dict):
 def corrupted_parties(trace, events=None) -> dict:
     """party short name -> round of corruption (first if repeated), from
     ``events`` (default: the trace's events)."""
-    out, pids = {}, _Pids()
-    try:
-        for ev in trace.events if events is None else events:
-            if ev.get("t") == "corrupt":
-                party = ev.get("party")
-                pids[party]            # refuses a party that is no string
-                out.setdefault(party, ev.get("round", 0))
-    except TypeError:
-        raise IntegrityError(f"step {ev.get('step')}: unhashable field") from None
+    out = {}
+    for ev in trace.events if events is None else events:
+        if ev.get("t") == "corrupt":
+            out.setdefault(ev["party"], ev.get("round", 0))
     return out
 
 
 def read_views(trace, events=None, bad=None) -> list[ReadView]:
     """Read results output to parties that were never corrupted, in trace
-    order, each holding its delta (see ReadView).  It raises IntegrityError
-    for an output payload that is no object, a read whose party is no
-    string and a read ``read_fields`` refuses, its ``base`` bounded by the
-    entries its reader has seen.
+    order, each holding its delta (see ReadView).
 
     ``events`` (any list holding the trace's outputs) and ``bad`` (its
     corrupted parties) default to the trace's events and
@@ -183,46 +171,26 @@ def read_views(trace, events=None, bad=None) -> list[ReadView]:
     if bad is None:
         bad = corrupted_parties(trace)
     views, reads, pids = [], {}, _Pids()   # reads: party -> its views so far
-    try:
-        for ev in trace.events if events is None else events:
-            if ev.get("t") != "output":
-                continue
-            p = ev.get("payload", {})
-            if not isinstance(p, dict):
-                raise IntegrityError(f"step {ev.get('step')}: output is no object")
-            if p.get("kind") != "read-result":
-                continue
-            party = ev.get("party")
-            if party in bad:
-                continue
-            mine, step = reads.setdefault(party, []), ev.get("step", 0)
-            base, delta, settled = read_fields(
-                p, step, mine[-1].base + len(mine[-1].delta) if mine else 0)
-            mine.append(ReadView(
-                party, pids[party], ev.get("round", 0), step, base, list(delta),
-                None if settled is None else settled_entry(settled),
-                mine, len(mine)))
-            views.append(mine[-1])
-    except TypeError:
-        raise IntegrityError(f"step {ev.get('step')}: unhashable field") from None
+    for ev in trace.events if events is None else events:
+        if ev.get("t") != "output" or ev["payload"].get("kind") != "read-result":
+            continue
+        party = ev["party"]
+        if party in bad:
+            continue
+        mine = reads.setdefault(party, [])
+        base, delta, settled = read_fields(ev["payload"])
+        mine.append(ReadView(
+            party, pids[party], ev.get("round", 0), ev.get("step", 0), base,
+            list(delta), None if settled is None else settled_entry(settled),
+            mine, len(mine)))
+        views.append(mine[-1])
     return views
 
 
-def read_fields(p, step, seen=None) -> tuple:
+def read_fields(p) -> tuple:
     """The one decoder of read-result payload ``p``: its ``base``,
-    ``executed`` and ``settled``, a missing field at its default.  Raises
-    IntegrityError unless they are an int (in [0, ``seen``] when ``seen``
-    is given), a list of objects and an object or null."""
-    base, executed, settled = p.get("base", 0), p.get("executed", []), p.get("settled")
-    if not (type(base) is int and isinstance(executed, list)
-            and (settled is None or isinstance(settled, dict))
-            and (seen is None or 0 <= base <= seen)):
-        raise IntegrityError(f"read at step {step} is malformed "
-                             f"or extends {base!r} of {seen} entries seen")
-    for e in executed:       # a loop: cheaper than all() on short lists
-        if not isinstance(e, dict):
-            raise IntegrityError(f"read at step {step} has an entry that is no object")
-    return base, executed, settled
+    ``executed`` and ``settled``, a missing field at its default."""
+    return p.get("base", 0), p.get("executed", []), p.get("settled")
 
 
 def entry_keys(executed, texts) -> list:
@@ -274,22 +242,16 @@ def committed_txs(trace, events=None) -> list[dict]:
     """Committed transactions reassembled from submit and commit events.
 
     ``events`` (any list holding the trace's ledger events) defaults to
-    the trace's events.  It raises IntegrityError for an accepted submit
-    without a string txid and a commit whose ``txids`` is no list.
+    the trace's events.
     """
     bodies, commits = {}, []
     for ev in trace.events if events is None else events:
         t = ev.get("t")
         if t == "ledger-submit" and ev.get("accepted"):
-            txid = ev.get("txid")
-            if not isinstance(txid, str):
-                raise IntegrityError(f"step {ev.get('step')}: no txid")
-            bodies[txid] = {"txid": txid, "kind": ev.get("kind"),
-                            "author": ev.get("author"),
-                            "body": ev.get("body", {})}
+            bodies[ev["txid"]] = {"txid": ev["txid"], "kind": ev.get("kind"),
+                                  "author": ev.get("author"),
+                                  "body": ev.get("body", {})}
         elif t == "ledger-commit":
-            if not isinstance(ev.get("txids", []), list):
-                raise IntegrityError(f"step {ev.get('step')}: txids no list")
             commits.append(ev)
     return [dict(bodies[txid], height=ev.get("height"), round=ev.get("round"))
             for ev in commits for txid in ev.get("txids", ()) if txid in bodies]
@@ -346,11 +308,6 @@ def requests(trace, events=None, bad=None) -> list[dict]:
     queues.  Corrupted submitters are skipped; their inputs are absorbed
     or adversary-forged, and no guarantee covers them.
 
-    It raises IntegrityError for an input payload that is no object, an
-    input or request note whose party is no string, and a submit leak
-    whose request is no object, names no submitter or carries a body that
-    is no object.
-
     ``events`` (any list holding the trace's input, note and leak events)
     and ``bad`` (its corrupted parties) default to the trace's events and
     ``corrupted_parties``.
@@ -359,56 +316,41 @@ def requests(trace, events=None, bad=None) -> list[dict]:
         bad = corrupted_parties(trace)
     reqs, pids = [], _Pids()
     pending = {}         # (pid, input word) -> indexes awaiting an outcome
-    try:
-        for ev in trace.events if events is None else events:
-            t = ev.get("t")
-            if t == "input":
-                p = ev.get("payload", {})
-                if not isinstance(p, dict):
-                    raise IntegrityError(f"step {ev.get('step')}: input is no object")
-                party, what = ev.get("party"), p.get("kind")
-                pid = pids[party]
-                cls = _ENTRY_CLASS.get(what)   # None for a submit: its leak counts
-                if cls is None or party in bad or ev.get("forced"):
-                    continue
-                pending.setdefault((pid, what), []).append(len(reqs))
-                reqs.append({"pid": pid, "party": party,
-                             "round": ev.get("round", 0), "step": ev.get("step", 0),
-                             "cls": cls, "what": what, "entry": dict(p),
-                             "refused": False, "event": ev, "note": None})
-            elif t == "note":
-                kind = ev.get("kind")
-                if kind != "request-refused" and kind != "request-queued":
-                    continue
-                waiting = pending.get((pids[ev.get("party")],
-                                       _NOTE_REQ.get(ev.get("req"))))
-                if waiting:
-                    reqs[waiting.pop(0)].update(
-                        note=ev, refused=kind == "request-refused")
-            elif t == "leak":
-                data = ev.get("data")
-                if not isinstance(data, dict) or data.get("kind") != "submit":
-                    continue
-                req = data.get("req")
-                if not (isinstance(req, dict) and "by" in req
-                        and isinstance(req.get("body", {}), dict)):
-                    raise IntegrityError(f"step {ev.get('step')}: submitted "
-                                         f"request is malformed")
-                party = f"{CLIENT}:{req['by']}"
-                if party in bad:
-                    continue
-                cls = req.get("kind")
-                if cls not in (OPEN, UPDATE, SETTLEMENT):
-                    continue
-                body = req.get("body", {})
-                reqs.append({"pid": req["by"], "party": party,
-                             "round": req.get("round", ev.get("round", 0)),
-                             "step": ev.get("step", 0), "cls": cls,
-                             "what": _BODY_WHAT.get(body.get("op")),
-                             "entry": dict(body), "refused": False,
-                             "event": ev, "note": None})
-    except TypeError:
-        raise IntegrityError(f"step {ev.get('step')}: unhashable field") from None
+    for ev in trace.events if events is None else events:
+        t = ev.get("t")
+        if t == "input":
+            p, party = ev["payload"], ev["party"]
+            pid, what = pids[party], p.get("kind")
+            cls = _ENTRY_CLASS.get(what)   # None for a submit: its leak counts
+            if cls is None or party in bad or ev.get("forced"):
+                continue
+            pending.setdefault((pid, what), []).append(len(reqs))
+            reqs.append({"pid": pid, "party": party,
+                         "round": ev.get("round", 0), "step": ev.get("step", 0),
+                         "cls": cls, "what": what, "entry": dict(p),
+                         "refused": False, "event": ev, "note": None})
+        elif t == "note":
+            kind = ev.get("kind")
+            if kind != "request-refused" and kind != "request-queued":
+                continue
+            waiting = pending.get((pids[ev["party"]],
+                                   _NOTE_REQ.get(ev.get("req"))))
+            if waiting:
+                reqs[waiting.pop(0)].update(
+                    note=ev, refused=kind == "request-refused")
+        elif t == "leak" and ev["data"].get("kind") == "submit":
+            req = ev["data"]["req"]
+            party = f"{CLIENT}:{req['by']}"
+            cls = req.get("kind")
+            if party in bad or cls not in (OPEN, UPDATE, SETTLEMENT):
+                continue
+            body = req.get("body", {})
+            reqs.append({"pid": req["by"], "party": party,
+                         "round": req.get("round", ev.get("round", 0)),
+                         "step": ev.get("step", 0), "cls": cls,
+                         "what": _BODY_WHAT.get(body.get("op")),
+                         "entry": dict(body), "refused": False,
+                         "event": ev, "note": None})
     return reqs
 
 
@@ -460,30 +402,24 @@ def summarize(trace) -> TraceSummary:
             "ledger-submit": ledger, "ledger-commit": ledger,
             "corrupt": corrupts}
     horizon = 0
-    try:
-        for ev in events:
-            rnd = ev.get("round", 0)
-            if rnd > horizon:
-                horizon = rnd
-            kept = into.get(ev.get("t"))
-            if kept is not None:
-                kept.append(ev)
-    except TypeError:    # free until raised, unlike a test of every round
-        raise IntegrityError(f"step {ev.get('step')}: bad round") from None
+    for ev in events:
+        rnd = ev.get("round", 0)
+        if rnd > horizon:
+            horizon = rnd
+        kept = into.get(ev.get("t"))
+        if kept is not None:
+            kept.append(ev)
     bad = corrupted_parties(trace, corrupts)
-    views = read_views(trace, outputs, bad)      # refuses non-object payloads
+    views = read_views(trace, outputs, bad)
     confirmed, open_oks, settle_oks, pids = {}, [], [], _Pids()
-    try:
-        for ev in outputs:
-            kind = ev.get("payload", {}).get("kind")
-            if kind == "open-ok" or kind == "settle-ok":
-                party = ev.get("party")
-                confirmed.setdefault((pids[party], kind), []).append(
-                    ev.get("round", 0))
-                if party not in bad:
-                    (open_oks if kind == "open-ok" else settle_oks).append(ev)
-    except TypeError:
-        raise IntegrityError(f"step {ev.get('step')}: unhashable field") from None
+    for ev in outputs:
+        kind = ev["payload"].get("kind")
+        if kind == "open-ok" or kind == "settle-ok":
+            party = ev["party"]
+            confirmed.setdefault((pids[party], kind), []).append(
+                ev.get("round", 0))
+            if party not in bad:
+                (open_oks if kind == "open-ok" else settle_oks).append(ev)
     roles = [party.split(":", 1)[0] for party in bad]
     s = TraceSummary(
         corrupted=bad, counts={role: roles.count(role) for role in roles},
@@ -492,7 +428,7 @@ def summarize(trace) -> TraceSummary:
         commits=committed_txs(trace, ledger), confirmed=confirmed,
         # an input asks for an open directly or through the interface
         open_inputs=[ev for ev in asks if ev.get("t") == "input" and (
-            (p := ev.get("payload", {})).get("kind") == "open"
+            (p := ev["payload"]).get("kind") == "open"
             or p.get("kind") == "submit"
             and p.get("req", {}).get("kind") == OPEN)
             and ev.get("party") not in bad],
@@ -851,7 +787,7 @@ def _replay(executed, ledger) -> bool:
             continue
         if kind == SETTLEMENT:
             continue           # judged by the settlement check, not replay
-        if cur is None:
+        if cur is None or state is None:
             return False
         if "txs" in e:
             ok = apply_txs(cur, e["txs"], ledger, 0, e.get("seq")) == state

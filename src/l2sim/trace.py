@@ -6,6 +6,11 @@ so a trace can be written to disk and read back byte for byte.
 Files are line-delimited JSON: one header line, one line per event, and a
 final integrity line carrying the event count and a digest of everything
 above it.
+
+``EVENT`` is the one table of the event types: the shape of what a check or
+the output projection reads of each.  ``validate_events`` holds a trace to
+it where it enters from outside, in ``Trace.from_text`` (so ``load``) and
+``properties.as_trace``; a trace a ``World`` builds fits by construction.
 """
 
 from __future__ import annotations
@@ -36,6 +41,69 @@ def digest(obj) -> str:
 
 class IntegrityError(Exception):
     pass
+
+
+# -- the event schema ---------------------------------------------------------
+
+NULL = type(None)
+
+
+class Kinds(dict):
+    """A field naming its object's type: a string adding the fields it maps to."""
+
+
+# A shape is a type or a tuple of types, matched exactly (a bool is no
+# int); [shape], a list of that shape; a Kinds; or a dict of field shapes,
+# an object.  A field named with a trailing "?" may be missing.
+STATE = {"state?": (dict, NULL)}
+READ_ENTRY = {"kind?": str, "state?": (dict, NULL), "txs?": [dict]}
+EVENT = {"t": Kinds({
+    "input": {"party": str, "payload": {"kind?": Kinds({
+        "settle": {"seq?": (int, NULL)}, "submit": {"req?": dict}})}},
+    "output": {"party": str, "payload": {"kind?": Kinds({
+        "read-result": {"base?": int, "executed?": [READ_ENTRY],
+                        "settled?": (dict, NULL)},
+        "open-ok": STATE, "settle-ok": STATE})}},
+    "corrupt": {"party": str},
+    "note": {"party": str, "req?": str},
+    "leak": {"data": {"kind?": Kinds({"submit": {"req": {
+        "by": str, "round?": int,
+        "body?": {"op?": str, "seq?": (int, NULL)}}}})}},
+    "ledger-submit": {"txid": str, "author?": str},
+    "ledger-commit": {"txids?": [str]},
+}), "round?": int, "step?": int}
+
+
+def _check(value, shape, step, where):
+    """Raise IntegrityError, naming the step, unless ``value`` has ``shape``."""
+    typ = {list: list, dict: dict, Kinds: str}.get(type(shape), shape)
+    if type(value) not in (typ if isinstance(typ, tuple) else (typ,)):
+        raise IntegrityError(f"step {step}: {where} is malformed")
+    if type(shape) is list:
+        for i, item in enumerate(value):
+            _check(item, shape[0], step, f"{where}[{i}]")
+    elif type(shape) is dict:
+        for name, sub in shape.items():
+            key = name.rstrip("?")
+            if key in value:
+                _check(value[key], sub, step, f"{where}.{key}")
+                if isinstance(sub, Kinds):
+                    _check(value, sub.get(value[key], {}), step, where)
+            elif key == name:
+                raise IntegrityError(f"step {step}: {where} has no {key!r}")
+
+
+def validate_events(events):
+    """Raise IntegrityError, naming the step, unless each event has the shape
+    ``EVENT`` and each read's ``base`` is in [0, the entries its reader saw]."""
+    shown = {}           # party -> the entries its last read left it
+    for ev in events:
+        _check(ev, EVENT, ev.get("step") if type(ev) is dict else None, "event")
+        if ev["t"] == "output" and (p := ev["payload"]).get("kind") == "read-result":
+            base, seen = p.get("base", 0), shown.get(ev["party"], 0)
+            if not 0 <= base <= seen:
+                raise IntegrityError(f"step {ev.get('step')}: base {base} not in [0, {seen}]")
+            shown[ev["party"]] = base + len(p.get("executed", ()))
 
 
 class Trace:
@@ -88,16 +156,18 @@ class Trace:
             raise IntegrityError("a trace file line is no JSON object")
         if head.pop("l2sim-trace", None) != 1:
             raise IntegrityError("missing or unsupported trace header")
-        if "end" not in tail or "digest" not in tail:
-            raise IntegrityError("missing integrity line (truncated file?)")
+        if not (type(tail.get("end")) is int and "digest" in tail
+                and type(tail.get("complete")) is bool):
+            raise IntegrityError("missing or malformed integrity line")
         t = cls(header=head)
         t.events = events
-        t.complete = tail.get("complete", True)
+        t.complete = tail["complete"]
         if tail["end"] != len(events):
             raise IntegrityError(
                 f"event count mismatch: header says {tail['end']}, found {len(events)}")
         if tail["digest"] != t.digest():
             raise IntegrityError("trace digest mismatch")
+        validate_events(events)
         return t
 
     @classmethod

@@ -11,10 +11,12 @@ the same verdicts.  The checks run on one trace share one summary of it,
 and none of them changes that summary.  Counting guards pin the cost of
 the checks without timing them: data availability replays each distinct
 view once, and safety canonicalizes each state object at most once.  A
-malformed event fails every check with IntegrityError.
+malformed event is refused with IntegrityError where it enters, wrapped by
+``as_trace`` or loaded by ``Trace.from_text``, so it fails every check.
 """
 
 import copy
+import json
 from functools import lru_cache
 
 import pytest
@@ -326,6 +328,14 @@ def test_safety_canonicalizes_each_state_object_once(name, flavor,
     assert len({id(obj) for obj in texts}) == len(texts)
 
 
+def test_an_update_of_no_state_does_not_reconstruct():
+    # found by tests/test_schema.py: a channel update whose state is null
+    # (the table allows it) once ended the replay in a TypeError
+    v = opened_read({"kind": UPDATE, "seq": 1, "state": None})
+    assert not properties.measure_data_availability(
+        as_trace([v])).reconstruction_ok
+
+
 def test_no_views_means_no_reconstruction():
     da = properties.measure_data_availability(as_trace([]))
     assert not da.reconstruction_ok
@@ -357,6 +367,19 @@ def test_a_dumped_trace_loads_with_the_same_verdicts(name, tmp_path):
         Trace.load(cut)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("complete", "no"), ("complete", 1), ("end", 1.0), ("end", True)])
+def test_an_integrity_line_of_the_wrong_types_is_refused(field, value):
+    """The digest hashes only whether the trace is complete, and ``1.0 ==
+    1``: a loaded trace is complete only when the file says ``true``."""
+    trace = Trace()
+    trace.events = [event("note", A, 0, 0, kind="tick")]
+    *lines, tail = trace.to_text().splitlines()
+    tail = canon(dict(json.loads(tail), **{field: value}))
+    with pytest.raises(IntegrityError):
+        Trace.from_text("\n".join(lines + [tail]) + "\n")
+
+
 # -- malformed requests ----------------------------------------------------------
 
 # label -> the one event of a trace whose request cannot be decoded
@@ -377,11 +400,16 @@ MALFORMED_REQUESTS = {
 @pytest.mark.parametrize("ev", list(MALFORMED_REQUESTS.values()),
                          ids=list(MALFORMED_REQUESTS))
 def test_a_malformed_request_is_an_integrity_error(ev):
-    trace = as_trace([ev])
     with pytest.raises(IntegrityError):
-        properties.requests(trace)
+        properties.requests(as_trace([ev]))
     with pytest.raises(IntegrityError):
-        properties.check_correct_settlement(trace)
+        properties.check_correct_settlement(as_trace([ev]))
+
+
+def opened_read(*entries):
+    """A read of A's view: the open of INITIAL, then ``entries``."""
+    return event("output", A, 0, 0, payload=read_result(
+        0, [{"kind": OPEN, "seq": 0, "state": INITIAL}, *entries], None))
 
 
 # label -> the one event of a trace that no check can read
@@ -403,6 +431,22 @@ MALFORMED_EVENTS = {
                                  txids="tx-open-A"),
     "round-string": event("note", A, "3", 0, kind="tick"),
     "round-none": event("round", "world", None, 0),
+    # these once ended a check in a TypeError or AttributeError: every
+    # check on the request, diff_outputs sorting party 5 with client:A,
+    # update liveness and data availability on the transactions, and
+    # settlement on the states
+    "submit-req-list": event("input", A, 0, 0,
+                             payload={"kind": "submit", "req": [1]}),
+    "output-party-int": event("output", 5, 0, 0,
+                              payload={"kind": "request-result"}),
+    "read-txs-int": opened_read({"kind": UPDATE, "seq": 1, "state": INITIAL,
+                                 "txs": 5}),
+    "read-tx-int": opened_read({"kind": UPDATE, "seq": 1, "state": INITIAL,
+                                "txs": [1]}),
+    "read-entry-state-list": opened_read({"kind": UPDATE, "seq": 1,
+                                          "state": [1]}),
+    "settle-ok-state-list": event("output", A, 0, 0,
+                                  payload={"kind": "settle-ok", "state": [1]}),
 }
 
 EVERY_CHECK = {
@@ -422,6 +466,19 @@ EVERY_CHECK = {
 def test_a_malformed_event_is_an_integrity_error(ev, check):
     with pytest.raises(IntegrityError):
         check(as_trace([ev]))
+
+
+@pytest.mark.parametrize("ev", list(MALFORMED_EVENTS.values()),
+                         ids=list(MALFORMED_EVENTS))
+def test_a_malformed_event_is_refused_where_it_enters(ev):
+    """Wrapped or loaded, the event is refused with its step; the checks
+    and the output projection never see it."""
+    with pytest.raises(IntegrityError, match="step 0"):
+        as_trace([ev])
+    trace = Trace()
+    trace.events = [ev]
+    with pytest.raises(IntegrityError, match="step 0"):
+        Trace.from_text(trace.to_text())
 
 
 # an event of each type whose party a walk looks up, without its party
@@ -452,10 +509,11 @@ PARTY_READERS = {
     for kind in kinds])
 def test_an_unhashable_party_is_an_integrity_error(entry, kind, party):
     """A party that is a list or an object is refused with the step of its
-    event, not a ``TypeError``."""
-    trace = as_trace([dict(PARTY_EVENTS[kind], party=party)])
+    event, not a ``TypeError``: ``as_trace`` refuses it before the reader
+    runs."""
     with pytest.raises(IntegrityError, match="step 7"):
-        PARTY_READERS[entry][0](trace)
+        PARTY_READERS[entry][0](
+            as_trace([dict(PARTY_EVENTS[kind], party=party)]))
 
 
 # -- one summary per trace ----------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from l2sim import arbitrum, brick, harness, liquid, properties
 from l2sim.base import Ledger
 from l2sim.core import CLIENT, UPDATE
+from l2sim.properties import as_trace
 from l2sim.runtime import ScheduleError, World
 from l2sim.trace import IntegrityError, Trace, canon
 from seeded_schedules import real_runs
@@ -669,8 +670,8 @@ def test_diff_outputs_reports_mismatch_and_length_drift():
 def test_an_output_that_is_no_object_is_an_integrity_error():
     """An output that is no object, and a read whose ``base`` is no int,
     ``executed`` no list of objects or ``settled`` no object or null, is
-    refused, also when the reader is corrupted: the projection keeps
-    corrupted parties' reads."""
+    refused where the trace enters, also when the reader is corrupted: the
+    projection keeps corrupted parties' reads."""
     def read(**fields):
         return {"kind": "read-result", "base": 0, "executed": [],
                 "settled": None, **fields}
@@ -679,16 +680,15 @@ def test_an_output_that_is_no_object_is_an_integrity_error():
     for payload in (5, read(executed=5), read(executed=[5]),
                     read(base="0"), read(base=None), read(settled=5)):
         for prefix in ([], [corrupt]):
+            events = prefix + [{"t": "output", "party": "client:c1",
+                                "round": 0, "step": 1, "payload": payload}]
+            with pytest.raises(IntegrityError, match="step 1"):
+                output_projection(as_trace(events))
             trace = Trace()
-            trace.events = prefix + [{"t": "output", "party": "client:c1",
-                                      "round": 0, "step": 1,
-                                      "payload": payload}]
-            with pytest.raises(IntegrityError):
-                output_projection(trace)
-            with pytest.raises(IntegrityError):
-                diff_outputs(trace, trace)
-    trace = Trace()
-    trace.events = [corrupt, {"t": "output", "party": "client:c1", "round": 0,
-                              "step": 1, "payload": read()}]
+            trace.events = events
+            with pytest.raises(IntegrityError, match="step 1"):
+                Trace.from_text(trace.to_text())
+    trace = as_trace([corrupt, {"t": "output", "party": "client:c1",
+                                "round": 0, "step": 1, "payload": read()}])
     assert output_projection(trace) == {"client:c1": [
         {"kind": "read-result", "base": 0, "settled": None, "executed": []}]}

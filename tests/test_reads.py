@@ -143,11 +143,10 @@ def test_projections_equal_exactly_when_whole_views_are(pair, data):
 def test_a_base_beyond_the_previous_view_is_an_integrity_error():
     events = encode({PARTIES[0]: [(ENTRIES[:2], None)]}, [PARTIES[0]]).events
     events[0]["payload"]["base"] = 1          # nothing was shown before
-    trace = as_trace(events)
     with pytest.raises(IntegrityError):
-        read_views(trace)
+        read_views(as_trace(events))
     with pytest.raises(IntegrityError):
-        check_safety(trace, {CLIENT: 0})
+        check_safety(as_trace(events), {CLIENT: 0})
 
 
 # label -> (payload field, value) that no read may carry; field None for
@@ -167,12 +166,10 @@ def test_a_malformed_read_is_an_integrity_error(field, value):
         events[1]["payload"] = value
     else:
         events[1]["payload"][field] = value
-    trace = as_trace(events)
-    with pytest.raises(IntegrityError):
-        read_views(trace)
-    for check in (check_correct_settlement, measure_data_availability):
+    for check in (read_views, check_correct_settlement,
+                  measure_data_availability):
         with pytest.raises(IntegrityError):
-            check(trace)
+            check(as_trace(events))
 
 
 @pytest.mark.parametrize("name", sorted(harness.PROTOCOLS))
