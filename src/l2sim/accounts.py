@@ -424,13 +424,13 @@ class AccountBundle(SubroutineBundle):
 
 
 class AccountTracker:
-    """Environment-side translation of client inputs into ideal requests."""
+    """Stateless translation of client inputs into ideal requests."""
 
     def __init__(self, scn):
         self.scn = scn
 
     def ideal_request(self, pid, entry):
-        kind = entry["kind"]
+        kind = entry.get("kind")
         if kind == "open":
             return {"kind": OPEN,
                     "body": {"state": genesis_state(self.scn["initial"])}}

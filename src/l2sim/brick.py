@@ -673,7 +673,7 @@ class EnvTracker:
         self.scn = scn
 
     def ideal_request(self, pid, entry):
-        kind = entry["kind"]
+        kind = entry.get("kind")
         if kind == "open":
             return {"kind": OPEN, "body": {"state": initial_state(self.scn["collateral"])}}
         if kind == "pay":
@@ -739,9 +739,9 @@ class Hooks(SimulatorHooks):
 def menu(world, entity):
     """Adversary moves available in the corrupted party's name.
 
-    Each action makes its real sends and returns an ideal submission or
-    None; the harness mirrors the submission into the ideal queue on
-    differential runs.
+    Each action makes its real sends and returns the environment entry it
+    mirrors, or None; on differential runs the harness hands that entry to
+    the interface as a forced input in the party's name.
     """
     m = world.machines.get(entity)
     sid = world.sid
@@ -781,7 +781,6 @@ def menu(world, entity):
             world.queue_net(entity, peer,
                             {"kind": "close-req", "state": target["state"],
                              "seq": target["seq"], "sig": sig})
-            return {"kind": SETTLEMENT,
-                    "body": {"type": "collab", "seq": target["seq"]}}
+            return {"kind": "settle", "type": "collab", "seq": target["seq"]}
         actions["stale-settle"] = stale_settle
     return actions

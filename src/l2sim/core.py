@@ -28,10 +28,15 @@ carries its whole view from ``base`` 0.  A read sends no tip state (the
 view's last entry before the settled one has it) and no pointer (that
 entry's index), and a ``settle-ok`` sends only the settled state.
 
-Requests are inputs on a client entity (``on_input``); open/update/
-settlement triggers arrive over NET on the functionality entity from the
-adversary side (in differential runs, the simulator program).  Anything
-else, and a trigger whose payload is not a dict, is ignored.
+Requests are inputs on a client entity (``on_input``), the environment's
+own entries as a real client gets them.  The machine serves a ``read`` and
+submits the request the protocol's ``EnvTracker`` translates any other
+entry into (an entry it does not translate does nothing); the
+``submit-result`` names the entry word (``req``), as a real client's note
+does.  Open/update/settlement triggers arrive over NET on the functionality
+entity from the adversary side (in differential runs, the simulator
+program).  Anything else, and a trigger whose payload is not a dict, is
+ignored.
 Every subroutine consultation is recorded as a sub-call/sub-reply event
 pair, and every accepted open, update and settlement leaves an "exec"
 event recording what was executed (an update's with the queue rids it
@@ -201,10 +206,11 @@ def _refused(ist, phase, body, attachment):
 class InterfaceMachine(Machine):
     """Shared-state machine over all client entities of one session."""
 
-    def __init__(self, me: EntityId, bundle: SubroutineBundle,
+    def __init__(self, me: EntityId, bundle: SubroutineBundle, tracker,
                  clients: list[EntityId], identities: dict):
         super().__init__(me)
         self._bundle = bundle
+        self._tracker = tracker
         self._clients = {c.pid: c for c in clients}
         self.ist = InternalState(identities=identities)
 
@@ -225,11 +231,10 @@ class InterfaceMachine(Machine):
     def on_input(self, ctx, p):
         if ctx.me == self.me:
             return
-        kind = p.get("kind")
-        if kind == "submit":
-            self._submit(ctx, ctx.me.pid, p["req"])
-        elif kind == "read":
+        if p.get("kind") == "read":
             self._read(ctx, ctx.me.pid)
+        elif (req := self._tracker.ideal_request(ctx.me.pid, p)) is not None:
+            self._submit(ctx, ctx.me.pid, p["kind"], req)
 
     def on_message(self, ctx, env):
         p = env.payload
@@ -249,7 +254,7 @@ class InterfaceMachine(Machine):
 
     # -- handlers ----------------------------------------------------------
 
-    def _submit(self, ctx, pid, req):
+    def _submit(self, ctx, pid, word, req):
         ist = self.ist
         request = {"kind": req.get("kind"), "body": req.get("body", {}),
                    "by": pid, "round": ctx.round}
@@ -266,7 +271,7 @@ class InterfaceMachine(Machine):
                            data={"kind": "submit", "req": request})
         else:
             ist.rejected.append({"req": request, "reason": reason})
-        ctx.world.emit("submit-result", party=f"{CLIENT}:{pid}",
+        ctx.world.emit("submit-result", party=f"{CLIENT}:{pid}", req=word,
                        kind=request["kind"], accepted=ok, reason=reason)
 
     def _read(self, ctx, pid):

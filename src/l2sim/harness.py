@@ -41,12 +41,14 @@ the contract, and it provides:
 - ``build_real(world, scn)``: declares roles and registers the machines;
 - ``make_bundle(world, scn)``: the SubroutineBundle of the ideal run;
 - ``EnvTracker(scn).ideal_request(pid, entry)``: a stateless translation
-  of an environment input into an interface request, or None;
+  of an environment entry into an interface request, or None, with which
+  the interface machine reads the entries both runs get;
 - ``Hooks(scn)`` with ``triggers_for(inner, note)``, which sees only the
   inner run's ``note`` events, and ``read_delay(inner, pid)``: the
   simulator's view of the inner run;
 - ``menu(world, entity)``: {action name: callable} of moves in a corrupted
-  party's name.
+  party's name; a move returns the environment entry it mirrors, which an
+  ideal run hands the interface as a forced input, or None.
 
 The benchmark under ``perfbench/`` resolves names by hand, so these keep
 their names and signatures:
@@ -130,7 +132,7 @@ def build_ideal(name, scn=None):
     bundle = proto.make_bundle(outer, scn)
     clients = [outer.entity(CLIENT, p) for p in client_pids]
     fm = InterfaceMachine(outer.entity(INTERFACE_ROLE, "F"), bundle,
-                          clients, identities)
+                          proto.EnvTracker(scn), clients, identities)
     outer.register(fm)
     attach_round_gate(outer, fm)
     sim = Simulator(outer, proto, scn)
@@ -248,7 +250,6 @@ class IdealRun:
     def __init__(self, name, scn=None):
         self.proto = protocol(name)
         self.outer, self.sim, self.scn = build_ideal(name, scn)
-        self.tracker = self.proto.EnvTracker(self.scn)
         self.refused = []    # {round, reason} of each advance the outer refused
         # the two worlds share a sid, so one entity names a client in both
         self.clients = _client_entities(self.outer)
@@ -261,16 +262,7 @@ class IdealRun:
         ent = self.clients.get(pid) or self.outer.entity(CLIENT, pid)
         self.sim.inner.inject_input(ent, dict(entry))
         self.sim.sync()
-        if entry["kind"] == "read":
-            self.outer.inject_input(ent, {"kind": "read"})
-        elif ent in self.outer.corruption:
-            # both worlds absorb requests to a corrupted client; keep the
-            # environment-side bookkeeping untouched
-            self.outer.inject_input(ent, {"kind": "submit", "entry": dict(entry)})
-        else:
-            req = self.tracker.ideal_request(pid, entry)
-            if req is not None:
-                self.outer.inject_input(ent, {"kind": "submit", "req": req})
+        self.outer.inject_input(ent, dict(entry))
 
     def corrupt(self, role, pid, force=False):
         for world in (self.outer, self.sim.inner):
@@ -288,9 +280,8 @@ class IdealRun:
     def menu_act(self, role, pid, action):
         mirrored = self.menu(role, pid)[action]()
         self.sim.sync()
-        if isinstance(mirrored, dict):
-            self.outer.inject_input(self.outer.entity(CLIENT, pid),
-                                    {"kind": "submit", "req": mirrored},
+        if mirrored is not None:
+            self.outer.inject_input(self.outer.entity(CLIENT, pid), mirrored,
                                     force=True)
 
     def raw_trigger(self, payload):

@@ -2,10 +2,11 @@
 
 Every check judges a finished run's trace, a ``Trace`` or a holder that
 ``as_trace`` builds, and returns a Verdict.  The checks work on both
-stackings and judge them by what the environment sees: the requests come
-from client inputs and refusal notes in real runs and from submit leaks in
-interface runs, and both are judged against the same honest read outputs
-and confirmations.  Nothing here mutates a world.
+stackings and judge them by what the environment sees: both runs get the
+same client inputs, so the requests come from the inputs in both, each
+paired with its answer (a real client's note, the interface's
+``submit-result``), and both are judged against the same honest read
+outputs and confirmations.  Nothing here mutates a world.
 
 A read-result carries only its delta (see ``core.read_result``): the first
 ``base`` entries of its reader's previous view, then ``executed``, then
@@ -50,7 +51,7 @@ from types import SimpleNamespace
 
 from .accounts import apply_txs
 from .brick import conserves
-from .core import CLIENT, OPEN, SETTLEMENT, UPDATE, read_result, settled_entry
+from .core import OPEN, SETTLEMENT, UPDATE, read_result, settled_entry
 from .trace import canon, validate_events
 
 SETTLE_TX_KINDS = ("settle", "peg-out")
@@ -290,38 +291,39 @@ class _TraceLedger:
 
 _ENTRY_CLASS = {"open": OPEN, "pay": UPDATE, "deposit": UPDATE,
                 "settle": SETTLEMENT}
-_NOTE_REQ = {"open": "open", "pay": "pay", "settle": "settle",
-             "peg-out": "settle"}
-# the entry word an interface update's body op stands for
-_BODY_WHAT = {"pay": "pay", "peg-in": "deposit"}
+# the entry word each answer's ``req`` stands for
+_NOTE_REQ = {"open": "open", "pay": "pay", "deposit": "deposit",
+             "settle": "settle", "peg-out": "settle"}
 
 
 def requests(trace, events=None, bad=None) -> list[dict]:
     """Client requests with outcome annotations, in submission order.
 
-    A request dict has: pid, party, round, step, cls (open/update/
-    settlement), what (a real run's entry kind; ``pay`` or ``deposit``
-    for an interface update with body op ``pay`` or ``peg-in``), entry,
-    refused (bool), event (the input or leak event) and note (the paired
-    note event or None).  Notes pair with inputs first-in first-out per
+    A request is an honest, unforced input whose entry word (``what``) asks
+    for an open, an update or a settlement, by one path in both runs.  A
+    request dict has: pid, party, round, step, cls (open/update/
+    settlement), what, entry, refused (bool), event (the input event) and
+    note (its answer or None).  An answer is a real client's
+    ``request-queued``/``request-refused`` note or the interface's
+    ``submit-result``; answers pair with inputs first-in first-out per
     party and request word, which mirrors how the clients drain their
     queues.  Corrupted submitters are skipped; their inputs are absorbed
     or adversary-forged, and no guarantee covers them.
 
-    ``events`` (any list holding the trace's input, note and leak events)
-    and ``bad`` (its corrupted parties) default to the trace's events and
-    ``corrupted_parties``.
+    ``events`` (any list holding the trace's input, note and submit-result
+    events) and ``bad`` (its corrupted parties) default to the trace's
+    events and ``corrupted_parties``.
     """
     if bad is None:
         bad = corrupted_parties(trace)
     reqs, pids = [], _Pids()
-    pending = {}         # (pid, input word) -> indexes awaiting an outcome
+    pending = {}         # (pid, input word) -> indexes awaiting an answer
     for ev in trace.events if events is None else events:
-        t = ev.get("t")
+        t, kind = ev.get("t"), ev.get("kind")
         if t == "input":
             p, party = ev["payload"], ev["party"]
             pid, what = pids[party], p.get("kind")
-            cls = _ENTRY_CLASS.get(what)   # None for a submit: its leak counts
+            cls = _ENTRY_CLASS.get(what)
             if cls is None or party in bad or ev.get("forced"):
                 continue
             pending.setdefault((pid, what), []).append(len(reqs))
@@ -329,28 +331,14 @@ def requests(trace, events=None, bad=None) -> list[dict]:
                          "round": ev.get("round", 0), "step": ev.get("step", 0),
                          "cls": cls, "what": what, "entry": dict(p),
                          "refused": False, "event": ev, "note": None})
-        elif t == "note":
-            kind = ev.get("kind")
-            if kind != "request-refused" and kind != "request-queued":
-                continue
+        elif t == "submit-result" or t == "note" and (
+                kind == "request-refused" or kind == "request-queued"):
             waiting = pending.get((pids[ev["party"]],
                                    _NOTE_REQ.get(ev.get("req"))))
             if waiting:
                 reqs[waiting.pop(0)].update(
-                    note=ev, refused=kind == "request-refused")
-        elif t == "leak" and ev["data"].get("kind") == "submit":
-            req = ev["data"]["req"]
-            party = f"{CLIENT}:{req['by']}"
-            cls = req.get("kind")
-            if party in bad or cls not in (OPEN, UPDATE, SETTLEMENT):
-                continue
-            body = req.get("body", {})
-            reqs.append({"pid": req["by"], "party": party,
-                         "round": req.get("round", ev.get("round", 0)),
-                         "step": ev.get("step", 0), "cls": cls,
-                         "what": _BODY_WHAT.get(body.get("op")),
-                         "entry": dict(body), "refused": False,
-                         "event": ev, "note": None})
+                    note=ev, refused=kind == "request-refused"
+                    or ev.get("accepted") is False)
     return reqs
 
 
@@ -368,7 +356,7 @@ class TraceSummary:
     requests: list       # requests
     commits: list        # committed_txs
     confirmed: dict      # (pid, "open-ok" | "settle-ok") -> output rounds
-    open_inputs: list    # honest open-request input events
+    open_inputs: list    # the input events of the open requests
     open_oks: list       # honest open-ok output events
     settle_oks: list     # honest settle-ok output events
 
@@ -380,12 +368,12 @@ def summarize(trace) -> TraceSummary:
     """The facts of ``trace`` that the checks read, derived in one walk.
 
     The one walk over the events takes the horizon and sorts the events
-    into lists by type: outputs, the input, note and leak events, the
-    ledger submits and commits, and corruptions.  The corrupted set is
-    built once from its list, and the rest from theirs: the confirmation
-    rounds and honest open-ok and settle-ok outputs from the outputs, the
-    honest open inputs; ``read_views`` walks the outputs, ``requests`` the
-    inputs, notes and leaks and ``committed_txs`` the ledger events, each
+    into lists by type: outputs, the input, note and submit-result
+    events, the ledger submits and commits, and corruptions.  The
+    corrupted set is built once from its list, and the rest from theirs:
+    the confirmation rounds and honest open-ok and settle-ok outputs from
+    the outputs; ``read_views`` walks the outputs, ``requests`` the
+    inputs and their answers and ``committed_txs`` the ledger events, each
     with that corrupted set.
 
     The summary is kept for the most recent trace: a trace only ever
@@ -398,9 +386,9 @@ def summarize(trace) -> TraceSummary:
             and _last[2] == len(events):
         return _last[3]
     outputs, asks, ledger, corrupts = [], [], [], []
-    into = {"output": outputs, "input": asks, "note": asks, "leak": asks,
-            "ledger-submit": ledger, "ledger-commit": ledger,
-            "corrupt": corrupts}
+    into = {"output": outputs, "input": asks, "note": asks,
+            "submit-result": asks, "ledger-submit": ledger,
+            "ledger-commit": ledger, "corrupt": corrupts}
     horizon = 0
     for ev in events:
         rnd = ev.get("round", 0)
@@ -421,17 +409,12 @@ def summarize(trace) -> TraceSummary:
             if party not in bad:
                 (open_oks if kind == "open-ok" else settle_oks).append(ev)
     roles = [party.split(":", 1)[0] for party in bad]
+    reqs = requests(trace, asks, bad)
     s = TraceSummary(
         corrupted=bad, counts={role: roles.count(role) for role in roles},
-        horizon=horizon, views=views, chains=_chains(views),
-        requests=requests(trace, asks, bad),
+        horizon=horizon, views=views, chains=_chains(views), requests=reqs,
         commits=committed_txs(trace, ledger), confirmed=confirmed,
-        # an input asks for an open directly or through the interface
-        open_inputs=[ev for ev in asks if ev.get("t") == "input" and (
-            (p := ev["payload"]).get("kind") == "open"
-            or p.get("kind") == "submit"
-            and p.get("req", {}).get("kind") == OPEN)
-            and ev.get("party") not in bad],
+        open_inputs=[r["event"] for r in reqs if r["cls"] == OPEN],
         open_oks=open_oks, settle_oks=settle_oks)
     _last = (trace, events, len(events), s)
     return s
@@ -789,10 +772,14 @@ def _replay(executed, ledger) -> bool:
             continue           # judged by the settlement check, not replay
         if cur is None or state is None:
             return False
-        if "txs" in e:
-            ok = apply_txs(cur, e["txs"], ledger, 0, e.get("seq")) == state
-        else:
-            ok = e.get("seq") == cur.get("seq", 0) + 1 and conserves(cur, state)
+        try:
+            if "txs" in e:
+                ok = apply_txs(cur, e["txs"], ledger, 0, e.get("seq")) == state
+            else:
+                ok = e.get("seq") == cur.get("seq", 0) + 1 \
+                    and conserves(cur, state)
+        except KeyError:   # a state lacking what its transition reads
+            ok = False
         if not ok:
             return False
         cur = state

@@ -52,38 +52,54 @@ class Kinds(dict):
     """A field naming its object's type: a string adding the fields it maps to."""
 
 
-# A shape is a type or a tuple of types, matched exactly (a bool is no
-# int); [shape], a list of that shape; a Kinds; or a dict of field shapes,
-# an object.  A field named with a trailing "?" may be missing.
-STATE = {"state?": (dict, NULL)}
-READ_ENTRY = {"kind?": str, "state?": (dict, NULL), "txs?": [dict]}
+class Each:
+    """An object whose values all have one shape."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+
+# A shape is a type; [shape], a list of that shape; a Kinds; an Each; a
+# dict of field shapes, an object; or a tuple of these, any one of them
+# (the first whose type the value has).  Types match exactly (a bool is no
+# int).  A field named with a trailing "?" may be missing.
+STATE = ({"seq?": int, "height?": int, "minted_upto?": int,
+          "minted_above?": [int], "bal?": Each(int), "nonce?": Each(int)}, NULL)
+TX = {"op?": str, "from?": str, "to?": str, "ref?": str, "amt?": int,
+      "nonce?": int}
+READ_ENTRY = {"kind?": str, "state?": STATE, "txs?": [TX]}
 EVENT = {"t": Kinds({
     "input": {"party": str, "payload": {"kind?": Kinds({
-        "settle": {"seq?": (int, NULL)}, "submit": {"req?": dict}})}},
+        "settle": {"seq?": (int, NULL)}})}},
     "output": {"party": str, "payload": {"kind?": Kinds({
         "read-result": {"base?": int, "executed?": [READ_ENTRY],
-                        "settled?": (dict, NULL)},
-        "open-ok": STATE, "settle-ok": STATE})}},
+                        "settled?": STATE},
+        "open-ok": {"state?": STATE}, "settle-ok": {"state?": STATE}})}},
     "corrupt": {"party": str},
     "note": {"party": str, "req?": str},
-    "leak": {"data": {"kind?": Kinds({"submit": {"req": {
-        "by": str, "round?": int,
-        "body?": {"op?": str, "seq?": (int, NULL)}}}})}},
+    "submit-result": {"party": str, "req?": str, "accepted?": bool},
     "ledger-submit": {"txid": str, "author?": str},
     "ledger-commit": {"txids?": [str]},
 }), "round?": int, "step?": int}
+# the type a value of each kind of shape has
+_TYPE = {list: list, dict: dict, Kinds: str, Each: dict}
 
 
 def _check(value, shape, step, where):
     """Raise IntegrityError, naming the step, unless ``value`` has ``shape``."""
-    typ = {list: list, dict: dict, Kinds: str}.get(type(shape), shape)
-    if type(value) not in (typ if isinstance(typ, tuple) else (typ,)):
+    for alt in shape if type(shape) is tuple else (shape,):
+        if type(value) is _TYPE.get(type(alt), alt):
+            break
+    else:
         raise IntegrityError(f"step {step}: {where} is malformed")
-    if type(shape) is list:
+    if type(alt) is list:
         for i, item in enumerate(value):
-            _check(item, shape[0], step, f"{where}[{i}]")
-    elif type(shape) is dict:
-        for name, sub in shape.items():
+            _check(item, alt[0], step, f"{where}[{i}]")
+    elif type(alt) is Each:
+        for key, item in value.items():
+            _check(item, alt.shape, step, f"{where}.{key}")
+    elif type(alt) is dict:
+        for name, sub in alt.items():
             key = name.rstrip("?")
             if key in value:
                 _check(value[key], sub, step, f"{where}.{key}")

@@ -23,11 +23,15 @@ ideal run, so the protocol executes twice, and requires the two executions
 to write one trace whenever the ideal run refused no round.  That is what
 makes it sound for ``harness.run_differential`` to return the ideal run's
 inner world as the real run.
+
+``request_rows`` is what the sweeps compare of the two runs' requests:
+both runs get the same inputs, so they ask the same requests, and the rows
+differ only where the runs answer a request differently.
 """
 
 import random
 
-from l2sim import harness
+from l2sim import harness, properties
 from l2sim.core import UPDATE
 
 # the steps drawn after the entry kinds, in draw order
@@ -101,6 +105,12 @@ def real_runs(name):
         run = harness.RealRun(name, scn)
         harness.apply_schedule(run, sched)
         yield sched, run
+
+
+def request_rows(trace):
+    """(pid, cls, what, round, refused) of each request of ``trace``."""
+    return [(r["pid"], r["cls"], r["what"], r["round"], r["refused"])
+            for r in properties.requests(trace)]
 
 
 def separate_runs(name, scn, sched):

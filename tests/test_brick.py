@@ -9,7 +9,8 @@ from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
 from l2sim import brick, harness, properties
 from l2sim.properties import read_views
 from l2sim.trace import digest
-from seeded_schedules import random_schedule, real_runs, separate_runs
+from seeded_schedules import (random_schedule, real_runs, request_rows,
+                              separate_runs)
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
@@ -336,11 +337,18 @@ def test_the_ideal_run_refuses_an_overdraft_as_the_real_client_does():
 MENU_MOVES = {CLIENT: ["stale-settle"],
               brick.WARDEN: ["publish-stale", "ack-garbage"]}
 
+# seeds whose two runs answer a request differently (ROADMAP item 21): the
+# interface refuses at submit, as insufficient or out of phase, a pay that
+# the real client queues; the outputs agree.  Item 21's one refusal rule
+# empties these lists
+REQUESTS_DIFFER = {False: [9, 97], True: [97]}
+
 
 @pytest.mark.parametrize("corrupt", [False, True], ids=["honest", "corrupt"])
 def test_seeded_schedules_keep_the_runs_in_agreement(corrupt):
-    """Over 150 seeded schedules, the real and ideal outputs are equal
-    and both runs get the same safety and update-liveness verdicts.
+    """Over 150 seeded schedules, the real and ideal outputs are equal,
+    both runs get the same safety and update-liveness verdicts, and both
+    answer every request alike except in the pinned seeds.
     While the environment predicted each pay's post-state, update
     liveness differed in 43 honest and 10 corrupt schedules.  Schedules
     in which update liveness fails in both runs (ROADMAP item 1's warden
@@ -348,13 +356,15 @@ def test_seeded_schedules_keep_the_runs_in_agreement(corrupt):
     ideal run refuses no round, so its inner world writes the real trace
     in every schedule."""
     failures = {"outputs": [], "safety": [], "liveness-update": [],
-                "refused": []}
+                "refused": [], "requests": []}
     for seed in range(150):
         scn, sched = random_schedule("brick", seed, corrupt, ("pay",),
                                      MENU_MOVES)
         real, ideal, diffs = separate_runs("brick", scn, sched)
         if diffs:
             failures["outputs"].append(seed)
+        if request_rows(real.trace) != request_rows(ideal.trace):
+            failures["requests"].append(seed)
         if ideal.refused:
             failures["refused"].append(seed)
         f = {role: budget for role, _, budget in brick.party_roles(scn)}
@@ -366,7 +376,7 @@ def test_seeded_schedules_keep_the_runs_in_agreement(corrupt):
             if len({check(run.trace).passed for run in (real, ideal)}) > 1:
                 failures[name].append(seed)
     assert failures == {"outputs": [], "safety": [], "liveness-update": [],
-                        "refused": []}
+                        "refused": [], "requests": REQUESTS_DIFFER[corrupt]}
 
 
 # -- ideal bundle gating ---------------------------------------------------

@@ -164,9 +164,12 @@ INITIALIZATION_CASES = {
         [open_input(A, 1, 1), *EMBEDDED, open_ok(A, 2, 3)], None),
     "anchored-through-joining-records-only": (
         [open_input(A, 1, 1), *JOINED_A, *JOINED_B, open_ok(A, 2, 4)], None),
+    # an interface run gets the same input and answers it with a
+    # submit-result, which stands for no request of its own
     "interface-submit-request": (
-        [event("input", A, 1, 1,
-               payload={"kind": "submit", "req": {"kind": OPEN}}),
+        [open_input(A, 1, 1),
+         event("submit-result", A, 1, 2, req="open", kind=OPEN,
+               accepted=True, reason=None),
          *EMBEDDED, open_ok(A, 2, 3)], None),
     "corrupted-confirmation-not-judged": (
         [event("corrupt", A, 0, 0), open_ok(A, 2, 1)], None),
@@ -336,6 +339,19 @@ def test_an_update_of_no_state_does_not_reconstruct():
         as_trace([v])).reconstruction_ok
 
 
+@pytest.mark.parametrize("entry", [
+    {"kind": UPDATE, "seq": 1, "state": {}},
+    {"kind": UPDATE, "seq": 1, "state": INITIAL,
+     "txs": [{"op": "pay", "from": "A", "to": "B", "amt": 1, "nonce": 1}]},
+], ids=["channel-state-without-bal", "txs-on-a-state-without-nonce"])
+def test_a_state_lacking_what_its_transition_reads_does_not_reconstruct(entry):
+    """A well-formed state that lacks a field its transition reads (a
+    channel's ``bal``, an account state's ``nonce``) once ended the replay
+    in a KeyError; the replay fails instead."""
+    assert not properties.measure_data_availability(
+        as_trace([opened_read(entry)])).reconstruction_ok
+
+
 def test_no_views_means_no_reconstruction():
     da = properties.measure_data_availability(as_trace([]))
     assert not da.reconstruction_ok
@@ -382,18 +398,19 @@ def test_an_integrity_line_of_the_wrong_types_is_refused(field, value):
 
 # -- malformed requests ----------------------------------------------------------
 
+def submit_result(**fields):
+    """The interface's answer to A's open request, with ``fields`` changed."""
+    return event("submit-result", A, 0, 0, req="open", kind=OPEN,
+                 accepted=True, reason=None) | fields
+
+
 # label -> the one event of a trace whose request cannot be decoded
 MALFORMED_REQUESTS = {
     "input-payload-int": event("input", A, 0, 0, payload=5),
-    "submit-req-int": event("leak", "adversary", 0, 0,
-                            data={"kind": "submit", "req": 5}),
-    "submit-req-no-by": event("leak", "adversary", 0, 0,
-                              data={"kind": "submit",
-                                    "req": {"kind": OPEN, "body": {}}}),
-    "submit-body-int": event("leak", "adversary", 0, 0,
-                             data={"kind": "submit",
-                                   "req": {"kind": OPEN, "by": "A",
-                                           "body": 5}}),
+    "submit-req-int": submit_result(req=5),
+    "submit-req-no-by": {k: v for k, v in submit_result().items()
+                         if k != "party"},
+    "submit-accepted-int": submit_result(accepted=1),
 }
 
 
@@ -431,12 +448,10 @@ MALFORMED_EVENTS = {
                                  txids="tx-open-A"),
     "round-string": event("note", A, "3", 0, kind="tick"),
     "round-none": event("round", "world", None, 0),
-    # these once ended a check in a TypeError or AttributeError: every
-    # check on the request, diff_outputs sorting party 5 with client:A,
-    # update liveness and data availability on the transactions, and
-    # settlement on the states
-    "submit-req-list": event("input", A, 0, 0,
-                             payload={"kind": "submit", "req": [1]}),
+    # these once ended a check in a TypeError or AttributeError:
+    # diff_outputs sorting party 5 with client:A, update liveness and data
+    # availability on the transactions, and settlement on the states
+    "submit-req-list": submit_result(req=[1]),
     "output-party-int": event("output", 5, 0, 0,
                               payload={"kind": "request-result"}),
     "read-txs-int": opened_read({"kind": UPDATE, "seq": 1, "state": INITIAL,
@@ -447,6 +462,16 @@ MALFORMED_EVENTS = {
                                           "state": [1]}),
     "settle-ok-state-list": event("output", A, 0, 0,
                                   payload={"kind": "settle-ok", "state": [1]}),
+    # and these in a TypeError once the table held only the state's type:
+    # settlement taking the highest of a string and an int, update liveness
+    # counting the pays of an unhashable sender
+    "read-state-seq-string": opened_read({"kind": UPDATE, "seq": 1,
+                                          "state": {"seq": "x"}}),
+    "read-tx-from-list": opened_read({"kind": UPDATE, "seq": 1,
+                                      "state": INITIAL,
+                                      "txs": [{"op": "pay", "from": [1]}]}),
+    "settled-bal-string": event("output", A, 0, 0, payload=read_result(
+        0, [], {"bal": {"A": "5"}, "seq": 1})),
 }
 
 EVERY_CHECK = {

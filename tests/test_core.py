@@ -2,8 +2,10 @@
 
 The toy bundle accepts states {"n": k, "seq": k} where each update increments
 the counter by one; a state tagged "poison" makes the update check demand a
-halt.  This keeps every code path of the interface machine observable without
-any real protocol machinery.
+halt.  The toy tracker turns the environment's ``open``, ``inc`` and
+``settle`` entries into requests whose body is the entry's other fields.
+This keeps every code path of the interface machine observable without any
+real protocol machinery.
 """
 
 import pytest
@@ -70,6 +72,19 @@ class CounterBundle(SubroutineBundle):
         return True, None
 
 
+class CounterTracker:
+    """Entry word -> request class; the entry's other fields are the body."""
+
+    CLASSES = {"open": OPEN, "inc": UPDATE, "settle": SETTLEMENT}
+
+    def ideal_request(self, pid, entry):
+        cls = self.CLASSES.get(entry.get("kind"))
+        if cls is None:
+            return None
+        return {"kind": cls,
+                "body": {k: v for k, v in entry.items() if k != "kind"}}
+
+
 def build():
     world = World("sess", TIMING, ledger=Ledger(TIMING, CertRegistry()))
     world.declare_role(INTERFACE_ROLE, subroutine=True)
@@ -77,7 +92,7 @@ def build():
     funct = world.entity(INTERFACE_ROLE, "F")
     clients = [world.entity(CLIENT, "a"), world.entity(CLIENT, "b")]
     bundle = CounterBundle()
-    machine = InterfaceMachine(funct, bundle, clients,
+    machine = InterfaceMachine(funct, bundle, CounterTracker(), clients,
                                {CLIENT: ["a", "b"]})
     world.register(machine)
     adv = EntityId("adv", "sess", "adv")
@@ -90,8 +105,9 @@ def build():
     return world, machine, bundle, clients, trigger
 
 
-def submit(world, client, req):
-    world.inject_input(client, {"kind": "submit", "req": req})
+def submit(world, client, word, **fields):
+    """The environment hands ``client`` the entry ``word`` with ``fields``."""
+    world.inject_input(client, {"kind": word, **fields})
 
 
 def events(world, t):
@@ -104,26 +120,40 @@ def outputs(world):
 
 def test_submit_respects_phase():
     world, machine, bundle, (a, b), trigger = build()
-    submit(world, a, {"kind": UPDATE, "body": {"n": 1}})
+    submit(world, a, "inc", n=1)
     assert machine.ist.queue == []
     assert machine.ist.rejected[0]["reason"] == "phase"
     res = events(world, "submit-result")[-1]
-    assert res["accepted"] is False
+    assert (res["req"], res["kind"], res["accepted"]) == ("inc", UPDATE, False)
 
 
 def test_submit_queues_and_leaks():
     world, machine, bundle, (a, b), trigger = build()
-    submit(world, a, {"kind": OPEN, "body": {"state": s(0)}})
+    submit(world, a, "open", state=s(0))
     assert len(machine.ist.queue) == 1
     assert machine.ist.queue[0]["by"] == "a"
     assert machine.ist.queue[0]["rid"] == 1
+    assert machine.ist.queue[0]["body"] == {"state": s(0)}
     leaks = events(world, "leak")
     assert leaks and leaks[0]["data"]["req"]["kind"] == OPEN
+    res = events(world, "submit-result")[-1]
+    assert (res["req"], res["kind"], res["accepted"]) == ("open", OPEN, True)
+
+
+def test_an_entry_the_tracker_does_not_translate_does_nothing():
+    """The input is the environment's entry itself: one the tracker
+    returns None for leaves only its ``input`` event."""
+    world, machine, bundle, (a, b), trigger = build()
+    before = len(world.trace.events)
+    submit(world, a, "withdraw", amt=1)
+    assert [ev["t"] for ev in world.trace.events[before:]] == ["input"]
+    assert world.trace.events[-1]["payload"] == {"kind": "withdraw", "amt": 1}
+    assert machine.ist.queue == [] and machine.ist.rejected == []
 
 
 def test_open_trigger_checks_then_executes():
     world, machine, bundle, (a, b), trigger = build()
-    submit(world, a, {"kind": OPEN, "body": {"state": s(0)}})
+    submit(world, a, "open", state=s(0))
     trigger({"kind": OPEN, "body": {"state": s(7)}})
     assert machine.ist.states == []
     trigger({"kind": OPEN, "body": {"state": s(0)}})
@@ -138,14 +168,14 @@ def test_open_trigger_checks_then_executes():
 
 
 def opened(trigger, world, a):
-    submit(world, a, {"kind": OPEN, "body": {"state": s(0)}})
+    submit(world, a, "open", state=s(0))
     trigger({"kind": OPEN, "body": {"state": s(0)}})
 
 
 def test_update_executes_and_clears_queue():
     world, machine, bundle, (a, b), trigger = build()
     opened(trigger, world, a)
-    submit(world, a, {"kind": UPDATE, "body": {"n": 1}})
+    submit(world, a, "inc", n=1)
     rid = machine.ist.queue[-1]["rid"]
     trigger({"kind": UPDATE, "state": s(1)})
     assert machine.ist.states == [s(0), s(1)]
@@ -171,7 +201,7 @@ def test_halt_is_terminal():
     assert events(world, "halt")
     # nothing reaches the interface after the halt
     before = len(machine.ist.queue), len(machine.ist.rejected)
-    submit(world, a, {"kind": UPDATE, "body": {"n": 1}})
+    submit(world, a, "inc", n=1)
     world.inject_input(a, {"kind": "read"})
     assert (len(machine.ist.queue), len(machine.ist.rejected)) == before
     assert not events(world, "read-empty")
@@ -183,7 +213,7 @@ def test_settlement_requires_request_then_notifies():
     trigger({"kind": UPDATE, "state": s(1)})
     trigger({"kind": SETTLEMENT, "body": {"type": "final"}})
     assert machine.ist.settled is None
-    submit(world, b, {"kind": SETTLEMENT, "body": {"type": "final"}})
+    submit(world, b, "settle", type="final")
     trigger({"kind": SETTLEMENT, "body": {"type": "final"}})
     assert machine.ist.settled == {"state": s(1), "type": "final"}
     assert machine.ist.phase() == "settled"
@@ -275,7 +305,7 @@ def test_read_appends_the_settled_entry():
     world, machine, bundle, (a, b), trigger = build()
     opened(trigger, world, a)
     trigger({"kind": UPDATE, "state": s(1)})
-    submit(world, b, {"kind": SETTLEMENT, "body": {"type": "final"}})
+    submit(world, b, "settle", type="final")
     trigger({"kind": SETTLEMENT, "body": {"type": "final"}})
     records = len(machine.ist.executed)
     pointer, state, got = read_with_delay(world, a, 0)
@@ -292,7 +322,7 @@ def test_read_appends_the_settled_entry():
 
 def test_corrupted_client_gets_no_notification():
     world, machine, bundle, (a, b), trigger = build()
-    submit(world, a, {"kind": OPEN, "body": {"state": s(0)}})
+    submit(world, a, "open", state=s(0))
     world.corrupt(b)
     trigger({"kind": OPEN, "body": {"state": s(0)}})
     got = outputs(world)
@@ -301,7 +331,7 @@ def test_corrupted_client_gets_no_notification():
 
 def test_corruption_leaks_internal_state():
     world, machine, bundle, (a, b), trigger = build()
-    submit(world, a, {"kind": OPEN, "body": {"state": s(0)}})
+    submit(world, a, "open", state=s(0))
     world.corrupt(a)
     ev = events(world, "corrupt")[-1]
     assert ev["leak"]["queue"][0]["kind"] == OPEN
@@ -354,7 +384,7 @@ def test_a_request_over_net_to_a_client_entity_serves_nothing(kind):
 
 def test_a_trigger_over_net_to_a_client_entity_is_not_executed():
     world, machine, bundle, (a, b), trigger = build()
-    submit(world, a, {"kind": OPEN, "body": {"state": s(0)}})
+    submit(world, a, "open", state=s(0))
     got = net_to(world, a, {"kind": OPEN, "body": {"state": s(0)}})
     assert [ev["t"] for ev in got] == ["deliver"]
     assert machine.ist.phase() == "init"
@@ -365,7 +395,7 @@ def test_an_input_to_the_functionality_entity_is_ignored():
     input shaped like a trigger or a request, handed to the functionality
     entity, leaves only its ``input`` event."""
     world, machine, bundle, (a, b), trigger = build()
-    submit(world, a, {"kind": OPEN, "body": {"state": s(0)}})
+    submit(world, a, "open", state=s(0))
     funct = machine.me
     before = len(world.trace.events)
     for payload in ({"kind": OPEN, "body": {"state": s(0)}},

@@ -251,16 +251,20 @@ def delta_traces(draw):
                            event("ledger-commit", "chain", rnd, height=1,
                                  txids=[txid])]
         else:
-            rid = draw(st.integers(0, 3))
-            op = draw(st.sampled_from(["pay", "peg-in", "peg-out"]))
-            events.append(event("leak", "funct", rnd, data={
-                "kind": "submit", "req": {"by": pid, "kind": UPDATE,
-                                          "rid": rid, "round": rnd,
-                                          "body": {"op": op}}}))
-            # an exec record clearing the rid serves nothing
-            if draw(st.booleans()):
+            # an interface run's request: the input, its submit-result
+            word = draw(st.sampled_from(["pay", "deposit", "settle"]))
+            events.append(event("input", party(pid), rnd,
+                                payload={"kind": word, "amt": 1}))
+            accepted = draw(st.booleans())
+            events.append(event(
+                "submit-result", party(pid), rnd, req=word,
+                kind=SETTLEMENT if word == "settle" else UPDATE,
+                accepted=accepted, reason=None if accepted else "phase"))
+            # an exec record clearing the request's rid serves nothing
+            if accepted and draw(st.booleans()):
                 events.append(event("exec", "funct", rnd + draw(
-                    st.integers(0, 4)), kind=UPDATE, rids=[rid]))
+                    st.integers(0, 4)), kind=UPDATE,
+                    rids=[draw(st.integers(1, 3))]))
     for step, e in enumerate(events):
         e["step"] = step
     reads = {}

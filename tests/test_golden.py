@@ -54,10 +54,14 @@ rounds, every verdict and every output difference stayed the same.
 A change that moves a digest changes a trace and has to say why.
 """
 
+from pathlib import Path
+
 import pytest
 
 from l2sim import harness
 from l2sim.trace import digest
+
+import golden_audit
 
 # (protocol, schedule label) -> (real digest, ideal digest)
 SCRIPTED = {
@@ -314,3 +318,15 @@ def test_lifecycle_digests(name, seed, adversarial):
     want_schedule, *want_runs = LIFECYCLE[name, seed, adversarial]
     assert digest(schedule) == want_schedule
     assert digests(name, scn, schedule) == tuple(want_runs)
+
+
+def test_the_audit_records_rows_as_the_table_holds_them():
+    """``golden_audit.py record`` prints rows that paste back unchanged:
+    one scripted and one lifecycle row, as they stand in this file."""
+    text = Path(__file__).read_text()
+    rows = {key: golden_audit.row(table, key, scn, sched)
+            for table, key, scn, sched in golden_audit.schedules()
+            if key in {("liquid", "deposit-then-withdraw"), ("brick", 2, True)}}
+    assert len(rows) == 2
+    for row in rows.values():
+        assert row in text

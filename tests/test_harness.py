@@ -15,7 +15,9 @@ from l2sim.core import CLIENT, UPDATE
 from l2sim.properties import as_trace
 from l2sim.runtime import ScheduleError, World
 from l2sim.trace import IntegrityError, Trace, canon
-from seeded_schedules import real_runs
+from seeded_schedules import real_runs, request_rows
+from test_checks import scripted_traces
+from test_schema import lifecycle_runs
 from l2sim.harness import (
     GARBAGE_TRIGGERS,
     IdealRun,
@@ -138,6 +140,29 @@ def test_projection_matches_reference_on_lifecycles(name, seed, adversarial):
         assert any(o["kind"] == "read-result"
                    and o["base"] + len(o["executed"]) > 2
                    for outs in got.values() for o in outs)
+
+
+def environment_inputs(trace):
+    """(party, payload) of each input the environment handed a party."""
+    return [(ev["party"], ev["payload"]) for ev in trace.events
+            if ev["t"] == "input" and not ev["forced"]]
+
+
+@pytest.mark.parametrize("name, label, seed, adversarial", [
+    (name, label, None, None) for name, label in corpus()] + [
+    (name, None, seed, adversarial)
+    for name, seed, adversarial in GOLDEN_LIFECYCLES])
+def test_both_runs_get_the_same_inputs_and_requests(name, label, seed,
+                                                    adversarial):
+    """The environment hands the real clients and the interface the very
+    same entries, and ``properties.requests`` reads them by one path: on
+    every scripted schedule and golden lifecycle, both runs ask the same
+    requests in the same rounds and refuse the same ones."""
+    real, ideal = (scripted_traces(name, label) if label is not None
+                   else lifecycle_runs(name, seed, adversarial)[1])
+    assert environment_inputs(real) == environment_inputs(ideal)
+    assert request_rows(real) == request_rows(ideal)
+    assert request_rows(real)
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)

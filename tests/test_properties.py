@@ -962,6 +962,12 @@ def note(party, rnd, step, kind, **fields):
     return event("note", party, rnd, step, kind=kind, **fields)
 
 
+def submitted(party, rnd, step, word, accepted):
+    """The interface's answer to ``party``'s request of entry ``word``."""
+    return event("submit-result", party, rnd, step, req=word, kind=UPDATE,
+                 accepted=accepted, reason=None if accepted else "insufficient")
+
+
 def out(party, rnd, step, **payload):
     return event("output", party, rnd, step, payload=payload)
 
@@ -1035,22 +1041,24 @@ LIVENESS_CASES = {
         out(A, 1, 1, kind="settle-ok", state={"seq": 0}),
         inp(A, 2, 2, kind="settle"),
         horizon(20)]),
-    # the exec record clears the request's rid in time, but an update is
-    # served only by what an honest read shows
+    # an interface run answers each input with a submit-result; the exec
+    # record clears the request's rid in time, but an update is served
+    # only by what an honest read shows
     "submitted-pay-read-late": (UPDATE, [
-        event("leak", "funct", 1, 1,
-              data={"kind": "submit",
-                    "req": {"by": "A", "kind": UPDATE, "rid": 7, "round": 1,
-                            "body": {"op": "pay", "to": "B", "amt": 1}}}),
-        event("exec", "funct", 3, 2, kind=UPDATE, seq=1, rids=[7]),
-        read(B, 8, 3, [GENESIS, entry(1, [PAY_A])]),
+        inp(A, 1, 1, kind="pay", to="B", amt=1),
+        submitted(A, 1, 2, "pay", True),
+        event("exec", "funct", 3, 3, kind=UPDATE, seq=1, rids=[1]),
+        read(B, 8, 4, [GENESIS, entry(1, [PAY_A])]),
         horizon(20)]),
     "submitted-deposit-minted": (UPDATE, [
-        event("leak", "funct", 1, 1,
-              data={"kind": "submit",
-                    "req": {"by": "A", "kind": UPDATE, "rid": 7, "round": 1,
-                            "body": {"op": "peg-in", "amt": 5}}}),
-        read(B, 6, 2, [GENESIS, entry(1, [MINT_A])]),
+        inp(A, 1, 1, kind="deposit", amt=5),
+        submitted(A, 1, 2, "deposit", True),
+        read(B, 6, 3, [GENESIS, entry(1, [MINT_A])]),
+        horizon(20)]),
+    # a request the interface refused is not judged
+    "submitted-pay-refused": (UPDATE, [
+        inp(A, 1, 1, kind="pay", to="B", amt=9),
+        submitted(A, 1, 2, "pay", False),
         horizon(20)]),
 }
 
@@ -1062,7 +1070,11 @@ LIVENESS_CASES = {
 # it), queued-pay-nonce-missing gained the first pay its missing second
 # one follows, kth-update-missing's views gained channel balances, and the
 # channel and submitted cases were added; submitted-pay-read-late replaced
-# a case in which an exec record cleared a request's rid late
+# a case in which an exec record cleared a request's rid late.  When both
+# runs came to get the same inputs, a submitted case became an input
+# answered by the interface's submit-result (no more a submit leak), so
+# submitted-pay-read-late's witness carries the input and its answer
+# (witness_len 2 became 3), and submitted-pay-refused was added
 LIVENESS_EXPECTED = {
     "deposit-never-minted": (
         {"record": "verdict",
@@ -1223,8 +1235,8 @@ LIVENESS_EXPECTED = {
                     "deadline": 7,
                     "t_l2": 4,
                     "t_l1": 2},
-         "witness_len": 2},
-        "bb2f5e7f9035b73fb6be719b56a7474007ee45f0dee425b9f34c2666c40fc801"),
+         "witness_len": 3},
+        "dadadd85ef445cd3decebd32c61412040a2a5266a382ca74d92286d93230926b"),
     "submitted-deposit-minted": (
         {"record": "verdict",
          "property": "liveness-update",
@@ -1232,6 +1244,17 @@ LIVENESS_EXPECTED = {
          "vacuous": False,
          "params": {"kind": "update",
                     "judged": 1,
+                    "beyond_horizon": 0,
+                    "f": {"client": 0}},
+         "witness_len": 0},
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "submitted-pay-refused": (
+        {"record": "verdict",
+         "property": "liveness-update",
+         "pass": True,
+         "vacuous": True,
+         "params": {"kind": "update",
+                    "judged": 0,
                     "beyond_horizon": 0,
                     "f": {"client": 0}},
          "witness_len": 0},

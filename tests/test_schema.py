@@ -7,8 +7,9 @@ table: a field that a check starts to read has to join it.  (The
 hand-built liveness tables of ``tests/test_properties.py`` replay
 witnesses that end in the ``horizon`` marker.)  The mutation
 test takes one small scripted real trace per protocol and replaces one
-field (of an event, of its payload or submitted request, or of a read's
-entry) by a JSON value of another type, or deletes it.  Then wrapping and
+field (of an event, of its payload, of a read's entry, or of an entry's
+or a confirmation's state or transaction) by a JSON value of another
+type, or deletes it.  Then wrapping and
 loading the trace both refuse it, or every check, the output projection
 and the diff against the unmutated trace run without an exception.
 """
@@ -66,17 +67,22 @@ def field_paths(ev):
     """The paths of the fields of ``ev`` at the table's depth."""
     for key in ev:
         yield (key,)
-    for key in ("payload", "data"):
-        p = ev.get(key)
-        if not isinstance(p, dict):
-            continue
-        for field in p:
-            yield key, field
-        for field in p.get("req", {}):
-            yield key, "req", field
-        for i, entry in enumerate(p.get("executed", ())):
-            for field in entry:
-                yield key, "executed", i, field
+    p = ev.get("payload")
+    if not isinstance(p, dict):
+        return
+    for field in p:
+        yield "payload", field
+    for key in ("state", "settled"):
+        for field in p.get(key) or {}:
+            yield "payload", key, field
+    for i, entry in enumerate(p.get("executed", ())):
+        for field in entry:
+            yield "payload", "executed", i, field
+        for field in entry.get("state") or {}:
+            yield "payload", "executed", i, "state", field
+        for j, tx in enumerate(entry.get("txs", ())):
+            for field in tx:
+                yield "payload", "executed", i, "txs", j, field
 
 
 @lru_cache(maxsize=None)
