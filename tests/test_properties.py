@@ -27,8 +27,15 @@ minted deposit txids became a watermark (``minted_upto``,
 (34 scripted and 12 lifecycle, real and ideal) were recorded again,
 because the views hold states; every record digest stayed the same.  So
 did every witness digest but the two of liquid deposit-then-withdraw,
-whose witnesses hold a read of account states.  A change that moves a
-verdict or a witness has to say why.
+whose witnesses hold a read of account states.  When both runs came to
+get the same inputs, and an interface run's requests came to be read from
+its inputs, each paired with its ``submit-result``, the ideal witness and
+record digests of liquid deposit-then-withdraw were recorded again: its
+failing deposit request now carries its answer, so the witness holds the
+input and its submit-result (``witness_len`` 4 became 5, while the real
+deposit has no answer and keeps 4).  Every projection digest and every
+other row stayed the same.  A change that moves a verdict or a witness
+has to say why.
 
 ``reference_check_safety`` keeps the all-pairs safety check that the
 one-pass ``check_safety`` replaced; the two are compared on hand-built
@@ -180,7 +187,7 @@ SCRIPTED_WITNESSES = {
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "deposit-then-withdraw"): (
         "73f389baf087485edd4a9e4cd9a68ec2ab6829f0bb750c3e31f39dcb41ab1cd4",
-        "d1572b6ec1f1377dc57d6059615b9c3d1cec25983dace47fce195206a25748e2"),
+        "55abc0a5b9e1a9a88ac6faf28804a150a2c2c7a3d8fecbb2987744290e0fc000"),
     ("liquid", "garbage-triggers"): (
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
@@ -442,7 +449,7 @@ SCRIPTED_OUTPUTS = {
         "0e61a1c911a416dff26d2ca258370fe1a692964b627206e396ee3494be283121",
         "b132d0d868b8f5c617a54a587b6b8bb2e2d928fc67ef9e35be58c34a2906fc5b",
         "0e61a1c911a416dff26d2ca258370fe1a692964b627206e396ee3494be283121",
-        "b132d0d868b8f5c617a54a587b6b8bb2e2d928fc67ef9e35be58c34a2906fc5b"),
+        "03919c254b70303875a4ccbafdf404bec371b96f1d5ac588c21c19da601b4209"),
     ("liquid", "garbage-triggers"): (
         "91b9eb38ca08d3982fa9b979e31eb3c203bbff1d701d8d626452ee6ba31ca70f",
         "7edc7453a51a6ef9c248f422eab498b4073fa8dda777f194b33b52e00644db47",
