@@ -26,7 +26,8 @@ import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+if __name__ == "__main__":      # tests import it with l2sim on the path
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from l2sim import harness  # noqa: E402
 from l2sim.trace import canon, digest  # noqa: E402

@@ -462,9 +462,9 @@ MALFORMED_EVENTS = {
                                           "state": [1]}),
     "settle-ok-state-list": event("output", A, 0, 0,
                                   payload={"kind": "settle-ok", "state": [1]}),
-    # and these in a TypeError once the table held only the state's type:
-    # settlement taking the highest of a string and an int, update liveness
-    # counting the pays of an unhashable sender
+    # these passed the table while it held only a state's type: a string
+    # seq ended settlement in a TypeError, and so did an unhashable sender
+    # update liveness; a balance holds ints, as the replay sums them
     "read-state-seq-string": opened_read({"kind": UPDATE, "seq": 1,
                                           "state": {"seq": "x"}}),
     "read-tx-from-list": opened_read({"kind": UPDATE, "seq": 1,
