@@ -5,8 +5,9 @@ of the tree it sits in:
 
     python tests/golden_audit.py structure
     python tests/golden_audit.py record
+    python tests/golden_audit.py compare OLD NEW
 
-Both modes run every table schedule (the scripted schedules of each
+Every mode runs every table schedule (the scripted schedules of each
 protocol and the golden lifecycles: seeds 1-3, ten pays, honest and
 adversarial) through ``harness.run_differential``.
 
@@ -16,20 +17,40 @@ adversarial) through ``harness.run_differential``.
   payloads moves digests but no line here.
 - ``record`` prints the ``SCRIPTED`` and ``LIFECYCLE`` tables in their own
   format, so the rows of a change that moves digests can be pasted back.
+- ``compare OLD NEW`` takes two source trees, each a directory holding
+  ``src/l2sim`` or a git revision of this repository (extracted with
+  ``git archive``).  It builds one record per table row under each tree's
+  ``src``, in a subprocess per tree, and prints every row that moved with
+  the parts of its record that moved, then a count of moved rows and
+  parts.  A row's record holds the ``diff_outputs`` length and, for each
+  run, the event count (``events``), a sha256 of the ``(t, step, round)``
+  sequence (``shape``), each check's ``to_record()`` (``verdict:NAME``), a
+  sha256 of every check's witness (``witnesses``), a sha256 of the output
+  projection with each sha256 hex string renumbered by first appearance
+  (``projection``), and the trace digest (``digest``).  A change that
+  only renames a hash moves no projection.
 
-Comparing two trees row by row (``compare OLD NEW``) is still open
-(ROADMAP item 20).
+The tables themselves are only ever rewritten by hand, from ``record``.
 """
 
 import hashlib
 import json
+import re
+import subprocess
 import sys
+import tarfile
+import tempfile
+from io import BytesIO
 from pathlib import Path
 
-if __name__ == "__main__":      # tests import it with l2sim on the path
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
 
-from l2sim import harness  # noqa: E402
+if __name__ == "__main__":      # tests import it with l2sim on the path
+    # ``records SRC KEYS`` builds the records under another tree's src
+    sys.path.insert(0, sys.argv[2] if sys.argv[1:2] == ["records"]
+                    else str(ROOT / "src"))
+
+from l2sim import harness, properties  # noqa: E402
 from l2sim.trace import canon, digest  # noqa: E402
 
 PAYS = 10
@@ -56,10 +77,38 @@ def runs(name, scn, sched):
     return {"real": real.trace, "ideal": ideal.trace}
 
 
+def all_checks(name, scn, trace):
+    """Every check on one trace, in the order the benchmark runs them."""
+    proto = harness.protocol(name)
+    f = {role: budget for role, _, budget in proto.party_roles(scn)}
+    out = [properties.check_correct_initialization(trace),
+           properties.check_safety(trace, f)]
+    out += [properties.check_liveness(trace, kind, params)
+            for kind, params in proto.liveness_params(scn).items()]
+    out.append(properties.check_correct_settlement(trace))
+    out.append(properties.measure_data_availability(trace))
+    return out
+
+
+def sha(text) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def shape(trace) -> str:
     """sha256 of the trace's (t, step, round) sequence."""
-    seq = [[ev.get("t"), ev.get("step"), ev.get("round")] for ev in trace.events]
-    return hashlib.sha256(canon(seq).encode()).hexdigest()
+    return sha(canon([[ev.get("t"), ev.get("step"), ev.get("round")]
+                      for ev in trace.events]))
+
+
+HEX = re.compile(r"(?<![0-9a-f])[0-9a-f]{64}(?![0-9a-f])")
+
+
+def renumbered(obj) -> str:
+    """The canonical text of ``obj``, each sha256 hex string in it replaced
+    by the number of its first appearance."""
+    seen = {}
+    return HEX.sub(lambda m: f"#{seen.setdefault(m.group(), len(seen))}",
+                   canon(obj))
 
 
 def key_text(key) -> str:
@@ -75,6 +124,23 @@ def row(table, key, scn, sched) -> str:
         values.insert(0, digest(sched))
     return f"    {key_text(key)}: (\n" + ",\n".join(
         f'        "{v}"' for v in values) + "),\n"
+
+
+def audit_record(key, scn, sched) -> dict:
+    """What ``compare`` holds of one table row (see the module docstring)."""
+    name = key[0]
+    real, ideal, diff = harness.run_differential(name, scn, sched)
+    rec = {"diff": len(diff)}
+    for flavor, trace in (("real", real.trace), ("ideal", ideal.trace)):
+        checks = all_checks(name, scn, trace)
+        rec[flavor] = {
+            "events": len(trace.events), "shape": shape(trace),
+            "verdicts": [v.to_record() for v in checks],
+            "witnesses": sha(canon([getattr(v, "witness", None)
+                                    for v in checks])),
+            "projection": sha(renumbered(harness.output_projection(trace))),
+            "digest": trace.digest()}
+    return rec
 
 
 def structure():
@@ -95,8 +161,99 @@ def record():
     print("}")
 
 
+def records(src, keys):
+    """One JSON line per table row in ``keys`` (every row when None), built
+    with the l2sim under ``src``."""
+    keys = None if keys is None else {tuple(k) for k in keys}
+    for table, key, scn, sched in schedules():
+        if keys is None or key in keys:
+            print(json.dumps({"table": table, "key": list(key),
+                              **audit_record(key, scn, sched)}), flush=True)
+
+
+def _src(tree, into) -> str:
+    """The ``src`` directory of ``tree``: a directory, or a git revision
+    of this repository extracted under ``into``."""
+    if (Path(tree) / "src" / "l2sim").is_dir():
+        return str(Path(tree) / "src")
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", tree, "src"],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=BytesIO(archive)) as tar:
+        tar.extractall(into)
+    return str(Path(into) / "src")
+
+
+def moved_parts(old, new) -> list:
+    """The names of the parts of two records of one row that differ."""
+    parts = ["diff"] if old["diff"] != new["diff"] else []
+    for flavor in ("real", "ideal"):
+        a, b = old[flavor], new[flavor]
+        mine = [part for part in ("events", "shape") if a[part] != b[part]]
+        va, vb = a["verdicts"], b["verdicts"]
+        if len(va) != len(vb):
+            mine.append("verdicts")
+        else:
+            mine += [f"verdict:{x.get('property', x['record'])}"
+                     for x, y in zip(va, vb) if x != y]
+        mine += [part for part in ("witnesses", "projection", "digest")
+                 if a[part] != b[part]]
+        parts += [f"{flavor} {part}" for part in mine]
+    return parts
+
+
+def compare(old, new, keys=None, out=print) -> list:
+    """Print and return (key, moved parts) of each row that moved from
+    tree ``old`` to tree ``new``; ``keys`` limits the rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        procs = [subprocess.Popen(
+            [sys.executable, __file__, "records",
+             _src(tree, Path(tmp) / str(i)), json.dumps(keys)],
+            stdout=subprocess.PIPE, text=True)
+            for i, tree in enumerate((old, new))]
+        sides = []
+        for tree, proc in zip((old, new), procs):
+            text = proc.communicate()[0]
+            if proc.returncode:
+                raise RuntimeError(f"records of {tree} failed")
+            sides.append({(r["table"], tuple(r["key"])): r
+                          for r in map(json.loads, text.splitlines())})
+    a, b = sides
+    moved = []
+    for row_id in list(a) + [k for k in b if k not in a]:
+        if row_id not in a or row_id not in b:
+            parts = ["only in " + (new if row_id in b else old)]
+        else:
+            parts = moved_parts(a[row_id], b[row_id])
+        if parts:
+            moved.append((row_id, parts))
+            out(f"{row_id[0]} {key_text(row_id[1])}: {', '.join(parts)}")
+    tables = {}
+    for (table, key), _ in moved:
+        tables.setdefault(table, {}).setdefault(key[0], 0)
+        tables[table][key[0]] += 1
+    out(f"moved rows: {len(moved)} of {len(set(a) | set(b))}" + "".join(
+        f"; {table} {sum(per.values())} ("
+        + ", ".join(f"{name} {n}" for name, n in per.items()) + ")"
+        for table, per in tables.items()))
+    counts = {}
+    for _, parts in moved:
+        for part in parts:
+            counts[part] = counts.get(part, 0) + 1
+    out("moved parts: " + (", ".join(f"{p} {n}" for p, n in counts.items())
+                           or "none"))
+    bases = {p.split()[-1].split(":")[0] for p in counts}
+    out("unmoved in every row: " + ", ".join(
+        p for p in ("events", "shape", "verdict", "diff", "witnesses",
+                    "projection", "digest") if p not in bases))
+    return moved
+
+
 if __name__ == "__main__":
-    modes = {"structure": structure, "record": record}
-    if len(sys.argv) != 2 or sys.argv[1] not in modes:
-        sys.exit(f"usage: {sys.argv[0]} {{{'|'.join(modes)}}}")
-    modes[sys.argv[1]]()
+    modes = {"structure": (structure, 0), "record": (record, 0),
+             "compare": (compare, 2), "records": (records, 2)}
+    mode, args = sys.argv[1] if len(sys.argv) > 1 else None, sys.argv[2:]
+    if mode not in modes or len(args) != modes[mode][1]:
+        sys.exit(f"usage: {sys.argv[0]} structure | record | compare OLD NEW")
+    if mode == "records":
+        args[1] = json.loads(args[1])
+    modes[mode][0](*args)

@@ -339,3 +339,32 @@ def test_the_audit_records_rows_as_the_table_holds_them():
     assert len(rows) == 2
     for row in rows.values():
         assert row in text
+
+
+def test_the_audit_compares_a_tree_with_itself_and_sees_no_move():
+    keys = [["brick", "single-pay"], ["liquid", "deposit-then-withdraw"],
+            ["arbitrum", 1, True]]
+    lines = []
+    root = str(Path(__file__).resolve().parents[1])
+    assert golden_audit.compare(root, root, keys, out=lines.append) == []
+    assert lines == ["moved rows: 0 of 3", "moved parts: none",
+                     "unmoved in every row: events, shape, verdict, diff, "
+                     "witnesses, projection, digest"]
+
+
+def test_the_audit_names_the_parts_of_a_row_that_moved():
+    # a renamed hash moves no projection
+    a, b = "ab" * 32, "cd" * 32
+    assert golden_audit.renumbered({"x": [a, f"tx-{b}", a]}) == \
+        golden_audit.renumbered({"x": [b, f"tx-{a}", b]})
+    assert golden_audit.renumbered([a, b]) != golden_audit.renumbered([a, a])
+    run = {"events": 3, "shape": "s", "witnesses": "w", "projection": "p",
+           "digest": "d", "verdicts": [{"record": "verdict",
+                                        "property": "safety", "pass": True},
+                                       {"record": "da", "g_l2": 1}]}
+    old = {"diff": 0, "real": run, "ideal": run}
+    new = {"diff": 0, "real": dict(run, digest="e", verdicts=[
+        run["verdicts"][0], {"record": "da", "g_l2": 2}]), "ideal": run}
+    assert golden_audit.moved_parts(old, old) == []
+    assert golden_audit.moved_parts(old, new) == ["real verdict:da",
+                                                  "real digest"]

@@ -67,18 +67,7 @@ from l2sim.properties import (
 )
 from l2sim.trace import canon
 
-
-def all_checks(name, scn, trace):
-    """Every check on one trace, in the order the benchmark runs them."""
-    proto = harness.protocol(name)
-    f = {role: budget for role, _, budget in proto.party_roles(scn)}
-    out = [properties.check_correct_initialization(trace),
-           check_safety(trace, f)]
-    out += [check_liveness(trace, kind, params)
-            for kind, params in proto.liveness_params(scn).items()]
-    out.append(check_correct_settlement(trace))
-    out.append(properties.measure_data_availability(trace))
-    return out
+from golden_audit import all_checks
 
 
 def sha(obj):
