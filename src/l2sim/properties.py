@@ -14,17 +14,16 @@ the entry of the ``settled`` state when set.  ``read_views`` keeps each
 honest read as a ReadView holding just that delta and settled entry; a
 view's whole ``executed`` list is rebuilt from its reader's earlier reads
 only when something asks for it (witnesses, the pair scan of a failing
-safety check, readers out of order, the data-availability replay).  The
-checks judge whole views but walk only deltas: per reader they keep
-running values over the view last walked (evidence keys, pay and mint
-counts, the highest state height), cut them back to the next view's
-``base`` and walk only the entries after it, so each entry is walked a
-bounded number of times and the cost grows linearly with the trace.  That
-needs a reader's previous view in trace order to be its previous one in
-(round, step) order; a reader whose views are out of that order (a
-hand-built or permuted event list) has every view walked whole, so the
-verdicts do not depend on the order.  A witness read carries its whole
-view from ``base`` 0, so a witness stands on its own.
+safety check, the data-availability replay).  The checks judge whole
+views but walk only deltas: per reader they keep running values over the
+view last walked (evidence keys, pay and mint counts, the highest state
+height), cut them back to the next view's ``base`` and walk only the
+entries after it, so each entry is walked a bounded number of times and
+the cost grows linearly with the trace.  A reader's previous view in
+trace order is its previous one in time: where a trace enters,
+``trace.validate_events`` refuses a read whose (round, step) is below its
+reader's previous read.  A witness read carries its whole view from
+``base`` 0, so a witness stands on its own.
 
 No check scans the events itself: each reads the trace's TraceSummary,
 which ``summarize`` derives in one walk over the events.  That walk sorts
@@ -62,9 +61,10 @@ class ReadView:
     """One honest read, holding only what it adds to its reader's view.
 
     Its whole view is the first ``base`` entries of the reader's previous
-    view in trace order (settled entry aside), then ``delta``, then
-    ``settled`` when set; its last entry before ``settled`` has the tip
-    state.  ``reads`` is the reader's views in trace order, shared by all
+    view (settled entry aside), then ``delta``, then ``settled`` when set;
+    its last entry before ``settled`` has the tip state.  ``delta`` is the
+    read payload's own ``executed`` list: an event is never edited in
+    place.  ``reads`` is the reader's views in read order, shared by all
     of them, and ``index`` this view's place in it; they are left out of
     comparisons, so views compare by their own fields.
     """
@@ -91,11 +91,8 @@ class ReadView:
             kept += v.delta
         return kept if self.settled is None else kept + [self.settled]
 
-    def after(self, start) -> list:
-        """``executed[start:]``, read off the delta when ``start`` is
-        ``base``."""
-        if start != self.base:
-            return self.executed[start:]
+    def after(self) -> list:
+        """The view after its first ``base`` entries: delta, settled entry."""
         return self.delta if self.settled is None \
             else self.delta + [self.settled]
 
@@ -163,7 +160,8 @@ def corrupted_parties(trace, events=None) -> dict:
 
 def read_views(trace, events=None, bad=None) -> list[ReadView]:
     """Read results output to parties that were never corrupted, in trace
-    order, each holding its delta (see ReadView).
+    order, each holding its delta (see ReadView); a reader's reads are in
+    time order, as ``trace.validate_events`` checks where a trace enters.
 
     ``events`` (any list holding the trace's outputs) and ``bad`` (its
     corrupted parties) default to the trace's events and
@@ -182,7 +180,7 @@ def read_views(trace, events=None, bad=None) -> list[ReadView]:
         base, delta, settled = read_fields(ev["payload"])
         mine.append(ReadView(
             party, pids[party], ev.get("round", 0), ev.get("step", 0), base,
-            list(delta), None if settled is None else settled_entry(settled),
+            delta, None if settled is None else settled_entry(settled),
             mine, len(mine)))
         views.append(mine[-1])
     return views
@@ -215,28 +213,6 @@ def entry_keys(executed, texts) -> list:
 def is_prefix(shorter, longer) -> bool:
     """Whether key list ``shorter`` (see entry_keys) starts ``longer``."""
     return longer[:len(shorter)] == shorter
-
-
-def _chains(views) -> dict:
-    """party -> its views in (round, step) order, each paired with the
-    index its unwalked part starts at.
-
-    A view shares its first ``base`` entries with its reader's previous
-    view in trace order.  When the reader's views are in (round, step)
-    order already, that is the view walked just before it, so the walk
-    starts at ``base``; otherwise every view of the reader starts at 0.
-    """
-    by_party = {}
-    for v in views:
-        by_party.setdefault(v.party, []).append(v)
-    out = {}
-    for party, vs in by_party.items():
-        ordered = all((a.round, a.step) <= (b.round, b.step)
-                      for a, b in zip(vs, vs[1:]))
-        if not ordered:
-            vs.sort(key=lambda v: (v.round, v.step))
-        out[party] = [(v, v.base if ordered else 0) for v in vs]
-    return out
 
 
 def committed_txs(trace, events=None) -> list[dict]:
@@ -352,7 +328,7 @@ class TraceSummary:
     counts: dict         # role -> corrupted parties of that role
     horizon: int         # the last round on record
     views: list          # read_views
-    chains: dict         # _chains of the views
+    readers: dict        # party -> its views in read order (ReadView.reads)
     requests: list       # requests
     commits: list        # committed_txs
     confirmed: dict      # (pid, "open-ok" | "settle-ok") -> output rounds
@@ -412,7 +388,8 @@ def summarize(trace) -> TraceSummary:
     reqs = requests(trace, asks, bad)
     s = TraceSummary(
         corrupted=bad, counts={role: roles.count(role) for role in roles},
-        horizon=horizon, views=views, chains=_chains(views), requests=reqs,
+        horizon=horizon, views=views,
+        readers={v.party: v.reads for v in views}, requests=reqs,
         commits=committed_txs(trace, ledger), confirmed=confirmed,
         open_inputs=[r["event"] for r in reqs if r["cls"] == OPEN],
         open_oks=open_oks, settle_oks=settle_oks)
@@ -478,8 +455,8 @@ def check_safety(trace, f) -> Verdict:
     """Per-party view monotonicity plus pairwise view comparability.
 
     Self-consistency compares each party's consecutive views.  Two
-    consecutive views share the later one's first ``base`` entries (see
-    ``_chains``), so only the keys from ``base`` on are built and compared.
+    consecutive views share the later one's first ``base`` entries, so
+    only the keys from ``base`` on are built and compared.
     Once it holds, each party's views form a chain, so the views are
     pairwise comparable exactly when every party's last view is a prefix
     of a longest view L: a view that is not cannot be L's party's (that
@@ -496,13 +473,13 @@ def check_safety(trace, f) -> Verdict:
     views = s.views
     texts = {}
     last = {}            # party -> keys of its last view
-    for party, chain in s.chains.items():
+    for party, reads in s.readers.items():
         keys, prev = [], None      # keys of the view walked last
-        for v, start in chain:
-            dropped = keys[start:]
-            del keys[start:]
-            keys += entry_keys(v.after(start), texts)
-            if prev is not None and not is_prefix(dropped, keys[start:]):
+        for v in reads:
+            dropped = keys[v.base:]
+            del keys[v.base:]
+            keys += entry_keys(v.after(), texts)
+            if prev is not None and not is_prefix(dropped, keys[v.base:]):
                 return Verdict(name, False,
                                witness=[_view_event(prev), _view_event(v)],
                                params={"clause": "self-consistency",
@@ -609,24 +586,23 @@ def _first_seen(s: TraceSummary) -> dict:
     least k pays from pid, ("deposit", pid, k) when it holds at least k
     mints to pid (``_shown``).
 
-    Each reader's views are walked from where ``_chains`` starts them,
+    Each reader's views are walked in read order from their ``base``,
     with the reader's kept entries and its pays and mints among them cut
-    back to that start.  The entries before it were walked in the
-    reader's view before, at a round no later than this one, so each key
-    they show has its earliest round already; the entries after it show
-    exactly the keys this view adds.  A reader out of (round, step) order
-    starts every view at 0, which is the whole-view walk.
+    back to it.  The entries before it were walked in the reader's
+    previous view, at a round no later than this one, so each key they
+    show has its earliest round already; the entries after it show
+    exactly the keys this view adds.
     """
     first = {}
-    for chain in s.chains.values():
+    for reads in s.readers.values():
         kept = []        # the entries walked and kept, in view order
         marks = []       # (index, (what, pid)) of each pay and mint in them
         count = {}       # (what, pid) -> its marks
-        for v, start in chain:
-            del kept[start:]
-            while marks and marks[-1][0] >= start:
+        for v in reads:
+            del kept[v.base:]
+            while marks and marks[-1][0] >= v.base:
                 count[marks.pop()[1]] -= 1
-            for e in v.after(start):
+            for e in v.after():
                 for mark in _shown(e, kept):
                     n = count[mark] = count.get(mark, 0) + 1
                     marks.append((len(kept), mark))
@@ -702,19 +678,18 @@ def check_correct_settlement(trace) -> Verdict:
 def _heights(s: TraceSummary) -> list:
     """The highest state height among each view's entries, or None.
 
-    A running prefix maximum per reader, cut back to where ``_chains``
-    starts each view, so only the entries after that start are read.
+    A running prefix maximum per reader, cut back to each view's
+    ``base``, so only the entries after it are read.
     """
-    out = {}
-    for chain in s.chains.values():
-        best = [None]    # best[i]: the highest height among the first i
-        for v, start in chain:
-            del best[start + 1:]
-            for e in v.after(start):
-                h = _state_height(e.get("state") or {})
-                best.append(h if best[-1] is None else max(best[-1], h))
-            out[id(v)] = best[-1]
-    return [out[id(v)] for v in s.views]
+    out, best_of = [], {}   # best_of: party -> its running prefix maximum
+    for v in s.views:
+        best = best_of.setdefault(v.party, [None])  # best[i]: of the first i
+        del best[v.base + 1:]
+        for e in v.after():
+            h = _state_height(e.get("state") or {})
+            best.append(h if best[-1] is None else max(best[-1], h))
+        out.append(best[-1])
+    return out
 
 
 def _state_height(state) -> int:

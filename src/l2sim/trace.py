@@ -11,6 +11,9 @@ above it.
 the output projection reads of each.  ``validate_events`` holds a trace to
 it where it enters from outside, in ``Trace.from_text`` (so ``load``) and
 ``properties.as_trace``; a trace a ``World`` builds fits by construction.
+It also holds a reader's reads to each other: a read's ``base`` is at most
+the entries the reader's previous read left it, and its (round, step) is
+not below that read's, so a reader's reads come in time order.
 """
 
 from __future__ import annotations
@@ -111,15 +114,19 @@ def _check(value, shape, step, where):
 
 def validate_events(events):
     """Raise IntegrityError, naming the step, unless each event has the shape
-    ``EVENT`` and each read's ``base`` is in [0, the entries its reader saw]."""
-    shown = {}           # party -> the entries its last read left it
+    ``EVENT`` and each read's ``base`` is in [0, the entries its reader saw]
+    and its (round, step) is not below its reader's previous read's."""
+    shown = {}           # party -> (the entries its last read left it, when)
     for ev in events:
         _check(ev, EVENT, ev.get("step") if type(ev) is dict else None, "event")
         if ev["t"] == "output" and (p := ev["payload"]).get("kind") == "read-result":
-            base, seen = p.get("base", 0), shown.get(ev["party"], 0)
+            base, at = p.get("base", 0), (ev.get("round", 0), ev.get("step", 0))
+            seen, last = shown.get(ev["party"], (0, at))
             if not 0 <= base <= seen:
                 raise IntegrityError(f"step {ev.get('step')}: base {base} not in [0, {seen}]")
-            shown[ev["party"]] = base + len(p.get("executed", ()))
+            if at < last:
+                raise IntegrityError(f"step {ev.get('step')}: read at {at} before its reader's read at {last}")
+            shown[ev["party"]] = (base + len(p.get("executed", ())), at)
 
 
 class Trace:

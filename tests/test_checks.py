@@ -12,7 +12,9 @@ and none of them changes that summary.  Counting guards pin the cost of
 the checks without timing them: data availability replays each distinct
 view once, and safety canonicalizes each state object at most once.  A
 malformed event is refused with IntegrityError where it enters, wrapped by
-``as_trace`` or loaded by ``Trace.from_text``, so it fails every check.
+``as_trace`` or loaded by ``Trace.from_text``, so it fails every check;
+so is a read that goes back in (round, step) before its reader's previous
+read.
 """
 
 import copy
@@ -504,6 +506,55 @@ def test_a_malformed_event_is_refused_where_it_enters(ev):
     trace.events = [ev]
     with pytest.raises(IntegrityError, match="step 0"):
         Trace.from_text(trace.to_text())
+
+
+def reads_of_a(*at):
+    """Reads of A at each (round, step) of ``at``, each showing one more
+    update than the one before."""
+    return [event("output", A, rnd, step, payload=read_result(
+        i, [{"kind": UPDATE, "seq": i + 1, "state": {"seq": i + 1}}], None))
+        for i, (rnd, step) in enumerate(at)]
+
+
+@pytest.mark.parametrize("at", [[(2, 1), (1, 2)], [(1, 5), (1, 3)]],
+                         ids=["lower-round", "same-round-lower-step"])
+def test_a_read_that_goes_back_in_time_is_refused_where_it_enters(at):
+    """A reader's second read before its first, by round or by step within
+    a round, is refused with the second read's step, wrapped or loaded."""
+    events = reads_of_a(*at)
+    step = f"step {at[1][1]}:"
+    with pytest.raises(IntegrityError, match=step):
+        as_trace(events)
+    trace = Trace()
+    trace.events = events
+    with pytest.raises(IntegrityError, match=step):
+        Trace.from_text(trace.to_text())
+
+
+def test_reads_at_one_time_and_readers_interleaved_still_load():
+    """Two reads of one reader may share their (round, step), and the rule
+    holds per reader: another reader's read may come earlier in time."""
+    events = reads_of_a((1, 4), (1, 4)) + [event(
+        "output", B, 0, 0, payload=read_result(0, [], None))]
+    trace = Trace()
+    trace.events = events
+    for loaded in (as_trace(events), Trace.from_text(trace.to_text())):
+        assert [v.party for v in properties.read_views(loaded)] == [A, A, B]
+
+
+@pytest.mark.parametrize("name", sorted(harness.PROTOCOLS))
+def test_a_view_holds_its_payloads_own_executed_list(name):
+    for label in harness.scripted_schedules(
+            name, harness.protocol(name).canonical_scenario()):
+        for trace in scripted_traces(name, label):
+            s = properties.summarize(trace)
+            payloads = [ev["payload"] for ev in trace.events
+                        if ev["t"] == "output"
+                        and ev["payload"]["kind"] == "read-result"
+                        and ev["party"] not in s.corrupted]
+            assert len(payloads) == len(s.views)
+            assert all(v.delta is p["executed"]
+                       for v, p in zip(s.views, payloads))
 
 
 # an event of each type whose party a walk looks up, without its party

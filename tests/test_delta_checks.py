@@ -2,12 +2,12 @@
 
 ``check_safety``, ``check_liveness`` and ``check_correct_settlement`` keep
 running values per reader and walk only the entries after each read's
-``base`` (whole views for a reader whose views are out of (round, step)
-order).  The whole-view versions they replaced are kept here as
+``base``.  The whole-view versions they replaced are kept here as
 references: ``reference_check_liveness`` (update kind) and
 ``reference_check_correct_settlement``, next to ``reference_check_safety``
 in ``test_properties.py``.  Random traces of delta reads, whose bases
-truncate, whose views settle and whose readers may be out of order, must
+truncate, whose views settle and whose readers interleave out of
+(round, step) order while each keeps its own reads in order, must
 get the same records and witnesses from both, and a failing witness must
 fail again on its own.  A count of the evidence keys and state heights
 the checks build bounds their work by the size of the read deltas.
@@ -201,8 +201,9 @@ def delta_traces(draw):
 
     Each read carries a base up to its reader's previous view (so it may
     truncate it) and a delta, and sometimes a settled state.  Rounds grow
-    along the trace, except that one reader's reads may swap their
-    (round, step) labels, so its views are out of order.
+    along the trace, except that the reads may deal out their (round,
+    step) labels anew, each reader taking the ones it is dealt in order:
+    the readers then interleave out of time order, each in its own.
     """
     events, shown, rnd = [], {}, 0
     for _ in range(draw(st.integers(1, 14))):
@@ -272,11 +273,15 @@ def delta_traces(draw):
         if e["t"] == "output" and e["payload"]["kind"] == "read-result":
             reads.setdefault(e["party"], []).append(e)
     if reads and draw(st.booleans()):
-        mixed = reads[draw(st.sampled_from(sorted(reads)))]
+        every = [e for mine in reads.values() for e in mine]
         labels = draw(st.permutations([(e["round"], e["step"])
-                                       for e in mixed]))
-        for e, (r, s) in zip(mixed, labels):
-            e["round"], e["step"] = r, s
+                                       for e in every]))
+        dealt = {}
+        for e, label in zip(every, labels):
+            dealt.setdefault(e["party"], []).append(label)
+        for e in every:
+            mine = dealt[e["party"]]
+            e["round"], e["step"] = mine.pop(mine.index(min(mine)))
     if draw(st.integers(0, 3)) == 0:
         bad = party(draw(st.sampled_from(PIDS)))
         events.insert(0, event("corrupt", bad, 0, step=-1))

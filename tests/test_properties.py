@@ -873,7 +873,8 @@ STATE_POOL = [None] + [{"seq": i, "tag": t} for i in range(2) for t in "ab"]
 
 @st.composite
 def view_sets(draw):
-    """Reads of 2-4 parties over a small entry alphabet, rounds shuffled.
+    """Reads of 2-4 parties over a small entry alphabet, the parties
+    interleaved in any order, each reader's reads in (round, step) order.
 
     Each party reads growing prefixes of its own branch of one base
     history, and now and then a view with a stray tail, so passing sets,
@@ -900,7 +901,11 @@ def view_sets(draw):
             executed = executed + draw(st.lists(alphabet, min_size=1,
                                                 max_size=2))
         events.append(read(party, rnd, step, executed))
-    events = draw(st.permutations(events))
+    queues = {}
+    for ev in events:
+        queues.setdefault(ev["party"], []).append(ev)
+    order = draw(st.permutations([ev["party"] for ev in events]))
+    events = [queues[party].pop(0) for party in order]
     bad = draw(st.lists(st.sampled_from(parties), max_size=1))
     events = [corrupt(p, 0, -1) for p in bad] + list(events)
     return events, {CLIENT: draw(st.integers(0, 2))}
