@@ -257,7 +257,7 @@ class AccountClient(Machine):
             {"chain": sid, "to": pid, "amt": amt,
              "conflict": f"dep/{sid}/{pid}/{self.dep_counter}"},
             self.me.short()))
-        ctx.note("deposit-sent", amt=amt)
+        ctx.note("request-queued", req="deposit")
 
     def _serve_read(self, ctx):
         if not self.opened:

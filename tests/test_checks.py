@@ -89,6 +89,18 @@ def test_failing_witnesses_replay_on_scripted(name, label):
                 assert not again.passed and again.params == v.params
 
 
+def test_a_real_deposit_is_answered_as_the_ideal_one_is():
+    """The failing deposit's witness carries its answer in both runs: the
+    real client's ``request-queued`` note, the interface's submit-result."""
+    real, ideal = (v["liveness-update"] for v in
+                   scripted_verdicts("liquid", "deposit-then-withdraw"))
+    assert not real.passed and not ideal.passed
+    assert len(real.witness) == len(ideal.witness)
+    assert [ev["t"] for ev in real.witness[:2]] == ["input", "note"]
+    assert real.witness[1]["kind"] == "request-queued"
+    assert real.witness[1]["req"] == ideal.witness[1]["req"] == "deposit"
+
+
 @pytest.mark.parametrize("name, label", SCRIPTED)
 def test_verdicts_ignore_exec_records(name, label):
     # an ideal run is judged by what the environment sees, as a real run

@@ -59,7 +59,15 @@ translated request, which the interface machine now makes with the
 protocol's ``EnvTracker``, and a ``submit-result`` names the entry word
 (``req``).  ``python tests/golden_audit.py structure`` printed the same
 event count and ``(t, step, round)`` digest for all 134 runs before and
-after the change, and ``record`` printed the new rows.
+after the change, and ``record`` printed the new rows.  The real digest
+of every liquid and rollup run with a deposit (13 rows: both
+``deposit-mint`` rows, liquid ``deposit-then-withdraw`` and ten
+lifecycles; every ideal digest and the schedule digests unchanged) was
+recorded again when a real account client began to answer a deposit with
+a ``request-queued`` note naming ``deposit``, in place of a
+``deposit-sent`` note that nothing read: ``golden_audit.py compare``
+showed that no event count, ``(t, step, round)`` sequence, projection or
+``diff_outputs`` length moved.
 A change that moves a digest changes a trace and has to say why.
 """
 
@@ -126,10 +134,10 @@ SCRIPTED = {
         "6980b2538979a2cc5a84405077b3d02123a6b6023d5c0abc13439a318038cab8",
         "5783c6bef9b382b4de807c80f6e1682f07312580d99f7470065b928d4a25c046"),
     ("liquid", "deposit-mint"): (
-        "0f8d0907e4de86a3a1b31cc10c2b47a4b68aa94fb34f69dc03e7b19f492532fd",
+        "7b44e5258dce197bbdc0ddb4f1085c1795df990a5263ec882cad3ae56fe0e34c",
         "eeef31299955518acb80f44962cab3fff446585dfab5502fc9932561e2f4b214"),
     ("liquid", "deposit-then-withdraw"): (
-        "777ba3f1723ea4c3811b62c9165f8053a46e4d49fbd4615184da4f307910aada",
+        "59667e5e94709a208d721eebbf6348572001a8d479bfdd00798d8850242d76e8",
         "897dfe48a29fc9782fa918267ee2db6939ec3483ffdc6ab3cd70ff728197cb4a"),
     ("liquid", "garbage-triggers"): (
         "c8a1d315905a824ffdf0b1974e8bdd2d9c6b7b6248d5a9d52f1af3fc04917842",
@@ -171,7 +179,7 @@ SCRIPTED = {
         "142c7c507116d6866b8a327a9dab7d19819283a999495358c88005936af2868e",
         "781b9969873175ee0b8f156ca14c3919487f5d54c1ac5cf574197d2930f262cb"),
     ("arbitrum", "deposit-mint"): (
-        "08929ad1b7491c662747616f5af1c4ec519a7d8c01816eccde4f8b2a898f9658",
+        "f1f4d582ce270335fbd62591d80ac3303fe1b2eb5aefd5edf41f8ccc5002a697",
         "46a6b58391b539a806776250266d0808a204b8e06f36a5bdcf4a640a7f3b1bb8"),
     ("arbitrum", "false-accuse-noise"): (
         "ff8eff87ee192e53cc4adda530e13376afb438adfd2748451475fa5b718a402d",
@@ -255,23 +263,23 @@ LIFECYCLE = {
         "ea0562744f1e8494ce702370e7eb86cb72843292203b7c321c74843439dc4fe9"),
     ("liquid", 1, True): (
         "38871f87b4398e8c60f45665ae6581997da8b80a3457f0fafedd724f5ce11c35",
-        "82c736a4d50c1453ab69ff8fadd5d4839f48eace0818be7a3c258638a09a2813",
+        "f78efa60f9ae40af85c76b6b0cba05976f062e0bd34839d00251c6a6a132eb23",
         "d0349d0b5e6b6bc030f7416142caa08664b38d442d0638ffb6751844be5b5325"),
     ("liquid", 2, False): (
         "2105c5aeb6ee8aedf7aa9f14ecd63921c5d11f5d50a7367a0053e03a63c2ed9b",
-        "0375004add015c272e23d09386fabd058b1def3995ffd6486c76d8e966285c26",
+        "c2a22f3fa14ff64d3b878896887e8039b781d251763bd8b072dbab5092642f20",
         "0b8d687412b2b5761564555ff493e2df3f7489154f6d97fc992873a07400f919"),
     ("liquid", 2, True): (
         "ba57234f2d6d51af98f908cb3fd4eecaa7d77d24934cad954065f01807be5760",
-        "6fb079e004a1f1c5bf82bf6abe7f9b5c812d5050fb12a72ef0fea4e60787ea71",
+        "b08ebf485e7a00a7d9091828105548dc13d6a822d0cd701f5906398060916139",
         "d5e73f379874ac3dfa8c648090d2b6f3c7e942e0b5409116a0aab00e85ce1090"),
     ("liquid", 3, False): (
         "b2c8af5adbdfd31c5166d86924da9e3382226e6490394dacd22a4bc8187e9b28",
-        "72ca894cb7117d77151e8ce05ccd53b1b9c3d00e75f6b3e0be05af701bbd2a4d",
+        "5334e1df30245c59fc82a8c75b5506a617d0a62b0eeeb598d899bde5b42ecde0",
         "16b6edb73bcecb1c06025e8c972983719d2b6d707dcf4b510bc2a0d6498b70de"),
     ("liquid", 3, True): (
         "7fb13eb7060bebd9750a941899aaf1437f11ea1e96165c0db285bd945554cf32",
-        "b720d075df48b8f47e3d21784274e803b5c721dabe5fbf031e3ddeaed847e285",
+        "fd4a7c4635715683f029373cd87befe63a1413bf6b59cb5adbeee4d6134e574e",
         "d5663e24484a9dc1e26e29360b6056819cc633b670f1395681b81fd9078dae51"),
     ("arbitrum", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
@@ -279,23 +287,23 @@ LIFECYCLE = {
         "d4c57928b3d3b7e85f684139acb52730c0a52c228f594e0a16767fe54c5b1658"),
     ("arbitrum", 1, True): (
         "b2e16ca7cb0c27e9c67b5a44590bb0bf50942caa03182090b25c2199ae5b73ab",
-        "05faf29c6f2044c5beada0e7c7428dbffb5547c3107be2a76a116289e9a7278f",
+        "7f67ad7b192117829cab581171989501db9042ae82bb9636f2a2db6b7ef71792",
         "e40f7c15df29d323dfa7fbddb5bd74f52dde11acdf013ecb48702425c86ef2ee"),
     ("arbitrum", 2, False): (
         "2105c5aeb6ee8aedf7aa9f14ecd63921c5d11f5d50a7367a0053e03a63c2ed9b",
-        "0eeda2f25e12fc4e5ff5c6811e7a0e53e52ac6ddec56838d19b50a0f30d76837",
+        "71d7a989f4a2e1174caf56906890c97450a43605578c19163691ff886749420a",
         "cd9a693de474182a755fb8b8fb2adfe77fbe6a4a30a3bb89a81317e2eb57eb24"),
     ("arbitrum", 2, True): (
         "1daed42271d646aeb89ce6bffdfaaf2207e95cee8e9f5f5b39150fc3641e95b2",
-        "f1d1b7a4af789026e1eedeb7f2ca8455e2568b88933b8c6d5b0989faba24f063",
+        "e6aabf8f281c73a4b2a6f43536796d50a4d3776821a3be19e95c212fb29f89cf",
         "e146afba2b32c3ca80dcbd79a2ca8e300b7063ba40d406a0ef266469e33f2476"),
     ("arbitrum", 3, False): (
         "b2c8af5adbdfd31c5166d86924da9e3382226e6490394dacd22a4bc8187e9b28",
-        "b673c41067c1be51d5af6adaf622414597e95355dcfb3a10b70cd84862f3411e",
+        "7fe24bd0df6109d00bce0125ff873838879055e69344a79a0c701c1ab85a924f",
         "8574029cdc81373d4b6780577abe42020193f648e97c8cd6ba63332c231961cf"),
     ("arbitrum", 3, True): (
         "68c49da401716fdd713798a708e3b2a93072a08b048235f64ed39413b57e4a81",
-        "c7e673038ac1767858fef09b436ebd791cb82daaf6e1061cfbddb46134836b23",
+        "eda5fbc48e765260cc93aca577ca4e933595e6ba33712172b6e519975a61bf9e",
         "3870cdc0a8e3f5cd83b713c7010e6f68195b7f50ebe836f7bd82493f6455b983"),
 }
 

@@ -34,8 +34,12 @@ record digests of liquid deposit-then-withdraw were recorded again: its
 failing deposit request now carries its answer, so the witness holds the
 input and its submit-result (``witness_len`` 4 became 5, while the real
 deposit has no answer and keeps 4).  Every projection digest and every
-other row stayed the same.  A change that moves a verdict or a witness
-has to say why.
+other row stayed the same.  When a real account client came to answer a
+deposit with a ``request-queued`` note, the real witness and record
+digests of liquid deposit-then-withdraw were recorded again: its failing
+deposit request carries its answer as the ideal one does (``witness_len``
+4 became 5), so the two record digests are equal.  A change that moves a
+verdict or a witness has to say why.
 
 ``reference_check_safety`` keeps the all-pairs safety check that the
 one-pass ``check_safety`` replaced; the two are compared on hand-built
@@ -175,7 +179,7 @@ SCRIPTED_WITNESSES = {
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "deposit-then-withdraw"): (
-        "73f389baf087485edd4a9e4cd9a68ec2ab6829f0bb750c3e31f39dcb41ab1cd4",
+        "2a215e730a2372a45e8d276f9956560f064a7b99521053fe18d86b35aae66fd3",
         "55abc0a5b9e1a9a88ac6faf28804a150a2c2c7a3d8fecbb2987744290e0fc000"),
     ("liquid", "garbage-triggers"): (
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
@@ -436,7 +440,7 @@ SCRIPTED_OUTPUTS = {
         "985fb39d7b4a3940e3367e159d3be914364ca5624ef43dfb01074393d0e79fc2"),
     ("liquid", "deposit-then-withdraw"): (
         "0e61a1c911a416dff26d2ca258370fe1a692964b627206e396ee3494be283121",
-        "b132d0d868b8f5c617a54a587b6b8bb2e2d928fc67ef9e35be58c34a2906fc5b",
+        "03919c254b70303875a4ccbafdf404bec371b96f1d5ac588c21c19da601b4209",
         "0e61a1c911a416dff26d2ca258370fe1a692964b627206e396ee3494be283121",
         "03919c254b70303875a4ccbafdf404bec371b96f1d5ac588c21c19da601b4209"),
     ("liquid", "garbage-triggers"): (
