@@ -191,7 +191,7 @@ def moved_parts(old, new) -> list:
         mine = [part for part in ("events", "shape") if a[part] != b[part]]
         va, vb = a["verdicts"], b["verdicts"]
         if len(va) != len(vb):
-            mine.append("verdicts")
+            mine.append("verdict")
         else:
             mine += [f"verdict:{x.get('property', x['record'])}"
                      for x, y in zip(va, vb) if x != y]
@@ -221,7 +221,7 @@ def compare(old, new, keys=None, out=print) -> list:
     moved = []
     for row_id in list(a) + [k for k in b if k not in a]:
         if row_id not in a or row_id not in b:
-            parts = ["only in " + (new if row_id in b else old)]
+            parts = [f"only in {new if row_id in b else old}"]
         else:
             parts = moved_parts(a[row_id], b[row_id])
         if parts:

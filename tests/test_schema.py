@@ -3,7 +3,9 @@ table refuses is what a check could not read.
 
 The guard holds every event of the scripted schedules and of the golden
 lifecycles, real and ideal, and every failing verdict's witness, to the
-table: a field that a check starts to read has to join it.  (The
+table, and each reader's reads there to ``validate_events``' rule that a
+read's ``base`` and (round, step) follow its reader's previous read: a
+field that a check starts to read has to join the table.  (The
 hand-built liveness tables of ``tests/test_properties.py`` replay
 witnesses that end in the ``horizon`` marker.)  The mutation
 test takes one small scripted real trace per protocol and replaces one
