@@ -9,9 +9,10 @@ order, so ``minted_above`` is empty after every honest block and a state
 stays the same size however many deposits it has minted.  The watermark
 counts positions among the chain's own deposits, so it is a pure function
 of the minted set.  Transactions are plain dicts; application is pure
-except for the deposit lookups, which consult the ledger so mints can only
-reference sufficiently buried deposits.  A new state shares every field a
-transaction leaves alone, so no state is ever changed in place.
+except for the deposit lookups, which consult the ledger so that a mint
+can only reference a deposit the ledger calls buried (``Ledger.buried``,
+the run's one burial rule).  A new state shares every field a transaction
+leaves alone, so no state is ever changed in place.
 
 Both protocols also share everything around that arithmetic that does not
 depend on how an update is certified: block packing, the client plumbing
@@ -46,10 +47,10 @@ def l2_txid(certs, tx) -> str:
     return certs.message("l2tx", tx)
 
 
-def apply_tx(state, tx, ledger, confirm_depth):
+def apply_tx(state, tx, ledger):
     op = tx.get("op")
     if op == "mint":
-        return _mint(state, tx, ledger, confirm_depth)
+        return _mint(state, tx, ledger)
     if op not in ("pay", "peg-out"):
         return None
     bal, nonce = state["bal"], state["nonce"]
@@ -70,14 +71,13 @@ def apply_tx(state, tx, ledger, confirm_depth):
             "minted_above": state["minted_above"], "height": state["height"]}
 
 
-def _mint(state, tx, ledger, confirm_depth):
+def _mint(state, tx, ledger):
     """Credit a buried deposit that the state has not minted, and move
     the watermark past the deposit's position among its chain's deposits.
     The state does not name its chain, so that chain is the deposit's."""
     ref = tx.get("ref")
     dep = ledger.get(ref)
-    if dep is None or dep["kind"] != "deposit" \
-            or ledger.depth(dep) < confirm_depth:
+    if dep is None or dep["kind"] != "deposit" or not ledger.buried(dep):
         return None
     pos = ledger.deposit_position(ref)
     upto, above = state["minted_upto"], state["minted_above"]
@@ -101,17 +101,17 @@ def _mint(state, tx, ledger, confirm_depth):
             "minted_above": above, "height": state["height"]}
 
 
-def apply_txs(state, txs, ledger, confirm_depth, height):
+def apply_txs(state, txs, ledger, height):
     """Folds a whole transaction list; None if any step is invalid."""
     cur = state
     for tx in txs:
-        cur = apply_tx(cur, tx, ledger, confirm_depth)
+        cur = apply_tx(cur, tx, ledger)
         if cur is None:
             return None
     return dict(cur, height=height)
 
 
-def ripe_deposits(ledger, sid, state, confirm_depth):
+def ripe_deposits(ledger, sid, state):
     """Mint transactions for every buried bridge deposit of chain ``sid``
     that ``state`` has not minted.  The walk starts at the watermark and
     skips the positions minted above it; it stops at the first deposit
@@ -123,25 +123,25 @@ def ripe_deposits(ledger, sid, state, confirm_depth):
         if pos in above:
             continue
         d = deps[pos]
-        if ledger.depth(d) < confirm_depth:
+        if not ledger.buried(d):
             break
         out.append({"op": "mint", "to": d["body"]["to"],
                     "amt": d["body"]["amt"], "ref": d["txid"]})
     return sorted(out, key=lambda t: t["ref"])
 
 
-def pack_block(ledger, sid, state, mempool, confirm_depth):
+def pack_block(ledger, sid, state, mempool):
     """Transactions for the next block or batch on top of ``state``.
 
     Ripe mints come first, then every mempool transaction (txid -> tx)
     that still applies, in (nonce, txid) order.  Returns the transactions
     and the state after them.
     """
-    txs = ripe_deposits(ledger, sid, state, confirm_depth)
+    txs = ripe_deposits(ledger, sid, state)
     for tx in txs:
-        state = apply_tx(state, tx, ledger, confirm_depth)
+        state = apply_tx(state, tx, ledger)
     for txid in sorted(mempool, key=lambda i: (mempool[i].get("nonce", 0), i)):
-        trial = apply_tx(state, mempool[txid], ledger, confirm_depth)
+        trial = apply_tx(state, mempool[txid], ledger)
         if trial is not None:
             txs.append(mempool[txid])
             state = trial
@@ -236,7 +236,7 @@ class AccountClient(Machine):
         state = self.tip_state(ctx)
         nonce = state["nonce"].get(self.me.pid, 0) + 1
         tx = {**body, "from": self.me.pid, "nonce": nonce}
-        if apply_tx(state, tx, ctx.ledger, ctx.timing["confirm_depth"]) is None:
+        if apply_tx(state, tx, ctx.ledger) is None:
             ctx.note("request-refused", why="invalid-transfer", req=body["op"])
             self._try_send(ctx)
             return
@@ -370,8 +370,7 @@ class AccountBundle(SubroutineBundle):
         reason = self._certify(ist, update, attachment, ctx)
         if reason is not None:
             return False, reason, None
-        post = apply_txs(ist.latest(), update["txs"], ctx.ledger,
-                         ctx.timing["confirm_depth"], seq)
+        post = apply_txs(ist.latest(), update["txs"], ctx.ledger, seq)
         if post is None:
             return False, "invalid-transition", None
         rids = []

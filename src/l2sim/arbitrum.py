@@ -14,12 +14,12 @@ The canonical chain is a pure function of the ledger: walk committed
 batches in order, accept each whose sequence number and parent digest
 extend the chain and which no accepted proof struck down.  An invalidated
 batch orphans its descendants and the next publisher simply rebuilds.  The
-walk is kept incrementally, once per ledger, and still equals a walk from
-genesis: a batch's re-executed post only goes from None (a mint whose
-deposit is not yet buried) to its one valid value, so only None posts are
-run again, and a proof that strikes an accepted batch cuts the chain back
-to the batches before it and re-walks only the publications after the last
-one kept.
+walk is kept incrementally, in the one fold per chain that the chain's
+ledger checks make, and still equals a walk from genesis: a batch's
+re-executed post only goes from None (a mint whose deposit is not yet
+buried) to its one valid value, so only None posts are run again, and a
+proof that strikes an accepted batch cuts the chain back to the batches
+before it and re-walks only the publications after the last one kept.
 
 Clients can rescue a censored transaction by publishing it themselves as a
 one-transaction batch once it has waited ``t_period`` rounds (a buried
@@ -77,51 +77,36 @@ def plausible_state(s) -> bool:
     return isinstance(s.get("height"), int)
 
 
-def chain_view(ledger, sid, initial, confirm_depth, round_no, t_period):
+def chain_view(ledger, sid, round_no):
     """Canonical rollup chain derived from the ledger.
 
     Returns {"entries": [...], "final": k} where entries are accepted
-    batches in order and the first k of them are final at round_no.  The
-    base layer never re-executes, so the fold treats each batch's claimed
-    post-state as authoritative; "post" is the re-execution result kept
-    alongside for fraud detection (fraudulent iff post != claimed).  Each
-    entry also carries the batch's "digest" and the "ids" (l2 txids) of its
-    transactions.
+    batches in order and the first k of them are final at round_no, under
+    the ledger's ``t_period``.  The base layer never re-executes, so the
+    fold treats each batch's claimed post-state as authoritative; "post" is
+    the re-execution result kept alongside for fraud detection (fraudulent
+    iff post != claimed).  Each entry also carries the batch's "digest" and
+    the "ids" (l2 txids) of its transactions.
 
-    The view is a pure function of the ledger, derived incrementally by one
-    ``ChainFold`` per (sid, confirm_depth, initial) kept on the ledger (see
-    ``chain_fold``).  That equals a fold from genesis: a post can only go
-    from None to its one valid value (deposits only gain depth), so only
-    None posts are run again, and a proof striking an accepted batch keeps
-    the entries before it and re-walks the publications after theirs (see
-    ``ChainFold._read``).  Entries follow ledger commit order, so their
-    "commit_round" never decreases and the final prefix, the entries whose
-    window has closed (round_no > commit_round + t_period), is found by
-    bisection, once per round (``ChainFold.view``).  On a ledger that has
-    not changed, in the same round, a call does O(1) work.
+    The view is a pure function of the ledger, derived incrementally by the
+    chain's one ``ChainFold`` (see ``chain_fold``).  That equals a fold from
+    genesis: a post can only go from None to its one valid value (deposits
+    only gain depth), so only None posts are run again, and a proof
+    striking an accepted batch keeps the entries before it and re-walks the
+    publications after theirs (see ``ChainFold._read``).  Entries follow
+    ledger commit order, so their "commit_round" never decreases and the
+    final prefix, the entries whose window has closed (round_no >
+    commit_round + t_period), is found by bisection, once per round
+    (``ChainFold.view``).  On a ledger that has not changed, in the same
+    round, a call does O(1) work.
     """
-    return chain_fold(ledger, sid, initial, confirm_depth).view(round_no,
-                                                                t_period)
+    return chain_fold(ledger, sid).view(round_no, ledger.timing["t_period"])
 
 
-def chain_fold(ledger, sid, initial, confirm_depth):
-    """The ledger's ``ChainFold`` for this chain, caught up with it.
-
-    Folds are kept by the content of ``initial``, and looked up first by
-    its identity, which the entry keeps alive (so no id is reused while it
-    lasts); as with the registry's memo, that is exact only while the
-    ``initial`` dict is never changed in place, which its holders keep to.
-    """
-    hit = ledger.views.get((sid, confirm_depth, id(initial)))
-    if hit is not None and hit[0] is initial:
-        fold = hit[1]
-    else:
-        key = (sid, confirm_depth, tuple(sorted(initial.items())))
-        fold = ledger.views.get(key)
-        if fold is None:
-            fold = ledger.views[key] = ChainFold(sid, genesis_state(initial),
-                                                 confirm_depth)
-        ledger.views[(sid, confirm_depth, id(initial))] = (initial, fold)
+def chain_fold(ledger, sid):
+    """The chain's one ``ChainFold``, caught up with the ledger: the fold
+    that ``install_ledger_checks`` keeps in ``ledger.views[sid]``."""
+    fold = ledger.views[sid]
     fold.catch_up(ledger)
     return fold
 
@@ -137,7 +122,7 @@ class ChainFold:
     changed.  So views handed out earlier stay as they were.
 
     Batch digests and l2 txids come from the ledger's registry, the run's
-    one registry.
+    one registry, and a mint's deposit is buried by ``Ledger.buried``.
 
     ``positions`` maps each l2 txid to the index of the first entry whose
     "ids" hold it.  Extending the chain adds to the map; cutting the chain
@@ -147,10 +132,9 @@ class ChainFold:
     final prefix iff below ``final``.
     """
 
-    def __init__(self, sid, genesis, confirm_depth):
+    def __init__(self, sid, genesis):
         self.sid = sid
         self.genesis = genesis
-        self.confirm_depth = confirm_depth
         self.mark = (0, None)      # (commits read, ledger height) last seen
         self.published = []        # this chain's batch publications, in order
         self.struck = set()        # targets of committed fraud proofs
@@ -225,8 +209,7 @@ class ChainFold:
 
     def _execute(self, i, batch, ledger):
         state = self.entries[i - 1]["claimed"] if i else self.genesis
-        return apply_txs(state, batch.get("txs", []), ledger,
-                         self.confirm_depth, batch["seq"])
+        return apply_txs(state, batch.get("txs", []), ledger, batch["seq"])
 
     def _extend(self, p, ledger):
         """Append publication ``published[p]`` if it extends the chain."""
@@ -254,11 +237,9 @@ class ChainFold:
         self.snapshot = None
 
 
-def world_view(world, initial):
+def world_view(world):
     """The chain view at the world's current round."""
-    return chain_view(world.ledger, world.sid, initial,
-                      world.timing["confirm_depth"], world.round_no,
-                      world.timing["t_period"])
+    return chain_view(world.ledger, world.sid, world.round_no)
 
 
 def batch_tx(certs, view, sid, author, seq, txs, post):
@@ -278,12 +259,10 @@ def view_state(view):
 
 
 def install_ledger_checks(world, initial, publishers):
-    """Batches are shape-checked; fraud proofs are settled by re-execution."""
-
-    def view_now(ledger):
-        t = ledger.timing
-        return chain_view(ledger, world.sid, initial, t["confirm_depth"],
-                          ledger.round, t["t_period"])
+    """Batches are shape-checked; fraud proofs are settled by re-execution.
+    Also makes the chain's one ``ChainFold``, from ``initial``."""
+    sid = world.sid
+    world.ledger.views[sid] = ChainFold(sid, genesis_state(initial))
 
     def check_batch(tx, ledger):
         body = tx["body"]
@@ -302,7 +281,7 @@ def install_ledger_checks(world, initial, publishers):
         # validated again at inclusion time, so the window check below also
         # guards against proofs the adversary held back: once a batch turns
         # final nothing can strike it any more
-        view = view_now(ledger)
+        view = chain_view(ledger, sid, ledger.round)
         entry = None
         for e in view["entries"]:
             if e["txid"] == tx["body"].get("target"):
@@ -318,7 +297,7 @@ def install_ledger_checks(world, initial, publishers):
 
     def check_settle(tx, ledger):
         body = tx["body"]
-        view = view_now(ledger)
+        view = chain_view(ledger, sid, ledger.round)
         entry = None
         for e in view["entries"][:view["final"]]:
             if e["txid"] == body.get("batch"):
@@ -355,14 +334,12 @@ class RollupParty(Machine):
         register_onchain(ctx)
 
     def view(self, ctx):
-        return world_view(ctx.world, self.initial)
+        return world_view(ctx.world)
 
     def positions(self, ctx):
         """The fold's l2 txid positions (see ``ChainFold``); exact for the
         view that ``view(ctx)`` returns in the same step."""
-        w = ctx.world
-        return chain_fold(w.ledger, w.sid, self.initial,
-                          w.timing["confirm_depth"]).positions
+        return chain_fold(ctx.ledger, self.me.sid).positions
 
     def optimistic_state(self, ctx, view=None):
         v = view or self.view(ctx)
@@ -383,8 +360,7 @@ class ArbitrumOperator(RollupParty):
     def _publish(self, ctx):
         view = self.view(ctx)
         txs, post = pack_block(ctx.ledger, self.me.sid,
-                               self.optimistic_state(ctx, view), self.mempool,
-                               ctx.timing["confirm_depth"])
+                               self.optimistic_state(ctx, view), self.mempool)
         if not txs:
             return
         seq = len(view["entries"]) + 1
@@ -473,7 +449,7 @@ class ArbitrumClient(AccountClient, RollupParty):
         state = self.optimistic_state(ctx, view)
         cd = ctx.timing["confirm_depth"]
         out = []
-        for m in ripe_deposits(ctx.ledger, self.me.sid, state, cd):
+        for m in ripe_deposits(ctx.ledger, self.me.sid, state):
             if m["to"] != self.me.pid:
                 continue
             dep = ctx.ledger.get(m["ref"])
@@ -484,13 +460,12 @@ class ArbitrumClient(AccountClient, RollupParty):
     def _maybe_self_publish(self, ctx, view):
         wait = ctx.timing["t_period"]
         now = ctx.world.round_no
-        cd = ctx.timing["confirm_depth"]
         state = self.optimistic_state(ctx, view)
         seq = len(view["entries"]) + 1
         txs = self._overdue_mints(ctx, view, wait)
         if self.outstanding is not None and now - self.outstanding["since"] >= wait:
             tx = self.outstanding["tx"]
-            if apply_txs(state, txs + [tx], ctx.ledger, cd, seq) is not None:
+            if apply_txs(state, txs + [tx], ctx.ledger, seq) is not None:
                 txs.append(tx)
             else:
                 # stale against the settled chain; drop it rather than
@@ -501,7 +476,7 @@ class ArbitrumClient(AccountClient, RollupParty):
                 self._try_send(ctx)
         if not txs:
             return
-        post = apply_txs(state, txs, ctx.ledger, cd, seq)
+        post = apply_txs(state, txs, ctx.ledger, seq)
         ctx.ledger.submit(batch_tx(ctx.certs, view, self.me.sid, self.me.short(),
                                    seq, txs, post))
         ctx.note("self-publish", seq=seq)
@@ -592,7 +567,7 @@ class ArbitrumBundle(AccountBundle):
     update_key, seq_field, settle_kind = "batch", "seq", "settle"
 
     def _certify(self, ist, batch, attachment, ctx):
-        view = world_view(ctx.world, self.initial)
+        view = world_view(ctx.world)
         entry = None
         for e in view["entries"]:
             if e["batch"] == batch:
@@ -701,9 +676,8 @@ class Hooks(AccountHooks):
 def publish_wrong_batch(world, op_entity):
     """Corrupt operator posts a batch whose claimed state inflates its own
     favorite balance by one; only an honest validator stands in the way."""
-    scn_initial = world.machines[op_entity].initial
-    view = world_view(world, scn_initial)
-    state = view_state(view) or genesis_state(scn_initial)
+    view = world_view(world)
+    state = view_state(view) or chain_fold(world.ledger, world.sid).genesis
     seq = len(view["entries"]) + 1
     bal = dict(state["bal"])
     fav = sorted(bal)[0]
@@ -721,7 +695,7 @@ def menu(world, entity):
             publish_wrong_batch(world, entity) and None)
     if entity.role == VALIDATOR:
         def false_accuse():
-            view = world_view(world, world.machines[entity].initial)
+            view = world_view(world)
             if not view["entries"]:
                 return None
             target = view["entries"][-1]["txid"]

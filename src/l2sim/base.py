@@ -9,14 +9,17 @@ at submit (``validate``), which also refuses a txid that is already pending
 or committed, so a txid commits at most once; the block re-checks only what
 can change while a transaction waits, its conflict key and its kind's check
 (``admissible``).
-The ledger stands alone: it holds the run's signature registry and counts
-its own rounds, one block per round, which the first world on it to reach
-the round mints (``World.advance_round``).  Every world built on it joins
+The ledger stands alone: it holds the run's timing, which every world on
+it reads, builds the run's signature registry, and counts its own rounds,
+one block per round, which the first world on it to reach the round mints
+(``World.advance_round``).  Every world is built on a ledger, joins
 ``worlds`` and sees its events by one rule: each ``ledger-submit`` as it is
 made, and the last block's events (``block``) right after its own
 ``round`` event; machines poll after that, from ``Machine.on_round``.  So
 ``round``, ``height`` (a count; no block is kept) and every world's round
-stay in lockstep; confirmation depth is height_now - height(tx) + 1.
+stay in lockstep.  A committed entry's confirmation depth is
+height_now - height(tx) + 1, and ``buried(tx)`` is the one burial rule:
+that depth is at least the timing's ``confirm_depth``.
 
 Committed entries are kept twice, in commit order: in ``committed`` and,
 split by transaction kind, in the kind index that ``records(kind)`` reads.
@@ -151,9 +154,9 @@ def signed_tx(certs: CertRegistry, kind: str, body: dict, author: str) -> dict:
 
 
 class Ledger:
-    def __init__(self, timing: dict, certs: CertRegistry):
+    def __init__(self, timing: dict):
         self.timing = dict(timing)
-        self.certs = certs
+        self.certs = CertRegistry()
         self.worlds = []                      # every world on the ledger
         self.round = 0                        # the round of the last block
         self.height = 0                       # blocks minted so far
@@ -167,10 +170,11 @@ class Ledger:
         self.frontier: dict[str, int] = {}
         self.kind_checks = {}                 # kind -> fn(tx, ledger) -> (ok, reason)
         self.block = []                       # the last tick's (type, fields)
-        self.views = {}                       # readers' folds over `committed`
+        self.views = {}                       # chain sid -> its one fold
 
-    def depth(self, tx: dict) -> int:
-        return self.height - tx["height"] + 1
+    def buried(self, tx: dict) -> bool:
+        """Whether committed entry ``tx`` lies ``confirm_depth`` deep."""
+        return self.height - tx["height"] + 1 >= self.timing["confirm_depth"]
 
     # -- submission --------------------------------------------------------
 

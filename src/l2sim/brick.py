@@ -449,9 +449,9 @@ class BrickWarden(Machine):
 # -- ledger kind checks ----------------------------------------------------
 
 
-def install_ledger_checks(world, sid, clients):
+def install_ledger_checks(world, clients):
     """On-chain validation of embedded channel signatures."""
-    shorts = {f"{CLIENT}:{c}" for c in clients}
+    sid, shorts = world.sid, {f"{CLIENT}:{c}" for c in clients}
 
     def unsigned(certs, body, forms):
         """None if both clients signed one of the message digests that
@@ -640,7 +640,6 @@ def liveness_params(scn):
 
 
 def build_real(world, scn):
-    sid = world.sid
     for role, _, budget in party_roles(scn):
         world.declare_role(role, budget=budget)
     wardens = [world.entity(WARDEN, w) for w in scn["wardens"]]
@@ -651,7 +650,7 @@ def build_real(world, scn):
     shorts = [f"{CLIENT}:{c}" for c in scn["clients"]]
     for w in wardens:
         world.register(BrickWarden(w, shorts, scn["f"]))
-    install_ledger_checks(world, sid, scn["clients"])
+    install_ledger_checks(world, scn["clients"])
 
 
 def make_bundle(world, scn):

@@ -5,8 +5,8 @@ pieces: an outer world holding the interface machine plus bare ``Machine``s
 for the non-client cast, an inner world running the very same protocol
 machines, and a scripted simulator that replays inner progress as interface
 triggers.  Both worlds are built on one ledger, which holds the run's
-registry, and the inner world advances in lockstep right after every outer
-round, which keeps envelope numbering, block timing, and therefore
+timing and registry; the inner world advances in lockstep right after
+each outer round, which keeps envelope numbering, block timing, and so
 client-visible outputs identical between the two runs.  The outer world,
 first to each round, mints its block; reads ask the simulator through its
 ``read_delay``.  The inner world sees the ledger's events by the same rule,
@@ -83,7 +83,7 @@ from __future__ import annotations
 import random
 
 from . import arbitrum, brick, liquid
-from .base import CertRegistry, Ledger
+from .base import Ledger
 from .core import CLIENT, INTERFACE_ROLE, InterfaceMachine, attach_round_gate
 from .properties import entry_keys, read_fields
 from .runtime import EntityId, Machine, ScheduleError, World
@@ -91,8 +91,9 @@ from .trace import canon
 
 PROTOCOLS = {"brick": brick, "liquid": liquid, "arbitrum": arbitrum}
 
-# every world's timing (``World`` copies it); t_period > liveness_bound
-# keeps rollup finality monotone (see ``arbitrum``)
+# the run's one timing value: the ledger holds it and every world on the
+# ledger reads it; t_period > liveness_bound keeps rollup finality monotone
+# (see ``arbitrum``)
 DESK_TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2,
                "t_period": 4}
 
@@ -108,7 +109,7 @@ def make_real(name, scn=None):
     """Stand-alone real world: ledger, certificates, protocol machines."""
     proto = protocol(name)
     scn = scn or proto.canonical_scenario()
-    world = World(name, DESK_TIMING, ledger=Ledger(DESK_TIMING, CertRegistry()))
+    world = World(name, Ledger(DESK_TIMING))
     proto.build_real(world, scn)
     return world, scn
 
@@ -117,7 +118,7 @@ def build_ideal(name, scn=None):
     """Outer interface world plus the simulator running the inner twin."""
     proto = protocol(name)
     scn = scn or proto.canonical_scenario()
-    outer = World(name, DESK_TIMING, ledger=Ledger(DESK_TIMING, CertRegistry()))
+    outer = World(name, Ledger(DESK_TIMING))
     outer.declare_role(INTERFACE_ROLE, subroutine=True)
     identities = {}
     client_pids = []
@@ -154,7 +155,7 @@ class Simulator:
         self.hooks = proto.Hooks(scn)
         self.funct = outer.roles[INTERFACE_ROLE][0]
         self.adv = EntityId("sim", outer.sid, "adv")
-        self.inner = World(outer.sid, outer.timing, ledger=outer.ledger)
+        self.inner = World(outer.sid, outer.ledger)
         proto.build_real(self.inner, scn)
         self.cursor = 0
         outer.read_delay = lambda pid: self.hooks.read_delay(self.inner, pid)
@@ -316,10 +317,12 @@ _PAY = {"to": str, "amt": int}
 _ACCOUNT_ENTRIES = {"pay": _PAY, "deposit": {"amt": int},
                     "settle": {"amt": int}}
 # the fields each kind of environment entry must carry, with their types,
-# per protocol; brick closes the whole channel, so its settle names no
-# amount.  A kind not listed here is one no client acts on.
-ENTRY_FIELDS = {brick: {"pay": _PAY}, liquid: _ACCOUNT_ENTRIES,
-                arbitrum: _ACCOUNT_ENTRIES}
+# per protocol; a field whose types include None may also be missing.
+# Brick closes the whole channel, so its settle names no amount, and the
+# seq of the state to close on only if it picks one.  A kind not listed
+# here is one no client acts on.
+ENTRY_FIELDS = {brick: {"pay": _PAY, "settle": {"seq": (int, type(None))}},
+                liquid: _ACCOUNT_ENTRIES, arbitrum: _ACCOUNT_ENTRIES}
 
 
 # the fields each schedule op needs, with their types (a raw trigger's
@@ -333,9 +336,15 @@ STEP_FIELDS = {"input": {"pid": str}, "advance": {}, "pump": {},
 OPTIONAL_FIELDS = {"seed": int, "force": bool}
 
 
+def _types(typ):
+    return typ if isinstance(typ, tuple) else (typ,)
+
+
 def _typed(value, typ):
-    """``value`` is a ``typ``; a bool is no int."""
-    return isinstance(value, typ) and not (typ is int and isinstance(value, bool))
+    """``value`` is a ``typ``, a type or a tuple of types; a bool is no
+    int."""
+    return isinstance(value, typ) and not (type(value) is bool
+                                           and int in _types(typ))
 
 
 def _check_entry(proto, entry):
@@ -346,7 +355,8 @@ def _check_entry(proto, entry):
     for name, typ in ENTRY_FIELDS[proto].get(entry["kind"], {}).items():
         value = entry.get(name)
         if not _typed(value, typ):
-            raise ScheduleError(f"{entry['kind']} entry needs {typ.__name__} "
+            names = " or ".join(t.__name__ for t in _types(typ))
+            raise ScheduleError(f"{entry['kind']} entry needs {names} "
                                 f"{name!r}, got {value!r}")
 
 

@@ -60,10 +60,10 @@ def pegout_msg(certs, sid, l2txid, height):
     return certs.message("pegout", sid, l2txid, height)
 
 
-def apply_block(state, block, ledger, confirm_depth):
+def apply_block(state, block, ledger):
     if block["height"] != state["height"] + 1:
         return None
-    return apply_txs(state, block["txs"], ledger, confirm_depth, block["height"])
+    return apply_txs(state, block["txs"], ledger, block["height"])
 
 
 def cert_valid(certs, sid, block, cert, quorum, operators):
@@ -161,7 +161,7 @@ class LiquidOperator(Machine):
             block = self.blocks_seen[lock]
         else:
             txs, _ = pack_block(ctx.ledger, self.me.sid, self.states[-1],
-                                self.mempool, ctx.timing["confirm_depth"])
+                                self.mempool)
             if not txs:
                 return
             block = {"height": h, "prev": ctx.certs.digest(self.tip()),
@@ -183,8 +183,7 @@ class LiquidOperator(Machine):
         slot = (h, rnd)
         if slot in self.voted:
             return
-        if apply_block(self.states[-1], block, ctx.ledger,
-                       ctx.timing["confirm_depth"]) is None:
+        if apply_block(self.states[-1], block, ctx.ledger) is None:
             return
         self.voted.add(slot)
         self.blocks_seen[bdig] = block
@@ -240,8 +239,7 @@ class LiquidOperator(Machine):
     def _append(self, ctx, entry, bdig, via):
         """Append ``entry``, whose block has digest ``bdig``, if it applies."""
         block = entry["block"]
-        new_state = apply_block(self.states[-1], block, ctx.ledger,
-                                ctx.timing["confirm_depth"])
+        new_state = apply_block(self.states[-1], block, ctx.ledger)
         if new_state is None:
             return
         self.chain.append(entry)
@@ -340,8 +338,7 @@ class LiquidClient(AccountClient):
                               self.quorum, [o.short() for o in self.operators])
             if bdig is None:
                 return
-            new_state = apply_block(self.states[-1], block, ctx.ledger,
-                                    ctx.timing["confirm_depth"])
+            new_state = apply_block(self.states[-1], block, ctx.ledger)
             if new_state is None:
                 return
             self.chain.append(entry)
@@ -369,8 +366,8 @@ class LiquidClient(AccountClient):
 # -- ledger kind check -----------------------------------------------------
 
 
-def install_ledger_checks(world, sid, operators, quorum):
-    ops = set(operators)
+def install_ledger_checks(world, operators, quorum):
+    sid, ops = world.sid, set(operators)
 
     def check_pegout(tx, ledger):
         body = tx["body"]
@@ -428,8 +425,7 @@ class LiquidBundle(AccountBundle):
 
     def _ripe_deposit(self, ist, req, ctx):
         return any(m["to"] == req["by"] and m["amt"] == req["body"].get("amt")
-                   for m in ripe_deposits(ctx.ledger, self.sid, ist.latest(),
-                                          ctx.timing["confirm_depth"]))
+                   for m in ripe_deposits(ctx.ledger, self.sid, ist.latest()))
 
 
 # -- protocol descriptor ---------------------------------------------------
@@ -469,7 +465,7 @@ def build_real(world, scn):
     for o in ops:
         world.register(LiquidOperator(o, ops, clients, scn["f"], scn["quorum"],
                                       scn["initial"]))
-    install_ledger_checks(world, world.sid, [o.short() for o in ops], scn["quorum"])
+    install_ledger_checks(world, [o.short() for o in ops], scn["quorum"])
 
 
 def make_bundle(world, scn):

@@ -259,8 +259,8 @@ class _TraceLedger:
     def deposit_position(self, txid):
         return self.deposit_at.get(txid) if isinstance(txid, str) else None
 
-    def depth(self, tx):
-        return 10 ** 9       # everything in the committed past is buried
+    def buried(self, tx):
+        return True          # everything in the committed past is buried
 
 
 # -- request extraction -----------------------------------------------------
@@ -749,7 +749,7 @@ def _replay(executed, ledger) -> bool:
             return False
         try:
             if "txs" in e:
-                ok = apply_txs(cur, e["txs"], ledger, 0, e.get("seq")) == state
+                ok = apply_txs(cur, e["txs"], ledger, e.get("seq")) == state
             else:
                 ok = e.get("seq") == cur.get("seq", 0) + 1 \
                     and conserves(cur, state)

@@ -8,16 +8,17 @@ output takes an eid from the counter NET envelopes share, but no envelope.
 Machines reach each other by NET envelopes, which sit in a pending pool,
 keyed by eid in send order, until an adversary directive delivers them to
 ``on_message``.  A single step counter numbers every event; logical rounds
-advance only through an explicit round directive.  A world built on a
-ledger joins it and signs with its registry.  An advance mints the round's
-block if no world on the ledger has yet, emits that block's events right
-after the world's ``round`` event, then calls ``on_round`` once on every
-uncorrupted machine in entity order, which ``register`` fixes: ledger
-events are the one source of time, each party polls the chain once per
-block, and whatever a party does on a schedule (a leader's proposal, a
-periodic publication) it does from ``on_round``.  ``register`` also builds
-one ``Ctx`` per entity, and every activation of that entity (start,
-delivery, input, round) is handed it.
+advance only through an explicit round directive.  Every world is built
+on a ledger: it joins the ledger, signs with the ledger's registry and
+reads the ledger's timing, the run's one timing value.  An advance mints
+the round's block if no world on the ledger has yet, emits that block's
+events right after the world's ``round`` event, then calls ``on_round``
+once on every uncorrupted machine in entity order, which ``register``
+fixes: ledger events are the one source of time, each party polls the
+chain once per block, and whatever a party does on a schedule (a leader's
+proposal, a periodic publication) it does from ``on_round``.
+``register`` also builds one ``Ctx`` per entity, and every activation of
+that entity (start, delivery, input, round) is handed it.
 
 Invariants the tests lean on:
   - identical (scenario, scripts, seed) inputs produce identical traces;
@@ -212,9 +213,12 @@ class CorruptionSet:
 
 
 class World:
-    def __init__(self, sid: str, timing: dict, *, ledger=None):
+    def __init__(self, sid: str, ledger):
         self.sid = sid
-        self.timing = dict(timing)
+        self.ledger = ledger
+        self.timing = ledger.timing
+        self.certs = ledger.certs
+        ledger.worlds.append(self)
         self.machines: dict[EntityId, Machine] = {}  # in entity order
         self.owners: dict[EntityId, Machine] = {}   # entity -> owning machine
         self.ctxs: dict[EntityId, Ctx] = {}         # entity -> its one Ctx
@@ -226,10 +230,6 @@ class World:
         self.step_no = 0
         self.round_no = 0
         self.corruption = CorruptionSet()
-        self.ledger = ledger
-        self.certs = ledger.certs if ledger else None
-        if ledger:
-            ledger.worlds.append(self)
         self.trace = Trace()
         self.notes: list[dict] = []   # this world's ``note`` events, in order
         self.max_steps = 10000
@@ -386,11 +386,10 @@ class World:
         self.round_no += 1
         self._bump()
         self.emit("round", now=self.round_no)
-        if self.ledger:
-            if self.ledger.round < self.round_no:
-                self.ledger.tick()
-            for t, fields in self.ledger.block:
-                self.emit(t, **fields)
+        if self.ledger.round < self.round_no:
+            self.ledger.tick()
+        for t, fields in self.ledger.block:
+            self.emit(t, **fields)
         members = self.corruption.members
         for m in self.machines.values():
             if m.me not in members:
@@ -423,8 +422,7 @@ class World:
             parts.append((key.short(), canon_loose(self.machines[key].state())))
         parts.append(tuple((e.src.short(), e.dst.short(), canon_loose(e.payload))
                            for e in self.net.values()))
-        if self.ledger is not None:
-            parts.append(self.ledger.fingerprint())
+        parts.append(self.ledger.fingerprint())
         return hash(tuple(parts))
 
     def clone(self) -> "World":

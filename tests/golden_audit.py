@@ -6,6 +6,7 @@ of the tree it sits in:
     python tests/golden_audit.py structure
     python tests/golden_audit.py record
     python tests/golden_audit.py compare OLD NEW
+    python tests/golden_audit.py rewrite
 
 Every mode runs every table schedule (the scripted schedules of each
 protocol and the golden lifecycles: seeds 1-3, ten pays, honest and
@@ -29,8 +30,17 @@ adversarial) through ``harness.run_differential``.
   projection with each sha256 hex string renumbered by first appearance
   (``projection``), and the trace digest (``digest``).  A change that
   only renames a hash moves no projection.
+- ``rewrite`` re-records, in place, every row of the tables that pin
+  digests: ``SCRIPTED`` and ``LIFECYCLE`` in ``tests/test_golden.py``,
+  and ``SCRIPTED_OUTPUTS``, ``SCRIPTED_WITNESSES``, ``LIFECYCLE_OUTPUTS``
+  and ``LIFECYCLE_WITNESSES`` in ``tests/test_properties.py``.  It
+  computes each row with the function that the table's own test checks
+  it with, rewrites only the rows that moved, leaves every other byte of
+  both files as it is, and prints one line per moved row: the table, the
+  key, and each moved column's old and new digest.
 
-The tables themselves are only ever rewritten by hand, from ``record``.
+The test suite never rewrites the committed tables; a change that moves
+a digest runs ``rewrite`` and says why in the changelog.
 """
 
 import hashlib
@@ -122,6 +132,11 @@ def row(table, key, scn, sched) -> str:
     values = [traces["real"].digest(), traces["ideal"].digest()]
     if table == "LIFECYCLE":
         values.insert(0, digest(sched))
+    return row_text(key, values)
+
+
+def row_text(key, values) -> str:
+    """A table row as the digest tables write it."""
     return f"    {key_text(key)}: (\n" + ",\n".join(
         f'        "{v}"' for v in values) + "),\n"
 
@@ -248,12 +263,70 @@ def compare(old, new, keys=None, out=print) -> list:
     return moved
 
 
+# table -> (the file that holds it, the names of its columns)
+OUTPUT_COLUMNS = ("real projection", "real records", "ideal projection",
+                  "ideal records")
+COLUMNS = {
+    "SCRIPTED": ("test_golden", ("real", "ideal")),
+    "LIFECYCLE": ("test_golden", ("schedule", "real", "ideal")),
+    "SCRIPTED_WITNESSES": ("test_properties", ("real", "ideal")),
+    "LIFECYCLE_WITNESSES": ("test_properties", ("real", "ideal")),
+    "SCRIPTED_OUTPUTS": ("test_properties", OUTPUT_COLUMNS),
+    "LIFECYCLE_OUTPUTS": ("test_properties", OUTPUT_COLUMNS),
+}
+HEX_VALUE = re.compile(r'"([0-9a-f]{64})"')
+
+
+def table_rows(table, key, scn, sched) -> dict:
+    """{table: digests} of one schedule, for each table it has a row in,
+    computed by the functions those tables' tests check them with."""
+    import test_golden
+    import test_properties
+    real_ideal = test_golden.digests(key[0], scn, sched)
+    witnesses, outputs = test_properties.table_digests(key[0], scn, sched)
+    return {table: real_ideal if table == "SCRIPTED"
+            else (digest(sched),) + real_ideal,
+            f"{table}_WITNESSES": witnesses, f"{table}_OUTPUTS": outputs}
+
+
+def rewrite(tests=Path(__file__).resolve().parent, out=print) -> list:
+    """Re-record each digest table row that moved, in the files under
+    ``tests``; print and return (table, key) of each."""
+    texts = {name: (Path(tests) / f"{name}.py").read_text()
+             for name in ("test_golden", "test_properties")}
+    moved = []
+    for table, key, scn, sched in schedules():
+        for name, values in table_rows(table, key, scn, sched).items():
+            file, columns = COLUMNS[name]
+            text = texts[file]
+            start = text.index(f"\n{name} = {{\n")
+            at = text.index(f"\n    {key_text(key)}: (\n", start,
+                            text.index("\n}\n", start)) + 1
+            end = text.index("),\n", at) + 3
+            old = HEX_VALUE.findall(text[at:end])
+            if old == list(values):
+                continue
+            texts[file] = text[:at] + row_text(key, values) + text[end:]
+            moved.append((name, key))
+            out(f"{name} {key_text(key)}: " + ", ".join(
+                f"{column} {a} -> {b}"
+                for column, a, b in zip(columns, old, values) if a != b))
+    for file, text in texts.items():
+        path = Path(tests) / f"{file}.py"
+        if path.read_text() != text:
+            path.write_text(text)
+    out(f"rewrote rows: {len(moved)}")
+    return moved
+
+
 if __name__ == "__main__":
     modes = {"structure": (structure, 0), "record": (record, 0),
-             "compare": (compare, 2), "records": (records, 2)}
+             "compare": (compare, 2), "records": (records, 2),
+             "rewrite": (rewrite, 0)}
     mode, args = sys.argv[1] if len(sys.argv) > 1 else None, sys.argv[2:]
     if mode not in modes or len(args) != modes[mode][1]:
-        sys.exit(f"usage: {sys.argv[0]} structure | record | compare OLD NEW")
+        sys.exit(f"usage: {sys.argv[0]} structure | record | compare OLD NEW"
+                 " | rewrite")
     if mode == "records":
         args[1] = json.loads(args[1])
     modes[mode][0](*args)

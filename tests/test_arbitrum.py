@@ -3,7 +3,7 @@
 import pytest
 
 from l2sim.runtime import Ctx, World, EntityId
-from l2sim.base import CertRegistry, Ledger, make_tx, tx_signable
+from l2sim.base import Ledger, make_tx, tx_signable
 from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
                         InternalState)
 from l2sim import arbitrum, harness, properties
@@ -18,7 +18,7 @@ TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
 def make_world(scn=None, **kw):
     scn = scn or arbitrum.canonical_scenario(**kw)
-    w = World("roll", TIMING, ledger=Ledger(TIMING, CertRegistry()))
+    w = World("roll", Ledger(TIMING))
     arbitrum.build_real(w, scn)
     return w, scn
 
@@ -51,10 +51,8 @@ def notes(world, kind):
             if e.get("t") == "note" and e.get("kind") == kind]
 
 
-def view_of(world, scn):
-    return arbitrum.chain_view(world.ledger, world.sid, scn["initial"],
-                               TIMING["confirm_depth"], world.round_no,
-                               TIMING["t_period"])
+def view_of(world):
+    return arbitrum.chain_view(world.ledger, world.sid, world.round_no)
 
 
 def open_rollup(world):
@@ -92,11 +90,11 @@ def test_pay_published_then_final():
     world.inject_input(world.entity(CLIENT, "c1"),
                        {"kind": "pay", "to": "c2", "amt": 3})
     cycle(world, 5)           # nudge at round 4, commit at round 5
-    v = view_of(world, scn)
+    v = view_of(world)
     assert len(v["entries"]) == 1 and v["final"] == 0
     assert client(world, "c1").outstanding is None     # optimistic clearing
     cycle(world, 5)           # window 5+4 passes at round 10
-    v = view_of(world, scn)
+    v = view_of(world)
     assert v["final"] == 1
     assert notes(world, "batch-final")
     r = reads(world, "c2")
@@ -112,7 +110,7 @@ def test_pays_pipeline_across_batches():
     world.inject_input(c1, {"kind": "pay", "to": "c2", "amt": 2})
     assert len(client(world, "c1").pending) == 1
     cycle(world, 13)          # batches at rounds 5 and 9, final by 14
-    v = view_of(world, scn)
+    v = view_of(world)
     assert [e["batch"]["seq"] for e in v["entries"]] == [1, 2]
     assert v["final"] == 2
     r = reads(world, "c1")
@@ -158,7 +156,7 @@ def test_deposit_mints_after_confirmations():
     open_rollup(world)
     world.inject_input(world.entity(CLIENT, "c1"), {"kind": "deposit", "amt": 5})
     cycle(world, 9)
-    v = view_of(world, scn)
+    v = view_of(world)
     assert v["final"] >= 1
     mints = [t for e in v["entries"] for t in e["batch"]["txs"]
              if t.get("op") == "mint"]
@@ -199,11 +197,11 @@ def test_fraud_proof_strikes_wrong_batch():
     found = notes(world, "fraud-found")
     assert found and found[0]["accepted"]
     cycle(world)              # the proof itself commits
-    assert view_of(world, scn)["entries"] == []
+    assert view_of(world)["entries"] == []
     proofs = world.ledger.find(lambda t: t["kind"] == "fraud-proof")
     assert len(proofs) == 1
     cycle(world, 10)
-    assert view_of(world, scn)["final"] == 0
+    assert view_of(world)["final"] == 0
 
 
 def test_chain_rebuilds_after_strike():
@@ -215,7 +213,7 @@ def test_chain_rebuilds_after_strike():
     world.inject_input(world.entity(CLIENT, "c1"),
                        {"kind": "pay", "to": "c2", "amt": 3})
     cycle(world, 13)
-    v = view_of(world, scn)
+    v = view_of(world)
     assert v["final"] >= 1
     assert v["entries"][0]["batch"]["by"] == "operator:p2"
     r = reads(world, "c1")
@@ -230,7 +228,7 @@ def test_unchallenged_fraud_finalizes():
     world.corrupt(p1)
     arbitrum.publish_wrong_batch(world, p1)
     cycle(world, 10)
-    v = view_of(world, scn)
+    v = view_of(world)
     assert v["final"] == 1
     assert v["entries"][0]["post"] != v["entries"][0]["claimed"]
     r = reads(world, "c1")
@@ -243,7 +241,7 @@ def test_held_proof_cannot_strike_final_batch():
     world.inject_input(world.entity(CLIENT, "c1"),
                        {"kind": "pay", "to": "c2", "amt": 3})
     cycle(world, 9)
-    v = view_of(world, scn)
+    v = view_of(world)
     assert v["final"] == 1
     proof = make_tx("fraud-proof",
                     {"chain": world.sid, "target": v["entries"][0]["txid"],
@@ -265,11 +263,11 @@ def test_self_publish_rescues_censored_tx():
                        {"kind": "pay", "to": "c2", "amt": 3})
     cycle(world, 6)           # the wait (t_period) runs out at round 5
     assert notes(world, "self-publish")
-    v = view_of(world, scn)
+    v = view_of(world)
     assert len(v["entries"]) == 1
     assert v["entries"][0]["batch"]["by"] == "client:c1"
     cycle(world, 6)
-    assert view_of(world, scn)["final"] == 1
+    assert view_of(world)["final"] == 1
     r = reads(world, "c1")
     assert r[-1]["state"]["bal"] == {"c1": 7, "c2": 13}
 
@@ -282,7 +280,7 @@ def test_no_self_publish_means_censorship_sticks():
     world.inject_input(world.entity(CLIENT, "c1"),
                        {"kind": "pay", "to": "c2", "amt": 3})
     cycle(world, 12)
-    assert view_of(world, scn)["entries"] == []
+    assert view_of(world)["entries"] == []
     assert client(world, "c1").outstanding is not None
 
 
@@ -308,7 +306,7 @@ def test_reorged_tx_is_requeued_and_lands():
     cycle(world)              # validator proof commits, batch struck
     assert notes(world, "tx-reorged")
     cycle(world, 12)          # honest operator republishes and finalizes
-    v = view_of(world, scn)
+    v = view_of(world)
     assert v["final"] >= 1
     r = reads(world, "c1")
     assert r[-1]["state"]["bal"] == {"c1": 7, "c2": 13}
@@ -330,7 +328,7 @@ def test_false_accusation_is_rejected():
     assert rejected and not rejected[-1]["accepted"]
     assert rejected[-1]["reason"] == "batch-correct"
     cycle(world, 6)
-    assert view_of(world, scn)["final"] == 1
+    assert view_of(world)["final"] == 1
 
 
 def test_forged_exit_claim_is_rejected():
@@ -480,7 +478,7 @@ def test_bundle_check_open_progression():
     for c in scn["clients"]:
         ist.queue.append({"kind": OPEN, "body": body, "by": c, "rid": len(ist.queue)})
     # registrations are still pending at round 0
-    fresh = World("roll2", TIMING, ledger=Ledger(TIMING, CertRegistry()))
+    fresh = World("roll2", Ledger(TIMING))
     arbitrum.build_real(fresh, scn)
     ok, why, _ = bundle.open(ist, body, None,
                              Ctx(fresh, fresh.entity(INTERFACE_ROLE, "F")))
@@ -501,7 +499,7 @@ def test_bundle_check_update_arms():
     cycle(world, 4)           # published and committed at round five
     bundle, ist, ctx = bundle_pair(world, scn)
     seed_open(bundle, ist, ctx, scn)
-    batch = view_of(world, scn)["entries"][0]["batch"]
+    batch = view_of(world)["entries"][0]["batch"]
     assert bundle.update(ist, {"seq": 1}, None, ctx) == \
         (False, "malformed", None)
     assert bundle.update(ist, dict(batch, seq=5), None, ctx) == \
@@ -528,7 +526,7 @@ def test_bundle_halts_on_unchallenged_fraud():
     world.corrupt(p1)
     arbitrum.publish_wrong_batch(world, p1)
     cycle(world, 10)
-    v = view_of(world, scn)
+    v = view_of(world)
     assert v["final"] == 1
     bundle, ist, ctx = bundle_pair(world, scn)
     seed_open(bundle, ist, ctx, scn)
@@ -563,7 +561,7 @@ def test_bundle_check_settlement_arms():
     ist.queue.append({"kind": SETTLEMENT, "body": body, "by": "c1", "rid": 9})
     ok, why, _ = bundle.settlement(ist, body, None, ctx)
     assert not ok and why == "no-burn"
-    entry = view_of(world, scn)["entries"][0]
+    entry = view_of(world)["entries"][0]
     ist.executed.append({"kind": UPDATE, "seq": 1, "state": entry["post"],
                          "txs": entry["batch"]["txs"]})
     ok, why, sstate = bundle.settlement(ist, body, None, ctx)

@@ -11,7 +11,7 @@ TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
 
 def ledger_world():
-    w = World("s", TIMING, ledger=Ledger(TIMING, CertRegistry()))
+    w = World("s", Ledger(TIMING))
     return w
 
 
@@ -299,9 +299,9 @@ def test_depth_counts_blocks_since_inclusion():
     w.ledger.submit(tx)
     w.advance_round()
     committed = w.ledger.committed[0]
-    assert w.ledger.depth(committed) == 1
+    assert not w.ledger.buried(committed)   # depth 1
     w.advance_round()
-    assert w.ledger.depth(committed) == 2   # confirm_depth reached
+    assert w.ledger.buried(committed)       # depth 2: confirm_depth reached
     assert w.ledger.height == 2
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from l2sim.runtime import Ctx, World, EntityId
-from l2sim.base import CertRegistry, Ledger, make_tx, tx_signable
+from l2sim.base import Ledger, make_tx, tx_signable
 from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
                         InternalState, open_record)
 from l2sim import brick, harness, properties
@@ -17,7 +17,7 @@ TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
 def make_world(scn=None):
     scn = scn or brick.canonical_scenario()
-    w = World("chan", TIMING, ledger=Ledger(TIMING, CertRegistry()))
+    w = World("chan", Ledger(TIMING))
     brick.build_real(w, scn)
     return w, scn
 

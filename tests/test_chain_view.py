@@ -1,11 +1,12 @@
 """The incremental rollup chain view against a fold from genesis.
 
-``arbitrum.chain_view`` keeps its fold on the ledger and reads only new
-commits.  ``reference_chain_view`` below is the plain fold it replaced,
-walking every committed batch again on every call; the tests require the
-two to agree on every call of whole schedules, pin the call-time depth
-semantics of a mint in a batch, and check that a cloned world carries its
-own copy of the fold.  The rollup parties look l2 txids up in the fold's
+``arbitrum.chain_view`` keeps its fold on the ledger, one per chain, and
+reads only new commits.  ``reference_chain_view`` below is the plain fold
+it replaced, walking every committed batch again on every call; the tests
+require the two to agree on every call of whole schedules, pin the
+call-time depth semantics of a mint in a batch, check that a run keeps
+one fold per chain, and check that a cloned world carries its own copy
+of the fold.  The rollup parties look l2 txids up in the fold's
 positions map instead of scanning the view's "ids"; every such answer is
 compared with the scan, and the ordering that lets ``chain_view`` bisect
 for the final prefix is checked on every view.  Views share one snapshot
@@ -19,7 +20,7 @@ import pytest
 
 from l2sim import arbitrum
 from l2sim.accounts import apply_txs, genesis_state
-from l2sim.base import CertRegistry, Ledger, signed_tx
+from l2sim.base import Ledger, signed_tx
 from l2sim.core import CLIENT
 from l2sim.harness import (
     IdealRun, RealRun, apply_schedule, lifecycle_schedule, protocol,
@@ -29,16 +30,17 @@ from l2sim.runtime import World
 from l2sim.trace import digest
 
 
-def reference_chain_view(ledger, sid, initial, confirm_depth, round_no,
-                         t_period):
-    """Walk all committed batches from genesis, skipping struck ones."""
+def reference_chain_view(ledger, sid, round_no):
+    """Walk all committed batches from genesis, skipping struck ones; the
+    genesis state is the one the chain's ledger checks were installed
+    with."""
     published = ledger.find(
         lambda t: t["kind"] == "batch-publish" and t["body"].get("chain") == sid)
     proofs = ledger.find(
         lambda t: t["kind"] == "fraud-proof" and t["body"].get("chain") == sid)
     struck = {p["body"].get("target") for p in proofs}
     entries = []
-    state = genesis_state(initial)
+    state = ledger.views[sid].genesis
     prev = arbitrum.genesis_anchor(sid)
     for tx in published:
         if tx["txid"] in struck:
@@ -46,8 +48,7 @@ def reference_chain_view(ledger, sid, initial, confirm_depth, round_no,
         batch = tx["body"].get("batch") or {}
         if batch.get("seq") != len(entries) + 1 or batch.get("prev") != prev:
             continue
-        post = apply_txs(state, batch.get("txs", []), ledger, confirm_depth,
-                         batch["seq"])
+        post = apply_txs(state, batch.get("txs", []), ledger, batch["seq"])
         bdig = digest(["batch", batch])
         entries.append({"batch": batch, "txid": tx["txid"],
                         "commit_round": tx.get("commit_round", 0),
@@ -59,7 +60,7 @@ def reference_chain_view(ledger, sid, initial, confirm_depth, round_no,
         prev = bdig
     final = 0
     for e in entries:
-        if round_no > e["commit_round"] + t_period:
+        if round_no > e["commit_round"] + ledger.timing["t_period"]:
             final += 1
         else:
             break
@@ -84,10 +85,9 @@ class Audit:
         self.extended = set()         # (id(fold), index in published)
         view, extend = arbitrum.chain_view, arbitrum.ChainFold._extend
 
-        def checked(ledger, sid, initial, confirm_depth, round_no, t_period):
-            got = view(ledger, sid, initial, confirm_depth, round_no, t_period)
-            want = reference_chain_view(ledger, sid, initial, confirm_depth,
-                                        round_no, t_period)
+        def checked(ledger, sid, round_no):
+            got = view(ledger, sid, round_no)
+            want = reference_chain_view(ledger, sid, round_no)
             assert got == want
             self.calls += 1
             now = {e["txid"] for e in got["entries"]}
@@ -118,7 +118,7 @@ class Audit:
             for step in schedule:
                 apply_schedule(run, [step])
                 for w in worlds:
-                    arbitrum.world_view(w, scn["initial"])
+                    arbitrum.world_view(w)
             out[run.flavor] = run.trace
         return out
 
@@ -219,7 +219,7 @@ class PositionAudit:
 
         def checked_round(me, ctx):
             before = set(me.mempool)
-            view = arbitrum.world_view(ctx.world, me.initial)
+            view = arbitrum.world_view(ctx.world)
             on_round(me, ctx)
             dropped = before - set(me.mempool)
             assert dropped == {t for t in before
@@ -327,16 +327,14 @@ INITIAL = {"c1": 10, "c2": 10}
 
 
 def _bare_rollup():
-    w = World("roll", RIPEN_TIMING, ledger=Ledger(RIPEN_TIMING, CertRegistry()))
+    w = World("roll", Ledger(RIPEN_TIMING))
     arbitrum.install_ledger_checks(w, INITIAL, {"operator:p1"})
     w.advance_round()
     return w
 
 
 def _view(w):
-    return arbitrum.chain_view(w.ledger, w.sid, INITIAL,
-                               RIPEN_TIMING["confirm_depth"], w.round_no,
-                               RIPEN_TIMING["t_period"])
+    return arbitrum.chain_view(w.ledger, w.sid, w.round_no)
 
 
 def _mint_batch(w):
@@ -402,9 +400,7 @@ def test_proof_against_unripe_mint_strikes_in_the_ripening_block():
     w.advance_round()                        # round 4
     assert w.ledger.find(lambda t: t["kind"] == "fraud-proof")
     assert _view(w)["entries"] == []
-    assert _view(w) == reference_chain_view(
-        w.ledger, w.sid, INITIAL, RIPEN_TIMING["confirm_depth"], w.round_no,
-        RIPEN_TIMING["t_period"])
+    assert _view(w) == reference_chain_view(w.ledger, w.sid, w.round_no)
 
 
 # -- a strike behind an accepted batch ----------------------------------------
@@ -419,7 +415,7 @@ def _publish(w, seq, txs, claimed=None):
     unless ``claimed`` is given."""
     view = _view(w)
     state = arbitrum.view_state(view) or genesis_state(INITIAL)
-    post = apply_txs(state, txs, w.ledger, RIPEN_TIMING["confirm_depth"], seq)
+    post = apply_txs(state, txs, w.ledger, seq)
     pub = arbitrum.batch_tx(w.certs, view, w.sid, "operator:p1", seq, txs,
                             claimed or post)
     assert w.ledger.submit(pub)["accepted"]
@@ -446,8 +442,7 @@ def test_a_strike_keeps_the_entries_before_it(monkeypatch):
     w.advance_round()
     assert [e["txid"] for e in _view(w)["entries"]] == [first["txid"]]
     assert audit.rewalks == 2            # from genesis it would be 3
-    fold = arbitrum.chain_fold(w.ledger, w.sid, INITIAL,
-                               RIPEN_TIMING["confirm_depth"])
+    fold = arbitrum.chain_fold(w.ledger, w.sid)
     assert set(fold.positions) == set(_view(w)["entries"][0]["ids"])
     again = _publish(w, 2, [_pay("c1", "c2", 2)])
     assert [e["txid"] for e in _view(w)["entries"]] \
@@ -527,35 +522,37 @@ def test_clone_keeps_an_independent_chain_view():
         world.inject_input(_client(world, pid), {"kind": "open"})
     _cycle(world, 2)
     _pay_and_wait(world, 1)                  # mid-lifecycle: one batch in
-    before = arbitrum.world_view(world, SCN["initial"])
+    before = arbitrum.world_view(world)
     assert before["entries"]
     digest = world.trace.digest()
 
     twin = world.clone()
     _pay_and_wait(twin, 2)
-    grown = arbitrum.world_view(twin, SCN["initial"])
+    grown = arbitrum.world_view(twin)
     assert len(grown["entries"]) > len(before["entries"])
     assert twin.ledger.views is not world.ledger.views
 
-    assert arbitrum.world_view(world, SCN["initial"]) == before
+    assert arbitrum.world_view(world) == before
     assert world.trace.digest() == digest
 
     _pay_and_wait(world, 2)
-    assert arbitrum.world_view(world, SCN["initial"]) == grown
+    assert arbitrum.world_view(world) == grown
 
 
-def test_an_identity_key_serves_only_its_own_initial():
-    # a copied ledger (``World.clone``) keeps the identity keys of the
-    # original's ``initial`` dicts; a dict that reuses such an id must get
-    # the fold of its own content, not the one that key names
-    w = _bare_rollup()
-    cd = RIPEN_TIMING["confirm_depth"]
-    other = {"c1": 1, "c2": 1}
-    stale = arbitrum.chain_fold(w.ledger, w.sid, INITIAL, cd)
-    w.ledger.views[(w.sid, cd, id(other))] = (dict(INITIAL), stale)
-    fold = arbitrum.chain_fold(w.ledger, w.sid, other, cd)
-    assert fold is not stale and fold.genesis == genesis_state(other)
-    assert arbitrum.chain_fold(w.ledger, w.sid, dict(INITIAL), cd) is stale
+# -- one fold per chain ------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", ["fraud-struck", "withdraw-exit"])
+def test_a_run_keeps_one_fold_per_chain(label):
+    # every reader of the chain, real or ideal, shares the fold that the
+    # chain's ledger checks made
+    real, ideal, _ = run_differential("arbitrum", SCN,
+                                      scripted_schedules("arbitrum", SCN)[label])
+    for world in (real.world, ideal.outer):
+        views = world.ledger.views
+        assert list(views) == [world.sid]
+        assert type(views[world.sid]) is arbitrum.ChainFold
+        assert views[world.sid].entries
 
 
 # -- each publication is digested once ----------------------------------------

@@ -16,7 +16,7 @@ from l2sim.core import (
     InterfaceMachine, SubroutineBundle, attach_round_gate, open_record,
     settled_entry, OPEN, UPDATE, SETTLEMENT, INTERFACE_ROLE, CLIENT,
 )
-from l2sim.base import CertRegistry, Ledger
+from l2sim.base import Ledger
 
 TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
@@ -86,7 +86,7 @@ class CounterTracker:
 
 
 def build():
-    world = World("sess", TIMING, ledger=Ledger(TIMING, CertRegistry()))
+    world = World("sess", Ledger(TIMING))
     world.declare_role(INTERFACE_ROLE, subroutine=True)
     world.declare_role(CLIENT, budget=1)
     funct = world.entity(INTERFACE_ROLE, "F")

@@ -376,3 +376,37 @@ def test_the_audit_names_the_parts_of_a_row_that_moved():
     assert golden_audit.moved_parts(old, old) == []
     assert golden_audit.moved_parts(old, new) == ["real verdict:da",
                                                   "real digest"]
+
+
+def test_the_audit_rewrites_exactly_the_rows_that_moved(tmp_path):
+    """``golden_audit.py rewrite`` on copies of the two table files, with
+    one digest changed in one row of each table, restores both copies byte
+    for byte and reports exactly those rows; the committed files are never
+    rewritten here."""
+    here = Path(__file__).resolve().parent
+    picked = {"SCRIPTED": ("liquid", "deposit-then-withdraw"),
+              "LIFECYCLE": ("arbitrum", 2, True)}
+    want = []
+    for name in ("test_golden", "test_properties"):
+        text = (here / f"{name}.py").read_text()
+        for table, (file, _) in golden_audit.COLUMNS.items():
+            if file != name:
+                continue
+            key = picked[table.split("_")[0]]
+            start = text.index(f"\n{table} = {{\n")
+            at = text.index(f"    {golden_audit.key_text(key)}: (\n", start)
+            end = text.index("),\n", at)
+            last = text.rindex('"', at, end - 1) + 1   # the row's last digest
+            text = text[:last] + "0" * 64 + text[last + 64:]
+            want.append((table, key))
+        (tmp_path / f"{name}.py").write_text(text)
+    lines = []
+    moved = golden_audit.rewrite(tmp_path, out=lines.append)
+    for name in ("test_golden", "test_properties"):
+        assert (tmp_path / f"{name}.py").read_text() \
+            == (here / f"{name}.py").read_text()
+    assert sorted(moved) == sorted(want) and len(want) == 6
+    assert len(lines) == 7 and lines[-1] == "rewrote rows: 6"
+    for line, (table, key) in zip(lines, moved):
+        assert line.startswith(f"{table} {golden_audit.key_text(key)}: ")
+        assert line.count(" -> ") == 1 and f"{'0' * 64} -> " in line

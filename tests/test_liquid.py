@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from l2sim.runtime import Ctx, World, EntityId
-from l2sim.base import CertRegistry, Ledger
+from l2sim.base import Ledger
 from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
                         InternalState, open_record)
 from l2sim import base, harness, liquid, properties, trace
@@ -18,7 +18,7 @@ TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
 
 def make_world(scn=None, **kw):
     scn = scn or liquid.canonical_scenario(**kw)
-    w = World("side", TIMING, ledger=Ledger(TIMING, CertRegistry()))
+    w = World("side", Ledger(TIMING))
     liquid.build_real(w, scn)
     return w, scn
 
@@ -575,7 +575,7 @@ def deposit_on_l1(world, depth):
     world.inject_input(world.entity(CLIENT, "c1"), {"kind": "deposit", "amt": 5})
     cycle(world, depth)
     (dep,) = world.ledger.find(lambda t: t["kind"] == "deposit")
-    assert world.ledger.depth(dep) == depth
+    assert world.ledger.buried(dep) == (depth >= TIMING["confirm_depth"])
 
 
 def overdue_peg_in(world, ist, amt=5):

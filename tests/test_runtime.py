@@ -5,7 +5,7 @@ import random
 import pytest
 
 from l2sim import harness
-from l2sim.base import CertRegistry, Ledger, signed_tx
+from l2sim.base import Ledger, signed_tx
 from l2sim.runtime import (
     World, Machine, EntityId, plain,
     RegistrationError, RoutingError, ScheduleError, CorruptionError,
@@ -35,7 +35,7 @@ class Echo(Machine):
 
 
 def small_world():
-    w = World("s1", TIMING)
+    w = World("s1", Ledger(TIMING))
     w.declare_role("client", budget=1)
     w.declare_role("warden", budget=1)
     a = w.entity("client", "a")
@@ -175,7 +175,7 @@ def test_corruption_budget_and_monotonicity():
 
 
 def test_subroutine_role_not_corruptible():
-    w = World("s1", TIMING)
+    w = World("s1", Ledger(TIMING))
     w.declare_role("funct", subroutine=True)
     f = w.entity("funct", "F")
     w.register(Echo(f))
@@ -250,9 +250,9 @@ def test_on_round_runs_once_per_advance_after_the_block(shared):
     """Each uncorrupted machine polls once per advance, in entity order,
     and sees that round's block; a second world on the ledger (the first
     mints each block) polls the same way."""
-    ledger = Ledger(TIMING, CertRegistry())
-    owner = World("s1", TIMING, ledger=ledger)
-    w = World("s1", TIMING, ledger=ledger) if shared else owner
+    ledger = Ledger(TIMING)
+    owner = World("s1", ledger)
+    w = World("s1", ledger) if shared else owner
     w.declare_role("client", budget=1)
     log = []
     for pid in ("a", "b"):
@@ -280,8 +280,8 @@ def ledger_worlds(*inputs, worlds=3):
     """``worlds`` worlds on one ledger, each with a ``Submitter``; each
     input ``(i, n, conflict)`` goes to world ``i``, then every world
     advances once, in order."""
-    ledger = Ledger(TIMING, CertRegistry())
-    ws = [World("s1", TIMING, ledger=ledger) for _ in range(worlds)]
+    ledger = Ledger(TIMING)
+    ws = [World("s1", ledger) for _ in range(worlds)]
     for w in ws:
         w.declare_role("client")
         w.register(Submitter(w.entity("client", "a")))
@@ -423,7 +423,7 @@ def test_each_entity_is_handed_one_ctx():
         def on_round(self, ctx):
             handed.append((self.me, ctx))
 
-    w = World("s1", TIMING)
+    w = World("s1", Ledger(TIMING))
     w.declare_role("client")
     w.declare_role("warden")
     a, b = w.entity("client", "a"), w.entity("warden", "b")
@@ -458,7 +458,7 @@ class Bounce(Machine):
 
 
 def bounce_world(fan=1):
-    w = World("s1", TIMING)
+    w = World("s1", Ledger(TIMING))
     w.declare_role("client")
     w.declare_role("warden")
     a, b = w.entity("client", "a"), w.entity("warden", "b")
