@@ -11,9 +11,10 @@ the activation and only reads it.  The interface machine is the state's
 only writer: it sequences the entry points, records what accepted answers
 return, notifies the uncorrupted clients (``honest``), and leaks its whole
 internal state when a client is corrupted.
-A read's position is the interface's own: it clamps the simulator's answer
-(``World.read_delay``) into [the party's pointer, the top state] and serves
-the records behind that state unless the bundle says the protocol hides it.
+A read's position is the interface's own: it clamps the simulator's answer,
+``InterfaceMachine.read_delay`` (the top state while no simulator sets it),
+into [the party's pointer, the top state] and serves the records behind
+that state unless the bundle says the protocol hides it.
 
 ``read_result`` builds every read-result payload (this machine's, the real
 clients' and the property witnesses').  A read carries only what its
@@ -213,6 +214,7 @@ class InterfaceMachine(Machine):
         self._tracker = tracker
         self._clients = {c.pid: c for c in clients}
         self.ist = InternalState(identities=identities)
+        self.read_delay = None   # the simulator's answer: fn(pid) -> index
 
     def entities(self):
         return [self.me] + list(self._clients.values())
@@ -279,7 +281,7 @@ class InterfaceMachine(Machine):
         idx = None
         if not ist.halted and ist.states:
             top = len(ist.states) - 1
-            answer = ctx.world.read_delay
+            answer = self.read_delay
             delay = top if answer is None else min(top, answer(pid))
             idx = max(ist.read_ptr.get(pid, 0), delay)
             if not self._bundle.read(ist, idx, ctx):

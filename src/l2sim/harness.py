@@ -3,13 +3,13 @@
 A real run hosts the protocol machines alone.  An ideal run stacks three
 pieces: an outer world holding the interface machine plus bare ``Machine``s
 for the non-client cast, an inner world running the very same protocol
-machines, and a scripted simulator that replays inner progress as interface
-triggers.  Both worlds are built on one ledger, which holds the run's
+machines, and a scripted simulator that observes the inner trace and turns
+each inner note into interface triggers as the note is written.  Both worlds are built on one ledger, which holds the run's
 timing and registry; the inner world advances in lockstep right after
 each outer round, which keeps envelope numbering, block timing, and so
 client-visible outputs identical between the two runs.  The outer world,
-first to each round, mints its block; reads ask the simulator through its
-``read_delay``.  The inner world sees the ledger's events by the same rule,
+first to each round, mints its block; reads ask the simulator through the
+interface machine's ``read_delay``.  The inner world sees the ledger's events by the same rule,
 so its trace is a stand-alone real run's: the inner world *is* the real
 run, unless the ideal run refused a round (``IdealRun.advance`` then
 flushes the inner world but does not advance it).
@@ -55,8 +55,8 @@ their names and signatures:
 
 - here: ``protocol``, ``scripted_schedules``, ``lifecycle_schedule``,
   ``run_differential``, ``output_projection`` and ``diff_outputs``; it
-  wraps ``make_real``, ``build_ideal``, ``Simulator.sync`` and
-  ``apply_schedule``;
+  wraps ``make_real``, ``build_ideal``, ``Simulator.sync`` (the observer
+  of the inner trace, so one call per inner event) and ``apply_schedule``;
 - per protocol: ``canonical_scenario``, ``party_roles`` and
   ``liveness_params``; it wraps ``Hooks.triggers_for``, ``Hooks.read_delay``
   and ``EnvTracker.ideal_request`` (each in the class's own ``__dict__``)
@@ -145,9 +145,10 @@ class Simulator:
 
     Keeps a private copy of the protocol, ``inner``, on the outer world's
     ledger (the outer world reaches each round first, so it mints every
-    block); the run drives ``inner`` and calls ``sync``, which turns its
-    progress notes into interface triggers.  The outer world's
-    ``read_delay`` answers from the inner clients' positions.
+    block), and observes the inner trace: ``sync`` sees each inner event as
+    it is written and turns each ``note`` into interface triggers at once.
+    The interface machine's ``read_delay`` answers from the inner clients'
+    positions.
     """
 
     def __init__(self, outer, proto, scn):
@@ -156,21 +157,21 @@ class Simulator:
         self.funct = outer.roles[INTERFACE_ROLE][0]
         self.adv = EntityId("sim", outer.sid, "adv")
         self.inner = World(outer.sid, outer.ledger)
+        self.inner.trace.observers.append(self.sync)
         proto.build_real(self.inner, scn)
-        self.cursor = 0
-        outer.read_delay = lambda pid: self.hooks.read_delay(self.inner, pid)
-        self.sync()
+        outer.owners[self.funct].read_delay = (
+            lambda pid: self.hooks.read_delay(self.inner, pid))
 
-    def sync(self):
-        """Flush new inner progress into interface triggers: the inner
-        world's notes (``World.notes``) from the last one synced on."""
-        notes = self.inner.notes
-        while self.cursor < len(notes):
-            ev = notes[self.cursor]
-            self.cursor += 1
+    def sync(self, ev):
+        """Observe one inner event: a note becomes interface triggers."""
+        if ev["t"] == "note":
             for trig in self.hooks.triggers_for(self.inner, ev):
-                self.outer.queue_net(self.adv, self.funct, trig)
-                self.outer.deliver_net(self.outer.eid_counter)
+                self.trigger(trig)
+
+    def trigger(self, payload):
+        """Send the interface one trigger and deliver it at once."""
+        self.outer.queue_net(self.adv, self.funct, payload)
+        self.outer.deliver_net(self.outer.eid_counter)
 
 
 def _deliverable(world):
@@ -183,7 +184,7 @@ def _client_entities(world):
     return {ent.pid: ent for ent in world.roles.get(CLIENT, ())}
 
 
-def _pump_world(world, seed=None, after=None):
+def _pump_world(world, seed=None):
     """Deliver every unheld NET envelope, batch by batch, until quiescent.
     With a ``seed``, each batch goes in the order that one ``Random(seed)``
     shuffles it into, seeded at the first batch that a shuffle can move."""
@@ -197,8 +198,6 @@ def _pump_world(world, seed=None, after=None):
             rng.shuffle(batch)
         for eid in batch:
             world.deliver_net(eid)
-            if after is not None:
-                after()
 
 
 class RealRun:
@@ -262,13 +261,11 @@ class IdealRun:
     def input(self, pid, entry):
         ent = self.clients.get(pid) or self.outer.entity(CLIENT, pid)
         self.sim.inner.inject_input(ent, dict(entry))
-        self.sim.sync()
         self.outer.inject_input(ent, dict(entry))
 
     def corrupt(self, role, pid, force=False):
         for world in (self.outer, self.sim.inner):
             world.corrupt(world.entity(role, pid), allow_over_budget=force)
-        self.sim.sync()
 
     def corrupted(self, role, pid):
         inner = self.sim.inner
@@ -280,17 +277,15 @@ class IdealRun:
 
     def menu_act(self, role, pid, action):
         mirrored = self.menu(role, pid)[action]()
-        self.sim.sync()
         if mirrored is not None:
             self.outer.inject_input(self.outer.entity(CLIENT, pid), mirrored,
                                     force=True)
 
     def raw_trigger(self, payload):
-        self.outer.queue_net(self.sim.adv, self.sim.funct, payload)
-        self.outer.deliver_net(self.outer.eid_counter)
+        self.sim.trigger(payload)
 
     def pump(self, seed=None):
-        _pump_world(self.sim.inner, seed, after=self.sim.sync)
+        _pump_world(self.sim.inner, seed)
 
     def advance(self):
         # the protocol machines must see their overdue deliveries before
@@ -298,11 +293,9 @@ class IdealRun:
         # its flush and its tick; only then does the clock move on both
         # sides of the stack
         self.sim.inner.flush_overdue()
-        self.sim.sync()
         ok = self.outer.advance_round()
         if ok:
             self.sim.inner.advance_round()
-            self.sim.sync()
         else:   # a gate's refusal is the outer's last event; a halt has none
             self.refused.append({"round": self.outer.round_no, "reason":
                                  "halted" if self.outer.halted

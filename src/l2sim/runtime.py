@@ -18,7 +18,9 @@ fixes: ledger events are the one source of time, each party polls the
 chain once per block, and whatever a party does on a schedule (a leader's
 proposal, a periodic publication) it does from ``on_round``.
 ``register`` also builds one ``Ctx`` per entity, and every activation of
-that entity (start, delivery, input, round) is handed it.
+that entity (start, delivery, input, round) is handed it.  A world keeps no
+simulator state: an ideal run's simulator watches its inner world through
+``Trace.observers``, so ``clone`` swaps only the trace.
 
 Invariants the tests lean on:
   - identical (scenario, scripts, seed) inputs produce identical traces;
@@ -180,10 +182,9 @@ class Ctx:
 
     def note(self, kind: str, **fields):
         world = self.world
-        ev = {"t": "note", "step": world._bump(), "round": world.round_no,
-              "kind": kind, "party": self.party, **fields}
-        world.notes.append(ev)
-        world.trace.emit(ev)
+        world.trace.emit({"t": "note", "step": world._bump(),
+                          "round": world.round_no, "kind": kind,
+                          "party": self.party, **fields})
 
 
 class CorruptionSet:
@@ -231,11 +232,9 @@ class World:
         self.round_no = 0
         self.corruption = CorruptionSet()
         self.trace = Trace()
-        self.notes: list[dict] = []   # this world's ``note`` events, in order
         self.max_steps = 10000
         self.halted = None
         self.round_gates = []    # callables() -> (ok, reason)
-        self.read_delay = None   # simulator's answer: fn(pid) -> state index
 
     # -- registration ------------------------------------------------------
 
@@ -426,16 +425,11 @@ class World:
         return hash(tuple(parts))
 
     def clone(self) -> "World":
-        """Copy for search: trace is replaced by a fresh, unobserved one,
-        and ``notes`` by an empty list, as the notes are the trace's."""
-        trace, observers = self.trace, self.trace.observers
-        read_delay, notes = self.read_delay, self.notes
-        self.trace, self.notes = Trace(), []
-        self.read_delay = None
+        """Copy for search: the trace is replaced by a fresh, unobserved
+        one."""
+        trace = self.trace
+        self.trace = Trace()
         try:
-            twin = copy.deepcopy(self)
+            return copy.deepcopy(self)
         finally:
-            self.trace, self.notes = trace, notes
-            self.trace.observers = observers
-            self.read_delay = read_delay
-        return twin
+            self.trace = trace

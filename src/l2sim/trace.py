@@ -134,7 +134,7 @@ class Trace:
         self.header = dict(header or {})
         self.events: list[dict] = []
         self.complete = True
-        self.observers = []
+        self.observers = []    # fn(ev) per event, e.g. a simulator's sync
 
     def emit(self, ev: dict):
         self.events.append(ev)
@@ -159,8 +159,8 @@ class Trace:
         return "\n".join(lines) + "\n"
 
     def dump(self, path):
-        """Write the trace file; kept, with ``load`` and ``observers``, for
-        the planned trace-checking CLI (ROADMAP.md)."""
+        """Write the trace file; kept, with ``load``, for the planned
+        trace-checking CLI (ROADMAP.md)."""
         with open(path, "w") as f:
             f.write(self.to_text())
 

@@ -126,7 +126,7 @@ def reads_against_reference(name, scn, schedule):
         want = None
         if not ist.halted and ist.states:
             top = len(ist.states) - 1
-            delay = ctx.world.read_delay(pid)
+            delay = machine.read_delay(pid)
             idx = max(ist.read_ptr.get(pid, 0),
                       top if delay is None else min(top, delay))
             want = REFERENCE_READ[name](ist, idx)

@@ -241,7 +241,7 @@ def test_read_empty_then_latest_then_pointer_monotone():
     assert tip(world) == ("client:a", s(1))
     assert machine.ist.read_ptr["a"] == 1
     # a delayed answer may not rewind below the pointer
-    world.read_delay = lambda pid: 0
+    machine.read_delay = lambda pid: 0
     world.inject_input(a, {"kind": "read"})
     assert tip(world) == ("client:a", s(1))
     assert machine.ist.read_ptr["a"] == 1
@@ -254,7 +254,8 @@ def read_with_delay(world, client, delay):
     """The client's read under a read-delay answer: the pointer in the
     interface's ``read`` sub-reply, the tip state of the client's whole
     view and the payload, or None when the read is empty."""
-    world.read_delay = None if delay is None else lambda pid: delay
+    world.owners[client].read_delay = (None if delay is None
+                                       else lambda pid: delay)
     before = len(world.trace.events)
     world.inject_input(client, {"kind": "read"})
     new = world.trace.events[before:]

@@ -360,19 +360,45 @@ def test_an_observer_sees_exactly_the_trace(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name,label", corpus())
-def test_a_world_keeps_its_notes(name, label):
-    """``Simulator.sync`` reads only ``World.notes``: in every world of
-    both runs of each scripted schedule, they are the very ``note``
-    events of the world's trace, in order."""
+def test_the_simulator_sees_each_inner_note_as_it_is_written(
+        name, label, monkeypatch):
+    """The simulator observes the inner trace: on every scripted schedule
+    the notes handed to ``Hooks.triggers_for`` are the very ``note``
+    events of the inner trace, once each, in trace order, and each is the
+    inner trace's last event when it is handed over."""
+    hooks = protocol(name).Hooks
+    triggers_for = hooks.triggers_for
+    handed = []
+
+    def observed(self, inner, ev):
+        assert inner.trace.events[-1] is ev
+        handed.append(ev)
+        return triggers_for(self, inner, ev)
+
+    monkeypatch.setattr(hooks, "triggers_for", observed)
     scn = protocol(name).canonical_scenario()
-    schedule = scripted_schedules(name, scn)[label]
-    real = apply_schedule(RealRun(name, scn), schedule)
-    ideal = apply_schedule(IdealRun(name, scn), schedule)
-    for world in (real.world, ideal.outer, ideal.sim.inner):
-        notes = [ev for ev in world.trace.events if ev["t"] == "note"]
-        assert len(world.notes) == len(notes)
-        assert all(a is b for a, b in zip(world.notes, notes))
-    assert ideal.sim.cursor == len(ideal.sim.inner.notes)
+    ideal = apply_schedule(IdealRun(name, scn),
+                           scripted_schedules(name, scn)[label])
+    notes = [ev for ev in ideal.sim.inner.trace.events if ev["t"] == "note"]
+    assert notes
+    assert len(handed) == len(notes)
+    assert all(a is b for a, b in zip(handed, notes))
+
+
+def test_a_rollup_exit_is_submitted_after_the_update_its_note_triggers():
+    """In the ideal trace of the rollup's ``withdraw-exit``, the update
+    that the round-22 ``batch-final`` notes trigger executes before the
+    exit's ``settle`` reaches the ledger, as the notes come first in the
+    inner round sweep."""
+    scn = protocol("arbitrum").canonical_scenario()
+    ideal = apply_schedule(IdealRun("arbitrum", scn),
+                           scripted_schedules("arbitrum", scn)["withdraw-exit"])
+    events = ideal.trace.events
+    (update,) = [i for i, ev in enumerate(events) if ev["t"] == "exec"
+                 and ev["kind"] == UPDATE and ev["round"] == 22]
+    (settle,) = [i for i, ev in enumerate(events) if ev["t"] == "ledger-submit"
+                 and ev["kind"] == "settle"]
+    assert update < settle
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)
