@@ -216,10 +216,10 @@ SCRIPTED = {
         "fcee171efd1a94064cf9d40d4162357b1d24ce9c4321ae202e2cdadb3ea9c958"),
     ("arbitrum", "settle-after-traffic"): (
         "a2cd6d9e19a710a8c956c66760e04c8e0f37a5e63212b7544991832ddf3096c4",
-        "311c62e994b825cf3f46a4bebf54ecf93e860ac7c70da43a61ef27bf1ea1ad4a"),
+        "f14a7417e3fc3600c93ecfc885f11ed4692664d9e4ccef846a659296230078a3"),
     ("arbitrum", "settle-fresh"): (
         "a4eb588a004cbf2ab3d73ef68a359862ead256912bb4a8b586222d3affb2f3ba",
-        "317d49a8136dbec548ef4e9d6541d1b02078d4ec51c432232e6fe0b029d349c8"),
+        "12dbcb384b618cd9982114e4081cfa6d10bb933385085ec69ba337080261a2c9"),
     ("arbitrum", "shuffled-delivery"): (
         "d49bcd6b6d3f9ee395a680e7db60020d5d5459a402572709e1ae73de140d87a0",
         "cbb0af406e3dc546661bbbfdc83abf984e31fe3860f699e5e8c4c805a17908a5"),
@@ -228,7 +228,7 @@ SCRIPTED = {
         "9db014e55a71f3522f0c3d377ee8ab25d3cad43ffa9af8d5addcfdde8bf58055"),
     ("arbitrum", "withdraw-exit"): (
         "332f121a93a23311c643741586663942ce314952686333472d103db20ca02506",
-        "5b406231c5a118a029051b103b94c24db7b43650e6c6266a4d7bb1f8b507592a"),
+        "5659388100755f09330bfe69b701d86d59a17985cb54a1e99f9b008d939e8eef"),
 }
 
 # (protocol, seed, adversarial) -> (schedule, real, ideal) digests
@@ -284,19 +284,19 @@ LIFECYCLE = {
     ("arbitrum", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
         "a40b01230074496ea4a7ba2d07385ed99a543ded295cca77bc9a27ea6631e1ee",
-        "d4c57928b3d3b7e85f684139acb52730c0a52c228f594e0a16767fe54c5b1658"),
+        "d976494d741fe7c973b5ed71629a7a00bf6707e433cd66e76160c89c4fb86172"),
     ("arbitrum", 1, True): (
         "b2e16ca7cb0c27e9c67b5a44590bb0bf50942caa03182090b25c2199ae5b73ab",
         "7f67ad7b192117829cab581171989501db9042ae82bb9636f2a2db6b7ef71792",
-        "e40f7c15df29d323dfa7fbddb5bd74f52dde11acdf013ecb48702425c86ef2ee"),
+        "8bd8cc9a0f8786d0d52bbfc3675e6c1e2a50f74433a02eebc8fcc2bfadc63174"),
     ("arbitrum", 2, False): (
         "2105c5aeb6ee8aedf7aa9f14ecd63921c5d11f5d50a7367a0053e03a63c2ed9b",
         "71d7a989f4a2e1174caf56906890c97450a43605578c19163691ff886749420a",
-        "cd9a693de474182a755fb8b8fb2adfe77fbe6a4a30a3bb89a81317e2eb57eb24"),
+        "40d83a7bb5a811b88a6ad01bb5f4469b7fb09bfbb51ac625eb2c3c33318bd6ce"),
     ("arbitrum", 2, True): (
         "1daed42271d646aeb89ce6bffdfaaf2207e95cee8e9f5f5b39150fc3641e95b2",
         "e6aabf8f281c73a4b2a6f43536796d50a4d3776821a3be19e95c212fb29f89cf",
-        "e146afba2b32c3ca80dcbd79a2ca8e300b7063ba40d406a0ef266469e33f2476"),
+        "518ff4d087ee8dc4f2b79002163fce101d9f28d6264f2e348abd9e959d998fd1"),
     ("arbitrum", 3, False): (
         "b2c8af5adbdfd31c5166d86924da9e3382226e6490394dacd22a4bc8187e9b28",
         "7fe24bd0df6109d00bce0125ff873838879055e69344a79a0c701c1ab85a924f",
@@ -304,7 +304,7 @@ LIFECYCLE = {
     ("arbitrum", 3, True): (
         "68c49da401716fdd713798a708e3b2a93072a08b048235f64ed39413b57e4a81",
         "eda5fbc48e765260cc93aca577ca4e933595e6ba33712172b6e519975a61bf9e",
-        "3870cdc0a8e3f5cd83b713c7010e6f68195b7f50ebe836f7bd82493f6455b983"),
+        "c31217213655083c77d7cf91e6c24599455b06d1edf9ff4576f158ec547aaa89"),
 }
 
 
