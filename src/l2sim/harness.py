@@ -216,8 +216,7 @@ class RealRun:
         return self.world.trace
 
     def input(self, pid, entry):
-        self.world.inject_input(self.clients.get(pid)
-                                or self.world.entity(CLIENT, pid), dict(entry))
+        self.world.inject_input(self.clients[pid], dict(entry))
 
     def corrupt(self, role, pid, force=False):
         self.world.corrupt(self.world.entity(role, pid),
@@ -259,7 +258,7 @@ class IdealRun:
         return self.outer.trace
 
     def input(self, pid, entry):
-        ent = self.clients.get(pid) or self.outer.entity(CLIENT, pid)
+        ent = self.clients[pid]
         self.sim.inner.inject_input(ent, dict(entry))
         self.outer.inject_input(ent, dict(entry))
 
@@ -319,7 +318,8 @@ ENTRY_FIELDS = {brick: {"pay": _PAY, "settle": {"seq": (int, type(None))}},
 
 
 # the fields each schedule op needs, with their types (a raw trigger's
-# payload may be anything: the interface must refuse what it cannot use);
+# payload may be anything a trace can hold: the interface must refuse what
+# it cannot use);
 # any step may also carry the optional fields, which a pump reads as its
 # shuffle seed and a corrupt as its force flag
 STEP_FIELDS = {"input": {"pid": str}, "advance": {}, "pump": {},
@@ -340,17 +340,30 @@ def _typed(value, typ):
                                            and int in _types(typ))
 
 
+def _serializable(value, what):
+    """Raise ScheduleError unless ``value`` has a canonical JSON text, as
+    everything in a trace must."""
+    try:
+        canon(value)
+    except (TypeError, ValueError) as e:
+        raise ScheduleError(f"{what} cannot go into a trace: {e}") from None
+
+
 def _check_entry(proto, entry):
     """Raise ScheduleError unless ``entry`` is a well-formed environment
-    entry for protocol module ``proto``."""
+    entry for protocol module ``proto``; its declared fields are typed,
+    so only an entry with an undeclared field is serialized to check."""
     if not isinstance(entry, dict) or not isinstance(entry.get("kind"), str):
         raise ScheduleError(f"malformed environment entry {entry!r}")
-    for name, typ in ENTRY_FIELDS[proto].get(entry["kind"], {}).items():
+    fields = ENTRY_FIELDS[proto].get(entry["kind"], {})
+    for name, typ in fields.items():
         value = entry.get(name)
         if not _typed(value, typ):
             names = " or ".join(t.__name__ for t in _types(typ))
             raise ScheduleError(f"{entry['kind']} entry needs {names} "
                                 f"{name!r}, got {value!r}")
+    if len(entry.keys() - fields.keys()) > 1:     # a field besides "kind"
+        _serializable(entry, f"{entry['kind']} entry")
 
 
 def _check_step(proto, step):
@@ -373,29 +386,42 @@ def _check_step(proto, step):
                                 f"{typ.__name__}, got {step[name]!r}")
     if op == "input":
         _check_entry(proto, step.get("entry"))
+    elif op == "raw-trigger":
+        _serializable(step["payload"], "raw-trigger payload")
     return op
 
 
 def apply_schedule(run, schedule):
     """Run ``schedule`` step by step; every step is checked first.
 
-    Besides its form, a menu step must name a party that the run has
-    corrupted already or an earlier corrupt step names, and an action of
-    that party's ``menu``.
+    Besides its form, an input step must name one of the run's clients, a
+    corrupt or menu step a party of the run's cast (``party_roles``), and
+    a menu step a party that the run has corrupted already or an earlier
+    corrupt step names, and an action of that party's ``menu``.
     """
+    cast = {(role, pid) for role, pids, _ in run.proto.party_roles(run.scn)
+            for pid in pids}
     corrupted = set()
     for step in schedule:
         op = _check_step(run.proto, step)
+        if op == "input" and step["pid"] not in run.clients:
+            raise ScheduleError(f"input to {step['pid']!r}, which is no "
+                                "client of the run")
+        if op not in ("corrupt", "menu"):
+            continue
+        party = (step["role"], step["pid"])
+        if party not in cast:
+            raise ScheduleError(f"{op} step for {party[0]} {party[1]}, "
+                                "which the run does not have")
         if op == "corrupt":
-            corrupted.add((step["role"], step["pid"]))
-        elif op == "menu":
-            party = (step["role"], step["pid"])
-            if party not in corrupted and not run.corrupted(*party):
-                raise ScheduleError(f"menu step for {party[0]} {party[1]}, "
-                                    "which is not corrupted")
-            if step["action"] not in run.menu(*party):
-                raise ScheduleError(f"{party[0]} {party[1]} has no menu "
-                                    f"action {step['action']!r}")
+            corrupted.add(party)
+            continue
+        if party not in corrupted and not run.corrupted(*party):
+            raise ScheduleError(f"menu step for {party[0]} {party[1]}, "
+                                "which is not corrupted")
+        if step["action"] not in run.menu(*party):
+            raise ScheduleError(f"{party[0]} {party[1]} has no menu "
+                                f"action {step['action']!r}")
     for step in schedule:
         op = step["op"]
         if op == "input":

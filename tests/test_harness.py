@@ -14,7 +14,7 @@ from l2sim.base import Ledger
 from l2sim.core import CLIENT, UPDATE
 from l2sim.properties import as_trace
 from l2sim.runtime import ScheduleError, World
-from l2sim.trace import IntegrityError, Trace, canon
+from l2sim.trace import IntegrityError, Trace, canon, canon_loose
 from seeded_schedules import real_runs, request_rows
 from test_checks import scripted_traces
 from test_schema import lifecycle_runs
@@ -517,8 +517,14 @@ def test_unknown_schedule_op_rejected():
         apply_schedule(RealRun("brick", scn), [{"op": "warp"}])
 
 
+# a value no trace can hold, with a repr that names no address
+OPAQUE = types.SimpleNamespace()
+
 # each shape of malformed step; before apply_schedule checked every step,
-# these raised AttributeError, KeyError or ValueError part-way through
+# these raised AttributeError, KeyError or ValueError part-way through,
+# the steps naming a party the run lacks a ScheduleError or a
+# CorruptionError part-way through, and the raw triggers left an ideal
+# trace whose digest raised TypeError
 MALFORMED_STEPS = [
     "advance",
     None,
@@ -539,11 +545,17 @@ MALFORMED_STEPS = [
     {"op": "raw-trigger"},
     {"op": "pump", "seed": "7"},
     {"op": "pump", "seed": True},
+    {"op": "input", "pid": "zz", "entry": {"kind": "read"}},
+    {"op": "corrupt", "role": "client", "pid": "zz"},
+    {"op": "corrupt", "role": "nobody", "pid": "c1"},
+    {"op": "raw-trigger", "payload": {1, 2}},
+    {"op": "raw-trigger", "payload": OPAQUE},
+    {"op": "raw-trigger", "payload": {"kind": "open", "body": {"x": {3}}}},
 ]
 
 
 @pytest.mark.parametrize("step", MALFORMED_STEPS,
-                         ids=[canon(s) for s in MALFORMED_STEPS])
+                         ids=[canon_loose(s) for s in MALFORMED_STEPS])
 def test_malformed_steps_raise_schedule_error(step):
     scn = protocol("brick").canonical_scenario()
     base = scripted_schedules("brick", scn)["open-only"]
@@ -583,7 +595,9 @@ def test_bad_menu_steps_raise_schedule_error(label, flavor):
 
 
 # (entry, protocols it is malformed for); most of them crashed a client
-# or the ideal request translation before apply_schedule checked entries
+# or the ideal request translation before apply_schedule checked entries,
+# and an undeclared field that no trace can hold left both traces with a
+# digest that raised TypeError
 MALFORMED_ENTRIES = [
     ({"kind": "pay"}, PROTOCOLS),
     ({"kind": "pay", "to": "c2"}, PROTOCOLS),
@@ -595,12 +609,15 @@ MALFORMED_ENTRIES = [
     ({"kind": "settle", "amt": None}, ["arbitrum", "liquid"]),
     ({}, PROTOCOLS),
     ("pay", PROTOCOLS),
+    ({"kind": "read", "note": {1}}, PROTOCOLS),
+    ({"kind": "pay", "to": "c2", "amt": 1, "memo": OPAQUE}, PROTOCOLS),
+    ({"kind": "settle", "amt": 1, "seq": 0, "why": [{2}]}, PROTOCOLS),
 ]
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)
 @pytest.mark.parametrize("entry, bad", MALFORMED_ENTRIES,
-                         ids=[canon(e) for e, _ in MALFORMED_ENTRIES])
+                         ids=[canon_loose(e) for e, _ in MALFORMED_ENTRIES])
 def test_malformed_entries_raise_schedule_error(name, entry, bad):
     scn = protocol(name).canonical_scenario()
     base = scripted_schedules(name, scn)["open-only"]
