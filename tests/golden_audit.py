@@ -29,7 +29,9 @@ adversarial) through ``harness.run_differential``.
   sha256 of every check's witness (``witnesses``), a sha256 of the output
   projection with each sha256 hex string renumbered by first appearance
   (``projection``), and the trace digest (``digest``).  A change that
-  only renames a hash moves no projection.
+  only renames a hash moves no projection.  Under a row whose shape moved
+  it prints, per run, the first event index at which the two sequences
+  differ and each tree's ``t`` there.
 - ``rewrite`` re-records, in place, every row of the tables that pin
   digests: ``SCRIPTED`` and ``LIFECYCLE`` in ``tests/test_golden.py``,
   and ``SCRIPTED_OUTPUTS``, ``SCRIPTED_WITNESSES``, ``LIFECYCLE_OUTPUTS``
@@ -104,10 +106,27 @@ def sha(text) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def steps(trace) -> list:
+    """The trace's (t, step, round) sequence."""
+    return [[ev.get("t"), ev.get("step"), ev.get("round")]
+            for ev in trace.events]
+
+
 def shape(trace) -> str:
     """sha256 of the trace's (t, step, round) sequence."""
-    return sha(canon([[ev.get("t"), ev.get("step"), ev.get("round")]
-                      for ev in trace.events]))
+    return sha(canon(steps(trace)))
+
+
+def first_move(old, new):
+    """(index, old t, new t) at the first event where two (t, step, round)
+    sequences differ, a t past the end of its sequence being None; None
+    when the sequences are equal."""
+    for i in range(max(len(old), len(new))):
+        a = old[i] if i < len(old) else [None]
+        b = new[i] if i < len(new) else [None]
+        if a != b:
+            return i, a[0], b[0]
+    return None
 
 
 HEX = re.compile(r"(?<![0-9a-f])[0-9a-f]{64}(?![0-9a-f])")
@@ -150,6 +169,7 @@ def audit_record(key, scn, sched) -> dict:
         checks = all_checks(name, scn, trace)
         rec[flavor] = {
             "events": len(trace.events), "shape": shape(trace),
+            "steps": steps(trace),
             "verdicts": [v.to_record() for v in checks],
             "witnesses": sha(canon([getattr(v, "witness", None)
                                     for v in checks])),
@@ -242,6 +262,12 @@ def compare(old, new, keys=None, out=print) -> list:
         if parts:
             moved.append((row_id, parts))
             out(f"{row_id[0]} {key_text(row_id[1])}: {', '.join(parts)}")
+        for flavor in ("real", "ideal"):
+            if f"{flavor} shape" in parts:
+                i, ta, tb = first_move(a[row_id][flavor]["steps"],
+                                       b[row_id][flavor]["steps"])
+                out(f"  {flavor} shape first moves at event {i}: "
+                    f"{old} has {ta}, {new} has {tb}")
     tables = {}
     for (table, key), _ in moved:
         tables.setdefault(table, {}).setdefault(key[0], 0)

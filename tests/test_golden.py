@@ -378,6 +378,18 @@ def test_the_audit_names_the_parts_of_a_row_that_moved():
                                                   "real digest"]
 
 
+def test_the_audit_finds_where_a_shape_moved():
+    old = [["round", 1, 1], ["note", 2, 1], ["ledger-submit", 2, 1]]
+    new = [["round", 1, 1], ["exec", 2, 1], ["ledger-submit", 2, 1]]
+    assert golden_audit.first_move(old, old) is None
+    assert golden_audit.first_move(old, new) == (1, "note", "exec")
+    # a step or round that moves counts, and so does a missing tail
+    assert golden_audit.first_move(old, old[:1] + [["note", 3, 1]]) == \
+        (1, "note", "note")
+    assert golden_audit.first_move(old, old[:2]) == (2, "ledger-submit", None)
+    assert golden_audit.first_move([], new) == (0, None, "round")
+
+
 def test_the_audit_rewrites_exactly_the_rows_that_moved(tmp_path):
     """``golden_audit.py rewrite`` on copies of the two table files, with
     one digest changed in one row of each table, restores both copies byte
