@@ -159,14 +159,16 @@ class Simulator:
         self.inner = World(outer.sid, outer.ledger)
         self.inner.trace.observers.append(self.sync)
         proto.build_real(self.inner, scn)
-        outer.owners[self.funct].read_delay = (
-            lambda pid: self.hooks.read_delay(self.inner, pid))
+        outer.owners[self.funct].read_delay = self.read_delay
 
     def sync(self, ev):
         """Observe one inner event: a note becomes interface triggers."""
         if ev["t"] == "note":
             for trig in self.hooks.triggers_for(self.inner, ev):
                 self.trigger(trig)
+
+    def read_delay(self, pid):
+        return self.hooks.read_delay(self.inner, pid)
 
     def trigger(self, payload):
         """Send the interface one trigger and deliver it at once."""
@@ -318,8 +320,7 @@ ENTRY_FIELDS = {brick: {"pay": _PAY, "settle": {"seq": (int, type(None))}},
 
 
 # the fields each schedule op needs, with their types (a raw trigger's
-# payload may be anything a trace can hold: the interface must refuse what
-# it cannot use);
+# payload may be any JSON: the interface must refuse what it cannot use);
 # any step may also carry the optional fields, which a pump reads as its
 # shuffle seed and a corrupt as its force flag
 STEP_FIELDS = {"input": {"pid": str}, "advance": {}, "pump": {},
@@ -341,8 +342,7 @@ def _typed(value, typ):
 
 
 def _serializable(value, what):
-    """Raise ScheduleError unless ``value`` has a canonical JSON text, as
-    everything in a trace must."""
+    """Raise ScheduleError unless ``value`` can go into a trace."""
     try:
         canon(value)
     except (TypeError, ValueError) as e:
@@ -351,8 +351,7 @@ def _serializable(value, what):
 
 def _check_entry(proto, entry):
     """Raise ScheduleError unless ``entry`` is a well-formed environment
-    entry for protocol module ``proto``; its declared fields are typed,
-    so only an entry with an undeclared field is serialized to check."""
+    entry for protocol module ``proto``."""
     if not isinstance(entry, dict) or not isinstance(entry.get("kind"), str):
         raise ScheduleError(f"malformed environment entry {entry!r}")
     fields = ENTRY_FIELDS[proto].get(entry["kind"], {})
@@ -362,7 +361,7 @@ def _check_entry(proto, entry):
             names = " or ".join(t.__name__ for t in _types(typ))
             raise ScheduleError(f"{entry['kind']} entry needs {names} "
                                 f"{name!r}, got {value!r}")
-    if len(entry.keys() - fields.keys()) > 1:     # a field besides "kind"
+    if len(entry.keys() - fields.keys()) > 1:   # an untyped field, not kind
         _serializable(entry, f"{entry['kind']} entry")
 
 
@@ -394,34 +393,31 @@ def _check_step(proto, step):
 def apply_schedule(run, schedule):
     """Run ``schedule`` step by step; every step is checked first.
 
-    Besides its form, an input step must name one of the run's clients, a
-    corrupt or menu step a party of the run's cast (``party_roles``), and
-    a menu step a party that the run has corrupted already or an earlier
-    corrupt step names, and an action of that party's ``menu``.
+    Besides its form, an input, corrupt or menu step must name a party of
+    the run's cast (``party_roles``; an input names a client), and a menu
+    step a party that the run has corrupted already or an earlier corrupt
+    step names, and an action of that party's ``menu``.
     """
     cast = {(role, pid) for role, pids, _ in run.proto.party_roles(run.scn)
             for pid in pids}
     corrupted = set()
     for step in schedule:
         op = _check_step(run.proto, step)
-        if op == "input" and step["pid"] not in run.clients:
-            raise ScheduleError(f"input to {step['pid']!r}, which is no "
-                                "client of the run")
-        if op not in ("corrupt", "menu"):
+        if op not in ("input", "corrupt", "menu"):
             continue
-        party = (step["role"], step["pid"])
+        party = (CLIENT if op == "input" else step["role"], step["pid"])
         if party not in cast:
             raise ScheduleError(f"{op} step for {party[0]} {party[1]}, "
                                 "which the run does not have")
         if op == "corrupt":
             corrupted.add(party)
-            continue
-        if party not in corrupted and not run.corrupted(*party):
-            raise ScheduleError(f"menu step for {party[0]} {party[1]}, "
-                                "which is not corrupted")
-        if step["action"] not in run.menu(*party):
-            raise ScheduleError(f"{party[0]} {party[1]} has no menu "
-                                f"action {step['action']!r}")
+        elif op == "menu":
+            if party not in corrupted and not run.corrupted(*party):
+                raise ScheduleError(f"menu step for {party[0]} {party[1]}, "
+                                    "which is not corrupted")
+            if step["action"] not in run.menu(*party):
+                raise ScheduleError(f"{party[0]} {party[1]} has no menu "
+                                    f"action {step['action']!r}")
     for step in schedule:
         op = step["op"]
         if op == "input":

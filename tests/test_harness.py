@@ -402,6 +402,21 @@ def test_a_rollup_exit_is_submitted_after_the_update_its_note_triggers():
 
 
 @pytest.mark.parametrize("name", PROTOCOLS)
+def test_a_cloned_outer_world_reads_through_its_own_simulator(name):
+    """The interface's read answer is the simulator's method, so a clone of
+    an ideal run's outer world answers reads from the inner world that the
+    clone copied along with the shared ledger, not from the original."""
+    scn = protocol(name).canonical_scenario()
+    ideal = apply_schedule(IdealRun(name, scn),
+                           scripted_schedules(name, scn)["single-pay"])
+    twin = ideal.outer.clone()
+    (inner,) = [w for w in twin.ledger.worlds if w is not twin]
+    sim = twin.owners[ideal.sim.funct].read_delay.__self__
+    assert sim is not ideal.sim and (sim.outer, sim.inner) == (twin, inner)
+    assert inner.trace.observers == [sim.sync]
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
 def test_short_names_are_role_and_pid(name):
     ideal = IdealRun(name)
     real = RealRun(name)
