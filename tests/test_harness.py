@@ -360,12 +360,13 @@ def test_an_observer_sees_exactly_the_trace(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name,label", corpus())
-def test_the_simulator_sees_each_inner_note_as_it_is_written(
-        name, label, monkeypatch):
-    """The simulator observes the inner trace: on every scripted schedule
-    the notes handed to ``Hooks.triggers_for`` are the very ``note``
-    events of the inner trace, once each, in trace order, and each is the
-    inner trace's last event when it is handed over."""
+def test_a_world_keeps_its_notes(name, label, monkeypatch):
+    """A world keeps its notes in its trace alone, and the simulator
+    observes the inner trace: on every scripted schedule the notes handed
+    to ``Hooks.triggers_for`` are the very ``note`` events of the inner
+    trace, once each, in trace order, and each is the inner trace's last
+    event when it is handed over.  No world keeps a note list and the
+    simulator keeps no cursor."""
     hooks = protocol(name).Hooks
     triggers_for = hooks.triggers_for
     handed = []
@@ -383,6 +384,8 @@ def test_the_simulator_sees_each_inner_note_as_it_is_written(
     assert notes
     assert len(handed) == len(notes)
     assert all(a is b for a, b in zip(handed, notes))
+    for obj in (ideal.outer, ideal.sim.inner, ideal.sim):
+        assert not {"notes", "cursor", "read_delay"} & set(vars(obj))
 
 
 def test_a_rollup_exit_is_submitted_after_the_update_its_note_triggers():
