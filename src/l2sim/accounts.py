@@ -181,7 +181,8 @@ class AccountClient(Machine):
     settlements (``_watch_settlements``); both read one kind of the
     ledger's records (``Ledger.records``).  A settlement is a committed
     ledger record of kind ``settle_kind``; its body fields named in
-    ``settle_note_fields`` ride along on the note.  Constructor arguments
+    ``settle_note_fields`` ride along on the note; settlements are read
+    past a cursor, as the record list only grows.  Constructor arguments
     after ``operators`` go to the next base class (the rollup client's
     ``RollupParty``).
     """
@@ -201,6 +202,7 @@ class AccountClient(Machine):
         self.settles_seen = set()
         self.settled_state = None
         self._served = 0          # executed entries the reads have shown
+        self._settles_read = 0    # settlement records read so far
 
     def on_start(self, ctx):
         register_onchain(ctx)
@@ -281,8 +283,13 @@ class AccountClient(Machine):
             self._try_send(ctx)
 
     def _watch_settlements(self, ctx):
-        """Report every committed settlement record of this chain once."""
-        for t in ctx.ledger.records(self.settle_kind):
+        """Report every committed settlement record of this chain once,
+        reading only the records committed since the last call."""
+        records = ctx.ledger.records(self.settle_kind)
+        if len(records) == self._settles_read:
+            return
+        new, self._settles_read = records[self._settles_read:], len(records)
+        for t in new:
             body = t["body"]
             if body.get("chain") != self.me.sid \
                     or body["l2txid"] in self.settles_seen:

@@ -20,6 +20,8 @@ re-executed post only goes from None (a mint whose deposit is not yet
 buried) to its one valid value, so only None posts are run again, and a
 proof that strikes an accepted batch cuts the chain back to the batches
 before it and re-walks only the publications after the last one kept.
+The fold hands out one view per fold state and round, each party reads
+one view per poll, and a poll skips the work whose inputs did not change.
 
 Clients can rescue a censored transaction by publishing it themselves as a
 one-transaction batch once it has waited ``t_period`` rounds (a buried
@@ -97,10 +99,10 @@ def chain_view(ledger, sid, round_no):
     ledger commit order, so their "commit_round" never decreases and the
     final prefix, the entries whose window has closed (round_no >
     commit_round + t_period), is found by bisection, once per round
-    (``ChainFold.view``).  On a ledger that has not changed, in the same
-    round, a call does O(1) work.
+    (``ChainFold.view``).  One view per fold state and round: on a ledger
+    that has not changed, in the same round, a call returns the last view.
     """
-    return chain_fold(ledger, sid).view(round_no, ledger.timing["t_period"])
+    return ledger.views[sid].view(ledger, round_no)
 
 
 def chain_fold(ledger, sid):
@@ -116,10 +118,10 @@ class ChainFold:
 
     Reads ``ledger.committed`` (append-only) from where the last call left
     off; a call on an unchanged ledger (same commit count and height) does
-    no work.  ``view`` hands out one snapshot of ``entries``, a list that
-    is never changed: a change to the entries drops it, and the next view
-    takes a new one.  An entry whose post ripens is replaced rather than
-    changed.  So views handed out earlier stay as they were.
+    no work.  ``view`` hands out one view per fold state and round, whose
+    entries are a list that is never changed: a change to the entries
+    drops it, and the next view takes a new one.  An entry whose post
+    ripens is replaced rather than changed, so views stay as they were.
 
     Batch digests and l2 txids come from the ledger's registry, the run's
     one registry, and a mint's deposit is buried by ``Ledger.buried``.
@@ -142,8 +144,7 @@ class ChainFold:
         self.sources = []          # index in published of each entry
         self.positions = {}        # l2 txid -> index of first entry with it
         self.unripe = []           # indexes of the entries whose post is None
-        self.snapshot = None       # the entries views hand out, or None
-        self.final_at = None       # ((round_no, t_period), final) of snapshot
+        self.handed = None         # (round_no, view) handed out last, or None
 
     def catch_up(self, ledger):
         mark = (len(ledger.committed), ledger.height)
@@ -152,15 +153,17 @@ class ChainFold:
             self.mark = mark
             self._read(new, ledger)
 
-    def view(self, round_no, t_period):
-        """The chain view at ``round_no``; see ``chain_view``."""
-        if self.snapshot is None:
-            self.snapshot, self.final_at = list(self.entries), None
-        at = (round_no, t_period)
-        if self.final_at is None or self.final_at[0] != at:
-            self.final_at = (at, bisect_left(self.snapshot, round_no - t_period,
-                                             key=lambda e: e["commit_round"]))
-        return {"entries": self.snapshot, "final": self.final_at[1]}
+    def view(self, ledger, round_no):
+        """The chain view at ``round_no``, caught up with ``ledger``; see
+        ``chain_view``."""
+        self.catch_up(ledger)
+        if self.handed is None or self.handed[0] != round_no:
+            entries = self.handed[1]["entries"] if self.handed \
+                else list(self.entries)
+            self.handed = (round_no, {"entries": entries, "final": bisect_left(
+                entries, round_no - ledger.timing["t_period"],
+                key=lambda e: e["commit_round"])})
+        return self.handed[1]
 
     def _read(self, new, ledger):
         """Fold in newly committed transactions.
@@ -192,7 +195,7 @@ class ChainFold:
                 self.positions = {t: i for t, i in self.positions.items()
                                   if i < k}
                 self.unripe = [i for i in self.unripe if i < k]
-                self.snapshot = None
+                self.handed = None
         # deposits may have been buried since: run unripe posts again
         if self.unripe:
             still = []
@@ -202,7 +205,7 @@ class ChainFold:
                     still.append(i)
                 else:
                     self.entries[i] = dict(self.entries[i], post=post)
-                    self.snapshot = None
+                    self.handed = None
             self.unripe = still
         for p in range(start, len(self.published)):
             self._extend(p, ledger)
@@ -234,7 +237,7 @@ class ChainFold:
             "commit_round": tx.get("commit_round", 0),
             "post": post, "claimed": batch["post"],
             "digest": batch_digest(certs, batch), "ids": ids})
-        self.snapshot = None
+        self.handed = None
 
 
 def world_view(world):
@@ -329,12 +332,13 @@ class RollupParty(Machine):
     def __init__(self, me, initial):
         super().__init__(me)
         self.initial = dict(initial)
+        self._genesis = genesis_state(initial)
 
     def on_start(self, ctx):
         register_onchain(ctx)
 
     def view(self, ctx):
-        return world_view(ctx.world)
+        return chain_view(ctx.ledger, self.me.sid, ctx.world.round_no)
 
     def positions(self, ctx):
         """The fold's l2 txid positions (see ``ChainFold``); exact for the
@@ -342,9 +346,8 @@ class RollupParty(Machine):
         return chain_fold(ctx.ledger, self.me.sid).positions
 
     def optimistic_state(self, ctx, view=None):
-        v = view or self.view(ctx)
-        s = view_state(v)
-        return s if s is not None else genesis_state(self.initial)
+        entries = (view or self.view(ctx))["entries"]
+        return entries[-1]["claimed"] if entries else self._genesis
 
 
 class ArbitrumOperator(RollupParty):
@@ -370,9 +373,10 @@ class ArbitrumOperator(RollupParty):
 
     def on_round(self, ctx):
         # drop mempool entries that landed in an accepted batch
-        positions = self.positions(ctx)
-        for txid in [t for t in self.mempool if t in positions]:
-            del self.mempool[txid]
+        if self.mempool:
+            positions = self.positions(ctx)
+            for txid in [t for t in self.mempool if t in positions]:
+                del self.mempool[txid]
         if ctx.round % ctx.timing["t_period"] == 0:
             self._publish(ctx)
 
@@ -382,6 +386,7 @@ class ArbitrumValidator(RollupParty):
         super().__init__(me, initial)
         self.checked = set()
         self._audited = []         # txids of the entries audited, in order
+        self._entries = None       # the entries list audited last
 
     def on_round(self, ctx):
         self._audit(ctx)
@@ -391,8 +396,11 @@ class ArbitrumValidator(RollupParty):
         names entry i - 1's digest, and a txid commits once, so an entry
         still at its audited position means the prefix up to it stands;
         otherwise a strike cut the chain back, and the audit starts again
-        from the cut."""
+        from the cut.  The entries list audited last holds nothing new."""
         entries, done = self.view(ctx)["entries"], self._audited
+        if entries is self._entries:
+            return
+        self._entries = entries
         n = len(done)
         if n and (len(entries) < n or entries[n - 1]["txid"] != done[-1]):
             n = 0
@@ -444,9 +452,8 @@ class ArbitrumClient(AccountClient, RollupParty):
     def _included(self, view, positions, txid):
         return positions.get(txid, len(view["entries"])) < len(view["entries"])
 
-    def _overdue_mints(self, ctx, view, wait):
+    def _overdue_mints(self, ctx, state, wait):
         """Our own buried deposits that the operators have failed to mint."""
-        state = self.optimistic_state(ctx, view)
         cd = ctx.timing["confirm_depth"]
         out = []
         for m in ripe_deposits(ctx.ledger, self.me.sid, state):
@@ -458,12 +465,16 @@ class ArbitrumClient(AccountClient, RollupParty):
         return out
 
     def _maybe_self_publish(self, ctx, view):
-        wait = ctx.timing["t_period"]
-        now = ctx.world.round_no
+        wait, now = ctx.timing["t_period"], ctx.world.round_no
         state = self.optimistic_state(ctx, view)
+        late = self.outstanding is not None \
+            and now - self.outstanding["since"] >= wait
+        if not late and state["minted_upto"] >= len(
+                ctx.ledger.deposits(self.me.sid)):
+            return      # nothing waits: no deposit is left to mint
         seq = len(view["entries"]) + 1
-        txs = self._overdue_mints(ctx, view, wait)
-        if self.outstanding is not None and now - self.outstanding["since"] >= wait:
+        txs = self._overdue_mints(ctx, state, wait)
+        if late:
             tx = self.outstanding["tx"]
             if apply_txs(state, txs + [tx], ctx.ledger, seq) is not None:
                 txs.append(tx)
@@ -497,20 +508,24 @@ class ArbitrumClient(AccountClient, RollupParty):
         self._check_open(ctx)
         if not self.opened:
             return
-        view, positions = self.view(ctx), self.positions(ctx)
-        self._reclaim_orphans(ctx, view, positions)
+        # the view caught the fold up, so the fold's positions are its own
+        view, positions = self.view(ctx), ctx.ledger.views[self.me.sid].positions
+        if self.inflight:
+            self._reclaim_orphans(ctx, view, positions)
         if self.outstanding is not None \
                 and self._included(view, positions, self.outstanding["txid"]):
             self.outstanding = None
             self._try_send(ctx)
         if self.self_publish:
             self._maybe_self_publish(ctx, view)
-        newly_final = view["entries"][self.final_len:view["final"]]
-        for e in newly_final:
-            ctx.note("batch-final", seq=e["batch"]["seq"], txid=e["txid"],
-                     commit_round=e["commit_round"])
-        self.final_len = max(self.final_len, view["final"])
-        self._watch_exits(ctx, newly_final)
+        if view["final"] > self.final_len:
+            newly_final = view["entries"][self.final_len:view["final"]]
+            for e in newly_final:
+                ctx.note("batch-final", seq=e["batch"]["seq"], txid=e["txid"],
+                         commit_round=e["commit_round"])
+            self.final_len = view["final"]
+            self._watch_exits(ctx, newly_final)
+        self._watch_settlements(ctx)
 
     def _reclaim_orphans(self, ctx, view, positions):
         # a struck batch takes its transactions off the chain; re-queue ours
@@ -541,8 +556,7 @@ class ArbitrumClient(AccountClient, RollupParty):
         return keep, orphans
 
     def _watch_exits(self, ctx, newly_final):
-        # a burn of ours gets claimed on L1 when its batch turns final; any
-        # client observing a committed claim reports the settlement
+        # a burn of ours gets claimed on L1 when its batch turns final
         for e in newly_final:
             for tx in e["batch"]["txs"]:
                 if tx.get("op") == "peg-out" and tx.get("from") == self.me.pid \
@@ -556,7 +570,6 @@ class ArbitrumClient(AccountClient, RollupParty):
                          "conflict": f"exit/{self.me.sid}/{l2id}"},
                         self.me.short()))
                     self.exit_submitted = True
-        self._watch_settlements(ctx)
 
 
 # -- ideal bundle ----------------------------------------------------------

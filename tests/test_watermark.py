@@ -14,7 +14,10 @@ tests pin what that buys and what it must keep:
   from scratch.  A state names no chain, so a mint never checks its
   deposit's chain (a strict xfail pins that, for ROADMAP item 9);
 - replay: the trace ledger of ``properties`` numbers deposits as the
-  ledger does.
+  ledger does;
+- settlement: a client reads the settlement records past a cursor, so on
+  a ledger that also commits another chain's records it reads each record
+  once and reports its own chain's settlement once.
 """
 
 import itertools
@@ -37,15 +40,22 @@ INITIAL = {"c1": 10, "c2": 10}
 
 
 class CountingList(list):
-    """A chain's deposit list that counts the entries read from it."""
+    """A ledger list that counts the entries read from it, by index, by
+    slice or by iteration."""
 
     def __init__(self, items):
         super().__init__(items)
         self.reads = 0
 
     def __getitem__(self, i):
-        self.reads += 1
-        return super().__getitem__(i)
+        got = super().__getitem__(i)
+        self.reads += len(got) if isinstance(i, slice) else 1
+        return got
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
 
 
 class CountingLedger:
@@ -278,3 +288,49 @@ def test_a_claimed_state_needs_a_well_formed_watermark():
         assert not plausible_state(dict(good, **bad)), bad
     assert not plausible_state({k: v for k, v in good.items()
                                 if k != "minted_above"})
+
+
+SETTLE_KINDS = {"liquid": "peg-out", "arbitrum": "settle"}
+
+
+@pytest.mark.parametrize("name", sorted(SETTLE_KINDS))
+def test_a_client_reports_its_chains_settlement_once(name):
+    # chain B's settlement records commit before, with and after this
+    # chain's one, and one of them reuses its l2 txid; every client skips
+    # them, reports its own chain's settlement once, and reads each record
+    # once however many rounds it polls
+    scn = protocol(name).canonical_scenario()
+    run = RealRun(name, scn)
+    ledger, sid, kind = run.world.ledger, run.world.sid, SETTLE_KINDS[name]
+    del ledger.kind_checks[kind]          # records of any chain commit
+    records = ledger.by_kind[kind] = CountingList(ledger.by_kind[kind])
+    apply_schedule(run, [{"op": "input", "pid": pid, "entry": {"kind": "open"}}
+                         for pid in scn["clients"]]
+                   + [{"op": "advance"}, {"op": "pump"}] * 4)
+
+    def settle(chain, tag, **extra):
+        body = {"chain": chain, "to": "c1", "amt": 1, "l2txid": "t1",
+                "state": genesis_state(INITIAL), "height": 1,
+                "conflict": f"exit/{chain}/{tag}", **extra}
+        assert ledger.submit(signed_tx(ledger.certs, kind, body,
+                                       "client:c1"))["accepted"]
+
+    settle("B", "before")
+    run.world.advance_round()
+    settle("B", "with", l2txid="t2")
+    settle(sid, "mine")
+    run.world.advance_round()
+    for i in range(3):
+        settle("B", f"after/{i}", l2txid=f"t{i + 3}")
+        run.world.advance_round()
+    assert len(records) == 6
+    for pid in scn["clients"]:
+        party = f"client:{pid}"
+        notes = [ev for ev in run.trace.events if ev["t"] == "note"
+                 and ev["party"] == party and ev["kind"] == "settle-done"]
+        outs = [ev for ev in run.trace.events if ev["t"] == "output"
+                and ev["party"] == party
+                and ev["payload"]["kind"] == "settle-ok"]
+        assert [(n["l2txid"], n["frm"]) for n in notes] == [("t1", "c1")]
+        assert len(outs) == 1
+    assert records.reads == len(scn["clients"]) * len(records)
