@@ -20,7 +20,7 @@ proposal, a periodic publication) it does from ``on_round``.
 ``register`` also builds one ``Ctx`` per entity, and every activation of
 that entity (start, delivery, input, round) is handed it.  A world keeps no
 simulator state: an ideal run's simulator watches its inner world through
-``Trace.observers``, so ``clone`` swaps only the trace.
+``Trace.observers``, so ``clone`` swaps only the traces.
 
 Invariants the tests lean on:
   - identical (scenario, scripts, seed) inputs produce identical traces;
@@ -424,12 +424,12 @@ class World:
         parts.append(self.ledger.fingerprint())
         return hash(tuple(parts))
 
+    def __getstate__(self):
+        trace = Trace()
+        trace.observers = self.trace.observers
+        return dict(self.__dict__, trace=trace)
+
     def clone(self) -> "World":
-        """Copy for search: the trace is replaced by a fresh, unobserved
-        one."""
-        trace = self.trace
-        self.trace = Trace()
-        try:
-            return copy.deepcopy(self)
-        finally:
-            self.trace = trace
+        """Copy for search, with the ledger and all its worlds, each with a
+        fresh trace that keeps its observers (see ``__getstate__``)."""
+        return copy.deepcopy(self)

@@ -419,6 +419,27 @@ def test_a_cloned_outer_world_reads_through_its_own_simulator(name):
     assert inner.trace.observers == [sim.sync]
 
 
+def test_a_clone_copies_no_trace_of_another_world():
+    """``World.clone`` copies every world on the ledger, but no world's
+    events: the twin ledger's inner world starts with an empty trace that
+    the copied simulator observes, and the original inner trace keeps its
+    events and its observer."""
+    scn = protocol("arbitrum").canonical_scenario()
+    ideal = apply_schedule(IdealRun("arbitrum", scn),
+                           scripted_schedules("arbitrum", scn)["single-pay"])
+    inner = ideal.sim.inner
+    events = list(inner.trace.events)
+    assert len(events) == 59
+    twin = ideal.outer.clone()
+    (copied,) = [w for w in twin.ledger.worlds if w is not twin]
+    assert copied.trace.events == []
+    (sync,) = copied.trace.observers
+    assert sync.__func__ is harness.Simulator.sync
+    assert sync.__self__ is not ideal.sim and sync.__self__.inner is copied
+    assert inner.trace.events == events
+    assert inner.trace.observers == [ideal.sim.sync]
+
+
 @pytest.mark.parametrize("name", PROTOCOLS)
 def test_short_names_are_role_and_pid(name):
     ideal = IdealRun(name)
