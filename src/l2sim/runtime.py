@@ -20,7 +20,7 @@ proposal, a periodic publication) it does from ``on_round``.
 ``register`` also builds one ``Ctx`` per entity, and every activation of
 that entity (start, delivery, input, round) is handed it.  A world keeps no
 simulator state: an ideal run's simulator watches its inner world through
-``Trace.observers``, so ``clone`` swaps only the traces.
+``Trace.observers``, which a clone keeps on each world's fresh trace.
 
 Invariants the tests lean on:
   - identical (scenario, scripts, seed) inputs produce identical traces;
