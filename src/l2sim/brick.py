@@ -246,7 +246,7 @@ class BrickClient(Machine):
         if len(self.open_acks) >= 2 * self.f + 1 and not self.open_submitted:
             ctx.ledger.submit(signed_tx(
                 ctx.certs, "open-commit",
-                {"channel": self.me.sid, "state": self.s0,
+                {"chain": self.me.sid, "state": self.s0,
                  "conflict": f"open/{self.me.sid}/{self.me.short()}"},
                 self.me.short()))
             self.open_submitted = True
@@ -321,7 +321,7 @@ class BrickClient(Machine):
             return
         ctx.ledger.submit(signed_tx(
             ctx.certs, "settle",
-            {"channel": self.me.sid, "state": state, "seq": seq,
+            {"chain": self.me.sid, "state": state, "seq": seq,
              "csigs": csigs, "mode": mode, "conflict": f"close/{self.me.sid}"},
             self.me.short()))
         self.close_submitted = True
@@ -334,7 +334,7 @@ class BrickClient(Machine):
     def _recheck(self, ctx):
         if self.phase == "opening" and self.open_submitted:
             authors = {t["author"] for t in ctx.ledger.records("open-commit")
-                       if t["body"].get("channel") == self.me.sid}
+                       if t["body"].get("chain") == self.me.sid}
             if authors >= set(self.participants()):
                 self.phase = "open"
                 self.chain.append({"kind": OPEN, "seq": 0, "state": self.s0,
@@ -345,14 +345,14 @@ class BrickClient(Machine):
                 self._try_propose(ctx)
         if self.uni_pending and not self.close_submitted:
             pubs = [t for t in ctx.ledger.records("warden-publish")
-                    if t["body"].get("channel") == self.me.sid]
+                    if t["body"].get("chain") == self.me.sid]
             if len({t["author"] for t in pubs}) >= 2 * self.f + 1:
                 best = max(pubs, key=lambda t: t["body"]["seq"])
                 self._submit_close(ctx, best["body"]["state"], best["body"]["seq"],
                                    best["body"]["csigs"], "unilateral")
         if self.phase in ("opening", "open"):
             closes = [t for t in ctx.ledger.records("settle")
-                      if t["body"].get("channel") == self.me.sid]
+                      if t["body"].get("chain") == self.me.sid]
             if closes:
                 body = closes[0]["body"]
                 self.phase = "closed"
@@ -407,7 +407,7 @@ class BrickWarden(Machine):
                 ctx.send_net(c, {"kind": "chan-open-ack", "state": self.s0, "wsig": wsig})
             ctx.ledger.submit(signed_tx(
                 ctx.certs, "open-commit",
-                {"channel": self.me.sid, "state": self.s0,
+                {"chain": self.me.sid, "state": self.s0,
                  "conflict": f"open/{self.me.sid}/{self.me.short()}"},
                 self.me.short()))
             ctx.note("warden-open")
@@ -438,7 +438,7 @@ class BrickWarden(Machine):
             return
         ctx.ledger.submit(signed_tx(
             ctx.certs, "warden-publish",
-            {"channel": self.me.sid, "state": self.stored["state"],
+            {"chain": self.me.sid, "state": self.stored["state"],
              "seq": self.stored["seq"], "csigs": self.stored["csigs"],
              "conflict": f"wpub/{self.me.sid}/{self.me.short()}"},
             self.me.short()))
@@ -537,7 +537,7 @@ class BrickBundle(SubroutineBundle):
         if len(self._warden_entries(attachment)) < 2 * self.f + 1:
             return False, "thin-warden-multiset", None
         opens = ctx.ledger.find(
-            lambda t: t["kind"] == "open-commit" and t["body"].get("channel") == self.sid)
+            lambda t: t["kind"] == "open-commit" and t["body"].get("chain") == self.sid)
         authors = {t["author"] for t in opens}
         participants = {f"{CLIENT}:{c}" for c in self.clients} | set(self.wardens)
         if not participants <= authors:
@@ -595,7 +595,7 @@ class BrickBundle(SubroutineBundle):
                                                       want_state, want_seq), ctx):
                 return False, "missing-agreement", None
             closes = ctx.ledger.find(
-                lambda t: t["kind"] == "settle" and t["body"].get("channel") == self.sid
+                lambda t: t["kind"] == "settle" and t["body"].get("chain") == self.sid
                 and t["body"].get("state") == want_state)
             if not closes:
                 return False, "not-committed", None
@@ -603,7 +603,7 @@ class BrickBundle(SubroutineBundle):
         if stype == "unilateral":
             pubs = ctx.ledger.find(
                 lambda t: t["kind"] == "warden-publish"
-                and t["body"].get("channel") == self.sid)
+                and t["body"].get("chain") == self.sid)
             if len({t["author"] for t in pubs}) < 2 * self.f + 1:
                 return False, "thin-publication", None
             latest = ist.latest()
@@ -722,7 +722,7 @@ class Hooks(SimulatorHooks):
                 body["state"], body["seq"] = ev["state"], ev["seq"]
                 closes = inner.ledger.find(
                     lambda t: t["kind"] == "settle"
-                    and t["body"].get("channel") == inner.sid)
+                    and t["body"].get("chain") == inner.sid)
                 if closes:
                     att["clients"] = closes[0]["body"]["csigs"]
             out.append({"kind": SETTLEMENT, "body": body, "attachment": att})
@@ -749,7 +749,7 @@ def menu(world, entity):
         def publish_stale():
             if m is None or m.stored is None:
                 return None
-            body = {"channel": sid, "state": m.s0 or m.stored["state"], "seq": 0,
+            body = {"chain": sid, "state": m.s0 or m.stored["state"], "seq": 0,
                     "csigs": m.stored["csigs"] if m.stored["seq"] == 0 else
                     [m.open_sigs[c] for c in m.clients],
                     "conflict": f"wpub/{sid}/{entity.short()}"}

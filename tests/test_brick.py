@@ -239,7 +239,7 @@ def test_ledger_rejects_forged_close():
     bogus = {"bal": {"c1": 0, "c2": 20}, "seq": 5}
     ref = world.certs.sign("client:c2",
                            brick.close_msg(world.certs, world.sid, bogus, 5))
-    tx = make_tx("settle", {"channel": world.sid, "state": bogus, "seq": 5,
+    tx = make_tx("settle", {"chain": world.sid, "state": bogus, "seq": 5,
                             "csigs": [ref, ref], "mode": "collab",
                             "conflict": f"close/{world.sid}"}, "client:c2")
     tx["sigs"] = [world.certs.sign("client:c2", digest(tx_signable(tx)))]
@@ -459,7 +459,7 @@ def test_bundle_open_check_demands_everything():
     for short in (["client:c1", "client:c2"] +
                   [f"warden:w{i+1}" for i in range(4)]):
         tx = make_tx("open-commit",
-                     {"channel": world.sid, "state": s0,
+                     {"chain": world.sid, "state": s0,
                       "conflict": f"open/{world.sid}/{short}"}, short)
         tx["sigs"] = [world.certs.sign(short, digest(tx_signable(tx)))]
         world.ledger.submit(tx)
@@ -571,7 +571,7 @@ def test_bundle_collab_settles_only_a_recorded_state():
             (False, "unrecorded-state", None)
     assert settle(s1, 1, None) == (False, "missing-agreement", None)
     assert settle(s1, 1, {"clients": csigs}) == (False, "not-committed", None)
-    tx = make_tx("settle", {"channel": world.sid, "state": s1, "seq": 1,
+    tx = make_tx("settle", {"chain": world.sid, "state": s1, "seq": 1,
                             "csigs": csigs, "mode": "collab",
                             "conflict": f"close/{world.sid}"}, "client:c1")
     tx["sigs"] = [world.certs.sign("client:c1", digest(tx_signable(tx)))]
@@ -594,7 +594,7 @@ def test_bundle_unilateral_needs_quorum_and_latest():
 
     def publish(short, state, seq, sigs):
         tx = make_tx("warden-publish",
-                     {"channel": world.sid, "state": state, "seq": seq,
+                     {"chain": world.sid, "state": state, "seq": seq,
                       "csigs": sigs, "conflict": f"wpub/{world.sid}/{short}"},
                      short)
         tx["sigs"] = [world.certs.sign(short, digest(tx_signable(tx)))]

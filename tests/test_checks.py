@@ -157,7 +157,7 @@ def committed(rnd, step, kind, author, body):
                   txids=[txid])]
 
 
-EMBEDDED = committed(1, 2, "open", A, {"channel": "ch", "state": INITIAL})
+EMBEDDED = committed(1, 2, "open", A, {"chain": "ch", "state": INITIAL})
 JOINED_A = committed(1, 2, "open-commit", A, {"chain": "sc"})
 JOINED_B = committed(1, 3, "open-commit", B, {"chain": "sc"})
 

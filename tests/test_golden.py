@@ -83,50 +83,50 @@ import golden_audit
 # (protocol, schedule label) -> (real digest, ideal digest)
 SCRIPTED = {
     ("brick", "corrupt-warden-noise"): (
-        "fec7f028638ae9659397abc1322395e9c51c0aeee700efdb63b6fc810f200244",
-        "09a7218a1f42052a9589ac42f346465205959a768c77dbbb277409d8abdc69bb"),
+        "6e602ef80681dda29666352ecf216b4531d76a2bd00e548ecfa47607d21b566a",
+        "158d722bb85dd5da880c978c17c765edd9908255f44aefbc9a3933adc5cdea81"),
     ("brick", "garbage-triggers"): (
-        "b08f027c8d694f6b2f346f0e6ce2737de68bcc56d0dbc5154385960a0085194d",
-        "787b0a9a9850a714d70db5ae72554b1afec88def6c1c59c899c4a115c8b0af0b"),
+        "f0b1457dce9a9bba14f128e6f45c8692fd4619f805a34b9322b66a7651853531",
+        "98d39dba8974f0e41afc05e3aff109e6efe6d9f3fa1c0f9877ea048d91cede09"),
     ("brick", "no-pump-delta-flush"): (
-        "771078d60c547494f0bef3bd972969201063bf95f11022e4af45040a8d49af02",
-        "081e09d7d5f58af747b3d1f1b19637c9ba406ba6225cf39ab15c92efafce13c0"),
+        "e6f77f766fed913cfa59b4e3468cea21d10e953f61545acfd0cbfda03ac07f08",
+        "084ec7fdf1e65b468d06028f96f60dcc4d38264923b6b0eb58259a4b0592a780"),
     ("brick", "open-only"): (
-        "1e0d990984454721782f30e034d018d2564e1af44cbbcdfb5b5cf1b631ba88bc",
-        "4596cf66c70b4fe98cf62688f527b644ed66d3cddd898f2fb4cb3a0b8ee181b0"),
+        "c8b65db35bd1f147916fe4c2e60ecf951a541d75bbcd7712d71dddf43a20cc0c",
+        "9fe929734af3ddf8ae4e05653dd193dee936f47cf3b5b74f6802577a1a4a2408"),
     ("brick", "overdraft-refused"): (
-        "b5531aea4e9b4c4c6ed209c54bcafa61815bfb04ae7ac62a89cd30168a097882",
-        "e46400661b002850d52cb5a750112b6d28f4885bd94598699fd3165b5492377d"),
+        "d844856d6c6c5f7298072794a72f676ca74282eecd837199c0b88de5001ee282",
+        "a5616306ec7f2fa059c4ff3fde3d31fa5fc3aa74080ebe1ac5808bb491e5fe7e"),
     ("brick", "pay-both-directions"): (
-        "017457a3cb91cff336a3213a278bb6d4f3430d816d9dfba18acf933fbacbd22e",
-        "84690a6d546bf25260a70482f2aaa15db43b3bb1b5b3149a0b78ffaae71ebe64"),
+        "4bbe83cf736eb27906c42936714a6c842a2cc2ddb286ddff41f6b670872d49ab",
+        "abffad6dd36534792cfc90b3c89eb544e976bbdb5d32149ffac650f35d048c6c"),
     ("brick", "pay-pipeline"): (
-        "9a209ab8ecd5eca46ca156268c01281cd873868c73f926c556d718c2bef03be2",
-        "4b50ac18c127f7deb54c31d898e4f4047f1d9cbe1566557c50e7a53a2c512726"),
+        "d8814bfd362c88212aacefbe793acf363d204418a49a4b6e6511b5ce0a4909f5",
+        "9e04976eae3693762e337066af4ba41c945500ecc2929c4b7410b1af238f6152"),
     ("brick", "pay-race-same-step"): (
-        "31bf706119af532fe3c48508f9721b5d32ea13f1761a2967bfcd08ef10ee6cdd",
-        "594cda1ee94329bb331c47ae662f67ca604455989d7d8d3a8daae50d0a8ffb0a"),
+        "460ebd3a3598fa28154219241b7daa5d5016fbe7689c1b69733601ade25af8f2",
+        "a39ef5c16a8da1e6f0be59d54a00dbdf67b6ea13034004217443731b69229cfb"),
     ("brick", "read-heavy"): (
-        "939927e3d4031aba80441d342c8d8d75f5d37a495170b7866caa04738109c5d0",
-        "ac951863ba2b54b953a27555be935041197f6ae9c3b35d5f36c8636b4bd0334e"),
+        "3ed3eeada1082237bd882f42688be2af5a25f12a504ac5ea88ec9c599d63edfa",
+        "870b54aafbff122f9433acb09c99c33c16707971c2e74618a39dcd5b99e85183"),
     ("brick", "settle-after-traffic"): (
-        "3f062fd044af13b0354bb9b20cec61f232b2474fe9c5e036eba94dadcf25791a",
-        "3d9b779cc0a2f899eb8195a33e448393f061e2005dc4580af7f5b5785d9918e6"),
+        "966e4448b5ac5efecb6296f21590c831850a030c8969a2d410616a54e4de9cf8",
+        "f21e03b07e8fb2c5dc0cf64acfa9c533be51851ebf8e2a948576995673e66f7c"),
     ("brick", "settle-fresh"): (
-        "92284d864bbebda0679ad03219b656456724e6052f51e2462395cb2bf75633d2",
-        "eff6aead61eaf787d3bb790e4e6814935195d4a2f755463de77ea883b5777438"),
+        "2fbd58f82abbff8004bea7c25353af7c3df99ccc644bd16a16ccf557dfeb797d",
+        "0f040f1319a02af928bbacbf758601d1e378f620a78eaf7e2718a4d92c782e74"),
     ("brick", "shuffled-delivery"): (
-        "f869c98ed63a2c8d3b07b13779acc00118b78089cf39cbaa6799785269f65dae",
-        "a8a5c1e6ed636c29be055fddb2dbd494fbf962cd379a819478cb4d1ca5daba79"),
+        "7571af5a25b3b103227d4efe35bf1c5ce24c823cf8bb6643041d4b9e16032217",
+        "ec5b41e7274435080892ceeab80a9b68217b58caa511890ddbf4641bc2feb7b4"),
     ("brick", "single-pay"): (
-        "dbd11668e70146d61fd9e7e38260ca4a410edc1810f930317267ea8dee848f35",
-        "d4c458f62a14250b6727099b4764ef80932e46c1b6a53f597ff61b37ea61ddd5"),
+        "98a387bf331843821e57faee85570d3124330c15b825e3ee13b065339e8ee179",
+        "37dd744004d2c47abed1c698974d4406454515c2681d53d3bcfebb7e6e3a458d"),
     ("brick", "stale-settle-attempt"): (
-        "f17af30e7927341934cee5a635f0dbad45c18dd70db85cf5260cd7e137007e9d",
-        "5f1f203eb0b116b9ada9040d16fc59d844a22058d70ec0bc1c29cc5661f0a6ed"),
+        "a0fa3c6eb1fb09b776006c6c0eb6a5ed5010f682cf6ccbf4e2281bcb11207f9c",
+        "a5eaeb9e70811be267e6be3e8ed0e52436386af49a1a2e3637f0b6be528f0d50"),
     ("brick", "unilateral-exit"): (
-        "49d2f9e04713ca0db04f70d1c37576a40c487caba0dc3680a22f5f724135fd93",
-        "292dd497d38a03964f25a328464451492955717c0b7daa68962dcd4fddece78c"),
+        "7975c601c80fc46cfcc68d804b40d332b69f5511f3efd57d1e64e4ad697605a5",
+        "dc97742c50a7307daf007ecb5fa66e08ae0c24f3b9b8f29d5b0f9aed625378b9"),
     ("liquid", "client-spam"): (
         "c91f40790f54cc4b6101ce3f011120ce4f6527977857dd37cd0ae6e9152929c9",
         "b2e41dbd06f8bede68bbff2cf0e1d66ca58fc3bc71966420df231864b4d3012c"),
@@ -235,28 +235,28 @@ SCRIPTED = {
 LIFECYCLE = {
     ("brick", 1, False): (
         "7b491486d3a05d4d144d0fb9c415e7e76cb6ca60e444a0c89b7dacc67196fd03",
-        "f71cb795bd6fb72c5f645f791cffd5a2bb4d9fcfb5ee47a3aff13275583171aa",
-        "5bb5224346e0ea410c7b53fb94282fd282fcfee3322db44951169994a68d1467"),
+        "5cd2dba3b2e80ab2ea35ff9ec157c146ade30660e6199bd9f401fe8b63284f50",
+        "508d25b746ce82145ac6e3e44b30bf28c80d8730fc12d70e639135ad77411dc7"),
     ("brick", 1, True): (
         "45005cce99fedb08c7f1c60d89fb66c81fdaf5adcd15a5d5e4b7fc1d8dfd0e53",
-        "88bf1475df773fa0cb32f800a9daf9a47a194e146712d02844ddf7063677be02",
-        "d66ec6e822af5cbc84a8feb92631b8de1ad95ef0a7bb7aa5a14bf4f4c0f82aa3"),
+        "1b9ff2214f1ee20d7856c8f8f469fa7a18a26a54fb906f36b9751a3258ada79a",
+        "0aca04966910a07021e7b22b54730f88153cc546f41b24a9bf2e752eff72a5c3"),
     ("brick", 2, False): (
         "f9ef6d47ab02a84ec92e8929c4d938b68e23d898cfdca734208fc959ff5a0c6b",
-        "793e444c7c06fecf1086d30ec0ffb4051539ac5c65d6d06ed7e15e43989a04dd",
-        "a406e0f65cd2f7f149fd223b87592dab2b4e892f73345e2c4c08b8101a76bd93"),
+        "d800ca50796bb4e331119f9dedb657a007f7ec4158fa34743191bddc13df0910",
+        "19eba4917cd09abd2ab6c8285ec301409250401578c5dff0983ab9c2e30757f0"),
     ("brick", 2, True): (
         "028a97ebfec91c21423f4bef0a23d18a8e938b0a0e08ca401e4fc0864d498adc",
-        "4c1958b8dd4ee57b1d4f5627e430faaaab3cd21d50a662b25fa48d301de0beae",
-        "f0544b3f497b0577ae1eb14f45f55c476567648d67dfe906521371ec2aa32cb6"),
+        "a590e28ee1f86cab1d3145d9ba3ceb9a1aad2bb3715169015d60d2a5e5f427a0",
+        "48a1014411b970b638b350eef664e3a31bc1f612133258997eeb0dcc7c50326a"),
     ("brick", 3, False): (
         "6381cd749c6b93fe6d28095fb0a94784ed7ecad2bec85e465c2bbb756aa9efe2",
-        "ca4dc59b1f3de01db22481181f751846c757bfe7636d6c35d005386674dda89a",
-        "527176dcbda9935a963672cffd5d9baaf9347d9634f3a192b99a71657120f70c"),
+        "106e3e8296091f5bcae11062ceb7aeecf6ab18770e4c277874ea3489e84df3cf",
+        "656a97ce7682b51822ac32a5faa188c77efdb5ebac72398886c78bb2cfeaaa7d"),
     ("brick", 3, True): (
         "aa53cca3c169a82ec5b2a4d5bc150920c6651eee1d96a004e850d249e1fa648e",
-        "38ba53ae718c3d9b7f6a696f543d65ec1627540e8d84428c1366a01de74f827c",
-        "38abd3a0d100568d06419821e55c184f498f1fe983b8fe2ee136076a9a2c7035"),
+        "c2249fde4de707a9477f424a30dd458e33009fa9922c8ef376f41a61a44835d7",
+        "7959faf45c923c36747eb41f076b21154c7022470e4301e5e131347e27f03ee6"),
     ("liquid", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
         "4ec5ce9b4578db18c71a9e058b3bda0944e806d6e9c562bc4cad75437ab2b5f9",
