@@ -117,7 +117,7 @@ def ripe_deposits(ledger, sid, state):
     skips the positions minted above it; it stops at the first deposit
     that is not yet buried, since depth never increases along commit
     order."""
-    deps, above = ledger.deposits(sid), state["minted_above"]
+    deps, above = ledger.records("deposit", sid), state["minted_above"]
     out = []
     for pos in range(state["minted_upto"], len(deps)):
         if pos in above:
@@ -178,8 +178,8 @@ class AccountClient(Machine):
     for building transactions, ``read_view(ctx, start)`` for reads (just
     the executed entries from index ``start`` on), and ``_recheck(ctx)``,
     run once a round, which opens the client (``_check_open``) and reports
-    settlements (``_watch_settlements``); both read one kind of the
-    ledger's records (``Ledger.records``).  A settlement is a committed
+    settlements (``_watch_settlements``); both read their own chain's
+    records of one kind (``Ledger.records``).  A settlement is a committed
     ledger record of kind ``settle_kind``; its body fields named in
     ``settle_note_fields`` ride along on the note; settlements are read
     past a cursor, as the record list only grows.  Constructor arguments
@@ -274,8 +274,8 @@ class AccountClient(Machine):
         """Open once every operator's joining record has committed."""
         if not self.watching or self.opened:
             return
-        authors = {t["author"] for t in ctx.ledger.records("open-commit")
-                   if t["body"].get("chain") == self.me.sid}
+        authors = {t["author"] for t in
+                   ctx.ledger.records("open-commit", self.me.sid)}
         if {o.short() for o in self.operators} <= authors:
             self.opened = True
             ctx.note("open-done", state=self.genesis())
@@ -285,14 +285,13 @@ class AccountClient(Machine):
     def _watch_settlements(self, ctx):
         """Report every committed settlement record of this chain once,
         reading only the records committed since the last call."""
-        records = ctx.ledger.records(self.settle_kind)
+        records = ctx.ledger.records(self.settle_kind, self.me.sid)
         if len(records) == self._settles_read:
             return
         new, self._settles_read = records[self._settles_read:], len(records)
         for t in new:
             body = t["body"]
-            if body.get("chain") != self.me.sid \
-                    or body["l2txid"] in self.settles_seen:
+            if body["l2txid"] in self.settles_seen:
                 continue
             self.settles_seen.add(body["l2txid"])
             self.closed = True

@@ -470,7 +470,7 @@ class ArbitrumClient(AccountClient, RollupParty):
         late = self.outstanding is not None \
             and now - self.outstanding["since"] >= wait
         if not late and state["minted_upto"] >= len(
-                ctx.ledger.deposits(self.me.sid)):
+                ctx.ledger.records("deposit", self.me.sid)):
             return      # nothing waits: no deposit is left to mint
         seq = len(view["entries"]) + 1
         txs = self._overdue_mints(ctx, state, wait)

@@ -22,16 +22,17 @@ height_now - height(tx) + 1, and ``buried(tx)`` is the one burial rule:
 that depth is at least the timing's ``confirm_depth``.
 
 Committed entries are kept twice, in commit order: in ``committed`` and,
-split by transaction kind, in the kind index that ``records(kind)`` reads.
-``tick`` appends to both, so every party that polls the ledger each round
-(openings, warden publications, deposits, settlements) reads one kind's
-records instead of scanning the whole history.  ``find(pred)`` scans
-``committed`` and stays the query for one-shot checks: the ideal bundles'
-``open`` and ``settlement`` and the brick simulator's settlement trigger.
-``tick`` also numbers each chain's deposits in commit order:
-``deposits(chain)`` lists them and ``deposit_position(txid)`` gives a
-deposit's index in its chain's list, which is what an account state's
-minted watermark counts (``accounts``).
+split by transaction kind and by the chain that the body's ``chain`` field
+names, in the one index that ``records(kind, chain)`` reads.  A record
+whose ``chain`` is not a string is in no list.  ``tick`` appends to both,
+so every party that polls the ledger each round (openings, warden
+publications, deposits, settlements) reads its own chain's records of one
+kind instead of scanning the whole history.  ``deposit_position(txid)``
+is a deposit's index in its chain's list, which is what an account
+state's minted watermark counts (``accounts``).  ``find(pred)`` scans
+``committed``; it is the ideal side's query, for one-shot checks: the
+ideal bundles' ``open`` and ``settlement`` and the brick simulator's
+settlement trigger.
 
 Signatures are idealized: sign() records (signer, digest) under a fresh
 handle (an int); one lookup gives the signer whose record a ref replays
@@ -162,8 +163,7 @@ class Ledger:
         self.height = 0                       # blocks minted so far
         self.committed: list[dict] = []       # tx + {"height"}
         self.by_txid: dict[str, dict] = {}    # txid -> its committed entry
-        self.by_kind: dict[str, list] = {k: [] for k in TX_KINDS}
-        self.chain_deposits: dict[str, list] = {}  # chain -> its deposits
+        self.index: dict[tuple, list] = {}    # (kind, chain) -> its entries
         self.deposit_at: dict[str, int] = {}  # deposit txid -> its position
         self.pending: list[dict] = []         # tx + {"submit_round", "hold_until"}
         self.keys: dict[str, str] = {}        # conflict key -> txid
@@ -266,10 +266,13 @@ class Ledger:
             entry["commit_round"] = rnd
             entry["submit_round"] = tx["submit_round"]
             self.committed.append(entry)
-            self.by_kind[entry["kind"]].append(entry)
             self.by_txid[tx["txid"]] = entry
-            if entry["kind"] == "deposit":
-                self._number_deposit(entry)
+            chain = tx["body"].get("chain")
+            if isinstance(chain, str):      # a record of no chain is in no list
+                records = self.index.setdefault((tx["kind"], chain), [])
+                if tx["kind"] == "deposit":
+                    self.deposit_at[tx["txid"]] = len(records)
+                records.append(entry)
             key = tx["body"].get("conflict")
             if key is not None:
                 self.keys[key] = tx["txid"]
@@ -290,27 +293,15 @@ class Ledger:
         txs = self.committed[:visible]
         return {"height": self.height, "txs": txs}
 
-    def records(self, kind: str) -> list[dict]:
-        """The committed entries of one kind, in commit order; the list
-        grows in place as blocks commit, so callers must not change it."""
-        return self.by_kind[kind]
-
-    def _number_deposit(self, entry):
-        chain = entry["body"].get("chain")
-        if isinstance(chain, str):       # a deposit of no chain mints nowhere
-            deps = self.chain_deposits.setdefault(chain, [])
-            self.deposit_at[entry["txid"]] = len(deps)
-            deps.append(entry)
-
-    def deposits(self, chain) -> list[dict]:
-        """The committed deposits of ``chain``, in commit order; like
-        ``records``, the list grows in place, so callers must not change
-        it."""
-        return self.chain_deposits.get(chain, [])
+    def records(self, kind: str, chain: str) -> list[dict]:
+        """The committed entries of one kind whose body names ``chain``, in
+        commit order.  The list is the ledger's own, so callers must not
+        change it."""
+        return self.index.get((kind, chain), [])
 
     def deposit_position(self, txid) -> int | None:
-        """The index of a committed deposit among its chain's deposits, or
-        None for any other txid."""
+        """The index of a committed deposit in ``records("deposit", chain)``
+        of its chain, or None for any other txid."""
         return self.deposit_at.get(txid) if isinstance(txid, str) else None
 
     def find(self, pred) -> list[dict]:

@@ -333,8 +333,8 @@ class BrickClient(Machine):
 
     def _recheck(self, ctx):
         if self.phase == "opening" and self.open_submitted:
-            authors = {t["author"] for t in ctx.ledger.records("open-commit")
-                       if t["body"].get("chain") == self.me.sid}
+            authors = {t["author"] for t in
+                       ctx.ledger.records("open-commit", self.me.sid)}
             if authors >= set(self.participants()):
                 self.phase = "open"
                 self.chain.append({"kind": OPEN, "seq": 0, "state": self.s0,
@@ -344,15 +344,13 @@ class BrickClient(Machine):
                 ctx.output({"kind": "open-ok", "state": self.s0})
                 self._try_propose(ctx)
         if self.uni_pending and not self.close_submitted:
-            pubs = [t for t in ctx.ledger.records("warden-publish")
-                    if t["body"].get("chain") == self.me.sid]
+            pubs = ctx.ledger.records("warden-publish", self.me.sid)
             if len({t["author"] for t in pubs}) >= 2 * self.f + 1:
                 best = max(pubs, key=lambda t: t["body"]["seq"])
                 self._submit_close(ctx, best["body"]["state"], best["body"]["seq"],
                                    best["body"]["csigs"], "unilateral")
         if self.phase in ("opening", "open"):
-            closes = [t for t in ctx.ledger.records("settle")
-                      if t["body"].get("chain") == self.me.sid]
+            closes = ctx.ledger.records("settle", self.me.sid)
             if closes:
                 body = closes[0]["body"]
                 self.phase = "closed"

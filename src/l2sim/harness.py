@@ -73,9 +73,10 @@ their names and signatures:
   ``make_tx`` in ``base``; ``InterfaceMachine.on_message`` and every
   bundle entry point in ``core``.
 
-Its ``find(ledger, pred)`` shim fixes the signature of ``Ledger.find``, so
-the ledger's kind index has its own accessor, ``Ledger.records(kind)``, which
-the polling parties read and the benchmark does not wrap.
+Its ``find(ledger, pred)`` shim fixes the signature of ``Ledger.find``, the
+ideal side's scan, so the ledger's (kind, chain) index has its own accessor,
+``Ledger.records(kind, chain)``, which the polling parties read and the
+benchmark does not wrap.
 """
 
 from __future__ import annotations

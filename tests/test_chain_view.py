@@ -586,8 +586,8 @@ def test_a_fold_digests_each_publication_once(monkeypatch):
         real = apply_schedule(RealRun("arbitrum", scn), sched)
         ideal = apply_schedule(IdealRun("arbitrum", scn), sched)
         for ledger in (real.world.ledger, ideal.outer.ledger):
-            assert ledger.records("fraud-proof")
-            published += len(ledger.records("batch-publish"))
+            assert ledger.records("fraud-proof", "arbitrum")
+            published += len(ledger.records("batch-publish", "arbitrum"))
     ids = [id(b) for b in digested]
     assert len(ids) == len(set(ids)) == len(accepted)
     assert set(ids) == set(accepted)

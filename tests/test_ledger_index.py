@@ -1,21 +1,27 @@
-"""The ledger's kind index against a scan of its history.
+"""The ledger's (kind, chain) index against a scan of its history.
 
-``Ledger.records(kind)`` is what the polling parties read on every round and
-block; ``Ledger.find`` scans ``committed``.  After every ``tick`` of every
-ledger in whole runs (the scripted suites and seeded lifecycles of all three
-protocols, real and ideal) each kind's records must be exactly the entries a
-scan finds, in commit order, and so must each chain's numbered deposits
-(``Ledger.deposits``).  A cloned world carries its own index.
+``Ledger.records(kind, chain)`` is what the polling parties read on every
+round and block; ``Ledger.find`` scans ``committed``.  Each list must be
+exactly the entries of its kind whose body's ``chain`` names its chain, in
+commit order, and a deposit's position is its index in its chain's list
+(``Ledger.deposit_position``).  That is checked after every ``tick`` of
+every ledger in whole runs (the scripted suites and seeded lifecycles of
+all three protocols, real and ideal), and on a ledger where two chains
+commit records of every kind, interleaved, next to records that name no
+chain.  A cloned world carries its own index.
 """
+
+import random
 
 import pytest
 
-from l2sim.base import TX_KINDS, Ledger
+from l2sim.base import TX_KINDS, Ledger, signed_tx
 from l2sim.core import CLIENT
 from l2sim.harness import (
     RealRun, lifecycle_schedule, protocol, run_differential,
     scripted_schedules,
 )
+from l2sim.runtime import World
 
 # the kinds each protocol's scripted suite commits; together, all of TX_KINDS
 SCRIPTED_KINDS = {
@@ -27,26 +33,34 @@ SCRIPTED_KINDS = {
 PROTOCOLS = tuple(SCRIPTED_KINDS)
 
 
-def exact(ledger, kind):
-    """The kind's records are the very entries a scan finds, in order."""
-    want = ledger.find(lambda t: t["kind"] == kind)
-    return [id(t) for t in ledger.records(kind)] == [id(t) for t in want]
+def chains(ledger):
+    """Every chain a committed body names."""
+    return {t["body"]["chain"] for t in ledger.committed
+            if isinstance(t["body"].get("chain"), str)}
 
 
-def deposits_numbered(ledger):
-    """Each chain's deposits are the entries a scan finds, in order, and
-    each one's position is its index there."""
-    chains = {t["body"].get("chain") for t in ledger.records("deposit")}
-    for chain in chains:
-        want = ledger.find(lambda t: t["kind"] == "deposit"
-                           and t["body"].get("chain") == chain)
-        got = ledger.deposits(chain)
-        if [id(t) for t in got] != [id(t) for t in want]:
-            return False
-        if [ledger.deposit_position(t["txid"]) for t in got] \
-                != list(range(len(got))):
-            return False
-    return True
+def exact(ledger, kind, chain):
+    """The (kind, chain) records are the very entries a scan finds, in
+    order."""
+    want = ledger.find(lambda t: t["kind"] == kind
+                       and t["body"].get("chain") == chain)
+    return [id(t) for t in ledger.records(kind, chain)] == [id(t) for t in want]
+
+
+def deposits_numbered(ledger, chain):
+    """Each of the chain's deposits has its index in its chain's list as
+    its position."""
+    deps = ledger.records("deposit", chain)
+    return [ledger.deposit_position(t["txid"]) for t in deps] \
+        == list(range(len(deps)))
+
+
+def indexed(ledger):
+    """Every committed entry that names a chain is in exactly one list."""
+    named = [t for t in ledger.committed
+             if isinstance(t["body"].get("chain"), str)]
+    return sum(len(ledger.records(k, c)) for k in TX_KINDS
+               for c in chains(ledger)) == len(named)
 
 
 class IndexAudit:
@@ -59,11 +73,13 @@ class IndexAudit:
 
         def checked(ledger):
             tick(ledger)
-            for kind in TX_KINDS:
-                assert exact(ledger, kind)
-                if ledger.records(kind):
-                    self.kinds_seen.add(kind)
-            assert deposits_numbered(ledger)
+            for chain in chains(ledger):
+                for kind in TX_KINDS:
+                    assert exact(ledger, kind, chain)
+                    if ledger.records(kind, chain):
+                        self.kinds_seen.add(kind)
+                assert deposits_numbered(ledger, chain)
+            assert indexed(ledger)
             self.ticks += 1
 
         monkeypatch.setattr(Ledger, "tick", checked)
@@ -95,6 +111,80 @@ def test_the_scripted_suites_commit_every_kind():
     assert set().union(*SCRIPTED_KINDS.values()) == set(TX_KINDS)
 
 
+# -- two chains on one ledger ----------------------------------------------------
+
+TIMING = {"delta": 2, "liveness_bound": 2, "confirm_depth": 2, "t_period": 4}
+# the chain fields of a body that names no chain
+NO_CHAIN = ({}, {"chain": None}, {"chain": 7}, {"chain": ["A"]},
+            {"chain": {"sid": "A"}})
+
+
+def two_chain_ledger(seed, per_kind=3):
+    """A ledger on which chains A and B each commit ``per_kind`` records of
+    every kind, and a record of every kind and every ``NO_CHAIN`` field
+    commits too, all interleaved in a seeded order over several blocks.
+    The ledger has no kind checks, so every record commits."""
+    ledger = Ledger(TIMING)
+    world = World("A", ledger)
+    rng = random.Random(seed)
+    fields = [{"chain": "A"}, {"chain": "B"}] * per_kind + list(NO_CHAIN)
+    order = [(kind, f) for kind in TX_KINDS for f in fields]
+    rng.shuffle(order)
+    for i, (kind, field) in enumerate(order):
+        tx = signed_tx(ledger.certs, kind,
+                       {**field, "to": "c1", "amt": i + 1,
+                        "conflict": f"two/{i}"}, "client:c1")
+        assert ledger.submit(tx)["accepted"]
+        if rng.random() < 0.3:
+            world.advance_round()
+    for _ in range(TIMING["liveness_bound"] + 1):
+        world.advance_round()
+    assert len(ledger.committed) == len(order)
+    return ledger
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_chain_reads_only_its_own_records(seed):
+    ledger = two_chain_ledger(seed)
+    assert chains(ledger) == {"A", "B"}
+    for kind in TX_KINDS:
+        for chain in ("A", "B"):
+            assert exact(ledger, kind, chain)
+            assert len(ledger.records(kind, chain)) == 3
+            assert all(t["kind"] == kind and t["body"]["chain"] == chain
+                       for t in ledger.records(kind, chain))
+        assert ledger.records(kind, "C") == []
+    assert indexed(ledger)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_record_of_no_chain_is_in_no_list(seed):
+    ledger = two_chain_ledger(seed)
+    listed = {id(t) for k in TX_KINDS for c in ("A", "B")
+              for t in ledger.records(k, c)}
+    stray = [t for t in ledger.committed
+             if not isinstance(t["body"].get("chain"), str)]
+    assert len(stray) == len(TX_KINDS) * len(NO_CHAIN)
+    for t in stray:
+        assert id(t) not in listed
+        assert ledger.deposit_position(t["txid"]) is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_deposit_counts_only_among_its_own_chain(seed):
+    ledger = two_chain_ledger(seed)
+    for chain in ("A", "B"):
+        assert deposits_numbered(ledger, chain)
+    # both chains' positions run from 0, whichever chain committed first
+    positions = {c: [ledger.deposit_position(t["txid"])
+                     for t in ledger.records("deposit", c)] for c in "AB"}
+    assert positions == {"A": [0, 1, 2], "B": [0, 1, 2]}
+    for kind in TX_KINDS:
+        if kind != "deposit":
+            for t in ledger.records(kind, "A") + ledger.records(kind, "B"):
+                assert ledger.deposit_position(t["txid"]) is None
+
+
 def _cycle(world, k=1):
     for _ in range(k):
         while world.pending_net():
@@ -103,7 +193,8 @@ def _cycle(world, k=1):
 
 
 def _snapshot(ledger):
-    return {k: [t["txid"] for t in ledger.records(k)] for k in TX_KINDS}
+    return {k: [t["txid"] for t in ledger.records(k, "liquid")]
+            for k in TX_KINDS}
 
 
 def test_a_clone_has_its_own_index():
@@ -116,12 +207,12 @@ def test_a_clone_has_its_own_index():
     assert before["open-commit"]
 
     twin = world.clone()
-    assert twin.ledger.by_kind is not world.ledger.by_kind
+    assert twin.ledger.index is not world.ledger.index
     twin.inject_input(twin.entity(CLIENT, "c1"), {"kind": "deposit", "amt": 3})
     _cycle(twin, 2)
     grown = _snapshot(twin.ledger)
     assert len(grown["deposit"]) == len(before["deposit"]) + 1
-    assert all(exact(twin.ledger, kind) for kind in TX_KINDS)
+    assert all(exact(twin.ledger, kind, "liquid") for kind in TX_KINDS)
 
     assert _snapshot(world.ledger) == before
-    assert all(exact(world.ledger, kind) for kind in TX_KINDS)
+    assert all(exact(world.ledger, kind, "liquid") for kind in TX_KINDS)

@@ -15,9 +15,10 @@ tests pin what that buys and what it must keep:
   deposit's chain (a strict xfail pins that, for ROADMAP item 9);
 - replay: the trace ledger of ``properties`` numbers deposits as the
   ledger does;
-- settlement: a client reads the settlement records past a cursor, so on
-  a ledger that also commits another chain's records it reads each record
-  once and reports its own chain's settlement once.
+- settlement: a client reads its own chain's settlement records past a
+  cursor, so on a ledger that also commits another chain's records it
+  reads each of its own records once, none of the other chain's, and
+  reports its own chain's settlement once.
 """
 
 import itertools
@@ -71,9 +72,9 @@ class CountingLedger:
         self.list = CountingList(deps)
         self.by_txid = {d["txid"]: (i, d) for i, d in enumerate(deps)}
 
-    def deposits(self, chain):
+    def records(self, kind, chain):
         self.calls += 1
-        return self.list if chain == "s" else []
+        return self.list if (kind, chain) == ("deposit", "s") else []
 
     def buried(self, tx):
         self.calls += 1
@@ -296,14 +297,15 @@ SETTLE_KINDS = {"liquid": "peg-out", "arbitrum": "settle"}
 @pytest.mark.parametrize("name", sorted(SETTLE_KINDS))
 def test_a_client_reports_its_chains_settlement_once(name):
     # chain B's settlement records commit before, with and after this
-    # chain's one, and one of them reuses its l2 txid; every client skips
-    # them, reports its own chain's settlement once, and reads each record
-    # once however many rounds it polls
+    # chain's one, and one of them reuses its l2 txid; every client reads
+    # none of them, reports its own chain's settlement once, and reads its
+    # own record once however many rounds it polls
     scn = protocol(name).canonical_scenario()
     run = RealRun(name, scn)
     ledger, sid, kind = run.world.ledger, run.world.sid, SETTLE_KINDS[name]
     del ledger.kind_checks[kind]          # records of any chain commit
-    records = ledger.by_kind[kind] = CountingList(ledger.by_kind[kind])
+    mine = ledger.index[(kind, sid)] = CountingList([])
+    other = ledger.index[(kind, "B")] = CountingList([])
     apply_schedule(run, [{"op": "input", "pid": pid, "entry": {"kind": "open"}}
                          for pid in scn["clients"]]
                    + [{"op": "advance"}, {"op": "pump"}] * 4)
@@ -323,7 +325,7 @@ def test_a_client_reports_its_chains_settlement_once(name):
     for i in range(3):
         settle("B", f"after/{i}", l2txid=f"t{i + 3}")
         run.world.advance_round()
-    assert len(records) == 6
+    assert (len(mine), len(other)) == (1, 5)
     for pid in scn["clients"]:
         party = f"client:{pid}"
         notes = [ev for ev in run.trace.events if ev["t"] == "note"
@@ -333,4 +335,5 @@ def test_a_client_reports_its_chains_settlement_once(name):
                 and ev["payload"]["kind"] == "settle-ok"]
         assert [(n["l2txid"], n["frm"]) for n in notes] == [("t1", "c1")]
         assert len(outs) == 1
-    assert records.reads == len(scn["clients"]) * len(records)
+    assert mine.reads == len(scn["clients"])
+    assert other.reads == 0
