@@ -182,16 +182,14 @@ class AccountClient(Machine):
     records of one kind (``Ledger.records``).  A settlement is a committed
     ledger record of kind ``settle_kind``; its body fields named in
     ``settle_note_fields`` ride along on the note; settlements are read
-    past a cursor, as the record list only grows.  Constructor arguments
-    after ``operators`` go to the next base class (the rollup client's
-    ``RollupParty``).
+    past a cursor, as the record list only grows.
     """
 
     settle_kind = None
     settle_note_fields = ()
 
-    def __init__(self, me, operators, *rest):
-        super().__init__(me, *rest)
+    def __init__(self, me, operators):
+        super().__init__(me)
         self.operators = list(operators)
         self.watching = False
         self.opened = False

@@ -82,16 +82,20 @@ def plausible_state(s) -> bool:
 def chain_view(ledger, sid, round_no):
     """Canonical rollup chain derived from the ledger.
 
-    Returns {"entries": [...], "final": k} where entries are accepted
-    batches in order and the first k of them are final at round_no, under
-    the ledger's ``t_period``.  The base layer never re-executes, so the
-    fold treats each batch's claimed post-state as authoritative; "post" is
-    the re-execution result kept alongside for fraud detection (fraudulent
-    iff post != claimed).  Each entry also carries the batch's "digest" and
-    the "ids" (l2 txids) of its transactions.
+    Returns {"entries": [...], "final": k, "tip": state} where entries are
+    accepted batches in order and the first k of them are final at
+    round_no, under the ledger's ``t_period``.  The base layer never
+    re-executes, so the fold treats each batch's claimed post-state as
+    authoritative: "tip" is the last entry's "claimed" state, or the
+    chain's genesis state while there is no entry, and every rollup party
+    builds on it.  "post" is the re-execution result kept alongside for
+    fraud detection (fraudulent iff post != claimed).  Each entry also
+    carries the batch's "digest" and the "ids" (l2 txids) of its
+    transactions.
 
     The view is a pure function of the ledger, derived incrementally by the
-    chain's one ``ChainFold`` (see ``chain_fold``).  That equals a fold from
+    chain's one ``ChainFold``, which ``install_ledger_checks`` keeps in
+    ``ledger.views[sid]``.  That equals a fold from
     genesis: a post can only go from None to its one valid value (deposits
     only gain depth), so only None posts are run again, and a proof
     striking an accepted batch keeps the entries before it and re-walks the
@@ -105,14 +109,6 @@ def chain_view(ledger, sid, round_no):
     return ledger.views[sid].view(ledger, round_no)
 
 
-def chain_fold(ledger, sid):
-    """The chain's one ``ChainFold``, caught up with the ledger: the fold
-    that ``install_ledger_checks`` keeps in ``ledger.views[sid]``."""
-    fold = ledger.views[sid]
-    fold.catch_up(ledger)
-    return fold
-
-
 class ChainFold:
     """The accepted batches of one chain, folded from a ledger's commits.
 
@@ -120,7 +116,7 @@ class ChainFold:
     off; a call on an unchanged ledger (same commit count and height) does
     no work.  ``view`` hands out one view per fold state and round, whose
     entries are a list that is never changed: a change to the entries
-    drops it, and the next view takes a new one.  An entry whose post
+    drops it, and the next view takes a new one, with its tip.  An entry whose post
     ripens is replaced rather than changed, so views stay as they were.
 
     Batch digests and l2 txids come from the ledger's registry, the run's
@@ -128,10 +124,10 @@ class ChainFold:
 
     ``positions`` maps each l2 txid to the index of the first entry whose
     "ids" hold it.  Extending the chain adds to the map; cutting the chain
-    back starts a fresh one, so a map taken together with a view
-    (``RollupParty.positions``) stays exact for that view: a txid is in the
-    view's entries iff its position is below ``len(entries)``, and in its
-    final prefix iff below ``final``.
+    back starts a fresh one, so a map read right after ``view`` (the
+    operator's and the client's polls) stays exact for that view: a txid is
+    in the view's entries iff its position is below ``len(entries)``, and
+    in its final prefix iff below ``final``.
     """
 
     def __init__(self, sid, genesis):
@@ -160,9 +156,12 @@ class ChainFold:
         if self.handed is None or self.handed[0] != round_no:
             entries = self.handed[1]["entries"] if self.handed \
                 else list(self.entries)
-            self.handed = (round_no, {"entries": entries, "final": bisect_left(
-                entries, round_no - ledger.timing["t_period"],
-                key=lambda e: e["commit_round"])})
+            self.handed = (round_no, {
+                "entries": entries,
+                "final": bisect_left(entries,
+                                     round_no - ledger.timing["t_period"],
+                                     key=lambda e: e["commit_round"]),
+                "tip": entries[-1]["claimed"] if entries else self.genesis})
         return self.handed[1]
 
     def _read(self, new, ledger):
@@ -253,11 +252,6 @@ def batch_tx(certs, view, sid, author, seq, txs, post):
                      author)
 
 
-def view_state(view):
-    """Authoritative state after every accepted batch, or None."""
-    return view["entries"][-1]["claimed"] if view["entries"] else None
-
-
 # -- ledger kind checks ----------------------------------------------------
 
 
@@ -332,22 +326,14 @@ class RollupParty(Machine):
     def __init__(self, me, initial):
         super().__init__(me)
         self.initial = dict(initial)
-        self._genesis = genesis_state(initial)
 
     def on_start(self, ctx):
         register_onchain(ctx)
 
     def view(self, ctx):
+        """The chain view this round; it caught the chain's fold up, so the
+        fold's ``positions`` answer for it (see ``ChainFold``)."""
         return chain_view(ctx.ledger, self.me.sid, ctx.world.round_no)
-
-    def positions(self, ctx):
-        """The fold's l2 txid positions (see ``ChainFold``); exact for the
-        view that ``view(ctx)`` returns in the same step."""
-        return chain_fold(ctx.ledger, self.me.sid).positions
-
-    def optimistic_state(self, ctx, view=None):
-        entries = (view or self.view(ctx))["entries"]
-        return entries[-1]["claimed"] if entries else self._genesis
 
 
 class ArbitrumOperator(RollupParty):
@@ -362,8 +348,8 @@ class ArbitrumOperator(RollupParty):
 
     def _publish(self, ctx):
         view = self.view(ctx)
-        txs, post = pack_block(ctx.ledger, self.me.sid,
-                               self.optimistic_state(ctx, view), self.mempool)
+        txs, post = pack_block(ctx.ledger, self.me.sid, view["tip"],
+                               self.mempool)
         if not txs:
             return
         seq = len(view["entries"]) + 1
@@ -372,9 +358,11 @@ class ArbitrumOperator(RollupParty):
         ctx.note("batch-publish", seq=seq, ntx=len(txs))
 
     def on_round(self, ctx):
-        # drop mempool entries that landed in an accepted batch
+        # drop mempool entries that landed in an accepted batch; the view
+        # caught the fold up, so the fold's positions answer for it
         if self.mempool:
-            positions = self.positions(ctx)
+            self.view(ctx)
+            positions = ctx.ledger.views[self.me.sid].positions
             for txid in [t for t in self.mempool if t in positions]:
                 del self.mempool[txid]
         if ctx.round % ctx.timing["t_period"] == 0:
@@ -427,11 +415,13 @@ class ArbitrumValidator(RollupParty):
                          target=txid, accepted=res["accepted"])
 
 
-class ArbitrumClient(AccountClient, RollupParty):
+class ArbitrumClient(AccountClient):
     settle_kind = "settle"
+    view = RollupParty.view
 
     def __init__(self, me, operators, initial, self_publish=True):
-        super().__init__(me, operators, initial)
+        super().__init__(me, operators)
+        self.initial = dict(initial)
         self.self_publish = self_publish
         self.inflight = []         # sent but not yet final: {"txid","body"}
         self.final_len = 0
@@ -441,7 +431,7 @@ class ArbitrumClient(AccountClient, RollupParty):
         return genesis_state(self.initial)
 
     def tip_state(self, ctx):
-        return self.optimistic_state(ctx)
+        return self.view(ctx)["tip"]
 
     def _sent(self, ctx, body):
         # "since" starts the self-publication wait; the inflight entry
@@ -466,7 +456,7 @@ class ArbitrumClient(AccountClient, RollupParty):
 
     def _maybe_self_publish(self, ctx, view):
         wait, now = ctx.timing["t_period"], ctx.world.round_no
-        state = self.optimistic_state(ctx, view)
+        state = view["tip"]
         late = self.outstanding is not None \
             and now - self.outstanding["since"] >= wait
         if not late and state["minted_upto"] >= len(
@@ -690,8 +680,7 @@ def publish_wrong_batch(world, op_entity):
     """Corrupt operator posts a batch whose claimed state inflates its own
     favorite balance by one; only an honest validator stands in the way."""
     view = world_view(world)
-    state = view_state(view) or chain_fold(world.ledger, world.sid).genesis
-    seq = len(view["entries"]) + 1
+    state, seq = view["tip"], len(view["entries"]) + 1
     bal = dict(state["bal"])
     fav = sorted(bal)[0]
     bal[fav] = bal.get(fav, 0) + 1

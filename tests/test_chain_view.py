@@ -33,7 +33,7 @@ from l2sim.trace import digest
 def reference_chain_view(ledger, sid, round_no):
     """Walk all committed batches from genesis, skipping struck ones; the
     genesis state is the one the chain's ledger checks were installed
-    with."""
+    with, and the tip is the last accepted batch's claim or that state."""
     published = ledger.find(
         lambda t: t["kind"] == "batch-publish" and t["body"].get("chain") == sid)
     proofs = ledger.find(
@@ -64,7 +64,7 @@ def reference_chain_view(ledger, sid, round_no):
             final += 1
         else:
             break
-    return {"entries": entries, "final": final}
+    return {"entries": entries, "final": final, "tip": state}
 
 
 class Audit:
@@ -414,8 +414,7 @@ def _publish(w, seq, txs, claimed=None):
     """Commit batch ``seq`` on the current view; its claim is the true post
     unless ``claimed`` is given."""
     view = _view(w)
-    state = arbitrum.view_state(view) or genesis_state(INITIAL)
-    post = apply_txs(state, txs, w.ledger, seq)
+    post = apply_txs(view["tip"], txs, w.ledger, seq)
     pub = arbitrum.batch_tx(w.certs, view, w.sid, "operator:p1", seq, txs,
                             claimed or post)
     assert w.ledger.submit(pub)["accepted"]
@@ -442,8 +441,9 @@ def test_a_strike_keeps_the_entries_before_it(monkeypatch):
     w.advance_round()
     assert [e["txid"] for e in _view(w)["entries"]] == [first["txid"]]
     assert audit.rewalks == 2            # from genesis it would be 3
-    fold = arbitrum.chain_fold(w.ledger, w.sid)
-    assert set(fold.positions) == set(_view(w)["entries"][0]["ids"])
+    view = _view(w)
+    assert set(w.ledger.views[w.sid].positions) \
+        == set(view["entries"][0]["ids"])
     again = _publish(w, 2, [_pay("c1", "c2", 2)])
     assert [e["txid"] for e in _view(w)["entries"]] \
         == [first["txid"], again["txid"]]
