@@ -284,6 +284,48 @@ def test_no_self_publish_means_censorship_sticks():
     assert client(world, "c1").outstanding is not None
 
 
+def test_a_late_tx_that_no_longer_applies_is_dropped():
+    # no operator publishes and no validator challenges; a batch committed
+    # by hand claims a post in which c1 holds 2, so c1's pay of 5 no longer
+    # applies to the tip when it turns late: the client drops it and sends
+    # its next request, a pay of 1, which self-publication then lands
+    world, scn = make_world()
+    open_rollup(world)
+    world.corrupt(world.entity(arbitrum.OPERATOR, "p1"))
+    world.corrupt(world.entity(arbitrum.OPERATOR, "p2"))
+    world.corrupt(world.entity(arbitrum.VALIDATOR, "v1"),
+                  allow_over_budget=True)
+    c1 = client(world, "c1")
+    for amt in (5, 1):
+        world.inject_input(world.entity(CLIENT, "c1"),
+                           {"kind": "pay", "to": "c2", "amt": amt})
+    late = c1.outstanding["txid"]
+    assert [i["txid"] for i in c1.inflight] == [late]
+    assert [body["amt"] for body in c1.pending] == [1]
+    view = view_of(world)
+    poor = dict(view["tip"], height=1, bal={"c1": 2, "c2": 18})
+    assert world.ledger.submit(arbitrum.batch_tx(
+        world.certs, view, world.sid, "operator:p1", 1, [], poor))["accepted"]
+    cycle(world)
+    assert view_of(world)["tip"] == poor
+    # the pay turns late in round since + t_period
+    cycle(world, c1.outstanding["since"] + TIMING["t_period"] - 1
+          - world.round_no)
+    assert c1.outstanding["txid"] == late
+    assert late in [i["txid"] for i in c1.inflight]
+    cycle(world)
+    sent = c1.outstanding
+    assert (sent["tx"]["amt"], sent["tx"]["nonce"]) == (1, 1)
+    assert late not in [i["txid"] for i in c1.inflight]
+    assert c1.pending == []
+    cycle(world, 6)
+    published = [l2_txid(world.certs, t) for b in world.ledger.find(
+        lambda t: t["kind"] == "batch-publish")
+        for t in b["body"]["batch"]["txs"]]
+    assert late not in published
+    assert sent["txid"] in published
+
+
 def test_reorged_tx_is_requeued_and_lands():
     world, scn = make_world()
     open_rollup(world)

@@ -8,13 +8,15 @@ commit order, and a deposit's position is its index in its chain's list
 every ledger in whole runs (the scripted suites and seeded lifecycles of
 all three protocols, real and ideal), and on a ledger where two chains
 commit records of every kind, interleaved, next to records that name no
-chain.  A cloned world carries its own index.
+chain.  A cloned world carries its own index, and every submission in the
+golden tables' runs names its run's chain.
 """
 
 import random
 
 import pytest
 
+import golden_audit
 from l2sim.base import TX_KINDS, Ledger, signed_tx
 from l2sim.core import CLIENT
 from l2sim.harness import (
@@ -109,6 +111,28 @@ def test_the_index_matches_a_scan_on_lifecycles(monkeypatch, name,
 
 def test_the_scripted_suites_commit_every_kind():
     assert set().union(*SCRIPTED_KINDS.values()) == set(TX_KINDS)
+
+
+@pytest.mark.parametrize("name", PROTOCOLS)
+def test_every_submission_names_its_runs_chain(name):
+    # one field names the chain of every ledger record, in every protocol:
+    # each submission of the golden tables' schedules (the scripted suite
+    # and the six golden lifecycles), real and ideal, names the run's sid
+    rows = 0
+    for _, key, scn, sched in golden_audit.schedules():
+        if key[0] != name:
+            continue
+        real, ideal, _ = run_differential(name, scn, sched)
+        for trace, sid in ((real.trace, real.world.sid),
+                           (ideal.trace, ideal.outer.sid)):
+            bodies = [ev["body"] for ev in trace.events
+                      if ev["t"] == "ledger-submit"]
+            assert bodies
+            assert all(isinstance(body.get("chain"), str)
+                       and body["chain"] == sid for body in bodies), key
+        rows += 1
+    scn = protocol(name).canonical_scenario()
+    assert rows == len(scripted_schedules(name, scn)) + 6
 
 
 # -- two chains on one ledger ----------------------------------------------------

@@ -10,6 +10,7 @@ from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
                         InternalState, open_record)
 from l2sim import base, harness, liquid, properties, trace
 from l2sim.trace import canon, digest
+from golden_audit import all_checks
 from seeded_schedules import (inp, random_schedule, real_runs, request_rows,
                               separate_runs)
 
@@ -658,3 +659,46 @@ def test_cert_valid_digests_the_block_and_each_phase_once(monkeypatch):
     assert max(per_call) <= 3
     assert len(phase_digests) > 100
     assert set(phase_digests.values()) == {1}
+
+
+def test_a_stale_push_after_two_blocks_leaves_every_client_chain():
+    """The ``stale-push`` menu move sends only once its operator's chain
+    holds a block, and a corrupted operator's chain freezes when it is
+    corrupted; every schedule that draws the move corrupts before the
+    first block, so there it does nothing.  Here op2 is corrupted after
+    two blocks: each client receives block 1 again, keeps its chain, both
+    runs' outputs agree and so do their verdicts."""
+    scn = liquid.canonical_scenario()
+    blocks = ([inp("c1", kind="open"), inp("c2", kind="open")]
+              + [{"op": "advance"}, {"op": "pump"}] * 4
+              + [inp("c1", kind="pay", to="c2", amt=2)]
+              + [{"op": "advance"}, {"op": "pump"}] * 3
+              + [inp("c2", kind="pay", to="c1", amt=1)]
+              + [{"op": "advance"}, {"op": "pump"}] * 3)
+    push = [{"op": "corrupt", "role": liquid.OPERATOR, "pid": "op2"},
+            {"op": "menu", "role": liquid.OPERATOR, "pid": "op2",
+             "action": "stale-push"}, {"op": "pump"}]
+    rest = ([{"op": "advance"}, {"op": "pump"}] * 2
+            + [inp("c1", kind="read"), inp("c2", kind="read")])
+
+    run = harness.apply_schedule(harness.RealRun("liquid", scn), blocks)
+    world = run.world
+    assert len(operator(world, "op2").chain) == 3
+    chains = {pid: list(client(world, pid).chain) for pid in scn["clients"]}
+    assert all(len(chain) == 3 for chain in chains.values())
+    start = len(world.trace.events)
+    harness.apply_schedule(run, push)
+    pushed = [ev for ev in world.trace.events[start:] if ev["t"] == "deliver"
+              and ev["payload"].get("kind") == "block-push"]
+    assert sorted((ev["src"], ev["dst"]) for ev in pushed) \
+        == [("operator:op2", "client:c1"), ("operator:op2", "client:c2")]
+    assert all(ev["payload"]["entry"]["block"]["height"] == 1
+               for ev in pushed)
+    for pid in scn["clients"]:
+        assert client(world, pid).chain == chains[pid]
+
+    real, ideal, diffs = separate_runs("liquid", scn, blocks + push + rest)
+    assert diffs == []
+    verdicts = [[(v.name, v.passed) for v in all_checks("liquid", scn, r.trace)
+                 if isinstance(v, properties.Verdict)] for r in (real, ideal)]
+    assert verdicts[0] == verdicts[1]
