@@ -22,6 +22,7 @@ proof that strikes an accepted batch cuts the chain back to the batches
 before it and re-walks only the publications after the last one kept.
 The fold hands out one view per fold state and round, each party reads
 one view per poll, and a poll skips the work whose inputs did not change.
+A view carries its tip, the claimed state that every party builds on.
 
 Clients can rescue a censored transaction by publishing it themselves as a
 one-transaction batch once it has waited ``t_period`` rounds (a buried
@@ -95,16 +96,16 @@ def chain_view(ledger, sid, round_no):
 
     The view is a pure function of the ledger, derived incrementally by the
     chain's one ``ChainFold``, which ``install_ledger_checks`` keeps in
-    ``ledger.views[sid]``.  That equals a fold from
-    genesis: a post can only go from None to its one valid value (deposits
-    only gain depth), so only None posts are run again, and a proof
-    striking an accepted batch keeps the entries before it and re-walks the
-    publications after theirs (see ``ChainFold._read``).  Entries follow
-    ledger commit order, so their "commit_round" never decreases and the
-    final prefix, the entries whose window has closed (round_no >
-    commit_round + t_period), is found by bisection, once per round
-    (``ChainFold.view``).  One view per fold state and round: on a ledger
-    that has not changed, in the same round, a call returns the last view.
+    ``ledger.views[sid]``.  That equals a fold from genesis: a post can
+    only go from None to its one valid value (deposits only gain depth), so
+    only None posts are run again, and a proof striking an accepted batch
+    keeps the entries before it and re-walks the publications after theirs
+    (see ``ChainFold._read``).  Entries follow ledger commit order, so their
+    "commit_round" never decreases and the final prefix, the entries whose
+    window has closed (round_no > commit_round + t_period), is found by
+    bisection, once per round (``ChainFold.view``).  One view per fold
+    state and round: on a ledger that has not changed, in the same round, a
+    call returns the last view.
     """
     return ledger.views[sid].view(ledger, round_no)
 
@@ -116,8 +117,9 @@ class ChainFold:
     off; a call on an unchanged ledger (same commit count and height) does
     no work.  ``view`` hands out one view per fold state and round, whose
     entries are a list that is never changed: a change to the entries
-    drops it, and the next view takes a new one, with its tip.  An entry whose post
-    ripens is replaced rather than changed, so views stay as they were.
+    drops it, and the next view takes a new one, with its tip.  An entry
+    whose post ripens is replaced rather than changed, so views stay as
+    they were.
 
     Batch digests and l2 txids come from the ledger's registry, the run's
     one registry, and a mint's deposit is buried by ``Ledger.buried``.
@@ -150,17 +152,15 @@ class ChainFold:
             self._read(new, ledger)
 
     def view(self, ledger, round_no):
-        """The chain view at ``round_no``, caught up with ``ledger``; see
-        ``chain_view``."""
+        """The chain view at ``round_no``, caught up with ``ledger``: its
+        entries, its final count and its tip (see ``chain_view``)."""
         self.catch_up(ledger)
         if self.handed is None or self.handed[0] != round_no:
             entries = self.handed[1]["entries"] if self.handed \
                 else list(self.entries)
-            self.handed = (round_no, {
-                "entries": entries,
-                "final": bisect_left(entries,
-                                     round_no - ledger.timing["t_period"],
-                                     key=lambda e: e["commit_round"]),
+            self.handed = (round_no, {"entries": entries, "final": bisect_left(
+                entries, round_no - ledger.timing["t_period"],
+                key=lambda e: e["commit_round"]),
                 "tip": entries[-1]["claimed"] if entries else self.genesis})
         return self.handed[1]
 
@@ -331,8 +331,7 @@ class RollupParty(Machine):
         register_onchain(ctx)
 
     def view(self, ctx):
-        """The chain view this round; it caught the chain's fold up, so the
-        fold's ``positions`` answer for it (see ``ChainFold``)."""
+        """This round's chain view; the fold's ``positions`` answer for it."""
         return chain_view(ctx.ledger, self.me.sid, ctx.world.round_no)
 
 
@@ -358,10 +357,9 @@ class ArbitrumOperator(RollupParty):
         ctx.note("batch-publish", seq=seq, ntx=len(txs))
 
     def on_round(self, ctx):
-        # drop mempool entries that landed in an accepted batch; the view
-        # caught the fold up, so the fold's positions answer for it
+        # drop mempool entries that landed in an accepted batch
         if self.mempool:
-            self.view(ctx)
+            self.view(ctx)              # catches the fold's positions up
             positions = ctx.ledger.views[self.me.sid].positions
             for txid in [t for t in self.mempool if t in positions]:
                 del self.mempool[txid]

@@ -14,9 +14,10 @@ schedules is not counted.  For each protocol (all three by default) it
 prints the bytecodes, the events of both runs' traces, bytecodes per event,
 and the ``--top`` functions (default 15) by their share of the bytecodes.
 With ``--missed`` it then prints, per ``src/l2sim`` module, the executable
-lines that no counted protocol's workload ran: every line of a function
-body but its ``def`` line, since module and class bodies run at import,
-before the count.
+lines that no counted run executed: every line of a function body but its
+``def`` line, since module and class bodies run at import, before the
+count.  Building the schedules is not counted either, so the lines that
+build them are among those printed.
 
 ``TREE`` (default: the tree this file sits in) is a directory holding
 ``src/l2sim`` or a git revision of this repository, extracted with ``git
