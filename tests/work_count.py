@@ -145,7 +145,7 @@ def spans(lines) -> str:
     return ", ".join(f"{a}-{b}" if b > a else f"{a}" for a, b in runs)
 
 
-def report(workload, names, top, missed=False):
+def report(workload, names, top, missed):
     from l2sim import harness
     lines = set() if missed else None
     for name in names:
