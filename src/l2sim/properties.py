@@ -148,30 +148,23 @@ class _Pids(dict):
         return pid
 
 
-def corrupted_parties(trace, events=None) -> dict:
+def corrupted_parties(corrupts) -> dict:
     """party short name -> round of corruption (first if repeated), from
-    ``events`` (default: the trace's events)."""
+    the trace's ``corrupt`` events."""
     out = {}
-    for ev in trace.events if events is None else events:
-        if ev.get("t") == "corrupt":
-            out.setdefault(ev["party"], ev.get("round", 0))
+    for ev in corrupts:
+        out.setdefault(ev["party"], ev.get("round", 0))
     return out
 
 
-def read_views(trace, events=None, bad=None) -> list[ReadView]:
-    """Read results output to parties that were never corrupted, in trace
-    order, each holding its delta (see ReadView); a reader's reads are in
-    time order, as ``trace.validate_events`` checks where a trace enters.
-
-    ``events`` (any list holding the trace's outputs) and ``bad`` (its
-    corrupted parties) default to the trace's events and
-    ``corrupted_parties``.
-    """
-    if bad is None:
-        bad = corrupted_parties(trace)
+def read_views(outputs, bad) -> list[ReadView]:
+    """Read results among the trace's ``outputs`` to parties not in
+    ``bad`` (the corrupted ones), in trace order, each holding its delta
+    (see ReadView); a reader's reads are in time order, as
+    ``trace.validate_events`` checks where a trace enters."""
     views, reads, pids = [], {}, _Pids()   # reads: party -> its views so far
-    for ev in trace.events if events is None else events:
-        if ev.get("t") != "output" or ev["payload"].get("kind") != "read-result":
+    for ev in outputs:
+        if ev["payload"].get("kind") != "read-result":
             continue
         party = ev["party"]
         if party in bad:
@@ -215,14 +208,11 @@ def is_prefix(shorter, longer) -> bool:
     return longer[:len(shorter)] == shorter
 
 
-def committed_txs(trace, events=None) -> list[dict]:
-    """Committed transactions reassembled from submit and commit events.
-
-    ``events`` (any list holding the trace's ledger events) defaults to
-    the trace's events.
-    """
+def committed_txs(ledger) -> list[dict]:
+    """Committed transactions reassembled from the trace's ledger submit
+    and commit events."""
     bodies, commits = {}, []
-    for ev in trace.events if events is None else events:
+    for ev in ledger:
         t = ev.get("t")
         if t == "ledger-submit" and ev.get("accepted"):
             bodies[ev["txid"]] = {"txid": ev["txid"], "kind": ev.get("kind"),
@@ -272,7 +262,7 @@ _NOTE_REQ = {"open": "open", "pay": "pay", "deposit": "deposit",
              "settle": "settle", "peg-out": "settle"}
 
 
-def requests(trace, events=None, bad=None) -> list[dict]:
+def requests(asks, bad) -> list[dict]:
     """Client requests with outcome annotations, in submission order.
 
     A request is an honest, unforced input whose entry word (``what``) asks
@@ -284,17 +274,13 @@ def requests(trace, events=None, bad=None) -> list[dict]:
     ``submit-result``; answers pair with inputs first-in first-out per
     party and request word, which mirrors how the clients drain their
     queues.  Corrupted submitters are skipped; their inputs are absorbed
-    or adversary-forged, and no guarantee covers them.
-
-    ``events`` (any list holding the trace's input, note and submit-result
-    events) and ``bad`` (its corrupted parties) default to the trace's
-    events and ``corrupted_parties``.
+    or adversary-forged, and no guarantee covers them.  ``asks`` holds the
+    trace's input, note and submit-result events, and ``bad`` its
+    corrupted parties.
     """
-    if bad is None:
-        bad = corrupted_parties(trace)
     reqs, pids = [], _Pids()
     pending = {}         # (pid, input word) -> indexes awaiting an answer
-    for ev in trace.events if events is None else events:
+    for ev in asks:
         t, kind = ev.get("t"), ev.get("kind")
         if t == "input":
             p, party = ev["payload"], ev["party"]
@@ -373,8 +359,8 @@ def summarize(trace) -> TraceSummary:
         kept = into.get(ev.get("t"))
         if kept is not None:
             kept.append(ev)
-    bad = corrupted_parties(trace, corrupts)
-    views = read_views(trace, outputs, bad)
+    bad = corrupted_parties(corrupts)
+    views = read_views(outputs, bad)
     confirmed, open_oks, settle_oks, pids = {}, [], [], _Pids()
     for ev in outputs:
         kind = ev["payload"].get("kind")
@@ -385,12 +371,12 @@ def summarize(trace) -> TraceSummary:
             if party not in bad:
                 (open_oks if kind == "open-ok" else settle_oks).append(ev)
     roles = [party.split(":", 1)[0] for party in bad]
-    reqs = requests(trace, asks, bad)
+    reqs = requests(asks, bad)
     s = TraceSummary(
         corrupted=bad, counts={role: roles.count(role) for role in roles},
         horizon=horizon, views=views,
         readers={v.party: v.reads for v in views}, requests=reqs,
-        commits=committed_txs(trace, ledger), confirmed=confirmed,
+        commits=committed_txs(ledger), confirmed=confirmed,
         open_inputs=[r["event"] for r in reqs if r["cls"] == OPEN],
         open_oks=open_oks, settle_oks=settle_oks)
     _last = (trace, events, len(events), s)

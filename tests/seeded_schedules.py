@@ -110,7 +110,7 @@ def real_runs(name):
 def request_rows(trace):
     """(pid, cls, what, round, refused) of each request of ``trace``."""
     return [(r["pid"], r["cls"], r["what"], r["round"], r["refused"])
-            for r in properties.requests(trace)]
+            for r in properties.summarize(trace).requests]
 
 
 def separate_runs(name, scn, sched):

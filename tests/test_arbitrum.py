@@ -7,7 +7,7 @@ from l2sim.base import Ledger, make_tx, tx_signable
 from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
                         InternalState)
 from l2sim import arbitrum, harness, properties
-from l2sim.properties import read_views
+from l2sim.properties import summarize
 from l2sim.accounts import genesis_state, l2_txid
 from l2sim.trace import digest
 from seeded_schedules import (random_schedule, real_runs, request_rows,
@@ -67,7 +67,7 @@ def reads(world, pid):
     world.inject_input(world.entity(CLIENT, pid), {"kind": "read"})
     if len(outputs(world, "read-result")) == before:
         return None
-    return read_views(world.trace)[-1].executed
+    return summarize(world.trace).views[-1].executed
 
 
 # -- honest flows ----------------------------------------------------------

@@ -7,7 +7,7 @@ from l2sim.base import Ledger, make_tx, tx_signable
 from l2sim.core import (OPEN, UPDATE, SETTLEMENT, CLIENT, INTERFACE_ROLE,
                         InternalState, open_record)
 from l2sim import brick, harness, properties
-from l2sim.properties import read_views
+from l2sim.properties import summarize
 from l2sim.trace import digest
 from seeded_schedules import (random_schedule, real_runs, request_rows,
                               separate_runs)
@@ -269,7 +269,7 @@ def test_read_reports_accepted_chain():
     world.inject_input(world.entity(CLIENT, "c1"), {"kind": "read"})
     r = outputs(world, "read-result")[-1]["payload"]
     assert [e["kind"] for e in r["executed"]] == [OPEN, UPDATE]
-    assert read_views(world.trace)[-1].executed[-1]["state"]["seq"] == 1
+    assert summarize(world.trace).views[-1].executed[-1]["state"]["seq"] == 1
 
 
 def test_read_includes_settlement_record():
@@ -283,7 +283,7 @@ def test_read_includes_settlement_record():
     r = outputs(world, "read-result")[-1]["payload"]
     assert [e["kind"] for e in r["executed"]] == [OPEN, UPDATE]
     assert r["settled"] == r["executed"][-1]["state"]
-    view = read_views(world.trace)[-1]
+    view = summarize(world.trace).views[-1]
     assert [e["kind"] for e in view.executed] == [OPEN, UPDATE, SETTLEMENT]
 
 

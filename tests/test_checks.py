@@ -432,7 +432,7 @@ MALFORMED_REQUESTS = {
                          ids=list(MALFORMED_REQUESTS))
 def test_a_malformed_request_is_an_integrity_error(ev):
     with pytest.raises(IntegrityError):
-        properties.requests(as_trace([ev]))
+        properties.summarize(as_trace([ev])).requests
     with pytest.raises(IntegrityError):
         properties.check_correct_settlement(as_trace([ev]))
 
@@ -551,7 +551,7 @@ def test_reads_at_one_time_and_readers_interleaved_still_load():
     trace = Trace()
     trace.events = events
     for loaded in (as_trace(events), Trace.from_text(trace.to_text())):
-        assert [v.party for v in properties.read_views(loaded)] == [A, A, B]
+        assert [v.party for v in properties.summarize(loaded).views] == [A, A, B]
 
 
 @pytest.mark.parametrize("name", sorted(harness.PROTOCOLS))
@@ -581,9 +581,12 @@ PARTY_EVENTS = {
 
 # entry point -> the events of PARTY_EVENTS it reads the party of
 PARTY_READERS = {
-    "read_views": (properties.read_views, ("read", "corrupt")),
-    "requests": (properties.requests, ("input", "corrupt")),
-    "corrupted_parties": (properties.corrupted_parties, ("corrupt",)),
+    "read_views": (lambda t: properties.summarize(t).views,
+                   ("read", "corrupt")),
+    "requests": (lambda t: properties.summarize(t).requests,
+                 ("input", "corrupt")),
+    "corrupted_parties": (lambda t: properties.summarize(t).corrupted,
+                          ("corrupt",)),
     "check_correct_initialization": (
         check_correct_initialization, tuple(PARTY_EVENTS)),
     "output_projection": (harness.output_projection, ("read", "open-ok")),

@@ -226,7 +226,7 @@ def test_settlement_requires_request_then_notifies():
 def tip(world):
     """The party and tip state of the last read's whole view: the state of
     its last entry before the settled one."""
-    view = properties.read_views(world.trace)[-1]
+    view = properties.summarize(world.trace).views[-1]
     whole = view.executed
     return view.party, whole[-1 if view.settled is None else -2]["state"]
 
@@ -316,7 +316,7 @@ def test_read_appends_the_settled_entry():
     assert (got["base"], got["settled"]) == (1, s(1))
     assert [e["kind"] for e in got["executed"]] == [UPDATE]
     assert len(machine.ist.executed) == records     # reads record nothing
-    whole = properties.read_views(world.trace)[-1].executed
+    whole = properties.summarize(world.trace).views[-1].executed
     assert whole[-1] == settled_entry(s(1))
     assert [e["kind"] for e in whole] == [OPEN, UPDATE, SETTLEMENT]
 

@@ -25,10 +25,7 @@ from l2sim.properties import (
     check_correct_settlement,
     check_liveness,
     check_safety,
-    committed_txs,
-    corrupted_parties,
-    read_views,
-    requests,
+    summarize,
 )
 
 from test_properties import (
@@ -48,7 +45,7 @@ def reference_first_seen(trace) -> dict:
     transaction, or an update entry without ``txs`` that lowers pid's
     balance against the entry before it."""
     first = {}
-    for v in read_views(trace):
+    for v in summarize(trace).views:
         counts, before = {}, None
         for e in v.executed:
             marks = []
@@ -80,7 +77,7 @@ def horizon_of(trace):
 
 def role_counts(trace):
     out = {}
-    for party in corrupted_parties(trace):
+    for party in summarize(trace).corrupted:
         role = str(party).split(":", 1)[0]
         out[role] = out.get(role, 0) + 1
     return out
@@ -96,10 +93,10 @@ def reference_check_liveness(trace, params) -> Verdict:
                        params={"kind": kind, "f": f, "corrupted": counts,
                                "reason": "corruptions-exceed-f"})
     seen = reference_first_seen(trace)
-    views, horizon = read_views(trace), horizon_of(trace)
+    views, horizon = summarize(trace).views, horizon_of(trace)
     judged = unresolved = 0
     asked = {}
-    for r in requests(trace):
+    for r in summarize(trace).requests:
         if r["cls"] != kind or r["refused"]:
             continue
         mine = asked[r["pid"], r["what"]] = \
@@ -133,14 +130,14 @@ def reference_heights(views) -> list:
 def reference_check_correct_settlement(trace) -> Verdict:
     """``check_correct_settlement`` with every view's height taken whole."""
     name = "correct-settlement"
-    bad = corrupted_parties(trace)
-    views = read_views(trace)
-    explicit = {(r["pid"], r["entry"]["seq"]) for r in requests(trace)
+    bad = summarize(trace).corrupted
+    views = summarize(trace).views
+    explicit = {(r["pid"], r["entry"]["seq"]) for r in summarize(trace).requests
                 if r["cls"] == SETTLEMENT
                 and r["entry"].get("seq") is not None}
     heights = reference_heights(views)
     closed = any(t.get("kind") in SETTLE_TX_KINDS
-                 for t in committed_txs(trace))
+                 for t in summarize(trace).commits)
     settle_oks = [ev for ev in trace.events if ev.get("t") == "output"
                   and ev.get("payload", {}).get("kind") == "settle-ok"
                   and ev.get("party") not in bad]
@@ -311,7 +308,7 @@ def test_liveness_matches_reference_on_delta_reads(events):
 def test_settlement_matches_reference_on_delta_reads(events):
     trace = as_trace(events)
     assert properties._heights(properties.summarize(trace)) == \
-        reference_heights(read_views(trace))
+        reference_heights(summarize(trace).views)
     got = check_correct_settlement(trace)
     assert_same_verdict(got, reference_check_correct_settlement(trace))
     if not got.passed:

@@ -472,7 +472,7 @@ def test_bare_advances_agree_with_pumped_delivery():
     assert diffs == []
     outs = output_projection(real.trace)["client:c1"]
     assert outs[-1]["kind"] == "read-result"
-    views = [v for v in properties.read_views(real.trace)
+    views = [v for v in properties.summarize(real.trace).views
              if v.party == "client:c1"]
     assert [e["seq"] for e in views[-1].executed] == [0, 1]
 
@@ -785,7 +785,7 @@ def test_benchmark_spans_stay_module_functions(monkeypatch):
         prefix_calls.append(args)
         return _fn(*args)
     monkeypatch.setattr(properties, "is_prefix", counted_prefix)
-    views = properties.read_views(run.trace)
+    views = properties.summarize(run.trace).views
     f = {role: budget for role, _, budget in arbitrum.party_roles(scn)}
     assert views and properties.check_safety(run.trace, f).passed
     assert len(prefix_calls) >= len(views)

@@ -419,7 +419,7 @@ def test_the_sweep_draws_the_same_schedules(corrupt):
 def honest_forks(world):
     """Heights at which honest operators' block-final notes name two
     digests."""
-    bad = properties.corrupted_parties(world.trace)
+    bad = properties.summarize(world.trace).corrupted
     named = {}
     for ev in world.trace.events:
         if ev["t"] == "note" and ev.get("kind") == "block-final" \

@@ -1,8 +1,8 @@
 """Each shared rule is written in one place.
 
 An ``ast`` walk over the sources, like ``tests/test_imports.py``: in
-``properties`` only the builders of the trace summary read a trace's
-``.events``; under ``src/l2sim`` one function builds the settled entry
+``properties`` only ``summarize``, the builder of the trace summary,
+reads a trace's ``.events``; under ``src/l2sim`` one function builds the settled entry
 ``{"kind": SETTLEMENT, "seq": None, "state": ...}`` of read results; and
 only ``core.InterfaceMachine`` writes the internal state ``ist`` directly;
 and no polling path (a machine's ``on_round``, ``_recheck*`` or
@@ -44,8 +44,7 @@ from l2sim.runtime import Machine
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "l2sim"
 
-SUMMARY_BUILDERS = {"summarize", "corrupted_parties", "read_views",
-                    "requests", "committed_txs"}
+SUMMARY_BUILDERS = {"summarize"}
 
 
 def functions_where(source, found) -> set:

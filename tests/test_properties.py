@@ -66,8 +66,7 @@ from l2sim.properties import (
     check_correct_settlement,
     check_liveness,
     check_safety,
-    read_views,
-    requests,
+    summarize,
 )
 from l2sim.trace import canon
 
@@ -743,12 +742,12 @@ def reference_is_prefix(shorter, longer):
 def reference_check_safety(trace, f) -> Verdict:
     name = "safety"
     counts = dict(Counter(party.split(":", 1)[0]
-                          for party in properties.corrupted_parties(trace)))
+                          for party in properties.summarize(trace).corrupted))
     if not properties._within(f, counts):
         return Verdict(name, True, vacuous=True,
                        params={"f": f, "corrupted": counts,
                                "reason": "corruptions-exceed-f"})
-    views = read_views(trace)
+    views = summarize(trace).views
     by_party = {}
     for v in views:
         by_party.setdefault(v.party, []).append(v)
@@ -869,7 +868,7 @@ class CanonCounter:
 
 def distinct_states(trace):
     return len({id(e.get("state"))
-                for v in read_views(trace) for e in v.executed})
+                for v in summarize(trace).views for e in v.executed})
 
 
 STATE_POOL = [None] + [{"seq": i, "tag": t} for i in range(2) for t in "ab"]
@@ -1293,7 +1292,7 @@ def test_liveness_witness_replays(label):
 def failing_request(events, kind, params):
     """(word, k) of the request a failing liveness verdict with ``params``
     names: its pid's k-th judged request of that word."""
-    judged = [r for r in requests(as_trace(events))
+    judged = [r for r in summarize(as_trace(events)).requests
               if r["cls"] == kind and not r["refused"]]
     i = next(i for i, r in enumerate(judged) if r["pid"] == params["pid"]
              and r["round"] == params["submit_round"])

@@ -18,7 +18,7 @@ from l2sim import harness
 from l2sim.core import CLIENT, OPEN, UPDATE, read_result, settled_entry
 from l2sim.properties import (as_trace, check_correct_settlement,
                               check_safety, measure_data_availability,
-                              read_views)
+                              summarize)
 from l2sim.trace import IntegrityError
 
 PARTIES = [f"{CLIENT}:p{i}" for i in range(3)]
@@ -96,7 +96,7 @@ def test_read_views_rebuild_every_whole_view(case):
     history, order, trace = case
     queues = {p: list(vs) for p, vs in history.items()}
     want = [(p, whole(*queues[p].pop(0))) for p in order]
-    assert [(v.party, v.executed) for v in read_views(trace)] == want
+    assert [(v.party, v.executed) for v in summarize(trace).views] == want
     # a party's first read starts from nothing known
     firsts = {}
     for ev in trace.events:
@@ -144,7 +144,7 @@ def test_a_base_beyond_the_previous_view_is_an_integrity_error():
     events = encode({PARTIES[0]: [(ENTRIES[:2], None)]}, [PARTIES[0]]).events
     events[0]["payload"]["base"] = 1          # nothing was shown before
     with pytest.raises(IntegrityError):
-        read_views(as_trace(events))
+        summarize(as_trace(events)).views
     with pytest.raises(IntegrityError):
         check_safety(as_trace(events), {CLIENT: 0})
 
@@ -166,7 +166,7 @@ def test_a_malformed_read_is_an_integrity_error(field, value):
         events[1]["payload"] = value
     else:
         events[1]["payload"][field] = value
-    for check in (read_views, check_correct_settlement,
+    for check in (summarize, check_correct_settlement,
                   measure_data_availability):
         with pytest.raises(IntegrityError):
             check(as_trace(events))
@@ -179,7 +179,7 @@ def test_each_party_receives_each_entry_once(name):
     real, ideal, diff = harness.run_differential(name, scn, schedule)
     assert diff == []
     for run in (real, ideal):
-        last = {v.party: v.executed for v in read_views(run.trace)}
+        last = {v.party: v.executed for v in summarize(run.trace).views}
         received = Counter()
         for ev in run.trace.events:
             if ev["t"] == "output" and ev["payload"]["kind"] == "read-result":

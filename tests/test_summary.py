@@ -55,7 +55,7 @@ def trace_of(name, flavor):
 def reference_whole_views(trace) -> list:
     """Each honest read's whole view: its reader's kept prefix copied
     before the delta, then the settled entry."""
-    bad = properties.corrupted_parties(trace)
+    bad = properties.summarize(trace).corrupted
     shown, out = {}, []
     for ev in trace.events:
         p = ev.get("payload", {})

@@ -267,7 +267,7 @@ def test_a_block_applied_later_gives_the_same_state():
 
 def test_the_trace_ledger_numbers_deposits_as_the_ledger_does():
     world, mints = two_chain_ledger(3)
-    commits = properties.committed_txs(world.trace)
+    commits = properties.summarize(world.trace).commits
     traced = properties._TraceLedger(commits)
     for chain in ("A", "B"):
         for m in mints[chain]:
