@@ -32,6 +32,8 @@ adversarial) through ``harness.run_differential``.
   only renames a hash moves no projection.  Under a row whose shape moved
   it prints, per run, the first event index at which the two sequences
   differ and each tree's ``t`` there.
+  It exits with status 1 when any row moved and 0 otherwise, so a
+  commit meant to be byte-identical is checked by the exit status.
 - ``rewrite`` re-records, in place, every row of the tables that pin
   digests: ``SCRIPTED`` and ``LIFECYCLE`` in ``tests/test_golden.py``,
   and ``SCRIPTED_OUTPUTS``, ``SCRIPTED_WITNESSES``, ``LIFECYCLE_OUTPUTS``
@@ -355,4 +357,5 @@ if __name__ == "__main__":
                  " | rewrite")
     if mode == "records":
         args[1] = json.loads(args[1])
-    modes[mode][0](*args)
+    moved = modes[mode][0](*args)
+    sys.exit(1 if mode == "compare" and moved else 0)

@@ -71,6 +71,9 @@ showed that no event count, ``(t, step, round)`` sequence, projection or
 A change that moves a digest changes a trace and has to say why.
 """
 
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -358,6 +361,28 @@ def test_the_audit_compares_a_tree_with_itself_and_sees_no_move():
     assert lines == ["moved rows: 0 of 3", "moved parts: none",
                      "unmoved in every row: events, shape, verdict, diff, "
                      "witnesses, projection, digest"]
+
+
+def test_the_audit_exits_with_status_1_only_when_a_row_moved(tmp_path):
+    """``golden_audit.py compare`` exits 0 on the tree against itself and
+    1 against a copy whose trace digests all moved."""
+    root = Path(__file__).resolve().parents[1]
+    shutil.copytree(root / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    moved = tmp_path / "src" / "l2sim" / "trace.py"
+    text = moved.read_text()
+    assert text.count("h = hashlib.sha256()\n") == 1
+    moved.write_text(text.replace("h = hashlib.sha256()\n",
+                                  'h = hashlib.sha256(b"moved")\n'))
+    audit = [sys.executable, str(Path(__file__).with_name("golden_audit.py")),
+             "compare", str(root)]
+    same = subprocess.run(audit + [str(root)], capture_output=True, text=True)
+    assert same.returncode == 0
+    assert "moved rows: 0 of 67" in same.stdout
+    other = subprocess.run(audit + [str(tmp_path)], capture_output=True,
+                           text=True)
+    assert other.returncode == 1
+    assert "moved rows: 67 of 67" in other.stdout
 
 
 def test_the_audit_names_the_parts_of_a_row_that_moved():
