@@ -34,6 +34,8 @@ OPERATOR = "operator"
 
 # the (request kind, op) pairs that spend the requester's balance
 SPENDS = ((UPDATE, "pay"), (SETTLEMENT, "peg-out"))
+# the entry word each transaction op answers, in a client's notes
+ENTRY_WORD = {"pay": "pay", "peg-out": "settle"}
 
 
 def genesis_state(initial: dict) -> dict:
@@ -180,13 +182,13 @@ class AccountClient(Machine):
     run once a round, which opens the client (``_check_open``) and reports
     settlements (``_watch_settlements``); both read their own chain's
     records of one kind (``Ledger.records``).  A settlement is a committed
-    ledger record of kind ``settle_kind``; its body fields named in
-    ``settle_note_fields`` ride along on the note; settlements are read
-    past a cursor, as the record list only grows.
+    ledger record of kind ``settle_kind``; settlements are read past a
+    cursor, as the record list only grows.  A ``request-queued`` or
+    ``request-refused`` note names the entry word (``settle``, not the
+    ``peg-out`` op it becomes).
     """
 
     settle_kind = None
-    settle_note_fields = ()
 
     def __init__(self, me, operators):
         super().__init__(me)
@@ -224,7 +226,7 @@ class AccountClient(Machine):
 
     def _queue_tx(self, ctx, body):
         if self.closed or not self.opened:
-            ctx.note("request-refused", why="phase", req=body["op"])
+            ctx.note("request-refused", why="phase", req=ENTRY_WORD[body["op"]])
             return
         self.pending.append(body)
         self._try_send(ctx)
@@ -237,10 +239,11 @@ class AccountClient(Machine):
         nonce = state["nonce"].get(self.me.pid, 0) + 1
         tx = {**body, "from": self.me.pid, "nonce": nonce}
         if apply_tx(state, tx, ctx.ledger) is None:
-            ctx.note("request-refused", why="invalid-transfer", req=body["op"])
+            ctx.note("request-refused", why="invalid-transfer",
+                     req=ENTRY_WORD[body["op"]])
             self._try_send(ctx)
             return
-        ctx.note("request-queued", req=tx["op"])
+        ctx.note("request-queued", req=ENTRY_WORD[tx["op"]])
         self.outstanding = {"txid": l2_txid(ctx.certs, tx), "tx": tx}
         self._sent(ctx, body)
         for op in self.operators:
@@ -295,8 +298,7 @@ class AccountClient(Machine):
             self.closed = True
             self.settled_state = body["state"]
             ctx.note("settle-done", state=body["state"], l2txid=body["l2txid"],
-                     frm=body["to"], amt=body["amt"],
-                     **{k: body[k] for k in self.settle_note_fields})
+                     frm=body["to"], amt=body["amt"])
             ctx.output({"kind": "settle-ok", "state": body["state"]})
 
 

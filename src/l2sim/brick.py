@@ -35,7 +35,7 @@ from .runtime import Machine, EntityId
 from .base import signed_tx
 from .core import (SubroutineBundle, SimulatorHooks, OPEN, UPDATE,
                    SETTLEMENT, CLIENT, honest, open_record, read_entries,
-                   read_result, settled_entry)
+                   read_result)
 
 WARDEN = "warden"
 
@@ -111,11 +111,11 @@ class BrickClient(Machine):
         self.chain = []          # accepted: {"kind","seq","state","csigs","wacks"}
         self.pending_pay = []
         self.proposal = None     # outstanding outgoing {state, seq, sig}
-        self.acks = {}           # seq -> {warden_short: {"ref","state","csigs"}}
+        self.acks = {}           # warden_short -> {"ref","state","csigs"} for latest + 1
         self.close_pending = None
         self.uni_pending = False
         self.close_submitted = False
-        self.settled_entry = None
+        self.settled_state = None
         self._served = 0         # chain entries the reads have shown
 
     # helpers
@@ -210,9 +210,9 @@ class BrickClient(Machine):
         if not self.chain:
             ctx.note("read-empty")
             return
-        settled = self.settled_entry and self.settled_entry["state"]
         base, self._served = self._served, len(self.chain)
-        ctx.output(read_result(base, read_entries(self.chain[base:]), settled))
+        ctx.output(read_result(base, read_entries(self.chain[base:]),
+                               self.settled_state))
 
     # protocol messages
 
@@ -281,10 +281,11 @@ class BrickClient(Machine):
                                 warden_msg(ctx.certs, self.me.sid, state, seq),
                                 src.short()):
             return
-        slot = self.acks.setdefault(seq, {})
-        slot[src.short()] = {"ref": p["wsig"], "state": state, "csigs": p["csigs"]}
-        matching = {w: a for w, a in slot.items() if a["state"] == state}
+        self.acks[src.short()] = {"ref": p["wsig"], "state": state,
+                                  "csigs": p["csigs"]}
+        matching = {w: a for w, a in self.acks.items() if a["state"] == state}
         if len(matching) >= 2 * self.f + 1:
+            self.acks = {}
             self.chain.append({"kind": UPDATE, "seq": seq, "state": state,
                                "csigs": p["csigs"],
                                "wacks": {w: a["ref"] for w, a in matching.items()}})
@@ -355,16 +356,15 @@ class BrickClient(Machine):
                 body = closes[0]["body"]
                 self.phase = "closed"
                 stype = body.get("mode", "collab")
-                self.settled_entry = settled_entry(body["state"])
+                self.settled_state = body["state"]
                 ctx.note("settle-done", state=body["state"], seq=body["seq"], type=stype)
                 ctx.output({"kind": "settle-ok", "state": body["state"]})
 
 
 class BrickWarden(Machine):
-    def __init__(self, me, clients, f):
+    def __init__(self, me, clients):
         super().__init__(me)
         self.clients = list(clients)     # two client shorts
-        self.f = f
         self.open_sigs = {}
         self.s0 = None
         self.countersigned_open = False
@@ -647,7 +647,7 @@ def build_real(world, scn):
                                    scn["collateral"], scn["f"]))
     shorts = [f"{CLIENT}:{c}" for c in scn["clients"]]
     for w in wardens:
-        world.register(BrickWarden(w, shorts, scn["f"]))
+        world.register(BrickWarden(w, shorts))
     install_ledger_checks(world, scn["clients"])
 
 

@@ -32,9 +32,11 @@ entry's index), and a ``settle-ok`` sends only the settled state.
 Requests are inputs on a client entity (``on_input``), the environment's
 own entries as a real client gets them.  The machine serves a ``read`` and
 submits the request the protocol's ``EnvTracker`` translates any other
-entry into (an entry it does not translate does nothing); the
-``submit-result`` names the entry word (``req``), as a real client's note
-does.  Open/update/settlement triggers arrive over NET on the functionality
+entry into (an entry it does not translate does nothing).  It answers a
+submit with the note a real client writes, at the submit's own step: a
+``request-queued``, or a ``request-refused`` with ``why``, whose
+``party`` is the client and whose ``req`` is the entry word.
+Open/update/settlement triggers arrive over NET on the functionality
 entity from the adversary side (in differential runs, the simulator
 program).  Anything else, and a trigger whose payload is not a dict, is
 ignored.
@@ -100,7 +102,6 @@ class InternalState:
     read_ptr: dict = field(default_factory=dict)
     onchain: dict | None = None
     identities: dict = field(default_factory=dict)
-    rejected: list = field(default_factory=list)
     settled: dict | None = None
     halted: str | None = None
     rid_counter: int = 0
@@ -266,15 +267,15 @@ class InterfaceMachine(Machine):
             ok, reason = self._bundle.submit(ist, request, ctx)
         self._call(ctx, "submit", {"by": pid, "kind": request["kind"]},
                    {"ok": ok, "reason": reason})
-        if ok:
-            request["rid"] = ist.new_rid()
-            ist.queue.append(request)
-            ctx.world.emit("leak", to="adversary",
-                           data={"kind": "submit", "req": request})
-        else:
-            ist.rejected.append({"req": request, "reason": reason})
-        ctx.world.emit("submit-result", party=f"{CLIENT}:{pid}", req=word,
-                       kind=request["kind"], accepted=ok, reason=reason)
+        if not ok:
+            ctx.world.emit("note", kind="request-refused", party=ctx.party,
+                           req=word, why=reason)
+            return
+        request["rid"] = ist.new_rid()
+        ist.queue.append(request)
+        ctx.world.emit("leak", to="adversary",
+                       data={"kind": "submit", "req": request})
+        ctx.world.emit("note", kind="request-queued", party=ctx.party, req=word)
 
     def _read(self, ctx, pid):
         ist = self.ist

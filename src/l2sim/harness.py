@@ -436,7 +436,7 @@ def apply_schedule(run, schedule):
     return run
 
 
-# garbage triggers are rejected by every bundle, so they exercise the
+# garbage triggers are refused by every bundle, so they exercise the
 # interface's refusal paths without disturbing real/ideal parity
 GARBAGE_TRIGGERS = (
     {"kind": "update", "state": None},

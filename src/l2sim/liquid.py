@@ -93,11 +93,10 @@ def cert_valid(certs, sid, block, cert, quorum, operators):
 
 
 class LiquidOperator(Machine):
-    def __init__(self, me, operators, clients, f, quorum, initial):
+    def __init__(self, me, operators, clients, quorum, initial):
         super().__init__(me)
         self.operators = list(operators)
         self.clients = list(clients)
-        self.f = f
         self.quorum = quorum
         self.chain = [{"block": genesis_block(), "cert": None}]
         self.states = [genesis_state(initial)]
@@ -297,11 +296,9 @@ class LiquidOperator(Machine):
 
 class LiquidClient(AccountClient):
     settle_kind = "peg-out"
-    settle_note_fields = ("height",)
 
-    def __init__(self, me, operators, f, quorum, initial):
+    def __init__(self, me, operators, quorum, initial):
         super().__init__(me, operators)
-        self.f = f
         self.quorum = quorum
         self.chain = [{"block": genesis_block(), "cert": None}]
         self.states = [genesis_state(initial)]
@@ -461,9 +458,9 @@ def build_real(world, scn):
     ops = [world.entity(OPERATOR, o) for o in scn["operators"]]
     clients = [world.entity(CLIENT, c) for c in scn["clients"]]
     for c in clients:
-        world.register(LiquidClient(c, ops, scn["f"], scn["quorum"], scn["initial"]))
+        world.register(LiquidClient(c, ops, scn["quorum"], scn["initial"]))
     for o in ops:
-        world.register(LiquidOperator(o, ops, clients, scn["f"], scn["quorum"],
+        world.register(LiquidOperator(o, ops, clients, scn["quorum"],
                                       scn["initial"]))
     install_ledger_checks(world, [o.short() for o in ops], scn["quorum"])
 

@@ -4,9 +4,9 @@ Every check judges a finished run's trace, a ``Trace`` or a holder that
 ``as_trace`` builds, and returns a Verdict.  The checks work on both
 stackings and judge them by what the environment sees: both runs get the
 same client inputs, so the requests come from the inputs in both, each
-paired with its answer (a real client's note, the interface's
-``submit-result``), and both are judged against the same honest read
-outputs and confirmations.  Nothing here mutates a world.
+paired with its answer, a ``request-queued`` or ``request-refused`` note
+that a real client and the interface write alike, and both are judged
+against the same honest read outputs and confirmations.  Nothing here mutates a world.
 
 A read-result carries only its delta (see ``core.read_result``): the first
 ``base`` entries of its reader's previous view, then ``executed``, then
@@ -257,9 +257,6 @@ class _TraceLedger:
 
 _ENTRY_CLASS = {"open": OPEN, "pay": UPDATE, "deposit": UPDATE,
                 "settle": SETTLEMENT}
-# the entry word each answer's ``req`` stands for
-_NOTE_REQ = {"open": "open", "pay": "pay", "deposit": "deposit",
-             "settle": "settle", "peg-out": "settle"}
 
 
 def requests(asks, bad) -> list[dict]:
@@ -269,14 +266,13 @@ def requests(asks, bad) -> list[dict]:
     for an open, an update or a settlement, by one path in both runs.  A
     request dict has: pid, party, round, step, cls (open/update/
     settlement), what, entry, refused (bool), event (the input event) and
-    note (its answer or None).  An answer is a real client's
-    ``request-queued``/``request-refused`` note or the interface's
-    ``submit-result``; answers pair with inputs first-in first-out per
-    party and request word, which mirrors how the clients drain their
-    queues.  Corrupted submitters are skipped; their inputs are absorbed
-    or adversary-forged, and no guarantee covers them.  ``asks`` holds the
-    trace's input, note and submit-result events, and ``bad`` its
-    corrupted parties.
+    note (its answer or None).  An answer is a ``request-queued`` or
+    ``request-refused`` note, whose ``req`` is the entry word, in both
+    runs; answers pair with inputs first-in first-out per party and
+    entry word, which mirrors how the clients drain their queues.
+    Corrupted submitters are skipped; their inputs are absorbed or
+    adversary-forged, and no guarantee covers them.  ``asks`` holds the
+    trace's input and note events, and ``bad`` its corrupted parties.
     """
     reqs, pids = [], _Pids()
     pending = {}         # (pid, input word) -> indexes awaiting an answer
@@ -293,14 +289,11 @@ def requests(asks, bad) -> list[dict]:
                          "round": ev.get("round", 0), "step": ev.get("step", 0),
                          "cls": cls, "what": what, "entry": dict(p),
                          "refused": False, "event": ev, "note": None})
-        elif t == "submit-result" or t == "note" and (
-                kind == "request-refused" or kind == "request-queued"):
-            waiting = pending.get((pids[ev["party"]],
-                                   _NOTE_REQ.get(ev.get("req"))))
+        elif kind == "request-refused" or kind == "request-queued":
+            waiting = pending.get((pids[ev["party"]], ev.get("req")))
             if waiting:
                 reqs[waiting.pop(0)].update(
-                    note=ev, refused=kind == "request-refused"
-                    or ev.get("accepted") is False)
+                    note=ev, refused=kind == "request-refused")
     return reqs
 
 
@@ -330,13 +323,13 @@ def summarize(trace) -> TraceSummary:
     """The facts of ``trace`` that the checks read, derived in one walk.
 
     The one walk over the events takes the horizon and sorts the events
-    into lists by type: outputs, the input, note and submit-result
-    events, the ledger submits and commits, and corruptions.  The
-    corrupted set is built once from its list, and the rest from theirs:
-    the confirmation rounds and honest open-ok and settle-ok outputs from
-    the outputs; ``read_views`` walks the outputs, ``requests`` the
-    inputs and their answers and ``committed_txs`` the ledger events, each
-    with that corrupted set.
+    into lists by type: outputs, the input and note events, the ledger
+    submits and commits, and corruptions.  The corrupted set is built
+    once from its list, and the rest from theirs: the confirmation rounds
+    and honest open-ok and settle-ok outputs from the outputs;
+    ``read_views`` walks the outputs, ``requests`` the inputs and their
+    answers and ``committed_txs`` the ledger events, each with that
+    corrupted set.
 
     The summary is kept for the most recent trace: a trace only ever
     grows, so the same object holding the same events list with the same
@@ -349,8 +342,8 @@ def summarize(trace) -> TraceSummary:
         return _last[3]
     outputs, asks, ledger, corrupts = [], [], [], []
     into = {"output": outputs, "input": asks, "note": asks,
-            "submit-result": asks, "ledger-submit": ledger,
-            "ledger-commit": ledger, "corrupt": corrupts}
+            "ledger-submit": ledger, "ledger-commit": ledger,
+            "corrupt": corrupts}
     horizon = 0
     for ev in events:
         rnd = ev.get("round", 0)

@@ -4,7 +4,7 @@ Machines are registered under (pid, sid, role) identities.  The environment
 reaches a party through ``World.inject_input``, which calls the owning
 machine's ``on_input`` at once; outputs become ``output`` events in FIFO
 order (a cascade drains before the adversary gets control back), and an
-output takes an eid from the counter NET envelopes share, but no envelope.
+output takes no envelope and no eid: eids count NET envelopes alone.
 Machines reach each other by NET envelopes, which sit in a pending pool,
 keyed by eid in send order, until an adversary directive delivers them to
 ``on_message``.  A single step counter numbers every event; logical rounds
@@ -279,8 +279,7 @@ class World:
         return ev
 
     def queue_io(self, src: EntityId, payload: dict):
-        """Queue an output; it draws an eid, so later NET eids stay put."""
-        self.eid_counter += 1
+        """Queue an output; only NET envelopes draw eids."""
         self.io_q.append((src, payload))
 
     def queue_net(self, src: EntityId, dst: EntityId, payload: dict):
@@ -313,16 +312,15 @@ class World:
         if self.halted:
             return
         dst = env.dst
-        # "channel" is constant, kept so that traces keep their digests
         if dst in self.corruption.members:
             self.trace.emit({"t": "absorb", "step": step, "round": self.round_no,
                              "dst": _SHORT[dst], "src": _SHORT[env.src],
-                             "channel": "net", "payload": env.payload})
+                             "payload": env.payload})
         else:
             self.trace.emit({"t": "deliver", "step": step, "round": self.round_no,
                              "eid": eid, "src": _SHORT[env.src],
-                             "dst": _SHORT[dst], "channel": "net",
-                             "payload": env.payload, "sent": env.step})
+                             "dst": _SHORT[dst], "payload": env.payload,
+                             "sent": env.step})
             self.owners[dst].on_message(self.ctxs[dst], env)
         if self.io_q:
             self.drain_io()

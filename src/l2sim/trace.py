@@ -80,7 +80,6 @@ EVENT = {"t": Kinds({
         "open-ok": {"state?": STATE}, "settle-ok": {"state?": STATE}})}},
     "corrupt": {"party": str},
     "note": {"party": str, "req?": str},
-    "submit-result": {"party": str, "req?": str, "accepted?": bool},
     "ledger-submit": {"txid": str, "author?": str},
     "ledger-commit": {"txids?": [str]},
 }), "round?": int, "step?": int}

@@ -91,13 +91,15 @@ def test_failing_witnesses_replay_on_scripted(name, label):
 
 def test_a_real_deposit_is_answered_as_the_ideal_one_is():
     """The failing deposit's witness carries its answer in both runs: the
-    real client's ``request-queued`` note, the interface's submit-result."""
+    same ``request-queued`` note, which the real client and the interface
+    both write."""
     real, ideal = (v["liveness-update"] for v in
                    scripted_verdicts("liquid", "deposit-then-withdraw"))
     assert not real.passed and not ideal.passed
     assert len(real.witness) == len(ideal.witness)
-    assert [ev["t"] for ev in real.witness[:2]] == ["input", "note"]
-    assert real.witness[1]["kind"] == "request-queued"
+    for witness in (real.witness, ideal.witness):
+        assert [ev["t"] for ev in witness[:2]] == ["input", "note"]
+        assert witness[1]["kind"] == "request-queued"
     assert real.witness[1]["req"] == ideal.witness[1]["req"] == "deposit"
 
 
@@ -179,11 +181,10 @@ INITIALIZATION_CASES = {
     "anchored-through-joining-records-only": (
         [open_input(A, 1, 1), *JOINED_A, *JOINED_B, open_ok(A, 2, 4)], None),
     # an interface run gets the same input and answers it with a
-    # submit-result, which stands for no request of its own
+    # request-queued note, which stands for no request of its own
     "interface-submit-request": (
         [open_input(A, 1, 1),
-         event("submit-result", A, 1, 2, req="open", kind=OPEN,
-               accepted=True, reason=None),
+         event("note", A, 1, 1, kind="request-queued", req="open"),
          *EMBEDDED, open_ok(A, 2, 3)], None),
     "corrupted-confirmation-not-judged": (
         [event("corrupt", A, 0, 0), open_ok(A, 2, 1)], None),
@@ -412,19 +413,16 @@ def test_an_integrity_line_of_the_wrong_types_is_refused(field, value):
 
 # -- malformed requests ----------------------------------------------------------
 
-def submit_result(**fields):
-    """The interface's answer to A's open request, with ``fields`` changed."""
-    return event("submit-result", A, 0, 0, req="open", kind=OPEN,
-                 accepted=True, reason=None) | fields
+def answer(**fields):
+    """The note answering A's open submit, with ``fields`` changed."""
+    return event("note", A, 0, 0, kind="request-queued", req="open") | fields
 
 
 # label -> the one event of a trace whose request cannot be decoded
 MALFORMED_REQUESTS = {
     "input-payload-int": event("input", A, 0, 0, payload=5),
-    "submit-req-int": submit_result(req=5),
-    "submit-req-no-by": {k: v for k, v in submit_result().items()
-                         if k != "party"},
-    "submit-accepted-int": submit_result(accepted=1),
+    "submit-req-int": answer(req=5),
+    "submit-req-no-by": {k: v for k, v in answer().items() if k != "party"},
 }
 
 
@@ -465,7 +463,7 @@ MALFORMED_EVENTS = {
     # these once ended a check in a TypeError or AttributeError:
     # diff_outputs sorting party 5 with client:A, update liveness and data
     # availability on the transactions, and settlement on the states
-    "submit-req-list": submit_result(req=[1]),
+    "submit-req-list": answer(req=[1]),
     "output-party-int": event("output", 5, 0, 0,
                               payload={"kind": "request-result"}),
     "read-txs-int": opened_read({"kind": UPDATE, "seq": 1, "state": INITIAL,

@@ -122,9 +122,11 @@ def test_submit_respects_phase():
     world, machine, bundle, (a, b), trigger = build()
     submit(world, a, "inc", n=1)
     assert machine.ist.queue == []
-    assert machine.ist.rejected[0]["reason"] == "phase"
-    res = events(world, "submit-result")[-1]
-    assert (res["req"], res["kind"], res["accepted"]) == ("inc", UPDATE, False)
+    res = events(world, "note")[-1]
+    assert (res["kind"], res["party"], res["req"], res["why"]) == \
+        ("request-refused", "client:a", "inc", "phase")
+    # the answer takes the step of the input it answers
+    assert res["step"] == events(world, "input")[-1]["step"]
 
 
 def test_submit_queues_and_leaks():
@@ -136,8 +138,10 @@ def test_submit_queues_and_leaks():
     assert machine.ist.queue[0]["body"] == {"state": s(0)}
     leaks = events(world, "leak")
     assert leaks and leaks[0]["data"]["req"]["kind"] == OPEN
-    res = events(world, "submit-result")[-1]
-    assert (res["req"], res["kind"], res["accepted"]) == ("open", OPEN, True)
+    res = events(world, "note")[-1]
+    assert (res["kind"], res["party"], res["req"]) == \
+        ("request-queued", "client:a", "open")
+    assert "why" not in res and world.trace.events[-1] is res
 
 
 def test_an_entry_the_tracker_does_not_translate_does_nothing():
@@ -148,7 +152,7 @@ def test_an_entry_the_tracker_does_not_translate_does_nothing():
     submit(world, a, "withdraw", amt=1)
     assert [ev["t"] for ev in world.trace.events[before:]] == ["input"]
     assert world.trace.events[-1]["payload"] == {"kind": "withdraw", "amt": 1}
-    assert machine.ist.queue == [] and machine.ist.rejected == []
+    assert machine.ist.queue == []
 
 
 def test_open_trigger_checks_then_executes():
@@ -200,10 +204,10 @@ def test_halt_is_terminal():
     assert world.halted == "protocol-halt:poisoned"
     assert events(world, "halt")
     # nothing reaches the interface after the halt
-    before = len(machine.ist.queue), len(machine.ist.rejected)
+    before = len(machine.ist.queue), len(events(world, "note"))
     submit(world, a, "inc", n=1)
     world.inject_input(a, {"kind": "read"})
-    assert (len(machine.ist.queue), len(machine.ist.rejected)) == before
+    assert (len(machine.ist.queue), len(events(world, "note"))) == before
     assert not events(world, "read-empty")
 
 

@@ -249,15 +249,15 @@ def delta_traces(draw):
                            event("ledger-commit", "chain", rnd, height=1,
                                  txids=[txid])]
         else:
-            # an interface run's request: the input, its submit-result
+            # an interface run's request: the input, its answer note
             word = draw(st.sampled_from(["pay", "deposit", "settle"]))
             events.append(event("input", party(pid), rnd,
                                 payload={"kind": word, "amt": 1}))
             accepted = draw(st.booleans())
-            events.append(event(
-                "submit-result", party(pid), rnd, req=word,
-                kind=SETTLEMENT if word == "settle" else UPDATE,
-                accepted=accepted, reason=None if accepted else "phase"))
+            events.append(
+                event("note", party(pid), rnd, req=word, kind="request-queued")
+                if accepted else event("note", party(pid), rnd, req=word,
+                                       kind="request-refused", why="phase"))
             # an exec record clearing the request's rid serves nothing
             if accepted and draw(st.booleans()):
                 events.append(event("exec", "funct", rnd + draw(

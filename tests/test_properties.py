@@ -968,8 +968,10 @@ def note(party, rnd, step, kind, **fields):
 
 def submitted(party, rnd, step, word, accepted):
     """The interface's answer to ``party``'s request of entry ``word``."""
-    return event("submit-result", party, rnd, step, req=word, kind=UPDATE,
-                 accepted=accepted, reason=None if accepted else "insufficient")
+    if accepted:
+        return note(party, rnd, step, "request-queued", req=word)
+    return note(party, rnd, step, "request-refused", req=word,
+                why="insufficient")
 
 
 def out(party, rnd, step, **payload):
@@ -1045,7 +1047,7 @@ LIVENESS_CASES = {
         out(A, 1, 1, kind="settle-ok", state={"seq": 0}),
         inp(A, 2, 2, kind="settle"),
         horizon(20)]),
-    # an interface run answers each input with a submit-result; the exec
+    # an interface run answers each input with a request note; the exec
     # record clears the request's rid in time, but an update is served
     # only by what an honest read shows
     "submitted-pay-read-late": (UPDATE, [
@@ -1078,7 +1080,10 @@ LIVENESS_CASES = {
 # runs came to get the same inputs, a submitted case became an input
 # answered by the interface's submit-result (no more a submit leak), so
 # submitted-pay-read-late's witness carries the input and its answer
-# (witness_len 2 became 3), and submitted-pay-refused was added
+# (witness_len 2 became 3), and submitted-pay-refused was added.  When the
+# interface began to answer with the note a real client writes, the
+# submitted cases' answers became request-queued and request-refused
+# notes, and submitted-pay-read-late's witness digest moved with its note
 LIVENESS_EXPECTED = {
     "deposit-never-minted": (
         {"record": "verdict",
@@ -1240,7 +1245,7 @@ LIVENESS_EXPECTED = {
                     "t_l2": 4,
                     "t_l1": 2},
          "witness_len": 3},
-        "dadadd85ef445cd3decebd32c61412040a2a5266a382ca74d92286d93230926b"),
+        "996cb65da2e36b22ed39fa867d025a85add204d7a16ec9db52bc5c3e7c142d5c"),
     "submitted-deposit-minted": (
         {"record": "verdict",
          "property": "liveness-update",

@@ -65,14 +65,21 @@ def test_io_goes_only_to_the_environment():
         ("output", "client:a", {"kind": "x"})]
 
 
-def test_an_output_draws_an_eid():
-    """An output builds no envelope but takes the next eid, so a NET
-    envelope sent after it skips that eid: the eids in traces count
-    outputs too."""
+def test_net_eids_are_dense():
+    """Only NET envelopes draw eids: each input's output comes between two
+    sends, which still take consecutive eids, and a delivery names its
+    envelope's eid, its sender and its receiver, and no channel."""
     w, a, b = small_world()
-    w.queue_io(a, {"kind": "x"})
-    w.queue_net(a, b, {"kind": "y"})
-    assert list(w.net) == [2] and w.net[2].eid == 2
+    for n in (1, 2):
+        w.inject_input(a, {"n": n})
+    assert [t["t"] for t in w.trace.events] == ["input", "output"] * 2
+    assert list(w.net) == [1, 2] and [e.eid for e in w.net.values()] == [1, 2]
+    w.deliver_net(1)
+    w.deliver_net(2)
+    got = [e for e in w.trace.events if e["t"] == "deliver"]
+    assert [(e["eid"], e["src"], e["dst"]) for e in got] == \
+        [(1, "client:a", "warden:b"), (2, "client:a", "warden:b")]
+    assert all("channel" not in e for e in got)
 
 
 def test_no_output_once_the_step_limit_halts_a_drain():
