@@ -67,7 +67,21 @@ recorded again when a real account client began to answer a deposit with
 a ``request-queued`` note naming ``deposit``, in place of a
 ``deposit-sent`` note that nothing read: ``golden_audit.py compare``
 showed that no event count, ``(t, step, round)`` sequence, projection or
-``diff_outputs`` length moved.
+``diff_outputs`` length moved.  Every ideal digest (67 rows) and every real
+digest but four (63 rows; the schedule digests unchanged) was recorded
+again in one batch of trace changes: the interface answers a submit with
+the ``request-queued`` or ``request-refused`` note a real client writes,
+at the submit's step, instead of a ``submit-result``; an output draws no
+eid, so NET eids count envelopes alone; ``deliver`` and ``absorb`` events
+lost their constant ``channel``; and corruption leaks lost state nothing
+reads (the brick client's acks for states it accepted, a ``settled_entry``
+that became ``settled_state``, the ``f`` of brick wardens and of liquid
+parties, and a liquid ``settle-done`` note's ``height``).
+``golden_audit.py compare`` showed that no event count, verdict,
+projection or ``diff_outputs`` length moved, that every ideal
+``(t, step, round)`` sequence kept its steps and rounds and changed only
+where a ``submit-result`` became a ``note``, and that one witness moved,
+the ideal one of liquid ``deposit-then-withdraw``, which holds an answer.
 A change that moves a digest changes a trace and has to say why.
 """
 
@@ -86,228 +100,228 @@ import golden_audit
 # (protocol, schedule label) -> (real digest, ideal digest)
 SCRIPTED = {
     ("brick", "corrupt-warden-noise"): (
-        "6e602ef80681dda29666352ecf216b4531d76a2bd00e548ecfa47607d21b566a",
-        "158d722bb85dd5da880c978c17c765edd9908255f44aefbc9a3933adc5cdea81"),
+        "dde5ec789bb7b9ca175213c5b2a670cac3e96ed7a590f9f62689f5bcf8242d36",
+        "a8911baf1a9fcd6f8f451f0fc1712cef9c53386486f4dc5e650a5f636757163a"),
     ("brick", "garbage-triggers"): (
-        "f0b1457dce9a9bba14f128e6f45c8692fd4619f805a34b9322b66a7651853531",
-        "98d39dba8974f0e41afc05e3aff109e6efe6d9f3fa1c0f9877ea048d91cede09"),
+        "0534f76191d826be86de64563005c71a7de31af4bc5bd6d605ed46450db06cd8",
+        "6735389ad757dc264f994675d77ac3e746453f434b376c52014e67a72ba67eb3"),
     ("brick", "no-pump-delta-flush"): (
-        "e6f77f766fed913cfa59b4e3468cea21d10e953f61545acfd0cbfda03ac07f08",
-        "084ec7fdf1e65b468d06028f96f60dcc4d38264923b6b0eb58259a4b0592a780"),
+        "ee9240ca37a4b196135380a6218c70d5f7a980e3356e1238ac79da93d244af9c",
+        "6591c126737c4634e85620f9f9e30481caf4fc5febff2d4f90a1c25a35169d44"),
     ("brick", "open-only"): (
-        "c8b65db35bd1f147916fe4c2e60ecf951a541d75bbcd7712d71dddf43a20cc0c",
-        "9fe929734af3ddf8ae4e05653dd193dee936f47cf3b5b74f6802577a1a4a2408"),
+        "78fcdaf3248331787684ddbc5564a560debcf972999ec6919e60b78cad0b20fb",
+        "8556d7e614583db37f0f188591e0288e3e22ff443f9422e31008413b3e69c9e7"),
     ("brick", "overdraft-refused"): (
-        "d844856d6c6c5f7298072794a72f676ca74282eecd837199c0b88de5001ee282",
-        "a5616306ec7f2fa059c4ff3fde3d31fa5fc3aa74080ebe1ac5808bb491e5fe7e"),
+        "467f8f1b22c0ed7fa10bf2be6427f5df42b731a57cbc7a37ea28eb5f8119f593",
+        "7d51e6f966ef32e2e4d043ac4838a8a42d4e6baf5e5fe2b8254a8af84d1fdc19"),
     ("brick", "pay-both-directions"): (
-        "4bbe83cf736eb27906c42936714a6c842a2cc2ddb286ddff41f6b670872d49ab",
-        "abffad6dd36534792cfc90b3c89eb544e976bbdb5d32149ffac650f35d048c6c"),
+        "ab31478706b8701f6e8e79059e2b4f4d426d7eb392ed5507c836494f259a7b32",
+        "4f5a4e6e0a9eb2c89809196bb0a6faf5dbc1b5c3daeb2f1dde971f3183ed4191"),
     ("brick", "pay-pipeline"): (
-        "d8814bfd362c88212aacefbe793acf363d204418a49a4b6e6511b5ce0a4909f5",
-        "9e04976eae3693762e337066af4ba41c945500ecc2929c4b7410b1af238f6152"),
+        "9b5ceac8f53fbd9104746e67788e50094b03109dd2d881e084b8a204e76895e5",
+        "89b25256d7990d0b77284fbfba0e0eef2eb96fe34de880f4361e36e8157bc6b1"),
     ("brick", "pay-race-same-step"): (
-        "460ebd3a3598fa28154219241b7daa5d5016fbe7689c1b69733601ade25af8f2",
-        "a39ef5c16a8da1e6f0be59d54a00dbdf67b6ea13034004217443731b69229cfb"),
+        "0cd42ecc1c0c00da6dc211abad43c5dc27a3f231b8978f8212359925d57a9861",
+        "ed9078fc9aaa749832f8c84aaee1a9025fa1c98cd5848f6e455bd872726033bf"),
     ("brick", "read-heavy"): (
-        "3ed3eeada1082237bd882f42688be2af5a25f12a504ac5ea88ec9c599d63edfa",
-        "870b54aafbff122f9433acb09c99c33c16707971c2e74618a39dcd5b99e85183"),
+        "183567292d1d25ad9e4b428f1ee9eee26202ff0d07737a37b3c6fa9d1298a7de",
+        "94ec42485d60ad2e4aab3fc822da5c46f6dd5babd0da4ec614831f099a684d0a"),
     ("brick", "settle-after-traffic"): (
-        "966e4448b5ac5efecb6296f21590c831850a030c8969a2d410616a54e4de9cf8",
-        "f21e03b07e8fb2c5dc0cf64acfa9c533be51851ebf8e2a948576995673e66f7c"),
+        "de141dfb7be70deece7dd5626d8b255993fe4222dfe02db4ba3a9b401a188650",
+        "c2ba2d01b6b814ed356fd291b3bbed6972ff69830f3ab39fbc1bc2f624105d98"),
     ("brick", "settle-fresh"): (
-        "2fbd58f82abbff8004bea7c25353af7c3df99ccc644bd16a16ccf557dfeb797d",
-        "0f040f1319a02af928bbacbf758601d1e378f620a78eaf7e2718a4d92c782e74"),
+        "5a6172d12466d583bee61d29c34c41719a7ca1b0bbf54bf378f0d00c81934a4c",
+        "a27927f8cc05ba330d8fdf82a22294394b42cdfc3f478257ed42d2511158007b"),
     ("brick", "shuffled-delivery"): (
-        "7571af5a25b3b103227d4efe35bf1c5ce24c823cf8bb6643041d4b9e16032217",
-        "ec5b41e7274435080892ceeab80a9b68217b58caa511890ddbf4641bc2feb7b4"),
+        "7d6075d6e7421d3f5b2814ab9dcb600fd46fcbe23f43e5d6611124850f8e5d1b",
+        "6e67620ee3f52aa6f7368ba13f7e5afe6d5c4d3b1064822c454308f1eef00b32"),
     ("brick", "single-pay"): (
-        "98a387bf331843821e57faee85570d3124330c15b825e3ee13b065339e8ee179",
-        "37dd744004d2c47abed1c698974d4406454515c2681d53d3bcfebb7e6e3a458d"),
+        "971a3449dceea82fbffd0cfe307a4d8ce0e40d500df871d244ccdb68a9d8a7f8",
+        "33262f34501393c71f6d75216c2848815d429be6e4c3bc8c90c339113c28341a"),
     ("brick", "stale-settle-attempt"): (
-        "a0fa3c6eb1fb09b776006c6c0eb6a5ed5010f682cf6ccbf4e2281bcb11207f9c",
-        "a5eaeb9e70811be267e6be3e8ed0e52436386af49a1a2e3637f0b6be528f0d50"),
+        "7a5d27ee37bedab0d694a35625cf2b2b132c582504ce6a2323bd0ca2fbb49fa7",
+        "3e9b71b4f3abd9f17d3e83151225216952ada780a14e85d2182b3009bd5180e1"),
     ("brick", "unilateral-exit"): (
-        "7975c601c80fc46cfcc68d804b40d332b69f5511f3efd57d1e64e4ad697605a5",
-        "dc97742c50a7307daf007ecb5fa66e08ae0c24f3b9b8f29d5b0f9aed625378b9"),
+        "3295835941b720e949708867f4caddd8d9595533a8996c74b76697bbf60079af",
+        "6407217db555b45725cbc4ae86958a77c78360664c1a59929cc093e369ae3510"),
     ("liquid", "client-spam"): (
-        "c91f40790f54cc4b6101ce3f011120ce4f6527977857dd37cd0ae6e9152929c9",
-        "b2e41dbd06f8bede68bbff2cf0e1d66ca58fc3bc71966420df231864b4d3012c"),
+        "7a7bd28ffba0e130bd72108647064e197386a8f49e90cd8483712440147c9ffc",
+        "cf67747c83af74fe5d202a912b7f16bd90565a517783efe8d46165a3b66b87a0"),
     ("liquid", "corrupt-operator-rotation"): (
-        "6980b2538979a2cc5a84405077b3d02123a6b6023d5c0abc13439a318038cab8",
-        "5783c6bef9b382b4de807c80f6e1682f07312580d99f7470065b928d4a25c046"),
+        "7ddbf40dfdae0705a09d4887844c17f286e3566eb834b5d42a8885b9d90683c6",
+        "6e8cf6ab580f518a09c46c0b3683ae5d77c539edba044374699a0d03e34bc7e0"),
     ("liquid", "deposit-mint"): (
-        "7b44e5258dce197bbdc0ddb4f1085c1795df990a5263ec882cad3ae56fe0e34c",
-        "eeef31299955518acb80f44962cab3fff446585dfab5502fc9932561e2f4b214"),
+        "cd8e526e07761c987d0271ff9ce1dc9d38ab21a7aa8e012cbb4c4ffb68a1b1bf",
+        "742f48dc2fe7655d82778ad003d676aaad303206570b17238e84c17ecc38bad3"),
     ("liquid", "deposit-then-withdraw"): (
-        "59667e5e94709a208d721eebbf6348572001a8d479bfdd00798d8850242d76e8",
-        "897dfe48a29fc9782fa918267ee2db6939ec3483ffdc6ab3cd70ff728197cb4a"),
+        "30c247e60a2e897ebc25bcf037b2a6f00085bff49450f5d2a4aa2acf4b469291",
+        "dbf7d41bb243bf5ee37ea6c15b4c19bdbb385629cab5ee5134dde352245237fc"),
     ("liquid", "garbage-triggers"): (
-        "c8a1d315905a824ffdf0b1974e8bdd2d9c6b7b6248d5a9d52f1af3fc04917842",
-        "c8a7e31717f0b61bf0c079633c6e0b5a05770e0016960ab41877bb6126218914"),
+        "2e27d2ad74263363fc5af4cc0f974f1c483bc2e98b7978b0a59245bd899a30d7",
+        "17b115e97ebfa3d51b7c3d2a4ba97801fc0d07913d8836299ddcbd4617156242"),
     ("liquid", "no-pump-delta-flush"): (
-        "4d1f65735019253b93495e998118e4c99886e4406cf21a2f284621c2ed6653e3",
-        "e43bf0f92b67b9a6c9ce6ae80038a046c4fa7680bf12aae3d7ae63c0bf471e23"),
+        "df6b845f9677a1ce534ee689b2cb5f2817390f746b9c38daa7a67404bc396c30",
+        "34a577b5a295294b6329016b1a1f3caffc46ba8995628f1405c30de57c922ebc"),
     ("liquid", "open-only"): (
         "57f31e2c3aabc438f227cb198badf09c2b496a5657611bbe612fb01cd89ad361",
-        "13105767a58d601e3b4dc75e3a3ec6ef54bbfe7b2143249a1c76e52ea09d7cb0"),
+        "d394c5a56ee294824e8808c7627b8e828773bad9a6aba28f09213795cc6c77a1"),
     ("liquid", "operator-menu-noise"): (
-        "eb37cb60fe2bea43507f7fef132b71a473a0adce448c8e830a71e76c9c830d2c",
-        "c0fe6003b55f7ea06832236ac5e52e22796fd12af10fc58e09998a1c027c7fe1"),
+        "29f8095f4d762788875a78113bbca98e666631732c9ddf157725892efc50a16b",
+        "7048781ad667289bafc6f23517a7db3377d48df6536e7a99b2d20512470d8c8a"),
     ("liquid", "overdraft-refused"): (
-        "d1aded84267f7d2d08ab8d96e859a48fd873b8fbf5c3261206387ac20dac493d",
-        "7873381328553fd3a544203a566a9da3e249f6736d961c41b87b392229367bf1"),
+        "66f2b0fa63714e798354bc5f8c347cf7c662755358fa125ecf5c21eb405ef9ac",
+        "5a02eb1cce56626d7e40cdaec1ba27c72d2c6e4bee5db2a06adb16f60e3b2c1d"),
     ("liquid", "pay-both-directions"): (
-        "060c41f84cfd60a5b0ec4fac3288a62522af9d6d499a278d42ab84ef72897753",
-        "9ee072ede9aca9be9678bc31526f7d30a1dfb5f9b7e225fd59274755d58e4086"),
+        "6d88db4034aa4685163eb0c692694ddc7ebe7c465334d27985a0f4b146bf6d9d",
+        "1641c12c565694893bf3b795a957af7890959ef2bd74db0c448549e8c7171a04"),
     ("liquid", "pay-pipeline"): (
-        "49bda333d4d6db77018ee665f5937ee509fe99bc7c23e2f91b332689ff970eb1",
-        "ddaa50aa03ed3c694981bb0bc5f8e010c55a9474e7a2ee7fc9f8b791f7a0eebf"),
+        "c93fa95d34ef9f5bef6758d5e6ec1a36091ed62b36bd6d56873e9f005060745a",
+        "2d981f10530827fe9c540e2283e4011e070963a676560c4f337a1d1b265a21a7"),
     ("liquid", "pay-race-same-step"): (
-        "1d8f150b91c8ad29ccca244bc249557207888cffb7dd780fa593035332373d5d",
-        "893f5dffbdd98b7b2c9bd405876c24ec9c6878916a131b419ce03a13f24a887e"),
+        "7e221d515e6e6fcb832356bc70c21c0a9220048fd097d05f38da745a46a898e5",
+        "1ba03d033e0cb372fcc6c85124db0acc80b05a2a67fa7ef35565cf0a792198d5"),
     ("liquid", "read-heavy"): (
         "e2705aedad074ee128f8dad4477e784779bcb7120a2129407ae03a7c12defbca",
-        "5e216f01a070321e1a987e7ab7ac3419c5f7071fe77742cdf95b18f5e086ef6d"),
+        "69d6b1ca83a47ca5818cabf604fc50444271ef8fe40e0b79d5fe12303047f666"),
     ("liquid", "settle-after-traffic"): (
-        "f5d75837ac9df01099ed2826dd66ad6dfa6fb5db598613bd7dba002afa8a2084",
-        "0f4f7efafa8c0086c1fdf404674982207805741d9229e45c2012a02695fb4757"),
+        "c710fe4bdb29ac867babcbd1848077dbe612141cc7b6fe526e8de47567a168c8",
+        "9454d8564bf73606bfe13bfc64500db0fe590dc649ae1e6b80bd2622b69c82f6"),
     ("liquid", "settle-fresh"): (
-        "f7bd64b658d59ba639099c67aaade83a03b732a63f56de313cd243aa63b9fc54",
-        "3f50a2676330ef2d9abef4a3a3b96b9cbedea219ebe8740a4094f6645a84dc56"),
+        "bc4872fd23549cc05735ac0e3700b3984465baeb493476dcaad1bbbcb6db9137",
+        "c9ea02171704b5c43bb30539df9a0cf16fe8237050ceb2a92554c43e344eccfd"),
     ("liquid", "shuffled-delivery"): (
-        "b4b8d8a0ada72ccf28ddf258080edb5f1352085ade0ca37385b82095417120b3",
-        "750eacef012e6f0b4984a34be91b04ad13c2a10b1e70f490807b2a55b648602e"),
+        "d35a45aedfe5d8dd070b506473aaacd7abcd7f52bbed06fcbe9bd25c8febccbb",
+        "5690dd4f272acfa307771b696fa25572f35fdedf6d387469f77776252c928df5"),
     ("liquid", "single-pay"): (
-        "142c7c507116d6866b8a327a9dab7d19819283a999495358c88005936af2868e",
-        "781b9969873175ee0b8f156ca14c3919487f5d54c1ac5cf574197d2930f262cb"),
+        "2b40131c747f47d29d62fe4a07bc3b12a67a88caac5a0fd66473f540823c654f",
+        "21231ba767e13290e238e13569f386645b6ff3e21b2f5e16ab8004ae0f550f5e"),
     ("arbitrum", "deposit-mint"): (
-        "f1f4d582ce270335fbd62591d80ac3303fe1b2eb5aefd5edf41f8ccc5002a697",
-        "46a6b58391b539a806776250266d0808a204b8e06f36a5bdcf4a640a7f3b1bb8"),
+        "9ace0267f12715474a05e88a4b3a418de6ffca5b5e40cd4d89ae0af7e43ef125",
+        "d49e66009f3438b7a82f097afbe7e548f732ece03cf21f826932c9eebb4c585a"),
     ("arbitrum", "false-accuse-noise"): (
-        "ff8eff87ee192e53cc4adda530e13376afb438adfd2748451475fa5b718a402d",
-        "cd837c3e745a2d06f2d2af6b5aea18dff4458eed8aa4242082fe238c199b678b"),
+        "47cd5529301fce7ee3315d6e20f8327b62ef4f7ab13654adfdc2d962a5931849",
+        "9650888fffed6fcce087adfbc376546be781e9070622355ac1ce2917c8d41700"),
     ("arbitrum", "fraud-struck"): (
-        "fddfe8fe80cb992221a1085469d039884978f967ae28c43f7b988dfabe7b6a70",
-        "0f7374e0c6cf947b3c424e804a56950a2f357094072ee7f4db5301ea7854b79d"),
+        "ddb46edb36ed00dbcb065e5f9b9f99ff78e92ce599466a9ab321de456432c408",
+        "1ac8826458b74be73afbb98cd6b6e02ce8120a8df85f8dee5d74d33f19716632"),
     ("arbitrum", "garbage-triggers"): (
-        "a3724b10470364fef8ff77a48b1fc6458b2a078c800545aa7a212b3adab6076f",
-        "b4ab03421a393c83bdaa283d1e326b56e87fe7cc910236382d426f2a3a1b2198"),
+        "c52360144ea4e0d7d16779058822bf2a6bb8ec6368184abfef9087bdd32d4e3f",
+        "ffd2a462fc9bf4b8023ed5dd96c4ce500e45cfa1c2e80ef69b55d9177b24b0a6"),
     ("arbitrum", "no-pump-delta-flush"): (
-        "32cf7fd4440434aac734006f1055731d9d1b610aa8d58a7ffd0e3803b778b399",
-        "9454cb7f6eb532b17e9d21b34b5123a42fb906228648d558d34d3ccf460864ac"),
+        "b54c869ea415382a4af6f562bb68d0890a1c231229190229d873d201819ef56b",
+        "c90eab988e51a445a64f5d5a03086ab492466e23c1ecc084c48abc3e9c1b221b"),
     ("arbitrum", "open-only"): (
         "68a5b6257760e7f8ac8eca3b0a13e6a2111e340b0544d08589598d0cefc21dd5",
-        "4d79dcda130e0f766846c994bc6eead0df86f5d39784978916420e2edc15f372"),
+        "c330c8d5ea640c82020d846b6a5cc708e0a0f9c8a00a2f07798826957a45e639"),
     ("arbitrum", "overdraft-refused"): (
-        "b14f3564900d7fd2787f8326b24013f1fc80aa224cf6be4d59a5fcb58acc0c50",
-        "1c4f1c3588ffc4a494803fe181fa173a1387146bdfeccd485af6a2d09d007ed3"),
+        "48ef15d7a8bb11f4b9246a46cf245d6abeb097d41e4f5f2a62aa1ae29306c5f7",
+        "2a2fdf5f9f6c9c9f0db7aaab06d4a3349d242d19b19e35ee53dabf7420434877"),
     ("arbitrum", "pay-both-directions"): (
-        "9953301c153a9889705a7c7439015ff844a36e636f4c9ee528a29d75c3f0e0d6",
-        "2592bdb137aa09e8805c7e7ea0b5d770c28b4bafd0d52f149229bebdf858e62c"),
+        "8b60cfb39590b17a5ef7c67fd0735a6381ee1259a56f05c2eb0b75aa86881838",
+        "e92d7fe784dcd70c398a5429e73ae9ecba6334a9e3feca1f3fc56c9da1a70d78"),
     ("arbitrum", "pay-pipeline"): (
-        "2f58a98b983ee7df73c7e1987404b7c2779f4c6fb5e0b0e3312a6ea732765e2a",
-        "5ba20203a74156f57bb578ab9efd61793dd508febdfda19bf3bfef07cb307ca4"),
+        "359d4cd6a1c76dc7b6f5e672c2ca19c23c7078eab518b99fa8db68aa3d2eb89e",
+        "b7897099ffbb7e7b0281f7585f9d5d75c5dd5c1ffaef0ca947ea86005a881f28"),
     ("arbitrum", "pay-race-same-step"): (
-        "2f7af87d215f42db10ece1b757003319b60473b8011ba4b906e2347d7224758c",
-        "694f4188a59888b34462ebf09d129447c59008359f9439b9c100bb9996b22620"),
+        "a2011d6b8387c1e9167a61ff47465377cdb7496543ee1dbebb2ad67bed7eac13",
+        "262c74697299aa878513a2d26282a101deefaed8bd019e0aec437d081da84862"),
     ("arbitrum", "read-heavy"): (
         "e61802381dd61518f45c1d05324fc64b7e7618fdd1b648f021f4a541c0f979f9",
-        "52902a7ba14d77a50bcf3185d4880b6910292f982e47eada759c55cc41ecf355"),
+        "5373257e4a1ff130634e0e2bd1119f6ce734c5cf9a4af3612abbef023b148d14"),
     ("arbitrum", "self-publish-rescue"): (
-        "4f6e4a6c814dba50b60ae7d3f616b14561065ff537d2c3cd55f7e052398eb490",
-        "fcee171efd1a94064cf9d40d4162357b1d24ce9c4321ae202e2cdadb3ea9c958"),
+        "1896604efe8e1eecda38cfd772226382b1311210b7ceb78f4d869bd5f6e5514b",
+        "0a556caa39c7d6d01326243701b72487cb85eb36c049b5179512561879f79b9d"),
     ("arbitrum", "settle-after-traffic"): (
-        "a2cd6d9e19a710a8c956c66760e04c8e0f37a5e63212b7544991832ddf3096c4",
-        "f14a7417e3fc3600c93ecfc885f11ed4692664d9e4ccef846a659296230078a3"),
+        "0139909c41d3ec58a2544f308d0a9f0b2377d388c90c02c6e878b91a64975b5e",
+        "ae131d4475804bb7200a612e89e1c846826ba95de30784641a305b28991f2288"),
     ("arbitrum", "settle-fresh"): (
-        "a4eb588a004cbf2ab3d73ef68a359862ead256912bb4a8b586222d3affb2f3ba",
-        "12dbcb384b618cd9982114e4081cfa6d10bb933385085ec69ba337080261a2c9"),
+        "18bbb547863fe0aa1d5b10aaad9f67da20630324f7cc0e5f77be74c83ef3cc68",
+        "a34a793b1b324bf8f546c761328fbdafedd0d4657129437e63849c2209066461"),
     ("arbitrum", "shuffled-delivery"): (
-        "d49bcd6b6d3f9ee395a680e7db60020d5d5459a402572709e1ae73de140d87a0",
-        "cbb0af406e3dc546661bbbfdc83abf984e31fe3860f699e5e8c4c805a17908a5"),
+        "30622ea280fcb7a3cc696acd785884a45bc446ffcff8833245494720f9085f3a",
+        "30fc464d0210c1dfbe1a90eec3901ddd3ec2995a14996d132cb67d7d1498211b"),
     ("arbitrum", "single-pay"): (
-        "9543bec56692fa3f2bf449a9fad50a6e539291e1d429673bf0ab108fb1f9e595",
-        "9db014e55a71f3522f0c3d377ee8ab25d3cad43ffa9af8d5addcfdde8bf58055"),
+        "bd36b5e56d30a950c4b49f3fef666b4bf953bef2c206fa2b7c4143af23e05dd4",
+        "be6156c036b3069440ff372d72bce7934eb7ad08b6f500612615ae8aadbab960"),
     ("arbitrum", "withdraw-exit"): (
-        "332f121a93a23311c643741586663942ce314952686333472d103db20ca02506",
-        "5659388100755f09330bfe69b701d86d59a17985cb54a1e99f9b008d939e8eef"),
+        "4d13c7a4cfb8093a1fac59e37430d3a7dea32b92efae3d26d2082a6fd01917a4",
+        "5c35a8c7c6e1919d17f4d018c1c29ff3993d87efac727e2a46c6cb07d6dea9ff"),
 }
 
 # (protocol, seed, adversarial) -> (schedule, real, ideal) digests
 LIFECYCLE = {
     ("brick", 1, False): (
         "7b491486d3a05d4d144d0fb9c415e7e76cb6ca60e444a0c89b7dacc67196fd03",
-        "5cd2dba3b2e80ab2ea35ff9ec157c146ade30660e6199bd9f401fe8b63284f50",
-        "508d25b746ce82145ac6e3e44b30bf28c80d8730fc12d70e639135ad77411dc7"),
+        "322df834befef4bb8febb5b738ce52891c6a49ba04e037525c48db86cf1659ea",
+        "700a4dd2c1a7f9aa85ce2d08cd10248c1b87a3dd629a16deaccd8240f34c31dc"),
     ("brick", 1, True): (
         "45005cce99fedb08c7f1c60d89fb66c81fdaf5adcd15a5d5e4b7fc1d8dfd0e53",
-        "1b9ff2214f1ee20d7856c8f8f469fa7a18a26a54fb906f36b9751a3258ada79a",
-        "0aca04966910a07021e7b22b54730f88153cc546f41b24a9bf2e752eff72a5c3"),
+        "1b592d43f5abd29702a3f201e72d429115c533ab714e2b72001d5cd7cb030010",
+        "a8ddae6038f69f142b68bbf67093ffa548a55f7715dce376361db5c505ef727f"),
     ("brick", 2, False): (
         "f9ef6d47ab02a84ec92e8929c4d938b68e23d898cfdca734208fc959ff5a0c6b",
-        "d800ca50796bb4e331119f9dedb657a007f7ec4158fa34743191bddc13df0910",
-        "19eba4917cd09abd2ab6c8285ec301409250401578c5dff0983ab9c2e30757f0"),
+        "dbf47a77cf0c6fb6342d3f83c21cb5f33a875a0e3962b67a92de9d31353cbfcb",
+        "c88d19d92cc1b5a0da48859b00251f4c230aa29c88aaa17184422b79814ea1d1"),
     ("brick", 2, True): (
         "028a97ebfec91c21423f4bef0a23d18a8e938b0a0e08ca401e4fc0864d498adc",
-        "a590e28ee1f86cab1d3145d9ba3ceb9a1aad2bb3715169015d60d2a5e5f427a0",
-        "48a1014411b970b638b350eef664e3a31bc1f612133258997eeb0dcc7c50326a"),
+        "3dfc64d538b14ea551d4b59d98dfc4615525c7d918e9d95b8390288845ae3815",
+        "beebe51cd4743652b2d22db404e196238f757f4eda5efb60356669cd992e49ab"),
     ("brick", 3, False): (
         "6381cd749c6b93fe6d28095fb0a94784ed7ecad2bec85e465c2bbb756aa9efe2",
-        "106e3e8296091f5bcae11062ceb7aeecf6ab18770e4c277874ea3489e84df3cf",
-        "656a97ce7682b51822ac32a5faa188c77efdb5ebac72398886c78bb2cfeaaa7d"),
+        "7801d9594ebf1143a05c26b95ae674aa623b9b6fbf500993feaf656d879bf60c",
+        "77b747fd97b2b4c5daa88837fe7fcff4d2d4949aae80c0e0f765fab0f25518fb"),
     ("brick", 3, True): (
         "aa53cca3c169a82ec5b2a4d5bc150920c6651eee1d96a004e850d249e1fa648e",
-        "c2249fde4de707a9477f424a30dd458e33009fa9922c8ef376f41a61a44835d7",
-        "7959faf45c923c36747eb41f076b21154c7022470e4301e5e131347e27f03ee6"),
+        "ffbf2bcd709e5559178699d5c836a74961868ec86670fe3125a9f4247dfeb3b8",
+        "a789f1018d3616baf22345ccf28b15630c406287c2a9f82788196e077a6511f7"),
     ("liquid", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
-        "4ec5ce9b4578db18c71a9e058b3bda0944e806d6e9c562bc4cad75437ab2b5f9",
-        "ea0562744f1e8494ce702370e7eb86cb72843292203b7c321c74843439dc4fe9"),
+        "226cc5d6df876c98fbd9b3dc7740bbdd022b1c4e61850cfc05bab7a26688a492",
+        "0df8f9f359336bb8c4cc7d777fa4b2d4b724c203a322433e920fc6ffd0f99a16"),
     ("liquid", 1, True): (
         "38871f87b4398e8c60f45665ae6581997da8b80a3457f0fafedd724f5ce11c35",
-        "f78efa60f9ae40af85c76b6b0cba05976f062e0bd34839d00251c6a6a132eb23",
-        "d0349d0b5e6b6bc030f7416142caa08664b38d442d0638ffb6751844be5b5325"),
+        "4d409669816dbef3fe4a991bb9f31dd822b4d5ed4cc43dab1e1c7e58d353e3dc",
+        "264cc703a38ff3263aea472264d77e7e493438e6c28a628d52f60a82c0e35b6e"),
     ("liquid", 2, False): (
         "2105c5aeb6ee8aedf7aa9f14ecd63921c5d11f5d50a7367a0053e03a63c2ed9b",
-        "c2a22f3fa14ff64d3b878896887e8039b781d251763bd8b072dbab5092642f20",
-        "0b8d687412b2b5761564555ff493e2df3f7489154f6d97fc992873a07400f919"),
+        "68e20f498629f437b9f30518f27c79b184a479b91ec4f64fe0a08f243cf11893",
+        "08e23403c9c6b83decce03647aa7eec332f72f5868e31dfe62a9e55af31eae9f"),
     ("liquid", 2, True): (
         "ba57234f2d6d51af98f908cb3fd4eecaa7d77d24934cad954065f01807be5760",
-        "b08ebf485e7a00a7d9091828105548dc13d6a822d0cd701f5906398060916139",
-        "d5e73f379874ac3dfa8c648090d2b6f3c7e942e0b5409116a0aab00e85ce1090"),
+        "f3a599a9a955bd9368db8e3e42a275fe2332e1772f6fce6abbc0d66be16bffa1",
+        "ec0570f5f269e78f10e40a667ca2f02b3b36cfe196ebe37ad804a88f642257f7"),
     ("liquid", 3, False): (
         "b2c8af5adbdfd31c5166d86924da9e3382226e6490394dacd22a4bc8187e9b28",
-        "5334e1df30245c59fc82a8c75b5506a617d0a62b0eeeb598d899bde5b42ecde0",
-        "16b6edb73bcecb1c06025e8c972983719d2b6d707dcf4b510bc2a0d6498b70de"),
+        "0cdc6f6b76f18f2ab645a353a4c3bf8ff0a6bbddfb5328fd656bc4aabfaaa3b4",
+        "68fdbf80a684422388bf28b3f6fa1250548959671091d83238b9885749803d0b"),
     ("liquid", 3, True): (
         "7fb13eb7060bebd9750a941899aaf1437f11ea1e96165c0db285bd945554cf32",
-        "fd4a7c4635715683f029373cd87befe63a1413bf6b59cb5adbeee4d6134e574e",
-        "d5663e24484a9dc1e26e29360b6056819cc633b670f1395681b81fd9078dae51"),
+        "f36eaa0e23a634ef46ed625f213f6cba8622b0e9ac686d2716d2e0639d2aaecf",
+        "c31c042e78f00867e0017c3633fe26f95c2192b89c2c00aa88125d609efebfee"),
     ("arbitrum", 1, False): (
         "671614e4cf31bfba790e5dbcbdee9c7acdef469b24faec149735e90559ce5890",
-        "a40b01230074496ea4a7ba2d07385ed99a543ded295cca77bc9a27ea6631e1ee",
-        "d976494d741fe7c973b5ed71629a7a00bf6707e433cd66e76160c89c4fb86172"),
+        "91de1e26bce25c2e9b52f120750a3899a2214ce9d604ce295612f6cb32b6d55a",
+        "0c06d68c2cbc2502878954255a7c3b7121e70a2728e75805613f2a22af103508"),
     ("arbitrum", 1, True): (
         "b2e16ca7cb0c27e9c67b5a44590bb0bf50942caa03182090b25c2199ae5b73ab",
-        "7f67ad7b192117829cab581171989501db9042ae82bb9636f2a2db6b7ef71792",
-        "8bd8cc9a0f8786d0d52bbfc3675e6c1e2a50f74433a02eebc8fcc2bfadc63174"),
+        "210b896c914caef98d66a00b1e96e73e716fc7b78a3d28bf63d4bbd751cad16b",
+        "f64c368f945d362b586f5fbcd7afa04046c64c162c13fb0faf1e36d1fc40b9d3"),
     ("arbitrum", 2, False): (
         "2105c5aeb6ee8aedf7aa9f14ecd63921c5d11f5d50a7367a0053e03a63c2ed9b",
-        "71d7a989f4a2e1174caf56906890c97450a43605578c19163691ff886749420a",
-        "40d83a7bb5a811b88a6ad01bb5f4469b7fb09bfbb51ac625eb2c3c33318bd6ce"),
+        "1f9d2ee9109303b4ed48b9356a1e0420dd37c3a93f6fb148ec75bf36bef50a01",
+        "337efcf2fcd9290397362b6e0d664c8520f20fb66144051223b87ff7501e7ee3"),
     ("arbitrum", 2, True): (
         "1daed42271d646aeb89ce6bffdfaaf2207e95cee8e9f5f5b39150fc3641e95b2",
-        "e6aabf8f281c73a4b2a6f43536796d50a4d3776821a3be19e95c212fb29f89cf",
-        "518ff4d087ee8dc4f2b79002163fce101d9f28d6264f2e348abd9e959d998fd1"),
+        "8789ea297413a2819fc2283ae407af72121046f758d5def39db79ec0a11799ca",
+        "aae99464787360053dee0562b1fe15ef1c61a32c066ddce0d3ec5c575d229545"),
     ("arbitrum", 3, False): (
         "b2c8af5adbdfd31c5166d86924da9e3382226e6490394dacd22a4bc8187e9b28",
-        "7fe24bd0df6109d00bce0125ff873838879055e69344a79a0c701c1ab85a924f",
-        "8574029cdc81373d4b6780577abe42020193f648e97c8cd6ba63332c231961cf"),
+        "131911ea00b2403b0b6dd3cdd8847b13c7ee702a3b3d3dee4c665cf6ba409264",
+        "a1ae5b205a8c536a16673f614d262b0009037d1c7d519bf8d51ca1db44ed1dbe"),
     ("arbitrum", 3, True): (
         "68c49da401716fdd713798a708e3b2a93072a08b048235f64ed39413b57e4a81",
-        "eda5fbc48e765260cc93aca577ca4e933595e6ba33712172b6e519975a61bf9e",
-        "c31217213655083c77d7cf91e6c24599455b06d1edf9ff4576f158ec547aaa89"),
+        "1003c7e5e2b3c51da2a70be7e6d5bdecd2156b748283372ffdc4524e199ca7d4",
+        "691af9e5a9bf7429f49bf7564a9fde454920b39fd4da8f844d7caf31ffb04911"),
 }
 
 

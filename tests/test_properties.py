@@ -38,8 +38,13 @@ other row stayed the same.  When a real account client came to answer a
 deposit with a ``request-queued`` note, the real witness and record
 digests of liquid deposit-then-withdraw were recorded again: its failing
 deposit request carries its answer as the ideal one does (``witness_len``
-4 became 5), so the two record digests are equal.  A change that moves a
-verdict or a witness has to say why.
+4 became 5), so the two record digests are equal.  When the interface
+came to answer a submit with the ``request-queued`` or
+``request-refused`` note a real client writes, instead of a
+``submit-result``, the ideal witness digest of liquid
+deposit-then-withdraw was recorded again: its witness holds that answer.
+Its record digest and every other row stayed the same.  A change that
+moves a verdict or a witness has to say why.
 
 ``reference_check_safety`` keeps the all-pairs safety check that the
 one-pass ``check_safety`` replaced; the two are compared on hand-built
@@ -179,7 +184,7 @@ SCRIPTED_WITNESSES = {
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
     ("liquid", "deposit-then-withdraw"): (
         "2a215e730a2372a45e8d276f9956560f064a7b99521053fe18d86b35aae66fd3",
-        "55abc0a5b9e1a9a88ac6faf28804a150a2c2c7a3d8fecbb2987744290e0fc000"),
+        "6ddff74ecfd846d314602eda9ae648a6c664a7bf94b547ac99efb7ff2a519042"),
     ("liquid", "garbage-triggers"): (
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9",
         "b86f1f329f83e159ba35bf407e3d1512918b54d2d0e071badcb06e90509b34d9"),
