@@ -67,6 +67,32 @@ def pay(world, frm, to, amt, settle_rounds=1):
     rounds(world, settle_rounds)
 
 
+def test_a_client_keeps_at_most_one_ack_per_warden():
+    """After every event of the honest seed-1 pays=100 lifecycle, each
+    client's ``acks`` holds at most one ack per warden: those for the
+    state after its latest, dropped once that state is accepted."""
+    scn = brick.canonical_scenario()
+    run = harness.RealRun("brick", scn)
+    wardens = {f"{brick.WARDEN}:{w}" for w in scn["wardens"]}
+    clients = [m for m in run.world.machines.values()
+               if isinstance(m, brick.BrickClient)]
+    held = []
+
+    def check(ev):
+        for m in clients:
+            assert set(m.acks) <= wardens
+            assert all(set(a) == {"ref", "state", "csigs"}
+                       for a in m.acks.values())
+            held.append(len(m.acks))
+
+    run.trace.observers.append(check)
+    harness.apply_schedule(run, harness.lifecycle_schedule(
+        "brick", scn, 1, pays=100))
+    # a state is accepted at its (2f+1)-th ack; a later ack of it is dropped
+    assert max(held) == 2 * scn["f"] and held[-1] == 0
+    assert len(clients[0].chain) > 100
+
+
 def test_open_needs_both_clients():
     world, scn = make_world()
     world.inject_input(world.entity(CLIENT, "c1"), {"kind": "open"})

@@ -165,6 +165,32 @@ def test_both_runs_get_the_same_inputs_and_requests(name, label, seed,
     assert request_rows(real)
 
 
+@pytest.mark.parametrize("name, label, seed, adversarial", [
+    (name, label, None, None) for name, label in corpus()] + [
+    (name, None, seed, adversarial)
+    for name, seed, adversarial in GOLDEN_LIFECYCLES])
+def test_both_runs_answer_a_request_with_one_note(name, label, seed,
+                                                  adversarial):
+    """Both runs answer in one format: no ``submit-result`` is left, and
+    an answer is a ``request-queued`` or ``request-refused`` note whose
+    ``req`` is its request's entry word.  Every honest answer pairs with a
+    request, and the interface answers every request at once."""
+    real, ideal = (scripted_traces(name, label) if label is not None
+                   else lifecycle_runs(name, seed, adversarial)[1])
+    for trace in (real, ideal):
+        assert all(ev["t"] != "submit-result" for ev in trace.events)
+        s = properties.summarize(trace)
+        answered = [r for r in s.requests if r["note"] is not None]
+        assert all(r["note"]["t"] == "note" and r["note"]["req"] == r["what"]
+                   for r in answered)
+        answers = [ev for ev in trace.events if ev["t"] == "note"
+                   and ev["kind"] in ("request-queued", "request-refused")
+                   and ev["party"] not in s.corrupted]
+        assert len(answers) == len(answered)
+    assert all(r["note"] is not None
+               for r in properties.summarize(ideal).requests)
+
+
 @pytest.mark.parametrize("name", PROTOCOLS)
 def test_single_pay_is_not_vacuous(name):
     # the equality above would hold trivially if nothing ever happened, so
