@@ -226,7 +226,8 @@ class AccountClient(Machine):
 
     def _queue_tx(self, ctx, body):
         if self.closed or not self.opened:
-            ctx.note("request-refused", why="phase", req=ENTRY_WORD[body["op"]])
+            ctx.note("request-refused", why="phase",
+                     req=ENTRY_WORD[body["op"]])
             return
         self.pending.append(body)
         self._try_send(ctx)

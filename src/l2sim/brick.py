@@ -111,7 +111,7 @@ class BrickClient(Machine):
         self.chain = []          # accepted: {"kind","seq","state","csigs","wacks"}
         self.pending_pay = []
         self.proposal = None     # outstanding outgoing {state, seq, sig}
-        self.acks = {}           # warden_short -> {"ref","state","csigs"} for latest + 1
+        self.acks = {}           # warden_short -> its ack of latest + 1
         self.close_pending = None
         self.uni_pending = False
         self.close_submitted = False

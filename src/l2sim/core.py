@@ -275,7 +275,8 @@ class InterfaceMachine(Machine):
         ist.queue.append(request)
         ctx.world.emit("leak", to="adversary",
                        data={"kind": "submit", "req": request})
-        ctx.world.emit("note", kind="request-queued", party=ctx.party, req=word)
+        ctx.world.emit("note", kind="request-queued", party=ctx.party,
+                       req=word)
 
     def _read(self, ctx, pid):
         ist = self.ist

@@ -4,9 +4,10 @@ Every check judges a finished run's trace, a ``Trace`` or a holder that
 ``as_trace`` builds, and returns a Verdict.  The checks work on both
 stackings and judge them by what the environment sees: both runs get the
 same client inputs, so the requests come from the inputs in both, each
-paired with its answer, a ``request-queued`` or ``request-refused`` note
-that a real client and the interface write alike, and both are judged
-against the same honest read outputs and confirmations.  Nothing here mutates a world.
+paired with its answer, the ``request-queued`` or ``request-refused``
+note that a real client and the interface write alike, and both are
+judged against the same honest read outputs and confirmations.  Nothing
+here mutates a world.
 
 A read-result carries only its delta (see ``core.read_result``): the first
 ``base`` entries of its reader's previous view, then ``executed``, then
