@@ -430,7 +430,7 @@ MALFORMED_REQUESTS = {
                          ids=list(MALFORMED_REQUESTS))
 def test_a_malformed_request_is_an_integrity_error(ev):
     with pytest.raises(IntegrityError):
-        properties.summarize(as_trace([ev])).requests
+        properties.summarize(as_trace([ev]))
     with pytest.raises(IntegrityError):
         properties.check_correct_settlement(as_trace([ev]))
 
@@ -549,7 +549,8 @@ def test_reads_at_one_time_and_readers_interleaved_still_load():
     trace = Trace()
     trace.events = events
     for loaded in (as_trace(events), Trace.from_text(trace.to_text())):
-        assert [v.party for v in properties.summarize(loaded).views] == [A, A, B]
+        views = properties.summarize(loaded).views
+        assert [v.party for v in views] == [A, A, B]
 
 
 @pytest.mark.parametrize("name", sorted(harness.PROTOCOLS))
