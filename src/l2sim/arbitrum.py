@@ -568,12 +568,10 @@ class ArbitrumBundle(AccountBundle):
     update_key, seq_field, settle_kind = "batch", "seq", "settle"
 
     def _certify(self, ist, batch, attachment, ctx):
-        view = world_view(ctx.world)
-        entry = None
-        for e in view["entries"]:
-            if e["batch"] == batch:
-                entry = e
-                break
+        # entries hold distinct seqs, so at most one matches; the batch to
+        # certify is the one after the last certified, near the tip
+        entry = next((e for e in reversed(world_view(ctx.world)["entries"])
+                      if e["batch"] == batch), None)
         if entry is None:
             return "not-on-ledger"
         if ctx.round <= entry["commit_round"] + ctx.timing["t_period"]:

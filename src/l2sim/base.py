@@ -34,9 +34,12 @@ state's minted watermark counts (``accounts``).  ``find(pred)`` scans
 ideal bundles' ``open`` and ``settlement`` and the brick simulator's
 settlement trigger.
 
-Signatures are idealized: sign() records (signer, digest) under a fresh
-handle (an int); one lookup gives the signer whose record a ref replays
-over a message digest, which verify() compares and verify_any() returns.
+Signatures are idealized: sign() logs (signer, digest) under a fresh
+handle (an int) and returns the record {"sig": handle, "by": signer,
+"over": digest}.  A ref verifies over a digest only as sign() wrote it: its
+``sig`` is an int, not a bool, that names a log entry, and that entry is
+(its ``by``, the digest), which is also its ``over``.  One read of the log
+gives that signer, which verify() compares and verify_any() returns.
 There is no key material and nothing to forge.  Signing and verifying take
 the message's digest rather than the message, so a caller that checks
 several refs over one message digests it once; ``signed_tx`` signs the
@@ -119,14 +122,17 @@ class CertRegistry:
         return {"sig": len(self.log), "by": signer, "over": dig}
 
     def _signer(self, ref, dig) -> str | None:
-        """The signer whose record ``ref`` replays over ``dig``, or None."""
-        if not isinstance(ref, dict) or not isinstance(ref.get("sig"), int) \
-                or not 1 <= ref["sig"] <= len(self.log):
+        """The signer of ``ref`` if it is a record ``sign`` wrote over
+        ``dig``, else None: its ``sig`` is an int (a bool is none) whose
+        log entry is (its ``by``, ``dig``), and its ``over`` is ``dig``."""
+        try:
+            handle, signer, over = ref["sig"], ref["by"], ref["over"]
+        except (TypeError, KeyError):       # no record, or a partial one
             return None
-        signer, signed = self.log[ref["sig"] - 1]
-        if ref.get("by") != signer or signed != dig:
-            return None
-        return signer
+        if type(handle) is int and 0 < handle <= len(self.log) \
+                and over == dig and self.log[handle - 1] == (signer, dig):
+            return signer
+        return None
 
     def verify(self, ref, dig, signer: str) -> bool:
         found = self._signer(ref, dig)

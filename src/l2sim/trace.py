@@ -20,17 +20,34 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 
-# built once: json.dumps builds an encoder on every call that passes options
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _ENCODE_LOOSE = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                  default=repr).encode
+# ``JSONEncoder.encode`` builds a C encoder, a float formatter and a
+# circular-reference guard on every call; ``canon`` builds its C encoder
+# once, from the nine arguments ``JSONEncoder.iterencode`` passes, so its
+# text is ``_ENCODER.encode``'s.  The guard (``_MARKERS``) is empty between
+# calls; an error can leave entries in it, so ``canon`` then clears it.
+_MARKERS: dict = {}
+if c_make_encoder is None:
+    _CHUNKS = lambda obj, _indent: (_ENCODER.encode(obj),)    # noqa: E731
+else:
+    _CHUNKS = c_make_encoder(
+        _MARKERS, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+        _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+        _ENCODER.skipkeys, _ENCODER.allow_nan)
 
 
 def canon(obj) -> str:
     """Canonical JSON text: sorted keys, no whitespace."""
-    return _ENCODE(obj)
+    try:
+        return "".join(_CHUNKS(obj, 0))
+    except BaseException:
+        _MARKERS.clear()
+        raise
 
 
 def canon_loose(obj) -> str:
