@@ -576,6 +576,35 @@ def test_bundle_halts_on_unchallenged_fraud():
     assert not ok and why == "halt:unchallenged-fraud"
 
 
+class CountedBatch(dict):
+    """A batch that counts the comparisons made with it."""
+
+    compared = 0
+    __hash__ = None
+
+    def __eq__(self, other):
+        CountedBatch.compared += 1
+        return dict.__eq__(self, other)
+
+
+def test_bundle_certify_scans_from_the_tip(monkeypatch):
+    # entries hold distinct seqs, so at most one equals the batch, and the
+    # batch after the last certified one lies near the tip of the chain
+    world, scn = make_world()
+    bundle, ist, ctx = bundle_pair(world, scn)
+    entries = [{"batch": CountedBatch(seq=i, txs=[]), "commit_round": 0,
+                "post": {"seq": i}, "claimed": {"seq": i}}
+               for i in range(1, 301)]
+    monkeypatch.setattr(arbitrum, "world_view", lambda w: {"entries": entries})
+    monkeypatch.setattr(CountedBatch, "compared", 0)
+    assert bundle._certify(ist, {"seq": 297, "txs": []}, None, ctx) \
+        == "window-open"
+    assert CountedBatch.compared == 4
+    assert bundle._certify(ist, {"seq": 301, "txs": []}, None, ctx) \
+        == "not-on-ledger"
+    assert CountedBatch.compared == 4 + 300
+
+
 def test_bundle_read_entries_behind_index():
     world, scn = make_world()
     bundle, ist, ctx = bundle_pair(world, scn)

@@ -32,12 +32,27 @@ def test_cert_sign_verify_and_forgery():
     assert not certs.verify({"nonsense": True}, digest({"m": 1}), "client:a")
 
 
-@pytest.mark.parametrize("handle", [[1], {"h": 1}, "1", None, 1.5])
+@pytest.mark.parametrize("handle", [[1], {"h": 1}, "1", None, 1.5, True,
+                                    False])
 def test_a_non_int_handle_is_invalid(handle):
     certs = CertRegistry()
     ref = dict(certs.sign("client:a", digest({"m": 1})), sig=handle)
     assert certs.verify(ref, digest({"m": 1}), "client:a") is False
     assert certs.verify_any(ref, digest({"m": 1})) is None
+
+
+def test_a_record_verifies_only_over_the_digest_it_names():
+    certs = CertRegistry()
+    d = digest({"m": 1})
+    ref = certs.sign("client:a", d)
+    for bad in (dict(ref, over="zz"), dict(ref, over=digest({"m": 2})),
+                {k: v for k, v in ref.items() if k != "over"},
+                {k: v for k, v in ref.items() if k != "by"},
+                [ref["sig"], "client:a", d], "client:a", None):
+        assert certs.verify(bad, d, "client:a") is False
+        assert certs.verify_any(bad, d) is None
+    assert certs.verify_any(dict(ref, extra=1), d) == "client:a"
+    assert certs.verify(ref, d, "client:a") and certs.verify_any(ref, d)
 
 
 @pytest.mark.parametrize("handle", [0, -1, 2])

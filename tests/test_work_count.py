@@ -1,6 +1,6 @@
-"""``tests/work_count.py`` counts executed bytecodes, a work count that
-does not depend on the host: it must repeat exactly, run after run and
-under any ``PYTHONHASHSEED``.  A process's first run also fills the
+"""``tests/work_count.py`` counts executed bytecodes, ``trace.canon``
+calls and canonical bytes, work counts that do not depend on the host:
+each must repeat exactly, run after run and under any ``PYTHONHASHSEED``.  A process's first run also fills the
 process-wide short-name cache (``runtime._SHORT``), so runs are compared
 after one run that warms it.  With ``--missed`` it names the lines of
 ``src/l2sim`` that a workload never ran."""
@@ -11,7 +11,8 @@ import sys
 from pathlib import Path
 
 import work_count
-from l2sim import harness, liquid
+from l2sim import harness, liquid, properties, runtime, trace
+from l2sim.trace import canon
 
 ROOT = Path(__file__).resolve().parents[1]
 COUNT = """
@@ -20,8 +21,8 @@ from l2sim import harness
 scn = harness.protocol("arbitrum").canonical_scenario()
 pairs = [(scn, harness.scripted_schedules("arbitrum", scn)["single-pay"])]
 work_count.count(harness, "arbitrum", pairs)
-per_code, events = work_count.count(harness, "arbitrum", pairs)
-print(sum(per_code.values()), events)
+per_code, *rest = work_count.count(harness, "arbitrum", pairs)
+print(sum(per_code.values()), *rest)
 """
 
 
@@ -31,15 +32,37 @@ def test_a_work_count_repeats_across_runs_and_hash_seeds():
     work_count.count(harness, "arbitrum", pairs)
     first = work_count.count(harness, "arbitrum", pairs)
     assert work_count.count(harness, "arbitrum", pairs) == first
-    per_code, events = first
+    per_code, events, calls, size = first
     assert events > 0 and work_count.by_function(per_code)[
         "arbitrum.ArbitrumClient._recheck"] > 0
+    assert 0 < calls < size
+    assert trace.canon is canon          # the counter is taken off again
     for seed in ("0", "123"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
             [str(ROOT / "src"), str(ROOT / "tests")]))
         out = subprocess.run([sys.executable, "-c", COUNT], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.split() == [str(sum(per_code.values())), str(events)]
+        assert out.stdout.split() == [
+            str(n) for n in (sum(per_code.values()), events, calls, size)]
+
+
+def test_the_canon_counter_adds_no_bytecode(monkeypatch):
+    # a second wrapper, in the count, shows what the counter's own frames
+    # would add; the counter's frames are not traced
+    scn = harness.protocol("brick").canonical_scenario()
+    pairs = [(scn, harness.scripted_schedules("brick", scn)["single-pay"])]
+    work_count.count(harness, "brick", pairs)
+    per_code, events, calls, size = work_count.count(harness, "brick", pairs)
+    texts = []
+    wrapper = lambda obj: texts.append(canon(obj)) or texts[-1]  # noqa: E731
+    for module in (trace, properties, runtime, harness):
+        monkeypatch.setattr(module, "canon", wrapper)
+    counted = work_count.count(harness, "brick", pairs)
+    assert (len(texts), sum(map(len, texts))) == (calls, size)
+    assert counted[1:] == (events, calls, size)
+    extra = counted[0][wrapper.__code__]
+    assert extra > 0
+    assert sum(counted[0].values()) - extra == sum(per_code.values())
 
 
 def code_lines(code):

@@ -12,7 +12,12 @@ and ``f_trace_opcodes`` on, so every bytecode executed in a Python frame is
 counted, in l2sim and in the standard library alike; building the
 schedules is not counted.  For each protocol (all three by default) it
 prints the bytecodes, the events of both runs' traces, bytecodes per event,
-and the ``--top`` functions (default 15) by their share of the bytecodes.
+the ``trace.canon`` calls and the canonical bytes they return, in all and
+per event, and the ``--top`` functions (default 15) by their share of the
+bytecodes.  Work done inside the C JSON encoder executes no bytecode, so
+the canonical bytes are its count: a wrapper around ``canon``, in every
+l2sim module that holds it (``trace.digest`` calls it through its module),
+counts them, and its own frames are not traced.
 With ``--missed`` it then prints, per ``src/l2sim`` module, the executable
 lines that no counted run executed: every line of a function body but its
 ``def`` line, since module and class bodies run at import, before the
@@ -31,6 +36,7 @@ names of ``runtime._SHORT``), which the first protocol counted pays.
 
 import argparse
 import gc
+import importlib
 import inspect
 import random
 import subprocess
@@ -65,12 +71,24 @@ def schedules(harness, workload, name):
 
 
 def count(harness, name, pairs, lines=None):
-    """(bytecodes per code object, trace events) of running each
-    (scenario, schedule) pair of protocol ``name`` differentially.  The
-    collector is run before each schedule and kept off during it, so no
-    finalizer of earlier garbage runs inside the count.  A ``lines`` set
-    also gets the (file name, line) of every line executed."""
-    per_code, events = Counter(), 0
+    """(bytecodes per code object, trace events, ``trace.canon`` calls,
+    canonical bytes) of running each (scenario, schedule) pair of protocol
+    ``name`` differentially.  The collector is run before each schedule
+    and kept off during it, so no finalizer of earlier garbage runs inside
+    the count.  A ``lines`` set also gets the (file name, line) of every
+    line executed."""
+    per_code, events, texts = Counter(), 0, [0, 0]
+    package = harness.__name__.rpartition(".")[0]
+    original = importlib.import_module(package + ".trace").canon
+
+    def canon(obj):
+        text = original(obj)
+        texts[0] += 1
+        texts[1] += len(text)          # the text is ASCII: one byte a char
+        return text
+
+    holders = [m for n, m in list(sys.modules.items())
+               if n.startswith(package + ".") and vars(m).get("canon") is original]
 
     def local(frame, event, arg):
         if event == "opcode":
@@ -80,20 +98,28 @@ def count(harness, name, pairs, lines=None):
         return local
 
     def on_call(frame, event, arg):
+        if frame.f_code is canon.__code__:     # the counter is no work
+            return None
         frame.f_trace_opcodes = True
         return local
 
-    for scn, sched in pairs:
-        gc.collect()
-        gc.disable()
-        sys.settrace(on_call)
-        try:
-            real, ideal, _ = harness.run_differential(name, scn, sched)
-        finally:
-            sys.settrace(None)
-            gc.enable()
-        events += len(real.trace.events) + len(ideal.trace.events)
-    return per_code, events
+    for module in holders:
+        module.canon = canon
+    try:
+        for scn, sched in pairs:
+            gc.collect()
+            gc.disable()
+            sys.settrace(on_call)
+            try:
+                real, ideal, _ = harness.run_differential(name, scn, sched)
+            finally:
+                sys.settrace(None)
+                gc.enable()
+            events += len(real.trace.events) + len(ideal.trace.events)
+    finally:
+        for module in holders:
+            module.canon = original
+    return per_code, events, *texts
 
 
 def by_function(per_code) -> Counter:
@@ -149,11 +175,14 @@ def report(workload, names, top, missed):
     from l2sim import harness
     lines = set() if missed else None
     for name in names:
-        per_code, events = count(harness, name,
-                                 schedules(harness, workload, name), lines)
+        per_code, events, calls, size = count(
+            harness, name, schedules(harness, workload, name), lines)
         total = sum(per_code.values())
         print(f"{name} {workload}: {total} bytecodes, {events} events, "
               f"{total / events:.1f} per event")
+        print(f"  canon: {calls} calls, {size} bytes; "
+              f"{calls / events:.2f} calls and {size / events:.1f} bytes "
+              f"per event")
         for fn, n in by_function(per_code).most_common(top):
             print(f"  {100 * n / total:5.1f}%  {n:>9}  {fn}")
     if missed:
