@@ -31,14 +31,16 @@ _ENCODE_LOOSE = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
 # once, from the nine arguments ``JSONEncoder.iterencode`` passes, so its
 # text is ``_ENCODER.encode``'s.  The guard (``_MARKERS``) is empty between
 # calls; an error can leave entries in it, so ``canon`` then clears it.
+# One guard serves every call: ``canon`` runs in one thread at a time.
 _MARKERS: dict = {}
-if c_make_encoder is None:
-    _CHUNKS = lambda obj, _indent: (_ENCODER.encode(obj),)    # noqa: E731
-else:
+if c_make_encoder is not None:
     _CHUNKS = c_make_encoder(
         _MARKERS, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
         _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
         _ENCODER.skipkeys, _ENCODER.allow_nan)
+else:
+    def _CHUNKS(obj, _indent):
+        return (_ENCODER.encode(obj),)
 
 
 def canon(obj) -> str:

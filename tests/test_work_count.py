@@ -54,7 +54,11 @@ def test_the_canon_counter_adds_no_bytecode(monkeypatch):
     work_count.count(harness, "brick", pairs)
     per_code, events, calls, size = work_count.count(harness, "brick", pairs)
     texts = []
-    wrapper = lambda obj: texts.append(canon(obj)) or texts[-1]  # noqa: E731
+
+    def wrapper(obj):
+        texts.append(canon(obj))
+        return texts[-1]
+
     for module in (trace, properties, runtime, harness):
         monkeypatch.setattr(module, "canon", wrapper)
     counted = work_count.count(harness, "brick", pairs)
