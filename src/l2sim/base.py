@@ -123,7 +123,7 @@ class CertRegistry:
 
     def _signer(self, ref, dig) -> str | None:
         """The signer of ``ref`` if it is a record ``sign`` wrote over
-        ``dig``, else None: its ``sig`` is an int (a bool is none) whose
+        ``dig``, else None: its ``sig`` is an int (a bool is no int) whose
         log entry is (its ``by``, ``dig``), and its ``over`` is ``dig``."""
         try:
             handle, signer, over = ref["sig"], ref["by"], ref["over"]
